@@ -78,12 +78,11 @@ cover:
 	check_pkg session 80; \
 	check_pkg checkpoint 75
 
-# Fleet-scale aggregation smoke: a small streaming-vs-buffered pair from
-# the load harness. BENCH_5.json records the full 1k/10k-client runs and
-# the sublinear-memory comparison.
+# Fleet-scale aggregation smoke: a small in-process run of the load
+# harness. BENCH_5.json records the full 1k/10k-client runs (its buffered
+# rows are from a path since deleted).
 fleet:
 	$(GO) run ./cmd/flfleet -clients 500 -shards 4 -rounds 3 -dim 5000 -nnz 250
-	$(GO) run ./cmd/flfleet -clients 500 -shards 4 -rounds 3 -dim 5000 -nnz 250 -mode buffered
 
 # Hot-path microbenchmarks with allocation stats; see DESIGN.md §GEMM for
 # how these map onto BENCH_1.json.

@@ -32,8 +32,8 @@
 // client falls back to the bootstrap path with full-jitter backoff and is
 // rerouted to a surviving sibling.
 //
-// Peak RSS (VmHWM) is monotonic per process, so run one mode per
-// invocation when comparing memory; BENCH_5.json collects one JSON
+// Peak RSS (VmHWM) is monotonic per process, so run one configuration
+// per invocation when comparing memory; BENCH_5.json collects one JSON
 // object (-json) per configuration.
 //
 // Examples:
@@ -59,10 +59,10 @@ import (
 
 	"adafl/internal/compress"
 	"adafl/internal/edge"
+	"adafl/internal/fl"
 	"adafl/internal/rpc"
 	"adafl/internal/scenario"
 	"adafl/internal/shard"
-	"adafl/internal/tensor"
 )
 
 // result is the JSON record one invocation emits; BENCH_5.json is a
@@ -86,15 +86,14 @@ type result struct {
 
 func main() {
 	clients := flag.Int("clients", 1000, "simulated fleet size")
-	shards := flag.Int("shards", 8, "aggregation shards (stream mode)")
+	shards := flag.Int("shards", 8, "aggregation shards")
 	rounds := flag.Int("rounds", 5, "aggregation rounds to drive")
 	dim := flag.Int("dim", 20000, "model dimension")
 	nnz := flag.Int("nnz", 1000, "non-zeros per client update")
 	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
-	mode := flag.String("mode", "stream", "aggregation strategy: stream|buffered")
 	seed := flag.Uint64("seed", 1, "update-generation seed")
 	asJSON := flag.Bool("json", false, "emit the result as one JSON object on stdout")
-	fleetAddr := flag.String("fleet-addr", "", "drive the fleet over real sockets at this endpoint (unix:/path or tcp:host:port); empty keeps the in-process -mode harness")
+	fleetAddr := flag.String("fleet-addr", "", "drive the fleet over real sockets at this endpoint (unix:/path or tcp:host:port); empty keeps the in-process harness")
 	wire := flag.String("wire", "binary", "socket-mode codec: binary (zero-copy) or gob (baseline)")
 	workers := flag.Int("workers", 0, "socket-mode decode/fold workers (0 = GOMAXPROCS)")
 	fleetRole := flag.String("fleet-role", "both", "socket-mode process role: both (server + clients in one process), server (wait for external clients), clients (dial a -fleet-role server elsewhere)")
@@ -156,15 +155,12 @@ func main() {
 		runSocketFleet(*fleetAddr, *wire, *fleetRole, *workers, *clients, *rounds, *dim, *nnz, *queue, *fleetOffset, *seed, *asJSON, mask)
 		return
 	}
-	if *mode != "stream" && *mode != "buffered" {
-		log.Fatalf("flfleet: unknown -mode %q (want stream or buffered)", *mode)
-	}
 	if *clients < 1 || *rounds < 1 || *dim < 1 || *nnz < 1 || *nnz > *dim {
 		log.Fatalf("flfleet: need clients, rounds, dim >= 1 and 1 <= nnz <= dim")
 	}
 
 	res := result{
-		Mode: *mode, Clients: *clients, Shards: *shards,
+		Mode: "stream", Clients: *clients, Shards: *shards,
 		Rounds: *rounds, Dim: *dim, Nnz: *nnz,
 	}
 	global := make([]float64, *dim)
@@ -179,46 +175,17 @@ func main() {
 
 	var produced int64
 	start := time.Now()
-	switch *mode {
-	case "stream":
-		tree := shard.NewTree(shard.Config{
-			Shards: *shards, Dim: *dim, QueueDepth: *queue,
+	tree := shard.NewTree(shard.Config{
+		Shards: *shards, Dim: *dim, QueueDepth: *queue,
+	})
+	defer tree.Close()
+	for r := 0; r < *rounds; r++ {
+		produced += produce(*clients, *seed, r, *dim, *nnz, mask, func(id int, u *compress.Sparse) {
+			tree.Ingest(r, shard.Update{Client: id, Weight: 1.0 / float64(*clients), Delta: u})
 		})
-		defer tree.Close()
-		for r := 0; r < *rounds; r++ {
-			produced += produce(*clients, *seed, r, *dim, *nnz, mask, func(id int, u *compress.Sparse) {
-				tree.Ingest(r, shard.Update{Client: id, Weight: 1.0 / float64(*clients), Delta: u})
-			})
-			sampleHeap()
-			part, _ := tree.Finish()
-			apply(global, part)
-		}
-	case "buffered":
-		for r := 0; r < *rounds; r++ {
-			buf := make([]shard.Item, *clients)
-			produced += produce(*clients, *seed, r, *dim, *nnz, mask, func(id int, u *compress.Sparse) {
-				buf[id] = shard.Item{Client: id, Tag: id, Upd: u}
-			})
-			sampleHeap() // the whole round is live here — the buffered peak
-			items := buf
-			if mask != nil {
-				// Masked-out slots are zero Items; compact them away.
-				items = items[:0]
-				for _, it := range buf {
-					if it.Upd != nil {
-						items = append(items, it)
-					}
-				}
-			}
-			kept, _ := shard.Screen(r, *dim, 0, items, nil)
-			part := shard.NewPartial(*dim)
-			for _, it := range kept {
-				part.Fold(shard.Update{
-					Client: it.Client, Weight: 1.0 / float64(*clients), Delta: it.Upd,
-				}, false)
-			}
-			apply(global, part)
-		}
+		sampleHeap()
+		part, _ := tree.Finish()
+		fl.FedAvg{}.ApplyPartial(global, part)
 	}
 	res.WallSeconds = time.Since(start).Seconds()
 	sampleHeap()
@@ -354,15 +321,6 @@ func produce(clients int, seed uint64, round, dim, nnz int, mask [][]bool, sink 
 	}
 	wg.Wait()
 	return count
-}
-
-// apply folds the round partial into the running global, mirroring the
-// server's FedAvg renormalisation.
-func apply(global []float64, p *shard.Partial) {
-	if p == nil || p.WeightSum == 0 {
-		return
-	}
-	tensor.Axpy(1/p.WeightSum, p.Sum, global)
 }
 
 // readVmHWM reports the process's peak resident set (KB) from

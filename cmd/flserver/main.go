@@ -81,7 +81,7 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "directory for the atomic per-round session snapshot (empty disables checkpointing)")
 	resume := flag.Bool("resume", false, "restore the snapshot in -checkpoint-dir and continue from the round after the crash (fresh start if none exists)")
 	maxNorm := flag.Float64("max-update-norm", 10, "quarantine updates whose L2 norm exceeds this multiple of the round median (0 disables the gate)")
-	shards := flag.Int("shards", 0, "stream arriving updates through this many aggregation shards (constant server memory; 0 = buffered single-shot aggregation)")
+	shards := flag.Int("shards", 0, "fold each round's screened updates through this many aggregation shards (0 = one shard; the global is bit-deterministic for a fixed count)")
 	metricsAddr := flag.String("metrics-addr", "", "listen address for the debug HTTP server (/metrics, /healthz, /debug/pprof); empty disables it")
 	eventLog := flag.String("event-log", "", "append one JSON line per round event (selection, update, evict, quarantine, aggregate, round, checkpoint) to this file; empty disables it")
 	wire := flag.String("wire", "binary", "wire codec policy: binary accepts both codecs (clients negotiate at connect time), gob declines binary preambles so every session speaks gob")

@@ -151,140 +151,73 @@ type SyncPlanner struct {
 
 	// lastSel records the round each client last participated, for the
 	// ExploreFrac fairness reservation.
-	lastSel []int
+	lastSel map[int]int
 }
 
 // NewSyncPlanner returns a planner with the given configuration.
 func NewSyncPlanner(cfg Config) *SyncPlanner {
 	cfg.Compression.Validate()
-	return &SyncPlanner{Cfg: cfg}
+	return &SyncPlanner{Cfg: cfg, lastSel: map[int]int{}}
 }
 
-// eligible applies the optional availability gate.
-func (p *SyncPlanner) eligible(i int) bool {
-	return p.Eligible == nil || p.Eligible(i)
-}
-
-// Plan implements fl.RoundPlanner.
+// Plan implements fl.RoundPlanner: it scores the eligible clients, hands
+// them to Config.PlanRound (the selection rule the wire server shares) and
+// refines the result through the negotiator.
 func (p *SyncPlanner) Plan(round int, e *fl.SyncEngine) []fl.Participation {
-	n := len(e.Fed.Clients)
-	if p.lastSel == nil {
-		p.lastSel = make([]int, n)
-		for i := range p.lastSel {
-			p.lastSel[i] = -1
+	ids := make([]int, 0, len(e.Fed.Clients))
+	for i := range e.Fed.Clients {
+		if p.Eligible == nil || p.Eligible(i) {
+			ids = append(ids, i)
 		}
 	}
-	if p.Cfg.Compression.InWarmup(round) || tensor.Norm2(e.LastGlobalDelta) == 0 {
-		out := make([]fl.Participation, 0, n)
-		ratio := p.Cfg.Compression.WarmupRatio
-		for i := 0; i < n; i++ {
-			if !p.eligible(i) {
-				continue
-			}
-			out = append(out, fl.Participation{Client: i, Ratio: ratio})
-			p.RatioStats.Observe(ratio)
-			p.lastSel[i] = round
-			if p.Perf != nil {
-				p.Perf.Record("dgc-encode",
-					p.PerfProfile.CyclesForFLOPs(device.DGCEncodeFLOPs(len(e.Global))))
-			}
-		}
-		return p.negotiate(round, out)
+	deltaZero := tensor.Norm2(e.LastGlobalDelta) == 0
+	var scores []float64
+	if !p.Cfg.warmup(round, deltaZero) {
+		scores = p.score(ids, e)
 	}
+	plan := p.Cfg.PlanRound(round, ids, scores, p.lastSel, deltaZero)
 
-	scores := make([]float64, n)
-	scoreHist := p.Metrics.Histogram("adafl_utility_score", obs.ScoreBuckets)
-	for i, c := range e.Fed.Clients {
-		if !p.eligible(i) {
-			// Below any τ ≥ 0 and never the reservation's pick, so the
-			// client cannot enter the plan through either path.
-			scores[i] = math.Inf(-1)
-			continue
+	ratioHist := p.Metrics.Histogram("adafl_compression_ratio", obs.RatioBuckets)
+	out := make([]fl.Participation, len(plan))
+	for i, pl := range plan {
+		out[i] = fl.Participation{Client: pl.Client, Ratio: pl.Ratio}
+		p.RatioStats.Observe(pl.Ratio)
+		ratioHist.Observe(pl.Ratio)
+		p.lastSel[pl.Client] = round
+		if p.Perf != nil {
+			p.Perf.Record("dgc-encode",
+				p.PerfProfile.CyclesForFLOPs(device.DGCEncodeFLOPs(len(e.Global))))
 		}
+	}
+	return p.negotiate(round, out)
+}
+
+// score computes equation 6 for each listed client from its cached local
+// delta, the previous global delta and its current link bandwidths, scaled
+// by the scenario and negotiator multipliers.
+func (p *SyncPlanner) score(ids []int, e *fl.SyncEngine) []float64 {
+	scores := make([]float64, len(ids))
+	scoreHist := p.Metrics.Histogram("adafl_utility_score", obs.ScoreBuckets)
+	for k, i := range ids {
 		up, down := e.Fed.Net.Bandwidths(i, e.Now())
-		local := c.LastDelta
+		local := e.Fed.Clients[i].LastDelta
 		if local == nil {
 			local = e.LastGlobalDelta // untried client: score as aligned
 		}
-		scores[i] = p.Cfg.Utility.Score(up, down, local, e.LastGlobalDelta)
+		scores[k] = p.Cfg.Utility.Score(up, down, local, e.LastGlobalDelta)
 		if p.ScoreMult != nil {
-			scores[i] *= p.ScoreMult(i)
+			scores[k] *= p.ScoreMult(i)
 		}
 		if p.Negotiator != nil {
-			scores[i] *= p.Negotiator.ScoreMult(i)
+			scores[k] *= p.Negotiator.ScoreMult(i)
 		}
-		scoreHist.Observe(scores[i])
+		scoreHist.Observe(scores[k])
 		if p.Perf != nil {
 			p.Perf.Record("utility-score",
 				p.PerfProfile.CyclesForFLOPs(device.UtilityScoreFLOPs(len(local))))
 		}
 	}
-
-	// Reserve part of the budget for the least-recently-selected clients,
-	// keeping the rest for pure Algorithm 1 top-score selection.
-	reserve := int(math.Ceil(p.Cfg.ExploreFrac * float64(p.Cfg.K)))
-	if reserve > p.Cfg.K {
-		reserve = p.Cfg.K
-	}
-	var selected []ScoredClient
-	if kTop := p.Cfg.K - reserve; kTop >= 1 {
-		selected = SelectClients(scores, kTop, p.Cfg.Tau)
-	}
-	chosen := make(map[int]bool, p.Cfg.K)
-	for _, sc := range selected {
-		chosen[sc.Client] = true
-	}
-	for slot := 0; slot < reserve; slot++ {
-		// Pick the unchosen client idle the longest (ties → lowest id).
-		best := -1
-		for i := 0; i < n; i++ {
-			if chosen[i] || !p.eligible(i) {
-				continue
-			}
-			if best == -1 || p.lastSel[i] < p.lastSel[best] {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		chosen[best] = true
-		selected = append(selected, ScoredClient{Client: best, Score: scores[best]})
-	}
-
-	// Fallback: with ExploreFrac 0 and every score below τ, Algorithm 1
-	// selects nobody and the round would burn wall-clock with no updates.
-	// Treat the round like warm-up instead: full participation at the
-	// warm-up ratio, which also refreshes every client's cached delta so
-	// the next round's scores are informed.
-	ratioHist := p.Metrics.Histogram("adafl_compression_ratio", obs.RatioBuckets)
-	if len(selected) == 0 {
-		ratio := p.Cfg.Compression.WarmupRatio
-		out := make([]fl.Participation, 0, n)
-		for i := 0; i < n; i++ {
-			if !p.eligible(i) {
-				continue
-			}
-			out = append(out, fl.Participation{Client: i, Ratio: ratio})
-			p.RatioStats.Observe(ratio)
-			ratioHist.Observe(ratio)
-			p.lastSel[i] = round
-		}
-		return p.negotiate(round, out)
-	}
-	out := make([]fl.Participation, 0, len(selected))
-	for rank, sc := range selected {
-		ratio := p.Cfg.Compression.RatioForRank(rank, len(selected), round)
-		out = append(out, fl.Participation{Client: sc.Client, Ratio: ratio})
-		p.RatioStats.Observe(ratio)
-		ratioHist.Observe(ratio)
-		p.lastSel[sc.Client] = round
-		if p.Perf != nil {
-			p.Perf.Record("dgc-encode",
-				p.PerfProfile.CyclesForFLOPs(device.DGCEncodeFLOPs(len(e.LastGlobalDelta))))
-		}
-	}
-	return p.negotiate(round, out)
+	return scores
 }
 
 // negotiate refines a planned participation list through the negotiator:
@@ -376,7 +309,7 @@ func (g *AsyncGate) SkipRate() float64 {
 func (g *AsyncGate) Decide(e *fl.AsyncEngine, client int, delta []float64) (bool, float64) {
 	g.decisions++
 	// Warm-up: every update flows, lightly compressed.
-	if g.Cfg.Compression.InWarmup(e.Version) || tensor.Norm2(e.LastGlobalDelta) == 0 {
+	if g.Cfg.warmup(e.Version, tensor.Norm2(e.LastGlobalDelta) == 0) {
 		ratio := g.Cfg.Compression.WarmupRatio
 		g.RatioStats.Observe(ratio)
 		if g.Perf != nil {

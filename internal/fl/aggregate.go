@@ -4,47 +4,48 @@ import (
 	"math"
 
 	"adafl/internal/nn"
+	"adafl/internal/shard"
 	"adafl/internal/tensor"
 )
 
 // Aggregator combines the updates received in one synchronous round into
-// the global model vector (mutated in place).
+// the global model vector (mutated in place). Every aggregator is a
+// two-phase sum-then-scale rule over a shard.Partial, so the same
+// arithmetic serves a buffered update slice (Apply) and a partial merged
+// elsewhere — a shard tree or an edge tier (ApplyPartial).
 type Aggregator interface {
 	Name() string
+	// Apply screens the updates, folds the survivors in slice order and
+	// applies the result (see applyUpdates).
 	Apply(global []float64, updates []Update)
+	// ApplyPartial applies an already folded partial.
+	ApplyPartial(global []float64, p *shard.Partial)
+	// PartialUnweighted reports whether updates must fold with scale 1
+	// (SCAFFOLD) instead of their data weight.
+	PartialUnweighted() bool
 }
 
-// validUpdates filters out structurally malformed deltas (nil message,
-// wrong dimension, index/value length mismatch, out-of-range indices)
-// before any aggregator touches them: a single bad update from one
-// client must not panic the server or silently corrupt the global
-// model. Dropped updates also leave the weight normalisation, exactly
-// like an evicted straggler's would.
-//
-// Each update is validated exactly once: the scan stops at the first
-// failure, the already-vetted prefix is kept as-is, and only the
-// remainder is validated while filtering. Validation walks every index
-// of a message, so double-validating the common all-valid case would
-// double the screening cost of the aggregation hot path.
-func validUpdates(dim int, updates []Update) []Update {
-	bad := -1
+// applyUpdates is the one screen-fold-apply path behind every Apply.
+// shard.Screen drops structurally malformed deltas (nil message, wrong
+// dimension, index/value length mismatch, out-of-range indices) and
+// scrubs non-finite values before anything is folded: a single bad update
+// must not panic the server or corrupt the model, and a dropped update
+// leaves the weight normalisation exactly like an evicted straggler's
+// would. Survivors fold into one partial in slice order, so the result is
+// bit-identical to a single-shard tree fed in the same order.
+func applyUpdates(agg Aggregator, global []float64, updates []Update) {
+	items := make([]shard.Item, len(updates))
 	for i, u := range updates {
-		if u.Delta.Validate(dim) != nil {
-			bad = i
-			break
-		}
+		items[i] = shard.Item{Client: u.Client, Tag: i, Upd: u.Delta}
 	}
-	if bad < 0 {
-		return updates
+	kept, _ := shard.Screen(0, len(global), 0, items, nil)
+	part := shard.NewPartial(len(global))
+	for _, it := range kept {
+		u := updates[it.Tag]
+		part.Fold(shard.Update{Client: u.Client, Weight: u.Weight, Delta: u.Delta, Ctrl: u.CtrlDelta},
+			agg.PartialUnweighted())
 	}
-	kept := make([]Update, 0, len(updates)-1)
-	kept = append(kept, updates[:bad]...)
-	for _, u := range updates[bad+1:] {
-		if u.Delta.Validate(dim) == nil {
-			kept = append(kept, u)
-		}
-	}
-	return kept
+	agg.ApplyPartial(global, part)
 }
 
 // FedAvg is weighted model averaging (McMahan et al.): the global model
@@ -54,27 +55,19 @@ type FedAvg struct{}
 // Name implements Aggregator.
 func (FedAvg) Name() string { return "fedavg" }
 
-// Apply implements Aggregator. The arithmetic is the two-phase
-// sum-then-scale form — accumulate Σ w_u·Δ_u into a scratch vector in
-// update order, then renormalise by Σ w_u in one Axpy — which is exactly
-// the fold a single shard performs (internal/shard.Partial), so the
-// streaming path at Shards=1 reproduces this bit for bit.
-func (FedAvg) Apply(global []float64, updates []Update) {
-	updates = validUpdates(len(global), updates)
-	if len(updates) == 0 {
+// Apply implements Aggregator.
+func (a FedAvg) Apply(global []float64, updates []Update) { applyUpdates(a, global, updates) }
+
+// ApplyPartial implements Aggregator: w ← w + Sum/ΣW.
+func (FedAvg) ApplyPartial(global []float64, p *shard.Partial) {
+	if p == nil || p.Count == 0 || p.WeightSum == 0 {
 		return
 	}
-	agg := make([]float64, len(global))
-	totalW := 0.0
-	for _, u := range updates {
-		u.Delta.AddTo(agg, u.Weight)
-		totalW += u.Weight
-	}
-	if totalW == 0 {
-		return
-	}
-	tensor.Axpy(1/totalW, agg, global)
+	tensor.Axpy(1/p.WeightSum, p.Sum, global)
 }
+
+// PartialUnweighted implements Aggregator.
+func (FedAvg) PartialUnweighted() bool { return false }
 
 // FedAdam applies server-side Adam (Reddi et al.) to the averaged client
 // delta, treated as a pseudo-gradient.
@@ -90,32 +83,27 @@ func NewFedAdam(lr float64) *FedAdam {
 // Name implements Aggregator.
 func (*FedAdam) Name() string { return "fedadam" }
 
-// Apply implements Aggregator. Two-phase like FedAvg: the weighted sum
-// accumulates first, the 1/Σw renormalisation folds into the negation,
-// so a shard partial drives the identical Adam step (see ApplyPartial).
-func (f *FedAdam) Apply(global []float64, updates []Update) {
-	updates = validUpdates(len(global), updates)
-	if len(updates) == 0 {
+// Apply implements Aggregator.
+func (f *FedAdam) Apply(global []float64, updates []Update) { applyUpdates(f, global, updates) }
+
+// ApplyPartial implements Aggregator. The pseudo-gradient is the negated
+// average delta; DirectionVec returns the descent step −lr·m̂/(√v̂+ε),
+// which then moves along +Δ.
+func (f *FedAdam) ApplyPartial(global []float64, p *shard.Partial) {
+	if p == nil || p.Count == 0 || p.WeightSum == 0 {
 		return
 	}
 	avg := make([]float64, len(global))
-	totalW := 0.0
-	for _, u := range updates {
-		u.Delta.AddTo(avg, u.Weight)
-		totalW += u.Weight
-	}
-	if totalW == 0 {
-		return
-	}
-	// Pseudo-gradient is the negated average delta; DirectionVec returns
-	// the descent step −lr·m̂/(√v̂+ε), which then moves along +Δ.
-	inv := 1 / totalW
-	for i := range avg {
-		avg[i] = -avg[i] * inv
+	inv := 1 / p.WeightSum
+	for i, v := range p.Sum {
+		avg[i] = -v * inv
 	}
 	step := f.adam.DirectionVec(avg)
 	tensor.Axpy(1, step, global)
 }
+
+// PartialUnweighted implements Aggregator.
+func (*FedAdam) PartialUnweighted() bool { return false }
 
 // Scaffold is the server half of SCAFFOLD (Karimireddy et al.): unweighted
 // averaging of client deltas with a global learning rate, plus maintenance
@@ -148,38 +136,29 @@ func (s *Scaffold) C(dim int) []float64 {
 	return s.c
 }
 
-// Apply implements Aggregator. Two-phase and unweighted: deltas and
-// control deltas both accumulate with scale 1 in update order, then one
-// Axpy each applies the η_g/|S| and |S|/N·(1/|S|) scalings — matching
-// the unweighted shard fold (see ApplyPartial).
-func (s *Scaffold) Apply(global []float64, updates []Update) {
-	updates = validUpdates(len(global), updates)
-	if len(updates) == 0 {
+// Apply implements Aggregator.
+func (s *Scaffold) Apply(global []float64, updates []Update) { applyUpdates(s, global, updates) }
+
+// ApplyPartial implements Aggregator. The partial comes from an
+// unweighted fold (PartialUnweighted), so Sum is the plain delta sum and
+// Count is |S|: one Axpy each applies the η_g/|S| and |S|/N·(1/|S|)
+// scalings.
+func (s *Scaffold) ApplyPartial(global []float64, p *shard.Partial) {
+	if p == nil || p.Count == 0 {
 		return
 	}
-	dim := len(global)
-	agg := make([]float64, dim)
-	var ctrlSum []float64
-	for _, u := range updates {
-		u.Delta.AddTo(agg, 1)
-		if u.CtrlDelta != nil {
-			if ctrlSum == nil {
-				ctrlSum = make([]float64, dim)
-			}
-			for i, v := range u.CtrlDelta {
-				ctrlSum[i] += v
-			}
-		}
-	}
-	inv := 1 / float64(len(updates))
-	tensor.Axpy(s.GlobalLR*inv, agg, global)
+	inv := 1 / float64(p.Count)
+	tensor.Axpy(s.GlobalLR*inv, p.Sum, global)
 	// c ← c + |S|/N · mean(Δc_i)
-	if ctrlSum != nil {
-		cc := s.C(dim)
-		scale := float64(len(updates)) / float64(s.NumClients) * inv
-		tensor.Axpy(scale, ctrlSum, cc)
+	if p.CtrlSum != nil {
+		cc := s.C(len(global))
+		scale := float64(p.Count) / float64(s.NumClients) * inv
+		tensor.Axpy(scale, p.CtrlSum, cc)
 	}
 }
+
+// PartialUnweighted implements Aggregator.
+func (*Scaffold) PartialUnweighted() bool { return true }
 
 // AsyncStrategy processes updates one at a time as they arrive at the
 // asynchronous server.

@@ -8,7 +8,6 @@ import (
 	"adafl/internal/compress"
 	"adafl/internal/netsim"
 	"adafl/internal/obs"
-	"adafl/internal/shard"
 	"adafl/internal/stats"
 	"adafl/internal/tensor"
 )
@@ -41,16 +40,6 @@ type SyncEngine struct {
 	// Metrics, when non-nil, receives per-round gauges (accuracy,
 	// participant counts, cumulative bytes). Nil disables metrics.
 	Metrics *obs.Registry
-	// Shards, when positive and Agg implements PartialApplier, streams
-	// accepted updates through an internal/shard aggregation tree
-	// instead of handing the aggregator a buffered slice. Shards=1 is
-	// bitwise identical to the buffered path; Shards>1 trades a fixed
-	// summation reassociation (still deterministic per shard count) for
-	// parallel folding. Call Close when done with a sharded engine.
-	Shards int
-	// ShardQueueDepth overrides the per-shard ingest queue depth
-	// (default shard.DefaultQueueDepth).
-	ShardQueueDepth int
 	// OnUpload, when non-nil, observes each accepted upload's (client,
 	// wire bytes) in plan order — the codec negotiator's deterministic
 	// byte-history feed.
@@ -73,7 +62,6 @@ type SyncEngine struct {
 	upBytes, downBytes int64
 	updates            int
 	rng                *stats.RNG
-	tree               *shard.Tree
 }
 
 // NewSyncEngine initialises the global model from the federation's model
@@ -214,7 +202,7 @@ func (e *SyncEngine) RunRound() {
 	}
 
 	before := tensor.CopyVec(e.Global)
-	e.aggregate(updates)
+	e.Agg.Apply(e.Global, updates)
 	tensor.SubVec(e.LastGlobalDelta, e.Global, before)
 
 	e.now += roundDur
@@ -232,46 +220,6 @@ func (e *SyncEngine) RunRound() {
 	}
 	e.Hist.Add(row)
 	e.recordMetrics(row)
-}
-
-// aggregate applies the round's accepted updates to the global model —
-// through the shard tree when sharding is enabled and the aggregator
-// can consume partials, through Aggregator.Apply otherwise. Ingest runs
-// in the serial plan-order loop above, so per-shard fold order is
-// deterministic and the Shards=1 result is bitwise the buffered one.
-// Malformed updates are quarantined by the shard workers in place of
-// the buffered path's validUpdates screen.
-func (e *SyncEngine) aggregate(updates []Update) {
-	pa, ok := e.Agg.(PartialApplier)
-	if e.Shards <= 0 || !ok {
-		e.Agg.Apply(e.Global, updates)
-		return
-	}
-	if e.tree == nil {
-		e.tree = shard.NewTree(shard.Config{
-			Shards:     e.Shards,
-			Dim:        len(e.Global),
-			QueueDepth: e.ShardQueueDepth,
-			Unweighted: pa.PartialUnweighted(),
-			Metrics:    e.Metrics,
-		})
-	}
-	for _, u := range updates {
-		e.tree.Ingest(e.round, shard.Update{
-			Client: u.Client, Weight: u.Weight, Delta: u.Delta, Ctrl: u.CtrlDelta,
-		})
-	}
-	part, _ := e.tree.Finish()
-	pa.ApplyPartial(e.Global, part)
-}
-
-// Close tears down the shard ingest workers, if any. Engines running
-// with Shards=0 need not call it.
-func (e *SyncEngine) Close() {
-	if e.tree != nil {
-		e.tree.Close()
-		e.tree = nil
-	}
 }
 
 // recordMetrics mirrors the history row into the metrics registry; a nil

@@ -418,8 +418,15 @@ func (s *clientSession) runOnce() (done, progressed bool, err error) {
 			if err := conn.Send(&Envelope{Type: MsgScore, ClientID: cfg.ID, Round: e.Round, Score: score}); err != nil {
 				return false, true, err
 			}
-			// Await the selection decision.
-			if err := conn.RecvInto(&sel); err != nil {
+			// Await the selection decision. The server writes the welcome
+			// from its handshake goroutine after the registration is
+			// visible to the round loop, so under load the first broadcast
+			// can overtake it and the welcome arrives here instead.
+			err := conn.RecvInto(&sel)
+			if err == nil && sel.Type == MsgWelcome {
+				err = conn.RecvInto(&sel)
+			}
+			if err != nil {
 				return false, true, fmt.Errorf("rpc: client %d recv select: %w", cfg.ID, err)
 			}
 			if sel.Type != MsgSelect {

@@ -1,9 +1,6 @@
 package rpc
 
-import (
-	"adafl/internal/compress"
-	"adafl/internal/shard"
-)
+import "adafl/internal/shard"
 
 // QuarantineRecord documents one rejected client update: which client,
 // which round, why, and the update's L2 norm (0 for structural rejects,
@@ -12,39 +9,7 @@ import (
 // so its weight leaves the FedAvg renormalisation, and may re-register
 // at a later round boundary.
 //
-// The type is internal/shard's record: the buffered screen below and
-// the streaming shard workers produce interchangeable records, and gob
-// encodes them structurally, so checkpoints from before the shared type
-// restore unchanged.
+// The type is internal/shard's record, produced by the shared integrity
+// screen (shard.Screen); gob encodes it structurally, so checkpoints from
+// before the shared type restore unchanged.
 type QuarantineRecord = shard.QuarantineRecord
-
-// roundUpdate pairs a received update with its sender's identity and
-// sample count, decoupling the integrity screen from live connections
-// so it can be unit-tested bitwise.
-type roundUpdate struct {
-	clientID int
-	samples  int
-	upd      *compress.Sparse
-}
-
-// screenUpdates validates every received update before aggregation and
-// returns the survivors plus quarantine records for the rejects. The
-// checks — structural validation, non-finite scrubbing, the
-// median-relative L2 norm gate — live in internal/shard (shard.Screen),
-// shared verbatim with the streaming shard workers; this wrapper only
-// maps roundUpdates onto shard.Items and back, using Item.Tag to carry
-// each update's slice index. Kept updates are never reordered and only
-// their values are mutated (scrubbing).
-func screenUpdates(round, dim int, maxNormMult float64, ups []roundUpdate,
-	logf func(format string, args ...interface{})) (keep []roundUpdate, quarantined []QuarantineRecord) {
-	items := make([]shard.Item, len(ups))
-	for i, u := range ups {
-		items[i] = shard.Item{Client: u.clientID, Tag: i, Upd: u.upd}
-	}
-	keptItems, quarantined := shard.Screen(round, dim, maxNormMult, items, logf)
-	keep = make([]roundUpdate, len(keptItems))
-	for i, it := range keptItems {
-		keep[i] = ups[it.Tag]
-	}
-	return keep, quarantined
-}

@@ -174,6 +174,49 @@ func TestClientRejectsUnexpectedMessage(t *testing.T) {
 	}
 }
 
+// TestClientToleratesWelcomeAfterFirstBroadcast: the server's welcome and
+// its first broadcast are written by different goroutines, so the welcome
+// can land between the client's score and the select. That is not a
+// protocol violation — the client must skip it and finish the round.
+func TestClientToleratesWelcomeAfterFirstBroadcast(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	newModel := func() *nn.Model { return nn.NewImageMLP([]int{1, 16, 16}, []int{8}, 10, stats.NewRNG(2)) }
+	go func() {
+		raw, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn, err := serverNegotiate(raw, true)
+		if err != nil {
+			raw.Close()
+			return
+		}
+		defer conn.Close()
+		conn.Recv() // hello
+		conn.Send(&Envelope{Type: MsgModel, Params: newModel().ParamVector()})
+		conn.Recv() // score
+		conn.Send(&Envelope{Type: MsgWelcome})
+		conn.Send(&Envelope{Type: MsgSelect}) // ratio 0: withheld
+		conn.Send(&Envelope{Type: MsgShutdown})
+	}()
+	res, err := RunClient(ClientConfig{
+		Addr: ln.Addr().String(), ID: 0, Data: tinyDataset(t), NewModel: newModel,
+		LocalSteps: 1, BatchSize: 4, LR: 0.1,
+		Utility: core.DefaultUtility(), UpBps: 1e6, DownBps: 1e6,
+		Logf: quiet, Seed: 3,
+	})
+	if err != nil {
+		t.Fatalf("late welcome treated as an error: %v", err)
+	}
+	if res.Rounds != 1 {
+		t.Fatalf("client completed %d rounds, want 1", res.Rounds)
+	}
+}
+
 // TestConnRecvAfterClose returns an error, not a hang.
 func TestConnRecvAfterClose(t *testing.T) {
 	a, b := net.Pipe()

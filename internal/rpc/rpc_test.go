@@ -8,8 +8,11 @@ import (
 	"adafl/internal/compress"
 	"adafl/internal/core"
 	"adafl/internal/dataset"
+	"adafl/internal/fl"
+	"adafl/internal/netsim"
 	"adafl/internal/nn"
 	"adafl/internal/stats"
+	"adafl/internal/tensor"
 )
 
 func quiet(string, ...interface{}) {}
@@ -197,92 +200,73 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-// TestServerSelectorSparseIDs regression-tests the eviction aftermath:
-// client IDs are no longer dense 0..n-1, and planning over a sparse or
-// shifted id set must neither panic nor select absent clients.
-func TestServerSelectorSparseIDs(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.K = 2
-	cfg.Tau = 0
-	cfg.Compression.WarmupRounds = 1
-	sel := newServerSelector(cfg)
+// TestPlanRoundMatchesSyncPlanner is the differential pin on the one
+// selection rule: the simulator's planner and the wire server's planRound,
+// fed the same roster, scores, selection history and ĝ, pick the same
+// clients at the same ratios round after round — through warm-up, ranked
+// rounds, a zero ĝ and the τ-starvation fallback. A client the scenario
+// gate holds out (Eligible false in the simulator, absent from the wire's
+// score set) is planned by neither, on any of those paths.
+func TestPlanRoundMatchesSyncPlanner(t *testing.T) {
+	const n, heldOut = 6, 2
+	env := newChaosEnv(n, 360, 12, 8, 5)
+	fed := fl.NewFederation(env.parts, env.test, netsim.UniformNetwork(n, netsim.WiFiLink, 6),
+		env.newModel, fl.TrainConfig{LocalSteps: 1, BatchSize: 8, LR: 0.1}, 7)
 
-	// Warm-up over sparse ids selects everyone at the warmup ratio.
-	warm := sel.plan(0, map[int]float64{7: 0.9, 42: 0.2, 3: 0.5})
-	if len(warm) != 3 {
-		t.Fatalf("warmup selected %d of 3", len(warm))
-	}
-	for _, id := range []int{3, 7, 42} {
-		if _, ok := warm[id]; !ok {
-			t.Fatalf("warmup missed id %d", id)
-		}
-	}
+	ranked := core.DefaultConfig()
+	ranked.K = 4
+	ranked.Compression.WarmupRounds = 2
+	starved := ranked
+	starved.Tau, starved.ExploreFrac = 0.999, 0
 
-	// Post-warmup: ids far beyond len(scores) — the old vec[id] indexing
-	// panicked here.
-	scores := map[int]float64{5: 0.9, 107: 0.8, 3000: 0.7}
-	for round := 1; round < 6; round++ {
-		plan := sel.plan(round, scores)
-		if len(plan) == 0 || len(plan) > cfg.K {
-			t.Fatalf("round %d: plan size %d with K=%d", round, len(plan), cfg.K)
-		}
-		for id, ratio := range plan {
-			if _, ok := scores[id]; !ok {
-				t.Fatalf("round %d: selected absent client %d", round, id)
+	for name, cfg := range map[string]core.Config{"ranked": ranked, "starved": starved} {
+		sp := core.NewSyncPlanner(cfg)
+		sp.Eligible = func(i int) bool { return i != heldOut }
+		e := fl.NewSyncEngine(fed, fl.FedAvg{}, sp, 8)
+		rng := stats.NewRNG(9)
+		lastSel := map[int]int{}
+		for round := 0; round < 8; round++ {
+			// Fresh ĝ and cached deltas every round so the ranking moves;
+			// round 5 sees a model that did not move.
+			for i := range e.LastGlobalDelta {
+				e.LastGlobalDelta[i] = rng.Norm()
+				if round == 5 {
+					e.LastGlobalDelta[i] = 0
+				}
 			}
-			if ratio < 1 {
-				t.Fatalf("round %d: ratio %f < 1", round, ratio)
+			scores := map[int]float64{}
+			for i, c := range fed.Clients {
+				c.LastDelta = make([]float64, len(e.Global))
+				for j := range c.LastDelta {
+					c.LastDelta[j] = rng.Norm()
+				}
+				if i == heldOut {
+					continue
+				}
+				up, down := fed.Net.Bandwidths(i, e.Now())
+				scores[i] = cfg.Utility.Score(up, down, c.LastDelta, e.LastGlobalDelta)
 			}
-		}
-	}
-	// Fairness: over successive rounds every client must get selected at
-	// least once despite a fixed score ordering.
-	seen := map[int]bool{}
-	for round := 1; round < 8; round++ {
-		for id := range sel.plan(round, scores) {
-			seen[id] = true
-		}
-	}
-	if len(seen) != len(scores) {
-		t.Fatalf("rotation starved clients: only %d of %d ever selected", len(seen), len(scores))
-	}
-
-	// An empty score set (every client evicted mid-round) plans nothing.
-	if plan := sel.plan(9, map[int]float64{}); len(plan) != 0 {
-		t.Fatalf("empty scores planned %d clients", len(plan))
-	}
-}
-
-// TestServerSelectorEmptySelectionFallsBack pins the τ-starvation
-// fallback on the wire-protocol selector: with ExploreFrac 0 and every
-// reported score below τ, Algorithm 1 selects nobody, and the selector
-// must fall back to warm-up-style full participation rather than waste
-// the round on an empty plan.
-func TestServerSelectorEmptySelectionFallsBack(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.K = 2
-	cfg.Tau = 0.9
-	cfg.ExploreFrac = 0
-	cfg.Compression.WarmupRounds = 1
-	sel := newServerSelector(cfg)
-
-	scores := map[int]float64{1: 0.1, 5: 0.2, 9: 0.05} // all below τ
-	plan := sel.plan(3, scores)                        // round 3: past warm-up
-	if len(plan) != len(scores) {
-		t.Fatalf("fallback planned %d of %d clients", len(plan), len(scores))
-	}
-	for id, ratio := range plan {
-		if _, ok := scores[id]; !ok {
-			t.Fatalf("fallback selected absent client %d", id)
-		}
-		if ratio != cfg.Compression.WarmupRatio {
-			t.Fatalf("client %d: ratio %v, want warm-up ratio %v", id, ratio, cfg.Compression.WarmupRatio)
-		}
-	}
-	// The fallback must count as a selection for fairness bookkeeping.
-	for id := range scores {
-		if sel.last(id) != 3 {
-			t.Fatalf("client %d: lastSel %d, want 3", id, sel.last(id))
+			wire := planRound(cfg, round, scores, lastSel, tensor.Norm2(e.LastGlobalDelta) == 0)
+			sim := sp.Plan(round, e)
+			if len(sim) != len(wire) || len(sim) == 0 {
+				t.Fatalf("%s round %d: simulator planned %d clients, wire %d", name, round, len(sim), len(wire))
+			}
+			for _, p := range sim {
+				if p.Client == heldOut {
+					t.Fatalf("%s round %d: held-out client planned", name, round)
+				}
+				if ratio, ok := wire[p.Client]; !ok || ratio != p.Ratio {
+					t.Fatalf("%s round %d: client %d at ratio %v in the simulator, %v (selected %v) on the wire",
+						name, round, p.Client, p.Ratio, ratio, ok)
+				}
+				if lastSel[p.Client] != round {
+					t.Fatalf("%s round %d: wire did not record client %d as selected", name, round, p.Client)
+				}
+			}
+			full := round < cfg.Compression.WarmupRounds || round == 5 || name == "starved"
+			if full != (len(sim) == n-1) {
+				t.Fatalf("%s round %d: planned %d of %d eligible clients", name, round, len(sim), n-1)
+			}
 		}
 	}
 }

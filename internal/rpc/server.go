@@ -116,21 +116,16 @@ type ServerConfig struct {
 	// means DefaultQuarantineLogCap; negative disables the bound. The
 	// drop count is reported in ServerResult.QuarantinesDropped.
 	QuarantineLogCap int
-	// Shards, when positive, streams arriving updates through an
-	// internal/shard aggregation tree instead of buffering the round's
-	// update set: each update folds into its shard's running partial as
-	// it is received, so server memory per round is O(Shards·dim)
-	// rather than O(clients·nnz). Shards=1 reproduces the buffered
-	// aggregation bit for bit; Shards>1 is deterministic for a fixed
-	// shard count. With MaxUpdateNorm set, the norm gate runs in its
-	// causal per-shard form (see internal/shard) instead of the
-	// buffered retrospective one. The shard tree's geometry joins the
-	// session checkpoint, so a resume with a different -shards value is
-	// refused.
+	// Shards is the fan-out of the internal/shard aggregation tree the
+	// round's screened updates fold through (0 means 1). The round is
+	// collected under the deadline, sorted by client id and screened as a
+	// whole (shard.Screen) before any update is ingested, so the global
+	// model is bit-deterministic for a fixed shard count regardless of
+	// arrival order; a different shard count reassociates the float sums
+	// within the usual accumulation tolerance. The tree's geometry joins
+	// the session checkpoint, so a resume with a different -shards value
+	// is refused.
 	Shards int
-	// ShardQueueDepth overrides the per-shard ingest queue depth
-	// (default shard.DefaultQueueDepth).
-	ShardQueueDepth int
 	// Metrics, when non-nil, receives the server's operational metrics:
 	// round/phase latencies, uplink/downlink bytes, evictions,
 	// quarantines, reconnects, utility-score and compression-ratio
@@ -260,7 +255,7 @@ type Server struct {
 
 	quarantines        []QuarantineRecord // touched only by the round loop goroutine
 	quarantinesDropped int                // records discarded by the log cap
-	tree               *shard.Tree        // streaming aggregation tree (nil when Shards == 0)
+	tree               *shard.Tree        // aggregation tree the screened round folds through
 	neg                *core.Negotiator   // codec negotiator (nil when Negotiation disabled)
 	deltaW             *checkpoint.DeltaWriter
 }
@@ -328,6 +323,9 @@ func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 	}
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 1
+	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = 1
 	}
 	if cfg.Wire != "" && cfg.Wire != WireBinary && cfg.Wire != WireGob {
 		return cfg, fmt.Errorf("rpc: unknown wire codec %q (want %q or %q)", cfg.Wire, WireBinary, WireGob)
@@ -422,20 +420,19 @@ func (s *Server) Run() (*ServerResult, error) {
 	global := model.ParamVector()
 	globalDelta := make([]float64, len(global))
 
-	if s.cfg.Shards > 0 {
-		s.tree = shard.NewTree(shard.Config{
-			Shards:      s.cfg.Shards,
-			Dim:         len(global),
-			QueueDepth:  s.cfg.ShardQueueDepth,
-			MaxNormMult: s.cfg.MaxUpdateNorm,
-			Metrics:     s.cfg.Metrics,
-			Logf:        s.cfg.Logf,
-		})
-		defer s.tree.Close()
-	}
+	// No MaxNormMult: the barrier hands runRound the whole round, so the
+	// norm gate runs retrospectively in shard.Screen; the tree's causal
+	// gate is for the barrier-less async path.
+	s.tree = shard.NewTree(shard.Config{
+		Shards:  s.cfg.Shards,
+		Dim:     len(global),
+		Metrics: s.cfg.Metrics,
+		Logf:    s.cfg.Logf,
+	})
+	defer s.tree.Close()
 
 	res := &ServerResult{ResumedFrom: -1}
-	planner := newServerSelector(s.cfg.Cfg)
+	lastSel := map[int]int{} // client id -> last round it was selected
 	startRound := 0
 	if s.cfg.Resume && s.cfg.CheckpointDir != "" {
 		snap, err := s.loadCheckpoint(len(global))
@@ -447,9 +444,8 @@ func (s *Server) Run() (*ServerResult, error) {
 			startRound = snap.CompletedRound + 1
 			copy(global, snap.Global)
 			copy(globalDelta, snap.GlobalDelta)
-			planner.lastSel = snap.SelectorLastSel
-			if planner.lastSel == nil {
-				planner.lastSel = map[int]int{}
+			if snap.SelectorLastSel != nil {
+				lastSel = snap.SelectorLastSel
 			}
 			res.Rounds = snap.History
 			res.BytesReceived = snap.BytesReceived
@@ -466,15 +462,13 @@ func (s *Server) Run() (*ServerResult, error) {
 			if s.cfg.RNG != nil && snap.RNG != nil {
 				*s.cfg.RNG = *snap.RNG
 			}
-			if s.tree != nil {
-				// A snapshot from an older binary (no shard state) restores
-				// as a no-op; a snapshot taken under a different -shards
-				// value is refused — silently re-routing clients would break
-				// the fixed-shard-count determinism contract.
-				if err := s.tree.Restore(snap.ShardState); err != nil {
-					s.closeListener()
-					return nil, fmt.Errorf("rpc: resume from %s: %w", s.checkpointPath(), err)
-				}
+			// A snapshot with no shard state (an older binary's Shards=0
+			// session) restores as a no-op; a snapshot taken under a
+			// different -shards value is refused — silently re-routing
+			// clients would break the fixed-shard-count determinism contract.
+			if err := s.tree.Restore(snap.ShardState); err != nil {
+				s.closeListener()
+				return nil, fmt.Errorf("rpc: resume from %s: %w", s.checkpointPath(), err)
 			}
 			if s.cfg.Scenario != nil {
 				if snap.Scenario != nil {
@@ -541,7 +535,7 @@ func (s *Server) Run() (*ServerResult, error) {
 			res.EndedEarly = true
 			break
 		}
-		rec := s.runRound(round, planner, model, global, globalDelta)
+		rec := s.runRound(round, lastSel, model, global, globalDelta)
 		res.Rounds = append(res.Rounds, rec)
 		res.BytesReceived += rec.Bytes
 		res.Evictions += rec.Evicted
@@ -552,7 +546,7 @@ func (s *Server) Run() (*ServerResult, error) {
 		res.QuarantinesDropped = s.quarantinesDropped
 		if s.cfg.CheckpointDir != "" {
 			ckptStart := time.Now()
-			size, err := s.saveCheckpoint(round, global, globalDelta, planner, res)
+			size, err := s.saveCheckpoint(round, global, globalDelta, lastSel, res)
 			if err != nil {
 				s.cfg.Logf("server: checkpoint after round %d failed (continuing): %v", round+1, err)
 			} else {
@@ -824,7 +818,7 @@ func (s *Server) recvTimed(c *clientConn) (*Envelope, error) {
 // never fails the session: clients that error or dawdle are evicted and
 // the round aggregates whatever arrived in time (Received may be smaller
 // than Selected).
-func (s *Server) runRound(round int, sel *serverSelector, model *nn.Model,
+func (s *Server) runRound(round int, lastSel map[int]int, model *nn.Model,
 	global, globalDelta []float64) RoundRecord {
 	rec := RoundRecord{Round: round, TestAcc: nan()}
 	roundStart := time.Now()
@@ -907,7 +901,7 @@ func (s *Server) runRound(round int, sel *serverSelector, model *nn.Model,
 	}
 
 	// Phase 3+4: selection, then concurrent notify + update collection.
-	plan := sel.plan(round, scores)
+	plan := planRound(s.cfg.Cfg, round, scores, lastSel, tensor.Norm2(globalDelta) == 0)
 	rec.Selected = len(plan)
 	for _, score := range scores {
 		s.met.scores.Observe(score)
@@ -974,23 +968,11 @@ func (s *Server) runRound(round int, sel *serverSelector, model *nn.Model,
 			updCh <- updRes{c: c, upd: e.Update}
 		}()
 	}
-	// Collect the partial set, then screen and aggregate. Two paths:
-	//
-	// Buffered (Shards == 0): the round's updates are held back, the
-	// retrospective integrity screen (structural validation, NaN/Inf
-	// scrubbing, median-relative norm gate) runs over the full set, and
-	// the survivors fold into one accumulator.
-	//
-	// Streaming (Shards > 0): each update is handed to the shard tree
-	// the moment it arrives; the workers run the same validation and
-	// scrubbing plus the causal per-shard norm gate, folding survivors
-	// into running partials, so the server never holds more than the
-	// in-flight queues. Finish() merges the partials in shard order.
-	//
-	// Either way, quarantined clients are evicted exactly like
-	// stragglers: their weight leaves the renormalisation and the
-	// global model is bitwise unaffected by the rejected update.
-	received := make([]roundUpdate, 0, len(alive))
+	// Collect the partial set under the deadline. Payloads stay in each
+	// connection's receive scratch (clientConn.env), valid until that
+	// connection's next receive at the next round, so holding the round
+	// back to the barrier copies nothing.
+	received := make([]updRes, 0, len(alive))
 	connByID := make(map[int]*clientConn, len(alive))
 	for range alive {
 		r := <-updCh
@@ -999,54 +981,51 @@ func (s *Server) runRound(round int, sel *serverSelector, model *nn.Model,
 			rec.Evicted++
 			continue
 		}
-		if r.upd != nil {
-			connByID[r.c.id] = r.c
-			if s.neg != nil {
-				// Per-client EWMA fold: order-independent across clients,
-				// so receipt order cannot perturb the replayed assignments.
-				s.neg.RecordUpload(r.c.id, r.upd.WireBytes())
-			}
-			s.met.updRatios.Observe(r.upd.CompressionRatio())
-			if sc := s.cfg.Scenario; sc != nil {
-				// Energy accounting: one round of training plus the
-				// update's wire bytes, against the client's class battery.
-				sc.Account(r.c.id, sc.TrainSeconds(r.c.id), int64(r.upd.WireBytes()))
-			}
-			s.cfg.Events.Emit(obs.Event{Type: "update", Round: round, Client: r.c.id, Bytes: int64(r.upd.WireBytes())})
-			if s.tree != nil {
-				s.tree.Ingest(round, shard.Update{
-					Client: r.c.id,
-					Weight: float64(r.c.samples) / float64(totalSamples),
-					Delta:  r.upd,
-				})
-			} else {
-				received = append(received, roundUpdate{clientID: r.c.id, samples: r.c.samples, upd: r.upd})
-			}
+		if r.upd == nil {
+			continue
 		}
+		received = append(received, r)
+		connByID[r.c.id] = r.c
+		if s.neg != nil {
+			// Per-client EWMA fold: order-independent across clients,
+			// so receipt order cannot perturb the replayed assignments.
+			s.neg.RecordUpload(r.c.id, r.upd.WireBytes())
+		}
+		s.met.updRatios.Observe(r.upd.CompressionRatio())
+		if sc := s.cfg.Scenario; sc != nil {
+			// Energy accounting: one round of training plus the
+			// update's wire bytes, against the client's class battery.
+			sc.Account(r.c.id, sc.TrainSeconds(r.c.id), int64(r.upd.WireBytes()))
+		}
+		s.cfg.Events.Emit(obs.Event{Type: "update", Round: round, Client: r.c.id, Bytes: int64(r.upd.WireBytes())})
 	}
-	s.met.updateSec.Observe(time.Since(updatePhaseStart).Seconds())
 
+	// Screen and fold in client-id order, not receipt order: float
+	// accumulation is not associative, and the replay contract needs two
+	// identical sessions to produce bit-identical globals. The barrier
+	// holds the whole round, so the screen is the retrospective one the
+	// edge tier runs; ascending ingest fixes every shard's FIFO fold order
+	// and Finish merges in shard order. Quarantined clients are evicted
+	// like stragglers: their weight leaves the renormalisation and the
+	// global is bitwise unaffected by the rejected update.
 	aggStart := time.Now()
-	var part *shard.Partial
-	var quarantined []QuarantineRecord
-	if s.tree != nil {
-		part, quarantined = s.tree.Finish()
-	} else {
-		// Fold in client-id order, not receipt order: float accumulation is
-		// not associative, and the negotiated golden-replay contract needs
-		// two identical sessions to produce bit-identical globals.
-		sort.Slice(received, func(i, j int) bool { return received[i].clientID < received[j].clientID })
-		var kept []roundUpdate
-		kept, quarantined = screenUpdates(round, len(global), s.cfg.MaxUpdateNorm, received, s.cfg.Logf)
-		part = shard.NewPartial(len(global))
-		for _, u := range kept {
-			part.Fold(shard.Update{
-				Client: u.clientID,
-				Weight: float64(u.samples) / float64(totalSamples),
-				Delta:  u.upd,
-			}, false)
-		}
+	sort.Slice(received, func(i, j int) bool { return received[i].c.id < received[j].c.id })
+	items := make([]shard.Item, len(received))
+	for i, r := range received {
+		items[i] = shard.Item{Client: r.c.id, Tag: i, Upd: r.upd}
 	}
+	kept, quarantined := shard.Screen(round, len(global), s.cfg.MaxUpdateNorm, items, s.cfg.Logf)
+	for _, it := range kept {
+		s.tree.Ingest(round, shard.Update{
+			Client: it.Client,
+			Weight: float64(received[it.Tag].c.samples) / float64(totalSamples),
+			Delta:  it.Upd,
+		})
+	}
+	// The workers repeat the structural checks Screen just passed and run
+	// no norm gate, so they have nothing left to reject.
+	part, _ := s.tree.Finish()
+	s.met.updateSec.Observe(time.Since(updatePhaseStart).Seconds())
 	for _, q := range quarantined {
 		s.met.quarantines.Inc()
 		s.cfg.Events.Emit(obs.Event{Type: "quarantine", Round: round, Client: q.ClientID, Reason: q.Reason, Norm: q.Norm})
@@ -1176,11 +1155,12 @@ type sessionSnapshot struct {
 	Evictions          int
 	FinalAcc           float64
 	RNG                *stats.RNG
-	// ShardState is the aggregation tree's geometry and partials (nil
-	// when the session runs buffered). Snapshots are taken at round
-	// boundaries, where the partials are freshly reset, so its real job
-	// is pinning the shard count: a resume under a different -shards
-	// value is refused rather than silently re-routing clients.
+	// ShardState is the aggregation tree's geometry and partials (nil in
+	// snapshots an older binary wrote at Shards=0, which restore as a
+	// no-op). Snapshots are taken at round boundaries, where the partials
+	// are freshly reset, so its real job is pinning the shard count: a
+	// resume under a different -shards value is refused rather than
+	// silently re-routing clients.
 	ShardState *shard.TreeState
 	// Scenario is the fleet-scenario state (battery levels, depletion
 	// latches, integration clock) as of the completed round; nil when the
@@ -1198,15 +1178,7 @@ func (s *Server) checkpointPath() string {
 }
 
 func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
-	planner *serverSelector, res *ServerResult) (int64, error) {
-	lastSel := make(map[int]int, len(planner.lastSel))
-	for id, r := range planner.lastSel {
-		lastSel[id] = r
-	}
-	var treeState *shard.TreeState
-	if s.tree != nil {
-		treeState = s.tree.Snapshot()
-	}
+	lastSel map[int]int, res *ServerResult) (int64, error) {
 	var scenState *scenario.State
 	if s.cfg.Scenario != nil {
 		scenState = s.cfg.Scenario.Snapshot()
@@ -1230,7 +1202,7 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 		Evictions:          res.Evictions,
 		FinalAcc:           res.FinalAcc,
 		RNG:                s.cfg.RNG,
-		ShardState:         treeState,
+		ShardState:         s.tree.Snapshot(),
 		Scenario:           scenState,
 		Negotiation:        negState,
 	}
@@ -1383,36 +1355,12 @@ func (s *Server) loadCheckpoint(dim int) (*sessionSnapshot, error) {
 	return snap, nil
 }
 
-// serverSelector applies Algorithm 1 + the fairness reservation over
-// scores reported by remote clients. Client IDs are treated as an opaque
-// sparse set — after evictions and re-joins they are not dense 0..n-1.
-type serverSelector struct {
-	cfg     core.Config
-	lastSel map[int]int // client id -> last round it was selected
-}
-
-func newServerSelector(cfg core.Config) *serverSelector {
-	return &serverSelector{cfg: cfg, lastSel: map[int]int{}}
-}
-
-func (s *serverSelector) last(id int) int {
-	if r, ok := s.lastSel[id]; ok {
-		return r
-	}
-	return -1
-}
-
-// plan maps selected client id → compression ratio.
-func (s *serverSelector) plan(round int, scores map[int]float64) map[int]float64 {
-	out := map[int]float64{}
-	if s.cfg.Compression.InWarmup(round) {
-		for id := range scores {
-			out[id] = s.cfg.Compression.WarmupRatio
-			s.lastSel[id] = round
-		}
-		return out
-	}
-	// Dense projection of the sparse id set, sorted for determinism.
+// planRound runs the shared selection rule (core.Config.PlanRound) over
+// the scores the live roster reported and records the picks in lastSel.
+// Client ids are an opaque sparse set — after evictions and re-joins they
+// are not dense 0..n-1 — so they are projected to a sorted vector first.
+// The result maps each selected client id to its compression ratio.
+func planRound(cfg core.Config, round int, scores map[int]float64, lastSel map[int]int, deltaZero bool) map[int]float64 {
 	ids := make([]int, 0, len(scores))
 	for id := range scores {
 		ids = append(ids, id)
@@ -1422,54 +1370,12 @@ func (s *serverSelector) plan(round int, scores map[int]float64) map[int]float64
 	for i, id := range ids {
 		vec[i] = scores[id]
 	}
-	reserve := int(0.5 + s.cfg.ExploreFrac*float64(s.cfg.K))
-	if reserve > s.cfg.K {
-		reserve = s.cfg.K
+	plan := make(map[int]float64, len(ids))
+	for _, p := range cfg.PlanRound(round, ids, vec, lastSel, deltaZero) {
+		plan[p.Client] = p.Ratio
+		lastSel[p.Client] = round
 	}
-	var selected []core.ScoredClient
-	if kTop := s.cfg.K - reserve; kTop >= 1 {
-		selected = core.SelectClients(vec, kTop, s.cfg.Tau)
-	}
-	chosen := map[int]bool{} // dense index into ids
-	for _, sc := range selected {
-		chosen[sc.Client] = true
-	}
-	// Fairness reservation: fill the remaining slots with the clients
-	// selected least recently.
-	for slot := 0; slot < reserve && len(selected) < len(ids); slot++ {
-		best := -1
-		for i := range ids {
-			if chosen[i] {
-				continue
-			}
-			if best == -1 || s.last(ids[i]) < s.last(ids[best]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		chosen[best] = true
-		selected = append(selected, core.ScoredClient{Client: best, Score: vec[best]})
-	}
-	for rank, sc := range selected {
-		id := ids[sc.Client]
-		out[id] = s.cfg.Compression.RatioForRank(rank, len(selected), round)
-		s.lastSel[id] = round
-	}
-	// Fallback: with no fairness reservation (ExploreFrac 0) and every
-	// score below τ, Algorithm 1 selects nobody. A zero-participant round
-	// would burn a round of the budget without moving the model (and any
-	// engine dividing by the participant weight sum would see 0/0), so
-	// fall back to warm-up-style full participation at the warm-up ratio
-	// — the same defined behaviour the session starts with.
-	if len(out) == 0 {
-		for id := range scores {
-			out[id] = s.cfg.Compression.WarmupRatio
-			s.lastSel[id] = round
-		}
-	}
-	return out
+	return plan
 }
 
 func nan() float64 { return math.NaN() }

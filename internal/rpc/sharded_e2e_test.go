@@ -15,65 +15,166 @@ import (
 )
 
 // scriptedUpdate returns a deterministic, structurally valid sparse
-// update that depends only on the round, so two sessions fed by
-// scripted clients see byte-identical uplink traffic.
-func scriptedUpdate(round, dim int) *compress.Sparse {
+// update that depends only on (client, round), so two sessions fed by
+// scripted clients see byte-identical uplink traffic. Magnitudes differ
+// per client so the float sums are sensitive to fold order.
+func scriptedUpdate(client, round, dim int) *compress.Sparse {
 	idx := make([]int32, 8)
 	vals := make([]float64, 8)
 	for i := range idx {
 		idx[i] = int32((round*11 + i*3) % dim)
-		vals[i] = 0.01 * float64(i+1) * float64(round+1)
+		vals[i] = 0.01 * float64(i+1) * float64(round+1) / float64(3*client+7)
 	}
 	return &compress.Sparse{Dim: dim, Indices: idx, Values: vals}
 }
 
-// TestShardedSessionBitwiseEquivalentToBuffered drives two complete
-// server sessions with an identical scripted client — one buffered
-// (Shards=0), one streaming through a single shard — and compares every
-// model broadcast bit for bit. This is the tentpole equivalence
-// contract at the wire level: the streaming tree is invisible to the
-// training trajectory.
-func TestShardedSessionBitwiseEquivalentToBuffered(t *testing.T) {
-	const rounds = 3
-	run := func(shards int) [][]float64 {
-		env := newChaosEnv(1, 160, 12, 16, 71)
+// sameBroadcasts fails the test unless the two MsgModel sequences are
+// bit for bit identical.
+func sameBroadcasts(t *testing.T, what string, a, b [][]float64, rounds int) {
+	t.Helper()
+	if len(a) != len(b) || len(a) < rounds {
+		t.Fatalf("%s: broadcast counts %d vs %d, want %d each", what, len(a), len(b), rounds)
+	}
+	for r := range a {
+		if len(a[r]) != len(b[r]) {
+			t.Fatalf("%s: round %d: broadcast dims differ", what, r)
+		}
+		for i := range a[r] {
+			if a[r][i] != b[r][i] {
+				t.Fatalf("%s: round %d: global[%d] differs bitwise: %v vs %v", what, r, i, a[r][i], b[r][i])
+			}
+		}
+	}
+}
+
+// TestWireReplayBitDeterministic pins the replay contract on the wire at
+// Shards=2: two same-seed sessions whose updates arrive in different
+// orders broadcast bit-identical models every round. Three real clients
+// share shard 0 (ids 0, 2, 4 — two updates commute, three do not) and a
+// scripted observer on shard 1 records every MsgModel. Injected latency
+// and jitter hold back client 0's writes in one session and client 4's
+// in the other, so shard 0 sees (2,4)+0 against (0,2)+4; a server that
+// folds in arrival order diverges in the low bits from round 1.
+func TestWireReplayBitDeterministic(t *testing.T) {
+	const rounds = 5
+	ids := []int{0, 2, 4}
+	run := func(slow int) [][]float64 {
+		env := newChaosEnv(4, 480, 12, 16, 61)
 		scfg := env.serverConfig(rounds)
-		scfg.Shards = shards
-		var srv *Server
-		scfg.OnRound = func(rec RoundRecord) { waitForClient(t, srv, 0, 10*time.Second) }
+		scfg.Shards = 2
 		srv, err := NewServer(scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outCh := make(chan *evilResult, 1)
-		go func() { outCh <- runEvilClient(srv.Addr(), 0, 120, 50, scriptedUpdate) }()
-		res, err := srv.Run()
-		if err != nil {
-			t.Fatalf("Shards=%d session: %v", shards, err)
-		}
-		if len(res.Rounds) != rounds {
-			t.Fatalf("Shards=%d: completed %d/%d rounds", shards, len(res.Rounds), rounds)
-		}
-		if len(res.Quarantines) != 0 {
-			t.Fatalf("Shards=%d: scripted client quarantined: %+v", shards, res.Quarantines)
-		}
-		return (<-outCh).broadcasts
-	}
-	buffered := run(0)
-	streamed := run(1)
-	if len(buffered) != len(streamed) || len(buffered) < rounds {
-		t.Fatalf("broadcast counts differ: %d vs %d", len(buffered), len(streamed))
-	}
-	for r := range buffered {
-		if len(buffered[r]) != len(streamed[r]) {
-			t.Fatalf("round %d: broadcast dims differ", r)
-		}
-		for i := range buffered[r] {
-			if buffered[r][i] != streamed[r][i] {
-				t.Fatalf("round %d: global[%d] differs bitwise: %v (buffered) vs %v (Shards=1)",
-					r, i, buffered[r][i], streamed[r][i])
+		cfgs := make([]ClientConfig, len(ids))
+		for i, id := range ids {
+			cfgs[i] = env.clientConfig(i, srv.Addr())
+			cfgs[i].ID = id
+			if id == slow {
+				cfgs[i].Fault = &FaultConfig{Latency: 25 * time.Millisecond, Jitter: 10 * time.Millisecond, Seed: uint64(slow)}
 			}
 		}
+		clientsDone := make(chan []error, 1)
+		go func() {
+			_, errs := runClients(cfgs)
+			clientsDone <- errs
+		}()
+		obsCh := make(chan *evilResult, 1)
+		go func() {
+			obsCh <- runEvilClient(srv.Addr(), 1, env.parts[3].Len(), 0,
+				func(round, dim int) *compress.Sparse { return scriptedUpdate(1, round, dim) })
+		}()
+		res, err := srv.Run()
+		if err != nil {
+			t.Fatalf("slow=%d session: %v", slow, err)
+		}
+		for i, cerr := range <-clientsDone {
+			if cerr != nil {
+				t.Errorf("slow=%d: client %d: %v", slow, ids[i], cerr)
+			}
+		}
+		if len(res.Rounds) != rounds || res.Evictions != 0 {
+			t.Fatalf("slow=%d: %d/%d rounds, %d evictions", slow, len(res.Rounds), rounds, res.Evictions)
+		}
+		return (<-obsCh).broadcasts
+	}
+	sameBroadcasts(t, "client 0 slow vs client 4 slow", run(0), run(4), rounds)
+}
+
+// TestNormGateFiresAtEveryShardCount: four scripted clients, the attacker
+// holding the lowest id and shipping a structurally valid update of absurd
+// norm. With the gate run retrospectively at the barrier it must fire at
+// Shards 1, 2 and 3 alike — a per-shard causal gate never sees the three
+// accepted norms it needs when a round has only four updates — and every
+// broadcast must be bitwise what it is when the attacker's update simply
+// never arrives (a nil update is a protocol error: evicted like a dead
+// link, not quarantined).
+func TestNormGateFiresAtEveryShardCount(t *testing.T) {
+	const rounds, attacker = 3, 0
+	run := func(shards int, attack bool) ([][]float64, *ServerResult) {
+		env := newChaosEnv(4, 480, 12, 16, 67)
+		env.cfg.K = 4 // everyone is asked for an update every round
+		scfg := env.serverConfig(rounds)
+		scfg.Shards = shards
+		scfg.MaxUpdateNorm = 5
+		var srv *Server
+		scfg.OnRound = func(RoundRecord) { waitForClient(t, srv, attacker, 10*time.Second) }
+		srv, err := NewServer(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan *evilResult, 4)
+		for id := 0; id < 4; id++ {
+			id := id
+			go func() {
+				done <- runEvilClient(srv.Addr(), id, 120, 100, func(round, dim int) *compress.Sparse {
+					u := scriptedUpdate(id, round, dim)
+					if id != attacker {
+						return u
+					}
+					if !attack {
+						return nil
+					}
+					for i := range u.Values {
+						u.Values[i] = 3e7
+					}
+					return u
+				})
+			}()
+		}
+		res, err := srv.Run()
+		if err != nil {
+			t.Fatalf("Shards=%d attack=%v: %v", shards, attack, err)
+		}
+		var observed [][]float64
+		for i := 0; i < 4; i++ {
+			if r := <-done; len(r.broadcasts) >= rounds && r.redials == 0 {
+				observed = r.broadcasts // any honest client: it saw every round
+			}
+		}
+		if len(res.Rounds) != rounds {
+			t.Fatalf("Shards=%d attack=%v: completed %d/%d rounds", shards, attack, len(res.Rounds), rounds)
+		}
+		return observed, res
+	}
+	for _, shards := range []int{1, 2, 3} {
+		clean, cleanRes := run(shards, false)
+		if len(cleanRes.Quarantines) != 0 {
+			t.Fatalf("Shards=%d: reference run quarantined %+v", shards, cleanRes.Quarantines)
+		}
+		attacked, res := run(shards, true)
+		for _, rec := range res.Rounds {
+			if rec.Quarantined != 1 || rec.Received != 3 {
+				t.Errorf("Shards=%d round %d: quarantined %d received %d, want 1/3",
+					shards, rec.Round, rec.Quarantined, rec.Received)
+			}
+		}
+		for _, q := range res.Quarantines {
+			if q.ClientID != attacker || !strings.Contains(q.Reason, "round median") {
+				t.Errorf("Shards=%d: quarantined client %d: %s", shards, q.ClientID, q.Reason)
+			}
+		}
+		sameBroadcasts(t, fmt.Sprintf("Shards=%d attacked vs attacker silent", shards), attacked, clean, rounds)
 	}
 }
 
@@ -81,7 +182,7 @@ func TestShardedSessionBitwiseEquivalentToBuffered(t *testing.T) {
 // chaos run: four clients stream through two shards while one honest
 // client's link is hard-cut mid-session and a hostile client ships
 // malformed updates every round. The server must finish every round,
-// quarantine the poison inside its shard, evict the cut straggler, and
+// quarantine the poison at the barrier screen, evict the cut straggler, and
 // write checkpoints carrying the tree geometry — which must then refuse
 // a resume under a different shard count.
 func TestChaosShardedQuarantineAndResumeGuard(t *testing.T) {

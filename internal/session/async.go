@@ -119,6 +119,12 @@ type arrival struct {
 	client int
 	base   int // model version the delta was trained from
 	delta  *compress.Sparse
+	// done is the sending connection's channel (capacity 1, at most one
+	// push in flight per connection): Run signals it once the push is
+	// folded or dropped, and the connection waits for that before reading
+	// its next message, so a client's pull always sees the effect of its
+	// own earlier push.
+	done chan<- struct{}
 }
 
 // AsyncSession is the buffered-asynchronous engine. Construction
@@ -374,13 +380,18 @@ func (a *AsyncSession) removeConn(id int, conn *rpc.Conn) {
 }
 
 // serve is the per-connection receive loop: answer pulls from the
-// published snapshot, relay pushes to the engine, echo pings. It exits
-// on any wire error (the client redials and re-registers) or when the
-// engine stops.
+// published snapshot, relay pushes to the engine, echo pings. A push is
+// read-your-writes: the loop does not read the connection's next message
+// until the engine has folded it, because clients pipeline push→pull and
+// a pull answered before the fold would hand back a version (hence a
+// staleness weight on the next push) that depends on goroutine timing.
+// It exits on any wire error (the client redials and re-registers) or
+// when the engine stops.
 func (a *AsyncSession) serve(id int, conn *rpc.Conn) {
 	defer a.wg.Done()
 	defer conn.Close()
 	defer a.removeConn(id, conn)
+	folded := make(chan struct{}, 1)
 	for {
 		e, err := conn.Recv() // fresh: push deltas outlive this iteration
 		if err != nil {
@@ -401,7 +412,12 @@ func (a *AsyncSession) serve(id int, conn *rpc.Conn) {
 				return
 			}
 			select {
-			case a.arrivals <- arrival{client: id, base: e.Round, delta: e.Update}:
+			case a.arrivals <- arrival{client: id, base: e.Round, delta: e.Update, done: folded}:
+			case <-a.stopped:
+				return
+			}
+			select {
+			case <-folded:
 			case <-a.stopped:
 				return
 			}
@@ -454,6 +470,7 @@ func (a *AsyncSession) Run() (*AsyncResult, error) {
 			return res, ErrKilled
 		case arr := <-a.arrivals:
 			a.fold(arr)
+			arr.done <- struct{}{}
 		}
 	}
 	close(a.stopped)

@@ -185,23 +185,32 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return c.backward(gradOut, true)
+}
+
+// backwardParams implements paramsOnlyBackward.
+func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) { c.backward(gradOut, false) }
+
+// backward accumulates GradW and GradB and, when needDx, also computes the
+// input gradient; without it the Wᵀ·g product, the col2im scatter and both
+// buffer clears are skipped and the result is nil.
+func (c *Conv2D) backward(gradOut *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if c.x == nil {
 		panic("nn: conv backward before forward")
 	}
 	x := c.x
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := gradOut.Dim(2), gradOut.Dim(3)
-	k, pad := c.K, c.Pad
 	plane := oh * ow
-	ckk := c.InC * k * k
 
-	wView := c.weightView()
 	gradWView := c.gradWeightView()
-	c.dx = ensureTensor(c.dx, n, c.InC, h, w)
-	dx := c.dx
-	dx.Zero() // col2im scatters with +=
-	c.dcols = ensureTensor(c.dcols, ckk, plane)
-	dcols := c.dcols
+	var dx *tensor.Tensor
+	if needDx {
+		c.dx = ensureTensor(c.dx, n, c.InC, h, w)
+		dx = c.dx
+		dx.Zero() // col2im scatters with +=
+		c.dcols = ensureTensor(c.dcols, c.InC*c.K*c.K, plane)
+	}
 
 	g := tensor.FromSlice(gradOut.Data[:c.OutC*plane], c.OutC, plane)
 	for ni := 0; ni < n; ni++ {
@@ -217,36 +226,45 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		// Weight gradient: dW += g @ colsᵀ.
 		c.im2col(c.cols.Data, x.Data[ni*c.InC*h*w:(ni+1)*c.InC*h*w], h, w, oh, ow)
 		tensor.MatMulTransposeBAdd(gradWView, g, c.cols)
-		// Input gradient: dcols = Wᵀ @ g, scattered back (col2im).
-		dcols.Zero()
-		tensor.MatMulTransposeA(dcols, wView, g)
-		dplane := dx.Data[ni*c.InC*h*w : (ni+1)*c.InC*h*w]
-		row := 0
-		for ic := 0; ic < c.InC; ic++ {
-			target := dplane[ic*h*w : (ic+1)*h*w]
-			for ky := 0; ky < k; ky++ {
-				for kx := 0; kx < k; kx++ {
-					src := dcols.Data[row*plane : (row+1)*plane]
-					for oy := 0; oy < oh; oy++ {
-						iy := oy + ky - pad
-						if iy < 0 || iy >= h {
-							continue
-						}
-						tRow := target[iy*w : (iy+1)*w]
-						sRow := src[oy*ow : (oy+1)*ow]
-						for ox := 0; ox < ow; ox++ {
-							ix := ox + kx - pad
-							if ix >= 0 && ix < w {
-								tRow[ix] += sRow[ox]
-							}
-						}
-					}
-					row++
-				}
-			}
+		if needDx {
+			// Input gradient: dcols = Wᵀ @ g, scattered back (col2im).
+			c.dcols.Zero()
+			tensor.MatMulTransposeA(c.dcols, c.weightView(), g)
+			c.col2im(dx.Data[ni*c.InC*h*w:(ni+1)*c.InC*h*w], c.dcols.Data, h, w, oh, ow)
 		}
 	}
 	return dx
+}
+
+// col2im scatters the patch-matrix gradient src (CKK × OH·OW) back onto one
+// sample's input planes, adding where patches overlap.
+func (c *Conv2D) col2im(dplane, src []float64, h, w, oh, ow int) {
+	k, pad := c.K, c.Pad
+	plane := oh * ow
+	row := 0
+	for ic := 0; ic < c.InC; ic++ {
+		target := dplane[ic*h*w : (ic+1)*h*w]
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				patch := src[row*plane : (row+1)*plane]
+				for oy := 0; oy < oh; oy++ {
+					iy := oy + ky - pad
+					if iy < 0 || iy >= h {
+						continue
+					}
+					tRow := target[iy*w : (iy+1)*w]
+					sRow := patch[oy*ow : (oy+1)*ow]
+					for ox := 0; ox < ow; ox++ {
+						ix := ox + kx - pad
+						if ix >= 0 && ix < w {
+							tRow[ix] += sRow[ox]
+						}
+					}
+				}
+				row++
+			}
+		}
+	}
 }
 
 // Params implements Layer.

@@ -71,11 +71,19 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(gradOut)
+	d.dx = ensureTensor(d.dx, gradOut.Dim(0), d.In)
+	tensor.MatMulTransposeB(d.dx, gradOut, d.W) // dx = gradOut Wᵀ
+	return d.dx
+}
+
+// backwardParams implements paramsOnlyBackward: dW += xᵀ gradOut and
+// db += column sums, without the input gradient.
+func (d *Dense) backwardParams(gradOut *tensor.Tensor) {
 	if d.x == nil {
 		panic("nn: dense backward before forward")
 	}
 	n := gradOut.Dim(0)
-	// dW += xᵀ gradOut ; db += column sums ; dx = gradOut Wᵀ
 	tensor.MatMulTransposeA(d.GradW, d.x, gradOut)
 	for i := 0; i < n; i++ {
 		row := gradOut.Data[i*d.Out : (i+1)*d.Out]
@@ -83,10 +91,6 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			d.GradB.Data[j] += g
 		}
 	}
-	d.dx = ensureTensor(d.dx, n, d.In)
-	dx := d.dx
-	tensor.MatMulTransposeB(dx, gradOut, d.W)
-	return dx
 }
 
 // Params implements Layer.

@@ -37,10 +37,28 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward propagates the loss gradient back through all layers,
-// accumulating parameter gradients.
+// paramsOnlyBackward is implemented by layers that can accumulate their
+// parameter gradients without computing the gradient of their input.
+type paramsOnlyBackward interface {
+	backwardParams(gradOut *tensor.Tensor)
+}
+
+// Backward propagates the loss gradient back through the layers,
+// accumulating parameter gradients. Nobody reads the gradient of the model
+// input, so the pass stops at the first layer that has parameters and asks
+// it for its parameter gradients only, when it can tell the two apart.
 func (m *Model) Backward(grad *tensor.Tensor) {
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+	first := 0
+	for first < len(m.Layers) && len(m.Layers[first].Params()) == 0 {
+		first++
+	}
+	for i := len(m.Layers) - 1; i >= first; i-- {
+		if i == first {
+			if l, ok := m.Layers[i].(paramsOnlyBackward); ok {
+				l.backwardParams(grad)
+				return
+			}
+		}
 		grad = m.Layers[i].Backward(grad)
 	}
 }

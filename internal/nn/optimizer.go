@@ -24,29 +24,36 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. It updates every parameter tensor in place from
+// its gradient tensor; velocity is one flat vector in ParamVector order,
+// indexed by the running offset, so no flat copy of the model is made.
 func (s *SGD) Step(m *Model) {
-	grad := m.GradVector()
-	params := m.ParamVector()
-	if s.WeightDecay != 0 {
-		for i := range grad {
-			grad[i] += s.WeightDecay * params[i]
+	lr, mom, wd := s.LR, s.Momentum, s.WeightDecay
+	if mom != 0 && s.velocity == nil {
+		s.velocity = make([]float64, m.NumParams())
+	}
+	off := 0
+	for _, l := range m.Layers {
+		grads := l.Grads()
+		for t, p := range l.Params() {
+			params := p.Data
+			var vel []float64
+			if mom != 0 {
+				vel = s.velocity[off : off+len(params)]
+			}
+			for i, g := range grads[t].Data[:len(params)] {
+				if wd != 0 {
+					g += wd * params[i]
+				}
+				if mom != 0 {
+					g = mom*vel[i] + g
+					vel[i] = g
+				}
+				params[i] -= lr * g
+			}
+			off += len(params)
 		}
 	}
-	if s.Momentum != 0 {
-		if s.velocity == nil {
-			s.velocity = make([]float64, len(grad))
-		}
-		for i := range grad {
-			s.velocity[i] = s.Momentum*s.velocity[i] + grad[i]
-			params[i] -= s.LR * s.velocity[i]
-		}
-	} else {
-		for i := range grad {
-			params[i] -= s.LR * grad[i]
-		}
-	}
-	m.SetParamVector(params)
 }
 
 // Adam is the adaptive-moment optimizer; the server side of FedAdam uses

@@ -176,6 +176,7 @@ type clientSession struct {
 	model *nn.Model
 	opt   *nn.SGD
 	iter  *dataset.Iterator
+	delta []float64           // local − global of the current round, reused across rounds
 	codec compress.Codec      // default uplink codec (ClientConfig.Codec)
 	dgc   *compress.DGC       // negotiated-dgc instance (the default one when it is a DGC)
 	dada  *compress.DAdaQuant // negotiated quantizer, built on first assignment
@@ -273,6 +274,33 @@ func (s *clientSession) negotiatedCodec(name string) (compress.Codec, error) {
 		return s.dada, nil
 	}
 	return nil, fmt.Errorf("unknown negotiated codec %q", name)
+}
+
+// trainDelta runs the local steps from the received global model and
+// returns local − global, read straight off the layer tensors into the
+// session's delta buffer. The buffer is overwritten by the next call; every
+// codec copies what it keeps of its input, so handing it to Encode is safe.
+func (s *clientSession) trainDelta(global []float64) []float64 {
+	s.model.SetParamVector(global)
+	trainStart := time.Now()
+	for step := 0; step < s.cfg.LocalSteps; step++ {
+		x, labels := s.iter.Next()
+		s.model.ZeroGrads()
+		s.model.TrainBatch(x, labels)
+		s.opt.Step(s.model)
+	}
+	s.met.trainSec.Observe(time.Since(trainStart).Seconds())
+	if len(s.delta) != len(global) {
+		s.delta = make([]float64, len(global))
+	}
+	off := 0
+	for _, l := range s.model.Layers {
+		for _, p := range l.Params() {
+			tensor.SubVec(s.delta[off:off+len(p.Data)], p.Data, global[off:off+len(p.Data)])
+			off += len(p.Data)
+		}
+	}
+	return s.delta
 }
 
 func (s *clientSession) commitPending() {
@@ -393,19 +421,7 @@ func (s *clientSession) runOnce() (done, progressed bool, err error) {
 				return false, true, fmt.Errorf("rpc: client %d: global delta length %d vs %d params: %w",
 					cfg.ID, len(e.GlobalDelta), len(e.Params), errProtocol)
 			}
-			// Local training from the received global model.
-			s.model.SetParamVector(e.Params)
-			trainStart := time.Now()
-			for step := 0; step < cfg.LocalSteps; step++ {
-				x, labels := s.iter.Next()
-				s.model.ZeroGrads()
-				s.model.TrainBatch(x, labels)
-				s.opt.Step(s.model)
-			}
-			s.met.trainSec.Observe(time.Since(trainStart).Seconds())
-			local := s.model.ParamVector()
-			delta := make([]float64, len(local))
-			tensor.SubVec(delta, local, e.Params)
+			delta := s.trainDelta(e.Params)
 			// Utility score against the server-provided ĝ.
 			up, down := cfg.UpBps, cfg.DownBps
 			if cfg.Bandwidth != nil {
@@ -531,19 +547,7 @@ func (s *clientSession) runAsyncOnce() (done, progressed bool, err error) {
 					cfg.ID, len(e.Params), s.model.NumParams(), errProtocol)
 			}
 			version := e.Round
-			s.model.SetParamVector(e.Params)
-			trainStart := time.Now()
-			for step := 0; step < cfg.LocalSteps; step++ {
-				x, labels := s.iter.Next()
-				s.model.ZeroGrads()
-				s.model.TrainBatch(x, labels)
-				s.opt.Step(s.model)
-			}
-			s.met.trainSec.Observe(time.Since(trainStart).Seconds())
-			local := s.model.ParamVector()
-			delta := make([]float64, len(local))
-			tensor.SubVec(delta, local, e.Params)
-			msg := s.codec.Encode(delta, ratio)
+			msg := s.codec.Encode(s.trainDelta(e.Params), ratio)
 			// Round pins the version this delta was trained from: the
 			// server derives staleness from it when the push is folded.
 			if err := conn.Send(&Envelope{Type: MsgAsyncPush, ClientID: cfg.ID, Round: version, Update: msg}); err != nil {

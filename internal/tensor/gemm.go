@@ -2,21 +2,24 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Blocked GEMM kernels.
+// Register-tiled GEMM.
 //
 // All four matmul variants (MatMulInto, MatMulTransposeA, MatMulTransposeB,
-// MatMulTransposeBAdd) share the same structure: an outer cache-blocking
-// loop nest (KC over the reduction dimension, NC over output columns) around
-// a 4×4 register micro-kernel that keeps sixteen independent accumulator
-// chains live, so the FPU pipeline is never stalled on a single running sum
-// and every loaded element of B is reused four times. The im2col lowering in
-// internal/nn funnels all convolution work through these kernels, so they
-// are the hot path of every experiment in the repository.
+// MatMulTransposeBAdd) are one driver, gemmOp, over strided views of the
+// operands: it walks C in MR×NR tiles and hands each to one micro-kernel
+// that loads the tile into registers, runs the whole reduction as
+// acc = fma(a, b, acc) and stores it once. Every element of C is therefore
+// a single ascending-p FMA chain that starts from C's own value (zero for
+// the overwriting variants) — on every architecture, on interior and edge
+// tiles alike, whatever the worker count. The im2col lowering in
+// internal/nn funnels all convolution work through this driver, so it is
+// the hot path of every experiment in the repository.
 //
 // Large products additionally fan out across goroutines over disjoint row
 // blocks of C. The fan-out is gated twice: products below minParallelWork
@@ -24,23 +27,23 @@ import (
 // token budget (SetMatMulWorkers) shared by every concurrent matmul, so
 // client-level parallelism in fl.SyncEngine cannot oversubscribe the
 // machine — at most budget-1 helper goroutines exist process-wide no matter
-// how many clients train at once. Each row of C is computed entirely by one
-// worker with a fixed loop structure, so results are bit-identical
-// regardless of the worker count — parallel runs stay deterministic.
+// how many clients train at once.
 
 const (
-	// gemmKC blocks the reduction dimension so the active A panel and B
-	// panel rows stay cache-resident while a C tile is accumulated.
-	gemmKC = 256
-	// gemmNC blocks output columns so the C tile rows being updated fit in
-	// L1 alongside the streamed B rows.
-	gemmNC = 1024
-	// gemmMR is the micro-kernel height (rows of C per register tile).
+	// gemmMR×gemmNR is the register tile: four rows of two 4-lane vectors
+	// fill eight accumulators, enough independent chains to cover the FMA
+	// latency on two issue ports, and leave room for the two B′ vectors and
+	// four A′ broadcasts of a reduction step.
 	gemmMR = 4
+	gemmNR = 8
 	// minParallelWork is the m·k·n multiply-add count below which a product
-	// runs serially: small matmuls finish before a goroutine handoff pays
-	// for itself.
-	minParallelWork = 1 << 18
+	// runs serially. At ~17 G multiply-adds per second per core a product
+	// has to last about half a millisecond before waking a second core pays
+	// for the handoff: on the two-core benchmark machine 6.4 M (the paper
+	// CNN's dense layer at batch 16) breaks even and 9.2 M gains 1.3×, while
+	// a per-sample conv2 product (1.6 M, both of bench/'s GEMM probes) lost
+	// 20 % to the fan-out it used to get.
+	minParallelWork = 1 << 23
 )
 
 var (
@@ -143,6 +146,165 @@ func runRows(helpers, m int, fn func(i0, i1 int)) {
 	releaseHelpers(helpers)
 }
 
+// gemmOp describes one product C (+)= A′·B′ over strided views, so the four
+// public variants differ only in how they fill it in: C(i,j) sits at
+// c[i*crs+j*ccs], A′(i,p) at a[i*ars+p*aps], B′(p,j) at b[p*brs+j*bcs].
+// The micro-kernel wants rows of B′ and of C contiguous; a view that is not
+// (bcs != 1, ccs != 1) goes through a packed panel or the stack tile.
+type gemmOp struct {
+	c        []float64
+	crs, ccs int
+	a        []float64
+	ars, aps int
+	b        []float64
+	brs, bcs int
+	m, k, n  int
+}
+
+// gemmWorkspace holds the packed panels of one rows() call: aPanel the
+// zero-padded k×MR edge rows of A′, bPanel one k×NR column tile of B′. The
+// buffers grow to the largest k seen and are reused through gemmPool, which
+// is private to the GEMM so its sizes never mix with GetScratch's.
+type gemmWorkspace struct{ aPanel, bPanel []float64 }
+
+var gemmPool = sync.Pool{New: func() any { return new(gemmWorkspace) }}
+
+func growPanel(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// run executes the product, fanning row blocks of C out to helpers when it
+// is large enough to pay for them.
+func (g gemmOp) run() {
+	if g.m == 0 || g.k == 0 || g.n == 0 {
+		return
+	}
+	if helpers := planHelpers(g.m, g.m*g.k*g.n); helpers > 0 {
+		h := g // heap copy for the closure, only on the fan-out path
+		runRows(helpers, g.m, func(i0, i1 int) { h.rows(i0, i1) })
+		return
+	}
+	g.rows(0, g.m)
+}
+
+// rows computes rows [i0,i1) of C. Column tiles are the outer loop so a
+// panel of B′ is packed at most once and stays cache-resident while every
+// row tile consumes it.
+func (g *gemmOp) rows(i0, i1 int) {
+	ws := gemmPool.Get().(*gemmWorkspace)
+	iFull := i0 + (i1-i0)/gemmMR*gemmMR
+	var aEdge []float64
+	if iFull < i1 {
+		ws.aPanel = growPanel(ws.aPanel, g.k*gemmMR)
+		aEdge = ws.aPanel
+		packPanel(aEdge, gemmMR, g.a[iFull*g.ars:], g.ars, g.aps, i1-iFull, g.k)
+	}
+	for j := 0; j < g.n; j += gemmNR {
+		nr := min(gemmNR, g.n-j)
+		b, ldb := g.b[j:], g.brs
+		if g.bcs != 1 || nr < gemmNR {
+			ws.bPanel = growPanel(ws.bPanel, g.k*gemmNR)
+			b, ldb = ws.bPanel, gemmNR
+			packPanel(b, gemmNR, g.b[j*g.bcs:], g.bcs, g.brs, nr, g.k)
+		}
+		if nr == gemmNR && g.ccs == 1 {
+			for i := i0; i < iFull; i += gemmMR {
+				gemmTile(g.c[i*g.crs+j:], g.crs, g.a[i*g.ars:], g.ars, g.aps, b, ldb, g.k)
+			}
+		} else {
+			for i := i0; i < iFull; i += gemmMR {
+				g.edgeTile(i, j, gemmMR, nr, g.a[i*g.ars:], g.ars, g.aps, b, ldb)
+			}
+		}
+		if aEdge != nil {
+			g.edgeTile(iFull, j, i1-iFull, nr, aEdge, 1, gemmMR, b, ldb)
+		}
+	}
+	gemmPool.Put(ws)
+}
+
+// packPanel gathers w ≤ width strided vectors of length k into a p-major
+// panel: dst[p*width+s] = src[s*vs+p*ps], zero in the lanes past w. It is
+// the transpose the NT variant needs and the zero padding of edge tiles.
+func packPanel(dst []float64, width int, src []float64, vs, ps, w, k int) {
+	if w == gemmNR && ps == 1 {
+		// The NT hot path: eight contiguous rows of the source at once.
+		v0, v1, v2, v3 := src[:k], src[vs:][:k], src[2*vs:][:k], src[3*vs:][:k]
+		v4, v5, v6, v7 := src[4*vs:][:k], src[5*vs:][:k], src[6*vs:][:k], src[7*vs:][:k]
+		for p := range v0 {
+			d := dst[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
+			d[0], d[1], d[2], d[3] = v0[p], v1[p], v2[p], v3[p]
+			d[4], d[5], d[6], d[7] = v4[p], v5[p], v6[p], v7[p]
+		}
+		return
+	}
+	if w < width {
+		clear(dst)
+	}
+	for s := 0; s < w; s++ {
+		v := src[s*vs:]
+		for p := 0; p < k; p++ {
+			dst[p*width+s] = v[p*ps]
+		}
+	}
+}
+
+// edgeTile runs the micro-kernel on an mr×nr tile of C that cannot be
+// updated in place — a partial tile, or any tile of a transposed C: it is
+// copied into a zero-padded stack tile, updated there and copied back, so
+// every element still is one ascending-p FMA chain from its own value.
+func (g *gemmOp) edgeTile(i, j, mr, nr int, a []float64, ars, aps int, b []float64, ldb int) {
+	var t [gemmMR * gemmNR]float64
+	for r := 0; r < mr; r++ {
+		for s := 0; s < nr; s++ {
+			t[r*gemmNR+s] = g.c[(i+r)*g.crs+(j+s)*g.ccs]
+		}
+	}
+	gemmTile(t[:], gemmNR, a, ars, aps, b, ldb, g.k)
+	for r := 0; r < mr; r++ {
+		for s := 0; s < nr; s++ {
+			g.c[(i+r)*g.crs+(j+s)*g.ccs] = t[r*gemmNR+s]
+		}
+	}
+}
+
+// gemmTile is the one micro-kernel contract: for i < MR, j < NR and p
+// ascending in [0,k), c[i*ldc+j] = fma(a[i*ars+p*aps], b[p*ldb+j], c[i*ldc+j]).
+// The assembly and the portable kernel produce the same bits. k must be > 0.
+func gemmTile(c []float64, ldc int, a []float64, ars, aps int, b []float64, ldb, k int) {
+	if simdEnabled {
+		gemmTileFMA(&c[0], ldc, &a[0], ars, aps, &b[0], ldb, k)
+		return
+	}
+	gemmTileGo(c, ldc, a, ars, aps, b, ldb, k)
+}
+
+// gemmTileGo is the portable micro-kernel: one row of the tile at a time so
+// its eight accumulators stay in registers; math.FMA compiles to the fused
+// instruction wherever the hardware has one.
+func gemmTileGo(c []float64, ldc int, a []float64, ars, aps int, b []float64, ldb, k int) {
+	for i := 0; i < gemmMR; i++ {
+		ci := c[i*ldc : i*ldc+gemmNR : i*ldc+gemmNR]
+		c0, c1, c2, c3, c4, c5, c6, c7 := ci[0], ci[1], ci[2], ci[3], ci[4], ci[5], ci[6], ci[7]
+		for p := 0; p < k; p++ {
+			av := a[i*ars+p*aps]
+			bp := b[p*ldb : p*ldb+gemmNR : p*ldb+gemmNR]
+			c0 = math.FMA(av, bp[0], c0)
+			c1 = math.FMA(av, bp[1], c1)
+			c2 = math.FMA(av, bp[2], c2)
+			c3 = math.FMA(av, bp[3], c3)
+			c4 = math.FMA(av, bp[4], c4)
+			c5 = math.FMA(av, bp[5], c5)
+			c6 = math.FMA(av, bp[6], c6)
+			c7 = math.FMA(av, bp[7], c7)
+		}
+		ci[0], ci[1], ci[2], ci[3], ci[4], ci[5], ci[6], ci[7] = c0, c1, c2, c3, c4, c5, c6, c7
+	}
+}
+
 // MatMulInto computes c = a @ b into an existing (m×n) tensor, where a is
 // (m×k) and b is (k×n).
 func MatMulInto(c, a, b *Tensor) {
@@ -153,178 +315,8 @@ func MatMulInto(c, a, b *Tensor) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic("tensor: MatMulInto output shape mismatch")
 	}
-	if helpers := planHelpers(m, m*k*n); helpers > 0 {
-		runRows(helpers, m, func(i0, i1 int) {
-			gemmRows(c.Data, a.Data, b.Data, k, n, i0, i1)
-		})
-		return
-	}
-	gemmRows(c.Data, a.Data, b.Data, k, n, 0, m)
-}
-
-// gemmRows computes rows [i0,i1) of c = a @ b (overwriting them).
-func gemmRows(c, a, b []float64, k, n, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		row := c[i*n : (i+1)*n]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	if simdEnabled {
-		gemmRowsFMA(c, a, b, k, n, i0, i1)
-		return
-	}
-	for pc := 0; pc < k; pc += gemmKC {
-		pe := min(pc+gemmKC, k)
-		for jc := 0; jc < n; jc += gemmNC {
-			je := min(jc+gemmNC, n)
-			i := i0
-			for ; i+gemmMR <= i1; i += gemmMR {
-				gemmMicro4(c, a, b, k, n, i, pc, pe, jc, je)
-			}
-			for ; i < i1; i++ {
-				gemmMicro1(c, a, b, k, n, i, pc, pe, jc, je)
-			}
-		}
-	}
-}
-
-// gemmRowsFMA computes rows [i0,i1) of c += a @ b with the quad-axpy
-// assembly kernel: for each reduction index p, the B row streams through
-// four FMA lanes feeding four rows of C. Rows must be pre-zeroed. The
-// per-element accumulation order (ascending p) matches the scalar path.
-func gemmRowsFMA(c, a, b []float64, k, n, i0, i1 int) {
-	for jc := 0; jc < n; jc += gemmNC {
-		je := min(jc+gemmNC, n)
-		w := je - jc
-		i := i0
-		for ; i+gemmMR <= i1; i += gemmMR {
-			c0 := c[i*n+jc : i*n+je]
-			c1 := c[(i+1)*n+jc : (i+1)*n+je]
-			c2 := c[(i+2)*n+jc : (i+2)*n+je]
-			c3 := c[(i+3)*n+jc : (i+3)*n+je]
-			for p := 0; p < k; p++ {
-				br := b[p*n+jc : p*n+je]
-				fmaAxpy4(&c0[0], &c1[0], &c2[0], &c3[0], &br[0], w,
-					a[i*k+p], a[(i+1)*k+p], a[(i+2)*k+p], a[(i+3)*k+p])
-			}
-		}
-		for ; i < i1; i++ {
-			gemmMicro1(c, a, b, k, n, i, 0, k, jc, je)
-		}
-	}
-}
-
-// gemmMicro4 accumulates the contribution of A columns [pc,pe) into the
-// 4×(je-jc) tile of C at rows i..i+3, columns jc..je, walking the tile in
-// 4×4 register blocks.
-func gemmMicro4(c, a, b []float64, k, n, i, pc, pe, jc, je int) {
-	a0 := a[i*k+pc : i*k+pe]
-	a1 := a[(i+1)*k+pc : (i+1)*k+pe]
-	a2 := a[(i+2)*k+pc : (i+2)*k+pe]
-	a3 := a[(i+3)*k+pc : (i+3)*k+pe]
-	c0 := c[i*n : (i+1)*n]
-	c1 := c[(i+1)*n : (i+2)*n]
-	c2 := c[(i+2)*n : (i+3)*n]
-	c3 := c[(i+3)*n : (i+4)*n]
-	j := jc
-	for ; j+4 <= je; j += 4 {
-		var s00, s01, s02, s03 float64
-		var s10, s11, s12, s13 float64
-		var s20, s21, s22, s23 float64
-		var s30, s31, s32, s33 float64
-		off := pc*n + j
-		for p := 0; p < len(a0); p++ {
-			bp := b[off : off+4 : off+4]
-			b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-			v := a0[p]
-			s00 += v * b0
-			s01 += v * b1
-			s02 += v * b2
-			s03 += v * b3
-			v = a1[p]
-			s10 += v * b0
-			s11 += v * b1
-			s12 += v * b2
-			s13 += v * b3
-			v = a2[p]
-			s20 += v * b0
-			s21 += v * b1
-			s22 += v * b2
-			s23 += v * b3
-			v = a3[p]
-			s30 += v * b0
-			s31 += v * b1
-			s32 += v * b2
-			s33 += v * b3
-			off += n
-		}
-		c0[j] += s00
-		c0[j+1] += s01
-		c0[j+2] += s02
-		c0[j+3] += s03
-		c1[j] += s10
-		c1[j+1] += s11
-		c1[j+2] += s12
-		c1[j+3] += s13
-		c2[j] += s20
-		c2[j+1] += s21
-		c2[j+2] += s22
-		c2[j+3] += s23
-		c3[j] += s30
-		c3[j+1] += s31
-		c3[j+2] += s32
-		c3[j+3] += s33
-	}
-	for ; j < je; j++ {
-		var s0, s1, s2, s3 float64
-		off := pc*n + j
-		for p := 0; p < len(a0); p++ {
-			bv := b[off]
-			s0 += a0[p] * bv
-			s1 += a1[p] * bv
-			s2 += a2[p] * bv
-			s3 += a3[p] * bv
-			off += n
-		}
-		c0[j] += s0
-		c1[j] += s1
-		c2[j] += s2
-		c3[j] += s3
-	}
-}
-
-// gemmMicro1 is the single-row remainder kernel (columns unrolled by 4).
-func gemmMicro1(c, a, b []float64, k, n, i, pc, pe, jc, je int) {
-	a0 := a[i*k+pc : i*k+pe]
-	c0 := c[i*n : (i+1)*n]
-	j := jc
-	for ; j+4 <= je; j += 4 {
-		var s0, s1, s2, s3 float64
-		off := pc*n + j
-		for p := 0; p < len(a0); p++ {
-			bp := b[off : off+4 : off+4]
-			v := a0[p]
-			s0 += v * bp[0]
-			s1 += v * bp[1]
-			s2 += v * bp[2]
-			s3 += v * bp[3]
-			off += n
-		}
-		c0[j] += s0
-		c0[j+1] += s1
-		c0[j+2] += s2
-		c0[j+3] += s3
-	}
-	for ; j < je; j++ {
-		s := 0.0
-		off := pc*n + j
-		for p := 0; p < len(a0); p++ {
-			s += a0[p] * b[off]
-			off += n
-		}
-		c0[j] += s
-	}
+	c.Zero()
+	gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: k, aps: 1, b: b.Data, brs: n, bcs: 1, m: m, k: k, n: n}.run()
 }
 
 // MatMulTransposeB computes c = a @ bᵀ where a is (m×k) and b is (n×k),
@@ -341,6 +333,13 @@ func MatMulTransposeBAdd(c, a, b *Tensor) {
 	matMulTransposeB(c, a, b, true)
 }
 
+// matMulTransposeB has no operand whose reduction index is the slow one, so
+// one side has to be transposed into k×NR panels. Packing bᵀ moves n·k
+// elements; computing cᵀ = b @ aᵀ instead packs the m·k elements of a but
+// sends every tile of c through the stack tile (2·m·n moves). The cheaper
+// side is picked by that count: the weight gradient of a convolution
+// (m = OutC rows against a wide patch matrix) packs b, the input gradient
+// of a dense layer (a small batch against the whole weight matrix) packs a.
 func matMulTransposeB(c, a, b *Tensor, add bool) {
 	if a.Rank() != 2 || b.Rank() != 2 || b.Dim(1) != a.Dim(1) {
 		panic(fmt.Sprintf("tensor: MatMulTransposeB shape mismatch %v x %v", a.shape, b.shape))
@@ -349,167 +348,14 @@ func matMulTransposeB(c, a, b *Tensor, add bool) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic("tensor: MatMulTransposeB output shape mismatch")
 	}
-	if helpers := planHelpers(m, m*k*n); helpers > 0 {
-		runRows(helpers, m, func(i0, i1 int) {
-			gemmTBRows(c.Data, a.Data, b.Data, k, n, i0, i1, add)
-		})
-		return
-	}
-	gemmTBRows(c.Data, a.Data, b.Data, k, n, 0, m, add)
-}
-
-// gemmTBRows computes rows [i0,i1) of c = a @ bᵀ (dot-product form: both
-// operands are traversed along contiguous rows).
-func gemmTBRows(c, a, b []float64, k, n, i0, i1 int, add bool) {
 	if !add {
-		for i := i0; i < i1; i++ {
-			row := c[i*n : (i+1)*n]
-			for j := range row {
-				row[j] = 0
-			}
-		}
+		c.Zero()
 	}
-	if simdEnabled {
-		gemmTBRowsFMA(c, a, b, k, n, i0, i1)
+	if n*k <= 2*m*n+m*k {
+		gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: k, aps: 1, b: b.Data, brs: 1, bcs: k, m: m, k: k, n: n}.run()
 		return
 	}
-	for pc := 0; pc < k; pc += gemmKC {
-		pe := min(pc+gemmKC, k)
-		i := i0
-		for ; i+gemmMR <= i1; i += gemmMR {
-			a0 := a[i*k+pc : i*k+pe]
-			a1 := a[(i+1)*k+pc : (i+1)*k+pe]
-			a2 := a[(i+2)*k+pc : (i+2)*k+pe]
-			a3 := a[(i+3)*k+pc : (i+3)*k+pe]
-			c0 := c[i*n : (i+1)*n]
-			c1 := c[(i+1)*n : (i+2)*n]
-			c2 := c[(i+2)*n : (i+3)*n]
-			c3 := c[(i+3)*n : (i+4)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				b0 := b[j*k+pc : j*k+pe]
-				b1 := b[(j+1)*k+pc : (j+1)*k+pe]
-				b2 := b[(j+2)*k+pc : (j+2)*k+pe]
-				b3 := b[(j+3)*k+pc : (j+3)*k+pe]
-				var s00, s01, s02, s03 float64
-				var s10, s11, s12, s13 float64
-				var s20, s21, s22, s23 float64
-				var s30, s31, s32, s33 float64
-				for p := 0; p < len(a0); p++ {
-					bv0, bv1, bv2, bv3 := b0[p], b1[p], b2[p], b3[p]
-					v := a0[p]
-					s00 += v * bv0
-					s01 += v * bv1
-					s02 += v * bv2
-					s03 += v * bv3
-					v = a1[p]
-					s10 += v * bv0
-					s11 += v * bv1
-					s12 += v * bv2
-					s13 += v * bv3
-					v = a2[p]
-					s20 += v * bv0
-					s21 += v * bv1
-					s22 += v * bv2
-					s23 += v * bv3
-					v = a3[p]
-					s30 += v * bv0
-					s31 += v * bv1
-					s32 += v * bv2
-					s33 += v * bv3
-				}
-				c0[j] += s00
-				c0[j+1] += s01
-				c0[j+2] += s02
-				c0[j+3] += s03
-				c1[j] += s10
-				c1[j+1] += s11
-				c1[j+2] += s12
-				c1[j+3] += s13
-				c2[j] += s20
-				c2[j+1] += s21
-				c2[j+2] += s22
-				c2[j+3] += s23
-				c3[j] += s30
-				c3[j+1] += s31
-				c3[j+2] += s32
-				c3[j+3] += s33
-			}
-			for ; j < n; j++ {
-				bj := b[j*k+pc : j*k+pe]
-				var s0, s1, s2, s3 float64
-				for p := 0; p < len(bj); p++ {
-					bv := bj[p]
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-					s2 += a2[p] * bv
-					s3 += a3[p] * bv
-				}
-				c0[j] += s0
-				c1[j] += s1
-				c2[j] += s2
-				c3[j] += s3
-			}
-		}
-		for ; i < i1; i++ {
-			a0 := a[i*k+pc : i*k+pe]
-			c0 := c[i*n : (i+1)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				b0 := b[j*k+pc : j*k+pe]
-				b1 := b[(j+1)*k+pc : (j+1)*k+pe]
-				b2 := b[(j+2)*k+pc : (j+2)*k+pe]
-				b3 := b[(j+3)*k+pc : (j+3)*k+pe]
-				var s0, s1, s2, s3 float64
-				for p := 0; p < len(a0); p++ {
-					v := a0[p]
-					s0 += v * b0[p]
-					s1 += v * b1[p]
-					s2 += v * b2[p]
-					s3 += v * b3[p]
-				}
-				c0[j] += s0
-				c0[j+1] += s1
-				c0[j+2] += s2
-				c0[j+3] += s3
-			}
-			for ; j < n; j++ {
-				bj := b[j*k+pc : j*k+pe]
-				s := 0.0
-				for p := 0; p < len(bj); p++ {
-					s += a0[p] * bj[p]
-				}
-				c0[j] += s
-			}
-		}
-	}
-}
-
-// gemmTBRowsFMA computes rows [i0,i1) of c += a @ bᵀ with the quad-dot
-// assembly kernel: one row of A against four rows of B per call, all
-// contiguous. Rows must be pre-zeroed unless accumulating.
-func gemmTBRowsFMA(c, a, b []float64, k, n, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		ar := a[i*k : (i+1)*k]
-		cr := c[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s0, s1, s2, s3 := fmaDot4(&ar[0],
-				&b[j*k], &b[(j+1)*k], &b[(j+2)*k], &b[(j+3)*k], k)
-			cr[j] += s0
-			cr[j+1] += s1
-			cr[j+2] += s2
-			cr[j+3] += s3
-		}
-		for ; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range ar {
-				s += av * bj[p]
-			}
-			cr[j] += s
-		}
-	}
+	gemmOp{c: c.Data, crs: 1, ccs: n, a: b.Data, ars: k, aps: 1, b: a.Data, brs: 1, bcs: k, m: n, k: k, n: m}.run()
 }
 
 // MatMulTransposeA computes c += aᵀ @ b where a is (k×m) and b is (k×n),
@@ -523,91 +369,5 @@ func MatMulTransposeA(c, a, b *Tensor) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic("tensor: MatMulTransposeA output shape mismatch")
 	}
-	if helpers := planHelpers(m, m*k*n); helpers > 0 {
-		runRows(helpers, m, func(i0, i1 int) {
-			gemmTARows(c.Data, a.Data, b.Data, k, m, n, i0, i1)
-		})
-		return
-	}
-	gemmTARows(c.Data, a.Data, b.Data, k, m, n, 0, m)
-}
-
-// gemmTARows accumulates rows [i0,i1) of c += aᵀ @ b (saxpy form: for each
-// reduction step p, the B row p is streamed into four C rows at once; rows
-// of C index columns of A, so the four A values sit contiguously).
-func gemmTARows(c, a, b []float64, k, m, n, i0, i1 int) {
-	if simdEnabled {
-		gemmTARowsFMA(c, a, b, k, m, n, i0, i1)
-		return
-	}
-	for jc := 0; jc < n; jc += gemmNC {
-		je := min(jc+gemmNC, n)
-		i := i0
-		for ; i+gemmMR <= i1; i += gemmMR {
-			c0 := c[i*n+jc : i*n+je]
-			c1 := c[(i+1)*n+jc : (i+1)*n+je]
-			c2 := c[(i+2)*n+jc : (i+2)*n+je]
-			c3 := c[(i+3)*n+jc : (i+3)*n+je]
-			for p := 0; p < k; p++ {
-				ap := a[p*m+i : p*m+i+4 : p*m+i+4]
-				a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-				br := b[p*n+jc : p*n+je]
-				for j, bv := range br {
-					c0[j] += a0 * bv
-					c1[j] += a1 * bv
-					c2[j] += a2 * bv
-					c3[j] += a3 * bv
-				}
-			}
-		}
-		for ; i < i1; i++ {
-			cr := c[i*n+jc : i*n+je]
-			for p := 0; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				br := b[p*n+jc : p*n+je]
-				for j, bv := range br {
-					cr[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// gemmTARowsFMA accumulates rows [i0,i1) of c += aᵀ @ b with the quad-axpy
-// assembly kernel; the four A values per reduction step sit contiguously
-// (they are adjacent columns of one A row).
-func gemmTARowsFMA(c, a, b []float64, k, m, n, i0, i1 int) {
-	for jc := 0; jc < n; jc += gemmNC {
-		je := min(jc+gemmNC, n)
-		w := je - jc
-		i := i0
-		for ; i+gemmMR <= i1; i += gemmMR {
-			c0 := c[i*n+jc : i*n+je]
-			c1 := c[(i+1)*n+jc : (i+1)*n+je]
-			c2 := c[(i+2)*n+jc : (i+2)*n+je]
-			c3 := c[(i+3)*n+jc : (i+3)*n+je]
-			for p := 0; p < k; p++ {
-				ap := a[p*m+i : p*m+i+4 : p*m+i+4]
-				br := b[p*n+jc : p*n+je]
-				fmaAxpy4(&c0[0], &c1[0], &c2[0], &c3[0], &br[0], w,
-					ap[0], ap[1], ap[2], ap[3])
-			}
-		}
-		for ; i < i1; i++ {
-			cr := c[i*n+jc : i*n+je]
-			for p := 0; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				br := b[p*n+jc : p*n+je]
-				for j, bv := range br {
-					cr[j] += av * bv
-				}
-			}
-		}
-	}
+	gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: 1, aps: m, b: b.Data, brs: n, bcs: 1, m: m, k: k, n: n}.run()
 }

@@ -1,15 +1,12 @@
 package tensor
 
-// Assembly bindings for the AVX2+FMA micro-kernels in gemm_amd64.s.
+// Assembly bindings for the AVX2+FMA micro-kernel in gemm_amd64.s.
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func fmaAxpy4(c0, c1, c2, c3, b *float64, n int, a0, a1, a2, a3 float64)
-
-//go:noescape
-func fmaDot4(a, b0, b1, b2, b3 *float64, n int) (s0, s1, s2, s3 float64)
+func gemmTileFMA(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k int)
 
 // detectSIMD reports whether the CPU and OS support the AVX2+FMA kernels:
 // CPUID must advertise FMA, AVX and AVX2, the OS must have enabled XSAVE

@@ -1,6 +1,6 @@
-// AVX2+FMA micro-kernels for the blocked GEMM in gemm.go. Only reached
-// when detectSIMD() confirms CPUID support (FMA+AVX2 with OS-saved YMM
-// state); every kernel has a pure-Go fallback.
+// AVX2+FMA register-tile micro-kernel for the GEMM driver in gemm.go. Only
+// reached when detectSIMD() confirms CPUID support (FMA+AVX2 with OS-saved
+// YMM state); gemmTileGo is the portable kernel with the same contract.
 
 #include "textflag.h"
 
@@ -23,159 +23,66 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func fmaAxpy4(c0, c1, c2, c3, b *float64, n int, a0, a1, a2, a3 float64)
+// func gemmTileFMA(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k int)
 //
-// The quad-axpy micro-kernel: for j in [0,n)
-//	c0[j] += a0*b[j]; c1[j] += a1*b[j]; c2[j] += a2*b[j]; c3[j] += a3*b[j]
-// Each loaded vector of b feeds four FMA lanes, so the kernel serves both
-// c = a@b (four rows of A against one row of B) and c += aᵀ@b (four
-// columns of A against one row of B).
-TEXT ·fmaAxpy4(SB), NOSPLIT, $0-80
-	MOVQ c0+0(FP), R8
-	MOVQ c1+8(FP), R9
-	MOVQ c2+16(FP), R10
-	MOVQ c3+24(FP), R11
-	MOVQ b+32(FP), SI
-	MOVQ n+40(FP), CX
-	VBROADCASTSD a0+48(FP), Y0
-	VBROADCASTSD a1+56(FP), Y1
-	VBROADCASTSD a2+64(FP), Y2
-	VBROADCASTSD a3+72(FP), Y3
+// The 4×8 register tile: for i in [0,4), j in [0,8), p ascending in [0,k)
+//	c[i*ldc+j] = fma(a[i*ars+p*aps], b[p*ldb+j], c[i*ldc+j])
+// The tile of C is loaded into Y0..Y7 once, the whole reduction runs
+// register-to-register (two loads of B and four broadcasts of A′ feed
+// eight FMAs per step), and it is stored once. Strides are in elements.
+// k must be > 0. BP is not touched.
+TEXT ·gemmTileFMA(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), DX
+	MOVQ a+16(FP), SI
+	MOVQ ars+24(FP), R8
+	MOVQ aps+32(FP), R9
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R10
+	MOVQ k+56(FP), CX
+	SHLQ $3, DX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (DX)(DX*2), R12 // 3·ldc
+	LEAQ (R8)(R8*2), R11 // 3·ars
 
-loop4:
-	CMPQ CX, $4
-	JLT  tail
-	VMOVUPD (SI), Y4
-	VMOVUPD (R8), Y5
-	VFMADD231PD Y4, Y0, Y5
-	VMOVUPD Y5, (R8)
-	VMOVUPD (R9), Y6
-	VFMADD231PD Y4, Y1, Y6
-	VMOVUPD Y6, (R9)
-	VMOVUPD (R10), Y7
-	VFMADD231PD Y4, Y2, Y7
-	VMOVUPD Y7, (R10)
-	VMOVUPD (R11), Y8
-	VFMADD231PD Y4, Y3, Y8
-	VMOVUPD Y8, (R11)
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $4, CX
-	JMP  loop4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(DX*1), Y2
+	VMOVUPD 32(DI)(DX*1), Y3
+	VMOVUPD (DI)(DX*2), Y4
+	VMOVUPD 32(DI)(DX*2), Y5
+	VMOVUPD (DI)(R12*1), Y6
+	VMOVUPD 32(DI)(R12*1), Y7
 
-tail:
-	TESTQ CX, CX
-	JE   done
-tailloop:
-	VMOVSD (SI), X4
-	VMOVSD (R8), X5
-	VFMADD231SD X4, X0, X5
-	VMOVSD X5, (R8)
-	VMOVSD (R9), X6
-	VFMADD231SD X4, X1, X6
-	VMOVSD X6, (R9)
-	VMOVSD (R10), X7
-	VFMADD231SD X4, X2, X7
-	VMOVSD X7, (R10)
-	VMOVSD (R11), X8
-	VFMADD231SD X4, X3, X8
-	VMOVSD X8, (R11)
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
+loop:
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	VBROADCASTSD (SI), Y10
+	VBROADCASTSD (SI)(R8*1), Y11
+	VBROADCASTSD (SI)(R8*2), Y12
+	VBROADCASTSD (SI)(R11*1), Y13
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y1
+	VFMADD231PD Y8, Y11, Y2
+	VFMADD231PD Y9, Y11, Y3
+	VFMADD231PD Y8, Y12, Y4
+	VFMADD231PD Y9, Y12, Y5
+	VFMADD231PD Y8, Y13, Y6
+	VFMADD231PD Y9, Y13, Y7
+	ADDQ R9, SI
+	ADDQ R10, BX
 	DECQ CX
-	JNE  tailloop
+	JNE  loop
 
-done:
-	VZEROUPPER
-	RET
-
-// func fmaDot4(a, b0, b1, b2, b3 *float64, n int) (s0, s1, s2, s3 float64)
-//
-// Four simultaneous dot products of one row of A against four rows of B
-// (all contiguous), the inner kernel of c = a@bᵀ. Four independent vector
-// accumulators keep the FMA pipeline full; lanes are reduced at the end,
-// then a scalar tail handles n%4.
-TEXT ·fmaDot4(SB), NOSPLIT, $0-80
-	MOVQ a+0(FP), SI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-
-loop4:
-	CMPQ CX, $4
-	JLT  reduce
-	VMOVUPD (SI), Y4
-	VMOVUPD (R8), Y5
-	VFMADD231PD Y4, Y5, Y0
-	VMOVUPD (R9), Y6
-	VFMADD231PD Y4, Y6, Y1
-	VMOVUPD (R10), Y7
-	VFMADD231PD Y4, Y7, Y2
-	VMOVUPD (R11), Y8
-	VFMADD231PD Y4, Y8, Y3
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $4, CX
-	JMP  loop4
-
-reduce:
-	// Fold each 4-lane accumulator to a scalar in its low lane.
-	VEXTRACTF128 $1, Y0, X4
-	VADDPD X4, X0, X0
-	VUNPCKHPD X0, X0, X4
-	VADDSD X4, X0, X0
-	VEXTRACTF128 $1, Y1, X5
-	VADDPD X5, X1, X1
-	VUNPCKHPD X1, X1, X5
-	VADDSD X5, X1, X1
-	VEXTRACTF128 $1, Y2, X6
-	VADDPD X6, X2, X2
-	VUNPCKHPD X2, X2, X6
-	VADDSD X6, X2, X2
-	VEXTRACTF128 $1, Y3, X7
-	VADDPD X7, X3, X3
-	VUNPCKHPD X3, X3, X7
-	VADDSD X7, X3, X3
-
-	TESTQ CX, CX
-	JE   store
-tailloop:
-	VMOVSD (SI), X4
-	VMOVSD (R8), X5
-	VFMADD231SD X4, X5, X0
-	VMOVSD (R9), X5
-	VFMADD231SD X4, X5, X1
-	VMOVSD (R10), X5
-	VFMADD231SD X4, X5, X2
-	VMOVSD (R11), X5
-	VFMADD231SD X4, X5, X3
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ CX
-	JNE  tailloop
-
-store:
-	VMOVSD X0, s0+48(FP)
-	VMOVSD X1, s1+56(FP)
-	VMOVSD X2, s2+64(FP)
-	VMOVSD X3, s3+72(FP)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(DX*1)
+	VMOVUPD Y3, 32(DI)(DX*1)
+	VMOVUPD Y4, (DI)(DX*2)
+	VMOVUPD Y5, 32(DI)(DX*2)
+	VMOVUPD Y6, (DI)(R12*1)
+	VMOVUPD Y7, 32(DI)(R12*1)
 	VZEROUPPER
 	RET

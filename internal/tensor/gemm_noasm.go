@@ -2,14 +2,10 @@
 
 package tensor
 
-// Non-amd64 builds always use the pure-Go blocked kernels.
+// Non-amd64 builds always run the portable tile kernel (gemmTileGo).
 
 func detectSIMD() bool { return false }
 
-func fmaAxpy4(c0, c1, c2, c3, b *float64, n int, a0, a1, a2, a3 float64) {
-	panic("tensor: fmaAxpy4 called without SIMD support")
-}
-
-func fmaDot4(a, b0, b1, b2, b3 *float64, n int) (s0, s1, s2, s3 float64) {
-	panic("tensor: fmaDot4 called without SIMD support")
+func gemmTileFMA(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k int) {
+	panic("tensor: gemmTileFMA called without SIMD support")
 }

@@ -28,8 +28,8 @@ func assertTensorsClose(t *testing.T, got, want *Tensor, tol float64, label stri
 }
 
 // equivalenceShapes deliberately includes shapes that are not multiples of
-// the 4×4 micro-kernel or the KC/NC cache blocks, plus degenerate 1-sized
-// dimensions and the paper-CNN GEMM shapes.
+// the 4×8 register tile, plus degenerate 1-sized dimensions and the
+// paper-CNN GEMM shapes.
 var equivalenceShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 1},
@@ -37,106 +37,195 @@ var equivalenceShapes = []struct{ m, k, n int }{
 	{4, 4, 4},
 	{5, 9, 6},
 	{7, 13, 11},
-	{8, 300, 5}, // crosses a KC block boundary mid-reduction
+	{8, 300, 5},
 	{16, 16, 16},
 	{23, 31, 17},
-	{20, 25, 576}, // conv1
-	{50, 500, 64}, // conv2
-	{33, 257, 65}, // every dimension one past a block/kernel multiple
+	{20, 25, 576},  // conv1
+	{50, 500, 64},  // conv2: two edge rows
+	{33, 257, 65},  // every dimension one past a tile multiple
+	{16, 500, 800}, // dense input gradient: the NT variant packs a, not b
 }
 
-// TestBlockedMatMulMatchesNaive checks all four blocked kernels against the
-// retained seed kernels within 1e-9 relative tolerance, serial and with a
-// forced worker budget.
-func TestBlockedMatMulMatchesNaive(t *testing.T) {
-	simdModes := []bool{false}
-	if detectSIMD() {
-		simdModes = append(simdModes, true)
-	}
-	oldSIMD := simdEnabled
-	defer func() { simdEnabled = oldSIMD }()
-	for _, simd := range simdModes {
+// forEachSIMDMode runs fn with the portable kernel and, where the CPU has
+// it, the assembly kernel, restoring the kernel choice and the worker budget
+// afterwards.
+func forEachSIMDMode(t *testing.T, fn func(simd bool)) {
+	t.Helper()
+	oldSIMD, oldWorkers := simdEnabled, MatMulWorkers()
+	defer func() {
+		simdEnabled = oldSIMD
+		SetMatMulWorkers(oldWorkers)
+	}()
+	for _, simd := range []bool{false, true} {
+		if simd && !detectSIMD() {
+			continue
+		}
 		simdEnabled = simd
-		testBlockedMatMulMatchesNaive(t, simd)
+		fn(simd)
 	}
 }
 
-func testBlockedMatMulMatchesNaive(t *testing.T, simd bool) {
-	for _, workers := range []int{1, 4} {
-		old := MatMulWorkers()
-		SetMatMulWorkers(workers)
-		for _, s := range equivalenceShapes {
-			label := fmt.Sprintf("simd%v-w%d-%dx%dx%d", simd, workers, s.m, s.k, s.n)
-			r := stats.NewRNG(uint64(s.m*1000000 + s.k*1000 + s.n))
+// forEachKernelMode runs fn under both kernels, each serially and with a
+// forced worker budget.
+func forEachKernelMode(t *testing.T, fn func(label string)) {
+	t.Helper()
+	forEachSIMDMode(t, func(simd bool) {
+		for _, workers := range []int{1, 4} {
+			SetMatMulWorkers(workers)
+			fn(fmt.Sprintf("simd%v-w%d", simd, workers))
+		}
+	})
+}
 
-			// c = a @ b
-			a := New(s.m, s.k)
-			a.RandNorm(r, 1)
-			b := New(s.k, s.n)
-			b.RandNorm(r, 1)
+// matrix wraps data as an r×c tensor; unlike New it accepts an empty one.
+func matrix(r *stats.RNG, rows, cols int) *Tensor {
+	t := FromSlice(make([]float64, rows*cols), rows, cols)
+	t.RandNorm(r, 1)
+	return t
+}
+
+// TestMatMulMatchesNaive checks all four variants against the retained seed
+// kernels within 1e-12 relative tolerance.
+func TestMatMulMatchesNaive(t *testing.T) {
+	forEachKernelMode(t, func(mode string) {
+		for _, s := range equivalenceShapes {
+			label := fmt.Sprintf("%s-%dx%dx%d", mode, s.m, s.k, s.n)
+			r := stats.NewRNG(uint64(s.m*1000000 + s.k*1000 + s.n))
+			a, b := matrix(r, s.m, s.k), matrix(r, s.k, s.n)
+			bt, at := matrix(r, s.n, s.k), matrix(r, s.k, s.m)
+			base := matrix(r, s.m, s.n)
+
 			got, want := New(s.m, s.n), New(s.m, s.n)
 			MatMulInto(got, a, b)
 			naiveMatMulInto(want, a, b)
-			assertTensorsClose(t, got, want, 1e-9, label+"-MatMulInto")
+			assertTensorsClose(t, got, want, 1e-12, label+"-MatMulInto")
 
-			// c = a @ btᵀ with bt (n×k)
-			bt := New(s.n, s.k)
-			bt.RandNorm(r, 1)
-			got.Zero()
-			want.Zero()
+			got, want = base.Clone(), base.Clone()
 			MatMulTransposeB(got, a, bt)
 			naiveMatMulTransposeB(want, a, bt)
-			assertTensorsClose(t, got, want, 1e-9, label+"-MatMulTransposeB")
+			assertTensorsClose(t, got, want, 1e-12, label+"-MatMulTransposeB")
 
-			// c += a @ btᵀ on a shared non-zero starting point
-			base := New(s.m, s.n)
-			base.RandNorm(r, 1)
-			got = base.Clone()
-			want = base.Clone()
+			got, want = base.Clone(), base.Clone()
 			MatMulTransposeBAdd(got, a, bt)
 			naiveMatMulTransposeBAdd(want, a, bt)
-			assertTensorsClose(t, got, want, 1e-9, label+"-MatMulTransposeBAdd")
+			assertTensorsClose(t, got, want, 1e-12, label+"-MatMulTransposeBAdd")
 
-			// c += atᵀ @ b with at (k×m)
-			at := New(s.k, s.m)
-			at.RandNorm(r, 1)
-			got = base.Clone()
-			want = base.Clone()
+			got, want = base.Clone(), base.Clone()
 			MatMulTransposeA(got, at, b)
 			naiveMatMulTransposeA(want, at, b)
-			assertTensorsClose(t, got, want, 1e-9, label+"-MatMulTransposeA")
+			assertTensorsClose(t, got, want, 1e-12, label+"-MatMulTransposeA")
 		}
-		SetMatMulWorkers(old)
+	})
+}
+
+// fmaChain is the bit contract of every variant, written out: each element
+// of c is one fused multiply-add chain over ascending p that starts from
+// the element's own value. a′(i,p) is a[i*ars+p*aps], b′(p,j) is
+// b[p*brs+j*bcs].
+func fmaChain(c []float64, m, k, n int, a []float64, ars, aps int, b []float64, brs, bcs int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			acc := c[i*n+j]
+			for p := 0; p < k; p++ {
+				acc = math.FMA(a[i*ars+p*aps], b[p*brs+j*bcs], acc)
+			}
+			c[i*n+j] = acc
+		}
 	}
 }
 
-// TestParallelMatMulBitIdentical verifies the row-parallel path produces
-// bit-identical output to the serial path: each row's accumulation order is
-// independent of the worker partition, so determinism must be exact.
-func TestParallelMatMulBitIdentical(t *testing.T) {
-	r := stats.NewRNG(42)
-	a := New(64, 300)
-	a.RandNorm(r, 1)
-	b := New(300, 96)
-	b.RandNorm(r, 1)
+func assertTensorsBitEqual(t *testing.T, got, want *Tensor, label string) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d (row %d, col %d): got %v want %v",
+				label, i, i/want.Dim(1), i%want.Dim(1), got.Data[i], want.Data[i])
+		}
+	}
+}
 
-	old := MatMulWorkers()
-	defer SetMatMulWorkers(old)
-
-	SetMatMulWorkers(1)
-	serial := New(64, 96)
-	MatMulInto(serial, a, b)
-
-	for _, w := range []int{2, 3, 8} {
-		SetMatMulWorkers(w)
-		par := New(64, 96)
-		MatMulInto(par, a, b)
-		for i := range par.Data {
-			if par.Data[i] != serial.Data[i] {
-				t.Fatalf("workers=%d: element %d differs: %v vs %v", w, i, par.Data[i], serial.Data[i])
+// TestMatMulIsAscendingFMAChain pins the bit contract on every row and
+// column — interior tiles, edge tiles, packed panels and the transposed
+// stack tile alike: the shapes of TestMatMulMatchesNaive, everything below
+// one register tile, k of 0 and 1, and 200 random shapes up to 40.
+func TestMatMulIsAscendingFMAChain(t *testing.T) {
+	shapes := append([]struct{ m, k, n int }(nil), equivalenceShapes...)
+	for m := 1; m <= gemmMR; m++ {
+		for n := 1; n <= gemmNR; n++ {
+			for _, k := range []int{0, 1, 3} {
+				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
 			}
 		}
 	}
+	pick := stats.NewRNG(2024)
+	for i := 0; i < 200; i++ {
+		shapes = append(shapes, struct{ m, k, n int }{1 + pick.Intn(40), 1 + pick.Intn(40), 1 + pick.Intn(40)})
+	}
+	forEachKernelMode(t, func(mode string) {
+		for _, s := range shapes {
+			label := fmt.Sprintf("%s-%dx%dx%d", mode, s.m, s.k, s.n)
+			r := stats.NewRNG(uint64(s.m*1000000 + s.k*1000 + s.n))
+			a, b := matrix(r, s.m, s.k), matrix(r, s.k, s.n)
+			bt, at := matrix(r, s.n, s.k), matrix(r, s.k, s.m)
+			base := matrix(r, s.m, s.n)
+
+			got, want := base.Clone(), New(s.m, s.n)
+			MatMulInto(got, a, b)
+			fmaChain(want.Data, s.m, s.k, s.n, a.Data, s.k, 1, b.Data, s.n, 1)
+			assertTensorsBitEqual(t, got, want, label+"-MatMulInto")
+
+			got, want = base.Clone(), base.Clone()
+			MatMulTransposeA(got, at, b)
+			fmaChain(want.Data, s.m, s.k, s.n, at.Data, 1, s.m, b.Data, s.n, 1)
+			assertTensorsBitEqual(t, got, want, label+"-MatMulTransposeA")
+
+			got, want = base.Clone(), base.Clone()
+			MatMulTransposeBAdd(got, a, bt)
+			fmaChain(want.Data, s.m, s.k, s.n, a.Data, s.k, 1, bt.Data, 1, s.k)
+			assertTensorsBitEqual(t, got, want, label+"-MatMulTransposeBAdd")
+
+			got, want = base.Clone(), New(s.m, s.n)
+			MatMulTransposeB(got, a, bt)
+			fmaChain(want.Data, s.m, s.k, s.n, a.Data, s.k, 1, bt.Data, 1, s.k)
+			assertTensorsBitEqual(t, got, want, label+"-MatMulTransposeB")
+		}
+	})
+}
+
+// fanOutShape is a product just over minParallelWork with edge rows and
+// edge columns, so a worker budget above 1 really splits it.
+func fanOutShape() (m, k, n int) {
+	m, n = 66, 100
+	return m, minParallelWork/(m*n) + 1, n
+}
+
+// TestParallelMatMulBitIdentical verifies the row-parallel path produces
+// bit-identical output to the serial path for every variant: each element
+// is one chain whatever the partition, so determinism must be exact.
+func TestParallelMatMulBitIdentical(t *testing.T) {
+	m, k, n := fanOutShape()
+	r := stats.NewRNG(42)
+	a, b := matrix(r, m, k), matrix(r, k, n)
+	bt, at := matrix(r, n, k), matrix(r, k, m)
+	base := matrix(r, m, n)
+	run := func() [3]*Tensor {
+		out := [3]*Tensor{New(m, n), base.Clone(), base.Clone()}
+		MatMulInto(out[0], a, b)
+		MatMulTransposeA(out[1], at, b)
+		MatMulTransposeBAdd(out[2], a, bt)
+		return out
+	}
+
+	forEachSIMDMode(t, func(simd bool) {
+		SetMatMulWorkers(1)
+		serial := run()
+		for _, w := range []int{2, 3, 8} {
+			SetMatMulWorkers(w)
+			for v, par := range run() {
+				assertTensorsBitEqual(t, par, serial[v], fmt.Sprintf("simd%v workers=%d variant %d", simd, w, v))
+			}
+		}
+	})
 }
 
 // TestWorkerBudgetRestored checks tokens drain back after parallel calls.
@@ -144,17 +233,46 @@ func TestWorkerBudgetRestored(t *testing.T) {
 	old := MatMulWorkers()
 	defer SetMatMulWorkers(old)
 	SetMatMulWorkers(4)
+	m, k, n := fanOutShape()
+	if planned := planHelpers(m, m*k*n); planned != 3 {
+		t.Fatalf("fan-out shape %dx%dx%d planned %d helpers, want 3", m, k, n, planned)
+	}
+	releaseHelpers(3)
 	r := stats.NewRNG(7)
-	a := New(64, 300)
-	a.RandNorm(r, 1)
-	b := New(300, 96)
-	b.RandNorm(r, 1)
-	c := New(64, 96)
+	a, b, c := matrix(r, m, k), matrix(r, k, n), New(m, n)
 	for i := 0; i < 10; i++ {
 		MatMulInto(c, a, b)
 	}
 	if free := helperTokens.Load(); free != 3 {
 		t.Fatalf("helper tokens leaked: have %d free of 3", free)
+	}
+}
+
+// TestMatMulSteadyStateZeroAllocs pins the allocation-free hot path: the
+// packed panels come from a reused workspace, not from a fresh buffer per
+// call, for every variant at the conv2 and dense shapes of the paper CNN.
+func TestMatMulSteadyStateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	old := MatMulWorkers()
+	defer SetMatMulWorkers(old)
+	SetMatMulWorkers(1)
+	r := stats.NewRNG(9)
+	for _, s := range []struct{ m, k, n int }{{50, 500, 64}, {16, 800, 500}} {
+		a, b := matrix(r, s.m, s.k), matrix(r, s.k, s.n)
+		bt, at := matrix(r, s.n, s.k), matrix(r, s.k, s.m)
+		c := New(s.m, s.n)
+		for name, fn := range map[string]func(){
+			"MatMulInto":          func() { MatMulInto(c, a, b) },
+			"MatMulTransposeA":    func() { MatMulTransposeA(c, at, b) },
+			"MatMulTransposeB":    func() { MatMulTransposeB(c, a, bt) },
+			"MatMulTransposeBAdd": func() { MatMulTransposeBAdd(c, a, bt) },
+		} {
+			if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
+				t.Errorf("%s %dx%dx%d: %v allocs/op, want 0", name, s.m, s.k, s.n, allocs)
+			}
+		}
 	}
 }
 

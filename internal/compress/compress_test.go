@@ -167,6 +167,167 @@ func TestSelectTopKProperty(t *testing.T) {
 	}
 }
 
+// selectTopKReference is the selection SelectTopKScratch replaced: the
+// strictly-above-threshold entries, then at-threshold entries up to k,
+// then a sort by index.
+func selectTopKReference(v []float64, k int) *Sparse {
+	thr := topKThreshold(v, k, make([]float64, len(v)))
+	type coord struct {
+		idx int32
+		val float64
+	}
+	var out []coord
+	for i, x := range v {
+		if finite(x) && math.Abs(x) > thr {
+			out = append(out, coord{int32(i), x})
+		}
+	}
+	for i, x := range v {
+		if len(out) >= k {
+			break
+		}
+		if math.Abs(x) == thr {
+			out = append(out, coord{int32(i), x})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
+	s := &Sparse{Dim: len(v), Indices: []int32{}, Values: []float64{}}
+	for _, c := range out {
+		s.Indices = append(s.Indices, c.idx)
+		s.Values = append(s.Values, c.val)
+	}
+	return s
+}
+
+// TestSelectTopKMatchesSortedReference: the single coordinate-order pass
+// selects the same set, in the same order, with the same bits as two
+// passes and a sort did — across heavy ties at the threshold, zeros,
+// non-finite entries and every k.
+func TestSelectTopKMatchesSortedReference(t *testing.T) {
+	r := stats.NewRNG(77)
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + r.Intn(60)
+		v := make([]float64, n)
+		for i := range v {
+			switch r.Intn(8) {
+			case 0:
+				v[i] = 0
+			case 1:
+				v[i] = math.Copysign(1, r.Norm()) // ties at a common magnitude
+			case 2:
+				v[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)]
+			default:
+				v[i] = float64(r.Intn(5)) * math.Copysign(0.5, r.Norm())
+			}
+		}
+		for k := 1; k < n; k++ {
+			got, want := SelectTopK(v, k), selectTopKReference(v, k)
+			if !sameSparse(got, want) {
+				t.Fatalf("v=%v k=%d: got %v %v, want %v %v", v, k, got.Indices, got.Values, want.Indices, want.Values)
+			}
+			for i := 1; i < len(got.Indices); i++ {
+				if got.Indices[i] <= got.Indices[i-1] {
+					t.Fatalf("v=%v k=%d: indices %v not strictly ascending", v, k, got.Indices)
+				}
+			}
+		}
+	}
+}
+
+// TestPlainCodecsEmitFloat32 pins where the precision decision lives:
+// Identity, TopK and DGC transmit values that are exactly float32s (so
+// the wire ships 4 B each), never ±Inf for a finite input, and the
+// quantizing codecs' grid values are left alone.
+func TestPlainCodecsEmitFloat32(t *testing.T) {
+	r := stats.NewRNG(5)
+	g := make([]float64, 400)
+	for i := range g {
+		g[i] = r.Norm()
+	}
+	g[7], g[8] = 1e300, -1e300 // past MaxFloat32: saturate, do not overflow
+	for name, c := range map[string]Codec{
+		"identity": Identity{},
+		"topk":     &TopK{},
+		"dgc":      &DGC{Momentum: 0.9, MsgClipFactor: 2},
+	} {
+		for _, ratio := range []float64{1, 10} {
+			msg := c.Encode(g, ratio)
+			for i, v := range msg.Values {
+				if !isFloat32(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s ratio %v: value %d = %v is not a finite float32", name, ratio, i, v)
+				}
+			}
+			if msg.AppendBinary(nil)[8]&sparseFlagF32 == 0 {
+				t.Errorf("%s ratio %v: frame did not take the f32 layout", name, ratio)
+			}
+		}
+	}
+	if got := (Identity{}).Encode(g, 1); got.Values[7] != math.MaxFloat32 || got.Values[8] != -math.MaxFloat32 {
+		t.Errorf("1e300 rounded to %v, %v; want ±MaxFloat32", got.Values[7], got.Values[8])
+	}
+	q := NewQSGD(15, stats.NewRNG(6)).Encode(g[:7], 1)
+	for i, v := range q.Values {
+		l, sign := quantLevel(v, q.QuantNorm, q.QuantLevels)
+		if math.Float64bits(quantValue(l, sign, q.QuantNorm, q.QuantLevels)) != math.Float64bits(v) {
+			t.Fatalf("qsgd value %d = %v left its quantization grid", i, v)
+		}
+	}
+}
+
+// TestDGCRoundingStaysInResidual: with the codec rounding what it sends to
+// float32, every coordinate still satisfies sent + residual == accumulated
+// exactly, and Rollback restores u and v bit for bit.
+func TestDGCRoundingStaysInResidual(t *testing.T) {
+	r := stats.NewRNG(41)
+	dim := 500
+	d := NewDGC(0.9, 5)
+	for round := 0; round < 6; round++ {
+		g := make([]float64, dim)
+		for i := range g {
+			g[i] = r.Norm()
+		}
+		// Replay the accumulation Encode is about to do, to know u and v
+		// as they stand before the transmitted coordinates are cleared.
+		clipped := append([]float64(nil), g...)
+		tensor.ClipNorm(clipped, d.ClipNorm)
+		wantU, wantV := make([]float64, dim), make([]float64, dim)
+		for i := range clipped {
+			var u, v float64
+			if d.u != nil {
+				u, v = d.u[i], d.v[i]
+			}
+			wantU[i] = d.Momentum*u + clipped[i]
+			wantV[i] = v + wantU[i]
+		}
+
+		msg := d.Encode(g, 8)
+		rounded := 0
+		for i, idx := range msg.Indices {
+			if got := msg.Values[i] + d.v[idx]; math.Float64bits(got) != math.Float64bits(wantV[idx]) {
+				t.Fatalf("round %d coord %d: sent %v + residual %v = %v, accumulated %v",
+					round, idx, msg.Values[i], d.v[idx], got, wantV[idx])
+			}
+			if d.v[idx] != 0 {
+				rounded++
+			}
+		}
+		if rounded == 0 {
+			t.Fatal("no transmitted coordinate kept a rounding residual; test is vacuous")
+		}
+		if round%2 == 0 {
+			d.Commit()
+			continue
+		}
+		d.Rollback()
+		for i := range wantV {
+			if math.Float64bits(d.v[i]) != math.Float64bits(wantV[i]) || math.Float64bits(d.u[i]) != math.Float64bits(wantU[i]) {
+				t.Fatalf("round %d coord %d after rollback: u %v v %v, want u %v v %v",
+					round, i, d.u[i], d.v[i], wantU[i], wantV[i])
+			}
+		}
+	}
+}
+
 func TestIdentityCodec(t *testing.T) {
 	var c Identity
 	v := []float64{1, 2, 3}
@@ -272,8 +433,10 @@ func TestDGCClipping(t *testing.T) {
 	d := NewDGC(0, 1)      // clip to unit norm
 	g := []float64{30, 40} // norm 50 -> clipped to 1
 	msg := d.Encode(g, 1)
+	// 0.6 and 0.8 each round to their float32 neighbour on the way out,
+	// so the norm is 1 to within one float32 ulp (it reads 1 + 2.4e-8).
 	norm := tensor.Norm2(msg.Dense())
-	if math.Abs(norm-1) > 1e-9 {
+	if math.Abs(norm-1) > 1.0/(1<<23) {
 		t.Fatalf("clipped transmission norm %v, want 1", norm)
 	}
 }

@@ -213,7 +213,7 @@ func TestQuantizedBinaryRoundTripBitIdentical(t *testing.T) {
 			t.Errorf("%s: encoded %d bytes, BinaryWireSize says %d", c.name, len(enc), c.msg.BinaryWireSize())
 		}
 		var buf bytes.Buffer
-		if err := c.msg.EncodeBinaryTo(&buf, make([]byte, 64)); err != nil {
+		if err := c.msg.EncodeBinaryTo(&buf, make([]byte, 64), nil); err != nil {
 			t.Fatalf("%s: stream encode: %v", c.name, err)
 		}
 		if !bytes.Equal(buf.Bytes(), enc) {

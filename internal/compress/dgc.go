@@ -144,6 +144,11 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 			tensor.ScaleVec(msg.Values, bound/n)
 		}
 	}
+	// Round last, after the scaling and before the stage: v -= sent below
+	// then keeps each coordinate's rounding error in the residual (a value
+	// minus its float32 neighbour is exact), so no mass is lost to the
+	// rounding and Rollback's v += sent still lands on the old v.
+	roundToFloat32(msg.Values)
 	// Stage the state this clear destroys, then clear. A later Rollback
 	// restores it exactly; Commit (or the next Encode) discards the stage.
 	d.pendingIdx = append(d.pendingIdx[:0], msg.Indices...)

@@ -6,8 +6,10 @@
 //
 // Every codec produces a Sparse (or quantized) message with exact wire-size
 // accounting, because communication cost is the paper's primary metric.
-// Values are stored as float64 for computation but counted as float32 on
-// the wire, matching the paper's 4-byte parameters (431k params = 1.64 MB).
+// Values are stored as float64 for computation; the codecs that transmit
+// plain values round them to float32 before they leave, which is what
+// WireBytes charges and what the binary wire (wire.go) then ships: the
+// paper's 4-byte parameters (431k params = 1.64 MB).
 package compress
 
 import (

@@ -113,7 +113,7 @@ func TestRandomKIndicesSortedUnique(t *testing.T) {
 
 func TestErrorNormOrdering(t *testing.T) {
 	// On a heavy-tailed gradient, top-k must beat random-k at the same
-	// budget, and identity must be exact.
+	// budget, and identity must be exact to float32 precision.
 	r := stats.NewRNG(8)
 	g := make([]float64, 2000)
 	for i := range g {
@@ -125,7 +125,9 @@ func TestErrorNormOrdering(t *testing.T) {
 	idErr := ErrorNorm(Identity{}, g, 10)
 	topErr := ErrorNorm(&TopK{}, g, 10)
 	rkErr := ErrorNorm(&RandomK{rng: stats.NewRNG(9), Scale: false}, g, 10)
-	if idErr != 0 {
+	// Identity transmits float32s: each coordinate is off by at most half
+	// a float32 ulp, 2^-24 relative, and so is the whole vector.
+	if idErr > 1.0/(1<<24) {
 		t.Fatalf("identity error %v", idErr)
 	}
 	if !(topErr < rkErr) {

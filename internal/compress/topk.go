@@ -2,7 +2,6 @@ package compress
 
 import (
 	"math"
-	"sort"
 
 	"adafl/internal/tensor"
 )
@@ -94,41 +93,44 @@ func SelectTopKScratch(v []float64, k int, scratch []float64) *Sparse {
 		return SelectTopK(v, k)
 	}
 	thr := topKThreshold(v, k, scratch[:len(v)])
+	// Everything strictly above the threshold is taken; the rest of the k
+	// slots go to the first at-threshold entries in coordinate order
+	// (duplicates of the threshold). Counting the former first lets one
+	// coordinate-order pass take both, so the indices come out strictly
+	// ascending by construction — the invariant the wire's ascending
+	// layout rests on.
+	above := 0
+	for _, x := range v {
+		if selectMag(x) > thr {
+			above++
+		}
+	}
+	ties := k - above
 	s := &Sparse{Dim: len(v), Indices: make([]int32, 0, k), Values: make([]float64, 0, k)}
-	// First take strictly-above-threshold entries, then fill with
-	// at-threshold entries until k (handles duplicates of the threshold).
-	// Non-finite entries are never transmitted: +Inf would pass any
-	// threshold and NaN compares false everywhere, so both are skipped
-	// explicitly (they ranked as zero magnitude in topKThreshold).
 	for i, x := range v {
-		if !finite(x) {
+		a := selectMag(x)
+		if a == thr && ties > 0 {
+			ties--
+		} else if a <= thr {
 			continue
 		}
-		a := x
-		if a < 0 {
-			a = -a
-		}
-		if a > thr {
-			s.Indices = append(s.Indices, int32(i))
-			s.Values = append(s.Values, x)
-		}
+		s.Indices = append(s.Indices, int32(i))
+		s.Values = append(s.Values, x)
 	}
-	for i, x := range v {
-		if len(s.Indices) >= k {
-			break
-		}
-		a := x
-		if a < 0 {
-			a = -a
-		}
-		if a == thr {
-			s.Indices = append(s.Indices, int32(i))
-			s.Values = append(s.Values, x)
-		}
-	}
-	// Keep coordinates sorted for deterministic wire images.
-	sort.Sort(byIndex{s})
 	return s
+}
+
+// selectMag is |x| for the selection pass, and -1 — below every threshold —
+// for a non-finite x: those ranked as zero magnitude in topKThreshold and
+// are never transmitted, but +Inf would pass any threshold as it stands.
+func selectMag(x float64) float64 {
+	if !finite(x) {
+		return -1
+	}
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // denseFinite is the k ≥ len(v) fast path: every finite coordinate is
@@ -146,15 +148,6 @@ func denseFinite(v []float64) *Sparse {
 	return s
 }
 
-type byIndex struct{ s *Sparse }
-
-func (b byIndex) Len() int           { return len(b.s.Indices) }
-func (b byIndex) Less(i, j int) bool { return b.s.Indices[i] < b.s.Indices[j] }
-func (b byIndex) Swap(i, j int) {
-	b.s.Indices[i], b.s.Indices[j] = b.s.Indices[j], b.s.Indices[i]
-	b.s.Values[i], b.s.Values[j] = b.s.Values[j], b.s.Values[i]
-}
-
 // Codec compresses a gradient vector into a sparse message. Encode may be
 // stateful (error accumulation); Ratio is the requested byte-level
 // compression factor for this call, letting AdaFL vary it round to round.
@@ -165,14 +158,36 @@ type Codec interface {
 	Reset()
 }
 
-// Identity transmits the gradient uncompressed regardless of ratio.
+// roundToFloat32 rounds vals in place to the nearest float32: the paper's
+// 4-byte parameters. It is the last step of every codec that transmits
+// plain values (Identity, TopK, DGC), which is what lets the wire carry
+// them as f32 while every transport — gob, binary, in-process — still
+// delivers exactly what the codec produced. A finite magnitude past
+// MaxFloat32 saturates rather than becoming ±Inf, which a codec never
+// transmits for a finite input.
+func roundToFloat32(vals []float64) {
+	for i, v := range vals {
+		r := float64(float32(v))
+		if math.IsInf(r, 0) && !math.IsInf(v, 0) {
+			r = math.Copysign(math.MaxFloat32, v)
+		}
+		vals[i] = r
+	}
+}
+
+// Identity transmits the gradient uncompressed (at float32 precision)
+// regardless of ratio.
 type Identity struct{}
 
 // Name implements Codec.
 func (Identity) Name() string { return "identity" }
 
 // Encode implements Codec.
-func (Identity) Encode(grad []float64, _ float64) *Sparse { return NewSparseDense(grad) }
+func (Identity) Encode(grad []float64, _ float64) *Sparse {
+	s := NewSparseDense(grad)
+	roundToFloat32(s.Values)
+	return s
+}
 
 // Reset implements Codec.
 func (Identity) Reset() {}
@@ -193,7 +208,9 @@ func (t *TopK) Encode(grad []float64, ratio float64) *Sparse {
 	if cap(t.scratch) < len(grad) {
 		t.scratch = make([]float64, len(grad))
 	}
-	return SelectTopKScratch(grad, KForRatio(len(grad), ratio), t.scratch)
+	s := SelectTopKScratch(grad, KForRatio(len(grad), ratio), t.scratch)
+	roundToFloat32(s.Values)
+	return s
 }
 
 // Reset implements Codec.

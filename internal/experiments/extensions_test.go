@@ -16,8 +16,9 @@ func TestRunCodecsSmoke(t *testing.T) {
 	if len(res.Acc) != 6 {
 		t.Fatalf("codec count %d", len(res.Acc))
 	}
-	// Identity is exact; every lossy codec has nonzero one-shot error.
-	if res.Err["identity"] != 0 {
+	// Identity is exact to the float32 it transmits (half an ulp, 2^-24
+	// relative); every lossy codec has nonzero one-shot error.
+	if res.Err["identity"] > 1.0/(1<<24) {
 		t.Fatalf("identity error %v", res.Err["identity"])
 	}
 	for _, name := range []string{"topk@8x", "randomk@8x", "qsgd-4bit", "terngrad"} {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"adafl/internal/compress"
 	"adafl/internal/core"
 	"adafl/internal/dataset"
 	"adafl/internal/nn"
@@ -153,9 +154,13 @@ func TestChaosStragglerAndDeathPartialAggregation(t *testing.T) {
 	cfgs[2].Fault = &FaultConfig{Partition: gate}
 	cfgs[2].MaxRetries = 10
 	cfgs[2].RetryBackoff = 25 * time.Millisecond
-	// Client 3: link hard-cut mid-message during the second warmup
-	// upload; no retries, so it stays dead.
-	cfgs[3].Fault = &FaultConfig{CutAfterBytes: 150_000}
+	// Client 3: link hard-cut mid-message, halfway through the second
+	// warmup upload; no retries, so it stays dead. Every client uploads
+	// the whole model in a warmup round, and next to that frame the
+	// hello and the score reports are a few dozen bytes.
+	warmup := compress.Identity{}.Encode(make([]float64, env.newModel().NumParams()), 1)
+	upload := int64(4 + envHeaderBytes + warmup.BinaryWireSize())
+	cfgs[3].Fault = &FaultConfig{CutAfterBytes: upload + upload/2}
 
 	type clientOut struct {
 		res  []*ClientResult

@@ -4,6 +4,8 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"adafl/internal/compress"
 )
 
 // fleetCfg builds a fast unix-socket fleet configuration.
@@ -177,5 +179,21 @@ func TestFleetDeterministicChecksum(t *testing.T) {
 	}
 	if diff := math.Abs(a.Checksum - b.Checksum); diff > 1e-9*(1+math.Abs(a.Checksum)) {
 		t.Errorf("repeat runs diverge: %v vs %v", a.Checksum, b.Checksum)
+	}
+}
+
+// TestFleetUpdateFrameIsRaw pins the frame the ingest benchmarks' frozen
+// gates are built on: a FleetUpdate has unsorted, repeating indices and
+// full-mantissa values, so the content-chosen sparse layout takes neither
+// compact form and the frame stays 4 + 10 + 9 + 12·nnz bytes, sflags 0.
+func TestFleetUpdateFrameIsRaw(t *testing.T) {
+	u := &compress.Sparse{}
+	FleetUpdate(u, 1, 3, 17, 20000, 1000)
+	raw := encodeBinaryEnvelope(t, &Envelope{Type: MsgUpdate, ClientID: 17, Round: 3, Update: u})
+	if want := 4 + envHeaderBytes + compress.SparseBinarySize(1000); len(raw) != want || want != 12023 {
+		t.Fatalf("fleet update frame is %d bytes, want %d (12023)", len(raw), want)
+	}
+	if sflags := raw[4+envHeaderBytes+8]; sflags != 0 {
+		t.Fatalf("fleet update frame has sflags %#x, want 0", sflags)
 	}
 }

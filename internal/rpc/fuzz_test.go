@@ -177,6 +177,21 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	}
 
+	// One update frame per sparse layout the fixtures above do not reach
+	// (theirs are ascending + f32): raw + f64, dense + f32, ascending + f64
+	// with a multi-byte gap, quantized + ascending; each also cut one byte
+	// past its sparse header.
+	for _, u := range []*compress.Sparse{
+		{Dim: 8, Indices: []int32{7, 3, 3}, Values: []float64{0.1, -0.2, 0.3}},
+		compress.Identity{}.Encode([]float64{0.5, -1.25, 3, 1e-3}, 1),
+		{Dim: 1 << 20, Indices: []int32{5, 1 << 15, 1 << 19}, Values: []float64{0.1, -0.2, 0.3}},
+		{Dim: 64, Indices: []int32{2, 40}, Values: []float64{0.5, -1}, QuantBits: 3, QuantLevels: 2, QuantNorm: 1},
+	} {
+		raw := encodeBinaryEnvelope(f, &Envelope{Type: MsgUpdate, ClientID: 2, Round: 7, Update: u})
+		f.Add(raw)
+		f.Add(raw[:4+envHeaderBytes+10])
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("oversized input")

@@ -57,10 +57,14 @@ const (
 )
 
 const (
-	wireMagic0  = 0xAD
-	wireMagic1  = 0xF1
-	wireMagic2  = 0x77
-	wireVersion = 1
+	wireMagic0 = 0xAD
+	wireMagic1 = 0xF1
+	wireMagic2 = 0x77
+	// wireVersion 2: the sparse section gained the ascending (varint
+	// index run) and f32 layouts. A v1 decoder ignores the sflags bits
+	// that announce them and would misread the frame, so the two versions
+	// decline each other and meet on gob.
+	wireVersion = 2
 )
 
 // wirePreamble is the client's codec-upgrade request and, echoed back,
@@ -146,10 +150,62 @@ func (e *Envelope) wirePayloadSize() (int, error) {
 // bodies go through the connection's fixed header scratch, float runs
 // stream through the chunk scratch, and bufio batches the socket writes.
 func (c *Conn) sendBinary(e *Envelope) error {
+	if (e.Type == MsgUpdate || e.Type == MsgAsyncPush) && e.Update != nil {
+		// The sparse encoder decides its layout once per frame and reports
+		// the section's size before its first byte, which is where the
+		// length prefix goes: no second scan of the update to size it.
+		if err := e.Update.EncodeBinaryTo(c.bw, c.chunk, func(size int) error {
+			return c.writeFrameHead(e, envHeaderBytes+size)
+		}); err != nil {
+			return err
+		}
+		return c.bw.Flush()
+	}
 	size, err := e.wirePayloadSize()
 	if err != nil {
 		return err
 	}
+	if err := c.writeFrameHead(e, size); err != nil {
+		return err
+	}
+	switch e.Type {
+	case MsgShutdown:
+		if _, err := c.bw.WriteString(e.Info); err != nil {
+			return err
+		}
+	case MsgModel:
+		if err := c.writeF64s(e.Params); err != nil {
+			return err
+		}
+		if err := c.writeF64s(e.GlobalDelta); err != nil {
+			return err
+		}
+	case MsgEdgeHello:
+		if _, err := c.bw.WriteString(e.Info); err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint32(c.chunk, uint32(len(e.Region)))
+		if _, err := c.bw.Write(c.chunk[:4]); err != nil {
+			return err
+		}
+		if _, err := c.bw.WriteString(e.Region); err != nil {
+			return err
+		}
+	case MsgEdgePartial:
+		if err := c.writeF64s(e.Params); err != nil {
+			return err
+		}
+	case MsgReroute:
+		if _, err := c.bw.WriteString(e.Info); err != nil {
+			return err
+		}
+	}
+	return c.bw.Flush()
+}
+
+// writeFrameHead writes the length prefix (size is the payload length),
+// the envelope header and the type's fixed-width body fields.
+func (c *Conn) writeFrameHead(e *Envelope, size int) error {
 	h := c.sendHdr[:0]
 	h = binary.LittleEndian.AppendUint32(h, uint32(size))
 	h = append(h, byte(e.Type), 0)
@@ -189,50 +245,8 @@ func (c *Conn) sendBinary(e *Envelope) error {
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Info)))
 	}
 	c.sendHdr = h[:0] // keep any growth for the next send
-	if _, err := c.bw.Write(h); err != nil {
-		return err
-	}
-	switch e.Type {
-	case MsgShutdown:
-		if _, err := c.bw.WriteString(e.Info); err != nil {
-			return err
-		}
-	case MsgModel:
-		if err := c.writeF64s(e.Params); err != nil {
-			return err
-		}
-		if err := c.writeF64s(e.GlobalDelta); err != nil {
-			return err
-		}
-	case MsgUpdate:
-		if err := e.Update.EncodeBinaryTo(c.bw, c.chunk); err != nil {
-			return err
-		}
-	case MsgEdgeHello:
-		if _, err := c.bw.WriteString(e.Info); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(c.chunk, uint32(len(e.Region)))
-		if _, err := c.bw.Write(c.chunk[:4]); err != nil {
-			return err
-		}
-		if _, err := c.bw.WriteString(e.Region); err != nil {
-			return err
-		}
-	case MsgEdgePartial:
-		if err := c.writeF64s(e.Params); err != nil {
-			return err
-		}
-	case MsgReroute:
-		if _, err := c.bw.WriteString(e.Info); err != nil {
-			return err
-		}
-	case MsgAsyncPush:
-		if err := e.Update.EncodeBinaryTo(c.bw, c.chunk); err != nil {
-			return err
-		}
-	}
-	return c.bw.Flush()
+	_, err := c.bw.Write(h)
+	return err
 }
 
 // writeF64s streams vals through the chunk scratch.

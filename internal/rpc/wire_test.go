@@ -369,6 +369,31 @@ func TestWireFallbackToGob(t *testing.T) {
 	}
 }
 
+// TestWireOldPreambleVersionFallsBackToGob: a client that opens with the
+// previous preamble version (a build that predates the f32 and varint
+// layouts, and could not decode them) is declined, not half-understood,
+// and its session completes over the gob fallback like any other
+// declined upgrade.
+func TestWireOldPreambleVersionFallsBackToGob(t *testing.T) {
+	current := wirePreamble
+	wirePreamble[3] = wireVersion - 1 // what the client side sends and expects back
+	defer func() { wirePreamble = current }()
+
+	res, cres, samples := wireSession(t, "", "")
+	if len(res.Rounds) != 4 || cres == nil || cres.Rounds != 4 {
+		t.Fatalf("session ran %d of 4 rounds, client saw %+v", len(res.Rounds), cres)
+	}
+	if cres.Reconnects != 0 {
+		t.Fatalf("fallback charged %d reconnects against the retry budget", cres.Reconnects)
+	}
+	if samples[`adafl_wire_messages_total{codec="gob"}`] <= 0 {
+		t.Error("no messages attributed to the gob codec")
+	}
+	if n := samples[`adafl_wire_messages_total{codec="binary"}`]; n != 0 {
+		t.Errorf("%v binary messages exchanged with a v%d client", n, wireVersion-1)
+	}
+}
+
 // TestWireGobBinarySessionsBitIdentical: the binary codec must be a pure
 // transport change — a deterministic session run over each codec produces
 // bit-identical learning trajectories (f64 values survive both codecs
@@ -437,6 +462,49 @@ func TestWireZeroAllocSend(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("steady-state %s send: %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestWireZeroAllocCodecUpdate: the layouts a codec's output takes — the
+// varint index run and f32 values of a top-k update, the index-free f32
+// run of a warm-up one — are as allocation-free in both directions as the
+// raw layout (the send path's size callback included), and the frame
+// weighs what WireBytes charges for it, within the header.
+func TestWireZeroAllocCodecUpdate(t *testing.T) {
+	rng := stats.NewRNG(9)
+	grad := make([]float64, 8192)
+	for i := range grad {
+		grad[i] = rng.NormScaled(0, 0.01)
+	}
+	for name, ratio := range map[string]float64{"topk": 16, "warmup": 1} {
+		e := &Envelope{Type: MsgUpdate, ClientID: 1, Round: 5, Update: (&compress.TopK{}).Encode(grad, ratio)}
+		raw := encodeBinaryEnvelope(t, e)
+		if size, err := e.wirePayloadSize(); err != nil || len(raw) != 4+size || size > envHeaderBytes+e.Update.WireBytes()+1 {
+			t.Fatalf("%s: frame of %d bytes, wirePayloadSize %d (%v), WireBytes %d", name, len(raw), size, err, e.Update.WireBytes())
+		}
+		send := NewBinaryConn(&byteConn{}, nil)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := send.Send(e); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s send: %v allocs/op, want 0", name, allocs)
+		}
+		recv := NewBinaryConn(&byteConn{r: &repeatReader{data: raw}}, nil)
+		var env Envelope
+		if err := recv.RecvInto(&env); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := recv.RecvInto(&env); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s recv: %v allocs/op, want 0", name, allocs)
+		}
+		if !reflect.DeepEqual(env.Update, e.Update) {
+			t.Errorf("%s: scratch decode differs from the update sent", name)
 		}
 	}
 }

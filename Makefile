@@ -47,13 +47,15 @@ chaos:
 # Short fuzzing smoke over the attack surfaces: corrupted/truncated gob
 # and binary wire streams and checkpoint snapshots must error, never
 # panic, an accepted sparse frame must survive a re-encode bit for bit,
-# and the sharded streaming aggregator must agree with the reference fold
+# the top-k select must emit what a sort would for any bit pattern, and
+# the sharded streaming aggregator must agree with the reference fold
 # under adversarial updates. CI-friendly 10s budgets;
 # raise -fuzztime locally for a deeper run.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/rpc/
 	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime 10s ./internal/rpc/
 	$(GO) test -run xxx -fuzz FuzzSparseBinary -fuzztime 10s ./internal/compress/
+	$(GO) test -run xxx -fuzz FuzzSelectTopK -fuzztime 10s ./internal/compress/
 	$(GO) test -run xxx -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run xxx -fuzz FuzzDeltaDecode -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run xxx -fuzz FuzzShardMerge -fuzztime 10s ./internal/shard/

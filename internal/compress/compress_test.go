@@ -429,6 +429,30 @@ func TestDGCMomentumCorrection(t *testing.T) {
 	}
 }
 
+// TestDGCFlushesSubnormalMomentum: with no fresh gradient, u decays by m
+// per encode; once it would go subnormal it is set to 0 rather than left
+// where every later multiply takes a microcode assist. The smallest normal
+// momentum is kept, and v — which had absorbed it long before — is not
+// touched by the flush.
+func TestDGCFlushesSubnormalMomentum(t *testing.T) {
+	d := NewDGC(0.5, 0)
+	d.Encode([]float64{1, 0, 0, 0}, 4) // k = 1: coordinate 0 is sent and cleared
+	d.Commit()
+	const tiny = 0x1p-1022
+	d.u[1], d.u[2] = tiny, 2*tiny
+	d.v[1], d.v[2], d.v[3] = 0.25, 0.5, 1 // coordinate 3 is the one sent
+	d.Encode(make([]float64, 4), 4)
+	if d.u[1] != 0 {
+		t.Errorf("u[1] = %g after decaying below the normal range, want 0", d.u[1])
+	}
+	if d.u[2] != tiny {
+		t.Errorf("u[2] = %g, want the smallest normal %g kept", d.u[2], tiny)
+	}
+	if d.v[1] != 0.25 || d.v[2] != 0.5 {
+		t.Errorf("v = %v: the flush moved the accumulator", d.v)
+	}
+}
+
 func TestDGCClipping(t *testing.T) {
 	d := NewDGC(0, 1)      // clip to unit norm
 	g := []float64{30, 40} // norm 50 -> clipped to 1

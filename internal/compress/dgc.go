@@ -43,10 +43,9 @@ type DGC struct {
 
 	u, v []float64
 
-	// gbuf holds the clipped working copy of each incoming gradient and
-	// scratch the quickselect buffer; both are recycled across Encode calls
-	// so a steady-state encode allocates only the outgoing message.
-	gbuf, scratch []float64
+	// scratch is the selection buffer, recycled across Encode calls so a
+	// steady-state encode allocates only the outgoing message.
+	scratch []float64
 
 	// Deferred-commit staging: Encode clears the transmitted coordinates of
 	// u/v optimistically, but the upload can still fail or be quarantined.
@@ -108,30 +107,47 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 	if len(d.u) != len(grad) {
 		panic("compress: DGC gradient dimension changed")
 	}
-	if cap(d.gbuf) < len(grad) {
-		d.gbuf = make([]float64, len(grad))
-	}
-	g := d.gbuf[:len(grad)]
-	copy(g, grad)
-	// Scrub non-finite coordinates before anything touches the
-	// accumulators: a single NaN would propagate through ClipNorm's norm
-	// and the u/v updates, permanently poisoning the error-feedback state
-	// for every later round. Zero keeps the coordinate's residual intact.
-	for i, x := range g {
-		if !finite(x) {
-			g[i] = 0
+	// ‖g‖ over the finite coordinates, for the two clips. A non-finite one
+	// counts as zero here and in the update below: a single NaN would
+	// propagate through the clip's norm and the u/v updates, permanently
+	// poisoning the error-feedback state for every later round, while zero
+	// keeps the coordinate's residual intact.
+	sum := 0.0
+	if d.ClipNorm > 0 || d.MsgClipFactor > 0 {
+		for _, x := range grad {
+			if finite(x) {
+				sum += x * x
+			}
 		}
 	}
-	if d.ClipNorm > 0 {
-		tensor.ClipNorm(g, d.ClipNorm)
-	}
+	gnorm := math.Sqrt(sum)
+	clip := d.ClipNorm > 0 && gnorm > d.ClipNorm
+	scale := d.ClipNorm / gnorm // read only when clip
 	decay := d.ResidualDecay
 	if decay == 0 {
 		decay = 1
 	}
-	for i, x := range g {
-		d.u[i] = d.Momentum*d.u[i] + x
-		d.v[i] = decay*d.v[i] + d.u[i]
+	// One sweep clips the gradient, folds it into u and v, and — when the
+	// clip fired — accumulates the clipped gradient's own norm, which is
+	// what MsgClipFactor bounds against. Momentum that has decayed into the
+	// subnormal range is flushed to zero, as in nn.SGD; such a u moves no v
+	// that is not itself below 2⁻⁹⁶⁹.
+	sum = 0
+	du, dv := d.u[:len(grad)], d.v[:len(grad)]
+	for i, x := range grad {
+		if !finite(x) {
+			x = 0
+		}
+		if clip {
+			x *= scale
+			sum += x * x
+		}
+		u := tensor.FlushSubnormal(d.Momentum*du[i] + x)
+		du[i] = u
+		dv[i] = decay*dv[i] + u
+	}
+	if clip {
+		gnorm = math.Sqrt(sum)
 	}
 	k := KForRatio(len(grad), ratio)
 	if cap(d.scratch) < len(grad) {
@@ -139,7 +155,7 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 	}
 	msg := SelectTopKScratch(d.v, k, d.scratch)
 	if d.MsgClipFactor > 0 {
-		bound := d.MsgClipFactor * tensor.Norm2(g)
+		bound := d.MsgClipFactor * gnorm
 		if n := tensor.Norm2(msg.Values); n > bound && n > 0 {
 			tensor.ScaleVec(msg.Values, bound/n)
 		}

@@ -170,7 +170,7 @@ func (p *SyncPlanner) Plan(round int, e *fl.SyncEngine) []fl.Participation {
 			ids = append(ids, i)
 		}
 	}
-	deltaZero := tensor.Norm2(e.LastGlobalDelta) == 0
+	deltaZero := tensor.IsZero(e.LastGlobalDelta)
 	var scores []float64
 	if !p.Cfg.warmup(round, deltaZero) {
 		scores = p.score(ids, e)
@@ -309,7 +309,7 @@ func (g *AsyncGate) SkipRate() float64 {
 func (g *AsyncGate) Decide(e *fl.AsyncEngine, client int, delta []float64) (bool, float64) {
 	g.decisions++
 	// Warm-up: every update flows, lightly compressed.
-	if g.Cfg.warmup(e.Version, tensor.Norm2(e.LastGlobalDelta) == 0) {
+	if g.Cfg.warmup(e.Version, tensor.IsZero(e.LastGlobalDelta)) {
 		ratio := g.Cfg.Compression.WarmupRatio
 		g.RatioStats.Observe(ratio)
 		if g.Perf != nil {

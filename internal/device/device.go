@@ -86,6 +86,11 @@ func (p Profile) Scaled(factor float64) Profile {
 func UtilityScoreFLOPs(dim int) float64 { return 3 * float64(dim) }
 
 // DGCEncodeFLOPs is the cost of one DGC encode: clipping (2/coord),
-// momentum + accumulation updates (2/coord), and quickselect-based top-k
-// (≈2 comparisons/coord amortised).
+// momentum + accumulation updates (2/coord), and the exact top-k select,
+// charged at 2 operations per coordinate. (compress.SelectTopKScratch is
+// three read-only passes of about one integer operation per coordinate —
+// histogram, gather, emit — plus a quickselect inside one histogram
+// bucket. The charge is older than that select and is kept: this constant
+// feeds simulated compute time, and changing it would move every simulated
+// time-to-accuracy.)
 func DGCEncodeFLOPs(dim int) float64 { return 6 * float64(dim) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"adafl/internal/stats"
 	"adafl/internal/tensor"
@@ -129,5 +130,47 @@ func TestBackwardSkippingInputGradientKeepsParamGrads(t *testing.T) {
 			}
 			break
 		}
+	}
+}
+
+// TestSGDStepSubnormalVelocityStaysCheap: once a velocity has decayed into
+// the subnormal range (zero gradient for thousands of steps) the steps
+// that follow must not be slow — left there, every element takes a
+// microcode assist on every step, ~100× the normal cost, for the ≈ 220
+// more steps it takes to reach zero — and flushing it must leave the
+// parameters alone.
+func TestSGDStepSubnormalVelocityStaysCheap(t *testing.T) {
+	m := NewImageMLP([]int{1, 28, 28}, []int{128}, 10, stats.NewRNG(31))
+	m.ZeroGrads() // every gradient exactly 0, as for a dead ReLU row
+	opt := NewSGD(0.05, 0.9, 0)
+	opt.Step(m)
+	before := m.ParamVector()
+	// stepsFrom sets every velocity to v, takes the one step that crosses
+	// into the subnormal range untimed, and times the next ones, best of 9.
+	stepsFrom := func(v float64) time.Duration {
+		for i := range opt.velocity {
+			opt.velocity[i] = v
+		}
+		opt.Step(m)
+		best := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 9; rep++ {
+			start := time.Now()
+			opt.Step(m)
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	subnormal := stepsFrom(0x1p-1022)
+	for i, v := range opt.velocity {
+		if v != 0 {
+			t.Fatalf("velocity[%d] = %g after steps from a velocity gone subnormal, want it flushed to 0", i, v)
+		}
+	}
+	assertBitEqual(t, m.ParamVector(), before, "parameters after steps on subnormal velocity")
+	normal := stepsFrom(1)
+	if subnormal > 3*normal {
+		t.Errorf("Step after the velocity went subnormal took %v, on a normal velocity %v: want at most 3×", subnormal, normal)
 	}
 }

@@ -428,7 +428,7 @@ func (s *clientSession) runOnce() (done, progressed bool, err error) {
 				up, down = cfg.Bandwidth(e.Round)
 			}
 			score := cfg.Utility.Score(up, down, delta, e.GlobalDelta)
-			if tensor.Norm2(e.GlobalDelta) == 0 {
+			if tensor.IsZero(e.GlobalDelta) {
 				score = 1 // warm-up: everyone reports full utility
 			}
 			if err := conn.Send(&Envelope{Type: MsgScore, ClientID: cfg.ID, Round: e.Round, Score: score}); err != nil {

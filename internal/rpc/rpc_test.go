@@ -246,7 +246,7 @@ func TestPlanRoundMatchesSyncPlanner(t *testing.T) {
 				up, down := fed.Net.Bandwidths(i, e.Now())
 				scores[i] = cfg.Utility.Score(up, down, c.LastDelta, e.LastGlobalDelta)
 			}
-			wire := planRound(cfg, round, scores, lastSel, tensor.Norm2(e.LastGlobalDelta) == 0)
+			wire := planRound(cfg, round, scores, lastSel, tensor.IsZero(e.LastGlobalDelta))
 			sim := sp.Plan(round, e)
 			if len(sim) != len(wire) || len(sim) == 0 {
 				t.Fatalf("%s round %d: simulator planned %d clients, wire %d", name, round, len(sim), len(wire))

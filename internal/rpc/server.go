@@ -901,7 +901,7 @@ func (s *Server) runRound(round int, lastSel map[int]int, model *nn.Model,
 	}
 
 	// Phase 3+4: selection, then concurrent notify + update collection.
-	plan := planRound(s.cfg.Cfg, round, scores, lastSel, tensor.Norm2(globalDelta) == 0)
+	plan := planRound(s.cfg.Cfg, round, scores, lastSel, tensor.IsZero(globalDelta))
 	rec.Selected = len(plan)
 	for _, score := range scores {
 		s.met.scores.Observe(score)

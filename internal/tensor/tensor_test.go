@@ -211,6 +211,44 @@ func TestClipNorm(t *testing.T) {
 	}
 }
 
+// TestIsZero: agrees with Norm2(v) == 0 everywhere except where the squares
+// underflow, which is the one case it is documented to answer differently.
+func TestIsZero(t *testing.T) {
+	for _, c := range []struct {
+		v    []float64
+		want bool
+	}{
+		{nil, true},
+		{[]float64{0, math.Copysign(0, -1), 0}, true},
+		{[]float64{0, 0, 1e-3}, false},
+		{[]float64{math.NaN(), 0}, false},
+		{[]float64{0, math.Inf(-1)}, false},
+	} {
+		if got := IsZero(c.v); got != c.want || got != (Norm2(c.v) == 0) {
+			t.Errorf("IsZero(%v) = %v, want %v; Norm2 == 0 is %v", c.v, got, c.want, Norm2(c.v) == 0)
+		}
+	}
+	tiny := []float64{1e-170, -5e-324}
+	if IsZero(tiny) || Norm2(tiny) != 0 {
+		t.Errorf("IsZero(%v) = %v with Norm2 %v: want not zero although the norm underflows to 0", tiny, IsZero(tiny), Norm2(tiny))
+	}
+}
+
+func TestFlushSubnormal(t *testing.T) {
+	const minNormal = 0x1p-1022
+	for _, c := range []struct{ x, want float64 }{
+		{1, 1}, {-3e-300, -3e-300}, {minNormal, minNormal}, {-minNormal, -minNormal},
+		{minNormal / 2, 0}, {-5e-324, 0}, {0, 0}, {math.Inf(1), math.Inf(1)},
+	} {
+		if got := FlushSubnormal(c.x); got != c.want {
+			t.Errorf("FlushSubnormal(%g) = %g, want %g", c.x, got, c.want)
+		}
+	}
+	if !math.IsNaN(FlushSubnormal(math.NaN())) {
+		t.Error("FlushSubnormal(NaN) is not NaN")
+	}
+}
+
 func TestCosineSimilarityScaleInvariantProperty(t *testing.T) {
 	f := func(seed uint64, scaleRaw uint16) bool {
 		r := stats.NewRNG(seed)

@@ -27,6 +27,35 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(sum)
 }
 
+// IsZero reports whether every element of v is ±0, returning at the first
+// one that is not (a NaN is not zero). It replaces Norm2(v) == 0 as the
+// "is this vector all zero" test, which read the whole vector to answer and
+// answered differently for one case: a vector whose every |x| is below
+// ~1e-162 has squares that underflow, so its norm read as 0; IsZero says it
+// is not zero.
+func IsZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// FlushSubnormal returns x, or 0 when x is subnormal (or already ±0): its
+// exponent bits are all zero. State that is multiplied by a factor below 1
+// every step with no fresh input — a momentum whose gradient went to
+// exactly 0 — decays into the subnormal range and stays there for hundreds
+// of steps, and arithmetic on subnormals takes a microcode assist, tens of
+// times the normal cost per element. The integer test costs less than a
+// float compare pair.
+func FlushSubnormal(x float64) float64 {
+	if math.Float64bits(x)&(0x7ff<<52) == 0 {
+		return 0
+	}
+	return x
+}
+
 // CosineSimilarity returns the cosine of the angle between a and b in
 // [-1, 1]. If either vector is (numerically) zero the similarity is defined
 // as 0: a zero gradient carries no directional information.

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet build test race chaos fuzz cover fleet bench bench-gemm bench-train bench-wire
+.PHONY: check lint vet build test race chaos fuzz cover fleet bench bench-gemm bench-train
 
 check: lint build test race
 
@@ -12,6 +12,11 @@ check: lint build test race
 # offending files and the target exits non-zero if any exist. The arm64
 # cross-build keeps gemm_noasm.go tracking the amd64 assembly bindings: the
 # paper's clients are ARM boards, and nothing else in CI compiles for them.
+# The import guard is an allowlist of the non-test files that may import
+# encoding/gob (snapshot meta and model files; none touches a socket): the
+# next snapshot PR shrinks the list instead of rediscovering it.
+GOB_IMPORTERS := internal/checkpoint/checkpoint.go internal/nn/serialize.go internal/rpc/server.go internal/session/metrics.go
+
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -20,6 +25,8 @@ lint: vet
 		exit 1; \
 	fi
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/
+	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | sed 's|^\./||' | sort | tr '\n' ' '); \
+	if [ "$$got" != "$(GOB_IMPORTERS) " ]; then echo "encoding/gob importers: $$got(want: $(GOB_IMPORTERS))"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -44,9 +51,10 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/rpc/ ./internal/edge/
 
-# Short fuzzing smoke over the attack surfaces: corrupted/truncated gob
-# and binary wire streams and checkpoint snapshots must error, never
-# panic, an accepted sparse frame must survive a re-encode bit for bit,
+# Short fuzzing smoke over the attack surfaces: corrupted/truncated wire
+# streams, envelope payloads and checkpoint snapshots must error, never
+# panic, an accepted sparse frame or envelope must survive a re-encode bit
+# for bit,
 # the top-k select must emit what a sort would for any bit pattern, and
 # the sharded streaming aggregator must agree with the reference fold
 # under adversarial updates. CI-friendly 10s budgets;
@@ -78,7 +86,7 @@ cover:
 	check_pkg scenario 85; \
 	check_pkg device 90; \
 	check_pkg netsim 85; \
-	check_pkg rpc 84; \
+	check_pkg rpc 85; \
 	check_pkg shard 76; \
 	check_pkg edge 80; \
 	check_pkg compress 85; \
@@ -104,13 +112,4 @@ bench-train:
 	$(GO) test -run xxx -bench 'BenchmarkConv|BenchmarkDense' -benchtime 2s -benchmem ./internal/nn/
 	$(GO) test -run xxx -bench 'BenchmarkTrainRound|BenchmarkPaperCNNTrainBatch|BenchmarkDGCEncode431k|BenchmarkTopKSelect431k' -benchtime 2s -benchmem .
 
-# Wire-codec comparison: the zero-copy binary codec vs the gob baseline
-# at the micro level (bytes/op, allocs/op for sparse-update and full-model
-# frames) plus a bounded socket-fleet pair over unix sockets. BENCH_6.json
-# records the full 10k-client runs; this target is the CI-sized smoke.
-bench-wire:
-	$(GO) test -run xxx -bench 'BenchmarkWire|BenchmarkGob' -benchtime 2s -benchmem ./internal/rpc/
-	$(GO) run ./cmd/flfleet -clients 1000 -rounds 3 -dim 20000 -nnz 1000 -fleet-addr unix:/tmp/flfleet-bench.sock -wire binary -json
-	$(GO) run ./cmd/flfleet -clients 1000 -rounds 3 -dim 20000 -nnz 1000 -fleet-addr unix:/tmp/flfleet-bench.sock -wire gob -json
-
-bench: bench-gemm bench-train bench-wire
+bench: bench-gemm bench-train

@@ -43,7 +43,6 @@ func main() {
 	retries := flag.Int("retries", 3, "consecutive failed redial attempts tolerated (budget resets once a connection makes progress)")
 	backoff := flag.Duration("retry-backoff", 200*time.Millisecond, "initial redial backoff window; doubles per attempt, each wait drawn uniformly from it (full jitter)")
 	metricsAddr := flag.String("metrics-addr", "", "listen address for the debug HTTP server (/metrics, /healthz, /debug/pprof); empty disables it")
-	wire := flag.String("wire", "binary", "wire codec: binary negotiates the zero-copy codec and falls back to gob if the server declines; gob skips negotiation")
 	codec := flag.String("codec", "", "uplink codec: dgc, dadaquant, qsgd, terngrad, topk or identity (default dgc in sync mode, topk in async mode); a negotiated server assignment overrides it per round")
 	async := flag.Bool("async", false, "buffered-asynchronous mode: cycle pull→train→push with no round barrier against an flserver -async session")
 	sessionName := flag.String("session", "", "named session to join on a multi-session server (empty joins the default session)")
@@ -117,7 +116,7 @@ func main() {
 		DGCMomentum:    cfg.DGCMomentum, DGCClip: cfg.DGCClip, DGCMsgClip: cfg.DGCMsgClip,
 		Seed:       *seed + 100 + uint64(*id),
 		MaxRetries: *retries, RetryBackoff: *backoff,
-		Wire: *wire, Fault: faults.Config(), Metrics: metrics,
+		Fault: faults.Config(), Metrics: metrics,
 	})
 	if err != nil {
 		log.Fatal(err)

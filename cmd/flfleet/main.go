@@ -12,17 +12,15 @@
 //
 // With -fleet-addr the harness leaves the in-process modes behind and
 // drives the same synthetic fleet over real sockets (internal/rpc
-// RunFleet): every client dials, registers and streams its updates
-// through the negotiated-free binary wire codec (or gob, for the
-// baseline), and the server side runs the per-connection reader → pooled
+// RunFleet): every client dials, registers and streams its updates as
+// wire frames, and the server side runs the per-connection reader → pooled
 // payload → bounded decode/fold worker pipeline. Unix sockets scale past
 // the ~28k ephemeral-port ceiling of tcp loopback; the open-file soft
 // limit is raised to the hard limit at startup (a 10k-client run needs
 // two fds per client). Where one process's file table cannot hold both
 // socket ends, -fleet-role splits the run: a "server" process waits for
 // "clients" processes (each driving [offset, offset+clients)) to dial
-// in, halving the per-process descriptor load. BENCH_6.json collects
-// these records.
+// in, halving the per-process descriptor load.
 //
 // With -edge-bootstrap the harness instead drives the two-tier edge
 // federation (internal/edge): each client dials the root's bootstrap
@@ -40,7 +38,7 @@
 //
 //	flfleet -clients 10000 -shards 8 -rounds 5 -dim 20000 -nnz 1000 -json
 //	flfleet -clients 10000 -rounds 5 -dim 20000 -nnz 1000 \
-//	        -fleet-addr unix:/tmp/flfleet.sock -wire binary -json
+//	        -fleet-addr unix:/tmp/flfleet.sock -json
 package main
 
 import (
@@ -94,7 +92,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "update-generation seed")
 	asJSON := flag.Bool("json", false, "emit the result as one JSON object on stdout")
 	fleetAddr := flag.String("fleet-addr", "", "drive the fleet over real sockets at this endpoint (unix:/path or tcp:host:port); empty keeps the in-process harness")
-	wire := flag.String("wire", "binary", "socket-mode codec: binary (zero-copy) or gob (baseline)")
 	workers := flag.Int("workers", 0, "socket-mode decode/fold workers (0 = GOMAXPROCS)")
 	fleetRole := flag.String("fleet-role", "both", "socket-mode process role: both (server + clients in one process), server (wait for external clients), clients (dial a -fleet-role server elsewhere)")
 	fleetOffset := flag.Int("fleet-offset", 0, "first client id this clients-role process drives (its range is [offset, offset+clients))")
@@ -105,7 +102,7 @@ func main() {
 	flag.Parse()
 
 	if *asyncAddr != "" {
-		runAsyncFleet(*asyncAddr, *wire, *sessionName, *clients, *nnz, *fleetOffset, *seed)
+		runAsyncFleet(*asyncAddr, *sessionName, *clients, *nnz, *fleetOffset, *seed)
 		return
 	}
 
@@ -118,7 +115,7 @@ func main() {
 		err := edge.RunClients(edge.ClientsConfig{
 			Bootstrap: *edgeBootstrap,
 			Lo:        *fleetOffset, Hi: *fleetOffset + *clients,
-			Dim: *dim, Nnz: *nnz, Seed: *seed, Wire: *wire,
+			Dim: *dim, Nnz: *nnz, Seed: *seed,
 			Logf: log.Printf,
 		})
 		if err != nil {
@@ -152,7 +149,7 @@ func main() {
 	}
 
 	if *fleetAddr != "" {
-		runSocketFleet(*fleetAddr, *wire, *fleetRole, *workers, *clients, *rounds, *dim, *nnz, *queue, *fleetOffset, *seed, *asJSON, mask)
+		runSocketFleet(*fleetAddr, *fleetRole, *workers, *clients, *rounds, *dim, *nnz, *queue, *fleetOffset, *seed, *asJSON, mask)
 		return
 	}
 	if *clients < 1 || *rounds < 1 || *dim < 1 || *nnz < 1 || *nnz > *dim {
@@ -219,11 +216,11 @@ func main() {
 }
 
 // runSocketFleet is the -fleet-addr path: the same synthetic fleet, but
-// every update crosses a real socket through the selected wire codec.
+// every update crosses a real socket as a wire frame.
 // The role splits the fleet across processes when one file table cannot
 // hold both socket ends: "server" waits for -fleet-role clients
 // processes to dial in; "both" (the default) keeps everything local.
-func runSocketFleet(endpoint, wire, role string, workers, clients, rounds, dim, nnz, queue, offset int, seed uint64, asJSON bool, mask [][]bool) {
+func runSocketFleet(endpoint, role string, workers, clients, rounds, dim, nnz, queue, offset int, seed uint64, asJSON bool, mask [][]bool) {
 	network, addr, ok := strings.Cut(endpoint, ":")
 	if !ok || (network != "unix" && network != "tcp") || addr == "" {
 		log.Fatalf("flfleet: -fleet-addr %q: want unix:/path or tcp:host:port", endpoint)
@@ -244,7 +241,7 @@ func runSocketFleet(endpoint, wire, role string, workers, clients, rounds, dim, 
 			role, clients, need, limit)
 	}
 	cfg := rpc.FleetConfig{
-		Network: network, Addr: addr, Wire: wire,
+		Network: network, Addr: addr,
 		Clients: clients, Rounds: rounds, Dim: dim, Nnz: nnz,
 		// log.Printf writes to stderr, so -json keeps a clean stdout.
 		Workers: workers, Queue: queue, Seed: seed, Mask: mask, Logf: log.Printf,
@@ -278,8 +275,8 @@ func runSocketFleet(endpoint, wire, role string, workers, clients, rounds, dim, 
 		}
 		return
 	}
-	fmt.Printf("flfleet sockets (%s, %s): %d clients x %d rounds (dim=%d nnz=%d workers=%d)\n",
-		out.Network, out.Wire, out.Clients, out.Rounds, out.Dim, out.Nnz, out.Workers)
+	fmt.Printf("flfleet sockets (%s): %d clients x %d rounds (dim=%d nnz=%d workers=%d)\n",
+		out.Network, out.Clients, out.Rounds, out.Dim, out.Nnz, out.Workers)
 	fmt.Printf("  %.0f updates/s  %.1f bytes/update  %.2f allocs/update\n",
 		out.UpdatesPerSec, out.BytesPerUpdate, out.AllocsPerUpdate)
 	fmt.Printf("  up %.1f MB  down %.1f MB  VmHWM %d KB  checksum %.6g\n",
@@ -356,7 +353,7 @@ func readVmHWM() int {
 // budget ends the session with a shutdown notice. The deltas are the
 // deterministic FleetUpdate stream sized to the pulled model, so the
 // harness measures pure async fold throughput with no local training.
-func runAsyncFleet(addr, wire, session string, n, nnz, offset int, seed uint64) {
+func runAsyncFleet(addr, session string, n, nnz, offset int, seed uint64) {
 	start := time.Now()
 	var pushes, rejected int64
 	var wg sync.WaitGroup
@@ -365,7 +362,7 @@ func runAsyncFleet(addr, wire, session string, n, nnz, offset int, seed uint64) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := rpc.Dial("tcp", addr, wire, 10*time.Second)
+			conn, err := rpc.Dial("tcp", addr, 10*time.Second)
 			if err != nil {
 				log.Printf("flfleet async client %d: dial: %v", id, err)
 				return

@@ -84,7 +84,6 @@ func main() {
 	shards := flag.Int("shards", 0, "fold each round's screened updates through this many aggregation shards (0 = one shard; the global is bit-deterministic for a fixed count)")
 	metricsAddr := flag.String("metrics-addr", "", "listen address for the debug HTTP server (/metrics, /healthz, /debug/pprof); empty disables it")
 	eventLog := flag.String("event-log", "", "append one JSON line per round event (selection, update, evict, quarantine, aggregate, round, checkpoint) to this file; empty disables it")
-	wire := flag.String("wire", "binary", "wire codec policy: binary accepts both codecs (clients negotiate at connect time), gob declines binary preambles so every session speaks gob")
 	scenarioPath := flag.String("scenario", "", "declarative scenario file (energy model, churn, device classes): gates selection on availability, scales utility scores by battery level, and checkpoints scenario state for -resume")
 	scenarioLog := flag.String("scenario-log", "", "append the deterministic per-round scenario schedule (JSONL) to this file; byte-identical across runs at the same seed, unlike -event-log")
 	negotiate := flag.Bool("negotiate", false, "negotiate each selected client's uplink codec+ratio per round from its observed link state (EWMA bytes, scenario bandwidth); assignments travel in the Select broadcast and join the session checkpoint")
@@ -139,7 +138,7 @@ func main() {
 			*bufferK = (*clients + 1) / 2
 		}
 		runAsync(asyncFlags{
-			addr: *addr, sessions: *sessionsFlag, wire: *wire,
+			addr: *addr, sessions: *sessionsFlag,
 			clients: *clients, versions: *versions, k: *bufferK,
 			maxStaleness: *maxStaleness, eta: *eta, maxNorm: *maxNorm,
 			shards: *shards, seed: *seed, imgSize: *imgSize, samples: *samples,
@@ -153,8 +152,7 @@ func main() {
 		runRoot(rootFlags{
 			listen: *rootListen, bootstrap: *bootstrapListen,
 			edges: *edges, clients: *clients, rounds: *rounds, dim: *dim,
-			heartbeatTimeout: *heartbeatTimeout, wire: *wire,
-			ckptDir: *ckptDir, resume: *resume,
+			heartbeatTimeout: *heartbeatTimeout, ckptDir: *ckptDir, resume: *resume,
 			metricsAddr: *metricsAddr, eventLog: *eventLog,
 		})
 		return
@@ -162,7 +160,7 @@ func main() {
 	if *edgeMode {
 		ef := edgeFlags{
 			id: *edgeID, region: *edgeRegion, listen: *edgeListen,
-			rootAddr: *rootAddr, dim: *dim, wire: *wire,
+			rootAddr: *rootAddr, dim: *dim,
 			maxNorm: *maxNorm, heartbeatInterval: *heartbeatInterval,
 			retries: *rootRetries, seed: *seed,
 			metricsAddr: *metricsAddr, eventLog: *eventLog,
@@ -224,8 +222,7 @@ func main() {
 		Cfg: cfg, NewModel: newModel, Test: test, EvalEvery: 1,
 		StragglerTimeout: *straggler, MinClients: *minClients,
 		CheckpointDir: *ckptDir, Resume: *resume, DeltaCheckpoints: *deltaCkpt,
-		MaxUpdateNorm: *maxNorm,
-		Shards:        *shards, Wire: *wire,
+		MaxUpdateNorm: *maxNorm, Shards: *shards,
 		Fault: faults.Config(), Metrics: metrics, Events: events,
 	}
 	if *negotiate {
@@ -300,7 +297,7 @@ type rootFlags struct {
 	edges, clients, rounds int
 	dim                    int
 	heartbeatTimeout       time.Duration
-	wire, ckptDir          string
+	ckptDir                string
 	resume                 bool
 	metricsAddr, eventLog  string
 }
@@ -308,7 +305,7 @@ type rootFlags struct {
 type edgeFlags struct {
 	id                    int
 	region, listen        string
-	rootAddr, wire        string
+	rootAddr              string
 	dim                   int
 	maxNorm               float64
 	heartbeatInterval     time.Duration
@@ -359,8 +356,7 @@ func runRoot(f rootFlags) {
 	r, err := edge.NewRoot(edge.RootConfig{
 		EdgeAddr: f.listen, ClientAddr: f.bootstrap,
 		NumEdges: f.edges, Clients: f.clients, Rounds: f.rounds, Dim: f.dim,
-		Wire: f.wire, HeartbeatTimeout: f.heartbeatTimeout,
-		CheckpointDir: f.ckptDir, Resume: f.resume,
+		HeartbeatTimeout: f.heartbeatTimeout, CheckpointDir: f.ckptDir, Resume: f.resume,
 		Metrics: metrics, Events: events, Logf: log.Printf,
 	})
 	if err != nil {
@@ -393,7 +389,7 @@ func runEdge(f edgeFlags) {
 	defer cleanup()
 	e, err := edge.NewEdge(edge.EdgeConfig{
 		ID: f.id, ClientAddr: f.listen, RootAddr: f.rootAddr,
-		Region: f.region, Dim: f.dim, Wire: f.wire,
+		Region: f.region, Dim: f.dim,
 		MaxUpdateNorm: f.maxNorm, HeartbeatInterval: f.heartbeatInterval,
 		MaxRetries: f.retries, Seed: f.seed, Negotiation: f.negotiation,
 		Metrics: metrics, Events: events, Logf: log.Printf,
@@ -413,7 +409,7 @@ func runEdge(f edgeFlags) {
 
 // asyncFlags carries the parsed -async mode flags into runAsync.
 type asyncFlags struct {
-	addr, sessions, wire  string
+	addr, sessions        string
 	clients, versions, k  int
 	maxStaleness          int
 	eta, maxNorm          float64
@@ -451,7 +447,7 @@ func runAsync(f asyncFlags) {
 		return nn.NewImageMLP([]int{1, size, size}, []int{32}, 10, stats.NewRNG(modelSeed))
 	}
 
-	m, err := session.NewManager(session.Config{Addr: f.addr, Wire: f.wire, Fault: f.fault, Logf: log.Printf})
+	m, err := session.NewManager(session.Config{Addr: f.addr, Fault: f.fault, Logf: log.Printf})
 	if err != nil {
 		log.Fatalf("flserver: %v", err)
 	}

@@ -148,7 +148,7 @@ func TestChaosHeartbeatTimeout(t *testing.T) {
 
 	// The silent edge: registers as edge 1 with zero clients, then never
 	// speaks again. Only the watchdog can retire it.
-	mute, err := rpc.Dial("tcp", root.EdgeAddr(), "", 5*time.Second)
+	mute, err := rpc.Dial("tcp", root.EdgeAddr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,8 @@ type ClientsConfig struct {
 	// (rpc.FleetUpdate), matching the flat fleet harness.
 	Dim, Nnz int
 	Seed     uint64
-	// Wire selects the codec ("" = binary with gob fallback).
+	// Wire accepts only "" or rpc.WireBinary and selects nothing (see
+	// rpc.WireBinary).
 	Wire string
 	// MaxRetries bounds consecutive failed bootstrap cycles per client
 	// (0 = 25); the budget resets whenever a round completes.
@@ -104,7 +105,7 @@ func runClient(cfg ClientsConfig, id int) error {
 // an orphan that redials a few times while the root notices its edge
 // died must not burn the budget a genuine outage needs.
 func runClientOnce(cfg ClientsConfig, id int, upd *compress.Sparse) (done, progressed bool, err error) {
-	boot, err := rpc.Dial("tcp", cfg.Bootstrap, cfg.Wire, cfg.DialTimeout)
+	boot, err := rpc.Dial("tcp", cfg.Bootstrap, cfg.DialTimeout)
 	if err != nil {
 		return false, false, err
 	}
@@ -127,7 +128,7 @@ func runClientOnce(cfg ClientsConfig, id int, upd *compress.Sparse) (done, progr
 	}
 	addr := env.Info
 
-	conn, err := rpc.Dial("tcp", addr, cfg.Wire, cfg.DialTimeout)
+	conn, err := rpc.Dial("tcp", addr, cfg.DialTimeout)
 	if err != nil {
 		return false, false, err
 	}

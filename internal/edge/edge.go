@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -41,8 +42,8 @@ type EdgeConfig struct {
 	Region string
 	// Dim is the model dimension every folded update must declare.
 	Dim int
-	// Wire selects the codec for both the root dial and accepted client
-	// connections ("" = binary with gob fallback).
+	// Wire accepts only "" or rpc.WireBinary and selects nothing (see
+	// rpc.WireBinary).
 	Wire string
 	// MaxUpdateNorm configures the shared integrity screen (0 disables
 	// the norm gate; structural validation and scrubbing are always on).
@@ -221,9 +222,10 @@ func (e *Edge) Run() (*EdgeResult, error) {
 			retries = 0
 			backoff.Reset()
 		}
-		if retries >= e.cfg.MaxRetries {
+		// A root of another wire version will never agree: no retry helps.
+		if retries >= e.cfg.MaxRetries || errors.Is(err, rpc.ErrWireVersion) {
 			e.shutdownClients("edge lost its root")
-			return nil, fmt.Errorf("edge %d: root link lost and retries exhausted: %w", e.cfg.ID, err)
+			return nil, fmt.Errorf("edge %d: root link lost after %d of %d retries: %w", e.cfg.ID, retries, e.cfg.MaxRetries, err)
 		}
 		retries++
 		wait := backoff.Next()
@@ -236,7 +238,7 @@ func (e *Edge) Run() (*EdgeResult, error) {
 // serveRoot runs one root connection: hello, heartbeats, rounds, until
 // shutdown (done) or a link error.
 func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error) {
-	conn, err := rpc.Dial("tcp", e.cfg.RootAddr, e.cfg.Wire, e.cfg.DialTimeout)
+	conn, err := rpc.Dial("tcp", e.cfg.RootAddr, e.cfg.DialTimeout)
 	if err != nil {
 		return false, false, err
 	}
@@ -425,8 +427,8 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 	return nil
 }
 
-// acceptLoop admits clients: negotiate the codec, read the hello,
-// register. A re-hello of a live ID replaces the old connection.
+// acceptLoop admits clients: handshake, hello, register. A re-hello of a
+// live ID replaces the old connection.
 func (e *Edge) acceptLoop() {
 	for {
 		raw, err := e.ln.Accept()
@@ -438,18 +440,10 @@ func (e *Edge) acceptLoop() {
 }
 
 func (e *Edge) admit(raw net.Conn) {
-	raw.SetDeadline(time.Now().Add(5 * time.Second))
-	conn, err := rpc.Accept(raw, e.cfg.Wire)
+	conn, env, err := rpc.Accept(raw, rpc.MsgHello)
 	if err != nil {
-		raw.Close()
 		return
 	}
-	env, err := conn.Recv()
-	if err != nil || env.Type != rpc.MsgHello {
-		conn.Close()
-		return
-	}
-	raw.SetDeadline(time.Time{})
 	e.mu.Lock()
 	if e.closing {
 		e.mu.Unlock()

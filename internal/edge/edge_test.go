@@ -2,6 +2,8 @@ package edge
 
 import (
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -390,7 +392,7 @@ func TestEdgeScreensHostileClient(t *testing.T) {
 		})
 	}()
 	go func() {
-		conn, err := rpc.Dial("tcp", e.ClientAddr(), "", 5*time.Second)
+		conn, err := rpc.Dial("tcp", e.ClientAddr(), 5*time.Second)
 		if err != nil {
 			return
 		}
@@ -423,5 +425,47 @@ func TestEdgeScreensHostileClient(t *testing.T) {
 	last := res.History[len(res.History)-1]
 	if last.Folded != tc.clients-1 {
 		t.Errorf("final round folded %d updates, want %d honest clients", last.Folded, tc.clients-1)
+	}
+}
+
+// TestEdgeGivesUpOnWireVersionMismatch: a root that answers the handshake
+// with another wire version will never agree, so the edge returns
+// rpc.ErrWireVersion after one dial instead of spending its retry budget.
+func TestEdgeGivesUpOnWireVersionMismatch(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dials := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { dials <- n }()
+		for {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			n++
+			var open [4]byte
+			io.ReadFull(raw, open[:])
+			open[3]++ // the dialer's own preamble, one version on
+			raw.Write(open[:])
+			raw.Close()
+		}
+	}()
+	e, err := NewEdge(EdgeConfig{
+		ID: 0, RootAddr: ln.Addr().String(), Dim: 8,
+		MaxRetries: 50, RetryBackoff: time.Millisecond, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); !errors.Is(err, rpc.ErrWireVersion) {
+		t.Fatalf("edge returned %v, want rpc.ErrWireVersion", err)
+	}
+	ln.Close()
+	if n := <-dials; n != 1 {
+		t.Fatalf("edge dialled a root of another wire version %d times", n)
 	}
 }

@@ -45,8 +45,8 @@ type RootConfig struct {
 	// Rounds is the session length; Dim the model dimension.
 	Rounds int
 	Dim    int
-	// Wire selects the codec for both listeners ("" = binary with gob
-	// fallback).
+	// Wire accepts only "" or rpc.WireBinary and selects nothing (see
+	// rpc.WireBinary).
 	Wire string
 	// HeartbeatTimeout is the silence window after which a registered
 	// edge is declared dead (0 = 2s). PartialTimeout bounds the per-round
@@ -862,19 +862,12 @@ func (r *Root) acceptLoop(ln net.Listener, admit func(net.Conn)) {
 	}
 }
 
-// admitEdge handles one edge registration: negotiate, read the edge
-// hello, install (or replace) the roster entry, welcome, spawn the
-// reader. Unknown edges (post-plan) and roster overflow are turned away.
+// admitEdge handles one edge registration: handshake, edge hello, install
+// (or replace) the roster entry, welcome, spawn the reader. Unknown edges
+// (post-plan) and roster overflow are turned away.
 func (r *Root) admitEdge(raw net.Conn) {
-	raw.SetDeadline(time.Now().Add(5 * time.Second))
-	conn, err := rpc.Accept(raw, r.cfg.Wire)
+	conn, env, err := rpc.Accept(raw, rpc.MsgEdgeHello)
 	if err != nil {
-		raw.Close()
-		return
-	}
-	env, err := conn.Recv()
-	if err != nil || env.Type != rpc.MsgEdgeHello {
-		conn.Close()
 		return
 	}
 	id := env.ClientID
@@ -915,7 +908,6 @@ func (r *Root) admitEdge(raw net.Conn) {
 	}
 	round := r.round
 	r.mu.Unlock()
-	raw.SetDeadline(time.Time{})
 	if err := conn.Send(&rpc.Envelope{Type: rpc.MsgWelcome, Round: round - 1}); err != nil {
 		conn.Close()
 		return
@@ -1002,15 +994,8 @@ func (r *Root) watchdog() {
 // topology epoch, close. Orphans redialling after a reroute take the same
 // path and learn their new edge.
 func (r *Root) admitClient(raw net.Conn) {
-	raw.SetDeadline(time.Now().Add(5 * time.Second))
-	conn, err := rpc.Accept(raw, r.cfg.Wire)
+	conn, env, err := rpc.Accept(raw, rpc.MsgHello)
 	if err != nil {
-		raw.Close()
-		return
-	}
-	env, err := conn.Recv()
-	if err != nil || env.Type != rpc.MsgHello {
-		conn.Close()
 		return
 	}
 	id := env.ClientID
@@ -1031,7 +1016,7 @@ func (r *Root) admitClient(raw net.Conn) {
 			return
 		}
 		if ready {
-			raw.SetDeadline(time.Now().Add(5 * time.Second))
+			conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 			if !known {
 				conn.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: fmt.Sprintf("client %d outside the fleet", id)})
 			} else {

@@ -42,15 +42,11 @@ func (f *fakeAsyncServer) serve() {
 	if err != nil {
 		return
 	}
-	conn, err := Accept(raw, "")
+	conn, hello, err := Accept(raw, MsgHello)
 	if err != nil {
 		return
 	}
 	defer conn.Close()
-	hello, err := conn.Recv()
-	if err != nil || hello.Type != MsgHello {
-		return
-	}
 	f.sessions = append(f.sessions, hello.Session)
 	if f.rejects {
 		conn.Send(&Envelope{Type: MsgShutdown, Info: "session full"})
@@ -173,54 +169,73 @@ func TestManagedServerHasNoListener(t *testing.T) {
 	}
 }
 
-// TestDialNegotiatesAndRejects covers the exported Dial helper: binary
-// negotiation against a sniffing acceptor, forced gob, and the unknown-
-// codec refusal.
+// TestDialNegotiatesAndRejects covers the exported Dial and Accept pair:
+// the handshake and an exchange over it, a first frame of the wrong type
+// refused by Accept, and a dial timeout that bounds a listener which
+// never answers the preamble.
 func TestDialNegotiatesAndRejects(t *testing.T) {
-	for _, wire := range []string{WireBinary, WireGob} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		echoed := make(chan error, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	serve := func(want MsgType) chan error {
+		out := make(chan error, 1)
 		go func() {
 			raw, err := ln.Accept()
 			if err != nil {
-				echoed <- err
+				out <- err
 				return
 			}
-			conn, err := Accept(raw, "")
+			conn, hello, err := Accept(raw, want)
 			if err != nil {
-				echoed <- err
+				out <- err
 				return
 			}
 			defer conn.Close()
-			e, err := conn.Recv()
-			if err != nil {
-				echoed <- err
-				return
-			}
-			echoed <- conn.Send(&Envelope{Type: MsgPing, Round: e.Round})
+			out <- conn.Send(&Envelope{Type: MsgPing, Round: hello.Round})
 		}()
-		conn, err := Dial("tcp", ln.Addr().String(), wire, time.Second)
-		if err != nil {
-			t.Fatalf("Dial %s: %v", wire, err)
-		}
-		if err := conn.Send(&Envelope{Type: MsgPing, Round: 3}); err != nil {
-			t.Fatalf("send over %s: %v", wire, err)
-		}
-		e, err := conn.Recv()
-		if err != nil || e.Type != MsgPing || e.Round != 3 {
-			t.Fatalf("echo over %s: %+v, %v", wire, e, err)
-		}
-		if err := <-echoed; err != nil {
-			t.Fatalf("server side %s: %v", wire, err)
-		}
-		conn.Close()
-		ln.Close()
+		return out
 	}
-	if _, err := Dial("tcp", "127.0.0.1:1", "carrier-pigeon", time.Second); err == nil ||
-		!strings.Contains(err.Error(), "unknown wire codec") {
-		t.Fatalf("unknown codec: %v", err)
+
+	served := serve(MsgHello)
+	conn, err := Dial("tcp", ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	if err := conn.Send(&Envelope{Type: MsgHello, Round: 3}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if e, err := conn.Recv(); err != nil || e.Type != MsgPing || e.Round != 3 {
+		t.Fatalf("echo: %+v, %v", e, err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("server side: %v", err)
+	}
+	conn.Close()
+
+	served = serve(MsgEdgeHello)
+	if conn, err = Dial("tcp", ln.Addr().String(), time.Second); err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	if err := conn.Send(&Envelope{Type: MsgHello}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := <-served; err == nil || !strings.Contains(err.Error(), "first frame") {
+		t.Fatalf("a Hello where an EdgeHello was due: %v", err)
+	}
+	if _, err := conn.Recv(); err == nil {
+		t.Fatal("refused connection left open")
+	}
+
+	// Nobody accepts: the kernel completes the connect, the preamble is
+	// never answered, and the timeout is what returns.
+	start := time.Now()
+	if _, err := Dial("tcp", ln.Addr().String(), 50*time.Millisecond); err == nil {
+		t.Fatal("handshake with a mute listener succeeded")
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("mute listener held Dial for %v", took)
 	}
 }

@@ -303,8 +303,8 @@ func TestChaosProbabilisticDropEvictsAndRecovers(t *testing.T) {
 	env := newChaosEnv(3, 240, 12, 16, 41)
 	const rounds = 10
 	scfg := env.serverConfig(rounds)
-	// Quorum from the stable clients only: gob's first Send is several
-	// raw writes, each rolling the drop dice, so the lossy client may
+	// Quorum from the stable clients only: the preamble and the hello are
+	// separate writes, each rolling the drop dice, so the lossy client may
 	// need arbitrarily many redials before a Hello lands — quorum must
 	// not hang on it.
 	scfg.NumClients = 2

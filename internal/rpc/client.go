@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"adafl/internal/compress"
@@ -86,10 +85,8 @@ type ClientConfig struct {
 	// faults (chaos testing and demos).
 	Fault *FaultConfig
 
-	// Wire selects the wire codec: "" or WireBinary requests the binary
-	// codec at connect time and falls back to gob when the server
-	// declines (one extra dial, not charged against MaxRetries); WireGob
-	// skips negotiation and speaks gob directly.
+	// Wire accepts only "" or WireBinary and selects nothing (see
+	// WireBinary); any other value is an error.
 	Wire string
 
 	// Metrics, when non-nil, receives the client's operational metrics
@@ -119,11 +116,8 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.Wire != "" && cfg.Wire != WireBinary && cfg.Wire != WireGob {
-		return nil, fmt.Errorf("rpc: unknown wire codec %q (want %q or %q)", cfg.Wire, WireBinary, WireGob)
+	if err := checkWire(cfg.Wire); err != nil {
+		return nil, err
 	}
 	sess, err := newClientSession(cfg)
 	if err != nil {
@@ -148,7 +142,7 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			retries = 0
 			backoff.Reset()
 		}
-		if errors.Is(err, errProtocol) || retries >= cfg.MaxRetries {
+		if errors.Is(err, errProtocol) || errors.Is(err, ErrWireVersion) || retries >= cfg.MaxRetries {
 			return sess.res, err
 		}
 		retries++
@@ -187,9 +181,6 @@ type clientSession struct {
 	pending rollbackCodec
 	res     *ClientResult
 	met     clientMetrics
-	// gobOnly is sticky across reconnects: once the server declines the
-	// binary preamble there is no point renegotiating on every redial.
-	gobOnly bool
 }
 
 // newUplinkCodec builds the named default codec. The stochastic codecs
@@ -234,14 +225,13 @@ func newClientSession(cfg ClientConfig) (*clientSession, error) {
 		return nil, err
 	}
 	s := &clientSession{
-		cfg:     cfg,
-		model:   cfg.NewModel(),
-		opt:     nn.NewSGD(cfg.LR, cfg.Momentum, 0),
-		iter:    dataset.NewIterator(cfg.Data, cfg.BatchSize, stats.NewRNG(cfg.Seed)),
-		codec:   codec,
-		res:     &ClientResult{},
-		met:     newClientMetrics(cfg.Metrics),
-		gobOnly: cfg.Wire == WireGob,
+		cfg:   cfg,
+		model: cfg.NewModel(),
+		opt:   nn.NewSGD(cfg.LR, cfg.Momentum, 0),
+		iter:  dataset.NewIterator(cfg.Data, cfg.BatchSize, stats.NewRNG(cfg.Seed)),
+		codec: codec,
+		res:   &ClientResult{},
+		met:   newClientMetrics(cfg.Metrics),
 	}
 	if d, ok := codec.(*compress.DGC); ok {
 		s.dgc = d
@@ -317,35 +307,13 @@ func (s *clientSession) rollbackPending() {
 	}
 }
 
-// dial establishes a connection in the session's negotiated codec. A
-// declined binary preamble costs one immediate gob redial (the server
-// consumed the preamble as a corrupt gob stream and dropped us) and
-// downgrades the session; it is not counted against the retry budget —
-// the server is alive and answering, just older.
+// dial connects over the (optionally faulted and throttled) link.
 func (s *clientSession) dial() (*Conn, error) {
-	cfg := s.cfg
 	var throttle *TokenBucket
-	if cfg.ThrottleUplink && cfg.UpBps > 0 {
-		throttle = NewTokenBucket(cfg.UpBps)
+	if s.cfg.ThrottleUplink && s.cfg.UpBps > 0 {
+		throttle = NewTokenBucket(s.cfg.UpBps)
 	}
-	raw, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	wrapped := WrapFault(raw, cfg.Fault)
-	if !s.gobOnly {
-		if clientNegotiate(wrapped, cfg.DialTimeout) {
-			return NewBinaryConn(wrapped, throttle), nil
-		}
-		wrapped.Close()
-		s.gobOnly = true
-		cfg.Logf("client %d: server declined binary wire codec, falling back to gob", cfg.ID)
-		if raw, err = net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout); err != nil {
-			return nil, err
-		}
-		wrapped = WrapFault(raw, cfg.Fault)
-	}
-	return NewConn(wrapped, throttle), nil
+	return dial("tcp", s.cfg.Addr, s.cfg.DialTimeout, s.cfg.Fault, throttle)
 }
 
 // runOnce dials, registers and participates until shutdown (done=true) or

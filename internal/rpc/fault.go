@@ -29,8 +29,8 @@ type FaultConfig struct {
 	// emulating an abrupt device death or hard link loss.
 	DropProb float64
 	// CutAfterBytes hard-closes the connection once this many bytes have
-	// been written — usually mid-message, leaving the peer a truncated gob
-	// stream (0 = never).
+	// been written — usually mid-message, leaving the peer a truncated
+	// frame (0 = never).
 	CutAfterBytes int64
 	// Partition, when non-nil, black-holes reads and writes while shut.
 	// Toggle it with Gate.Shut/Gate.Open to model partitions that start

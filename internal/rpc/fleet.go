@@ -25,7 +25,7 @@ import (
 //
 //	client → Hello            (once, after connect)
 //	server → Select(round)    (the go-ahead broadcast; one shared
-//	                           prebuilt frame on the binary codec)
+//	                           prebuilt frame)
 //	client → Update(round)    (deterministic synthetic sparse delta)
 //	server → Shutdown         (after the last round)
 //
@@ -36,24 +36,21 @@ import (
 // the round loop merges worker partials in ascending worker order.
 // Steady-state per-connection memory is the bufio reader plus a share of
 // the payload pool — a few KB — and the decode path allocates nothing.
-//
-// Gob mode runs the same protocol through allocating Conn.Recv calls: the
-// honest baseline the binary numbers in BENCH_6.json are compared against.
+// Both ends are the fleet's own, so its connections skip the preamble.
 
 // FleetConfig configures one socket-fleet run.
 type FleetConfig struct {
 	// Network/Addr is the listen and dial target: "unix" + a socket path
 	// scales past the ~28k ephemeral-port ceiling of tcp loopback.
 	Network, Addr string
-	// Wire selects the codec for every connection: WireBinary or WireGob.
-	// The fleet constructs both ends directly in the chosen codec; there
-	// is no per-connection negotiation to measure.
+	// Wire accepts only "" or WireBinary and selects nothing (see
+	// WireBinary); any other value is an error.
 	Wire string
 	// Clients is the fleet size; Rounds the number of lockstep rounds.
 	Clients, Rounds int
 	// ExternalClients makes RunFleet a pure server: it spawns no
 	// in-process clients and instead waits for Clients connections from
-	// RunFleetClients processes sharing the same Seed/Dim/Nnz/Wire. This
+	// RunFleetClients processes sharing the same Seed/Dim/Nnz. This
 	// splits the fleet's descriptor load across processes — both socket
 	// ends of an in-process fleet live in one file table, so a 10k-client
 	// run needs ~20k fds in one process but only ~10k in each half.
@@ -80,7 +77,6 @@ type FleetConfig struct {
 
 // FleetResult is one run's measurements.
 type FleetResult struct {
-	Wire    string `json:"wire"`
 	Network string `json:"network"`
 	Clients int    `json:"clients"`
 	Rounds  int    `json:"rounds"`
@@ -92,16 +88,16 @@ type FleetResult struct {
 	WallSeconds   float64 `json:"wall_seconds"`
 	UpdatesPerSec float64 `json:"updates_per_sec"`
 	// BytesUp/BytesDown are total wire volume. BytesPerUpdate is the
-	// exact uplink cost of one update frame (hello traffic excluded) —
-	// on the binary codec this is 23 + 12·nnz to the byte.
+	// exact uplink cost of one update frame (hello traffic excluded):
+	// 23 + 12·nnz to the byte.
 	BytesUp        int64   `json:"bytes_up"`
 	BytesDown      int64   `json:"bytes_down"`
 	BytesPerUpdate float64 `json:"bytes_per_update"`
 	// AllocsPerUpdate is the whole-process malloc count per update over
 	// rounds 2..N (round 1 warms scratch buffers and connection state).
 	AllocsPerUpdate float64 `json:"allocs_per_update"`
-	// Checksum sums the final global vector: comparable across codecs
-	// and with the in-process flfleet modes (same update generator).
+	// Checksum sums the final global vector: comparable with the
+	// in-process flfleet modes (same update generator).
 	Checksum float64 `json:"global_checksum"`
 }
 
@@ -127,12 +123,10 @@ func FleetUpdate(u *compress.Sparse, seed uint64, round, id, dim, nnz int) {
 }
 
 // fleetJob carries one update payload to a decode worker: raw frame bytes
-// on the binary codec (buf returns to the pool after decoding), a decoded
-// envelope on gob.
+// (buf returns to the pool after decoding).
 type fleetJob struct {
 	payload []byte
 	buf     *[]byte
-	env     *Envelope
 }
 
 type fleetRun struct {
@@ -142,7 +136,7 @@ type fleetRun struct {
 	roundDone chan struct{} // one token per folded update
 	readyCh   chan struct{} // one token per processed hello
 
-	pool sync.Pool // *[]byte payload buffers (binary mode)
+	pool sync.Pool // *[]byte payload buffers
 
 	bytesUp   atomic.Int64
 	bytesDown atomic.Int64
@@ -162,17 +156,16 @@ type fleetRun struct {
 	// broadcast paths iterate it).
 	trackClientConns bool
 
-	// connMu guards the slices against the accept loop: broadcast and
-	// accounting run after the registration barrier (all appends done),
-	// but the abort path can tear down mid-accept. closed makes teardown
-	// airtight: a conn accepted after the sweep is closed on arrival.
-	connMu  sync.Mutex
-	closed  bool
-	conns   []net.Conn // raw server-side conns (binary broadcast path)
-	gobConn []*Conn    // server-side Conns (gob mode)
+	// connMu guards conns against the accept loop: broadcast runs after
+	// the registration barrier (all appends done), but the abort path can
+	// tear down mid-accept. closed makes teardown airtight: a conn accepted
+	// after the sweep is closed on arrival.
+	connMu sync.Mutex
+	closed bool
+	conns  []net.Conn // raw server-side conns (the broadcast path)
 }
 
-func (f *fleetRun) addConn(raw net.Conn, conn *Conn) {
+func (f *fleetRun) addConn(raw net.Conn) {
 	f.connMu.Lock()
 	if f.closed {
 		f.connMu.Unlock()
@@ -180,9 +173,6 @@ func (f *fleetRun) addConn(raw net.Conn, conn *Conn) {
 		return
 	}
 	f.conns = append(f.conns, raw)
-	if conn != nil {
-		f.gobConn = append(f.gobConn, conn)
-	}
 	f.connMu.Unlock()
 }
 
@@ -206,11 +196,8 @@ func (f *fleetRun) failed() error {
 // socket clients, drives cfg.Rounds lockstep rounds and reports the
 // measurements. The listener and every socket are closed on return.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	if cfg.Wire == "" {
-		cfg.Wire = WireBinary
-	}
-	if cfg.Wire != WireBinary && cfg.Wire != WireGob {
-		return nil, fmt.Errorf("rpc: unknown fleet wire codec %q", cfg.Wire)
+	if err := checkWire(cfg.Wire); err != nil {
+		return nil, err
 	}
 	if cfg.Clients < 1 || cfg.Rounds < 1 || cfg.Dim < 1 || cfg.Nnz < 1 || cfg.Nnz > cfg.Dim {
 		return nil, fmt.Errorf("rpc: fleet needs clients, rounds, dim >= 1 and 1 <= nnz <= dim")
@@ -276,14 +263,8 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 				return
 			}
 			readerWG.Add(1)
-			if cfg.Wire == WireBinary {
-				f.addConn(raw, nil)
-				go f.binaryReader(raw, &readerWG)
-			} else {
-				conn := NewConn(raw, nil)
-				f.addConn(raw, conn)
-				go f.gobReader(conn, &readerWG)
-			}
+			f.addConn(raw)
+			go f.binaryReader(raw, &readerWG)
 		}
 	}()
 
@@ -312,9 +293,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			return nil, f.teardown(&clientWG, &readerWG, &workerWG)
 		}
 	}
-	helloBytes := f.uplink()
-	cfg.Logf("fleet: %d clients connected (%s, %s), starting %d rounds",
-		cfg.Clients, cfg.Network, cfg.Wire, cfg.Rounds)
+	helloBytes := f.bytesUp.Load()
+	cfg.Logf("fleet: %d clients connected (%s), starting %d rounds",
+		cfg.Clients, cfg.Network, cfg.Rounds)
 
 	global := make([]float64, cfg.Dim)
 	roundPart := shard.NewPartial(cfg.Dim)
@@ -384,13 +365,13 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 
 	res := &FleetResult{
-		Wire: cfg.Wire, Network: cfg.Network,
+		Network: cfg.Network,
 		Clients: cfg.Clients, Rounds: cfg.Rounds, Dim: cfg.Dim, Nnz: cfg.Nnz,
 		Workers:     cfg.Workers,
 		Updates:     totalUpdates,
 		WallSeconds: wall.Seconds(),
-		BytesUp:     f.uplink(),
-		BytesDown:   f.downlink(),
+		BytesUp:     f.bytesUp.Load(),
+		BytesDown:   f.bytesDown.Load(),
 	}
 	res.UpdatesPerSec = float64(res.Updates) / res.WallSeconds
 	res.BytesPerUpdate = float64(res.BytesUp-helloBytes) / float64(res.Updates)
@@ -420,29 +401,6 @@ func (f *fleetRun) teardown(clientWG, readerWG, workerWG *sync.WaitGroup) error 
 	close(f.work)
 	workerWG.Wait()
 	return f.failed()
-}
-
-// uplink/downlink report total wire volume for the active codec.
-func (f *fleetRun) uplink() int64 {
-	if f.cfg.Wire == WireBinary {
-		return f.bytesUp.Load()
-	}
-	var n int64
-	for _, c := range f.gobConn {
-		n += c.BytesReceived()
-	}
-	return n
-}
-
-func (f *fleetRun) downlink() int64 {
-	if f.cfg.Wire == WireBinary {
-		return f.bytesDown.Load()
-	}
-	var n int64
-	for _, c := range f.gobConn {
-		n += c.BytesSent()
-	}
-	return n
 }
 
 // binaryReader parses frames off one connection and dispatches update
@@ -490,27 +448,6 @@ func (f *fleetRun) binaryReader(raw net.Conn, wg *sync.WaitGroup) {
 	}
 }
 
-// gobReader is the baseline: the allocating Conn.Recv path per message.
-func (f *fleetRun) gobReader(conn *Conn, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		e, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		switch e.Type {
-		case MsgHello:
-			f.readyCh <- struct{}{}
-		case MsgUpdate:
-			f.work <- fleetJob{env: e}
-		default:
-			f.abort(fmt.Errorf("rpc: fleet got %v from a client", e.Type))
-			conn.Close()
-			return
-		}
-	}
-}
-
 // worker decodes and folds updates into its private partial. The scratch
 // Sparse is reused across every update this worker sees: the fold
 // (Partial.Fold → Sparse.AddTo) reads the delta synchronously and retains
@@ -519,41 +456,22 @@ func (f *fleetRun) worker(part *shard.Partial, weight float64, wg *sync.WaitGrou
 	defer wg.Done()
 	scratch := &compress.Sparse{}
 	for job := range f.work {
-		if job.env != nil { // gob
-			part.Fold(shard.Update{Client: job.env.ClientID, Weight: weight, Delta: job.env.Update}, false)
-		} else {
-			id := int(int32(binary.LittleEndian.Uint32(job.payload[2:])))
-			if err := scratch.DecodeBinaryInto(job.payload[envHeaderBytes:]); err != nil {
-				f.abort(fmt.Errorf("rpc: fleet decode: %w", err))
-				f.pool.Put(job.buf)
-				continue
-			}
-			part.Fold(shard.Update{Client: id, Weight: weight, Delta: scratch}, false)
-			f.pool.Put(job.buf)
+		id := int(int32(binary.LittleEndian.Uint32(job.payload[2:])))
+		err := scratch.DecodeBinaryInto(job.payload[envHeaderBytes:]) // copies what it keeps
+		f.pool.Put(job.buf)
+		if err != nil {
+			f.abort(fmt.Errorf("rpc: fleet decode: %w", err))
+			continue
 		}
+		part.Fold(shard.Update{Client: id, Weight: weight, Delta: scratch}, false)
 		f.roundDone <- struct{}{}
 	}
 }
 
-// broadcastSelect sends the round's go-ahead to every client. On the
-// binary codec one shared frame is prebuilt and written to every socket;
-// gob encoders are per-connection state, so gob sends through each Conn.
+// broadcastSelect sends the round's go-ahead to every client: one shared
+// frame, prebuilt and written to every socket.
 func (f *fleetRun) broadcastSelect(round int) error {
-	if f.cfg.Wire == WireGob {
-		e := &Envelope{Type: MsgSelect, Round: round, Ratio: 1}
-		for _, c := range f.gobConn {
-			if err := c.Send(e); err != nil {
-				return fmt.Errorf("rpc: fleet select broadcast: %w", err)
-			}
-		}
-		return nil
-	}
-	frame := make([]byte, 0, 4+envHeaderBytes+8)
-	frame = binary.LittleEndian.AppendUint32(frame, envHeaderBytes+8)
-	frame = append(frame, byte(MsgSelect), 0)
-	frame = binary.LittleEndian.AppendUint32(frame, 0) // ClientID: broadcast
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(int32(round)))
-	frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(1))
+	frame := appendFrameHead(nil, &Envelope{Type: MsgSelect, Round: round, Ratio: 1}, envHeaderBytes+8)
 	for _, raw := range f.conns {
 		if _, err := raw.Write(frame); err != nil {
 			return fmt.Errorf("rpc: fleet select broadcast: %w", err)
@@ -566,21 +484,8 @@ func (f *fleetRun) broadcastSelect(round int) error {
 // broadcastShutdown ends the session; send errors are ignored (a client
 // that already vanished is being told to vanish).
 func (f *fleetRun) broadcastShutdown() {
-	if f.cfg.Wire == WireGob {
-		e := &Envelope{Type: MsgShutdown, Info: "fleet done"}
-		for _, c := range f.gobConn {
-			c.Send(e)
-		}
-		return
-	}
-	info := "fleet done"
-	frame := make([]byte, 0, 4+envHeaderBytes+4+len(info))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(envHeaderBytes+4+len(info)))
-	frame = append(frame, byte(MsgShutdown), 0)
-	frame = binary.LittleEndian.AppendUint32(frame, 0)
-	frame = binary.LittleEndian.AppendUint32(frame, 0)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(info)))
-	frame = append(frame, info...)
+	e := &Envelope{Type: MsgShutdown, Info: "fleet done"}
+	frame := appendFrameHead(nil, e, envHeaderBytes+4+len(e.Info))
 	for _, raw := range f.conns {
 		if _, err := raw.Write(frame); err == nil {
 			f.bytesDown.Add(int64(len(frame)))
@@ -589,9 +494,8 @@ func (f *fleetRun) broadcastShutdown() {
 }
 
 // client runs one fleet member: dial, hello, then lockstep rounds until
-// shutdown. Fleet clients construct their codec directly (no preamble) on
-// a small send buffer — 10k clients at the default 32KB would burn 320MB
-// in bufio alone.
+// shutdown. Fleet clients skip the preamble and use a small send buffer —
+// 10k clients at the default 32KB would burn 320MB in bufio alone.
 func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 	dialSem <- struct{}{}
 	raw, err := f.dialRetry()
@@ -599,15 +503,10 @@ func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	var conn *Conn
-	if f.cfg.Wire == WireBinary {
-		conn = newBinaryConn(raw, nil, 1024)
-	} else {
-		conn = NewConn(raw, nil)
-	}
+	conn := newBinaryConn(raw, nil, 1024)
 	defer conn.Close()
 	if f.trackClientConns {
-		f.addConn(raw, nil)
+		f.addConn(raw)
 	}
 	if err := conn.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 1}); err != nil {
 		return err
@@ -643,14 +542,11 @@ func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 // RunFleetClients runs the client half of a split fleet: it dials
 // cfg.Network/Addr and drives clients [lo, hi) against a RunFleet server
 // (ExternalClients: true) in another process, returning once every
-// client has been shut down. cfg.Seed, Dim, Nnz and Wire must match the
+// client has been shut down. cfg.Seed, Dim and Nnz must match the
 // server's so the updates — and the server's frame caps — agree.
 func RunFleetClients(cfg FleetConfig, lo, hi int) error {
-	if cfg.Wire == "" {
-		cfg.Wire = WireBinary
-	}
-	if cfg.Wire != WireBinary && cfg.Wire != WireGob {
-		return fmt.Errorf("rpc: unknown fleet wire codec %q", cfg.Wire)
+	if err := checkWire(cfg.Wire); err != nil {
+		return err
 	}
 	if lo < 0 || hi <= lo {
 		return fmt.Errorf("rpc: fleet client range [%d, %d) is empty", lo, hi)
@@ -687,8 +583,8 @@ func RunFleetClients(cfg FleetConfig, lo, hi int) error {
 			c.Close()
 		}
 	}()
-	cfg.Logf("fleet: dialing clients [%d, %d) against %s %s (%s)",
-		lo, hi, cfg.Network, cfg.Addr, cfg.Wire)
+	cfg.Logf("fleet: dialing clients [%d, %d) against %s %s",
+		lo, hi, cfg.Network, cfg.Addr)
 	var wg sync.WaitGroup
 	dialSem := make(chan struct{}, 128)
 	for id := lo; id < hi; id++ {

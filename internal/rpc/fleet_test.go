@@ -9,12 +9,11 @@ import (
 )
 
 // fleetCfg builds a fast unix-socket fleet configuration.
-func fleetCfg(t *testing.T, wire string, clients, rounds int) FleetConfig {
+func fleetCfg(t *testing.T, clients, rounds int) FleetConfig {
 	t.Helper()
 	return FleetConfig{
 		Network: "unix",
 		Addr:    filepath.Join(t.TempDir(), "fleet.sock"),
-		Wire:    wire,
 		Clients: clients, Rounds: rounds,
 		Dim: 2000, Nnz: 100,
 		Seed: 11,
@@ -23,11 +22,10 @@ func fleetCfg(t *testing.T, wire string, clients, rounds int) FleetConfig {
 
 // TestFleetBinarySockets is the harness smoke test at a few hundred real
 // unix-socket clients: every update arrives, uplink accounting is exact
-// to the byte, and the steady-state allocation rate stays far below the
-// gob baseline's allocs-per-message.
+// to the byte, and the steady-state allocation rate stays low.
 func TestFleetBinarySockets(t *testing.T) {
 	const clients, rounds = 200, 3
-	cfg := fleetCfg(t, WireBinary, clients, rounds)
+	cfg := fleetCfg(t, clients, rounds)
 	res, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,51 +50,17 @@ func TestFleetBinarySockets(t *testing.T) {
 	if res.Checksum == 0 {
 		t.Error("zero checksum: no updates folded into the global")
 	}
-	// Steady state must be far below one envelope's worth of gob
-	// allocations; the wire path itself is allocation-free, the residue
-	// is update generation and round bookkeeping.
+	// The wire path itself is allocation-free; the residue is update
+	// generation and round bookkeeping.
 	if math.IsNaN(res.AllocsPerUpdate) || res.AllocsPerUpdate > 20 {
 		t.Errorf("allocs/update = %v, want < 20", res.AllocsPerUpdate)
-	}
-}
-
-// TestFleetGobBaseline runs the same protocol through the gob codec and
-// pins the comparison the binary codec exists to win: more bytes and
-// more allocations per update, same aggregate.
-func TestFleetGobBaseline(t *testing.T) {
-	const clients, rounds = 50, 3
-	bin, err := RunFleet(fleetCfg(t, WireBinary, clients, rounds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gob, err := RunFleet(fleetCfg(t, WireGob, clients, rounds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gob.Updates != bin.Updates {
-		t.Fatalf("update counts differ: %d vs %d", gob.Updates, bin.Updates)
-	}
-	// Wire volume is comparable across codecs (gob varint-packs indices,
-	// binary fixes them at 4 bytes); the binary codec's win is the
-	// allocation-free decode path, so pin that. The ×3 floor is loose —
-	// measured gob runs ~10× — to keep the test robust on busy machines.
-	if gob.BytesPerUpdate < float64(bin.BytesPerUpdate)/2 || gob.BytesPerUpdate > 2*bin.BytesPerUpdate {
-		t.Errorf("gob %v bytes/update implausible vs binary %v", gob.BytesPerUpdate, bin.BytesPerUpdate)
-	}
-	if gob.AllocsPerUpdate <= 3*bin.AllocsPerUpdate {
-		t.Errorf("gob %v allocs/update not well above binary %v", gob.AllocsPerUpdate, bin.AllocsPerUpdate)
-	}
-	// Same updates, same weights: the aggregates agree up to summation
-	// order (worker assignment is arrival-dependent).
-	if diff := math.Abs(gob.Checksum - bin.Checksum); diff > 1e-9*(1+math.Abs(bin.Checksum)) {
-		t.Errorf("checksums diverge: %v (gob) vs %v (binary)", gob.Checksum, bin.Checksum)
 	}
 }
 
 // TestFleetTCP exercises the tcp transport path (the default for
 // cross-host runs) at a small fleet.
 func TestFleetTCP(t *testing.T) {
-	cfg := fleetCfg(t, WireBinary, 20, 2)
+	cfg := fleetCfg(t, 20, 2)
 	cfg.Network, cfg.Addr = "tcp", "127.0.0.1:0"
 	res, err := RunFleet(cfg)
 	if err != nil {
@@ -130,7 +94,7 @@ func TestFleetValidation(t *testing.T) {
 // file table never holds both socket ends; here goroutines stand in.)
 func TestFleetExternalClients(t *testing.T) {
 	const clients, rounds = 60, 2
-	cfg := fleetCfg(t, WireBinary, clients, rounds)
+	cfg := fleetCfg(t, clients, rounds)
 	cfg.ExternalClients = true
 
 	resCh := make(chan *FleetResult, 1)
@@ -157,7 +121,7 @@ func TestFleetExternalClients(t *testing.T) {
 		t.Fatalf("updates = %d, want %d", res.Updates, clients*rounds)
 	}
 
-	solo, err := RunFleet(fleetCfg(t, WireBinary, clients, rounds))
+	solo, err := RunFleet(fleetCfg(t, clients, rounds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +133,11 @@ func TestFleetExternalClients(t *testing.T) {
 // TestFleetDeterministicChecksum: two identical binary runs fold the
 // same updates; their checksums agree up to summation order.
 func TestFleetDeterministicChecksum(t *testing.T) {
-	a, err := RunFleet(fleetCfg(t, WireBinary, 40, 2))
+	a, err := RunFleet(fleetCfg(t, 40, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFleet(fleetCfg(t, WireBinary, 40, 2))
+	b, err := RunFleet(fleetCfg(t, 40, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

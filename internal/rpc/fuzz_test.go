@@ -3,12 +3,10 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -32,7 +30,7 @@ func (b *byteConn) SetReadDeadline(time.Time) error  { return nil }
 func (b *byteConn) SetWriteDeadline(time.Time) error { return nil }
 
 // fixtureEnvelopes covers every message type with its relevant fields
-// populated (slices non-empty so gob round-trips them structurally).
+// populated.
 func fixtureEnvelopes() []*Envelope {
 	return []*Envelope{
 		{Type: MsgHello, ClientID: 3, NumSamples: 412},
@@ -53,74 +51,68 @@ func fixtureEnvelopes() []*Envelope {
 	}
 }
 
-func encodeEnvelope(tb testing.TB, e *Envelope) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzEnvelopeDecode feeds arbitrary (and, via the corpus, subtly
-// corrupted/truncated) byte streams into Conn.Recv and requires
-// error-not-panic behaviour. This is the exact failure surface the fault
-// injector's mid-message cut produces on a live socket.
+// FuzzEnvelopeDecode fuzzes the envelope decoder below the framing: the
+// bytes are one frame's payload, handed to decodeFrame as recvBinary would
+// after reading the length prefix. Whatever they claim, both receive
+// paths must error or decode (never panic), agree with each other, and an
+// accepted payload must survive a re-encode: decoding what the decoded
+// envelope encodes to yields the same envelope, bit for bit.
 func FuzzEnvelopeDecode(f *testing.F) {
 	for _, e := range fixtureEnvelopes() {
-		raw := encodeEnvelope(f, e)
-		f.Add(raw)
-		// Truncations: a cut mid-length-prefix, mid-type-descriptor and
-		// mid-payload.
-		for _, cut := range []int{1, len(raw) / 3, len(raw) - 1} {
-			if cut > 0 && cut < len(raw) {
-				f.Add(raw[:cut])
+		payload := encodeBinaryEnvelope(f, e)[4:]
+		f.Add(payload)
+		// Truncations: mid-header and mid-body.
+		for _, cut := range []int{1, len(payload) / 3, len(payload) - 1} {
+			if cut > 0 && cut < len(payload) {
+				f.Add(payload[:cut])
 			}
 		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(bytes.Repeat([]byte{0x7f}, 64))
-	// A legitimate envelope big enough to trip the capped decode pass
-	// below, so the size-cap path is part of the fuzzed surface.
-	f.Add(encodeEnvelope(f, &Envelope{Type: MsgModel, Params: make([]float64, 2048)}))
+	f.Add(encodeBinaryEnvelope(f, &Envelope{Type: MsgModel, Params: make([]float64, 2048)})[4:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			t.Skip("oversized input")
+		if len(data) < envHeaderBytes || len(data) > 1<<16 {
+			return // recvBinary refuses a payload shorter than the header itself
 		}
-		c := NewConn(&byteConn{r: bytes.NewReader(data)}, nil)
-		// Decode until the stream errors out; bound the loop so a stream
-		// of tiny valid messages cannot spin for long.
-		for i := 0; i < 64; i++ {
-			if _, err := c.Recv(); err != nil {
-				break // error, not panic: exactly what we want
-			}
+		c := NewBinaryConn(&byteConn{}, nil)
+		var fresh, scratch Envelope
+		errFresh := c.decodeFrame(&fresh, data, true)
+		errScratch := c.decodeFrame(&scratch, data, false)
+		if (errFresh == nil) != (errScratch == nil) {
+			t.Fatalf("receive paths disagree: Recv %v, RecvInto %v", errFresh, errScratch)
 		}
-		// Second pass under a tight receive cap: whatever the bytes
-		// claim about slice lengths, Recv must error out (never panic,
-		// never materialise the allocation) once the cap is hit.
-		capped := NewConn(&byteConn{r: bytes.NewReader(data)}, nil)
-		capped.SetMaxMessage(1 << 12)
-		for i := 0; i < 64; i++ {
-			if _, err := capped.Recv(); err != nil {
-				return
-			}
+		if errFresh != nil {
+			return
+		}
+		if !envelopesBitEqual(&fresh, &scratch) {
+			t.Fatalf("receive paths decode differently:\n Recv     %+v\n RecvInto %+v", &fresh, &scratch)
+		}
+		var again Envelope
+		if err := c.decodeFrame(&again, encodeBinaryEnvelope(t, &fresh)[4:], true); err != nil {
+			t.Fatalf("re-encoded %v does not decode: %v", fresh.Type, err)
+		}
+		if !envelopesBitEqual(&fresh, &again) {
+			t.Fatalf("re-encode changed the envelope:\n first  %+v\n second %+v", &fresh, &again)
 		}
 	})
 }
 
-// FuzzWireDecode is the binary-codec twin of FuzzEnvelopeDecode: frames
-// of every message type — plus truncations, bit flips and hostile length
-// prefixes — must decode or error, never panic, never allocate from a
-// corrupt declared length, on both the allocating and the scratch-reuse
-// receive paths.
+// FuzzWireDecode feeds arbitrary (and, via the corpus, subtly corrupted
+// or truncated) byte streams into Conn.Recv: frames of every message type
+// — plus truncations, bit flips and hostile length prefixes — must decode
+// or error, never panic, never allocate from a corrupt declared length, on
+// both the allocating and the scratch-reuse receive paths. This is the
+// exact failure surface the fault injector's mid-message cut produces on
+// a live socket.
 func FuzzWireDecode(f *testing.F) {
 	for _, e := range fixtureEnvelopes() {
 		raw := encodeBinaryEnvelope(f, e)
 		f.Add(raw)
 		// Truncations: mid-length-prefix, mid-header and mid-body.
-		for _, cut := range []int{2, 4, 4 + envHeaderBytes/2, len(raw) - 1} {
+		for _, cut := range []int{1, 2, 4, 4 + envHeaderBytes/2, len(raw) / 3, len(raw) - 1} {
 			if cut > 0 && cut < len(raw) {
 				f.Add(raw[:cut])
 			}
@@ -133,6 +125,11 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00})             // zero-length payload
 	f.Add([]byte{0x0a, 0x00, 0x00, 0x00, 0xff, 0xff}) // bad type, cut header
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(bytes.Repeat([]byte{0x7f}, 64))
+	// A legitimate frame big enough to trip the capped pass below, so the
+	// size-cap path is part of the fuzzed surface.
+	f.Add(encodeBinaryEnvelope(f, &Envelope{Type: MsgModel, Params: make([]float64, 2048)}))
 
 	// Hostile edge-federation frames: length fields that lie about the
 	// body. Offsets: 4-byte frame prefix, 10-byte header, then the typed
@@ -227,61 +224,70 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// TestConnRecvSizeCap locks in the OOM guard: a well-formed envelope
-// whose wire size exceeds the cap must fail with ErrMessageTooLarge,
-// while the same bytes decode fine under the default cap.
+// TestConnRecvSizeCap locks in the OOM guard on the scratch receive path:
+// a well-formed frame over the cap fails with ErrMessageTooLarge before
+// the connection's receive buffer is grown for it, while the same bytes
+// decode under the default cap and with the cap disabled.
 func TestConnRecvSizeCap(t *testing.T) {
 	big := &Envelope{Type: MsgModel, Round: 1, Params: make([]float64, 4096)}
 	for i := range big.Params {
 		big.Params[i] = float64(i)
 	}
-	raw := encodeEnvelope(t, big)
+	raw := encodeBinaryEnvelope(t, big)
+	var env Envelope
 
-	ok := NewConn(&byteConn{r: bytes.NewReader(raw)}, nil)
-	if _, err := ok.Recv(); err != nil {
+	ok := NewBinaryConn(&byteConn{r: bytes.NewReader(raw)}, nil)
+	if err := ok.RecvInto(&env); err != nil {
 		t.Fatalf("default cap rejected a %d-byte model broadcast: %v", len(raw), err)
 	}
 
-	capped := NewConn(&byteConn{r: bytes.NewReader(raw)}, nil)
+	capped := NewBinaryConn(&byteConn{r: bytes.NewReader(raw)}, nil)
 	capped.SetMaxMessage(1 << 10)
-	_, err := capped.Recv()
-	if err == nil {
-		t.Fatal("oversized message decoded despite cap")
-	}
-	if !errors.Is(err, ErrMessageTooLarge) {
+	if err := capped.RecvInto(&env); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("cap violation error %v does not wrap ErrMessageTooLarge", err)
 	}
+	if cap(capped.recvBuf) != 0 {
+		t.Fatalf("receive buffer grown to %d bytes for a refused frame", cap(capped.recvBuf))
+	}
 
-	// Cap disabled: decodes again.
-	uncapped := NewConn(&byteConn{r: bytes.NewReader(raw)}, nil)
+	uncapped := NewBinaryConn(&byteConn{r: bytes.NewReader(raw)}, nil)
 	uncapped.SetMaxMessage(0)
-	if _, err := uncapped.Recv(); err != nil {
+	if err := uncapped.RecvInto(&env); err != nil {
 		t.Fatalf("uncapped conn failed: %v", err)
 	}
 }
 
-// TestEnvelopeRoundTripAllTypes is the property test companion to the
-// fuzzer: every message type survives an encode/decode round trip through
-// a real Conn pair unchanged.
+// TestEnvelopeRoundTripAllTypes sends every fixture down one connection
+// and reads them all through RecvInto into one envelope: the scratch the
+// connection reuses between messages (the sparse payload, the two float
+// vectors) must leak nothing from one message type into the next.
 func TestEnvelopeRoundTripAllTypes(t *testing.T) {
-	for _, want := range fixtureEnvelopes() {
-		want := want
-		a, b := net.Pipe()
-		ca, cb := NewConn(a, nil), NewConn(b, nil)
-		errCh := make(chan error, 1)
-		go func() { errCh <- ca.Send(want) }()
-		got, err := cb.Recv()
-		if err != nil {
-			t.Fatalf("type %v: recv: %v", want.Type, err)
+	a, b := net.Pipe()
+	ca, cb := NewBinaryConn(a, nil), NewBinaryConn(b, nil)
+	defer ca.Close()
+	defer cb.Close()
+	fixtures := wireFixtures()
+	errCh := make(chan error, 1)
+	go func() {
+		for _, e := range fixtures {
+			if err := ca.Send(e); err != nil {
+				errCh <- err
+				return
+			}
 		}
-		if err := <-errCh; err != nil {
-			t.Fatalf("type %v: send: %v", want.Type, err)
+		errCh <- nil
+	}()
+	var got Envelope
+	for i, want := range fixtures {
+		if err := cb.RecvInto(&got); err != nil {
+			t.Fatalf("fixture %d (%v): recv: %v", i, want.Type, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("type %v round trip mismatch:\n got %+v\nwant %+v", want.Type, got, want)
+		if !envelopesBitEqual(&got, want) {
+			t.Errorf("fixture %d (%v) mismatch after scratch reuse:\n got %+v\nwant %+v", i, want.Type, &got, want)
 		}
-		ca.Close()
-		cb.Close()
+	}
+	if err := <-errCh; err != nil {
+		t.Fatalf("send: %v", err)
 	}
 }
 
@@ -290,7 +296,7 @@ func TestEnvelopeRoundTripAllTypes(t *testing.T) {
 // exercises the surface.
 func TestEnvelopeDecodeCorruptedPayloads(t *testing.T) {
 	for _, e := range fixtureEnvelopes() {
-		raw := encodeEnvelope(t, e)
+		raw := encodeBinaryEnvelope(t, e)
 		corruptions := [][]byte{
 			raw[:len(raw)/2], // truncated mid-message
 			raw[1:],          // missing first length byte
@@ -303,19 +309,18 @@ func TestEnvelopeDecodeCorruptedPayloads(t *testing.T) {
 			corruptions = append(corruptions, mut)
 		}
 		for _, data := range corruptions {
-			c := NewConn(&byteConn{r: bytes.NewReader(data)}, nil)
+			c := NewBinaryConn(&byteConn{r: bytes.NewReader(data)}, nil)
+			c.SetMaxMessage(1 << 16) // a flipped length byte must not buy a 64 MB buffer
 			for i := 0; i < 64; i++ {
 				got, err := c.Recv()
 				if err != nil {
 					break // error-not-panic
 				}
-				// A flipped byte may still decode; the result must at
-				// least be a finite, well-formed envelope.
+				// A flipped byte may still decode; the sparse decoder
+				// never yields mismatched index and value runs.
 				if got.Update != nil && len(got.Update.Indices) != len(got.Update.Values) {
-					// Structurally inconsistent sparse payloads must be
-					// caught by the consumer; document that they can
-					// arrive rather than panic here.
-					break
+					t.Fatalf("type %v: decoded sparse with %d indices, %d values",
+						e.Type, len(got.Update.Indices), len(got.Update.Values))
 				}
 			}
 		}

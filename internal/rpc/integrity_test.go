@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +25,7 @@ func runEvilClient(addr string, id, samples, maxRedials int,
 	mkUpd func(round, dim int) *compress.Sparse) *evilResult {
 	res := &evilResult{}
 	for attempt := 0; ; attempt++ {
-		raw, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		conn, err := Dial("tcp", addr, 5*time.Second)
 		if err != nil {
 			if attempt >= maxRedials {
 				res.err = err
@@ -38,7 +37,6 @@ func runEvilClient(addr string, id, samples, maxRedials int,
 		if attempt > 0 {
 			res.redials++
 		}
-		conn := NewConn(raw, nil)
 		done := func() bool {
 			defer conn.Close()
 			if err := conn.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: samples}); err != nil {

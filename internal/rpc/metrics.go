@@ -34,7 +34,6 @@ type serverMetrics struct {
 	received      *obs.Gauge     // adafl_round_received
 	connections   *obs.Gauge     // adafl_connections (open, registered client sockets)
 	wireBinary    *obs.Counter   // adafl_wire_messages_total{codec="binary"}
-	wireGob       *obs.Counter   // adafl_wire_messages_total{codec="gob"}
 }
 
 // newServerMetrics resolves the server instrument set. A non-empty
@@ -68,17 +67,6 @@ func newServerMetrics(r *obs.Registry, session string) serverMetrics {
 		received:      r.Gauge(l("adafl_round_received")),
 		connections:   r.Gauge(l("adafl_connections")),
 		wireBinary:    r.Counter(l(`adafl_wire_messages_total{codec="binary"}`)),
-		wireGob:       r.Counter(l(`adafl_wire_messages_total{codec="gob"}`)),
-	}
-}
-
-// countWire attributes one received message to the connection's
-// negotiated codec, so a mixed fleet's gob-fallback share is visible.
-func (m *serverMetrics) countWire(c *Conn) {
-	if c.Codec() == WireBinary {
-		m.wireBinary.Inc()
-	} else {
-		m.wireGob.Inc()
 	}
 }
 

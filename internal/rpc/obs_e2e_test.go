@@ -150,12 +150,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if got := samples["adafl_connections"]; got != 0 {
 		t.Errorf("adafl_connections = %v after shutdown, want 0", got)
 	}
-	// Every client in this session negotiates the binary codec.
 	if samples[`adafl_wire_messages_total{codec="binary"}`] <= 0 {
-		t.Error("no messages attributed to the binary codec")
-	}
-	if got := samples[`adafl_wire_messages_total{codec="gob"}`]; got != 0 {
-		t.Errorf(`adafl_wire_messages_total{codec="gob"} = %v on an all-binary fleet`, got)
+		t.Error("no received messages counted")
 	}
 	if !math.IsNaN(res.FinalAcc) {
 		if got := samples["adafl_round_accuracy"]; math.Abs(got-res.FinalAcc) > 1e-9 {

@@ -4,16 +4,14 @@
 // the paper's Raspberry Pi cluster deployment and backs the cmd/flserver
 // and cmd/flclient binaries.
 //
-// Two codecs share one message vocabulary: the versioned, length-prefixed
-// binary codec (wire.go — the zero-allocation hot path) and gob (the
-// compatibility fallback). The codec is negotiated per connection at
-// connect time, so binary-capable peers upgrade and everything else keeps
-// speaking gob.
+// One codec crosses a socket: the versioned, length-prefixed binary frame
+// of wire.go. A connection opens with a four-byte preamble whose last
+// byte is the wire version; peers that disagree on it part with
+// ErrWireVersion, and a peer that opens with anything else is closed.
 package rpc
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -135,26 +133,19 @@ type Envelope struct {
 	Region string
 }
 
-// Conn wraps a net.Conn with one of the two codecs and byte accounting.
+// Conn frames envelopes over a net.Conn (wire.go) and counts the bytes.
 // Send and Recv are individually goroutine-safe (each direction is
 // serialised by its own mutex), so the server's per-client round
 // goroutines and a concurrent shutdown path can share one Conn.
 type Conn struct {
-	raw    net.Conn
+	raw    *countingConn
 	sendMu sync.Mutex
 	recvMu sync.Mutex
-	cw     *countingWriter
-	cr     *countingReader
 
-	// gob codec (nil on a binary connection).
-	enc *gob.Encoder
-	dec *gob.Decoder
-
-	// Binary codec state. The scratch buffers make steady-state Send and
-	// RecvInto allocation-free: frames stream out through sendHdr + chunk
-	// + bw, and decoded payloads land in connection-owned slices reused
-	// across messages.
-	binary  bool
+	// The scratch buffers make steady-state Send and RecvInto
+	// allocation-free: frames stream out through sendHdr + chunk + bw, and
+	// decoded payloads land in connection-owned slices reused across
+	// messages.
 	maxMsg  int64
 	bw      *bufio.Writer
 	sendHdr []byte
@@ -167,25 +158,10 @@ type Conn struct {
 	recvDelta  []float64
 }
 
-// NewConn wraps raw with the gob codec (the compatibility fallback). If
-// throttle is non-nil it shapes writes. The receive path is capped at
+// NewBinaryConn wraps raw in the frame codec; if throttle is non-nil it
+// shapes writes. The handshake is the caller's (Dial and Accept do it):
+// the codec itself carries no preamble. The receive path is capped at
 // DefaultMaxMessageBytes per message; see SetMaxMessage.
-func NewConn(raw net.Conn, throttle *TokenBucket) *Conn {
-	cw := &countingWriter{w: raw}
-	cr := &countingReader{r: raw, limit: DefaultMaxMessageBytes}
-	c := &Conn{raw: raw, cw: cw, cr: cr}
-	if throttle != nil {
-		c.enc = gob.NewEncoder(&throttledWriter{w: cw, tb: throttle})
-	} else {
-		c.enc = gob.NewEncoder(cw)
-	}
-	c.dec = gob.NewDecoder(cr)
-	return c
-}
-
-// NewBinaryConn wraps raw with the binary codec. Both peers must already
-// have agreed on it (see clientNegotiate/serverNegotiate); the codec
-// itself carries no preamble.
 func NewBinaryConn(raw net.Conn, throttle *TokenBucket) *Conn {
 	return newBinaryConn(raw, throttle, defaultWireBufSize)
 }
@@ -194,17 +170,13 @@ func NewBinaryConn(raw net.Conn, throttle *TokenBucket) *Conn {
 // buffer: 10k simulated clients at the default 32KB would cost 320MB in
 // bufio alone.
 func newBinaryConn(raw net.Conn, throttle *TokenBucket, bufSize int) *Conn {
-	cw := &countingWriter{w: raw}
-	// limit stays 0: the binary codec enforces its cap exactly from the
-	// frame length prefix (maxMsg), not by counting reads.
-	cr := &countingReader{r: raw}
-	var w io.Writer = cw
+	cc := &countingConn{Conn: raw}
+	var w io.Writer = cc
 	if throttle != nil {
-		w = &throttledWriter{w: cw, tb: throttle}
+		w = &throttledWriter{w: cc, tb: throttle}
 	}
 	return &Conn{
-		raw: raw, cw: cw, cr: cr,
-		binary:  true,
+		raw:     cc,
 		maxMsg:  DefaultMaxMessageBytes,
 		bw:      bufio.NewWriterSize(w, bufSize),
 		sendHdr: make([]byte, 0, 4+envHeaderBytes+16),
@@ -212,25 +184,11 @@ func newBinaryConn(raw net.Conn, throttle *TokenBucket, bufSize int) *Conn {
 	}
 }
 
-// Codec names the connection's negotiated codec (WireBinary or WireGob).
-func (c *Conn) Codec() string {
-	if c.binary {
-		return WireBinary
-	}
-	return WireGob
-}
-
 // Send writes one envelope.
 func (c *Conn) Send(e *Envelope) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if c.binary {
-		if err := c.sendBinary(e); err != nil {
-			return fmt.Errorf("rpc: send %v: %w", e.Type, err)
-		}
-		return nil
-	}
-	if err := c.enc.Encode(e); err != nil {
+	if err := c.sendBinary(e); err != nil {
 		return fmt.Errorf("rpc: send %v: %w", e.Type, err)
 	}
 	return nil
@@ -242,47 +200,23 @@ func (c *Conn) Send(e *Envelope) error {
 // ErrMessageTooLarge instead of being materialised.
 func (c *Conn) Recv() (*Envelope, error) {
 	e := &Envelope{}
-	if err := c.recv(e, true); err != nil {
+	if err := c.recvBinary(e, true); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
 // RecvInto reads one envelope into e, reusing the connection's decode
-// scratch: on a binary connection the slice fields and Update payload are
-// connection-owned and valid only until the next RecvInto on this
-// connection. This is the zero-allocation receive path; callers that
-// retain payloads across messages must use Recv or copy.
-func (c *Conn) RecvInto(e *Envelope) error { return c.recv(e, false) }
-
-func (c *Conn) recv(e *Envelope, fresh bool) error {
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
-	if c.binary {
-		return c.recvBinary(e, fresh)
-	}
-	c.cr.beginMessage()
-	// Reset before decoding: gob omits zero-valued fields, so a reused
-	// envelope would otherwise keep stale fields from its last message.
-	*e = Envelope{}
-	if err := c.dec.Decode(e); err != nil {
-		if c.cr.capped() {
-			return fmt.Errorf("%w (cap %d bytes): %v", ErrMessageTooLarge, c.cr.limit, err)
-		}
-		return err
-	}
-	return nil
-}
+// scratch: the slice fields and Update payload are connection-owned and
+// valid only until the next RecvInto on this connection. This is the
+// zero-allocation receive path; callers that retain payloads across
+// messages must use Recv or copy.
+func (c *Conn) RecvInto(e *Envelope) error { return c.recvBinary(e, false) }
 
 // SetMaxMessage overrides the per-message receive cap (bytes). n <= 0
-// disables the cap entirely. On the binary codec the cap is exact (the
-// declared frame size, prefix included, is judged before any payload
-// byte is read); on gob it can over-attribute up to one bufio block of
-// read-ahead (see countingReader).
-func (c *Conn) SetMaxMessage(n int64) {
-	c.maxMsg = n
-	c.cr.limit = n
-}
+// disables the cap entirely. The cap is exact: the declared frame size,
+// prefix included, is judged before any payload byte is read.
+func (c *Conn) SetMaxMessage(n int64) { c.maxMsg = n }
 
 // SetReadDeadline bounds the next Recv: a blocked read returns an error
 // once t passes. The zero time clears the deadline.
@@ -292,60 +226,28 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
 
 // BytesSent and BytesReceived report cumulative wire volume. They are safe
-// to read while the connection is in use. On a binary connection both
-// counts are exact per message: framing reads exactly the bytes each
-// message declares, with no decoder read-ahead.
-func (c *Conn) BytesSent() int64     { return c.cw.n.Load() }
-func (c *Conn) BytesReceived() int64 { return c.cr.n.Load() }
+// to read while the connection is in use, and exact per message: framing
+// reads exactly the bytes each message declares, with no read-ahead.
+func (c *Conn) BytesSent() int64     { return c.raw.sent.Load() }
+func (c *Conn) BytesReceived() int64 { return c.raw.received.Load() }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
 
-type countingWriter struct {
-	w io.Writer
-	n atomic.Int64
+// countingConn counts the bytes that cross the socket in each direction.
+type countingConn struct {
+	net.Conn
+	sent, received atomic.Int64
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(int64(n))
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.sent.Add(int64(n))
 	return n, err
 }
 
-type countingReader struct {
-	r io.Reader
-	n atomic.Int64
-
-	// Per-message accounting for the gob receive size cap. Only the Recv
-	// goroutine touches these (serialised by recvMu): msg counts bytes
-	// consumed since beginMessage, hitCap records that the cap tripped.
-	// gob's internal buffering may attribute up to one bufio block of
-	// read-ahead to the previous message; the slack is a few KB against a
-	// cap measured in MB, irrelevant for OOM protection. The binary codec
-	// does not use this mechanism (limit stays 0): its framing makes the
-	// cap and the byte counters exact.
-	limit  int64
-	msg    int64
-	hitCap bool
-}
-
-func (c *countingReader) beginMessage() {
-	c.msg = 0
-	c.hitCap = false
-}
-
-func (c *countingReader) capped() bool { return c.hitCap }
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	if c.limit > 0 && c.msg >= c.limit {
-		c.hitCap = true
-		return 0, ErrMessageTooLarge
-	}
-	if c.limit > 0 && int64(len(p)) > c.limit-c.msg {
-		p = p[:c.limit-c.msg]
-	}
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	c.msg += int64(n)
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.received.Add(int64(n))
 	return n, err
 }

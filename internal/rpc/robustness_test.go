@@ -32,11 +32,10 @@ func TestServerClientDisconnectEndsCleanly(t *testing.T) {
 		resCh <- res
 		errCh <- err
 	}()
-	raw, err := net.Dial("tcp", srv.Addr())
+	c, err := Dial("tcp", srv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewConn(raw, nil)
 	if err := c.Send(&Envelope{Type: MsgHello, ClientID: 0, NumSamples: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +73,11 @@ func TestServerRejectsDuplicateIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dial := func() *Conn {
-		raw, err := net.Dial("tcp", srv.Addr())
+		c, err := Dial("tcp", srv.Addr(), time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewConn(raw, nil)
+		return c
 	}
 	resCh := make(chan *ServerResult, 1)
 	go func() {
@@ -146,14 +145,10 @@ func TestClientRejectsUnexpectedMessage(t *testing.T) {
 		if err != nil {
 			return
 		}
-		// Negotiate like the real server so the default (binary-capable)
-		// client under test upgrades instead of stalling on the preamble.
-		conn, err := serverNegotiate(raw, true)
+		conn, _, err := Accept(raw, MsgHello)
 		if err != nil {
-			raw.Close()
 			return
 		}
-		conn.Recv()                          // hello
 		conn.Send(&Envelope{Type: MsgScore}) // nonsense: server never sends scores
 	}()
 
@@ -190,13 +185,11 @@ func TestClientToleratesWelcomeAfterFirstBroadcast(t *testing.T) {
 		if err != nil {
 			return
 		}
-		conn, err := serverNegotiate(raw, true)
+		conn, _, err := Accept(raw, MsgHello)
 		if err != nil {
-			raw.Close()
 			return
 		}
 		defer conn.Close()
-		conn.Recv() // hello
 		conn.Send(&Envelope{Type: MsgModel, Params: newModel().ParamVector()})
 		conn.Recv() // score
 		conn.Send(&Envelope{Type: MsgWelcome})
@@ -220,7 +213,7 @@ func TestClientToleratesWelcomeAfterFirstBroadcast(t *testing.T) {
 // TestConnRecvAfterClose returns an error, not a hang.
 func TestConnRecvAfterClose(t *testing.T) {
 	a, b := net.Pipe()
-	ca, cb := NewConn(a, nil), NewConn(b, nil)
+	ca, cb := NewBinaryConn(a, nil), NewBinaryConn(b, nil)
 	ca.Close()
 	if _, err := cb.Recv(); err == nil {
 		t.Fatal("recv on closed pipe succeeded")

@@ -19,7 +19,7 @@ func quiet(string, ...interface{}) {}
 
 func TestConnRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
-	ca, cb := NewConn(a, nil), NewConn(b, nil)
+	ca, cb := NewBinaryConn(a, nil), NewBinaryConn(b, nil)
 	done := make(chan *Envelope, 1)
 	go func() {
 		e, err := cb.Recv()
@@ -45,7 +45,7 @@ func TestConnRoundTrip(t *testing.T) {
 
 func TestConnSparsePayload(t *testing.T) {
 	a, b := net.Pipe()
-	ca, cb := NewConn(a, nil), NewConn(b, nil)
+	ca, cb := NewBinaryConn(a, nil), NewBinaryConn(b, nil)
 	defer ca.Close()
 	defer cb.Close()
 	go func() {

@@ -32,10 +32,6 @@ import (
 // not configure one.
 const DefaultStragglerTimeout = 30 * time.Second
 
-// helloTimeout bounds the registration handshake on a freshly accepted
-// connection so a dialer that never speaks cannot pin a server goroutine.
-const helloTimeout = 5 * time.Second
-
 // ServerConfig configures a federation server.
 type ServerConfig struct {
 	// Addr is the listen address, e.g. ":7070". Ignored by
@@ -138,11 +134,8 @@ type ServerConfig struct {
 	// summary, and checkpoint saves. The log is flushed (and fsynced)
 	// at every round boundary.
 	Events *obs.EventLog
-	// Wire selects the accepted wire codecs: "" or WireBinary sniffs each
-	// accepted connection and speaks whichever codec the client opened
-	// with (binary preamble or plain gob); WireGob declines binary
-	// preambles so every session runs the legacy gob path (binary-capable
-	// clients fall back automatically).
+	// Wire accepts only "" or WireBinary and selects nothing (see
+	// WireBinary); any other value is an error.
 	Wire string
 	// Scenario, when non-nil, overlays a declarative fleet scenario on
 	// the session: per-round availability (diurnal waves, correlated
@@ -327,8 +320,8 @@ func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Wire != "" && cfg.Wire != WireBinary && cfg.Wire != WireGob {
-		return cfg, fmt.Errorf("rpc: unknown wire codec %q (want %q or %q)", cfg.Wire, WireBinary, WireGob)
+	if err := checkWire(cfg.Wire); err != nil {
+		return cfg, err
 	}
 	if cfg.CheckpointDir != "" {
 		// The atomic rename in checkpoint.Save needs the directory to
@@ -625,34 +618,20 @@ func (s *Server) acceptLoop() {
 }
 
 func (s *Server) handshake(raw net.Conn) {
-	wrapped := WrapFault(raw, s.cfg.Fault)
-	// Codec sniff under the hello deadline: a dialer that never speaks
-	// cannot pin this goroutine, and the first byte decides gob vs binary
-	// (see serverNegotiate).
-	wrapped.SetReadDeadline(time.Now().Add(helloTimeout))
-	conn, err := serverNegotiate(wrapped, s.cfg.Wire != WireGob)
-	if err != nil {
-		wrapped.Close()
-		return
+	if conn, hello, err := Accept(WrapFault(raw, s.cfg.Fault), MsgHello); err == nil {
+		s.Deliver(conn, hello)
 	}
-	hello, err := conn.Recv()
-	if err != nil || hello.Type != MsgHello {
-		conn.Close()
-		return
-	}
-	s.Deliver(conn, hello)
 }
 
-// Deliver admits an already-negotiated connection whose hello has been
-// read — the entry point a session.Manager uses after routing the
+// Deliver admits a connection that Accept has admitted and whose hello it
+// returned — the entry point a session.Manager uses after routing the
 // handshake itself (the server's own acceptLoop funnels through it too).
 // The hello envelope is only read during the call. A rejected connection
 // is closed after a shutdown notice and the error says why; nil means the
 // client is registered and welcomed.
 func (s *Server) Deliver(conn *Conn, hello *Envelope) error {
 	id := hello.ClientID
-	s.met.countWire(conn)
-	conn.SetReadDeadline(time.Time{})
+	s.met.wireBinary.Inc()
 
 	s.mu.Lock()
 	if s.closing {
@@ -810,7 +789,7 @@ func (s *Server) recvTimed(c *clientConn) (*Envelope, error) {
 	if err := c.conn.RecvInto(&c.env); err != nil {
 		return nil, err
 	}
-	s.met.countWire(c.conn)
+	s.met.wireBinary.Inc()
 	return &c.env, nil
 }
 

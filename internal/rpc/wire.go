@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,8 +12,7 @@ import (
 	"adafl/internal/compress"
 )
 
-// Binary wire protocol (negotiated at connect time; gob is the fallback
-// so old peers interoperate — see DESIGN.md §Wire protocol):
+// Wire protocol (see DESIGN.md §Wire protocol):
 //
 //	frame    := u32 LE payload-length | payload
 //	payload  := u8 type | u8 flags(0) | i32 LE clientID | i32 LE round | body
@@ -38,38 +38,54 @@ import (
 // The length prefix excludes its own 4 bytes. Explicit framing is what
 // makes receive-side accounting exact: a Conn reads exactly 4+len bytes
 // per message, never a block of read-ahead, so the bytes{dir} counters
-// and the per-message size cap have no gob-bufio slack (the caveat the
-// gob path documents in protocol.go).
+// and the per-message size cap are exact.
 //
-// Negotiation: a binary-capable client opens with the 4-byte preamble
-// {0xAD, 0xF1, 0x77, version}. A gob stream can never begin with 0xAD
-// (gob's first byte is a message byte count: < 0x80 for small counts or
-// >= 0xF8 for the negated-length marker), so the server distinguishes the
-// codecs from the first byte alone. A binary-accepting server consumes
-// the preamble and echoes it as the acknowledgement; a gob-only server
-// (or a pre-binary build) treats the preamble as a corrupt gob stream and
-// drops the connection, and the client redials speaking plain gob.
+// Handshake: a dialer opens with a 4-byte preamble and the listener
+// answers with its own (Dial, Accept). There is no second codec to fall
+// back to: peers of unequal versions part with ErrWireVersion.
 
-// Wire codec names (ClientConfig.Wire / ServerConfig.Wire / -wire flag).
-const (
-	WireBinary = "binary"
-	WireGob    = "gob"
-)
+// WireBinary is the only value, besides "", that the Wire fields of the
+// server, client, fleet, session and edge configs accept. The fields
+// select nothing; they go with the benchmark-v2 PR (ROADMAP item 4),
+// which may edit the bench/ call sites that still set them.
+const WireBinary = "binary"
 
-const (
-	wireMagic0 = 0xAD
-	wireMagic1 = 0xF1
-	wireMagic2 = 0x77
-	// wireVersion 2: the sparse section gained the ascending (varint
-	// index run) and f32 layouts. A v1 decoder ignores the sflags bits
-	// that announce them and would misread the frame, so the two versions
-	// decline each other and meet on gob.
-	wireVersion = 2
-)
+// checkWire rejects any Wire value but "" and WireBinary.
+func checkWire(wire string) error {
+	if wire != "" && wire != WireBinary {
+		return fmt.Errorf("rpc: unknown wire codec %q (want %q)", wire, WireBinary)
+	}
+	return nil
+}
 
-// wirePreamble is the client's codec-upgrade request and, echoed back,
-// the server's acknowledgement.
-var wirePreamble = [4]byte{wireMagic0, wireMagic1, wireMagic2, wireVersion}
+// wireVersion 2: the sparse section gained the ascending (varint index
+// run) and f32 layouts. A v1 decoder ignores the sflags bits that announce
+// them and would misread the frame, which is what the version byte is
+// for: the two refuse each other at the handshake.
+const wireVersion = 2
+
+// preamble returns the four opening bytes of a peer speaking version v.
+func preamble(v byte) [4]byte { return [4]byte{0xAD, 0xF1, 0x77, v} }
+
+// wirePreamble is what a dialer opens with and expects back. (Accept
+// speaks wireVersion whatever this holds, so a test can patch it to pose
+// as a dialer of another version.)
+var wirePreamble = preamble(wireVersion)
+
+// ErrWireVersion reports a peer that speaks another version of the wire
+// protocol. Redialling cannot help: RunClient and the edge tier treat it
+// as permanent.
+var ErrWireVersion = errors.New("rpc: wire version mismatch")
+
+// helloTimeout bounds the handshake on a freshly accepted connection —
+// preamble, answer and hello frame — so a dialer that never speaks cannot
+// pin the goroutine admitting it.
+const helloTimeout = 5 * time.Second
+
+// maxHelloBytes caps a connection's first frame (at most a Hello with a
+// 255-byte session name, or an EdgeHello with an address and a region):
+// a peer that has not said who it is gets no more allocated on its word.
+const maxHelloBytes = 4 << 10
 
 // envHeaderBytes is the fixed payload prefix: type, flags, clientID, round.
 const envHeaderBytes = 10
@@ -102,7 +118,7 @@ func (e *Envelope) wirePayloadSize() (int, error) {
 			}
 			n += 1 + len(e.Session)
 		}
-	case MsgWelcome:
+	case MsgWelcome, MsgAsyncPull:
 	case MsgScore:
 		n += 8
 	case MsgSelect:
@@ -116,13 +132,13 @@ func (e *Envelope) wirePayloadSize() (int, error) {
 			}
 			n += 1 + len(e.Codec) + 4
 		}
-	case MsgShutdown:
+	case MsgShutdown, MsgReroute:
 		n += 4 + len(e.Info)
 	case MsgModel:
 		n += 8 + 8*(len(e.Params)+len(e.GlobalDelta))
-	case MsgUpdate:
+	case MsgUpdate, MsgAsyncPush:
 		if e.Update == nil {
-			return 0, fmt.Errorf("rpc: send update without payload")
+			return 0, fmt.Errorf("rpc: send message type %d without payload", e.Type)
 		}
 		n += e.Update.BinaryWireSize()
 	case MsgPing:
@@ -131,14 +147,6 @@ func (e *Envelope) wirePayloadSize() (int, error) {
 		n += 4 + 4 + len(e.Info) + 4 + len(e.Region)
 	case MsgEdgePartial:
 		n += 4 + 8 + 4 + 8*len(e.Params)
-	case MsgReroute:
-		n += 4 + len(e.Info)
-	case MsgAsyncPull:
-	case MsgAsyncPush:
-		if e.Update == nil {
-			return 0, fmt.Errorf("rpc: send async push without payload")
-		}
-		n += e.Update.BinaryWireSize()
 	default:
 		return 0, fmt.Errorf("rpc: send unknown message type %v", e.Type)
 	}
@@ -146,8 +154,8 @@ func (e *Envelope) wirePayloadSize() (int, error) {
 }
 
 // sendBinary writes one length-prefixed binary frame. Steady-state sends
-// of every message type are allocation-free: the frame header and scalar
-// bodies go through the connection's fixed header scratch, float runs
+// of every message type are allocation-free: the frame header, scalar and
+// string bodies go through the connection's header scratch, float runs
 // stream through the chunk scratch, and bufio batches the socket writes.
 func (c *Conn) sendBinary(e *Envelope) error {
 	if (e.Type == MsgUpdate || e.Type == MsgAsyncPush) && e.Update != nil {
@@ -169,10 +177,6 @@ func (c *Conn) sendBinary(e *Envelope) error {
 		return err
 	}
 	switch e.Type {
-	case MsgShutdown:
-		if _, err := c.bw.WriteString(e.Info); err != nil {
-			return err
-		}
 	case MsgModel:
 		if err := c.writeF64s(e.Params); err != nil {
 			return err
@@ -180,33 +184,27 @@ func (c *Conn) sendBinary(e *Envelope) error {
 		if err := c.writeF64s(e.GlobalDelta); err != nil {
 			return err
 		}
-	case MsgEdgeHello:
-		if _, err := c.bw.WriteString(e.Info); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(c.chunk, uint32(len(e.Region)))
-		if _, err := c.bw.Write(c.chunk[:4]); err != nil {
-			return err
-		}
-		if _, err := c.bw.WriteString(e.Region); err != nil {
-			return err
-		}
 	case MsgEdgePartial:
 		if err := c.writeF64s(e.Params); err != nil {
-			return err
-		}
-	case MsgReroute:
-		if _, err := c.bw.WriteString(e.Info); err != nil {
 			return err
 		}
 	}
 	return c.bw.Flush()
 }
 
-// writeFrameHead writes the length prefix (size is the payload length),
-// the envelope header and the type's fixed-width body fields.
+// writeFrameHead writes appendFrameHead's bytes through the connection's
+// header scratch.
 func (c *Conn) writeFrameHead(e *Envelope, size int) error {
-	h := c.sendHdr[:0]
+	h := appendFrameHead(c.sendHdr[:0], e, size)
+	c.sendHdr = h[:0] // keep any growth for the next send
+	_, err := c.bw.Write(h)
+	return err
+}
+
+// appendFrameHead appends the length prefix (size is the payload length),
+// the envelope header and the type's body up to its float vectors or
+// sparse section: the whole frame, for a message that has neither.
+func appendFrameHead(h []byte, e *Envelope, size int) []byte {
 	h = binary.LittleEndian.AppendUint32(h, uint32(size))
 	h = append(h, byte(e.Type), 0)
 	h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.ClientID)))
@@ -227,8 +225,9 @@ func (c *Conn) writeFrameHead(e *Envelope, size int) error {
 			h = append(h, e.Codec...)
 			h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.Levels)))
 		}
-	case MsgShutdown:
+	case MsgShutdown, MsgReroute:
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Info)))
+		h = append(h, e.Info...)
 	case MsgModel:
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Params)))
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.GlobalDelta)))
@@ -237,16 +236,15 @@ func (c *Conn) writeFrameHead(e *Envelope, size int) error {
 	case MsgEdgeHello:
 		h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.NumSamples)))
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Info)))
+		h = append(h, e.Info...)
+		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Region)))
+		h = append(h, e.Region...)
 	case MsgEdgePartial:
 		h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.NumSamples)))
 		h = binary.LittleEndian.AppendUint64(h, math.Float64bits(e.WeightSum))
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Params)))
-	case MsgReroute:
-		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Info)))
 	}
-	c.sendHdr = h[:0] // keep any growth for the next send
-	_, err := c.bw.Write(h)
-	return err
+	return h
 }
 
 // writeF64s streams vals through the chunk scratch.
@@ -272,7 +270,9 @@ func (c *Conn) writeF64s(vals []float64) error {
 // valid until the next RecvInto on this connection; with fresh=true
 // (Recv) they are freshly allocated and safe to retain.
 func (c *Conn) recvBinary(e *Envelope, fresh bool) error {
-	if _, err := io.ReadFull(c.cr, c.hdr4[:]); err != nil {
+	c.recvMu.Lock()
+	defer c.recvMu.Unlock()
+	if _, err := io.ReadFull(c.raw, c.hdr4[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return fmt.Errorf("%w: connection cut mid-length-prefix", errWireFrame)
 		}
@@ -291,7 +291,7 @@ func (c *Conn) recvBinary(e *Envelope, fresh bool) error {
 		c.recvBuf = make([]byte, n)
 	}
 	p := c.recvBuf[:n]
-	if m, err := io.ReadFull(c.cr, p); err != nil {
+	if m, err := io.ReadFull(c.raw, p); err != nil {
 		return fmt.Errorf("%w: connection cut %d bytes into a %d-byte payload: %v",
 			errWireFrame, m, n, err)
 	}
@@ -305,16 +305,33 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, fresh bool) error {
 		Round:    int(int32(binary.LittleEndian.Uint32(p[6:]))),
 	}
 	body := p[envHeaderBytes:]
-	need := func(n int) error {
-		if len(body) != n {
-			return fmt.Errorf("%w: %v body of %d bytes, want %d", errWireFrame, e.Type, len(body), n)
+	// fixed reports a body shorter than the type's n fixed-width bytes.
+	fixed := func(n int) error {
+		if len(body) < n {
+			return fmt.Errorf("%w: message type %d body of %d bytes, want at least %d", errWireFrame, e.Type, len(body), n)
 		}
 		return nil
 	}
+	// f64s returns a length-n vector: fresh for Recv, the connection's
+	// scratch for RecvInto. n == 0 yields nil: an absent vector and an
+	// empty one are the same thing on the wire.
+	f64s := func(scratch *[]float64, n uint32) []float64 {
+		if n == 0 {
+			return nil
+		}
+		if fresh || cap(*scratch) < int(n) {
+			v := make([]float64, n)
+			if !fresh {
+				*scratch = v
+			}
+			return v
+		}
+		return (*scratch)[:n]
+	}
 	switch e.Type {
 	case MsgHello:
-		if len(body) < 4 {
-			return fmt.Errorf("%w: hello body of %d bytes", errWireFrame, len(body))
+		if err := fixed(4); err != nil {
+			return err
 		}
 		e.NumSamples = int(int32(binary.LittleEndian.Uint32(body)))
 		if len(body) > 4 {
@@ -325,16 +342,16 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, fresh bool) error {
 			}
 			e.Session = string(body[5 : 5+sl])
 		}
-	case MsgWelcome:
-		return need(0)
+	case MsgWelcome, MsgAsyncPull:
+		return needN(e.Type, body, 0)
 	case MsgScore:
-		if err := need(8); err != nil {
+		if err := needN(e.Type, body, 8); err != nil {
 			return err
 		}
 		e.Score = math.Float64frombits(binary.LittleEndian.Uint64(body))
 	case MsgSelect:
-		if len(body) < 8 {
-			return fmt.Errorf("%w: select body of %d bytes", errWireFrame, len(body))
+		if err := fixed(8); err != nil {
+			return err
 		}
 		e.Ratio = math.Float64frombits(binary.LittleEndian.Uint64(body))
 		if len(body) > 8 {
@@ -349,62 +366,51 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, fresh bool) error {
 				return fmt.Errorf("%w: select declares %d quantization levels", errWireFrame, e.Levels)
 			}
 		}
-	case MsgShutdown:
-		if len(body) < 4 {
-			return fmt.Errorf("%w: shutdown body of %d bytes", errWireFrame, len(body))
-		}
-		l := binary.LittleEndian.Uint32(body)
-		if err := needN(e.Type, body[4:], int64(l)); err != nil {
+	case MsgShutdown, MsgReroute:
+		if err := fixed(4); err != nil {
 			return err
 		}
-		e.Info = string(body[4 : 4+l])
+		if err := needN(e.Type, body[4:], int64(binary.LittleEndian.Uint32(body))); err != nil {
+			return err
+		}
+		e.Info = string(body[4:])
 	case MsgModel:
-		if len(body) < 8 {
-			return fmt.Errorf("%w: model body of %d bytes", errWireFrame, len(body))
+		if err := fixed(8); err != nil {
+			return err
 		}
 		np := binary.LittleEndian.Uint32(body)
 		nd := binary.LittleEndian.Uint32(body[4:])
 		if err := needN(e.Type, body[8:], 8*(int64(np)+int64(nd))); err != nil {
 			return err
 		}
-		rest := body[8:]
-		if fresh {
-			e.Params = makeF64s(nil, int(np))
-			e.GlobalDelta = makeF64s(nil, int(nd))
-		} else {
-			c.recvParams = makeF64s(c.recvParams, int(np))
-			c.recvDelta = makeF64s(c.recvDelta, int(nd))
-			e.Params, e.GlobalDelta = c.recvParams, c.recvDelta
-		}
-		readF64s(e.Params, rest)
-		readF64s(e.GlobalDelta, rest[8*np:])
-	case MsgUpdate:
-		var sp *compress.Sparse
-		if fresh {
+		e.Params, e.GlobalDelta = f64s(&c.recvParams, np), f64s(&c.recvDelta, nd)
+		readF64s(e.Params, body[8:])
+		readF64s(e.GlobalDelta, body[8+8*np:])
+	case MsgUpdate, MsgAsyncPush:
+		sp := c.recvSparse
+		if fresh || sp == nil {
 			sp = &compress.Sparse{}
-		} else {
-			if c.recvSparse == nil {
-				c.recvSparse = &compress.Sparse{}
-			}
-			sp = c.recvSparse
+		}
+		if !fresh {
+			c.recvSparse = sp
 		}
 		if err := sp.DecodeBinaryInto(body); err != nil {
 			return fmt.Errorf("%w: %v", errWireFrame, err)
 		}
 		e.Update = sp
 	case MsgPing:
-		if err := need(4); err != nil {
+		if err := needN(e.Type, body, 4); err != nil {
 			return err
 		}
 		e.NumSamples = int(int32(binary.LittleEndian.Uint32(body)))
 	case MsgEdgeHello:
-		if len(body) < 8 {
-			return fmt.Errorf("%w: edge-hello body of %d bytes", errWireFrame, len(body))
+		if err := fixed(8); err != nil {
+			return err
 		}
 		e.NumSamples = int(int32(binary.LittleEndian.Uint32(body)))
 		il := int64(binary.LittleEndian.Uint32(body[4:]))
 		rest := body[8:]
-		if il > int64(len(rest))-4 || il < 0 {
+		if il > int64(len(rest))-4 {
 			return fmt.Errorf("%w: edge-hello declares a %d-byte address in a %d-byte body", errWireFrame, il, len(rest))
 		}
 		e.Info = string(rest[:il])
@@ -414,8 +420,8 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, fresh bool) error {
 		}
 		e.Region = string(rest[il+4:])
 	case MsgEdgePartial:
-		if len(body) < 16 {
-			return fmt.Errorf("%w: edge-partial body of %d bytes", errWireFrame, len(body))
+		if err := fixed(16); err != nil {
+			return err
 		}
 		e.NumSamples = int(int32(binary.LittleEndian.Uint32(body)))
 		e.WeightSum = math.Float64frombits(binary.LittleEndian.Uint64(body[4:]))
@@ -423,38 +429,8 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, fresh bool) error {
 		if err := needN(e.Type, body[16:], 8*int64(np)); err != nil {
 			return err
 		}
-		if fresh {
-			e.Params = makeF64s(nil, int(np))
-		} else {
-			c.recvParams = makeF64s(c.recvParams, int(np))
-			e.Params = c.recvParams
-		}
+		e.Params = f64s(&c.recvParams, np)
 		readF64s(e.Params, body[16:])
-	case MsgReroute:
-		if len(body) < 4 {
-			return fmt.Errorf("%w: reroute body of %d bytes", errWireFrame, len(body))
-		}
-		l := binary.LittleEndian.Uint32(body)
-		if err := needN(e.Type, body[4:], int64(l)); err != nil {
-			return err
-		}
-		e.Info = string(body[4 : 4+l])
-	case MsgAsyncPull:
-		return need(0)
-	case MsgAsyncPush:
-		var sp *compress.Sparse
-		if fresh {
-			sp = &compress.Sparse{}
-		} else {
-			if c.recvSparse == nil {
-				c.recvSparse = &compress.Sparse{}
-			}
-			sp = c.recvSparse
-		}
-		if err := sp.DecodeBinaryInto(body); err != nil {
-			return fmt.Errorf("%w: %v", errWireFrame, err)
-		}
-		e.Update = sp
 	default:
 		return fmt.Errorf("%w: unknown message type %d", errWireFrame, p[0])
 	}
@@ -470,91 +446,76 @@ func needN(t MsgType, rest []byte, want int64) error {
 	return nil
 }
 
-// makeF64s returns a length-n slice, reusing buf's capacity when it
-// suffices. n == 0 preserves nil-ness so binary and gob decodes agree.
-func makeF64s(buf []float64, n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
 func readF64s(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 }
 
-// clientNegotiate requests the binary codec on a freshly dialed
-// connection: preamble out, acknowledgement back. false means the peer
-// declined (a gob-only or pre-binary server has, by then, consumed the
-// preamble as a corrupt gob stream and dropped the connection), and the
-// caller must redial speaking gob.
-func clientNegotiate(raw net.Conn, timeout time.Duration) bool {
-	if timeout > 0 {
-		raw.SetDeadline(time.Now().Add(timeout))
-		defer raw.SetDeadline(time.Time{})
+// checkPreamble judges a peer's four opening bytes against the version
+// this side speaks.
+func checkPreamble(got [4]byte, version byte) error {
+	if got != preamble(got[3]) {
+		return fmt.Errorf("rpc: peer opened with % x, not the wire preamble", got)
 	}
-	if _, err := raw.Write(wirePreamble[:]); err != nil {
-		return false
+	if got[3] != version {
+		return fmt.Errorf("%w: this side speaks v%d, the peer v%d", ErrWireVersion, version, got[3])
 	}
-	var ack [4]byte
-	if _, err := io.ReadFull(raw, ack[:]); err != nil {
-		return false
-	}
-	return ack == wirePreamble
+	return nil
 }
 
-// serverNegotiate sniffs a freshly accepted connection and returns a Conn
-// speaking the codec the client opened with. The first byte alone decides:
-// 0xAD can only start a binary preamble (never a gob stream), anything
-// else is replayed into a gob decoder. acceptBinary=false (Wire="gob")
-// declines preambles by feeding them to gob — the resulting decode error
-// closes the connection and the client falls back.
-func serverNegotiate(raw net.Conn, acceptBinary bool) (*Conn, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(raw, first[:]); err != nil {
-		return nil, err
+// Accept admits a freshly accepted connection: under helloTimeout it reads
+// the preamble, answers it, and reads the peer's first frame, which must
+// be of type want (MsgHello or MsgEdgeHello) and fit maxHelloBytes. On
+// success the deadline is cleared and the connection lifted to
+// DefaultMaxMessageBytes; on any error raw is closed. This is the one way
+// into every listener; a caller that injects faults wraps raw first.
+func Accept(raw net.Conn, want MsgType) (conn *Conn, hello *Envelope, err error) {
+	defer func() {
+		if err != nil {
+			raw.Close()
+		}
+	}()
+	raw.SetDeadline(time.Now().Add(helloTimeout))
+	var open [4]byte
+	if _, err := io.ReadFull(raw, open[:]); err != nil {
+		return nil, nil, err
 	}
-	if first[0] != wireMagic0 || !acceptBinary {
-		return NewConn(&prefixConn{Conn: raw, prefix: first[:]}, nil), nil
+	err = checkPreamble(open, wireVersion)
+	if err == nil || errors.Is(err, ErrWireVersion) {
+		// A dialer of another version is answered too, so that it can say
+		// which version it met instead of seeing a dead server.
+		answer := preamble(wireVersion)
+		if _, werr := raw.Write(answer[:]); err == nil {
+			err = werr
+		}
 	}
-	var rest [3]byte
-	if _, err := io.ReadFull(raw, rest[:]); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, nil, err
 	}
-	if rest != [3]byte{wireMagic1, wireMagic2, wireVersion} {
-		// Unknown preamble version (or garbage): decline by dropping the
-		// connection; the client's fallback redial speaks plain gob.
-		return nil, fmt.Errorf("rpc: unsupported wire preamble %x%x", first, rest)
+	conn = NewBinaryConn(raw, nil)
+	conn.SetMaxMessage(maxHelloBytes)
+	if hello, err = conn.Recv(); err != nil {
+		return nil, nil, err
 	}
-	if _, err := raw.Write(wirePreamble[:]); err != nil {
-		return nil, err
+	if hello.Type != want {
+		return nil, nil, fmt.Errorf("rpc: first frame has message type %d, want %d", hello.Type, want)
 	}
-	return NewBinaryConn(raw, nil), nil
+	conn.SetMaxMessage(DefaultMaxMessageBytes)
+	raw.SetDeadline(time.Time{})
+	return conn, hello, nil
 }
 
-// Accept negotiates the codec on a freshly accepted connection under the
-// server-side wire policy: "" or WireBinary sniffs the client's opening
-// byte and speaks whichever codec it opened with; WireGob declines binary
-// preambles so the session runs gob. This is the handshake the federation
-// server applies per connection, exported for the edge tier's listeners.
-func Accept(raw net.Conn, wire string) (*Conn, error) {
-	return serverNegotiate(raw, wire != WireGob)
+// Dial connects to network/addr and runs the dialer's half of the
+// handshake: preamble out, the listener's preamble back. timeout bounds
+// the dial and the handshake each (0 means 10s).
+func Dial(network, addr string, timeout time.Duration) (*Conn, error) {
+	return dial(network, addr, timeout, nil, nil)
 }
 
-// Dial connects to network/addr and negotiates the codec the way
-// RunClient's dial path does: "" or WireBinary requests the binary codec
-// and redials speaking gob when the peer declines (the peer consumed the
-// preamble as a corrupt gob stream and dropped the connection); WireGob
-// skips negotiation. timeout bounds each dial attempt (0 means 10s).
-func Dial(network, addr, wire string, timeout time.Duration) (*Conn, error) {
-	if wire != "" && wire != WireBinary && wire != WireGob {
-		return nil, fmt.Errorf("rpc: unknown wire codec %q (want %q or %q)", wire, WireBinary, WireGob)
-	}
+// dial is Dial over a link with injected faults and a shaped uplink
+// (either may be nil).
+func dial(network, addr string, timeout time.Duration, fault *FaultConfig, throttle *TokenBucket) (*Conn, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
@@ -562,29 +523,18 @@ func Dial(network, addr, wire string, timeout time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if wire != WireGob {
-		if clientNegotiate(raw, timeout) {
-			return NewBinaryConn(raw, nil), nil
+	raw = WrapFault(raw, fault)
+	raw.SetDeadline(time.Now().Add(timeout))
+	var ack [4]byte
+	if _, err = raw.Write(wirePreamble[:]); err == nil {
+		if _, err = io.ReadFull(raw, ack[:]); err == nil {
+			err = checkPreamble(ack, wirePreamble[3])
 		}
+	}
+	if err != nil {
 		raw.Close()
-		if raw, err = net.DialTimeout(network, addr, timeout); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("handshake with %s: %w", addr, err)
 	}
-	return NewConn(raw, nil), nil
-}
-
-// prefixConn replays sniffed bytes ahead of the wrapped connection.
-type prefixConn struct {
-	net.Conn
-	prefix []byte
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) {
-	if len(p.prefix) > 0 {
-		n := copy(b, p.prefix)
-		p.prefix = p.prefix[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
+	raw.SetDeadline(time.Time{})
+	return NewBinaryConn(raw, throttle), nil
 }

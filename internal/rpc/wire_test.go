@@ -2,11 +2,17 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
+	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,14 +79,86 @@ func wireFixtures() []*Envelope {
 	)
 }
 
-// TestWireRoundTripAllTypes: every message type survives a binary
-// encode/decode round trip through a real Conn pair unchanged, including
-// NaN/Inf values and nil-vs-empty slice distinctions.
+// bitPatternFixtures puts the doubles a lossy codec would change — a NaN
+// with a payload, a signalling NaN, −0, the smallest subnormal, ±Inf — in
+// every float field the vocabulary has.
+func bitPatternFixtures() []*Envelope {
+	odd := []float64{
+		math.Float64frombits(0x7ff8000000000abc), math.Float64frombits(0xfff0000000000001),
+		math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), 0.1,
+	}
+	var fx []*Envelope
+	for _, v := range odd {
+		fx = append(fx,
+			&Envelope{Type: MsgScore, Score: v},
+			&Envelope{Type: MsgSelect, Ratio: v},
+			&Envelope{Type: MsgEdgePartial, WeightSum: v, Params: []float64{v}},
+		)
+	}
+	return append(fx,
+		&Envelope{Type: MsgModel, Params: odd, GlobalDelta: odd},
+		&Envelope{Type: MsgEdgePartial, Params: odd},
+		// Unsorted indices take the raw layout, ascending ones the varint
+		// run; −0 alone is exactly a float32 and takes the 4-byte values.
+		&Envelope{Type: MsgUpdate, Update: &compress.Sparse{Dim: 16, Indices: []int32{9, 8, 7, 6, 5, 4, 3, 2}, Values: odd}},
+		&Envelope{Type: MsgAsyncPush, Update: &compress.Sparse{Dim: 16, Indices: []int32{2, 3, 4, 5, 6, 7, 8, 9}, Values: odd}},
+		&Envelope{Type: MsgUpdate, Update: &compress.Sparse{Dim: 4, Indices: []int32{1, 3}, Values: []float64{math.Copysign(0, -1), 0.5}}},
+	)
+}
+
+// envelopesBitEqual compares two envelopes field by field with every
+// float judged by its bit pattern, so a NaN payload, the sign of zero and
+// a subnormal all count. A nil slice and an empty one are equal here (the
+// scratch receive path reuses its slices); TestWireRoundTripAllTypes pins
+// that distinction with reflect.DeepEqual.
+func envelopesBitEqual(a, b *Envelope) bool {
+	bits := math.Float64bits
+	f64s := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if bits(x[i]) != bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if a.Type != b.Type || a.ClientID != b.ClientID || a.Round != b.Round || a.NumSamples != b.NumSamples ||
+		a.Session != b.Session || a.Codec != b.Codec || a.Levels != b.Levels || a.Info != b.Info || a.Region != b.Region ||
+		bits(a.Score) != bits(b.Score) || bits(a.Ratio) != bits(b.Ratio) || bits(a.WeightSum) != bits(b.WeightSum) ||
+		!f64s(a.Params, b.Params) || !f64s(a.GlobalDelta, b.GlobalDelta) || (a.Update == nil) != (b.Update == nil) {
+		return false
+	}
+	if a.Update == nil {
+		return true
+	}
+	ua, ub := a.Update, b.Update
+	if ua.Dim != ub.Dim || ua.QuantBits != ub.QuantBits || ua.QuantLevels != ub.QuantLevels ||
+		bits(ua.QuantNorm) != bits(ub.QuantNorm) || len(ua.Indices) != len(ub.Indices) || !f64s(ua.Values, ub.Values) {
+		return false
+	}
+	for i := range ua.Indices {
+		if ua.Indices[i] != ub.Indices[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWireRoundTripAllTypes: the codec is lossless, and the reference for
+// a lossless codec is the identity. Every message type (all 13) survives
+// an encode/decode round trip through a real Conn pair unchanged — nil-
+// vs-empty slices included — and every float field comes back with the
+// bit pattern it was sent with.
 func TestWireRoundTripAllTypes(t *testing.T) {
-	for _, want := range wireFixtures() {
-		want := want
+	roundTrip := func(want *Envelope) *Envelope {
+		t.Helper()
 		a, b := net.Pipe()
 		ca, cb := NewBinaryConn(a, nil), NewBinaryConn(b, nil)
+		defer ca.Close()
+		defer cb.Close()
 		errCh := make(chan error, 1)
 		go func() { errCh <- ca.Send(want) }()
 		got, err := cb.Recv()
@@ -90,17 +168,31 @@ func TestWireRoundTripAllTypes(t *testing.T) {
 		if err := <-errCh; err != nil {
 			t.Fatalf("type %v: send: %v", want.Type, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		return got
+	}
+	seen := map[MsgType]bool{}
+	for _, want := range wireFixtures() {
+		seen[want.Type] = true
+		got := roundTrip(want)
+		if !reflect.DeepEqual(got, want) || !envelopesBitEqual(got, want) {
 			t.Errorf("type %v round trip mismatch:\n got %+v\nwant %+v", want.Type, got, want)
 		}
-		ca.Close()
-		cb.Close()
+	}
+	for ty := MsgHello; ty <= MsgAsyncPush; ty++ {
+		if !seen[ty] {
+			t.Errorf("no fixture for message type %v", ty)
+		}
+	}
+	for _, want := range bitPatternFixtures() {
+		if got := roundTrip(want); !envelopesBitEqual(got, want) {
+			t.Errorf("type %v changed a float's bits:\n got %+v %+v\nwant %+v %+v", want.Type, got, got.Update, want, want.Update)
+		}
 	}
 }
 
 // TestWireExactByteAccounting pins the binary codec's accounting
 // guarantee: both ends count exactly 4 + payload bytes per message — no
-// decoder read-ahead, no bufio slack (the documented gob caveat).
+// decoder read-ahead, no bufio slack.
 func TestWireExactByteAccounting(t *testing.T) {
 	a, b := net.Pipe()
 	ca, cb := NewBinaryConn(a, nil), NewBinaryConn(b, nil)
@@ -194,107 +286,165 @@ func TestWireTruncationErrors(t *testing.T) {
 	}
 }
 
-// TestWireNegotiate covers the connect-time codec handshake at the
-// socket level: upgrade accepted, upgrade declined, and a gob client
-// against a sniffing server.
+// TestWireNegotiate covers the handshake at the socket level: a dialer of
+// this version is admitted, one of another version is declined with
+// ErrWireVersion on both ends, and a gob client (a pre-binary build: no
+// preamble) is closed without an answer.
 func TestWireNegotiate(t *testing.T) {
-	listen := func(t *testing.T, acceptBinary bool) (net.Listener, chan *Conn) {
+	type admitted struct {
+		conn  *Conn
+		hello *Envelope
+		err   error
+	}
+	listen := func(t *testing.T) (net.Listener, chan admitted) {
 		t.Helper()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ln.Close() })
-		conns := make(chan *Conn, 1)
+		out := make(chan admitted, 1)
 		go func() {
 			raw, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			conn, err := serverNegotiate(raw, acceptBinary)
-			if err != nil {
-				raw.Close()
-				close(conns)
-				return
-			}
-			conns <- conn
+			conn, hello, err := Accept(raw, MsgHello)
+			out <- admitted{conn, hello, err}
 		}()
-		return ln, conns
+		return ln, out
+	}
+	// closed reports whether the peer hung up without sending anything
+	// (EOF, or a reset when it left bytes of ours unread).
+	closed := func(raw net.Conn) bool {
+		raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := raw.Read(make([]byte, 1))
+		return n == 0 && err != nil && !errors.Is(err, os.ErrDeadlineExceeded)
 	}
 
 	t.Run("upgrade", func(t *testing.T) {
-		ln, conns := listen(t, true)
-		raw, err := net.Dial("tcp", ln.Addr().String())
+		ln, out := listen(t)
+		cc, err := Dial("tcp", ln.Addr().String(), time.Second)
 		if err != nil {
+			t.Fatalf("a listener of the same version declined the preamble: %v", err)
+		}
+		defer cc.Close()
+		if err := cc.Send(&Envelope{Type: MsgHello, ClientID: 4, NumSamples: 77}); err != nil {
 			t.Fatal(err)
 		}
-		if !clientNegotiate(raw, time.Second) {
-			t.Fatal("binary-accepting server declined the preamble")
+		got := <-out
+		if got.err != nil || got.hello.ClientID != 4 || got.hello.NumSamples != 77 {
+			t.Fatalf("admission: %+v, %v", got.hello, got.err)
 		}
-		cc := NewBinaryConn(raw, nil)
-		defer cc.Close()
-		sc := <-conns
-		if sc.Codec() != WireBinary {
-			t.Fatalf("server codec %q, want binary", sc.Codec())
-		}
-		go cc.Send(&Envelope{Type: MsgHello, ClientID: 4, NumSamples: 77})
-		e, err := sc.Recv()
-		if err != nil || e.Type != MsgHello || e.NumSamples != 77 {
-			t.Fatalf("post-upgrade exchange: %+v, %v", e, err)
+		defer got.conn.Close()
+		// The connection is lifted off the hello cap and the hello
+		// deadline: a frame far over maxHelloBytes now passes.
+		go cc.Send(&Envelope{Type: MsgUpdate, Update: compress.NewSparseDense(make([]float64, 4*maxHelloBytes))})
+		if e, err := got.conn.Recv(); err != nil || e.Type != MsgUpdate {
+			t.Fatalf("post-hello exchange: %+v, %v", e, err)
 		}
 	})
 
 	t.Run("declined", func(t *testing.T) {
-		ln, conns := listen(t, false)
+		ln, out := listen(t)
+		current := wirePreamble
+		wirePreamble[3] = wireVersion + 1
+		cc, err := Dial("tcp", ln.Addr().String(), time.Second)
+		wirePreamble = current
+		if cc != nil || !errors.Is(err, ErrWireVersion) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("v%d", wireVersion)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("v%d", wireVersion+1)) {
+			t.Fatalf("dialer error %v: want ErrWireVersion naming both versions", err)
+		}
+		if got := <-out; got.conn != nil || !errors.Is(got.err, ErrWireVersion) {
+			t.Fatalf("listener admitted %v with error %v, want ErrWireVersion and no Conn", got.conn, got.err)
+		}
+	})
+
+	t.Run("gob-client", func(t *testing.T) {
+		ln, out := listen(t)
 		raw, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer raw.Close()
-		// The gob-only server feeds the preamble to its gob decoder, which
-		// errors out; here the accept loop then closes the socket, so the
-		// client's ack read fails and negotiation reports a decline. The
-		// server side runs in a goroutine: serverNegotiate itself blocks
-		// until the client's first bytes arrive.
-		recvErr := make(chan error, 1)
-		go func() {
-			sc := <-conns
-			_, err := sc.Recv()
-			recvErr <- err
-			sc.Close()
-		}()
-		if clientNegotiate(raw, time.Second) {
-			t.Fatal("gob-only server accepted the binary preamble")
-		}
-		if err := <-recvErr; err == nil {
-			t.Fatal("gob decoder accepted the binary preamble")
-		}
-	})
-
-	t.Run("gob-client", func(t *testing.T) {
-		ln, conns := listen(t, true)
-		raw, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
+		// What a pre-binary build opens with: a gob stream, whose first
+		// byte is a message length, never 0xAD.
+		var stream bytes.Buffer
+		if err := gob.NewEncoder(&stream).Encode(&Envelope{Type: MsgHello, ClientID: 8, NumSamples: 5}); err != nil {
 			t.Fatal(err)
 		}
-		cc := NewConn(raw, nil) // plain gob, no preamble
-		defer cc.Close()
-		go cc.Send(&Envelope{Type: MsgHello, ClientID: 8, NumSamples: 5})
-		sc := <-conns
-		if sc.Codec() != WireGob {
-			t.Fatalf("server codec %q, want gob (sniffed)", sc.Codec())
+		raw.Write(stream.Bytes()) // the listener may hang up four bytes in
+		if got := <-out; got.conn != nil || got.err == nil || errors.Is(got.err, ErrWireVersion) {
+			t.Fatalf("listener admitted %v with error %v, want a plain refusal and no Conn", got.conn, got.err)
 		}
-		// The sniffed first byte is replayed: the hello decodes intact.
-		e, err := sc.Recv()
-		if err != nil || e.Type != MsgHello || e.ClientID != 8 || e.NumSamples != 5 {
-			t.Fatalf("sniffed gob exchange: %+v, %v", e, err)
+		if !closed(raw) {
+			t.Fatal("listener answered a peer that opened without the preamble")
 		}
 	})
 }
 
-// wireSession runs a deterministic single-client session under the given
-// codecs and returns both results plus the server's metrics exposition.
-func wireSession(t *testing.T, serverWire, clientWire string) (*ServerResult, *ClientResult, map[string]float64) {
+// TestAcceptHelloCap: a peer that has not said hello cannot make the
+// listener allocate on its word. The preamble followed by a length prefix
+// declaring 64 MB is refused with ErrMessageTooLarge and closed with no
+// buffer grown for it, while the largest legitimate first frames — a Hello
+// with a 255-byte session name, an EdgeHello with a long address and
+// region — are admitted, and a first frame of the wrong type is not.
+func TestAcceptHelloCap(t *testing.T) {
+	accept := func(want MsgType, write func(net.Conn)) (*Conn, *Envelope, error) {
+		a, b := net.Pipe()
+		defer a.Close()
+		peer := make(chan struct{})
+		go func() {
+			defer close(peer)
+			a.Write(wirePreamble[:])
+			io.ReadFull(a, make([]byte, 4)) // the listener's answer
+			write(a)
+		}()
+		conn, hello, err := Accept(b, want)
+		<-peer
+		return conn, hello, err
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, _, err := accept(MsgHello, func(a net.Conn) {
+		a.Write(binary.LittleEndian.AppendUint32(nil, DefaultMaxMessageBytes-4))
+		if n, err := a.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Errorf("listener did not close the connection: read %d, %v", n, err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if conn != nil || !errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("64 MB first frame: conn %v, error %v, want ErrMessageTooLarge and no Conn", conn, err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("refusing the frame allocated %d bytes", grown)
+	}
+
+	hello := &Envelope{Type: MsgHello, ClientID: 7, NumSamples: 1 << 20, Session: strings.Repeat("s", 255)}
+	edgeHello := &Envelope{Type: MsgEdgeHello, ClientID: 3, NumSamples: 64,
+		Info: strings.Repeat("a", 253) + ":65535", Region: strings.Repeat("r", 255)}
+	for _, want := range []*Envelope{hello, edgeHello} {
+		frame := encodeBinaryEnvelope(t, want)
+		conn, got, err := accept(want.Type, func(a net.Conn) { a.Write(frame) })
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("maximal %v (%d-byte frame, cap %d): %+v, %v", want.Type, len(frame), maxHelloBytes, got, err)
+		}
+		if conn.maxMsg != DefaultMaxMessageBytes {
+			t.Fatalf("admitted %v connection still capped at %d bytes", want.Type, conn.maxMsg)
+		}
+	}
+	if conn, _, err := accept(MsgEdgeHello, func(a net.Conn) { a.Write(encodeBinaryEnvelope(t, hello)) }); conn != nil || err == nil {
+		t.Fatalf("a Hello on the edge listener: conn %v, error %v", conn, err)
+	}
+}
+
+// versionSession starts a one-client server and runs a client against
+// addr (the server's own address when empty) with a generous retry
+// budget. It returns the client's outcome and the server's registration
+// count, having killed the server.
+func versionSession(t *testing.T, addr string) (*ClientResult, float64, error) {
 	t.Helper()
 	seed := uint64(31)
 	ds := dataset.SynthMNIST(200, 16, seed)
@@ -303,128 +453,98 @@ func wireSession(t *testing.T, serverWire, clientWire string) (*ServerResult, *C
 		return nn.NewImageMLP([]int{1, 16, 16}, []int{16}, 10, stats.NewRNG(seed+3))
 	}
 	cfg := core.DefaultConfig()
-	cfg.Compression.WarmupRounds = 1
-	cfg.ScaleRatiosForModel(5000)
-	cfg.K = 1
-
 	reg := obs.NewRegistry()
 	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: 1, Rounds: 4, Wire: serverWire,
-		Cfg: cfg, NewModel: newModel, Test: test, EvalEvery: 2, Logf: quiet,
-		Metrics: reg,
+		Addr: "127.0.0.1:0", NumClients: 1, Rounds: 4,
+		Cfg: cfg, NewModel: newModel, Test: test, Logf: quiet, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan *ClientResult, 1)
+	ran := make(chan *ServerResult, 1)
 	go func() {
-		res, err := RunClient(ClientConfig{
-			Addr: srv.Addr(), ID: 0, Data: train, NewModel: newModel, Wire: clientWire,
-			LocalSteps: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9,
-			Utility: cfg.Utility, UpBps: 1e6, DownBps: 1e6,
-			DGCClip: 10, DGCMsgClip: 2, Seed: seed,
-			Logf: quiet,
-		})
-		if err != nil {
-			t.Errorf("client: %v", err)
-		}
-		done <- res
+		res, _ := srv.Run()
+		ran <- res
 	}()
-	res, err := srv.Run()
-	if err != nil {
-		t.Fatal(err)
+	if addr == "" {
+		addr = srv.Addr()
 	}
-	cres := <-done
+	cres, cerr := RunClient(ClientConfig{
+		Addr: addr, ID: 0, Data: train, NewModel: newModel,
+		LocalSteps: 2, BatchSize: 16, LR: 0.1, Utility: cfg.Utility, UpBps: 1e6, DownBps: 1e6,
+		Seed: seed, Logf: quiet, MaxRetries: 5, RetryBackoff: time.Millisecond,
+	})
+	srv.Kill()
+	if res := <-ran; res != nil && len(res.Rounds) != 0 {
+		t.Errorf("server ran %d rounds with no client of its version", len(res.Rounds))
+	}
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return res, cres, parseExposition(t, buf.String())
+	return cres, parseExposition(t, buf.String())["adafl_registrations_total"], cerr
 }
 
-// TestWireFallbackToGob: a default (binary-requesting) client against a
-// gob-only server falls back transparently — the session completes, every
-// message is attributed to the gob codec, and the one fallback redial is
-// not charged against the retry budget.
-func TestWireFallbackToGob(t *testing.T) {
-	res, cres, samples := wireSession(t, WireGob, "")
-	if len(res.Rounds) != 4 {
-		t.Fatalf("fallback session ran %d of 4 rounds", len(res.Rounds))
-	}
-	if cres == nil || cres.Rounds != 4 {
-		t.Fatalf("fallback client saw %+v", cres)
-	}
-	if cres.Reconnects != 0 {
-		t.Fatalf("fallback charged %d reconnects against the retry budget", cres.Reconnects)
-	}
-	if samples[`adafl_wire_messages_total{codec="gob"}`] <= 0 {
-		t.Error("no messages attributed to the gob codec")
-	}
-	if samples[`adafl_wire_messages_total{codec="binary"}`] != 0 {
-		t.Errorf("binary messages on a gob-only server: %v",
-			samples[`adafl_wire_messages_total{codec="binary"}`])
-	}
-	if samples["adafl_connections"] != 0 {
-		t.Errorf("adafl_connections = %v after shutdown, want 0", samples["adafl_connections"])
-	}
-}
-
-// TestWireOldPreambleVersionFallsBackToGob: a client that opens with the
-// previous preamble version (a build that predates the f32 and varint
-// layouts, and could not decode them) is declined, not half-understood,
-// and its session completes over the gob fallback like any other
-// declined upgrade.
-func TestWireOldPreambleVersionFallsBackToGob(t *testing.T) {
+// TestWireVersionMismatchRefusedByServer: a client of another wire version
+// (its preamble patched, as a build that predates the f32 and varint
+// layouts would send) is refused at the handshake, not half-understood.
+// There is no fallback: the client returns ErrWireVersion naming both
+// versions without spending its retry budget, and the server registers
+// nobody and runs no round.
+func TestWireVersionMismatchRefusedByServer(t *testing.T) {
 	current := wirePreamble
 	wirePreamble[3] = wireVersion - 1 // what the client side sends and expects back
 	defer func() { wirePreamble = current }()
 
-	res, cres, samples := wireSession(t, "", "")
-	if len(res.Rounds) != 4 || cres == nil || cres.Rounds != 4 {
-		t.Fatalf("session ran %d of 4 rounds, client saw %+v", len(res.Rounds), cres)
+	cres, registrations, err := versionSession(t, "")
+	if !errors.Is(err, ErrWireVersion) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("speaks v%d", wireVersion-1)) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("peer v%d", wireVersion)) {
+		t.Fatalf("client error %v: want ErrWireVersion naming v%d and v%d", err, wireVersion-1, wireVersion)
 	}
-	if cres.Reconnects != 0 {
-		t.Fatalf("fallback charged %d reconnects against the retry budget", cres.Reconnects)
+	if cres.Reconnects != 0 || cres.Rounds != 0 {
+		t.Fatalf("client retried a version mismatch: %+v", cres)
 	}
-	if samples[`adafl_wire_messages_total{codec="gob"}`] <= 0 {
-		t.Error("no messages attributed to the gob codec")
-	}
-	if n := samples[`adafl_wire_messages_total{codec="binary"}`]; n != 0 {
-		t.Errorf("%v binary messages exchanged with a v%d client", n, wireVersion-1)
+	if registrations != 0 {
+		t.Fatalf("server registered %v clients of another wire version", registrations)
 	}
 }
 
-// TestWireGobBinarySessionsBitIdentical: the binary codec must be a pure
-// transport change — a deterministic session run over each codec produces
-// bit-identical learning trajectories (f64 values survive both codecs
-// exactly), differing only in wire volume.
-func TestWireGobBinarySessionsBitIdentical(t *testing.T) {
-	bin, binClient, binSamples := wireSession(t, "", "")
-	gob, gobClient, _ := wireSession(t, WireGob, WireGob)
-	if binSamples[`adafl_wire_messages_total{codec="binary"}`] <= 0 {
-		t.Fatal("default session did not negotiate the binary codec")
+// TestWireVersionMismatchSeenByClient is the other direction: the client
+// meets a listener that answers with a newer version (a scripted peer).
+// The mismatch reads as what it is, not as a dead server, and is not
+// retried.
+func TestWireVersionMismatchSeenByClient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(bin.Rounds) != len(gob.Rounds) {
-		t.Fatalf("round counts differ: %d vs %d", len(bin.Rounds), len(gob.Rounds))
-	}
-	for i := range bin.Rounds {
-		b, g := bin.Rounds[i], gob.Rounds[i]
-		if math.Float64bits(b.TestAcc) != math.Float64bits(g.TestAcc) {
-			t.Errorf("round %d: acc %v (binary) vs %v (gob)", i, b.TestAcc, g.TestAcc)
+	defer ln.Close()
+	dials := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { dials <- n }()
+		for {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			n++
+			io.ReadFull(raw, make([]byte, 4))
+			newer := preamble(wireVersion + 1)
+			raw.Write(newer[:])
+			raw.Close()
 		}
-		if b.Selected != g.Selected || b.Received != g.Received {
-			t.Errorf("round %d: participation differs: %+v vs %+v", i, b, g)
-		}
+	}()
+	cres, _, err := versionSession(t, ln.Addr().String())
+	if !errors.Is(err, ErrWireVersion) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("speaks v%d", wireVersion)) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("peer v%d", wireVersion+1)) {
+		t.Fatalf("client error %v: want ErrWireVersion naming v%d and v%d", err, wireVersion, wireVersion+1)
 	}
-	if math.Float64bits(bin.FinalAcc) != math.Float64bits(gob.FinalAcc) {
-		t.Fatalf("final acc differs: %v (binary) vs %v (gob)", bin.FinalAcc, gob.FinalAcc)
-	}
-	if binClient.Uploads != gobClient.Uploads {
-		t.Fatalf("uploads differ: %d vs %d", binClient.Uploads, gobClient.Uploads)
-	}
-	// The point of the codec: same session, fewer wire bytes.
-	if bin.BytesReceived >= gob.BytesReceived {
-		t.Errorf("binary uplink %d bytes ≥ gob %d", bin.BytesReceived, gob.BytesReceived)
+	ln.Close()
+	if n := <-dials; n != 1 || cres.Reconnects != 0 {
+		t.Fatalf("client dialled a listener of another version %d times (%d reconnects)", n, cres.Reconnects)
 	}
 }
 
@@ -573,40 +693,6 @@ func TestWireConcurrentSendRecv(t *testing.T) {
 		got++
 	}
 	wg.Wait()
-}
-
-// TestCodecInterop: every message type — including the edge-federation
-// vocabulary (ping, edge hello, edge partial, reroute) — decodes to the
-// same logical envelope through both codecs. A mixed deployment (binary
-// edges, gob fallback clients) must agree on every field either path.
-func TestCodecInterop(t *testing.T) {
-	roundTrip := func(e *Envelope, mk func(net.Conn, *TokenBucket) *Conn) *Envelope {
-		t.Helper()
-		a, b := net.Pipe()
-		ca, cb := mk(a, nil), mk(b, nil)
-		defer ca.Close()
-		defer cb.Close()
-		errCh := make(chan error, 1)
-		go func() { errCh <- ca.Send(e) }()
-		got, err := cb.Recv()
-		if err != nil {
-			t.Fatalf("type %v: recv: %v", e.Type, err)
-		}
-		if err := <-errCh; err != nil {
-			t.Fatalf("type %v: send: %v", e.Type, err)
-		}
-		return got
-	}
-	for _, e := range fixtureEnvelopes() {
-		viaGob := roundTrip(e, NewConn)
-		viaBin := roundTrip(e, NewBinaryConn)
-		if !reflect.DeepEqual(viaGob, viaBin) {
-			t.Errorf("type %v: codecs disagree:\n gob    %+v\n binary %+v", e.Type, viaGob, viaBin)
-		}
-		if !reflect.DeepEqual(viaBin, e) {
-			t.Errorf("type %v: binary drops information:\n got  %+v\n want %+v", e.Type, viaBin, e)
-		}
-	}
 }
 
 // TestWireHelloSessionLegacyInterop pins the multi-session hello

@@ -314,11 +314,10 @@ func (a *AsyncSession) Version() int {
 	return v
 }
 
-// Deliver admits a negotiated connection whose hello has been read
-// (the Manager's routing contract). Safe any time after NewAsync.
+// Deliver admits a connection whose hello rpc.Accept has read (the
+// Manager's routing contract). Safe any time after NewAsync.
 func (a *AsyncSession) Deliver(conn *rpc.Conn, hello *rpc.Envelope) error {
 	id := hello.ClientID
-	conn.SetReadDeadline(time.Time{})
 	a.connMu.Lock()
 	if a.closing {
 		a.connMu.Unlock()

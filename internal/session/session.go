@@ -1,6 +1,6 @@
 // Package session is the multi-session control plane: one TCP listener
 // multiplexing N named federation sessions. The manager owns the socket,
-// negotiates the wire codec per connection, reads the registration hello
+// admits each connection (rpc.Accept: handshake and registration hello)
 // and routes it by the hello's Session field — "" targets the default
 // session, so single-session clients interoperate unchanged. Each
 // session is an independent engine with its own global model, aggregator
@@ -29,18 +29,17 @@ import (
 // DefaultSession is the session name an empty hello Session routes to.
 const DefaultSession = "default"
 
-// helloTimeout bounds codec negotiation plus the hello read on a freshly
-// accepted connection, so a dialer that never speaks cannot pin a router
-// goroutine.
-const helloTimeout = 5 * time.Second
+// rejectTimeout bounds the shutdown notice to a peer that is being turned
+// away, so one that stops reading cannot pin a router goroutine.
+const rejectTimeout = 5 * time.Second
 
 // maxSessionName is the wire limit: the binary hello carries the session
 // name behind a one-byte length.
 const maxSessionName = 255
 
 // Handler is a session engine the manager routes connections to. Deliver
-// receives an admitted, codec-negotiated connection whose hello has
-// already been read; the engine owns the connection from then on. The
+// receives an admitted connection (rpc.Accept) whose hello has already
+// been read; the engine owns the connection from then on. The
 // hello envelope is only valid during the call. Both rpc.Server (via
 // rpc.NewManagedServer) and AsyncSession implement it.
 type Handler interface {
@@ -51,9 +50,8 @@ type Handler interface {
 type Config struct {
 	// Addr is the listen address, e.g. ":7070".
 	Addr string
-	// Wire selects the accepted wire codecs exactly like
-	// rpc.ServerConfig.Wire: "" or rpc.WireBinary sniffs per connection,
-	// rpc.WireGob declines binary preambles.
+	// Wire accepts only "" or rpc.WireBinary and selects nothing (see
+	// rpc.WireBinary); any other value is an error.
 	Wire string
 	// Fault, when non-nil, wraps every accepted connection with injected
 	// link faults.
@@ -78,8 +76,8 @@ type Manager struct {
 
 // NewManager binds the listen socket and returns the manager.
 func NewManager(cfg Config) (*Manager, error) {
-	if cfg.Wire != "" && cfg.Wire != rpc.WireBinary && cfg.Wire != rpc.WireGob {
-		return nil, fmt.Errorf("session: unknown wire codec %q (want %q or %q)", cfg.Wire, rpc.WireBinary, rpc.WireGob)
+	if cfg.Wire != "" && cfg.Wire != rpc.WireBinary {
+		return nil, fmt.Errorf("session: unknown wire codec %q (want %q)", cfg.Wire, rpc.WireBinary)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -147,22 +145,14 @@ func (m *Manager) Serve() error {
 	}
 }
 
-// route negotiates the codec, reads the hello and hands the connection
-// to the named session. Rejections (unknown session, engine refusal) are
+// route admits the connection and hands it to the session its hello
+// names. Rejections (unknown session, engine refusal) are
 // the engine's or the notice's problem — the router never blocks the
 // accept loop.
 func (m *Manager) route(raw net.Conn) {
 	defer m.wg.Done()
-	wrapped := rpc.WrapFault(raw, m.cfg.Fault)
-	wrapped.SetReadDeadline(time.Now().Add(helloTimeout))
-	conn, err := rpc.Accept(wrapped, m.cfg.Wire)
+	conn, hello, err := rpc.Accept(rpc.WrapFault(raw, m.cfg.Fault), rpc.MsgHello)
 	if err != nil {
-		wrapped.Close()
-		return
-	}
-	hello, err := conn.Recv()
-	if err != nil || hello.Type != rpc.MsgHello {
-		conn.Close()
 		return
 	}
 	name := hello.Session
@@ -174,7 +164,7 @@ func (m *Manager) route(raw net.Conn) {
 	m.mu.Unlock()
 	if h == nil {
 		m.cfg.Logf("session: rejecting client %d: unknown session %q", hello.ClientID, name)
-		conn.SetWriteDeadline(time.Now().Add(helloTimeout))
+		conn.SetWriteDeadline(time.Now().Add(rejectTimeout))
 		conn.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: fmt.Sprintf("unknown session %q", name)})
 		conn.Close()
 		return

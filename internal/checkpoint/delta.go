@@ -25,13 +25,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 )
 
 // deltaMagic identifies a delta epoch file; the layout is versioned by
@@ -132,171 +135,367 @@ func (o DeltaOptions) withDefaults() DeltaOptions {
 	return o
 }
 
-// DeltaWriter appends snapshot epochs to a directory. It is not safe
-// for concurrent use; sessions hold one writer each.
+// DeltaWriter appends snapshot epochs to a directory as a depth-1
+// pipeline. The caller captures an epoch's section bytes on its own loop
+// (Begin, Section/F64s, Commit), where reading live session state is safe;
+// Commit hands them to one background goroutine that hashes, frames,
+// writes, fsyncs, renames, dir-fsyncs and garbage collects while the
+// caller runs its next round. The next Begin, and an explicit Wait on every
+// exit path, join that goroutine and report its outcome, so at most one
+// epoch is ever in flight and no goroutine outlives the caller's run.
+//
+// Durability contract: an epoch is durable once the call that joins it
+// returns, not when Commit does. A crash between the two loses that one
+// epoch; the chain on disk is the previous one, complete and untorn.
+//
+// Not safe for concurrent use; sessions hold one writer each.
 type DeltaWriter struct {
 	dir  string
 	opts DeltaOptions
 
-	// epoch is the last epoch written (0 before the first Write).
+	// Capture state, touched only by the caller: buf holds the section
+	// bytes of the epoch being captured (read by the flush while it is in
+	// flight), reused from epoch to epoch.
+	buf          []byte
+	spans        []sectionSpan
+	label        int
+	captureStart time.Time
+	inFlight     bool
+	done         chan DeltaResult // the flush's outcome; holds at most the one epoch in flight
+
+	// Chain state, owned by the flush goroutine while an epoch is in flight
+	// and by the caller otherwise (the join orders the two).
+
+	// epoch is the last epoch written (0 before the first).
 	epoch uint64
 	// prev is the chunk table of the last epoch, with every reference
-	// resolved to its physical epoch, so the next Write can both compare
-	// hashes and emit one-hop references. nil forces a rebase: a writer
-	// reopened after a crash starts with a full epoch rather than trusting
-	// a chain it has not read.
-	prev        map[string][]DeltaChunk
+	// resolved to its physical epoch, so the next flush can both compare
+	// hashes and emit one-hop references; spare is the table before it,
+	// whose slices the next one is built in. sinceRebase counts the epochs
+	// written since (and including) the last full one; 0, before this
+	// writer's first, forces a rebase: a writer reopened after a crash
+	// starts with a full epoch rather than trusting a chain it has not read.
+	prev, spare []sectionTable
 	sinceRebase int
+	// owned is the ascending set of epoch files in dir: scanned at open,
+	// extended by each write, shrunk by GC, so GC never lists the directory.
+	owned []uint64
+	keep  map[uint64]bool // GC mark set, reused
+	out   []byte          // file image (header, table, blob), reused
+}
+
+// sectionSpan is one captured section: its bytes run from lo in
+// DeltaWriter.buf to the next section's lo.
+type sectionSpan struct {
+	name string
+	lo   int
+}
+
+// sectionTable is one section's chunk table as the writer remembers it.
+type sectionTable struct {
+	name   string
+	chunks []DeltaChunk
+}
+
+// DeltaResult is the outcome of one epoch, reported by the call that
+// joins it.
+type DeltaResult struct {
+	// Label is the value the caller passed to Begin (its round or version).
+	Label int
+	// Epoch is the epoch number written (with Err set: attempted, and the
+	// next epoch's again); Size its on-disk size, zero on error.
+	Epoch uint64
+	Size  int64
+	// Seconds is the time spent on this epoch, capture plus write, wherever
+	// it ran; WaitSeconds is how long the joining call blocked for it.
+	Seconds     float64
+	WaitSeconds float64
+	// Err is the write's failure, if any; the chain on disk is then as the
+	// epoch before left it.
+	Err error
 }
 
 // NewDeltaWriter opens (creating if needed) a delta chain in dir. If
 // epochs already exist the writer resumes after the latest one; its
-// first Write is then a full rebase.
+// first epoch is then a full rebase. Temp files a crash mid-write left
+// behind are removed: no reader looks at them and GC only knows epochs.
 func NewDeltaWriter(dir string, opts DeltaOptions) (*DeltaWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: delta dir: %w", err)
 	}
-	latest, ok, err := LatestDeltaEpoch(dir)
+	stale, err := filepath.Glob(filepath.Join(dir, "delta-*.ckpt.tmp*"))
 	if err != nil {
 		return nil, err
 	}
-	w := &DeltaWriter{dir: dir, opts: opts.withDefaults()}
-	if ok {
-		w.epoch = latest
+	for _, tmp := range stale {
+		os.Remove(tmp) // best effort: a leftover is garbage, not corruption
+	}
+	owned, err := DeltaEpochs(dir)
+	if err != nil {
+		return nil, err
+	}
+	w := &DeltaWriter{
+		dir:   dir,
+		opts:  opts.withDefaults(),
+		done:  make(chan DeltaResult, 1),
+		owned: owned,
+		keep:  make(map[uint64]bool),
+	}
+	if len(owned) > 0 {
+		w.epoch = owned[len(owned)-1]
 	}
 	return w, nil
 }
 
-// Epoch returns the last epoch number written (or resumed past).
+// Epoch returns the last epoch number written (or resumed past). It must
+// not be called while an epoch is in flight.
 func (w *DeltaWriter) Epoch() uint64 { return w.epoch }
 
-// Write persists one snapshot epoch and returns its epoch number and
-// on-disk size. Chunks unchanged since the previous epoch are written as
-// references; every RebaseEvery-th epoch (and the first after open) is
-// written in full. After a successful write, epochs unreachable from the
-// new one are garbage collected.
-func (w *DeltaWriter) Write(sections []Section) (uint64, int64, error) {
-	seen := make(map[string]bool, len(sections))
-	for _, s := range sections {
-		if s.Name == "" || len(s.Name) > maxSectionName {
-			return 0, 0, fmt.Errorf("checkpoint: bad section name %q", s.Name)
-		}
-		if seen[s.Name] {
-			return 0, 0, fmt.Errorf("checkpoint: duplicate section %q", s.Name)
-		}
-		seen[s.Name] = true
+// Begin joins the epoch in flight, if any, reporting its outcome like
+// Wait, and opens the next epoch for capture under the caller's label.
+func (w *DeltaWriter) Begin(label int) (DeltaResult, bool) {
+	res, ok := w.Wait()
+	w.buf, w.spans = w.buf[:0], w.spans[:0]
+	w.label = label
+	w.captureStart = time.Now()
+	return res, ok
+}
+
+// Section starts the next section of the epoch being captured and returns
+// the writer that appends to it (valid until the next Section, F64s or
+// Commit). Names must be unique within an epoch; Commit checks.
+func (w *DeltaWriter) Section(name string) io.Writer {
+	w.spans = append(w.spans, sectionSpan{name: name, lo: len(w.buf)})
+	return (*sectionWriter)(w)
+}
+
+// F64s captures vals as one fixed-width section (see AppendF64s).
+func (w *DeltaWriter) F64s(name string, vals []float64) {
+	w.Section(name)
+	w.buf = AppendF64s(w.buf, vals)
+}
+
+// captured returns the bytes of the i-th captured section.
+func (w *DeltaWriter) captured(i int) []byte {
+	hi := len(w.buf)
+	if i+1 < len(w.spans) {
+		hi = w.spans[i+1].lo
 	}
+	return w.buf[w.spans[i].lo:hi]
+}
+
+// sectionWriter appends to the open section of a DeltaWriter's capture.
+type sectionWriter DeltaWriter
+
+func (s *sectionWriter) Write(p []byte) (int, error) {
+	s.buf = append(s.buf, p...)
+	return len(p), nil
+}
+
+// Commit ends the capture and starts the epoch's write in the background.
+// The caller may mutate its own state at once: the bytes are the writer's.
+// A capture error (bad or duplicate section name) abandons the epoch.
+func (w *DeltaWriter) Commit() error {
+	if w.inFlight {
+		return fmt.Errorf("checkpoint: Commit without Begin")
+	}
+	for i, s := range w.spans {
+		if s.name == "" || len(s.name) > maxSectionName {
+			return fmt.Errorf("checkpoint: bad section name %q", s.name)
+		}
+		for _, t := range w.spans[:i] {
+			if t.name == s.name {
+				return fmt.Errorf("checkpoint: duplicate section %q", s.name)
+			}
+		}
+	}
+	w.inFlight = true
+	go w.flush(time.Since(w.captureStart).Seconds())
+	return nil
+}
+
+// Wait joins the epoch in flight and reports its outcome; ok is false
+// when none is. Every exit path of a session calls it, so the last
+// committed epoch is durable, and the goroutine gone, before Run returns.
+func (w *DeltaWriter) Wait() (res DeltaResult, ok bool) {
+	if !w.inFlight {
+		return DeltaResult{}, false
+	}
+	start := time.Now()
+	res = <-w.done
+	w.inFlight = false
+	res.WaitSeconds = time.Since(start).Seconds()
+	return res, true
+}
+
+// Write persists one snapshot epoch synchronously — Begin, capture, Commit
+// and Wait in one call — and returns its epoch number and on-disk size.
+// Tools and tests use it; a session overlaps the write with its next round.
+func (w *DeltaWriter) Write(sections []Section) (uint64, int64, error) {
+	w.Begin(0)
+	for _, s := range sections {
+		w.Section(s.Name).Write(s.Data)
+	}
+	if err := w.Commit(); err != nil {
+		return 0, 0, err
+	}
+	res, _ := w.Wait()
+	if res.Err != nil {
+		return 0, 0, res.Err
+	}
+	return res.Epoch, res.Size, nil
+}
+
+// flush writes the captured epoch: chunks unchanged since the previous
+// epoch become references, every RebaseEvery-th epoch (and the first after
+// open) is written in full, and after a successful write the epochs
+// unreachable from the new one are garbage collected. A failed write
+// leaves the chain state untouched, so the next epoch reuses the number.
+// captureSec is what the capture took, for the epoch's Seconds.
+func (w *DeltaWriter) flush(captureSec float64) {
+	start := time.Now()
 	epoch := w.epoch + 1
-	rebase := w.prev == nil || w.sinceRebase >= w.opts.RebaseEvery
+	res := DeltaResult{Label: w.label, Epoch: epoch}
+	defer func() {
+		res.Seconds = captureSec + time.Since(start).Seconds()
+		w.done <- res
+	}()
+	rebase := w.sinceRebase == 0 || w.sinceRebase >= w.opts.RebaseEvery
 	cs := w.opts.ChunkSize
-
-	var table bytes.Buffer
-	var blob bytes.Buffer
-	next := make(map[string][]DeltaChunk, len(sections))
-
 	var baseEpoch uint64
 	if !rebase {
 		baseEpoch = w.epoch
 	}
-	writeU16 := func(v uint16) { binary.Write(&table, binary.LittleEndian, v) }
-	writeU32 := func(v uint32) { binary.Write(&table, binary.LittleEndian, v) }
-	writeU64 := func(v uint64) { binary.Write(&table, binary.LittleEndian, v) }
-	writeU32(uint32(cs))
-	writeU64(epoch)
-	writeU64(baseEpoch)
-	writeU32(uint32(len(sections)))
-	for _, s := range sections {
-		writeU16(uint16(len(s.Name)))
-		table.WriteString(s.Name)
-		writeU64(uint64(len(s.Data)))
-		n := (len(s.Data) + cs - 1) / cs
-		writeU32(uint32(n))
-		prev := w.prev[s.Name]
-		chunks := make([]DeltaChunk, 0, n)
+	next := w.spare[:0]
+
+	// The table goes first in the file and its length depends on every
+	// hash comparison, so the inline chunks follow in a second pass.
+	le := binary.LittleEndian
+	out := append(w.out[:0], make([]byte, headerLen)...)
+	out = le.AppendUint32(out, uint32(cs))
+	out = le.AppendUint64(out, epoch)
+	out = le.AppendUint64(out, baseEpoch)
+	out = le.AppendUint32(out, uint32(len(w.spans)))
+	for si, s := range w.spans {
+		data := w.captured(si)
+		n := (len(data) + cs - 1) / cs
+		out = le.AppendUint16(out, uint16(len(s.name)))
+		out = append(out, s.name...)
+		out = le.AppendUint64(out, uint64(len(data)))
+		out = le.AppendUint32(out, uint32(n))
+		var old []DeltaChunk
+		if !rebase {
+			old = chunksOf(w.prev, s.name, si)
+		}
+		if len(next) < cap(next) {
+			next = next[:len(next)+1] // reuse the slot's chunk slice
+		} else {
+			next = append(next, sectionTable{})
+		}
+		t := &next[len(next)-1]
+		t.name, t.chunks = s.name, t.chunks[:0]
 		for i := 0; i < n; i++ {
-			lo, hi := i*cs, (i+1)*cs
-			if hi > len(s.Data) {
-				hi = len(s.Data)
-			}
-			part := s.Data[lo:hi]
-			h := sha256.Sum256(part)
-			if !rebase && i < len(prev) && prev[i].Hash == h {
+			h := sha256.Sum256(chunkAt(data, i, cs))
+			if i < len(old) && old[i].Hash == h {
 				// Unchanged: reference the epoch that holds the bytes.
-				src := prev[i].SrcEpoch
-				table.WriteByte(chunkRef)
-				table.Write(h[:])
-				writeU64(src)
-				chunks = append(chunks, DeltaChunk{Hash: h, SrcEpoch: src})
+				out = append(out, chunkRef)
+				out = append(out, h[:]...)
+				out = le.AppendUint64(out, old[i].SrcEpoch)
+				t.chunks = append(t.chunks, DeltaChunk{Hash: h, SrcEpoch: old[i].SrcEpoch})
 				continue
 			}
-			table.WriteByte(chunkInline)
-			table.Write(h[:])
-			off := blob.Len()
-			blob.Write(part)
-			chunks = append(chunks, DeltaChunk{Hash: h, Inline: true, SrcEpoch: epoch, offset: off, size: len(part)})
+			out = append(out, chunkInline)
+			out = append(out, h[:]...)
+			t.chunks = append(t.chunks, DeltaChunk{Hash: h, Inline: true, SrcEpoch: epoch})
 		}
-		next[s.Name] = chunks
 	}
+	for si := range w.spans {
+		data := w.captured(si)
+		for i, c := range next[si].chunks {
+			if c.Inline {
+				out = append(out, chunkAt(data, i, cs)...)
+			}
+		}
+	}
+	copy(out[:8], deltaMagic[:])
+	le.PutUint32(out[8:12], DeltaVersion)
+	le.PutUint64(out[12:20], uint64(len(out)-headerLen))
+	le.PutUint32(out[20:24], crc32.Checksum(out[headerLen:], castagnoli))
+	w.out, w.spare = out, next
 
-	payloadLen := table.Len() + blob.Len()
-	crc := crc32.Checksum(table.Bytes(), castagnoli)
-	crc = crc32.Update(crc, castagnoli, blob.Bytes())
-	size, err := atomicWrite(filepath.Join(w.dir, deltaFileName(epoch)), func(out io.Writer) error {
-		var hdr [headerLen]byte
-		copy(hdr[:8], deltaMagic[:])
-		binary.LittleEndian.PutUint32(hdr[8:12], DeltaVersion)
-		binary.LittleEndian.PutUint64(hdr[12:20], uint64(payloadLen))
-		binary.LittleEndian.PutUint32(hdr[20:24], crc)
-		if _, err := out.Write(hdr[:]); err != nil {
-			return fmt.Errorf("checkpoint: write delta header: %w", err)
-		}
-		if _, err := out.Write(table.Bytes()); err != nil {
-			return fmt.Errorf("checkpoint: write delta table: %w", err)
-		}
-		if _, err := out.Write(blob.Bytes()); err != nil {
-			return fmt.Errorf("checkpoint: write delta blob: %w", err)
+	size, err := atomicWrite(filepath.Join(w.dir, deltaFileName(epoch)), func(f io.Writer) error {
+		if _, err := f.Write(out); err != nil {
+			return fmt.Errorf("checkpoint: write delta epoch: %w", err)
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		res.Err = err
+		return
 	}
+	res.Size = size
 	w.epoch = epoch
-	w.prev = next
+	w.prev, w.spare = next, w.prev
 	if rebase {
 		w.sinceRebase = 1
 	} else {
 		w.sinceRebase++
 	}
+	w.owned = append(w.owned, epoch)
 	w.gc(next, epoch)
-	return epoch, size, nil
+}
+
+// chunkAt returns the i-th cs-sized chunk of data (the last may be short).
+func chunkAt(data []byte, i, cs int) []byte {
+	return data[i*cs : min(len(data), (i+1)*cs)]
+}
+
+// chunksOf returns the named section's chunks in a remembered table;
+// sections keep their position from epoch to epoch, so that is tried first.
+func chunksOf(table []sectionTable, name string, at int) []DeltaChunk {
+	if at < len(table) && table[at].name == name {
+		return table[at].chunks
+	}
+	for i := range table {
+		if table[i].name == name {
+			return table[i].chunks
+		}
+	}
+	return nil
 }
 
 // gc removes epoch files unreachable from the latest epoch: anything
 // other than the latest itself and the epochs its references point at.
 // Failures are ignored — a leftover file is garbage, not corruption, and
-// the next GC pass retries.
-func (w *DeltaWriter) gc(table map[string][]DeltaChunk, latest uint64) {
-	keep := map[uint64]bool{latest: true}
-	for _, chunks := range table {
-		for _, c := range chunks {
+// it stays in the owned set for the next pass to retry.
+func (w *DeltaWriter) gc(table []sectionTable, latest uint64) {
+	clear(w.keep)
+	w.keep[latest] = true
+	for _, t := range table {
+		for _, c := range t.chunks {
 			if !c.Inline {
-				keep[c.SrcEpoch] = true
+				w.keep[c.SrcEpoch] = true
 			}
 		}
-	}
-	epochs, err := DeltaEpochs(w.dir)
-	if err != nil {
-		return
 	}
 	// Delete newest-first: references only point backward, so a crash
 	// mid-pass can leave an unreferenced old epoch behind but never a
 	// surviving epoch whose reference target is already gone.
-	for i := len(epochs) - 1; i >= 0; i-- {
-		if !keep[epochs[i]] {
-			os.Remove(filepath.Join(w.dir, deltaFileName(epochs[i])))
+	for i := len(w.owned) - 1; i >= 0; i-- {
+		if e := w.owned[i]; !w.keep[e] {
+			err := os.Remove(filepath.Join(w.dir, deltaFileName(e)))
+			if err == nil || errors.Is(err, fs.ErrNotExist) {
+				w.owned[i] = 0
+			}
 		}
 	}
+	live := w.owned[:0]
+	for _, e := range w.owned {
+		if e != 0 {
+			live = append(live, e)
+		}
+	}
+	w.owned = live
 }
 
 func deltaFileName(epoch uint64) string {

@@ -1,0 +1,259 @@
+package rpc
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"adafl/internal/checkpoint"
+	"adafl/internal/obs"
+)
+
+// crashCopy takes the image of a checkpoint directory a crash at this
+// instant could leave, without waiting for the writer: every file present
+// is hard-linked into dst (epoch files are immutable once renamed in, and
+// a half-written temp file is exactly what a crash leaves). The writer's
+// one epoch in flight may land and GC behind it while the copy runs, so
+// the copy goes oldest-first — GC deletes newest-first, hence what a racing
+// pass keeps of the deleted epochs is a prefix, closed under the chain's
+// backward references — and a second pass picks up the new epoch and
+// whatever it references, none of which GC touches.
+func crashCopy(src, dst string) error {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	for pass := 0; pass < 2; pass++ {
+		entries, err := os.ReadDir(src) // sorted by name: ascending epoch
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
+			if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, fs.ErrExist) {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to the
+// baseline: connection handlers wind down shortly after their sockets
+// close, a leaked checkpoint writer never would.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, %d before the session", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// runDeltaSession runs one delta-checkpointed session to the end of Run
+// with the environment's clients and waits for them.
+func runDeltaSession(t *testing.T, env *chaosEnv, scfg ServerConfig) (*ServerResult, error) {
+	t.Helper()
+	srv, err := NewServer(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := make([]ClientConfig, env.clients)
+	for i := range cfgs {
+		cfgs[i] = env.clientConfig(i, srv.Addr())
+	}
+	done := make(chan struct{})
+	go func() { runClients(cfgs); close(done) }()
+	res, err := srv.Run()
+	<-done
+	return res, err
+}
+
+// TestDeltaCheckpointCrashCopiesResume is crash consistency while an epoch
+// is in flight: OnRound runs right after round r's epoch was committed, so
+// a copy of the directory taken there, without joining, is what a crash at
+// that point leaves. Every copy must audit clean and load round r or r-1,
+// never a torn chain; resumed sessions finish with a gapless history. The
+// same run pins the observability of the join: one checkpoint event per
+// round under the snapshot's own round, one wait observation per join.
+func TestDeltaCheckpointCrashCopiesResume(t *testing.T) {
+	const rounds = 20
+	env := newChaosEnv(2, 240, 12, 16, 75)
+	dir, copies := t.TempDir(), t.TempDir()
+	copyDir := func(r int) string { return filepath.Join(copies, fmt.Sprintf("round-%02d", r)) }
+
+	reg := obs.NewRegistry()
+	var eventBuf bytes.Buffer
+	events := obs.NewEventLogWriter(&eventBuf)
+	scfg := env.serverConfig(rounds)
+	scfg.CheckpointDir, scfg.DeltaCheckpoints = dir, true
+	scfg.Metrics, scfg.Events = reg, events
+	scfg.OnRound = func(rec RoundRecord) {
+		if err := crashCopy(dir, copyDir(rec.Round)); err != nil {
+			t.Errorf("copy at round %d: %v", rec.Round, err)
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	if _, err := runDeltaSession(t, env, scfg); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, baseline)
+
+	// Run joined the last epoch: the directory itself holds the last round.
+	if _, err := checkpoint.AuditDelta(dir); err != nil {
+		t.Fatalf("final chain: %v", err)
+	}
+	if err := events.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logged, err := obs.ReadEvents(&eventBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for _, e := range logged {
+		if e.Type != "checkpoint" {
+			continue
+		}
+		if e.Round != next || e.Bytes == 0 || e.Seconds <= 0 {
+			t.Fatalf("checkpoint event %+v, want round %d with its size and seconds", e, next)
+		}
+		next++
+	}
+	if next != rounds {
+		t.Fatalf("%d checkpoint events for %d rounds", next, rounds)
+	}
+	if n := reg.Histogram("adafl_checkpoint_wait_seconds", obs.LatencyBuckets).Count(); n != rounds {
+		t.Fatalf("%d join waits observed, want one per epoch (%d)", n, rounds)
+	}
+	if n := reg.Histogram("adafl_checkpoint_seconds", obs.LatencyBuckets).Count(); n != rounds {
+		t.Fatalf("%d epochs timed, want %d", n, rounds)
+	}
+
+	loaded := make([]int, rounds) // round each copy restores, -1 for none
+	for r := 0; r < rounds; r++ {
+		lcfg := env.serverConfig(rounds)
+		lcfg.CheckpointDir, lcfg.DeltaCheckpoints, lcfg.Resume = copyDir(r), true, true
+		snap, err := (&Server{cfg: lcfg}).loadCheckpoint(env.newModel().NumParams())
+		if err != nil {
+			t.Fatalf("copy at round %d does not load: %v", r, err)
+		}
+		loaded[r] = -1
+		if snap != nil {
+			loaded[r] = snap.CompletedRound
+			if _, err := checkpoint.AuditDelta(copyDir(r)); err != nil {
+				t.Fatalf("copy at round %d: %v", r, err)
+			}
+		}
+		if loaded[r] != r && loaded[r] != r-1 {
+			t.Fatalf("copy at round %d restores round %d, want %d or %d", r, loaded[r], r, r-1)
+		}
+	}
+
+	for _, r := range []int{1, 10} {
+		rcfg := env.serverConfig(rounds)
+		rcfg.CheckpointDir, rcfg.DeltaCheckpoints, rcfg.Resume = copyDir(r), true, true
+		res, err := runDeltaSession(t, env, rcfg)
+		if err != nil {
+			t.Fatalf("resume from the copy at round %d: %v", r, err)
+		}
+		if res.ResumedFrom != loaded[r]+1 {
+			t.Fatalf("copy at round %d: ResumedFrom = %d, want %d", r, res.ResumedFrom, loaded[r]+1)
+		}
+		if len(res.Rounds) != rounds {
+			t.Fatalf("copy at round %d: resumed session ended with %d/%d rounds", r, len(res.Rounds), rounds)
+		}
+		for i, rec := range res.Rounds {
+			if rec.Round != i {
+				t.Fatalf("copy at round %d: history gap at index %d (round %d)", r, i, rec.Round)
+			}
+		}
+		// The resumed writer swept whatever temp file the copy caught.
+		if tmp, _ := filepath.Glob(filepath.Join(copyDir(r), "*.tmp*")); len(tmp) != 0 {
+			t.Fatalf("copy at round %d: temp files survived the resume: %v", r, tmp)
+		}
+	}
+	waitGoroutines(t, baseline)
+}
+
+// TestDeltaCheckpointWriteErrorContinues: the checkpoint directory goes
+// away mid-run and comes back. Each failed epoch is reported at its join
+// under its own round, the session trains on and finishes, the epochs
+// after the outage reuse the failed numbers, and the chain ends whole at
+// the last round. (Moved aside, not chmod'ed: root ignores mode bits.)
+func TestDeltaCheckpointWriteErrorContinues(t *testing.T) {
+	const (
+		rounds  = 8
+		goneAt  = 2 // OnRound of this round takes the directory away
+		backAt  = 5 // OnRound of this round restores it
+		certain = 2 // rounds goneAt+1 .. backAt-1 are committed and joined inside the outage
+	)
+	env := newChaosEnv(2, 240, 12, 16, 76)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	var mu sync.Mutex
+	var failed []string
+	scfg := env.serverConfig(rounds)
+	scfg.CheckpointDir, scfg.DeltaCheckpoints = dir, true
+	scfg.Logf = func(format string, args ...interface{}) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "failed (continuing)") {
+			mu.Lock()
+			failed = append(failed, line)
+			mu.Unlock()
+		}
+	}
+	scfg.OnRound = func(rec RoundRecord) {
+		var err error
+		switch rec.Round {
+		case goneAt:
+			err = os.Rename(dir, dir+".away")
+		case backAt:
+			err = os.Rename(dir+".away", dir)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	res, err := runDeltaSession(t, env, scfg)
+	if err != nil {
+		t.Fatalf("session with a checkpoint outage: %v", err)
+	}
+	waitGoroutines(t, baseline)
+	if len(res.Rounds) != rounds {
+		t.Fatalf("session ended with %d/%d rounds", len(res.Rounds), rounds)
+	}
+	// The epochs of rounds goneAt and backAt were in flight when the
+	// directory moved, so they may have landed or not; the ones between
+	// failed for certain, and nothing outside that window did.
+	if len(failed) < certain || len(failed) > certain+2 {
+		t.Fatalf("%d failed checkpoints logged, want %d to %d:\n%s", len(failed), certain, certain+2, strings.Join(failed, "\n"))
+	}
+	for r := goneAt + 1; r < backAt; r++ {
+		want := fmt.Sprintf("checkpoint after round %d failed", r+1)
+		if !strings.Contains(strings.Join(failed, "\n"), want) {
+			t.Fatalf("no %q among:\n%s", want, strings.Join(failed, "\n"))
+		}
+	}
+	audit, err := checkpoint.AuditDelta(dir)
+	if err != nil {
+		t.Fatalf("chain after the outage: %v", err)
+	}
+	if want := uint64(rounds - len(failed)); audit.Latest != want {
+		t.Fatalf("chain ends at epoch %d, want %d: a failed epoch's number was not reused", audit.Latest, want)
+	}
+	lcfg := env.serverConfig(rounds)
+	lcfg.CheckpointDir, lcfg.DeltaCheckpoints, lcfg.Resume = dir, true, true
+	snap, err := (&Server{cfg: lcfg}).loadCheckpoint(env.newModel().NumParams())
+	if err != nil || snap == nil || snap.CompletedRound != rounds-1 {
+		t.Fatalf("chain after the outage loads %+v (err %v), want round %d", snap, err, rounds-1)
+	}
+}

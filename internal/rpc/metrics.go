@@ -20,7 +20,8 @@ type serverMetrics struct {
 	roundSec      *obs.Histogram // adafl_round_seconds
 	scoreSec      *obs.Histogram // adafl_phase_seconds{phase="score"}
 	updateSec     *obs.Histogram // adafl_phase_seconds{phase="update"}
-	ckptSec       *obs.Histogram // adafl_checkpoint_seconds
+	ckptSec       *obs.Histogram // adafl_checkpoint_seconds (capturing and writing one snapshot, wherever it ran)
+	ckptWaitSec   *obs.Histogram // adafl_checkpoint_wait_seconds (round loop blocked joining a delta epoch)
 	ckptBytes     *obs.Gauge     // adafl_checkpoint_bytes
 	scores        *obs.Histogram // adafl_utility_score
 	ratios        *obs.Histogram // adafl_compression_ratio (planned, from the selector)
@@ -54,6 +55,7 @@ func newServerMetrics(r *obs.Registry, session string) serverMetrics {
 		scoreSec:      r.Histogram(l(`adafl_phase_seconds{phase="score"}`), obs.LatencyBuckets),
 		updateSec:     r.Histogram(l(`adafl_phase_seconds{phase="update"}`), obs.LatencyBuckets),
 		ckptSec:       r.Histogram(l("adafl_checkpoint_seconds"), obs.LatencyBuckets),
+		ckptWaitSec:   r.Histogram(l("adafl_checkpoint_wait_seconds"), obs.LatencyBuckets),
 		ckptBytes:     r.Gauge(l("adafl_checkpoint_bytes")),
 		scores:        r.Histogram(l("adafl_utility_score"), obs.ScoreBuckets),
 		ratios:        r.Histogram(l("adafl_compression_ratio"), obs.RatioBuckets),

@@ -520,6 +520,10 @@ func (s *Server) Run() (*ServerResult, error) {
 		return nil, err
 	}
 
+	// Every way out of the round loop — budget met, EndedEarly, Kill — joins
+	// the delta epoch still in flight: the last completed round is durable,
+	// and the writer's goroutine gone, before Run returns.
+	defer s.joinDeltaCheckpoint()
 	for round := startRound; round < s.cfg.Rounds; round++ {
 		s.admitPending(round)
 		if live := s.liveCount(); live < s.cfg.MinClients {
@@ -538,16 +542,7 @@ func (s *Server) Run() (*ServerResult, error) {
 		res.Quarantines = s.quarantines
 		res.QuarantinesDropped = s.quarantinesDropped
 		if s.cfg.CheckpointDir != "" {
-			ckptStart := time.Now()
-			size, err := s.saveCheckpoint(round, global, globalDelta, lastSel, res)
-			if err != nil {
-				s.cfg.Logf("server: checkpoint after round %d failed (continuing): %v", round+1, err)
-			} else {
-				sec := time.Since(ckptStart).Seconds()
-				s.met.ckptSec.Observe(sec)
-				s.met.ckptBytes.Set(float64(size))
-				s.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: round, Client: -1, Bytes: size, Seconds: sec})
-			}
+			s.saveCheckpoint(round, global, globalDelta, lastSel, res)
 		}
 		// Round boundary: make the round's event records crash-durable.
 		if err := s.cfg.Events.Flush(); err != nil {
@@ -1156,8 +1151,11 @@ func (s *Server) checkpointPath() string {
 	return filepath.Join(s.cfg.CheckpointDir, snapshotFile)
 }
 
+// saveCheckpoint snapshots the session after a completed round. The full
+// format is written here and now; a delta epoch is captured here and
+// written behind the next round (see beginDeltaCheckpoint).
 func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
-	lastSel map[int]int, res *ServerResult) (int64, error) {
+	lastSel map[int]int, res *ServerResult) {
 	var scenState *scenario.State
 	if s.cfg.Scenario != nil {
 		scenState = s.cfg.Scenario.Snapshot()
@@ -1186,9 +1184,27 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 		Negotiation:        negState,
 	}
 	if s.cfg.DeltaCheckpoints {
-		return s.saveDeltaCheckpoint(snap)
+		if err := s.beginDeltaCheckpoint(snap); err != nil {
+			s.checkpointDone(round, 0, 0, err)
+		}
+		return
 	}
-	return checkpoint.SaveSized(s.checkpointPath(), snap)
+	start := time.Now()
+	size, err := checkpoint.SaveSized(s.checkpointPath(), snap)
+	s.checkpointDone(round, size, time.Since(start).Seconds(), err)
+}
+
+// checkpointDone records one snapshot's outcome — the round loop is the
+// only writer of the event log, so a delta epoch written in the background
+// is reported from here too, at its join, under its own round.
+func (s *Server) checkpointDone(round int, size int64, sec float64, err error) {
+	if err != nil {
+		s.cfg.Logf("server: checkpoint after round %d failed (continuing): %v", round+1, err)
+		return
+	}
+	s.met.ckptSec.Observe(sec)
+	s.met.ckptBytes.Set(float64(size))
+	s.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: round, Client: -1, Bytes: size, Seconds: sec})
 }
 
 // Section names of a delta-format session checkpoint. The big vectors get
@@ -1204,27 +1220,26 @@ const (
 	deltaSecRound  = "round"
 )
 
-// encodeDeltaSnapshot splits a snapshot into delta-checkpoint sections.
-func encodeDeltaSnapshot(snap *sessionSnapshot) ([]checkpoint.Section, error) {
+// captureDeltaSnapshot writes a snapshot's sections into the epoch w has
+// open. Everything that reads live session state happens here, on the round
+// loop; the bytes are the writer's once it returns.
+func captureDeltaSnapshot(w *checkpoint.DeltaWriter, snap *sessionSnapshot) error {
 	global, gdelta := snap.Global, snap.GlobalDelta
 	snap.Global, snap.GlobalDelta = nil, nil
-	var meta bytes.Buffer
-	err := gob.NewEncoder(&meta).Encode(snap)
+	err := gob.NewEncoder(w.Section(deltaSecMeta)).Encode(snap)
 	snap.Global, snap.GlobalDelta = global, gdelta
 	if err != nil {
-		return nil, err
+		return err
 	}
+	w.F64s(deltaSecGlobal, global)
+	w.F64s(deltaSecGDelta, gdelta)
 	var round [8]byte
 	binary.LittleEndian.PutUint64(round[:], uint64(snap.CompletedRound))
-	return []checkpoint.Section{
-		{Name: deltaSecMeta, Data: meta.Bytes()},
-		{Name: deltaSecGlobal, Data: checkpoint.AppendF64s(nil, global)},
-		{Name: deltaSecGDelta, Data: checkpoint.AppendF64s(nil, gdelta)},
-		{Name: deltaSecRound, Data: round[:]},
-	}, nil
+	w.Section(deltaSecRound).Write(round[:])
+	return nil
 }
 
-// decodeDeltaSnapshot is the inverse of encodeDeltaSnapshot.
+// decodeDeltaSnapshot is the inverse of captureDeltaSnapshot.
 func decodeDeltaSnapshot(sections []checkpoint.Section) (*sessionSnapshot, error) {
 	byName := make(map[string][]byte, len(sections))
 	for _, sec := range sections {
@@ -1254,23 +1269,44 @@ func decodeDeltaSnapshot(sections []checkpoint.Section) (*sessionSnapshot, error
 	return &snap, nil
 }
 
-// saveDeltaCheckpoint writes one delta epoch. The writer is created
-// lazily on the first save so a resumed session's writer opens after the
-// chain has been read (NewDeltaWriter continues past the latest epoch).
-func (s *Server) saveDeltaCheckpoint(snap *sessionSnapshot) (int64, error) {
+// beginDeltaCheckpoint joins the previous round's epoch, captures this
+// round's and leaves it writing behind the next round. The writer is
+// created lazily on the first save so a resumed session's writer opens
+// after the chain has been read (NewDeltaWriter continues past the latest
+// epoch).
+func (s *Server) beginDeltaCheckpoint(snap *sessionSnapshot) error {
 	if s.deltaW == nil {
 		w, err := checkpoint.NewDeltaWriter(s.cfg.CheckpointDir, checkpoint.DeltaOptions{})
 		if err != nil {
-			return 0, err
+			return err
 		}
 		s.deltaW = w
 	}
-	sections, err := encodeDeltaSnapshot(snap)
-	if err != nil {
-		return 0, err
+	s.deltaJoined(s.deltaW.Begin(snap.CompletedRound))
+	if err := captureDeltaSnapshot(s.deltaW, snap); err != nil {
+		return err
 	}
-	_, size, err := s.deltaW.Write(sections)
-	return size, err
+	return s.deltaW.Commit()
+}
+
+// joinDeltaCheckpoint waits for the delta epoch in flight, if any.
+func (s *Server) joinDeltaCheckpoint() {
+	if s.deltaW != nil {
+		s.deltaJoined(s.deltaW.Wait())
+		if err := s.cfg.Events.Flush(); err != nil {
+			s.cfg.Logf("server: event log flush after the last checkpoint failed: %v", err)
+		}
+	}
+}
+
+// deltaJoined reports a joined epoch: how long the round loop blocked for
+// it (≈ 0 when the pipeline hid the write) and its outcome.
+func (s *Server) deltaJoined(res checkpoint.DeltaResult, ok bool) {
+	if !ok {
+		return
+	}
+	s.met.ckptWaitSec.Observe(res.WaitSeconds)
+	s.checkpointDone(res.Label, res.Size, res.Seconds, res.Err)
 }
 
 // loadCheckpoint restores the snapshot for a resumed session. A missing

@@ -455,6 +455,7 @@ func (a *AsyncSession) Kill() {
 // Kill (ErrKilled). The caller runs exactly one Run per session.
 func (a *AsyncSession) Run() (*AsyncResult, error) {
 	defer a.tree.Close()
+	defer a.joinCheckpoint()
 	res := a.res
 	for {
 		if _, v := a.snapshot(); v >= a.cfg.Versions {
@@ -553,15 +554,8 @@ func (a *AsyncSession) apply() {
 		Received: part.Count, Acc: obs.AccValue(acc)})
 
 	if a.deltaW != nil {
-		start := time.Now()
-		size, err := a.saveCheckpoint(version)
-		if err != nil {
-			a.cfg.Logf("session %q: checkpoint at version %d failed (continuing): %v", a.cfg.Name, version, err)
-		} else {
-			sec := time.Since(start).Seconds()
-			a.met.ckptSec.Observe(sec)
-			a.met.ckptBytes.Set(float64(size))
-			a.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: version, Client: -1, Bytes: size, Seconds: sec})
+		if err := a.beginCheckpoint(version); err != nil {
+			a.checkpointDone(version, 0, 0, err)
 		}
 	}
 	if err := a.cfg.Events.Flush(); err != nil {
@@ -581,10 +575,13 @@ func (a *AsyncSession) evict(id int) {
 	}
 }
 
-// asyncDeltaSections mirrors the sync engine's delta layout: a gob meta
-// section, the fixed-width global vector and a bare little-endian u64
-// "round" (the model version) an offline auditor can read generically.
-func (a *AsyncSession) saveCheckpoint(version int) (int64, error) {
+// beginCheckpoint joins the previous version's epoch, captures this
+// version's — the sync engine's delta layout: a gob meta section, the
+// fixed-width global vector and a bare little-endian u64 "round" (the
+// model version) an offline auditor can read generically — and leaves it
+// writing behind the arrivals of the next version.
+func (a *AsyncSession) beginCheckpoint(version int) error {
+	a.checkpointJoined(a.deltaW.Begin(version))
 	params, _ := a.snapshot()
 	live := a.connBytes.Load()
 	a.connMu.Lock()
@@ -604,12 +601,44 @@ func (a *AsyncSession) saveCheckpoint(version int) (int64, error) {
 		Quarantines:     a.res.Quarantines,
 		BytesReceived:   live,
 	}
-	sections, err := encodeAsyncSnapshot(snap, params)
-	if err != nil {
-		return 0, err
+	if err := captureAsyncSnapshot(a.deltaW, snap, params); err != nil {
+		return err
 	}
-	_, size, err := a.deltaW.Write(sections)
-	return size, err
+	return a.deltaW.Commit()
+}
+
+// checkpointDone records one epoch's outcome under its own version. The
+// engine loop is the event log's only writer, so the background write is
+// reported from here, at its join.
+func (a *AsyncSession) checkpointDone(version int, size int64, sec float64, err error) {
+	if err != nil {
+		a.cfg.Logf("session %q: checkpoint at version %d failed (continuing): %v", a.cfg.Name, version, err)
+		return
+	}
+	a.met.ckptSec.Observe(sec)
+	a.met.ckptBytes.Set(float64(size))
+	a.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: version, Client: -1, Bytes: size, Seconds: sec})
+}
+
+// checkpointJoined reports a joined epoch: how long the engine loop blocked
+// for it (≈ 0 when the pipeline hid the write) and its outcome.
+func (a *AsyncSession) checkpointJoined(res checkpoint.DeltaResult, ok bool) {
+	if !ok {
+		return
+	}
+	a.met.ckptWaitSec.Observe(res.WaitSeconds)
+	a.checkpointDone(res.Label, res.Size, res.Seconds, res.Err)
+}
+
+// joinCheckpoint waits for the epoch in flight, if any: the last published
+// version is durable, and the writer's goroutine gone, before Run returns.
+func (a *AsyncSession) joinCheckpoint() {
+	if a.deltaW != nil {
+		a.checkpointJoined(a.deltaW.Wait())
+		if err := a.cfg.Events.Flush(); err != nil {
+			a.cfg.Logf("session %q: event log flush failed: %v", a.cfg.Name, err)
+		}
+	}
 }
 
 // shutdownConns sends farewells and closes every connection.

@@ -3,9 +3,11 @@ package session
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -449,6 +451,7 @@ func TestDeltaCheckpointSteadyStateBytes(t *testing.T) {
 			a.fold(arrival{client: 0, base: a.Version(), delta: compress.NewSparseDense(d)})
 		}
 		a.tree.Close()
+		a.joinCheckpoint() // what Run's return does: the tenth epoch is still in flight
 		// GC leaves only the reachable epochs: the full base every delta
 		// references, and the latest (steady-state) epoch.
 		epochs, err := checkpoint.DeltaEpochs(dir)
@@ -469,6 +472,91 @@ func TestDeltaCheckpointSteadyStateBytes(t *testing.T) {
 		steady := size(epochs[len(epochs)-1])
 		if steady > full*30/100 {
 			t.Fatalf("session %s: steady-state epoch %d bytes exceeds 30%% of full snapshot %d bytes", name, steady, full)
+		}
+	}
+}
+
+// crashCopy is the image of a checkpoint directory a crash at this instant
+// could leave, taken without waiting for the writer (the argument for the
+// order and the second pass is on its twin in internal/rpc).
+func crashCopy(src, dst string) error {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	for pass := 0; pass < 2; pass++ {
+		entries, err := os.ReadDir(src) // sorted by name: ascending epoch
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
+			if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, fs.ErrExist) {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestAsyncDeltaCheckpointCrashCopiesResume is crash consistency while an
+// epoch is in flight, at version boundaries: fold returns with version v's
+// epoch committed, not joined, so a copy of the directory taken then is
+// what a crash there leaves. Every copy must audit clean and resume at
+// version v or v-1, never a torn chain.
+func TestAsyncDeltaCheckpointCrashCopiesResume(t *testing.T) {
+	const versions = 20
+	env := newTestEnv(1, 40, 16, 64, 52)
+	dir, copies := t.TempDir(), t.TempDir()
+	baseline := runtime.NumGoroutine()
+	a, err := NewAsync(AsyncConfig{
+		Name: "copies", NewModel: env.newModel, K: 1, Versions: 100,
+		CheckpointDir: dir, RebaseEvery: 6, Logf: quiet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= versions; v++ {
+		d := make([]float64, a.dim)
+		for j := 0; j < 256; j++ {
+			d[(j*v)%a.dim] = float64(v) * 1e-3
+		}
+		a.fold(arrival{client: 0, base: a.Version(), delta: compress.NewSparseDense(d)})
+		if a.Version() != v {
+			t.Fatalf("fold %d left version %d", v, a.Version())
+		}
+		if err := crashCopy(dir, filepath.Join(copies, fmt.Sprint(v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.joinCheckpoint() // what Run's return does
+	a.tree.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, %d before the session", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if rep, err := Doctor(dir, "", nil); err != nil || !rep.Healthy() || rep.Round != versions {
+		t.Fatalf("joined chain: %+v (err %v), want round %d", rep, err, versions)
+	}
+
+	for v := 1; v <= versions; v++ {
+		cdir := filepath.Join(copies, fmt.Sprint(v))
+		r, err := NewAsync(AsyncConfig{
+			Name: "copies", NewModel: env.newModel, K: 1, Versions: 100,
+			CheckpointDir: cdir, Resume: true, Logf: quiet,
+		})
+		if err != nil {
+			t.Fatalf("copy at version %d does not resume: %v", v, err)
+		}
+		r.tree.Close()
+		if got := r.Version(); got != v && got != v-1 {
+			t.Fatalf("copy at version %d resumes at version %d, want %d or %d", v, got, v, v-1)
+		}
+		if r.Version() > 0 {
+			if _, err := checkpoint.AuditDelta(cdir); err != nil {
+				t.Fatalf("copy at version %d: %v", v, err)
+			}
 		}
 	}
 }

@@ -47,7 +47,9 @@ func (r *DoctorReport) Healthy() bool { return len(r.Problems) == 0 }
 //   - event log: round/version records must advance gaplessly (each
 //     distinct value one above the previous; duplicates allowed — a
 //     crash between checkpoint and re-run replays a round), and the
-//     checkpoint's round must sit at the log's tail.
+//     checkpoint's round must sit at the log's tail: at most one mark
+//     ahead of it, and — the pipelined writer's bound — at most one
+//     behind.
 //
 // Problems are findings, not errors: the error return is reserved for
 // the audit itself being impossible (unreadable directory, no
@@ -175,10 +177,17 @@ func auditEvents(path string, rep *DoctorReport, w io.Writer) {
 			len(events), len(rounds), rounds[0], prev)
 	}
 	if rep.Round >= 0 && len(rounds) > 0 {
-		// The sync engine's "round" events are 0-based while the async
-		// engine's "version" events match the checkpoint's version
-		// directly; both flush the event before the next round starts, so
-		// the checkpoint round may lead the log by at most one mark.
+		// Both engines number the mark and the checkpoint's "round" section
+		// alike (the sync engine 0-based rounds, the async engine versions),
+		// and both write the checkpoint behind the next round: round r's
+		// epoch is committed after r's mark is emitted, may land before that
+		// mark is flushed, and is joined — durable — before round r+1's
+		// epoch begins and before Run returns. So the checkpoint may lead
+		// the log by at most one mark, and after a hard crash it may trail
+		// the log's last mark by one: the epoch in flight is lost, the one
+		// before it was joined before the last mark was flushed. Trailing by
+		// two means a write failed ("failed (continuing)" in the server log)
+		// or the chain lost an epoch, and is reported.
 		sorted := append([]int(nil), rounds...)
 		sort.Ints(sorted)
 		max := sorted[len(sorted)-1]

@@ -25,13 +25,18 @@ func writeDeltaChain(t *testing.T, dir string, n, dim int) {
 			params[j] = float64(v) * 0.01
 		}
 		snap := &asyncSnapshot{Version: v, ParamDim: dim, K: 2, Pushes: v * 2}
-		sections, err := encodeAsyncSnapshot(snap, params)
-		if err != nil {
+		if res, ok := w.Begin(v); ok && res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if err := captureAsyncSnapshot(w, snap, params); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := w.Write(sections); err != nil {
+		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if res, _ := w.Wait(); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 }
 
@@ -117,17 +122,31 @@ func TestDoctorDetectsEventGap(t *testing.T) {
 	}
 }
 
+// TestDoctorDetectsLaggingCheckpoint pins both sides of the pipelined
+// writer's bound: a hard crash loses the one epoch in flight, so a chain
+// one mark behind its event log is healthy; two behind is not.
 func TestDoctorDetectsLaggingCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	writeDeltaChain(t, dir, 2, 512)
-	events := filepath.Join(t.TempDir(), "events.jsonl")
-	writeEventLog(t, events, []int{1, 2, 3, 4, 5}) // log far ahead of the chain
-	rep, err := Doctor(dir, events, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Healthy() {
-		t.Fatal("doctor passed a checkpoint two versions behind its event log")
+	for _, tc := range []struct {
+		marks   []int
+		healthy bool
+	}{
+		{[]int{1, 2}, true},
+		{[]int{1, 2, 3}, true}, // version 3's epoch was in flight at the crash
+		{[]int{1, 2, 3, 4}, false},
+		{[]int{1, 2, 3, 4, 5}, false},
+	} {
+		events := filepath.Join(t.TempDir(), "events.jsonl")
+		writeEventLog(t, events, tc.marks)
+		rep, err := Doctor(dir, events, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Healthy() != tc.healthy {
+			t.Fatalf("chain at version 2, event log %v: healthy=%v (%v), want %v",
+				tc.marks, rep.Healthy(), rep.Problems, tc.healthy)
+		}
 	}
 }
 

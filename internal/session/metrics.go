@@ -30,7 +30,8 @@ type asyncMetrics struct {
 	reconnects    *obs.Counter   // adafl_reconnects_total
 	connections   *obs.Gauge     // adafl_connections
 	accuracy      *obs.Gauge     // adafl_round_accuracy (per version)
-	ckptSec       *obs.Histogram // adafl_checkpoint_seconds
+	ckptSec       *obs.Histogram // adafl_checkpoint_seconds (capturing and writing one epoch, wherever it ran)
+	ckptWaitSec   *obs.Histogram // adafl_checkpoint_wait_seconds (engine loop blocked joining an epoch)
 	ckptBytes     *obs.Gauge     // adafl_checkpoint_bytes (delta epoch size)
 }
 
@@ -48,6 +49,7 @@ func newAsyncMetrics(r *obs.Registry, session string) asyncMetrics {
 		connections:   r.Gauge(l("adafl_connections")),
 		accuracy:      r.Gauge(l("adafl_round_accuracy")),
 		ckptSec:       r.Histogram(l("adafl_checkpoint_seconds"), obs.LatencyBuckets),
+		ckptWaitSec:   r.Histogram(l("adafl_checkpoint_wait_seconds"), obs.LatencyBuckets),
 		ckptBytes:     r.Gauge(l("adafl_checkpoint_bytes")),
 	}
 }
@@ -62,19 +64,17 @@ const (
 	secRound  = "round"
 )
 
-// encodeAsyncSnapshot splits an async snapshot into delta sections.
-func encodeAsyncSnapshot(snap *asyncSnapshot, params []float64) ([]checkpoint.Section, error) {
-	var meta bytes.Buffer
-	if err := gob.NewEncoder(&meta).Encode(snap); err != nil {
-		return nil, err
+// captureAsyncSnapshot writes an async snapshot's sections into the epoch
+// w has open; the bytes are the writer's once it returns.
+func captureAsyncSnapshot(w *checkpoint.DeltaWriter, snap *asyncSnapshot, params []float64) error {
+	if err := gob.NewEncoder(w.Section(secMeta)).Encode(snap); err != nil {
+		return err
 	}
+	w.F64s(secGlobal, params)
 	var round [8]byte
 	binary.LittleEndian.PutUint64(round[:], uint64(snap.Version))
-	return []checkpoint.Section{
-		{Name: secMeta, Data: meta.Bytes()},
-		{Name: secGlobal, Data: checkpoint.AppendF64s(nil, params)},
-		{Name: secRound, Data: round[:]},
-	}, nil
+	w.Section(secRound).Write(round[:])
+	return nil
 }
 
 // decodeAsyncSnapshot is the inverse; it returns the meta snapshot and

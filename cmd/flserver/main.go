@@ -78,8 +78,8 @@ func main() {
 	samples := flag.Int("samples", 2000, "total synthetic samples")
 	straggler := flag.Duration("straggler-timeout", 30*time.Second, "per-phase deadline before a laggard is evicted")
 	minClients := flag.Int("min-clients", 1, "roster floor: end the session cleanly below this many live clients")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for the atomic per-round session snapshot (empty disables checkpointing)")
-	resume := flag.Bool("resume", false, "restore the snapshot in -checkpoint-dir and continue from the round after the crash (fresh start if none exists)")
+	ckptDir := flag.String("checkpoint-dir", "", "directory for the session's checkpoint chain: one delta epoch per round or model version, written behind the next (empty disables checkpointing; a directory that already holds a chain needs -resume)")
+	resume := flag.Bool("resume", false, "restore the latest epoch in -checkpoint-dir and continue from the round after the crash (fresh start if the directory holds no chain)")
 	maxNorm := flag.Float64("max-update-norm", 10, "quarantine updates whose L2 norm exceeds this multiple of the round median (0 disables the gate)")
 	shards := flag.Int("shards", 0, "fold each round's screened updates through this many aggregation shards (0 = one shard; the global is bit-deterministic for a fixed count)")
 	metricsAddr := flag.String("metrics-addr", "", "listen address for the debug HTTP server (/metrics, /healthz, /debug/pprof); empty disables it")
@@ -93,7 +93,6 @@ func main() {
 	negMinLv := flag.Int("neg-min-levels", negDefaults.MinLevels, "minimum DAdaQuant quantization level count")
 	negMaxLv := flag.Int("neg-max-levels", negDefaults.MaxLevels, "maximum DAdaQuant quantization level count")
 	negEvery := flag.Int("neg-double-every", negDefaults.LevelDoubleEvery, "rounds between doublings of the scheduled DAdaQuant level count")
-	deltaCkpt := flag.Bool("delta-ckpt", false, "write -checkpoint-dir as a chunked content-hash delta chain instead of one full snapshot per round (async sessions always use the delta format)")
 
 	// Buffered-asynchronous (FedBuff) mode and the multi-session control
 	// plane (internal/session).
@@ -221,7 +220,7 @@ func main() {
 		Addr: *addr, NumClients: *clients, Rounds: *rounds,
 		Cfg: cfg, NewModel: newModel, Test: test, EvalEvery: 1,
 		StragglerTimeout: *straggler, MinClients: *minClients,
-		CheckpointDir: *ckptDir, Resume: *resume, DeltaCheckpoints: *deltaCkpt,
+		CheckpointDir: *ckptDir, Resume: *resume,
 		MaxUpdateNorm: *maxNorm, Shards: *shards,
 		Fault: faults.Config(), Metrics: metrics, Events: events,
 	}
@@ -561,7 +560,7 @@ func stalenessLine(counts map[int]int) string {
 // audit that exits non-zero when the artifacts are inconsistent.
 func runDoctor(args []string) {
 	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
-	dir := fs.String("checkpoint-dir", "", "checkpoint directory to audit (delta chain or full snapshot)")
+	dir := fs.String("checkpoint-dir", "", "checkpoint directory to audit (a sync server's, an async session's or a root's)")
 	events := fs.String("event-log", "", "JSONL event log to cross-check against the checkpoint (optional)")
 	fs.Parse(args)
 	if *dir == "" {

@@ -52,8 +52,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	if !Exists(path) {
-		t.Fatal("Exists reports false for a freshly saved snapshot")
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("no file at the saved path: %v", err)
 	}
 }
 

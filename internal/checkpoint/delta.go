@@ -314,6 +314,14 @@ func (w *DeltaWriter) Commit() error {
 	return nil
 }
 
+// abandon gives up the epoch being captured without starting a write: the
+// next join reports err under the epoch's label and number, as it would a
+// failed write, and the number is the next epoch's again.
+func (w *DeltaWriter) abandon(err error) {
+	w.inFlight = true
+	w.done <- DeltaResult{Label: w.label, Epoch: w.epoch + 1, Err: err}
+}
+
 // Wait joins the epoch in flight and reports its outcome; ok is false
 // when none is. Every exit path of a session calls it, so the last
 // committed epoch is durable, and the goroutine gone, before Run returns.
@@ -545,32 +553,9 @@ func ParseDeltaEpoch(r io.Reader, maxPayload int64) (*DeltaEpoch, error) {
 	if ver := binary.LittleEndian.Uint32(hdr[8:12]); ver != DeltaVersion {
 		return nil, fmt.Errorf("%w: unsupported delta version %d", ErrCorrupt, ver)
 	}
-	n := binary.LittleEndian.Uint64(hdr[12:20])
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
-	}
-	if n > uint64(maxPayload) {
-		return nil, fmt.Errorf("%w: declared delta payload %d exceeds cap %d", ErrCorrupt, n, maxPayload)
-	}
-	payload := make([]byte, 0, min64(int64(n), 1<<20))
-	lr := io.LimitReader(r, int64(n))
-	buf := make([]byte, 64<<10)
-	for {
-		k, err := lr.Read(buf)
-		payload = append(payload, buf[:k]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: read delta payload: %v", ErrCorrupt, err)
-		}
-	}
-	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("%w: truncated delta payload: %d of %d bytes", ErrCorrupt, len(payload), n)
-	}
-	want := binary.LittleEndian.Uint32(hdr[20:24])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: delta crc mismatch (got %08x want %08x)", ErrCorrupt, got, want)
+	payload, err := readPayload(r, hdr, maxPayload)
+	if err != nil {
+		return nil, err
 	}
 	return parseDeltaPayload(payload)
 }

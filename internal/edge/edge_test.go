@@ -4,12 +4,15 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"adafl/internal/compress"
+	"adafl/internal/obs"
 	"adafl/internal/rpc"
 	"adafl/internal/shard"
 	"adafl/internal/tensor"
@@ -28,6 +31,9 @@ type treeCfg struct {
 	onSelect               map[int]func(round int) // per-edge hooks
 	edgeRetries            int
 	rootAddr, bootAddr     string // "" = fresh ephemeral ports
+	metrics                *obs.Registry
+	events                 *obs.EventLog
+	logf                   func(format string, args ...interface{}) // nil = t.Logf, root only
 }
 
 // treeRun is one running session: root in a goroutine, E edges, a client
@@ -47,6 +53,9 @@ type treeRun struct {
 
 func startTree(t *testing.T, tc treeCfg) *treeRun {
 	t.Helper()
+	if tc.logf == nil {
+		tc.logf = t.Logf
+	}
 	root, err := NewRoot(RootConfig{
 		EdgeAddr:   tc.rootAddr,
 		ClientAddr: tc.bootAddr,
@@ -66,7 +75,9 @@ func startTree(t *testing.T, tc treeCfg) *treeRun {
 		CheckpointDir:    tc.ckptDir,
 		Resume:           tc.resume,
 		Cost:             tc.cost,
-		Logf:             t.Logf,
+		Metrics:          tc.metrics,
+		Events:           tc.events,
+		Logf:             tc.logf,
 		OnRound:          tc.onRound,
 	})
 	if err != nil {
@@ -259,17 +270,44 @@ func TestTreeMatchesFlatSession(t *testing.T) {
 	}
 }
 
+// keptDir returns the checkpoint directory for the kill-and-resume test:
+// ADAFL_ROOT_CKPT_DIR when set (CI keeps it and runs the doctor CLI against
+// it afterwards), else a per-test temp dir.
+func keptDir(t *testing.T) string {
+	dir := os.Getenv("ADAFL_ROOT_CKPT_DIR")
+	if dir == "" {
+		return t.TempDir()
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 func TestRootKillAndResume(t *testing.T) {
-	dir := t.TempDir()
+	dir := keptDir(t)
 	tc := treeCfg{edges: 2, clients: 16, rounds: 5, dim: 128, nnz: 8, seed: 11}
+	// Both roots append to one event log, as a restarted process would.
+	openLog := func() (*os.File, *obs.EventLog) {
+		f, err := os.OpenFile(filepath.Join(dir, "events.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, obs.NewEventLogWriter(f)
+	}
 
 	baseline := runTree(t, tc)
 
 	// Killed run: the root dies right after checkpointing round 3.
 	var killOnce sync.Once
 	var tr *treeRun
+	f1, log1 := openLog()
 	tcKill := tc
 	tcKill.ckptDir = dir
+	tcKill.events = log1
 	tcKill.edgeRetries = 200
 	tcKill.onRound = func(round int, _ []float64) {
 		if round == 2 {
@@ -281,16 +319,21 @@ func TestRootKillAndResume(t *testing.T) {
 		t.Fatalf("killed root returned %v, want ErrRootKilled", err)
 	}
 	edgeAddr, bootAddr := tr.root.EdgeAddr(), tr.root.BootstrapAddr()
+	if err := log1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f1.Close()
 
 	// Resume on the same addresses: the running edges redial with
 	// backoff; their clients never notice.
+	f2, log2 := openLog()
 	root2, err := NewRoot(RootConfig{
 		EdgeAddr: edgeAddr, ClientAddr: bootAddr,
 		NumEdges: tc.edges, Clients: tc.clients, Rounds: tc.rounds, Dim: tc.dim,
 		HeartbeatTimeout: 2 * time.Second,
 		QuorumTimeout:    30 * time.Second,
 		CheckpointDir:    dir, Resume: true,
-		Logf: t.Logf,
+		Events: log2, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,6 +358,10 @@ func TestRootKillAndResume(t *testing.T) {
 	if !bitEqual(res.Global, baseline.Global) {
 		t.Error("kill-and-resume run diverges bitwise from the uninterrupted run")
 	}
+	if err := log2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f2.Close()
 }
 
 func TestResumeRefusesMismatchedTopology(t *testing.T) {

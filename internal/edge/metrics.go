@@ -32,6 +32,11 @@ type rootMetrics struct {
 	reroutes  *obs.Counter // reroute plans executed
 	orphans   *obs.Counter // clients moved by reroutes
 	rounds    *obs.Counter // rounds completed
+
+	// The flat server's checkpoint instruments, same names.
+	ckptSec     *obs.Histogram // adafl_checkpoint_seconds
+	ckptWaitSec *obs.Histogram // adafl_checkpoint_wait_seconds
+	ckptBytes   *obs.Gauge     // adafl_checkpoint_bytes
 }
 
 func newRootMetrics(r *obs.Registry) rootMetrics {
@@ -41,6 +46,10 @@ func newRootMetrics(r *obs.Registry) rootMetrics {
 		reroutes:  r.Counter("adafl_root_reroutes_total"),
 		orphans:   r.Counter("adafl_root_rerouted_clients_total"),
 		rounds:    r.Counter("adafl_root_rounds_total"),
+
+		ckptSec:     r.Histogram("adafl_checkpoint_seconds", obs.LatencyBuckets),
+		ckptWaitSec: r.Histogram("adafl_checkpoint_wait_seconds", obs.LatencyBuckets),
+		ckptBytes:   r.Gauge("adafl_checkpoint_bytes"),
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -26,9 +24,6 @@ const DefaultHeartbeatTimeout = 2 * time.Second
 // ErrRootKilled is returned by Root.Run after Kill — the crash hook the
 // kill-and-resume suite uses.
 var ErrRootKilled = fmt.Errorf("edge: root killed")
-
-// rootCheckpointFile is the snapshot name under RootConfig.CheckpointDir.
-const rootCheckpointFile = "root.ckpt"
 
 // RootConfig configures the top of the two-tier tree.
 type RootConfig struct {
@@ -59,11 +54,14 @@ type RootConfig struct {
 	QuorumTimeout    time.Duration
 	RerouteGrace     time.Duration
 	// CheckpointDir enables root snapshots ("" disables): topology epoch,
-	// per-edge assignment, down set, global params — the whole tree.
+	// per-edge assignment, down set, global params — the whole tree, one
+	// epoch of a checkpoint.DeltaWriter chain per round, written behind the
+	// next round. A failed write is logged and the session continues.
 	CheckpointDir string
-	// Resume restores from CheckpointDir's snapshot when one exists. A
-	// snapshot whose Dim/NumEdges/Clients/Rounds disagree with this
-	// config is refused with a hard error.
+	// Resume restores the chain's latest snapshot when one exists; without
+	// it a directory that already holds a chain is refused
+	// (checkpoint.Open). A snapshot whose Dim/NumEdges/Clients/Rounds
+	// disagree with this config is refused with a hard error.
 	Resume bool
 	// Cost parameterises reroute planning (see CostModel).
 	Cost CostModel
@@ -97,11 +95,11 @@ type RootResult struct {
 	Resumed  int // rounds restored from the snapshot (0 on a fresh run)
 }
 
-// rootSnapshot is the checkpointed tree state. Down is a sorted slice
-// (not a map) so the gob bytes are deterministic.
+// rootSnapshot is the meta section of the tree's snapshot; the model rides
+// beside it as the "global" vector. Down is a sorted slice (not a map) so
+// the gob bytes are deterministic.
 type rootSnapshot struct {
 	CompletedRound int
-	Dim            int
 	NumEdges       int
 	Clients        int
 	Rounds         int
@@ -109,11 +107,13 @@ type rootSnapshot struct {
 	Specs          []specSnapshot
 	Assign         []int
 	Down           []int
-	Global         []float64
 	History        []RootRound
 	Reroutes       int
 	Orphans        int
 }
+
+// Round makes rootSnapshot a checkpoint.Meta.
+func (m *rootSnapshot) Round() int { return m.CompletedRound }
 
 // specSnapshot is EdgeSpec flattened for gob: netsim.Link carries an
 // unencodable *Trace, and a bandwidth trace is transient simulator state
@@ -212,7 +212,8 @@ type Root struct {
 	done     chan struct{}
 	doneOnce sync.Once
 
-	met rootMetrics
+	ckpt *checkpoint.DeltaWriter // touched only by Run's goroutine
+	met  rootMetrics
 }
 
 // NewRoot validates the config and binds both listeners so the addresses
@@ -239,11 +240,6 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 	if cfg.LinkFor == nil {
 		cfg.LinkFor = func(int, string) (netsim.Link, netsim.Link) {
 			return netsim.WiFiLink, netsim.EthernetLink
-		}
-	}
-	if cfg.CheckpointDir != "" {
-		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("edge: checkpoint dir: %w", err)
 		}
 	}
 	edgeAddr, clientAddr := cfg.EdgeAddr, cfg.ClientAddr
@@ -305,10 +301,6 @@ func (r *Root) isKilled() bool {
 	return r.killed
 }
 
-func (r *Root) checkpointPath() string {
-	return filepath.Join(r.cfg.CheckpointDir, rootCheckpointFile)
-}
-
 // Run drives the session: restore-or-plan, registration and client
 // quorum, then Rounds rounds of select → collect → merge → checkpoint.
 func (r *Root) Run() (*RootResult, error) {
@@ -334,17 +326,23 @@ func (r *Root) Run() (*RootResult, error) {
 	var history []RootRound
 	start := 0
 	resumed := 0
-	if r.cfg.Resume && r.cfg.CheckpointDir != "" && checkpoint.Exists(r.checkpointPath()) {
-		snap, err := r.loadCheckpoint()
+	if r.cfg.CheckpointDir != "" {
+		w, snap, err := checkpoint.Open(r.cfg.CheckpointDir, r.cfg.Resume, checkpoint.DeltaOptions{}, r.cfg.Logf)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("root: %w", err)
 		}
-		copy(global, snap.Global)
-		history = snap.History
-		start = snap.CompletedRound + 1
-		resumed = start
-		r.cfg.Logf("root: resumed at round %d (epoch %d, %d edges down, %d reroutes so far)",
-			start+1, snap.Epoch, len(snap.Down), snap.Reroutes)
+		r.ckpt = w
+		if snap != nil {
+			meta, err := r.restore(snap, global)
+			if err != nil {
+				return nil, err
+			}
+			history = meta.History
+			start = meta.CompletedRound + 1
+			resumed = start
+			r.cfg.Logf("root: resumed at round %d (epoch %d, %d edges down, %d reroutes so far)",
+				start+1, meta.Epoch, len(meta.Down), meta.Reroutes)
+		}
 	}
 
 	go r.acceptLoop(r.edgeLn, r.admitEdge)
@@ -365,6 +363,10 @@ func (r *Root) Run() (*RootResult, error) {
 		return nil, err
 	}
 
+	// Every way out of the round loop joins the epoch still in flight: the
+	// last completed round is durable, and the writer's goroutine gone,
+	// before Run returns.
+	defer r.joinCheckpoint()
 	merged := shard.NewPartial(r.cfg.Dim)
 	for round := start; round < r.cfg.Rounds; round++ {
 		rec, err := r.runRound(round, merged, global)
@@ -373,10 +375,8 @@ func (r *Root) Run() (*RootResult, error) {
 		}
 		history = append(history, rec)
 		r.met.rounds.Inc()
-		if r.cfg.CheckpointDir != "" {
-			if err := r.saveCheckpoint(round, global, history); err != nil {
-				return nil, fmt.Errorf("root: checkpoint round %d: %w", round+1, err)
-			}
+		if r.ckpt != nil {
+			r.saveCheckpoint(round, global, history)
 		}
 		if r.cfg.OnRound != nil {
 			r.cfg.OnRound(round, global)
@@ -407,54 +407,53 @@ func (r *Root) result(global []float64, history []RootRound, resumed int) *RootR
 	}
 }
 
-// loadCheckpoint restores the tree snapshot, refusing any topology that
-// disagrees with the config — resuming a 3-edge session as a 4-edge one
-// would silently misassign every client.
-func (r *Root) loadCheckpoint() (*rootSnapshot, error) {
-	var snap rootSnapshot
-	if err := checkpoint.Load(r.checkpointPath(), &snap); err != nil {
-		return nil, fmt.Errorf("root: load checkpoint: %w", err)
+// restore loads the tree snapshot into global and the root's topology,
+// refusing any topology that disagrees with the config — resuming a 3-edge
+// session as a 4-edge one would silently misassign every client.
+func (r *Root) restore(snap *checkpoint.Snapshot, global []float64) (*rootSnapshot, error) {
+	var meta rootSnapshot
+	if err := snap.Restore(&meta, checkpoint.Vector{Name: "global", Vals: global}); err != nil {
+		return nil, fmt.Errorf("root: refusing to resume from %s epoch %d: %w", r.cfg.CheckpointDir, snap.Epoch, err)
 	}
-	if snap.Dim != r.cfg.Dim || snap.NumEdges != r.cfg.NumEdges ||
-		snap.Clients != r.cfg.Clients || snap.Rounds != r.cfg.Rounds {
+	if meta.NumEdges != r.cfg.NumEdges || meta.Clients != r.cfg.Clients || meta.Rounds != r.cfg.Rounds {
 		return nil, fmt.Errorf(
-			"root: refusing to resume: checkpoint topology (dim=%d edges=%d clients=%d rounds=%d) does not match config (dim=%d edges=%d clients=%d rounds=%d)",
-			snap.Dim, snap.NumEdges, snap.Clients, snap.Rounds,
-			r.cfg.Dim, r.cfg.NumEdges, r.cfg.Clients, r.cfg.Rounds)
+			"root: refusing to resume: checkpoint topology (edges=%d clients=%d rounds=%d) does not match config (edges=%d clients=%d rounds=%d)",
+			meta.NumEdges, meta.Clients, meta.Rounds,
+			r.cfg.NumEdges, r.cfg.Clients, r.cfg.Rounds)
 	}
-	if len(snap.Assign) != snap.Clients || len(snap.Global) != snap.Dim {
-		return nil, fmt.Errorf("root: corrupt checkpoint: %d assignments for %d clients, %d params for dim %d",
-			len(snap.Assign), snap.Clients, len(snap.Global), snap.Dim)
+	if len(meta.Assign) != meta.Clients {
+		return nil, fmt.Errorf("root: corrupt checkpoint: %d assignments for %d clients", len(meta.Assign), meta.Clients)
 	}
 	topo := &Topology{
-		Epoch:  snap.Epoch,
-		Specs:  restoreSpecs(snap.Specs),
-		Assign: append([]int(nil), snap.Assign...),
+		Epoch:  meta.Epoch,
+		Specs:  restoreSpecs(meta.Specs),
+		Assign: meta.Assign,
 		Down:   map[int]bool{},
 	}
-	for _, id := range snap.Down {
+	for _, id := range meta.Down {
 		topo.Down[id] = true
 	}
 	r.mu.Lock()
 	r.topo = topo
 	r.assignReady = true
-	r.reroutes = snap.Reroutes
-	r.orphans = snap.Orphans
-	r.round = snap.CompletedRound + 1
+	r.reroutes = meta.Reroutes
+	r.orphans = meta.Orphans
+	r.round = meta.CompletedRound + 1
 	r.mu.Unlock()
-	return &snap, nil
+	return &meta, nil
 }
 
-func (r *Root) saveCheckpoint(round int, global []float64, history []RootRound) error {
+// saveCheckpoint joins the previous round's epoch, captures this round's
+// and leaves it writing behind the next round.
+func (r *Root) saveCheckpoint(round int, global []float64, history []RootRound) {
 	r.mu.Lock()
 	down := make([]int, 0, len(r.topo.Down))
 	for id := range r.topo.Down {
 		down = append(down, id)
 	}
 	sort.Ints(down)
-	snap := rootSnapshot{
+	meta := &rootSnapshot{
 		CompletedRound: round,
-		Dim:            r.cfg.Dim,
 		NumEdges:       r.cfg.NumEdges,
 		Clients:        r.cfg.Clients,
 		Rounds:         r.cfg.Rounds,
@@ -462,18 +461,36 @@ func (r *Root) saveCheckpoint(round int, global []float64, history []RootRound) 
 		Specs:          snapSpecs(r.topo.Specs),
 		Assign:         append([]int(nil), r.topo.Assign...),
 		Down:           down,
-		Global:         global,
 		History:        history,
 		Reroutes:       r.reroutes,
 		Orphans:        r.orphans,
 	}
 	r.mu.Unlock()
-	size, err := checkpoint.SaveSized(r.checkpointPath(), &snap)
-	if err != nil {
-		return err
+	r.checkpointJoined(r.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: global}))
+}
+
+// checkpointJoined reports a joined epoch under its own round, like the
+// flat server's: how long the round loop blocked for it and its outcome.
+func (r *Root) checkpointJoined(res checkpoint.DeltaResult, ok bool) {
+	if !ok {
+		return
 	}
-	r.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: round, Client: -1, Bytes: size})
-	return nil
+	r.met.ckptWaitSec.Observe(res.WaitSeconds)
+	if res.Err != nil {
+		r.cfg.Logf("root: checkpoint after round %d failed (continuing): %v", res.Label+1, res.Err)
+		return
+	}
+	r.met.ckptSec.Observe(res.Seconds)
+	r.met.ckptBytes.Set(float64(res.Size))
+	r.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: res.Label, Client: -1, Bytes: res.Size, Seconds: res.Seconds})
+}
+
+// joinCheckpoint waits for the epoch in flight, if any.
+func (r *Root) joinCheckpoint() {
+	if r.ckpt != nil {
+		r.checkpointJoined(r.ckpt.Wait())
+		r.cfg.Events.Flush()
+	}
 }
 
 // awaitEdges blocks until the expected roster is registered: NumEdges

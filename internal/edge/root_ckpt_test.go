@@ -1,4 +1,4 @@
-package rpc
+package edge
 
 import (
 	"bytes"
@@ -17,15 +17,9 @@ import (
 	"adafl/internal/obs"
 )
 
-// crashCopy takes the image of a checkpoint directory a crash at this
-// instant could leave, without waiting for the writer: every file present
-// is hard-linked into dst (epoch files are immutable once renamed in, and
-// a half-written temp file is exactly what a crash leaves). The writer's
-// one epoch in flight may land and GC behind it while the copy runs, so
-// the copy goes oldest-first — GC deletes newest-first, hence what a racing
-// pass keeps of the deleted epochs is a prefix, closed under the chain's
-// backward references — and a second pass picks up the new epoch and
-// whatever it references, none of which GC touches.
+// crashCopy is the image of a checkpoint directory a crash at this instant
+// could leave, taken without waiting for the writer (the argument for the
+// order and the second pass is on its twin in internal/rpc).
 func crashCopy(src, dst string) error {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err
@@ -59,19 +53,17 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// loadedRound is the round a resume from dir would restore into a model of
-// dim parameters, -1 when dir holds no chain.
+// loadedRound is the round a resume from dir would restore into a dim-sized
+// global, -1 when dir holds no chain.
 func loadedRound(t *testing.T, dir string, dim int) int {
 	t.Helper()
 	snap, err := checkpoint.ReadSnapshot(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return -1
 	}
-	var meta sessionSnapshot
+	var meta rootSnapshot
 	if err == nil {
-		err = snap.Restore(&meta,
-			checkpoint.Vector{Name: "global", Vals: make([]float64, dim)},
-			checkpoint.Vector{Name: "gdelta", Vals: make([]float64, dim)})
+		err = snap.Restore(&meta, checkpoint.Vector{Name: "global", Vals: make([]float64, dim)})
 	}
 	if err != nil {
 		t.Fatalf("chain in %s does not load: %v", dir, err)
@@ -79,58 +71,44 @@ func loadedRound(t *testing.T, dir string, dim int) int {
 	return meta.CompletedRound
 }
 
-// runDeltaSession runs one delta-checkpointed session to the end of Run
-// with the environment's clients and waits for them.
-func runDeltaSession(t *testing.T, env *chaosEnv, scfg ServerConfig) (*ServerResult, error) {
-	t.Helper()
-	srv, err := NewServer(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := make([]ClientConfig, env.clients)
-	for i := range cfgs {
-		cfgs[i] = env.clientConfig(i, srv.Addr())
-	}
-	done := make(chan struct{})
-	go func() { runClients(cfgs); close(done) }()
-	res, err := srv.Run()
-	<-done
-	return res, err
-}
+// TestRootCheckpointCrashCopiesResume is the root's twin of the flat
+// server's TestDeltaCheckpointCrashCopiesResume: OnRound runs right after
+// round r's epoch was committed, so a copy of the directory taken there,
+// without joining, is what a crash at that point leaves. Every copy must
+// audit clean and load round r or r-1; a tree resumed from one ends on a
+// global bit-equal to the uninterrupted run. The same run pins the shared
+// report path: one checkpoint event per round under the snapshot's own
+// round with its seconds, one wait observation per join.
+func TestRootCheckpointCrashCopiesResume(t *testing.T) {
+	const rounds = 12
+	tc := treeCfg{edges: 2, clients: 16, rounds: rounds, dim: 128, nnz: 8, seed: 13}
+	uninterrupted := runTree(t, tc)
 
-// TestDeltaCheckpointCrashCopiesResume is crash consistency while an epoch
-// is in flight: OnRound runs right after round r's epoch was committed, so
-// a copy of the directory taken there, without joining, is what a crash at
-// that point leaves. Every copy must audit clean and load round r or r-1,
-// never a torn chain; resumed sessions finish with a gapless history. The
-// same run pins the observability of the join: one checkpoint event per
-// round under the snapshot's own round, one wait observation per join.
-func TestDeltaCheckpointCrashCopiesResume(t *testing.T) {
-	const rounds = 20
-	env := newChaosEnv(2, 240, 12, 16, 75)
 	dir, copies := t.TempDir(), t.TempDir()
 	copyDir := func(r int) string { return filepath.Join(copies, fmt.Sprintf("round-%02d", r)) }
-
 	reg := obs.NewRegistry()
 	var eventBuf bytes.Buffer
 	events := obs.NewEventLogWriter(&eventBuf)
-	scfg := env.serverConfig(rounds)
-	scfg.CheckpointDir = dir
-	scfg.Metrics, scfg.Events = reg, events
-	scfg.OnRound = func(rec RoundRecord) {
-		if err := crashCopy(dir, copyDir(rec.Round)); err != nil {
-			t.Errorf("copy at round %d: %v", rec.Round, err)
+	tcCopy := tc
+	tcCopy.ckptDir, tcCopy.metrics, tcCopy.events = dir, reg, events
+	tcCopy.onRound = func(round int, _ []float64) {
+		if err := crashCopy(dir, copyDir(round)); err != nil {
+			t.Errorf("copy at round %d: %v", round, err)
 		}
 	}
 	baseline := runtime.NumGoroutine()
-	if _, err := runDeltaSession(t, env, scfg); err != nil {
-		t.Fatal(err)
-	}
+	res := runTree(t, tcCopy)
 	waitGoroutines(t, baseline)
+	if !bitEqual(res.Global, uninterrupted.Global) {
+		t.Fatal("checkpointing changed the global")
+	}
 
 	// Run joined the last epoch: the directory itself holds the last round.
 	if _, err := checkpoint.AuditDelta(dir); err != nil {
 		t.Fatalf("final chain: %v", err)
+	}
+	if got := loadedRound(t, dir, tc.dim); got != rounds-1 {
+		t.Fatalf("joined chain holds round %d, want %d", got, rounds-1)
 	}
 	if err := events.Close(); err != nil {
 		t.Fatal(err)
@@ -158,10 +136,13 @@ func TestDeltaCheckpointCrashCopiesResume(t *testing.T) {
 	if n := reg.Histogram("adafl_checkpoint_seconds", obs.LatencyBuckets).Count(); n != rounds {
 		t.Fatalf("%d epochs timed, want %d", n, rounds)
 	}
+	if reg.Gauge("adafl_checkpoint_bytes").Value() == 0 {
+		t.Fatal("adafl_checkpoint_bytes never set")
+	}
 
 	loaded := make([]int, rounds) // round each copy restores, -1 for none
 	for r := 0; r < rounds; r++ {
-		loaded[r] = loadedRound(t, copyDir(r), env.newModel().NumParams())
+		loaded[r] = loadedRound(t, copyDir(r), tc.dim)
 		if loaded[r] >= 0 {
 			if _, err := checkpoint.AuditDelta(copyDir(r)); err != nil {
 				t.Fatalf("copy at round %d: %v", r, err)
@@ -172,60 +153,55 @@ func TestDeltaCheckpointCrashCopiesResume(t *testing.T) {
 		}
 	}
 
-	for _, r := range []int{1, 10} {
-		rcfg := env.serverConfig(rounds)
-		rcfg.CheckpointDir, rcfg.Resume = copyDir(r), true
-		res, err := runDeltaSession(t, env, rcfg)
-		if err != nil {
-			t.Fatalf("resume from the copy at round %d: %v", r, err)
-		}
-		if res.ResumedFrom != loaded[r]+1 {
-			t.Fatalf("copy at round %d: ResumedFrom = %d, want %d", r, res.ResumedFrom, loaded[r]+1)
-		}
-		if len(res.Rounds) != rounds {
-			t.Fatalf("copy at round %d: resumed session ended with %d/%d rounds", r, len(res.Rounds), rounds)
-		}
-		for i, rec := range res.Rounds {
-			if rec.Round != i {
-				t.Fatalf("copy at round %d: history gap at index %d (round %d)", r, i, rec.Round)
-			}
-		}
-		// The resumed writer swept whatever temp file the copy caught.
-		if tmp, _ := filepath.Glob(filepath.Join(copyDir(r), "*.tmp*")); len(tmp) != 0 {
-			t.Fatalf("copy at round %d: temp files survived the resume: %v", r, tmp)
-		}
+	// A fresh tree (new edges, new clients) resumed from a mid-run copy.
+	const from = 6
+	tcResume := tc
+	tcResume.ckptDir, tcResume.resume = copyDir(from), true
+	resumed := runTree(t, tcResume)
+	if resumed.Resumed != loaded[from]+1 {
+		t.Fatalf("resumed %d rounds, want %d", resumed.Resumed, loaded[from]+1)
+	}
+	if len(resumed.History) != rounds {
+		t.Fatalf("history covers %d rounds, want %d", len(resumed.History), rounds)
+	}
+	if !bitEqual(resumed.Global, uninterrupted.Global) {
+		t.Fatal("a tree resumed from a crash copy diverges bitwise from the uninterrupted run")
+	}
+	// The resumed writer swept whatever temp file the copy caught.
+	if tmp, _ := filepath.Glob(filepath.Join(copyDir(from), "*.tmp*")); len(tmp) != 0 {
+		t.Fatalf("temp files survived the resume: %v", tmp)
 	}
 	waitGoroutines(t, baseline)
 }
 
-// TestDeltaCheckpointWriteErrorContinues: the checkpoint directory goes
-// away mid-run and comes back. Each failed epoch is reported at its join
-// under its own round, the session trains on and finishes, the epochs
-// after the outage reuse the failed numbers, and the chain ends whole at
-// the last round. (Moved aside, not chmod'ed: root ignores mode bits.)
-func TestDeltaCheckpointWriteErrorContinues(t *testing.T) {
+// TestRootCheckpointWriteErrorContinues is the root arm of the flat
+// server's TestDeltaCheckpointWriteErrorContinues: the checkpoint
+// directory goes away mid-run and comes back. Each failed epoch is
+// reported at its join under its own round, the tree trains on and
+// finishes, the epochs after the outage reuse the failed numbers, and the
+// chain ends whole at the last round. (Moved aside, not chmod'ed: root
+// ignores mode bits.)
+func TestRootCheckpointWriteErrorContinues(t *testing.T) {
 	const (
 		rounds  = 8
 		goneAt  = 2 // OnRound of this round takes the directory away
 		backAt  = 5 // OnRound of this round restores it
 		certain = 2 // rounds goneAt+1 .. backAt-1 are committed and joined inside the outage
 	)
-	env := newChaosEnv(2, 240, 12, 16, 76)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	var mu sync.Mutex
 	var failed []string
-	scfg := env.serverConfig(rounds)
-	scfg.CheckpointDir = dir
-	scfg.Logf = func(format string, args ...interface{}) {
+	tc := treeCfg{edges: 2, clients: 16, rounds: rounds, dim: 128, nnz: 8, seed: 14, ckptDir: dir}
+	tc.logf = func(format string, args ...interface{}) {
 		if line := fmt.Sprintf(format, args...); strings.Contains(line, "failed (continuing)") {
 			mu.Lock()
 			failed = append(failed, line)
 			mu.Unlock()
 		}
 	}
-	scfg.OnRound = func(rec RoundRecord) {
+	tc.onRound = func(round int, _ []float64) {
 		var err error
-		switch rec.Round {
+		switch round {
 		case goneAt:
 			err = os.Rename(dir, dir+".away")
 		case backAt:
@@ -236,13 +212,10 @@ func TestDeltaCheckpointWriteErrorContinues(t *testing.T) {
 		}
 	}
 	baseline := runtime.NumGoroutine()
-	res, err := runDeltaSession(t, env, scfg)
-	if err != nil {
-		t.Fatalf("session with a checkpoint outage: %v", err)
-	}
+	res := runTree(t, tc) // fails the test if the root returns an error
 	waitGoroutines(t, baseline)
-	if len(res.Rounds) != rounds {
-		t.Fatalf("session ended with %d/%d rounds", len(res.Rounds), rounds)
+	if len(res.History) != rounds {
+		t.Fatalf("session ended with %d/%d rounds", len(res.History), rounds)
 	}
 	// The epochs of rounds goneAt and backAt were in flight when the
 	// directory moved, so they may have landed or not; the ones between
@@ -263,7 +236,7 @@ func TestDeltaCheckpointWriteErrorContinues(t *testing.T) {
 	if want := uint64(rounds - len(failed)); audit.Latest != want {
 		t.Fatalf("chain ends at epoch %d, want %d: a failed epoch's number was not reused", audit.Latest, want)
 	}
-	if got := loadedRound(t, dir, env.newModel().NumParams()); got != rounds-1 {
+	if got := loadedRound(t, dir, tc.dim); got != rounds-1 {
 		t.Fatalf("chain after the outage loads round %d, want %d", got, rounds-1)
 	}
 }

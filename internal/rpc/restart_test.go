@@ -90,7 +90,7 @@ func TestChaosKillRestartResume(t *testing.T) {
 	if len(res1.Rounds) != killAfter {
 		t.Fatalf("first server completed %d rounds, want %d", len(res1.Rounds), killAfter)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "session.ckpt")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "delta-00000001.ckpt")); err != nil {
 		t.Fatalf("no checkpoint on disk after the crash: %v", err)
 	}
 
@@ -218,7 +218,7 @@ func TestResumeCompletedSession(t *testing.T) {
 func TestResumeCorruptCheckpointIsFatal(t *testing.T) {
 	env := newChaosEnv(2, 160, 12, 16, 73)
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "session.ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "delta-00000001.ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	scfg := env.serverConfig(3)
@@ -237,10 +237,9 @@ func TestResumeCorruptCheckpointIsFatal(t *testing.T) {
 	}
 }
 
-// TestSyncDeltaCheckpointResume: the synchronous engine's delta-format
-// checkpoints survive a kill/restart cycle — the resumed server restores
-// round history and model from the chunked chain — and the format
-// refusal matrix keeps delta and full snapshots from silently mixing.
+// TestSyncDeltaCheckpointResume: the synchronous engine's checkpoints
+// survive a kill/restart cycle — the resumed server restores round history
+// and model from the chunked chain.
 func TestSyncDeltaCheckpointResume(t *testing.T) {
 	const (
 		rounds    = 6
@@ -251,7 +250,6 @@ func TestSyncDeltaCheckpointResume(t *testing.T) {
 
 	scfg1 := env.serverConfig(rounds)
 	scfg1.CheckpointDir = dir
-	scfg1.DeltaCheckpoints = true
 	var srv1 *Server
 	scfg1.OnRound = func(rec RoundRecord) {
 		if rec.Round == killAfter-1 {
@@ -282,44 +280,11 @@ func TestSyncDeltaCheckpointResume(t *testing.T) {
 	if err != nil || len(epochs) == 0 {
 		t.Fatalf("no delta chain on disk after the crash: epochs %v, err %v", epochs, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "session.ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("delta mode wrote a full snapshot too (stat err %v)", err)
-	}
 
-	// Refusal matrix: a delta chain must not resume with delta mode off.
-	scfgBad := env.serverConfig(rounds)
-	scfgBad.CheckpointDir = dir
-	scfgBad.Resume = true
-	srvBad, err := NewServer(scfgBad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srvBad.Run(); err == nil {
-		t.Fatal("full-snapshot mode resumed from a delta chain")
-	}
-
-	// And a full snapshot must not resume with delta mode on.
-	fullDir := t.TempDir()
-	if err := checkpoint.Save(filepath.Join(fullDir, "session.ckpt"), &struct{ X int }{1}); err != nil {
-		t.Fatal(err)
-	}
-	scfgBad2 := env.serverConfig(rounds)
-	scfgBad2.CheckpointDir = fullDir
-	scfgBad2.DeltaCheckpoints = true
-	scfgBad2.Resume = true
-	srvBad2, err := NewServer(scfgBad2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srvBad2.Run(); err == nil {
-		t.Fatal("delta mode resumed from a full snapshot")
-	}
-
-	// The real restart: same address, delta mode, resume.
+	// The restart: same address, resume.
 	scfg2 := env.serverConfig(rounds)
 	scfg2.Addr = addr
 	scfg2.CheckpointDir = dir
-	scfg2.DeltaCheckpoints = true
 	scfg2.Resume = true
 	var srv2 *Server
 	for attempt := 0; ; attempt++ {

@@ -1,16 +1,12 @@
 package rpc
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"log"
 	"math"
 	"net"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -75,27 +71,26 @@ type ServerConfig struct {
 	// link faults (chaos testing and demos).
 	Fault *FaultConfig
 	// OnRound, when non-nil, is invoked synchronously after each round
-	// (after the round's checkpoint, if any, has been written).
+	// (after the round's snapshot, if any, has been captured; its write
+	// may still be in flight).
 	OnRound func(RoundRecord)
 
-	// CheckpointDir, when non-empty, makes the session crash-safe: after
-	// every completed round an atomic, CRC-verified snapshot of the
-	// session state (global params, previous global delta, selector
-	// state, round history, accounting, RNG) is written to
-	// CheckpointDir/session.ckpt. A failed write is logged and training
-	// continues; the previous snapshot stays intact.
+	// CheckpointDir, when non-empty, makes the session crash-safe: every
+	// completed round is captured as one epoch of a checkpoint.DeltaWriter
+	// chain in that directory (global params, previous global delta,
+	// selector state, round history, accounting, RNG) and written behind
+	// the next round; round r is durable before round r+1's snapshot begins
+	// and before Run returns. A failed write is logged and training
+	// continues; the chain stays as the previous epoch left it. Without
+	// Resume a directory that already holds a chain is refused.
 	CheckpointDir string
-	// DeltaCheckpoints switches CheckpointDir to the chunked
-	// content-hash delta format (checkpoint.DeltaWriter): each round
-	// writes an epoch whose unchanged chunks reference the previous
-	// epoch, with periodic full rebases and GC of unreachable epochs.
-	// A directory holding the other format is refused on resume rather
-	// than silently restarted.
+	// DeltaCheckpoints is inert: the delta chain is the only format.
+	// Nothing reads it; it stays until bench/ (frozen) stops setting it.
 	DeltaCheckpoints bool
-	// Resume restores the snapshot in CheckpointDir on startup and
+	// Resume restores the latest epoch in CheckpointDir on startup and
 	// continues from the round after the last completed one. With no
-	// snapshot present the session starts fresh (so a supervisor can
-	// always pass Resume); a corrupt snapshot is a hard error — training
+	// chain present the session starts fresh (so a supervisor can
+	// always pass Resume); a corrupt chain is a hard error — training
 	// silently from scratch would masquerade as a resumed session.
 	Resume bool
 	// MaxUpdateNorm is the update-integrity outlier gate: a received
@@ -250,7 +245,7 @@ type Server struct {
 	quarantinesDropped int                // records discarded by the log cap
 	tree               *shard.Tree        // aggregation tree the screened round folds through
 	neg                *core.Negotiator   // codec negotiator (nil when Negotiation disabled)
-	deltaW             *checkpoint.DeltaWriter
+	ckpt               *checkpoint.DeltaWriter
 }
 
 // DefaultQuarantineLogCap bounds the quarantine log when
@@ -324,9 +319,8 @@ func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 		return cfg, err
 	}
 	if cfg.CheckpointDir != "" {
-		// The atomic rename in checkpoint.Save needs the directory to
-		// exist; creating it here surfaces a bad path at startup instead
-		// of as a failed-checkpoint log line every round.
+		// Creating the directory here surfaces a bad path at construction
+		// instead of when Run opens the chain.
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return cfg, fmt.Errorf("rpc: checkpoint dir: %w", err)
 		}
@@ -426,80 +420,20 @@ func (s *Server) Run() (*ServerResult, error) {
 
 	res := &ServerResult{ResumedFrom: -1}
 	lastSel := map[int]int{} // client id -> last round it was selected
-	startRound := 0
-	if s.cfg.Resume && s.cfg.CheckpointDir != "" {
-		snap, err := s.loadCheckpoint(len(global))
+	if s.cfg.CheckpointDir != "" {
+		w, snap, err := checkpoint.Open(s.cfg.CheckpointDir, s.cfg.Resume, checkpoint.DeltaOptions{}, s.cfg.Logf)
+		if err == nil && snap != nil {
+			if err = s.restore(snap, global, globalDelta, lastSel, res); err != nil {
+				err = fmt.Errorf("resume from %s epoch %d: %w", s.cfg.CheckpointDir, snap.Epoch, err)
+			}
+		}
 		if err != nil {
 			s.closeListener()
-			return nil, err
+			return nil, fmt.Errorf("rpc: %w", err)
 		}
-		if snap != nil {
-			startRound = snap.CompletedRound + 1
-			copy(global, snap.Global)
-			copy(globalDelta, snap.GlobalDelta)
-			if snap.SelectorLastSel != nil {
-				lastSel = snap.SelectorLastSel
-			}
-			res.Rounds = snap.History
-			res.BytesReceived = snap.BytesReceived
-			res.Evictions = snap.Evictions
-			res.FinalAcc = snap.FinalAcc
-			s.quarantines = snap.Quarantines
-			s.quarantinesDropped = snap.QuarantinesDropped
-			// Re-bound: the snapshot may predate the cap or carry a
-			// bigger one. Old (unbounded) checkpoints restore fine.
-			s.appendQuarantines(nil)
-			res.Quarantines = s.quarantines
-			res.QuarantinesDropped = s.quarantinesDropped
-			res.ResumedFrom = startRound
-			if s.cfg.RNG != nil && snap.RNG != nil {
-				*s.cfg.RNG = *snap.RNG
-			}
-			// A snapshot with no shard state (an older binary's Shards=0
-			// session) restores as a no-op; a snapshot taken under a
-			// different -shards value is refused — silently re-routing
-			// clients would break the fixed-shard-count determinism contract.
-			if err := s.tree.Restore(snap.ShardState); err != nil {
-				s.closeListener()
-				return nil, fmt.Errorf("rpc: resume from %s: %w", s.checkpointPath(), err)
-			}
-			if s.cfg.Scenario != nil {
-				if snap.Scenario != nil {
-					// A snapshot from a different scenario (name, seed or
-					// fleet size) is refused: continuing would splice two
-					// unrelated schedules together and the replayed run
-					// would diverge from an uninterrupted one.
-					if err := s.cfg.Scenario.Restore(snap.Scenario); err != nil {
-						s.closeListener()
-						return nil, fmt.Errorf("rpc: resume from %s: %w", s.checkpointPath(), err)
-					}
-				} else {
-					s.cfg.Logf("server: resume: snapshot has no scenario state; energy accounting restarts from the scenario's initial conditions")
-				}
-			} else if snap.Scenario != nil {
-				s.cfg.Logf("server: resume: ignoring scenario state %q in snapshot (no -scenario configured)", snap.Scenario.Name)
-			}
-			// Negotiation state must match exactly: the assignment stream is
-			// a pure function of (config, history), so resuming with
-			// negotiation toggled or reconfigured would silently diverge
-			// from the uninterrupted run. Restore refuses a config mismatch.
-			switch {
-			case s.neg != nil && snap.Negotiation != nil:
-				if err := s.neg.Restore(snap.Negotiation); err != nil {
-					s.closeListener()
-					return nil, fmt.Errorf("rpc: resume from %s: %w", s.checkpointPath(), err)
-				}
-			case s.neg != nil:
-				s.closeListener()
-				return nil, fmt.Errorf("rpc: resume from %s: snapshot has no negotiation state but negotiation is enabled; rerun without -negotiate or start fresh", s.checkpointPath())
-			case snap.Negotiation != nil:
-				s.closeListener()
-				return nil, fmt.Errorf("rpc: resume from %s: snapshot is from a negotiated session; rerun with -negotiate and the same negotiation flags", s.checkpointPath())
-			}
-			s.cfg.Logf("server: resumed session at round %d (%d rounds restored, final acc so far %.3f)",
-				startRound+1, len(snap.History), snap.FinalAcc)
-		}
+		s.ckpt = w
 	}
+	startRound := max(res.ResumedFrom, 0)
 	if startRound >= s.cfg.Rounds {
 		// Crash landed after the final round's checkpoint: nothing left
 		// to train. Don't block on a quorum that may never re-form; any
@@ -521,9 +455,9 @@ func (s *Server) Run() (*ServerResult, error) {
 	}
 
 	// Every way out of the round loop — budget met, EndedEarly, Kill — joins
-	// the delta epoch still in flight: the last completed round is durable,
-	// and the writer's goroutine gone, before Run returns.
-	defer s.joinDeltaCheckpoint()
+	// the epoch still in flight: the last completed round is durable, and
+	// the writer's goroutine gone, before Run returns.
+	defer s.joinCheckpoint()
 	for round := startRound; round < s.cfg.Rounds; round++ {
 		s.admitPending(round)
 		if live := s.liveCount(); live < s.cfg.MinClients {
@@ -541,7 +475,7 @@ func (s *Server) Run() (*ServerResult, error) {
 		}
 		res.Quarantines = s.quarantines
 		res.QuarantinesDropped = s.quarantinesDropped
-		if s.cfg.CheckpointDir != "" {
+		if s.ckpt != nil {
 			s.saveCheckpoint(round, global, globalDelta, lastSel, res)
 		}
 		// Round boundary: make the round's event records crash-durable.
@@ -1105,40 +1039,33 @@ func (s *Server) shutdown(info string) {
 	}
 }
 
-// snapshotFile is the checkpoint file name within CheckpointDir.
-const snapshotFile = "session.ckpt"
-
-// sessionSnapshot is the durable session state written after every
-// completed round: everything needed to continue from round
-// CompletedRound+1 in a fresh process. ParamDim/NumClients/Rounds guard
-// a resume against a mismatched model or flag set.
+// sessionSnapshot is the meta section of the session's snapshot, taken after
+// every completed round: with the "global" and "gdelta" vectors, everything
+// needed to continue from round CompletedRound+1 in a fresh process.
+// NumClients/Rounds let a resume under changed flags say so.
 type sessionSnapshot struct {
 	CompletedRound  int
-	ParamDim        int
 	NumClients      int
 	Rounds          int
-	Global          []float64
-	GlobalDelta     []float64
 	SelectorLastSel map[int]int
 	History         []RoundRecord
 	Quarantines     []QuarantineRecord
 	// QuarantinesDropped counts records the log cap discarded before this
-	// snapshot; zero when decoding pre-cap snapshots.
+	// snapshot.
 	QuarantinesDropped int
 	BytesReceived      int64
 	Evictions          int
 	FinalAcc           float64
 	RNG                *stats.RNG
-	// ShardState is the aggregation tree's geometry and partials (nil in
-	// snapshots an older binary wrote at Shards=0, which restore as a
-	// no-op). Snapshots are taken at round boundaries, where the partials
-	// are freshly reset, so its real job is pinning the shard count: a
-	// resume under a different -shards value is refused rather than
-	// silently re-routing clients.
+	// ShardState is the aggregation tree's geometry and partials. Snapshots
+	// are taken at round boundaries, where the partials are freshly reset,
+	// so its real job is pinning the shard count: a resume under a
+	// different -shards value is refused rather than silently re-routing
+	// clients.
 	ShardState *shard.TreeState
 	// Scenario is the fleet-scenario state (battery levels, depletion
 	// latches, integration clock) as of the completed round; nil when the
-	// session runs without a scenario. Older snapshots decode with nil.
+	// session runs without a scenario.
 	Scenario *scenario.State
 	// Negotiation is the codec negotiator's config and per-client link
 	// history; nil when negotiation is disabled. A resume must carry the
@@ -1147,30 +1074,18 @@ type sessionSnapshot struct {
 	Negotiation *core.NegotiationState
 }
 
-func (s *Server) checkpointPath() string {
-	return filepath.Join(s.cfg.CheckpointDir, snapshotFile)
-}
+// Round makes sessionSnapshot a checkpoint.Meta.
+func (m *sessionSnapshot) Round() int { return m.CompletedRound }
 
-// saveCheckpoint snapshots the session after a completed round. The full
-// format is written here and now; a delta epoch is captured here and
-// written behind the next round (see beginDeltaCheckpoint).
+// saveCheckpoint snapshots the session after a completed round: it joins
+// the previous round's epoch, captures this one here, on the round loop,
+// and leaves it writing behind the next round.
 func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 	lastSel map[int]int, res *ServerResult) {
-	var scenState *scenario.State
-	if s.cfg.Scenario != nil {
-		scenState = s.cfg.Scenario.Snapshot()
-	}
-	var negState *core.NegotiationState
-	if s.neg != nil {
-		negState = s.neg.Snapshot()
-	}
-	snap := &sessionSnapshot{
+	meta := &sessionSnapshot{
 		CompletedRound:     round,
-		ParamDim:           len(global),
 		NumClients:         s.cfg.NumClients,
 		Rounds:             s.cfg.Rounds,
-		Global:             global,
-		GlobalDelta:        globalDelta,
 		SelectorLastSel:    lastSel,
 		History:            res.Rounds,
 		Quarantines:        s.quarantines,
@@ -1180,194 +1095,121 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 		FinalAcc:           res.FinalAcc,
 		RNG:                s.cfg.RNG,
 		ShardState:         s.tree.Snapshot(),
-		Scenario:           scenState,
-		Negotiation:        negState,
 	}
-	if s.cfg.DeltaCheckpoints {
-		if err := s.beginDeltaCheckpoint(snap); err != nil {
-			s.checkpointDone(round, 0, 0, err)
-		}
-		return
+	if s.cfg.Scenario != nil {
+		meta.Scenario = s.cfg.Scenario.Snapshot()
 	}
-	start := time.Now()
-	size, err := checkpoint.SaveSized(s.checkpointPath(), snap)
-	s.checkpointDone(round, size, time.Since(start).Seconds(), err)
+	if s.neg != nil {
+		meta.Negotiation = s.neg.Snapshot()
+	}
+	s.checkpointJoined(s.ckpt.Snapshot(meta,
+		checkpoint.Vector{Name: "global", Vals: global},
+		checkpoint.Vector{Name: "gdelta", Vals: globalDelta}))
 }
 
-// checkpointDone records one snapshot's outcome — the round loop is the
-// only writer of the event log, so a delta epoch written in the background
-// is reported from here too, at its join, under its own round.
-func (s *Server) checkpointDone(round int, size int64, sec float64, err error) {
-	if err != nil {
-		s.cfg.Logf("server: checkpoint after round %d failed (continuing): %v", round+1, err)
-		return
-	}
-	s.met.ckptSec.Observe(sec)
-	s.met.ckptBytes.Set(float64(size))
-	s.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: round, Client: -1, Bytes: size, Seconds: sec})
-}
-
-// Section names of a delta-format session checkpoint. The big vectors get
-// their own fixed-width sections so positional chunking can dedup the
-// parameters that did not move this round; everything else rides in one
-// gob "meta" section. "round" is a bare little-endian u64 duplicate of
-// CompletedRound so an offline auditor (flserver doctor) can follow round
-// continuity without decoding this package's gob types.
-const (
-	deltaSecMeta   = "meta"
-	deltaSecGlobal = "global"
-	deltaSecGDelta = "gdelta"
-	deltaSecRound  = "round"
-)
-
-// captureDeltaSnapshot writes a snapshot's sections into the epoch w has
-// open. Everything that reads live session state happens here, on the round
-// loop; the bytes are the writer's once it returns.
-func captureDeltaSnapshot(w *checkpoint.DeltaWriter, snap *sessionSnapshot) error {
-	global, gdelta := snap.Global, snap.GlobalDelta
-	snap.Global, snap.GlobalDelta = nil, nil
-	err := gob.NewEncoder(w.Section(deltaSecMeta)).Encode(snap)
-	snap.Global, snap.GlobalDelta = global, gdelta
-	if err != nil {
-		return err
-	}
-	w.F64s(deltaSecGlobal, global)
-	w.F64s(deltaSecGDelta, gdelta)
-	var round [8]byte
-	binary.LittleEndian.PutUint64(round[:], uint64(snap.CompletedRound))
-	w.Section(deltaSecRound).Write(round[:])
-	return nil
-}
-
-// decodeDeltaSnapshot is the inverse of captureDeltaSnapshot.
-func decodeDeltaSnapshot(sections []checkpoint.Section) (*sessionSnapshot, error) {
-	byName := make(map[string][]byte, len(sections))
-	for _, sec := range sections {
-		byName[sec.Name] = sec.Data
-	}
-	for _, name := range []string{deltaSecMeta, deltaSecGlobal, deltaSecGDelta, deltaSecRound} {
-		if _, ok := byName[name]; !ok {
-			return nil, fmt.Errorf("rpc: delta checkpoint is missing section %q", name)
-		}
-	}
-	var snap sessionSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(byName[deltaSecMeta])).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("rpc: delta checkpoint meta: %w", err)
-	}
-	var err error
-	if snap.Global, err = checkpoint.F64sFromBytes(byName[deltaSecGlobal]); err != nil {
-		return nil, fmt.Errorf("rpc: delta checkpoint global: %w", err)
-	}
-	if snap.GlobalDelta, err = checkpoint.F64sFromBytes(byName[deltaSecGDelta]); err != nil {
-		return nil, fmt.Errorf("rpc: delta checkpoint gdelta: %w", err)
-	}
-	if rb := byName[deltaSecRound]; len(rb) != 8 {
-		return nil, fmt.Errorf("rpc: delta checkpoint round section is %d bytes, want 8", len(rb))
-	} else if got := binary.LittleEndian.Uint64(rb); got != uint64(snap.CompletedRound) {
-		return nil, fmt.Errorf("rpc: delta checkpoint round section %d disagrees with meta round %d", got, snap.CompletedRound)
-	}
-	return &snap, nil
-}
-
-// beginDeltaCheckpoint joins the previous round's epoch, captures this
-// round's and leaves it writing behind the next round. The writer is
-// created lazily on the first save so a resumed session's writer opens
-// after the chain has been read (NewDeltaWriter continues past the latest
-// epoch).
-func (s *Server) beginDeltaCheckpoint(snap *sessionSnapshot) error {
-	if s.deltaW == nil {
-		w, err := checkpoint.NewDeltaWriter(s.cfg.CheckpointDir, checkpoint.DeltaOptions{})
-		if err != nil {
-			return err
-		}
-		s.deltaW = w
-	}
-	s.deltaJoined(s.deltaW.Begin(snap.CompletedRound))
-	if err := captureDeltaSnapshot(s.deltaW, snap); err != nil {
-		return err
-	}
-	return s.deltaW.Commit()
-}
-
-// joinDeltaCheckpoint waits for the delta epoch in flight, if any.
-func (s *Server) joinDeltaCheckpoint() {
-	if s.deltaW != nil {
-		s.deltaJoined(s.deltaW.Wait())
+// joinCheckpoint waits for the epoch in flight, if any.
+func (s *Server) joinCheckpoint() {
+	if s.ckpt != nil {
+		s.checkpointJoined(s.ckpt.Wait())
 		if err := s.cfg.Events.Flush(); err != nil {
 			s.cfg.Logf("server: event log flush after the last checkpoint failed: %v", err)
 		}
 	}
 }
 
-// deltaJoined reports a joined epoch: how long the round loop blocked for
-// it (≈ 0 when the pipeline hid the write) and its outcome.
-func (s *Server) deltaJoined(res checkpoint.DeltaResult, ok bool) {
+// checkpointJoined reports a joined epoch under its own round: how long the
+// round loop blocked for it (≈ 0 when the pipeline hid the write) and its
+// outcome. The round loop is the only writer of the event log, so the
+// background write is reported from here.
+func (s *Server) checkpointJoined(res checkpoint.DeltaResult, ok bool) {
 	if !ok {
 		return
 	}
 	s.met.ckptWaitSec.Observe(res.WaitSeconds)
-	s.checkpointDone(res.Label, res.Size, res.Seconds, res.Err)
+	if res.Err != nil {
+		s.cfg.Logf("server: checkpoint after round %d failed (continuing): %v", res.Label+1, res.Err)
+		return
+	}
+	s.met.ckptSec.Observe(res.Seconds)
+	s.met.ckptBytes.Set(float64(res.Size))
+	s.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: res.Label, Client: -1, Bytes: res.Size, Seconds: res.Seconds})
 }
 
-// loadCheckpoint restores the snapshot for a resumed session. A missing
-// file is not an error — the session starts fresh, so a supervisor can
-// unconditionally pass Resume — but a corrupt file or a snapshot from a
-// different model/configuration is fatal: silently training from
-// scratch would masquerade as a resumed session.
-func (s *Server) loadCheckpoint(dim int) (*sessionSnapshot, error) {
-	path := s.checkpointPath()
-	hasFull := checkpoint.Exists(path)
-	deltaEpochs, err := checkpoint.DeltaEpochs(s.cfg.CheckpointDir)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: resume from %s: %w", s.cfg.CheckpointDir, err)
+// restore loads a resumed session's state from the chain's latest snapshot
+// into the caller's vectors, lastSel and res and into the server's own
+// stateful parts. A snapshot from a different model or configuration is
+// fatal: silently training from scratch would masquerade as a resumed
+// session.
+func (s *Server) restore(snap *checkpoint.Snapshot, global, globalDelta []float64,
+	lastSel map[int]int, res *ServerResult) error {
+	var meta sessionSnapshot
+	if err := snap.Restore(&meta,
+		checkpoint.Vector{Name: "global", Vals: global},
+		checkpoint.Vector{Name: "gdelta", Vals: globalDelta}); err != nil {
+		return err
 	}
-	hasDelta := len(deltaEpochs) > 0
-
-	var snap *sessionSnapshot
-	switch {
-	case s.cfg.DeltaCheckpoints && hasFull && !hasDelta:
-		// Silently restarting would discard the old session's progress.
-		return nil, fmt.Errorf("rpc: resume from %s: directory holds a full-snapshot checkpoint but delta checkpoints are enabled; rerun without -delta-ckpt or start a fresh directory", s.cfg.CheckpointDir)
-	case !s.cfg.DeltaCheckpoints && hasDelta:
-		return nil, fmt.Errorf("rpc: resume from %s: directory holds a delta checkpoint chain; rerun with -delta-ckpt or start a fresh directory", s.cfg.CheckpointDir)
-	case s.cfg.DeltaCheckpoints && !hasDelta:
-		s.cfg.Logf("server: no delta checkpoint in %s, starting fresh", s.cfg.CheckpointDir)
-		return nil, nil
-	case s.cfg.DeltaCheckpoints:
-		path = s.cfg.CheckpointDir
-		epoch, sections, err := checkpoint.NewDeltaReader(s.cfg.CheckpointDir, 0).ReadLatest()
-		if err != nil {
-			return nil, fmt.Errorf("rpc: resume from %s: %w", path, err)
-		}
-		if snap, err = decodeDeltaSnapshot(sections); err != nil {
-			return nil, fmt.Errorf("rpc: resume from %s epoch %d: %w", path, epoch, err)
-		}
-	case !hasFull:
-		s.cfg.Logf("server: no checkpoint at %s, starting fresh", path)
-		return nil, nil
-	default:
-		snap = &sessionSnapshot{}
-		if err := checkpoint.Load(path, snap); err != nil {
-			return nil, fmt.Errorf("rpc: resume from %s: %w", path, err)
-		}
+	if meta.CompletedRound < 0 || meta.CompletedRound >= s.cfg.Rounds {
+		return fmt.Errorf("completed round %d outside session of %d rounds", meta.CompletedRound, s.cfg.Rounds)
 	}
-	if snap.ParamDim != dim {
-		return nil, fmt.Errorf("rpc: resume from %s: snapshot is for a %d-parameter model, this server has %d (model or seed changed?)",
-			path, snap.ParamDim, dim)
-	}
-	if len(snap.Global) != dim || len(snap.GlobalDelta) != dim {
-		return nil, fmt.Errorf("rpc: resume from %s: inconsistent vector lengths %d/%d vs dim %d",
-			path, len(snap.Global), len(snap.GlobalDelta), dim)
-	}
-	if snap.CompletedRound < 0 || snap.CompletedRound >= s.cfg.Rounds {
-		return nil, fmt.Errorf("rpc: resume from %s: completed round %d outside session of %d rounds",
-			path, snap.CompletedRound, s.cfg.Rounds)
-	}
-	if snap.NumClients != s.cfg.NumClients || snap.Rounds != s.cfg.Rounds {
+	if meta.NumClients != s.cfg.NumClients || meta.Rounds != s.cfg.Rounds {
 		s.cfg.Logf("server: resume: snapshot taken with %d clients / %d rounds, now %d / %d",
-			snap.NumClients, snap.Rounds, s.cfg.NumClients, s.cfg.Rounds)
+			meta.NumClients, meta.Rounds, s.cfg.NumClients, s.cfg.Rounds)
 	}
-	return snap, nil
+	for id, round := range meta.SelectorLastSel {
+		lastSel[id] = round
+	}
+	res.Rounds = meta.History
+	res.BytesReceived = meta.BytesReceived
+	res.Evictions = meta.Evictions
+	res.FinalAcc = meta.FinalAcc
+	s.quarantines = meta.Quarantines
+	s.quarantinesDropped = meta.QuarantinesDropped
+	// Re-bound: the snapshot may carry a bigger cap than this run's.
+	s.appendQuarantines(nil)
+	res.Quarantines = s.quarantines
+	res.QuarantinesDropped = s.quarantinesDropped
+	res.ResumedFrom = meta.CompletedRound + 1
+	if s.cfg.RNG != nil && meta.RNG != nil {
+		*s.cfg.RNG = *meta.RNG
+	}
+	// A snapshot taken under a different -shards value is refused —
+	// silently re-routing clients would break the fixed-shard-count
+	// determinism contract.
+	if err := s.tree.Restore(meta.ShardState); err != nil {
+		return err
+	}
+	if s.cfg.Scenario != nil {
+		if meta.Scenario != nil {
+			// A snapshot from a different scenario (name, seed or fleet
+			// size) is refused: continuing would splice two unrelated
+			// schedules together and the replayed run would diverge from an
+			// uninterrupted one.
+			if err := s.cfg.Scenario.Restore(meta.Scenario); err != nil {
+				return err
+			}
+		} else {
+			s.cfg.Logf("server: resume: snapshot has no scenario state; energy accounting restarts from the scenario's initial conditions")
+		}
+	} else if meta.Scenario != nil {
+		s.cfg.Logf("server: resume: ignoring scenario state %q in snapshot (no -scenario configured)", meta.Scenario.Name)
+	}
+	// Negotiation state must match exactly: the assignment stream is a pure
+	// function of (config, history), so resuming with negotiation toggled
+	// or reconfigured would silently diverge from the uninterrupted run.
+	// Restore refuses a config mismatch.
+	switch {
+	case s.neg != nil && meta.Negotiation != nil:
+		if err := s.neg.Restore(meta.Negotiation); err != nil {
+			return err
+		}
+	case s.neg != nil:
+		return fmt.Errorf("snapshot has no negotiation state but negotiation is enabled; rerun without -negotiate or start fresh")
+	case meta.Negotiation != nil:
+		return fmt.Errorf("snapshot is from a negotiated session; rerun with -negotiate and the same negotiation flags")
+	}
+	s.cfg.Logf("server: resumed session at round %d (%d rounds restored, final acc so far %.3f)",
+		res.ResumedFrom+1, len(meta.History), meta.FinalAcc)
+	return nil
 }
 
 // planRound runs the shared selection rule (core.Config.PlanRound) over

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -266,8 +265,10 @@ func TestChaosShardedQuarantineAndResumeGuard(t *testing.T) {
 
 	// The checkpoint carries the tree geometry.
 	var snap sessionSnapshot
-	if err := checkpoint.Load(filepath.Join(ckptDir, snapshotFile), &snap); err != nil {
+	if latest, err := checkpoint.ReadSnapshot(ckptDir); err != nil {
 		t.Fatalf("loading session checkpoint: %v", err)
+	} else if err := latest.Restore(&snap); err != nil {
+		t.Fatalf("decoding session checkpoint: %v", err)
 	}
 	if snap.ShardState == nil || snap.ShardState.Shards != 2 {
 		t.Fatalf("checkpoint shard state %+v, want Shards=2", snap.ShardState)

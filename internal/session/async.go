@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,13 +61,12 @@ type AsyncConfig struct {
 	Shards int
 	// ShardQueueDepth overrides the per-shard ingest queue depth.
 	ShardQueueDepth int
-	// CheckpointDir, when non-empty, persists every model version as a
-	// delta-checkpoint epoch (checkpoint.DeltaWriter — async sessions
-	// always use the chunked content-hash delta format).
+	// CheckpointDir, when non-empty, persists every model version as one
+	// epoch of a checkpoint.DeltaWriter chain.
 	CheckpointDir string
-	// Resume restores the latest delta epoch in CheckpointDir and
-	// continues from its model version. Without Resume, a directory that
-	// already holds a chain is refused rather than silently intermixed.
+	// Resume restores the latest epoch in CheckpointDir and continues from
+	// its model version. Without Resume, a directory that already holds a
+	// chain is refused rather than silently intermixed (checkpoint.Open).
 	Resume bool
 	// RebaseEvery overrides the delta chain's full-rebase cadence
 	// (0 = checkpoint.DefaultRebaseEvery).
@@ -162,17 +160,15 @@ type AsyncSession struct {
 	wg        sync.WaitGroup // connection serve goroutines
 	connBytes atomic.Int64   // uplink bytes of closed connections
 
-	deltaW   *checkpoint.DeltaWriter
+	ckpt     *checkpoint.DeltaWriter
 	buffered int // arrivals folded since the last apply
 	res      *AsyncResult
 }
 
-// asyncSnapshot is the gob "meta" section of an async delta checkpoint.
-// The global vector rides in its own fixed-width section so positional
-// chunking can dedup unchanged parameters.
+// asyncSnapshot is the meta section of an async session's snapshot; the
+// model rides beside it as the "global" vector.
 type asyncSnapshot struct {
 	Version         int
-	ParamDim        int
 	K               int
 	FinalAcc        float64
 	Pushes          int
@@ -182,6 +178,9 @@ type asyncSnapshot struct {
 	Quarantines     []shard.QuarantineRecord
 	BytesReceived   int64
 }
+
+// Round makes asyncSnapshot a checkpoint.Meta: the label is the version.
+func (m *asyncSnapshot) Round() int { return m.Version }
 
 // NewAsync validates the config, restores the delta chain when resuming
 // and returns the session ready to accept Deliver calls.
@@ -229,53 +228,30 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 	}
 	version := 0
 	if cfg.CheckpointDir != "" {
-		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("session: checkpoint dir: %w", err)
-		}
-		latest, ok, err := checkpoint.LatestDeltaEpoch(cfg.CheckpointDir)
+		w, snap, err := checkpoint.Open(cfg.CheckpointDir, cfg.Resume, checkpoint.DeltaOptions{RebaseEvery: cfg.RebaseEvery}, cfg.Logf)
 		if err != nil {
-			return nil, fmt.Errorf("session: checkpoint dir: %w", err)
+			return nil, fmt.Errorf("session: %w", err)
 		}
-		switch {
-		case ok && !cfg.Resume:
-			return nil, fmt.Errorf("session: %s already holds a delta chain (epoch %d); pass Resume or use a fresh directory", cfg.CheckpointDir, latest)
-		case ok:
-			_, sections, err := checkpoint.NewDeltaReader(cfg.CheckpointDir, 0).ReadLatest()
-			if err != nil {
-				return nil, fmt.Errorf("session: resume from %s: %w", cfg.CheckpointDir, err)
+		a.ckpt = w
+		if snap != nil {
+			var meta asyncSnapshot
+			if err := snap.Restore(&meta, checkpoint.Vector{Name: "global", Vals: global}); err != nil {
+				return nil, fmt.Errorf("session: resume from %s epoch %d: %w", cfg.CheckpointDir, snap.Epoch, err)
 			}
-			snap, restored, err := decodeAsyncSnapshot(sections)
-			if err != nil {
-				return nil, fmt.Errorf("session: resume from %s: %w", cfg.CheckpointDir, err)
+			version = meta.Version
+			a.res.FinalAcc = meta.FinalAcc
+			a.res.Pushes = meta.Pushes
+			a.res.StaleRejected = meta.StaleRejected
+			a.res.Evictions = meta.Evictions
+			a.res.BytesReceived = meta.BytesReceived
+			a.connBytes.Store(meta.BytesReceived)
+			if meta.StalenessCounts != nil {
+				a.res.StalenessCounts = meta.StalenessCounts
 			}
-			if snap.ParamDim != a.dim {
-				return nil, fmt.Errorf("session: resume from %s: snapshot is for a %d-parameter model, this session has %d",
-					cfg.CheckpointDir, snap.ParamDim, a.dim)
-			}
-			copy(global, restored)
-			version = snap.Version
-			a.res.FinalAcc = snap.FinalAcc
-			a.res.Pushes = snap.Pushes
-			a.res.StaleRejected = snap.StaleRejected
-			a.res.Evictions = snap.Evictions
-			a.res.BytesReceived = snap.BytesReceived
-			a.connBytes.Store(snap.BytesReceived)
-			if snap.StalenessCounts != nil {
-				a.res.StalenessCounts = snap.StalenessCounts
-			}
-			a.res.Quarantines = snap.Quarantines
+			a.res.Quarantines = meta.Quarantines
 			a.res.ResumedFrom = version
 			cfg.Logf("session %q: resumed async session at model version %d", cfg.Name, version)
-		default:
-			if cfg.Resume {
-				cfg.Logf("session %q: no delta checkpoint in %s, starting fresh", cfg.Name, cfg.CheckpointDir)
-			}
 		}
-		w, err := checkpoint.NewDeltaWriter(cfg.CheckpointDir, checkpoint.DeltaOptions{RebaseEvery: cfg.RebaseEvery})
-		if err != nil {
-			return nil, fmt.Errorf("session: checkpoint dir: %w", err)
-		}
-		a.deltaW = w
 	}
 	if version >= cfg.Versions {
 		return nil, fmt.Errorf("session: resume from %s: version %d already meets the %d-version budget",
@@ -553,10 +529,8 @@ func (a *AsyncSession) apply() {
 	a.cfg.Events.Emit(obs.Event{Type: "version", Round: version, Client: -1,
 		Received: part.Count, Acc: obs.AccValue(acc)})
 
-	if a.deltaW != nil {
-		if err := a.beginCheckpoint(version); err != nil {
-			a.checkpointDone(version, 0, 0, err)
-		}
+	if a.ckpt != nil {
+		a.saveCheckpoint(version, next)
 	}
 	if err := a.cfg.Events.Flush(); err != nil {
 		a.cfg.Logf("session %q: event log flush failed: %v", a.cfg.Name, err)
@@ -575,23 +549,17 @@ func (a *AsyncSession) evict(id int) {
 	}
 }
 
-// beginCheckpoint joins the previous version's epoch, captures this
-// version's — the sync engine's delta layout: a gob meta section, the
-// fixed-width global vector and a bare little-endian u64 "round" (the
-// model version) an offline auditor can read generically — and leaves it
-// writing behind the arrivals of the next version.
-func (a *AsyncSession) beginCheckpoint(version int) error {
-	a.checkpointJoined(a.deltaW.Begin(version))
-	params, _ := a.snapshot()
+// saveCheckpoint joins the previous version's epoch, captures this
+// version's and leaves it writing behind the arrivals of the next.
+func (a *AsyncSession) saveCheckpoint(version int, params []float64) {
 	live := a.connBytes.Load()
 	a.connMu.Lock()
 	for _, c := range a.conns {
 		live += c.BytesReceived()
 	}
 	a.connMu.Unlock()
-	snap := &asyncSnapshot{
+	meta := &asyncSnapshot{
 		Version:         version,
-		ParamDim:        a.dim,
 		K:               a.cfg.K,
 		FinalAcc:        a.res.FinalAcc,
 		Pushes:          a.res.Pushes,
@@ -601,40 +569,32 @@ func (a *AsyncSession) beginCheckpoint(version int) error {
 		Quarantines:     a.res.Quarantines,
 		BytesReceived:   live,
 	}
-	if err := captureAsyncSnapshot(a.deltaW, snap, params); err != nil {
-		return err
-	}
-	return a.deltaW.Commit()
+	a.checkpointJoined(a.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: params}))
 }
 
-// checkpointDone records one epoch's outcome under its own version. The
-// engine loop is the event log's only writer, so the background write is
-// reported from here, at its join.
-func (a *AsyncSession) checkpointDone(version int, size int64, sec float64, err error) {
-	if err != nil {
-		a.cfg.Logf("session %q: checkpoint at version %d failed (continuing): %v", a.cfg.Name, version, err)
-		return
-	}
-	a.met.ckptSec.Observe(sec)
-	a.met.ckptBytes.Set(float64(size))
-	a.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: version, Client: -1, Bytes: size, Seconds: sec})
-}
-
-// checkpointJoined reports a joined epoch: how long the engine loop blocked
-// for it (≈ 0 when the pipeline hid the write) and its outcome.
+// checkpointJoined reports a joined epoch under its own version: how long
+// the engine loop blocked for it (≈ 0 when the pipeline hid the write) and
+// its outcome. The engine loop is the event log's only writer, so the
+// background write is reported from here.
 func (a *AsyncSession) checkpointJoined(res checkpoint.DeltaResult, ok bool) {
 	if !ok {
 		return
 	}
 	a.met.ckptWaitSec.Observe(res.WaitSeconds)
-	a.checkpointDone(res.Label, res.Size, res.Seconds, res.Err)
+	if res.Err != nil {
+		a.cfg.Logf("session %q: checkpoint at version %d failed (continuing): %v", a.cfg.Name, res.Label, res.Err)
+		return
+	}
+	a.met.ckptSec.Observe(res.Seconds)
+	a.met.ckptBytes.Set(float64(res.Size))
+	a.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: res.Label, Client: -1, Bytes: res.Size, Seconds: res.Seconds})
 }
 
 // joinCheckpoint waits for the epoch in flight, if any: the last published
 // version is durable, and the writer's goroutine gone, before Run returns.
 func (a *AsyncSession) joinCheckpoint() {
-	if a.deltaW != nil {
-		a.checkpointJoined(a.deltaW.Wait())
+	if a.ckpt != nil {
+		a.checkpointJoined(a.ckpt.Wait())
 		if err := a.cfg.Events.Flush(); err != nil {
 			a.cfg.Logf("session %q: event log flush failed: %v", a.cfg.Name, err)
 		}

@@ -1,11 +1,9 @@
 package session
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"adafl/internal/checkpoint"
@@ -14,16 +12,12 @@ import (
 
 // DoctorReport is the outcome of an offline checkpoint/event-log audit.
 type DoctorReport struct {
-	// Format is "delta" (epoch chain) or "full" (session.ckpt).
-	Format string
-	// Epochs lists the delta epochs present (delta format only).
+	// Epochs lists the delta epochs present.
 	Epochs []uint64
-	// Round is the checkpoint's completed round / model version, read
-	// from the generic little-endian "round" section (delta format) —
-	// -1 when unavailable (full format, whose payload types the doctor
-	// does not decode).
+	// Round is the checkpoint's completed round / model version, the latest
+	// snapshot's bare label; -1 when the chain could not be read that far.
 	Round int
-	// Chunks/Refs/Bytes summarise the delta chain (delta format only).
+	// Chunks/Refs/Bytes summarise the chain.
 	Chunks, Refs int
 	Bytes        int64
 	// Events is the number of event-log records examined (0 when no log
@@ -36,14 +30,15 @@ type DoctorReport struct {
 // Healthy reports whether the audit found no problems.
 func (r *DoctorReport) Healthy() bool { return len(r.Problems) == 0 }
 
-// Doctor audits a checkpoint directory — and, when eventPath is
-// non-empty, its JSONL event log — offline:
+// Doctor audits a checkpoint directory — a sync server's, an async
+// session's or a root's, they share one layout — and, when eventPath is
+// non-empty, its JSONL event log, offline:
 //
-//   - delta chains: every epoch's frame CRC, structural validity and
+//   - the chain: every epoch's frame CRC, structural validity and
 //     chunk SHA-256s; cross-epoch reference resolution (dangling or
 //     hash-mismatched refs fail); full reconstruction of the latest
-//     epoch; presence and consistency of the "round" section.
-//   - full snapshots: frame magic/version/length/CRC.
+//     epoch, which must have the snapshot layout (checkpoint.ReadSnapshot)
+//     and a "global" vector.
 //   - event log: round/version records must advance gaplessly (each
 //     distinct value one above the previous; duplicates allowed — a
 //     crash between checkpoint and re-run replays a round), and the
@@ -63,32 +58,16 @@ func Doctor(dir, eventPath string, w io.Writer) (*DoctorReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("doctor: %w", err)
 	}
-	fullPath := filepath.Join(dir, "session.ckpt")
-	hasFull := checkpoint.Exists(fullPath)
-	switch {
-	case len(epochs) > 0:
-		rep.Format = "delta"
-		rep.Epochs = epochs
-		if hasFull {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("directory holds both a delta chain and a full snapshot %s", fullPath))
-		}
-		auditDelta(dir, rep, w)
-	case hasFull:
-		rep.Format = "full"
-		if size, err := checkpoint.VerifyFrame(fullPath, 0); err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("full snapshot: %v", err))
-		} else {
-			rep.Bytes = size
-			fmt.Fprintf(w, "doctor: full snapshot %s: frame ok (%d payload bytes)\n", fullPath, size)
-		}
-	default:
-		return nil, fmt.Errorf("doctor: no checkpoint (delta chain or session.ckpt) in %s", dir)
+	if len(epochs) == 0 {
+		return nil, fmt.Errorf("doctor: no checkpoint chain in %s", dir)
 	}
+	rep.Epochs = epochs
+	auditDelta(dir, rep, w)
 	if eventPath != "" {
 		auditEvents(eventPath, rep, w)
 	}
 	if rep.Healthy() {
-		fmt.Fprintf(w, "doctor: %s checkpoint in %s is consistent\n", rep.Format, dir)
+		fmt.Fprintf(w, "doctor: checkpoint in %s is consistent\n", dir)
 	} else {
 		for _, p := range rep.Problems {
 			fmt.Fprintf(w, "doctor: PROBLEM: %s\n", p)
@@ -107,36 +86,16 @@ func auditDelta(dir string, rep *DoctorReport, w io.Writer) {
 	rep.Chunks, rep.Refs, rep.Bytes = audit.Chunks, audit.Refs, audit.Bytes
 	fmt.Fprintf(w, "doctor: delta chain %v: %d chunks (%d cross-epoch refs), %d bytes on disk\n",
 		audit.Epochs, audit.Chunks, audit.Refs, audit.Bytes)
-	_, sections, err := checkpoint.NewDeltaReader(dir, 0).ReadLatest()
+	snap, err := checkpoint.ReadSnapshot(dir)
 	if err != nil {
 		rep.Problems = append(rep.Problems, fmt.Sprintf("reconstruct latest epoch: %v", err))
 		return
 	}
-	var roundSec []byte
-	var hasGlobal bool
-	for _, sec := range sections {
-		switch sec.Name {
-		case secRound:
-			roundSec = sec.Data
-		case secGlobal:
-			hasGlobal = true
-			if len(sec.Data)%8 != 0 {
-				rep.Problems = append(rep.Problems, fmt.Sprintf("global section is %d bytes, not a multiple of 8", len(sec.Data)))
-			}
-		}
+	if snap.VectorLen("global") < 0 {
+		rep.Problems = append(rep.Problems, `latest epoch has no fixed-width "global" section`)
 	}
-	if !hasGlobal {
-		rep.Problems = append(rep.Problems, `latest epoch has no "global" section`)
-	}
-	switch {
-	case roundSec == nil:
-		rep.Problems = append(rep.Problems, `latest epoch has no "round" section`)
-	case len(roundSec) != 8:
-		rep.Problems = append(rep.Problems, fmt.Sprintf("round section is %d bytes, want 8", len(roundSec)))
-	default:
-		rep.Round = int(binary.LittleEndian.Uint64(roundSec))
-		fmt.Fprintf(w, "doctor: latest epoch %d holds round/version %d\n", audit.Latest, rep.Round)
-	}
+	rep.Round = snap.Round
+	fmt.Fprintf(w, "doctor: latest epoch %d holds round/version %d\n", snap.Epoch, rep.Round)
 }
 
 // auditEvents checks the event log's round continuity and its agreement

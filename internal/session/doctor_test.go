@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"adafl/internal/checkpoint"
+	"adafl/internal/edge"
 	"adafl/internal/obs"
 )
 
@@ -24,15 +26,9 @@ func writeDeltaChain(t *testing.T, dir string, n, dim int) {
 		for j := 0; j < 32; j++ {
 			params[j] = float64(v) * 0.01
 		}
-		snap := &asyncSnapshot{Version: v, ParamDim: dim, K: 2, Pushes: v * 2}
-		if res, ok := w.Begin(v); ok && res.Err != nil {
+		snap := &asyncSnapshot{Version: v, K: 2, Pushes: v * 2}
+		if res, ok := w.Snapshot(snap, checkpoint.Vector{Name: "global", Vals: params}); ok && res.Err != nil {
 			t.Fatal(res.Err)
-		}
-		if err := captureAsyncSnapshot(w, snap, params); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Commit(); err != nil {
-			t.Fatal(err)
 		}
 	}
 	if res, _ := w.Wait(); res.Err != nil {
@@ -71,7 +67,7 @@ func TestDoctorHealthyDeltaChain(t *testing.T) {
 	if !rep.Healthy() {
 		t.Fatalf("healthy chain reported problems: %v", rep.Problems)
 	}
-	if rep.Format != "delta" || rep.Round != 4 || len(rep.Epochs) == 0 {
+	if rep.Round != 4 || len(rep.Epochs) == 0 {
 		t.Fatalf("report misread the chain: %+v", rep)
 	}
 	if rep.Events == 0 || rep.Chunks == 0 {
@@ -85,20 +81,7 @@ func TestDoctorHealthyDeltaChain(t *testing.T) {
 func TestDoctorDetectsBitFlip(t *testing.T) {
 	dir := t.TempDir()
 	writeDeltaChain(t, dir, 3, 1024)
-	// Flip one bit in the middle of the latest epoch's payload.
-	epochs, err := checkpoint.DeltaEpochs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("delta-%08d.ckpt", epochs[len(epochs)-1]))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipLatestEpoch(t, dir)
 	rep, err := Doctor(dir, "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -150,33 +133,98 @@ func TestDoctorDetectsLaggingCheckpoint(t *testing.T) {
 	}
 }
 
-func TestDoctorFullSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "session.ckpt")
-	if err := checkpoint.Save(path, &asyncSnapshot{Version: 7, ParamDim: 3}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Doctor(dir, "", nil)
+// flipLatestEpoch flips one bit in the middle of the chain's newest epoch.
+func flipLatestEpoch(t *testing.T, dir string) {
+	t.Helper()
+	epochs, err := checkpoint.DeltaEpochs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Healthy() || rep.Format != "full" {
-		t.Fatalf("healthy full snapshot misjudged: %+v", rep)
-	}
-	// Truncate it: the frame check must fail.
+	path := filepath.Join(dir, fmt.Sprintf("delta-%08d.ckpt", epochs[len(epochs)-1]))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)-5], 0o644); err != nil {
+	raw[len(raw)/2] ^= 0x40
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Doctor(dir, "", nil)
+}
+
+// TestDoctorRootChain: a root's checkpoint directory audits like any
+// chain — it has the shared layout — against the root's own event log.
+func TestDoctorRootChain(t *testing.T) {
+	const rounds, clients, dim = 5, 4, 64
+	dir := t.TempDir()
+	events := filepath.Join(t.TempDir(), "events.jsonl")
+	f, err := os.Create(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Healthy() {
-		t.Fatal("doctor passed a truncated full snapshot")
+	log := obs.NewEventLogWriter(f)
+	root, err := edge.NewRoot(edge.RootConfig{
+		NumEdges: 1, Clients: clients, Rounds: rounds, Dim: dim,
+		CheckpointDir: dir, Events: log, Logf: quiet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := edge.NewEdge(edge.EdgeConfig{
+		ID: 0, RootAddr: root.EdgeAddr(), Dim: dim,
+		HeartbeatInterval: 30 * time.Millisecond, Logf: quiet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 3)
+	go func() { _, err := root.Run(); errs <- err }()
+	go func() { _, err := e.Run(); errs <- err }()
+	go func() {
+		errs <- edge.RunClients(edge.ClientsConfig{
+			Bootstrap: root.BootstrapAddr(), Lo: 0, Hi: clients, Dim: dim, Nnz: 4, Seed: 5,
+			MaxRetries: 100, RetryBackoff: 20 * time.Millisecond,
+		})
+	}()
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("tree session: %v", err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	rep, err := Doctor(dir, events, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Healthy() || rep.Round != rounds-1 || rep.Events == 0 {
+		t.Fatalf("healthy root chain misjudged: %+v", rep)
+	}
+
+	// An event log two marks past the chain: a root write failed or an
+	// epoch was lost. One past is the epoch a crash caught in flight.
+	for ahead, healthy := range map[int]bool{1: true, 2: false} {
+		marks := make([]int, rounds+ahead)
+		for i := range marks {
+			marks[i] = i
+		}
+		lagged := filepath.Join(t.TempDir(), "events.jsonl")
+		writeEventLog(t, lagged, marks)
+		rep, err := Doctor(dir, lagged, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Healthy() != healthy {
+			t.Fatalf("root chain at round %d, event log to %d: healthy=%v (%v), want %v",
+				rounds-1, marks[len(marks)-1], rep.Healthy(), rep.Problems, healthy)
+		}
+	}
+
+	flipLatestEpoch(t, dir)
+	if rep, err := Doctor(dir, "", nil); err != nil || rep.Healthy() {
+		t.Fatalf("doctor passed a bit-flipped root epoch: %+v (err %v)", rep, err)
 	}
 }
 

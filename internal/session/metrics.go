@@ -1,14 +1,6 @@
 package session
 
-import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-
-	"adafl/internal/checkpoint"
-	"adafl/internal/obs"
-)
+import "adafl/internal/obs"
 
 // StalenessBuckets is the bucket layout of adafl_async_staleness:
 // staleness is a small version delta, so linear unit buckets resolve the
@@ -52,55 +44,4 @@ func newAsyncMetrics(r *obs.Registry, session string) asyncMetrics {
 		ckptWaitSec:   r.Histogram(l("adafl_checkpoint_wait_seconds"), obs.LatencyBuckets),
 		ckptBytes:     r.Gauge(l("adafl_checkpoint_bytes")),
 	}
-}
-
-// Delta-checkpoint section names, shared with the sync engine's layout
-// (internal/rpc uses the same literals): "meta" is engine-specific gob,
-// "global" the fixed-width model vector, "round" a bare little-endian
-// u64 the doctor reads without knowing the engine's types.
-const (
-	secMeta   = "meta"
-	secGlobal = "global"
-	secRound  = "round"
-)
-
-// captureAsyncSnapshot writes an async snapshot's sections into the epoch
-// w has open; the bytes are the writer's once it returns.
-func captureAsyncSnapshot(w *checkpoint.DeltaWriter, snap *asyncSnapshot, params []float64) error {
-	if err := gob.NewEncoder(w.Section(secMeta)).Encode(snap); err != nil {
-		return err
-	}
-	w.F64s(secGlobal, params)
-	var round [8]byte
-	binary.LittleEndian.PutUint64(round[:], uint64(snap.Version))
-	w.Section(secRound).Write(round[:])
-	return nil
-}
-
-// decodeAsyncSnapshot is the inverse; it returns the meta snapshot and
-// the restored global vector.
-func decodeAsyncSnapshot(sections []checkpoint.Section) (*asyncSnapshot, []float64, error) {
-	byName := make(map[string][]byte, len(sections))
-	for _, sec := range sections {
-		byName[sec.Name] = sec.Data
-	}
-	for _, name := range []string{secMeta, secGlobal, secRound} {
-		if _, ok := byName[name]; !ok {
-			return nil, nil, fmt.Errorf("delta checkpoint is missing section %q", name)
-		}
-	}
-	var snap asyncSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(byName[secMeta])).Decode(&snap); err != nil {
-		return nil, nil, fmt.Errorf("delta checkpoint meta: %w", err)
-	}
-	params, err := checkpoint.F64sFromBytes(byName[secGlobal])
-	if err != nil {
-		return nil, nil, fmt.Errorf("delta checkpoint global: %w", err)
-	}
-	if rb := byName[secRound]; len(rb) != 8 {
-		return nil, nil, fmt.Errorf("delta checkpoint round section is %d bytes, want 8", len(rb))
-	} else if got := binary.LittleEndian.Uint64(rb); got != uint64(snap.Version) {
-		return nil, nil, fmt.Errorf("delta checkpoint round section %d disagrees with meta version %d", got, snap.Version)
-	}
-	return &snap, params, nil
 }

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet build test race chaos fuzz cover fleet bench bench-gemm bench-train
+.PHONY: check lint vet build test race chaos fuzz cover fleet
 
 check: lint build test race
 
@@ -17,6 +17,14 @@ check: lint build test race
 # framed file bench/ still measures) and model files; neither touches a
 # socket.
 GOB_IMPORTERS := internal/checkpoint/checkpoint.go internal/nn/serialize.go
+# Two more allowlists of the same kind keep the connection plane single
+# (DESIGN.md §Connection plane). A listener is accepted on in the roster,
+# in the fleet load generator (its reader→worker pipeline is its own) and
+# in the tests' accounting wrapper, nowhere else; and a redial wait is
+# slept only in rpc.Redial — nobody else can compute one, because nobody
+# else builds a RetryBackoff.
+ACCEPT_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/fleet.go internal/rpc/roster.go
+BACKOFF_USERS := internal/rpc/backoff.go
 
 lint: vet
 	@unformatted=$$(gofmt -l .); \
@@ -28,6 +36,10 @@ lint: vet
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/
 	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | sed 's|^\./||' | sort | tr '\n' ' '); \
 	if [ "$$got" != "$(GOB_IMPORTERS) " ]; then echo "encoding/gob importers: $$got(want: $(GOB_IMPORTERS))"; exit 1; fi
+	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' '\.Accept()' . | sed 's|^\./||' | sort | tr '\n' ' '); \
+	if [ "$$got" != "$(ACCEPT_CALLERS) " ]; then echo "accept loops: $$got(want: $(ACCEPT_CALLERS))"; exit 1; fi
+	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' 'NewRetryBackoff(' . | sed 's|^\./||' | sort | tr '\n' ' '); \
+	if [ "$$got" != "$(BACKOFF_USERS) " ]; then echo "redial loops (NewRetryBackoff callers): $$got(want: $(BACKOFF_USERS))"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -95,22 +107,6 @@ cover:
 	check_pkg checkpoint 75
 
 # Fleet-scale aggregation smoke: a small in-process run of the load
-# harness. BENCH_5.json records the full 1k/10k-client runs (its buffered
-# rows are from a path since deleted).
+# harness. The tracked numbers are bench/'s fleet_ingest and tree_ingest.
 fleet:
 	$(GO) run ./cmd/flfleet -clients 500 -shards 4 -rounds 3 -dim 5000 -nnz 250
-
-# Hot-path microbenchmarks with allocation stats; see DESIGN.md §GEMM for
-# how these map onto BENCH_1.json.
-bench-gemm:
-	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkMatMulNaive|BenchmarkMatMulParallel|BenchmarkMatMulTranspose' -benchtime 2s -benchmem ./internal/tensor/
-
-# BENCH_4.json records the observability-overhead check: BenchmarkTrainRound
-# with metrics disabled (nil registry) must match the pre-obs baseline —
-# the nil-receiver no-op instruments are allocation-free by construction
-# (pinned by TestNilInstrumentsAllocationFree in internal/obs).
-bench-train:
-	$(GO) test -run xxx -bench 'BenchmarkConv|BenchmarkDense' -benchtime 2s -benchmem ./internal/nn/
-	$(GO) test -run xxx -bench 'BenchmarkTrainRound|BenchmarkPaperCNNTrainBatch|BenchmarkDGCEncode431k|BenchmarkTopKSelect431k' -benchtime 2s -benchmem .
-
-bench: bench-gemm bench-train

@@ -31,8 +31,8 @@
 // rerouted to a surviving sibling.
 //
 // Peak RSS (VmHWM) is monotonic per process, so run one configuration
-// per invocation when comparing memory; BENCH_5.json collects one JSON
-// object (-json) per configuration.
+// per invocation when comparing memory (-json emits one JSON object per
+// configuration; bench/'s fleet_ingest.peak_rss_mb is the tracked number).
 //
 // Examples:
 //
@@ -63,8 +63,7 @@ import (
 	"adafl/internal/shard"
 )
 
-// result is the JSON record one invocation emits; BENCH_5.json is a
-// collection of these.
+// result is the JSON record one invocation emits.
 type result struct {
 	Mode    string `json:"mode"`
 	Clients int    `json:"clients"`

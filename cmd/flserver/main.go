@@ -88,11 +88,6 @@ func main() {
 	scenarioLog := flag.String("scenario-log", "", "append the deterministic per-round scenario schedule (JSONL) to this file; byte-identical across runs at the same seed, unlike -event-log")
 	negotiate := flag.Bool("negotiate", false, "negotiate each selected client's uplink codec+ratio per round from its observed link state (EWMA bytes, scenario bandwidth); assignments travel in the Select broadcast and join the session checkpoint")
 	assignLog := flag.String("assign-log", "", "append the deterministic per-round codec assignments (JSONL, sorted by client id) to this file; byte-identical across replays, like -scenario-log (needs -negotiate)")
-	negDefaults := core.DefaultNegotiation()
-	negSwitch := flag.Float64("neg-switch-ratio", negDefaults.SwitchRatio, "effective ratio at which negotiation switches a client from DGC sparsification to DAdaQuant quantization")
-	negMinLv := flag.Int("neg-min-levels", negDefaults.MinLevels, "minimum DAdaQuant quantization level count")
-	negMaxLv := flag.Int("neg-max-levels", negDefaults.MaxLevels, "maximum DAdaQuant quantization level count")
-	negEvery := flag.Int("neg-double-every", negDefaults.LevelDoubleEvery, "rounds between doublings of the scheduled DAdaQuant level count")
 
 	// Buffered-asynchronous (FedBuff) mode and the multi-session control
 	// plane (internal/session).
@@ -165,7 +160,7 @@ func main() {
 			metricsAddr: *metricsAddr, eventLog: *eventLog,
 		}
 		if *negotiate {
-			ef.negotiation = negotiationFlags(*negMinLv, *negMaxLv, *negEvery, *negSwitch)
+			ef.negotiation = negotiation()
 		}
 		runEdge(ef)
 		return
@@ -225,7 +220,7 @@ func main() {
 		Fault: faults.Config(), Metrics: metrics, Events: events,
 	}
 	if *negotiate {
-		scfg.Negotiation = negotiationFlags(*negMinLv, *negMaxLv, *negEvery, *negSwitch)
+		scfg.Negotiation = negotiation()
 		if *assignLog != "" {
 			af, err := os.OpenFile(*assignLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
@@ -279,13 +274,11 @@ func main() {
 		map[bool]string{true: "  (ended early: roster below min-clients)"}[res.EndedEarly], resumed)
 }
 
-// negotiationFlags folds the -neg-* knobs over the negotiation defaults.
-func negotiationFlags(minLv, maxLv, every int, switchRatio float64) core.NegotiationConfig {
+// negotiation is what -negotiate turns on: the default switch ratio,
+// level bounds and doubling schedule, which no run has ever changed.
+func negotiation() core.NegotiationConfig {
 	nc := core.DefaultNegotiation()
 	nc.Enabled = true
-	nc.MinLevels, nc.MaxLevels = minLv, maxLv
-	nc.LevelDoubleEvery = every
-	nc.SwitchRatio = switchRatio
 	return nc
 }
 

@@ -78,25 +78,14 @@ func RunClients(cfg ClientsConfig) error {
 }
 
 func runClient(cfg ClientsConfig, id int) error {
-	backoff := rpc.NewRetryBackoff(cfg.RetryBackoff, 0,
-		stats.NewRNG(cfg.Seed^uint64(id)*0x94d049bb133111eb).Split())
 	upd := &compress.Sparse{}
-	var lastErr error
-	for retries := 0; retries <= cfg.MaxRetries; retries++ {
-		if retries > 0 {
-			time.Sleep(backoff.Next())
-		}
-		done, progressed, err := runClientOnce(cfg, id, upd)
-		if done {
-			return nil
-		}
-		lastErr = err
-		if progressed {
-			retries = 0
-			backoff.Reset()
-		}
+	err := rpc.Redial(cfg.MaxRetries, cfg.RetryBackoff,
+		stats.NewRNG(cfg.Seed^uint64(id)*0x94d049bb133111eb).Split(),
+		func() (bool, bool, error) { return runClientOnce(cfg, id, upd) }, nil)
+	if err != nil {
+		return fmt.Errorf("retries exhausted: %w", err)
 	}
-	return fmt.Errorf("retries exhausted: %w", lastErr)
+	return nil
 }
 
 // runClientOnce runs one bootstrap cycle: learn the edge, train on it

@@ -17,6 +17,7 @@ import (
 	"container/heap"
 	"math"
 	"sort"
+	"strconv"
 
 	"adafl/internal/netsim"
 )
@@ -223,19 +224,7 @@ func buildGraph(specs []EdgeSpec, down map[int]bool, cm CostModel) *Graph {
 	return g
 }
 
-func nodeID(edge int) string { return "edge:" + itoa(edge) }
-
-// itoa avoids strconv for the two-digit edge IDs the hot reroute path
-// formats.
-func itoa(n int) string {
-	if n < 0 {
-		return "-" + itoa(-n)
-	}
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return itoa(n/10) + string(rune('0'+n%10))
-}
+func nodeID(edge int) string { return "edge:" + strconv.Itoa(edge) }
 
 // planAssign assigns each of clients (processed in ascending order) to
 // the cheapest candidate edge under cm, mutating load as it goes so

@@ -1,11 +1,10 @@
 package edge
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adafl/internal/core"
@@ -95,27 +94,21 @@ type EdgeResult struct {
 // ascending client ID (the determinism contract), and streams only the
 // partial to the root. It heartbeats the root and survives root restarts
 // by redialling with full-jitter backoff; its clients stay connected
-// throughout.
+// throughout, on an rpc.Roster in which a re-hello of a live ID replaces
+// the old connection.
 type Edge struct {
-	cfg EdgeConfig
-	ln  net.Listener
+	cfg    EdgeConfig
+	ln     net.Listener
+	roster *rpc.Roster
 
-	mu      sync.Mutex
-	clients map[int]*edgeClient
-	root    *rpc.Conn // current root connection (replaced on redial)
-	killed  bool
-	closing bool
+	mu   sync.Mutex
+	root *rpc.Conn // current root connection (replaced on redial), under mu
 
-	round int // current round, written by the run loop, read by heartbeats (under mu)
-	res   EdgeResult
+	round atomic.Int64 // current round: the run loop writes, heartbeats read
+	res   EdgeResult   // the run loop's alone
 
 	neg *core.Negotiator // client-facing codec negotiator (nil when disabled)
 	met edgeMetrics
-}
-
-type edgeClient struct {
-	id   int
-	conn *rpc.Conn
 }
 
 // NewEdge binds the client listener (so the address is known before the
@@ -158,11 +151,11 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		return nil, err
 	}
 	return &Edge{
-		cfg:     cfg,
-		ln:      ln,
-		clients: map[int]*edgeClient{},
-		neg:     neg,
-		met:     newEdgeMetrics(cfg.Metrics, cfg.ID),
+		cfg:    cfg,
+		ln:     ln,
+		roster: rpc.NewRoster(true),
+		neg:    neg,
+		met:    newEdgeMetrics(cfg.Metrics, cfg.ID),
 	}, nil
 }
 
@@ -172,67 +165,47 @@ func (e *Edge) ClientAddr() string { return e.ln.Addr().String() }
 // Kill simulates an edge crash: listener, root link and every client
 // connection are torn down with no farewells. Run returns ErrEdgeKilled.
 func (e *Edge) Kill() {
-	e.mu.Lock()
-	e.killed = true
-	e.closing = true
-	root := e.root
-	conns := make([]*rpc.Conn, 0, len(e.clients))
-	for _, c := range e.clients {
-		conns = append(conns, c.conn)
-	}
-	e.mu.Unlock()
+	e.roster.Kill()
 	e.ln.Close()
+	e.mu.Lock()
+	root := e.root
+	e.mu.Unlock()
 	if root != nil {
 		root.Close()
 	}
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (e *Edge) isKilled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.killed
 }
 
 // Run registers with the root and serves rounds until the root shuts the
 // session down (clients are shut down in turn), the redial budget is
 // exhausted, or Kill. Root restarts are absorbed: the edge re-registers
-// with backoff while its clients stay connected.
+// with backoff (rpc.Redial) while its clients stay connected.
 func (e *Edge) Run() (*EdgeResult, error) {
-	go e.acceptLoop()
+	go e.roster.Serve(e.ln, rpc.MsgHello, nil, e.admit)
 	defer e.ln.Close()
 
-	backoff := rpc.NewRetryBackoff(e.cfg.RetryBackoff, 0, stats.NewRNG(e.cfg.Seed^uint64(e.cfg.ID)*0x9e3779b97f4a7c15).Split())
 	part := shard.NewPartial(e.cfg.Dim)
-	for retries := 0; ; {
-		done, progressed, err := e.serveRoot(part)
-		if done {
-			e.shutdownClients("session done")
-			e.mu.Lock()
-			res := e.res
-			e.mu.Unlock()
-			return &res, nil
-		}
-		if e.isKilled() {
-			return nil, ErrEdgeKilled
-		}
-		if progressed {
-			retries = 0
-			backoff.Reset()
-		}
-		// A root of another wire version will never agree: no retry helps.
-		if retries >= e.cfg.MaxRetries || errors.Is(err, rpc.ErrWireVersion) {
-			e.shutdownClients("edge lost its root")
-			return nil, fmt.Errorf("edge %d: root link lost after %d of %d retries: %w", e.cfg.ID, retries, e.cfg.MaxRetries, err)
-		}
-		retries++
-		wait := backoff.Next()
-		e.cfg.Logf("edge %d: root link lost (%v); reconnect %d/%d in %v",
-			e.cfg.ID, err, retries, e.cfg.MaxRetries, wait)
-		time.Sleep(wait)
+	err := rpc.Redial(e.cfg.MaxRetries, e.cfg.RetryBackoff,
+		stats.NewRNG(e.cfg.Seed^uint64(e.cfg.ID)*0x9e3779b97f4a7c15).Split(),
+		func() (done, progressed bool, err error) {
+			done, progressed, err = e.serveRoot(part)
+			if e.roster.Killed() {
+				return true, progressed, ErrEdgeKilled
+			}
+			return done, progressed, err
+		},
+		func(retry int, wait time.Duration, err error) {
+			e.cfg.Logf("edge %d: root link lost (%v); reconnect %d/%d in %v",
+				e.cfg.ID, err, retry, e.cfg.MaxRetries, wait)
+		})
+	if err == ErrEdgeKilled {
+		return nil, err
 	}
+	if err != nil {
+		e.roster.Shutdown("edge lost its root", e.cfg.UpdateTimeout)
+		return nil, fmt.Errorf("edge %d: root link lost, retry budget %d spent: %w", e.cfg.ID, e.cfg.MaxRetries, err)
+	}
+	e.roster.Shutdown("session done", e.cfg.UpdateTimeout)
+	return &e.res, nil
 }
 
 // serveRoot runs one root connection: hello, heartbeats, rounds, until
@@ -243,18 +216,15 @@ func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error)
 		return false, false, err
 	}
 	e.mu.Lock()
-	if e.killed {
-		e.mu.Unlock()
-		conn.Close()
-		return false, false, ErrEdgeKilled
-	}
 	e.root = conn
-	n := len(e.clients)
 	e.mu.Unlock()
 	defer conn.Close()
+	if e.roster.Killed() {
+		return false, false, ErrEdgeKilled // Kill may have missed this conn
+	}
 
 	hello := &rpc.Envelope{
-		Type: rpc.MsgEdgeHello, ClientID: e.cfg.ID, NumSamples: n,
+		Type: rpc.MsgEdgeHello, ClientID: e.cfg.ID, NumSamples: e.roster.Len(),
 		Info: e.ClientAddr(), Region: e.cfg.Region,
 	}
 	if err := conn.Send(hello); err != nil {
@@ -278,7 +248,7 @@ func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error)
 			e.cfg.Logf("edge %d: registered with root (next round %d)", e.cfg.ID, env.Round+1)
 		case rpc.MsgPing:
 			// Root-originated probe: echo it.
-			if err := conn.Send(&rpc.Envelope{Type: rpc.MsgPing, ClientID: e.cfg.ID, Round: env.Round}); err != nil {
+			if err := conn.SendWithin(e.cfg.HeartbeatInterval, &rpc.Envelope{Type: rpc.MsgPing, ClientID: e.cfg.ID, Round: env.Round}); err != nil {
 				return false, progressed, err
 			}
 		case rpc.MsgSelect:
@@ -305,10 +275,10 @@ func (e *Edge) heartbeat(conn *rpc.Conn, stop <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		e.mu.Lock()
-		round, n := e.round, len(e.clients)
-		e.mu.Unlock()
-		if err := conn.Send(&rpc.Envelope{Type: rpc.MsgPing, ClientID: e.cfg.ID, Round: round, NumSamples: n}); err != nil {
+		// Under a deadline of one interval: a root that stops reading must
+		// not park this goroutine on a full socket.
+		ping := &rpc.Envelope{Type: rpc.MsgPing, ClientID: e.cfg.ID, Round: int(e.round.Load()), NumSamples: e.roster.Len()}
+		if err := conn.SendWithin(e.cfg.HeartbeatInterval, ping); err != nil {
 			return
 		}
 		e.met.heartbeats.Inc()
@@ -322,16 +292,9 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 	if e.cfg.OnSelect != nil {
 		e.cfg.OnSelect(round)
 	}
-	e.mu.Lock()
-	e.round = round
-	roster := make([]*edgeClient, 0, len(e.clients))
-	for _, c := range e.clients {
-		roster = append(roster, c)
-	}
-	if len(roster) > e.res.PeakClients {
-		e.res.PeakClients = len(roster)
-	}
-	e.mu.Unlock()
+	roster := e.roster.Snapshot()
+	e.round.Store(int64(round))
+	e.res.PeakClients = max(e.res.PeakClients, len(roster))
 	e.met.clients.Set(float64(len(roster)))
 
 	// Negotiated path: rank the roster by observed uplink volume and
@@ -340,151 +303,72 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 	var assigns map[int]core.CodecAssignment
 	if e.neg != nil {
 		ids := make([]int, 0, len(roster))
-		for _, c := range roster {
-			ids = append(ids, c.id)
+		for _, p := range roster {
+			ids = append(ids, p.ID)
 		}
 		assigns = e.neg.AssignByLoad(round, ids)
 	}
-	live := roster[:0]
-	for _, c := range roster {
-		sel := &rpc.Envelope{Type: rpc.MsgSelect, Round: round, Ratio: 1}
-		if a, ok := assigns[c.id]; ok {
-			sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels
-		}
-		if err := c.conn.Send(sel); err != nil {
-			e.dropClient(c, fmt.Errorf("select broadcast: %w", err))
+	errs := rpc.Exchange(roster, round, rpc.MsgUpdate, e.cfg.UpdateTimeout, e.cfg.UpdateTimeout,
+		func(p *rpc.Peer) (*rpc.Envelope, bool) {
+			sel := &rpc.Envelope{Type: rpc.MsgSelect, Round: round, Ratio: 1}
+			if a, ok := assigns[p.ID]; ok {
+				sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels
+			}
+			return sel, true
+		})
+	items := make([]shard.Item, 0, len(roster))
+	for i, p := range roster {
+		if errs[i] != nil {
+			e.dropClient(p, errs[i])
 			continue
 		}
-		live = append(live, c)
-	}
-
-	type recvResult struct {
-		c   *edgeClient
-		env *rpc.Envelope
-		err error
-	}
-	results := make(chan recvResult, len(live))
-	deadline := time.Now().Add(e.cfg.UpdateTimeout)
-	for _, c := range live {
-		go func(c *edgeClient) {
-			c.conn.SetReadDeadline(deadline)
-			env, err := c.conn.Recv()
-			c.conn.SetReadDeadline(time.Time{})
-			results <- recvResult{c: c, env: env, err: err}
-		}(c)
-	}
-	items := make([]shard.Item, 0, len(live))
-	for range live {
-		r := <-results
-		switch {
-		case r.err != nil:
-			e.dropClient(r.c, r.err)
-		case r.env.Type != rpc.MsgUpdate || r.env.Round != round:
-			e.dropClient(r.c, fmt.Errorf("expected round-%d update, got %v round %d", round, r.env.Type, r.env.Round))
-		default:
-			if e.neg != nil && r.env.Update != nil {
-				// Per-client EWMA fold: order-independent across clients,
-				// so receipt order cannot perturb future assignments.
-				e.neg.RecordUpload(r.c.id, r.env.Update.WireBytes())
-			}
-			items = append(items, shard.Item{Client: r.c.id, Upd: r.env.Update})
+		if e.neg != nil {
+			// Per-client EWMA fold: order-independent across clients,
+			// so receipt order cannot perturb future assignments.
+			e.neg.RecordUpload(p.ID, p.Env.Update.WireBytes())
 		}
+		items = append(items, shard.Item{Client: p.ID, Upd: p.Env.Update})
 	}
 
 	// The determinism contract: screen and fold in ascending client ID,
-	// whatever order the updates arrived in.
-	sort.Slice(items, func(i, j int) bool { return items[i].Client < items[j].Client })
+	// the order Exchange reports in whatever order the updates arrived.
 	kept, quarantined := shard.Screen(round, e.cfg.Dim, e.cfg.MaxUpdateNorm, items, e.cfg.Logf)
 	for _, q := range quarantined {
 		e.met.quarantines.Inc()
 		e.cfg.Events.Emit(obs.Event{Type: "quarantine", Round: round, Client: q.ClientID,
 			Reason: q.Reason, Norm: q.Norm, Edge: e.cfg.ID})
-		e.mu.Lock()
-		c := e.clients[q.ClientID]
-		e.mu.Unlock()
-		if c != nil {
-			e.dropClient(c, fmt.Errorf("quarantined update: %s", q.Reason))
-		}
+		e.dropClient(rpc.FindPeer(roster, q.ClientID), fmt.Errorf("quarantined update: %s", q.Reason))
 	}
 	part.Reset()
 	for _, u := range kept {
 		part.Fold(shard.Update{Client: u.Client, Weight: 1, Delta: u.Upd}, false)
 	}
 
-	if err := root.Send(&rpc.Envelope{
+	if err := root.SendWithin(e.cfg.UpdateTimeout, &rpc.Envelope{
 		Type: rpc.MsgEdgePartial, ClientID: e.cfg.ID, Round: round,
 		NumSamples: part.Count, WeightSum: part.WeightSum, Params: part.Sum,
 	}); err != nil {
 		return err
 	}
-	e.mu.Lock()
 	e.res.Rounds++
 	e.res.Folded += int64(part.Count)
 	e.res.Quarantined += len(quarantined)
-	e.mu.Unlock()
 	e.met.folded.Add(int64(part.Count))
 	e.met.partials.Inc()
 	return nil
 }
 
-// acceptLoop admits clients: handshake, hello, register. A re-hello of a
-// live ID replaces the old connection.
-func (e *Edge) acceptLoop() {
-	for {
-		raw, err := e.ln.Accept()
-		if err != nil {
-			return // listener closed: shutdown or kill
-		}
-		go e.admit(raw)
+// admit registers one client. The fleet protocol has no welcome: a
+// client's first frame from its edge is a round's select.
+func (e *Edge) admit(conn *rpc.Conn, hello *rpc.Envelope) {
+	if e.roster.Admit(&rpc.Peer{ID: hello.ClientID, Conn: conn}, nil) == nil {
+		e.met.clients.Set(float64(e.roster.Len()))
 	}
-}
-
-func (e *Edge) admit(raw net.Conn) {
-	conn, env, err := rpc.Accept(raw, rpc.MsgHello)
-	if err != nil {
-		return
-	}
-	e.mu.Lock()
-	if e.closing {
-		e.mu.Unlock()
-		conn.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: "edge closing"})
-		conn.Close()
-		return
-	}
-	if old := e.clients[env.ClientID]; old != nil {
-		old.conn.Close()
-	}
-	e.clients[env.ClientID] = &edgeClient{id: env.ClientID, conn: conn}
-	n := len(e.clients)
-	e.mu.Unlock()
-	e.met.clients.Set(float64(n))
 }
 
 // dropClient evicts one client from the roster.
-func (e *Edge) dropClient(c *edgeClient, err error) {
-	c.conn.Close()
-	e.mu.Lock()
-	if cur := e.clients[c.id]; cur == c {
-		delete(e.clients, c.id)
-	}
-	n := len(e.clients)
-	e.mu.Unlock()
-	e.met.clients.Set(float64(n))
-	e.cfg.Logf("edge %d: dropped client %d: %v", e.cfg.ID, c.id, err)
-}
-
-// shutdownClients tells every connected client the session is over.
-func (e *Edge) shutdownClients(info string) {
-	e.mu.Lock()
-	e.closing = true
-	conns := make([]*rpc.Conn, 0, len(e.clients))
-	for _, c := range e.clients {
-		conns = append(conns, c.conn)
-	}
-	e.clients = map[int]*edgeClient{}
-	e.mu.Unlock()
-	for _, c := range conns {
-		c.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: info})
-		c.Close()
-	}
+func (e *Edge) dropClient(p *rpc.Peer, err error) {
+	e.roster.Remove(p)
+	e.met.clients.Set(float64(e.roster.Len()))
+	e.cfg.Logf("edge %d: dropped client %d: %v", e.cfg.ID, p.ID, err)
 }

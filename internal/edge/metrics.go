@@ -1,6 +1,10 @@
 package edge
 
-import "adafl/internal/obs"
+import (
+	"strconv"
+
+	"adafl/internal/obs"
+)
 
 // Metric names follow the repo convention (adafl_ prefix, labels embedded
 // in the name as {k="v"} blocks — obs.Registry treats the whole string as
@@ -32,11 +36,6 @@ type rootMetrics struct {
 	reroutes  *obs.Counter // reroute plans executed
 	orphans   *obs.Counter // clients moved by reroutes
 	rounds    *obs.Counter // rounds completed
-
-	// The flat server's checkpoint instruments, same names.
-	ckptSec     *obs.Histogram // adafl_checkpoint_seconds
-	ckptWaitSec *obs.Histogram // adafl_checkpoint_wait_seconds
-	ckptBytes   *obs.Gauge     // adafl_checkpoint_bytes
 }
 
 func newRootMetrics(r *obs.Registry) rootMetrics {
@@ -46,10 +45,6 @@ func newRootMetrics(r *obs.Registry) rootMetrics {
 		reroutes:  r.Counter("adafl_root_reroutes_total"),
 		orphans:   r.Counter("adafl_root_rerouted_clients_total"),
 		rounds:    r.Counter("adafl_root_rounds_total"),
-
-		ckptSec:     r.Histogram("adafl_checkpoint_seconds", obs.LatencyBuckets),
-		ckptWaitSec: r.Histogram("adafl_checkpoint_wait_seconds", obs.LatencyBuckets),
-		ckptBytes:   r.Gauge("adafl_checkpoint_bytes"),
 	}
 }
 
@@ -59,4 +54,4 @@ func partialCounter(r *obs.Registry, id int) *obs.Counter {
 	return r.Counter("adafl_root_partials_total" + label(id))
 }
 
-func label(id int) string { return `{edge="` + itoa(id) + `"}` }
+func label(id int) string { return `{edge="` + strconv.Itoa(id) + `"}` }

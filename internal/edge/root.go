@@ -166,18 +166,15 @@ const (
 type rootEv struct {
 	kind  int
 	edge  int
-	gen   int
+	peer  *rpc.Peer // evDown: the connection that died
 	round int
 	part  *shard.Partial
 	err   error
 }
 
-// rootEdge is one registered edge connection. gen disambiguates a stale
-// connection's death from the replacement that superseded it.
+// rootEdge is the root's own state of one registered edge (rpc.Peer.Ext).
+// lastSeen and clients are written by the edge's reader under Root.mu.
 type rootEdge struct {
-	id       int
-	gen      int
-	conn     *rpc.Conn
 	lastSeen time.Time
 	clients  int
 	addr     string
@@ -197,23 +194,25 @@ type Root struct {
 	edgeLn   net.Listener
 	clientLn net.Listener
 
+	// roster holds the edge connections (a re-registering edge replaces its
+	// old connection, and a death report about a replaced connection is
+	// stale: Remove says so), serves both listeners and owns the readers,
+	// the watchdog and both exits. Its Done ends the session for them.
+	roster *rpc.Roster
+
 	mu          sync.Mutex
-	edges       map[int]*rootEdge
 	topo        *Topology
 	assignReady bool
 	pendingJoin map[int]bool // down edges that re-registered, admitted at the round boundary
 	round       int
-	gen         int
 	reroutes    int
 	orphans     int
-	killed      bool
 
-	ev       chan rootEv
-	done     chan struct{}
-	doneOnce sync.Once
+	ev chan rootEv
 
-	ckpt *checkpoint.DeltaWriter // touched only by Run's goroutine
-	met  rootMetrics
+	ckpt   *checkpoint.DeltaWriter // touched only by Run's goroutine
+	report *checkpoint.Reporter
+	met    rootMetrics
 }
 
 // NewRoot validates the config and binds both listeners so the addresses
@@ -258,17 +257,21 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 		edgeLn.Close()
 		return nil, err
 	}
-	return &Root{
+	r := &Root{
 		cfg:      cfg,
 		edgeLn:   edgeLn,
 		clientLn: clientLn,
-		edges:    map[int]*rootEdge{},
+		roster:   rpc.NewRoster(true),
 
 		pendingJoin: map[int]bool{},
 		ev:          make(chan rootEv, 64),
-		done:        make(chan struct{}),
 		met:         newRootMetrics(cfg.Metrics),
-	}, nil
+	}
+	r.roster.Cap = cfg.NumEdges
+	r.report = checkpoint.NewReporter(cfg.Metrics, "", cfg.Events, func(round int, err error) {
+		cfg.Logf("root: checkpoint after round %d failed (continuing): %v", round+1, err)
+	})
+	return r, nil
 }
 
 // EdgeAddr returns the bound edge-facing address.
@@ -280,47 +283,18 @@ func (r *Root) BootstrapAddr() string { return r.clientLn.Addr().String() }
 // Kill simulates a root crash: both listeners and every edge connection
 // drop with no farewells. Run returns ErrRootKilled.
 func (r *Root) Kill() {
-	r.mu.Lock()
-	r.killed = true
-	conns := make([]*rpc.Conn, 0, len(r.edges))
-	for _, re := range r.edges {
-		conns = append(conns, re.conn)
-	}
-	r.mu.Unlock()
-	r.doneOnce.Do(func() { close(r.done) })
-	r.edgeLn.Close()
+	r.roster.Kill()
+	r.edgeLn.Close() // Run may not have served them yet
 	r.clientLn.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (r *Root) isKilled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.killed
 }
 
 // Run drives the session: restore-or-plan, registration and client
 // quorum, then Rounds rounds of select → collect → merge → checkpoint.
 func (r *Root) Run() (*RootResult, error) {
-	defer func() {
-		r.doneOnce.Do(func() { close(r.done) })
-		r.edgeLn.Close()
-		r.clientLn.Close()
-		// Drop every edge link so edges observe the exit (a clean finish
-		// already said goodbye via broadcastShutdown; an error exit must
-		// not leave them blocked on a live socket).
-		r.mu.Lock()
-		conns := make([]*rpc.Conn, 0, len(r.edges))
-		for _, re := range r.edges {
-			conns = append(conns, re.conn)
-		}
-		r.mu.Unlock()
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
+	// Whatever the exit, the edges must observe it: a clean finish has said
+	// goodbye (Shutdown) and this closes nothing more; an error exit drops
+	// every edge link rather than leave them blocked on a live socket.
+	defer r.Kill()
 
 	global := make([]float64, r.cfg.Dim)
 	var history []RootRound
@@ -345,9 +319,9 @@ func (r *Root) Run() (*RootResult, error) {
 		}
 	}
 
-	go r.acceptLoop(r.edgeLn, r.admitEdge)
-	go r.acceptLoop(r.clientLn, r.admitClient)
-	go r.watchdog()
+	go r.roster.Serve(r.edgeLn, rpc.MsgEdgeHello, nil, r.admitEdge)
+	go r.roster.Serve(r.clientLn, rpc.MsgHello, nil, r.admitClient)
+	r.roster.Go(r.watchdog)
 
 	if start >= r.cfg.Rounds {
 		// Nothing left to do: the snapshot covers the whole session.
@@ -381,7 +355,7 @@ func (r *Root) Run() (*RootResult, error) {
 		if r.cfg.OnRound != nil {
 			r.cfg.OnRound(round, global)
 		}
-		if r.isKilled() {
+		if r.roster.Killed() {
 			return nil, ErrRootKilled
 		}
 		r.cfg.Events.Flush()
@@ -390,7 +364,7 @@ func (r *Root) Run() (*RootResult, error) {
 		}
 	}
 
-	r.broadcastShutdown(fmt.Sprintf("session done: %d rounds", r.cfg.Rounds))
+	r.roster.Shutdown(fmt.Sprintf("session done: %d rounds", r.cfg.Rounds), r.cfg.PartialTimeout)
 	return r.result(global, history, resumed), nil
 }
 
@@ -466,29 +440,13 @@ func (r *Root) saveCheckpoint(round int, global []float64, history []RootRound) 
 		Orphans:        r.orphans,
 	}
 	r.mu.Unlock()
-	r.checkpointJoined(r.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: global}))
-}
-
-// checkpointJoined reports a joined epoch under its own round, like the
-// flat server's: how long the round loop blocked for it and its outcome.
-func (r *Root) checkpointJoined(res checkpoint.DeltaResult, ok bool) {
-	if !ok {
-		return
-	}
-	r.met.ckptWaitSec.Observe(res.WaitSeconds)
-	if res.Err != nil {
-		r.cfg.Logf("root: checkpoint after round %d failed (continuing): %v", res.Label+1, res.Err)
-		return
-	}
-	r.met.ckptSec.Observe(res.Seconds)
-	r.met.ckptBytes.Set(float64(res.Size))
-	r.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: res.Label, Client: -1, Bytes: res.Size, Seconds: res.Seconds})
+	r.report.Joined(r.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: global}))
 }
 
 // joinCheckpoint waits for the epoch in flight, if any.
 func (r *Root) joinCheckpoint() {
 	if r.ckpt != nil {
-		r.checkpointJoined(r.ckpt.Wait())
+		r.report.Joined(r.ckpt.Wait())
 		r.cfg.Events.Flush()
 	}
 }
@@ -505,19 +463,18 @@ func (r *Root) awaitEdges(round int) error {
 		var ready bool
 		var missing []int
 		if r.topo == nil {
-			ready = len(r.edges) >= r.cfg.NumEdges
+			ready = r.roster.Len() >= r.cfg.NumEdges
 		} else {
 			ready = true
 			for _, s := range r.topo.Live() {
-				if r.edges[s.ID] == nil {
+				if r.roster.Peer(s.ID) == nil {
 					ready = false
 					missing = append(missing, s.ID)
 				}
 			}
 		}
-		killed := r.killed
 		r.mu.Unlock()
-		if killed {
+		if r.roster.Killed() {
 			return ErrRootKilled
 		}
 		if ready {
@@ -526,7 +483,7 @@ func (r *Root) awaitEdges(round int) error {
 		if time.Now().After(deadline) {
 			if r.topo == nil {
 				return fmt.Errorf("root: only %d of %d edges registered within %v",
-					len(r.edges), r.cfg.NumEdges, r.cfg.QuorumTimeout)
+					r.roster.Len(), r.cfg.NumEdges, r.cfg.QuorumTimeout)
 			}
 			sort.Ints(missing)
 			for _, id := range missing {
@@ -548,11 +505,13 @@ func (r *Root) planIfNeeded() error {
 	if r.topo != nil {
 		return nil
 	}
-	specs := make([]EdgeSpec, 0, len(r.edges))
-	for id, re := range r.edges {
-		access, uplink := r.cfg.LinkFor(id, re.region)
+	edges := r.roster.Snapshot()
+	specs := make([]EdgeSpec, 0, len(edges))
+	for _, p := range edges {
+		re := p.Ext.(*rootEdge)
+		access, uplink := r.cfg.LinkFor(p.ID, re.region)
 		specs = append(specs, EdgeSpec{
-			ID: id, Addr: re.addr, Region: re.region, Access: access, Uplink: uplink,
+			ID: p.ID, Addr: re.addr, Region: re.region, Access: access, Uplink: uplink,
 		})
 	}
 	topo, err := NewTopology(specs, r.cfg.Clients)
@@ -569,10 +528,16 @@ func (r *Root) planIfNeeded() error {
 	return nil
 }
 
-func (r *Root) currentRound() int {
+// connectedClients sums the client counts the edges last reported.
+func (r *Root) connectedClients() int {
+	edges := r.roster.Snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.round
+	n := 0
+	for _, p := range edges {
+		n += p.Ext.(*rootEdge).clients
+	}
+	return n
 }
 
 // awaitClients blocks until the edges report a combined client roster
@@ -583,19 +548,16 @@ func (r *Root) currentRound() int {
 func (r *Root) awaitClients() error {
 	deadline := time.Now().Add(r.cfg.QuorumTimeout)
 	for {
-		if err := r.drainEvents(r.currentRound()); err != nil {
+		r.mu.Lock()
+		round := r.round
+		r.mu.Unlock()
+		if err := r.drainEvents(round); err != nil {
 			return err
 		}
-		r.mu.Lock()
-		n := 0
-		for _, re := range r.edges {
-			n += re.clients
-		}
-		killed := r.killed
-		r.mu.Unlock()
-		if killed {
+		if r.roster.Killed() {
 			return ErrRootKilled
 		}
+		n := r.connectedClients()
 		if n >= r.cfg.Clients {
 			return nil
 		}
@@ -614,14 +576,7 @@ func (r *Root) awaitClients() error {
 func (r *Root) awaitRerouted() {
 	deadline := time.Now().Add(r.cfg.RerouteGrace)
 	for time.Now().Before(deadline) {
-		r.mu.Lock()
-		n := 0
-		for _, re := range r.edges {
-			n += re.clients
-		}
-		killed := r.killed
-		r.mu.Unlock()
-		if killed || n >= r.cfg.Clients {
+		if r.roster.Killed() || r.connectedClients() >= r.cfg.Clients {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -637,7 +592,7 @@ func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (Roo
 	orphansBefore := r.orphans
 	rejoins := make([]int, 0, len(r.pendingJoin))
 	for id := range r.pendingJoin {
-		if r.edges[id] != nil {
+		if r.roster.Peer(id) != nil {
 			rejoins = append(rejoins, id)
 		}
 		delete(r.pendingJoin, id)
@@ -659,15 +614,11 @@ func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (Roo
 	}
 
 	r.mu.Lock()
-	type target struct {
-		id, gen int
-		conn    *rpc.Conn
-	}
-	var targets []target
+	var targets []*rpc.Peer
 	var missing []int
 	for _, s := range r.topo.Live() {
-		if re := r.edges[s.ID]; re != nil {
-			targets = append(targets, target{id: re.id, gen: re.gen, conn: re.conn})
+		if p := r.roster.Peer(s.ID); p != nil {
+			targets = append(targets, p)
 		} else {
 			missing = append(missing, s.ID)
 		}
@@ -679,16 +630,20 @@ func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (Roo
 		}
 	}
 
+	// The go-ahead is an exchange with no reply: the partials come back
+	// through the edges' readers, between their heartbeats.
 	sel := &rpc.Envelope{Type: rpc.MsgSelect, Round: round, Ratio: 1}
+	errs := rpc.Exchange(targets, round, rpc.MsgEdgePartial, r.cfg.PartialTimeout, 0,
+		func(*rpc.Peer) (*rpc.Envelope, bool) { return sel, false })
 	pending := map[int]bool{}
-	for _, t := range targets {
-		if err := t.conn.Send(sel); err != nil {
-			if err := r.handleDown(round, t.id, t.gen, fmt.Errorf("select broadcast: %w", err)); err != nil {
+	for i, p := range targets {
+		if errs[i] != nil {
+			if err := r.handleDown(round, p, fmt.Errorf("select broadcast: %w", errs[i])); err != nil {
 				return RootRound{}, err
 			}
 			continue
 		}
-		pending[t.id] = true
+		pending[p.ID] = true
 	}
 	if len(pending) == 0 {
 		return RootRound{}, fmt.Errorf("root: round %d: no live edges to select", round+1)
@@ -712,20 +667,17 @@ collect:
 			sort.Ints(laggards)
 			for _, id := range laggards {
 				delete(pending, id)
-				r.mu.Lock()
-				re := r.edges[id]
-				r.mu.Unlock()
-				gen := -1
-				if re != nil {
-					gen = re.gen
-					re.conn.Close() // the reader's death report is gen-checked away
+				p := r.roster.Peer(id)
+				if p == nil {
+					continue
 				}
-				if err := r.handleDown(round, id, gen, fmt.Errorf("no partial within %v", r.cfg.PartialTimeout)); err != nil {
+				// The reader's death report about this connection will be stale.
+				if err := r.handleDown(round, p, fmt.Errorf("no partial within %v", r.cfg.PartialTimeout)); err != nil {
 					return RootRound{}, err
 				}
 			}
 			break collect
-		case <-r.done:
+		case <-r.roster.Done():
 			return RootRound{}, ErrRootKilled
 		}
 	}
@@ -794,7 +746,7 @@ func (r *Root) handleEvent(round int, e rootEv, pending map[int]bool, parts map[
 		if pending != nil {
 			delete(pending, e.edge)
 		}
-		if err := r.handleDown(round, e.edge, e.gen, e.err); err != nil {
+		if err := r.handleDown(round, e.peer, e.err); err != nil {
 			return err
 		}
 	}
@@ -815,19 +767,14 @@ func validatePartial(e rootEv, round, dim int) error {
 	return nil
 }
 
-// handleDown retires one edge connection (gen-checked: a report about a
-// connection that has already been replaced is ignored) and reroutes its
-// clients.
-func (r *Root) handleDown(round, id, gen int, cause error) error {
-	r.mu.Lock()
-	re := r.edges[id]
-	if re == nil || (gen >= 0 && re.gen != gen) {
-		r.mu.Unlock()
-		return nil // stale report: the edge already re-registered
+// handleDown retires one edge connection and reroutes its clients. A
+// report about a connection that has already been replaced or retired is
+// stale and ignored: Remove is idempotent and says which it was.
+func (r *Root) handleDown(round int, p *rpc.Peer, cause error) error {
+	if !r.roster.Remove(p) {
+		return nil
 	}
-	delete(r.edges, id)
-	r.mu.Unlock()
-	re.conn.Close()
+	id := p.ID
 	r.cfg.Logf("root: edge %d down at round %d: %v", id, round+1, cause)
 	reason := "down"
 	if cause != nil {
@@ -868,84 +815,53 @@ func (r *Root) rerouteDead(round, id int, reason string) (int, error) {
 	return len(orphans), nil
 }
 
-// acceptLoop feeds one listener's connections to admit until close.
-func (r *Root) acceptLoop(ln net.Listener, admit func(net.Conn)) {
-	for {
-		raw, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go admit(raw)
-	}
-}
-
-// admitEdge handles one edge registration: handshake, edge hello, install
-// (or replace) the roster entry, welcome, spawn the reader. Unknown edges
-// (post-plan) and roster overflow are turned away.
-func (r *Root) admitEdge(raw net.Conn) {
-	conn, env, err := rpc.Accept(raw, rpc.MsgEdgeHello)
-	if err != nil {
-		return
-	}
+// admitEdge handles one edge registration: install (or replace) the roster
+// entry, welcome, spawn the reader. Unknown edges (post-plan) are turned
+// away here, roster overflow by the roster's cap.
+func (r *Root) admitEdge(conn *rpc.Conn, env *rpc.Envelope) {
 	id := env.ClientID
 	r.mu.Lock()
-	if r.killed {
-		r.mu.Unlock()
-		conn.Close()
-		return
-	}
-	reject := ""
-	if r.topo != nil && r.topo.Spec(id) == nil {
-		reject = fmt.Sprintf("unknown edge %d in a planned topology", id)
-	} else if r.topo == nil && len(r.edges) >= r.cfg.NumEdges && r.edges[id] == nil {
-		reject = fmt.Sprintf("edge roster full (%d)", r.cfg.NumEdges)
-	}
-	if reject != "" {
-		r.mu.Unlock()
-		conn.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: reject})
-		conn.Close()
-		return
-	}
-	if old := r.edges[id]; old != nil {
-		old.conn.Close()
-	}
-	r.gen++
-	re := &rootEdge{
-		id: id, gen: r.gen, conn: conn, lastSeen: time.Now(),
-		clients: env.NumSamples, addr: env.Info, region: env.Region,
-	}
-	r.edges[id] = re
 	if r.topo != nil {
-		if s := r.topo.Spec(id); s != nil {
-			s.Addr = env.Info
+		s := r.topo.Spec(id)
+		if s == nil {
+			r.mu.Unlock()
+			rpc.Reject(conn, fmt.Sprintf("unknown edge %d in a planned topology", id))
+			return
 		}
+		s.Addr = env.Info
 		if r.topo.Down[id] {
+			// Re-admitted at the round boundary, if it is still there then.
 			r.pendingJoin[id] = true
 		}
 	}
 	round := r.round
 	r.mu.Unlock()
-	if err := conn.Send(&rpc.Envelope{Type: rpc.MsgWelcome, Round: round - 1}); err != nil {
-		conn.Close()
+	p := &rpc.Peer{ID: id, Conn: conn, Ext: &rootEdge{
+		lastSeen: time.Now(), clients: env.NumSamples, addr: env.Info, region: env.Region,
+	}}
+	if r.roster.Admit(p, &rpc.Envelope{Type: rpc.MsgWelcome, Round: round - 1}) != nil {
 		return
 	}
 	r.cfg.Logf("root: edge %d registered from %s (region %q, %d clients)",
 		id, env.Info, env.Region, env.NumSamples)
 	r.cfg.Events.Emit(obs.Event{Type: "edge_up", Round: round, Client: -1, Edge: id})
 	r.met.edgesLive.Inc()
-	go r.readEdge(re)
+	if !r.roster.Go(func() { r.readEdge(p) }) {
+		r.roster.Remove(p)
+	}
 }
 
 // readEdge consumes one edge connection: heartbeats refresh liveness and
 // the reported client count; partials are copied out of the codec
-// scratch and posted to the round loop; any error posts a gen-tagged
-// death report.
-func (r *Root) readEdge(re *rootEdge) {
+// scratch and posted to the round loop; any error posts a death report
+// naming the connection.
+func (r *Root) readEdge(p *rpc.Peer) {
+	re := p.Ext.(*rootEdge)
 	for {
-		env, err := re.conn.Recv()
+		env, err := p.Conn.Recv()
 		if err != nil {
-			re.conn.Close()
-			r.post(rootEv{kind: evDown, edge: re.id, gen: re.gen, err: err})
+			p.Conn.Close()
+			r.post(rootEv{kind: evDown, edge: p.ID, peer: p, err: err})
 			return
 		}
 		r.mu.Lock()
@@ -963,7 +879,7 @@ func (r *Root) readEdge(re *rootEdge) {
 				WeightSum: env.WeightSum,
 				Count:     env.NumSamples,
 			}
-			r.post(rootEv{kind: evPartial, edge: re.id, gen: re.gen, round: env.Round, part: part})
+			r.post(rootEv{kind: evPartial, edge: p.ID, round: env.Round, part: part})
 		}
 	}
 }
@@ -972,7 +888,7 @@ func (r *Root) readEdge(re *rootEdge) {
 func (r *Root) post(e rootEv) {
 	select {
 	case r.ev <- e:
-	case <-r.done:
+	case <-r.roster.Done():
 	}
 }
 
@@ -987,39 +903,42 @@ func (r *Root) watchdog() {
 	defer t.Stop()
 	for {
 		select {
-		case <-r.done:
+		case <-r.roster.Done():
 			return
 		case <-t.C:
 		}
+		edges := r.roster.Snapshot()
 		r.mu.Lock()
-		var stale []*rootEdge
-		for _, re := range r.edges {
-			if time.Since(re.lastSeen) > r.cfg.HeartbeatTimeout {
-				stale = append(stale, re)
+		stale := edges[:0]
+		for _, p := range edges {
+			if time.Since(p.Ext.(*rootEdge).lastSeen) > r.cfg.HeartbeatTimeout {
+				stale = append(stale, p)
 			}
 		}
 		r.mu.Unlock()
-		for _, re := range stale {
-			r.cfg.Logf("root: edge %d silent past %v; closing", re.id, r.cfg.HeartbeatTimeout)
-			re.conn.Close()
+		for _, p := range stale {
+			r.cfg.Logf("root: edge %d silent past %v; closing", p.ID, r.cfg.HeartbeatTimeout)
+			p.Conn.Close()
 		}
 	}
 }
 
-// admitClient answers one bootstrap request: read the hello, wait for the
-// assignment to be ready, reply with the client's edge address and the
-// topology epoch, close. Orphans redialling after a reroute take the same
-// path and learn their new edge.
-func (r *Root) admitClient(raw net.Conn) {
-	conn, env, err := rpc.Accept(raw, rpc.MsgHello)
-	if err != nil {
-		return
-	}
+// admitClient answers one bootstrap request: wait for the assignment to be
+// ready, reply with the client's edge address and the topology epoch,
+// close. Orphans redialling after a reroute take the same path and learn
+// their new edge.
+func (r *Root) admitClient(conn *rpc.Conn, env *rpc.Envelope) {
+	defer conn.Close()
 	id := env.ClientID
 	deadline := time.Now().Add(r.cfg.QuorumTimeout)
-	for {
+	for time.Now().Before(deadline) {
+		select {
+		case <-r.roster.Done():
+			return
+		default:
+		}
 		r.mu.Lock()
-		ready, killed := r.assignReady, r.killed
+		ready := r.assignReady
 		addr, epoch := "", 0
 		known := false
 		if ready && id >= 0 && id < len(r.topo.Assign) {
@@ -1028,38 +947,14 @@ func (r *Root) admitClient(raw net.Conn) {
 			}
 		}
 		r.mu.Unlock()
-		if killed {
-			conn.Close()
+		if ready && !known {
+			rpc.Reject(conn, fmt.Sprintf("client %d outside the fleet", id))
 			return
 		}
 		if ready {
-			conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if !known {
-				conn.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: fmt.Sprintf("client %d outside the fleet", id)})
-			} else {
-				conn.Send(&rpc.Envelope{Type: rpc.MsgReroute, ClientID: id, Round: epoch, Info: addr})
-			}
-			conn.Close()
-			return
-		}
-		if time.Now().After(deadline) {
-			conn.Close()
+			conn.SendWithin(5*time.Second, &rpc.Envelope{Type: rpc.MsgReroute, ClientID: id, Round: epoch, Info: addr})
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// broadcastShutdown ends the session for every connected edge.
-func (r *Root) broadcastShutdown(info string) {
-	r.mu.Lock()
-	conns := make([]*rpc.Conn, 0, len(r.edges))
-	for _, re := range r.edges {
-		conns = append(conns, re.conn)
-	}
-	r.mu.Unlock()
-	for _, c := range conns {
-		c.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: info})
-		c.Close()
 	}
 }

@@ -84,11 +84,7 @@ func waitForClient(t *testing.T, srv *Server, id int, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		srv.mu.Lock()
-		_, p := srv.pending[id]
-		_, r := srv.roster[id]
-		srv.mu.Unlock()
-		if p || r {
+		if srv.roster.Peer(id) != nil {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

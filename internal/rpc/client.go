@@ -107,11 +107,9 @@ type ClientResult struct {
 // cannot fix a peer that speaks the wrong protocol.
 var errProtocol = errors.New("protocol violation")
 
-const maxRetryBackoff = 5 * time.Second
-
 // RunClient connects to the server and participates until shutdown. Lost
-// connections are retried with exponential backoff up to MaxRetries; a
-// reconnected client re-registers and resumes at the server's next round.
+// connections are retried (Redial) up to MaxRetries; a reconnected client
+// re-registers and resumes at the server's next round.
 func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -126,34 +124,15 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	// Jitter from a stream decorrelated from the batch iterator's: both
 	// derive from Seed, but Split mixes the state so the redial schedule
 	// does not echo the batch order.
-	backoff := NewRetryBackoff(cfg.RetryBackoff, maxRetryBackoff, stats.NewRNG(cfg.Seed).Split())
-	run := sess.runOnce
-	if cfg.Async {
-		run = sess.runAsyncOnce
-	}
-	for retries := 0; ; {
-		done, progressed, err := run()
-		if done {
-			return sess.res, nil
-		}
-		if progressed {
-			// The link worked for a while: this loss is a fresh failure,
-			// not part of a consecutive-failure streak.
-			retries = 0
-			backoff.Reset()
-		}
-		if errors.Is(err, errProtocol) || errors.Is(err, ErrWireVersion) || retries >= cfg.MaxRetries {
-			return sess.res, err
-		}
-		retries++
-		wait := backoff.Next()
-		sess.met.redials.Inc()
-		sess.met.backoffSec.Observe(wait.Seconds())
-		cfg.Logf("client %d: link lost (%v); reconnect %d/%d in %v",
-			cfg.ID, err, retries, cfg.MaxRetries, wait)
-		time.Sleep(wait)
-		sess.res.Reconnects++
-	}
+	err = Redial(cfg.MaxRetries, cfg.RetryBackoff, stats.NewRNG(cfg.Seed).Split(), sess.runOnce,
+		func(retry int, wait time.Duration, err error) {
+			sess.met.redials.Inc()
+			sess.met.backoffSec.Observe(wait.Seconds())
+			sess.res.Reconnects++
+			cfg.Logf("client %d: link lost (%v); reconnect %d/%d in %v",
+				cfg.ID, err, retry, cfg.MaxRetries, wait)
+		})
+	return sess.res, err
 }
 
 // rollbackCodec is the deferred-commit surface of an error-feedback codec
@@ -319,6 +298,9 @@ func (s *clientSession) dial() (*Conn, error) {
 // runOnce dials, registers and participates until shutdown (done=true) or
 // a connection/protocol error (done=false, err != nil). progressed
 // reports whether the connection got far enough to receive a message.
+// Both protocols share the loop — registration, welcome, keepalive echo,
+// the farewell, the staged-encode commit — and differ in what a model
+// broadcast sets off: onModel is syncRound or asyncStep.
 func (s *clientSession) runOnce() (done, progressed bool, err error) {
 	cfg := s.cfg
 	conn, err := s.dial()
@@ -342,12 +324,11 @@ func (s *clientSession) runOnce() (done, progressed bool, err error) {
 	if err := conn.Send(&Envelope{Type: MsgHello, ClientID: cfg.ID, NumSamples: cfg.Data.Len(), Session: cfg.Session}); err != nil {
 		return false, false, err
 	}
-
-	// Receive scratch: env holds the current broadcast (its Round is read
-	// after the selection exchange, so the selection lands in a separate
-	// envelope; both share the connection's decode buffers, which is safe
-	// because MsgSelect carries no slice payloads).
-	var env, sel Envelope
+	onModel := s.syncRound
+	if cfg.Async {
+		onModel = s.asyncStep
+	}
+	var env Envelope // receive scratch, holds the current broadcast
 	for {
 		e := &env
 		if err := conn.RecvInto(e); err != nil {
@@ -368,15 +349,17 @@ func (s *clientSession) runOnce() (done, progressed bool, err error) {
 			return true, true, nil
 		case MsgWelcome:
 			if e.Round > 0 {
-				cfg.Logf("client %d: joining in-progress session at round %d", cfg.ID, e.Round+1)
+				// A round index on a sync session, a model version on an async one.
+				cfg.Logf("client %d: joining in-progress session at %d", cfg.ID, e.Round)
+			}
+			if cfg.Async {
+				err = conn.Send(&Envelope{Type: MsgAsyncPull, ClientID: cfg.ID})
 			}
 		case MsgPing:
 			// Keepalive probe: echo it so the server's liveness watchdog
 			// sees a response within the heartbeat interval rather than
 			// waiting for the next phase deadline.
-			if err := conn.Send(&Envelope{Type: MsgPing, ClientID: cfg.ID, Round: e.Round}); err != nil {
-				return false, true, err
-			}
+			err = conn.Send(&Envelope{Type: MsgPing, ClientID: cfg.ID, Round: e.Round})
 		case MsgModel:
 			// Guard the broadcast before trusting it: a corrupt stream
 			// that still decodes must not panic SetParamVector or the
@@ -385,157 +368,110 @@ func (s *clientSession) runOnce() (done, progressed bool, err error) {
 				return false, true, fmt.Errorf("rpc: client %d: broadcast has %d params, model has %d: %w",
 					cfg.ID, len(e.Params), s.model.NumParams(), errProtocol)
 			}
-			if len(e.GlobalDelta) != 0 && len(e.GlobalDelta) != len(e.Params) {
-				return false, true, fmt.Errorf("rpc: client %d: global delta length %d vs %d params: %w",
-					cfg.ID, len(e.GlobalDelta), len(e.Params), errProtocol)
-			}
-			delta := s.trainDelta(e.Params)
-			// Utility score against the server-provided ĝ.
-			up, down := cfg.UpBps, cfg.DownBps
-			if cfg.Bandwidth != nil {
-				up, down = cfg.Bandwidth(e.Round)
-			}
-			score := cfg.Utility.Score(up, down, delta, e.GlobalDelta)
-			if tensor.IsZero(e.GlobalDelta) {
-				score = 1 // warm-up: everyone reports full utility
-			}
-			if err := conn.Send(&Envelope{Type: MsgScore, ClientID: cfg.ID, Round: e.Round, Score: score}); err != nil {
-				return false, true, err
-			}
-			// Await the selection decision. The server writes the welcome
-			// from its handshake goroutine after the registration is
-			// visible to the round loop, so under load the first broadcast
-			// can overtake it and the welcome arrives here instead.
-			err := conn.RecvInto(&sel)
-			if err == nil && sel.Type == MsgWelcome {
-				err = conn.RecvInto(&sel)
-			}
-			if err != nil {
-				return false, true, fmt.Errorf("rpc: client %d recv select: %w", cfg.ID, err)
-			}
-			if sel.Type != MsgSelect {
-				return false, true, fmt.Errorf("rpc: client %d expected select, got %v: %w", cfg.ID, sel.Type, errProtocol)
-			}
-			s.res.Rounds++
-			if sel.Ratio <= 0 {
-				s.met.withheld.Inc()
-				continue // withheld this round
-			}
-			// Honor the negotiated assignment: codec by name, ratio
-			// clamped against hostile or corrupt frames (NaN maps to 1 —
-			// upload uncompressed rather than explode), level count
-			// applied to the quantizer (which clamps it to its bounds).
-			enc, cerr := s.negotiatedCodec(sel.Codec)
-			if cerr != nil {
-				return false, true, fmt.Errorf("rpc: client %d: %v: %w", cfg.ID, cerr, errProtocol)
-			}
-			ratio := compress.ClampRatio(sel.Ratio, 1, 1e9)
-			if d, ok := enc.(*compress.DAdaQuant); ok {
-				d.SetRound(sel.Round)
-				d.SetLevels(sel.Levels)
-			}
-			msg := enc.Encode(delta, ratio)
-			if err := conn.Send(&Envelope{Type: MsgUpdate, ClientID: cfg.ID, Round: e.Round, Update: msg}); err != nil {
-				// The send never completed: the staged encode rolls back
-				// immediately so the redialled session re-transmits it.
-				if rb, ok := enc.(rollbackCodec); ok {
-					rb.Rollback()
-				}
-				return false, true, err
-			}
-			if rb, ok := enc.(rollbackCodec); ok {
-				s.pending = rb
-			}
-			s.res.Uploads++
-			s.met.uploads.Inc()
+			err = onModel(conn, e)
 			countSent()
 		default:
-			return false, true, fmt.Errorf("rpc: client %d unexpected message %v: %w", cfg.ID, e.Type, errProtocol)
+			err = fmt.Errorf("rpc: client %d unexpected message %v: %w", cfg.ID, e.Type, errProtocol)
+		}
+		if err != nil {
+			return false, true, err
 		}
 	}
 }
 
-// runAsyncOnce dials, registers and cycles pull→train→push until
-// shutdown. The async protocol has no round barrier: the server answers
-// each MsgAsyncPull with the current global (Round carries the model
-// version) and folds each MsgAsyncPush into its FedBuff buffer, down-
-// weighting it by how many versions the base model has aged while we
-// trained. Link losses redial exactly like the synchronous path; the
-// model resyncs on the next pull, and a staged error-feedback encode is
-// committed by the next received message or rolled back on loss.
-func (s *clientSession) runAsyncOnce() (done, progressed bool, err error) {
-	cfg := s.cfg
-	conn, err := s.dial()
-	if err != nil {
-		return false, false, err
+// upload sends one encoded delta. An error-feedback codec's encode stays
+// staged until the next received message proves the upload landed; a send
+// that never completed rolls it back at once, so the redialled session
+// re-transmits it.
+func (s *clientSession) upload(conn *Conn, enc compress.Codec, msg *Envelope) error {
+	rb, staged := enc.(rollbackCodec)
+	if err := conn.Send(msg); err != nil {
+		if staged {
+			rb.Rollback()
+		}
+		return err
 	}
-	var counted int64
-	countSent := func() {
-		total := conn.BytesSent()
-		s.met.bytesSent.Add(total - counted)
-		counted = total
+	if staged {
+		s.pending = rb
 	}
-	defer func() {
-		countSent()
-		s.res.BytesSent += conn.BytesSent()
-		conn.Close()
-	}()
+	s.res.Uploads++
+	s.met.uploads.Inc()
+	return nil
+}
 
-	if err := conn.Send(&Envelope{Type: MsgHello, ClientID: cfg.ID, NumSamples: cfg.Data.Len(), Session: cfg.Session}); err != nil {
-		return false, false, err
+// syncRound is one lockstep round from the client's side: train from the
+// broadcast, report the utility score, await the selection, upload if
+// selected.
+func (s *clientSession) syncRound(conn *Conn, e *Envelope) error {
+	cfg := s.cfg
+	if len(e.GlobalDelta) != 0 && len(e.GlobalDelta) != len(e.Params) {
+		return fmt.Errorf("rpc: client %d: global delta length %d vs %d params: %w",
+			cfg.ID, len(e.GlobalDelta), len(e.Params), errProtocol)
 	}
-	ratio := compress.ClampRatio(s.cfg.AsyncRatio, 1, 1e9)
-	var env Envelope
-	for {
-		e := &env
-		if err := conn.RecvInto(e); err != nil {
-			s.rollbackPending()
-			return false, progressed, fmt.Errorf("rpc: client %d recv: %w", cfg.ID, err)
-		}
-		s.commitPending()
-		progressed = true
-		switch e.Type {
-		case MsgShutdown:
-			cfg.Logf("client %d: shutdown (%s)", cfg.ID, e.Info)
-			return true, true, nil
-		case MsgWelcome:
-			if e.Round > 0 {
-				cfg.Logf("client %d: joining async session at model version %d", cfg.ID, e.Round)
-			}
-			if err := conn.Send(&Envelope{Type: MsgAsyncPull, ClientID: cfg.ID}); err != nil {
-				return false, true, err
-			}
-		case MsgPing:
-			if err := conn.Send(&Envelope{Type: MsgPing, ClientID: cfg.ID, Round: e.Round}); err != nil {
-				return false, true, err
-			}
-		case MsgModel:
-			if len(e.Params) != s.model.NumParams() {
-				return false, true, fmt.Errorf("rpc: client %d: broadcast has %d params, model has %d: %w",
-					cfg.ID, len(e.Params), s.model.NumParams(), errProtocol)
-			}
-			version := e.Round
-			msg := s.codec.Encode(s.trainDelta(e.Params), ratio)
-			// Round pins the version this delta was trained from: the
-			// server derives staleness from it when the push is folded.
-			if err := conn.Send(&Envelope{Type: MsgAsyncPush, ClientID: cfg.ID, Round: version, Update: msg}); err != nil {
-				if rb, ok := s.codec.(rollbackCodec); ok {
-					rb.Rollback()
-				}
-				return false, true, err
-			}
-			if rb, ok := s.codec.(rollbackCodec); ok {
-				s.pending = rb
-			}
-			s.res.Rounds++
-			s.res.Uploads++
-			s.met.uploads.Inc()
-			countSent()
-			if err := conn.Send(&Envelope{Type: MsgAsyncPull, ClientID: cfg.ID}); err != nil {
-				return false, true, err
-			}
-		default:
-			return false, true, fmt.Errorf("rpc: client %d unexpected message %v: %w", cfg.ID, e.Type, errProtocol)
-		}
+	delta := s.trainDelta(e.Params)
+	// Utility score against the server-provided ĝ.
+	up, down := cfg.UpBps, cfg.DownBps
+	if cfg.Bandwidth != nil {
+		up, down = cfg.Bandwidth(e.Round)
 	}
+	score := cfg.Utility.Score(up, down, delta, e.GlobalDelta)
+	if tensor.IsZero(e.GlobalDelta) {
+		score = 1 // warm-up: everyone reports full utility
+	}
+	if err := conn.Send(&Envelope{Type: MsgScore, ClientID: cfg.ID, Round: e.Round, Score: score}); err != nil {
+		return err
+	}
+	// Await the selection decision, in an envelope of its own: e's Round is
+	// still needed, and MsgSelect carries no slice payloads, so sharing the
+	// connection's decode buffers with e is safe. The server writes the
+	// welcome from its handshake goroutine after the registration is
+	// visible to the round loop, so under load the first broadcast can
+	// overtake it and the welcome arrives here instead.
+	var sel Envelope
+	err := conn.RecvInto(&sel)
+	if err == nil && sel.Type == MsgWelcome {
+		err = conn.RecvInto(&sel)
+	}
+	if err != nil {
+		return fmt.Errorf("rpc: client %d recv select: %w", cfg.ID, err)
+	}
+	if sel.Type != MsgSelect {
+		return fmt.Errorf("rpc: client %d expected select, got %v: %w", cfg.ID, sel.Type, errProtocol)
+	}
+	s.res.Rounds++
+	if sel.Ratio <= 0 {
+		s.met.withheld.Inc()
+		return nil // withheld this round
+	}
+	// Honor the negotiated assignment: codec by name, ratio clamped against
+	// hostile or corrupt frames (NaN maps to 1 — upload uncompressed rather
+	// than explode), level count applied to the quantizer (which clamps it
+	// to its bounds).
+	enc, err := s.negotiatedCodec(sel.Codec)
+	if err != nil {
+		return fmt.Errorf("rpc: client %d: %v: %w", cfg.ID, err, errProtocol)
+	}
+	if d, ok := enc.(*compress.DAdaQuant); ok {
+		d.SetRound(sel.Round)
+		d.SetLevels(sel.Levels)
+	}
+	msg := enc.Encode(delta, compress.ClampRatio(sel.Ratio, 1, 1e9))
+	return s.upload(conn, enc, &Envelope{Type: MsgUpdate, ClientID: cfg.ID, Round: e.Round, Update: msg})
+}
+
+// asyncStep is one pull→train→push turn. The async protocol has no round
+// barrier: the server answers each MsgAsyncPull with the current global
+// (Round carries the model version) and folds each MsgAsyncPush into its
+// FedBuff buffer, down-weighting it by how many versions the base model
+// has aged while we trained. Link losses redial exactly like the
+// synchronous path; the model resyncs on the next pull.
+func (s *clientSession) asyncStep(conn *Conn, e *Envelope) error {
+	msg := s.codec.Encode(s.trainDelta(e.Params), compress.ClampRatio(s.cfg.AsyncRatio, 1, 1e9))
+	// Round pins the version this delta was trained from: the server
+	// derives staleness from it when the push is folded.
+	if err := s.upload(conn, s.codec, &Envelope{Type: MsgAsyncPush, ClientID: s.cfg.ID, Round: e.Round, Update: msg}); err != nil {
+		return err
+	}
+	s.res.Rounds++
+	return conn.Send(&Envelope{Type: MsgAsyncPull, ClientID: s.cfg.ID})
 }

@@ -121,7 +121,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	cut := int64(-1)
 	if c.f.CutAfterBytes > 0 {
 		if remaining := c.f.CutAfterBytes - c.written; remaining < int64(len(p)) {
-			cut = max64(remaining, 0)
+			cut = max(remaining, 0)
 		}
 	}
 	if drop || cut >= 0 {
@@ -202,13 +202,6 @@ func (c *faultConn) waitGate(deadline time.Time) error {
 		return nil
 	}
 	return c.f.Partition.waitOpen(deadline, c.closed)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Gate models a network partition switch shared by any number of

@@ -8,33 +8,29 @@ import "adafl/internal/obs"
 // nothing when observability is off.
 //
 // The full catalogue, with types and label conventions, is documented in
-// DESIGN.md §Observability.
+// DESIGN.md §Observability. adafl_registrations_total,
+// adafl_reconnects_total and adafl_connections belong to the Roster
+// (Roster.Instrument), the three checkpoint series to checkpoint.Reporter.
 type serverMetrics struct {
-	rounds        *obs.Counter   // adafl_rounds_total
-	evictions     *obs.Counter   // adafl_evictions_total
-	quarantines   *obs.Counter   // adafl_quarantines_total
-	registrations *obs.Counter   // adafl_registrations_total
-	reconnects    *obs.Counter   // adafl_reconnects_total (re-Hello of a known id)
-	bytesUp       *obs.Counter   // adafl_bytes_total{dir="up"}
-	bytesDown     *obs.Counter   // adafl_bytes_total{dir="down"}
-	roundSec      *obs.Histogram // adafl_round_seconds
-	scoreSec      *obs.Histogram // adafl_phase_seconds{phase="score"}
-	updateSec     *obs.Histogram // adafl_phase_seconds{phase="update"}
-	ckptSec       *obs.Histogram // adafl_checkpoint_seconds (capturing and writing one snapshot, wherever it ran)
-	ckptWaitSec   *obs.Histogram // adafl_checkpoint_wait_seconds (round loop blocked joining a delta epoch)
-	ckptBytes     *obs.Gauge     // adafl_checkpoint_bytes
-	scores        *obs.Histogram // adafl_utility_score
-	ratios        *obs.Histogram // adafl_compression_ratio (planned, from the selector)
-	updRatios     *obs.Histogram // adafl_update_compression_ratio (achieved, from received wire bytes)
-	negRatios     *obs.Histogram // adafl_negotiated_ratio (assigned by the negotiator)
-	codecDGC      *obs.Counter   // adafl_codec_assigned_total{codec="dgc"}
-	codecDAda     *obs.Counter   // adafl_codec_assigned_total{codec="dadaquant"}
-	accuracy      *obs.Gauge     // adafl_round_accuracy (last evaluated)
-	clients       *obs.Gauge     // adafl_round_clients
-	selected      *obs.Gauge     // adafl_round_selected
-	received      *obs.Gauge     // adafl_round_received
-	connections   *obs.Gauge     // adafl_connections (open, registered client sockets)
-	wireBinary    *obs.Counter   // adafl_wire_messages_total{codec="binary"}
+	rounds      *obs.Counter   // adafl_rounds_total
+	evictions   *obs.Counter   // adafl_evictions_total
+	quarantines *obs.Counter   // adafl_quarantines_total
+	bytesUp     *obs.Counter   // adafl_bytes_total{dir="up"}
+	bytesDown   *obs.Counter   // adafl_bytes_total{dir="down"}
+	roundSec    *obs.Histogram // adafl_round_seconds
+	scoreSec    *obs.Histogram // adafl_phase_seconds{phase="score"}
+	updateSec   *obs.Histogram // adafl_phase_seconds{phase="update"}
+	scores      *obs.Histogram // adafl_utility_score
+	ratios      *obs.Histogram // adafl_compression_ratio (planned, from the selector)
+	updRatios   *obs.Histogram // adafl_update_compression_ratio (achieved, from received wire bytes)
+	negRatios   *obs.Histogram // adafl_negotiated_ratio (assigned by the negotiator)
+	codecDGC    *obs.Counter   // adafl_codec_assigned_total{codec="dgc"}
+	codecDAda   *obs.Counter   // adafl_codec_assigned_total{codec="dadaquant"}
+	accuracy    *obs.Gauge     // adafl_round_accuracy (last evaluated)
+	clients     *obs.Gauge     // adafl_round_clients
+	selected    *obs.Gauge     // adafl_round_selected
+	received    *obs.Gauge     // adafl_round_received
+	wireBinary  *obs.Counter   // adafl_wire_messages_total{codec="binary"}
 }
 
 // newServerMetrics resolves the server instrument set. A non-empty
@@ -44,31 +40,25 @@ type serverMetrics struct {
 func newServerMetrics(r *obs.Registry, session string) serverMetrics {
 	l := func(name string) string { return obs.WithLabel(name, "session", session) }
 	return serverMetrics{
-		rounds:        r.Counter(l("adafl_rounds_total")),
-		evictions:     r.Counter(l("adafl_evictions_total")),
-		quarantines:   r.Counter(l("adafl_quarantines_total")),
-		registrations: r.Counter(l("adafl_registrations_total")),
-		reconnects:    r.Counter(l("adafl_reconnects_total")),
-		bytesUp:       r.Counter(l(`adafl_bytes_total{dir="up"}`)),
-		bytesDown:     r.Counter(l(`adafl_bytes_total{dir="down"}`)),
-		roundSec:      r.Histogram(l("adafl_round_seconds"), obs.LatencyBuckets),
-		scoreSec:      r.Histogram(l(`adafl_phase_seconds{phase="score"}`), obs.LatencyBuckets),
-		updateSec:     r.Histogram(l(`adafl_phase_seconds{phase="update"}`), obs.LatencyBuckets),
-		ckptSec:       r.Histogram(l("adafl_checkpoint_seconds"), obs.LatencyBuckets),
-		ckptWaitSec:   r.Histogram(l("adafl_checkpoint_wait_seconds"), obs.LatencyBuckets),
-		ckptBytes:     r.Gauge(l("adafl_checkpoint_bytes")),
-		scores:        r.Histogram(l("adafl_utility_score"), obs.ScoreBuckets),
-		ratios:        r.Histogram(l("adafl_compression_ratio"), obs.RatioBuckets),
-		updRatios:     r.Histogram(l("adafl_update_compression_ratio"), obs.RatioBuckets),
-		negRatios:     r.Histogram(l("adafl_negotiated_ratio"), obs.RatioBuckets),
-		codecDGC:      r.Counter(l(`adafl_codec_assigned_total{codec="dgc"}`)),
-		codecDAda:     r.Counter(l(`adafl_codec_assigned_total{codec="dadaquant"}`)),
-		accuracy:      r.Gauge(l("adafl_round_accuracy")),
-		clients:       r.Gauge(l("adafl_round_clients")),
-		selected:      r.Gauge(l("adafl_round_selected")),
-		received:      r.Gauge(l("adafl_round_received")),
-		connections:   r.Gauge(l("adafl_connections")),
-		wireBinary:    r.Counter(l(`adafl_wire_messages_total{codec="binary"}`)),
+		rounds:      r.Counter(l("adafl_rounds_total")),
+		evictions:   r.Counter(l("adafl_evictions_total")),
+		quarantines: r.Counter(l("adafl_quarantines_total")),
+		bytesUp:     r.Counter(l(`adafl_bytes_total{dir="up"}`)),
+		bytesDown:   r.Counter(l(`adafl_bytes_total{dir="down"}`)),
+		roundSec:    r.Histogram(l("adafl_round_seconds"), obs.LatencyBuckets),
+		scoreSec:    r.Histogram(l(`adafl_phase_seconds{phase="score"}`), obs.LatencyBuckets),
+		updateSec:   r.Histogram(l(`adafl_phase_seconds{phase="update"}`), obs.LatencyBuckets),
+		scores:      r.Histogram(l("adafl_utility_score"), obs.ScoreBuckets),
+		ratios:      r.Histogram(l("adafl_compression_ratio"), obs.RatioBuckets),
+		updRatios:   r.Histogram(l("adafl_update_compression_ratio"), obs.RatioBuckets),
+		negRatios:   r.Histogram(l("adafl_negotiated_ratio"), obs.RatioBuckets),
+		codecDGC:    r.Counter(l(`adafl_codec_assigned_total{codec="dgc"}`)),
+		codecDAda:   r.Counter(l(`adafl_codec_assigned_total{codec="dadaquant"}`)),
+		accuracy:    r.Gauge(l("adafl_round_accuracy")),
+		clients:     r.Gauge(l("adafl_round_clients")),
+		selected:    r.Gauge(l("adafl_round_selected")),
+		received:    r.Gauge(l("adafl_round_received")),
+		wireBinary:  r.Counter(l(`adafl_wire_messages_total{codec="binary"}`)),
 	}
 }
 

@@ -188,6 +188,21 @@ func newBinaryConn(raw net.Conn, throttle *TokenBucket, bufSize int) *Conn {
 func (c *Conn) Send(e *Envelope) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
+	return c.sendLocked(e)
+}
+
+// SendWithin is Send under a write deadline of d, set once this send holds
+// the connection: each send gets its own, so none inherits a stale one and
+// a concurrent sender's (a heartbeat's, say) cannot cut a long frame short.
+// The deadline is left on the socket afterwards.
+func (c *Conn) SendWithin(d time.Duration, e *Envelope) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	c.raw.SetWriteDeadline(time.Now().Add(d))
+	return c.sendLocked(e)
+}
+
+func (c *Conn) sendLocked(e *Envelope) error {
 	if err := c.sendBinary(e); err != nil {
 		return fmt.Errorf("rpc: send %v: %w", e.Type, err)
 	}

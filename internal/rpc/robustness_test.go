@@ -92,11 +92,7 @@ func TestServerRejectsDuplicateIDs(t *testing.T) {
 	waitReg := func(id int) {
 		t.Helper()
 		for i := 0; i < 400; i++ {
-			srv.mu.Lock()
-			_, p := srv.pending[id]
-			_, r := srv.roster[id]
-			srv.mu.Unlock()
-			if p || r {
+			if srv.roster.Peer(id) != nil {
 				return
 			}
 			time.Sleep(5 * time.Millisecond)

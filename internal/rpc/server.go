@@ -9,11 +9,10 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"adafl/internal/checkpoint"
-	"adafl/internal/compress"
 	"adafl/internal/core"
 	"adafl/internal/dataset"
 	"adafl/internal/nn"
@@ -213,39 +212,33 @@ type ServerResult struct {
 
 // Server drives synchronous AdaFL over TCP. The round engine is straggler-
 // and fault-tolerant: broadcasts and collects run concurrently per client
-// under per-phase deadlines, laggards and dead links are evicted with
-// their samples removed from the FedAvg normalisation, and evicted or
+// under per-phase deadlines (Exchange), laggards and dead links are evicted
+// with their samples removed from the FedAvg normalisation, and evicted or
 // late clients may re-register (a re-Hello) to join at the next round.
 type Server struct {
 	cfg ServerConfig
 	// listener is nil on a managed server (session.Manager owns the
 	// socket and hands connections in through Deliver).
 	listener net.Listener
-	managed  bool
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	roster    map[int]*clientConn // live, participating this round
-	pending   map[int]*clientConn // registered, admitted at next round start
-	closing   bool                // shutdown underway: reject new registrations
-	dead      bool                // Kill() called: crash simulation, no farewells
-	nextRound int                 // round a client registering now will join (under mu)
-	acceptErr error               // terminal listener failure
+	// roster is the connection plane: admission (a duplicate id is turned
+	// away), the live clients, byte totals, Kill and the farewell. A client
+	// that registers mid-round is live at once and joins at the next round's
+	// Snapshot, the only point where the lockstep protocol can take it.
+	roster    *Roster
+	nextRound atomic.Int64 // round a client registering now will join
 
-	evictedBytes int64 // uplink bytes from already-closed conns (under mu)
-	prevBytes    int64 // cumulative uplink total at end of previous round
+	prevBytes int64 // cumulative uplink total at end of previous round
+	prevSent  int64 // cumulative downlink total at end of previous round
 
-	evictedSent int64 // downlink bytes to already-closed conns (under mu)
-	prevSent    int64 // cumulative downlink total at end of previous round
-
-	seen map[int]bool // client ids that have registered at least once (under mu)
-	met  serverMetrics
+	met serverMetrics
 
 	quarantines        []QuarantineRecord // touched only by the round loop goroutine
 	quarantinesDropped int                // records discarded by the log cap
 	tree               *shard.Tree        // aggregation tree the screened round folds through
 	neg                *core.Negotiator   // codec negotiator (nil when Negotiation disabled)
 	ckpt               *checkpoint.DeltaWriter
+	report             *checkpoint.Reporter
 }
 
 // DefaultQuarantineLogCap bounds the quarantine log when
@@ -272,21 +265,7 @@ func (s *Server) appendQuarantines(quarantined []QuarantineRecord) {
 // the crash-simulation hook for restart/resume testing.
 var ErrServerKilled = fmt.Errorf("rpc: server killed")
 
-type clientConn struct {
-	id      int
-	conn    *Conn
-	samples int
-	// env is the connection's receive scratch (RecvInto): the round
-	// engine's per-client phases are strictly sequential per connection,
-	// and an update payload handed to the aggregation path is consumed
-	// before the connection's next receive (the round boundary), so one
-	// envelope per connection keeps the steady-state receive path
-	// allocation-free.
-	env Envelope
-}
-
-// prepareConfig validates and defaults a ServerConfig for both the
-// listening and the managed construction paths.
+// prepareConfig validates and defaults a ServerConfig.
 func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 	if cfg.NumClients <= 0 || cfg.Rounds <= 0 {
 		return cfg, fmt.Errorf("rpc: need positive NumClients and Rounds")
@@ -328,59 +307,49 @@ func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 	return cfg, nil
 }
 
-func newServer(cfg ServerConfig, ln net.Listener) (*Server, error) {
+// newServer validates cfg and builds the server, binding cfg.Addr when it
+// is to have a listener of its own.
+func newServer(cfg ServerConfig, listen bool) (*Server, error) {
+	cfg, err := prepareConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
 	var neg *core.Negotiator
 	if cfg.Negotiation.Enabled {
-		var err error
-		neg, err = core.NewNegotiator(cfg.Negotiation, cfg.Cfg.Compression)
-		if err != nil {
+		if neg, err = core.NewNegotiator(cfg.Negotiation, cfg.Cfg.Compression); err != nil {
+			return nil, err
+		}
+	}
+	var ln net.Listener
+	if listen {
+		if ln, err = net.Listen("tcp", cfg.Addr); err != nil {
 			return nil, err
 		}
 	}
 	s := &Server{
 		cfg:      cfg,
 		listener: ln,
-		managed:  ln == nil,
-		roster:   map[int]*clientConn{},
-		pending:  map[int]*clientConn{},
-		seen:     map[int]bool{},
+		roster:   NewRoster(false),
 		met:      newServerMetrics(cfg.Metrics, cfg.Session),
 		neg:      neg,
+		report: checkpoint.NewReporter(cfg.Metrics, cfg.Session, cfg.Events, func(round int, err error) {
+			cfg.Logf("server: checkpoint after round %d failed (continuing): %v", round+1, err)
+		}),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.roster.Cap = cfg.MaxClients
+	s.roster.Instrument(cfg.Metrics, cfg.Session)
 	return s, nil
 }
 
 // NewServer binds the listen socket (so callers know the port before
 // clients dial) and returns the server.
-func NewServer(cfg ServerConfig) (*Server, error) {
-	cfg, err := prepareConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, err
-	}
-	s, err := newServer(cfg, ln)
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	return s, nil
-}
+func NewServer(cfg ServerConfig) (*Server, error) { return newServer(cfg, true) }
 
 // NewManagedServer returns a server with no listener of its own: a
 // session.Manager multiplexing one socket across sessions negotiates and
 // routes each accepted connection, then hands it in through Deliver.
 // cfg.Addr is ignored.
-func NewManagedServer(cfg ServerConfig) (*Server, error) {
-	cfg, err := prepareConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newServer(cfg, nil)
-}
+func NewManagedServer(cfg ServerConfig) (*Server, error) { return newServer(cfg, false) }
 
 // Addr returns the bound listen address ("" on a managed server).
 func (s *Server) Addr() string {
@@ -390,7 +359,9 @@ func (s *Server) Addr() string {
 	return s.listener.Addr().String()
 }
 
-// closeListener is a nil-safe close of the (possibly absent) listener.
+// closeListener is a nil-safe close of the (possibly absent) listener, for
+// the exits that come before the roster serves it (the roster closes what
+// it serves, and goes first so its accept loop sees a clean close).
 func (s *Server) closeListener() {
 	if s.listener != nil {
 		s.listener.Close()
@@ -442,15 +413,17 @@ func (s *Server) Run() (*ServerResult, error) {
 			len(res.Rounds), res.FinalAcc))
 		return res, nil
 	}
-	s.mu.Lock()
-	s.nextRound = startRound
-	s.mu.Unlock()
+	s.nextRound.Store(int64(startRound))
 
-	if !s.managed {
-		go s.acceptLoop()
+	if s.listener != nil {
+		go s.roster.Serve(s.listener, MsgHello, s.cfg.Fault, func(conn *Conn, hello *Envelope) { s.Deliver(conn, hello) })
 	}
-	if err := s.waitForQuorum(); err != nil {
+	if err := s.roster.Wait(s.cfg.NumClients); err != nil {
 		s.shutdown("listener failed")
+		if s.roster.Killed() {
+			// Kill landed before the quorum formed.
+			err = ErrServerKilled
+		}
 		return nil, err
 	}
 
@@ -459,14 +432,15 @@ func (s *Server) Run() (*ServerResult, error) {
 	// the writer's goroutine gone, before Run returns.
 	defer s.joinCheckpoint()
 	for round := startRound; round < s.cfg.Rounds; round++ {
-		s.admitPending(round)
-		if live := s.liveCount(); live < s.cfg.MinClients {
+		s.nextRound.Store(int64(round + 1)) // registrations from here on join the next round
+		roster := s.roster.Snapshot()
+		if live := len(roster); live < s.cfg.MinClients {
 			s.cfg.Logf("server: %d live clients < MinClients %d, ending session after %d rounds",
 				live, s.cfg.MinClients, len(res.Rounds))
 			res.EndedEarly = true
 			break
 		}
-		rec := s.runRound(round, lastSel, model, global, globalDelta)
+		rec := s.runRound(round, roster, lastSel, model, global, globalDelta)
 		res.Rounds = append(res.Rounds, rec)
 		res.BytesReceived += rec.Bytes
 		res.Evictions += rec.Evicted
@@ -485,7 +459,7 @@ func (s *Server) Run() (*ServerResult, error) {
 		if s.cfg.OnRound != nil {
 			s.cfg.OnRound(rec)
 		}
-		if s.isDead() {
+		if s.roster.Killed() {
 			return res, ErrServerKilled
 		}
 	}
@@ -495,240 +469,51 @@ func (s *Server) Run() (*ServerResult, error) {
 
 // Kill simulates a server crash for restart testing: the listener and
 // every connection are torn down with no farewell messages, and Run
-// returns ErrServerKilled at the next round boundary. State not yet
-// checkpointed is lost, exactly as in a real crash.
+// returns ErrServerKilled at the next round boundary (at once, before the
+// quorum has formed). State not yet checkpointed is lost, exactly as in a
+// real crash.
 func (s *Server) Kill() {
-	s.mu.Lock()
-	s.dead = true
-	s.closing = true
-	conns := make([]*clientConn, 0, len(s.roster)+len(s.pending))
-	for _, c := range s.roster {
-		conns = append(conns, c)
-	}
-	for _, c := range s.pending {
-		conns = append(conns, c)
-	}
-	// Wake a pre-quorum waitForQuorum: with the listener gone (or absent,
-	// on a managed server) nothing else would, and Run must return
-	// ErrServerKilled rather than wait for clients that can never arrive.
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.roster.Kill()
 	s.closeListener()
-	for _, c := range conns {
-		c.conn.Close()
-	}
-	// A crash takes every connection with it; the round engine's evict
-	// path may still run for roster entries, so set rather than decrement.
-	s.met.connections.Set(0)
-}
-
-func (s *Server) isDead() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dead
-}
-
-// acceptLoop admits registrations for the whole session so that evicted
-// or slow-to-start clients can (re-)join at the next round boundary.
-func (s *Server) acceptLoop() {
-	for {
-		raw, err := s.listener.Accept()
-		if err != nil {
-			s.mu.Lock()
-			if !s.closing {
-				s.acceptErr = err
-			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		go s.handshake(raw)
-	}
-}
-
-func (s *Server) handshake(raw net.Conn) {
-	if conn, hello, err := Accept(WrapFault(raw, s.cfg.Fault), MsgHello); err == nil {
-		s.Deliver(conn, hello)
-	}
 }
 
 // Deliver admits a connection that Accept has admitted and whose hello it
 // returned — the entry point a session.Manager uses after routing the
-// handshake itself (the server's own acceptLoop funnels through it too).
+// handshake itself (the server's own listener funnels through it too).
 // The hello envelope is only read during the call. A rejected connection
 // is closed after a shutdown notice and the error says why; nil means the
-// client is registered and welcomed.
+// client is registered and welcomed. The welcome's Round tells a
+// redialling client it is joining a resumed or in-progress session, not
+// round 0.
 func (s *Server) Deliver(conn *Conn, hello *Envelope) error {
-	id := hello.ClientID
 	s.met.wireBinary.Inc()
-
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		conn.Send(&Envelope{Type: MsgShutdown, Info: "session over"})
-		conn.Close()
-		return fmt.Errorf("rpc: session over")
+	next := int(s.nextRound.Load())
+	p := &Peer{ID: hello.ClientID, Conn: conn, Samples: hello.NumSamples}
+	if err := s.roster.Admit(p, &Envelope{Type: MsgWelcome, Round: next}); err != nil {
+		s.cfg.Logf("server: client %d not admitted: %v", p.ID, err)
+		return err
 	}
-	_, live := s.roster[id]
-	_, queued := s.pending[id]
-	if live || queued {
-		s.mu.Unlock()
-		s.cfg.Logf("server: rejecting duplicate client id %d", id)
-		conn.Send(&Envelope{Type: MsgShutdown, Info: fmt.Sprintf("duplicate client id %d", id)})
-		conn.Close()
-		return fmt.Errorf("rpc: duplicate client id %d", id)
-	}
-	if limit := s.cfg.MaxClients; limit > 0 && len(s.roster)+len(s.pending) >= limit {
-		s.mu.Unlock()
-		s.cfg.Logf("server: rejecting client %d: session at its admission cap (%d clients)", id, limit)
-		conn.Send(&Envelope{Type: MsgShutdown, Info: fmt.Sprintf("session full (%d clients)", limit)})
-		conn.Close()
-		return fmt.Errorf("rpc: session full (%d clients)", limit)
-	}
-	s.pending[id] = &clientConn{id: id, conn: conn, samples: hello.NumSamples}
-	s.met.connections.Add(1)
-	s.met.registrations.Inc()
-	if s.seen[id] {
-		s.met.reconnects.Inc()
-	}
-	s.seen[id] = true
-	next := s.nextRound
-	s.cfg.Logf("server: client %d registered (%d samples), joins at round %d", id, hello.NumSamples, next+1)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	// Welcome outside the lock: a stalled peer must not block round
-	// machinery that needs s.mu. Round tells a redialling client it is
-	// joining a resumed/in-progress session, not round 0.
-	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
-	if err := conn.Send(&Envelope{Type: MsgWelcome, Round: next}); err != nil {
-		s.mu.Lock()
-		if c, ok := s.pending[id]; ok && c.conn == conn {
-			delete(s.pending, id)
-			s.met.connections.Add(-1)
-		}
-		s.mu.Unlock()
-		// If admitPending already moved it to the roster, the dead link
-		// surfaces at the next phase and the normal eviction path runs.
-		conn.Close()
-		return fmt.Errorf("rpc: welcome client %d: %w", id, err)
-	}
-	conn.SetWriteDeadline(time.Time{})
+	s.cfg.Logf("server: client %d registered (%d samples), joins at round %d", p.ID, p.Samples, next+1)
 	return nil
 }
 
-func (s *Server) waitForQuorum() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.roster)+len(s.pending) < s.cfg.NumClients && s.acceptErr == nil && !s.dead {
-		s.cond.Wait()
-	}
-	if s.dead {
-		// Kill landed before the quorum formed (a managed server has no
-		// listener whose Accept failure would wake this wait).
-		return ErrServerKilled
-	}
-	return s.acceptErr
-}
-
-// admitPending moves registered clients into the live roster at a round
-// boundary, the only point where the lockstep protocol can take them.
-func (s *Server) admitPending(round int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextRound = round + 1 // registrations from here on join the next round
-	for id, c := range s.pending {
-		delete(s.pending, id)
-		s.roster[id] = c
-		if round > 0 {
-			s.cfg.Logf("server: client %d joins at round %d", id, round+1)
-		}
-	}
-}
-
-func (s *Server) liveCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.roster)
-}
-
-// snapshotRoster returns the live clients sorted by id for deterministic
-// iteration.
-func (s *Server) snapshotRoster() []*clientConn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*clientConn, 0, len(s.roster))
-	for _, c := range s.roster {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
 // evict removes a client whose link failed or who missed a phase
-// deadline. Its uplink bytes are folded into the session accounting and
-// its connection closed; a later re-Hello may bring it back.
-func (s *Server) evict(c *clientConn, round int, err error) {
-	s.mu.Lock()
-	if _, ok := s.roster[c.id]; ok {
-		delete(s.roster, c.id)
-		s.evictedBytes += c.conn.BytesReceived()
-		s.evictedSent += c.conn.BytesSent()
-		if !s.dead { // after Kill the gauge is already forced to 0
-			s.met.connections.Add(-1)
-		}
-	}
-	s.mu.Unlock()
-	c.conn.Close()
+// deadline. The roster folds its bytes into the session accounting and
+// closes its connection; a later re-Hello may bring it back.
+func (s *Server) evict(p *Peer, round int, err error) {
+	s.roster.Remove(p)
 	s.met.evictions.Inc()
-	s.cfg.Events.Emit(obs.Event{Type: "evict", Round: round, Client: c.id, Reason: err.Error()})
-	s.cfg.Logf("server: round %d: evicting client %d: %v", round+1, c.id, err)
-}
-
-func (s *Server) totalBytesReceived() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := s.evictedBytes
-	for _, c := range s.roster {
-		total += c.conn.BytesReceived()
-	}
-	return total
-}
-
-func (s *Server) totalBytesSent() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := s.evictedSent
-	for _, c := range s.roster {
-		total += c.conn.BytesSent()
-	}
-	return total
-}
-
-func (s *Server) sendTimed(c *clientConn, e *Envelope) error {
-	c.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	return c.conn.Send(e)
-}
-
-// recvTimed receives into the connection's scratch envelope (see
-// clientConn.env): the returned envelope is owned by the connection and
-// valid until its next recvTimed.
-func (s *Server) recvTimed(c *clientConn) (*Envelope, error) {
-	c.conn.SetReadDeadline(time.Now().Add(s.cfg.StragglerTimeout))
-	if err := c.conn.RecvInto(&c.env); err != nil {
-		return nil, err
-	}
-	s.met.wireBinary.Inc()
-	return &c.env, nil
+	s.cfg.Events.Emit(obs.Event{Type: "evict", Round: round, Client: p.ID, Reason: err.Error()})
+	s.cfg.Logf("server: round %d: evicting client %d: %v", round+1, p.ID, err)
 }
 
 // runRound executes one federated round against the current roster. It
 // never fails the session: clients that error or dawdle are evicted and
 // the round aggregates whatever arrived in time (Received may be smaller
 // than Selected).
-func (s *Server) runRound(round int, lastSel map[int]int, model *nn.Model,
+func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model *nn.Model,
 	global, globalDelta []float64) RoundRecord {
-	rec := RoundRecord{Round: round, TestAcc: nan()}
+	rec := RoundRecord{Round: round, TestAcc: math.NaN()}
 	roundStart := time.Now()
 	if s.cfg.Scenario != nil {
 		// Advance the scenario clock first: availability and battery
@@ -736,53 +521,28 @@ func (s *Server) runRound(round int, lastSel map[int]int, model *nn.Model,
 		// so the schedule cannot depend on message timing.
 		s.cfg.Scenario.BeginRound(round)
 	}
-	roster := s.snapshotRoster()
 	rec.Clients = len(roster)
 	totalSamples := 0
-	for _, c := range roster {
-		totalSamples += c.samples
+	for _, p := range roster {
+		totalSamples += p.Samples
 	}
 
-	// Phase 1+2: concurrent broadcast + score collection, one goroutine
-	// per connection. Every goroutine reports exactly once, and the phase
-	// deadline guarantees it returns.
-	type scoreRes struct {
-		c     *clientConn
-		score float64
-		err   error
-	}
-	scoreCh := make(chan scoreRes, len(roster))
-	for _, c := range roster {
-		c := c
-		go func() {
-			if err := s.sendTimed(c, &Envelope{Type: MsgModel, Round: round, Params: global, GlobalDelta: globalDelta}); err != nil {
-				scoreCh <- scoreRes{c: c, err: err}
-				return
-			}
-			e, err := s.recvTimed(c)
-			if err != nil {
-				scoreCh <- scoreRes{c: c, err: err}
-				return
-			}
-			if e.Type != MsgScore {
-				scoreCh <- scoreRes{c: c, err: fmt.Errorf("expected score, got %v", e.Type)}
-				return
-			}
-			scoreCh <- scoreRes{c: c, score: e.Score}
-		}()
-	}
+	// Phase 1+2: broadcast + score collection, one exchange.
+	broadcast := &Envelope{Type: MsgModel, Round: round, Params: global, GlobalDelta: globalDelta}
+	errs := Exchange(roster, round, MsgScore, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
+		func(*Peer) (*Envelope, bool) { return broadcast, true })
 	scores := make(map[int]float64, len(roster))
-	alive := make([]*clientConn, 0, len(roster))
-	for range roster {
-		r := <-scoreCh
-		if r.err != nil {
-			s.evict(r.c, round, r.err)
+	alive := make([]*Peer, 0, len(roster))
+	for i, p := range roster {
+		if errs[i] != nil {
+			s.evict(p, round, errs[i])
 			rec.Evicted++
 			continue
 		}
-		scores[r.c.id] = r.score
-		alive = append(alive, r.c)
+		scores[p.ID] = p.Env.Score
+		alive = append(alive, p)
 	}
+	s.met.wireBinary.Add(int64(len(alive)))
 	s.met.scoreSec.Observe(time.Since(roundStart).Seconds())
 
 	// Scenario gate: clients the scenario has offline this round cannot
@@ -839,94 +599,65 @@ func (s *Server) runRound(round int, lastSel map[int]int, model *nn.Model,
 	}
 	s.cfg.Events.Emit(obs.Event{Type: "selection", Round: round, Client: -1, Scores: scores, Ratios: plan})
 	updatePhaseStart := time.Now()
-	type updRes struct {
-		c   *clientConn
-		upd *compress.Sparse
-		err error
-	}
-	updCh := make(chan updRes, len(alive))
-	for _, c := range alive {
-		c := c
-		ratio := plan[c.id] // 0 when not selected this round
-		sel := &Envelope{Type: MsgSelect, Round: round, Ratio: ratio}
-		if a, ok := assigns[c.id]; ok {
-			// Negotiated order: the assignment's codec+ratio (and level
-			// count) supersede the plan's bare ratio.
-			sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels
-			ratio = a.Ratio
-		}
-		go func() {
-			if err := s.sendTimed(c, sel); err != nil {
-				updCh <- updRes{c: c, err: err}
-				return
+	errs = Exchange(alive, round, MsgUpdate, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
+		func(p *Peer) (*Envelope, bool) {
+			sel := &Envelope{Type: MsgSelect, Round: round, Ratio: plan[p.ID]} // 0 when not selected this round
+			if a, ok := assigns[p.ID]; ok {
+				// Negotiated order: the assignment's codec+ratio (and level
+				// count) supersede the plan's bare ratio.
+				sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels
 			}
-			if ratio <= 0 {
-				updCh <- updRes{c: c}
-				return
-			}
-			e, err := s.recvTimed(c)
-			if err != nil {
-				updCh <- updRes{c: c, err: err}
-				return
-			}
-			if e.Type != MsgUpdate || e.Update == nil {
-				updCh <- updRes{c: c, err: fmt.Errorf("expected update, got %v", e.Type)}
-				return
-			}
-			updCh <- updRes{c: c, upd: e.Update}
-		}()
-	}
-	// Collect the partial set under the deadline. Payloads stay in each
-	// connection's receive scratch (clientConn.env), valid until that
-	// connection's next receive at the next round, so holding the round
-	// back to the barrier copies nothing.
-	received := make([]updRes, 0, len(alive))
-	connByID := make(map[int]*clientConn, len(alive))
-	for range alive {
-		r := <-updCh
-		if r.err != nil {
-			s.evict(r.c, round, r.err)
+			return sel, sel.Ratio > 0
+		})
+	// Collect the partial set. Payloads stay in each peer's receive scratch
+	// (Peer.Env), valid until that peer's next reply at the next round, so
+	// holding the round back to the barrier copies nothing.
+	received := make([]*Peer, 0, len(alive))
+	for i, p := range alive {
+		if errs[i] != nil {
+			s.evict(p, round, errs[i])
 			rec.Evicted++
 			continue
 		}
-		if r.upd == nil {
-			continue
+		if p.Env.Type != MsgUpdate {
+			continue // no reply was asked for: Env still holds the score
 		}
-		received = append(received, r)
-		connByID[r.c.id] = r.c
+		upd := p.Env.Update
+		received = append(received, p)
+		s.met.wireBinary.Inc()
 		if s.neg != nil {
 			// Per-client EWMA fold: order-independent across clients,
 			// so receipt order cannot perturb the replayed assignments.
-			s.neg.RecordUpload(r.c.id, r.upd.WireBytes())
+			s.neg.RecordUpload(p.ID, upd.WireBytes())
 		}
-		s.met.updRatios.Observe(r.upd.CompressionRatio())
+		s.met.updRatios.Observe(upd.CompressionRatio())
 		if sc := s.cfg.Scenario; sc != nil {
 			// Energy accounting: one round of training plus the
 			// update's wire bytes, against the client's class battery.
-			sc.Account(r.c.id, sc.TrainSeconds(r.c.id), int64(r.upd.WireBytes()))
+			sc.Account(p.ID, sc.TrainSeconds(p.ID), int64(upd.WireBytes()))
 		}
-		s.cfg.Events.Emit(obs.Event{Type: "update", Round: round, Client: r.c.id, Bytes: int64(r.upd.WireBytes())})
+		s.cfg.Events.Emit(obs.Event{Type: "update", Round: round, Client: p.ID, Bytes: int64(upd.WireBytes())})
 	}
 
-	// Screen and fold in client-id order, not receipt order: float
-	// accumulation is not associative, and the replay contract needs two
-	// identical sessions to produce bit-identical globals. The barrier
-	// holds the whole round, so the screen is the retrospective one the
-	// edge tier runs; ascending ingest fixes every shard's FIFO fold order
-	// and Finish merges in shard order. Quarantined clients are evicted
-	// like stragglers: their weight leaves the renormalisation and the
-	// global is bitwise unaffected by the rejected update.
+	// Screen and fold in client-id order, which is the order Exchange
+	// reports in whatever order the replies arrived: float accumulation is
+	// not associative, and the replay contract needs two identical sessions
+	// to produce bit-identical globals. The barrier holds the whole round,
+	// so the screen is the retrospective one the edge tier runs; ascending
+	// ingest fixes every shard's FIFO fold order and Finish merges in shard
+	// order. Quarantined clients are evicted like stragglers: their weight
+	// leaves the renormalisation and the global is bitwise unaffected by
+	// the rejected update.
 	aggStart := time.Now()
-	sort.Slice(received, func(i, j int) bool { return received[i].c.id < received[j].c.id })
 	items := make([]shard.Item, len(received))
-	for i, r := range received {
-		items[i] = shard.Item{Client: r.c.id, Tag: i, Upd: r.upd}
+	for i, p := range received {
+		items[i] = shard.Item{Client: p.ID, Tag: i, Upd: p.Env.Update}
 	}
 	kept, quarantined := shard.Screen(round, len(global), s.cfg.MaxUpdateNorm, items, s.cfg.Logf)
 	for _, it := range kept {
 		s.tree.Ingest(round, shard.Update{
 			Client: it.Client,
-			Weight: float64(received[it.Tag].c.samples) / float64(totalSamples),
+			Weight: float64(received[it.Tag].Samples) / float64(totalSamples),
 			Delta:  it.Upd,
 		})
 	}
@@ -937,7 +668,7 @@ func (s *Server) runRound(round int, lastSel map[int]int, model *nn.Model,
 	for _, q := range quarantined {
 		s.met.quarantines.Inc()
 		s.cfg.Events.Emit(obs.Event{Type: "quarantine", Round: round, Client: q.ClientID, Reason: q.Reason, Norm: q.Norm})
-		s.evict(connByID[q.ClientID], round, fmt.Errorf("quarantined update: %s", q.Reason))
+		s.evict(FindPeer(received, q.ClientID), round, fmt.Errorf("quarantined update: %s", q.Reason))
 		rec.Evicted++
 		rec.Quarantined++
 	}
@@ -963,11 +694,10 @@ func (s *Server) runRound(round int, lastSel map[int]int, model *nn.Model,
 		s.cfg.Logf("server: round %d acc=%.3f selected=%d received=%d clients=%d",
 			round+1, acc, rec.Selected, rec.Received, rec.Clients)
 	}
-	total := s.totalBytesReceived()
+	total, sent := s.roster.Bytes()
 	rec.Bytes = total - s.prevBytes
 	s.prevBytes = total
 
-	sent := s.totalBytesSent()
 	s.met.rounds.Inc()
 	s.met.bytesUp.Add(rec.Bytes)
 	s.met.bytesDown.Add(sent - s.prevSent)
@@ -1020,23 +750,11 @@ func (s *Server) logAssignments(round int, asn map[int]core.CodecAssignment) {
 	}
 }
 
+// shutdown ends the session for every registered client: the farewell
+// under its own deadline, then the drain (Roster.Shutdown).
 func (s *Server) shutdown(info string) {
-	s.mu.Lock()
-	s.closing = true
-	conns := make([]*clientConn, 0, len(s.roster)+len(s.pending))
-	for _, c := range s.roster {
-		conns = append(conns, c)
-	}
-	for _, c := range s.pending {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
+	s.roster.Shutdown(info, s.cfg.WriteTimeout)
 	s.closeListener()
-	for _, c := range conns {
-		c.conn.Send(&Envelope{Type: MsgShutdown, Info: info})
-		c.conn.Close()
-		s.met.connections.Add(-1)
-	}
 }
 
 // sessionSnapshot is the meta section of the session's snapshot, taken after
@@ -1102,7 +820,7 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 	if s.neg != nil {
 		meta.Negotiation = s.neg.Snapshot()
 	}
-	s.checkpointJoined(s.ckpt.Snapshot(meta,
+	s.report.Joined(s.ckpt.Snapshot(meta,
 		checkpoint.Vector{Name: "global", Vals: global},
 		checkpoint.Vector{Name: "gdelta", Vals: globalDelta}))
 }
@@ -1110,29 +828,11 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 // joinCheckpoint waits for the epoch in flight, if any.
 func (s *Server) joinCheckpoint() {
 	if s.ckpt != nil {
-		s.checkpointJoined(s.ckpt.Wait())
+		s.report.Joined(s.ckpt.Wait())
 		if err := s.cfg.Events.Flush(); err != nil {
 			s.cfg.Logf("server: event log flush after the last checkpoint failed: %v", err)
 		}
 	}
-}
-
-// checkpointJoined reports a joined epoch under its own round: how long the
-// round loop blocked for it (≈ 0 when the pipeline hid the write) and its
-// outcome. The round loop is the only writer of the event log, so the
-// background write is reported from here.
-func (s *Server) checkpointJoined(res checkpoint.DeltaResult, ok bool) {
-	if !ok {
-		return
-	}
-	s.met.ckptWaitSec.Observe(res.WaitSeconds)
-	if res.Err != nil {
-		s.cfg.Logf("server: checkpoint after round %d failed (continuing): %v", res.Label+1, res.Err)
-		return
-	}
-	s.met.ckptSec.Observe(res.Seconds)
-	s.met.ckptBytes.Set(float64(res.Size))
-	s.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: res.Label, Client: -1, Bytes: res.Size, Seconds: res.Seconds})
 }
 
 // restore loads a resumed session's state from the chain's latest snapshot
@@ -1205,7 +905,7 @@ func (s *Server) restore(snap *checkpoint.Snapshot, global, globalDelta []float6
 	case s.neg != nil:
 		return fmt.Errorf("snapshot has no negotiation state but negotiation is enabled; rerun without -negotiate or start fresh")
 	case meta.Negotiation != nil:
-		return fmt.Errorf("snapshot is from a negotiated session; rerun with -negotiate and the same negotiation flags")
+		return fmt.Errorf("snapshot is from a negotiated session; rerun with -negotiate")
 	}
 	s.cfg.Logf("server: resumed session at round %d (%d rounds restored, final acc so far %.3f)",
 		res.ResumedFrom+1, len(meta.History), meta.FinalAcc)
@@ -1234,5 +934,3 @@ func planRound(cfg core.Config, round int, scores map[int]float64, lastSel map[i
 	}
 	return plan
 }
-
-func nan() float64 { return math.NaN() }

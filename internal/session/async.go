@@ -5,7 +5,6 @@ import (
 	"log"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"adafl/internal/checkpoint"
@@ -128,7 +127,9 @@ type arrival struct {
 // AsyncSession is the buffered-asynchronous engine. Construction
 // (including resume) happens in NewAsync; Deliver admits connections
 // from a Manager at any time after that; Run executes the engine until
-// the version budget or Kill.
+// the version budget or Kill. Its connection plane is an rpc.Roster
+// (a duplicate id is turned away); what is its own is serve, the
+// persistent per-connection reader.
 type AsyncSession struct {
 	cfg AsyncConfig
 	met asyncMetrics
@@ -145,22 +146,15 @@ type AsyncSession struct {
 	snapVersion int
 
 	arrivals chan arrival
-	killCh   chan struct{}
-	killOnce sync.Once
-	// stopped is closed when the engine stops draining arrivals (normal
-	// completion or Kill), releasing connection goroutines blocked on the
-	// arrivals channel.
-	stopped chan struct{}
-
-	connMu  sync.Mutex
-	conns   map[int]*rpc.Conn
-	closing bool
-	seen    map[int]bool
-
-	wg        sync.WaitGroup // connection serve goroutines
-	connBytes atomic.Int64   // uplink bytes of closed connections
+	// roster owns the connections, the serve goroutines (Go), the uplink
+	// byte total and both exits; its Done releases a serve goroutine blocked
+	// on the arrivals channel once the engine has stopped draining it.
+	roster *rpc.Roster
+	// resumedBytes is the uplink total the snapshot carried in.
+	resumedBytes int64
 
 	ckpt     *checkpoint.DeltaWriter
+	report   *checkpoint.Reporter
 	buffered int // arrivals folded since the last apply
 	res      *AsyncResult
 }
@@ -220,12 +214,14 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 		dim:      len(global),
 		model:    model,
 		arrivals: make(chan arrival, cfg.K),
-		killCh:   make(chan struct{}),
-		stopped:  make(chan struct{}),
-		conns:    map[int]*rpc.Conn{},
-		seen:     map[int]bool{},
+		roster:   rpc.NewRoster(false),
 		res:      &AsyncResult{ResumedFrom: -1, StalenessCounts: map[int]int{}},
 	}
+	a.report = checkpoint.NewReporter(cfg.Metrics, cfg.Name, cfg.Events, func(version int, err error) {
+		cfg.Logf("session %q: checkpoint at version %d failed (continuing): %v", cfg.Name, version, err)
+	})
+	a.roster.Cap = cfg.MaxClients
+	a.roster.Instrument(cfg.Metrics, cfg.Name)
 	version := 0
 	if cfg.CheckpointDir != "" {
 		w, snap, err := checkpoint.Open(cfg.CheckpointDir, cfg.Resume, checkpoint.DeltaOptions{RebaseEvery: cfg.RebaseEvery}, cfg.Logf)
@@ -244,7 +240,7 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 			a.res.StaleRejected = meta.StaleRejected
 			a.res.Evictions = meta.Evictions
 			a.res.BytesReceived = meta.BytesReceived
-			a.connBytes.Store(meta.BytesReceived)
+			a.resumedBytes = meta.BytesReceived
 			if meta.StalenessCounts != nil {
 				a.res.StalenessCounts = meta.StalenessCounts
 			}
@@ -293,65 +289,16 @@ func (a *AsyncSession) Version() int {
 // Deliver admits a connection whose hello rpc.Accept has read (the
 // Manager's routing contract). Safe any time after NewAsync.
 func (a *AsyncSession) Deliver(conn *rpc.Conn, hello *rpc.Envelope) error {
-	id := hello.ClientID
-	a.connMu.Lock()
-	if a.closing {
-		a.connMu.Unlock()
-		conn.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: "session over"})
-		conn.Close()
-		return fmt.Errorf("session: session over")
-	}
-	if _, dup := a.conns[id]; dup {
-		a.connMu.Unlock()
-		a.cfg.Logf("session %q: rejecting duplicate client id %d", a.cfg.Name, id)
-		conn.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: fmt.Sprintf("duplicate client id %d", id)})
-		conn.Close()
-		return fmt.Errorf("session: duplicate client id %d", id)
-	}
-	if limit := a.cfg.MaxClients; limit > 0 && len(a.conns) >= limit {
-		a.connMu.Unlock()
-		a.cfg.Logf("session %q: rejecting client %d: session at its admission cap (%d clients)", a.cfg.Name, id, limit)
-		conn.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: fmt.Sprintf("session full (%d clients)", limit)})
-		conn.Close()
-		return fmt.Errorf("session: session full (%d clients)", limit)
-	}
-	a.conns[id] = conn
-	rejoin := a.seen[id]
-	a.seen[id] = true
-	a.connMu.Unlock()
-	a.met.registrations.Inc()
-	if rejoin {
-		a.met.reconnects.Inc()
-	}
-	a.met.connections.Add(1)
 	_, version := a.snapshot()
-	conn.SetWriteDeadline(time.Now().Add(a.cfg.WriteTimeout))
-	if err := conn.Send(&rpc.Envelope{Type: rpc.MsgWelcome, Round: version}); err != nil {
-		a.removeConn(id, conn)
-		conn.Close()
-		return fmt.Errorf("session: welcome client %d: %w", id, err)
+	p := &rpc.Peer{ID: hello.ClientID, Conn: conn, Samples: hello.NumSamples}
+	if err := a.roster.Admit(p, &rpc.Envelope{Type: rpc.MsgWelcome, Round: version}); err != nil {
+		return err
 	}
-	conn.SetWriteDeadline(time.Time{})
-	a.cfg.Logf("session %q: client %d registered (%d samples) at model version %d", a.cfg.Name, id, hello.NumSamples, version)
-	a.wg.Add(1)
-	go a.serve(id, conn)
+	a.cfg.Logf("session %q: client %d registered (%d samples) at model version %d", a.cfg.Name, p.ID, p.Samples, version)
+	if !a.roster.Go(func() { a.serve(p) }) {
+		a.roster.Remove(p) // the session ended between the welcome and here
+	}
 	return nil
-}
-
-// removeConn detaches a connection from the roster (idempotent: only the
-// mapping that still points at this conn is removed) and folds its
-// uplink bytes into the session accounting.
-func (a *AsyncSession) removeConn(id int, conn *rpc.Conn) {
-	a.connMu.Lock()
-	owned := a.conns[id] == conn
-	if owned {
-		delete(a.conns, id)
-	}
-	a.connMu.Unlock()
-	if owned {
-		a.connBytes.Add(conn.BytesReceived())
-		a.met.connections.Add(-1)
-	}
 }
 
 // serve is the per-connection receive loop: answer pulls from the
@@ -360,27 +307,32 @@ func (a *AsyncSession) removeConn(id int, conn *rpc.Conn) {
 // until the engine has folded it, because clients pipeline push→pull and
 // a pull answered before the fold would hand back a version (hence a
 // staleness weight on the next push) that depends on goroutine timing.
-// It exits on any wire error (the client redials and re-registers) or
-// when the engine stops.
-func (a *AsyncSession) serve(id int, conn *rpc.Conn) {
-	defer a.wg.Done()
-	defer conn.Close()
-	defer a.removeConn(id, conn)
+// It exits on any wire error (the client redials and re-registers). Once
+// the engine has stopped (the roster's Done) it only discards: a push or
+// pull already in flight is read, not answered with a reset, until the
+// client has read its farewell and closed (Roster.Shutdown).
+func (a *AsyncSession) serve(p *rpc.Peer) {
+	defer a.roster.Remove(p)
+	id, conn := p.ID, p.Conn
+	stopped := a.roster.Done()
 	folded := make(chan struct{}, 1)
 	for {
 		e, err := conn.Recv() // fresh: push deltas outlive this iteration
 		if err != nil {
 			return
 		}
+		select {
+		case <-stopped:
+			continue
+		default:
+		}
 		switch e.Type {
 		case rpc.MsgAsyncPull:
 			params, version := a.snapshot()
 			a.met.pulls.Inc()
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.WriteTimeout))
-			if err := conn.Send(&rpc.Envelope{Type: rpc.MsgModel, Round: version, Params: params}); err != nil {
+			if err := conn.SendWithin(a.cfg.WriteTimeout, &rpc.Envelope{Type: rpc.MsgModel, Round: version, Params: params}); err != nil {
 				return
 			}
-			conn.SetWriteDeadline(time.Time{})
 		case rpc.MsgAsyncPush:
 			if e.Update == nil {
 				a.cfg.Logf("session %q: client %d push without update", a.cfg.Name, id)
@@ -388,20 +340,16 @@ func (a *AsyncSession) serve(id int, conn *rpc.Conn) {
 			}
 			select {
 			case a.arrivals <- arrival{client: id, base: e.Round, delta: e.Update, done: folded}:
-			case <-a.stopped:
-				return
-			}
-			select {
-			case <-folded:
-			case <-a.stopped:
-				return
+				select {
+				case <-folded:
+				case <-stopped:
+				}
+			case <-stopped:
 			}
 		case rpc.MsgPing:
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.WriteTimeout))
-			if err := conn.Send(&rpc.Envelope{Type: rpc.MsgPing, Round: e.Round}); err != nil {
+			if err := conn.SendWithin(a.cfg.WriteTimeout, &rpc.Envelope{Type: rpc.MsgPing, Round: e.Round}); err != nil {
 				return
 			}
-			conn.SetWriteDeadline(time.Time{})
 		default:
 			a.cfg.Logf("session %q: client %d sent unexpected %v", a.cfg.Name, id, e.Type)
 			return
@@ -412,19 +360,7 @@ func (a *AsyncSession) serve(id int, conn *rpc.Conn) {
 // Kill simulates a server crash for restart testing: every connection is
 // torn down with no farewell and Run returns ErrKilled. State not yet
 // checkpointed (the partial FedBuff buffer) is lost, as in a real crash.
-func (a *AsyncSession) Kill() {
-	a.killOnce.Do(func() { close(a.killCh) })
-	a.connMu.Lock()
-	a.closing = true
-	conns := make([]*rpc.Conn, 0, len(a.conns))
-	for _, c := range a.conns {
-		conns = append(conns, c)
-	}
-	a.connMu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
+func (a *AsyncSession) Kill() { a.roster.Kill() }
 
 // Run executes the engine: fold arrivals, apply every K-th, checkpoint,
 // until the version budget is met (clean shutdown with farewells) or
@@ -433,28 +369,35 @@ func (a *AsyncSession) Run() (*AsyncResult, error) {
 	defer a.tree.Close()
 	defer a.joinCheckpoint()
 	res := a.res
-	for {
-		if _, v := a.snapshot(); v >= a.cfg.Versions {
-			break
-		}
+	var err error
+	for err == nil && a.Version() < a.cfg.Versions {
 		select {
-		case <-a.killCh:
-			close(a.stopped)
-			a.wg.Wait()
-			res.Versions = a.Version()
-			res.BytesReceived = a.connBytes.Load()
-			return res, ErrKilled
+		case <-a.roster.Done():
+			err = ErrKilled
 		case arr := <-a.arrivals:
 			a.fold(arr)
 			arr.done <- struct{}{}
 		}
 	}
-	close(a.stopped)
-	a.shutdownConns(fmt.Sprintf("done: %d model versions, final acc %.3f", a.Version(), res.FinalAcc))
-	a.wg.Wait()
+	// Budget met: the farewells go out while the serve goroutines still hold
+	// their sockets open, and Shutdown returns when every client has closed
+	// (or been given up on) and every serve goroutine is gone. Kill, here,
+	// joins them.
+	if err != nil {
+		a.roster.Kill()
+	} else {
+		a.roster.Shutdown(fmt.Sprintf("done: %d model versions, final acc %.3f", a.Version(), res.FinalAcc), a.cfg.WriteTimeout)
+	}
 	res.Versions = a.Version()
-	res.BytesReceived = a.connBytes.Load()
-	return res, nil
+	res.BytesReceived = a.bytesReceived()
+	return res, err
+}
+
+// bytesReceived is the session's uplink total: what a resumed snapshot
+// carried in plus what the roster has counted since.
+func (a *AsyncSession) bytesReceived() int64 {
+	up, _ := a.roster.Bytes()
+	return a.resumedBytes + up
 }
 
 // fold ingests one arrival, applying the buffer when it reaches K.
@@ -504,7 +447,10 @@ func (a *AsyncSession) apply() {
 		a.cfg.Events.Emit(obs.Event{Type: "quarantine", Round: version, Client: q.ClientID,
 			Reason: q.Reason, Norm: q.Norm})
 		a.cfg.Logf("session %q: quarantined update from client %d: %s", a.cfg.Name, q.ClientID, q.Reason)
-		a.evict(q.ClientID)
+		// The only eviction cause: slowness just accrues staleness.
+		if p := a.roster.Peer(q.ClientID); p != nil {
+			a.roster.Remove(p)
+		}
 	}
 	a.res.Quarantines = append(a.res.Quarantines, quarantined...)
 	if part.Count == 0 || part.WeightSum <= 0 {
@@ -537,27 +483,9 @@ func (a *AsyncSession) apply() {
 	}
 }
 
-// evict closes a quarantined sender's connection; serve's cleanup path
-// detaches it. Unlike the synchronous engine this is the only eviction
-// cause — slowness just accrues staleness.
-func (a *AsyncSession) evict(id int) {
-	a.connMu.Lock()
-	conn := a.conns[id]
-	a.connMu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
-
 // saveCheckpoint joins the previous version's epoch, captures this
 // version's and leaves it writing behind the arrivals of the next.
 func (a *AsyncSession) saveCheckpoint(version int, params []float64) {
-	live := a.connBytes.Load()
-	a.connMu.Lock()
-	for _, c := range a.conns {
-		live += c.BytesReceived()
-	}
-	a.connMu.Unlock()
 	meta := &asyncSnapshot{
 		Version:         version,
 		K:               a.cfg.K,
@@ -567,52 +495,18 @@ func (a *AsyncSession) saveCheckpoint(version int, params []float64) {
 		Evictions:       a.res.Evictions,
 		StalenessCounts: a.res.StalenessCounts,
 		Quarantines:     a.res.Quarantines,
-		BytesReceived:   live,
+		BytesReceived:   a.bytesReceived(),
 	}
-	a.checkpointJoined(a.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: params}))
-}
-
-// checkpointJoined reports a joined epoch under its own version: how long
-// the engine loop blocked for it (≈ 0 when the pipeline hid the write) and
-// its outcome. The engine loop is the event log's only writer, so the
-// background write is reported from here.
-func (a *AsyncSession) checkpointJoined(res checkpoint.DeltaResult, ok bool) {
-	if !ok {
-		return
-	}
-	a.met.ckptWaitSec.Observe(res.WaitSeconds)
-	if res.Err != nil {
-		a.cfg.Logf("session %q: checkpoint at version %d failed (continuing): %v", a.cfg.Name, res.Label, res.Err)
-		return
-	}
-	a.met.ckptSec.Observe(res.Seconds)
-	a.met.ckptBytes.Set(float64(res.Size))
-	a.cfg.Events.Emit(obs.Event{Type: "checkpoint", Round: res.Label, Client: -1, Bytes: res.Size, Seconds: res.Seconds})
+	a.report.Joined(a.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: params}))
 }
 
 // joinCheckpoint waits for the epoch in flight, if any: the last published
 // version is durable, and the writer's goroutine gone, before Run returns.
 func (a *AsyncSession) joinCheckpoint() {
 	if a.ckpt != nil {
-		a.checkpointJoined(a.ckpt.Wait())
+		a.report.Joined(a.ckpt.Wait())
 		if err := a.cfg.Events.Flush(); err != nil {
 			a.cfg.Logf("session %q: event log flush failed: %v", a.cfg.Name, err)
 		}
-	}
-}
-
-// shutdownConns sends farewells and closes every connection.
-func (a *AsyncSession) shutdownConns(info string) {
-	a.connMu.Lock()
-	a.closing = true
-	conns := make([]*rpc.Conn, 0, len(a.conns))
-	for _, c := range a.conns {
-		conns = append(conns, c)
-	}
-	a.connMu.Unlock()
-	for _, c := range conns {
-		c.SetWriteDeadline(time.Now().Add(a.cfg.WriteTimeout))
-		c.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: info})
-		c.Close()
 	}
 }

@@ -21,17 +21,12 @@ import (
 	"log"
 	"net"
 	"sync"
-	"time"
 
 	"adafl/internal/rpc"
 )
 
 // DefaultSession is the session name an empty hello Session routes to.
 const DefaultSession = "default"
-
-// rejectTimeout bounds the shutdown notice to a peer that is being turned
-// away, so one that stops reading cannot pin a router goroutine.
-const rejectTimeout = 5 * time.Second
 
 // maxSessionName is the wire limit: the binary hello carries the session
 // name behind a one-byte length.
@@ -62,16 +57,16 @@ type Config struct {
 
 // Manager multiplexes one listener across named sessions. Register the
 // sessions, start Serve in a goroutine, then run each session's engine;
-// Close stops accepting and drains in-flight handshakes.
+// Close stops accepting and ends in-flight handshakes.
 type Manager struct {
 	cfg      Config
 	listener net.Listener
+	// plane is the listener's accept loop and its in-flight handshakes; it
+	// holds no peers, since every admitted connection goes to a session.
+	plane *rpc.Roster
 
 	mu       sync.Mutex
 	sessions map[string]Handler
-	closing  bool
-
-	wg sync.WaitGroup // in-flight route goroutines
 }
 
 // NewManager binds the listen socket and returns the manager.
@@ -86,7 +81,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{cfg: cfg, listener: ln, sessions: map[string]Handler{}}, nil
+	return &Manager{cfg: cfg, listener: ln, plane: rpc.NewRoster(false), sessions: map[string]Handler{}}, nil
 }
 
 // Register adds a named session ("" registers the default session).
@@ -129,32 +124,13 @@ func (m *Manager) Addr() string { return m.listener.Addr().String() }
 // Serve accepts and routes connections until Close. It returns nil after
 // a Close, or the terminal listener error.
 func (m *Manager) Serve() error {
-	for {
-		raw, err := m.listener.Accept()
-		if err != nil {
-			m.mu.Lock()
-			closing := m.closing
-			m.mu.Unlock()
-			if closing {
-				return nil
-			}
-			return err
-		}
-		m.wg.Add(1)
-		go m.route(raw)
-	}
+	return m.plane.Serve(m.listener, rpc.MsgHello, m.cfg.Fault, m.route)
 }
 
-// route admits the connection and hands it to the session its hello
-// names. Rejections (unknown session, engine refusal) are
-// the engine's or the notice's problem — the router never blocks the
-// accept loop.
-func (m *Manager) route(raw net.Conn) {
-	defer m.wg.Done()
-	conn, hello, err := rpc.Accept(rpc.WrapFault(raw, m.cfg.Fault), rpc.MsgHello)
-	if err != nil {
-		return
-	}
+// route hands an admitted connection to the session its hello names.
+// Rejections (unknown session, engine refusal) are the engine's or the
+// notice's problem — the router never blocks the accept loop.
+func (m *Manager) route(conn *rpc.Conn, hello *rpc.Envelope) {
 	name := hello.Session
 	if name == "" {
 		name = DefaultSession
@@ -164,9 +140,7 @@ func (m *Manager) route(raw net.Conn) {
 	m.mu.Unlock()
 	if h == nil {
 		m.cfg.Logf("session: rejecting client %d: unknown session %q", hello.ClientID, name)
-		conn.SetWriteDeadline(time.Now().Add(rejectTimeout))
-		conn.Send(&rpc.Envelope{Type: rpc.MsgShutdown, Info: fmt.Sprintf("unknown session %q", name)})
-		conn.Close()
+		rpc.Reject(conn, fmt.Sprintf("unknown session %q", name))
 		return
 	}
 	if err := h.Deliver(conn, hello); err != nil {
@@ -174,13 +148,10 @@ func (m *Manager) route(raw net.Conn) {
 	}
 }
 
-// Close stops accepting, waits for in-flight handshakes to drain and
-// returns. Registered sessions keep running; shut them down through
-// their own engines.
+// Close stops accepting, ends the handshakes still in flight and returns
+// when their goroutines have. Registered sessions keep running; shut them
+// down through their own engines.
 func (m *Manager) Close() {
-	m.mu.Lock()
-	m.closing = true
-	m.mu.Unlock()
-	m.listener.Close()
-	m.wg.Wait()
+	m.plane.Kill()
+	m.listener.Close() // Serve may never have been started
 }

@@ -67,11 +67,7 @@ func runClients(cfgs []rpc.ClientConfig) ([]*rpc.ClientResult, []error) {
 }
 
 // connCount reports the session's live connection count (test-only peek).
-func connCount(a *AsyncSession) int {
-	a.connMu.Lock()
-	defer a.connMu.Unlock()
-	return len(a.conns)
-}
+func connCount(a *AsyncSession) int { return a.roster.Len() }
 
 func TestManagerRegisterValidation(t *testing.T) {
 	m, err := NewManager(Config{Addr: "127.0.0.1:0", Logf: quiet})

@@ -10,7 +10,10 @@
 // (constant memory per shard: a running weighted-sum vector plus a
 // weight scalar, and SCAFFOLD control partials where foldable) and S
 // cores of fold throughput, which is what lets one server absorb
-// 10k-client fleets (see cmd/flfleet and BENCH_5.json).
+// 10k-client fleets: at dim 20000 / nnz 1000, going from 1k to 10k clients
+// cost the tree 1.4x heap (12.7 to 17.4 MB) where a whole-round buffer cost
+// 8x (cmd/flfleet; tracked since as bench/'s shard.tree_ingest_updates_per_s
+// and fleet_ingest.peak_rss_mb).
 //
 // Determinism contract: routing is client-id mod S, each worker folds
 // its queue in FIFO order, and the root merges partials in ascending

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet build test race chaos fuzz cover fleet
+.PHONY: check lint vet build test race chaos fuzz cover fleet cli
 
 check: lint build test race
 
@@ -110,3 +110,10 @@ cover:
 # harness. The tracked numbers are bench/'s fleet_ingest and tree_ingest.
 fleet:
 	$(GO) run ./cmd/flfleet -clients 500 -shards 4 -rounds 3 -dim 5000 -nnz 250
+
+# The deployment binaries end to end on loopback (a few seconds): a sync
+# session, flserver async + flclient async, flserver root + two edges +
+# flfleet edge, the doctor on the sync chain, `flserver -h` at most 30
+# flags, and flags a subcommand does not take failing before it serves.
+cli:
+	bash cmd/smoke.sh

@@ -1,34 +1,38 @@
-// Command flfleet is the fleet-scale load harness for the streaming
-// aggregation tree (internal/shard). It simulates thousands of clients
-// producing sparse updates every round — no sockets, no training — and
-// measures pure aggregation throughput and memory for the two server
-// strategies:
+// Command flfleet is the fleet-scale load harness. It simulates thousands
+// of clients producing deterministic synthetic sparse updates every round
+// (rpc.FleetUpdate; no training) and measures aggregation throughput and
+// memory. Each mode is a subcommand with a flag set of its own:
 //
-//	-mode stream    fold each update into its shard partial on arrival
-//	                (O(shards × dim) aggregation state, constant in the
-//	                fleet size)
-//	-mode buffered  buffer the whole round, then screen + fold — the
-//	                pre-shard server path (O(clients × nnz) live buffer)
+//	flfleet         in-process: every update folds straight into its
+//	                shard partial of the streaming aggregation tree
+//	                (internal/shard) — no sockets; O(shards × dim)
+//	                aggregation state, constant in the fleet size
+//	flfleet socket  the same fleet over real sockets (rpc.RunFleet):
+//	                every client dials, registers and streams its updates
+//	                as wire frames; the server side runs the
+//	                per-connection reader → pooled payload → decode/fold
+//	                worker pipeline
+//	flfleet edge    the fleet as clients of a two-tier federation
+//	                (flserver root + flserver edge)
+//	flfleet async   the fleet as clients of an flserver async session
 //
-// With -fleet-addr the harness leaves the in-process modes behind and
-// drives the same synthetic fleet over real sockets (internal/rpc
-// RunFleet): every client dials, registers and streams its updates as
-// wire frames, and the server side runs the per-connection reader → pooled
-// payload → bounded decode/fold worker pipeline. Unix sockets scale past
-// the ~28k ephemeral-port ceiling of tcp loopback; the open-file soft
-// limit is raised to the hard limit at startup (a 10k-client run needs
-// two fds per client). Where one process's file table cannot hold both
-// socket ends, -fleet-role splits the run: a "server" process waits for
-// "clients" processes (each driving [offset, offset+clients)) to dial
-// in, halving the per-process descriptor load.
+// Socket mode: unix sockets scale past the ~28k ephemeral-port ceiling of
+// tcp loopback, and the open-file soft limit is raised to the hard limit
+// at startup (a 10k-client run needs two fds per client). Where one
+// process's file table cannot hold both socket ends, -role splits the
+// run: a "server" process waits for "clients" processes (each driving
+// [offset, offset+clients)) to dial in, halving the per-process
+// descriptor load.
 //
-// With -edge-bootstrap the harness instead drives the two-tier edge
-// federation (internal/edge): each client dials the root's bootstrap
-// listener, follows the MsgReroute welcome to its assigned regional edge,
-// and answers that edge's round go-aheads with deterministic synthetic
-// updates until the session shuts down. If the edge dies mid-session the
-// client falls back to the bootstrap path with full-jitter backoff and is
-// rerouted to a surviving sibling.
+// Edge mode: each client dials the root's bootstrap listener, follows the
+// MsgReroute welcome to its assigned regional edge, and answers that
+// edge's round go-aheads until the session shuts down. If the edge dies
+// mid-session the client falls back to the bootstrap path with
+// full-jitter backoff and is rerouted to a surviving sibling.
+//
+// Async mode: each client registers, then cycles pull→push with synthetic
+// deltas sized to the pulled model until the session's version budget
+// shuts it down.
 //
 // Peak RSS (VmHWM) is monotonic per process, so run one configuration
 // per invocation when comparing memory (-json emits one JSON object per
@@ -37,13 +41,15 @@
 // Examples:
 //
 //	flfleet -clients 10000 -shards 8 -rounds 5 -dim 20000 -nnz 1000 -json
-//	flfleet -clients 10000 -rounds 5 -dim 20000 -nnz 1000 \
-//	        -fleet-addr unix:/tmp/flfleet.sock -json
+//	flfleet socket -addr unix:/tmp/flfleet.sock -clients 10000 -rounds 5 \
+//	        -dim 20000 -nnz 1000 -json
+//	flfleet edge -addr localhost:7070 -clients 64 -dim 20000 -nnz 1000
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -55,6 +61,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adafl/cmd/internal/cli"
 	"adafl/internal/compress"
 	"adafl/internal/edge"
 	"adafl/internal/fl"
@@ -63,7 +70,26 @@ import (
 	"adafl/internal/shard"
 )
 
-// result is the JSON record one invocation emits.
+var commands = []cli.Command{
+	{Summary: "in-process: fold the synthetic fleet through the streaming aggregation tree, no sockets", Flags: newInProcess},
+	{Name: "socket", Summary: "drive the synthetic fleet over real sockets against an in-process collection server", Flags: newSocket},
+	{Name: "edge", Summary: "drive the synthetic fleet as clients of a two-tier federation (flserver root + edge)", Flags: newEdge},
+	{Name: "async", Summary: "drive the synthetic fleet as pull→push clients of an flserver async session", Flags: newAsync},
+}
+
+func main() { cli.Main("flfleet", commands) }
+
+// Help shared by the subcommands that take the flag.
+const (
+	clientsHelp  = "simulated fleet size"
+	nnzHelp      = "non-zeros per client update"
+	seedHelp     = "update-generation seed"
+	offsetHelp   = "first client id this process drives (its range is [offset, offset+clients))"
+	jsonHelp     = "emit the result as one JSON object on stdout"
+	scenarioHelp = "declarative scenario file: its precomputed availability schedule masks which clients produce an update each round (energy depletion, churn, outages)"
+)
+
+// result is the JSON record one in-process invocation emits.
 type result struct {
 	Mode    string `json:"mode"`
 	Clients int    `json:"clients"`
@@ -81,85 +107,43 @@ type result struct {
 	GlobalChecksum float64 `json:"global_checksum"`
 }
 
-func main() {
-	clients := flag.Int("clients", 1000, "simulated fleet size")
-	shards := flag.Int("shards", 8, "aggregation shards")
-	rounds := flag.Int("rounds", 5, "aggregation rounds to drive")
-	dim := flag.Int("dim", 20000, "model dimension")
-	nnz := flag.Int("nnz", 1000, "non-zeros per client update")
-	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
-	seed := flag.Uint64("seed", 1, "update-generation seed")
-	asJSON := flag.Bool("json", false, "emit the result as one JSON object on stdout")
-	fleetAddr := flag.String("fleet-addr", "", "drive the fleet over real sockets at this endpoint (unix:/path or tcp:host:port); empty keeps the in-process harness")
-	workers := flag.Int("workers", 0, "socket-mode decode/fold workers (0 = GOMAXPROCS)")
-	fleetRole := flag.String("fleet-role", "both", "socket-mode process role: both (server + clients in one process), server (wait for external clients), clients (dial a -fleet-role server elsewhere)")
-	fleetOffset := flag.Int("fleet-offset", 0, "first client id this clients-role process drives (its range is [offset, offset+clients))")
-	scenarioPath := flag.String("scenario", "", "declarative scenario file: its precomputed availability schedule masks which clients produce an update each round (energy depletion, churn, outages)")
-	edgeBootstrap := flag.String("edge-bootstrap", "", "drive the fleet against a two-tier federation: dial this root bootstrap address, follow the reroute to the assigned edge, and answer its round go-aheads (clients [fleet-offset, fleet-offset+clients))")
-	asyncAddr := flag.String("async-addr", "", "drive the fleet against a buffered-asynchronous flserver -async session at this tcp address: each client registers, then cycles pull→push with deterministic synthetic deltas (no training) until the session's version budget shuts it down")
-	sessionName := flag.String("session", "", "async mode: named session to join on a multi-session server (empty joins the default session)")
-	flag.Parse()
+// inProcessCmd is the default subcommand.
+type inProcessCmd struct {
+	tree                 shard.Config
+	clients, rounds, nnz int
+	seed                 uint64
+	asJSON               bool
+	scenario             string
+}
 
-	if *asyncAddr != "" {
-		runAsyncFleet(*asyncAddr, *sessionName, *clients, *nnz, *fleetOffset, *seed)
-		return
-	}
+func newInProcess(fs *flag.FlagSet) cli.Runner {
+	c := &inProcessCmd{}
+	fs.IntVar(&c.clients, "clients", 1000, clientsHelp)
+	fs.IntVar(&c.tree.Shards, "shards", 8, "aggregation shards")
+	fs.IntVar(&c.tree.QueueDepth, "queue", 0, "per-shard queue depth (0 = default)")
+	fs.IntVar(&c.rounds, "rounds", 5, "aggregation rounds to drive")
+	fs.IntVar(&c.tree.Dim, "dim", 20000, "model dimension")
+	fs.IntVar(&c.nnz, "nnz", 1000, nnzHelp)
+	fs.Uint64Var(&c.seed, "seed", 1, seedHelp)
+	fs.BoolVar(&c.asJSON, "json", false, jsonHelp)
+	fs.StringVar(&c.scenario, "scenario", "", scenarioHelp)
+	return c
+}
 
-	if *edgeBootstrap != "" {
-		// Two-tier mode: the fleet clients dial the root's bootstrap
-		// listener, get rerouted to their assigned edges, and serve rounds
-		// until the session shuts down. Redials after an edge death reuse
-		// the same bootstrap path.
-		start := time.Now()
-		err := edge.RunClients(edge.ClientsConfig{
-			Bootstrap: *edgeBootstrap,
-			Lo:        *fleetOffset, Hi: *fleetOffset + *clients,
-			Dim: *dim, Nnz: *nnz, Seed: *seed,
-			Logf: log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("flfleet: edge fleet: %v", err)
-		}
-		fmt.Printf("flfleet edge clients [%d,%d): done in %.2fs\n",
-			*fleetOffset, *fleetOffset+*clients, time.Since(start).Seconds())
-		return
+func (c *inProcessCmd) Run() error {
+	dim := c.tree.Dim
+	if c.clients < 1 || c.rounds < 1 || dim < 1 || c.nnz < 1 || c.nnz > dim {
+		return errors.New("need clients, rounds, dim >= 1 and 1 <= nnz <= dim")
 	}
-
-	// A scenario turns into a precomputed participation mask: the schedule
-	// is a pure function of (config, seed, round), so the harness needs no
-	// live fleet state — masked-out clients simply skip their update.
-	var mask [][]bool
-	if *scenarioPath != "" {
-		sc, err := scenario.Load(*scenarioPath)
-		if err != nil {
-			log.Fatalf("flfleet: %v", err)
-		}
-		fleet, err := scenario.NewFleet(sc, *clients)
-		if err != nil {
-			log.Fatalf("flfleet: %v", err)
-		}
-		// 12 bytes per non-zero is the sparse wire cost; train time comes
-		// from the scenario's device classes (dim FLOPs ≈ one sample).
-		fleet.SetRoundWork(float64(*dim), 1)
-		mask, err = fleet.Schedule(*rounds, int64(12**nnz))
-		if err != nil {
-			log.Fatalf("flfleet: scenario schedule: %v", err)
-		}
+	mask, err := scheduleMask(c.scenario, c.clients, c.rounds, dim, c.nnz)
+	if err != nil {
+		return err
 	}
-
-	if *fleetAddr != "" {
-		runSocketFleet(*fleetAddr, *fleetRole, *workers, *clients, *rounds, *dim, *nnz, *queue, *fleetOffset, *seed, *asJSON, mask)
-		return
-	}
-	if *clients < 1 || *rounds < 1 || *dim < 1 || *nnz < 1 || *nnz > *dim {
-		log.Fatalf("flfleet: need clients, rounds, dim >= 1 and 1 <= nnz <= dim")
-	}
-
 	res := result{
-		Mode: "stream", Clients: *clients, Shards: *shards,
-		Rounds: *rounds, Dim: *dim, Nnz: *nnz,
+		Mode: "stream", Clients: c.clients, Shards: c.tree.Shards,
+		Rounds: c.rounds, Dim: dim, Nnz: c.nnz,
 	}
-	global := make([]float64, *dim)
+	global := make([]float64, dim)
 	var peakHeap uint64
 	sampleHeap := func() {
 		var ms runtime.MemStats
@@ -171,13 +155,11 @@ func main() {
 
 	var produced int64
 	start := time.Now()
-	tree := shard.NewTree(shard.Config{
-		Shards: *shards, Dim: *dim, QueueDepth: *queue,
-	})
+	tree := shard.NewTree(c.tree)
 	defer tree.Close()
-	for r := 0; r < *rounds; r++ {
-		produced += produce(*clients, *seed, r, *dim, *nnz, mask, func(id int, u *compress.Sparse) {
-			tree.Ingest(r, shard.Update{Client: id, Weight: 1.0 / float64(*clients), Delta: u})
+	for r := 0; r < c.rounds; r++ {
+		produced += produce(c.clients, c.seed, r, dim, c.nnz, mask, func(id int, u *compress.Sparse) {
+			tree.Ingest(r, shard.Update{Client: id, Weight: 1.0 / float64(c.clients), Delta: u})
 		})
 		sampleHeap()
 		part, _ := tree.Finish()
@@ -189,8 +171,8 @@ func main() {
 	updates := float64(produced)
 	// Wire-payload bytes per sparse update: int32 index + float64 value
 	// per non-zero.
-	bytesPerUpdate := float64(12 * *nnz)
-	res.RoundsPerSec = float64(*rounds) / res.WallSeconds
+	bytesPerUpdate := float64(12 * c.nnz)
+	res.RoundsPerSec = float64(c.rounds) / res.WallSeconds
 	res.UpdatesPerSec = updates / res.WallSeconds
 	res.MBFoldedPerSec = updates * bytesPerUpdate / res.WallSeconds / 1e6
 	res.PeakHeapInuse = peakHeap
@@ -199,12 +181,8 @@ func main() {
 		res.GlobalChecksum += v
 	}
 
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(res); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if c.asJSON {
+		return json.NewEncoder(os.Stdout).Encode(res)
 	}
 	fmt.Printf("flfleet %s: %d clients x %d rounds (dim=%d nnz=%d shards=%d)\n",
 		res.Mode, res.Clients, res.Rounds, res.Dim, res.Nnz, res.Shards)
@@ -212,67 +190,120 @@ func main() {
 		res.RoundsPerSec, res.UpdatesPerSec, res.MBFoldedPerSec)
 	fmt.Printf("  peak heap in use %.1f MB  VmHWM %d KB  checksum %.6g\n",
 		float64(res.PeakHeapInuse)/1e6, res.VmHWMKB, res.GlobalChecksum)
+	return nil
 }
 
-// runSocketFleet is the -fleet-addr path: the same synthetic fleet, but
-// every update crosses a real socket as a wire frame.
-// The role splits the fleet across processes when one file table cannot
-// hold both socket ends: "server" waits for -fleet-role clients
-// processes to dial in; "both" (the default) keeps everything local.
-func runSocketFleet(endpoint, role string, workers, clients, rounds, dim, nnz, queue, offset int, seed uint64, asJSON bool, mask [][]bool) {
-	network, addr, ok := strings.Cut(endpoint, ":")
-	if !ok || (network != "unix" && network != "tcp") || addr == "" {
-		log.Fatalf("flfleet: -fleet-addr %q: want unix:/path or tcp:host:port", endpoint)
+// scheduleMask turns a scenario into a precomputed participation mask:
+// the schedule is a pure function of (config, seed, round), so the
+// harness needs no live fleet state — masked-out clients simply skip
+// their update. An empty path is full participation (a nil mask).
+func scheduleMask(path string, clients, rounds, dim, nnz int) ([][]bool, error) {
+	if path == "" {
+		return nil, nil
 	}
-	if mask != nil && role != "both" {
+	sc, err := scenario.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	fleet, err := scenario.NewFleet(sc, clients)
+	if err != nil {
+		return nil, err
+	}
+	// 12 bytes per non-zero is the sparse wire cost; train time comes
+	// from the scenario's device classes (dim FLOPs ≈ one sample).
+	fleet.SetRoundWork(float64(dim), 1)
+	mask, err := fleet.Schedule(rounds, int64(12*nnz))
+	if err != nil {
+		return nil, fmt.Errorf("scenario schedule: %w", err)
+	}
+	return mask, nil
+}
+
+// socketCmd is flfleet socket: the same synthetic fleet, but every update
+// crosses a real socket as a wire frame. The role splits the fleet across
+// processes when one file table cannot hold both socket ends: "server"
+// waits for -role clients processes to dial in; "both" (the default)
+// keeps everything local.
+type socketCmd struct {
+	cfg            rpc.FleetConfig
+	endpoint, role string
+	offset         int
+	asJSON         bool
+	scenario       string
+}
+
+func newSocket(fs *flag.FlagSet) cli.Runner {
+	c := &socketCmd{cfg: rpc.FleetConfig{Logf: log.Printf}} // log.Printf writes to stderr, so -json keeps a clean stdout
+	fs.StringVar(&c.endpoint, "addr", "", "listen and dial endpoint: unix:/path or tcp:host:port (required)")
+	fs.StringVar(&c.role, "role", "both", "process role: both (server + clients in one process), server (wait for external clients), clients (dial a -role server elsewhere)")
+	fs.IntVar(&c.offset, "offset", 0, offsetHelp+"; clients role only")
+	fs.IntVar(&c.cfg.Clients, "clients", 1000, clientsHelp+" (clients role: how many this process drives)")
+	fs.IntVar(&c.cfg.Rounds, "rounds", 5, "lockstep rounds to drive")
+	fs.IntVar(&c.cfg.Dim, "dim", 20000, "model dimension")
+	fs.IntVar(&c.cfg.Nnz, "nnz", 1000, nnzHelp)
+	fs.Uint64Var(&c.cfg.Seed, "seed", 1, seedHelp)
+	fs.BoolVar(&c.asJSON, "json", false, jsonHelp)
+	fs.StringVar(&c.scenario, "scenario", "", scenarioHelp+"; -role both only")
+	return c
+}
+
+// config completes the parsed flags into the fleet's config; it binds no
+// socket.
+func (c *socketCmd) config() (rpc.FleetConfig, error) {
+	cfg := c.cfg
+	network, addr, ok := strings.Cut(c.endpoint, ":")
+	if !ok || (network != "unix" && network != "tcp") || addr == "" {
+		return cfg, fmt.Errorf("-addr %q: want unix:/path or tcp:host:port", c.endpoint)
+	}
+	cfg.Network, cfg.Addr = network, addr
+	switch c.role {
+	case "both", "clients":
+	case "server":
+		cfg.ExternalClients = true
+	default:
+		return cfg, fmt.Errorf("unknown -role %q (want both, server or clients)", c.role)
+	}
+	if c.scenario != "" && c.role != "both" {
 		// A split fleet's schedule must cover the global client-id space,
 		// but each process only knows its own -clients count.
-		log.Fatal("flfleet: -scenario supports -fleet-role both only")
+		return cfg, errors.New("-scenario supports -role both only")
+	}
+	var err error
+	cfg.Mask, err = scheduleMask(c.scenario, cfg.Clients, cfg.Rounds, cfg.Dim, cfg.Nnz)
+	return cfg, err
+}
+
+func (c *socketCmd) Run() error {
+	cfg, err := c.config()
+	if err != nil {
+		return err
 	}
 	// Descriptor budget by role: "both" holds both ends of every
 	// connection, the split roles one end each.
-	need := uint64(clients) + 64
-	if role == "both" {
-		need = uint64(clients)*2 + 64
+	need := uint64(cfg.Clients) + 64
+	if c.role == "both" {
+		need = uint64(cfg.Clients)*2 + 64
 	}
 	if limit := raiseNoFile(); limit > 0 && need > limit {
 		log.Printf("flfleet: warning: role %s with %d clients needs ~%d fds, open-file limit is %d",
-			role, clients, need, limit)
+			c.role, cfg.Clients, need, limit)
 	}
-	cfg := rpc.FleetConfig{
-		Network: network, Addr: addr,
-		Clients: clients, Rounds: rounds, Dim: dim, Nnz: nnz,
-		// log.Printf writes to stderr, so -json keeps a clean stdout.
-		Workers: workers, Queue: queue, Seed: seed, Mask: mask, Logf: log.Printf,
+	if c.role == "clients" {
+		return rpc.RunFleetClients(cfg, c.offset, c.offset+cfg.Clients)
 	}
-	switch role {
-	case "clients":
-		if err := rpc.RunFleetClients(cfg, offset, offset+clients); err != nil {
-			log.Fatalf("flfleet: fleet clients: %v", err)
-		}
-		return
-	case "server":
-		cfg.ExternalClients = true
-	case "both":
-	default:
-		log.Fatalf("flfleet: unknown -fleet-role %q (want both, server or clients)", role)
-	}
-	if network == "unix" {
-		os.Remove(addr) // a previous run's leftover socket file blocks Listen
+	if cfg.Network == "unix" {
+		os.Remove(cfg.Addr) // a previous run's leftover socket file blocks Listen
 	}
 	res, err := rpc.RunFleet(cfg)
 	if err != nil {
-		log.Fatalf("flfleet: socket fleet: %v", err)
+		return err
 	}
 	out := struct {
 		rpc.FleetResult
 		VmHWMKB int `json:"vm_hwm_kb"`
 	}{*res, readVmHWM()}
-	if asJSON {
-		if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if c.asJSON {
+		return json.NewEncoder(os.Stdout).Encode(out)
 	}
 	fmt.Printf("flfleet sockets (%s): %d clients x %d rounds (dim=%d nnz=%d workers=%d)\n",
 		out.Network, out.Clients, out.Rounds, out.Dim, out.Nnz, out.Workers)
@@ -280,6 +311,126 @@ func runSocketFleet(endpoint, role string, workers, clients, rounds, dim, nnz, q
 		out.UpdatesPerSec, out.BytesPerUpdate, out.AllocsPerUpdate)
 	fmt.Printf("  up %.1f MB  down %.1f MB  VmHWM %d KB  checksum %.6g\n",
 		float64(out.BytesUp)/1e6, float64(out.BytesDown)/1e6, out.VmHWMKB, out.Checksum)
+	return nil
+}
+
+// edgeCmd is flfleet edge: clients [offset, offset+clients) of a two-tier
+// federation. Redials after an edge death reuse the bootstrap path.
+type edgeCmd struct {
+	cfg     edge.ClientsConfig
+	clients int
+}
+
+func newEdge(fs *flag.FlagSet) cli.Runner {
+	c := &edgeCmd{cfg: edge.ClientsConfig{Logf: log.Printf}}
+	fs.StringVar(&c.cfg.Bootstrap, "addr", "localhost:7070", "the root's client bootstrap address")
+	fs.IntVar(&c.clients, "clients", 1000, clientsHelp)
+	fs.IntVar(&c.cfg.Lo, "offset", 0, offsetHelp)
+	fs.IntVar(&c.cfg.Dim, "dim", 20000, "model dimension (must match the root's)")
+	fs.IntVar(&c.cfg.Nnz, "nnz", 1000, nnzHelp)
+	fs.Uint64Var(&c.cfg.Seed, "seed", 1, seedHelp)
+	return c
+}
+
+func (c *edgeCmd) config() edge.ClientsConfig {
+	cfg := c.cfg
+	cfg.Hi = cfg.Lo + c.clients
+	return cfg
+}
+
+func (c *edgeCmd) Run() error {
+	cfg := c.config()
+	start := time.Now()
+	if err := edge.RunClients(cfg); err != nil {
+		return err
+	}
+	fmt.Printf("flfleet edge clients [%d,%d): done in %.2fs\n", cfg.Lo, cfg.Hi, time.Since(start).Seconds())
+	return nil
+}
+
+// asyncCmd is flfleet async: clients [offset, offset+clients) of one
+// async session.
+type asyncCmd struct {
+	addr, session        string
+	clients, offset, nnz int
+	seed                 uint64
+}
+
+func newAsync(fs *flag.FlagSet) cli.Runner {
+	c := &asyncCmd{}
+	fs.StringVar(&c.addr, "addr", "localhost:7070", "the async session's tcp address")
+	fs.StringVar(&c.session, "session", "", "named session to join on a multi-session server (empty joins the default session)")
+	fs.IntVar(&c.clients, "clients", 1000, clientsHelp)
+	fs.IntVar(&c.offset, "offset", 0, offsetHelp)
+	fs.IntVar(&c.nnz, "nnz", 1000, nnzHelp+" (clamped to the model's dimension)")
+	fs.Uint64Var(&c.seed, "seed", 1, seedHelp)
+	return c
+}
+
+// Run drives the clients: each registers with a hello naming the session,
+// then cycles MsgAsyncPull → synthetic MsgAsyncPush until the server's
+// version budget ends the session with a shutdown notice. The deltas are
+// the deterministic FleetUpdate stream sized to the pulled model, so the
+// harness measures pure async fold throughput with no local training.
+func (c *asyncCmd) Run() error {
+	start := time.Now()
+	var pushes, rejected int64
+	var wg sync.WaitGroup
+	for i := 0; i < c.clients; i++ {
+		id := c.offset + i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := rpc.Dial("tcp", c.addr, 10*time.Second)
+			if err != nil {
+				log.Printf("flfleet async client %d: dial: %v", id, err)
+				return
+			}
+			defer conn.Close()
+			if err := conn.Send(&rpc.Envelope{Type: rpc.MsgHello, ClientID: id, NumSamples: 1, Session: c.session}); err != nil {
+				log.Printf("flfleet async client %d: hello: %v", id, err)
+				return
+			}
+			e, err := conn.Recv()
+			if err != nil || e.Type != rpc.MsgWelcome {
+				if err == nil && e.Type == rpc.MsgShutdown {
+					atomic.AddInt64(&rejected, 1)
+					return
+				}
+				log.Printf("flfleet async client %d: welcome: %v (%v)", id, e, err)
+				return
+			}
+			upd := &compress.Sparse{}
+			for {
+				if err := conn.Send(&rpc.Envelope{Type: rpc.MsgAsyncPull, ClientID: id}); err != nil {
+					return
+				}
+				e, err := conn.Recv()
+				if err != nil || e.Type == rpc.MsgShutdown {
+					return // session budget reached (or torn down under us)
+				}
+				if e.Type != rpc.MsgModel {
+					log.Printf("flfleet async client %d: unexpected %v", id, e.Type)
+					return
+				}
+				version, dim := e.Round, len(e.Params)
+				k := c.nnz
+				if k > dim {
+					k = dim
+				}
+				rpc.FleetUpdate(upd, c.seed, version, id, dim, k)
+				if err := conn.Send(&rpc.Envelope{Type: rpc.MsgAsyncPush, ClientID: id, Round: version, Update: upd}); err != nil {
+					return
+				}
+				atomic.AddInt64(&pushes, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	wall := time.Since(start).Seconds()
+	fmt.Printf("flfleet async [%d,%d): %d pushes in %.2fs (%.0f pushes/s, %d rejected at admission)\n",
+		c.offset, c.offset+c.clients, pushes, wall, float64(pushes)/wall, rejected)
+	return nil
 }
 
 // produce generates one round of synthetic client updates across
@@ -344,70 +495,4 @@ func readVmHWM() int {
 		return kb
 	}
 	return 0
-}
-
-// runAsyncFleet drives clients [offset, offset+n) against one async
-// session: each registers with a hello naming the session, then cycles
-// MsgAsyncPull → synthetic MsgAsyncPush until the server's version
-// budget ends the session with a shutdown notice. The deltas are the
-// deterministic FleetUpdate stream sized to the pulled model, so the
-// harness measures pure async fold throughput with no local training.
-func runAsyncFleet(addr, session string, n, nnz, offset int, seed uint64) {
-	start := time.Now()
-	var pushes, rejected int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		id := offset + i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := rpc.Dial("tcp", addr, 10*time.Second)
-			if err != nil {
-				log.Printf("flfleet async client %d: dial: %v", id, err)
-				return
-			}
-			defer conn.Close()
-			if err := conn.Send(&rpc.Envelope{Type: rpc.MsgHello, ClientID: id, NumSamples: 1, Session: session}); err != nil {
-				log.Printf("flfleet async client %d: hello: %v", id, err)
-				return
-			}
-			e, err := conn.Recv()
-			if err != nil || e.Type != rpc.MsgWelcome {
-				if err == nil && e.Type == rpc.MsgShutdown {
-					atomic.AddInt64(&rejected, 1)
-					return
-				}
-				log.Printf("flfleet async client %d: welcome: %v (%v)", id, e, err)
-				return
-			}
-			upd := &compress.Sparse{}
-			for {
-				if err := conn.Send(&rpc.Envelope{Type: rpc.MsgAsyncPull, ClientID: id}); err != nil {
-					return
-				}
-				e, err := conn.Recv()
-				if err != nil || e.Type == rpc.MsgShutdown {
-					return // session budget reached (or torn down under us)
-				}
-				if e.Type != rpc.MsgModel {
-					log.Printf("flfleet async client %d: unexpected %v", id, e.Type)
-					return
-				}
-				version, dim := e.Round, len(e.Params)
-				k := nnz
-				if k > dim {
-					k = dim
-				}
-				rpc.FleetUpdate(upd, seed, version, id, dim, k)
-				if err := conn.Send(&rpc.Envelope{Type: rpc.MsgAsyncPush, ClientID: id, Round: version, Update: upd}); err != nil {
-					return
-				}
-				atomic.AddInt64(&pushes, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-	fmt.Printf("flfleet async [%d,%d): %d pushes in %.2fs (%.0f pushes/s, %d rejected at admission)\n",
-		offset, offset+n, pushes, wall, float64(pushes)/wall, rejected)
 }

@@ -65,9 +65,6 @@ type RootConfig struct {
 	Resume bool
 	// Cost parameterises reroute planning (see CostModel).
 	Cost CostModel
-	// LinkFor maps a registering edge to its access and uplink link
-	// models (nil = WiFi access, Ethernet uplink for everyone).
-	LinkFor func(id int, region string) (access, uplink netsim.Link)
 	// Metrics/Events/Logf are the observability hooks (all optional).
 	Metrics *obs.Registry
 	Events  *obs.EventLog
@@ -235,11 +232,6 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
-	}
-	if cfg.LinkFor == nil {
-		cfg.LinkFor = func(int, string) (netsim.Link, netsim.Link) {
-			return netsim.WiFiLink, netsim.EthernetLink
-		}
 	}
 	edgeAddr, clientAddr := cfg.EdgeAddr, cfg.ClientAddr
 	if edgeAddr == "" {
@@ -509,9 +501,8 @@ func (r *Root) planIfNeeded() error {
 	specs := make([]EdgeSpec, 0, len(edges))
 	for _, p := range edges {
 		re := p.Ext.(*rootEdge)
-		access, uplink := r.cfg.LinkFor(p.ID, re.region)
 		specs = append(specs, EdgeSpec{
-			ID: p.ID, Addr: re.addr, Region: re.region, Access: access, Uplink: uplink,
+			ID: p.ID, Addr: re.addr, Region: re.region, Access: netsim.WiFiLink, Uplink: netsim.EthernetLink,
 		})
 	}
 	topo, err := NewTopology(specs, r.cfg.Clients)

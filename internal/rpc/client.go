@@ -25,7 +25,7 @@ type ClientConfig struct {
 	Session string
 	// Async switches the client to the buffered-asynchronous protocol:
 	// instead of lockstep rounds it cycles pull→train→push against an
-	// async session (flserver -async) with no selection or negotiation
+	// async session (flserver async) with no selection or negotiation
 	// exchange. AsyncRatio sets the uplink compression ratio for async
 	// pushes (0 means 1: uncompressed).
 	Async      bool

@@ -20,7 +20,7 @@ import (
 
 // Fleet harness: drives tens of thousands of real socket clients through
 // lockstep aggregation rounds against an in-process collection server, to
-// measure the wire codec at fleet scale (cmd/flfleet -fleet-addr). The
+// measure the wire codec at fleet scale (cmd/flfleet socket). The
 // protocol is the AdaFL message vocabulary stripped to its hot path:
 //
 //	client → Hello            (once, after connect)
@@ -37,6 +37,10 @@ import (
 // Steady-state per-connection memory is the bufio reader plus a share of
 // the payload pool — a few KB — and the decode path allocates nothing.
 // Both ends are the fleet's own, so its connections skip the preamble.
+
+// fleetQueue is the depth of the reader→worker dispatch channel; each
+// queued job pins one pooled frame payload until a worker decodes it.
+const fleetQueue = 256
 
 // FleetConfig configures one socket-fleet run.
 type FleetConfig struct {
@@ -57,10 +61,6 @@ type FleetConfig struct {
 	ExternalClients bool
 	// Dim/Nnz shape the synthetic sparse updates.
 	Dim, Nnz int
-	// Workers bounds the decode/fold pool (default GOMAXPROCS).
-	Workers int
-	// Queue is the dispatch channel depth (default 256).
-	Queue int
 	// Seed drives deterministic update generation (FleetUpdate).
 	Seed uint64
 	// Mask optionally gates participation per round: Mask[r][id] false
@@ -97,7 +97,7 @@ type FleetResult struct {
 	// rounds 2..N (round 1 warms scratch buffers and connection state).
 	AllocsPerUpdate float64 `json:"allocs_per_update"`
 	// Checksum sums the final global vector: comparable with the
-	// in-process flfleet modes (same update generator).
+	// in-process flfleet (same update generator).
 	Checksum float64 `json:"global_checksum"`
 }
 
@@ -212,12 +212,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			}
 		}
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 256
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
@@ -233,7 +227,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		ln:        ln,
 		dialNet:   ln.Addr().Network(),
 		dialAddr:  ln.Addr().String(),
-		work:      make(chan fleetJob, cfg.Queue),
+		work:      make(chan fleetJob, fleetQueue),
 		roundDone: make(chan struct{}, cfg.Clients),
 		readyCh:   make(chan struct{}, cfg.Clients),
 		aborted:   make(chan struct{}),
@@ -243,11 +237,13 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		return &b
 	}
 
-	// Decode/fold workers, each with private scratch and partial.
+	// Decode/fold workers, one per GOMAXPROCS, each with private scratch and
+	// partial.
+	workers := runtime.GOMAXPROCS(0)
 	weight := 1 / float64(cfg.Clients)
-	parts := make([]*shard.Partial, cfg.Workers)
+	parts := make([]*shard.Partial, workers)
 	var workerWG sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		parts[w] = shard.NewPartial(cfg.Dim)
 		workerWG.Add(1)
 		go f.worker(parts[w], weight, &workerWG)
@@ -367,7 +363,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	res := &FleetResult{
 		Network: cfg.Network,
 		Clients: cfg.Clients, Rounds: cfg.Rounds, Dim: cfg.Dim, Nnz: cfg.Nnz,
-		Workers:     cfg.Workers,
+		Workers:     workers,
 		Updates:     totalUpdates,
 		WallSeconds: wall.Seconds(),
 		BytesUp:     f.bytesUp.Load(),

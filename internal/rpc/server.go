@@ -19,7 +19,6 @@ import (
 	"adafl/internal/obs"
 	"adafl/internal/scenario"
 	"adafl/internal/shard"
-	"adafl/internal/stats"
 	"adafl/internal/tensor"
 )
 
@@ -37,11 +36,6 @@ type ServerConfig struct {
 	// non-empty it is merged into every metric series as a
 	// session="..." label; "" keeps the historical unlabeled names.
 	Session string
-	// MaxClients is the admission cap: a registration arriving while
-	// roster+pending is at the cap is turned away with a shutdown notice
-	// instead of queued. 0 disables the cap (NumClients stays the quorum,
-	// not a ceiling, so evicted clients can always re-join).
-	MaxClients int
 	// NumClients is how many registrations to wait for before round 1.
 	NumClients int
 	// Rounds is the training budget.
@@ -77,7 +71,7 @@ type ServerConfig struct {
 	// CheckpointDir, when non-empty, makes the session crash-safe: every
 	// completed round is captured as one epoch of a checkpoint.DeltaWriter
 	// chain in that directory (global params, previous global delta,
-	// selector state, round history, accounting, RNG) and written behind
+	// selector state, round history, accounting) and written behind
 	// the next round; round r is durable before round r+1's snapshot begins
 	// and before Run returns. A failed write is logged and training
 	// continues; the chain stays as the previous epoch left it. Without
@@ -99,13 +93,6 @@ type ServerConfig struct {
 	// validation (index bounds, length pairing) and NaN/Inf scrubbing
 	// are always on.
 	MaxUpdateNorm float64
-	// QuarantineLogCap bounds the quarantine log carried in the result
-	// and in session checkpoints: only the most recent cap records are
-	// retained (drop-oldest ring semantics) so a long multi-session run
-	// under sustained attack cannot grow snapshots without limit. 0
-	// means DefaultQuarantineLogCap; negative disables the bound. The
-	// drop count is reported in ServerResult.QuarantinesDropped.
-	QuarantineLogCap int
 	// Shards is the fan-out of the internal/shard aggregation tree the
 	// round's screened updates fold through (0 means 1). The round is
 	// collected under the deadline, sorted by client id and screened as a
@@ -162,13 +149,6 @@ type ServerConfig struct {
 	// Like ScenarioLog, lines are byte-identical across replays of the
 	// same session — the observable the negotiation golden tests compare.
 	AssignLog io.Writer
-	// RNG, when non-nil, is the session RNG: server-side stochastic
-	// decisions must draw from it so that its position can be captured
-	// in checkpoints and resumed sessions replay identically. The
-	// current synchronous round engine is deterministic given the roster
-	// and scores, so the field exists for engines layered on top; it is
-	// saved and restored with the snapshot.
-	RNG *stats.RNG
 }
 
 // RoundRecord is the server's per-round log entry.
@@ -199,7 +179,7 @@ type ServerResult struct {
 	EndedEarly bool
 	// Quarantines lists the most recent updates rejected by the integrity
 	// screen across the session (including rounds restored from a
-	// checkpoint), bounded by ServerConfig.QuarantineLogCap.
+	// checkpoint), bounded by DefaultQuarantineLogCap.
 	Quarantines []QuarantineRecord
 	// QuarantinesDropped counts older quarantine records discarded to
 	// keep Quarantines within the cap.
@@ -241,21 +221,20 @@ type Server struct {
 	report             *checkpoint.Reporter
 }
 
-// DefaultQuarantineLogCap bounds the quarantine log when
-// ServerConfig.QuarantineLogCap is zero.
+// DefaultQuarantineLogCap bounds the quarantine log carried in the result
+// and in session checkpoints: only the most recent records are retained
+// (drop-oldest ring semantics) so a long multi-session run under sustained
+// attack cannot grow snapshots without limit. The drop count is reported
+// in ServerResult.QuarantinesDropped.
 const DefaultQuarantineLogCap = 4096
 
 // appendQuarantines appends new records to the session's quarantine log,
-// discarding the oldest entries beyond the configured cap so checkpoints
-// stay bounded under a sustained attack. Called only from the round loop
-// goroutine (and once at resume, before it starts).
+// discarding the oldest entries beyond the cap so checkpoints stay bounded
+// under a sustained attack. Called only from the round loop goroutine (and
+// once at resume, before it starts).
 func (s *Server) appendQuarantines(quarantined []QuarantineRecord) {
 	s.quarantines = append(s.quarantines, quarantined...)
-	max := s.cfg.QuarantineLogCap
-	if max == 0 {
-		max = DefaultQuarantineLogCap
-	}
-	if over := len(s.quarantines) - max; max > 0 && over > 0 {
+	if over := len(s.quarantines) - DefaultQuarantineLogCap; over > 0 {
 		s.quarantinesDropped += over
 		s.quarantines = append(s.quarantines[:0], s.quarantines[over:]...)
 	}
@@ -272,9 +251,6 @@ func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 	}
 	if cfg.MinClients > cfg.NumClients {
 		return cfg, fmt.Errorf("rpc: MinClients %d exceeds NumClients %d", cfg.MinClients, cfg.NumClients)
-	}
-	if cfg.MaxClients > 0 && cfg.MaxClients < cfg.NumClients {
-		return cfg, fmt.Errorf("rpc: MaxClients %d below NumClients %d: the quorum could never form", cfg.MaxClients, cfg.NumClients)
 	}
 	if cfg.MinClients <= 0 {
 		cfg.MinClients = 1
@@ -336,7 +312,6 @@ func newServer(cfg ServerConfig, listen bool) (*Server, error) {
 			cfg.Logf("server: checkpoint after round %d failed (continuing): %v", round+1, err)
 		}),
 	}
-	s.roster.Cap = cfg.MaxClients
 	s.roster.Instrument(cfg.Metrics, cfg.Session)
 	return s, nil
 }
@@ -774,7 +749,6 @@ type sessionSnapshot struct {
 	BytesReceived      int64
 	Evictions          int
 	FinalAcc           float64
-	RNG                *stats.RNG
 	// ShardState is the aggregation tree's geometry and partials. Snapshots
 	// are taken at round boundaries, where the partials are freshly reset,
 	// so its real job is pinning the shard count: a resume under a
@@ -811,7 +785,6 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 		BytesReceived:      res.BytesReceived,
 		Evictions:          res.Evictions,
 		FinalAcc:           res.FinalAcc,
-		RNG:                s.cfg.RNG,
 		ShardState:         s.tree.Snapshot(),
 	}
 	if s.cfg.Scenario != nil {
@@ -864,14 +837,11 @@ func (s *Server) restore(snap *checkpoint.Snapshot, global, globalDelta []float6
 	res.FinalAcc = meta.FinalAcc
 	s.quarantines = meta.Quarantines
 	s.quarantinesDropped = meta.QuarantinesDropped
-	// Re-bound: the snapshot may carry a bigger cap than this run's.
+	// Re-bound: a snapshot is input from disk and may carry more records.
 	s.appendQuarantines(nil)
 	res.Quarantines = s.quarantines
 	res.QuarantinesDropped = s.quarantinesDropped
 	res.ResumedFrom = meta.CompletedRound + 1
-	if s.cfg.RNG != nil && meta.RNG != nil {
-		*s.cfg.RNG = *meta.RNG
-	}
 	// A snapshot taken under a different -shards value is refused —
 	// silently re-routing clients would break the fixed-shard-count
 	// determinism contract.

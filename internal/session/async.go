@@ -22,6 +22,10 @@ import (
 // the crash-simulation hook for restart/resume testing.
 var ErrKilled = fmt.Errorf("session: killed")
 
+// asyncWriteTimeout bounds each per-client send: a model reply, a
+// keepalive echo and the farewell.
+const asyncWriteTimeout = 10 * time.Second
+
 // AsyncConfig configures a buffered-asynchronous (FedBuff) session.
 // Clients cycle pull→train→push with no round barrier; the server folds
 // each arriving delta into a shard.Partial-backed buffer, weighting it
@@ -58,8 +62,6 @@ type AsyncConfig struct {
 	MaxUpdateNorm float64
 	// Shards is the fold-worker count (0 means 1).
 	Shards int
-	// ShardQueueDepth overrides the per-shard ingest queue depth.
-	ShardQueueDepth int
 	// CheckpointDir, when non-empty, persists every model version as one
 	// epoch of a checkpoint.DeltaWriter chain.
 	CheckpointDir string
@@ -70,8 +72,6 @@ type AsyncConfig struct {
 	// RebaseEvery overrides the delta chain's full-rebase cadence
 	// (0 = checkpoint.DefaultRebaseEvery).
 	RebaseEvery int
-	// WriteTimeout bounds each per-client send (0 means 10s).
-	WriteTimeout time.Duration
 	// Metrics, when non-nil, receives the async instrument set, labeled
 	// session=Name (catalogue in DESIGN.md §Async mode).
 	Metrics *obs.Registry
@@ -200,9 +200,6 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -256,7 +253,6 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 	a.tree = shard.NewTree(shard.Config{
 		Shards:      cfg.Shards,
 		Dim:         a.dim,
-		QueueDepth:  cfg.ShardQueueDepth,
 		MaxNormMult: cfg.MaxUpdateNorm,
 		Metrics:     cfg.Metrics,
 		Logf:        shard.Logf(cfg.Logf),
@@ -330,7 +326,7 @@ func (a *AsyncSession) serve(p *rpc.Peer) {
 		case rpc.MsgAsyncPull:
 			params, version := a.snapshot()
 			a.met.pulls.Inc()
-			if err := conn.SendWithin(a.cfg.WriteTimeout, &rpc.Envelope{Type: rpc.MsgModel, Round: version, Params: params}); err != nil {
+			if err := conn.SendWithin(asyncWriteTimeout, &rpc.Envelope{Type: rpc.MsgModel, Round: version, Params: params}); err != nil {
 				return
 			}
 		case rpc.MsgAsyncPush:
@@ -347,7 +343,7 @@ func (a *AsyncSession) serve(p *rpc.Peer) {
 			case <-stopped:
 			}
 		case rpc.MsgPing:
-			if err := conn.SendWithin(a.cfg.WriteTimeout, &rpc.Envelope{Type: rpc.MsgPing, Round: e.Round}); err != nil {
+			if err := conn.SendWithin(asyncWriteTimeout, &rpc.Envelope{Type: rpc.MsgPing, Round: e.Round}); err != nil {
 				return
 			}
 		default:
@@ -386,7 +382,7 @@ func (a *AsyncSession) Run() (*AsyncResult, error) {
 	if err != nil {
 		a.roster.Kill()
 	} else {
-		a.roster.Shutdown(fmt.Sprintf("done: %d model versions, final acc %.3f", a.Version(), res.FinalAcc), a.cfg.WriteTimeout)
+		a.roster.Shutdown(fmt.Sprintf("done: %d model versions, final acc %.3f", a.Version(), res.FinalAcc), asyncWriteTimeout)
 	}
 	res.Versions = a.Version()
 	res.BytesReceived = a.bytesReceived()

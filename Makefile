@@ -14,9 +14,10 @@ check: lint build test race
 # paper's clients are ARM boards, and nothing else in CI compiles for them.
 # The import guard is an allowlist of the non-test files that may import
 # encoding/gob: the one place a snapshot's meta section is encoded (and the
-# framed file bench/ still measures) and model files; neither touches a
-# socket.
-GOB_IMPORTERS := internal/checkpoint/checkpoint.go internal/nn/serialize.go
+# framed file bench/ still measures); it touches no socket. deadexport fails
+# on an exported name under internal/ that no non-test file references
+# (its allowlist: cmd/internal/deadexport/allowlist.txt).
+GOB_IMPORTERS := internal/checkpoint/checkpoint.go
 # Two more allowlists of the same kind keep the connection plane single
 # (DESIGN.md §Connection plane). A listener is accepted on in the roster,
 # in the fleet load generator (its reader→worker pipeline is its own) and
@@ -34,6 +35,7 @@ lint: vet
 		exit 1; \
 	fi
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/
+	$(GO) run ./cmd/internal/deadexport . cmd/internal/deadexport/allowlist.txt
 	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | sed 's|^\./||' | sort | tr '\n' ' '); \
 	if [ "$$got" != "$(GOB_IMPORTERS) " ]; then echo "encoding/gob importers: $$got(want: $(GOB_IMPORTERS))"; exit 1; fi
 	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' '\.Accept()' . | sed 's|^\./||' | sort | tr '\n' ' '); \

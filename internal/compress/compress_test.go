@@ -289,7 +289,9 @@ func TestDGCRoundingStaysInResidual(t *testing.T) {
 		// Replay the accumulation Encode is about to do, to know u and v
 		// as they stand before the transmitted coordinates are cleared.
 		clipped := append([]float64(nil), g...)
-		tensor.ClipNorm(clipped, d.ClipNorm)
+		if n := tensor.Norm2(clipped); n > d.ClipNorm {
+			tensor.ScaleVec(clipped, d.ClipNorm/n)
+		}
 		wantU, wantV := make([]float64, dim), make([]float64, dim)
 		for i := range clipped {
 			var u, v float64
@@ -595,23 +597,6 @@ func TestDGCMsgClipBoundsMessageNorm(t *testing.T) {
 	msg := d.Encode(small, 2)
 	if n := tensor.Norm2(msg.Values); n > 0.1+1e-9 {
 		t.Fatalf("message norm %v exceeds clip bound 0.1", n)
-	}
-}
-
-func TestDGCResidualDecayShrinksAccumulator(t *testing.T) {
-	keep := &DGC{}
-	fade := &DGC{ResidualDecay: 0.5}
-	g := make([]float64, 20)
-	for i := range g {
-		g[i] = 1
-	}
-	for round := 0; round < 10; round++ {
-		keep.Encode(g, 1e9)
-		fade.Encode(g, 1e9)
-	}
-	if fade.AccumulatedNorm() >= keep.AccumulatedNorm() {
-		t.Fatalf("decay did not shrink residual: %v vs %v",
-			fade.AccumulatedNorm(), keep.AccumulatedNorm())
 	}
 }
 

@@ -292,10 +292,7 @@ func TestDGCValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero struct", DGC{}, true},
-		{"classic", DGC{Momentum: 0.9, ClipNorm: 1, ResidualDecay: 1, MsgClipFactor: 2}, true},
-		{"decay over 1", DGC{ResidualDecay: 1.5}, false},
-		{"decay negative", DGC{ResidualDecay: -0.1}, false},
-		{"decay NaN", DGC{ResidualDecay: math.NaN()}, false},
+		{"classic", DGC{Momentum: 0.9, ClipNorm: 1, MsgClipFactor: 2}, true},
 		{"momentum 1", DGC{Momentum: 1}, false},
 		{"momentum NaN", DGC{Momentum: math.NaN()}, false},
 		{"clip negative", DGC{ClipNorm: -1}, false},

@@ -27,13 +27,6 @@ type DGC struct {
 	// ClipNorm bounds the L2 norm of each incoming gradient before
 	// accumulation; 0 disables clipping.
 	ClipNorm float64
-	// ResidualDecay ∈ [0, 1] multiplies the untransmitted accumulator
-	// before each new gradient is added. 1 is classic DGC (keep all
-	// residual mass); lower values fade stale residuals, which stabilises
-	// intermittent senders — clients that are selected only occasionally
-	// would otherwise dump large out-of-date accumulations. A zero value
-	// is treated as 1 so the zero struct behaves like classic DGC.
-	ResidualDecay float64
 	// MsgClipFactor, when positive, bounds the L2 norm of each transmitted
 	// message to MsgClipFactor·‖g‖ (the current incoming gradient's norm).
 	// The clipped-away portion stays in the accumulator, so mass is
@@ -74,14 +67,10 @@ func (d *DGC) Reset() {
 }
 
 // Validate rejects configurations whose error-feedback arithmetic would
-// drift or explode: ResidualDecay outside [0, 1] (0 is the documented
-// "treat as 1" zero-struct default), a momentum at or above 1 (the u
-// accumulator diverges), or NaN/negative clip bounds. Call it where
-// configs are parsed; Encode itself stays unchecked on the hot path.
+// drift or explode: a momentum at or above 1 (the u accumulator diverges),
+// or NaN/negative clip bounds. Call it where configs are parsed; Encode
+// itself stays unchecked on the hot path.
 func (d *DGC) Validate() error {
-	if math.IsNaN(d.ResidualDecay) || d.ResidualDecay < 0 || d.ResidualDecay > 1 {
-		return fmt.Errorf("compress: DGC ResidualDecay %v outside [0, 1]", d.ResidualDecay)
-	}
 	if math.IsNaN(d.Momentum) || d.Momentum < 0 || d.Momentum >= 1 {
 		return fmt.Errorf("compress: DGC Momentum %v outside [0, 1)", d.Momentum)
 	}
@@ -123,10 +112,6 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 	gnorm := math.Sqrt(sum)
 	clip := d.ClipNorm > 0 && gnorm > d.ClipNorm
 	scale := d.ClipNorm / gnorm // read only when clip
-	decay := d.ResidualDecay
-	if decay == 0 {
-		decay = 1
-	}
 	// One sweep clips the gradient, folds it into u and v, and — when the
 	// clip fired — accumulates the clipped gradient's own norm, which is
 	// what MsgClipFactor bounds against. Momentum that has decayed into the
@@ -144,7 +129,7 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 		}
 		u := tensor.FlushSubnormal(d.Momentum*du[i] + x)
 		du[i] = u
-		dv[i] = decay*dv[i] + u
+		dv[i] += u
 	}
 	if clip {
 		gnorm = math.Sqrt(sum)

@@ -278,14 +278,7 @@ func (p *SyncPlanner) dadaCodec(client, round, levels int) compress.Codec {
 // idles until the next global model) and transmitted updates are
 // compressed according to the score.
 type AsyncGate struct {
-	Cfg Config
-	// Perf mirrors SyncPlanner.Perf.
-	Perf        *device.PerfMonitor
-	PerfProfile device.Profile
-
-	// Metrics mirrors SyncPlanner.Metrics.
-	Metrics *obs.Registry
-
+	Cfg        Config
 	RatioStats RatioTracker
 	decisions  int
 	skipped    int
@@ -312,30 +305,16 @@ func (g *AsyncGate) Decide(e *fl.AsyncEngine, client int, delta []float64) (bool
 	if g.Cfg.warmup(e.Version, tensor.IsZero(e.LastGlobalDelta)) {
 		ratio := g.Cfg.Compression.WarmupRatio
 		g.RatioStats.Observe(ratio)
-		if g.Perf != nil {
-			g.Perf.Record("dgc-encode",
-				g.PerfProfile.CyclesForFLOPs(device.DGCEncodeFLOPs(len(delta))))
-		}
 		return true, ratio
 	}
 	up, down := e.Fed.Net.Bandwidths(client, e.Now())
 	score := g.Cfg.Utility.Score(up, down, delta, e.LastGlobalDelta)
-	g.Metrics.Histogram("adafl_utility_score", obs.ScoreBuckets).Observe(score)
-	if g.Perf != nil {
-		g.Perf.Record("utility-score",
-			g.PerfProfile.CyclesForFLOPs(device.UtilityScoreFLOPs(len(delta))))
-	}
 	if score < g.Cfg.Tau {
 		g.skipped++
 		return false, 0
 	}
 	ratio := g.Cfg.Compression.RatioForScore(score, e.Version)
 	g.RatioStats.Observe(ratio)
-	g.Metrics.Histogram("adafl_compression_ratio", obs.RatioBuckets).Observe(ratio)
-	if g.Perf != nil {
-		g.Perf.Record("dgc-encode",
-			g.PerfProfile.CyclesForFLOPs(device.DGCEncodeFLOPs(len(delta))))
-	}
 	return true, ratio
 }
 

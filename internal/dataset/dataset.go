@@ -88,15 +88,6 @@ func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
 	return x, labels
 }
 
-// ClassCounts returns a histogram of labels.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, l := range d.Labels {
-		counts[l]++
-	}
-	return counts
-}
-
 // Iterator yields shuffled mini-batches, reshuffling every epoch.
 type Iterator struct {
 	ds        *Dataset

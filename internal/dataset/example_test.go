@@ -12,13 +12,11 @@ func ExamplePartitionShards() {
 	ds := dataset.SynthMNIST(1000, 16, 7)
 	parts := dataset.PartitionShards(ds, 5, 2, 7)
 	for i, p := range parts {
-		distinct := 0
-		for _, c := range p.ClassCounts() {
-			if c > 0 {
-				distinct++
-			}
+		distinct := map[int]bool{}
+		for _, l := range p.Labels {
+			distinct[l] = true
 		}
-		fmt.Printf("client %d: %d samples, %d distinct classes\n", i, p.Len(), distinct)
+		fmt.Printf("client %d: %d samples, %d distinct classes\n", i, p.Len(), len(distinct))
 	}
 	// Output:
 	// client 0: 200 samples, 4 distinct classes

@@ -57,77 +57,3 @@ func PartitionShards(ds *Dataset, numClients, shardsPerClient int, seed uint64) 
 	}
 	return out
 }
-
-// PartitionDirichlet assigns each sample to a client by drawing, per class,
-// a client-proportion vector from Dirichlet(alpha). Small alpha produces
-// extreme label skew; large alpha approaches IID.
-func PartitionDirichlet(ds *Dataset, numClients int, alpha float64, seed uint64) []*Dataset {
-	if numClients <= 0 {
-		panic("dataset: non-positive client count")
-	}
-	r := stats.NewRNG(seed)
-	// Collect indices per class.
-	perClass := make([][]int, ds.Classes)
-	for i, l := range ds.Labels {
-		perClass[l] = append(perClass[l], i)
-	}
-	clientIdx := make([][]int, numClients)
-	for _, indices := range perClass {
-		if len(indices) == 0 {
-			continue
-		}
-		r.Shuffle(len(indices), func(i, j int) { indices[i], indices[j] = indices[j], indices[i] })
-		props := r.Dirichlet(alpha, numClients)
-		// Convert proportions to contiguous cut points over this class.
-		start := 0
-		for c := 0; c < numClients; c++ {
-			take := int(props[c] * float64(len(indices)))
-			if c == numClients-1 {
-				take = len(indices) - start
-			}
-			take = min(take, len(indices)-start)
-			clientIdx[c] = append(clientIdx[c], indices[start:start+take]...)
-			start += take
-		}
-	}
-	out := make([]*Dataset, numClients)
-	for c := 0; c < numClients; c++ {
-		out[c] = ds.Subset(clientIdx[c])
-	}
-	return out
-}
-
-// SkewStat quantifies label skew of a partition as the mean total-variation
-// distance between each client's label distribution and the global one
-// (0 = perfectly IID, →1 = disjoint labels).
-func SkewStat(global *Dataset, parts []*Dataset) float64 {
-	gCounts := global.ClassCounts()
-	gDist := make([]float64, len(gCounts))
-	for i, c := range gCounts {
-		gDist[i] = float64(c) / float64(global.Len())
-	}
-	total := 0.0
-	counted := 0
-	for _, p := range parts {
-		if p.Len() == 0 {
-			continue
-		}
-		tv := 0.0
-		for i, c := range p.ClassCounts() {
-			tv += abs(float64(c)/float64(p.Len()) - gDist[i])
-		}
-		total += tv / 2
-		counted++
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -19,14 +19,6 @@ type Profile struct {
 	BackwardFactor float64
 }
 
-// Validate reports whether the profile is physically meaningful.
-func (p Profile) Validate() error {
-	if p.ClockHz <= 0 || p.FLOPsPerCycle <= 0 || p.BackwardFactor <= 0 {
-		return fmt.Errorf("device: invalid profile %+v", p)
-	}
-	return nil
-}
-
 // CyclesForFLOPs converts an arithmetic cost to CPU cycles.
 func (p Profile) CyclesForFLOPs(flops float64) float64 {
 	return flops / p.FLOPsPerCycle

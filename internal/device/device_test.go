@@ -2,21 +2,8 @@ package device
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
-
-func TestProfileValidate(t *testing.T) {
-	for _, p := range []Profile{RaspberryPi3, RaspberryPi4, Workstation} {
-		if err := p.Validate(); err != nil {
-			t.Errorf("builtin profile invalid: %v", err)
-		}
-	}
-	bad := Profile{Name: "x", ClockHz: 0, FLOPsPerCycle: 1, BackwardFactor: 1}
-	if err := bad.Validate(); err == nil {
-		t.Error("zero clock accepted")
-	}
-}
 
 func TestCycleAndTimeConversions(t *testing.T) {
 	p := Profile{Name: "t", ClockHz: 1e9, FLOPsPerCycle: 2, BackwardFactor: 2}
@@ -103,27 +90,8 @@ func TestPerfMonitorBasics(t *testing.T) {
 	if m.Get("train") != 1500 {
 		t.Fatalf("train counter %v", m.Get("train"))
 	}
-	if m.Total() != 1503 {
-		t.Fatalf("total %v", m.Total())
-	}
-	if e := m.Expansion("utility", "train"); math.Abs(e-0.002) > 1e-12 {
-		t.Fatalf("expansion %v", e)
-	}
-	if m.Expansion("utility", "missing") != 0 {
-		t.Fatal("missing base should yield 0")
-	}
-}
-
-func TestPerfMonitorReportSorted(t *testing.T) {
-	m := NewPerfMonitor()
-	m.Record("small", 1)
-	m.Record("big", 100)
-	rep := m.Report()
-	if !strings.Contains(rep, "big") || !strings.Contains(rep, "small") {
-		t.Fatalf("report missing counters: %s", rep)
-	}
-	if strings.Index(rep, "big") > strings.Index(rep, "small") {
-		t.Fatal("report not sorted by cycles")
+	if m.Get("utility") != 3 || m.Get("missing") != 0 {
+		t.Fatalf("utility counter %v, missing counter %v", m.Get("utility"), m.Get("missing"))
 	}
 }
 

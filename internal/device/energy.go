@@ -25,21 +25,6 @@ type Battery struct {
 	TxJPerByte float64
 }
 
-// Validate reports whether the battery parameters are physically
-// meaningful. Mains batteries (CapacityJ 0) are valid as long as no other
-// field is negative or non-finite.
-func (b Battery) Validate() error {
-	for _, v := range []float64{b.CapacityJ, b.LevelJ, b.TrainW, b.IdleW, b.TxJPerByte} {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("device: invalid battery %+v", b)
-		}
-	}
-	if b.LevelJ > b.CapacityJ {
-		return fmt.Errorf("device: battery level %v exceeds capacity %v", b.LevelJ, b.CapacityJ)
-	}
-	return nil
-}
-
 // Mains reports whether the device is mains-powered (never depletes).
 func (b Battery) Mains() bool { return b.CapacityJ == 0 }
 

@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func TestBatteryValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		b    Battery
-		ok   bool
-	}{
-		{"mains", Battery{}, true},
-		{"full", Battery{CapacityJ: 100, LevelJ: 100, TrainW: 2, IdleW: 0.1, TxJPerByte: 1e-6}, true},
-		{"zero capacity nonzero level", Battery{CapacityJ: 0, LevelJ: 1}, false},
-		{"level over capacity", Battery{CapacityJ: 10, LevelJ: 11}, false},
-		{"negative train", Battery{CapacityJ: 10, LevelJ: 5, TrainW: -1}, false},
-		{"nan capacity", Battery{CapacityJ: math.NaN()}, false},
-		{"inf idle", Battery{CapacityJ: 10, LevelJ: 5, IdleW: math.Inf(1)}, false},
-	}
-	for _, c := range cases {
-		if err := c.b.Validate(); (err == nil) != c.ok {
-			t.Errorf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
-		}
-	}
-}
-
 func TestBatteryDepletionExactlyAtRoundBoundary(t *testing.T) {
 	// A round's train drain that lands exactly on the remaining charge
 	// must count as depleted, not hover at an epsilon above zero.

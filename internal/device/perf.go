@@ -1,11 +1,6 @@
 package device
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // PerfMonitor is a perf(1)-style accumulator of named cycle counters. The
 // overhead experiment records baseline training cycles and the extra
@@ -36,49 +31,4 @@ func (m *PerfMonitor) Get(name string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.counters[name]
-}
-
-// Total returns the sum of all counters.
-func (m *PerfMonitor) Total() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := 0.0
-	for _, v := range m.counters {
-		t += v
-	}
-	return t
-}
-
-// Expansion returns the relative cycle expansion of counter name over
-// counter base: counters[name] / counters[base]. It returns 0 when the
-// base counter is empty.
-func (m *PerfMonitor) Expansion(name, base string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b := m.counters[base]
-	if b == 0 {
-		return 0
-	}
-	return m.counters[name] / b
-}
-
-// Report renders the counters sorted by descending cycles.
-func (m *PerfMonitor) Report() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	type kv struct {
-		name   string
-		cycles float64
-	}
-	rows := make([]kv, 0, len(m.counters))
-	for k, v := range m.counters {
-		rows = append(rows, kv{k, v})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].cycles > rows[j].cycles })
-	var b strings.Builder
-	b.WriteString("perf cycle counters:\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-28s %18.0f\n", r.name, r.cycles)
-	}
-	return b.String()
 }

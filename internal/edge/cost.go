@@ -59,21 +59,6 @@ func (g *Graph) AddLink(a, b string, cost float64) {
 	g.AddArc(b, a, cost)
 }
 
-// Remove deletes a node and every arc touching it — how a dead edge
-// leaves the live topology before the next plan.
-func (g *Graph) Remove(id string) {
-	delete(g.adj, id)
-	for n, arcs := range g.adj {
-		keep := arcs[:0]
-		for _, a := range arcs {
-			if a.To != id {
-				keep = append(keep, a)
-			}
-		}
-		g.adj[n] = keep
-	}
-}
-
 // Dijkstra returns the cheapest-path cost from src to every reachable
 // node (src included at 0). Unreachable nodes are absent. Arcs with
 // non-finite or negative cost are treated as absent.

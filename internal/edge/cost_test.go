@@ -59,16 +59,6 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
-func TestDijkstraRemove(t *testing.T) {
-	g := NewGraph()
-	g.AddLink("root", "a", 1)
-	g.AddLink("a", "b", 1)
-	g.Remove("a")
-	if dist := g.Dijkstra("root"); len(dist) != 1 {
-		t.Errorf("after Remove(a) only root should be reachable, got %v", dist)
-	}
-}
-
 func TestPlanSpreadsLoad(t *testing.T) {
 	topo, err := NewTopology([]EdgeSpec{specN(0, "", 12.5e6), specN(1, "", 12.5e6)}, 10)
 	if err != nil {

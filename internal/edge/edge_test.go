@@ -291,12 +291,12 @@ func TestRootKillAndResume(t *testing.T) {
 	dir := keptDir(t)
 	tc := treeCfg{edges: 2, clients: 16, rounds: 5, dim: 128, nnz: 8, seed: 11}
 	// Both roots append to one event log, as a restarted process would.
-	openLog := func() (*os.File, *obs.EventLog) {
-		f, err := os.OpenFile(filepath.Join(dir, "events.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	openLog := func() *obs.EventLog {
+		l, err := obs.OpenEventLog(filepath.Join(dir, "events.jsonl"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f, obs.NewEventLogWriter(f)
+		return l
 	}
 
 	baseline := runTree(t, tc)
@@ -304,7 +304,7 @@ func TestRootKillAndResume(t *testing.T) {
 	// Killed run: the root dies right after checkpointing round 3.
 	var killOnce sync.Once
 	var tr *treeRun
-	f1, log1 := openLog()
+	log1 := openLog()
 	tcKill := tc
 	tcKill.ckptDir = dir
 	tcKill.events = log1
@@ -322,11 +322,10 @@ func TestRootKillAndResume(t *testing.T) {
 	if err := log1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f1.Close()
 
 	// Resume on the same addresses: the running edges redial with
 	// backoff; their clients never notice.
-	f2, log2 := openLog()
+	log2 := openLog()
 	root2, err := NewRoot(RootConfig{
 		EdgeAddr: edgeAddr, ClientAddr: bootAddr,
 		NumEdges: tc.edges, Clients: tc.clients, Rounds: tc.rounds, Dim: tc.dim,
@@ -361,7 +360,6 @@ func TestRootKillAndResume(t *testing.T) {
 	if err := log2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f2.Close()
 }
 
 func TestResumeRefusesMismatchedTopology(t *testing.T) {

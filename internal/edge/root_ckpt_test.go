@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -87,8 +86,11 @@ func TestRootCheckpointCrashCopiesResume(t *testing.T) {
 	dir, copies := t.TempDir(), t.TempDir()
 	copyDir := func(r int) string { return filepath.Join(copies, fmt.Sprintf("round-%02d", r)) }
 	reg := obs.NewRegistry()
-	var eventBuf bytes.Buffer
-	events := obs.NewEventLogWriter(&eventBuf)
+	eventPath := filepath.Join(t.TempDir(), "events.jsonl")
+	events, err := obs.OpenEventLog(eventPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tcCopy := tc
 	tcCopy.ckptDir, tcCopy.metrics, tcCopy.events = dir, reg, events
 	tcCopy.onRound = func(round int, _ []float64) {
@@ -113,7 +115,12 @@ func TestRootCheckpointCrashCopiesResume(t *testing.T) {
 	if err := events.Close(); err != nil {
 		t.Fatal(err)
 	}
-	logged, err := obs.ReadEvents(&eventBuf)
+	eventFile, err := os.Open(eventPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eventFile.Close()
+	logged, err := obs.ReadEvents(eventFile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,13 +84,6 @@ type RunStats struct {
 	Updates     int
 }
 
-// syncRun executes one synchronous configuration and returns its history
-// plus stats. build creates the engine from a fresh federation for a seed.
-type syncRun struct {
-	hist  *fl.History
-	stats RunStats
-}
-
 // runSyncSeeds executes build for every seed, returning the averaged curve
 // and mean stats.
 func runSyncSeeds(seeds []uint64, rounds int, build func(seed uint64) *fl.SyncEngine) (Curve, RunStats) {

@@ -37,16 +37,6 @@ type TableResult struct {
 	Table *trace.Table
 }
 
-// Row returns the row for a method name, or nil.
-func (t *TableResult) Row(method string) *MethodRow {
-	for i := range t.Rows {
-		if t.Rows[i].Method == method {
-			return &t.Rows[i]
-		}
-	}
-	return nil
-}
-
 // RunTable1 reproduces Table I: synchronous methods across MNIST and the
 // CIFAR stand-in, IID and non-IID.
 func RunTable1(p Preset, w io.Writer) *TableResult {

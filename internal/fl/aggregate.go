@@ -243,9 +243,6 @@ func NewFedBuff(k int, eta float64) *FedBuff {
 // Name implements AsyncStrategy.
 func (*FedBuff) Name() string { return "fedbuff" }
 
-// Buffered returns the current buffer occupancy.
-func (f *FedBuff) Buffered() int { return len(f.buf) }
-
 // OnReceive implements AsyncStrategy.
 func (f *FedBuff) OnReceive(global, _ []float64, u Update) bool {
 	f.buf = append(f.buf, u.Delta.Dense())

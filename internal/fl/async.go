@@ -1,11 +1,8 @@
 package fl
 
 import (
-	"math"
-
 	"adafl/internal/compress"
 	"adafl/internal/netsim"
-	"adafl/internal/obs"
 	"adafl/internal/tensor"
 )
 
@@ -49,9 +46,6 @@ type AsyncEngine struct {
 	// EvalInterval evaluates the global model every so many simulated
 	// seconds (default 1.0).
 	EvalInterval float64
-	// Metrics, when non-nil, receives evaluation-time gauges (accuracy,
-	// versions, update counts). Nil disables metrics.
-	Metrics *obs.Registry
 	// SkipIdle is how long a gated-off client waits before re-downloading.
 	SkipIdle float64
 
@@ -185,13 +179,6 @@ func (e *AsyncEngine) evaluate(t float64) {
 		UplinkBytes: e.upBytes, DownlinkBytes: e.downBytes,
 		Updates: e.updates,
 	})
-	m := e.Metrics
-	m.Gauge("adafl_model_version").Set(float64(e.Version))
-	m.Gauge("adafl_round_received").Set(float64(e.updates))
-	m.Gauge("adafl_sim_seconds").Set(t)
-	if !math.IsNaN(acc) {
-		m.Gauge("adafl_round_accuracy").Set(acc)
-	}
 }
 
 // MeanStaleness returns the average staleness of the updates the server

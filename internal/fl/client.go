@@ -158,16 +158,6 @@ func (c *Client) setGradVector(v []float64) {
 	}
 }
 
-// TrainFLOPs estimates the arithmetic cost of one TrainRound, which the
-// engines convert to simulated compute time via the device profile.
-func (c *Client) TrainFLOPs() float64 {
-	samples := c.Cfg.LocalSteps * c.Cfg.BatchSize
-	if c.Data.Len() == 0 {
-		return 0
-	}
-	return c.Model.FLOPsPerSample() * float64(samples)
-}
-
 // ComputeSeconds returns the simulated duration of one local round on this
 // client's device.
 func (c *Client) ComputeSeconds() float64 {

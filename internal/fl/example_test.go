@@ -31,19 +31,3 @@ func ExampleFedAsync_StalenessWeight() {
 	// staleness 3 -> 0.30
 	// staleness 8 -> 0.20
 }
-
-// ExampleDownlinkCompressor shows replica-delta broadcasting: the first
-// contact is dense, later broadcasts ship only the top of the replica lag.
-func ExampleDownlinkCompressor() {
-	d := fl.NewDownlinkCompressor(4, 0)
-	global := make([]float64, 1000)
-
-	_, first := d.Prepare(0, global, 0)
-	global[7] = 1.5 // the model moves
-	_, second := d.Prepare(0, global, 1)
-	fmt.Printf("first contact: %d bytes, delta round: %d bytes\n", first, second)
-	fmt.Printf("replica lag after delta: %.1f\n", d.ReplicaLag(0, global))
-	// Output:
-	// first contact: 4008 bytes, delta round: 1008 bytes
-	// replica lag after delta: 0.0
-}

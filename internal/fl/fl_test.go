@@ -205,7 +205,7 @@ func TestFedBuffFlushesAtK(t *testing.T) {
 	if math.Abs(global[0]-3) > 1e-12 {
 		t.Fatalf("FedBuff applied %v, want mean 3", global[0])
 	}
-	if f.Buffered() != 0 {
+	if len(f.buf) != 0 {
 		t.Fatal("buffer not cleared")
 	}
 }
@@ -392,17 +392,8 @@ func TestHistoryQueries(t *testing.T) {
 	if h.FinalAcc() != 0.8 || h.BestAcc() != 0.8 {
 		t.Fatal("final/best acc wrong")
 	}
-	if h.TotalUplinkBytes() != 200 || h.TotalUpdates() != 10 {
+	if h.TotalUpdates() != 10 {
 		t.Fatal("totals wrong")
-	}
-	if h.TimeToAccuracy(0.5) != 2 {
-		t.Fatalf("TimeToAccuracy = %v", h.TimeToAccuracy(0.5))
-	}
-	if h.TimeToAccuracy(0.99) != -1 {
-		t.Fatal("unreached accuracy should be -1")
-	}
-	if h.AccuracyAtTime(2.5) != 0.5 {
-		t.Fatalf("AccuracyAtTime = %v", h.AccuracyAtTime(2.5))
 	}
 }
 
@@ -469,20 +460,6 @@ func TestFedBuffValidation(t *testing.T) {
 	NewFedBuff(0, 1)
 }
 
-func TestClientTrainFLOPs(t *testing.T) {
-	f := newTestFederation(1, true, 90)
-	c := f.Clients[0]
-	flops := c.TrainFLOPs()
-	want := c.Model.FLOPsPerSample() * float64(c.Cfg.LocalSteps*c.Cfg.BatchSize)
-	if flops != want {
-		t.Fatalf("TrainFLOPs = %v, want %v", flops, want)
-	}
-	empty := NewClient(9, c.Data.Subset(nil), f.NewModel(), c.Cfg, c.Device, stats.NewRNG(1))
-	if empty.TrainFLOPs() != 0 {
-		t.Fatal("dataless client reports nonzero FLOPs")
-	}
-}
-
 func TestAsyncEngineAccessors(t *testing.T) {
 	f := newTestFederation(2, true, 91)
 	slowDevices(f)
@@ -510,16 +487,6 @@ func TestSyncEngineRoundAccessor(t *testing.T) {
 	if e.Round() != 1 {
 		t.Fatal("round not incremented")
 	}
-}
-
-func TestGradSyncValidation(t *testing.T) {
-	f := newTestFederation(1, true, 93)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("lr=0 accepted")
-		}
-	}()
-	NewGradSyncEngine(f, 0, 1)
 }
 
 func TestStalenessWeightSemantics(t *testing.T) {

@@ -34,9 +34,6 @@ type SyncEngine struct {
 	MaxWait float64
 	// EvalEvery evaluates the global model every k rounds (default 1).
 	EvalEvery int
-	// Downlink, when non-nil, compresses server→client broadcasts (see
-	// DownlinkCompressor); clients then train from per-client replicas.
-	Downlink *DownlinkCompressor
 	// Metrics, when non-nil, receives per-round gauges (accuracy,
 	// participant counts, cumulative bytes). Nil disables metrics.
 	Metrics *obs.Registry
@@ -108,29 +105,18 @@ func (e *SyncEngine) RunRound() {
 	}
 
 	// Phase 1 (parallel): every planned client's round is independent —
-	// its own model, optimizer, codec and RNG streams. Downlink replica
-	// preparation stays serial (shared compressor state); everything else
-	// fans out across CPUs. Results are reduced in plan order below, so
-	// the round is bit-identical to a serial execution.
+	// its own model, optimizer, codec and RNG streams — so it fans out
+	// across CPUs. Results are reduced in plan order below, so the round is
+	// bit-identical to a serial execution.
 	type clientResult struct {
-		dlBytes, ulBytes int
-		dlLost, ulLost   bool
-		total            float64
-		msg              *compress.Sparse
-		ctrl             []float64
+		ulBytes        int
+		dlLost, ulLost bool
+		total          float64
+		msg            *compress.Sparse
+		ctrl           []float64
 	}
 	results := make([]clientResult, len(parts))
-	replicas := make([][]float64, len(parts))
-	for i, p := range parts {
-		replicas[i] = e.Global
-		if e.Downlink != nil {
-			rep, dlBytes := e.Downlink.Prepare(p.Client, e.Global, e.round)
-			replicas[i] = rep
-			results[i].dlBytes = dlBytes
-		} else {
-			results[i].dlBytes = compress.DenseBytes(dim)
-		}
-	}
+	dlBytes := compress.DenseBytes(dim)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, p := range parts {
@@ -143,11 +129,11 @@ func (e *SyncEngine) RunRound() {
 			r := &results[i]
 			c := e.Fed.Clients[p.Client]
 			var dlDur float64
-			dlDur, r.dlLost = e.Fed.Net.Transfer(c.ID, netsim.Downlink, r.dlBytes, e.now)
+			dlDur, r.dlLost = e.Fed.Net.Transfer(c.ID, netsim.Downlink, dlBytes, e.now)
 			if r.dlLost {
 				return
 			}
-			delta, ctrl := c.TrainRound(replicas[i], scaffC)
+			delta, ctrl := c.TrainRound(e.Global, scaffC)
 			r.ctrl = ctrl
 			if p.Codec != nil {
 				r.msg = p.Codec.Encode(delta, p.Ratio)
@@ -168,7 +154,7 @@ func (e *SyncEngine) RunRound() {
 	deadlineHit := false
 	for i, p := range parts {
 		r := &results[i]
-		e.downBytes += int64(r.dlBytes)
+		e.downBytes += int64(dlBytes)
 		if r.dlLost {
 			deadlineHit = true
 			continue

@@ -1,13 +1,10 @@
 // Package fl implements the federated-learning substrate: clients with
 // local trainers (plain SGD, FedProx proximal correction, SCAFFOLD control
 // variates), server-side aggregation strategies (FedAvg, FedAdam, SCAFFOLD,
-// FedAsync, FedBuff), and four protocol engines — the synchronous
+// FedAsync, FedBuff), and three protocol engines — the synchronous
 // round-based engine with a maximum-wait dropout rule and the event-driven
 // asynchronous engine with staleness-aware weighting that the paper
-// studies, plus FedAT latency tiers (related work) and a per-step
-// gradient-exchange engine (distributed synchronous SGD). Optional
-// downlink compression (DownlinkCompressor) extends the paper's
-// uplink-only compression.
+// studies, plus FedAT latency tiers (related work).
 //
 // AdaFL (internal/core) plugs into these engines through the RoundPlanner
 // and AsyncGate hooks.
@@ -100,45 +97,12 @@ func (h *History) BestAcc() float64 {
 	return best
 }
 
-// TotalUplinkBytes returns the final cumulative uplink volume.
-func (h *History) TotalUplinkBytes() int64 {
-	if len(h.Rows) == 0 {
-		return 0
-	}
-	return h.Rows[len(h.Rows)-1].UplinkBytes
-}
-
 // TotalUpdates returns the final cumulative update count.
 func (h *History) TotalUpdates() int {
 	if len(h.Rows) == 0 {
 		return 0
 	}
 	return h.Rows[len(h.Rows)-1].Updates
-}
-
-// TimeToAccuracy returns the first simulated time at which test accuracy
-// reached target, or -1 if never.
-func (h *History) TimeToAccuracy(target float64) float64 {
-	for _, r := range h.Rows {
-		if !isNaN(r.TestAcc) && r.TestAcc >= target {
-			return r.Time
-		}
-	}
-	return -1
-}
-
-// AccuracyAtTime returns the last evaluated accuracy at or before t.
-func (h *History) AccuracyAtTime(t float64) float64 {
-	acc := 0.0
-	for _, r := range h.Rows {
-		if r.Time > t {
-			break
-		}
-		if !isNaN(r.TestAcc) {
-			acc = r.TestAcc
-		}
-	}
-	return acc
 }
 
 func isNaN(x float64) bool { return x != x }

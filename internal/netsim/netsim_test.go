@@ -132,18 +132,6 @@ func TestNetworkPerClientStreams(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousNetworkFraction(t *testing.T) {
-	n, bad := HeterogeneousNetwork(10, 0.2, EthernetLink, ConstrainedLink, 1)
-	if len(bad) != 2 {
-		t.Fatalf("constrained set size %d, want 2", len(bad))
-	}
-	for _, idx := range bad {
-		if n.Link(idx).UpBps != ConstrainedLink.UpBps {
-			t.Fatal("constrained index has good link")
-		}
-	}
-}
-
 func TestEventQueueOrdering(t *testing.T) {
 	q := NewEventQueue()
 	var order []int
@@ -204,7 +192,7 @@ func TestEventQueueRunUntilStopsAtDeadline(t *testing.T) {
 	if ran {
 		t.Fatal("event past deadline executed")
 	}
-	if q.Len() != 1 {
+	if q.h.Len() != 1 {
 		t.Fatal("pending event lost")
 	}
 }

@@ -63,28 +63,6 @@ func UniformNetwork(numClients int, l Link, seed uint64) *Network {
 	return NewNetwork(links, seed)
 }
 
-// HeterogeneousNetwork builds a network where a fraction of clients (the
-// first ⌈frac·N⌉ after a seeded shuffle) get the constrained link and the
-// rest get the good link. It returns the network and the constrained set.
-func HeterogeneousNetwork(numClients int, frac float64, good, constrained Link, seed uint64) (*Network, []int) {
-	if frac < 0 || frac > 1 {
-		panic("netsim: fraction out of range")
-	}
-	r := stats.NewRNG(seed)
-	perm := r.Perm(numClients)
-	numBad := int(frac*float64(numClients) + 0.5)
-	links := make([]Link, numClients)
-	for i := range links {
-		links[i] = good
-	}
-	bad := make([]int, 0, numBad)
-	for _, idx := range perm[:numBad] {
-		links[idx] = constrained
-		bad = append(bad, idx)
-	}
-	return NewNetwork(links, seed+1), bad
-}
-
 // Event is a scheduled callback in simulated time.
 type Event struct {
 	Time float64
@@ -117,9 +95,6 @@ func (q *EventQueue) Schedule(t float64, fn func()) {
 	q.seq++
 	heap.Push(&q.h, &Event{Time: t, Seq: q.seq, Fn: fn})
 }
-
-// Len returns the number of pending events.
-func (q *EventQueue) Len() int { return q.h.Len() }
 
 // Step pops and runs the earliest event, advancing Now. It reports whether
 // an event was available.

@@ -110,19 +110,6 @@ func ParseTraceCSV(r io.Reader) (*Trace, error) {
 	return NewTrace(steps...), nil
 }
 
-// WriteCSV emits the trace in the format ParseTraceCSV reads.
-func (tr *Trace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "# time,multiplier"); err != nil {
-		return err
-	}
-	for _, s := range tr.steps {
-		if _, err := fmt.Fprintf(w, "%g,%g\n", s.At, s.Multiplier); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DiurnalTrace generates a raised-cosine day/night bandwidth multiplier:
 // the multiplier swings between hi (peak, at t = 0) and lo (trough, half a
 // period later), sampled into a piecewise-constant step every step seconds

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"adafl/internal/tensor"
-)
+import "adafl/internal/tensor"
 
 // ReLU applies max(0, x) elementwise.
 type ReLU struct {
@@ -65,56 +61,6 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		} else {
 			dx.Data[i] = 0
 		}
-	}
-	return dx
-}
-
-// Tanh applies the hyperbolic tangent elementwise. It is used by the
-// lighter models in the zoo where saturating nonlinearities train more
-// stably at high learning rates.
-type Tanh struct {
-	statelessBase
-	out []float64
-
-	// Train-mode buffers recycled across steps (see ensureTensor).
-	y  *tensor.Tensor
-	dx *tensor.Tensor
-}
-
-// NewTanh returns a tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "tanh" }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	var y *tensor.Tensor
-	if train {
-		t.y = ensureTensor(t.y, x.Shape()...)
-		y = t.y
-	} else {
-		y = tensor.New(x.Shape()...)
-	}
-	for i, v := range x.Data {
-		y.Data[i] = math.Tanh(v)
-	}
-	if train {
-		t.out = y.Data
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if t.out == nil {
-		panic("nn: tanh backward before forward")
-	}
-	t.dx = ensureTensor(t.dx, gradOut.Shape()...)
-	dx := t.dx
-	for i, g := range gradOut.Data {
-		o := t.out[i]
-		dx.Data[i] = g * (1 - o*o)
 	}
 	return dx
 }

@@ -62,17 +62,22 @@ func numericGradCheck(t *testing.T, m *Model, batch int, seed uint64, tol float6
 
 func TestGradCheckLogistic(t *testing.T) {
 	r := stats.NewRNG(1)
-	numericGradCheck(t, NewLogistic(6, 3, r), 4, 2, 1e-5)
+	numericGradCheck(t, NewModel([]int{6}, 3, NewDense(6, 3, r)), 4, 2, 1e-5)
 }
 
 func TestGradCheckMLP(t *testing.T) {
 	r := stats.NewRNG(3)
-	numericGradCheck(t, NewMLP(r, 8, 12, 5), 4, 4, 1e-4)
+	numericGradCheck(t, NewModel([]int{8}, 5, NewDense(8, 12, r), NewReLU(), NewDense(12, 5, r)), 4, 4, 1e-4)
 }
 
 func TestGradCheckDeepMLP(t *testing.T) {
 	r := stats.NewRNG(5)
-	numericGradCheck(t, NewMLP(r, 6, 10, 8, 4), 3, 6, 1e-4)
+	m := NewModel([]int{6}, 4,
+		NewDense(6, 10, r), NewReLU(),
+		NewDense(10, 8, r), NewReLU(),
+		NewDense(8, 4, r),
+	)
+	numericGradCheck(t, m, 3, 6, 1e-4)
 }
 
 func TestGradCheckConvModel(t *testing.T) {
@@ -97,16 +102,6 @@ func TestGradCheckConvNoPad(t *testing.T) {
 		NewDense(3*2*2, 2, r),
 	)
 	numericGradCheck(t, m, 2, 10, 1e-4)
-}
-
-func TestGradCheckTanh(t *testing.T) {
-	r := stats.NewRNG(11)
-	m := NewModel([]int{5}, 3,
-		NewDense(5, 7, r),
-		NewTanh(),
-		NewDense(7, 3, r),
-	)
-	numericGradCheck(t, m, 4, 12, 1e-4)
 }
 
 func TestGradCheckResidualBlock(t *testing.T) {

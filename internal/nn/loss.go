@@ -79,18 +79,3 @@ func Predict(logits *tensor.Tensor) []int {
 	}
 	return out
 }
-
-// Accuracy returns the fraction of rows whose argmax matches the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	pred := Predict(logits)
-	if len(pred) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred))
-}

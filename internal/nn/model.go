@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -133,22 +132,6 @@ func (m *Model) ZeroGrads() {
 	}
 }
 
-// AddToParams applies params += delta over the flat parameter view.
-func (m *Model) AddToParams(delta []float64) {
-	off := 0
-	for _, l := range m.Layers {
-		for _, p := range l.Params() {
-			for i := range p.Data {
-				p.Data[i] += delta[off+i]
-			}
-			off += p.Size()
-		}
-	}
-	if off != len(delta) {
-		panic(fmt.Sprintf("nn: delta vector length %d, model has %d", len(delta), off))
-	}
-}
-
 // FLOPsPerSample sums the cost estimates of all counting layers.
 func (m *Model) FLOPsPerSample() float64 {
 	total := 0.0
@@ -158,16 +141,6 @@ func (m *Model) FLOPsPerSample() float64 {
 		}
 	}
 	return total
-}
-
-// Summary returns a one-line-per-layer description.
-func (m *Model) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "model: input=%v classes=%d params=%d\n", m.InputShape, m.Classes, m.NumParams())
-	for i, l := range m.Layers {
-		fmt.Fprintf(&b, "  %2d: %s\n", i, l.Name())
-	}
-	return b.String()
 }
 
 // EvaluateBatched computes accuracy and mean loss over (x, labels) in

@@ -6,13 +6,6 @@ import (
 	"adafl/internal/tensor"
 )
 
-// Optimizer updates a model's parameters from its accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the model's current gradients and then
-	// leaves the gradients untouched (callers zero them).
-	Step(m *Model)
-}
-
 // SGD is stochastic gradient descent with optional momentum and weight
 // decay — the client-side optimizer throughout the paper's experiments.
 type SGD struct {
@@ -28,9 +21,11 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
 }
 
-// Step implements Optimizer. It updates every parameter tensor in place from
-// its gradient tensor; velocity is one flat vector in ParamVector order,
-// indexed by the running offset, so no flat copy of the model is made.
+// Step applies one update from the model's accumulated gradients and leaves
+// the gradients untouched (callers zero them). It updates every parameter
+// tensor in place from its gradient tensor; velocity is one flat vector in
+// ParamVector order, indexed by the running offset, so no flat copy of the
+// model is made.
 func (s *SGD) Step(m *Model) {
 	if s.Momentum != 0 && s.velocity == nil {
 		s.velocity = make([]float64, m.NumParams())
@@ -91,8 +86,8 @@ func (s *SGD) update(params, grads, vel []float64) {
 	}
 }
 
-// Adam is the adaptive-moment optimizer; the server side of FedAdam uses
-// the same vector-space update via AdamVec.
+// Adam is the adaptive-moment update rule the server side of FedAdam
+// applies to its pseudo-gradient (DirectionVec).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
@@ -114,17 +109,6 @@ func NewAdam(lr, beta1, beta2, eps float64) *Adam {
 		eps = 1e-8
 	}
 	return &Adam{LR: lr, Beta1: beta1, Beta2: beta2, Eps: eps}
-}
-
-// Step implements Optimizer.
-func (a *Adam) Step(m *Model) {
-	params := m.ParamVector()
-	grad := m.GradVector()
-	step := a.DirectionVec(grad)
-	for i := range params {
-		params[i] += step[i]
-	}
-	m.SetParamVector(params)
 }
 
 // DirectionVec returns the Adam parameter delta (already multiplied by the

@@ -30,46 +30,6 @@ func NewPaperCNN(r *stats.RNG) *Model {
 	)
 }
 
-// NewTinyCNN builds a scaled-down CNN over size×size single-channel input
-// (size must be divisible by 4). It preserves the paper CNN's topology
-// (conv-pool-conv-pool-dense) at a fraction of the cost, for fast test and
-// bench presets.
-func NewTinyCNN(size, classes int, r *stats.RNG) *Model {
-	if size%4 != 0 {
-		panic(fmt.Sprintf("nn: TinyCNN size %d not divisible by 4", size))
-	}
-	q := size / 4
-	return NewModel([]int{1, size, size}, classes,
-		NewConv2D(1, 8, 3, 1, r),
-		NewMaxPool2D(2),
-		NewReLU(),
-		NewConv2D(8, 16, 3, 1, r),
-		NewMaxPool2D(2),
-		NewReLU(),
-		NewFlatten(),
-		NewDense(16*q*q, 32, r),
-		NewReLU(),
-		NewDense(32, classes, r),
-	)
-}
-
-// NewMLP builds a multilayer perceptron over flat input. sizes lists the
-// layer widths starting with the input dimension and ending with the class
-// count, e.g. NewMLP(r, 64, 32, 10).
-func NewMLP(r *stats.RNG, sizes ...int) *Model {
-	if len(sizes) < 2 {
-		panic("nn: MLP needs at least input and output sizes")
-	}
-	layers := make([]Layer, 0, 2*len(sizes))
-	for i := 0; i+1 < len(sizes); i++ {
-		layers = append(layers, NewDense(sizes[i], sizes[i+1], r))
-		if i+2 < len(sizes) {
-			layers = append(layers, NewReLU())
-		}
-	}
-	return NewModel([]int{sizes[0]}, sizes[len(sizes)-1], layers...)
-}
-
 // NewImageMLP builds a Flatten + MLP stack over image-shaped input, the
 // cheap model used wherever experiments need many repetitions (the conv
 // models dominate runtime otherwise). hidden lists the hidden widths.
@@ -86,12 +46,6 @@ func NewImageMLP(inputShape []int, hidden []int, classes int, r *stats.RNG) *Mod
 	}
 	layers = append(layers, NewDense(prev, classes, r))
 	return NewModel(inputShape, classes, layers...)
-}
-
-// NewLogistic builds a linear softmax classifier — the cheapest member of
-// the zoo, used by unit tests that need an exactly analysable model.
-func NewLogistic(in, classes int, r *stats.RNG) *Model {
-	return NewModel([]int{in}, classes, NewDense(in, classes, r))
 }
 
 // NewVGGLite builds a VGG-style network (stacked 3×3 conv pairs with

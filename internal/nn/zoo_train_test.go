@@ -47,10 +47,6 @@ func TestResNetLiteTrains(t *testing.T) {
 	trainingSmokeTest(t, NewResNetLite(3, 8, 4, stats.NewRNG(3)), 4)
 }
 
-func TestTinyCNNTrains(t *testing.T) {
-	trainingSmokeTest(t, NewTinyCNN(8, 4, stats.NewRNG(5)), 6)
-}
-
 func TestImageMLPTrains(t *testing.T) {
 	trainingSmokeTest(t, NewImageMLP([]int{1, 6, 6}, []int{16}, 4, stats.NewRNG(7)), 8)
 }

@@ -76,7 +76,7 @@ func AccValue(acc float64) *float64 {
 // A nil *EventLog is valid: Emit, Flush and Close are no-ops.
 type EventLog struct {
 	mu  sync.Mutex
-	f   *os.File // nil when writing to a plain io.Writer
+	f   *os.File // nil once closed
 	w   *bufio.Writer
 	err error
 	now func() time.Time
@@ -92,13 +92,8 @@ func OpenEventLog(path string) (*EventLog, error) {
 	return &EventLog{f: f, w: bufio.NewWriterSize(f, 64<<10), now: time.Now}, nil
 }
 
-// NewEventLogWriter returns an EventLog writing to w (tests, pipes).
-func NewEventLogWriter(w io.Writer) *EventLog {
-	return &EventLog{w: bufio.NewWriterSize(w, 64<<10), now: time.Now}
-}
-
 // Emit appends one event. The timestamp is stamped here (RFC3339Nano)
-// unless the caller pre-filled it. Errors are sticky and reported by Err
+// unless the caller pre-filled it. Errors are sticky and reported by Flush
 // and Close; a logging subsystem must never take down training.
 func (l *EventLog) Emit(e Event) {
 	if l == nil {
@@ -126,8 +121,8 @@ func (l *EventLog) Emit(e Event) {
 	}
 }
 
-// Flush pushes buffered records to the OS and, when backed by a file,
-// fsyncs so a completed round's records survive a crash.
+// Flush pushes buffered records to the OS and fsyncs, so a completed
+// round's records survive a crash.
 func (l *EventLog) Flush() error {
 	if l == nil {
 		return nil
@@ -152,16 +147,6 @@ func (l *EventLog) flushLocked() error {
 		}
 	}
 	return nil
-}
-
-// Err returns the first write or marshal error, if any.
-func (l *EventLog) Err() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
 }
 
 // Close flushes and closes the log, returning the first error seen.

@@ -144,13 +144,12 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 // Default bucket layouts for the metrics this repo emits. Utility scores
 // live in [0, 1]; compression ratios on the paper's 4x–210x ladder;
-// latencies from sub-millisecond local phases to straggler-timeout scale;
-// sizes from a KB-scale sparse update to a dense model broadcast.
+// and latencies from sub-millisecond local phases to straggler-timeout
+// scale.
 var (
 	ScoreBuckets   = LinearBuckets(0.05, 0.05, 19)
 	RatioBuckets   = ExpBuckets(1, 2, 9)
 	LatencyBuckets = ExpBuckets(0.001, 2, 16)
-	SizeBuckets    = ExpBuckets(1<<10, 4, 11)
 )
 
 // Registry owns named instruments and renders them in Prometheus text

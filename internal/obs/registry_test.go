@@ -206,7 +206,7 @@ func TestBucketHelpers(t *testing.T) {
 	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
 		t.Fatalf("exp buckets %v", exp)
 	}
-	for _, bs := range [][]float64{ScoreBuckets, RatioBuckets, LatencyBuckets, SizeBuckets} {
+	for _, bs := range [][]float64{ScoreBuckets, RatioBuckets, LatencyBuckets} {
 		for i := 1; i < len(bs); i++ {
 			if bs[i] <= bs[i-1] {
 				t.Fatalf("buckets not ascending: %v", bs)

@@ -152,23 +152,6 @@ func TestAsyncClientDimensionMismatch(t *testing.T) {
 	_ = f
 }
 
-// TestManagedServerHasNoListener pins the managed-server contract: no
-// listener of its own (Addr empty) and the same config validation as
-// the listening constructor.
-func TestManagedServerHasNoListener(t *testing.T) {
-	env := newChaosEnv(1, 120, 12, 8, 97)
-	srv, err := NewManagedServer(env.serverConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.Addr() != "" {
-		t.Fatalf("managed server claims address %q", srv.Addr())
-	}
-	if _, err := NewManagedServer(ServerConfig{}); err == nil {
-		t.Fatal("managed server accepted an empty config")
-	}
-}
-
 // TestDialNegotiatesAndRejects covers the exported Dial and Accept pair:
 // the handshake and an exchange over it, a first frame of the wrong type
 // refused by Accept, and a dial timeout that bounds a listener which

@@ -128,7 +128,7 @@ func TestChaosStragglerAndDeathPartialAggregation(t *testing.T) {
 	scfg.OnRound = func(rec RoundRecord) {
 		switch rec.Round {
 		case 3:
-			gate.Shut() // partition client 2 for rounds 5-6
+			gate.Set(false) // partition client 2 for rounds 5-6
 		case 5:
 			gate.Open()
 		case 6:

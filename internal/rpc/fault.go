@@ -33,7 +33,7 @@ type FaultConfig struct {
 	// frame (0 = never).
 	CutAfterBytes int64
 	// Partition, when non-nil, black-holes reads and writes while shut.
-	// Toggle it with Gate.Shut/Gate.Open to model partitions that start
+	// Toggle it with Gate.Set/Gate.Open to model partitions that start
 	// and heal at chosen points in the session.
 	Partition *Gate
 	// Seed drives the injection RNG (jitter and drop decisions).
@@ -224,9 +224,6 @@ func NewGate(open bool) *Gate {
 // Open heals the partition; blocked I/O resumes.
 func (g *Gate) Open() { g.Set(true) }
 
-// Shut partitions the link; subsequent I/O blocks.
-func (g *Gate) Shut() { g.Set(false) }
-
 // Set moves the gate to the requested state (idempotent).
 func (g *Gate) Set(open bool) {
 	g.mu.Lock()
@@ -239,13 +236,6 @@ func (g *Gate) Set(open bool) {
 	} else if g.ch == nil {
 		g.ch = make(chan struct{})
 	}
-}
-
-// IsOpen reports the current state.
-func (g *Gate) IsOpen() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.ch == nil
 }
 
 func (g *Gate) waitOpen(deadline time.Time, cancel <-chan struct{}) error {

@@ -96,16 +96,10 @@ func TestFaultConnDropKillsConnection(t *testing.T) {
 
 func TestGateToggle(t *testing.T) {
 	g := NewGate(true)
-	if !g.IsOpen() {
-		t.Fatal("gate should start open")
-	}
 	if err := g.waitOpen(time.Time{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	g.Shut()
-	if g.IsOpen() {
-		t.Fatal("Shut did not close the gate")
-	}
+	g.Set(false)
 	deadline := time.Now().Add(30 * time.Millisecond)
 	if err := g.waitOpen(deadline, nil); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("want deadline error, got %v", err)
@@ -204,15 +198,11 @@ func TestFaultFlagsConfig(t *testing.T) {
 	if cfg == nil || cfg.Latency != 10*time.Millisecond || cfg.DropProb != 0.5 {
 		t.Fatalf("flags not mapped: %+v", cfg)
 	}
-	if cfg.Partition == nil || cfg.Partition.IsOpen() {
+	if cfg.Partition == nil || cfg.Partition.waitOpen(time.Now(), nil) == nil {
 		t.Fatal("partition gate should start shut")
 	}
 	// The -fault-partition gate heals itself after the duration.
-	deadlineWait := time.Now().Add(5 * time.Second)
-	for !cfg.Partition.IsOpen() {
-		if time.Now().After(deadlineWait) {
-			t.Fatal("partition gate never healed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := cfg.Partition.waitOpen(time.Now().Add(5*time.Second), nil); err != nil {
+		t.Fatalf("partition gate never healed: %v", err)
 	}
 }

@@ -33,32 +33,28 @@ type serverMetrics struct {
 	wireBinary  *obs.Counter   // adafl_wire_messages_total{codec="binary"}
 }
 
-// newServerMetrics resolves the server instrument set. A non-empty
-// session merges a session="..." label into every series name, so N
-// sessions multiplexed over one control plane each get their own series
-// from the shared registry; "" keeps the historical unlabeled names.
-func newServerMetrics(r *obs.Registry, session string) serverMetrics {
-	l := func(name string) string { return obs.WithLabel(name, "session", session) }
+// newServerMetrics resolves the server instrument set.
+func newServerMetrics(r *obs.Registry) serverMetrics {
 	return serverMetrics{
-		rounds:      r.Counter(l("adafl_rounds_total")),
-		evictions:   r.Counter(l("adafl_evictions_total")),
-		quarantines: r.Counter(l("adafl_quarantines_total")),
-		bytesUp:     r.Counter(l(`adafl_bytes_total{dir="up"}`)),
-		bytesDown:   r.Counter(l(`adafl_bytes_total{dir="down"}`)),
-		roundSec:    r.Histogram(l("adafl_round_seconds"), obs.LatencyBuckets),
-		scoreSec:    r.Histogram(l(`adafl_phase_seconds{phase="score"}`), obs.LatencyBuckets),
-		updateSec:   r.Histogram(l(`adafl_phase_seconds{phase="update"}`), obs.LatencyBuckets),
-		scores:      r.Histogram(l("adafl_utility_score"), obs.ScoreBuckets),
-		ratios:      r.Histogram(l("adafl_compression_ratio"), obs.RatioBuckets),
-		updRatios:   r.Histogram(l("adafl_update_compression_ratio"), obs.RatioBuckets),
-		negRatios:   r.Histogram(l("adafl_negotiated_ratio"), obs.RatioBuckets),
-		codecDGC:    r.Counter(l(`adafl_codec_assigned_total{codec="dgc"}`)),
-		codecDAda:   r.Counter(l(`adafl_codec_assigned_total{codec="dadaquant"}`)),
-		accuracy:    r.Gauge(l("adafl_round_accuracy")),
-		clients:     r.Gauge(l("adafl_round_clients")),
-		selected:    r.Gauge(l("adafl_round_selected")),
-		received:    r.Gauge(l("adafl_round_received")),
-		wireBinary:  r.Counter(l(`adafl_wire_messages_total{codec="binary"}`)),
+		rounds:      r.Counter("adafl_rounds_total"),
+		evictions:   r.Counter("adafl_evictions_total"),
+		quarantines: r.Counter("adafl_quarantines_total"),
+		bytesUp:     r.Counter(`adafl_bytes_total{dir="up"}`),
+		bytesDown:   r.Counter(`adafl_bytes_total{dir="down"}`),
+		roundSec:    r.Histogram("adafl_round_seconds", obs.LatencyBuckets),
+		scoreSec:    r.Histogram(`adafl_phase_seconds{phase="score"}`, obs.LatencyBuckets),
+		updateSec:   r.Histogram(`adafl_phase_seconds{phase="update"}`, obs.LatencyBuckets),
+		scores:      r.Histogram("adafl_utility_score", obs.ScoreBuckets),
+		ratios:      r.Histogram("adafl_compression_ratio", obs.RatioBuckets),
+		updRatios:   r.Histogram("adafl_update_compression_ratio", obs.RatioBuckets),
+		negRatios:   r.Histogram("adafl_negotiated_ratio", obs.RatioBuckets),
+		codecDGC:    r.Counter(`adafl_codec_assigned_total{codec="dgc"}`),
+		codecDAda:   r.Counter(`adafl_codec_assigned_total{codec="dadaquant"}`),
+		accuracy:    r.Gauge("adafl_round_accuracy"),
+		clients:     r.Gauge("adafl_round_clients"),
+		selected:    r.Gauge("adafl_round_selected"),
+		received:    r.Gauge("adafl_round_received"),
+		wireBinary:  r.Counter(`adafl_wire_messages_total{codec="binary"}`),
 	}
 }
 

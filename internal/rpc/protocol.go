@@ -237,9 +237,6 @@ func (c *Conn) SetMaxMessage(n int64) { c.maxMsg = n }
 // once t passes. The zero time clears the deadline.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
 
-// SetWriteDeadline bounds the next Send the same way.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
-
 // BytesSent and BytesReceived report cumulative wire volume. They are safe
 // to read while the connection is in use, and exact per message: framing
 // reads exactly the bytes each message declares, with no read-ahead.

@@ -15,7 +15,7 @@ import (
 // server evicts it, falls below MinClients and ends the session cleanly —
 // a partial result with no error, rather than an abort or a hang.
 func TestServerClientDisconnectEndsCleanly(t *testing.T) {
-	newModel := func() *nn.Model { return nn.NewLogistic(4, 2, stats.NewRNG(1)) }
+	newModel := func() *nn.Model { return nn.NewModel([]int{4}, 2, nn.NewDense(4, 2, stats.NewRNG(1))) }
 	cfg := core.DefaultConfig()
 	srv, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", NumClients: 1, Rounds: 5,
@@ -62,7 +62,7 @@ func TestServerClientDisconnectEndsCleanly(t *testing.T) {
 // TestServerRejectsDuplicateIDs: a second registration with a live id is
 // turned away with a shutdown message, and the session is unharmed.
 func TestServerRejectsDuplicateIDs(t *testing.T) {
-	newModel := func() *nn.Model { return nn.NewLogistic(4, 2, stats.NewRNG(1)) }
+	newModel := func() *nn.Model { return nn.NewModel([]int{4}, 2, nn.NewDense(4, 2, stats.NewRNG(1))) }
 	cfg := core.DefaultConfig()
 	srv, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", NumClients: 2, Rounds: 2,

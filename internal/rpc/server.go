@@ -28,14 +28,8 @@ const DefaultStragglerTimeout = 30 * time.Second
 
 // ServerConfig configures a federation server.
 type ServerConfig struct {
-	// Addr is the listen address, e.g. ":7070". Ignored by
-	// NewManagedServer, which receives connections from a session.Manager
-	// instead of its own listener.
+	// Addr is the listen address, e.g. ":7070".
 	Addr string
-	// Session names this session in a multi-session control plane. When
-	// non-empty it is merged into every metric series as a
-	// session="..." label; "" keeps the historical unlabeled names.
-	Session string
 	// NumClients is how many registrations to wait for before round 1.
 	NumClients int
 	// Rounds is the training budget.
@@ -196,9 +190,7 @@ type ServerResult struct {
 // with their samples removed from the FedAvg normalisation, and evicted or
 // late clients may re-register (a re-Hello) to join at the next round.
 type Server struct {
-	cfg ServerConfig
-	// listener is nil on a managed server (session.Manager owns the
-	// socket and hands connections in through Deliver).
+	cfg      ServerConfig
 	listener net.Listener
 
 	// roster is the connection plane: admission (a duplicate id is turned
@@ -283,9 +275,9 @@ func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 	return cfg, nil
 }
 
-// newServer validates cfg and builds the server, binding cfg.Addr when it
-// is to have a listener of its own.
-func newServer(cfg ServerConfig, listen bool) (*Server, error) {
+// NewServer validates cfg, binds the listen socket (so callers know the
+// port before clients dial) and returns the server.
+func NewServer(cfg ServerConfig) (*Server, error) {
 	cfg, err := prepareConfig(cfg)
 	if err != nil {
 		return nil, err
@@ -296,52 +288,26 @@ func newServer(cfg ServerConfig, listen bool) (*Server, error) {
 			return nil, err
 		}
 	}
-	var ln net.Listener
-	if listen {
-		if ln, err = net.Listen("tcp", cfg.Addr); err != nil {
-			return nil, err
-		}
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
 		listener: ln,
 		roster:   NewRoster(false),
-		met:      newServerMetrics(cfg.Metrics, cfg.Session),
+		met:      newServerMetrics(cfg.Metrics),
 		neg:      neg,
-		report: checkpoint.NewReporter(cfg.Metrics, cfg.Session, cfg.Events, func(round int, err error) {
+		report: checkpoint.NewReporter(cfg.Metrics, "", cfg.Events, func(round int, err error) {
 			cfg.Logf("server: checkpoint after round %d failed (continuing): %v", round+1, err)
 		}),
 	}
-	s.roster.Instrument(cfg.Metrics, cfg.Session)
+	s.roster.Instrument(cfg.Metrics, "")
 	return s, nil
 }
 
-// NewServer binds the listen socket (so callers know the port before
-// clients dial) and returns the server.
-func NewServer(cfg ServerConfig) (*Server, error) { return newServer(cfg, true) }
-
-// NewManagedServer returns a server with no listener of its own: a
-// session.Manager multiplexing one socket across sessions negotiates and
-// routes each accepted connection, then hands it in through Deliver.
-// cfg.Addr is ignored.
-func NewManagedServer(cfg ServerConfig) (*Server, error) { return newServer(cfg, false) }
-
-// Addr returns the bound listen address ("" on a managed server).
-func (s *Server) Addr() string {
-	if s.listener == nil {
-		return ""
-	}
-	return s.listener.Addr().String()
-}
-
-// closeListener is a nil-safe close of the (possibly absent) listener, for
-// the exits that come before the roster serves it (the roster closes what
-// it serves, and goes first so its accept loop sees a clean close).
-func (s *Server) closeListener() {
-	if s.listener != nil {
-		s.listener.Close()
-	}
-}
+// Addr returns the bound listen address.
+func (s *Server) Addr() string { return s.listener.Addr().String() }
 
 // Run accepts NumClients registrations, executes the configured rounds
 // (tolerating stragglers, dead links and re-joins), shuts the surviving
@@ -374,7 +340,7 @@ func (s *Server) Run() (*ServerResult, error) {
 			}
 		}
 		if err != nil {
-			s.closeListener()
+			s.listener.Close()
 			return nil, fmt.Errorf("rpc: %w", err)
 		}
 		s.ckpt = w
@@ -390,9 +356,7 @@ func (s *Server) Run() (*ServerResult, error) {
 	}
 	s.nextRound.Store(int64(startRound))
 
-	if s.listener != nil {
-		go s.roster.Serve(s.listener, MsgHello, s.cfg.Fault, func(conn *Conn, hello *Envelope) { s.Deliver(conn, hello) })
-	}
+	go s.roster.Serve(s.listener, MsgHello, s.cfg.Fault, func(conn *Conn, hello *Envelope) { s.deliver(conn, hello) })
 	if err := s.roster.Wait(s.cfg.NumClients); err != nil {
 		s.shutdown("listener failed")
 		if s.roster.Killed() {
@@ -449,18 +413,16 @@ func (s *Server) Run() (*ServerResult, error) {
 // real crash.
 func (s *Server) Kill() {
 	s.roster.Kill()
-	s.closeListener()
+	s.listener.Close()
 }
 
-// Deliver admits a connection that Accept has admitted and whose hello it
-// returned — the entry point a session.Manager uses after routing the
-// handshake itself (the server's own listener funnels through it too).
-// The hello envelope is only read during the call. A rejected connection
-// is closed after a shutdown notice and the error says why; nil means the
-// client is registered and welcomed. The welcome's Round tells a
+// deliver registers a connection that Accept has admitted and whose hello
+// it returned. The hello envelope is only read during the call. A rejected
+// connection is closed after a shutdown notice and the error says why; nil
+// means the client is registered and welcomed. The welcome's Round tells a
 // redialling client it is joining a resumed or in-progress session, not
 // round 0.
-func (s *Server) Deliver(conn *Conn, hello *Envelope) error {
+func (s *Server) deliver(conn *Conn, hello *Envelope) error {
 	s.met.wireBinary.Inc()
 	next := int(s.nextRound.Load())
 	p := &Peer{ID: hello.ClientID, Conn: conn, Samples: hello.NumSamples}
@@ -729,7 +691,7 @@ func (s *Server) logAssignments(round int, asn map[int]core.CodecAssignment) {
 // under its own deadline, then the drain (Roster.Shutdown).
 func (s *Server) shutdown(info string) {
 	s.roster.Shutdown(info, s.cfg.WriteTimeout)
-	s.closeListener()
+	s.listener.Close()
 }
 
 // sessionSnapshot is the meta section of the session's snapshot, taken after

@@ -170,12 +170,6 @@ func classCounts(classes []Class, n int) []int {
 	return counts
 }
 
-// Config returns the validated scenario the fleet was built from.
-func (f *Fleet) Config() *Scenario { return f.sc }
-
-// Size returns the fleet size.
-func (f *Fleet) Size() int { return f.n }
-
 // SetRoundWork tells the energy model what one round of local training
 // costs: the model's forward FLOPs per sample and the number of samples
 // trained per round. Train drains use each class's device profile over
@@ -287,43 +281,6 @@ func (f *Fleet) inOutage(id int) bool {
 	return false
 }
 
-// Regions returns the scenario's region names (nil when it defines
-// none). The returned slice is the scenario's own; callers must not
-// mutate it. The two-tier federation's region→edge mapping derives from
-// this together with RegionName.
-func (f *Fleet) Regions() []string {
-	if f.sc.Churn == nil {
-		return nil
-	}
-	return f.sc.Churn.Regions
-}
-
-// RegionName returns the region client id belongs to ("" for ids outside
-// the fleet or when the scenario defines no regions).
-func (f *Fleet) RegionName(id int) string {
-	if id < 0 || id >= f.n || f.region[id] < 0 {
-		return ""
-	}
-	return f.sc.Churn.Regions[f.region[id]]
-}
-
-// RegionInOutage reports whether the named region has an outage
-// overlapping round's window [r·T, (r+1)·T) — the root's reroute planner
-// excludes edges in a region that is currently dark.
-func (f *Fleet) RegionInOutage(name string, round int) bool {
-	if f.sc.Churn == nil || name == "" {
-		return false
-	}
-	t0 := float64(round) * f.sc.RoundSeconds
-	t1 := t0 + f.sc.RoundSeconds
-	for _, o := range f.sc.Churn.Outages {
-		if o.Region == name && o.StartS < t1 && o.StartS+o.DurationS > t0 {
-			return true
-		}
-	}
-	return false
-}
-
 // diurnalUp evaluates the availability wave for id at the current round
 // start: the fleet-wide available fraction p(t) follows a raised cosine
 // between max_frac and min_frac, and id is up iff its fixed quantile
@@ -336,15 +293,6 @@ func (f *Fleet) diurnalUp(id int) bool {
 	t := f.now() + f.phase[id]
 	p := d.MinFrac + (d.MaxFrac-d.MinFrac)*(1+math.Cos(2*math.Pi*t/d.PeriodS))/2
 	return f.quantile[id] < p
-}
-
-// BatteryLevel returns client id's state of charge in [0, 1] (1 for
-// mains clients and ids outside the fleet).
-func (f *Fleet) BatteryLevel(id int) float64 {
-	if id < 0 || id >= f.n {
-		return 1
-	}
-	return f.batt[id].Level()
 }
 
 // ScoreMult returns the utility-score multiplier for client id: 1 for
@@ -380,10 +328,6 @@ func (f *Fleet) LinkBandwidth(id, round int, baseUp, baseDown float64) (up, down
 	}
 	return baseUp * mult, baseDown * mult
 }
-
-// Trace returns the scenario's shared bandwidth trace (nil when the
-// config has none), for attaching to netsim links.
-func (f *Fleet) Trace() *netsim.Trace { return f.trace }
 
 // ApplyRoundLinks re-derives every configured link's bandwidth for the
 // given round through LinkBandwidth, so simulated transfer durations

@@ -142,11 +142,12 @@ func TestFleetAccountDrainsTrainAndTx(t *testing.T) {
 		batt = 1
 	}
 	f.BeginRound(0)
-	before := f.BatteryLevel(batt)
-	// 5 s of training at 2 W plus 0.5 MB at 20 J/MB = 20 J = 0.2 capacity.
+	before := f.ScoreMult(batt)
+	// 5 s of training at 2 W plus 0.5 MB at 20 J/MB = 20 J = 0.2 capacity,
+	// which the score multiplier (floor 0.25) sees as 0.75·0.2.
 	f.Account(batt, 5, 500_000)
-	if got := before - f.BatteryLevel(batt); math.Abs(got-0.2) > 1e-12 {
-		t.Fatalf("account drained %v of capacity, want 0.2", got)
+	if got := before - f.ScoreMult(batt); math.Abs(got-0.75*0.2) > 1e-12 {
+		t.Fatalf("account lowered the score multiplier by %v, want 0.15 (0.2 of capacity)", got)
 	}
 }
 

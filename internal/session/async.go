@@ -125,7 +125,7 @@ type arrival struct {
 }
 
 // AsyncSession is the buffered-asynchronous engine. Construction
-// (including resume) happens in NewAsync; Deliver admits connections
+// (including resume) happens in NewAsync; deliver admits connections
 // from a Manager at any time after that; Run executes the engine until
 // the version budget or Kill. Its connection plane is an rpc.Roster
 // (a duplicate id is turned away); what is its own is serve, the
@@ -177,7 +177,7 @@ type asyncSnapshot struct {
 func (m *asyncSnapshot) Round() int { return m.Version }
 
 // NewAsync validates the config, restores the delta chain when resuming
-// and returns the session ready to accept Deliver calls.
+// and returns the session, ready for a Manager to route connections to.
 func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 	if cfg.NewModel == nil {
 		return nil, fmt.Errorf("session: async needs NewModel")
@@ -282,9 +282,11 @@ func (a *AsyncSession) Version() int {
 	return v
 }
 
-// Deliver admits a connection whose hello rpc.Accept has read (the
-// Manager's routing contract). Safe any time after NewAsync.
-func (a *AsyncSession) Deliver(conn *rpc.Conn, hello *rpc.Envelope) error {
+// deliver admits a connection whose hello rpc.Accept has read and the
+// Manager routed here. The engine owns the connection from then on; the
+// hello envelope is only valid during the call. Safe any time after
+// NewAsync.
+func (a *AsyncSession) deliver(conn *rpc.Conn, hello *rpc.Envelope) error {
 	_, version := a.snapshot()
 	p := &rpc.Peer{ID: hello.ClientID, Conn: conn, Samples: hello.NumSamples}
 	if err := a.roster.Admit(p, &rpc.Envelope{Type: rpc.MsgWelcome, Round: version}); err != nil {

@@ -196,16 +196,16 @@ func TestAsyncKillAndResume(t *testing.T) {
 	dir := chaosDir(t)
 	eventPath := filepath.Join(dir, "events.jsonl")
 
-	openLog := func() (*os.File, *obs.EventLog) {
-		f, err := os.OpenFile(eventPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	openLog := func() *obs.EventLog {
+		l, err := obs.OpenEventLog(eventPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f, obs.NewEventLogWriter(f)
+		return l
 	}
 
 	// Phase 1: run until the chain holds a few versions, then crash.
-	f1, log1 := openLog()
+	log1 := openLog()
 	a1, err := NewAsync(AsyncConfig{
 		Name: "chaos", NewModel: env.newModel, Test: env.test, EvalEvery: 2,
 		K: 3, Versions: 1000, CheckpointDir: dir, Events: log1, Logf: quiet,
@@ -243,7 +243,6 @@ func TestAsyncKillAndResume(t *testing.T) {
 	if err := log1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f1.Close()
 	if res1.Versions < 3 {
 		t.Fatalf("phase 1 died at version %d before the kill threshold", res1.Versions)
 	}
@@ -258,7 +257,7 @@ func TestAsyncKillAndResume(t *testing.T) {
 
 	// Phase 2: resume from the chain and finish a fixed budget.
 	target := res1.Versions + 4
-	f2, log2 := openLog()
+	log2 := openLog()
 	a2, err := NewAsync(AsyncConfig{
 		Name: "chaos", NewModel: env.newModel, Test: env.test, EvalEvery: 2,
 		K: 3, Versions: target, CheckpointDir: dir, Resume: true,
@@ -292,7 +291,6 @@ func TestAsyncKillAndResume(t *testing.T) {
 	if err := log2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f2.Close()
 	if res2.ResumedFrom != res1.Versions {
 		t.Fatalf("ResumedFrom = %d, want %d", res2.ResumedFrom, res1.Versions)
 	}

@@ -39,11 +39,10 @@ func writeDeltaChain(t *testing.T, dir string, n, dim int) {
 // writeEventLog writes one "version" mark per value to path.
 func writeEventLog(t *testing.T, path string, versions []int) {
 	t.Helper()
-	f, err := os.Create(path)
+	l, err := obs.OpenEventLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := obs.NewEventLogWriter(f)
 	for _, v := range versions {
 		l.Emit(obs.Event{Type: "version", Round: v, Client: -1})
 	}
@@ -51,7 +50,6 @@ func writeEventLog(t *testing.T, path string, versions []int) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 }
 
 func TestDoctorHealthyDeltaChain(t *testing.T) {
@@ -157,11 +155,10 @@ func TestDoctorRootChain(t *testing.T) {
 	const rounds, clients, dim = 5, 4, 64
 	dir := t.TempDir()
 	events := filepath.Join(t.TempDir(), "events.jsonl")
-	f, err := os.Create(events)
+	log, err := obs.OpenEventLog(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := obs.NewEventLogWriter(f)
 	root, err := edge.NewRoot(edge.RootConfig{
 		NumEdges: 1, Clients: clients, Rounds: rounds, Dim: dim,
 		CheckpointDir: dir, Events: log, Logf: quiet,
@@ -193,7 +190,6 @@ func TestDoctorRootChain(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	rep, err := Doctor(dir, events, nil)
 	if err != nil {

@@ -1,13 +1,11 @@
 // Package session is the multi-session control plane: one TCP listener
-// multiplexing N named federation sessions. The manager owns the socket,
-// admits each connection (rpc.Accept: handshake and registration hello)
-// and routes it by the hello's Session field — "" targets the default
-// session, so single-session clients interoperate unchanged. Each
-// session is an independent engine with its own global model, aggregator
-// state, quarantine log and (session-labeled) metrics: the synchronous
-// round engine (rpc.NewManagedServer) and the buffered-asynchronous
-// FedBuff engine (AsyncSession) both plug in through the Handler
-// interface.
+// multiplexing N named buffered-asynchronous FedBuff sessions
+// (AsyncSession). The manager owns the socket, admits each connection
+// (rpc.Accept: handshake and registration hello) and routes it by the
+// hello's Session field — "" targets the default session, so
+// single-session clients interoperate unchanged. Each session is an
+// independent engine with its own global model, aggregator state,
+// quarantine log and (session-labeled) metrics.
 //
 // Isolation contract: sessions share only the listener, the hello
 // router and (optionally) one obs.Registry, whose series are disjoint by
@@ -31,15 +29,6 @@ const DefaultSession = "default"
 // maxSessionName is the wire limit: the binary hello carries the session
 // name behind a one-byte length.
 const maxSessionName = 255
-
-// Handler is a session engine the manager routes connections to. Deliver
-// receives an admitted connection (rpc.Accept) whose hello has already
-// been read; the engine owns the connection from then on. The
-// hello envelope is only valid during the call. Both rpc.Server (via
-// rpc.NewManagedServer) and AsyncSession implement it.
-type Handler interface {
-	Deliver(conn *rpc.Conn, hello *rpc.Envelope) error
-}
 
 // Config configures a Manager.
 type Config struct {
@@ -66,7 +55,7 @@ type Manager struct {
 	plane *rpc.Roster
 
 	mu       sync.Mutex
-	sessions map[string]Handler
+	sessions map[string]*AsyncSession
 }
 
 // NewManager binds the listen socket and returns the manager.
@@ -81,41 +70,29 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{cfg: cfg, listener: ln, plane: rpc.NewRoster(false), sessions: map[string]Handler{}}, nil
+	return &Manager{cfg: cfg, listener: ln, plane: rpc.NewRoster(false), sessions: map[string]*AsyncSession{}}, nil
 }
 
 // Register adds a named session ("" registers the default session).
 // Registration is allowed while Serve is live — a control plane can
 // admit new sessions without dropping the listener.
-func (m *Manager) Register(name string, h Handler) error {
+func (m *Manager) Register(name string, a *AsyncSession) error {
 	if name == "" {
 		name = DefaultSession
 	}
 	if len(name) > maxSessionName {
 		return fmt.Errorf("session: name %q exceeds %d bytes", name, maxSessionName)
 	}
-	if h == nil {
-		return fmt.Errorf("session: nil handler for %q", name)
+	if a == nil {
+		return fmt.Errorf("session: nil session for %q", name)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.sessions[name]; dup {
 		return fmt.Errorf("session: %q already registered", name)
 	}
-	m.sessions[name] = h
+	m.sessions[name] = a
 	return nil
-}
-
-// Deregister removes a named session; later hellos for it are turned
-// away with a shutdown notice. Connections already delivered are
-// unaffected (the session engine owns them).
-func (m *Manager) Deregister(name string) {
-	if name == "" {
-		name = DefaultSession
-	}
-	m.mu.Lock()
-	delete(m.sessions, name)
-	m.mu.Unlock()
 }
 
 // Addr returns the bound listen address.
@@ -136,14 +113,14 @@ func (m *Manager) route(conn *rpc.Conn, hello *rpc.Envelope) {
 		name = DefaultSession
 	}
 	m.mu.Lock()
-	h := m.sessions[name]
+	a := m.sessions[name]
 	m.mu.Unlock()
-	if h == nil {
+	if a == nil {
 		m.cfg.Logf("session: rejecting client %d: unknown session %q", hello.ClientID, name)
 		rpc.Reject(conn, fmt.Sprintf("unknown session %q", name))
 		return
 	}
-	if err := h.Deliver(conn, hello); err != nil {
+	if err := a.deliver(conn, hello); err != nil {
 		m.cfg.Logf("session: %q declined client %d: %v", name, hello.ClientID, err)
 	}
 }

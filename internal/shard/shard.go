@@ -116,9 +116,6 @@ func NewTree(cfg Config) *Tree {
 	return t
 }
 
-// NumShards returns S.
-func (t *Tree) NumShards() int { return len(t.workers) }
-
 // Route returns the shard index an update from the given client folds
 // into. The mapping (client mod S, shifted into range for negative ids)
 // is part of the determinism contract: a fixed fleet always shards the

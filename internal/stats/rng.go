@@ -1,14 +1,10 @@
-// Package stats provides deterministic pseudo-random number generation and
-// small statistical utilities used across the simulator. Every stochastic
+// Package stats provides the deterministic pseudo-random number generator
+// used across the simulator. Every stochastic
 // component in the repository draws from a stats.RNG seeded explicitly, so
 // that experiments are exactly reproducible run to run.
 package stats
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "math"
 
 // RNG is a splitmix64-based pseudo-random generator. It is deliberately not
 // math/rand: we want a tiny, allocation-free generator whose sequence is
@@ -25,34 +21,6 @@ type RNG struct {
 // seed produce identical sequences.
 func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
-}
-
-// rngGobLen is state(8) + spare(8) + spareOK(1).
-const rngGobLen = 17
-
-// GobEncode implements gob.GobEncoder, capturing the generator's exact
-// position (including the cached Box-Muller spare) so checkpointed
-// sessions resume their random streams mid-sequence rather than
-// replaying from the seed.
-func (r *RNG) GobEncode() ([]byte, error) {
-	buf := make([]byte, rngGobLen)
-	binary.LittleEndian.PutUint64(buf[0:8], r.state)
-	binary.LittleEndian.PutUint64(buf[8:16], math.Float64bits(r.spare))
-	if r.spareOK {
-		buf[16] = 1
-	}
-	return buf, nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (r *RNG) GobDecode(data []byte) error {
-	if len(data) != rngGobLen {
-		return fmt.Errorf("stats: RNG state is %d bytes, want %d", len(data), rngGobLen)
-	}
-	r.state = binary.LittleEndian.Uint64(data[0:8])
-	r.spare = math.Float64frombits(binary.LittleEndian.Uint64(data[8:16]))
-	r.spareOK = data[16] == 1
-	return nil
 }
 
 // Split derives an independent generator from r. The derived stream is
@@ -125,74 +93,5 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
-	}
-}
-
-// Exp returns an exponentially distributed sample with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("stats: Exp with non-positive rate")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
-}
-
-// Dirichlet draws a sample from a symmetric Dirichlet distribution with
-// concentration alpha over k categories. It uses the Gamma(alpha, 1)
-// normalisation construction with Marsaglia-Tsang gamma sampling.
-func (r *RNG) Dirichlet(alpha float64, k int) []float64 {
-	out := make([]float64, k)
-	sum := 0.0
-	for i := 0; i < k; i++ {
-		g := r.gamma(alpha)
-		out[i] = g
-		sum += g
-	}
-	if sum == 0 {
-		// Degenerate draw (can happen for very small alpha); fall back to
-		// a one-hot sample, which is the alpha->0 limit of the Dirichlet.
-		out[r.Intn(k)] = 1
-		return out
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
-// gamma samples Gamma(shape, 1) using Marsaglia-Tsang, with the standard
-// boosting trick for shape < 1.
-func (r *RNG) gamma(shape float64) float64 {
-	if shape <= 0 {
-		panic("stats: gamma with non-positive shape")
-	}
-	if shape < 1 {
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.gamma(shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.Norm()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
 	}
 }

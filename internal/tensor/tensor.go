@@ -80,37 +80,10 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return v
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
-
-// Set assigns the element at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
 // Zero resets all elements to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
-	}
-}
-
-// Fill sets all elements to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
 	}
 }
 
@@ -129,23 +102,4 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	for i, v := range o.Data {
 		t.Data[i] += v
 	}
-}
-
-// Scale multiplies every element by s.
-func (t *Tensor) Scale(s float64) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
-// MatMul computes c = a @ b for 2-D tensors, writing into a freshly
-// allocated result. a is (m×k), b is (k×n). The blocked kernels behind
-// MatMulInto (see gemm.go) do the work.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Dim(1) != b.Dim(0) {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a.shape, b.shape))
-	}
-	c := New(a.Dim(0), b.Dim(1))
-	MatMulInto(c, a, b)
-	return c
 }

@@ -104,16 +104,6 @@ func ScaleVec(v []float64, s float64) {
 	}
 }
 
-// AddVec computes dst = a + b, writing into dst (which may alias a or b).
-func AddVec(dst, a, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("tensor: AddVec length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
 // SubVec computes dst = a - b, writing into dst (which may alias a or b).
 func SubVec(dst, a, b []float64) {
 	if len(a) != len(b) || len(dst) != len(a) {
@@ -123,24 +113,6 @@ func SubVec(dst, a, b []float64) {
 		dst[i] = a[i] - b[i]
 	}
 }
-
-// ClipNorm rescales v in place so that ‖v‖₂ ≤ maxNorm, returning the scale
-// factor applied (1 if no clipping occurred). maxNorm must be positive.
-func ClipNorm(v []float64, maxNorm float64) float64 {
-	if maxNorm <= 0 {
-		panic("tensor: ClipNorm with non-positive maxNorm")
-	}
-	n := Norm2(v)
-	if n <= maxNorm || n == 0 {
-		return 1
-	}
-	s := maxNorm / n
-	ScaleVec(v, s)
-	return s
-}
-
-// ZerosLike returns a zero vector of the same length as v.
-func ZerosLike(v []float64) []float64 { return make([]float64, len(v)) }
 
 // CopyVec returns a fresh copy of v.
 func CopyVec(v []float64) []float64 {

@@ -15,8 +15,8 @@ func TestTableRender(t *testing.T) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("table holds %d rows, want 2", len(tb.rows))
 	}
 }
 

@@ -131,13 +131,34 @@ func newInProcess(fs *flag.FlagSet) cli.Runner {
 }
 
 func (c *inProcessCmd) Run() error {
+	res, err := c.fold()
+	if err != nil {
+		return err
+	}
+	if c.asJSON {
+		return json.NewEncoder(os.Stdout).Encode(res)
+	}
+	fmt.Printf("flfleet %s: %d clients x %d rounds (dim=%d nnz=%d shards=%d)\n",
+		res.Mode, res.Clients, res.Rounds, res.Dim, res.Nnz, res.Shards)
+	fmt.Printf("  %.2f rounds/s  %.0f updates/s  %.1f MB folded/s\n",
+		res.RoundsPerSec, res.UpdatesPerSec, res.MBFoldedPerSec)
+	fmt.Printf("  peak heap in use %.1f MB  VmHWM %d KB  checksum %.6g\n",
+		float64(res.PeakHeapInuse)/1e6, res.VmHWMKB, res.GlobalChecksum)
+	return nil
+}
+
+// fold drives the rounds through the aggregation tree and measures them.
+func (c *inProcessCmd) fold() (result, error) {
 	dim := c.tree.Dim
-	if c.clients < 1 || c.rounds < 1 || dim < 1 || c.nnz < 1 || c.nnz > dim {
-		return errors.New("need clients, rounds, dim >= 1 and 1 <= nnz <= dim")
+	if c.clients < 1 || c.rounds < 1 {
+		return result{}, errors.New("need clients, rounds >= 1")
+	}
+	if err := rpc.CheckFleetShape(dim, c.nnz); err != nil {
+		return result{}, err
 	}
 	mask, err := scheduleMask(c.scenario, c.clients, c.rounds, dim, c.nnz)
 	if err != nil {
-		return err
+		return result{}, err
 	}
 	res := result{
 		Mode: "stream", Clients: c.clients, Shards: c.tree.Shards,
@@ -180,17 +201,7 @@ func (c *inProcessCmd) Run() error {
 	for _, v := range global {
 		res.GlobalChecksum += v
 	}
-
-	if c.asJSON {
-		return json.NewEncoder(os.Stdout).Encode(res)
-	}
-	fmt.Printf("flfleet %s: %d clients x %d rounds (dim=%d nnz=%d shards=%d)\n",
-		res.Mode, res.Clients, res.Rounds, res.Dim, res.Nnz, res.Shards)
-	fmt.Printf("  %.2f rounds/s  %.0f updates/s  %.1f MB folded/s\n",
-		res.RoundsPerSec, res.UpdatesPerSec, res.MBFoldedPerSec)
-	fmt.Printf("  peak heap in use %.1f MB  VmHWM %d KB  checksum %.6g\n",
-		float64(res.PeakHeapInuse)/1e6, res.VmHWMKB, res.GlobalChecksum)
-	return nil
+	return res, nil
 }
 
 // scheduleMask turns a scenario into a precomputed participation mask:

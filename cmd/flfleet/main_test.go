@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"flag"
+	"math"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -128,5 +130,38 @@ func TestFlagsLandInConfig(t *testing.T) {
 		if _, err := r.(*socketCmd).config(); err == nil {
 			t.Errorf("%q accepted", args)
 		}
+	}
+}
+
+// TestStreamAndSocketFoldTheSameFleet: the in-process tree and the socket
+// harness draw the same FleetUpdate stream, so with the same flags their
+// global checksums agree up to summation order.
+func TestStreamAndSocketFoldTheSameFleet(t *testing.T) {
+	shape := []string{"-clients", "64", "-rounds", "3", "-dim", "2000", "-nnz", "100", "-seed", "5"}
+	parse := func(args ...string) cli.Runner {
+		r, _, err := cli.Parse("flfleet", commands, append(args, shape...), &bytes.Buffer{})
+		if err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		return r
+	}
+	stream, err := parse("-shards", "1").(*inProcessCmd).fold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := parse("socket", "-addr", "unix:"+filepath.Join(t.TempDir(), "f.sock")).(*socketCmd).config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Logf = nil
+	socket, err := rpc.RunFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stream.GlobalChecksum == 0 {
+		t.Fatal("zero stream checksum: nothing folded")
+	}
+	if diff := math.Abs(stream.GlobalChecksum - socket.Checksum); diff > 1e-9*math.Abs(socket.Checksum) {
+		t.Errorf("stream checksum %v, socket %v: they fold different fleets", stream.GlobalChecksum, socket.Checksum)
 	}
 }

@@ -45,6 +45,9 @@ func RunClients(cfg ClientsConfig) error {
 	if cfg.Hi <= cfg.Lo {
 		return fmt.Errorf("edge: empty client range [%d, %d)", cfg.Lo, cfg.Hi)
 	}
+	if err := rpc.CheckFleetShape(cfg.Dim, cfg.Nnz); err != nil {
+		return err
+	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 25
 	}

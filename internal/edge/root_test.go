@@ -2,6 +2,7 @@ package edge
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"adafl/internal/shard"
@@ -57,5 +58,26 @@ func TestPartialValidation(t *testing.T) {
 	}
 	if !pending[2] {
 		t.Error("edge 2 left pending despite every partial being rejected")
+	}
+}
+
+// TestClientsConfigValidation: the edge fleet clients refuse a shape the
+// generator or the wire cannot carry before they dial anything.
+func TestClientsConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		lo, hi   int
+		dim, nnz int
+	}{
+		{"empty range", 3, 3, 10, 1},
+		{"zero dim", 0, 1, 0, 1},
+		{"zero nnz", 0, 1, 10, 0},
+		{"nnz > dim", 0, 1, 10, 20},
+		{"dim past int32", 0, 1, math.MaxInt32 + 1, 1},
+	} {
+		cfg := ClientsConfig{Bootstrap: "127.0.0.1:1", Lo: tc.lo, Hi: tc.hi, Dim: tc.dim, Nnz: tc.nnz, MaxRetries: 1}
+		if err := RunClients(cfg); err == nil || strings.Contains(err.Error(), "retries exhausted") {
+			t.Errorf("%s: got %v, want a config error before any dial", tc.name, err)
+		}
 	}
 }

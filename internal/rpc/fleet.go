@@ -101,10 +101,19 @@ type FleetResult struct {
 	Checksum float64 `json:"global_checksum"`
 }
 
+// fleetValueScale maps a uniform draw in [-0.5, 0.5) to standard
+// deviation 0.01: a unit-width uniform has variance 1/12.
+var fleetValueScale = 0.01 * math.Sqrt(12)
+
 // FleetUpdate fills u with the deterministic synthetic update of (seed,
 // round, id) — the same scheme cmd/flfleet's in-process producer uses, so
 // socket-driven and in-process runs yield comparable checksums. u's
-// slices are reused when their capacity suffices.
+// slices are reused when their capacity suffices. Each coordinate costs
+// one splitmix64 word: the high half picks the index by multiply-shift
+// (unsorted, with repeats), the low half gives a uniform value with mean
+// 0 and standard deviation 0.01. Nothing reads the distribution, only
+// the frame layout and the norm scale, so it need not be Gaussian. dim
+// must not exceed math.MaxInt32 (the wire's index range).
 func FleetUpdate(u *compress.Sparse, seed uint64, round, id, dim, nnz int) {
 	rng := stats.NewRNG(seed ^ uint64(round)*0x9e3779b97f4a7c15 ^ uint64(id)*0xbf58476d1ce4e5b9)
 	u.Dim = dim
@@ -116,10 +125,25 @@ func FleetUpdate(u *compress.Sparse, seed uint64, round, id, dim, nnz int) {
 	}
 	u.Indices = u.Indices[:nnz]
 	u.Values = u.Values[:nnz]
+	d := uint64(dim)
 	for i := 0; i < nnz; i++ {
-		u.Indices[i] = int32(rng.Intn(dim))
-		u.Values[i] = rng.NormScaled(0, 0.01)
+		x := rng.Uint64()
+		u.Indices[i] = int32((x >> 32) * d >> 32)
+		u.Values[i] = (float64(uint32(x))/(1<<32) - 0.5) * fleetValueScale
 	}
+}
+
+// CheckFleetShape rejects a fleet shape the generator or the wire cannot
+// carry, before anything is allocated at Dim: indices are int32 on the
+// wire.
+func CheckFleetShape(dim, nnz int) error {
+	if dim < 1 || nnz < 1 || nnz > dim {
+		return fmt.Errorf("rpc: fleet needs dim >= 1 and 1 <= nnz <= dim")
+	}
+	if dim > math.MaxInt32 {
+		return fmt.Errorf("rpc: fleet dim %d overflows the wire's int32 index range", dim)
+	}
+	return nil
 }
 
 // fleetJob carries one update payload to a decode worker: raw frame bytes
@@ -199,8 +223,11 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if err := checkWire(cfg.Wire); err != nil {
 		return nil, err
 	}
-	if cfg.Clients < 1 || cfg.Rounds < 1 || cfg.Dim < 1 || cfg.Nnz < 1 || cfg.Nnz > cfg.Dim {
-		return nil, fmt.Errorf("rpc: fleet needs clients, rounds, dim >= 1 and 1 <= nnz <= dim")
+	if cfg.Clients < 1 || cfg.Rounds < 1 {
+		return nil, fmt.Errorf("rpc: fleet needs clients, rounds >= 1")
+	}
+	if err := CheckFleetShape(cfg.Dim, cfg.Nnz); err != nil {
+		return nil, err
 	}
 	if cfg.Mask != nil {
 		if len(cfg.Mask) < cfg.Rounds {
@@ -547,8 +574,8 @@ func RunFleetClients(cfg FleetConfig, lo, hi int) error {
 	if lo < 0 || hi <= lo {
 		return fmt.Errorf("rpc: fleet client range [%d, %d) is empty", lo, hi)
 	}
-	if cfg.Dim < 1 || cfg.Nnz < 1 || cfg.Nnz > cfg.Dim {
-		return fmt.Errorf("rpc: fleet needs dim >= 1 and 1 <= nnz <= dim")
+	if err := CheckFleetShape(cfg.Dim, cfg.Nnz); err != nil {
+		return err
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}

@@ -3,6 +3,8 @@ package rpc
 import (
 	"math"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"adafl/internal/compress"
@@ -71,19 +73,39 @@ func TestFleetTCP(t *testing.T) {
 	}
 }
 
-// TestFleetValidation rejects nonsense configurations.
+// TestFleetValidation rejects nonsense configurations in both entry
+// points with the validation's own error. The address cannot be listened
+// on or dialled, so a check that went missing would surface as a socket
+// error instead — and the server would never reach its Dim-length
+// allocation.
 func TestFleetValidation(t *testing.T) {
-	if _, err := RunFleet(FleetConfig{Network: "unix", Addr: "/tmp/x", Wire: "msgpack",
-		Clients: 1, Rounds: 1, Dim: 10, Nnz: 1}); err == nil {
-		t.Fatal("unknown codec accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  FleetConfig
+		want string // substring of the validation error
+		// serverOnly: the client half takes its range from lo, hi, not
+		// from cfg.Clients.
+		serverOnly bool
+	}{
+		{"unknown codec", FleetConfig{Wire: "msgpack", Clients: 1, Rounds: 1, Dim: 10, Nnz: 1}, "unknown wire codec", false},
+		{"zero clients", FleetConfig{Clients: 0, Rounds: 1, Dim: 10, Nnz: 1}, "clients, rounds >= 1", true},
+		{"zero dim", FleetConfig{Clients: 1, Rounds: 1, Dim: 0, Nnz: 1}, "1 <= nnz <= dim", false},
+		{"nnz > dim", FleetConfig{Clients: 1, Rounds: 1, Dim: 10, Nnz: 20}, "1 <= nnz <= dim", false},
+		{"dim past int32", FleetConfig{Clients: 1, Rounds: 1, Dim: math.MaxInt32 + 1, Nnz: 1}, "overflows the wire's int32", false},
+	} {
+		tc.cfg.Network, tc.cfg.Addr = "unix", "/nonexistent/fleet.sock"
+		if _, err := RunFleet(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunFleet: %s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if tc.serverOnly {
+			continue
+		}
+		if err := RunFleetClients(tc.cfg, 0, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunFleetClients: %s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
-	if _, err := RunFleet(FleetConfig{Network: "unix", Addr: "/tmp/x",
-		Clients: 0, Rounds: 1, Dim: 10, Nnz: 1}); err == nil {
-		t.Fatal("zero clients accepted")
-	}
-	if _, err := RunFleet(FleetConfig{Network: "unix", Addr: "/tmp/x",
-		Clients: 1, Rounds: 1, Dim: 10, Nnz: 20}); err == nil {
-		t.Fatal("nnz > dim accepted")
+	if err := CheckFleetShape(math.MaxInt32, 1); err != nil {
+		t.Errorf("dim = MaxInt32 rejected: %v", err)
 	}
 }
 
@@ -159,5 +181,71 @@ func TestFleetUpdateFrameIsRaw(t *testing.T) {
 	}
 	if sflags := raw[4+envHeaderBytes+8]; sflags != 0 {
 		t.Fatalf("fleet update frame has sflags %#x, want 0", sflags)
+	}
+}
+
+// TestFleetUpdateContract pins what the fleet harnesses rely on from the
+// generator: determinism in (seed, round, id), in-range unsorted indices
+// with repeats, values with mean 0 and standard deviation 0.01, and no
+// allocation once u is warm.
+func TestFleetUpdateContract(t *testing.T) {
+	const dim, nnz = 20000, 1000
+	a, b := &compress.Sparse{}, &compress.Sparse{}
+	FleetUpdate(a, 7, 3, 17, dim, nnz)
+	FleetUpdate(b, 7, 3, 17, dim, nnz)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("same (seed, round, id) gave different updates")
+	}
+	for _, o := range [][3]int{{8, 3, 17}, {7, 4, 17}, {7, 3, 18}} {
+		FleetUpdate(b, uint64(o[0]), o[1], o[2], dim, nnz)
+		if reflect.DeepEqual(a.Indices, b.Indices) || reflect.DeepEqual(a.Values, b.Values) {
+			t.Errorf("(seed, round, id) = %v repeats the stream of (7, 3, 17)", o)
+		}
+	}
+
+	seen := make(map[int32]bool, nnz)
+	repeat, ascending := false, true
+	for i, ix := range a.Indices {
+		if ix < 0 || int(ix) >= dim {
+			t.Fatalf("index %d = %d outside [0, %d)", i, ix, dim)
+		}
+		repeat = repeat || seen[ix]
+		seen[ix] = true
+		if i > 0 && ix < a.Indices[i-1] {
+			ascending = false
+		}
+	}
+	if !repeat || ascending {
+		t.Errorf("indices: repeat %v, ascending %v; want a repeat and no order", repeat, ascending)
+	}
+
+	var sum, sq float64
+	var n int
+	for id := 0; id < 64; id++ {
+		FleetUpdate(b, 1, 1, id, dim, nnz)
+		for _, v := range b.Values {
+			sum += v
+			sq += v * v
+			n++
+		}
+	}
+	mean := sum / float64(n)
+	std := math.Sqrt(sq/float64(n) - mean*mean)
+	if math.Abs(mean) >= 1e-3 || math.Abs(std-0.01) > 0.05*0.01 {
+		t.Errorf("values over %d draws: mean %.3g, std %.4g; want |mean| < 1e-3, std 0.01 ± 5%%", n, mean, std)
+	}
+
+	if allocs := testing.AllocsPerRun(20, func() { FleetUpdate(b, 1, 2, 3, dim, nnz) }); allocs != 0 {
+		t.Errorf("warm FleetUpdate allocates %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkFleetUpdate is the generator's cost per update at the ingest
+// workloads' shape (dim 20000, nnz 1000).
+func BenchmarkFleetUpdate(b *testing.B) {
+	u := &compress.Sparse{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FleetUpdate(u, 1, i, i&63, 20000, 1000)
 	}
 }

@@ -20,7 +20,7 @@ check: lint build test race
 GOB_IMPORTERS := internal/checkpoint/checkpoint.go
 # Two more allowlists of the same kind keep the connection plane single
 # (DESIGN.md §Connection plane). A listener is accepted on in the roster,
-# in the fleet load generator (its reader→worker pipeline is its own) and
+# in the fleet load generator (its readers fold what they read) and
 # in the tests' accounting wrapper, nowhere else; and a redial wait is
 # slept only in rpc.Redial — nobody else can compute one, because nobody
 # else builds a RetryBackoff.

@@ -9,9 +9,9 @@
 //	                aggregation state, constant in the fleet size
 //	flfleet socket  the same fleet over real sockets (rpc.RunFleet):
 //	                every client dials, registers and streams its updates
-//	                as wire frames; the server side runs the
-//	                per-connection reader → pooled payload → decode/fold
-//	                worker pipeline
+//	                as wire frames, one write each; each connection's
+//	                reader on the server decodes, validates and folds
+//	                them into striped partials itself
 //	flfleet edge    the fleet as clients of a two-tier federation
 //	                (flserver root + flserver edge)
 //	flfleet async   the fleet as clients of an flserver async session

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -29,18 +28,17 @@ import (
 //	client → Update(round)    (deterministic synthetic sparse delta)
 //	server → Shutdown         (after the last round)
 //
-// The server side is the shape the issue's 100k-connection goal needs:
-// one reader goroutine per connection parses frames into pooled payload
-// buffers and dispatches them to a bounded worker pool; each worker
-// decodes into its own scratch Sparse and folds into its own Partial, and
-// the round loop merges worker partials in ascending worker order.
-// Steady-state per-connection memory is the bufio reader plus a share of
-// the payload pool — a few KB — and the decode path allocates nothing.
-// Both ends are the fleet's own, so its connections skip the preamble.
-
-// fleetQueue is the depth of the reader→worker dispatch channel; each
-// queued job pins one pooled frame payload until a worker decodes it.
-const fleetQueue = 256
+// The server has no hand-off on its per-update path. One reader goroutine
+// per connection reads the 4-byte length into a header array and the
+// payload into a pooled buffer, then decodes, validates and folds the
+// update itself, into the next of GOMAXPROCS striped partials (each a
+// mutex, a Partial and a scratch Sparse). The fold that brings the
+// round's expected count to zero wakes the round loop — one wake-up per
+// round — and the loop merges the partials in ascending order. An idle
+// connection holds its goroutine and the header array, no read buffer,
+// and the decode path allocates nothing. A client builds each update
+// frame in a pooled buffer and sends it with one Write. Both ends are the
+// fleet's own, so its connections skip the preamble.
 
 // FleetConfig configures one socket-fleet run.
 type FleetConfig struct {
@@ -82,7 +80,9 @@ type FleetResult struct {
 	Rounds  int    `json:"rounds"`
 	Dim     int    `json:"dim"`
 	Nnz     int    `json:"nnz"`
-	Workers int    `json:"workers"`
+	// Workers counts the striped partials the connection readers fold
+	// into (GOMAXPROCS), not goroutines.
+	Workers int `json:"workers"`
 
 	Updates       int64   `json:"updates"`
 	WallSeconds   float64 `json:"wall_seconds"`
@@ -146,19 +146,33 @@ func CheckFleetShape(dim, nnz int) error {
 	return nil
 }
 
-// fleetJob carries one update payload to a decode worker: raw frame bytes
-// (buf returns to the pool after decoding).
-type fleetJob struct {
-	payload []byte
-	buf     *[]byte
+// fleetPart is one stripe of the server's aggregate. A reader folds under
+// mu; the scratch Sparse is reused by every update folded here, because
+// Partial.Fold reads the delta synchronously and retains nothing.
+type fleetPart struct {
+	mu      sync.Mutex
+	part    *shard.Partial
+	scratch compress.Sparse
 }
 
 type fleetRun struct {
 	cfg FleetConfig
 
-	work      chan fleetJob
-	roundDone chan struct{} // one token per folded update
+	parts  []*fleetPart
+	next   atomic.Uint32 // round-robin cursor over parts
+	weight float64       // each update's fold weight, 1/Clients
+
+	// round is the round in progress and pending the number of its
+	// updates not yet folded; the round loop stores both before the
+	// broadcast, and the fold that brings pending to 0 sends the round's
+	// one roundDone token.
+	round     atomic.Int64
+	pending   atomic.Int64
+	roundDone chan struct{}
 	readyCh   chan struct{} // one token per processed hello
+	// shutdown is set once the closing broadcast begins: from then on a
+	// reader's EOF is a client leaving, not a client lost.
+	shutdown atomic.Bool
 
 	pool sync.Pool // *[]byte payload buffers
 
@@ -254,26 +268,18 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		ln:        ln,
 		dialNet:   ln.Addr().Network(),
 		dialAddr:  ln.Addr().String(),
-		work:      make(chan fleetJob, fleetQueue),
-		roundDone: make(chan struct{}, cfg.Clients),
+		parts:     make([]*fleetPart, runtime.GOMAXPROCS(0)),
+		weight:    1 / float64(cfg.Clients),
+		roundDone: make(chan struct{}, 1),
 		readyCh:   make(chan struct{}, cfg.Clients),
 		aborted:   make(chan struct{}),
+	}
+	for i := range f.parts {
+		f.parts[i] = &fleetPart{part: shard.NewPartial(cfg.Dim)}
 	}
 	f.pool.New = func() interface{} {
 		b := make([]byte, 0, envHeaderBytes+compress.SparseBinarySize(cfg.Nnz)+64)
 		return &b
-	}
-
-	// Decode/fold workers, one per GOMAXPROCS, each with private scratch and
-	// partial.
-	workers := runtime.GOMAXPROCS(0)
-	weight := 1 / float64(cfg.Clients)
-	parts := make([]*shard.Partial, workers)
-	var workerWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		parts[w] = shard.NewPartial(cfg.Dim)
-		workerWG.Add(1)
-		go f.worker(parts[w], weight, &workerWG)
 	}
 
 	// Accept loop: exactly cfg.Clients connections, one reader each.
@@ -287,7 +293,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			}
 			readerWG.Add(1)
 			f.addConn(raw)
-			go f.binaryReader(raw, &readerWG)
+			go f.reader(raw, &readerWG)
 		}
 	}()
 
@@ -313,7 +319,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		select {
 		case <-f.readyCh:
 		case <-f.aborted:
-			return nil, f.teardown(&clientWG, &readerWG, &workerWG)
+			return nil, f.teardown(&clientWG, &readerWG)
 		}
 	}
 	helloBytes := f.bytesUp.Load()
@@ -327,10 +333,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	var totalUpdates, firstRound int64
 	start := time.Now()
 	for r := 0; r < cfg.Rounds; r++ {
-		if err := f.broadcastSelect(r); err != nil {
-			f.abort(err)
-			return nil, f.teardown(&clientWG, &readerWG, &workerWG)
-		}
 		// Under a mask the server awaits exactly the round's participants;
 		// masked-out clients stay connected but send nothing.
 		expect := cfg.Clients
@@ -346,19 +348,28 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		if r == 0 {
 			firstRound = int64(expect)
 		}
-		for i := 0; i < expect; i++ {
+		// The count is in place before any client can answer the select.
+		f.round.Store(int64(r))
+		f.pending.Store(int64(expect))
+		if err := f.broadcastSelect(r); err != nil {
+			f.abort(err)
+			return nil, f.teardown(&clientWG, &readerWG)
+		}
+		if expect > 0 {
 			select {
 			case <-f.roundDone:
 			case <-f.aborted:
-				return nil, f.teardown(&clientWG, &readerWG, &workerWG)
+				return nil, f.teardown(&clientWG, &readerWG)
 			}
 		}
-		// Barrier reached: every worker has folded its last update of the
-		// round, so the partials are quiescent. Ascending worker order
-		// fixes the merge's floating-point summation order.
-		for _, p := range parts {
-			roundPart.Merge(p)
-			p.Reset()
+		// Barrier reached: every update of the round is folded. Ascending
+		// partial order fixes the merge's floating-point summation order;
+		// the locks only matter if a misbehaving peer outran the count.
+		for _, s := range f.parts {
+			s.mu.Lock()
+			roundPart.Merge(s.part)
+			s.part.Reset()
+			s.mu.Unlock()
 		}
 		if roundPart.WeightSum != 0 {
 			tensor.Axpy(1/roundPart.WeightSum, roundPart.Sum, global)
@@ -378,8 +389,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	f.broadcastShutdown()
 	clientWG.Wait()
 	readerWG.Wait()
-	close(f.work)
-	workerWG.Wait()
 	for _, c := range f.conns {
 		c.Close()
 	}
@@ -390,7 +399,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	res := &FleetResult{
 		Network: cfg.Network,
 		Clients: cfg.Clients, Rounds: cfg.Rounds, Dim: cfg.Dim, Nnz: cfg.Nnz,
-		Workers:     workers,
+		Workers:     len(f.parts),
 		Updates:     totalUpdates,
 		WallSeconds: wall.Seconds(),
 		BytesUp:     f.bytesUp.Load(),
@@ -410,7 +419,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 }
 
 // teardown closes everything after an abort and reports the first error.
-func (f *fleetRun) teardown(clientWG, readerWG, workerWG *sync.WaitGroup) error {
+func (f *fleetRun) teardown(clientWG, readerWG *sync.WaitGroup) error {
 	f.ln.Close() // stops the accept loop before the conn lists are read
 	f.connMu.Lock()
 	f.closed = true
@@ -421,74 +430,110 @@ func (f *fleetRun) teardown(clientWG, readerWG, workerWG *sync.WaitGroup) error 
 	}
 	clientWG.Wait()
 	readerWG.Wait()
-	close(f.work)
-	workerWG.Wait()
 	return f.failed()
 }
 
-// binaryReader parses frames off one connection and dispatches update
-// payloads to the worker pool. Per-connection steady-state memory is the
-// bufio reader plus whatever pooled payload buffer is in flight.
-func (f *fleetRun) binaryReader(raw net.Conn, wg *sync.WaitGroup) {
+// reader serves one connection for the whole session; any error it meets
+// aborts the run.
+func (f *fleetRun) reader(raw net.Conn, wg *sync.WaitGroup) {
 	defer wg.Done()
-	br := bufio.NewReaderSize(raw, 4096)
+	if err := f.serve(raw); err != nil {
+		f.abort(err)
+		raw.Close()
+	}
+}
+
+// serve reads frames off one connection and folds each update itself
+// before reading the next frame: the length goes into hdr, the payload
+// into a pooled buffer that returns to the pool after the fold. Between
+// frames the connection holds hdr and nothing else. It returns nil when
+// the client leaves after the closing broadcast.
+func (f *fleetRun) serve(raw net.Conn) error {
 	frameCap := envHeaderBytes + compress.SparseBinarySize(f.cfg.Nnz) + 64
+	client, last := -1, -1 // the hello's client id; the last round it sent
 	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			// EOF after shutdown is the clean exit; anything mid-run
-			// surfaces as a stalled round via abort from the client side.
-			return
+		if _, err := io.ReadFull(raw, hdr[:]); err != nil {
+			return f.lost(client, err)
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:]))
 		if n < envHeaderBytes || n > frameCap {
-			f.abort(fmt.Errorf("rpc: fleet frame of %d bytes (cap %d)", n, frameCap))
-			raw.Close()
-			return
+			return fmt.Errorf("rpc: fleet frame of %d bytes (cap %d)", n, frameCap)
 		}
 		buf := f.pool.Get().(*[]byte)
 		if cap(*buf) < n {
 			*buf = make([]byte, n)
 		}
 		p := (*buf)[:n]
-		if _, err := io.ReadFull(br, p); err != nil {
-			f.abort(fmt.Errorf("rpc: fleet read: %w", err))
-			raw.Close()
-			return
+		if _, err := io.ReadFull(raw, p); err != nil {
+			f.pool.Put(buf)
+			return f.lost(client, err)
 		}
 		f.bytesUp.Add(int64(4 + n))
+		var err error
 		switch MsgType(p[0]) {
 		case MsgHello:
-			f.pool.Put(buf)
+			if client >= 0 {
+				err = fmt.Errorf("rpc: fleet client %d sent a second hello", client)
+				break
+			}
+			client = int(int32(binary.LittleEndian.Uint32(p[2:])))
 			f.readyCh <- struct{}{}
 		case MsgUpdate:
-			f.work <- fleetJob{payload: p, buf: buf}
+			// At most one update per connection per round, for the round in
+			// progress and from a participant: anything else would throw the
+			// barrier's count off.
+			round := int(int32(binary.LittleEndian.Uint32(p[6:])))
+			if client < 0 || round != int(f.round.Load()) || round <= last || !maskAllows(f.cfg.Mask, round, client) {
+				err = fmt.Errorf("rpc: fleet client %d sent an update for round %d out of turn", client, round)
+				break
+			}
+			last = round
+			err = f.fold(p[envHeaderBytes:], client)
 		default:
-			f.abort(fmt.Errorf("rpc: fleet got %v from a client", MsgType(p[0])))
-			raw.Close()
-			return
+			err = fmt.Errorf("rpc: fleet got %v from a client", MsgType(p[0]))
+		}
+		f.pool.Put(buf)
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// worker decodes and folds updates into its private partial. The scratch
-// Sparse is reused across every update this worker sees: the fold
-// (Partial.Fold → Sparse.AddTo) reads the delta synchronously and retains
-// nothing.
-func (f *fleetRun) worker(part *shard.Partial, weight float64, wg *sync.WaitGroup) {
-	defer wg.Done()
-	scratch := &compress.Sparse{}
-	for job := range f.work {
-		id := int(int32(binary.LittleEndian.Uint32(job.payload[2:])))
-		err := scratch.DecodeBinaryInto(job.payload[envHeaderBytes:]) // copies what it keeps
-		f.pool.Put(job.buf)
-		if err != nil {
-			f.abort(fmt.Errorf("rpc: fleet decode: %w", err))
-			continue
-		}
-		part.Fold(shard.Update{Client: id, Weight: weight, Delta: scratch}, false)
+// fold decodes, validates and folds one update's sparse section into the
+// next partial in turn, then counts the update against the round's
+// barrier: the fold that brings the count to zero sends the round's one
+// token.
+func (f *fleetRun) fold(section []byte, client int) error {
+	s := f.parts[f.next.Add(1)%uint32(len(f.parts))]
+	s.mu.Lock()
+	err := s.scratch.DecodeBinaryInto(section) // copies what it keeps
+	if err == nil {
+		err = s.scratch.Validate(f.cfg.Dim)
+	}
+	if err == nil {
+		s.part.Fold(shard.Update{Client: client, Weight: f.weight, Delta: &s.scratch}, false)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("rpc: fleet client %d sent a bad update: %w", client, err)
+	}
+	if f.pending.Add(-1) == 0 {
 		f.roundDone <- struct{}{}
 	}
+	return nil
+}
+
+// lost judges a failed read. Once the closing broadcast has begun it is a
+// client leaving; before, the session has lost a member it waits for.
+func (f *fleetRun) lost(client int, err error) error {
+	switch {
+	case f.shutdown.Load():
+		return nil
+	case client < 0:
+		return fmt.Errorf("rpc: fleet connection lost before its hello: %w", err)
+	}
+	return fmt.Errorf("rpc: fleet client %d disconnected mid-session: %w", client, err)
 }
 
 // broadcastSelect sends the round's go-ahead to every client: one shared
@@ -507,6 +552,7 @@ func (f *fleetRun) broadcastSelect(round int) error {
 // broadcastShutdown ends the session; send errors are ignored (a client
 // that already vanished is being told to vanish).
 func (f *fleetRun) broadcastShutdown() {
+	f.shutdown.Store(true)
 	e := &Envelope{Type: MsgShutdown, Info: "fleet done"}
 	frame := appendFrameHead(nil, e, envHeaderBytes+4+len(e.Info))
 	for _, raw := range f.conns {
@@ -516,9 +562,7 @@ func (f *fleetRun) broadcastShutdown() {
 	}
 }
 
-// client runs one fleet member: dial, hello, then lockstep rounds until
-// shutdown. Fleet clients skip the preamble and use a small send buffer —
-// 10k clients at the default 32KB would burn 320MB in bufio alone.
+// client dials and runs one fleet member.
 func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 	dialSem <- struct{}{}
 	raw, err := f.dialRetry()
@@ -526,11 +570,20 @@ func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	conn := newBinaryConn(raw, nil, 1024)
-	defer conn.Close()
 	if f.trackClientConns {
 		f.addConn(raw)
 	}
+	return f.session(raw, id)
+}
+
+// session runs one fleet member over raw, which it closes: hello, then
+// lockstep rounds until shutdown. Fleet clients skip the preamble. The
+// hello and every receive go through a Conn with a small send buffer (10k
+// clients at the default 32KB would burn 320MB in bufio alone); an update
+// frame bypasses it, one Write each (sendFleetUpdate).
+func (f *fleetRun) session(raw net.Conn, id int) error {
+	conn := newBinaryConn(raw, nil, 1024)
+	defer conn.Close()
 	if err := conn.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 1}); err != nil {
 		return err
 	}
@@ -551,8 +604,8 @@ func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 				continue // sitting this round out per the scenario mask
 			}
 			FleetUpdate(upd, f.cfg.Seed, env.Round, id, f.cfg.Dim, f.cfg.Nnz)
-			if err := conn.Send(&Envelope{Type: MsgUpdate, ClientID: id, Round: env.Round, Update: upd}); err != nil {
-				return err
+			if err := sendFleetUpdate(raw, id, env.Round, upd); err != nil {
+				return fmt.Errorf("send %v: %w", MsgUpdate, err)
 			}
 		case MsgShutdown:
 			return nil
@@ -560,6 +613,24 @@ func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 			return fmt.Errorf("unexpected %v", env.Type)
 		}
 	}
+}
+
+// fleetFrames pools the clients' update frame buffers. A buffer grows to
+// the first frame it carries, so a fleet holds one per client mid-send
+// rather than one per client.
+var fleetFrames = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// sendFleetUpdate writes u as one update frame of client id for round —
+// the bytes Conn.Send would write — with a single Write on w.
+func sendFleetUpdate(w io.Writer, id, round int, u *compress.Sparse) error {
+	bp := fleetFrames.Get().(*[]byte)
+	b := appendFrameHead((*bp)[:0], &Envelope{Type: MsgUpdate, ClientID: id, Round: round}, 0)
+	b = u.AppendBinary(b)
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4)) // the length prefix, known now
+	_, err := w.Write(b)
+	*bp = b
+	fleetFrames.Put(bp)
+	return err
 }
 
 // RunFleetClients runs the client half of a split fleet: it dials

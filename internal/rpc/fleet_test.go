@@ -1,11 +1,17 @@
 package rpc
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"net"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"adafl/internal/compress"
 )
@@ -247,5 +253,168 @@ func BenchmarkFleetUpdate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		FleetUpdate(u, 1, i, i&63, 20000, 1000)
+	}
+}
+
+// BenchmarkRunFleet is fleet_ingest's session without bench/: 64
+// unix-socket clients, dim 20000, nnz 1000, one lockstep round per
+// iteration. updates/s is read off RunFleet's own round-loop clock, so it
+// leaves out the dials and registration that ns/op includes.
+func BenchmarkRunFleet(b *testing.B) {
+	res, err := RunFleet(FleetConfig{
+		Network: "unix", Addr: filepath.Join(b.TempDir(), "fleet.sock"),
+		Clients: 64, Rounds: b.N, Dim: 20000, Nnz: 1000, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(res.UpdatesPerSec, "updates/s")
+}
+
+// runFleetAsync starts RunFleet; fleetDone waits for its error under a
+// deadline of its own, so a server stuck at its barrier fails the test
+// instead of hanging it.
+func runFleetAsync(cfg FleetConfig) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunFleet(cfg)
+		done <- err
+	}()
+	return done
+}
+
+func fleetDone(t *testing.T, done <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunFleet did not return within 10 s")
+		return nil
+	}
+}
+
+// fleetPeer is a hand-driven external client id of a RunFleet server: it
+// dials, sends its hello and returns once the first select has arrived.
+func fleetPeer(t *testing.T, cfg FleetConfig, id int) net.Conn {
+	t.Helper()
+	dialer := &fleetRun{dialNet: cfg.Network, dialAddr: cfg.Addr, aborted: make(chan struct{})}
+	raw, err := dialer.dialRetry() // the server may not be listening yet
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	conn := newBinaryConn(raw, nil, 1024)
+	if err := conn.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := conn.Recv(); err != nil || e.Type != MsgSelect {
+		t.Fatalf("first frame: %v, %v; want a select", e, err)
+	}
+	return raw
+}
+
+// TestFleetRejectsHostileUpdate: an update that does not fit the server's
+// model ends the run with an error naming the client — it must not reach
+// the fold, where an out-of-range index panics the process.
+func TestFleetRejectsHostileUpdate(t *testing.T) {
+	const dim = 2000 // fleetCfg's
+	for _, tc := range []struct {
+		name string
+		u    *compress.Sparse
+		want string
+	}{
+		{"index past dim", &compress.Sparse{Dim: dim, Indices: []int32{3, dim + 5}, Values: []float64{1, 1}}, "index 2005"},
+		{"wrong dim", &compress.Sparse{Dim: dim + 1, Indices: []int32{3}, Values: []float64{1}}, "dim 2001, expected 2000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fleetCfg(t, 1, 2)
+			cfg.ExternalClients = true
+			done := runFleetAsync(cfg)
+			raw := fleetPeer(t, cfg, 7)
+			if err := sendFleetUpdate(raw, 7, 0, tc.u); err != nil {
+				t.Fatal(err)
+			}
+			err := fleetDone(t, done)
+			if err == nil || !strings.Contains(err.Error(), "client 7") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunFleet: %v; want an error naming client 7 and %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestFleetAbortsWhenClientVanishes: an external client that closes its
+// socket mid-session ends the run with an error naming it, instead of
+// leaving the round barrier waiting for its update forever.
+func TestFleetAbortsWhenClientVanishes(t *testing.T) {
+	cfg := fleetCfg(t, 1, 3)
+	cfg.ExternalClients = true
+	done := runFleetAsync(cfg)
+	fleetPeer(t, cfg, 4).Close()
+	const want = "client 4 disconnected mid-session"
+	if err := fleetDone(t, done); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RunFleet: %v; want an error containing %q", err, want)
+	}
+}
+
+// writeCounter counts the Write calls made on a connection.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Conn.Write(p)
+}
+
+// TestFleetClientOneWritePerUpdate pins the client's send path: each
+// update frame leaves in exactly one Write, and its bytes are the ones
+// Conn.Send would have written.
+func TestFleetClientOneWritePerUpdate(t *testing.T) {
+	const id, rounds = 5, 3
+	cfg := fleetCfg(t, 8, rounds)
+	cfg.Dim, cfg.Nnz = 20000, 1000
+	f := &fleetRun{cfg: cfg, aborted: make(chan struct{})}
+	server, client := net.Pipe()
+	defer server.Close()
+	wc := &writeCounter{Conn: client}
+	errc := make(chan error, 1)
+	go func() { errc <- f.session(wc, id) }()
+
+	readFrame := func() []byte {
+		var hdr [4]byte
+		if _, err := io.ReadFull(server, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		frame := make([]byte, 4+int(binary.LittleEndian.Uint32(hdr[:])))
+		copy(frame, hdr[:])
+		if _, err := io.ReadFull(server, frame[4:]); err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	send := func(e *Envelope) {
+		if _, err := server.Write(encodeBinaryEnvelope(t, e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readFrame() // the hello
+	want := &compress.Sparse{}
+	for r := 0; r < rounds; r++ {
+		before := wc.writes.Load()
+		send(&Envelope{Type: MsgSelect, Round: r, Ratio: 1})
+		got := readFrame()
+		if n := wc.writes.Load() - before; n != 1 {
+			t.Errorf("round %d: the update frame took %d writes, want 1", r, n)
+		}
+		FleetUpdate(want, cfg.Seed, r, id, cfg.Dim, cfg.Nnz)
+		if !bytes.Equal(got, encodeBinaryEnvelope(t, &Envelope{Type: MsgUpdate, ClientID: id, Round: r, Update: want})) {
+			t.Fatalf("round %d: the %d-byte update frame differs from Conn.Send's", r, len(got))
+		}
+	}
+	send(&Envelope{Type: MsgShutdown, Info: "done"})
+	if err := <-errc; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -26,6 +26,12 @@ GOB_IMPORTERS := internal/checkpoint/checkpoint.go
 # else builds a RetryBackoff.
 ACCEPT_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/fleet.go internal/rpc/roster.go
 BACKOFF_USERS := internal/rpc/backoff.go
+# A wait on a condition blocks on the event that changes it (the root's
+# change signal, DESIGN.md §Edge federation), never on a sleep-and-poll
+# loop. time.Sleep is named only by the redial wait, the injected fault
+# delay, the throttle's clock, the shard tree's test fold delay and the
+# tests' leak check.
+SLEEP_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/backoff.go internal/rpc/fault.go internal/rpc/throttle.go internal/shard/shard.go
 # And one more keeps the GEMM at one precision (DESIGN.md §Precision): no
 # non-test internal/tensor/gemm*.go file names float64 and the assembly
 # tile has no packed-double FMA, so a float64 GEMM cannot creep back beside
@@ -47,6 +53,8 @@ lint: vet
 	if [ "$$got" != "$(ACCEPT_CALLERS) " ]; then echo "accept loops: $$got(want: $(ACCEPT_CALLERS))"; exit 1; fi
 	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' 'NewRetryBackoff(' . | sed 's|^\./||' | sort | tr '\n' ' '); \
 	if [ "$$got" != "$(BACKOFF_USERS) " ]; then echo "redial loops (NewRetryBackoff callers): $$got(want: $(BACKOFF_USERS))"; exit 1; fi
+	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' 'time\.Sleep' . | sed 's|^\./||' | sort | tr '\n' ' '); \
+	if [ "$$got" != "$(SLEEP_CALLERS) " ]; then echo "time.Sleep in: $$got(want: $(SLEEP_CALLERS))"; exit 1; fi
 	@got=$$(grep -lE --exclude='*_test.go' 'float64|FMADD[0-9]+PD' internal/tensor/gemm*.go internal/tensor/gemm_amd64.s | sort -u | tr '\n' ' '); \
 	if [ "$$got" != "$(F64_GEMM)" ]; then echo "float64 GEMM code in: $$got(want none)"; exit 1; fi
 

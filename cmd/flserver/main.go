@@ -474,7 +474,7 @@ func newEdge(fs *flag.FlagSet) cli.Runner {
 	fs.StringVar(&c.cfg.Region, "region", "", "scenario region for reroute affinity and outage exclusion")
 	fs.IntVar(&c.cfg.Dim, "dim", 20000, "model dimension (must match the root's)")
 	fs.Float64Var(&c.cfg.MaxUpdateNorm, "max-update-norm", 10, normHelp)
-	fs.DurationVar(&c.cfg.HeartbeatInterval, "heartbeat-interval", edge.DefaultHeartbeatInterval, "ping cadence to the root")
+	fs.DurationVar(&c.cfg.HeartbeatInterval, "heartbeat-interval", edge.DefaultHeartbeatInterval, "liveness ping cadence to the root (client-count changes are pushed at once)")
 	fs.IntVar(&c.cfg.MaxRetries, "retries", 10, "consecutive failed root redials before giving up (full-jitter backoff; the budget resets on progress)")
 	fs.Uint64Var(&c.cfg.Seed, "seed", 1, "redial jitter seed")
 	fs.BoolVar(&c.negotiate, "negotiate", false, negoHelp+" (heaviest senders get the deepest compression)")

@@ -118,7 +118,7 @@ func runClientOnce(cfg ClientsConfig, id int, upd *compress.Sparse) (done, progr
 	default:
 		return false, false, fmt.Errorf("bootstrap: unexpected %v", env.Type)
 	}
-	addr := env.Info
+	addr := env.Info // env is the edge link's receive scratch from here on
 
 	conn, err := rpc.Dial("tcp", addr, cfg.DialTimeout)
 	if err != nil {
@@ -129,8 +129,7 @@ func runClientOnce(cfg ClientsConfig, id int, upd *compress.Sparse) (done, progr
 		return false, false, err
 	}
 	for {
-		env, err := conn.Recv()
-		if err != nil {
+		if err := conn.RecvInto(env); err != nil {
 			return false, progressed, err
 		}
 		switch env.Type {

@@ -47,7 +47,9 @@ type EdgeConfig struct {
 	// MaxUpdateNorm configures the shared integrity screen (0 disables
 	// the norm gate; structural validation and scrubbing are always on).
 	MaxUpdateNorm float64
-	// HeartbeatInterval paces pings to the root (0 = 250ms).
+	// HeartbeatInterval paces the liveness pings to the root (0 = 250ms).
+	// A change in the client count is pushed at once, whatever the
+	// interval.
 	HeartbeatInterval time.Duration
 	// UpdateTimeout bounds the per-round client collect (0 = 30s).
 	UpdateTimeout time.Duration
@@ -107,6 +109,10 @@ type Edge struct {
 	round atomic.Int64 // current round: the run loop writes, heartbeats read
 	res   EdgeResult   // the run loop's alone
 
+	// counted (cap 1) tells the heartbeat the roster size may have changed:
+	// admit and dropClient post to it without blocking.
+	counted chan struct{}
+
 	neg *core.Negotiator // client-facing codec negotiator (nil when disabled)
 	met edgeMetrics
 }
@@ -151,11 +157,12 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		return nil, err
 	}
 	return &Edge{
-		cfg:    cfg,
-		ln:     ln,
-		roster: rpc.NewRoster(true),
-		neg:    neg,
-		met:    newEdgeMetrics(cfg.Metrics, cfg.ID),
+		cfg:     cfg,
+		ln:      ln,
+		roster:  rpc.NewRoster(true),
+		counted: make(chan struct{}, 1),
+		neg:     neg,
+		met:     newEdgeMetrics(cfg.Metrics, cfg.ID),
 	}, nil
 }
 
@@ -231,11 +238,11 @@ func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error)
 		return false, false, err
 	}
 
-	// Heartbeats carry the current round and client count; they stop
-	// when this connection is replaced or closed.
+	// Pings carry the current round and client count; they stop when this
+	// connection is replaced or closed.
 	hbStop := make(chan struct{})
 	defer close(hbStop)
-	go e.heartbeat(conn, hbStop)
+	go e.heartbeat(conn, hello.NumSamples, hbStop)
 
 	for {
 		env, err := conn.Recv()
@@ -264,9 +271,13 @@ func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error)
 	}
 }
 
-// heartbeat pings the root every interval with the edge's round and
-// connected-client count, until stop closes or a send fails.
-func (e *Edge) heartbeat(conn *rpc.Conn, stop <-chan struct{}) {
+// heartbeat pings the root with the edge's round and connected-client
+// count, until stop closes or a send fails: every interval for liveness,
+// and as soon as the count differs from the last one this connection
+// carried (sent, starting at the hello's), so the root's quorum and
+// reroute waits never sit out a tick. A burst of admissions coalesces
+// into the few pings the cap-1 signal lets through.
+func (e *Edge) heartbeat(conn *rpc.Conn, sent int, stop <-chan struct{}) {
 	t := time.NewTicker(e.cfg.HeartbeatInterval)
 	defer t.Stop()
 	for {
@@ -274,14 +285,28 @@ func (e *Edge) heartbeat(conn *rpc.Conn, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
+		case <-e.counted:
+			if e.roster.Len() == sent {
+				continue
+			}
 		}
 		// Under a deadline of one interval: a root that stops reading must
 		// not park this goroutine on a full socket.
-		ping := &rpc.Envelope{Type: rpc.MsgPing, ClientID: e.cfg.ID, Round: int(e.round.Load()), NumSamples: e.roster.Len()}
+		n := e.roster.Len()
+		ping := &rpc.Envelope{Type: rpc.MsgPing, ClientID: e.cfg.ID, Round: int(e.round.Load()), NumSamples: n}
 		if err := conn.SendWithin(e.cfg.HeartbeatInterval, ping); err != nil {
 			return
 		}
+		sent = n
 		e.met.heartbeats.Inc()
+	}
+}
+
+// recount tells the heartbeat the roster size may have changed.
+func (e *Edge) recount() {
+	select {
+	case e.counted <- struct{}{}:
+	default:
 	}
 }
 
@@ -363,6 +388,7 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 func (e *Edge) admit(conn *rpc.Conn, hello *rpc.Envelope) {
 	if e.roster.Admit(&rpc.Peer{ID: hello.ClientID, Conn: conn}, nil) == nil {
 		e.met.clients.Set(float64(e.roster.Len()))
+		e.recount()
 	}
 }
 
@@ -370,5 +396,6 @@ func (e *Edge) admit(conn *rpc.Conn, hello *rpc.Envelope) {
 func (e *Edge) dropClient(p *rpc.Peer, err error) {
 	e.roster.Remove(p)
 	e.met.clients.Set(float64(e.roster.Len()))
+	e.recount()
 	e.cfg.Logf("edge %d: dropped client %d: %v", e.cfg.ID, p.ID, err)
 }

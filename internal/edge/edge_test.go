@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"cmp"
 	"errors"
 	"io"
 	"net"
@@ -34,6 +35,10 @@ type treeCfg struct {
 	metrics                *obs.Registry
 	events                 *obs.EventLog
 	logf                   func(format string, args ...interface{}) // nil = t.Logf, root only
+	heartbeat              time.Duration                            // edges' ping interval (0 = 30ms)
+	hbTimeout              time.Duration                            // root's silence window (0 = 2s)
+	quorum                 time.Duration                            // root's QuorumTimeout (0 = 30s)
+	rerouteGrace           time.Duration                            // root's RerouteGrace (0 = 5s)
 }
 
 // treeRun is one running session: root in a goroutine, E edges, a client
@@ -68,10 +73,10 @@ func startTree(t *testing.T, tc treeCfg) *treeRun {
 		// tests detect death through the wire error instantly anyway.
 		// TestChaosHeartbeatTimeout pins the watchdog path with its own
 		// tight root.
-		HeartbeatTimeout: 2 * time.Second,
+		HeartbeatTimeout: cmp.Or(tc.hbTimeout, 2*time.Second),
 		PartialTimeout:   20 * time.Second,
-		QuorumTimeout:    30 * time.Second,
-		RerouteGrace:     5 * time.Second,
+		QuorumTimeout:    cmp.Or(tc.quorum, 30*time.Second),
+		RerouteGrace:     cmp.Or(tc.rerouteGrace, 5*time.Second),
 		CheckpointDir:    tc.ckptDir,
 		Resume:           tc.resume,
 		Cost:             tc.cost,
@@ -108,7 +113,7 @@ func startTree(t *testing.T, tc treeCfg) *treeRun {
 			RootAddr:          root.EdgeAddr(),
 			Region:            region,
 			Dim:               tc.dim,
-			HeartbeatInterval: 30 * time.Millisecond,
+			HeartbeatInterval: cmp.Or(tc.heartbeat, 30*time.Millisecond),
 			UpdateTimeout:     10 * time.Second,
 			MaxRetries:        tc.edgeRetries,
 			RetryBackoff:      20 * time.Millisecond,

@@ -16,7 +16,7 @@ type edgeMetrics struct {
 	folded      *obs.Counter // client updates folded into partials
 	partials    *obs.Counter // partials shipped upstream
 	quarantines *obs.Counter // updates rejected by the screen
-	heartbeats  *obs.Counter // pings sent to the root
+	heartbeats  *obs.Counter // pings sent to the root: liveness ticks and count pushes
 }
 
 func newEdgeMetrics(r *obs.Registry, id int) edgeMetrics {

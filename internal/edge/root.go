@@ -204,8 +204,13 @@ type Root struct {
 	round       int
 	reroutes    int
 	orphans     int
+	// changed is closed and replaced (notifyLocked) whenever something a
+	// wait may be waiting for changes: an edge admitted, an edge's client
+	// count, the assignment becoming ready.
+	changed chan struct{}
 
-	ev chan rootEv
+	ev   chan rootEv
+	free chan *shard.Partial // Dim-sized partials the round loop gave back: at most one per edge
 
 	ckpt   *checkpoint.DeltaWriter // touched only by Run's goroutine
 	report *checkpoint.Reporter
@@ -256,7 +261,9 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 		roster:   rpc.NewRoster(true),
 
 		pendingJoin: map[int]bool{},
+		changed:     make(chan struct{}),
 		ev:          make(chan rootEv, 64),
+		free:        make(chan *shard.Partial, cfg.NumEdges),
 		met:         newRootMetrics(cfg.Metrics),
 	}
 	r.roster.Cap = cfg.NumEdges
@@ -352,7 +359,7 @@ func (r *Root) Run() (*RootResult, error) {
 		}
 		r.cfg.Events.Flush()
 		if rec.Rerouted > 0 && round < r.cfg.Rounds-1 {
-			r.awaitRerouted()
+			r.awaitRerouted(round + 1)
 		}
 	}
 
@@ -402,6 +409,7 @@ func (r *Root) restore(snap *checkpoint.Snapshot, global []float64) (*rootSnapsh
 	r.mu.Lock()
 	r.topo = topo
 	r.assignReady = true
+	r.notifyLocked()
 	r.reroutes = meta.Reroutes
 	r.orphans = meta.Orphans
 	r.round = meta.CompletedRound + 1
@@ -449,44 +457,35 @@ func (r *Root) joinCheckpoint() {
 // window are declared dead and their clients rerouted — a resumed root
 // must not hang forever on an edge that died while it was down.
 func (r *Root) awaitEdges(round int) error {
-	deadline := time.Now().Add(r.cfg.QuorumTimeout)
-	for {
+	var missing []int
+	ok, err := r.await(r.cfg.QuorumTimeout, func() bool {
 		r.mu.Lock()
-		var ready bool
-		var missing []int
+		defer r.mu.Unlock()
 		if r.topo == nil {
-			ready = r.roster.Len() >= r.cfg.NumEdges
-		} else {
-			ready = true
-			for _, s := range r.topo.Live() {
-				if r.roster.Peer(s.ID) == nil {
-					ready = false
-					missing = append(missing, s.ID)
-				}
+			return r.roster.Len() >= r.cfg.NumEdges
+		}
+		missing = missing[:0]
+		for _, s := range r.topo.Live() {
+			if r.roster.Peer(s.ID) == nil {
+				missing = append(missing, s.ID)
 			}
 		}
-		r.mu.Unlock()
-		if r.roster.Killed() {
-			return ErrRootKilled
-		}
-		if ready {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			if r.topo == nil {
-				return fmt.Errorf("root: only %d of %d edges registered within %v",
-					r.roster.Len(), r.cfg.NumEdges, r.cfg.QuorumTimeout)
-			}
-			sort.Ints(missing)
-			for _, id := range missing {
-				if _, err := r.rerouteDead(round, id, "edge never re-registered after resume"); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
+		return len(missing) == 0
+	}, nil)
+	if ok || err != nil {
+		return err
 	}
+	if r.topo == nil {
+		return fmt.Errorf("root: only %d of %d edges registered within %v",
+			r.roster.Len(), r.cfg.NumEdges, r.cfg.QuorumTimeout)
+	}
+	sort.Ints(missing)
+	for _, id := range missing {
+		if _, err := r.rerouteDead(round, id, "edge never re-registered after resume"); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // planIfNeeded builds the topology from the registered roster and plans
@@ -514,6 +513,7 @@ func (r *Root) planIfNeeded() error {
 	}
 	r.topo = topo
 	r.assignReady = true
+	r.notifyLocked()
 	r.cfg.Logf("root: planned %d clients over %d edges (epoch %d)",
 		r.cfg.Clients, len(topo.Specs), topo.Epoch)
 	return nil
@@ -531,47 +531,95 @@ func (r *Root) connectedClients() int {
 	return n
 }
 
+// fleetConnected reports whether the edges' last counts cover the fleet.
+func (r *Root) fleetConnected() bool { return r.connectedClients() >= r.cfg.Clients }
+
 // awaitClients blocks until the edges report a combined client roster
-// covering the fleet, so round 0 selects everyone (counts arrive via
-// heartbeats, so this lags by at most one ping interval). Edge deaths
-// during the wait are drained and rerouted — an edge that registers and
-// immediately goes silent must not pin its clients to a dead address.
+// covering the fleet, so round 0 selects everyone (each edge pushes its
+// count the moment it changes, so this wakes on the admission that
+// completes the fleet). Edge deaths during the wait are handled and
+// rerouted as they arrive — an edge that registers and immediately goes
+// silent must not pin its clients to a dead address.
 func (r *Root) awaitClients() error {
-	deadline := time.Now().Add(r.cfg.QuorumTimeout)
-	for {
-		r.mu.Lock()
-		round := r.round
-		r.mu.Unlock()
-		if err := r.drainEvents(round); err != nil {
-			return err
-		}
-		if r.roster.Killed() {
-			return ErrRootKilled
-		}
-		n := r.connectedClients()
-		if n >= r.cfg.Clients {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("root: only %d of %d clients surfaced within %v",
-				n, r.cfg.Clients, r.cfg.QuorumTimeout)
-		}
-		time.Sleep(10 * time.Millisecond)
+	r.mu.Lock()
+	round := r.round
+	r.mu.Unlock()
+	ok, err := r.await(r.cfg.QuorumTimeout, r.fleetConnected, func(e rootEv) error {
+		return r.handleEvent(round, e, nil, nil)
+	})
+	if ok || err != nil {
+		return err
 	}
+	return fmt.Errorf("root: only %d of %d clients surfaced within %v",
+		r.connectedClients(), r.cfg.Clients, r.cfg.QuorumTimeout)
 }
 
 // awaitRerouted gives orphans a bounded window to resurface on their new
-// edges before the next go-ahead, so a reroute costs at most one round of
+// edges before round's go-ahead, so a reroute costs at most one round of
 // their participation. Best-effort: the session proceeds at the deadline
-// regardless.
-func (r *Root) awaitRerouted() {
-	deadline := time.Now().Add(r.cfg.RerouteGrace)
-	for time.Now().Before(deadline) {
-		if r.roster.Killed() || r.connectedClients() >= r.cfg.Clients {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+// regardless. Either way one reroute_wait event records how long round
+// waited and how many clients it starts without.
+func (r *Root) awaitRerouted(round int) {
+	start := time.Now()
+	ok, err := r.await(r.cfg.RerouteGrace, r.fleetConnected, nil)
+	if err != nil {
+		return
 	}
+	waited := time.Since(start)
+	missing := 0
+	if ok {
+		r.cfg.Logf("root: rerouted clients back after %v", waited.Round(time.Millisecond))
+	} else {
+		missing = max(r.cfg.Clients-r.connectedClients(), 0)
+		r.cfg.Logf("root: reroute grace %v expired with %d clients still missing; round %d starts without them",
+			r.cfg.RerouteGrace, missing, round+1)
+	}
+	r.cfg.Events.Emit(obs.Event{Type: "reroute_wait", Round: round, Client: -1,
+		Clients: missing, Seconds: waited.Seconds()})
+}
+
+// await is the root's one wait: it returns true once ready holds, false
+// when within passes first (ready is asked one last time at the
+// deadline), ErrRootKilled when the session ends. It sleeps on the change
+// signal, taken before ready runs so a change that lands in between still
+// wakes it, and with handle non-nil also serves the readers' events.
+func (r *Root) await(within time.Duration, ready func() bool, handle func(rootEv) error) (bool, error) {
+	deadline := time.NewTimer(within)
+	defer deadline.Stop()
+	var ev chan rootEv // nil: never ready
+	if handle != nil {
+		ev = r.ev
+	}
+	for {
+		r.mu.Lock()
+		changed := r.changed
+		r.mu.Unlock()
+		select {
+		case <-r.roster.Done():
+			return false, ErrRootKilled
+		default:
+		}
+		if ready() {
+			return true, nil
+		}
+		select {
+		case <-changed:
+		case e := <-ev:
+			if err := handle(e); err != nil {
+				return false, err
+			}
+		case <-deadline.C:
+			return ready(), nil
+		case <-r.roster.Done():
+			return false, ErrRootKilled
+		}
+	}
+}
+
+// notifyLocked wakes every wait (r.mu held).
+func (r *Root) notifyLocked() {
+	close(r.changed)
+	r.changed = make(chan struct{})
 }
 
 // runRound drives one round: admit boundary rejoins, drain stale death
@@ -683,6 +731,7 @@ collect:
 	merged.Reset()
 	for _, id := range ids {
 		merged.Merge(parts[id])
+		r.putPartial(parts[id])
 	}
 	if merged.WeightSum > 0 {
 		tensor.Axpy(1/merged.WeightSum, merged.Sum, global)
@@ -833,6 +882,9 @@ func (r *Root) admitEdge(conn *rpc.Conn, env *rpc.Envelope) {
 	if r.roster.Admit(p, &rpc.Envelope{Type: rpc.MsgWelcome, Round: round - 1}) != nil {
 		return
 	}
+	r.mu.Lock()
+	r.notifyLocked()
+	r.mu.Unlock()
 	r.cfg.Logf("root: edge %d registered from %s (region %q, %d clients)",
 		id, env.Info, env.Region, env.NumSamples)
 	r.cfg.Events.Emit(obs.Event{Type: "edge_up", Round: round, Client: -1, Edge: id})
@@ -842,36 +894,59 @@ func (r *Root) admitEdge(conn *rpc.Conn, env *rpc.Envelope) {
 	}
 }
 
-// readEdge consumes one edge connection: heartbeats refresh liveness and
-// the reported client count; partials are copied out of the codec
-// scratch and posted to the round loop; any error posts a death report
-// naming the connection.
+// readEdge consumes one edge connection: every frame refreshes liveness,
+// a ping whose client count differs wakes the root's waits; partials are
+// copied out of the codec scratch into a free-list partial and posted to
+// the round loop; any error posts a death report naming the connection.
 func (r *Root) readEdge(p *rpc.Peer) {
 	re := p.Ext.(*rootEdge)
+	var env rpc.Envelope
 	for {
-		env, err := p.Conn.Recv()
-		if err != nil {
+		if err := p.Conn.RecvInto(&env); err != nil {
 			p.Conn.Close()
 			r.post(rootEv{kind: evDown, edge: p.ID, peer: p, err: err})
 			return
 		}
 		r.mu.Lock()
 		re.lastSeen = time.Now()
-		if env.Type == rpc.MsgPing {
+		if env.Type == rpc.MsgPing && re.clients != env.NumSamples {
 			re.clients = env.NumSamples
+			r.notifyLocked()
 		}
 		r.mu.Unlock()
 		if env.Type == rpc.MsgEdgePartial {
-			// The binary codec reuses Params as scratch on the next Recv
-			// (the next heartbeat): deep-copy before posting.
-			part := &shard.Partial{
-				Dim:       len(env.Params),
-				Sum:       append([]float64(nil), env.Params...),
-				WeightSum: env.WeightSum,
-				Count:     env.NumSamples,
+			// Params is the connection's scratch, overwritten by the next
+			// frame: copy before posting. A wrong-sized one is posted bare,
+			// for validatePartial to refuse by its Dim.
+			var part *shard.Partial
+			if len(env.Params) == r.cfg.Dim {
+				part = r.getPartial()
+				copy(part.Sum, env.Params)
+			} else {
+				part = &shard.Partial{Dim: len(env.Params)}
 			}
+			part.WeightSum, part.Count = env.WeightSum, env.NumSamples
 			r.post(rootEv{kind: evPartial, edge: p.ID, round: env.Round, part: part})
 		}
+	}
+}
+
+// getPartial takes a Dim-sized partial off the free list, or makes one.
+func (r *Root) getPartial() *shard.Partial {
+	select {
+	case part := <-r.free:
+		return part
+	default:
+		return shard.NewPartial(r.cfg.Dim)
+	}
+}
+
+// putPartial gives a merged partial back to the free list; one that does
+// not fit is left to the collector.
+func (r *Root) putPartial(part *shard.Partial) {
+	select {
+	case r.free <- part:
+	default:
 	}
 }
 
@@ -921,31 +996,23 @@ func (r *Root) watchdog() {
 func (r *Root) admitClient(conn *rpc.Conn, env *rpc.Envelope) {
 	defer conn.Close()
 	id := env.ClientID
-	deadline := time.Now().Add(r.cfg.QuorumTimeout)
-	for time.Now().Before(deadline) {
-		select {
-		case <-r.roster.Done():
-			return
-		default:
-		}
+	addr, epoch, known := "", 0, false
+	ready, _ := r.await(r.cfg.QuorumTimeout, func() bool {
 		r.mu.Lock()
-		ready := r.assignReady
-		addr, epoch := "", 0
-		known := false
-		if ready && id >= 0 && id < len(r.topo.Assign) {
+		defer r.mu.Unlock()
+		if r.assignReady && id >= 0 && id < len(r.topo.Assign) {
 			if s := r.topo.Spec(r.topo.Assign[id]); s != nil {
 				addr, epoch, known = s.Addr, r.topo.Epoch, true
 			}
 		}
-		r.mu.Unlock()
-		if ready && !known {
-			rpc.Reject(conn, fmt.Sprintf("client %d outside the fleet", id))
-			return
-		}
-		if ready {
-			conn.SendWithin(5*time.Second, &rpc.Envelope{Type: rpc.MsgReroute, ClientID: id, Round: epoch, Info: addr})
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+		return r.assignReady
+	}, nil)
+	if !ready {
+		return
 	}
+	if !known {
+		rpc.Reject(conn, fmt.Sprintf("client %d outside the fleet", id))
+		return
+	}
+	conn.SendWithin(5*time.Second, &rpc.Envelope{Type: rpc.MsgReroute, ClientID: id, Round: epoch, Info: addr})
 }

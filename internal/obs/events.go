@@ -28,6 +28,9 @@ import (
 //	edge_down   Round, Edge, Reason (heartbeat timeout or wire error)
 //	reroute     Round, Edge (the dead edge), Clients (orphans moved),
 //	            Reason (the reassignment summary)
+//	reroute_wait Round (the round whose go-ahead waited), Seconds (how
+//	            long it waited for orphans to resurface), Clients (still
+//	            missing when it went ahead; 0 when all came back)
 //
 // Client is -1 on records that do not concern a single client. Acc is
 // omitted (not emitted) when the round was not evaluated.
@@ -53,7 +56,7 @@ type Event struct {
 
 	// Edge identifies the edge aggregator an event concerns (-1 or
 	// omitted on flat-session records). Emitted by the two-tier engine:
-	// edge_up, edge_down, reroute, edge_partial.
+	// edge_up, edge_down, reroute.
 	Edge int `json:"edge,omitempty"`
 }
 

@@ -29,9 +29,12 @@ BACKOFF_USERS := internal/rpc/backoff.go
 # A wait on a condition blocks on the event that changes it (the root's
 # change signal, DESIGN.md §Edge federation), never on a sleep-and-poll
 # loop. time.Sleep is named only by the redial wait, the injected fault
-# delay, the throttle's clock, the shard tree's test fold delay and the
-# tests' leak check.
-SLEEP_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/backoff.go internal/rpc/fault.go internal/rpc/throttle.go internal/shard/shard.go
+# delay, the throttle's clock and the tests' leak check.
+SLEEP_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/backoff.go internal/rpc/fault.go internal/rpc/throttle.go
+# The shard tree folds in the goroutine that ingests (DESIGN.md §Sharded
+# aggregation): no non-test internal/shard file has a go statement or
+# names a channel type. The list of files allowed to is empty.
+SHARD_CONCURRENCY :=
 # And one more keeps the GEMM at one precision (DESIGN.md §Precision): no
 # non-test internal/tensor/gemm*.go file names float64 and the assembly
 # tile has no packed-double FMA, so a float64 GEMM cannot creep back beside
@@ -55,6 +58,8 @@ lint: vet
 	if [ "$$got" != "$(BACKOFF_USERS) " ]; then echo "redial loops (NewRetryBackoff callers): $$got(want: $(BACKOFF_USERS))"; exit 1; fi
 	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' 'time\.Sleep' . | sed 's|^\./||' | sort | tr '\n' ' '); \
 	if [ "$$got" != "$(SLEEP_CALLERS) " ]; then echo "time.Sleep in: $$got(want: $(SLEEP_CALLERS))"; exit 1; fi
+	@got=$$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|(^|[^[:alnum:]_])chan([^[:alnum:]_]|$$)' internal/shard | sort | tr '\n' ' '); \
+	if [ "$$got" != "$(SHARD_CONCURRENCY)" ]; then echo "go statement or channel in the shard tree: $$got(want none)"; exit 1; fi
 	@got=$$(grep -lE --exclude='*_test.go' 'float64|FMADD[0-9]+PD' internal/tensor/gemm*.go internal/tensor/gemm_amd64.s | sort -u | tr '\n' ' '); \
 	if [ "$$got" != "$(F64_GEMM)" ]; then echo "float64 GEMM code in: $$got(want none)"; exit 1; fi
 
@@ -69,9 +74,9 @@ test:
 
 # The packages that spawn goroutines (parallel GEMM, parallel evaluation,
 # parallel client rounds, the concurrent RPC round engine and its chaos
-# suite, the sharded streaming aggregation tree) plus the crash-safety
-# layer and the shared-registry observability layer under the race
-# detector.
+# suite) or are fed from many (the shard tree's striped ingest), plus the
+# crash-safety layer and the shared-registry observability layer under
+# the race detector.
 race:
 	$(GO) test -race ./internal/fl/... ./internal/nn/... ./internal/tensor/... ./internal/rpc/... ./internal/checkpoint/... ./internal/obs/... ./internal/shard/... ./internal/compress/... ./internal/scenario/... ./internal/edge/... ./internal/session/...
 

@@ -120,7 +120,6 @@ func newInProcess(fs *flag.FlagSet) cli.Runner {
 	c := &inProcessCmd{}
 	fs.IntVar(&c.clients, "clients", 1000, clientsHelp)
 	fs.IntVar(&c.tree.Shards, "shards", 8, "aggregation shards")
-	fs.IntVar(&c.tree.QueueDepth, "queue", 0, "per-shard queue depth (0 = default)")
 	fs.IntVar(&c.rounds, "rounds", 5, "aggregation rounds to drive")
 	fs.IntVar(&c.tree.Dim, "dim", 20000, "model dimension")
 	fs.IntVar(&c.nnz, "nnz", 1000, nnzHelp)
@@ -177,7 +176,6 @@ func (c *inProcessCmd) fold() (result, error) {
 	var produced int64
 	start := time.Now()
 	tree := shard.NewTree(c.tree)
-	defer tree.Close()
 	for r := 0; r < c.rounds; r++ {
 		produced += produce(c.clients, c.seed, r, dim, c.nnz, mask, func(id int, u *compress.Sparse) {
 			tree.Ingest(r, shard.Update{Client: id, Weight: 1.0 / float64(c.clients), Delta: u})
@@ -446,11 +444,12 @@ func (c *asyncCmd) Run() error {
 
 // produce generates one round of synthetic client updates across
 // GOMAXPROCS producer goroutines and hands each to sink, returning how
-// many it produced. Every update is a fresh allocation, as it would be
-// arriving off the wire; generation is deterministic in (seed, round,
-// client) — rpc.FleetUpdate, the same scheme the socket fleet uses, so
-// checksums are comparable across the in-process and socket harnesses.
-// Clients the scenario mask rules out of the round produce nothing.
+// many it produced. Each producer regenerates its updates in one buffer:
+// sink must not keep u once it returns, which Tree.Ingest does not.
+// Generation is deterministic in (seed, round, client) — rpc.FleetUpdate,
+// the same scheme the socket fleet uses, so checksums are comparable
+// across the in-process and socket harnesses. Clients the scenario mask
+// rules out of the round produce nothing.
 func produce(clients int, seed uint64, round, dim, nnz int, mask [][]bool, sink func(id int, u *compress.Sparse)) int64 {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > clients {
@@ -465,11 +464,11 @@ func produce(clients int, seed uint64, round, dim, nnz int, mask [][]bool, sink 
 		go func(lo, hi int) {
 			defer wg.Done()
 			var n int64
+			u := &compress.Sparse{}
 			for id := lo; id < hi; id++ {
 				if mask != nil && !mask[round][id] {
 					continue
 				}
-				u := &compress.Sparse{}
 				rpc.FleetUpdate(u, seed, round, id, dim, nnz)
 				sink(id, u)
 				n++

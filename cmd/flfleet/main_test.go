@@ -20,7 +20,7 @@ import (
 // so adding one is a deliberate change to this list.
 func TestFlagSets(t *testing.T) {
 	want := map[string][]string{
-		"":       {"clients", "dim", "json", "nnz", "queue", "rounds", "scenario", "seed", "shards"},
+		"":       {"clients", "dim", "json", "nnz", "rounds", "scenario", "seed", "shards"},
 		"socket": {"addr", "clients", "dim", "json", "nnz", "offset", "role", "rounds", "scenario", "seed"},
 		"edge":   {"addr", "clients", "dim", "nnz", "offset", "seed"},
 		"async":  {"addr", "clients", "nnz", "offset", "seed", "session"},
@@ -74,9 +74,9 @@ func TestFlagsLandInConfig(t *testing.T) {
 		want any
 	}{
 		{[]string{}, inProcessCmd{tree: shard.Config{Shards: 8, Dim: 20000}, clients: 1000, rounds: 5, nnz: 1000, seed: 1}},
-		{[]string{"-clients", "7", "-shards", "2", "-queue", "4", "-rounds", "3", "-dim", "50", "-nnz", "5",
+		{[]string{"-clients", "7", "-shards", "2", "-rounds", "3", "-dim", "50", "-nnz", "5",
 			"-seed", "9", "-json", "-scenario", "s.json"},
-			inProcessCmd{tree: shard.Config{Shards: 2, Dim: 50, QueueDepth: 4}, clients: 7, rounds: 3, nnz: 5,
+			inProcessCmd{tree: shard.Config{Shards: 2, Dim: 50}, clients: 7, rounds: 3, nnz: 5,
 				seed: 9, asJSON: true, scenario: "s.json"}},
 		{[]string{"socket", "-addr", "tcp:127.0.0.1:0", "-clients", "4", "-rounds", "2", "-dim", "50",
 			"-nnz", "5", "-seed", "3"},

@@ -48,10 +48,4 @@ func newRootMetrics(r *obs.Registry) rootMetrics {
 	}
 }
 
-// partialCounter returns the per-edge partial counter on demand (edge
-// IDs are only known at registration time).
-func partialCounter(r *obs.Registry, id int) *obs.Counter {
-	return r.Counter("adafl_root_partials_total" + label(id))
-}
-
 func label(id int) string { return `{edge="` + strconv.Itoa(id) + `"}` }

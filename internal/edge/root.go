@@ -166,6 +166,7 @@ type rootEv struct {
 	peer  *rpc.Peer // evDown: the connection that died
 	round int
 	part  *shard.Partial
+	count *obs.Counter // evPartial: the sending edge's adafl_root_partials_total
 	err   error
 }
 
@@ -781,7 +782,7 @@ func (r *Root) handleEvent(round int, e rootEv, pending map[int]bool, parts map[
 		}
 		parts[e.edge] = e.part
 		delete(pending, e.edge)
-		partialCounter(r.cfg.Metrics, e.edge).Inc()
+		e.count.Inc()
 	case evDown:
 		if pending != nil {
 			delete(pending, e.edge)
@@ -900,6 +901,7 @@ func (r *Root) admitEdge(conn *rpc.Conn, env *rpc.Envelope) {
 // the round loop; any error posts a death report naming the connection.
 func (r *Root) readEdge(p *rpc.Peer) {
 	re := p.Ext.(*rootEdge)
+	partials := r.cfg.Metrics.Counter("adafl_root_partials_total" + label(p.ID))
 	var env rpc.Envelope
 	for {
 		if err := p.Conn.RecvInto(&env); err != nil {
@@ -926,7 +928,7 @@ func (r *Root) readEdge(p *rpc.Peer) {
 				part = &shard.Partial{Dim: len(env.Params)}
 			}
 			part.WeightSum, part.Count = env.WeightSum, env.NumSamples
-			r.post(rootEv{kind: evPartial, edge: p.ID, round: env.Round, part: part})
+			r.post(rootEv{kind: evPartial, edge: p.ID, round: env.Round, part: part, count: partials})
 		}
 	}
 }

@@ -146,6 +146,11 @@ func TestRootCheckpointCrashCopiesResume(t *testing.T) {
 	if reg.Gauge("adafl_checkpoint_bytes").Value() == 0 {
 		t.Fatal("adafl_checkpoint_bytes never set")
 	}
+	for e := 0; e < tc.edges; e++ {
+		if n := reg.Counter("adafl_root_partials_total" + label(e)).Value(); n != rounds {
+			t.Fatalf("edge %d: %d partials counted, want one per round (%d)", e, n, rounds)
+		}
+	}
 
 	loaded := make([]int, rounds) // round each copy restores, -1 for none
 	for r := 0; r < rounds; r++ {

@@ -7,18 +7,26 @@ import (
 	"adafl/internal/shard"
 )
 
-// shardApply routes updates through a fresh tree and applies the merged
-// partial — the streaming counterpart of agg.Apply for tests.
-func shardApply(t *testing.T, pa Aggregator, global []float64, ups []Update, shards int) {
+// shardApply folds updates into one partial and applies it — the
+// streaming counterpart of agg.Apply for tests. Weighted rules fold
+// through a fresh one-shard tree; an unweighted one (SCAFFOLD) folds
+// through Partial.Fold(u, true), the path applyUpdates takes, since the
+// tree folds by weight only.
+func shardApply(t *testing.T, pa Aggregator, global []float64, ups []Update) {
 	t.Helper()
-	tree := shard.NewTree(shard.Config{
-		Shards: shards, Dim: len(global), Unweighted: pa.PartialUnweighted(),
-	})
-	defer tree.Close()
-	for _, u := range ups {
-		tree.Ingest(0, shard.Update{Client: u.Client, Weight: u.Weight, Delta: u.Delta, Ctrl: u.CtrlDelta})
+	var part *shard.Partial
+	if pa.PartialUnweighted() {
+		part = shard.NewPartial(len(global))
+		for _, u := range ups {
+			part.Fold(shard.Update{Client: u.Client, Weight: u.Weight, Delta: u.Delta, Ctrl: u.CtrlDelta}, true)
+		}
+	} else {
+		tree := shard.NewTree(shard.Config{Shards: 1, Dim: len(global)})
+		for _, u := range ups {
+			tree.Ingest(0, shard.Update{Client: u.Client, Weight: u.Weight, Delta: u.Delta, Ctrl: u.CtrlDelta})
+		}
+		part, _ = tree.Finish()
 	}
-	part, _ := tree.Finish()
 	pa.ApplyPartial(global, part)
 }
 
@@ -64,7 +72,7 @@ func TestApplyPartialBitwiseS1(t *testing.T) {
 			// c) must agree bitwise too.
 			for round := 0; round < 2; round++ {
 				buffered.Apply(gBuf, ups)
-				shardApply(t, streamed, gStr, ups, 1)
+				shardApply(t, streamed, gStr, ups)
 			}
 			for i := range gBuf {
 				if gBuf[i] != gStr[i] {

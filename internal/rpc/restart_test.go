@@ -83,7 +83,7 @@ func TestChaosKillRestartResume(t *testing.T) {
 	if len(res1.Rounds) != killAfter {
 		t.Fatalf("first server completed %d rounds, want %d", len(res1.Rounds), killAfter)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "delta-00000001.ckpt")); err != nil {
+	if _, err := checkpoint.ReadSnapshot(dir); err != nil {
 		t.Fatalf("no checkpoint on disk after the crash: %v", err)
 	}
 

@@ -93,9 +93,9 @@ type ServerConfig struct {
 	// whole (shard.Screen) before any update is ingested, so the global
 	// model is bit-deterministic for a fixed shard count regardless of
 	// arrival order; a different shard count reassociates the float sums
-	// within the usual accumulation tolerance. The tree's geometry joins
-	// the session checkpoint, so a resume with a different -shards value
-	// is refused.
+	// within the usual accumulation tolerance. The shard count joins the
+	// session checkpoint, so a resume with a different -shards value is
+	// refused.
 	Shards int
 	// Metrics, when non-nil, receives the server's operational metrics:
 	// round/phase latencies, uplink/downlink bytes, evictions,
@@ -328,7 +328,6 @@ func (s *Server) Run() (*ServerResult, error) {
 		Metrics: s.cfg.Metrics,
 		Logf:    s.cfg.Logf,
 	})
-	defer s.tree.Close()
 
 	res := &ServerResult{ResumedFrom: -1}
 	lastSel := map[int]int{} // client id -> last round it was selected
@@ -581,7 +580,7 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	// not associative, and the replay contract needs two identical sessions
 	// to produce bit-identical globals. The barrier holds the whole round,
 	// so the screen is the retrospective one the edge tier runs; ascending
-	// ingest fixes every shard's FIFO fold order and Finish merges in shard
+	// ingest fixes every shard's fold order and Finish merges in shard
 	// order. Quarantined clients are evicted like stragglers: their weight
 	// leaves the renormalisation and the global is bitwise unaffected by
 	// the rejected update.
@@ -598,8 +597,8 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 			Delta:  it.Upd,
 		})
 	}
-	// The workers repeat the structural checks Screen just passed and run
-	// no norm gate, so they have nothing left to reject.
+	// The tree repeats the structural checks Screen just passed and runs
+	// no norm gate, so it has nothing left to reject.
 	part, _ := s.tree.Finish()
 	s.met.updateSec.Observe(time.Since(updatePhaseStart).Seconds())
 	for _, q := range quarantined {
@@ -711,12 +710,11 @@ type sessionSnapshot struct {
 	BytesReceived      int64
 	Evictions          int
 	FinalAcc           float64
-	// ShardState is the aggregation tree's geometry and partials. Snapshots
-	// are taken at round boundaries, where the partials are freshly reset,
-	// so its real job is pinning the shard count: a resume under a
+	// ShardState pins the aggregation tree's shard count: a resume under a
 	// different -shards value is refused rather than silently re-routing
-	// clients.
-	ShardState *shard.TreeState
+	// clients. The tree holds nothing across a round boundary, so the count
+	// is all there is to keep.
+	ShardState *shardGeometry
 	// Scenario is the fleet-scenario state (battery levels, depletion
 	// latches, integration clock) as of the completed round; nil when the
 	// session runs without a scenario.
@@ -730,6 +728,11 @@ type sessionSnapshot struct {
 
 // Round makes sessionSnapshot a checkpoint.Meta.
 func (m *sessionSnapshot) Round() int { return m.CompletedRound }
+
+// shardGeometry is sessionSnapshot.ShardState. Chains written while it
+// also carried the dimension and one zero partial per shard still decode:
+// gob matches fields by name and skips the ones this struct lacks.
+type shardGeometry struct{ Shards int }
 
 // saveCheckpoint snapshots the session after a completed round: it joins
 // the previous round's epoch, captures this one here, on the round loop,
@@ -747,7 +750,7 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 		BytesReceived:      res.BytesReceived,
 		Evictions:          res.Evictions,
 		FinalAcc:           res.FinalAcc,
-		ShardState:         s.tree.Snapshot(),
+		ShardState:         &shardGeometry{Shards: s.cfg.Shards},
 	}
 	if s.cfg.Scenario != nil {
 		meta.Scenario = s.cfg.Scenario.Snapshot()
@@ -807,8 +810,9 @@ func (s *Server) restore(snap *checkpoint.Snapshot, global, globalDelta []float6
 	// A snapshot taken under a different -shards value is refused —
 	// silently re-routing clients would break the fixed-shard-count
 	// determinism contract.
-	if err := s.tree.Restore(meta.ShardState); err != nil {
-		return err
+	if g := meta.ShardState; g != nil && g.Shards != s.cfg.Shards {
+		return fmt.Errorf("snapshot has %d shards, session has %d (restart with the same -shards)",
+			g.Shards, s.cfg.Shards)
 	}
 	if s.cfg.Scenario != nil {
 		if meta.Scenario != nil {

@@ -60,7 +60,7 @@ type AsyncConfig struct {
 	// MaxUpdateNorm enables the shard tree's causal median-relative norm
 	// gate; quarantined senders are evicted. 0 disables it.
 	MaxUpdateNorm float64
-	// Shards is the fold-worker count (0 means 1).
+	// Shards is the aggregation tree's shard count (0 means 1).
 	Shards int
 	// CheckpointDir, when non-empty, persists every model version as one
 	// epoch of a checkpoint.DeltaWriter chain.
@@ -90,7 +90,7 @@ type AsyncResult struct {
 	// FinalAcc is the last evaluated test accuracy (0 if never evaluated).
 	FinalAcc float64
 	// Pushes counts updates accepted into the buffer (quarantined folds
-	// included — they are screened inside the shard workers).
+	// included — the shard tree screens them as it folds).
 	Pushes int
 	// StaleRejected counts pushes dropped for exceeding MaxStaleness.
 	StaleRejected int
@@ -364,7 +364,6 @@ func (a *AsyncSession) Kill() { a.roster.Kill() }
 // until the version budget is met (clean shutdown with farewells) or
 // Kill (ErrKilled). The caller runs exactly one Run per session.
 func (a *AsyncSession) Run() (*AsyncResult, error) {
-	defer a.tree.Close()
 	defer a.joinCheckpoint()
 	res := a.res
 	var err error

@@ -34,7 +34,6 @@ func TestAsyncBufferMatchesFedBuff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.tree.Close()
 	// Advance the published version so staleness has room below it.
 	params, _ := a.snapshot()
 	base := append([]float64(nil), params...)
@@ -448,7 +447,6 @@ func TestDeltaCheckpointSteadyStateBytes(t *testing.T) {
 			}
 			a.fold(arrival{client: 0, base: a.Version(), delta: compress.NewSparseDense(d)})
 		}
-		a.tree.Close()
 		a.joinCheckpoint() // what Run's return does: the tenth epoch is still in flight
 		// GC leaves only the reachable epochs: the full base every delta
 		// references, and the latest (steady-state) epoch.
@@ -527,7 +525,6 @@ func TestAsyncDeltaCheckpointCrashCopiesResume(t *testing.T) {
 		}
 	}
 	a.joinCheckpoint() // what Run's return does
-	a.tree.Close()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines still running, %d before the session", runtime.NumGoroutine(), baseline)
@@ -547,7 +544,6 @@ func TestAsyncDeltaCheckpointCrashCopiesResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("copy at version %d does not resume: %v", v, err)
 		}
-		r.tree.Close()
 		if got := r.Version(); got != v && got != v-1 {
 			t.Fatalf("copy at version %d resumes at version %d, want %d or %d", v, got, v, v-1)
 		}

@@ -79,7 +79,6 @@ func TestManagerRegisterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.tree.Close()
 	if err := m.Register("", a); err != nil {
 		t.Fatalf("default registration: %v", err)
 	}

@@ -44,13 +44,10 @@ func TestCheckpointStartPolicy(t *testing.T) {
 			return nil
 		}},
 		{"async", func(dir string, resume bool, logf logFn) error {
-			a, err := NewAsync(AsyncConfig{
+			_, err := NewAsync(AsyncConfig{
 				NewModel: env.newModel, K: 1, Versions: 3,
 				CheckpointDir: dir, Resume: resume, Logf: logf,
 			})
-			if err == nil {
-				a.tree.Close()
-			}
 			return err
 		}},
 		{"root", func(dir string, resume bool, logf logFn) error {

@@ -59,8 +59,8 @@ const NormGateMinUpdates = 3
 //     against).
 //
 // Screen mutates only the updates' values (scrubbing) and never
-// reorders kept items. The streaming shard workers run the same checks
-// per update, with the causal variant of the norm gate (see onlineGate).
+// reorders kept items. Tree.Ingest runs the same checks per update, with
+// the causal variant of the norm gate (see onlineGate).
 func Screen(round, dim int, maxNormMult float64, ups []Item, logf Logf) (keep []Item, quarantined []QuarantineRecord) {
 	if logf == nil {
 		logf = quiet

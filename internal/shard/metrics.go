@@ -7,42 +7,29 @@ import (
 )
 
 // FoldLatencyBuckets covers a single sparse fold: sub-microsecond for a
-// small top-k message up to seconds if a worker is descheduled.
+// small top-k message up to seconds if the ingesting goroutine is
+// descheduled.
 var FoldLatencyBuckets = obs.ExpBuckets(1e-6, 4, 14)
 
-// treeMetrics is the tree-wide instrument set. With a nil registry every
-// instrument is nil and recording is a no-op (see internal/obs), so an
-// unobserved tree pays nothing.
+// shardMetrics is the per-shard instrument set, labelled by shard index
+// so a dashboard can spot one hot shard among its peers. With a nil
+// registry every instrument is nil and recording is a no-op (see
+// internal/obs), so an unobserved tree pays nothing. The tree-wide
+// adafl_shard_merge_seconds lives on Tree.
 //
 // The catalogue, with types and label conventions, is documented in
 // DESIGN.md §Sharded aggregation.
-type treeMetrics struct {
-	backpressure *obs.Counter   // adafl_shard_backpressure_total
-	mergeSec     *obs.Histogram // adafl_shard_merge_seconds
-}
-
-func newTreeMetrics(r *obs.Registry) treeMetrics {
-	return treeMetrics{
-		backpressure: r.Counter("adafl_shard_backpressure_total"),
-		mergeSec:     r.Histogram("adafl_shard_merge_seconds", obs.LatencyBuckets),
-	}
-}
-
-// shardMetrics is the per-worker instrument set, labelled by shard index
-// so a dashboard can spot one hot or stalled shard among its peers.
 type shardMetrics struct {
-	queueDepth *obs.Gauge     // adafl_shard_queue_depth{shard="i"}
-	foldSec    *obs.Histogram // adafl_shard_fold_seconds{shard="i"}
-	received   *obs.Counter   // adafl_shard_received_total{shard="i"}
-	evicted    *obs.Counter   // adafl_shard_evicted_total{shard="i"}
+	foldSec  *obs.Histogram // adafl_shard_fold_seconds{shard="i"}
+	received *obs.Counter   // adafl_shard_received_total{shard="i"}
+	evicted  *obs.Counter   // adafl_shard_evicted_total{shard="i"}
 }
 
 func newShardMetrics(r *obs.Registry, shard int) shardMetrics {
 	label := fmt.Sprintf(`{shard="%d"}`, shard)
 	return shardMetrics{
-		queueDepth: r.Gauge("adafl_shard_queue_depth" + label),
-		foldSec:    r.Histogram("adafl_shard_fold_seconds"+label, FoldLatencyBuckets),
-		received:   r.Counter("adafl_shard_received_total" + label),
-		evicted:    r.Counter("adafl_shard_evicted_total" + label),
+		foldSec:  r.Histogram("adafl_shard_fold_seconds"+label, FoldLatencyBuckets),
+		received: r.Counter("adafl_shard_received_total" + label),
+		evicted:  r.Counter("adafl_shard_evicted_total" + label),
 	}
 }

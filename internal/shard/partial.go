@@ -98,17 +98,6 @@ func (p *Partial) Reset() {
 	p.CtrlCount = 0
 }
 
-// Clone returns a deep copy (checkpoint snapshots must not alias live
-// worker state).
-func (p *Partial) Clone() *Partial {
-	q := &Partial{Dim: p.Dim, Sum: append([]float64(nil), p.Sum...),
-		WeightSum: p.WeightSum, Count: p.Count, CtrlCount: p.CtrlCount}
-	if p.CtrlSum != nil {
-		q.CtrlSum = append([]float64(nil), p.CtrlSum...)
-	}
-	return q
-}
-
 // Update is one client contribution as the shard tree ingests it.
 type Update struct {
 	// Client is the contributing client's id (also the routing key).

@@ -1,14 +1,13 @@
 package shard
 
 import (
+	"fmt"
 	"math"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"adafl/internal/checkpoint"
 	"adafl/internal/compress"
 	"adafl/internal/obs"
 	"adafl/internal/stats"
@@ -54,7 +53,6 @@ func referenceFold(dim int, ups []Update, unweighted bool) *Partial {
 func runTree(t *testing.T, cfg Config, ups []Update) (*Partial, []QuarantineRecord) {
 	t.Helper()
 	tree := NewTree(cfg)
-	defer tree.Close()
 	for _, u := range ups {
 		tree.Ingest(0, u)
 	}
@@ -182,8 +180,9 @@ func TestTreeEdgeCases(t *testing.T) {
 	})
 }
 
-// TestTreeUnweightedAndCtrl: SCAFFOLD mode folds with scale 1 and
-// accumulates control-variate partials.
+// TestTreeUnweightedAndCtrl: SCAFFOLD folds with scale 1 through
+// Partial.Fold(u, true), the path fl's aggregators take, and a control
+// variate folded on one shard survives the tree's cross-shard merge.
 func TestTreeUnweightedAndCtrl(t *testing.T) {
 	const dim = 16
 	ctrl := make([]float64, dim)
@@ -192,7 +191,7 @@ func TestTreeUnweightedAndCtrl(t *testing.T) {
 		{Client: 0, Weight: 7, Delta: mkSparse(dim, []int32{1}, []float64{1}), Ctrl: ctrl},
 		{Client: 1, Weight: 9, Delta: mkSparse(dim, []int32{1}, []float64{3})},
 	}
-	got, _ := runTree(t, Config{Shards: 2, Dim: dim, Unweighted: true}, ups)
+	got := referenceFold(dim, ups, true)
 	if got.WeightSum != 2 || got.Count != 2 {
 		t.Fatalf("unweighted fold: weight %v count %d", got.WeightSum, got.Count)
 	}
@@ -202,6 +201,13 @@ func TestTreeUnweightedAndCtrl(t *testing.T) {
 	if got.CtrlCount != 1 || got.CtrlSum == nil || got.CtrlSum[4] != 2.5 {
 		t.Fatalf("ctrl partial wrong: count %d sum %+v", got.CtrlCount, got.CtrlSum)
 	}
+	merged, _ := runTree(t, Config{Shards: 2, Dim: dim}, ups)
+	if merged.WeightSum != 16 || merged.Sum[1] != 34 {
+		t.Fatalf("weighted tree: weight %v Sum[1] %v, want 16 and 34", merged.WeightSum, merged.Sum[1])
+	}
+	if merged.CtrlCount != 1 || merged.CtrlSum == nil || merged.CtrlSum[4] != 2.5 {
+		t.Fatalf("ctrl partial lost in the merge: count %d sum %+v", merged.CtrlCount, merged.CtrlSum)
+	}
 }
 
 // TestTreeOnlineNormGate: after three honest updates establish a shard
@@ -210,7 +216,6 @@ func TestTreeUnweightedAndCtrl(t *testing.T) {
 func TestTreeOnlineNormGate(t *testing.T) {
 	const dim = 64
 	tree := NewTree(Config{Shards: 1, Dim: dim, MaxNormMult: 5})
-	defer tree.Close()
 	for c := 0; c < 4; c++ {
 		tree.Ingest(2, Update{Client: c, Weight: 1, Delta: mkSparse(dim, []int32{int32(c)}, []float64{1})})
 	}
@@ -234,104 +239,118 @@ func TestTreeOnlineNormGate(t *testing.T) {
 	}
 }
 
-// TestTreeBackpressure: a depth-1 queue with a stalled worker forces
-// Ingest onto the blocking path, which must be counted — and must not
-// lose updates.
+// TestTreeBackpressure: 20 goroutines ingest at once into three
+// shards. Each shard's lock serialises its folds, so nothing is lost:
+// count, weight sum, the folded sum and received_total all balance. The
+// weights and values are small dyadic numbers, so every sum is exact in
+// any fold order.
 func TestTreeBackpressure(t *testing.T) {
-	const dim = 8
+	const (
+		dim       = 8
+		producers = 20
+		each      = 50
+	)
 	reg := obs.NewRegistry()
-	tree := NewTree(Config{Shards: 1, Dim: dim, QueueDepth: 1, Metrics: reg})
-	tree.testFoldDelay = 2 * time.Millisecond
-	defer tree.Close()
-
-	const n = 20
+	tree := NewTree(Config{Shards: 3, Dim: dim, Metrics: reg})
 	var wg sync.WaitGroup
-	for c := 0; c < n; c++ {
-		c := c
+	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tree.Ingest(0, Update{Client: c, Weight: 1, Delta: mkSparse(dim, []int32{0}, []float64{1})})
+			for i := 0; i < each; i++ {
+				c := p*each + i
+				tree.Ingest(0, Update{Client: c, Weight: 0.5, Delta: mkSparse(dim, []int32{int32(c % dim)}, []float64{2})})
+			}
 		}()
 	}
 	wg.Wait()
-	got, _ := tree.Finish()
-	if got.Count != n {
-		t.Fatalf("backpressure lost updates: folded %d of %d", got.Count, n)
+	got, quars := tree.Finish()
+	const n = producers * each
+	if got.Count != n || got.WeightSum != 0.5*n || len(quars) != 0 {
+		t.Fatalf("concurrent ingest: folded %d (weight %v, %d quarantined), want %d (weight %v)",
+			got.Count, got.WeightSum, len(quars), n, 0.5*n)
 	}
-	if bp := reg.Counter("adafl_shard_backpressure_total").Value(); bp == 0 {
-		t.Fatal("no backpressure recorded despite a stalled depth-1 queue")
+	for i, v := range got.Sum {
+		if v != 0.5*2*n/dim {
+			t.Fatalf("Sum[%d] = %v, want %v", i, v, 0.5*2*n/dim)
+		}
 	}
-	if rc := reg.Counter(`adafl_shard_received_total{shard="0"}`).Value(); rc != n {
-		t.Fatalf("received counter = %d, want %d", rc, n)
+	var received int64
+	for s := 0; s < 3; s++ {
+		received += reg.Counter(fmt.Sprintf(`adafl_shard_received_total{shard="%d"}`, s)).Value()
+	}
+	if received != n {
+		t.Fatalf("received counters sum to %d, want %d", received, n)
 	}
 }
 
-// TestTreeSnapshotRestore: snapshot mid-round, replay the remainder on
-// a restored tree, and the merged result is bitwise the uninterrupted
-// run — including the norm-gate history surviving the restore.
+// TestTreeSnapshotRestore: the tree keeps nothing across Finish, so a
+// second round on a reused tree is bitwise a fresh tree's round — the
+// merged partial and the norm gate's judgments included. Round one feeds
+// norms a thousand times larger; were they still in the gate, round two's
+// outlier would pass under the inflated median.
 func TestTreeSnapshotRestore(t *testing.T) {
 	const dim = 96
-	ups := randomUpdates(30, dim, 8, 7)
 	cfg := Config{Shards: 3, Dim: dim, MaxNormMult: 50}
+	round := func(seed uint64, scale float64) []Update {
+		ups := randomUpdates(30, dim, 8, seed)
+		for _, u := range ups {
+			for i := range u.Delta.Values {
+				u.Delta.Values[i] *= scale
+			}
+		}
+		// One outlier per shard, after that shard's quorum.
+		for c := 0; c < cfg.Shards; c++ {
+			ups = append(ups, Update{Client: c, Weight: 1, Delta: mkSparse(dim, []int32{5}, []float64{1e4 * scale})})
+		}
+		return ups
+	}
+	fresh := NewTree(cfg)
+	for _, u := range round(8, 1) {
+		fresh.Ingest(1, u)
+	}
+	want, wantQuars := fresh.Finish()
 
-	full := NewTree(cfg)
-	for _, u := range ups {
-		full.Ingest(0, u)
+	reused := NewTree(cfg)
+	for _, u := range round(7, 1000) {
+		reused.Ingest(0, u)
 	}
-	want, _ := full.Finish()
-	full.Close()
-
-	half := NewTree(cfg)
-	for _, u := range ups[:15] {
-		half.Ingest(0, u)
+	first, _ := reused.Finish()
+	for _, u := range round(8, 1) {
+		reused.Ingest(1, u)
 	}
-	st := half.Snapshot()
-	half.Close()
-
-	// Round-trip the snapshot through the crash-safe checkpoint codec,
-	// as the rpc server does.
-	path := filepath.Join(t.TempDir(), "tree.ckpt")
-	if err := checkpoint.Save(path, st); err != nil {
-		t.Fatal(err)
+	got, quars := reused.Finish()
+	if got != first {
+		t.Fatal("Finish did not reuse its merged partial")
 	}
-	var loaded TreeState
-	if err := checkpoint.Load(path, &loaded); err != nil {
-		t.Fatal(err)
+	if len(wantQuars) != cfg.Shards || !reflect.DeepEqual(quars, wantQuars) {
+		t.Fatalf("reused tree quarantined %+v, fresh tree %+v (want one per shard)", quars, wantQuars)
 	}
-
-	resumed := NewTree(cfg)
-	defer resumed.Close()
-	if err := resumed.Restore(&loaded); err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range ups[15:] {
-		resumed.Ingest(0, u)
-	}
-	got, _ := resumed.Finish()
 	if got.Count != want.Count || got.WeightSum != want.WeightSum {
-		t.Fatalf("resumed scalars differ: %d/%v vs %d/%v", got.Count, got.WeightSum, want.Count, want.WeightSum)
+		t.Fatalf("reused scalars differ: %d/%v vs %d/%v", got.Count, got.WeightSum, want.Count, want.WeightSum)
 	}
 	for i := range want.Sum {
 		if got.Sum[i] != want.Sum[i] {
-			t.Fatalf("resumed Sum[%d] differs: %v vs %v", i, got.Sum[i], want.Sum[i])
+			t.Fatalf("reused Sum[%d] differs: %v vs %v", i, got.Sum[i], want.Sum[i])
 		}
 	}
 }
 
-// TestTreeRestoreGeometryMismatch: a snapshot from a different shard
-// count or model must be refused, not silently misfolded.
-func TestTreeRestoreGeometryMismatch(t *testing.T) {
-	tree := NewTree(Config{Shards: 2, Dim: 8})
-	defer tree.Close()
-	if err := tree.Restore(&TreeState{Shards: 3, Dim: 8}); err == nil {
-		t.Fatal("shard-count mismatch accepted")
-	}
-	if err := tree.Restore(&TreeState{Shards: 2, Dim: 9}); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-	if err := tree.Restore(nil); err != nil {
-		t.Fatalf("nil snapshot should be a no-op: %v", err)
+// TestTreeFinishAllocatesNothing: once a tree has seen a round, a round of
+// Ingest and Finish allocates nothing — the shards' partials and norm
+// gates and the merged result are all reused.
+func TestTreeFinishAllocatesNothing(t *testing.T) {
+	const dim = 512
+	ups := randomUpdates(32, dim, 16, 11)
+	tree := NewTree(Config{Shards: 3, Dim: dim, MaxNormMult: 1e6, Metrics: obs.NewRegistry()})
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, u := range ups {
+			tree.Ingest(0, u)
+		}
+		tree.Finish()
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per round, want 0", allocs)
 	}
 }
 
@@ -360,7 +379,6 @@ func TestTreeMetrics(t *testing.T) {
 	const dim = 16
 	reg := obs.NewRegistry()
 	tree := NewTree(Config{Shards: 2, Dim: dim, Metrics: reg})
-	defer tree.Close()
 	for c := 0; c < 6; c++ {
 		tree.Ingest(0, Update{Client: c, Weight: 1, Delta: mkSparse(dim, []int32{0}, []float64{1})})
 	}

@@ -74,11 +74,12 @@ test:
 
 # The packages that spawn goroutines (parallel GEMM, parallel evaluation,
 # parallel client rounds, the concurrent RPC round engine and its chaos
-# suite) or are fed from many (the shard tree's striped ingest), plus the
+# suite, the chunked synthetic-data renderer and the RNG it positions) or
+# are fed from many (the shard tree's striped ingest), plus the
 # crash-safety layer and the shared-registry observability layer under
 # the race detector.
 race:
-	$(GO) test -race ./internal/fl/... ./internal/nn/... ./internal/tensor/... ./internal/rpc/... ./internal/checkpoint/... ./internal/obs/... ./internal/shard/... ./internal/compress/... ./internal/scenario/... ./internal/edge/... ./internal/session/...
+	$(GO) test -race ./internal/fl/... ./internal/nn/... ./internal/tensor/... ./internal/rpc/... ./internal/checkpoint/... ./internal/obs/... ./internal/shard/... ./internal/compress/... ./internal/scenario/... ./internal/edge/... ./internal/session/... ./internal/dataset/... ./internal/stats/...
 
 # The full-session fault-injection suite (stragglers, partitions, drops,
 # kill-and-restart resume) plus the two-tier edge-kill/reroute suite under
@@ -106,7 +107,8 @@ fuzz:
 
 # Coverage floors on the scenario engine and the models it composes, plus
 # the wire codecs, the sharded aggregation tree and the two-tier edge
-# federation — the protocol/aggregation core every session rides on.
+# federation — the protocol/aggregation core every session rides on — and
+# the synthetic data and RNG every run's bits start from.
 # Floors sit a few points under current numbers to absorb benign drift.
 cover:
 	@set -e; \
@@ -126,7 +128,9 @@ cover:
 	check_pkg edge 80; \
 	check_pkg compress 85; \
 	check_pkg session 80; \
-	check_pkg checkpoint 75
+	check_pkg checkpoint 75; \
+	check_pkg dataset 90; \
+	check_pkg stats 95
 
 # Fleet-scale aggregation smoke: a small in-process run of the load
 # harness. The tracked numbers are bench/'s fleet_ingest and tree_ingest.

@@ -64,3 +64,17 @@ func TestAsyncConfig(t *testing.T) {
 		t.Error("id 3 of 3 accepted")
 	}
 }
+
+// TestNoSamplesRefused: -samples 0 or below is an error naming the flag,
+// not a panic in tensor.New.
+func TestNoSamplesRefused(t *testing.T) {
+	for _, args := range [][]string{{"-samples=0"}, {"async", "-samples=-4"}} {
+		r, _, err := cli.Parse("flclient", commands, args, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.(*clientCmd).config(); err == nil || !strings.Contains(err.Error(), "-samples") {
+			t.Errorf("flclient %q: %v", args, err)
+		}
+	}
+}

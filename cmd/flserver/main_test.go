@@ -247,3 +247,24 @@ func TestSyncConfigParts(t *testing.T) {
 		t.Error("edge without -root-addr accepted")
 	}
 }
+
+// TestNoSamplesRefused: -samples 0 or below is an error naming the flag
+// in both subcommands that build the task, not a panic in tensor.New.
+func TestNoSamplesRefused(t *testing.T) {
+	for _, n := range []string{"-samples=0", "-samples=-4"} {
+		r, _, err := cli.Parse("flserver", commands, []string{n}, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.(*syncCmd).config(); err == nil || !strings.Contains(err.Error(), "-samples") {
+			t.Errorf("flserver %s: %v", n, err)
+		}
+		r, _, err = cli.Parse("flserver", commands, []string{"async", n}, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.(*asyncCmd).configs(); err == nil || !strings.Contains(err.Error(), "-samples") {
+			t.Errorf("flserver async %s: %v", n, err)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"log"
 	"os"
 
+	"adafl/cmd/internal/cli"
 	"adafl/internal/compress"
 	"adafl/internal/core"
 	"adafl/internal/dataset"
@@ -90,8 +91,10 @@ func main() {
 	}
 
 	iid := *dist == "iid"
-	ds := dataset.SynthMNIST(*samples, *imgSize, *seed)
-	train, test := ds.Split(0.8, *seed+1)
+	train, test, err := cli.Task{Seed: *seed, ImgSize: *imgSize, Samples: *samples}.Split()
+	if err != nil {
+		log.Fatalf("flsim: %v", err)
+	}
 	var parts []*dataset.Dataset
 	if iid {
 		parts = dataset.PartitionIID(train, *clients, *seed+2)

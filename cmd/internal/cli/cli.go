@@ -133,6 +133,9 @@ func (t Task) Split() (train, test *dataset.Dataset, err error) {
 	if t.ImgSize < 12 {
 		return nil, nil, fmt.Errorf("-imgsize %d: the synthetic digits need at least 12 pixels a side", t.ImgSize)
 	}
+	if t.Samples < 1 {
+		return nil, nil, fmt.Errorf("-samples %d: the synthetic task needs at least one sample", t.Samples)
+	}
 	train, test = dataset.SynthMNIST(t.Samples, t.ImgSize, t.Seed).Split(0.8, t.Seed+1)
 	return train, test, nil
 }

@@ -5,7 +5,9 @@
 // The generators are procedural and seeded: SynthMNIST renders noisy
 // seven-segment digit glyphs, SynthCIFAR composes class-specific oriented
 // colour textures. Both yield tasks on which the nn models' accuracy climbs
-// with training, which is the property the FL experiments need.
+// with training, which is the property the FL experiments need. A set is
+// a pure function of its arguments: it renders on every core, and its bits
+// do not depend on how many there are.
 package dataset
 
 import (

@@ -3,6 +3,10 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"adafl/internal/stats"
 	"adafl/internal/tensor"
@@ -24,33 +28,90 @@ var segmentMap = [10][7]bool{
 	{true, true, true, true, false, true, true},     // 9
 }
 
+// minChunk is the fewest samples a render worker takes: a smaller share
+// costs more to hand out than it saves.
+const minChunk = 32
+
+// rerenders counts the sets render drew a second time as one chunk.
+var rerenders atomic.Int64
+
+// render calls sample(i, r) for every i in [0, n), with r at the position
+// of seed's stream a serial pass over samples 0..i−1 would leave, so the
+// set is the same bits for any GOMAXPROCS. Every sample takes a scalar
+// draws and then b normals (DESIGN.md §Synthetic data).
+func render(n, a, b int, seed uint64, sample func(i int, r *stats.RNG)) {
+	workers := min(runtime.GOMAXPROCS(0), (n+minChunk-1)/minChunk)
+	if !renderChunks(n, a, b, seed, workers, sample) {
+		// A u == 0 redraw shifted the stream (p = 2⁻⁵³ per pair): the
+		// chunks after it started at the wrong draw.
+		rerenders.Add(1)
+		renderChunks(n, a, b, seed, 1, sample)
+	}
+}
+
+// renderChunks renders [0, n) as workers contiguous chunks, concurrently,
+// and reports whether every chunk ended at the draw where the next begins.
+func renderChunks(n, a, b int, seed uint64, workers int, sample func(int, *stats.RNG)) bool {
+	// first is sample j's first draw: a scalars per earlier sample, and two
+	// draws per Box-Muller pair their normals began.
+	first := func(j int) uint64 { return uint64(a*j + (j*b+1)/2*2) }
+	ok := make([]bool, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		lo, hi := n*w/workers, n*(w+1)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := stats.NewRNG(seed)
+			if lo*b%2 == 1 {
+				// Sample lo opens on the spare of the pair sample lo−1's
+				// last normal drew: regenerate that pair.
+				r.Skip(first(lo) - 2)
+				r.Norm()
+			} else {
+				r.Skip(first(lo))
+			}
+			for i := lo; i < hi; i++ {
+				sample(i, r)
+			}
+			next := stats.NewRNG(seed)
+			next.Skip(first(hi))
+			ok[w] = r.Uint64() == next.Uint64()
+		}()
+	}
+	wg.Wait()
+	return !slices.Contains(ok, false)
+}
+
 // SynthMNIST renders n noisy seven-segment digit images of the given
 // square size (≥ 12) into a 10-class dataset. Each sample applies a random
 // translation, per-pixel Gaussian noise and a random contrast factor, so
 // the task requires genuine feature learning rather than pixel lookup.
 func SynthMNIST(n, size int, seed uint64) *Dataset {
-	if size < 12 {
-		panic(fmt.Sprintf("dataset: SynthMNIST size %d too small", size))
+	if n < 1 || size < 12 {
+		panic(fmt.Sprintf("dataset: SynthMNIST needs at least 1 sample of at least 12 pixels a side, got %d of size %d", n, size))
 	}
-	r := stats.NewRNG(seed)
 	ds := &Dataset{
 		X:       tensor.New(n, 1, size, size),
 		Labels:  make([]int, n),
 		Classes: 10,
 		Shape:   []int{1, size, size},
 	}
-	for i := 0; i < n; i++ {
+	plane := size * size
+	// Four scalar draws (digit, two jitters, contrast), then a normal per pixel.
+	render(n, 4, plane, seed, func(i int, r *stats.RNG) {
 		digit := r.Intn(10)
 		ds.Labels[i] = digit
-		img := ds.X.Data[i*size*size : (i+1)*size*size]
-		renderDigit(img, size, digit, r)
-	}
+		renderDigit(ds.X.Data[i*plane:(i+1)*plane], size, digit, r)
+	})
 	return ds
 }
 
 // renderDigit draws one jittered glyph into a size×size buffer. Pixels are
-// composed in float64 and stored as float32.
+// composed in float64 and stored as float32. Whatever img held is
+// overwritten, so a set can be rendered again in place.
 func renderDigit(img []float32, size, digit int, r *stats.RNG) {
+	clear(img)
 	// Glyph box occupies roughly the central 60% of the canvas; jitter
 	// shifts it by up to ±size/8 in each axis.
 	margin := size / 5
@@ -112,7 +173,9 @@ func SynthCIFAR(n, size, classes int, seed uint64) *Dataset {
 	if classes < 2 {
 		panic("dataset: SynthCIFAR needs at least 2 classes")
 	}
-	r := stats.NewRNG(seed)
+	if n < 1 || size < 1 {
+		panic(fmt.Sprintf("dataset: SynthCIFAR needs at least 1 sample of at least 1 pixel, got %d of size %d", n, size))
+	}
 	ds := &Dataset{
 		X:       tensor.New(n, 3, size, size),
 		Labels:  make([]int, n),
@@ -120,11 +183,13 @@ func SynthCIFAR(n, size, classes int, seed uint64) *Dataset {
 		Shape:   []int{3, size, size},
 	}
 	plane := size * size
-	for i := 0; i < n; i++ {
+	// Two scalar draws (class, phase), then a normal per pixel and channel.
+	render(n, 2, 3*plane, seed, func(i int, r *stats.RNG) {
 		cls := r.Intn(classes)
 		ds.Labels[i] = cls
 		// Class-determined texture parameters.
 		orient := float64(cls%8) * 0.3926990816987241 // π/8 steps
+		cosO, sinO := math.Cos(orient), math.Sin(orient)
 		freq := 1 + float64((cls/8)%4)
 		colr := float64(cls%3)/3 + 0.3
 		colg := float64((cls+1)%3)/3 + 0.3
@@ -135,7 +200,7 @@ func SynthCIFAR(n, size, classes int, seed uint64) *Dataset {
 			for x := 0; x < size; x++ {
 				u := float64(x)/float64(size) - 0.5
 				v := float64(y)/float64(size) - 0.5
-				t := u*math.Cos(orient) + v*math.Sin(orient)
+				t := u*cosO + v*sinO
 				val := 0.5 + 0.5*math.Sin(2*3.141592653589793*freq*t*4+phase)
 				idx := y*size + x
 				base[idx] = float32(val*colr + r.Norm()*0.1)
@@ -143,6 +208,6 @@ func SynthCIFAR(n, size, classes int, seed uint64) *Dataset {
 				base[2*plane+idx] = float32(val*colb + r.Norm()*0.1)
 			}
 		}
-	}
+	})
 	return ds
 }

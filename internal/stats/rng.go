@@ -38,6 +38,13 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Skip advances r past n draws, as n calls of Uint64 would, in O(1): the
+// state is a counter that each draw steps by the same odd constant. A cached
+// Gaussian spare is left as it is.
+func (r *RNG) Skip(n uint64) {
+	r.state += n * 0x9e3779b97f4a7c15
+}
+
 // Float64 returns a uniform sample in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -64,9 +71,12 @@ func (r *RNG) Norm() float64 {
 		}
 		v := r.Float64()
 		mag := math.Sqrt(-2 * math.Log(u))
-		r.spare = mag * math.Sin(2*math.Pi*v)
+		// Sincos returns the bits math.Sin and math.Cos do (stats_test.go
+		// pins it), in one argument reduction.
+		sin, cos := math.Sincos(2 * math.Pi * v)
+		r.spare = mag * sin
 		r.spareOK = true
-		return mag * math.Cos(2*math.Pi*v)
+		return mag * cos
 	}
 }
 

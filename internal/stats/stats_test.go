@@ -76,6 +76,91 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+// TestSkip: Skip(n) lands where n draws would, the stream's period is
+// 2⁶⁴, and a cached spare is left alone.
+func TestSkip(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 7, 1000} {
+		a, b := NewRNG(99), NewRNG(99)
+		a.Skip(n)
+		for range n {
+			b.Uint64()
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Errorf("Skip(%d) is not %d draws", n, n)
+		}
+	}
+	wrap := NewRNG(99)
+	wrap.Skip(math.MaxUint64)
+	wrap.Uint64()
+	if wrap.Uint64() != NewRNG(99).Uint64() {
+		t.Error("2⁶⁴ draws did not return to the start")
+	}
+	r, ref := NewRNG(5), NewRNG(5)
+	r.Norm()
+	r.Skip(3)
+	ref.Norm()
+	for range 3 {
+		ref.Uint64()
+	}
+	if r.Norm() != ref.Norm() {
+		t.Error("Skip dropped the cached spare")
+	}
+}
+
+// TestNormRedrawsZero: splitmix64's finalizer maps 0 to 0, so seed
+// −(k+1)·γ makes draw k exactly 0. A pair whose u would be 0 (log 0) is
+// drawn again one draw later: the zero is skipped, and only it.
+func TestNormRedrawsZero(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	for _, k := range []uint64{0, 6, 1 << 20} {
+		seed := -(k + 1) * gamma
+		draws := NewRNG(seed)
+		d := make([]uint64, k+4)
+		for i := range d {
+			d[i] = draws.Uint64()
+		}
+		if d[k] != 0 {
+			t.Fatalf("draw %d of seed %#x is %#x, want 0", k, seed, d[k])
+		}
+		r := NewRNG(seed)
+		r.Skip(k)
+		u := float64(d[k+1]>>11) / (1 << 53)
+		v := float64(d[k+2]>>11) / (1 << 53)
+		mag := math.Sqrt(-2 * math.Log(u))
+		if got, want := r.Norm(), mag*math.Cos(2*math.Pi*v); got != want {
+			t.Errorf("k=%d: Norm = %v, want %v from draws k+1 and k+2", k, got, want)
+		}
+		if got, want := r.Norm(), mag*math.Sin(2*math.Pi*v); got != want {
+			t.Errorf("k=%d: spare = %v, want %v", k, got, want)
+		}
+		if r.Uint64() != d[k+3] {
+			t.Errorf("k=%d: the redraw consumed more than the zero", k)
+		}
+	}
+}
+
+// TestSincosMatchesSinCos: Norm takes both Box-Muller terms from one
+// math.Sincos; that is bit-identical to math.Sin and math.Cos of the same
+// argument over every v it is given here, so the normals are unchanged.
+func TestSincosMatchesSinCos(t *testing.T) {
+	n := 10_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	r := NewRNG(17)
+	check := func(v float64) {
+		x := 2 * math.Pi * v
+		s, c := math.Sincos(x)
+		if math.Float64bits(s) != math.Float64bits(math.Sin(x)) || math.Float64bits(c) != math.Float64bits(math.Cos(x)) {
+			t.Fatalf("Sincos(2π·%v) = (%v, %v), Sin, Cos = (%v, %v)", v, s, c, math.Sin(x), math.Cos(x))
+		}
+	}
+	check(0)
+	for range n {
+		check(r.Float64())
+	}
+}
+
 func TestIntnBounds(t *testing.T) {
 	r := NewRNG(3)
 	seen := make(map[int]bool)

@@ -10,8 +10,9 @@ check: lint build test race
 
 # Static gate: vet plus gofmt as a *failing* check — gofmt -l prints the
 # offending files and the target exits non-zero if any exist. The arm64
-# cross-build keeps gemm_noasm.go tracking the amd64 assembly bindings: the
-# paper's clients are ARM boards, and nothing else in CI compiles for them.
+# cross-build and vet keep gemm_noasm.go and elem_noasm.go tracking the
+# amd64 assembly bindings: the paper's clients are ARM boards, and nothing
+# else in CI compiles for them.
 # The import guard is an allowlist of the non-test files that may import
 # encoding/gob: the one place a snapshot's meta section is encoded (and the
 # framed file bench/ still measures); it touches no socket. deadexport fails
@@ -38,7 +39,9 @@ SHARD_CONCURRENCY :=
 # And one more keeps the GEMM at one precision (DESIGN.md §Precision): no
 # non-test internal/tensor/gemm*.go file names float64 and the assembly
 # tile has no packed-double FMA, so a float64 GEMM cannot creep back beside
-# the float32 one. The list of files allowed to is empty.
+# the float32 one. The list of files allowed to is empty. The elementwise
+# kernels (elem*.go, elem_amd64.s) sit outside the guard: converting between
+# float64 and float32 is their job.
 F64_GEMM :=
 
 lint: vet

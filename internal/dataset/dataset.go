@@ -77,19 +77,6 @@ func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset) {
 	return d.Subset(perm[:cut]), d.Subset(perm[cut:])
 }
 
-// Batch copies samples [start, end) into a tensor + label slice suitable
-// for Model.TrainBatch.
-func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
-	ss := d.sampleSize()
-	x := tensor.New(append([]int{len(indices)}, d.Shape...)...)
-	labels := make([]int, len(indices))
-	for j, idx := range indices {
-		copy(x.Data[j*ss:(j+1)*ss], d.Sample(idx))
-		labels[j] = d.Labels[idx]
-	}
-	return x, labels
-}
-
 // Iterator yields shuffled mini-batches, reshuffling every epoch.
 type Iterator struct {
 	ds        *Dataset
@@ -97,6 +84,10 @@ type Iterator struct {
 	rng       *stats.RNG
 	perm      []int
 	pos       int
+
+	// The batch Next fills, sized for a full one.
+	x      *tensor.Tensor
+	labels []int
 }
 
 // NewIterator returns a batch iterator over ds with the given batch size.
@@ -116,6 +107,8 @@ func (it *Iterator) reshuffle() {
 
 // Next returns the next mini-batch, wrapping (and reshuffling) at the end
 // of the epoch. The final batch of an epoch may be smaller than batchSize.
+// The batch is a tensor and a label slice the iterator owns and refills:
+// it is valid until the next call of Next.
 func (it *Iterator) Next() (*tensor.Tensor, []int) {
 	if it.ds.Len() == 0 {
 		panic("dataset: iterating empty dataset")
@@ -126,5 +119,20 @@ func (it *Iterator) Next() (*tensor.Tensor, []int) {
 	end := min(it.pos+it.batchSize, len(it.perm))
 	batch := it.perm[it.pos:end]
 	it.pos = end
-	return it.ds.Batch(batch)
+
+	ss := it.ds.sampleSize()
+	if it.x == nil {
+		rows := min(it.batchSize, it.ds.Len())
+		it.x = tensor.New(append([]int{rows}, it.ds.Shape...)...)
+		it.labels = make([]int, rows)
+	}
+	x := it.x
+	if len(batch) < x.Dim(0) { // an epoch's short last batch: a view of the leading rows
+		x = tensor.FromSlice(x.Data[:len(batch)*ss], append([]int{len(batch)}, it.ds.Shape...)...)
+	}
+	for j, idx := range batch {
+		copy(x.Data[j*ss:(j+1)*ss], it.ds.Sample(idx))
+		it.labels[j] = it.ds.Labels[idx]
+	}
+	return x, it.labels[:len(batch)]
 }

@@ -1,11 +1,14 @@
 package dataset
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"adafl/internal/nn"
 	"adafl/internal/stats"
+	"adafl/internal/tensor"
 )
 
 func TestSynthMNISTBasics(t *testing.T) {
@@ -135,19 +138,49 @@ func TestSplitPartitionsAllSamples(t *testing.T) {
 	}
 }
 
+// batchRef copies the samples at indices into a fresh tensor and label
+// slice: the batch Next returned before it filled one of its own.
+func batchRef(d *Dataset, indices []int) (*tensor.Tensor, []int) {
+	ss := d.sampleSize()
+	x := tensor.New(append([]int{len(indices)}, d.Shape...)...)
+	labels := make([]int, len(indices))
+	for j, idx := range indices {
+		copy(x.Data[j*ss:(j+1)*ss], d.Sample(idx))
+		labels[j] = d.Labels[idx]
+	}
+	return x, labels
+}
+
+// TestBatchContents: every batch Next fills, an epoch's short last batch
+// included, has the shape, samples and labels of a fresh copy of the same
+// indices, across three epochs and their reshuffles.
 func TestBatchContents(t *testing.T) {
 	ds := SynthMNIST(10, 16, 3)
-	x, labels := ds.Batch([]int{3, 7})
-	if x.Dim(0) != 2 || len(labels) != 2 {
-		t.Fatal("batch wrong size")
-	}
-	if labels[0] != ds.Labels[3] || labels[1] != ds.Labels[7] {
-		t.Fatal("batch labels wrong")
-	}
-	for i, v := range ds.Sample(3) {
-		if x.Data[i] != v {
-			t.Fatal("batch data wrong")
+	it := NewIterator(ds, 4, stats.NewRNG(2)) // 4+4+2 per epoch
+	for call := 0; call < 9; call++ {
+		x, labels := it.Next()
+		if want := []int{4, 4, 2}[call%3]; len(labels) != want {
+			t.Fatalf("call %d: batch of %d, want %d", call, len(labels), want)
 		}
+		wantX, wantLabels := batchRef(ds, it.perm[it.pos-len(labels):it.pos])
+		if !reflect.DeepEqual(x.Shape(), wantX.Shape()) || !reflect.DeepEqual(labels, wantLabels) {
+			t.Fatalf("call %d: shape %v labels %v, want %v %v", call, x.Shape(), labels, wantX.Shape(), wantLabels)
+		}
+		for i, v := range wantX.Data {
+			if math.Float32bits(x.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("call %d: element %d is %v, want %v", call, i, x.Data[i], v)
+			}
+		}
+	}
+}
+
+// TestIteratorWarmNextAllocatesNothing: inside an epoch, Next refills the
+// iterator's own batch.
+func TestIteratorWarmNextAllocatesNothing(t *testing.T) {
+	it := NewIterator(SynthMNIST(1000, 16, 4), 16, stats.NewRNG(1))
+	it.Next()
+	if allocs := testing.AllocsPerRun(20, func() { it.Next() }); allocs != 0 {
+		t.Fatalf("warm Next: %v allocs, want 0", allocs)
 	}
 }
 

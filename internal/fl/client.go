@@ -6,6 +6,7 @@ import (
 	"adafl/internal/device"
 	"adafl/internal/nn"
 	"adafl/internal/stats"
+	"adafl/internal/tensor"
 )
 
 // TrainConfig holds the local-training hyperparameters shared by all
@@ -154,9 +155,7 @@ func (c *Client) setGradVector(v []float64) {
 	off := 0
 	for _, l := range c.Model.Layers {
 		for _, g := range l.Grads() {
-			for i, x := range v[off : off+len(g.Data)] {
-				g.Data[i] = float32(x)
-			}
+			tensor.Narrow(g.Data, v[off:off+len(g.Data)])
 			off += len(g.Data)
 		}
 	}

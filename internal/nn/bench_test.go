@@ -54,3 +54,52 @@ func BenchmarkDenseForwardBackward(b *testing.B) {
 		d.Backward(y)
 	}
 }
+
+// BenchmarkSGDStep431k measures one momentum step of the paper CNN: every
+// parameter, its gradient and its velocity, elementwise.
+func BenchmarkSGDStep431k(b *testing.B) {
+	m := NewPaperCNN(stats.NewRNG(7))
+	r := stats.NewRNG(8)
+	for _, l := range m.Layers {
+		for _, g := range l.Grads() {
+			g.RandNorm(r, 1e-2)
+		}
+	}
+	opt := NewSGD(0.05, 0.9, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(m)
+	}
+}
+
+// BenchmarkParamMoves431k measures the float64↔float32 boundary of one
+// client round on the paper CNN: loading the global (SetParamVector) and
+// taking the delta from it (ParamDelta).
+func BenchmarkParamMoves431k(b *testing.B) {
+	m := NewPaperCNN(stats.NewRNG(9))
+	global := m.ParamVector()
+	delta := make([]float64, len(global))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.SetParamVector(global)
+		m.ParamDelta(delta, global)
+	}
+}
+
+// BenchmarkReLU measures a train-mode ReLU forward and backward over the
+// paper CNN's largest activation at batch 16 (20×12×12 after the first
+// pooling).
+func BenchmarkReLU(b *testing.B) {
+	x, g := tensor.New(16, 20, 12, 12), tensor.New(16, 20, 12, 12)
+	x.RandNorm(stats.NewRNG(10), 1)
+	g.RandNorm(stats.NewRNG(11), 1)
+	relu := NewReLU()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relu.Forward(x, true)
+		relu.Backward(g)
+	}
+}

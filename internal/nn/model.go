@@ -93,10 +93,7 @@ func (m *Model) ParamVector() []float64 {
 	off := 0
 	for _, l := range m.Layers {
 		for _, p := range l.Params() {
-			dst := out[off : off+len(p.Data)]
-			for i, v := range p.Data {
-				dst[i] = float64(v)
-			}
+			tensor.Widen(out[off:off+len(p.Data)], p.Data)
 			off += len(p.Data)
 		}
 	}
@@ -105,21 +102,17 @@ func (m *Model) ParamVector() []float64 {
 
 // SetParamVector loads a flat vector produced by ParamVector back into the
 // model's parameter tensors, rounding each value to the nearest float32.
-// It panics on length mismatch.
+// It panics on length mismatch, before writing anything.
 func (m *Model) SetParamVector(v []float64) {
+	if n := m.NumParams(); len(v) != n {
+		panic(fmt.Sprintf("nn: parameter vector length %d, model has %d", len(v), n))
+	}
 	off := 0
 	for _, l := range m.Layers {
 		for _, p := range l.Params() {
-			dst := p.Data
-			src := v[off : off+len(dst)]
-			for i := range dst {
-				dst[i] = float32(src[i])
-			}
-			off += len(dst)
+			tensor.Narrow(p.Data, v[off:off+len(p.Data)])
+			off += len(p.Data)
 		}
-	}
-	if off != len(v) {
-		panic(fmt.Sprintf("nn: parameter vector length %d, model has %d", len(v), off))
 	}
 }
 
@@ -137,10 +130,7 @@ func (m *Model) ParamDelta(dst, start []float64) {
 	off := 0
 	for _, l := range m.Layers {
 		for _, p := range l.Params() {
-			d, s := dst[off:off+len(p.Data)], start[off:off+len(p.Data)]
-			for i, v := range p.Data {
-				d[i] = float64(v) - float64(float32(s[i]))
-			}
+			tensor.SubNarrowed(dst[off:off+len(p.Data)], p.Data, start[off:off+len(p.Data)])
 			off += len(p.Data)
 		}
 	}
@@ -153,10 +143,7 @@ func (m *Model) GradVector() []float64 {
 	off := 0
 	for _, l := range m.Layers {
 		for _, g := range l.Grads() {
-			dst := out[off : off+len(g.Data)]
-			for i, v := range g.Data {
-				dst[i] = float64(v)
-			}
+			tensor.Widen(out[off:off+len(g.Data)], g.Data)
 			off += len(g.Data)
 		}
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -52,13 +53,28 @@ func TestParamVectorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSetParamVectorPanicsOnLength: a vector shorter or longer than the
+// model panics with the documented message, and before it writes a
+// single parameter.
 func TestSetParamVectorPanicsOnLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	NewModel([]int{3}, 2, NewDense(3, 2, stats.NewRNG(1))).SetParamVector(make([]float64, 5))
+	m := NewModel([]int{3}, 2, NewDense(3, 2, stats.NewRNG(1)))
+	before := m.ParamVector()
+	for _, n := range []int{5, 9} { // the model has 8
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("nn: parameter vector length %d, model has 8", n); msg != want {
+					t.Errorf("length %d: panic %q, want %q", n, msg, want)
+				}
+			}()
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = 7
+			}
+			m.SetParamVector(v)
+		}()
+		assertBitEqual(t, m.ParamVector(), before, fmt.Sprintf("parameters after a length-%d vector", n))
+	}
 }
 
 func TestZeroGrads(t *testing.T) {
@@ -411,17 +427,30 @@ func equal32(a, b []float32) bool {
 	return true
 }
 
+// TestReLUForwardBackward: −0 and +0 give +0, NaN passes, and the backward
+// pass, which reads the output, routes the gradient where the input was
+// > 0 or NaN — in train and eval mode alike, over eight lanes (one vector)
+// and the scalar tail.
 func TestReLUForwardBackward(t *testing.T) {
-	x := tensor.FromSlice([]float32{-1, 2, -3, 4}, 1, 4)
-	relu := NewReLU()
-	y := relu.Forward(x, true)
-	if y.Data[0] != 0 || y.Data[1] != 2 || y.Data[2] != 0 || y.Data[3] != 4 {
-		t.Fatalf("relu forward %v", y.Data)
-	}
-	g := tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 4)
-	dx := relu.Backward(g)
-	if dx.Data[0] != 0 || dx.Data[1] != 1 || dx.Data[2] != 0 || dx.Data[3] != 1 {
-		t.Fatalf("relu backward %v", dx.Data)
+	nan := float32(math.NaN())
+	in := []float32{-1, 2, -3, 4, float32(math.Copysign(0, -1)), nan, 0, float32(math.Inf(1)), -5}
+	wantY := []float32{0, 2, 0, 4, 0, nan, 0, float32(math.Inf(1)), 0}
+	wantDx := []float32{0, 1, 0, 1, 0, 1, 0, 1, 0}
+	for _, train := range []bool{true, false} {
+		relu := NewReLU()
+		y := relu.Forward(tensor.FromSlice(append([]float32(nil), in...), 1, len(in)), train)
+		for i, w := range wantY {
+			if math.Float32bits(y.Data[i]) != math.Float32bits(w) {
+				t.Fatalf("train=%v: relu forward %v, want %v", train, y.Data, wantY)
+			}
+		}
+		if !train {
+			continue
+		}
+		g := tensor.FromSlice([]float32{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1, len(in))
+		if dx := relu.Backward(g); !equal32(dx.Data, wantDx) || math.Signbit(float64(dx.Data[4])) {
+			t.Fatalf("relu backward %v, want %v", dx.Data, wantDx)
+		}
 	}
 }
 

@@ -46,7 +46,9 @@ func (s *SGD) Step(m *Model) {
 
 // update is Step on one tensor, in float32 like the tensors: g += wd·p;
 // v = m·v + g; p -= lr·v. Whether weight decay and momentum apply does not
-// change inside a tensor, so each combination has its own element loop.
+// change inside a tensor, so each combination has its own element loop;
+// the one every client runs, momentum without weight decay, is the vector
+// kernel tensor.SGDMomentum.
 //
 // A new velocity in the subnormal range is flushed to zero
 // (tensor.FlushSubnormal32). A coordinate whose gradient is exactly 0 from
@@ -69,11 +71,7 @@ func (s *SGD) update(params, grads, vel []float32) {
 			params[i] -= lr * g
 		}
 	case mom != 0:
-		for i, g := range grads {
-			g = tensor.FlushSubnormal32(mom*vel[i] + g)
-			vel[i] = g
-			params[i] -= lr * g
-		}
+		tensor.SGDMomentum(params, vel, grads, lr, mom)
 	case wd != 0:
 		for i, g := range grads {
 			g += wd * params[i]

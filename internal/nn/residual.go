@@ -15,9 +15,7 @@ type ResidualBlock struct {
 	C int
 
 	conv1, conv2 *Conv2D
-	relu1        *ReLU
-
-	sumMask []bool // relu mask over (conv path + skip)
+	relu1, relu2 *ReLU // relu2 over the sum of conv path and skip
 }
 
 // NewResidualBlock returns an identity-skip residual block over c channels.
@@ -27,47 +25,26 @@ func NewResidualBlock(c int, r *stats.RNG) *ResidualBlock {
 		conv1: NewConv2D(c, c, 3, 1, r),
 		conv2: NewConv2D(c, c, 3, 1, r),
 		relu1: NewReLU(),
+		relu2: NewReLU(),
 	}
 }
 
 // Name implements Layer.
 func (b *ResidualBlock) Name() string { return fmt.Sprintf("resblock(%dch)", b.C) }
 
-// Forward implements Layer.
+// Forward implements Layer. The skip is added into conv2's output, which
+// that layer's backward pass does not read.
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h := b.conv1.Forward(x, train)
 	h = b.relu1.Forward(h, train)
 	h = b.conv2.Forward(h, train)
-	y := h.Clone()
-	y.AddInPlace(x)
-	var mask []bool
-	if train {
-		mask = make([]bool, len(y.Data))
-	}
-	for i, v := range y.Data {
-		if v <= 0 {
-			y.Data[i] = 0
-		} else if train {
-			mask[i] = true
-		}
-	}
-	if train {
-		b.sumMask = mask
-	}
-	return y
+	h.AddInPlace(x)
+	return b.relu2.Forward(h, train)
 }
 
 // Backward implements Layer.
 func (b *ResidualBlock) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if b.sumMask == nil {
-		panic("nn: residual backward before forward")
-	}
-	g := gradOut.Clone()
-	for i := range g.Data {
-		if !b.sumMask[i] {
-			g.Data[i] = 0
-		}
-	}
+	g := b.relu2.Backward(gradOut)
 	// g flows both through the conv path and the skip.
 	dPath := b.conv2.Backward(g)
 	dPath = b.relu1.Backward(dPath)

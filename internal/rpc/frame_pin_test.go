@@ -1,0 +1,63 @@
+package rpc
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"adafl/internal/stats"
+)
+
+// TestModelFrameBitsPinned pins one paper-size model broadcast: 431 080
+// float64 params, off the float32 grid and with the values a narrowing can
+// get wrong spliced in (NaN payloads, ±Inf, ±0, values that overflow or
+// underflow float32, float32 subnormals), plus a float64 global delta. The
+// frame's SHA-256 was taken when the float runs were written one value at
+// a time; the received params must be each value rounded to float32 and
+// widened back, bit for bit, read from a body that starts at byte 18.
+func TestModelFrameBitsPinned(t *testing.T) {
+	const want = "8d55f440a5be2273e83205c212b1e81457c5bf880a7261609cc93eca58e28b42"
+	r := stats.NewRNG(71)
+	params := make([]float64, 431080)
+	for i := range params {
+		params[i] = r.NormScaled(0, 0.05)
+	}
+	odd := []float64{
+		math.Float64frombits(0x7ff8000000000abc), math.Float64frombits(0xfff4000012345678), // NaN payloads
+		math.Float64frombits(0x7ff0000000000001), // signalling NaN
+		math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		1e39, -3.5e38, math.MaxFloat32, 3.4028235677973366e38, // overflow, the rounding edge
+		1e-46, -1e-50, 0x1p-149, 0x1.8p-150, 1e-40, -1.1754942e-38, // underflow and float32 subnormals
+		math.SmallestNonzeroFloat64, 1 + 0x1p-24, 1 + 0x3p-24, // a tie to even each way
+	}
+	for k, v := range odd {
+		params[k*4099+1] = v
+	}
+	delta := make([]float64, 33)
+	for i := range delta {
+		delta[i] = r.Norm()
+	}
+	delta[5] = math.Float64frombits(0x7ff8000000000abc)
+
+	frame := encodeBinaryEnvelope(t, &Envelope{Type: MsgModel, Round: 3, Params: params, GlobalDelta: delta})
+	sum := sha256.Sum256(frame)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("MsgModel frame digest %s, want %s", got, want)
+	}
+	got, err := NewBinaryConn(&byteConn{r: bytes.NewReader(frame)}, nil).Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range params {
+		if w := float64(float32(v)); math.Float64bits(got.Params[i]) != math.Float64bits(w) {
+			t.Fatalf("param %d: sent %x, received %x, want %x", i, math.Float64bits(v), math.Float64bits(got.Params[i]), math.Float64bits(w))
+		}
+	}
+	for i, v := range delta {
+		if math.Float64bits(got.GlobalDelta[i]) != math.Float64bits(v) {
+			t.Fatalf("global delta %d: %x, want %x", i, math.Float64bits(got.GlobalDelta[i]), math.Float64bits(v))
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"adafl/internal/compress"
+	"adafl/internal/tensor"
 )
 
 // Wire protocol (see DESIGN.md §Wire protocol):
@@ -257,9 +258,7 @@ func appendFrameHead(h []byte, e *Envelope, size int) []byte {
 func (c *Conn) writeF32s(vals []float64) error {
 	for off := 0; off < len(vals); {
 		n := min(len(vals)-off, len(c.chunk)/4)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(c.chunk[4*i:], math.Float32bits(float32(vals[off+i])))
-		}
+		tensor.NarrowLE(c.chunk[:4*n], vals[off:off+n])
 		if _, err := c.bw.Write(c.chunk[:4*n]); err != nil {
 			return err
 		}
@@ -405,7 +404,7 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, fresh bool) error {
 			return err
 		}
 		e.Params, e.GlobalDelta = f64s(&c.recvParams, np), f64s(&c.recvDelta, nd)
-		readF32s(e.Params, body[8:])
+		tensor.WidenLE(e.Params, body[8:])
 		readF64s(e.GlobalDelta, body[8+4*np:])
 	case MsgUpdate, MsgAsyncPush:
 		sp := c.recvSparse
@@ -465,12 +464,6 @@ func needN(t MsgType, rest []byte, want int64) error {
 		return fmt.Errorf("%w: %v body carries %d bytes, header declares %d", errWireFrame, t, len(rest), want)
 	}
 	return nil
-}
-
-func readF32s(dst []float64, src []byte) {
-	for i := range dst {
-		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-	}
 }
 
 func readF64s(dst []float64, src []byte) {

@@ -79,6 +79,11 @@ func forEachKernelMode(t *testing.T, fn func(label string)) {
 	})
 }
 
+// clone returns a deep copy of t.
+func clone(t *Tensor) *Tensor {
+	return FromSlice(append([]float32(nil), t.Data...), t.Shape()...)
+}
+
 // matrix wraps data as an r×c tensor; unlike New it accepts an empty one.
 func matrix(r *stats.RNG, rows, cols int) *Tensor {
 	t := FromSlice(make([]float32, rows*cols), rows, cols)
@@ -105,17 +110,17 @@ func TestMatMulMatchesNaive(t *testing.T) {
 			naiveMatMulInto(want, a, b)
 			assertTensorsClose(t, got, want, tol, label+"-MatMulInto")
 
-			got, want = base.Clone(), base.Clone()
+			got, want = clone(base), clone(base)
 			MatMulTransposeB(got, a, bt)
 			naiveMatMulTransposeB(want, a, bt)
 			assertTensorsClose(t, got, want, tol, label+"-MatMulTransposeB")
 
-			got, want = base.Clone(), base.Clone()
+			got, want = clone(base), clone(base)
 			MatMulTransposeBAdd(got, a, bt)
 			naiveMatMulTransposeBAdd(want, a, bt)
 			assertTensorsClose(t, got, want, tol, label+"-MatMulTransposeBAdd")
 
-			got, want = base.Clone(), base.Clone()
+			got, want = clone(base), clone(base)
 			MatMulTransposeA(got, at, b)
 			naiveMatMulTransposeA(want, at, b)
 			assertTensorsClose(t, got, want, tol, label+"-MatMulTransposeA")
@@ -174,22 +179,22 @@ func TestMatMulIsAscendingFMAChain(t *testing.T) {
 			bt, at := matrix(r, s.n, s.k), matrix(r, s.k, s.m)
 			base := matrix(r, s.m, s.n)
 
-			got, want := base.Clone(), New(s.m, s.n)
+			got, want := clone(base), New(s.m, s.n)
 			MatMulInto(got, a, b)
 			fmaChain(want.Data, s.m, s.k, s.n, a.Data, s.k, 1, b.Data, s.n, 1)
 			assertTensorsBitEqual(t, got, want, label+"-MatMulInto")
 
-			got, want = base.Clone(), base.Clone()
+			got, want = clone(base), clone(base)
 			MatMulTransposeA(got, at, b)
 			fmaChain(want.Data, s.m, s.k, s.n, at.Data, 1, s.m, b.Data, s.n, 1)
 			assertTensorsBitEqual(t, got, want, label+"-MatMulTransposeA")
 
-			got, want = base.Clone(), base.Clone()
+			got, want = clone(base), clone(base)
 			MatMulTransposeBAdd(got, a, bt)
 			fmaChain(want.Data, s.m, s.k, s.n, a.Data, s.k, 1, bt.Data, 1, s.k)
 			assertTensorsBitEqual(t, got, want, label+"-MatMulTransposeBAdd")
 
-			got, want = base.Clone(), New(s.m, s.n)
+			got, want = clone(base), New(s.m, s.n)
 			MatMulTransposeB(got, a, bt)
 			fmaChain(want.Data, s.m, s.k, s.n, a.Data, s.k, 1, bt.Data, 1, s.k)
 			assertTensorsBitEqual(t, got, want, label+"-MatMulTransposeB")
@@ -214,7 +219,7 @@ func TestParallelMatMulBitIdentical(t *testing.T) {
 	bt, at := matrix(r, n, k), matrix(r, k, m)
 	base := matrix(r, m, n)
 	run := func() [3]*Tensor {
-		out := [3]*Tensor{New(m, n), base.Clone(), base.Clone()}
+		out := [3]*Tensor{New(m, n), clone(base), clone(base)}
 		MatMulInto(out[0], a, b)
 		MatMulTransposeA(out[1], at, b)
 		MatMulTransposeBAdd(out[2], a, bt)

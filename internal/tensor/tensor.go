@@ -68,13 +68,6 @@ func (t *Tensor) Size() int {
 	return n
 }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := &Tensor{shape: append([]int(nil), t.shape...), Data: make([]float32, len(t.Data))}
-	copy(c.Data, t.Data)
-	return c
-}
-
 // Reshape returns a view of the same data with a new shape of equal size.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	v := &Tensor{shape: append([]int(nil), shape...), Data: t.Data}

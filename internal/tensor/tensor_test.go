@@ -39,15 +39,6 @@ func TestFromSliceAndReshape(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	x := FromSlice([]float32{1, 2}, 2)
-	c := x.Clone()
-	c.Data[0] = 99
-	if x.Data[0] != 1 {
-		t.Fatal("Clone shares data")
-	}
-}
-
 func TestZeroFillScaleAdd(t *testing.T) {
 	x := FromSlice([]float32{6, 6, 6}, 3)
 	y := FromSlice([]float32{1, 1, 1}, 3)
@@ -248,7 +239,7 @@ func TestMatMulTransposeBAddAccumulates(t *testing.T) {
 	b := New(2, 4)
 	b.RandNorm(r, 1)
 	base := FromSlice([]float32{10, 10, 10, 10, 10, 10}, 3, 2)
-	got := base.Clone()
+	got := clone(base)
 	MatMulTransposeBAdd(got, a, b)
 	want := New(3, 2)
 	MatMulTransposeB(want, a, b)

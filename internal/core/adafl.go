@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"adafl/internal/compress"
 	"adafl/internal/device"
@@ -195,16 +198,43 @@ func (p *SyncPlanner) Plan(round int, e *fl.SyncEngine) []fl.Participation {
 // score computes equation 6 for each listed client from its cached local
 // delta, the previous global delta and its current link bandwidths, scaled
 // by the scenario and negotiator multipliers.
+//
+// The scores themselves, one similarity pass over a model-sized vector per
+// client, fan out across GOMAXPROCS goroutines and land by index; the
+// bandwidth reads before them and the multipliers, histogram and cycle
+// records after them stay serial in plan order, so the plan is the same
+// for any core count.
 func (p *SyncPlanner) score(ids []int, e *fl.SyncEngine) []float64 {
+	ups, downs := make([]float64, len(ids)), make([]float64, len(ids))
+	locals := make([][]float64, len(ids))
+	for k, i := range ids {
+		ups[k], downs[k] = e.Fed.Net.Bandwidths(i, e.Now())
+		locals[k] = e.Fed.Clients[i].LastDelta
+		if locals[k] == nil {
+			locals[k] = e.LastGlobalDelta // untried client: score as aligned
+		}
+	}
+
 	scores := make([]float64, len(ids))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(ids)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(ids) {
+					return
+				}
+				scores[k] = p.Cfg.Utility.Score(ups[k], downs[k], locals[k], e.LastGlobalDelta)
+			}
+		}()
+	}
+	wg.Wait()
+
 	scoreHist := p.Metrics.Histogram("adafl_utility_score", obs.ScoreBuckets)
 	for k, i := range ids {
-		up, down := e.Fed.Net.Bandwidths(i, e.Now())
-		local := e.Fed.Clients[i].LastDelta
-		if local == nil {
-			local = e.LastGlobalDelta // untried client: score as aligned
-		}
-		scores[k] = p.Cfg.Utility.Score(up, down, local, e.LastGlobalDelta)
 		if p.ScoreMult != nil {
 			scores[k] *= p.ScoreMult(i)
 		}
@@ -214,7 +244,7 @@ func (p *SyncPlanner) score(ids []int, e *fl.SyncEngine) []float64 {
 		scoreHist.Observe(scores[k])
 		if p.Perf != nil {
 			p.Perf.Record("utility-score",
-				p.PerfProfile.CyclesForFLOPs(device.UtilityScoreFLOPs(len(local))))
+				p.PerfProfile.CyclesForFLOPs(device.UtilityScoreFLOPs(len(locals[k]))))
 		}
 	}
 	return scores

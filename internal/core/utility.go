@@ -67,18 +67,42 @@ func (u UtilityConfig) Similarity(local, globalDelta []float64) float64 {
 		// Cosine is directionally sensitive: aligned → 1, opposed → 0.
 		return (tensor.CosineSimilarity(local, globalDelta) + 1) / 2
 	case NegL2:
-		ln, gn := tensor.Norm2(local), tensor.Norm2(globalDelta)
-		if ln == 0 || gn == 0 {
-			return 0.5
-		}
-		a := tensor.CopyVec(local)
-		tensor.ScaleVec(a, 1/ln)
-		b := tensor.CopyVec(globalDelta)
-		tensor.ScaleVec(b, 1/gn)
-		return 1 / (1 + tensor.EuclideanDistance(a, b))
+		return negL2Similarity(local, globalDelta)
 	default:
 		panic(fmt.Sprintf("core: unknown similarity metric %d", u.Metric))
 	}
+}
+
+// negL2Similarity is 1/(1+‖a/‖a‖ − b/‖b‖‖₂), or 0.5 when either side is
+// zero. It takes both norms in one pass and the distance in a second,
+// scaling each element as it goes; every sum runs in index order and each
+// scaled element is rounded before the subtraction, so the bits are those
+// of copying both vectors, scaling the copies and measuring their distance.
+func negL2Similarity(a, b []float64) float64 {
+	if len(a) != len(b) {
+		if tensor.Norm2(a) == 0 || tensor.Norm2(b) == 0 {
+			return 0.5
+		}
+		panic("core: NegL2 similarity length mismatch")
+	}
+	b = b[:len(a)]
+	aa, bb := 0.0, 0.0
+	for i, x := range a {
+		y := b[i]
+		aa += x * x
+		bb += y * y
+	}
+	na, nb := math.Sqrt(aa), math.Sqrt(bb)
+	if na == 0 || nb == 0 {
+		return 0.5
+	}
+	sa, sb := 1/na, 1/nb
+	sum := 0.0
+	for i, x := range a {
+		d := float64(x*sa) - float64(b[i]*sb)
+		sum += d * d
+	}
+	return 1 / (1 + math.Sqrt(sum))
 }
 
 // Score computes the utility score S_i for a client with the given link

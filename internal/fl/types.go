@@ -13,6 +13,7 @@ package fl
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"adafl/internal/compress"
 	"adafl/internal/dataset"
@@ -142,6 +143,11 @@ type Federation struct {
 	NewModel func() *nn.Model
 	// EvalBatch bounds evaluation batch size.
 	EvalBatch int
+
+	// evalModel is Evaluate's model, built by NewModel on first use and
+	// reloaded by every call after; evalMu serialises the callers.
+	evalMu    sync.Mutex
+	evalModel *nn.Model
 }
 
 // TotalSamples returns the number of training samples across all clients.
@@ -182,9 +188,17 @@ func NewFederation(parts []*dataset.Dataset, test *dataset.Dataset, net *netsim.
 }
 
 // Evaluate measures (accuracy, loss) of the given parameter vector on the
-// federation's test set using a scratch model.
+// federation's test set. It reuses one model across calls rather than
+// building a fresh one each time: SetParamVector overwrites every
+// parameter, and an evaluation-mode forward reads nothing else of the
+// model's state, so the result is the fresh model's bits. Concurrent
+// callers take turns; each call's batches already fan out across CPUs.
 func (f *Federation) Evaluate(params []float64) (acc, loss float64) {
-	m := f.NewModel()
-	m.SetParamVector(params)
-	return m.EvaluateBatched(f.Test.X, f.Test.Labels, f.EvalBatch)
+	f.evalMu.Lock()
+	defer f.evalMu.Unlock()
+	if f.evalModel == nil {
+		f.evalModel = f.NewModel()
+	}
+	f.evalModel.SetParamVector(params)
+	return f.evalModel.EvaluateBatched(f.Test.X, f.Test.Labels, f.EvalBatch)
 }

@@ -39,8 +39,7 @@ func numericGradCheck(t *testing.T, m *Model, batch int, seed uint64, tol float6
 		params[i] = v
 		m.SetParamVector(params)
 		logits := m.Forward(x, false)
-		l, _ := SoftmaxCrossEntropy(logits, labels)
-		return l, float64(float32(v))
+		return crossEntropyLoss(logits, labels), float64(float32(v))
 	}
 	const eps = 1e-3
 	// Check a deterministic subsample of parameters to keep runtime sane.

@@ -107,7 +107,7 @@ func TestBackwardSkippingInputGradientKeepsParamGrads(t *testing.T) {
 
 			full.ZeroGrads()
 			logits := full.Forward(x, true)
-			_, grad := SoftmaxCrossEntropy(logits, labels)
+			_, grad := softmaxCrossEntropy(logits, labels)
 			for i := len(full.Layers) - 1; i >= 0; i-- {
 				grad = full.Layers[i].Backward(grad)
 			}

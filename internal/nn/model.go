@@ -210,8 +210,7 @@ func (m *Model) EvaluateBatched(x *tensor.Tensor, labels []int, batchSize int) (
 				shape := append([]int{end - start}, m.InputShape...)
 				batch := tensor.FromSlice(x.Data[start*perSample:end*perSample], shape...)
 				logits := m.Forward(batch, false)
-				l, _ := SoftmaxCrossEntropy(logits, labels[start:end])
-				p := partial{loss: l * float64(end-start)}
+				p := partial{loss: crossEntropyLoss(logits, labels[start:end]) * float64(end-start)}
 				for i, pred := range Predict(logits) {
 					if pred == labels[start+i] {
 						p.correct++

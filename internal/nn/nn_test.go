@@ -95,7 +95,7 @@ func TestZeroGrads(t *testing.T) {
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 	// Uniform logits over K classes: loss = ln K.
 	logits := tensor.New(1, 4)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{2})
+	loss, grad := softmaxCrossEntropy(logits, []int{2})
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln 4", loss)
 	}
@@ -115,7 +115,7 @@ func TestSoftmaxGradRowsSumToZeroProperty(t *testing.T) {
 		logits := tensor.New(n, k)
 		logits.RandNorm(r, 3)
 		labels := []int{r.Intn(k), r.Intn(k), r.Intn(k)}
-		_, grad := SoftmaxCrossEntropy(logits, labels)
+		_, grad := softmaxCrossEntropy(logits, labels)
 		for i := 0; i < n; i++ {
 			sum := 0.0
 			for j := 0; j < k; j++ {
@@ -134,7 +134,7 @@ func TestSoftmaxGradRowsSumToZeroProperty(t *testing.T) {
 
 func TestSoftmaxStabilityLargeLogits(t *testing.T) {
 	logits := tensor.FromSlice([]float32{1000, 1001, 999}, 1, 3)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{1})
+	loss, grad := softmaxCrossEntropy(logits, []int{1})
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("unstable loss %v", loss)
 	}

@@ -118,8 +118,8 @@ func TestMatMulTransposeAMatchesExplicit(t *testing.T) {
 
 func TestDotAndNorm(t *testing.T) {
 	a := []float64{3, 4}
-	if Dot(a, a) != 25 {
-		t.Fatal("Dot failed")
+	if dot(a, a) != 25 {
+		t.Fatal("dot failed")
 	}
 	if Norm2(a) != 5 {
 		t.Fatal("Norm2 failed")
@@ -141,12 +141,6 @@ func TestCosineSimilarityCases(t *testing.T) {
 	}
 	if got := CosineSimilarity(a, []float64{0, 0}); got != 0 {
 		t.Errorf("zero-vector cosine = %v, want 0", got)
-	}
-}
-
-func TestEuclideanDistance(t *testing.T) {
-	if d := EuclideanDistance([]float64{0, 0}, []float64{3, 4}); d != 5 {
-		t.Fatalf("distance = %v, want 5", d)
 	}
 }
 
@@ -266,8 +260,6 @@ func TestMismatchPanics(t *testing.T) {
 		{"FromSlice", func() { FromSlice([]float32{1}, 2) }},
 		{"Reshape", func() { New(4).Reshape(3) }},
 		{"AddInPlace", func() { New(2).AddInPlace(New(3)) }},
-		{"Dot", func() { Dot([]float64{1}, []float64{1, 2}) }},
-		{"EuclideanDistance", func() { EuclideanDistance([]float64{1}, []float64{1, 2}) }},
 		{"Axpy", func() { Axpy(1, []float64{1}, []float64{1, 2}) }},
 		{"SubVec", func() { SubVec(make([]float64, 2), []float64{1}, []float64{1, 2}) }},
 		{"MatMulInto", func() { MatMulInto(New(2, 2), New(2, 3), New(3, 3)) }},

@@ -6,18 +6,6 @@ import "math"
 // gradient vectors are the currency of the FL aggregation layer, so these
 // live here rather than on Tensor.
 
-// Dot returns the inner product of a and b. It panics on length mismatch.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: Dot length mismatch")
-	}
-	sum := 0.0
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	sum := 0.0
@@ -68,13 +56,32 @@ func FlushSubnormal32(x float32) float32 {
 
 // CosineSimilarity returns the cosine of the angle between a and b in
 // [-1, 1]. If either vector is (numerically) zero the similarity is defined
-// as 0: a zero gradient carries no directional information.
+// as 0: a zero gradient carries no directional information, whatever its
+// length, so a length mismatch panics only when both norms are nonzero.
+//
+// It reads both vectors once: the three sums run side by side, each in
+// index order with Norm2's expression, so the result has the bits of two
+// Norm2 passes and a dot-product pass.
 func CosineSimilarity(a, b []float64) float64 {
-	na, nb := Norm2(a), Norm2(b)
+	if len(a) != len(b) {
+		if Norm2(a) == 0 || Norm2(b) == 0 {
+			return 0
+		}
+		panic("tensor: CosineSimilarity length mismatch")
+	}
+	b = b[:len(a)]
+	aa, bb, ab := 0.0, 0.0, 0.0
+	for i, x := range a {
+		y := b[i]
+		aa += x * x
+		bb += y * y
+		ab += x * y
+	}
+	na, nb := math.Sqrt(aa), math.Sqrt(bb)
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	c := Dot(a, b) / (na * nb)
+	c := ab / (na * nb)
 	// Clamp floating-point excursions so downstream [0,1] rescaling holds.
 	if c > 1 {
 		c = 1
@@ -82,19 +89,6 @@ func CosineSimilarity(a, b []float64) float64 {
 		c = -1
 	}
 	return c
-}
-
-// EuclideanDistance returns ‖a-b‖₂.
-func EuclideanDistance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: EuclideanDistance length mismatch")
-	}
-	sum := 0.0
-	for i, v := range a {
-		d := v - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
 }
 
 // Axpy computes y += alpha*x in place.

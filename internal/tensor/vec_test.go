@@ -1,0 +1,143 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"adafl/internal/stats"
+)
+
+// dot is the inner product of a and b in index order.
+func dot(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("dot: length mismatch")
+	}
+	sum := 0.0
+	for i, v := range a {
+		sum += v * b[i]
+	}
+	return sum
+}
+
+// threePassCosine is CosineSimilarity as Norm2, Norm2 and dot, one pass
+// each, the way it was written before the sums shared a loop.
+func threePassCosine(a, b []float64) float64 {
+	na, nb := Norm2(a), Norm2(b)
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	c := dot(a, b) / (na * nb)
+	if c > 1 {
+		c = 1
+	} else if c < -1 {
+		c = -1
+	}
+	return c
+}
+
+// cosinePairs returns vector pairs of length n: random, parallel,
+// opposed, subnormal-only, zero on one side, and random with special
+// values (±0, NaN, ±Inf, subnormals, squares that overflow) put in.
+func cosinePairs(n int, seed uint64) map[string][2][]float64 {
+	r := stats.NewRNG(seed)
+	gauss := func(scale float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = scale * r.Norm()
+		}
+		return v
+	}
+	a, b := gauss(1), gauss(0.01)
+	scaled, opposed := make([]float64, n), make([]float64, n)
+	for i, x := range a {
+		scaled[i] = 3 * x
+		opposed[i] = -x
+	}
+	zeros := make([]float64, n)
+	for i := range zeros {
+		if i%2 == 1 {
+			zeros[i] = math.Copysign(0, -1)
+		}
+	}
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, -2.2e-308, 1e200, -1e-160}
+	sprinkle := func(v []float64) []float64 {
+		v = CopyVec(v)
+		for i := 0; i < len(v)/4+1 && len(v) > 0; i++ {
+			v[r.Intn(len(v))] = specials[r.Intn(len(specials))]
+		}
+		return v
+	}
+	pairs := map[string][2][]float64{
+		"random":     {a, b},
+		"parallel":   {a, scaled},
+		"opposed":    {a, opposed},
+		"subnormal":  {gauss(1e-310), gauss(1e-312)},
+		"zero left":  {zeros, b},
+		"zero right": {a, zeros},
+		"specials":   {sprinkle(a), sprinkle(b)},
+	}
+	for _, s := range specials {
+		v := CopyVec(a)
+		if n > 0 {
+			v[n/2] = s
+		}
+		pairs[fmt.Sprintf("one %g", s)] = [2][]float64{v, b}
+	}
+	return pairs
+}
+
+func TestCosineSimilarityMatchesThreePass(t *testing.T) {
+	var lengths []int
+	for n := 0; n <= 33; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 8554, 431080)
+	for _, n := range lengths {
+		for name, p := range cosinePairs(n, uint64(n)+1) {
+			got, want := CosineSimilarity(p[0], p[1]), threePassCosine(p[0], p[1])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d %s: %v (bits %#x), three passes %v (bits %#x)",
+					n, name, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+
+	// Lengths that differ: a zero side has no direction, so there is
+	// nothing to compare and the answer is 0, as for a client scored
+	// against an empty reference vector. Two nonzero sides are a bug.
+	nonzero := []float64{1, 2, 3}
+	for _, p := range [][2][]float64{
+		{nonzero, nil},
+		{nil, nonzero},
+		{[]float64{0, math.Copysign(0, -1)}, nonzero},
+		{nonzero, []float64{0, 0, 0, 0}},
+	} {
+		if c := CosineSimilarity(p[0], p[1]); c != 0 {
+			t.Fatalf("CosineSimilarity(%v, %v) = %v, want 0", p[0], p[1], c)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch between two nonzero vectors did not panic")
+		}
+	}()
+	CosineSimilarity(nonzero, []float64{1, 2})
+}
+
+var cosineSink float64
+
+// BenchmarkCosineSimilarity times one utility-score similarity at the
+// simulator's MLP size and at the paper CNN's.
+func BenchmarkCosineSimilarity(b *testing.B) {
+	for _, n := range []int{8554, 431080} {
+		p := cosinePairs(n, 7)["random"]
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.SetBytes(int64(16 * n))
+			for i := 0; i < b.N; i++ {
+				cosineSink = CosineSimilarity(p[0], p[1])
+			}
+		})
+	}
+}

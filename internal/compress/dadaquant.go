@@ -42,9 +42,17 @@ type DAdaQuant struct {
 	// performed by the latest Encode stays staged until Commit or Rollback,
 	// so a rejected or lost upload's mass is re-transmitted rather than
 	// destroyed; a newer Encode implicitly commits its predecessor.
-	v        []float64
-	pendingV []float64
-	pending  bool
+	//
+	// The stage holds only what the clear destroyed. A sparse encode keeps
+	// the message's indices and the k values the quantizer overwrote in
+	// the message (stageVals); a dense flush hands the residual buffer
+	// itself over (stageV) and leaves v empty, and Commit zeroes the buffer
+	// and hands it back. Neither copies the residual.
+	v         []float64
+	stageIdx  []int32
+	stageVals []float64
+	stageV    []float64
+	pending   bool
 }
 
 // NewDAdaQuant returns a doubly-adaptive quantizer with the given level
@@ -68,6 +76,7 @@ func (d *DAdaQuant) Name() string { return "dadaquant" }
 func (d *DAdaQuant) Reset() {
 	d.round, d.levels = 0, 0
 	d.v = nil
+	d.stageIdx, d.stageV = nil, nil
 	d.pending = false
 }
 
@@ -156,6 +165,7 @@ func KForRatioQuantized(dim int, ratio float64, bits int) int {
 // the error-feedback residual first, so unsent mass from deep-ratio
 // rounds rides along until a shallower round flushes it.
 func (d *DAdaQuant) Encode(grad []float64, ratio float64) *Sparse {
+	d.Commit()
 	lv := d.Levels()
 	bits := QuantBitsFor(lv)
 	dim := len(grad)
@@ -165,10 +175,6 @@ func (d *DAdaQuant) Encode(grad []float64, ratio float64) *Sparse {
 	for i, x := range grad {
 		d.v[i] += x
 	}
-	// Stage the accumulated gradient: Rollback restores it wholesale (the
-	// upload never joined the aggregate, so its mass returns to the
-	// residual); the next Encode's restage implicitly commits this one.
-	d.pendingV = append(d.pendingV[:0], d.v...)
 	d.pending = true
 	denseQuantCost := headerBytes + BytesPerValue + (dim*bits+7)/8
 	budget := DenseBytes(dim)
@@ -186,6 +192,10 @@ func (d *DAdaQuant) Encode(grad []float64, ratio float64) *Sparse {
 		d.scratch = make([]float64, dim)
 	}
 	msg := SelectTopKScratch(d.v, k, d.scratch)
+	// Stage what the clear destroys: the selected values, before the
+	// quantizer below overwrites them in the message.
+	d.stageIdx = msg.Indices
+	d.stageVals = append(d.stageVals[:0], msg.Values...)
 	for _, idx := range msg.Indices {
 		d.v[idx] = 0
 	}
@@ -204,16 +214,14 @@ func (d *DAdaQuant) Encode(grad []float64, ratio float64) *Sparse {
 }
 
 // flushDense quantizes the full accumulated gradient and clears the
-// residual.
+// residual by staging its buffer: v stays empty until Commit.
 func (d *DAdaQuant) flushDense(lv, bits int) *Sparse {
 	norm := tensor.Norm2(d.v)
 	out := NewSparseDense(d.v)
 	out.QuantBits = bits
 	out.QuantLevels = lv
 	out.QuantNorm = norm
-	for i := range d.v {
-		d.v[i] = 0
-	}
+	d.stageV, d.v = d.v, nil
 	if norm == 0 {
 		return out
 	}
@@ -225,8 +233,19 @@ func (d *DAdaQuant) flushDense(lv, bits int) *Sparse {
 }
 
 // Commit finalises the most recent Encode: the server accepted the upload
-// and the staged residual snapshot is discarded. Idempotent.
-func (d *DAdaQuant) Commit() { d.pending = false }
+// and the stage is dropped — a dense flush's residual buffer comes back
+// zeroed. Idempotent.
+func (d *DAdaQuant) Commit() {
+	if !d.pending {
+		return
+	}
+	if d.stageV != nil {
+		clear(d.stageV)
+		d.v = d.stageV
+	}
+	d.stageIdx, d.stageV = nil, nil
+	d.pending = false
+}
 
 // Rollback undoes the most recent Encode's residual clear: the whole
 // accumulated gradient (sent and unsent mass alike) returns to the
@@ -237,6 +256,12 @@ func (d *DAdaQuant) Rollback() {
 	if !d.pending {
 		return
 	}
-	copy(d.v, d.pendingV)
+	if d.stageV != nil {
+		d.v = d.stageV
+	}
+	for i, idx := range d.stageIdx {
+		d.v[idx] = d.stageVals[i]
+	}
+	d.stageIdx, d.stageV = nil, nil
 	d.pending = false
 }

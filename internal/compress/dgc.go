@@ -18,6 +18,13 @@ import (
 //  3. transmits the top-k coordinates of the accumulator v and clears the
 //     transmitted coordinates of both u and v (error feedback).
 //
+// The clear of u is deferred: Encode subtracts what it sends from v and
+// keeps the returned message as its stage; Commit (or the next Encode)
+// zeroes u at the message's indices, and Rollback adds its values back to
+// v. u is untouched until then, so Rollback is exact by construction and
+// the stage costs nothing beyond the message itself. The caller must not
+// mutate the returned message before Commit or Rollback.
+//
 // The struct is per-client state; one DGC instance must not be shared
 // between clients.
 type DGC struct {
@@ -40,15 +47,12 @@ type DGC struct {
 	// steady-state encode allocates only the outgoing message.
 	scratch []float64
 
-	// Deferred-commit staging: Encode clears the transmitted coordinates of
-	// u/v optimistically, but the upload can still fail or be quarantined.
-	// The cleared mass is staged here until Commit (upload accepted) or
-	// Rollback (upload lost/rejected) — without it, a rejected round would
-	// silently destroy the error-feedback residual instead of retrying it.
-	pendingIdx  []int32
-	pendingVals []float64
-	pendingU    []float64
-	pending     bool
+	// staged is the latest Encode's message while its upload can still
+	// fail or be quarantined: Commit (upload accepted) clears u at its
+	// indices, Rollback (upload lost/rejected) returns its values to v —
+	// without it, a rejected round would silently destroy the
+	// error-feedback residual instead of retrying it.
+	staged *Sparse
 }
 
 // NewDGC returns a DGC codec with the given momentum correction factor and
@@ -63,7 +67,7 @@ func (d *DGC) Name() string { return "dgc" }
 // Reset implements Codec.
 func (d *DGC) Reset() {
 	d.u, d.v = nil, nil
-	d.pending = false
+	d.staged = nil
 }
 
 // Validate rejects configurations whose error-feedback arithmetic would
@@ -89,6 +93,7 @@ func (d *DGC) AccumulatedNorm() float64 { return tensor.Norm2(d.v) }
 
 // Encode implements Codec.
 func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
+	d.Commit()
 	if d.u == nil {
 		d.u = make([]float64, len(grad))
 		d.v = make([]float64, len(grad))
@@ -134,8 +139,10 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 	if clip {
 		gnorm = math.Sqrt(sum)
 	}
+	// The select buffer only serves a sparse k: a dense warm-up encode
+	// does not allocate it.
 	k := KForRatio(len(grad), ratio)
-	if cap(d.scratch) < len(grad) {
+	if k < len(grad) && cap(d.scratch) < len(grad) {
 		d.scratch = make([]float64, len(grad))
 	}
 	msg := SelectTopKScratch(d.v, k, d.scratch)
@@ -150,43 +157,41 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 	// minus its float32 neighbour is exact), so no mass is lost to the
 	// rounding and Rollback's v += sent still lands on the old v.
 	roundToFloat32(msg.Values)
-	// Stage the state this clear destroys, then clear. A later Rollback
-	// restores it exactly; Commit (or the next Encode) discards the stage.
-	d.pendingIdx = append(d.pendingIdx[:0], msg.Indices...)
-	d.pendingVals = append(d.pendingVals[:0], msg.Values...)
-	if cap(d.pendingU) < len(msg.Indices) {
-		d.pendingU = make([]float64, len(msg.Indices))
-	}
-	d.pendingU = d.pendingU[:len(msg.Indices)]
+	// Clear v now and stage the message for u's clear: Commit (or the
+	// next Encode) zeroes u at its indices, Rollback adds it back to v.
 	for i, idx := range msg.Indices {
-		d.pendingU[i] = d.u[idx]
-	}
-	d.pending = true
-	for i, idx := range msg.Indices {
-		d.u[idx] = 0
 		d.v[idx] -= msg.Values[i]
 	}
+	d.staged = msg
 	return msg
 }
 
 // Commit finalises the most recent Encode: the transmitted mass was
-// accepted by the server and the staged undo state is discarded. Calling
-// Commit (or Rollback) twice is a no-op.
-func (d *DGC) Commit() { d.pending = false }
-
-// Rollback undoes the most recent Encode's error-feedback clear: the
-// transmitted values are returned to the accumulator v and the momentum
-// state u is restored, so a failed or quarantined upload's mass is
-// re-transmitted by the next accepted round instead of being destroyed.
-// Only the latest Encode can be rolled back; a newer Encode implicitly
-// commits its predecessor.
-func (d *DGC) Rollback() {
-	if !d.pending {
+// accepted by the server, so the momentum u of the sent coordinates is
+// cleared and the stage dropped. Calling Commit (or Rollback) twice is a
+// no-op.
+func (d *DGC) Commit() {
+	if d.staged == nil {
 		return
 	}
-	for i, idx := range d.pendingIdx {
-		d.u[idx] = d.pendingU[i]
-		d.v[idx] += d.pendingVals[i]
+	for _, idx := range d.staged.Indices {
+		d.u[idx] = 0
 	}
-	d.pending = false
+	d.staged = nil
+}
+
+// Rollback undoes the most recent Encode's error-feedback clear: the
+// transmitted values are returned to the accumulator v, and u, whose
+// clear was deferred, is as the Encode left it. A failed or quarantined
+// upload's mass is thus re-transmitted by the next accepted round instead
+// of being destroyed. Only the latest Encode can be rolled back; a newer
+// Encode implicitly commits its predecessor.
+func (d *DGC) Rollback() {
+	if d.staged == nil {
+		return
+	}
+	for i, idx := range d.staged.Indices {
+		d.v[idx] += d.staged.Values[i]
+	}
+	d.staged = nil
 }

@@ -406,12 +406,28 @@ func checkAscendingRun(b []byte, nnz uint32) error {
 	return nil
 }
 
+// shrinkFloor is the decode scratch capacity, in values, that fitScratch
+// never shrinks below.
+const shrinkFloor = 8 << 10
+
+// fitScratch returns buf at length n, reallocated when it is too small or
+// when it has grown past shrinkFloor and n needs less than a quarter of
+// it: one dense warm-up update does not pin a dense-size scratch for the
+// session, and a stream of equal-size messages never reallocates.
+func fitScratch[T any](buf []T, n int) []T {
+	if c := cap(buf); c >= n && (c <= shrinkFloor || n >= c/4) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
 // DecodeBinaryInto decodes a sparse binary payload produced by
 // AppendBinary into s, reusing s's slices when capacity allows (the
-// zero-allocation receive path). data must be exactly one encoded
-// message. The flags and the declared nnz are validated against len(data)
-// before any allocation — the varint run by a walk of its own — so a
-// corrupt count cannot force an oversized allocation; structural
+// zero-allocation receive path) and shrinking them as fitScratch does.
+// data must be exactly one encoded message. The flags and the declared
+// nnz are validated against len(data) before any allocation — the varint
+// run by a walk of its own — so a corrupt count cannot force an
+// oversized allocation; structural
 // validation beyond shape (index bounds versus the receiver's model)
 // stays with Sparse.Validate.
 func (s *Sparse) DecodeBinaryInto(data []byte) error {
@@ -495,16 +511,8 @@ func (s *Sparse) DecodeBinaryInto(data []byte) error {
 	if quant {
 		s.QuantBits, s.QuantLevels, s.QuantNorm = bits, levels, norm
 	}
-	if cap(s.Indices) < n {
-		s.Indices = make([]int32, n)
-	} else {
-		s.Indices = s.Indices[:n]
-	}
-	if cap(s.Values) < n {
-		s.Values = make([]float64, n)
-	} else {
-		s.Values = s.Values[:n]
-	}
+	s.Indices = fitScratch(s.Indices, n)
+	s.Values = fitScratch(s.Values, n)
 	switch {
 	case dense:
 		for i := range s.Indices {

@@ -389,3 +389,49 @@ func FuzzSparseBinary(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeScratchShrinks: a dense update grows DecodeBinaryInto's
+// scratch to the model's dimension; the next update needing under a
+// quarter of it leaves the scratch at that update's size, and a stream of
+// equal-size updates never reallocates it. Below shrinkFloor nothing
+// shrinks.
+func TestDecodeScratchShrinks(t *testing.T) {
+	const dim = 100000
+	r := stats.NewRNG(17)
+	g := make([]float64, dim)
+	for i := range g {
+		g[i] = r.Norm()
+	}
+	var s Sparse
+	if err := s.DecodeBinaryInto(Identity{}.Encode(g, 1).AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(s.Indices) != dim || cap(s.Values) != dim {
+		t.Fatalf("dense decode: scratch %d/%d, want %d", cap(s.Indices), cap(s.Values), dim)
+	}
+	sparse := SelectTopK(g, dim/8).AppendBinary(nil)
+	if err := s.DecodeBinaryInto(sparse); err != nil {
+		t.Fatal(err)
+	}
+	if cap(s.Indices) != dim/8 || cap(s.Values) != dim/8 {
+		t.Fatalf("sparse decode after dense: scratch %d/%d, want %d", cap(s.Indices), cap(s.Values), dim/8)
+	}
+	idx, vals := &s.Indices[0], &s.Values[0]
+	if err := s.DecodeBinaryInto(sparse); err != nil {
+		t.Fatal(err)
+	}
+	if &s.Indices[0] != idx || &s.Values[0] != vals {
+		t.Fatal("an equal-size update reallocated the scratch")
+	}
+	small := SelectTopK(g, 10).AppendBinary(nil)
+	var f Sparse
+	if err := f.DecodeBinaryInto(SelectTopK(g, shrinkFloor).AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DecodeBinaryInto(small); err != nil {
+		t.Fatal(err)
+	}
+	if cap(f.Values) != shrinkFloor {
+		t.Fatalf("scratch of %d values (the floor) shrank to %d", shrinkFloor, cap(f.Values))
+	}
+}

@@ -79,8 +79,8 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		}
 		c := NewBinaryConn(&byteConn{}, nil)
 		var fresh, scratch Envelope
-		errFresh := c.decodeFrame(&fresh, data, true)
-		errScratch := c.decodeFrame(&scratch, data, false)
+		errFresh := c.decodeFrame(&fresh, data, 0, true)
+		errScratch := c.decodeFrame(&scratch, data, 0, false)
 		if (errFresh == nil) != (errScratch == nil) {
 			t.Fatalf("receive paths disagree: Recv %v, RecvInto %v", errFresh, errScratch)
 		}
@@ -91,7 +91,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			t.Fatalf("receive paths decode differently:\n Recv     %+v\n RecvInto %+v", &fresh, &scratch)
 		}
 		var again Envelope
-		if err := c.decodeFrame(&again, encodeBinaryEnvelope(t, &fresh)[4:], true); err != nil {
+		if err := c.decodeFrame(&again, encodeBinaryEnvelope(t, &fresh)[4:], 0, true); err != nil {
 			t.Fatalf("re-encoded %v does not decode: %v", fresh.Type, err)
 		}
 		if !envelopesBitEqual(&fresh, &again) {
@@ -189,8 +189,24 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(raw[:4+envHeaderBytes+10])
 	}
 
+	// A model frame past recvPieceBytes, read piece by piece: whole, cut
+	// at and around the piece boundary and inside the delta run, and with
+	// nParams or nDelta lying about the length.
+	big := encodeBinaryEnvelope(f, bigModelEnvelope(20000, 300, 1))
+	f.Add(big)
+	for _, cut := range []int{4 + recvPieceBytes - 1, 4 + recvPieceBytes, 4 + recvPieceBytes + 1, len(big) - 5} {
+		f.Add(big[:cut])
+	}
+	for _, off := range []int{4 + envHeaderBytes, 4 + envHeaderBytes + 4} {
+		for _, v := range []uint32{19999, 20001, 0xffffffff} {
+			mut := append([]byte(nil), big...)
+			binary.LittleEndian.PutUint32(mut[off:], v)
+			f.Add(mut)
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
+		if len(data) > 1<<18 {
 			t.Skip("oversized input")
 		}
 		c := NewBinaryConn(&byteConn{r: bytes.NewReader(data)}, nil)

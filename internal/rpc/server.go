@@ -463,8 +463,14 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 		totalSamples += p.Samples
 	}
 
-	// Phase 1+2: broadcast + score collection, one exchange.
+	// Phase 1+2: broadcast + score collection, one exchange. A zero ĝ (the
+	// warm-up) is not sent: the wire reads an absent vector as an empty
+	// one, and a client scores an empty ĝ as a zero one.
+	warmup := tensor.IsZero(globalDelta)
 	broadcast := &Envelope{Type: MsgModel, Round: round, Params: global, GlobalDelta: globalDelta}
+	if warmup {
+		broadcast.GlobalDelta = nil
+	}
 	errs := Exchange(roster, round, MsgScore, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
 		func(*Peer) (*Envelope, bool) { return broadcast, true })
 	scores := make(map[int]float64, len(roster))
@@ -505,7 +511,7 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	}
 
 	// Phase 3+4: selection, then concurrent notify + update collection.
-	plan := planRound(s.cfg.Cfg, round, scores, lastSel, tensor.IsZero(globalDelta))
+	plan := planRound(s.cfg.Cfg, round, scores, lastSel, warmup)
 	rec.Selected = len(plan)
 	for _, score := range scores {
 		s.met.scores.Observe(score)
@@ -614,11 +620,7 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	// round's roster; the 1/WeightSum renormalisation keeps the average
 	// well-formed when some selected updates never arrive).
 	rec.Received = part.Count
-	before := tensor.CopyVec(global)
-	if part.WeightSum > 0 {
-		tensor.Axpy(1/part.WeightSum, part.Sum, global)
-	}
-	tensor.SubVec(globalDelta, global, before)
+	applyRound(global, globalDelta, part.Sum, part.WeightSum)
 	s.cfg.Events.Emit(obs.Event{Type: "aggregate", Round: round, Client: -1,
 		Received: rec.Received, Seconds: time.Since(aggStart).Seconds()})
 
@@ -656,6 +658,25 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 		sc.RecordMetrics(s.cfg.Metrics)
 	}
 	return rec
+}
+
+// applyRound adds sum/weightSum to global and leaves ĝ = new − old in
+// globalDelta, in one pass and without a copy of the old global. Each
+// coordinate is computed in the expression forms of tensor.Axpy then
+// tensor.SubVec, so the bits are theirs; with no weight the global stays
+// and ĝ is x − x, which is 0 for every finite x.
+func applyRound(global, globalDelta, sum []float64, weightSum float64) {
+	if !(weightSum > 0) {
+		tensor.SubVec(globalDelta, global, global)
+		return
+	}
+	a := 1 / weightSum
+	sum, globalDelta = sum[:len(global)], globalDelta[:len(global)]
+	for i, old := range global {
+		x := old + a*sum[i]
+		global[i] = x
+		globalDelta[i] = x - old
+	}
 }
 
 // logAssignments writes one JSONL record for the round's negotiated

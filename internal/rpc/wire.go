@@ -102,6 +102,14 @@ const envHeaderBytes = 10
 // steady-state memory at a few KB even when broadcasting multi-MB models.
 const wireChunkBytes = 4096
 
+// recvPieceBytes bounds the receive side's frame buffer for a model
+// broadcast. A frame at or under it is read whole with one ReadFull; a
+// longer MsgModel frame is read in pieces of at most this size, each
+// decoded straight into the broadcast's params and ĝ, so a multi-MB model
+// never has a frame-sized buffer. It is also the size past which a frame
+// buffer that has grown for a dense warm-up shrinks back (frameBuf).
+const recvPieceBytes = 64 << 10
+
 // defaultWireBufSize is the send-side bufio buffer of a binary Conn.
 const defaultWireBufSize = 32 << 10
 
@@ -289,6 +297,12 @@ func (c *Conn) writeF64s(vals []float64) error {
 // decoded slices and the Update payload live in connection-owned scratch,
 // valid until the next RecvInto on this connection; with fresh=true
 // (Recv) they are freshly allocated and safe to retain.
+//
+// The first min(length, recvPieceBytes) payload bytes are read in one
+// ReadFull: that is the whole of a small frame. A longer frame of any
+// type but MsgModel is then read to its end into the frame buffer; a
+// longer MsgModel frame leaves the rest on the socket for decodeFrame to
+// read piece by piece.
 func (c *Conn) recvBinary(e *Envelope, fresh bool) error {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
@@ -307,18 +321,48 @@ func (c *Conn) recvBinary(e *Envelope, fresh bool) error {
 	if n < envHeaderBytes {
 		return fmt.Errorf("%w: %d-byte payload, header needs %d", errWireFrame, n, envHeaderBytes)
 	}
-	if int64(cap(c.recvBuf)) < n {
-		c.recvBuf = make([]byte, n)
+	first := int(min(n, recvPieceBytes))
+	if cap(c.recvBuf) < first {
+		c.recvBuf = make([]byte, first)
 	}
-	p := c.recvBuf[:n]
+	p := c.recvBuf[:first]
 	if m, err := io.ReadFull(c.raw, p); err != nil {
-		return fmt.Errorf("%w: connection cut %d bytes into a %d-byte payload: %v",
-			errWireFrame, m, n, err)
+		return cutFrame(int64(m), n, err)
 	}
-	return c.decodeFrame(e, p, fresh)
+	need := int(n)
+	if MsgType(p[0]) == MsgModel {
+		need = first
+	}
+	p = c.frameBuf(p, need)
+	if m, err := io.ReadFull(c.raw, p[first:]); err != nil {
+		return cutFrame(int64(first+m), n, err)
+	}
+	return c.decodeFrame(e, p, n-int64(len(p)), fresh)
 }
 
-func (c *Conn) decodeFrame(e *Envelope, p []byte, fresh bool) error {
+// cutFrame reports a connection that ended m bytes into an n-byte payload.
+func cutFrame(m, n int64, err error) error {
+	return fmt.Errorf("%w: connection cut %d bytes into a %d-byte payload: %v", errWireFrame, m, n, err)
+}
+
+// frameBuf returns the connection's frame buffer at length n, holding the
+// bytes of p (a prefix of it). The buffer is reallocated when it is too
+// small, and when it has grown past recvPieceBytes and n needs less than a
+// quarter of it: the frames of a dense warm-up round do not pin their size
+// for the session, and traffic of one size never reallocates.
+func (c *Conn) frameBuf(p []byte, n int) []byte {
+	if size := cap(c.recvBuf); size >= n && (size <= recvPieceBytes || n >= size/4) {
+		return c.recvBuf[:n]
+	}
+	c.recvBuf = make([]byte, n)
+	copy(c.recvBuf, p)
+	return c.recvBuf
+}
+
+// decodeFrame decodes one frame's payload p. more counts the payload
+// bytes past p still on the socket, which only a MsgModel frame leaves
+// there (recvBinary); it is 0 for a whole payload.
+func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error {
 	*e = Envelope{
 		Type:     MsgType(p[0]),
 		ClientID: int(int32(binary.LittleEndian.Uint32(p[2:]))),
@@ -400,12 +444,29 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, fresh bool) error {
 		}
 		np := binary.LittleEndian.Uint32(body)
 		nd := binary.LittleEndian.Uint32(body[4:])
-		if err := needN(e.Type, body[8:], 4*int64(np)+8*int64(nd)); err != nil {
-			return err
+		if have, want := int64(len(body)-8)+more, 4*int64(np)+8*int64(nd); have != want {
+			return fmt.Errorf("%w: %v body carries %d bytes, header declares %d", errWireFrame, e.Type, have, want)
 		}
 		e.Params, e.GlobalDelta = f64s(&c.recvParams, np), f64s(&c.recvDelta, nd)
-		tensor.WidenLE(e.Params, body[8:])
-		readF64s(e.GlobalDelta, body[8+4*np:])
+		r := pieceReader{raw: c.raw, buf: p, src: body[8:], more: more, n: int64(len(p)) + more}
+		for dst := e.Params; len(dst) > 0; {
+			b, err := r.take(4, len(dst))
+			if err != nil {
+				return err
+			}
+			k := len(b) / 4
+			tensor.WidenLE(dst[:k], b)
+			dst = dst[k:]
+		}
+		for dst := e.GlobalDelta; len(dst) > 0; {
+			b, err := r.take(8, len(dst))
+			if err != nil {
+				return err
+			}
+			k := len(b) / 8
+			readF64s(dst[:k], b)
+			dst = dst[k:]
+		}
 	case MsgUpdate, MsgAsyncPush:
 		sp := c.recvSparse
 		if fresh || sp == nil {
@@ -455,6 +516,36 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, fresh bool) error {
 		return fmt.Errorf("%w: unknown message type %d", errWireFrame, p[0])
 	}
 	return nil
+}
+
+// pieceReader hands out a MsgModel body in whole values: first the bytes
+// already in the frame buffer, then pieces read into that same buffer as
+// they are needed. For a whole payload (more == 0) it never reads.
+type pieceReader struct {
+	raw  io.Reader
+	buf  []byte // the frame buffer, refilled in place
+	src  []byte // bytes in buf not yet handed out
+	more int64  // payload bytes still on the socket
+	n    int64  // the payload's length, for the cut report
+}
+
+// take returns the next whole values of width bytes, at most limit of
+// them and at least one, refilling the buffer when less than one is left.
+// The caller has checked that the payload holds every value it asks for.
+func (r *pieceReader) take(width, limit int) ([]byte, error) {
+	if len(r.src) < width {
+		k := copy(r.buf, r.src) // a value split by the piece boundary moves to the front
+		m := int(min(r.more, int64(len(r.buf)-k)))
+		if got, err := io.ReadFull(r.raw, r.buf[k:k+m]); err != nil {
+			return nil, cutFrame(r.n-r.more+int64(got), r.n, err)
+		}
+		r.more -= int64(m)
+		r.src = r.buf[:k+m]
+	}
+	k := min(len(r.src)/width, limit) * width
+	b := r.src[:k]
+	r.src = r.src[k:]
+	return b, nil
 }
 
 // needN validates a variable-length body section against its declared

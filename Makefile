@@ -43,6 +43,13 @@ SHARD_CONCURRENCY :=
 # kernels (elem*.go, elem_amd64.s) sit outside the guard: converting between
 # float64 and float32 is their job.
 F64_GEMM :=
+# The tensor kernels' assembly is VEX/EVEX only where it touches a vector
+# register (DESIGN.md §GEMM kernel, "Two layer loops"): a legacy SSE
+# instruction writing an X register after an AVX write to the upper lanes
+# stalls on the state transition (one `MOVQ AX, X8` in the pool kernel's
+# loop makes it about 20× slower). Any mnemonic not starting with V whose
+# destination is an X register fails the lint; write VMOVQ, VMOVD, VPXOR, ….
+SSE_IN_AVX := internal/tensor/*_amd64.s
 
 lint: vet
 	@unformatted=$$(gofmt -l .); \
@@ -65,6 +72,8 @@ lint: vet
 	if [ "$$got" != "$(SHARD_CONCURRENCY)" ]; then echo "go statement or channel in the shard tree: $$got(want none)"; exit 1; fi
 	@got=$$(grep -lE --exclude='*_test.go' 'float64|FMADD[0-9]+PD' internal/tensor/gemm*.go internal/tensor/gemm_amd64.s | sort -u | tr '\n' ' '); \
 	if [ "$$got" != "$(F64_GEMM)" ]; then echo "float64 GEMM code in: $$got(want none)"; exit 1; fi
+	@got=$$(grep -nE '^[[:space:]]*[A-UW-Z][A-Z0-9]*[[:space:]][^/]*,[[:space:]]*X([0-9]|1[0-5])[[:space:]]*(//.*)?$$' $(SSE_IN_AVX)); \
+	if [ -n "$$got" ]; then echo "legacy SSE instruction writing an X register (use its VEX form):"; echo "$$got"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -110,8 +119,9 @@ fuzz:
 
 # Coverage floors on the scenario engine and the models it composes, plus
 # the wire codecs, the sharded aggregation tree and the two-tier edge
-# federation — the protocol/aggregation core every session rides on — and
-# the synthetic data and RNG every run's bits start from.
+# federation — the protocol/aggregation core every session rides on — the
+# synthetic data and RNG every run's bits start from, and the layers and
+# kernels every client step runs.
 # Floors sit a few points under current numbers to absorb benign drift.
 cover:
 	@set -e; \
@@ -133,7 +143,9 @@ cover:
 	check_pkg session 80; \
 	check_pkg checkpoint 75; \
 	check_pkg dataset 90; \
-	check_pkg stats 95
+	check_pkg stats 95; \
+	check_pkg nn 92; \
+	check_pkg tensor 93
 
 # Fleet-scale aggregation smoke: a small in-process run of the load
 # harness. The tracked numbers are bench/'s fleet_ingest and tree_ingest.

@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
+	"adafl/internal/dataset"
 	"adafl/internal/stats"
 	"adafl/internal/tensor"
 )
@@ -101,5 +103,55 @@ func BenchmarkReLU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		relu.Forward(x, true)
 		relu.Backward(g)
+	}
+}
+
+// BenchmarkConvPaperCNNTrainBatch measures one client step of the paper
+// CNN at batch 16 — zero the gradients, forward, backward, SGD momentum —
+// the unit `cnn_train` repeats; run it with -cpu 1 to read one core.
+func BenchmarkConvPaperCNNTrainBatch(b *testing.B) {
+	m := NewPaperCNN(stats.NewRNG(12))
+	ds := dataset.SynthMNIST(16, 28, 13)
+	opt := NewSGD(0.05, 0.9, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ZeroGrads()
+		m.TrainBatch(ds.X, ds.Labels)
+		opt.Step(m)
+	}
+}
+
+// BenchmarkConvLowering measures the paper CNN's conv2 lowering at batch
+// 16: one im2col and one col2im per sample, 4 000 taps of eight floats
+// each way.
+func BenchmarkConvLowering(b *testing.B) {
+	conv := NewConv2D(20, 50, 5, 0, stats.NewRNG(14))
+	x := tensor.New(16, 20, 12, 12)
+	x.RandNorm(stats.NewRNG(15), 1)
+	cols := make([]float32, 20*5*5*8*8)
+	dx := make([]float32, 20*12*12)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for n := 0; n < 16; n++ {
+			conv.im2col(cols, x.Data[n*20*12*12:(n+1)*20*12*12], 12, 12, 8, 8)
+			conv.col2im(dx, cols, 12, 12, 8, 8)
+		}
+	}
+}
+
+// BenchmarkMaxPool measures a train-mode 2×2 pooling forward over the
+// paper CNN's two pooled activations at batch 16: 20×24×24 and 50×8×8.
+func BenchmarkMaxPool(b *testing.B) {
+	for _, s := range []struct{ c, hw int }{{20, 24}, {50, 8}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s.c, s.hw, s.hw), func(b *testing.B) {
+			x := tensor.New(16, s.c, s.hw, s.hw)
+			x.RandNorm(stats.NewRNG(16), 1)
+			p := NewMaxPool2D()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Forward(x, true)
+			}
+		})
 	}
 }

@@ -90,26 +90,25 @@ func (c *Conv2D) gradWeightView() *tensor.Tensor {
 
 // im2col fills dst (CKK × OH·OW) with the patches of one input plane set.
 // Row (ic·K+ky)·K+kx holds, for every output position, the input value the
-// kernel tap (ic, ky, kx) reads (0 for padding).
+// kernel tap (ic, ky, kx) reads (0 for padding). Each tap is one strided
+// row copy of the output rows and columns it reads inside the input; with
+// padding, its block is cleared first.
 func (c *Conv2D) im2col(dst []float32, in []float32, h, w, oh, ow int) {
 	k, pad := c.K, c.Pad
+	plane := oh * ow
 	row := 0
 	for ic := 0; ic < c.InC; ic++ {
-		plane := in[ic*h*w : (ic+1)*h*w]
+		src := in[ic*h*w : (ic+1)*h*w]
 		for ky := 0; ky < k; ky++ {
+			oy0, oy1, iy := tapRange(ky, pad, h, oh)
 			for kx := 0; kx < k; kx++ {
-				lo, hi, ix := tapColumns(kx, pad, w, ow)
-				out := dst[row*oh*ow : (row+1)*oh*ow]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy + ky - pad
-					dstRow := out[oy*ow : (oy+1)*ow]
-					if iy < 0 || iy >= h {
-						clear(dstRow)
-						continue
-					}
-					clear(dstRow[:lo])
-					copy(dstRow[lo:hi], plane[iy*w+ix:iy*w+ix+hi-lo])
-					clear(dstRow[hi:])
+				lo, hi, ix := tapRange(kx, pad, w, ow)
+				out := dst[row*plane : (row+1)*plane]
+				if pad > 0 {
+					clear(out)
+				}
+				if oy0 < oy1 && lo < hi {
+					tensor.CopyRows(out[oy0*ow+lo:], ow, src[iy*w+ix:], w, oy1-oy0, hi-lo)
 				}
 				row++
 			}
@@ -117,10 +116,11 @@ func (c *Conv2D) im2col(dst []float32, in []float32, h, w, oh, ow int) {
 	}
 }
 
-// tapColumns returns the output columns [lo, hi) at which kernel column kx
-// reads inside a w-wide input row, and the input column ix output lo
-// reads; the columns outside [lo, hi) read padding.
-func tapColumns(kx, pad, w, ow int) (lo, hi, ix int) {
+// tapRange returns the output positions [lo, hi) at which kernel offset kx
+// reads inside an input extent of w, and the input position output lo
+// reads; the positions outside [lo, hi) read padding. It serves rows and
+// columns alike.
+func tapRange(kx, pad, w, ow int) (lo, hi, ix int) {
 	lo, hi = max(0, pad-kx), min(ow, w+pad-kx)
 	if lo >= hi {
 		return 0, 0, 0
@@ -219,14 +219,7 @@ func (c *Conv2D) backward(gradOut *tensor.Tensor, needDx bool) *tensor.Tensor {
 	g := tensor.FromSlice(gradOut.Data[:c.OutC*plane], c.OutC, plane)
 	for ni := 0; ni < n; ni++ {
 		g.Data = gradOut.Data[ni*c.OutC*plane : (ni+1)*c.OutC*plane]
-		// Bias gradient: per-channel sums.
-		for oc := 0; oc < c.OutC; oc++ {
-			var sum float32
-			for _, v := range g.Data[oc*plane : (oc+1)*plane] {
-				sum += v
-			}
-			c.GradB.Data[oc] += sum
-		}
+		c.biasGrad(g.Data, plane)
 		// Weight gradient: dW += g @ colsᵀ.
 		c.im2col(c.cols.Data, x.Data[ni*c.InC*h*w:(ni+1)*c.InC*h*w], h, w, oh, ow)
 		tensor.MatMulTransposeBAdd(gradWView, g, c.cols)
@@ -240,8 +233,44 @@ func (c *Conv2D) backward(gradOut *tensor.Tensor, needDx bool) *tensor.Tensor {
 	return dx
 }
 
+// biasGrad adds each channel's sum of one sample's output gradient g
+// (OutC planes of plane elements) to GradB. A sum is one float32 chain in
+// ascending position, latency-bound, so four channels' chains run side by
+// side.
+func (c *Conv2D) biasGrad(g []float32, plane int) {
+	oc := 0
+	for ; oc+4 <= c.OutC; oc += 4 {
+		g0 := g[oc*plane : (oc+1)*plane]
+		g1 := g[(oc+1)*plane:][:len(g0)]
+		g2 := g[(oc+2)*plane:][:len(g0)]
+		g3 := g[(oc+3)*plane:][:len(g0)]
+		var s0, s1, s2, s3 float32
+		for i, v := range g0 {
+			s0 += v
+			s1 += g1[i]
+			s2 += g2[i]
+			s3 += g3[i]
+		}
+		gb := c.GradB.Data[oc : oc+4 : oc+4]
+		gb[0] += s0
+		gb[1] += s1
+		gb[2] += s2
+		gb[3] += s3
+	}
+	for ; oc < c.OutC; oc++ {
+		var sum float32
+		for _, v := range g[oc*plane : (oc+1)*plane] {
+			sum += v
+		}
+		c.GradB.Data[oc] += sum
+	}
+}
+
 // col2im scatters the patch-matrix gradient src (CKK × OH·OW) back onto one
-// sample's input planes, adding where patches overlap.
+// sample's input planes, adding where patches overlap: one strided row add
+// per kernel tap, in ascending (ic, ky, kx) order, so every input cell
+// receives its additions in that order. Within one tap a cell is reached
+// at most once, since the input's row stride is at least the tap's width.
 func (c *Conv2D) col2im(dplane, src []float32, h, w, oh, ow int) {
 	k, pad := c.K, c.Pad
 	plane := oh * ow
@@ -249,19 +278,12 @@ func (c *Conv2D) col2im(dplane, src []float32, h, w, oh, ow int) {
 	for ic := 0; ic < c.InC; ic++ {
 		target := dplane[ic*h*w : (ic+1)*h*w]
 		for ky := 0; ky < k; ky++ {
+			oy0, oy1, iy := tapRange(ky, pad, h, oh)
 			for kx := 0; kx < k; kx++ {
-				lo, hi, ix := tapColumns(kx, pad, w, ow)
-				patch := src[row*plane : (row+1)*plane]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy + ky - pad
-					if iy < 0 || iy >= h {
-						continue
-					}
-					sRow := patch[oy*ow+lo : oy*ow+hi]
-					t := target[iy*w+ix:][:len(sRow)]
-					for i, v := range sRow {
-						t[i] += v
-					}
+				lo, hi, ix := tapRange(kx, pad, w, ow)
+				if oy0 < oy1 && lo < hi {
+					patch := src[row*plane : (row+1)*plane]
+					tensor.AddRows(target[iy*w+ix:], w, patch[oy0*ow+lo:], ow, oy1-oy0, hi-lo)
 				}
 				row++
 			}
@@ -275,13 +297,8 @@ func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 // Grads implements Layer.
 func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.GradW, c.GradB} }
 
-// FLOPsPerSample implements FLOPCounter. The estimate assumes the layer's
-// most recent input size; before any forward pass it assumes a 28×28 map.
-func (c *Conv2D) FLOPsPerSample() float64 {
-	h, w := 28, 28
-	if c.x != nil {
-		h, w = c.x.Dim(2), c.x.Dim(3)
-	}
-	oh, ow := c.outDims(h, w)
-	return float64(c.OutC*oh*ow) * float64(c.InC*c.K*c.K)
+// sampleCost implements sampleCoster over a (C, H, W) sample.
+func (c *Conv2D) sampleCost(in []int) (float64, []int) {
+	oh, ow := c.outDims(in[1], in[2])
+	return float64(c.OutC*oh*ow) * float64(c.InC*c.K*c.K), []int{c.OutC, oh, ow}
 }

@@ -99,5 +99,7 @@ func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
 // Grads implements Layer.
 func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.GradW, d.GradB} }
 
-// FLOPsPerSample implements FLOPCounter.
-func (d *Dense) FLOPsPerSample() float64 { return float64(d.In) * float64(d.Out) }
+// sampleCost implements sampleCoster.
+func (d *Dense) sampleCost([]int) (float64, []int) {
+	return float64(d.In) * float64(d.Out), []int{d.Out}
+}

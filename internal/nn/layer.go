@@ -29,13 +29,14 @@ type Layer interface {
 	Grads() []*tensor.Tensor
 }
 
-// FLOPCounter is implemented by layers that can estimate their arithmetic
-// cost; the device model uses it to derive simulated computation time.
-type FLOPCounter interface {
-	// FLOPsPerSample returns the approximate multiply-accumulate count of
-	// one forward pass for a single sample. Backward cost is modelled as a
-	// fixed multiple by the device layer.
-	FLOPsPerSample() float64
+// sampleCoster is implemented by layers that cost arithmetic or change the
+// shape of a sample; Model.FLOPsPerSample walks the model's InputShape
+// through them. A layer without it costs nothing and keeps the shape.
+type sampleCoster interface {
+	// sampleCost returns the multiply-accumulate count of one forward pass
+	// over a single sample of shape in (without the batch dimension) and
+	// the shape of its output.
+	sampleCost(in []int) (flops float64, out []int)
 }
 
 // statelessBase provides the empty Params/Grads implementation shared by

@@ -159,12 +159,17 @@ func (m *Model) ZeroGrads() {
 	}
 }
 
-// FLOPsPerSample sums the cost estimates of all counting layers.
+// FLOPsPerSample returns the multiply-accumulate count of one forward pass
+// over a single sample of InputShape, the shape walked through the layers
+// (sampleCoster), so it does not depend on what the model has run. The
+// device model charges the backward pass as a fixed multiple of it.
 func (m *Model) FLOPsPerSample() float64 {
-	total := 0.0
+	total, shape := 0.0, m.InputShape
 	for _, l := range m.Layers {
-		if fc, ok := l.(FLOPCounter); ok {
-			total += fc.FLOPsPerSample()
+		if c, ok := l.(sampleCoster); ok {
+			var flops float64
+			flops, shape = c.sampleCost(shape)
+			total += flops
 		}
 	}
 	return total

@@ -22,13 +22,40 @@ func digest(v []float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// clientStepDigests runs what a client round computes and digests it: the
+// model loads a float64 global off the float32 grid (SetParamVector), takes
+// five SGD momentum steps on SynthMNIST batches of the given size from a
+// dataset.Iterator, and reports its parameters (ParamVector) and its delta
+// from the global (ParamDelta).
+func clientStepDigests(m *Model, size int) (params, delta string) {
+	global := m.ParamVector()
+	r := stats.NewRNG(64)
+	for i := range global {
+		global[i] += r.NormScaled(0, 1e-3)
+	}
+	m.SetParamVector(global)
+	it := dataset.NewIterator(dataset.SynthMNIST(70, size, 65), 16, stats.NewRNG(66))
+	opt := NewSGD(0.05, 0.9, 0)
+	for step := 0; step < 5; step++ { // 16+16+16+16+6: the last batch of the epoch is short
+		x, labels := it.Next()
+		m.ZeroGrads()
+		m.TrainBatch(x, labels)
+		opt.Step(m)
+	}
+	d := make([]float64, len(global))
+	m.ParamDelta(d, global)
+	return digest(m.ParamVector()), digest(d)
+}
+
 // TestClientStepBitsPinned pins what a client round computes to digests
-// taken before the elementwise passes had vector kernels: a model loads a
-// float64 global off the float32 grid (SetParamVector), takes five SGD
-// momentum steps on SynthMNIST batches from a dataset.Iterator (ReLU
-// forward and backward, the residual block's sum-ReLU, SGD's velocity),
-// and reports its parameters (ParamVector) and its delta from the global
-// (ParamDelta). A changed bit anywhere in those passes changes a digest.
+// taken before the client step had vector kernels — the first three before
+// the elementwise passes had them, VGGLite's before the conv lowering,
+// the pooling and the 4×32 tile did — at every kernel dispatch level this
+// CPU can run (tensor.SetKernelLevel). The passes covered: the im2col
+// lowering and its col2im scatter (VGGLite and ResNetLite with padding,
+// PaperCNN without), 2×2 max pooling, every GEMM variant, ReLU forward and
+// backward, the residual block's sum-ReLU and SGD's velocity. A changed bit
+// anywhere in them changes a digest.
 func TestClientStepBitsPinned(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -45,30 +72,19 @@ func TestClientStepBitsPinned(t *testing.T) {
 		{"ResNetLite", func() *Model { return NewResNetLite(1, 16, 10, stats.NewRNG(63)) }, 16,
 			"1d5a67f02a1f76e1b3506c04db4992e27fa49011308081665d3b23df23eaf8d6",
 			"33cc530d39a8070206eb070776351629c111aa1d465a4448e68301739db59ce0"},
+		{"VGGLite", func() *Model { return NewVGGLite(1, 16, 10, stats.NewRNG(67)) }, 16,
+			"b94ed22bfd75c2a38ebdbeb23574dcd64f72ee036f6ad8212567445901c9bbf1",
+			"d398b9c05a03297dea75cfa0d3cc0fd88df8c16c8df083ecd741d150f6d685b2"},
 	}
-	for _, c := range cases {
-		m := c.model()
-		global := m.ParamVector()
-		r := stats.NewRNG(64)
-		for i := range global {
-			global[i] += r.NormScaled(0, 1e-3)
+	forEachKernelLevel(t, func(level string) {
+		for _, c := range cases {
+			params, delta := clientStepDigests(c.model(), c.size)
+			if params != c.params {
+				t.Errorf("%s at %s: ParamVector digest %s, want %s", c.name, level, params, c.params)
+			}
+			if delta != c.delta {
+				t.Errorf("%s at %s: ParamDelta digest %s, want %s", c.name, level, delta, c.delta)
+			}
 		}
-		m.SetParamVector(global)
-		it := dataset.NewIterator(dataset.SynthMNIST(70, c.size, 65), 16, stats.NewRNG(66))
-		opt := NewSGD(0.05, 0.9, 0)
-		for step := 0; step < 5; step++ { // 16+16+16+16+6: the last batch of the epoch is short
-			x, labels := it.Next()
-			m.ZeroGrads()
-			m.TrainBatch(x, labels)
-			opt.Step(m)
-		}
-		delta := make([]float64, len(global))
-		m.ParamDelta(delta, global)
-		if got := digest(m.ParamVector()); got != c.params {
-			t.Errorf("%s: ParamVector digest %s, want %s", c.name, got, c.params)
-		}
-		if got := digest(delta); got != c.delta {
-			t.Errorf("%s: ParamDelta digest %s, want %s", c.name, got, c.delta)
-		}
-	}
+	})
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"adafl/internal/tensor"
 )
@@ -50,7 +49,11 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		y = tensor.New(n, c, oh, ow)
 	}
 	for nc := 0; nc < n*c; nc++ {
-		poolPlane(y.Data[nc*oh*ow:][:oh*ow:oh*ow], x.Data[nc*h*w:][:h*w:h*w], argmax, nc*oh*ow, nc*h*w, w)
+		var am []int
+		if argmax != nil {
+			am = argmax[nc*oh*ow : (nc+1)*oh*ow]
+		}
+		tensor.MaxPool2x2(y.Data[nc*oh*ow:(nc+1)*oh*ow], x.Data[nc*h*w:(nc+1)*h*w], w, am, nc*h*w)
 	}
 	if train {
 		p.argmax = argmax
@@ -59,47 +62,9 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// poolPlane is Forward's loop over one plane: two row slices and three
-// compares per window. A data-dependent branch there mispredicts about
-// once a window and costs more than the rest of the loop, so each tap is
-// compared as an integer key (poolKey) and the running maximum and its
-// index are selected with masks (poolMax). The first of equal maxima wins
-// and −0 equals +0; a NaN orders by its bits instead of losing every
-// compare. argmax, when not nil, gets the flat input index (plus inOff) of
-// every output (at outOff).
-func poolPlane(out, in []float32, argmax []int, outOff, inOff, w int) {
-	ow := w / 2
-	for oy := 0; oy < len(out)/ow; oy++ {
-		r0 := in[2*oy*w : 2*oy*w+w]
-		r1 := in[2*oy*w+w : 2*oy*w+2*w]
-		outRow := out[oy*ow : oy*ow+ow]
-		for ox := range outRow {
-			i := 2 * ox
-			best, bi := poolKey(r0[i]), i
-			best, bi = poolMax(best, bi, poolKey(r0[i+1]), i+1)
-			best, bi = poolMax(best, bi, poolKey(r1[i]), w+i)
-			_, bi = poolMax(best, bi, poolKey(r1[i+1]), w+i+1)
-			outRow[ox] = in[2*oy*w+bi]
-			if argmax != nil {
-				argmax[outOff+oy*ow+ox] = inOff + 2*oy*w + bi
-			}
-		}
-	}
-}
-
-// poolKey maps a float32 to an integer of the same order: its sign-
-// magnitude bits turned two's complement, so −0 and +0 both map to 0.
-func poolKey(f float32) int {
-	b := int32(math.Float32bits(f))
-	sign := b >> 31 // 0 or −1
-	return int((b ^ sign&0x7fffffff) - sign)
-}
-
-// poolMax returns (k, i) when k > best and (best, bi) otherwise, without a
-// branch.
-func poolMax(best, bi, k, i int) (int, int) {
-	m := (best - k) >> 63 // all ones when k > best
-	return best ^ (best^k)&m, bi ^ (bi^i)&m
+// sampleCost implements sampleCoster over a (C, H, W) sample.
+func (p *MaxPool2D) sampleCost(in []int) (float64, []int) {
+	return 0, []int{in[0], in[1] / 2, in[2] / 2}
 }
 
 // Backward implements Layer.
@@ -135,6 +100,15 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		f.inShape = append(f.inShape[:0], x.Shape()...)
 	}
 	return x.Reshape(n, x.Size()/n)
+}
+
+// sampleCost implements sampleCoster.
+func (f *Flatten) sampleCost(in []int) (float64, []int) {
+	n := 1
+	for _, d := range in {
+		n *= d
+	}
+	return 0, []int{n}
 }
 
 // Backward implements Layer.

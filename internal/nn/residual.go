@@ -63,7 +63,9 @@ func (b *ResidualBlock) Grads() []*tensor.Tensor {
 	return append(b.conv1.Grads(), b.conv2.Grads()...)
 }
 
-// FLOPsPerSample implements FLOPCounter.
-func (b *ResidualBlock) FLOPsPerSample() float64 {
-	return b.conv1.FLOPsPerSample() + b.conv2.FLOPsPerSample()
+// sampleCost implements sampleCoster: both convolutions keep the shape.
+func (b *ResidualBlock) sampleCost(in []int) (float64, []int) {
+	f1, mid := b.conv1.sampleCost(in)
+	f2, out := b.conv2.sampleCost(mid)
+	return f1 + f2, out
 }

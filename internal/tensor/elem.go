@@ -6,19 +6,21 @@ import (
 )
 
 // Elementwise kernels: the passes of a client step outside the GEMM. Each
-// is one function whose portable body is the scalar loop below it; where
-// detectSIMD confirms AVX2 the same function runs the leading multiple of
+// is one function whose portable body is the scalar loop below it; at
+// levelAVX2 and above the same function runs the leading multiple of
 // eight elements through an assembly kernel (elem_amd64.s) and the rest
-// through that loop. The kernels compute what the loop computes, bit for
-// bit: the loop's operations in its order, each rounded on its own, with
-// no fused multiply-add (the explicit float32 conversions forbid the
-// compiler one, so no architecture contracts the loop either).
+// through that loop. The strided row kernels and the pool kernel below
+// them follow the same pattern a row or a plane at a time. The kernels
+// compute what the loop computes, bit for bit: the loop's operations in
+// its order, each rounded on its own, with no fused multiply-add (the
+// explicit float32 conversions forbid the compiler one, so no
+// architecture contracts the loop either).
 
 // simdLen returns how many leading elements of an n-element pass the
 // vector kernel takes: the multiple of eight at or below n when it runs,
 // else none.
 func simdLen(n int) int {
-	if simdEnabled {
+	if kernelLevel >= levelAVX2 {
 		return n &^ 7
 	}
 	return 0
@@ -165,4 +167,126 @@ func WidenLE(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
 	}
+}
+
+// rowsSpan slices v to the span a strided pass of rows rows of width
+// elements touches, (rows−1)·stride + width, panicking if v is shorter.
+func rowsSpan(v []float32, stride, rows, width int) []float32 {
+	if stride < 0 {
+		panic("tensor: negative row stride")
+	}
+	return prefix(v, (rows-1)*stride+width)
+}
+
+// prefix returns v[:n], panicking if v is shorter: unlike the slice
+// expression it does not reach into v's spare capacity.
+func prefix[T any](v []T, n int) []T {
+	if len(v) < n {
+		panic("tensor: slice shorter than the kernel's extent")
+	}
+	return v[:n]
+}
+
+// CopyRows copies rows rows of width elements from src, whose rows start
+// srcStride apart, into dst, whose rows start dstStride apart:
+// dst[r·dstStride+i] = src[r·srcStride+i]. The two must not overlap. It
+// panics if either is too short.
+func CopyRows(dst []float32, dstStride int, src []float32, srcStride, rows, width int) {
+	if rows <= 0 || width <= 0 {
+		return
+	}
+	dst, src = rowsSpan(dst, dstStride, rows, width), rowsSpan(src, srcStride, rows, width)
+	if kernelLevel >= levelAVX2 {
+		copyRowsAVX2(&dst[0], dstStride, &src[0], srcStride, rows, width)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		copy(dst[r*dstStride:r*dstStride+width], src[r*srcStride:])
+	}
+}
+
+// AddRows adds rows rows of width elements of src into dst, strided as in
+// CopyRows: dst[r·dstStride+i] += src[r·srcStride+i], each one IEEE single
+// add with dst's element as the first operand. Row after row, so where
+// dstStride < width a later row adds onto an earlier one's sums. The two
+// must not overlap. It panics if either is too short.
+func AddRows(dst []float32, dstStride int, src []float32, srcStride, rows, width int) {
+	if rows <= 0 || width <= 0 {
+		return
+	}
+	dst, src = rowsSpan(dst, dstStride, rows, width), rowsSpan(src, srcStride, rows, width)
+	if kernelLevel >= levelAVX2 {
+		addRowsAVX2(&dst[0], dstStride, &src[0], srcStride, rows, width)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		t := dst[r*dstStride : r*dstStride+width]
+		for i, v := range src[r*srcStride : r*srcStride+width] {
+			t[i] += v
+		}
+	}
+}
+
+// MaxPool2x2 writes into out the maximum of every 2×2 window of the plane
+// in, whose rows are w wide (w even; len(in)/(2w) window rows): out's
+// element (oy, ox), at oy·w/2+ox, is the largest of in's elements
+// (2oy, 2ox), (2oy, 2ox+1), (2oy+1, 2ox) and (2oy+1, 2ox+1), in that order.
+// A data-dependent branch per compare mispredicts about once a window, so
+// the taps compare as integer keys (poolKey) and the running maximum and
+// its index are selected with masks (poolMax): the first of equal maxima
+// wins, −0 equals +0, and a NaN orders by its bits instead of losing every
+// compare. argmax, when not nil, gets each maximum's flat index in in, plus
+// inOff. The vector kernel takes planes whose w/2 is a multiple of 4, four
+// windows per step; other widths run the scalar loop.
+func MaxPool2x2(out, in []float32, w int, argmax []int, inOff int) {
+	if w <= 0 || w%2 != 0 {
+		panic("tensor: MaxPool2x2 width not positive and even")
+	}
+	ow, rows := w/2, len(in)/(2*w)
+	out, in = prefix(out, rows*ow), in[:2*rows*w]
+	if argmax != nil {
+		argmax = prefix(argmax, rows*ow)
+	}
+	if rows == 0 {
+		return
+	}
+	if kernelLevel >= levelAVX2 && ow%4 == 0 && len(in) <= math.MaxInt32 {
+		var am *int
+		if argmax != nil {
+			am = &argmax[0]
+		}
+		maxPool2x2AVX2(&out[0], &in[0], am, rows, w, inOff)
+		return
+	}
+	for oy := 0; oy < rows; oy++ {
+		r0 := in[2*oy*w : 2*oy*w+w]
+		r1 := in[2*oy*w+w : 2*oy*w+2*w]
+		outRow := out[oy*ow : oy*ow+ow]
+		for ox := range outRow {
+			i := 2 * ox
+			best, bi := poolKey(r0[i]), i
+			best, bi = poolMax(best, bi, poolKey(r0[i+1]), i+1)
+			best, bi = poolMax(best, bi, poolKey(r1[i]), w+i)
+			_, bi = poolMax(best, bi, poolKey(r1[i+1]), w+i+1)
+			outRow[ox] = in[2*oy*w+bi]
+			if argmax != nil {
+				argmax[oy*ow+ox] = inOff + 2*oy*w + bi
+			}
+		}
+	}
+}
+
+// poolKey maps a float32 to an integer of the same order: its sign-
+// magnitude bits turned two's complement, so −0 and +0 both map to 0.
+func poolKey(f float32) int {
+	b := int32(math.Float32bits(f))
+	sign := b >> 31 // 0 or −1
+	return int((b ^ sign&0x7fffffff) - sign)
+}
+
+// poolMax returns (k, i) when k > best and (best, bi) otherwise, without a
+// branch.
+func poolMax(best, bi, k, i int) (int, int) {
+	m := (best - k) >> 63 // all ones when k > best
+	return best ^ (best^k)&m, bi ^ (bi^i)&m
 }

@@ -1,8 +1,9 @@
 package tensor
 
 // Assembly bindings for the AVX2 elementwise kernels in elem_amd64.s. Each
-// takes n > 0, a multiple of 8, and pointers to n elements (4·n bytes for
-// the byte forms).
+// elementwise kernel takes n > 0, a multiple of 8, and pointers to n
+// elements (4·n bytes for the byte forms); the row and pool kernels take
+// the shapes their callers in elem.go have checked.
 
 //go:noescape
 func sgdMomentumAVX2(p, v, grad *float32, n int, lr, mom float32)
@@ -27,3 +28,18 @@ func narrowBytesAVX2(dst *byte, src *float64, n int)
 
 //go:noescape
 func widenBytesAVX2(dst *float64, src *byte, n int)
+
+// copyRowsAVX2 and addRowsAVX2 take rows > 0, width > 0 and strides in
+// elements.
+//
+//go:noescape
+func copyRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int)
+
+//go:noescape
+func addRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int)
+
+// maxPool2x2AVX2 takes rows > 0 window rows of a plane whose w is a
+// multiple of 8 and has fewer than 2³¹ elements; argmax may be nil.
+//
+//go:noescape
+func maxPool2x2AVX2(out, in *float32, argmax *int, rows, w, inOff int)

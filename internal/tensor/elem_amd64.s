@@ -1,9 +1,12 @@
-// AVX2 elementwise kernels for elem.go. Only reached when detectSIMD()
-// confirms AVX2 with OS-saved YMM state. Each loop takes eight lanes per
+// AVX2 elementwise kernels for elem.go. Only reached at levelAVX2 and
+// above (AVX2 with OS-saved YMM state). Each loop takes eight lanes per
 // step over n elements (n > 0, a multiple of 8) and does, lane by lane,
 // the operations of the scalar loop beside its binding in elem.go in the
 // same order, each rounded on its own: no FMA. Loads and stores are
-// unaligned.
+// unaligned. Every instruction that touches a vector register is VEX
+// encoded (VMOVQ, never MOVQ r, X): a legacy SSE instruction after a
+// write to the upper lanes stalls on the state transition, and `make
+// lint` rejects one.
 
 #include "textflag.h"
 
@@ -19,7 +22,7 @@ TEXT ·sgdMomentumAVX2(SB), NOSPLIT, $0-40
 	VBROADCASTSS lr+32(FP), Y14
 	VBROADCASTSS mom+36(FP), Y15
 	MOVL         $0x7f800000, AX
-	MOVQ         AX, X13
+	VMOVQ        AX, X13
 	VPBROADCASTD X13, Y13        // exponent mask
 	VPXOR        Y12, Y12, Y12
 	XORQ         AX, AX
@@ -155,5 +158,219 @@ loop:
 	ADDQ       $8, AX
 	CMPQ       AX, CX
 	JLT        loop
+	VZEROUPPER
+	RET
+
+// func copyRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int)
+//
+// Row by row: eight lanes per step, then one four-lane step and single
+// lanes for the tail.
+TEXT ·copyRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), DX
+	MOVQ src+16(FP), SI
+	MOVQ srcStride+24(FP), R8
+	MOVQ rows+32(FP), CX
+	MOVQ width+40(FP), R9
+	SHLQ $2, DX
+	SHLQ $2, R8
+	MOVQ R9, R10
+	ANDQ $-8, R10     // eight-lane part
+	LEAQ -4(R9), R11  // a four-lane step fits below this
+
+copyRow:
+	XORQ AX, AX
+	CMPQ AX, R10
+	JGE  copyTail4
+
+copy8:
+	VMOVUPS (SI)(AX*4), Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, R10
+	JLT     copy8
+
+copyTail4:
+	CMPQ    AX, R11
+	JGT     copyTail1
+	VMOVUPS (SI)(AX*4), X0
+	VMOVUPS X0, (DI)(AX*4)
+	ADDQ    $4, AX
+
+copyTail1:
+	CMPQ   AX, R9
+	JGE    copyNext
+	VMOVSS (SI)(AX*4), X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	JMP    copyTail1
+
+copyNext:
+	ADDQ DX, DI
+	ADDQ R8, SI
+	DECQ CX
+	JNE  copyRow
+	VZEROUPPER
+	RET
+
+// func addRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int)
+//
+// copyRowsAVX2's loop with dst = dst + src, dst's element the first
+// operand of each add as in the scalar loop's `t[i] += v`.
+TEXT ·addRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), DX
+	MOVQ src+16(FP), SI
+	MOVQ srcStride+24(FP), R8
+	MOVQ rows+32(FP), CX
+	MOVQ width+40(FP), R9
+	SHLQ $2, DX
+	SHLQ $2, R8
+	MOVQ R9, R10
+	ANDQ $-8, R10
+	LEAQ -4(R9), R11
+
+addRow:
+	XORQ AX, AX
+	CMPQ AX, R10
+	JGE  addTail4
+
+add8:
+	VMOVUPS (DI)(AX*4), Y0
+	VADDPS  (SI)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, R10
+	JLT     add8
+
+addTail4:
+	CMPQ    AX, R11
+	JGT     addTail1
+	VMOVUPS (DI)(AX*4), X0
+	VADDPS  (SI)(AX*4), X0, X0
+	VMOVUPS X0, (DI)(AX*4)
+	ADDQ    $4, AX
+
+addTail1:
+	CMPQ   AX, R9
+	JGE    addNext
+	VMOVSS (DI)(AX*4), X0
+	VADDSS (SI)(AX*4), X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	JMP    addTail1
+
+addNext:
+	ADDQ DX, DI
+	ADDQ R8, SI
+	DECQ CX
+	JNE  addRow
+	VZEROUPPER
+	RET
+
+// func maxPool2x2AVX2(out, in *float32, argmax *int, rows, w, inOff int)
+//
+// Four windows per step. The two input rows' eight lanes are split into
+// the four taps (even and odd lanes of each row), each tap's bits turn
+// into poolKey's integer key (b ^ (b>>31 & 0x7fffffff)) − (b>>31), and
+// taps 1–3 replace the running maximum where their key is strictly
+// greater — value, key and the tap's offset {0, 1, w, w+1} selected by one
+// mask — so the first of equal keys wins. argmax gets the window's base
+// index plus that offset, widened to int64, plus inOff.
+TEXT ·maxPool2x2AVX2(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ in+8(FP), SI
+	MOVQ argmax+16(FP), R8
+	MOVQ rows+24(FP), CX
+	MOVQ w+32(FP), DX
+	MOVQ inOff+40(FP), AX
+
+	VMOVQ        AX, X14
+	VPBROADCASTQ X14, Y14 // inOff
+	MOVL         $0x7fffffff, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, X15 // magnitude mask
+	MOVL         $1, AX
+	VMOVD        AX, X11
+	VPBROADCASTD X11, X11 // offset of tap 1
+	VMOVD        DX, X12
+	VPBROADCASTD X12, X12 // offset of tap 2: w
+	VPADDD       X11, X12, X13 // offset of tap 3: w+1
+	MOVL         $8, AX
+	VMOVD        AX, X10
+	VPBROADCASTD X10, X10 // a step's advance of the window indices
+	MOVQ         $0x0000000200000000, AX
+	VMOVQ        AX, X9
+	MOVQ         $0x0000000600000004, AX
+	VPINSRQ      $1, AX, X9, X9 // index of each window's tap 0: {0, 2, 4, 6}
+	MOVQ         DX, R9
+	SHRQ         $3, R9 // steps per window row: w/2/4
+	SHLQ         $2, DX // w in bytes
+
+poolRow:
+	MOVQ R9, BX
+
+poolStep:
+	VMOVUPS      (SI), Y0
+	VMOVUPS      (SI)(DX*1), Y1
+	VEXTRACTF128 $1, Y0, X2
+	VSHUFPS      $0x88, X2, X0, X3 // tap 0: even lanes of the upper row
+	VSHUFPS      $0xdd, X2, X0, X4 // tap 1: odd lanes
+	VEXTRACTF128 $1, Y1, X2
+	VSHUFPS      $0x88, X2, X1, X5 // tap 2: even lanes of the lower row
+	VSHUFPS      $0xdd, X2, X1, X6 // tap 3
+
+	VPSRAD $31, X3, X7
+	VPAND  X15, X7, X8
+	VPXOR  X3, X8, X0
+	VPSUBD X7, X0, X0  // best key
+	VPXOR  X1, X1, X1  // best offset
+
+	VPSRAD    $31, X4, X7
+	VPAND     X15, X7, X8
+	VPXOR     X4, X8, X2
+	VPSUBD    X7, X2, X2
+	VPCMPGTD  X0, X2, X7 // key > best
+	VBLENDVPS X7, X2, X0, X0
+	VBLENDVPS X7, X4, X3, X3
+	VBLENDVPS X7, X11, X1, X1
+
+	VPSRAD    $31, X5, X7
+	VPAND     X15, X7, X8
+	VPXOR     X5, X8, X2
+	VPSUBD    X7, X2, X2
+	VPCMPGTD  X0, X2, X7
+	VBLENDVPS X7, X2, X0, X0
+	VBLENDVPS X7, X5, X3, X3
+	VBLENDVPS X7, X12, X1, X1
+
+	VPSRAD    $31, X6, X7
+	VPAND     X15, X7, X8
+	VPXOR     X6, X8, X2
+	VPSUBD    X7, X2, X2
+	VPCMPGTD  X0, X2, X7
+	VBLENDVPS X7, X6, X3, X3
+	VBLENDVPS X7, X13, X1, X1
+
+	VMOVUPS X3, (DI)
+	TESTQ   R8, R8
+	JEQ     poolNext
+	VPADDD    X9, X1, X1
+	VPMOVSXDQ X1, Y1
+	VPADDQ    Y14, Y1, Y1
+	VMOVDQU   Y1, (R8)
+	ADDQ      $32, R8
+
+poolNext:
+	VPADDD X10, X9, X9
+	ADDQ   $32, SI
+	ADDQ   $16, DI
+	DECQ   BX
+	JNE    poolStep
+
+	ADDQ   DX, SI      // past the lower row
+	VPADDD X12, X9, X9
+	DECQ   CX
+	JNE    poolRow
 	VZEROUPPER
 	RET

@@ -3,7 +3,7 @@
 package tensor
 
 // Non-amd64 builds run every elementwise pass as its scalar loop
-// (elem.go): simdEnabled is false, so none of these is reached.
+// (elem.go): kernelLevel is levelPortable, so none of these is reached.
 
 func sgdMomentumAVX2(p, v, grad *float32, n int, lr, mom float32) { noSIMD() }
 
@@ -20,5 +20,11 @@ func subNarrowedAVX2(dst *float64, p *float32, start *float64, n int) { noSIMD()
 func narrowBytesAVX2(dst *byte, src *float64, n int) { noSIMD() }
 
 func widenBytesAVX2(dst *float64, src *byte, n int) { noSIMD() }
+
+func copyRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int) { noSIMD() }
+
+func addRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int) { noSIMD() }
+
+func maxPool2x2AVX2(out, in *float32, argmax *int, rows, w, inOff int) { noSIMD() }
 
 func noSIMD() { panic("tensor: elementwise kernel called without SIMD support") }

@@ -96,10 +96,10 @@ func assertBits64(t *testing.T, got, want []float64, label string) {
 // 431 080 (the paper CNN), slices that start off a vector boundary, and
 // byte buffers at the offset a received frame body has.
 func TestElementwiseKernelsMatchScalarLoops(t *testing.T) {
-	forEachSIMDMode(t, func(simd bool) {
+	forEachLevel(t, func(level string) {
 		for _, n := range elemLengths() {
 			r := stats.NewRNG(uint64(n) + 1)
-			label := func(kernel string) string { return fmt.Sprintf("%s simd=%v n=%d", kernel, simd, n) }
+			label := func(kernel string) string { return fmt.Sprintf("%s level=%s n=%d", kernel, level, n) }
 
 			// SGD momentum. One quarter of the lanes decay a velocity
 			// near the bottom of the normal range with a zero gradient,
@@ -202,7 +202,7 @@ func TestElementwiseKernelsMatchScalarLoops(t *testing.T) {
 // TestElementwiseKernelsPanicOnShortOutput: a destination shorter than the
 // input is a bounds panic before any kernel touches memory.
 func TestElementwiseKernelsPanicOnShortOutput(t *testing.T) {
-	forEachSIMDMode(t, func(simd bool) {
+	forEachLevel(t, func(level string) {
 		f32, f64 := make([]float32, 16), make([]float64, 16)
 		mustPanic(t, "SGDMomentum", func() { SGDMomentum(f32[:8], f32, f32, 1, 1) })
 		mustPanic(t, "ReLU", func() { ReLU(f32[:8], f32) })
@@ -212,5 +212,153 @@ func TestElementwiseKernelsPanicOnShortOutput(t *testing.T) {
 		mustPanic(t, "SubNarrowed", func() { SubNarrowed(f64, f32, f64[:8]) })
 		mustPanic(t, "NarrowLE", func() { NarrowLE(make([]byte, 63), f64) })
 		mustPanic(t, "WidenLE", func() { WidenLE(f64, make([]byte, 63)) })
+	})
+}
+
+// assertBitsOrNaN32 is assertBits32 for sums: two NaNs match whatever
+// their payloads, since Go leaves open which operand's payload a sum of two
+// NaNs carries and each compiled loop picks its own operand order.
+func assertBitsOrNaN32(t *testing.T, got, want []float32, label string) {
+	t.Helper()
+	for i := range want {
+		if got[i] != got[i] && want[i] != want[i] {
+			continue
+		}
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d: got %x want %x", label, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestRowKernelsMatchScalarLoops compares CopyRows and AddRows with their
+// loops written out, at every dispatch level, over widths 1–40 (every
+// eight- and four-lane tail), one and three rows, and both stride kinds on
+// each side — rows packed back to back and rows with a gap the kernel must
+// not touch.
+func TestRowKernelsMatchScalarLoops(t *testing.T) {
+	forEachLevel(t, func(level string) {
+		r := stats.NewRNG(91)
+		for width := 1; width <= 40; width++ {
+			for _, rows := range []int{1, 3} {
+				for _, gaps := range [][2]int{{0, 0}, {3, 0}, {0, 5}, {3, 5}} {
+					ds, ss := width+gaps[0], width+gaps[1]
+					label := fmt.Sprintf("%s width=%d rows=%d strides=%d,%d", level, width, rows, ds, ss)
+					src := elemInputs32(r, rows*ss+1)[1:] // off a vector boundary
+					got := elemInputs32(r, rows*ds)
+					want := append([]float32(nil), got...)
+					for row := 0; row < rows; row++ {
+						for i := 0; i < width; i++ {
+							want[row*ds+i] = src[row*ss+i]
+						}
+					}
+					CopyRows(got, ds, src, ss, rows, width)
+					assertBits32(t, got, want, "CopyRows "+label)
+
+					got = elemInputs32(r, rows*ds)
+					want = append(want[:0], got...)
+					for row := 0; row < rows; row++ {
+						for i := 0; i < width; i++ {
+							want[row*ds+i] += src[row*ss+i]
+						}
+					}
+					AddRows(got, ds, src, ss, rows, width)
+					assertBitsOrNaN32(t, got, want, "AddRows "+label)
+				}
+			}
+		}
+		f := make([]float32, 64)
+		CopyRows(f, 8, f[32:], 8, 0, 8) // no rows: nothing to check, nothing to panic on
+		mustPanic(t, "CopyRows short dst", func() { CopyRows(f[:23], 8, f[32:], 8, 3, 8) })
+		mustPanic(t, "CopyRows short src", func() { AddRows(f, 8, f[:23], 8, 3, 8) })
+		mustPanic(t, "AddRows negative stride", func() { AddRows(f[32:], -8, f, 8, 3, 8) })
+	})
+}
+
+// poolPlaneLoop is MaxPool2D's plane loop as it was before the vector
+// kernel, with its key and select: out at outOff and argmax entries
+// relative to the layer's whole output.
+func poolPlaneLoop(out, in []float32, argmax []int, outOff, inOff, w int) {
+	key := func(f float32) int {
+		b := int32(math.Float32bits(f))
+		sign := b >> 31
+		return int((b ^ sign&0x7fffffff) - sign)
+	}
+	pick := func(best, bi, k, i int) (int, int) {
+		m := (best - k) >> 63
+		return best ^ (best^k)&m, bi ^ (bi^i)&m
+	}
+	ow := w / 2
+	for oy := 0; oy < len(out)/ow; oy++ {
+		r0 := in[2*oy*w : 2*oy*w+w]
+		r1 := in[2*oy*w+w : 2*oy*w+2*w]
+		outRow := out[oy*ow : oy*ow+ow]
+		for ox := range outRow {
+			i := 2 * ox
+			best, bi := key(r0[i]), i
+			best, bi = pick(best, bi, key(r0[i+1]), i+1)
+			best, bi = pick(best, bi, key(r1[i]), w+i)
+			_, bi = pick(best, bi, key(r1[i+1]), w+i+1)
+			outRow[ox] = in[2*oy*w+bi]
+			if argmax != nil {
+				argmax[outOff+oy*ow+ox] = inOff + 2*oy*w + bi
+			}
+		}
+	}
+}
+
+// poolValues are the taps a 2×2 max can get wrong, drawn often enough that
+// windows tie: signed zeros, equal finite values, infinities, subnormals
+// and NaNs of both signs (0xffffffff orders below every negative number,
+// 0x7fc00000 above +Inf).
+var poolValues = []uint32{
+	0x00000000, 0x80000000, 0x3f800000, 0xbf800000, 0x40000000, 0x7f800000, 0xff800000,
+	0x00000001, 0x80000001, 0x7fc00000, 0xffffffff, 0x7f800001, 0xffc00abc,
+}
+
+// TestMaxPool2x2MatchesPlaneLoop compares MaxPool2x2 with the plane loop
+// it replaced, values and argmax bit for bit, at every dispatch level:
+// output widths 1–20 (the vector kernel takes the multiples of 4, the rest
+// fall back), one to three window rows, planes of ties, signed zeros and
+// NaNs as well as normal values, argmax at an offset into the layer's
+// buffer and a nil argmax.
+func TestMaxPool2x2MatchesPlaneLoop(t *testing.T) {
+	forEachLevel(t, func(level string) {
+		r := stats.NewRNG(93)
+		for ow := 1; ow <= 20; ow++ {
+			w := 2 * ow
+			for rows := 1; rows <= 3; rows++ {
+				for _, ties := range []bool{false, true} {
+					label := fmt.Sprintf("%s ow=%d rows=%d ties=%v", level, ow, rows, ties)
+					in := make([]float32, 2*rows*w)
+					for i := range in {
+						if ties || r.Intn(4) == 0 {
+							in[i] = math.Float32frombits(poolValues[r.Intn(len(poolValues))])
+						} else {
+							in[i] = float32(r.Norm())
+						}
+					}
+					const outOff, inOff = 5, 1000003
+					got, want := make([]float32, rows*ow), make([]float32, rows*ow)
+					gotArg, wantArg := make([]int, outOff+rows*ow+2), make([]int, outOff+rows*ow+2)
+					for i := range gotArg {
+						gotArg[i], wantArg[i] = -7, -7
+					}
+					MaxPool2x2(got, in, w, gotArg[outOff:outOff+rows*ow], inOff)
+					poolPlaneLoop(want, in, wantArg, outOff, inOff, w)
+					assertBits32(t, got, want, "MaxPool2x2 "+label)
+					for i := range wantArg {
+						if gotArg[i] != wantArg[i] {
+							t.Fatalf("MaxPool2x2 %s: argmax[%d] = %d, want %d", label, i, gotArg[i], wantArg[i])
+						}
+					}
+					clear(got)
+					MaxPool2x2(got, in, w, nil, 0)
+					assertBits32(t, got, want, "MaxPool2x2 nil argmax "+label)
+				}
+			}
+		}
+		mustPanic(t, "MaxPool2x2 odd width", func() { MaxPool2x2(make([]float32, 4), make([]float32, 12), 3, nil, 0) })
+		mustPanic(t, "MaxPool2x2 short out", func() { MaxPool2x2(make([]float32, 3, 8), make([]float32, 16), 8, nil, 0) })
+		mustPanic(t, "MaxPool2x2 short argmax", func() { MaxPool2x2(make([]float32, 4), make([]float32, 16), 8, make([]int, 3, 8), 0) })
 	})
 }

@@ -29,12 +29,16 @@ import (
 // how many clients train at once.
 
 const (
-	// gemmMR×gemmNR is the register tile: four rows of two 8-lane vectors
-	// fill eight accumulators, enough independent chains to cover the FMA
-	// latency on two issue ports, and leave room for the two B′ vectors and
-	// four A′ broadcasts of a reduction step.
+	// gemmMR×gemmNR is the register tile: four rows of two 16-lane vectors
+	// fill eight ZMM accumulators, enough independent chains to cover the
+	// FMA latency on two issue ports, and leave room for the two B′
+	// vectors and four A′ broadcasts of a reduction step. Below AVX-512
+	// the tile runs as two 4×16 halves of eight 8-lane accumulators each,
+	// and an edge tile skips the half that holds only padding.
 	gemmMR = 4
-	gemmNR = 16
+	gemmNR = 32
+	// gemmHalf is the width of one half of the tile.
+	gemmHalf = gemmNR / 2
 	// minParallelWork is the m·k·n multiply-add count below which a product
 	// runs serially. Two workers against one on the two-vCPU benchmark
 	// machine: 2.0 M multiply-adds take 1.4× the serial time, 4.1 M break
@@ -102,10 +106,42 @@ func releaseHelpers(n int) {
 	}
 }
 
-// simdEnabled selects the AVX2+FMA micro-kernel when the CPU supports it;
-// the portable kernel is the universal fallback. Tests flip this to
-// exercise both paths.
-var simdEnabled = detectSIMD()
+// The kernel dispatch levels. One is chosen at init (detectLevel) for
+// every kernel in the package; every level computes the same bits.
+const (
+	// levelPortable runs the Go loops: what arm64, the paper's boards,
+	// runs and what amd64 falls back to.
+	levelPortable = iota
+	// levelAVX2 runs the AVX2 elementwise, row and pool kernels and the
+	// 4×32 tile as two 4×16 YMM halves.
+	levelAVX2
+	// levelAVX512 is levelAVX2 with the 4×32 tile in eight ZMM
+	// accumulators.
+	levelAVX512
+)
+
+var levelNames = [...]string{levelPortable: "portable", levelAVX2: "avx2", levelAVX512: "avx512"}
+
+// kernelLevel is the level every kernel dispatches on; tests set it to
+// run each level in turn.
+var kernelLevel = detectLevel()
+
+// SetKernelLevel makes every kernel of the package run at the named
+// dispatch level — "portable", "avx2" or "avx512" — and returns a function
+// that restores the previous one. It reports false and changes nothing
+// when the name is unknown or this CPU cannot run that level. The levels
+// compute the same bits, so the switch only lets a caller check that; it
+// must not race with a running kernel.
+func SetKernelLevel(name string) (restore func(), ok bool) {
+	for l, n := range levelNames {
+		if n == name && l <= detectLevel() {
+			old := kernelLevel
+			kernelLevel = l
+			return func() { kernelLevel = old }, true
+		}
+	}
+	return nil, false
+}
 
 // planHelpers acquires helper tokens for a product of the given row count
 // and m·k·n multiply-add work, returning 0 when the product should run
@@ -210,7 +246,7 @@ func (g *gemmOp) rows(i0, i1 int) {
 		}
 		if nr == gemmNR && g.ccs == 1 {
 			for i := i0; i < iFull; i += gemmMR {
-				gemmTile(g.c[i*g.crs+j:], g.crs, g.a[i*g.ars:], g.ars, g.aps, b, ldb, g.k)
+				gemmTile(g.c[i*g.crs+j:], g.crs, g.a[i*g.ars:], g.ars, g.aps, b, ldb, g.k, gemmNR)
 			}
 		} else {
 			for i := i0; i < iFull; i += gemmMR {
@@ -228,30 +264,53 @@ func (g *gemmOp) rows(i0, i1 int) {
 // panel: dst[p*width+s] = src[s*vs+p*ps], zero in the lanes past w. It is
 // the transpose the NT variant needs and the zero padding of edge tiles.
 func packPanel(dst []float32, width int, src []float32, vs, ps, w, k int) {
-	if w == gemmNR && ps == 1 {
-		// The NT hot path: sixteen contiguous rows of the source at once.
-		// Each row is sliced to length k, which lets the compiler drop the
-		// bounds checks in the loop over p < len(v0).
-		v0, v1, v2, v3 := src[:k], src[vs:][:k], src[2*vs:][:k], src[3*vs:][:k]
-		v4, v5, v6, v7 := src[4*vs:][:k], src[5*vs:][:k], src[6*vs:][:k], src[7*vs:][:k]
-		v8, v9, v10, v11 := src[8*vs:][:k], src[9*vs:][:k], src[10*vs:][:k], src[11*vs:][:k]
-		v12, v13, v14, v15 := src[12*vs:][:k], src[13*vs:][:k], src[14*vs:][:k], src[15*vs:][:k]
-		for p := range v0 {
-			d := dst[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
-			d[0], d[1], d[2], d[3] = v0[p], v1[p], v2[p], v3[p]
-			d[4], d[5], d[6], d[7] = v4[p], v5[p], v6[p], v7[p]
-			d[8], d[9], d[10], d[11] = v8[p], v9[p], v10[p], v11[p]
-			d[12], d[13], d[14], d[15] = v12[p], v13[p], v14[p], v15[p]
-		}
-		return
-	}
 	if w < width {
 		clear(dst)
 	}
-	for s := 0; s < w; s++ {
-		v := src[s*vs:]
-		for p := 0; p < k; p++ {
-			dst[p*width+s] = v[p*ps]
+	switch {
+	case vs == 1:
+		// Each step p reads w adjacent elements: a strided row copy.
+		CopyRows(dst, width, src, ps, k, w)
+	case ps == 1:
+		// Each vector is contiguous: a transpose.
+		transposePanel(dst, width, src, vs, w, k)
+	default:
+		for s := 0; s < w; s++ {
+			v := src[s*vs:]
+			for p := 0; p < k; p++ {
+				dst[p*width+s] = v[p*ps]
+			}
+		}
+	}
+}
+
+// transposePanel writes dst[p*width+s] = src[s*vs+p] for s < w, p < k.
+// The vector kernel moves the 8×8 blocks through registers; the loop
+// below it takes the steps past the last block eight vectors at a time
+// (all of them at the portable level), then the last w%8 vectors one at a
+// time.
+func transposePanel(dst []float32, width int, src []float32, vs, w, k int) {
+	w8, k8 := w&^7, 0
+	if kernelLevel >= levelAVX2 && width%8 == 0 && w8 > 0 && k >= 8 {
+		k8 = k &^ 7
+		_ = dst[(k8-1)*width+w8-1]
+		_ = src[(w8-1)*vs+k8-1]
+		transposeAVX2(&dst[0], width, &src[0], vs, w8, k8)
+	}
+	for s := 0; s < w8; s += 8 {
+		// Each vector sliced to length k lets the compiler drop the
+		// bounds checks on v0[p] … v7[p].
+		v0, v1, v2, v3 := src[s*vs:][:k], src[(s+1)*vs:][:k], src[(s+2)*vs:][:k], src[(s+3)*vs:][:k]
+		v4, v5, v6, v7 := src[(s+4)*vs:][:k], src[(s+5)*vs:][:k], src[(s+6)*vs:][:k], src[(s+7)*vs:][:k]
+		for p := k8; p < len(v0); p++ {
+			d := dst[p*width+s : p*width+s+8 : p*width+s+8]
+			d[0], d[1], d[2], d[3] = v0[p], v1[p], v2[p], v3[p]
+			d[4], d[5], d[6], d[7] = v4[p], v5[p], v6[p], v7[p]
+		}
+	}
+	for s := w8; s < w; s++ {
+		for p, x := range src[s*vs:][:k] {
+			dst[p*width+s] = x
 		}
 	}
 }
@@ -262,12 +321,19 @@ func packPanel(dst []float32, width int, src []float32, vs, ps, w, k int) {
 // every element still is one ascending-p FMA chain from its own value.
 func (g *gemmOp) edgeTile(i, j, mr, nr int, a []float32, ars, aps int, b []float32, ldb int) {
 	var t [gemmMR * gemmNR]float32
+	if g.ccs == 1 {
+		c := g.c[i*g.crs+j:]
+		CopyRows(t[:], gemmNR, c, g.crs, mr, nr)
+		gemmTile(t[:], gemmNR, a, ars, aps, b, ldb, g.k, nr)
+		CopyRows(c, g.crs, t[:], gemmNR, mr, nr)
+		return
+	}
 	for r := 0; r < mr; r++ {
 		for s := 0; s < nr; s++ {
 			t[r*gemmNR+s] = g.c[(i+r)*g.crs+(j+s)*g.ccs]
 		}
 	}
-	gemmTile(t[:], gemmNR, a, ars, aps, b, ldb, g.k)
+	gemmTile(t[:], gemmNR, a, ars, aps, b, ldb, g.k, nr)
 	for r := 0; r < mr; r++ {
 		for s := 0; s < nr; s++ {
 			g.c[(i+r)*g.crs+(j+s)*g.ccs] = t[r*gemmNR+s]
@@ -277,27 +343,38 @@ func (g *gemmOp) edgeTile(i, j, mr, nr int, a []float32, ars, aps int, b []float
 
 // gemmTile is the one micro-kernel contract: for i < MR, j < NR and p
 // ascending in [0,k), c[i*ldc+j] = fma(a[i*ars+p*aps], b[p*ldb+j], c[i*ldc+j]),
-// each fma rounded once to float32. The assembly and the portable kernel
-// produce the same bits. k must be > 0.
-func gemmTile(c []float32, ldc int, a []float32, ars, aps int, b []float32, ldb, k int) {
-	if simdEnabled {
-		gemmTileFMA(&c[0], ldc, &a[0], ars, aps, &b[0], ldb, k)
-		return
+// each fma rounded once to float32. Columns at and past nr may be left
+// alone: they hold padding the caller drops. Every level produces the same
+// bits. k must be > 0.
+func gemmTile(c []float32, ldc int, a []float32, ars, aps int, b []float32, ldb, k, nr int) {
+	switch kernelLevel {
+	case levelAVX512:
+		gemmTileAVX512(&c[0], ldc, &a[0], ars, aps, &b[0], ldb, k)
+	case levelAVX2:
+		gemmTileAVX2(&c[0], ldc, &a[0], ars, aps, &b[0], ldb, k)
+		if nr > gemmHalf {
+			gemmTileAVX2(&c[gemmHalf], ldc, &a[0], ars, aps, &b[gemmHalf], ldb, k)
+		}
+	default:
+		gemmTileGo(c, ldc, a, ars, aps, b, ldb, k)
+		if nr > gemmHalf {
+			gemmTileGo(c[gemmHalf:], ldc, a, ars, aps, b[gemmHalf:], ldb, k)
+		}
 	}
-	gemmTileGo(c, ldc, a, ars, aps, b, ldb, k)
 }
 
-// gemmTileGo is the portable micro-kernel: one row of the tile at a time so
-// its sixteen accumulators stay in registers where the architecture has
-// enough of them; fma32 is the exactly rounded float32 fused multiply-add.
+// gemmTileGo is the portable kernel for one 4×16 half of the tile: one row
+// at a time so its sixteen accumulators stay in registers where the
+// architecture has enough of them; fma32 is the exactly rounded float32
+// fused multiply-add.
 func gemmTileGo(c []float32, ldc int, a []float32, ars, aps int, b []float32, ldb, k int) {
 	for i := 0; i < gemmMR; i++ {
-		ci := c[i*ldc : i*ldc+gemmNR : i*ldc+gemmNR]
+		ci := c[i*ldc : i*ldc+gemmHalf : i*ldc+gemmHalf]
 		c0, c1, c2, c3, c4, c5, c6, c7 := ci[0], ci[1], ci[2], ci[3], ci[4], ci[5], ci[6], ci[7]
 		c8, c9, c10, c11, c12, c13, c14, c15 := ci[8], ci[9], ci[10], ci[11], ci[12], ci[13], ci[14], ci[15]
 		for p := 0; p < k; p++ {
 			av := a[i*ars+p*aps]
-			bp := b[p*ldb : p*ldb+gemmNR : p*ldb+gemmNR]
+			bp := b[p*ldb : p*ldb+gemmHalf : p*ldb+gemmHalf]
 			c0 = fma32(av, bp[0], c0)
 			c1 = fma32(av, bp[1], c1)
 			c2 = fma32(av, bp[2], c2)
@@ -349,12 +426,14 @@ func MatMulTransposeBAdd(c, a, b *Tensor) {
 }
 
 // matMulTransposeB has no operand whose reduction index is the slow one, so
-// one side has to be transposed into k×NR panels. Packing bᵀ moves n·k
-// elements; computing cᵀ = b @ aᵀ instead packs the m·k elements of a but
-// sends every tile of c through the stack tile (2·m·n moves). The cheaper
-// side is picked by that count: the weight gradient of a convolution
-// (m = OutC rows against a wide patch matrix) packs b, the input gradient
-// of a dense layer (a small batch against the whole weight matrix) packs a.
+// one side has to be transposed into k×NR panels: bᵀ, or a for cᵀ = b @ aᵀ,
+// whose tiles of c then all go through the stack tile. The orientation
+// with fewer MR×NR tiles wins, ties packing b: a tile is a full k-step
+// reduction, while a pack moves each element once, eight by eight. So a
+// convolution's weight gradient (m = OutC rows against a wide patch
+// matrix) and a dense layer's input gradient (a small batch against the
+// whole weight matrix) both pack b; transposed, the batch would fill a
+// fraction of each 32-wide tile.
 func matMulTransposeB(c, a, b *Tensor, add bool) {
 	if a.Rank() != 2 || b.Rank() != 2 || b.Dim(1) != a.Dim(1) {
 		panic(fmt.Sprintf("tensor: MatMulTransposeB shape mismatch %v x %v", a.shape, b.shape))
@@ -366,11 +445,16 @@ func matMulTransposeB(c, a, b *Tensor, add bool) {
 	if !add {
 		c.Zero()
 	}
-	if n*k <= 2*m*n+m*k {
+	if gemmTiles(m, n) <= gemmTiles(n, m) {
 		gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: k, aps: 1, b: b.Data, brs: 1, bcs: k, m: m, k: k, n: n}.run()
 		return
 	}
 	gemmOp{c: c.Data, crs: 1, ccs: n, a: b.Data, ars: k, aps: 1, b: a.Data, brs: 1, bcs: k, m: n, k: k, n: m}.run()
+}
+
+// gemmTiles is the number of register tiles an m×n product walks.
+func gemmTiles(m, n int) int {
+	return (m + gemmMR - 1) / gemmMR * ((n + gemmNR - 1) / gemmNR)
 }
 
 // MatMulTransposeA computes c += aᵀ @ b where a is (k×m) and b is (k×n),

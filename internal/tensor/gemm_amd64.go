@@ -1,20 +1,36 @@
 package tensor
 
-// Assembly bindings for the AVX2+FMA micro-kernel in gemm_amd64.s.
+// Assembly bindings for the register tiles and the panel transpose in
+// gemm_amd64.s.
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
+// gemmTileAVX2 is one 4×16 half of the tile in eight YMM accumulators.
+//
 //go:noescape
-func gemmTileFMA(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int)
+func gemmTileAVX2(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int)
 
-// detectSIMD reports whether the CPU and OS support the AVX2+FMA kernels:
-// CPUID must advertise FMA, AVX and AVX2, the OS must have enabled XSAVE
-// (OSXSAVE) and be preserving XMM+YMM state across context switches.
-func detectSIMD() bool {
+// gemmTileAVX512 is the whole 4×32 tile in eight ZMM accumulators.
+//
+//go:noescape
+func gemmTileAVX512(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int)
+
+// transposeAVX2 writes dst[p*width+s] = src[s*vs+p] for s < w8, p < k8,
+// eight by eight; w8 and k8 are positive multiples of 8.
+//
+//go:noescape
+func transposeAVX2(dst *float32, width int, src *float32, vs, w8, k8 int)
+
+// detectLevel returns the highest dispatch level the CPU and OS support.
+// levelAVX2 needs CPUID to advertise FMA, AVX and AVX2 and the OS to have
+// enabled XSAVE (OSXSAVE) and to preserve XMM+YMM state across context
+// switches (XCR0 bits 1–2); levelAVX512 adds AVX512F and the opmask and
+// ZMM state (XCR0 bits 5–7).
+func detectLevel() int {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false
+		return levelPortable
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
@@ -23,13 +39,22 @@ func detectSIMD() bool {
 		avxBit     = 1 << 28
 	)
 	if ecx1&fmaBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false
+		return levelPortable
 	}
 	xcr0, _ := xgetbv()
-	if xcr0&0x6 != 0x6 { // XMM and YMM state enabled by the OS
-		return false
+	if xcr0&0x6 != 0x6 {
+		return levelPortable
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2Bit = 1 << 5
-	return ebx7&avx2Bit != 0
+	const (
+		avx2Bit    = 1 << 5
+		avx512FBit = 1 << 16
+	)
+	switch {
+	case ebx7&avx2Bit == 0:
+		return levelPortable
+	case ebx7&avx512FBit == 0 || xcr0&0xe0 != 0xe0:
+		return levelAVX2
+	}
+	return levelAVX512
 }

@@ -2,10 +2,13 @@
 
 package tensor
 
-// Non-amd64 builds always run the portable tile kernel (gemmTileGo).
+// Non-amd64 builds always run the portable kernels: detectLevel reports
+// levelPortable, so none of these is reached.
 
-func detectSIMD() bool { return false }
+func detectLevel() int { return levelPortable }
 
-func gemmTileFMA(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int) {
-	panic("tensor: gemmTileFMA called without SIMD support")
-}
+func gemmTileAVX2(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int) { noSIMD() }
+
+func gemmTileAVX512(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int) { noSIMD() }
+
+func transposeAVX2(dst *float32, width int, src *float32, vs, w8, k8 int) { noSIMD() }

@@ -29,7 +29,7 @@ func assertTensorsClose(t *testing.T, got, want *Tensor, tol float64, label stri
 }
 
 // equivalenceShapes deliberately includes shapes that are not multiples of
-// the 4×16 register tile, plus degenerate 1-sized dimensions and the
+// the 4×32 register tile, plus degenerate 1-sized dimensions and the
 // paper-CNN GEMM shapes.
 var equivalenceShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
@@ -44,37 +44,42 @@ var equivalenceShapes = []struct{ m, k, n int }{
 	{20, 25, 576},  // conv1
 	{50, 500, 64},  // conv2: two edge rows
 	{33, 257, 65},  // every dimension one past a tile multiple
-	{9, 40, 33},    // two full column tiles and one lane of a third
-	{16, 500, 800}, // dense input gradient: the NT variant packs a, not b
+	{9, 40, 33},    // one full column tile and one lane of the next
+	{16, 500, 800}, // dense input gradient: the NT variant packs b, eight by eight
+	{8, 500, 800},  // the same at batch 8
+	{50, 64, 500},  // conv2 weight gradient: a 20-wide edge panel
+	{20, 576, 25},  // conv1 weight gradient: one 25-wide panel, a vector past the blocks
+	{61, 19, 7},    // NT runs transposed: two tiles against sixteen
 }
 
-// forEachSIMDMode runs fn with the portable kernel and, where the CPU has
-// it, the assembly kernel, restoring the kernel choice and the worker budget
+// forEachLevel runs fn at every dispatch level this CPU can run, from the
+// portable kernels up, restoring the level and the worker budget
 // afterwards.
-func forEachSIMDMode(t *testing.T, fn func(simd bool)) {
+func forEachLevel(t *testing.T, fn func(level string)) {
 	t.Helper()
-	oldSIMD, oldWorkers := simdEnabled, MatMulWorkers()
-	defer func() {
-		simdEnabled = oldSIMD
-		SetMatMulWorkers(oldWorkers)
-	}()
-	for _, simd := range []bool{false, true} {
-		if simd && !detectSIMD() {
+	oldWorkers := MatMulWorkers()
+	defer SetMatMulWorkers(oldWorkers)
+	for _, name := range levelNames {
+		restore, ok := SetKernelLevel(name)
+		if !ok {
+			t.Logf("dispatch level %s: not supported by this CPU, skipped", name)
 			continue
 		}
-		simdEnabled = simd
-		fn(simd)
+		func() {
+			defer restore() // also when fn fails the test
+			fn(name)
+		}()
 	}
 }
 
-// forEachKernelMode runs fn under both kernels, each serially and with a
+// forEachKernelMode runs fn at every level, each serially and with a
 // forced worker budget.
 func forEachKernelMode(t *testing.T, fn func(label string)) {
 	t.Helper()
-	forEachSIMDMode(t, func(simd bool) {
+	forEachLevel(t, func(level string) {
 		for _, workers := range []int{1, 4} {
 			SetMatMulWorkers(workers)
-			fn(fmt.Sprintf("simd%v-w%d", simd, workers))
+			fn(fmt.Sprintf("%s-w%d", level, workers))
 		}
 	})
 }
@@ -226,13 +231,13 @@ func TestParallelMatMulBitIdentical(t *testing.T) {
 		return out
 	}
 
-	forEachSIMDMode(t, func(simd bool) {
+	forEachLevel(t, func(level string) {
 		SetMatMulWorkers(1)
 		serial := run()
 		for _, w := range []int{2, 3, 8} {
 			SetMatMulWorkers(w)
 			for v, par := range run() {
-				assertTensorsBitEqual(t, par, serial[v], fmt.Sprintf("simd%v workers=%d variant %d", simd, w, v))
+				assertTensorsBitEqual(t, par, serial[v], fmt.Sprintf("%s workers=%d variant %d", level, w, v))
 			}
 		}
 	})
@@ -358,8 +363,8 @@ func exactFMA32(a, b, c float32) float32 {
 	return f
 }
 
-// fmaTile draws one 4×16 tile of FMA operands — element (i,j) is
-// fma(a[i], b[j], c[i·16+j]) — of one of the three kinds a float32 FMA can
+// fmaTile draws one 4×32 tile of FMA operands — element (i,j) is
+// fma(a[i], b[j], c[i·32+j]) — of one of the three kinds a float32 FMA can
 // get wrong: arbitrary finite bit patterns (wide exponent spreads,
 // subnormals), near-ties (a·b just off a float32 midpoint, c far below it)
 // and cancellations (c ≈ −a·b).
@@ -408,9 +413,10 @@ func fmaTile(r *stats.RNG, kind int) (a [gemmMR]float32, b [gemmNR]float32, c [g
 
 // TestFMA32IsExactlyRounded pins the portable kernel's one rounding: fma32
 // equals the arbitrary-precision a·b+c rounded to float32, including the
-// case where float32(math.FMA(a, b, c)) double-rounds; and where the CPU
-// has the assembly tile, the tile returns the same bits (k = 1 makes each
-// element of the 4×16 tile one FMA).
+// case where float32(math.FMA(a, b, c)) double-rounds; and at every
+// dispatch level the CPU has — the portable tile, the AVX2 4×16 halves and
+// the AVX-512 4×32 tile — the tile returns the same bits (k = 1 makes each
+// element of the 4×32 tile one FMA).
 func TestFMA32IsExactlyRounded(t *testing.T) {
 	const a, b, c = float32(1 + 0x1p-12), float32(1 + 0x1p-12), float32(0x1p-60)
 	if got, want := fma32(a, b, c), float32(1+0x1p-11+0x1p-23); got != want {
@@ -419,27 +425,36 @@ func TestFMA32IsExactlyRounded(t *testing.T) {
 	if twice := float32(math.FMA(float64(a), float64(b), float64(c))); twice != float32(1+0x1p-11) {
 		t.Fatalf("the double-rounding witness no longer double-rounds: %x", math.Float32bits(twice))
 	}
+	type tile struct {
+		a    [gemmMR]float32
+		b    [gemmNR]float32
+		c    [gemmMR * gemmNR]float32
+		want [gemmMR * gemmNR]float32
+	}
 	r := stats.NewRNG(77)
-	for tile := 0; tile < 600; tile++ {
-		av, bv, cv := fmaTile(r, tile%3)
-		var want, got [gemmMR * gemmNR]float32
-		for e := range want {
-			x, y, z := av[e/gemmNR], bv[e%gemmNR], cv[e]
-			want[e] = exactFMA32(x, y, z)
-			if g := fma32(x, y, z); math.Float32bits(g) != math.Float32bits(want[e]) {
-				t.Fatalf("fma32(%g, %g, %g) = %g (%x), exact %g (%x)", x, y, z, g, math.Float32bits(g), want[e], math.Float32bits(want[e]))
-			}
-		}
-		if !detectSIMD() {
-			continue
-		}
-		got = cv
-		gemmTileFMA(&got[0], gemmNR, &av[0], 1, 1, &bv[0], gemmNR, 1)
-		for e := range got {
-			if math.Float32bits(got[e]) != math.Float32bits(want[e]) {
-				t.Fatalf("assembly tile fma(%g, %g, %g) = %x, exact %x", av[e/gemmNR], bv[e%gemmNR], cv[e],
-					math.Float32bits(got[e]), math.Float32bits(want[e]))
+	tiles := make([]tile, 600)
+	for n := range tiles {
+		tl := &tiles[n]
+		tl.a, tl.b, tl.c = fmaTile(r, n%3)
+		for e := range tl.want {
+			x, y, z := tl.a[e/gemmNR], tl.b[e%gemmNR], tl.c[e]
+			tl.want[e] = exactFMA32(x, y, z)
+			if g := fma32(x, y, z); math.Float32bits(g) != math.Float32bits(tl.want[e]) {
+				t.Fatalf("fma32(%g, %g, %g) = %g (%x), exact %g (%x)", x, y, z, g, math.Float32bits(g), tl.want[e], math.Float32bits(tl.want[e]))
 			}
 		}
 	}
+	forEachLevel(t, func(level string) {
+		for n := range tiles {
+			tl := &tiles[n]
+			got := tl.c
+			gemmTile(got[:], gemmNR, tl.a[:], 1, 1, tl.b[:], gemmNR, 1, gemmNR)
+			for e := range got {
+				if math.Float32bits(got[e]) != math.Float32bits(tl.want[e]) {
+					t.Fatalf("%s tile fma(%g, %g, %g) = %x, exact %x", level, tl.a[e/gemmNR], tl.b[e%gemmNR], tl.c[e],
+						math.Float32bits(got[e]), math.Float32bits(tl.want[e]))
+				}
+			}
+		}
+	})
 }

@@ -29,9 +29,10 @@ ACCEPT_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/fleet.go internal
 BACKOFF_USERS := internal/rpc/backoff.go
 # A wait on a condition blocks on the event that changes it (the root's
 # change signal, DESIGN.md §Edge federation), never on a sleep-and-poll
-# loop. time.Sleep is named only by the redial wait, the injected fault
-# delay, the throttle's clock and the tests' leak check.
-SLEEP_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/backoff.go internal/rpc/fault.go internal/rpc/throttle.go
+# loop. time.Sleep is named only by the redial wait and the tests' leak
+# check; a paced link waits on a timer that Close and the deadline cut
+# short.
+SLEEP_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/backoff.go
 # The shard tree folds in the goroutine that ingests (DESIGN.md §Sharded
 # aggregation): no non-test internal/shard file has a go statement or
 # names a channel type. The list of files allowed to is empty.
@@ -154,7 +155,7 @@ fleet:
 
 # The deployment binaries end to end on loopback (a few seconds): a sync
 # session, flserver async + flclient async, flserver root + two edges +
-# flfleet edge, the doctor on the sync chain, `flserver -h` at most 30
+# flfleet edge, the doctor on the sync chain, `flserver -h` at most 21
 # flags, and flags a subcommand does not take failing before it serves.
 cli:
 	bash cmd/smoke.sh

@@ -3,8 +3,9 @@
 // The client synthesises its data shard locally from the shared seed (the
 // same non-IID partition the server expects), trains on its own device,
 // scores its updates, and uploads only when selected — with the
-// compression ratio the server assigned. Use -upbps with -throttle to
-// emulate a constrained embedded uplink on a real socket.
+// compression ratio the server assigned. -link puts the client on one of
+// the simulator's link presets: its socket is paced at the preset's rates,
+// latency, jitter and loss, and those rates are what it reports.
 //
 // flclient async instead cycles pull→train→push against an flserver async
 // session with no round barrier; -session picks a named session on a
@@ -20,6 +21,7 @@ import (
 	"adafl/cmd/internal/cli"
 	"adafl/internal/core"
 	"adafl/internal/dataset"
+	"adafl/internal/netsim"
 	"adafl/internal/rpc"
 	"adafl/internal/scenario"
 )
@@ -32,14 +34,15 @@ var commands = []cli.Command{
 func main() { cli.Main("flclient", commands) }
 
 // clientCmd is either subcommand. The flags that map one to one onto a
-// ClientConfig field are bound to it; the async loop never reads the
-// reported downlink or a scenario, so flclient async does not take them.
+// ClientConfig field are bound to it; the async loop reports no bandwidth
+// into a score, so flclient async takes no scenario.
 type clientCmd struct {
 	cfg         rpc.ClientConfig
 	clients     int
 	iid         bool
 	task        cli.Task
 	scenario    string
+	link        string
 	metricsAddr *string
 	fault       *rpc.FaultFlags
 }
@@ -51,8 +54,7 @@ func newClient(fs *flag.FlagSet, async bool) *clientCmd {
 	fs.IntVar(&c.clients, "clients", 3, "total federation size (server and clients must agree)")
 	c.task.Register(fs)
 	fs.BoolVar(&c.iid, "iid", false, "IID partition instead of 2-shard non-IID")
-	fs.Float64Var(&c.cfg.UpBps, "upbps", 2.5e6, "uplink bandwidth in B/s: reported into the utility score, and the -throttle rate")
-	fs.BoolVar(&c.cfg.ThrottleUplink, "throttle", false, "actually rate-limit the uplink socket to -upbps")
+	fs.StringVar(&c.link, "link", "", "pace the socket on this link preset ("+netsim.PresetNames+"); empty is unpaced and reports wifi's rates")
 	fs.IntVar(&c.cfg.LocalSteps, "steps", 4, "local SGD steps per round")
 	fs.IntVar(&c.cfg.BatchSize, "batch", 16, "batch size")
 	fs.Float64Var(&c.cfg.LR, "lr", 0.1, "learning rate")
@@ -66,7 +68,6 @@ func newClient(fs *flag.FlagSet, async bool) *clientCmd {
 		fs.Float64Var(&c.cfg.AsyncRatio, "async-ratio", 1, "uplink compression ratio (1 sends the exact delta)")
 	} else {
 		fs.StringVar(&c.cfg.Codec, "codec", "", "uplink codec: dgc (default), dadaquant, qsgd, terngrad, topk or identity; a negotiated server assignment overrides it per round")
-		fs.Float64Var(&c.cfg.DownBps, "downbps", 5e6, "downlink bandwidth reported into the utility score (B/s)")
 		fs.StringVar(&c.scenario, "scenario", "", "declarative scenario file (must match the server's): shapes this client's reported bandwidth per round by its device class and the scenario's bandwidth trace")
 	}
 	return c
@@ -96,7 +97,18 @@ func (c *clientCmd) config() (rpc.ClientConfig, error) {
 	cfg.Utility = def.Utility
 	cfg.DGCMomentum, cfg.DGCClip, cfg.DGCMsgClip = def.DGCMomentum, def.DGCClip, def.DGCMsgClip
 	cfg.Seed = seed + 100 + uint64(cfg.ID)
-	cfg.Fault = c.fault.Config()
+	// An unpaced client declares wifi's rates; a paced one runs on, and
+	// reports, its preset's.
+	link := netsim.WiFiLink
+	var paced *netsim.Link
+	if c.link != "" {
+		if link, err = netsim.Preset(c.link); err != nil {
+			return cfg, fmt.Errorf("-link: %w", err)
+		}
+		paced = &link
+	}
+	cfg.UpBps, cfg.DownBps = link.UpBps, link.DownBps
+	cfg.Fault = c.fault.Config(paced)
 	if c.scenario == "" {
 		return cfg, nil
 	}

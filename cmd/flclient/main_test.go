@@ -8,17 +8,17 @@ import (
 	"testing"
 
 	"adafl/cmd/internal/cli"
+	"adafl/internal/netsim"
 )
 
 // TestFlagSets pins both subcommands' flags: the async loop reports no
-// bandwidth into a score, so it takes neither -downbps nor -scenario, and
-// the sync loop has no session or fixed ratio.
+// bandwidth into a score, so it takes no -scenario, and the sync loop has
+// no session or fixed ratio.
 func TestFlagSets(t *testing.T) {
-	common := []string{"addr", "batch", "clients", "codec", "fault-bandwidth", "fault-cut-after", "fault-drop",
-		"fault-jitter", "fault-latency", "fault-partition", "fault-seed", "id", "iid", "imgsize", "lr",
-		"metrics-addr", "retries", "retry-backoff", "samples", "seed", "steps", "throttle", "upbps"}
+	common := []string{"addr", "batch", "clients", "codec", "fault-cut-after", "fault-partition", "id", "iid",
+		"imgsize", "link", "lr", "metrics-addr", "retries", "retry-backoff", "samples", "seed", "steps"}
 	want := map[string][]string{
-		"":      append(slices.Clone(common), "downbps", "scenario"),
+		"":      append(slices.Clone(common), "scenario"),
 		"async": append(slices.Clone(common), "async-ratio", "session"),
 	}
 	for _, c := range commands {
@@ -31,7 +31,7 @@ func TestFlagSets(t *testing.T) {
 			t.Errorf("flclient %s flags:\n got %v\nwant %v", c.Name, got, want[c.Name])
 		}
 	}
-	for _, args := range [][]string{{"async", "-downbps", "1"}, {"async", "-scenario", "s.json"}, {"-async"}, {"-session", "eu"}} {
+	for _, args := range [][]string{{"async", "-scenario", "s.json"}, {"-async"}, {"-session", "eu"}} {
 		var out bytes.Buffer
 		if _, _, err := cli.Parse("flclient", commands, args, &out); err == nil ||
 			!strings.Contains(out.String(), "flag provided but not defined") {
@@ -76,5 +76,38 @@ func TestNoSamplesRefused(t *testing.T) {
 		if _, err := r.(*clientCmd).config(); err == nil || !strings.Contains(err.Error(), "-samples") {
 			t.Errorf("flclient %q: %v", args, err)
 		}
+	}
+}
+
+// TestLinkFlag: -link paces the client on a preset and reports the
+// preset's rates; without it the client is unpaced and reports wifi's.
+func TestLinkFlag(t *testing.T) {
+	for _, tt := range []struct {
+		args  []string
+		paced bool
+		want  netsim.Link
+	}{
+		{[]string{"-samples", "200"}, false, netsim.WiFiLink},
+		{[]string{"-samples", "200", "-link", "lte"}, true, netsim.LTELink},
+		{[]string{"async", "-samples", "200", "-link", "constrained", "-fault-cut-after", "9"}, true, netsim.ConstrainedLink},
+	} {
+		r, _, err := cli.Parse("flclient", commands, tt.args, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := r.(*clientCmd).config()
+		if err != nil {
+			t.Fatalf("%q: %v", tt.args, err)
+		}
+		if cfg.UpBps != tt.want.UpBps || cfg.DownBps != tt.want.DownBps {
+			t.Errorf("%q: reports %v/%v B/s", tt.args, cfg.UpBps, cfg.DownBps)
+		}
+		if paced := cfg.Fault != nil && cfg.Fault.Link != nil; paced != tt.paced || paced && *cfg.Fault.Link != tt.want {
+			t.Errorf("%q: fault config %+v", tt.args, cfg.Fault)
+		}
+	}
+	r, _, _ := cli.Parse("flclient", commands, []string{"-link", "dialup"}, &bytes.Buffer{})
+	if _, err := r.(*clientCmd).config(); err == nil || !strings.Contains(err.Error(), "-link") {
+		t.Errorf("-link dialup: %v", err)
 	}
 }

@@ -90,7 +90,6 @@ type syncCmd struct {
 	negotiate                        bool
 	scenario, scenarioLog, assignLog string
 	metricsAddr, eventLog            *string
-	fault                            *rpc.FaultFlags
 }
 
 func newSync(fs *flag.FlagSet) cli.Runner {
@@ -114,7 +113,6 @@ func newSync(fs *flag.FlagSet) cli.Runner {
 	fs.StringVar(&c.scenarioLog, "scenario-log", "", "append the deterministic per-round scenario schedule (JSONL) to this file; byte-identical across runs at the same seed, unlike -event-log (needs -scenario)")
 	fs.BoolVar(&c.negotiate, "negotiate", false, negoHelp+"; assignments travel in the Select broadcast and join the session checkpoint")
 	fs.StringVar(&c.assignLog, "assign-log", "", "append the deterministic per-round codec assignments (JSONL, sorted by client id) to this file; byte-identical across replays, like -scenario-log (needs -negotiate)")
-	c.fault = rpc.RegisterFaultFlags(fs)
 	return c
 }
 
@@ -133,7 +131,6 @@ func (c *syncCmd) config() (rpc.ServerConfig, error) {
 	}
 	cfg.NewModel = c.task.NewModel()
 	cfg.Cfg.ScaleRatiosForModel(cfg.NewModel().NumParams())
-	cfg.Fault = c.fault.Config()
 	if c.negotiate {
 		cfg.Negotiation = negotiation()
 	} else if c.assignLog != "" {
@@ -250,7 +247,6 @@ type asyncCmd struct {
 	addr, sessions        string
 	task                  cli.Task
 	metricsAddr, eventLog *string
-	fault                 *rpc.FaultFlags
 }
 
 func newAsync(fs *flag.FlagSet) cli.Runner {
@@ -269,7 +265,6 @@ func newAsync(fs *flag.FlagSet) cli.Runner {
 	fs.BoolVar(&c.cfg.Resume, "resume", false, resumeHelp)
 	c.metricsAddr = cli.MetricsFlag(fs)
 	c.eventLog = cli.EventLogFlag(fs)
-	c.fault = rpc.RegisterFaultFlags(fs)
 	return c
 }
 
@@ -320,7 +315,7 @@ func (c *asyncCmd) Run() error {
 		return err
 	}
 	defer stopMetrics()
-	m, err := session.NewManager(session.Config{Addr: c.addr, Fault: c.fault.Config(), Logf: log.Printf})
+	m, err := session.NewManager(session.Config{Addr: c.addr, Logf: log.Printf})
 	if err != nil {
 		return err
 	}

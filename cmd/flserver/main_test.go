@@ -17,18 +17,16 @@ import (
 	"adafl/internal/session"
 )
 
-var faultFlags = []string{"fault-bandwidth", "fault-cut-after", "fault-drop", "fault-jitter", "fault-latency", "fault-partition", "fault-seed"}
-
 // TestFlagSets pins every subcommand's flags: each is read by that
 // subcommand's engine, so adding one is a deliberate change to this list.
 func TestFlagSets(t *testing.T) {
 	want := map[string][]string{
-		"": append([]string{"addr", "assign-log", "checkpoint-dir", "clients", "event-log"}, append(faultFlags,
+		"": {"addr", "assign-log", "checkpoint-dir", "clients", "event-log",
 			"imgsize", "k", "max-update-norm", "metrics-addr", "min-clients", "negotiate", "resume", "rounds",
-			"samples", "scenario", "scenario-log", "seed", "shards", "straggler-timeout", "tau", "warmup")...),
-		"async": append([]string{"addr", "buffer-k", "checkpoint-dir", "clients", "eta", "event-log"}, append(faultFlags,
+			"samples", "scenario", "scenario-log", "seed", "shards", "straggler-timeout", "tau", "warmup"},
+		"async": {"addr", "buffer-k", "checkpoint-dir", "clients", "eta", "event-log",
 			"imgsize", "max-staleness", "max-update-norm", "metrics-addr", "resume", "samples", "seed",
-			"sessions", "shards", "versions")...),
+			"sessions", "shards", "versions"},
 		"root": {"addr", "checkpoint-dir", "clients", "dim", "edge-addr", "edges", "event-log",
 			"heartbeat-timeout", "metrics-addr", "resume", "rounds"},
 		"edge": {"addr", "dim", "event-log", "heartbeat-interval", "id", "max-update-norm", "metrics-addr",
@@ -59,8 +57,8 @@ func TestFlagSets(t *testing.T) {
 			lines++
 		}
 	}
-	if lines != len(want[""]) || lines > 30 {
-		t.Errorf("flserver -h lists %d flags, want %d (and at most 30)", lines, len(want[""]))
+	if lines != len(want[""]) || lines > 21 {
+		t.Errorf("flserver -h lists %d flags, want %d (and at most 21)", lines, len(want[""]))
 	}
 }
 
@@ -75,8 +73,8 @@ func TestForeignFlagFailsParse(t *testing.T) {
 		{[]string{"async", "-scenario", "/nonexistent.json", "-negotiate", "-assign-log", "/nonexistent/dir/a.jsonl", "-k", "99", "-straggler-timeout", "1ms"}, "-scenario"},
 		{[]string{"async", "-negotiate"}, "-negotiate"},
 		{[]string{"async", "-rounds", "5"}, "-rounds"},
-		{[]string{"root", "-scenario", "/nonexistent.json", "-shards", "7", "-fault-latency", "1s", "-max-update-norm", "3"}, "-scenario"},
-		{[]string{"root", "-fault-latency", "1s"}, "-fault-latency"},
+		{[]string{"root", "-scenario", "/nonexistent.json", "-shards", "7", "-tau", "0.3", "-max-update-norm", "3"}, "-scenario"},
+		{[]string{"root", "-tau", "0.3"}, "-tau"},
 		{[]string{"edge", "-checkpoint-dir", "/nonexistent", "-shards", "3"}, "-checkpoint-dir"},
 		{[]string{"edge", "-shards", "3"}, "-shards"},
 		{[]string{"-async"}, "-async"},
@@ -108,7 +106,7 @@ func config(t *testing.T, r cli.Runner) (any, error) {
 	switch c := r.(type) {
 	case *syncCmd:
 		cfg, err := c.config()
-		cfg.NewModel, cfg.Test, cfg.Fault, cfg.Scenario = nil, nil, nil, nil
+		cfg.NewModel, cfg.Test, cfg.Scenario = nil, nil, nil
 		return cfg, err
 	case *asyncCmd:
 		cfgs, err := c.configs()
@@ -205,7 +203,7 @@ func TestFlagsLandInConfig(t *testing.T) {
 }
 
 // TestSyncConfigParts covers what TestFlagsLandInConfig clears: the task,
-// the fault injector, the scenario and the flag pairs that need each other.
+// the scenario and the flag pairs that need each other.
 func TestSyncConfigParts(t *testing.T) {
 	parse := func(args ...string) (rpc.ServerConfig, error) {
 		t.Helper()
@@ -215,7 +213,7 @@ func TestSyncConfigParts(t *testing.T) {
 		}
 		return r.(*syncCmd).config()
 	}
-	cfg, err := parse("-seed", "9", "-imgsize", "12", "-samples", "300", "-fault-drop", "0.5", "-fault-seed", "4",
+	cfg, err := parse("-seed", "9", "-imgsize", "12", "-samples", "300",
 		"-scenario", "../../examples/scenarios/diurnal.json", "-clients", "4")
 	if err != nil {
 		t.Fatal(err)
@@ -225,9 +223,6 @@ func TestSyncConfigParts(t *testing.T) {
 	}
 	if cfg.Test.Len() != 60 {
 		t.Errorf("held-out split has %d samples, want 60 of 300", cfg.Test.Len())
-	}
-	if f := cfg.Fault; f == nil || f.DropProb != 0.5 || f.Seed != 4 {
-		t.Errorf("fault config %+v", f)
 	}
 	if cfg.Scenario == nil {
 		t.Error("-scenario built no fleet")

@@ -71,7 +71,7 @@ func main() {
 	scenarioLog := flag.String("scenario-log", "", "append the deterministic per-round scenario schedule (JSONL) to this file; empty writes it nowhere")
 	codecName := flag.String("codec", "", "fix every client's uplink codec: dgc, dadaquant, qsgd, terngrad, topk or identity (empty keeps the method default; adafl defaults to dgc)")
 	negotiate := flag.Bool("negotiate", false, "adafl sync only: negotiate each selected client's codec+ratio per round from observed uplink bytes and the scenario's bandwidth (overrides -codec per round)")
-	linkName := flag.String("link", "wifi", "base link preset: ethernet, wifi, lte or constrained")
+	linkName := flag.String("link", "wifi", "base link preset: "+netsim.PresetNames)
 	flag.Parse()
 
 	var fleet *scenario.Fleet
@@ -106,17 +106,9 @@ func main() {
 	newModel := func() *nn.Model {
 		return nn.NewImageMLP([]int{1, size, size}, []int{32}, 10, stats.NewRNG(modelSeed))
 	}
-	baseLink := netsim.WiFiLink
-	switch *linkName {
-	case "ethernet":
-		baseLink = netsim.EthernetLink
-	case "wifi":
-	case "lte":
-		baseLink = netsim.LTELink
-	case "constrained":
-		baseLink = netsim.ConstrainedLink
-	default:
-		log.Fatalf("flsim: unknown -link %q (ethernet, wifi, lte, constrained)", *linkName)
+	baseLink, err := netsim.Preset(*linkName)
+	if err != nil {
+		log.Fatalf("flsim: -link: %v", err)
 	}
 	net := netsim.UniformNetwork(*clients, baseLink, *seed+3)
 	if *tracePath != "" {

@@ -101,11 +101,11 @@ grep -q '^root: 3 rounds' "$work/root.log" || fail "root did not complete 3 roun
 
 echo "cli smoke: flserver -h"
 n=$("$bin/flserver" -h 2>&1 | grep -c '^  -')
-[ "$n" -le 30 ] || fail "flserver -h lists $n flags, more than 30"
+[ "$n" -le 21 ] || fail "flserver -h lists $n flags, more than 21"
 
 echo "cli smoke: flags another engine reads fail before anything is served"
 for cmd in "async -scenario /nonexistent.json -negotiate -assign-log /nonexistent/dir/a.jsonl -k 99 -straggler-timeout 1ms" \
-	"root -scenario /nonexistent.json -shards 7 -fault-latency 1s -max-update-norm 3" \
+	"root -scenario /nonexistent.json -shards 7 -tau 0.3 -max-update-norm 3" \
 	"edge -checkpoint-dir /nonexistent -shards 3"; do
 	# shellcheck disable=SC2086 # the command is split on purpose
 	if timeout 10 "$bin/flserver" $cmd >"$work/reject.log" 2>&1; then

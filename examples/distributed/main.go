@@ -1,6 +1,6 @@
 // Distributed: the full AdaFL protocol over real TCP sockets inside one
 // process — a server goroutine plus four client goroutines, one of them
-// throttled to an embedded-class uplink. Demonstrates the rpc package the
+// paced on an embedded-class uplink. Demonstrates the rpc package the
 // cmd/flserver and cmd/flclient binaries are built on.
 package main
 
@@ -11,6 +11,7 @@ import (
 
 	"adafl/internal/core"
 	"adafl/internal/dataset"
+	"adafl/internal/netsim"
 	"adafl/internal/nn"
 	"adafl/internal/rpc"
 	"adafl/internal/stats"
@@ -64,9 +65,10 @@ func main() {
 			}
 			if i == numClients-1 {
 				// The last client is a genuinely constrained device: its
-				// socket writes are token-bucket limited to 256 KB/s.
-				ccfg.UpBps = 256e3
-				ccfg.ThrottleUplink = true
+				// socket is paced on an LTE link with a 256 KB/s uplink.
+				link := netsim.LTELink
+				link.UpBps = 256e3
+				ccfg.Fault = &rpc.FaultConfig{Link: &link}
 			}
 			res, err := rpc.RunClient(ccfg)
 			if err != nil {
@@ -91,7 +93,7 @@ func main() {
 		}
 		tag := ""
 		if i == numClients-1 {
-			tag = " (throttled 256 KB/s)"
+			tag = " (paced, 256 KB/s up)"
 		}
 		fmt.Printf("client %d%s: uploaded %d of %d rounds, %.1f KB on the wire\n",
 			i, tag, r.Uploads, r.Rounds, float64(r.BytesSent)/1e3)

@@ -187,7 +187,7 @@ func (e *Edge) Kill() {
 // exhausted, or Kill. Root restarts are absorbed: the edge re-registers
 // with backoff (rpc.Redial) while its clients stay connected.
 func (e *Edge) Run() (*EdgeResult, error) {
-	go e.roster.Serve(e.ln, rpc.MsgHello, nil, e.admit)
+	go e.roster.Serve(e.ln, rpc.MsgHello, e.admit)
 	defer e.ln.Close()
 
 	part := shard.NewPartial(e.cfg.Dim)

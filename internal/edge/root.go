@@ -319,8 +319,8 @@ func (r *Root) Run() (*RootResult, error) {
 		}
 	}
 
-	go r.roster.Serve(r.edgeLn, rpc.MsgEdgeHello, nil, r.admitEdge)
-	go r.roster.Serve(r.clientLn, rpc.MsgHello, nil, r.admitClient)
+	go r.roster.Serve(r.edgeLn, rpc.MsgEdgeHello, r.admitEdge)
+	go r.roster.Serve(r.clientLn, rpc.MsgHello, r.admitClient)
 	r.roster.Go(r.watchdog)
 
 	if start >= r.cfg.Rounds {

@@ -111,3 +111,22 @@ var (
 	// empirical study (severely limited uplink, lossy).
 	ConstrainedLink = Link{UpBps: 0.125e6, DownBps: 0.5e6, LatencyS: 0.1, JitterS: 0.05, LossProb: 0.05}
 )
+
+// PresetNames lists the names Preset takes, as usage text.
+const PresetNames = "ethernet, wifi, lte or constrained"
+
+// Preset returns the link preset of the given name, one of PresetNames.
+// flsim's -link and flclient's -link both name a link through it.
+func Preset(name string) (Link, error) {
+	switch name {
+	case "ethernet":
+		return EthernetLink, nil
+	case "wifi":
+		return WiFiLink, nil
+	case "lte":
+		return LTELink, nil
+	case "constrained":
+		return ConstrainedLink, nil
+	}
+	return Link{}, fmt.Errorf("netsim: unknown link preset %q (%s)", name, PresetNames)
+}

@@ -180,3 +180,14 @@ func TestParseTraceCSVSkipsCommentsAndBlanks(t *testing.T) {
 		t.Fatal("comment handling broke parsing")
 	}
 }
+
+func TestPresetNamesEveryPreset(t *testing.T) {
+	for name, want := range map[string]Link{"ethernet": EthernetLink, "wifi": WiFiLink, "lte": LTELink, "constrained": ConstrainedLink} {
+		if got, err := Preset(name); err != nil || got != want {
+			t.Errorf("Preset(%q) = %+v, %v", name, got, err)
+		}
+	}
+	if _, err := Preset("dialup"); err == nil {
+		t.Error("unknown preset accepted")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"adafl/internal/compress"
 	"adafl/internal/core"
 	"adafl/internal/dataset"
+	"adafl/internal/netsim"
 	"adafl/internal/nn"
 	"adafl/internal/stats"
 )
@@ -229,7 +230,7 @@ func TestChaosLatencyJitterAllSurvive(t *testing.T) {
 	cfgs := make([]ClientConfig, 3)
 	for i := range cfgs {
 		cfgs[i] = env.clientConfig(i, srv.Addr())
-		cfgs[i].Fault = &FaultConfig{Latency: 15 * time.Millisecond, Jitter: 25 * time.Millisecond, Seed: uint64(i)}
+		cfgs[i].Fault = &FaultConfig{Link: &netsim.Link{UpBps: 1e6, DownBps: 1e6, LatencyS: 0.015, JitterS: 0.025}}
 	}
 	outCh := make(chan []error, 1)
 	go func() {
@@ -258,8 +259,11 @@ func TestChaosLatencyJitterAllSurvive(t *testing.T) {
 	}
 }
 
-// TestChaosBandwidthCappedClientSurvives: a client squeezed through an
-// injected narrow link still makes the deadline and is never evicted.
+// TestChaosBandwidthCappedClientSurvives: a client squeezed through a
+// narrow paced uplink still makes the deadline and is never evicted, and
+// its uploads really were squeezed: everything it sent took at least
+// bytes/rate. (A token bucket that starts each idle second with a second
+// of credit lets this client's few-KB updates through unshaped.)
 func TestChaosBandwidthCappedClientSurvives(t *testing.T) {
 	env := newChaosEnv(3, 240, 12, 16, 31)
 	scfg := env.serverConfig(4)
@@ -272,17 +276,25 @@ func TestChaosBandwidthCappedClientSurvives(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = env.clientConfig(i, srv.Addr())
 	}
-	cfgs[2].Fault = &FaultConfig{Bandwidth: 50_000} // ~50 KB/s embedded uplink
-	outCh := make(chan []error, 1)
+	const rate = 50_000 // an embedded uplink, B/s
+	cfgs[2].Fault = &FaultConfig{Link: &netsim.Link{UpBps: rate, DownBps: 1e6}}
+	type out struct {
+		res  []*ClientResult
+		errs []error
+		took time.Duration
+	}
+	outCh := make(chan out, 1)
 	go func() {
-		_, errs := runClients(cfgs)
-		outCh <- errs
+		start := time.Now()
+		r, e := runClients(cfgs)
+		outCh <- out{r, e, time.Since(start)}
 	}()
 	res, err := srv.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, cerr := range <-outCh {
+	o := <-outCh
+	for i, cerr := range o.errs {
 		if cerr != nil {
 			t.Errorf("client %d: %v", i, cerr)
 		}
@@ -290,6 +302,14 @@ func TestChaosBandwidthCappedClientSurvives(t *testing.T) {
 	if res.Evictions != 0 {
 		t.Fatalf("bandwidth-capped client evicted: %d evictions", res.Evictions)
 	}
+	capped := o.res[2]
+	if capped == nil || capped.Uploads == 0 {
+		t.Fatalf("capped client uploaded nothing: %+v", capped)
+	}
+	if floor := time.Duration(float64(capped.BytesSent) / rate * float64(time.Second)); o.took < floor {
+		t.Fatalf("capped client sent %d B in %v, faster than %v at %d B/s", capped.BytesSent, o.took, floor, rate)
+	}
+	t.Logf("capped client: %d uploads, %d B in %v", capped.Uploads, capped.BytesSent, o.took)
 }
 
 // TestChaosProbabilisticDropEvictsAndRecovers: a lossy link that randomly
@@ -300,7 +320,7 @@ func TestChaosProbabilisticDropEvictsAndRecovers(t *testing.T) {
 	const rounds = 10
 	scfg := env.serverConfig(rounds)
 	// Quorum from the stable clients only: the preamble and the hello are
-	// separate writes, each rolling the drop dice, so the lossy client may
+	// separate transfers, each rolling the loss dice, so the lossy client may
 	// need arbitrarily many redials before a Hello lands — quorum must
 	// not hang on it.
 	scfg.NumClients = 2
@@ -315,7 +335,7 @@ func TestChaosProbabilisticDropEvictsAndRecovers(t *testing.T) {
 	// MaxRetries bounds *consecutive* failures, so a modest budget
 	// tolerates many drops across the session yet gives up quickly once
 	// the server is gone and every redial is refused.
-	cfgs[1].Fault = &FaultConfig{DropProb: 0.35, Seed: 99}
+	cfgs[1].Fault = &FaultConfig{Link: &netsim.Link{UpBps: 1e6, DownBps: 1e6, LossProb: 0.35}}
 	cfgs[1].MaxRetries = 6
 	cfgs[1].RetryBackoff = 10 * time.Millisecond
 	type out struct {

@@ -41,16 +41,15 @@ type ClientConfig struct {
 	LR, Momentum          float64
 	// Utility configures the locally computed utility score.
 	Utility core.UtilityConfig
-	// UpBps/DownBps are the link bandwidths the client reports into its
-	// utility score; UpBps also drives the uplink throttle when
-	// ThrottleUplink is set.
+	// UpBps/DownBps are the declared link bandwidths an unpaced client
+	// reports into its utility score. A client on a link (Fault.Link)
+	// reports the link's rates instead.
 	UpBps, DownBps float64
-	ThrottleUplink bool
-	// Bandwidth, when non-nil, overrides the reported bandwidths per
-	// round — the scenario engine's per-class multipliers and bandwidth
-	// traces evaluate here (pure function of the round index, so server
-	// and client agree without coordination). The static UpBps still
-	// drives the uplink throttle.
+	// Bandwidth, when non-nil, overrides the base rates per round — the
+	// scenario engine's per-class multipliers and bandwidth traces
+	// evaluate here (pure function of the round index, so server and
+	// client agree without coordination). The round's pair goes into the
+	// utility score and, on a link, sets the rates the socket is paced at.
 	Bandwidth func(round int) (upBps, downBps float64)
 	// Codec names the default uplink codec: "dgc" (momentum-corrected
 	// top-k with error feedback), "dadaquant", "qsgd", "terngrad",
@@ -81,8 +80,9 @@ type ClientConfig struct {
 	RetryBackoff time.Duration
 	// DialTimeout bounds each dial attempt. 0 means 10s.
 	DialTimeout time.Duration
-	// Fault, when non-nil, wraps the dialed connection with injected link
-	// faults (chaos testing and demos).
+	// Fault, when non-nil, puts the client on a paced link and injects
+	// its fault events (see FaultConfig). Losses and jitter draw from
+	// Seed and the session's own dial count.
 	Fault *FaultConfig
 
 	// Wire accepts only "" or WireBinary and selects nothing (see
@@ -158,6 +158,8 @@ type clientSession struct {
 	// back when the connection dies first (the server evicted us or the
 	// link failed — either way the update never joined the aggregate).
 	pending rollbackCodec
+	link    *pacer // paces every connection dialled (nil = unpaced)
+	dials   int
 	res     *ClientResult
 	met     clientMetrics
 }
@@ -203,8 +205,17 @@ func newClientSession(cfg ClientConfig) (*clientSession, error) {
 	if err != nil {
 		return nil, err
 	}
+	var link *pacer
+	if cfg.Fault != nil && cfg.Fault.Link != nil {
+		if err := cfg.Fault.Link.Validate(); err != nil {
+			return nil, fmt.Errorf("rpc: client %d: %w", cfg.ID, err)
+		}
+		link = &pacer{link: *cfg.Fault.Link}
+		cfg.UpBps, cfg.DownBps = link.link.UpBps, link.link.DownBps
+	}
 	s := &clientSession{
 		cfg:   cfg,
+		link:  link,
 		model: cfg.NewModel(),
 		opt:   nn.NewSGD(cfg.LR, cfg.Momentum, 0),
 		iter:  dataset.NewIterator(cfg.Data, cfg.BatchSize, stats.NewRNG(cfg.Seed)),
@@ -281,13 +292,11 @@ func (s *clientSession) rollbackPending() {
 	}
 }
 
-// dial connects over the (optionally faulted and throttled) link.
+// dial connects over the client's link and fault events, if any. Each
+// dial draws losses and jitter from a stream of its own (linkRNG).
 func (s *clientSession) dial() (*Conn, error) {
-	var throttle *TokenBucket
-	if s.cfg.ThrottleUplink && s.cfg.UpBps > 0 {
-		throttle = NewTokenBucket(s.cfg.UpBps)
-	}
-	return dial("tcp", s.cfg.Addr, s.cfg.DialTimeout, s.cfg.Fault, throttle)
+	s.dials++
+	return dial("tcp", s.cfg.Addr, s.cfg.DialTimeout, s.cfg.Fault, s.link, linkRNG(s.cfg.Seed, s.dials))
 }
 
 // runOnce dials, registers and participates until shutdown (done=true) or
@@ -404,10 +413,14 @@ func (s *clientSession) syncRound(conn *Conn, e *Envelope) error {
 			cfg.ID, len(e.GlobalDelta), len(e.Params), errProtocol)
 	}
 	delta := s.trainDelta(e.Params)
-	// Utility score against the server-provided ĝ.
+	// Utility score against the server-provided ĝ, at the round's rates,
+	// computed once: the score reports them and a paced socket runs at them.
 	up, down := cfg.UpBps, cfg.DownBps
 	if cfg.Bandwidth != nil {
 		up, down = cfg.Bandwidth(e.Round)
+	}
+	if s.link != nil {
+		s.link.setRates(up, down)
 	}
 	score := cfg.Utility.Score(up, down, delta, e.GlobalDelta)
 	if tensor.IsZero(e.GlobalDelta) {

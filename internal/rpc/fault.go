@@ -6,28 +6,21 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"adafl/internal/netsim"
 	"adafl/internal/stats"
 )
 
-// FaultConfig describes the link faults to inject under a connection.
-// Every chaos scenario the paper's resilience study cares about — slow
-// links, lossy links, abrupt client death, truncated messages and network
-// partitions — is expressible as a combination of these knobs, so the same
-// wrapper drives both the chaos test suite and the cmd/flserver /
-// cmd/flclient -fault-* flags.
+// FaultConfig puts a client's connections on a link, the simulator's own
+// description (netsim.Link), and adds the two fault events a link cannot
+// state: abrupt death mid-message, and partitions that start and heal at
+// chosen points in the session.
 type FaultConfig struct {
-	// Latency is a fixed delay added before every socket write.
-	Latency time.Duration
-	// Jitter adds a uniform random extra delay in [0, Jitter) per write.
-	Jitter time.Duration
-	// Bandwidth caps write throughput in bytes/second (0 = unlimited).
-	Bandwidth float64
-	// DropProb is the per-write probability that the connection is killed,
-	// emulating an abrupt device death or hard link loss.
-	DropProb float64
+	// Link paces every connection the client dials (nil = unpaced). Its
+	// UpBps/DownBps are the client's base rates; a scenario moves them
+	// per round (ClientConfig.Bandwidth).
+	Link *netsim.Link
 	// CutAfterBytes hard-closes the connection once this many bytes have
 	// been written — usually mid-message, leaving the peer a truncated
 	// frame (0 = never).
@@ -36,14 +29,6 @@ type FaultConfig struct {
 	// Toggle it with Gate.Set/Gate.Open to model partitions that start
 	// and heal at chosen points in the session.
 	Partition *Gate
-	// Seed drives the injection RNG (jitter and drop decisions).
-	Seed uint64
-}
-
-// Active reports whether any fault is configured.
-func (f *FaultConfig) Active() bool {
-	return f != nil && (f.Latency > 0 || f.Jitter > 0 || f.Bandwidth > 0 ||
-		f.DropProb > 0 || f.CutAfterBytes > 0 || f.Partition != nil)
 }
 
 // Errors surfaced by injected faults. They reach the peer as ordinary
@@ -54,40 +39,99 @@ var (
 	ErrInjectedCut  = errors.New("rpc: fault injection: connection cut mid-stream")
 )
 
-// faultConnSeq distinguishes successive connections wrapped from the same
-// FaultConfig. Without it a reconnecting client would replay the exact
-// same fault sequence on every dial — a DropProb whose first draw says
-// "drop" would then kill every reconnect attempt on its first write,
-// turning a probabilistic fault into a deterministic death loop.
-var faultConnSeq atomic.Uint64
-
-// WrapFault layers fault injection under a connection. It returns raw
-// unchanged when no fault is configured, so the healthy path stays
-// wrapper-free.
-func WrapFault(raw net.Conn, f *FaultConfig) net.Conn {
-	if !f.Active() {
-		return raw
-	}
-	seed := f.Seed + faultConnSeq.Add(1)*0x9e3779b9
-	fc := &faultConn{Conn: raw, f: *f, rng: stats.NewRNG(seed), closed: make(chan struct{})}
-	if f.Bandwidth > 0 {
-		fc.bucket = NewTokenBucket(f.Bandwidth)
-	}
-	return fc
+// pacer holds the link a client session's connections are paced on. The
+// session moves its rates each round and every connection it dials reads
+// them, so the rates outlive a redial.
+type pacer struct {
+	mu   sync.Mutex
+	link netsim.Link
 }
 
-// faultConn implements net.Conn with configurable link pathologies. Writes
-// carry the latency/bandwidth/drop/cut faults; partitions block both
-// directions, honouring whatever deadline the caller armed.
+func (p *pacer) setRates(up, down float64) {
+	p.mu.Lock()
+	p.link.UpBps, p.link.DownBps = up, down
+	p.mu.Unlock()
+}
+
+func (p *pacer) get() netsim.Link {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.link
+}
+
+// linkRNG is the loss and jitter stream of a session's dial-th
+// connection: a function of the client's seed and its own dial count
+// only, so a client's fault sequence does not depend on what else the
+// process dialled. Distinct dials draw distinct sequences — otherwise a
+// loss on a fresh connection's first transfer would kill every redial.
+func linkRNG(seed uint64, dial int) *stats.RNG {
+	r := stats.NewRNG(seed ^ 0xfa175eed)
+	r.Skip(uint64(dial))
+	return r.Split()
+}
+
+// wrapFault layers link pacing (link non-nil) and f's cut and partition
+// under raw; rng draws the link's losses and jitter. It returns raw
+// unchanged when there is nothing to inject, so the healthy path stays
+// wrapper-free.
+//
+// Pacing follows the simulator's arithmetic on the wall clock, t seconds
+// after the wrap. A transfer is the run of writes between two reads — one
+// protocol message in this request/response protocol, however many
+// buffered chunks carry it. Its first write draws
+// Link.TransferTime(Uplink, 0, t): a loss kills the connection with
+// ErrInjectedDrop, and the latency plus jitter is charged once. Every
+// write then waits n/up(t) and every read n/down(t), each direction on
+// its own busy-until clock, with no burst allowance.
+func wrapFault(raw net.Conn, f *FaultConfig, link *pacer, rng *stats.RNG) net.Conn {
+	if link == nil && (f == nil || (f.CutAfterBytes <= 0 && f.Partition == nil)) {
+		return raw
+	}
+	now := time.Now()
+	c := &faultConn{Conn: raw, link: link, start: now, rng: rng, fresh: true,
+		up: busyClock{now, now}, down: busyClock{now, now}, closed: make(chan struct{})}
+	if f != nil {
+		c.cutAfter, c.gate = f.CutAfterBytes, f.Partition
+	}
+	return c
+}
+
+// busyClock is one direction of a paced link. busy is when the bytes
+// handed to it so far have crossed; woke is when the wrapper's last wait
+// on it actually returned. The gap between woke and the next call is the
+// caller's: the link idles through it, but not through the timer's own
+// overshoot past busy.
+type busyClock struct {
+	busy, woke time.Time
+}
+
+// charge schedules d of link time starting now and returns when it ends.
+func (b *busyClock) charge(now time.Time, d float64) time.Time {
+	b.busy = b.busy.Add(now.Sub(b.woke) + time.Duration(d*float64(time.Second)))
+	b.woke = now
+	return b.busy
+}
+
+// faultConn implements net.Conn on a paced link with the cut and
+// partition events. Every wait is a timer raced against the read or
+// write deadline and Close.
 type faultConn struct {
 	net.Conn
-	f      FaultConfig
-	bucket *TokenBucket
+	link     *pacer
+	cutAfter int64
+	gate     *Gate
+	start    time.Time
 
-	mu      sync.Mutex // guards rng, written, dead
-	rng     *stats.RNG
-	written int64
-	dead    bool
+	mu       sync.Mutex // guards rng, fresh, up, down, written, dead
+	rng      *stats.RNG
+	fresh    bool // the next write starts a transfer
+	up, down busyClock
+	written  int64
+	dead     bool
+
+	readMu    sync.Mutex // serialises Read; guards held
+	held      []byte     // read off the wire, not yet delivered
+	heldUntil time.Time
 
 	dlMu          sync.Mutex
 	readDeadline  time.Time
@@ -97,69 +141,116 @@ type faultConn struct {
 	closed    chan struct{}
 }
 
+// Read delivers bytes once the downlink has carried them and the
+// partition gate is open. A read does not start while the gate is shut,
+// and bytes that arrive under a read already in flight when it shuts are
+// held, not delivered: a deadline that ends the wait keeps them for the
+// next Read.
 func (c *faultConn) Read(p []byte) (int, error) {
-	if err := c.waitGate(c.deadline(true)); err != nil {
-		return 0, err
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	var n int
+	var until time.Time
+	var err error
+	if len(c.held) > 0 {
+		n, until = copy(p, c.held), c.heldUntil
+	} else {
+		if c.gate != nil {
+			if err := c.gate.waitOpen(c.deadline(true), c.closed); err != nil {
+				return 0, err
+			}
+		}
+		if n, err = c.Conn.Read(p); n == 0 {
+			return 0, err
+		}
+		if c.link != nil {
+			now := time.Now()
+			_, down := c.link.get().Bandwidths(now.Sub(c.start).Seconds())
+			c.mu.Lock()
+			until = c.down.charge(now, float64(n)/down)
+			c.mu.Unlock()
+		}
 	}
-	return c.Conn.Read(p)
+	if werr := c.await(until, c.deadline(true), &c.down); werr != nil {
+		if len(c.held) == 0 {
+			c.held, c.heldUntil = append([]byte(nil), p[:n]...), until
+		}
+		return 0, werr
+	}
+	if len(c.held) > 0 {
+		c.held = c.held[n:]
+	}
+	c.mu.Lock()
+	c.fresh = true
+	c.mu.Unlock()
+	return n, err
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
-	if err := c.waitGate(c.deadline(false)); err != nil {
-		return 0, err
-	}
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
 		return 0, net.ErrClosed
 	}
-	delay := c.f.Latency
-	if c.f.Jitter > 0 {
-		delay += time.Duration(c.rng.Float64() * float64(c.f.Jitter))
+	m := len(p)
+	cut := c.cutAfter > 0 && c.cutAfter-c.written < int64(m)
+	if cut {
+		m = int(max(c.cutAfter-c.written, 0))
 	}
-	drop := c.f.DropProb > 0 && c.rng.Float64() < c.f.DropProb
-	cut := int64(-1)
-	if c.f.CutAfterBytes > 0 {
-		if remaining := c.f.CutAfterBytes - c.written; remaining < int64(len(p)) {
-			cut = max(remaining, 0)
+	var until time.Time
+	lost := false
+	if c.link != nil {
+		now := time.Now()
+		l := c.link.get()
+		t := now.Sub(c.start).Seconds()
+		d := 0.0
+		if c.fresh {
+			c.fresh = false
+			d, lost = l.TransferTime(netsim.Uplink, 0, t, c.rng)
 		}
+		up, _ := l.Bandwidths(t)
+		until = c.up.charge(now, d+float64(m)/up)
 	}
-	if drop || cut >= 0 {
-		c.dead = true
-	}
+	c.dead = cut || lost
 	c.mu.Unlock()
 
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	switch {
-	case drop:
+	if lost {
 		c.Close()
 		return 0, ErrInjectedDrop
-	case cut >= 0:
+	}
+	if err := c.await(until, c.deadline(false), &c.up); err != nil {
+		return 0, err
+	}
+	if cut {
 		n := 0
-		if cut > 0 {
-			if c.bucket != nil {
-				c.bucket.Take(int(cut))
-			}
-			n, _ = c.Conn.Write(p[:cut])
+		if m > 0 {
+			n, _ = c.Conn.Write(p[:m])
 		}
 		c.Close()
-		c.addWritten(int64(n))
 		return n, ErrInjectedCut
 	}
-	if c.bucket != nil {
-		c.bucket.Take(len(p))
-	}
 	n, err := c.Conn.Write(p)
-	c.addWritten(int64(n))
+	c.mu.Lock()
+	c.written += int64(n)
+	c.mu.Unlock()
 	return n, err
 }
 
-func (c *faultConn) addWritten(n int64) {
-	c.mu.Lock()
-	c.written += n
-	c.mu.Unlock()
+// await waits for the link to carry what was charged to clock (until),
+// then for the partition gate, and records when the link wait returned.
+func (c *faultConn) await(until, deadline time.Time, clock *busyClock) error {
+	if !until.IsZero() {
+		if err := wait(nil, until, deadline, c.closed); err != nil {
+			return err
+		}
+		c.mu.Lock()
+		clock.woke = time.Now()
+		c.mu.Unlock()
+	}
+	if c.gate == nil {
+		return nil
+	}
+	return c.gate.waitOpen(deadline, c.closed)
 }
 
 func (c *faultConn) Close() error {
@@ -197,11 +288,28 @@ func (c *faultConn) deadline(read bool) time.Time {
 	return c.writeDeadline
 }
 
-func (c *faultConn) waitGate(deadline time.Time) error {
-	if c.f.Partition == nil {
-		return nil
+// wait blocks until ch closes or until passes (a nil ch or a zero until
+// never comes). It fails with os.ErrDeadlineExceeded if a non-zero
+// deadline comes first and with net.ErrClosed if cancel closes first.
+func wait(ch <-chan struct{}, until, deadline time.Time, cancel <-chan struct{}) error {
+	var expired error
+	if !deadline.IsZero() && (until.IsZero() || deadline.Before(until)) {
+		until, expired = deadline, os.ErrDeadlineExceeded
 	}
-	return c.f.Partition.waitOpen(deadline, c.closed)
+	var timeout <-chan time.Time
+	if !until.IsZero() {
+		timer := time.NewTimer(time.Until(until))
+		defer timer.Stop()
+		timeout = timer.C
+	}
+	select {
+	case <-ch:
+		return nil
+	case <-timeout:
+		return expired
+	case <-cancel:
+		return net.ErrClosed
+	}
 }
 
 // Gate models a network partition switch shared by any number of
@@ -240,83 +348,46 @@ func (g *Gate) Set(open bool) {
 
 func (g *Gate) waitOpen(deadline time.Time, cancel <-chan struct{}) error {
 	for {
-		select {
-		case <-cancel:
-			return net.ErrClosed
-		default:
-		}
 		g.mu.Lock()
 		ch := g.ch
 		g.mu.Unlock()
 		if ch == nil {
 			return nil
 		}
-		var timerC <-chan time.Time
-		var timer *time.Timer
-		if !deadline.IsZero() {
-			d := time.Until(deadline)
-			if d <= 0 {
-				return os.ErrDeadlineExceeded
-			}
-			timer = time.NewTimer(d)
-			timerC = timer.C
-		}
-		select {
-		case <-ch:
-		case <-timerC:
-		case <-cancel:
-		}
-		if timer != nil {
-			timer.Stop()
+		if err := wait(ch, time.Time{}, deadline, cancel); err != nil {
+			return err
 		}
 	}
 }
 
-// FaultFlags holds the values of the -fault-* command-line flags shared by
-// cmd/flserver and cmd/flclient.
+// FaultFlags holds the values of flclient's -fault-* flags: the two
+// events a link cannot state.
 type FaultFlags struct {
-	latency   time.Duration
-	jitter    time.Duration
-	bandwidth float64
-	drop      float64
 	cut       int64
 	partition time.Duration
-	seed      uint64
 }
 
 // RegisterFaultFlags registers the -fault-* flags on fs and returns the
 // holder; call Config after flag parsing to build the FaultConfig.
 func RegisterFaultFlags(fs *flag.FlagSet) *FaultFlags {
 	ff := &FaultFlags{}
-	fs.DurationVar(&ff.latency, "fault-latency", 0, "inject a fixed delay before every socket write")
-	fs.DurationVar(&ff.jitter, "fault-jitter", 0, "inject a random extra write delay, uniform in [0, jitter)")
-	fs.Float64Var(&ff.bandwidth, "fault-bandwidth", 0, "cap injected link bandwidth in bytes/s (0 = unlimited)")
-	fs.Float64Var(&ff.drop, "fault-drop", 0, "per-write probability the connection is killed")
 	fs.Int64Var(&ff.cut, "fault-cut-after", 0, "hard-cut the connection after this many bytes written (0 = never)")
 	fs.DurationVar(&ff.partition, "fault-partition", 0, "black-hole the link for this long after connect")
-	fs.Uint64Var(&ff.seed, "fault-seed", 1, "fault-injection RNG seed")
 	return ff
 }
 
-// Config builds the FaultConfig the parsed flags describe, or nil when no
-// fault was requested. A -fault-partition duration becomes a gate that
-// starts shut and heals itself after the configured time.
-func (ff *FaultFlags) Config() *FaultConfig {
-	cfg := &FaultConfig{
-		Latency:       ff.latency,
-		Jitter:        ff.jitter,
-		Bandwidth:     ff.bandwidth,
-		DropProb:      ff.drop,
-		CutAfterBytes: ff.cut,
-		Seed:          ff.seed,
-	}
-	if ff.partition > 0 {
-		g := NewGate(false)
-		time.AfterFunc(ff.partition, g.Open)
-		cfg.Partition = g
-	}
-	if !cfg.Active() {
+// Config builds the FaultConfig for a client on link (nil = unpaced) with
+// the parsed fault events, or nil when there is nothing to inject. A
+// -fault-partition duration becomes a gate that starts shut and heals
+// itself after the configured time.
+func (ff *FaultFlags) Config(link *netsim.Link) *FaultConfig {
+	if link == nil && ff.cut <= 0 && ff.partition <= 0 {
 		return nil
+	}
+	cfg := &FaultConfig{Link: link, CutAfterBytes: ff.cut}
+	if ff.partition > 0 {
+		cfg.Partition = NewGate(false)
+		time.AfterFunc(ff.partition, cfg.Partition.Open)
 	}
 	return cfg
 }

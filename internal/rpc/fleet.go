@@ -582,7 +582,7 @@ func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 // clients at the default 32KB would burn 320MB in bufio alone); an update
 // frame bypasses it, one Write each (sendFleetUpdate).
 func (f *fleetRun) session(raw net.Conn, id int) error {
-	conn := newBinaryConn(raw, nil, 1024)
+	conn := newBinaryConn(raw, 1024)
 	defer conn.Close()
 	if err := conn.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 1}); err != nil {
 		return err

@@ -304,7 +304,7 @@ func fleetPeer(t *testing.T, cfg FleetConfig, id int) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { raw.Close() })
-	conn := newBinaryConn(raw, nil, 1024)
+	conn := newBinaryConn(raw, 1024)
 	if err := conn.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 1}); err != nil {
 		t.Fatal(err)
 	}

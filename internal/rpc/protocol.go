@@ -1,8 +1,8 @@
 // Package rpc runs AdaFL over real TCP sockets: a federation server and
-// client processes exchanging wire messages, with optional token-bucket
-// throttling to emulate constrained embedded uplinks. It stands in for
-// the paper's Raspberry Pi cluster deployment and backs the cmd/flserver
-// and cmd/flclient binaries.
+// client processes exchanging wire messages, a client's socket optionally
+// paced on a netsim.Link to emulate a constrained embedded link. It stands
+// in for the paper's Raspberry Pi cluster deployment and backs the
+// cmd/flserver and cmd/flclient binaries.
 //
 // One codec crosses a socket: the versioned, length-prefixed binary frame
 // of wire.go. A connection opens with a four-byte preamble whose last
@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -158,27 +157,24 @@ type Conn struct {
 	recvDelta  []float64
 }
 
-// NewBinaryConn wraps raw in the frame codec; if throttle is non-nil it
-// shapes writes. The handshake is the caller's (Dial and Accept do it):
-// the codec itself carries no preamble. The receive path is capped at
-// DefaultMaxMessageBytes per message; see SetMaxMessage.
-func NewBinaryConn(raw net.Conn, throttle *TokenBucket) *Conn {
-	return newBinaryConn(raw, throttle, defaultWireBufSize)
+// NewBinaryConn wraps raw in the frame codec. The handshake is the
+// caller's (Dial and Accept do it): the codec itself carries no preamble.
+// The receive path is capped at DefaultMaxMessageBytes per message; see
+// SetMaxMessage. The second parameter is ignored; it stays until the
+// rename ROADMAP item 1 lists drops it with its callers.
+func NewBinaryConn(raw net.Conn, _ *FaultConfig) *Conn {
+	return newBinaryConn(raw, defaultWireBufSize)
 }
 
 // newBinaryConn lets fleet-scale callers shrink the per-connection send
 // buffer: 10k simulated clients at the default 32KB would cost 320MB in
 // bufio alone.
-func newBinaryConn(raw net.Conn, throttle *TokenBucket, bufSize int) *Conn {
+func newBinaryConn(raw net.Conn, bufSize int) *Conn {
 	cc := &countingConn{Conn: raw}
-	var w io.Writer = cc
-	if throttle != nil {
-		w = &throttledWriter{w: cc, tb: throttle}
-	}
 	return &Conn{
 		raw:     cc,
 		maxMsg:  DefaultMaxMessageBytes,
-		bw:      bufio.NewWriterSize(w, bufSize),
+		bw:      bufio.NewWriterSize(cc, bufSize),
 		sendHdr: make([]byte, 0, 4+envHeaderBytes+16),
 		chunk:   make([]byte, wireChunkBytes),
 	}

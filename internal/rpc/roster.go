@@ -84,12 +84,12 @@ func (r *Roster) Instrument(reg *obs.Registry, session string) {
 	r.connections = reg.Gauge(obs.WithLabel("adafl_connections", "session", session))
 }
 
-// Serve is the accept loop. Each connection is handshaken (Accept, behind
-// fault when non-nil) on its own goroutine and, if its first frame is a
-// want, handed to admit, which ends in Admit or Reject. Serve returns nil
-// once Kill or Shutdown has closed ln, else the listener's error, which
-// Wait reports too. One roster may serve several listeners.
-func (r *Roster) Serve(ln net.Listener, want MsgType, fault *FaultConfig, admit func(*Conn, *Envelope)) error {
+// Serve is the accept loop. Each connection is handshaken (Accept) on its
+// own goroutine and, if its first frame is a want, handed to admit, which
+// ends in Admit or Reject. Serve returns nil once Kill or Shutdown has
+// closed ln, else the listener's error, which Wait reports too. One
+// roster may serve several listeners.
+func (r *Roster) Serve(ln net.Listener, want MsgType, admit func(*Conn, *Envelope)) error {
 	r.mu.Lock()
 	r.lns = append(r.lns, ln)
 	if r.closing {
@@ -114,7 +114,7 @@ func (r *Roster) Serve(ln net.Listener, want MsgType, fault *FaultConfig, admit 
 		}
 		r.mu.Lock()
 		tracked := r.goLocked(func() {
-			if conn, hello, err := Accept(WrapFault(raw, fault), want); err == nil {
+			if conn, hello, err := Accept(raw, want); err == nil {
 				admit(conn, hello)
 			}
 			r.mu.Lock()

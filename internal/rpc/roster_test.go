@@ -230,7 +230,7 @@ func TestRosterServe(t *testing.T) {
 	serve := func(r *Roster, ln net.Listener) <-chan error {
 		done := make(chan error, 1)
 		go func() {
-			done <- r.Serve(ln, MsgHello, nil, func(c *Conn, h *Envelope) {
+			done <- r.Serve(ln, MsgHello, func(c *Conn, h *Envelope) {
 				r.Admit(&Peer{ID: h.ClientID, Conn: c, Samples: h.NumSamples}, welcome())
 			})
 		}()
@@ -288,7 +288,7 @@ func TestRosterServe(t *testing.T) {
 	}
 	// A listener handed to a dead roster is closed, not served.
 	late := listen()
-	if err := r.Serve(late, MsgHello, nil, nil); err != nil {
+	if err := r.Serve(late, MsgHello, nil); err != nil {
 		t.Errorf("Serve on a killed roster: %v", err)
 	}
 	if _, err := late.Accept(); err == nil {

@@ -150,8 +150,8 @@ func TestEndToEndSession(t *testing.T) {
 	}
 }
 
-// TestThrottledClientStillWorks exercises the token-bucket path end to end
-// with a generous rate so the test stays fast.
+// TestThrottledClientStillWorks exercises a paced link end to end with a
+// generous rate so the test stays fast.
 func TestThrottledClientStillWorks(t *testing.T) {
 	seed := uint64(9)
 	ds := dataset.SynthMNIST(200, 16, seed)
@@ -176,9 +176,8 @@ func TestThrottledClientStillWorks(t *testing.T) {
 		_, err := RunClient(ClientConfig{
 			Addr: srv.Addr(), ID: 0, Data: train, NewModel: newModel,
 			LocalSteps: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9,
-			Utility: cfg.Utility, UpBps: 5e6, DownBps: 5e6,
-			ThrottleUplink: true,
-			DGCClip:        10, DGCMsgClip: 2, Seed: seed,
+			Utility: cfg.Utility, Fault: &FaultConfig{Link: &netsim.Link{UpBps: 5e6, DownBps: 5e6}},
+			DGCClip: 10, DGCMsgClip: 2, Seed: seed,
 			Logf: quiet,
 		})
 		done <- err

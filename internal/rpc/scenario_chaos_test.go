@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"adafl/internal/fl"
+	"adafl/internal/netsim"
 	"adafl/internal/scenario"
+	"adafl/internal/stats"
 )
 
 // scenarioFleet loads the bundled diurnal scenario and instantiates it
@@ -235,5 +238,95 @@ func TestResumeScenarioMismatchIsFatal(t *testing.T) {
 	}
 	if _, err := srv2.Run(); err == nil {
 		t.Fatal("resume under a different scenario accepted")
+	}
+}
+
+// TestWireLinkRatesMatchSimulator: one scenario file moves the links of
+// both engines. A wire session on diurnal.json, every client paced on the
+// LTE preset, runs each round at the (up, down) rates the simulator's
+// links carry after ApplyRoundLinks over the same file — bit for bit. The
+// wire side reads the rates its sockets are paced at; the simulator reads
+// netsim.Network.Link.
+func TestWireLinkRatesMatchSimulator(t *testing.T) {
+	const rounds = 6
+	env := newChaosEnv(4, 320, 12, 16, 91)
+	link := netsim.LTELink
+
+	type rates struct{ up, down float64 }
+	simFleet := scenarioFleet(t, env)
+	fed := fl.NewFederation(env.parts, env.test, netsim.UniformNetwork(env.clients, link, 3), env.newModel,
+		fl.TrainConfig{LocalSteps: 1, BatchSize: 8, LR: 0.1}, 5)
+	simFleet.ConfigureFederation(fed)
+	planner := &scenario.Planner{Fleet: simFleet, Inner: fl.NewFixedRatePlanner(1, 1, 7)}
+	engine := fl.NewSyncEngine(fed, fl.FedAvg{}, planner, 6)
+	sim := make([][]rates, rounds)
+	for r := range sim {
+		planner.Plan(r, engine)
+		for i := 0; i < env.clients; i++ {
+			l := fed.Net.Link(i)
+			sim[r] = append(sim[r], rates{l.UpBps, l.DownBps})
+		}
+	}
+
+	// Each client evaluates the file on its link's base rates, as
+	// flclient -link -scenario does.
+	clientFleet := scenarioFleet(t, env)
+	sessions := make([]*clientSession, env.clients)
+	var wire [][]rates
+	scfg := env.serverConfig(rounds)
+	scfg.StragglerTimeout = 10 * time.Second
+	scfg.Scenario = scenarioFleet(t, env)
+	scfg.OnRound = func(RoundRecord) {
+		row := make([]rates, len(sessions))
+		for i, s := range sessions {
+			l := s.link.get()
+			row[i] = rates{l.UpBps, l.DownBps}
+		}
+		wire = append(wire, row)
+	}
+	srv, err := NewServer(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sessions {
+		cfg := env.clientConfig(i, srv.Addr())
+		cfg.Fault = &FaultConfig{Link: &link}
+		id := i
+		cfg.Bandwidth = func(round int) (float64, float64) {
+			return clientFleet.LinkBandwidth(id, round, link.UpBps, link.DownBps)
+		}
+		if sessions[i], err = newClientSession(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, len(sessions))
+	for _, s := range sessions {
+		go func() {
+			errs <- Redial(0, 0, stats.NewRNG(1), s.runOnce, nil)
+		}()
+	}
+	res, err := srv.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range sessions {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if res.Evictions != 0 || len(wire) != rounds {
+		t.Fatalf("%d evictions, %d/%d rounds", res.Evictions, len(wire), rounds)
+	}
+	moved := false
+	for r := range wire {
+		for i := range wire[r] {
+			if wire[r][i] != sim[r][i] {
+				t.Errorf("round %d client %d: wire paces %+v, simulator links %+v", r, i, wire[r][i], sim[r][i])
+			}
+			moved = moved || wire[r][i] != wire[0][i]
+		}
+	}
+	if !moved {
+		t.Error("the scenario never moved a link: nothing was compared")
 	}
 }

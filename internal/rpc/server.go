@@ -54,9 +54,6 @@ type ServerConfig struct {
 	// clients, the session ends cleanly with the rounds completed so far
 	// instead of erroring. 0 means 1.
 	MinClients int
-	// Fault, when non-nil, wraps every accepted connection with injected
-	// link faults (chaos testing and demos).
-	Fault *FaultConfig
 	// OnRound, when non-nil, is invoked synchronously after each round
 	// (after the round's snapshot, if any, has been captured; its write
 	// may still be in flight).
@@ -355,7 +352,7 @@ func (s *Server) Run() (*ServerResult, error) {
 	}
 	s.nextRound.Store(int64(startRound))
 
-	go s.roster.Serve(s.listener, MsgHello, s.cfg.Fault, func(conn *Conn, hello *Envelope) { s.deliver(conn, hello) })
+	go s.roster.Serve(s.listener, MsgHello, func(conn *Conn, hello *Envelope) { s.deliver(conn, hello) })
 	if err := s.roster.Wait(s.cfg.NumClients); err != nil {
 		s.shutdown("listener failed")
 		if s.roster.Killed() {

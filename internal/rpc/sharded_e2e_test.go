@@ -10,6 +10,7 @@ import (
 
 	"adafl/internal/checkpoint"
 	"adafl/internal/compress"
+	"adafl/internal/netsim"
 	"adafl/internal/obs"
 )
 
@@ -70,7 +71,7 @@ func TestWireReplayBitDeterministic(t *testing.T) {
 			cfgs[i] = env.clientConfig(i, srv.Addr())
 			cfgs[i].ID = id
 			if id == slow {
-				cfgs[i].Fault = &FaultConfig{Latency: 25 * time.Millisecond, Jitter: 10 * time.Millisecond, Seed: uint64(slow)}
+				cfgs[i].Fault = &FaultConfig{Link: &netsim.Link{UpBps: 1e6, DownBps: 1e6, LatencyS: 0.025, JitterS: 0.01}}
 			}
 		}
 		clientsDone := make(chan []error, 1)

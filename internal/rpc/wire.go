@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"adafl/internal/compress"
+	"adafl/internal/stats"
 	"adafl/internal/tensor"
 )
 
@@ -621,12 +622,11 @@ func Accept(raw net.Conn, want MsgType) (conn *Conn, hello *Envelope, err error)
 // handshake: preamble out, the listener's preamble back. timeout bounds
 // the dial and the handshake each (0 means 10s).
 func Dial(network, addr string, timeout time.Duration) (*Conn, error) {
-	return dial(network, addr, timeout, nil, nil)
+	return dial(network, addr, timeout, nil, nil, nil)
 }
 
-// dial is Dial over a link with injected faults and a shaped uplink
-// (either may be nil).
-func dial(network, addr string, timeout time.Duration, fault *FaultConfig, throttle *TokenBucket) (*Conn, error) {
+// dial is Dial on a client's link and fault events (wrapFault).
+func dial(network, addr string, timeout time.Duration, f *FaultConfig, link *pacer, rng *stats.RNG) (*Conn, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
@@ -634,7 +634,7 @@ func dial(network, addr string, timeout time.Duration, fault *FaultConfig, throt
 	if err != nil {
 		return nil, err
 	}
-	raw = WrapFault(raw, fault)
+	raw = wrapFault(raw, f, link, rng)
 	raw.SetDeadline(time.Now().Add(timeout))
 	var ack [4]byte
 	if _, err = raw.Write(wirePreamble[:]); err == nil {
@@ -647,5 +647,5 @@ func dial(network, addr string, timeout time.Duration, fault *FaultConfig, throt
 		return nil, fmt.Errorf("handshake with %s: %w", addr, err)
 	}
 	raw.SetDeadline(time.Time{})
-	return NewBinaryConn(raw, throttle), nil
+	return NewBinaryConn(raw, nil), nil
 }

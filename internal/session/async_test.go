@@ -15,6 +15,7 @@ import (
 	"adafl/internal/compress"
 	"adafl/internal/core"
 	"adafl/internal/fl"
+	"adafl/internal/netsim"
 	"adafl/internal/obs"
 	"adafl/internal/rpc"
 )
@@ -134,8 +135,9 @@ func TestAsyncStragglerNoEvictions(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = env.asyncClient(i, m.Addr(), "edge")
 	}
-	// Client 9: every message delayed — roughly a 5× slower cycle.
-	cfgs[9].Fault = &rpc.FaultConfig{Latency: 40 * time.Millisecond}
+	// Client 9: every transfer (a push and its pull) 80 ms late — roughly
+	// a 5× slower cycle.
+	cfgs[9].Fault = &rpc.FaultConfig{Link: &netsim.Link{UpBps: 1e9, DownBps: 1e9, LatencyS: 0.08}}
 	clientsDone := make(chan struct{})
 	go func() { runClients(cfgs); close(clientsDone) }()
 	res, err := a.Run()

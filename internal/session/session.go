@@ -37,9 +37,6 @@ type Config struct {
 	// Wire accepts only "" or rpc.WireBinary and selects nothing (see
 	// rpc.WireBinary); any other value is an error.
 	Wire string
-	// Fault, when non-nil, wraps every accepted connection with injected
-	// link faults.
-	Fault *rpc.FaultConfig
 	// Logf receives progress lines (log.Printf if nil).
 	Logf func(format string, args ...interface{})
 }
@@ -101,7 +98,7 @@ func (m *Manager) Addr() string { return m.listener.Addr().String() }
 // Serve accepts and routes connections until Close. It returns nil after
 // a Close, or the terminal listener error.
 func (m *Manager) Serve() error {
-	return m.plane.Serve(m.listener, rpc.MsgHello, m.cfg.Fault, m.route)
+	return m.plane.Serve(m.listener, rpc.MsgHello, m.route)
 }
 
 // route hands an admitted connection to the session its hello names.

@@ -1,0 +1,5 @@
+//go:build !race
+
+package compress
+
+const raceEnabled = false

@@ -2,7 +2,10 @@ package compress
 
 import (
 	"math"
+	"math/bits"
 	"sync"
+
+	"adafl/internal/tensor"
 )
 
 const (
@@ -28,15 +31,176 @@ func finite(x float64) bool {
 
 // selectThreshold returns the k-th largest magnitude in v, as its bits, and
 // how many coordinates lie strictly above it. A magnitude is handled as the
-// integer bits(x) &^ signMask throughout: the IEEE-754 bits of a
-// non-negative finite double are monotone in its value. The select is
-// exact: one pass counts the coordinates into a histogram over the leading
-// selectBits of that integer, a walk down from the top bucket finds the
-// one holding rank k, and only that bucket's members are gathered into
-// scratch and quickselected. k must be in [1, len(v)) and scratch must
-// hold len(v) (the whole vector can share one bucket); its contents are
+// integer key bits(x) &^ signMask throughout: the IEEE-754 bits of a
+// non-negative finite double are monotone in its value, and a non-finite
+// coordinate's key counts as 0. The select is exact: a strided sample of
+// the keys brackets the threshold, one pass gathers the keys inside the
+// bracket, and selectKeys finds it among them (bracketedThreshold). k must
+// be in [1, len(v)) and scratch must hold len(v); its contents are
 // clobbered.
 func selectThreshold(v []float64, k int, scratch []float64) (thr uint64, above int) {
+	lo, hi := sampleBracket(v, k, scratch)
+	return bracketedThreshold(v, k, scratch, lo, hi)
+}
+
+// bracketMinLen is the length under which the bracket is the whole key
+// range: a sample would cost about what selecting among all of v does.
+const bracketMinLen = 1024
+
+// sampleBracket returns keys lo ≤ hi that bracket the k-th largest key of
+// v with high probability. It draws m keys, one in each stride of
+// len(v)/m, and bounds the two whose ranks from the top lie a margin
+// either side of k·m/len(v), the rank the threshold has in the sample on
+// average: three standard deviations of that rank (a binomial count) plus
+// four. m balances the sample's cost against the gathered keys' (about
+// 6σ·len(v)/m): (3·len(v)·√(p(1−p)))^⅔ minimises the sum for p =
+// k/len(v). A bound the sample cannot set is left open (lo 0, hi all
+// ones).
+//
+// The two sample keys are not selected exactly: one count of the sample
+// into up to 2¹⁰ equal buckets spanning its nonzero keys' bits (a zero
+// key counts in the lowest bucket) finds the buckets that hold them, and
+// lo and hi are those buckets' outer edges. That widens the bracket by
+// less than a bucket each way — it still holds whatever the exact keys
+// would have held — and saves the rounds of a select, whose cost on a
+// sample is comparable with all the rest.
+func sampleBracket(v []float64, k int, scratch []float64) (lo, hi uint64) {
+	n := len(v)
+	lo, hi = 0, math.MaxUint64
+	if n < bracketMinLen {
+		return lo, hi
+	}
+	p := float64(k) / float64(n)
+	q := math.Sqrt(p * (1 - p))
+	m := min(max(int(math.Pow(3*float64(n)*q, 2.0/3)), 64), n/8)
+	expect, margin := p*float64(m), 3*q*math.Sqrt(float64(m))+4
+	cHi, cLo := int(math.Floor(expect-margin)), int(math.Ceil(expect+margin))
+	step := n / m
+	sample := scratch[:m]
+	// least is the least nonzero key: a zero key's b−1 wraps to the top and
+	// leaves the minimum alone (and if every key is zero, least wraps back
+	// to 0).
+	least, most := uint64(math.MaxUint64), uint64(0)
+	for j := range sample {
+		// Each key is drawn at an offset inside its stride that a Weyl
+		// sequence spreads over the stride. A fixed offset can alias a
+		// model's periodic layout (a dense layer's outputs interleave): at
+		// offset step/2, mlp_proto's DGC accumulator put twice the expected
+		// count above the threshold into the sample, and 0.75 % of its
+		// brackets missed.
+		off := int(uint64(uint32(j)*0x9e3779b9) * uint64(step) >> 32)
+		b := math.Float64bits(v[j*step+off]) &^ signMask
+		if b >= expMask {
+			b = 0
+		}
+		sample[j] = math.Float64frombits(b)
+		least, most = min(least, b-1), max(most, b)
+	}
+	least++
+	span := most - least
+	shift := max(bits.Len64(span)-10, 0)
+	var counts [1 << 10]int32
+	for _, x := range sample {
+		d := math.Float64bits(x) - least
+		if math.Float64bits(x) < least {
+			d = 0
+		}
+		counts[d>>shift]++
+	}
+	// Walk down from the top bucket to the ones holding ranks cHi and cLo.
+	b, seen := int(span>>shift), 0
+	for ; b >= 0; b-- {
+		above := seen
+		seen += int(counts[b])
+		if cHi >= 1 && above < cHi && seen >= cHi {
+			hi = min(least+(uint64(b)+1)<<shift-1, most)
+		}
+		if seen >= cLo {
+			break
+		}
+	}
+	if b > 0 { // bucket 0 holds the zeros; past it, cLo > m
+		lo = least + uint64(b)<<shift
+	}
+	return lo, hi
+}
+
+// bracketedThreshold is selectThreshold given a bracket [lo, hi] of keys.
+// One pass (tensor.GatherKeys) counts the keys above hi and gathers those
+// inside into scratch. If the k-th largest key is among them — fewer than
+// k lie above, and at least k lie above or inside — selectKeys finds it
+// there; otherwise the sample missed, and the histogram select runs
+// instead. Either way the result is the k-th largest key: the bracket only
+// chooses where to look.
+func bracketedThreshold(v []float64, k int, scratch []float64, lo, hi uint64) (thr uint64, above int) {
+	above, inside := tensor.GatherKeys(scratch, v, lo, hi)
+	r := k - above // the threshold's rank among the gathered keys, from the top
+	if r <= 0 || r > inside {
+		return histogramThreshold(v, k, scratch)
+	}
+	t, a := selectKeys(scratch[:inside], r, lo, hi)
+	return math.Float64bits(t), above + a
+}
+
+// selectKeys returns the r-th largest of keys (1 ≤ r ≤ len(keys)), which
+// are magnitude keys held as float64 bits, and how many keys are larger.
+// It reorders keys. lo ≤ every key ≤ hi bounds them for the first round
+// (hi all ones: not known, take the least and greatest). Each round spans
+// the keys' bits from least to greatest with up to 2¹⁰ equal buckets,
+// counts the keys into them, walks
+// down from the top to the bucket holding rank r and goes on with that
+// bucket's members alone. A pass branches on a key only where a running
+// minimum or maximum changes, which is rare — a quickselect's compares
+// mispredict about half the time on fresh data — and since a round's
+// buckets are narrower than its span by 2³ or more (2⁹ from 512 keys on),
+// there are at most 21 rounds; at the ranks the select asks for, two or
+// three.
+func selectKeys(keys []float64, r int, lo, hi uint64) (t float64, above int) {
+	var hist [1 << 10]int32
+	for round := 0; ; round++ {
+		if round > 0 || hi == math.MaxUint64 {
+			lo, hi = math.MaxUint64, 0
+			for _, x := range keys {
+				b := math.Float64bits(x)
+				lo, hi = min(lo, b), max(hi, b)
+			}
+		}
+		if lo == hi {
+			return math.Float64frombits(lo), above
+		}
+		// About two keys to a bucket.
+		shift := max(bits.Len64(hi-lo)-min(max(bits.Len(uint(len(keys)))-1, 4), 10), 0)
+		counts := hist[:(hi-lo)>>shift+1]
+		clear(counts)
+		for _, x := range keys {
+			counts[(math.Float64bits(x)-lo)>>shift]++
+		}
+		b := len(counts) - 1
+		for int(counts[b]) < r {
+			r -= int(counts[b])
+			above += int(counts[b])
+			b--
+		}
+		n := 0
+		for _, x := range keys {
+			keys[n] = x
+			in := 0
+			if (math.Float64bits(x)-lo)>>shift == uint64(b) {
+				in = 1
+			}
+			n += in
+		}
+		keys = keys[:n]
+	}
+}
+
+// histogramThreshold is selectThreshold by histogram, the path a missed
+// bracket takes: one pass counts the keys into a histogram over their
+// leading selectBits, a walk down from the top bucket finds the one
+// holding rank k, and only that bucket's members are gathered into scratch
+// and selected among. Its cost does not depend on the input's order, which
+// bounds the worst case of the bracketed select.
+func histogramThreshold(v []float64, k int, scratch []float64) (thr uint64, above int) {
 	var hist [1 << selectBits]uint32
 	for _, x := range v {
 		hist[(math.Float64bits(x)&^signMask)>>selectShift]++
@@ -65,45 +229,8 @@ func selectThreshold(v []float64, k int, scratch []float64) (thr uint64, above i
 		}
 	}
 	clear(members[m:])
-	t := quickselect(members, len(members)-rank)
-	for _, a := range members {
-		if a > t {
-			above++
-		}
-	}
-	return math.Float64bits(t), above
-}
-
-// quickselect returns the element of rank target (ascending, 0-based) of
-// a, reordering a (iterative Hoare partition, O(len(a)) expected). a must
-// hold no NaN.
-func quickselect(a []float64, target int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		pivot := a[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if target <= j {
-			hi = j
-		} else if target >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
-	return a[target]
+	t, a := selectKeys(members, rank, 0, math.MaxUint64)
+	return math.Float64bits(t), above + a
 }
 
 // SelectTopK builds a sparse message from the k largest-magnitude
@@ -153,27 +280,10 @@ func SelectTopKScratch(v []float64, k int, scratch []float64) *Sparse {
 	// ascending by construction — the invariant the wire's ascending
 	// layout rests on. A non-finite coordinate has raw bits above every
 	// threshold and is skipped there: it ranked as zero and is not sent
-	// even as a zero-magnitude tie.
-	ties := k - above
-	s := &Sparse{Dim: len(v), Indices: make([]int32, k), Values: make([]float64, k)}
-	n := 0
-	for i, x := range v {
-		b := math.Float64bits(x) &^ signMask
-		if b < thr {
-			continue
-		}
-		if b == thr {
-			if ties == 0 {
-				continue
-			}
-			ties--
-		} else if b >= expMask {
-			continue
-		}
-		s.Indices[n] = int32(i)
-		s.Values[n] = x
-		n++
-	}
+	// even as a zero-magnitude tie. The slack lets the pass store whole
+	// vectors to the end.
+	s := &Sparse{Dim: len(v), Indices: make([]int32, k+tensor.CompressSlack), Values: make([]float64, k+tensor.CompressSlack)}
+	n := tensor.CompressAbove(s.Indices, s.Values, v, thr, k-above)
 	s.Indices, s.Values = s.Indices[:n], s.Values[:n]
 	return s
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adafl/internal/stats"
+	"adafl/internal/tensor"
 )
 
 // topKThreshold is the magnitude of the k-th largest |v|, as the
@@ -52,6 +53,39 @@ func selectTopKSorted(v []float64, order []int, k int) *Sparse {
 		s.Values = append(s.Values, v[i])
 	}
 	return s
+}
+
+// quickselect returns the element of rank target (ascending, 0-based) of
+// a, reordering a (iterative Hoare partition, O(len(a)) expected): the
+// select the histogram select used, kept for the references below. a must
+// hold no NaN.
+func quickselect(a []float64, target int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		pivot := a[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		if target <= j {
+			hi = j
+		} else if target >= i {
+			lo = i
+		} else {
+			break
+		}
+	}
+	return a[target]
 }
 
 // quickselectThreshold is the selection the histogram replaced — a copy of
@@ -223,6 +257,15 @@ func FuzzSelectTopK(f *testing.F) {
 	f.Add(le(math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324), uint16(3))
 	f.Add(le(math.NaN(), math.NaN()), uint16(0))
 	f.Add(le(1, 1.0625, -1.03125, 1.0078125), uint16(2))
+	// The MLP's dimension at ratio 8 and 210: long enough that the sample
+	// brackets the threshold instead of gathering every key.
+	r := stats.NewRNG(8554)
+	for _, fam := range selectFamilies[:3] {
+		v := make([]float64, 8554)
+		fam.gen(r, v)
+		f.Add(le(v...), uint16(KForRatio(len(v), 8)))
+		f.Add(le(v...), uint16(KForRatio(len(v), 210)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, kRaw uint16) {
 		v := make([]float64, len(data)/8)
 		if len(v) == 0 {
@@ -235,28 +278,203 @@ func FuzzSelectTopK(f *testing.F) {
 	})
 }
 
-// BenchmarkSelectThreshold431k sets the histogram select beside the
-// quickselect over all n it replaced, threshold only, at the paper CNN's
-// dimension and the two ends of AdaFL's ratio range.
-func BenchmarkSelectThreshold431k(b *testing.B) {
-	const n = 431080
-	r := stats.NewRNG(4)
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 0.01 * r.Norm()
+// parentSelectTopKScratch and parentSelectThreshold are the histogram
+// select as it stood before the bracketed one, kept as the reference the
+// latter must equal bit for bit.
+func parentSelectTopKScratch(v []float64, k int, scratch []float64) *Sparse {
+	if k >= len(v) {
+		return denseFinite(v)
 	}
-	for _, ratio := range []float64{210, 4} {
-		k := KForRatio(n, ratio)
-		b.Run(fmt.Sprintf("histogram/r%v", ratio), func(b *testing.B) {
-			scratch := make([]float64, n)
-			for i := 0; i < b.N; i++ {
-				selectThreshold(v, k, scratch)
+	thr, above := parentSelectThreshold(v, k, scratch[:len(v)])
+	ties := k - above
+	s := &Sparse{Dim: len(v), Indices: make([]int32, k), Values: make([]float64, k)}
+	n := 0
+	for i, x := range v {
+		b := math.Float64bits(x) &^ signMask
+		if b < thr {
+			continue
+		}
+		if b == thr {
+			if ties == 0 {
+				continue
 			}
-		})
-		b.Run(fmt.Sprintf("quickselect-all/r%v", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				quickselectThreshold(v, k)
+			ties--
+		} else if b >= expMask {
+			continue
+		}
+		s.Indices[n] = int32(i)
+		s.Values[n] = x
+		n++
+	}
+	s.Indices, s.Values = s.Indices[:n], s.Values[:n]
+	return s
+}
+
+func parentSelectThreshold(v []float64, k int, scratch []float64) (thr uint64, above int) {
+	var hist [1 << selectBits]uint32
+	for _, x := range v {
+		hist[(math.Float64bits(x)&^signMask)>>selectShift]++
+	}
+	for b := expMask >> selectShift; b < uint64(len(hist)); b++ {
+		hist[0] += hist[b]
+		hist[b] = 0
+	}
+	bucket, rank := uint64(len(hist)-1), k
+	for int(hist[bucket]) < rank {
+		rank -= int(hist[bucket])
+		bucket--
+	}
+	above = k - rank
+	members := scratch[:hist[bucket]]
+	m := 0
+	for _, x := range v {
+		if b := math.Float64bits(x) &^ signMask; b>>selectShift == bucket {
+			members[m] = math.Float64frombits(b)
+			m++
+		}
+	}
+	clear(members[m:])
+	t := quickselect(members, len(members)-rank)
+	for _, a := range members {
+		if a > t {
+			above++
+		}
+	}
+	return math.Float64bits(t), above
+}
+
+// bracketFamilies adds to selectFamilies the inputs whose bits, not their
+// magnitudes, are the point: NaN payloads beside both zeros, and a vector
+// whose large coordinates fall exactly on the sample's stride.
+var bracketFamilies = append(selectFamilies[:len(selectFamilies):len(selectFamilies)], []struct {
+	name   string
+	at431k bool
+	gen    func(r *stats.RNG, v []float64)
+}{
+	{"nan-payloads-signed-zeros", true, func(r *stats.RNG, v []float64) {
+		for i := range v {
+			switch r.Intn(4) {
+			case 0:
+				v[i] = math.Float64frombits(0x7ff0_0000_0000_0001 | uint64(r.Intn(1<<20))<<20 | uint64(r.Intn(2))<<63)
+			case 1:
+				v[i] = math.Copysign(0, float64(r.Intn(2))-0.5)
+			default:
+				v[i] = r.Norm()
 			}
-		})
+		}
+	}},
+	{"stride-aliased", true, func(r *stats.RNG, v []float64) { // every 16th large: a strided sample may see only those
+		for i := range v {
+			v[i] = 1e-3 * r.Norm()
+			if i%16 == 8 {
+				v[i] = 10 + r.Norm()
+			}
+		}
+	}},
+}...)
+
+// TestSelectMatchesHistogramSelect pins the bracketed select to the
+// histogram select it replaced, Indices and Values bit for bit, at every
+// dispatch level: sizes 1–40 (no sample), the MLP's 8 554, 20 000 and the
+// paper CNN's 431 080, every family, the ratios from 1.01 to +Inf. A
+// bracket forced to miss on either side must fall back to the same
+// threshold.
+func TestSelectMatchesHistogramSelect(t *testing.T) {
+	sizes := []int{8554, 20000, 431080}
+	for n := 1; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	ratios := []float64{1.01, 4, 8, 32, 210, math.Inf(1)}
+	r := stats.NewRNG(40)
+	for _, level := range []string{"portable", "avx2", "avx512"} {
+		restore, ok := tensor.SetKernelLevel(level)
+		if !ok {
+			t.Logf("dispatch level %s: not supported by this CPU, skipped", level)
+			continue
+		}
+		t.Logf("dispatch level %s", level)
+		func() {
+			defer restore()
+			misses := 0
+			for _, n := range sizes {
+				v, scratch, ref := make([]float64, n), make([]float64, n), make([]float64, n)
+				for _, fam := range bracketFamilies {
+					if n == 431080 && (!fam.at431k || testing.Short() || raceEnabled) {
+						continue // the race detector adds nothing to a serial select but time
+					}
+					fam.gen(r, v)
+					for _, ratio := range ratios {
+						k := KForRatio(n, ratio)
+						got, want := SelectTopKScratch(v, k, scratch), parentSelectTopKScratch(v, k, ref)
+						if !sameSparse(got, want) {
+							t.Fatalf("%s %s n=%d k=%d: got %d entries, want %d; first difference at %d",
+								level, fam.name, n, k, got.NNZ(), want.NNZ(), firstDiff(got, want))
+						}
+						if k >= n {
+							continue
+						}
+						wantThr, wantAbove := parentSelectThreshold(v, k, ref)
+						if lo, hi := sampleBracket(v, k, scratch); n >= bracketMinLen && fam.name == "gaussian" && missed(v, k, scratch, lo, hi) {
+							t.Errorf("%s n=%d k=%d: the sample missed a Gaussian's threshold", level, n, k)
+						}
+						// Brackets of the zeros alone and of nothing: each
+						// misses unless the threshold is 0.
+						for _, b := range [][2]uint64{{0, 0}, {math.MaxInt64, math.MaxInt64}} {
+							if missed(v, k, scratch, b[0], b[1]) {
+								misses++
+							}
+							if thr, above := bracketedThreshold(v, k, scratch, b[0], b[1]); thr != wantThr || above != wantAbove {
+								t.Fatalf("%s %s n=%d k=%d bracket %#x: threshold %#x above %d, want %#x %d",
+									level, fam.name, n, k, b, thr, above, wantThr, wantAbove)
+							}
+						}
+					}
+				}
+			}
+			if misses == 0 {
+				t.Errorf("%s: no bracket missed; the histogram path went untested", level)
+			}
+		}()
+	}
+}
+
+// missed reports whether the bracket [lo, hi] misses the k-th largest key
+// of v, which sends bracketedThreshold to the histogram select.
+func missed(v []float64, k int, scratch []float64, lo, hi uint64) bool {
+	above, inside := tensor.GatherKeys(scratch, v, lo, hi)
+	return above >= k || above+inside < k
+}
+
+// BenchmarkSelectTopK times SelectTopKScratch at the MLP's and the paper
+// CNN's dimensions, at AdaFL's async ratio and the deep end of its range,
+// at each dispatch level, beside the histogram select it replaced.
+func BenchmarkSelectTopK(b *testing.B) {
+	for _, n := range []int{8554, 431080} {
+		r := stats.NewRNG(4)
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 0.01 * r.Norm()
+		}
+		scratch := make([]float64, n)
+		for _, ratio := range []float64{8, 210} {
+			k := KForRatio(n, ratio)
+			for _, level := range []string{"portable", "avx2", "avx512"} {
+				b.Run(fmt.Sprintf("n%d/r%v/%s", n, ratio, level), func(b *testing.B) {
+					restore, ok := tensor.SetKernelLevel(level)
+					if !ok {
+						b.Skip("not supported by this CPU")
+					}
+					defer restore()
+					for i := 0; i < b.N; i++ {
+						SelectTopKScratch(v, k, scratch)
+					}
+				})
+			}
+			b.Run(fmt.Sprintf("n%d/r%v/histogram", n, ratio), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					parentSelectTopKScratch(v, k, scratch)
+				}
+			})
+		}
 	}
 }

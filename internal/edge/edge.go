@@ -334,7 +334,7 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 		assigns = e.neg.AssignByLoad(round, ids)
 	}
 	errs := rpc.Exchange(roster, round, rpc.MsgUpdate, e.cfg.UpdateTimeout, e.cfg.UpdateTimeout,
-		func(p *rpc.Peer) (*rpc.Envelope, bool) {
+		func(p *rpc.Peer) (rpc.Message, bool) {
 			sel := &rpc.Envelope{Type: rpc.MsgSelect, Round: round, Ratio: 1}
 			if a, ok := assigns[p.ID]; ok {
 				sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -220,5 +221,69 @@ func TestDialNegotiatesAndRejects(t *testing.T) {
 	}
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("mute listener held Dial for %v", took)
+	}
+}
+
+// TestPushAndPullOneWrite: an async client's push and the pull that
+// follows it leave in one Write, the server's answer to a pull — the
+// version's once-encoded frame — in one Write, and the server's
+// BytesReceived equals the client's BytesSent.
+func TestPushAndPullOneWrite(t *testing.T) {
+	env := newChaosEnv(1, 120, 12, 8, 95)
+	cfg := env.clientConfig(0, "")
+	cfg.Async = true
+	sess, err := newClientSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cRaw, sRaw := net.Pipe()
+	cw, sw := &writeCounter{Conn: cRaw}, &writeCounter{Conn: sRaw}
+	client, server := NewBinaryConn(cw, nil), NewBinaryConn(sw, nil)
+	defer client.Close()
+	defer server.Close()
+	params := env.newModel().ParamVector()
+
+	const steps = 3
+	errc := make(chan error, 1)
+	go func() { // the client: train from each model, then push and pull
+		var e Envelope
+		for i := 0; i < steps; i++ {
+			if err := client.RecvInto(&e); err != nil {
+				errc <- err
+				return
+			}
+			before := cw.writes.Load()
+			if err := sess.asyncStep(client, &e); err != nil {
+				errc <- err
+				return
+			}
+			if n := cw.writes.Load() - before; n != 1 {
+				errc <- fmt.Errorf("step %d: the push and the pull took %d writes, want 1", i, n)
+				return
+			}
+		}
+		errc <- nil
+	}()
+	for v := 0; v < steps; v++ {
+		before := sw.writes.Load()
+		if err := server.SendWithin(time.Second, ModelFrame(v, params, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if n := sw.writes.Load() - before; n != 1 {
+			t.Errorf("version %d: the pull's answer took %d writes, want 1", v, n)
+		}
+		var push, pull Envelope
+		if err := server.RecvInto(&push); err != nil || push.Type != MsgAsyncPush || push.Round != v {
+			t.Fatalf("version %d: got %v round %d (%v), want a push from version %d", v, push.Type, push.Round, err, v)
+		}
+		if err := server.RecvInto(&pull); err != nil || pull.Type != MsgAsyncPull {
+			t.Fatalf("version %d: got %v (%v) after the push, want a pull", v, pull.Type, err)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := server.BytesReceived(), client.BytesSent(); got != want {
+		t.Fatalf("server received %d bytes, client sent %d", got, want)
 	}
 }

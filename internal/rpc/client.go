@@ -383,13 +383,14 @@ func (s *clientSession) runOnce() (done, progressed bool, err error) {
 	}
 }
 
-// upload sends one encoded delta. An error-feedback codec's encode stays
+// upload sends one encoded delta, and with it any message that follows it
+// (the async pull), in one flush. An error-feedback codec's encode stays
 // staged until the next received message proves the upload landed; a send
 // that never completed rolls it back at once, so the redialled session
 // re-transmits it.
-func (s *clientSession) upload(conn *Conn, enc compress.Codec, msg *Envelope) error {
+func (s *clientSession) upload(conn *Conn, enc compress.Codec, msgs ...Message) error {
 	rb, staged := enc.(rollbackCodec)
-	if err := conn.Send(msg); err != nil {
+	if err := conn.Send(msgs...); err != nil {
 		if staged {
 			rb.Rollback()
 		}
@@ -476,10 +477,12 @@ func (s *clientSession) syncRound(conn *Conn, e *Envelope) error {
 func (s *clientSession) asyncStep(conn *Conn, e *Envelope) error {
 	msg := s.codec.Encode(s.trainDelta(e.Params), compress.ClampRatio(s.cfg.AsyncRatio, 1, 1e9))
 	// Round pins the version this delta was trained from: the server
-	// derives staleness from it when the push is folded.
-	if err := s.upload(conn, s.codec, &Envelope{Type: MsgAsyncPush, ClientID: s.cfg.ID, Round: e.Round, Update: msg}); err != nil {
+	// derives staleness from it when the push is folded. The next pull
+	// leaves with the push, in one write.
+	if err := s.upload(conn, s.codec, &Envelope{Type: MsgAsyncPush, ClientID: s.cfg.ID, Round: e.Round, Update: msg},
+		&Envelope{Type: MsgAsyncPull, ClientID: s.cfg.ID}); err != nil {
 		return err
 	}
 	s.res.Rounds++
-	return conn.Send(&Envelope{Type: MsgAsyncPull, ClientID: s.cfg.ID})
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
+	"time"
 
 	"adafl/internal/stats"
 )
@@ -58,6 +59,42 @@ func TestModelFrameBitsPinned(t *testing.T) {
 	for i, v := range delta {
 		if math.Float64bits(got.GlobalDelta[i]) != math.Float64bits(v) {
 			t.Fatalf("global delta %d: %x, want %x", i, math.Float64bits(got.GlobalDelta[i]), math.Float64bits(v))
+		}
+	}
+}
+
+// TestPullFrameMatchesSend: a model encoded once (ModelFrame, or setModel
+// into a frame that held another model, as the sync server does each
+// round) is the frame Send writes for the same envelope, byte for byte,
+// with and without ĝ, empty and at 100 003 params (past the send buffer
+// and the chunk). Sent through a Conn the frame leaves in one Write, and
+// BytesSent counts exactly its length.
+func TestPullFrameMatchesSend(t *testing.T) {
+	r := stats.NewRNG(77)
+	var reused Frame
+	for _, n := range []int{100003, 0, 100003} {
+		params := make([]float64, n)
+		for i := range params {
+			params[i] = r.Norm()
+		}
+		for _, delta := range [][]float64{nil, params[:n/3]} {
+			want := encodeBinaryEnvelope(t, &Envelope{Type: MsgModel, Round: 41, Params: params, GlobalDelta: delta})
+			frame := ModelFrame(41, params, delta)
+			reused.setModel(41, params, delta)
+			if !bytes.Equal(frame.b, want) || !bytes.Equal(reused.b, want) {
+				t.Fatalf("n=%d ĝ=%d: the once-encoded frame (%d bytes, %d re-encoded) differs from Send's (%d bytes)",
+					n, len(delta), len(frame.b), len(reused.b), len(want))
+			}
+			cc := &captureConn{}
+			wc := &writeCounter{Conn: cc}
+			conn := NewBinaryConn(wc, nil)
+			if err := conn.SendWithin(time.Second, frame); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cc.buf.Bytes(), want) || wc.writes.Load() != 1 || conn.BytesSent() != int64(len(want)) {
+				t.Fatalf("n=%d ĝ=%d: sent %d bytes in %d writes, BytesSent %d; want the frame's %d in 1",
+					n, len(delta), cc.buf.Len(), wc.writes.Load(), conn.BytesSent(), len(want))
+			}
 		}
 	}
 }

@@ -180,27 +180,54 @@ func newBinaryConn(raw net.Conn, bufSize int) *Conn {
 	}
 }
 
-// Send writes one envelope.
-func (c *Conn) Send(e *Envelope) error {
+// A Message is what a Conn sends: an *Envelope, encoded as it is
+// written, or a *Frame, encoded once and written as is.
+type Message interface{ message() }
+
+func (*Envelope) message() {}
+func (*Frame) message()    {}
+
+// Send writes the messages in order and then flushes, so messages that fit
+// the send buffer together leave in one Write.
+func (c *Conn) Send(ms ...Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	return c.sendLocked(e)
+	return c.sendLocked(ms)
 }
 
 // SendWithin is Send under a write deadline of d, set once this send holds
 // the connection: each send gets its own, so none inherits a stale one and
 // a concurrent sender's (a heartbeat's, say) cannot cut a long frame short.
 // The deadline is left on the socket afterwards.
-func (c *Conn) SendWithin(d time.Duration, e *Envelope) error {
+func (c *Conn) SendWithin(d time.Duration, ms ...Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	c.raw.SetWriteDeadline(time.Now().Add(d))
-	return c.sendLocked(e)
+	return c.sendLocked(ms)
 }
 
-func (c *Conn) sendLocked(e *Envelope) error {
-	if err := c.sendBinary(e); err != nil {
-		return fmt.Errorf("rpc: send %v: %w", e.Type, err)
+// sendLocked writes each message through the send buffer and flushes it.
+// A Frame bigger than the buffer, written when nothing is buffered, goes
+// to the socket in one Write without a copy. The messages are switched on
+// by type, not called through the interface, so an *Envelope argument
+// does not escape and a steady-state Send allocates nothing.
+func (c *Conn) sendLocked(ms []Message) error {
+	var t MsgType
+	for _, m := range ms {
+		var err error
+		switch m := m.(type) {
+		case *Envelope:
+			t, err = m.Type, c.writeEnvelope(m)
+		case *Frame:
+			t = MsgType(m.b[4])
+			_, err = c.bw.Write(m.b)
+		}
+		if err != nil {
+			return fmt.Errorf("rpc: send %v: %w", t, err)
+		}
+	}
+	if err := c.bw.Flush(); err != nil {
+		return fmt.Errorf("rpc: send %v: %w", t, err)
 	}
 	return nil
 }

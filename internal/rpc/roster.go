@@ -303,7 +303,7 @@ func (r *Roster) Wait(n int) error {
 // errs[i] is peers[i]'s failure (nil: served); evicting is the caller's
 // business. out runs on the caller's goroutine, in peers order.
 func Exchange(peers []*Peer, round int, want MsgType, send, recv time.Duration,
-	out func(*Peer) (msg *Envelope, reply bool)) (errs []error) {
+	out func(*Peer) (msg Message, reply bool)) (errs []error) {
 	errs = make([]error, len(peers))
 	var wg sync.WaitGroup
 	for i, p := range peers {

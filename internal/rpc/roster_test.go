@@ -330,7 +330,7 @@ func TestExchangeAndShutdownSilentPeer(t *testing.T) {
 
 	const deadline = 150 * time.Millisecond
 	start := time.Now()
-	errs := Exchange(peers, round, MsgScore, deadline, deadline, func(p *Peer) (*Envelope, bool) {
+	errs := Exchange(peers, round, MsgScore, deadline, deadline, func(p *Peer) (Message, bool) {
 		return &Envelope{Type: MsgSelect, Round: round}, p.ID != 3
 	})
 	if d := time.Since(start); d > 4*deadline {

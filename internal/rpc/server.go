@@ -208,6 +208,10 @@ type Server struct {
 	neg                *core.Negotiator   // codec negotiator (nil when Negotiation disabled)
 	ckpt               *checkpoint.DeltaWriter
 	report             *checkpoint.Reporter
+	// broadcast is the round's model frame, encoded once for every peer
+	// and re-encoded in place the next round: Exchange has written it
+	// everywhere, or given up, before it returns.
+	broadcast Frame
 }
 
 // DefaultQuarantineLogCap bounds the quarantine log carried in the result
@@ -460,16 +464,18 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 		totalSamples += p.Samples
 	}
 
-	// Phase 1+2: broadcast + score collection, one exchange. A zero ĝ (the
-	// warm-up) is not sent: the wire reads an absent vector as an empty
-	// one, and a client scores an empty ĝ as a zero one.
+	// Phase 1+2: broadcast + score collection, one exchange. The broadcast
+	// is encoded once and every peer is written the same bytes. A zero ĝ
+	// (the warm-up) is not sent: the wire reads an absent vector as an
+	// empty one, and a client scores an empty ĝ as a zero one.
 	warmup := tensor.IsZero(globalDelta)
-	broadcast := &Envelope{Type: MsgModel, Round: round, Params: global, GlobalDelta: globalDelta}
+	sentDelta := globalDelta
 	if warmup {
-		broadcast.GlobalDelta = nil
+		sentDelta = nil
 	}
+	s.broadcast.setModel(round, global, sentDelta)
 	errs := Exchange(roster, round, MsgScore, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
-		func(*Peer) (*Envelope, bool) { return broadcast, true })
+		func(*Peer) (Message, bool) { return &s.broadcast, true })
 	scores := make(map[int]float64, len(roster))
 	alive := make([]*Peer, 0, len(roster))
 	for i, p := range roster {
@@ -539,7 +545,7 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	s.cfg.Events.Emit(obs.Event{Type: "selection", Round: round, Client: -1, Scores: scores, Ratios: plan})
 	updatePhaseStart := time.Now()
 	errs = Exchange(alive, round, MsgUpdate, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
-		func(p *Peer) (*Envelope, bool) {
+		func(p *Peer) (Message, bool) {
 			sel := &Envelope{Type: MsgSelect, Round: round, Ratio: plan[p.ID]} // 0 when not selected this round
 			if a, ok := assigns[p.ID]; ok {
 				// Negotiated order: the assignment's codec+ratio (and level

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"time"
 
 	"adafl/internal/compress"
@@ -168,21 +169,19 @@ func (e *Envelope) wirePayloadSize() (int, error) {
 	return n, nil
 }
 
-// sendBinary writes one length-prefixed binary frame. Steady-state sends
-// of every message type are allocation-free: the frame header, scalar and
-// string bodies go through the connection's header scratch, float runs
-// stream through the chunk scratch, and bufio batches the socket writes.
-func (c *Conn) sendBinary(e *Envelope) error {
+// writeEnvelope writes e's length-prefixed binary frame into the send
+// buffer; the caller flushes. Steady-state sends of every message type are
+// allocation-free: the frame header, scalar and string bodies go through
+// the connection's header scratch, float runs stream through the chunk
+// scratch, and bufio batches the socket writes.
+func (c *Conn) writeEnvelope(e *Envelope) error {
 	if (e.Type == MsgUpdate || e.Type == MsgAsyncPush) && e.Update != nil {
 		// The sparse encoder decides its layout once per frame and reports
 		// the section's size before its first byte, which is where the
 		// length prefix goes: no second scan of the update to size it.
-		if err := e.Update.EncodeBinaryTo(c.bw, c.chunk, func(size int) error {
+		return e.Update.EncodeBinaryTo(c.bw, c.chunk, func(size int) error {
 			return c.writeFrameHead(e, envHeaderBytes+size)
-		}); err != nil {
-			return err
-		}
-		return c.bw.Flush()
+		})
 	}
 	size, err := e.wirePayloadSize()
 	if err != nil {
@@ -196,15 +195,38 @@ func (c *Conn) sendBinary(e *Envelope) error {
 		if err := c.writeF32s(e.Params); err != nil {
 			return err
 		}
-		if err := c.writeF64s(e.GlobalDelta); err != nil {
-			return err
-		}
+		return c.writeF64s(e.GlobalDelta)
 	case MsgEdgePartial:
-		if err := c.writeF64s(e.Params); err != nil {
-			return err
-		}
+		return c.writeF64s(e.Params)
 	}
-	return c.bw.Flush()
+	return nil
+}
+
+// A Frame is one MsgModel encoded once, length prefix included: the
+// bytes Send would write for it. A server that sends the same model to
+// every peer of a round, or to every pull of a model version, encodes it
+// once and writes the bytes as they are.
+type Frame struct{ b []byte }
+
+// ModelFrame encodes the MsgModel of round with params (at f32) and
+// globalDelta. The frame keeps no reference to either slice.
+func ModelFrame(round int, params, globalDelta []float64) *Frame {
+	f := &Frame{}
+	f.setModel(round, params, globalDelta)
+	return f
+}
+
+// setModel is ModelFrame into f's own buffer, for a sender that is done
+// writing f before it encodes the next model (the sync server's rounds).
+func (f *Frame) setModel(round int, params, globalDelta []float64) {
+	e := &Envelope{Type: MsgModel, Round: round, Params: params, GlobalDelta: globalDelta}
+	size, _ := e.wirePayloadSize() // a MsgModel always has one
+	b := appendFrameHead(slices.Grow(f.b[:0], 4+size), e, size)
+	n := len(b)
+	b = b[:4+size]
+	tensor.NarrowLE(b[n:], params)
+	tensor.PutF64LE(b[n+4*len(params):], globalDelta)
+	f.b = b
 }
 
 // writeFrameHead writes appendFrameHead's bytes through the connection's
@@ -279,13 +301,8 @@ func (c *Conn) writeF32s(vals []float64) error {
 // writeF64s streams vals through the chunk scratch.
 func (c *Conn) writeF64s(vals []float64) error {
 	for off := 0; off < len(vals); {
-		n := len(vals) - off
-		if m := len(c.chunk) / 8; n > m {
-			n = m
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(c.chunk[8*i:], math.Float64bits(vals[off+i]))
-		}
+		n := min(len(vals)-off, len(c.chunk)/8)
+		tensor.PutF64LE(c.chunk[:8*n], vals[off:off+n])
 		if _, err := c.bw.Write(c.chunk[:8*n]); err != nil {
 			return err
 		}
@@ -465,7 +482,7 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error 
 				return err
 			}
 			k := len(b) / 8
-			readF64s(dst[:k], b)
+			tensor.ReadF64LE(dst[:k], b)
 			dst = dst[k:]
 		}
 	case MsgUpdate, MsgAsyncPush:
@@ -512,7 +529,7 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error 
 			return err
 		}
 		e.Params = f64s(&c.recvParams, np)
-		readF64s(e.Params, body[16:])
+		tensor.ReadF64LE(e.Params, body[16:])
 	default:
 		return fmt.Errorf("%w: unknown message type %d", errWireFrame, p[0])
 	}
@@ -556,12 +573,6 @@ func needN(t MsgType, rest []byte, want int64) error {
 		return fmt.Errorf("%w: %v body carries %d bytes, header declares %d", errWireFrame, t, len(rest), want)
 	}
 	return nil
-}
-
-func readF64s(dst []float64, src []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
 }
 
 // checkPreamble judges a peer's four opening bytes against the version

@@ -110,8 +110,9 @@ type AsyncResult struct {
 }
 
 // arrival is one MsgAsyncPush handed from a connection goroutine to the
-// engine. The delta is freshly allocated (conn.Recv, not the scratch
-// path), so it survives the channel crossing.
+// engine. The delta lives in the connection's receive scratch (RecvInto):
+// serve reads nothing more from that connection until the engine has
+// folded it (done), so the scratch holds it until the fold is over.
 type arrival struct {
 	client int
 	base   int // model version the delta was trained from
@@ -138,12 +139,13 @@ type AsyncSession struct {
 	model *nn.Model
 	tree  *shard.Tree
 
-	// Published model snapshot: an immutable (params, version) pair
-	// replaced wholesale at each apply, so pull handlers serve it without
-	// engine coordination.
+	// Published model snapshot: an immutable (params, version) pair and
+	// the version's MsgModel frame, encoded once, replaced wholesale at
+	// each apply, so pull handlers serve it without engine coordination.
 	snapMu      sync.RWMutex
 	snapParams  []float64
 	snapVersion int
+	snapFrame   *rpc.Frame
 
 	arrivals chan arrival
 	// roster owns the connections, the serve goroutines (Go), the uplink
@@ -261,12 +263,20 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 	return a, nil
 }
 
-// publish replaces the served model snapshot. params must not be
-// mutated after the call.
+// publish replaces the served model snapshot and encodes the version's
+// pull reply. params must not be mutated after the call.
 func (a *AsyncSession) publish(params []float64, version int) {
+	frame := rpc.ModelFrame(version, params, nil)
 	a.snapMu.Lock()
-	a.snapParams, a.snapVersion = params, version
+	a.snapParams, a.snapVersion, a.snapFrame = params, version, frame
 	a.snapMu.Unlock()
+}
+
+// pullFrame returns the current version's MsgModel frame.
+func (a *AsyncSession) pullFrame() *rpc.Frame {
+	a.snapMu.RLock()
+	defer a.snapMu.RUnlock()
+	return a.snapFrame
 }
 
 // snapshot returns the current immutable (params, version) pair.
@@ -299,12 +309,14 @@ func (a *AsyncSession) deliver(conn *rpc.Conn, hello *rpc.Envelope) error {
 	return nil
 }
 
-// serve is the per-connection receive loop: answer pulls from the
-// published snapshot, relay pushes to the engine, echo pings. A push is
-// read-your-writes: the loop does not read the connection's next message
-// until the engine has folded it, because clients pipeline push→pull and
-// a pull answered before the fold would hand back a version (hence a
-// staleness weight on the next push) that depends on goroutine timing.
+// serve is the per-connection receive loop: answer pulls with the
+// published version's frame, relay pushes to the engine, echo pings. A
+// push is read-your-writes: the loop does not read the connection's next
+// message until the engine has folded it, because clients pipeline
+// push→pull and a pull answered before the fold would hand back a version
+// (hence a staleness weight on the next push) that depends on goroutine
+// timing. The same wait is what lets a push be decoded into the
+// connection's scratch: nothing overwrites it before the fold is over.
 // It exits on any wire error (the client redials and re-registers). Once
 // the engine has stopped (the roster's Done) it only discards: a push or
 // pull already in flight is read, not answered with a reset, until the
@@ -314,9 +326,9 @@ func (a *AsyncSession) serve(p *rpc.Peer) {
 	id, conn := p.ID, p.Conn
 	stopped := a.roster.Done()
 	folded := make(chan struct{}, 1)
+	var e rpc.Envelope
 	for {
-		e, err := conn.Recv() // fresh: push deltas outlive this iteration
-		if err != nil {
+		if err := conn.RecvInto(&e); err != nil {
 			return
 		}
 		select {
@@ -326,21 +338,22 @@ func (a *AsyncSession) serve(p *rpc.Peer) {
 		}
 		switch e.Type {
 		case rpc.MsgAsyncPull:
-			params, version := a.snapshot()
 			a.met.pulls.Inc()
-			if err := conn.SendWithin(asyncWriteTimeout, &rpc.Envelope{Type: rpc.MsgModel, Round: version, Params: params}); err != nil {
+			if err := conn.SendWithin(asyncWriteTimeout, a.pullFrame()); err != nil {
 				return
 			}
 		case rpc.MsgAsyncPush:
-			if e.Update == nil {
-				a.cfg.Logf("session %q: client %d push without update", a.cfg.Name, id)
-				return
-			}
 			select {
 			case a.arrivals <- arrival{client: id, base: e.Round, delta: e.Update, done: folded}:
 				select {
 				case <-folded:
 				case <-stopped:
+					if a.roster.Killed() {
+						// Kill does not wait for the fold in progress,
+						// which may be this push's: the scratch it lives in
+						// must not be read into again.
+						return
+					}
 				}
 			case <-stopped:
 			}

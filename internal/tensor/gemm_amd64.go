@@ -23,7 +23,8 @@ func gemmTileAVX512(c *float32, ldc int, a *float32, ars, aps int, b *float32, l
 func transposeAVX2(dst *float32, width int, src *float32, vs, w8, k8 int)
 
 // detectLevel returns the highest dispatch level the CPU and OS support.
-// levelAVX2 needs CPUID to advertise FMA, AVX and AVX2 and the OS to have
+// levelAVX2 needs CPUID to advertise FMA, AVX, AVX2 and POPCNT (the select
+// kernels count mask bits with it) and the OS to have
 // enabled XSAVE (OSXSAVE) and to preserve XMM+YMM state across context
 // switches (XCR0 bits 1–2); levelAVX512 adds AVX512F and the opmask and
 // ZMM state (XCR0 bits 5–7).
@@ -35,10 +36,11 @@ func detectLevel() int {
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
 		fmaBit     = 1 << 12
+		popcntBit  = 1 << 23
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
-	if ecx1&fmaBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
+	if ecx1&fmaBit == 0 || ecx1&popcntBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
 		return levelPortable
 	}
 	xcr0, _ := xgetbv()

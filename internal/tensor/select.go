@@ -1,0 +1,175 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+)
+
+// The two passes over n of compress's exact top-k select (DESIGN.md
+// §"Exact top-k by bracketed select"), and the f64 runs of the wire. A
+// coordinate's magnitude key is bits(x) &^ sign: for a finite double that
+// integer is monotone in |x|, so magnitudes compare as integers. Each pass
+// is one function whose portable body is the scalar loop below it; at
+// levelAVX2 the leading multiple of four coordinates runs through an AVX2
+// kernel (compares, VMOVMSKPD, and a left-packing permute from
+// compressPerm), at levelAVX512 the leading multiple of eight or sixteen
+// through an AVX-512 one (VPCMPUQ masks, then VPCOMPRESSQ/VPCOMPRESSD/
+// VCOMPRESSPD), and the rest through the loop. Every level writes the same
+// keys, indices and values in the same order.
+
+const (
+	keySign = uint64(1) << 63
+	keyExp  = uint64(0x7ff) << 52
+)
+
+// CompressSlack is how far past the last coordinate it selects
+// CompressAbove's vector kernels may store: they store whole vectors, and
+// run while idx and vals have this much room beyond what is written. A
+// caller that sizes both at the selected count plus CompressSlack gets the
+// whole pass at vector width; with less room the tail runs the scalar loop.
+const CompressSlack = 16
+
+// GatherKeys makes one pass over v. A coordinate's key is its magnitude
+// key, or 0 for a NaN or ±Inf (a non-finite coordinate ranks as zero). It
+// returns how many keys exceed hi, and writes the keys in [lo, hi], as
+// float64 bits, to dst in coordinate order, returning how many it wrote.
+// dst must be at least as long as v; past the keys written, its contents
+// are clobbered.
+func GatherKeys(dst, v []float64, lo, hi uint64) (above, n int) {
+	dst = prefix(dst, len(v))
+	// Every key is below keyExp, so clamping hi under it changes no
+	// compare, an empty bracket (lo > hi) is the same as [hi+1, hi], and
+	// with both bounds under 2⁶³ the AVX2 kernel's signed compares see what
+	// unsigned ones would.
+	hi = min(hi, keyExp-1)
+	lo = min(lo, hi+1)
+	i := 0
+	switch {
+	case kernelLevel >= levelAVX512 && len(v) >= 8:
+		i = len(v) &^ 7
+		above, n = gatherKeysAVX512(&dst[0], &v[0], i, lo, hi)
+	case kernelLevel >= levelAVX2 && len(v) >= 4:
+		i = len(v) &^ 3
+		above, n = gatherKeysAVX2(&dst[0], &v[0], i, lo, hi, &compressPerm[0])
+	}
+	// Where a key falls is as good as random, so the loop takes no branch
+	// on it: it stores every key and advances past it when it is not below
+	// lo. A second pass over what it kept — a few percent of v at the
+	// ratios top-k runs at — counts the keys above hi and drops them.
+	kept := n
+	for _, x := range v[i:] {
+		k := math.Float64bits(x) &^ keySign
+		if k >= keyExp {
+			k = 0
+		}
+		dst[kept] = math.Float64frombits(k)
+		ge := 0
+		if k >= lo {
+			ge = 1
+		}
+		kept += ge
+	}
+	for _, x := range dst[n:kept] {
+		dst[n] = x
+		in := 0
+		if math.Float64bits(x) <= hi {
+			in = 1
+		}
+		n += in
+	}
+	above += kept - n
+	return above, n
+}
+
+// CompressAbove makes one pass over v in coordinate order and takes every
+// coordinate whose magnitude key exceeds thr, unless it is a NaN or ±Inf,
+// and the first ties coordinates whose key equals thr: each taken
+// coordinate's index goes to idx and its value to vals, and it returns how
+// many it took. It panics if v has 2³¹ coordinates or more, or if idx or
+// vals is too short for what it takes (see CompressSlack).
+func CompressAbove(idx []int32, vals, v []float64, thr uint64, ties int) int {
+	if len(v) > math.MaxInt32 {
+		panic("tensor: CompressAbove over 2³¹ coordinates or more")
+	}
+	if thr > math.MaxInt64 {
+		return 0 // no key reaches 2⁶³; the AVX2 kernel's compares are signed
+	}
+	room := min(len(idx), len(vals))
+	i, n := 0, 0
+	switch {
+	case kernelLevel >= levelAVX512 && len(v) >= 16 && room >= CompressSlack && thr < keyExp:
+		i, n, ties = compressAboveAVX512(&idx[0], &vals[0], room, &v[0], len(v)&^15, thr, ties)
+	case kernelLevel >= levelAVX2 && len(v) >= 4 && room >= CompressSlack:
+		i, n, ties = compressAboveAVX2(&idx[0], &vals[0], room, &v[0], len(v)&^3, thr, ties, &compressPerm[0])
+	}
+	for ; i < len(v); i++ {
+		x := v[i]
+		k := math.Float64bits(x) &^ keySign
+		if k < thr {
+			continue
+		}
+		if k == thr {
+			if ties == 0 {
+				continue
+			}
+			ties--
+		} else if k >= keyExp {
+			continue
+		}
+		idx[n] = int32(i)
+		vals[n] = x
+		n++
+	}
+	return n
+}
+
+// permEntry is one row of compressPerm: for a 4-bit lane mask m, q is the
+// VPERMD control that moves the qwords m selects to the low lanes, in
+// order (each qword as its two dwords), and d the VPERMILPS control that
+// does the same for dwords. The pad makes a row 64 bytes, so a kernel
+// finds row m at m<<6.
+type permEntry struct {
+	q [8]uint32
+	d [4]uint32
+	_ [4]uint32
+}
+
+var compressPerm = func() (t [16]permEntry) {
+	for m := range t {
+		j := 0
+		for lane := uint32(0); lane < 4; lane++ {
+			if m>>lane&1 != 0 {
+				t[m].q[2*j], t[m].q[2*j+1] = 2*lane, 2*lane+1
+				t[m].d[j] = lane
+				j++
+			}
+		}
+	}
+	return t
+}()
+
+// PutF64LE writes each element of src into dst as eight little-endian
+// bytes. It panics if dst holds fewer than 8·len(src).
+func PutF64LE(dst []byte, src []float64) {
+	dst = prefix(dst, 8*len(src))
+	if k := simdLen(len(src)); k > 0 {
+		putF64sAVX2(&dst[0], &src[0], k)
+		dst, src = dst[8*k:], src[k:]
+	}
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
+}
+
+// ReadF64LE reads len(dst) little-endian float64s from src into dst. It
+// panics if src holds fewer than 8·len(dst) bytes.
+func ReadF64LE(dst []float64, src []byte) {
+	src = prefix(src, 8*len(dst))
+	if k := simdLen(len(dst)); k > 0 {
+		readF64sAVX2(&dst[0], &src[0], k)
+		dst, src = dst[k:], src[8*k:]
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}

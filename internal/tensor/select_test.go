@@ -1,0 +1,148 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"adafl/internal/stats"
+)
+
+// magKey is the key GatherKeys gathers: bits &^ sign, 0 for NaN and ±Inf.
+func magKey(x float64) uint64 {
+	k := math.Float64bits(x) &^ keySign
+	if k >= keyExp {
+		return 0
+	}
+	return k
+}
+
+// selectInput draws n coordinates mixing Gaussians, repeats of a few
+// magnitudes (mass ties), zeros of both signs, subnormals and NaN/±Inf.
+func selectInput(r *stats.RNG, n int) []float64 {
+	specials := []float64{math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(1), math.Inf(-1),
+		0, math.Copysign(0, -1), 5e-324, -5e-324, math.MaxFloat64, 0.25, -0.25}
+	v := make([]float64, n)
+	for i := range v {
+		switch r.Intn(4) {
+		case 0:
+			v[i] = specials[r.Intn(len(specials))]
+		default:
+			v[i] = r.Norm()
+		}
+	}
+	return v
+}
+
+// TestSelectKernelsMatchScalarLoops runs GatherKeys and CompressAbove at
+// every dispatch level against the scalar loops they stand for, over
+// lengths around every vector width, brackets and thresholds drawn from
+// the input's own keys (ties included), and room from tight to slack.
+func TestSelectKernelsMatchScalarLoops(t *testing.T) {
+	r := stats.NewRNG(40)
+	forEachLevel(t, func(level string) {
+		t.Logf("dispatch level %s", level)
+		for n := 0; n <= 70; n++ {
+			for trial := 0; trial < 12; trial++ {
+				checkSelectKernels(t, level, r, selectInput(r, n))
+			}
+		}
+		for trial := 0; trial < 20; trial++ {
+			checkSelectKernels(t, level, r, selectInput(r, 1000+r.Intn(64)))
+		}
+	})
+}
+
+func checkSelectKernels(t *testing.T, level string, r *stats.RNG, v []float64) {
+	t.Helper()
+	pick := func() uint64 { // a key of v, a neighbour of one, or an extreme
+		switch {
+		case len(v) == 0 || r.Intn(8) == 0:
+			return []uint64{0, 1, keyExp, math.MaxInt64, math.MaxUint64}[r.Intn(5)]
+		case r.Intn(4) == 0:
+			return magKey(v[r.Intn(len(v))]) + 1
+		}
+		return magKey(v[r.Intn(len(v))])
+	}
+
+	lo, hi := pick(), pick()
+	if lo > hi && r.Intn(4) != 0 {
+		lo, hi = hi, lo
+	}
+	var wantAbove int
+	var want []float64
+	for _, x := range v {
+		switch k := magKey(x); {
+		case k > hi:
+			wantAbove++
+		case k >= lo:
+			want = append(want, math.Float64frombits(k))
+		}
+	}
+	dst := make([]float64, len(v))
+	above, n := GatherKeys(dst, v, lo, hi)
+	if above != wantAbove || n != len(want) {
+		t.Fatalf("%s: GatherKeys n=%d [%#x, %#x]: above %d inside %d, want %d %d", level, len(v), lo, hi, above, n, wantAbove, len(want))
+	}
+	for i := range want {
+		if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: GatherKeys n=%d: key %d is %#x, want %#x", level, len(v), i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+		}
+	}
+
+	thr, ties := pick(), r.Intn(len(v)+2)
+	var wantIdx []int32
+	var wantVals []float64
+	left := ties
+	for i, x := range v {
+		k := math.Float64bits(x) &^ keySign
+		if k < thr || k == thr && left == 0 || k != thr && k >= keyExp {
+			continue
+		}
+		if k == thr {
+			left--
+		}
+		wantIdx, wantVals = append(wantIdx, int32(i)), append(wantVals, x)
+	}
+	for _, room := range []int{len(wantIdx), len(wantIdx) + CompressSlack, len(v) + CompressSlack} {
+		idx, vals := make([]int32, room), make([]float64, room)
+		got := CompressAbove(idx, vals, v, thr, ties)
+		if got != len(wantIdx) {
+			t.Fatalf("%s: CompressAbove n=%d thr=%#x ties=%d room=%d: took %d, want %d", level, len(v), thr, ties, room, got, len(wantIdx))
+		}
+		for i := range wantIdx {
+			if idx[i] != wantIdx[i] || math.Float64bits(vals[i]) != math.Float64bits(wantVals[i]) {
+				t.Fatalf("%s: CompressAbove n=%d thr=%#x ties=%d room=%d: entry %d is (%d, %#x), want (%d, %#x)", level, len(v), thr, ties, room,
+					i, idx[i], math.Float64bits(vals[i]), wantIdx[i], math.Float64bits(wantVals[i]))
+			}
+		}
+	}
+}
+
+// TestF64LEMatchesByteOrderLoops pins PutF64LE and ReadF64LE against the
+// encoding/binary loops they replace, at every level and every length
+// around the vector width, NaN payloads included.
+func TestF64LEMatchesByteOrderLoops(t *testing.T) {
+	r := stats.NewRNG(41)
+	forEachLevel(t, func(level string) {
+		for n := 0; n <= 40; n++ {
+			v := selectInput(r, n)
+			want := make([]byte, 8*n)
+			for i, x := range v {
+				binary.LittleEndian.PutUint64(want[8*i:], math.Float64bits(x))
+			}
+			got := make([]byte, 8*n+3)
+			PutF64LE(got, v)
+			if string(got[:8*n]) != string(want) {
+				t.Fatalf("%s: PutF64LE n=%d differs from PutUint64", level, n)
+			}
+			back := make([]float64, n)
+			ReadF64LE(back, append([]byte{1}, want...)[1:]) // unaligned source
+			for i := range v {
+				if math.Float64bits(back[i]) != math.Float64bits(v[i]) {
+					t.Fatalf("%s: ReadF64LE n=%d: element %d is %#x, want %#x", level, n, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
+				}
+			}
+		}
+	})
+}

@@ -155,7 +155,7 @@ fleet:
 
 # The deployment binaries end to end on loopback (a few seconds): a sync
 # session, flserver async + flclient async, flserver root + two edges +
-# flfleet edge, the doctor on the sync chain, `flserver -h` at most 21
+# flfleet edge, the doctor on the sync chain, `flserver -h` at most 20
 # flags, and flags a subcommand does not take failing before it serves.
 cli:
 	bash cmd/smoke.sh

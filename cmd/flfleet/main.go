@@ -182,7 +182,9 @@ func (c *inProcessCmd) fold() (result, error) {
 		})
 		sampleHeap()
 		part, _ := tree.Finish()
-		fl.FedAvg{}.ApplyPartial(global, part)
+		if err := (fl.FedAvg{}).ApplyPartial(global, part); err != nil {
+			return result{}, fmt.Errorf("round %d: %w", r+1, err)
+		}
 	}
 	res.WallSeconds = time.Since(start).Seconds()
 	sampleHeap()

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"flag"
-	"math"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -134,8 +133,9 @@ func TestFlagsLandInConfig(t *testing.T) {
 }
 
 // TestStreamAndSocketFoldTheSameFleet: the in-process tree and the socket
-// harness draw the same FleetUpdate stream, so with the same flags their
-// global checksums agree up to summation order.
+// harness draw the same FleetUpdate stream and fold it in fixed point, so
+// with the same flags their global checksums are the same bits, whatever
+// the tree's shard count and the socket server's striping.
 func TestStreamAndSocketFoldTheSameFleet(t *testing.T) {
 	shape := []string{"-clients", "64", "-rounds", "3", "-dim", "2000", "-nnz", "100", "-seed", "5"}
 	parse := func(args ...string) cli.Runner {
@@ -145,7 +145,7 @@ func TestStreamAndSocketFoldTheSameFleet(t *testing.T) {
 		}
 		return r
 	}
-	stream, err := parse("-shards", "1").(*inProcessCmd).fold()
+	stream, err := parse("-shards", "3").(*inProcessCmd).fold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestStreamAndSocketFoldTheSameFleet(t *testing.T) {
 	if stream.GlobalChecksum == 0 {
 		t.Fatal("zero stream checksum: nothing folded")
 	}
-	if diff := math.Abs(stream.GlobalChecksum - socket.Checksum); diff > 1e-9*math.Abs(socket.Checksum) {
+	if stream.GlobalChecksum != socket.Checksum {
 		t.Errorf("stream checksum %v, socket %v: they fold different fleets", stream.GlobalChecksum, socket.Checksum)
 	}
 }

@@ -77,7 +77,6 @@ const (
 	ckptHelp    = "directory for the checkpoint chain: one delta epoch per round or model version, written behind the next (empty disables checkpointing; a directory that already holds a chain needs -resume)"
 	resumeHelp  = "restore the latest epoch in -checkpoint-dir and continue after it (fresh start if the directory holds no chain)"
 	normHelp    = "quarantine updates whose L2 norm exceeds this multiple of the median (0 disables the gate)"
-	shardsHelp  = "fold screened updates through this many aggregation shards (0 = one; the global is bit-deterministic for a fixed count)"
 	negoHelp    = "negotiate each selected client's uplink codec+ratio per round from its observed link state"
 	clientsHelp = "number of clients to wait for"
 )
@@ -106,7 +105,6 @@ func newSync(fs *flag.FlagSet) cli.Runner {
 	fs.StringVar(&c.cfg.CheckpointDir, "checkpoint-dir", "", ckptHelp)
 	fs.BoolVar(&c.cfg.Resume, "resume", false, resumeHelp)
 	fs.Float64Var(&c.cfg.MaxUpdateNorm, "max-update-norm", 10, normHelp)
-	fs.IntVar(&c.cfg.Shards, "shards", 0, shardsHelp)
 	c.metricsAddr = cli.MetricsFlag(fs)
 	c.eventLog = cli.EventLogFlag(fs)
 	fs.StringVar(&c.scenario, "scenario", "", "declarative scenario file (energy model, churn, device classes): gates selection on availability, scales utility scores by battery level, and checkpoints scenario state for -resume")
@@ -259,7 +257,6 @@ func newAsync(fs *flag.FlagSet) cli.Runner {
 	fs.IntVar(&c.cfg.MaxStaleness, "max-staleness", 0, "reject pushes whose base model is more than this many versions behind the global (0 accepts any staleness; slow clients are never evicted)")
 	fs.Float64Var(&c.cfg.Eta, "eta", 1, "server learning rate applied to the weighted buffer mean")
 	fs.Float64Var(&c.cfg.MaxUpdateNorm, "max-update-norm", 10, normHelp)
-	fs.IntVar(&c.cfg.Shards, "shards", 0, shardsHelp)
 	c.task.Register(fs)
 	fs.StringVar(&c.cfg.CheckpointDir, "checkpoint-dir", "", ckptHelp+"; with several sessions each keeps its chain in a subdirectory named after it")
 	fs.BoolVar(&c.cfg.Resume, "resume", false, resumeHelp)

@@ -23,10 +23,10 @@ func TestFlagSets(t *testing.T) {
 	want := map[string][]string{
 		"": {"addr", "assign-log", "checkpoint-dir", "clients", "event-log",
 			"imgsize", "k", "max-update-norm", "metrics-addr", "min-clients", "negotiate", "resume", "rounds",
-			"samples", "scenario", "scenario-log", "seed", "shards", "straggler-timeout", "tau", "warmup"},
+			"samples", "scenario", "scenario-log", "seed", "straggler-timeout", "tau", "warmup"},
 		"async": {"addr", "buffer-k", "checkpoint-dir", "clients", "eta", "event-log",
 			"imgsize", "max-staleness", "max-update-norm", "metrics-addr", "resume", "samples", "seed",
-			"sessions", "shards", "versions"},
+			"sessions", "versions"},
 		"root": {"addr", "checkpoint-dir", "clients", "dim", "edge-addr", "edges", "event-log",
 			"heartbeat-timeout", "metrics-addr", "resume", "rounds"},
 		"edge": {"addr", "dim", "event-log", "heartbeat-interval", "id", "max-update-norm", "metrics-addr",
@@ -57,8 +57,8 @@ func TestFlagSets(t *testing.T) {
 			lines++
 		}
 	}
-	if lines != len(want[""]) || lines > 21 {
-		t.Errorf("flserver -h lists %d flags, want %d (and at most 21)", lines, len(want[""]))
+	if lines != len(want[""]) || lines > 20 {
+		t.Errorf("flserver -h lists %d flags, want %d (and at most 20)", lines, len(want[""]))
 	}
 }
 
@@ -73,10 +73,10 @@ func TestForeignFlagFailsParse(t *testing.T) {
 		{[]string{"async", "-scenario", "/nonexistent.json", "-negotiate", "-assign-log", "/nonexistent/dir/a.jsonl", "-k", "99", "-straggler-timeout", "1ms"}, "-scenario"},
 		{[]string{"async", "-negotiate"}, "-negotiate"},
 		{[]string{"async", "-rounds", "5"}, "-rounds"},
-		{[]string{"root", "-scenario", "/nonexistent.json", "-shards", "7", "-tau", "0.3", "-max-update-norm", "3"}, "-scenario"},
+		{[]string{"root", "-scenario", "/nonexistent.json", "-straggler-timeout", "1ms", "-tau", "0.3", "-max-update-norm", "3"}, "-scenario"},
 		{[]string{"root", "-tau", "0.3"}, "-tau"},
-		{[]string{"edge", "-checkpoint-dir", "/nonexistent", "-shards", "3"}, "-checkpoint-dir"},
-		{[]string{"edge", "-shards", "3"}, "-shards"},
+		{[]string{"edge", "-checkpoint-dir", "/nonexistent", "-straggler-timeout", "1ms"}, "-checkpoint-dir"},
+		{[]string{"edge", "-straggler-timeout", "1ms"}, "-straggler-timeout"},
 		{[]string{"-async"}, "-async"},
 		{[]string{"-root"}, "-root"},
 		{[]string{"-edge"}, "-edge"},
@@ -151,22 +151,22 @@ func TestFlagsLandInConfig(t *testing.T) {
 		}},
 		{[]string{"-addr", "127.0.0.1:9", "-clients", "5", "-rounds", "7", "-k", "2", "-tau", "0.25",
 			"-warmup", "3", "-imgsize", "12", "-samples", "200", "-straggler-timeout", "2s", "-min-clients", "2",
-			"-checkpoint-dir", dir, "-resume", "-max-update-norm", "4", "-shards", "3", "-negotiate"},
+			"-checkpoint-dir", dir, "-resume", "-max-update-norm", "4", "-negotiate"},
 			rpc.ServerConfig{
 				Addr: "127.0.0.1:9", NumClients: 5, Rounds: 7, Cfg: sel, EvalEvery: 1,
 				StragglerTimeout: 2 * time.Second, MinClients: 2, CheckpointDir: dir, Resume: true,
-				MaxUpdateNorm: 4, Shards: 3, Negotiation: negotiation(),
+				MaxUpdateNorm: 4, Negotiation: negotiation(),
 			}},
 		{[]string{"async", "-samples", "200", "-buffer-k", "3", "-max-staleness", "2"}, []session.AsyncConfig{{
 			Name: session.DefaultSession, EvalEvery: 1, K: 3, MaxStaleness: 2, Eta: 1, Versions: 30,
 			MaxClients: 3, MaxUpdateNorm: 10,
 		}}},
 		{[]string{"async", "-samples", "200", "-addr", ":9", "-sessions", "eu, us", "-clients", "5",
-			"-versions", "4", "-eta", "0.5", "-max-update-norm", "2", "-shards", "2", "-checkpoint-dir", dir, "-resume"},
+			"-versions", "4", "-eta", "0.5", "-max-update-norm", "2", "-checkpoint-dir", dir, "-resume"},
 			[]session.AsyncConfig{
-				{Name: "eu", EvalEvery: 1, K: 3, Eta: 0.5, Versions: 4, MaxClients: 5, MaxUpdateNorm: 2, Shards: 2,
+				{Name: "eu", EvalEvery: 1, K: 3, Eta: 0.5, Versions: 4, MaxClients: 5, MaxUpdateNorm: 2,
 					CheckpointDir: filepath.Join(dir, "eu"), Resume: true},
-				{Name: "us", EvalEvery: 1, K: 3, Eta: 0.5, Versions: 4, MaxClients: 5, MaxUpdateNorm: 2, Shards: 2,
+				{Name: "us", EvalEvery: 1, K: 3, Eta: 0.5, Versions: 4, MaxClients: 5, MaxUpdateNorm: 2,
 					CheckpointDir: filepath.Join(dir, "us"), Resume: true},
 			}},
 		{[]string{"root"}, edge.RootConfig{

@@ -101,12 +101,12 @@ grep -q '^root: 3 rounds' "$work/root.log" || fail "root did not complete 3 roun
 
 echo "cli smoke: flserver -h"
 n=$("$bin/flserver" -h 2>&1 | grep -c '^  -')
-[ "$n" -le 21 ] || fail "flserver -h lists $n flags, more than 21"
+[ "$n" -le 20 ] || fail "flserver -h lists $n flags, more than 20"
 
 echo "cli smoke: flags another engine reads fail before anything is served"
 for cmd in "async -scenario /nonexistent.json -negotiate -assign-log /nonexistent/dir/a.jsonl -k 99 -straggler-timeout 1ms" \
-	"root -scenario /nonexistent.json -shards 7 -tau 0.3 -max-update-norm 3" \
-	"edge -checkpoint-dir /nonexistent -shards 3"; do
+	"root -scenario /nonexistent.json -straggler-timeout 1ms -tau 0.3 -max-update-norm 3" \
+	"edge -checkpoint-dir /nonexistent -straggler-timeout 1ms"; do
 	# shellcheck disable=SC2086 # the command is split on purpose
 	if timeout 10 "$bin/flserver" $cmd >"$work/reject.log" 2>&1; then
 		fail "flserver $cmd exited 0"

@@ -640,8 +640,8 @@ func TestSparseScrub(t *testing.T) {
 		Indices: []int32{0, 1, 2, 3, 4},
 		Values:  []float64{1, math.NaN(), math.Inf(1), math.Inf(-1), -2},
 	}
-	if n := s.Scrub(); n != 3 {
-		t.Fatalf("scrubbed %d values, want 3", n)
+	if n, m := s.Scrub(); n != 3 || m != 2 {
+		t.Fatalf("scrubbed %d values keeping max |v| %v, want 3 and 2", n, m)
 	}
 	want := []float64{1, 0, 0, 0, -2}
 	for i, v := range s.Values {
@@ -649,7 +649,7 @@ func TestSparseScrub(t *testing.T) {
 			t.Fatalf("value %d = %v after scrub, want %v", i, v, want[i])
 		}
 	}
-	if n := s.Scrub(); n != 0 {
+	if n, _ := s.Scrub(); n != 0 {
 		t.Fatalf("second scrub found %d values, want 0", n)
 	}
 }

@@ -138,17 +138,22 @@ func (s *Sparse) Validate(dim int) error {
 }
 
 // Scrub zeroes non-finite (NaN/±Inf) values in place and returns how
-// many it replaced. A single poisoned coordinate would otherwise spread
-// through the aggregated global model and every subsequent round.
-func (s *Sparse) Scrub() int {
-	n := 0
+// many it replaced, and the largest magnitude it kept. A single poisoned
+// coordinate would otherwise spread through the aggregated global model
+// and every subsequent round. It reads each value's bits without its sign,
+// which order like the magnitudes and put NaN and ±Inf at the top.
+func (s *Sparse) Scrub() (n int, maxAbs float64) {
+	var m uint64
 	for i, v := range s.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		b := math.Float64bits(v) &^ (1 << 63)
+		if b >= 0x7ff0000000000000 { // exponent all ones: ±Inf or NaN
 			s.Values[i] = 0
 			n++
+		} else if b > m {
+			m = b
 		}
 	}
-	return n
+	return n, math.Float64frombits(m)
 }
 
 // Norm2 returns the L2 norm of the message's values (the norm of the

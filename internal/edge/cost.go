@@ -2,8 +2,8 @@
 // aggregators accept fleet clients over the existing wire protocol, fold
 // their updates into shard.Partials through the shared screen/quarantine
 // path, and stream only the partial upstream to a root that merges
-// partial-of-partials bit-deterministically (ascending edge ID, fixed
-// fold order). The headline property is robustness: edges heartbeat the
+// partial-of-partials as they arrive (fixed point: the bits depend on
+// neither the edge count nor the arrival order). The headline property is robustness: edges heartbeat the
 // root, a dead edge is detected within a heartbeat timeout, and the root
 // replans over a live cost graph (Dijkstra; link costs from
 // internal/netsim bandwidth/latency plus scenario region state) to

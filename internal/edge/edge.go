@@ -27,8 +27,7 @@ var ErrEdgeKilled = fmt.Errorf("edge: killed")
 
 // EdgeConfig configures one regional edge aggregator.
 type EdgeConfig struct {
-	// ID is the edge's unique identity in the tree (its merge position:
-	// the root folds partials in ascending edge ID).
+	// ID is the edge's unique identity in the tree.
 	ID int
 	// ClientAddr is the client-facing listen address ("" binds an
 	// ephemeral loopback port; the bound address is reported to the root
@@ -92,8 +91,8 @@ type EdgeResult struct {
 }
 
 // Edge is one regional aggregator: it fronts a set of fleet clients over
-// the wire protocol, folds each round's updates into a shard.Partial in
-// ascending client ID (the determinism contract), and streams only the
+// the wire protocol, folds each round's updates into a shard.Partial
+// (fixed point: the bits do not depend on order), and streams only the
 // partial to the root. It heartbeats the root and survives root restarts
 // by redialling with full-jitter backoff; its clients stay connected
 // throughout, on an rpc.Roster in which a re-hello of a live ID replaces
@@ -311,8 +310,8 @@ func (e *Edge) recount() {
 }
 
 // runRound drives one round: broadcast the go-ahead to the current
-// roster, collect updates under the deadline, screen + fold ascending
-// client ID, ship the partial upstream.
+// roster, collect updates under the deadline, screen + fold them, ship
+// the partial upstream.
 func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 	if e.cfg.OnSelect != nil {
 		e.cfg.OnSelect(round)
@@ -352,11 +351,11 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 			// so receipt order cannot perturb future assignments.
 			e.neg.RecordUpload(p.ID, p.Env.Update.WireBytes())
 		}
-		items = append(items, shard.Item{Client: p.ID, Upd: p.Env.Update})
+		items = append(items, shard.Item{Client: p.ID, Upd: p.Env.Update, Weight: 1})
 	}
 
-	// The determinism contract: screen and fold in ascending client ID,
-	// the order Exchange reports in whatever order the updates arrived.
+	// Exchange reports in roster order; the fold's bits do not depend on
+	// order (shard.Partial), but the norm gate judges the whole round.
 	kept, quarantined := shard.Screen(round, e.cfg.Dim, e.cfg.MaxUpdateNorm, items, e.cfg.Logf)
 	for _, q := range quarantined {
 		e.met.quarantines.Inc()
@@ -366,12 +365,18 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 	}
 	part.Reset()
 	for _, u := range kept {
-		part.Fold(shard.Update{Client: u.Client, Weight: 1, Delta: u.Upd}, false)
+		part.Fold(shard.Update{Client: u.Client, Weight: 1, Delta: u.Upd, MaxAbs: u.MaxAbs}, false)
+	}
+	if err := part.Window(); err != nil {
+		// Its words may have wrapped, so the root must not merge them:
+		// this edge's round goes upstream empty.
+		e.cfg.Logf("edge %d: round %d: %v", e.cfg.ID, round+1, err)
+		part.Reset()
 	}
 
 	if err := root.SendWithin(e.cfg.UpdateTimeout, &rpc.Envelope{
 		Type: rpc.MsgEdgePartial, ClientID: e.cfg.ID, Round: round,
-		NumSamples: part.Count, WeightSum: part.WeightSum, Params: part.Sum,
+		NumSamples: part.Count, WeightSum: part.WeightSum, Params: part.Slots(),
 	}); err != nil {
 		return err
 	}

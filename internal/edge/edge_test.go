@@ -3,7 +3,9 @@ package edge
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -16,7 +18,6 @@ import (
 	"adafl/internal/obs"
 	"adafl/internal/rpc"
 	"adafl/internal/shard"
-	"adafl/internal/tensor"
 )
 
 // treeCfg parameterises one two-tier test session.
@@ -207,8 +208,8 @@ func flatReference(clients, rounds, dim, nnz int, seed uint64) []float64 {
 			rpc.FleetUpdate(upd, seed, round, id, dim, nnz)
 			part.Fold(shard.Update{Client: id, Weight: 1, Delta: upd}, false)
 		}
-		if part.WeightSum > 0 {
-			tensor.Axpy(1/part.WeightSum, part.Sum, global)
+		if err := part.AddTo(global, 1/part.Weight()); err != nil {
+			panic(err)
 		}
 	}
 	return global
@@ -244,33 +245,16 @@ func TestTreeDeterminism(t *testing.T) {
 }
 
 func TestTreeMatchesFlatSession(t *testing.T) {
-	// The tree must reproduce the flat fold bit for bit: with E=1 the
-	// edge folds exactly the ascending-client order of the reference,
-	// and with E=3 the partial-of-partials merge (ascending edge ID over
-	// contiguous ascending client ranges) is the same summation order.
+	// The tree must reproduce the flat fold bit for bit at any edge count:
+	// the partials are fixed point, so how the default plan spreads the
+	// clients over the edges, and the order the edges answer in, do not
+	// change the bits.
 	for _, edges := range []int{1, 3} {
 		tc := treeCfg{edges: edges, clients: 30, rounds: 3, dim: 512, nnz: 24, seed: 7}
 		res := runTree(t, tc)
 		want := flatReference(tc.clients, tc.rounds, tc.dim, tc.nnz, tc.seed)
-		if edges == 1 {
-			if !bitEqual(res.Global, want) {
-				t.Errorf("E=1 tree is not bitwise equal to the flat session")
-			}
-			continue
-		}
-		// Multiple edges partition the fleet into contiguous ID ranges
-		// only under a contiguous plan; the default plan interleaves for
-		// load, so compare within FP-reassociation tolerance instead.
-		var maxDiff float64
-		for i := range want {
-			if d := res.Global[i] - want[i]; d > maxDiff {
-				maxDiff = d
-			} else if -d > maxDiff {
-				maxDiff = -d
-			}
-		}
-		if maxDiff > 1e-12 {
-			t.Errorf("E=%d tree drifts %v from the flat session", edges, maxDiff)
+		if !bitEqual(res.Global, want) {
+			t.Errorf("E=%d tree is not bitwise equal to the flat session", edges)
 		}
 	}
 }
@@ -398,6 +382,69 @@ func TestEdgeScreensHostileClient(t *testing.T) {
 	// A direct-dial client sends a poisoned update; the edge's shared
 	// screen must quarantine it and the round must complete without it.
 	tc := treeCfg{edges: 1, clients: 6, rounds: 3, dim: 64, nnz: 4, seed: 9}
+	nan := math.NaN()
+	res, eres, _ := runHostileTree(t, tc, []int{tc.clients - 1}, func() *compress.Sparse {
+		return &compress.Sparse{Dim: tc.dim, Indices: []int32{0, 1}, Values: []float64{nan, nan}}
+	})
+	if eres.Quarantined == 0 {
+		t.Error("hostile update was never quarantined")
+	}
+	last := res.History[len(res.History)-1]
+	if last.Folded != tc.clients-1 {
+		t.Errorf("final round folded %d updates, want %d honest clients", last.Folded, tc.clients-1)
+	}
+}
+
+// TestEdgeQuarantinesFiniteGiants: two clients send finite updates
+// carrying 1e308. With the norm gate off nothing but the fold window
+// judges them (summed, they used to make the global +Inf); the edge
+// quarantines both by name, and the root's global is bitwise the one of a
+// tree in which they never arrived.
+func TestEdgeQuarantinesFiniteGiants(t *testing.T) {
+	tc := treeCfg{edges: 1, clients: 8, rounds: 3, dim: 64, nnz: 4, seed: 9}
+	res, eres, logs := runHostileTree(t, tc, []int{tc.clients - 2, tc.clients - 1}, func() *compress.Sparse {
+		return &compress.Sparse{Dim: tc.dim, Indices: []int32{0, 1}, Values: []float64{1e308, 0.5}}
+	})
+	if eres.Quarantined != 2 || strings.Count(logs(), "outside the fold window") != 2 {
+		t.Errorf("quarantined %d updates, logged:\n%s\nwant both giants out by the fold window", eres.Quarantined, logs())
+	}
+	if want := flatReference(tc.clients-2, tc.rounds, tc.dim, tc.nnz, tc.seed); !bitEqual(res.Global, want) {
+		t.Error("the global is not bitwise the one of the honest clients alone")
+	}
+}
+
+// TestEdgeRefusesPartialPastTheWindow: 140 clients each send a product of
+// 63, inside the per-update window, whose sum passes 2¹³. The edge's
+// words may have wrapped, so it sends every round upstream empty, and the
+// global never moves.
+func TestEdgeRefusesPartialPastTheWindow(t *testing.T) {
+	tc := treeCfg{edges: 1, clients: 142, rounds: 2, dim: 16, nnz: 4, seed: 9}
+	hostile := make([]int, 140)
+	for i := range hostile {
+		hostile[i] = 2 + i
+	}
+	res, eres, logs := runHostileTree(t, tc, hostile, func() *compress.Sparse {
+		return &compress.Sparse{Dim: tc.dim, Indices: []int32{3}, Values: []float64{63}}
+	})
+	if eres.Quarantined != 0 || !strings.Contains(logs(), "reaches the fold window") {
+		t.Errorf("quarantined %d updates, logged:\n%s\nwant the partial refused, no update", eres.Quarantined, logs())
+	}
+	for _, r := range res.History {
+		if r.Folded != 0 {
+			t.Errorf("round %d merged %d updates, want an empty partial", r.Round+1, r.Folded)
+		}
+	}
+	if !bitEqual(res.Global, make([]float64, tc.dim)) {
+		t.Errorf("the global moved: %v", res.Global)
+	}
+}
+
+// runHostileTree runs one root, one edge (norm gate off) and a fleet in
+// which the clients in hostile dial the edge directly and answer every
+// select with mkUpd's update; the rest are honest fleet clients. It
+// returns the root's and the edge's results and the edge's log so far.
+func runHostileTree(t *testing.T, tc treeCfg, hostile []int, mkUpd func() *compress.Sparse) (*RootResult, *EdgeResult, func() string) {
+	t.Helper()
 	root, err := NewRoot(RootConfig{
 		NumEdges: 1, Clients: tc.clients, Rounds: tc.rounds, Dim: tc.dim,
 		HeartbeatTimeout: 300 * time.Millisecond,
@@ -414,11 +461,17 @@ func TestEdgeScreensHostileClient(t *testing.T) {
 		res = r
 		rootCh <- err
 	}()
+	var mu sync.Mutex
+	var log strings.Builder
 	e, err := NewEdge(EdgeConfig{
 		ID: 0, RootAddr: root.EdgeAddr(), Dim: tc.dim,
 		HeartbeatInterval: 30 * time.Millisecond,
 		UpdateTimeout:     5 * time.Second,
-		Logf:              t.Logf,
+		Logf: func(format string, args ...interface{}) {
+			mu.Lock()
+			fmt.Fprintf(&log, format+"\n", args...)
+			mu.Unlock()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -431,34 +484,31 @@ func TestEdgeScreensHostileClient(t *testing.T) {
 		edgeCh <- err
 	}()
 
-	// Clients 0..4 are honest; client 5 sends an entirely non-finite
-	// update every round and must be quarantined.
 	clientsCh := make(chan error, 1)
 	go func() {
 		clientsCh <- RunClients(ClientsConfig{
-			Bootstrap: root.BootstrapAddr(), Lo: 0, Hi: tc.clients - 1,
+			Bootstrap: root.BootstrapAddr(), Lo: 0, Hi: tc.clients - len(hostile),
 			Dim: tc.dim, Nnz: tc.nnz, Seed: tc.seed,
 			MaxRetries: 100, RetryBackoff: 20 * time.Millisecond,
 		})
 	}()
-	go func() {
-		conn, err := rpc.Dial("tcp", e.ClientAddr(), 5*time.Second)
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		conn.Send(&rpc.Envelope{Type: rpc.MsgHello, ClientID: tc.clients - 1})
-		for {
-			env, err := conn.Recv()
-			if err != nil || env.Type != rpc.MsgSelect {
+	for _, id := range hostile {
+		go func() {
+			conn, err := rpc.Dial("tcp", e.ClientAddr(), 5*time.Second)
+			if err != nil {
 				return
 			}
-			nan := 0.0
-			nan /= nan
-			conn.Send(&rpc.Envelope{Type: rpc.MsgUpdate, ClientID: tc.clients - 1, Round: env.Round,
-				Update: &compress.Sparse{Dim: tc.dim, Indices: []int32{0, 1}, Values: []float64{nan, nan}}})
-		}
-	}()
+			defer conn.Close()
+			conn.Send(&rpc.Envelope{Type: rpc.MsgHello, ClientID: id})
+			for {
+				env, err := conn.Recv()
+				if err != nil || env.Type != rpc.MsgSelect {
+					return
+				}
+				conn.Send(&rpc.Envelope{Type: rpc.MsgUpdate, ClientID: id, Round: env.Round, Update: mkUpd()})
+			}
+		}()
+	}
 
 	if err := <-rootCh; err != nil {
 		t.Fatalf("root failed: %v", err)
@@ -469,12 +519,10 @@ func TestEdgeScreensHostileClient(t *testing.T) {
 	if err := <-clientsCh; err != nil {
 		t.Fatalf("clients failed: %v", err)
 	}
-	if eres.Quarantined == 0 {
-		t.Error("hostile update was never quarantined")
-	}
-	last := res.History[len(res.History)-1]
-	if last.Folded != tc.clients-1 {
-		t.Errorf("final round folded %d updates, want %d honest clients", last.Folded, tc.clients-1)
+	return res, eres, func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return log.String()
 	}
 }
 

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"sync"
@@ -13,7 +12,6 @@ import (
 	"adafl/internal/obs"
 	"adafl/internal/rpc"
 	"adafl/internal/shard"
-	"adafl/internal/tensor"
 )
 
 // DefaultHeartbeatTimeout is how long the root tolerates silence from a
@@ -182,11 +180,10 @@ type rootEdge struct {
 // Root is the top-tier aggregator: it admits NumEdges regional edges,
 // plans the client→edge assignment over the cost graph, answers client
 // bootstrap requests with MsgReroute, drives rounds by broadcasting the
-// go-ahead and merging edge partials in ascending edge ID (the
-// bit-determinism contract), and — the headline — detects a dead edge via
-// missed heartbeats or a wire error mid-round, completes the round with
-// partial aggregation, and reassigns the orphans to the cheapest
-// surviving siblings via Dijkstra over the live cost graph.
+// go-ahead and merging edge partials as they arrive, and — the headline —
+// detects a dead edge via missed heartbeats or a wire error mid-round,
+// completes the round with partial aggregation, and reassigns the orphans
+// to the cheapest surviving siblings via Dijkstra over the live cost graph.
 type Root struct {
 	cfg      RootConfig
 	edgeLn   net.Listener
@@ -546,7 +543,7 @@ func (r *Root) awaitClients() error {
 	round := r.round
 	r.mu.Unlock()
 	ok, err := r.await(r.cfg.QuorumTimeout, r.fleetConnected, func(e rootEv) error {
-		return r.handleEvent(round, e, nil, nil)
+		return r.handleEvent(round, e, nil)
 	})
 	if ok || err != nil {
 		return err
@@ -625,7 +622,7 @@ func (r *Root) notifyLocked() {
 
 // runRound drives one round: admit boundary rejoins, drain stale death
 // reports, broadcast the go-ahead, collect partials (rerouting on any
-// death), merge ascending edge ID, apply.
+// death), merging each as it arrives, apply.
 func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (RootRound, error) {
 	r.mu.Lock()
 	r.round = round
@@ -689,14 +686,15 @@ func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (Roo
 		return RootRound{}, fmt.Errorf("root: round %d: no live edges to select", round+1)
 	}
 
-	parts := map[int]*shard.Partial{}
+	merged.Reset()
+	m := &roundMerge{pending: pending, part: merged}
 	timeout := time.NewTimer(r.cfg.PartialTimeout)
 	defer timeout.Stop()
 collect:
 	for len(pending) > 0 {
 		select {
 		case e := <-r.ev:
-			if err := r.handleEvent(round, e, pending, parts); err != nil {
+			if err := r.handleEvent(round, e, m); err != nil {
 				return RootRound{}, err
 			}
 		case <-timeout.C:
@@ -722,28 +720,18 @@ collect:
 		}
 	}
 
-	// The determinism contract: merge in ascending edge ID, whatever
-	// order the partials arrived in.
-	ids := make([]int, 0, len(parts))
-	for id := range parts {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	merged.Reset()
-	for _, id := range ids {
-		merged.Merge(parts[id])
-		r.putPartial(parts[id])
-	}
-	if merged.WeightSum > 0 {
-		tensor.Axpy(1/merged.WeightSum, merged.Sum, global)
+	if w := merged.Weight(); w > 0 {
+		if err := merged.AddTo(global, 1/w); err != nil {
+			r.cfg.Logf("root: round %d: %v", round+1, err)
+		}
 	}
 
 	r.mu.Lock()
 	rerouted := r.orphans - orphansBefore
 	r.mu.Unlock()
 	rec := RootRound{
-		Round: round, Edges: len(parts), Folded: merged.Count,
-		Rerouted: rerouted, WeightSum: merged.WeightSum,
+		Round: round, Edges: m.edges, Folded: merged.Count,
+		Rerouted: rerouted, WeightSum: merged.Weight(),
 	}
 	r.cfg.Logf("root: round %d: merged %d partials (%d updates, weight %.0f), %d clients rerouted",
 		round+1, rec.Edges, rec.Folded, rec.WeightSum, rec.Rerouted)
@@ -758,7 +746,7 @@ func (r *Root) drainEvents(round int) error {
 	for {
 		select {
 		case e := <-r.ev:
-			if err := r.handleEvent(round, e, nil, nil); err != nil {
+			if err := r.handleEvent(round, e, nil); err != nil {
 				return err
 			}
 		default:
@@ -767,12 +755,22 @@ func (r *Root) drainEvents(round int) error {
 	}
 }
 
-// handleEvent processes one reader event during (or between) rounds.
-// pending/parts are nil between rounds.
-func (r *Root) handleEvent(round int, e rootEv, pending map[int]bool, parts map[int]*shard.Partial) error {
+// roundMerge is the round in progress at the root: the edges still owed
+// a partial, and the partials merged so far. A partial merges when it
+// arrives: the fold is fixed point (shard.Partial), so the order the
+// edges answer in does not change the bits.
+type roundMerge struct {
+	pending map[int]bool
+	part    *shard.Partial
+	edges   int // partials merged
+}
+
+// handleEvent processes one reader event during (or between) rounds. m is
+// nil between rounds.
+func (r *Root) handleEvent(round int, e rootEv, m *roundMerge) error {
 	switch e.kind {
 	case evPartial:
-		if pending == nil || !pending[e.edge] {
+		if m == nil || !m.pending[e.edge] {
 			r.cfg.Logf("root: discarding unexpected partial from edge %d (round %d)", e.edge, e.round+1)
 			return nil
 		}
@@ -780,12 +778,14 @@ func (r *Root) handleEvent(round int, e rootEv, pending map[int]bool, parts map[
 			r.cfg.Logf("root: rejecting partial from edge %d: %v", e.edge, err)
 			return nil
 		}
-		parts[e.edge] = e.part
-		delete(pending, e.edge)
+		m.part.Merge(e.part)
+		m.edges++
+		r.putPartial(e.part)
+		delete(m.pending, e.edge)
 		e.count.Inc()
 	case evDown:
-		if pending != nil {
-			delete(pending, e.edge)
+		if m != nil {
+			delete(m.pending, e.edge)
 		}
 		if err := r.handleDown(round, e.peer, e.err); err != nil {
 			return err
@@ -800,8 +800,8 @@ func validatePartial(e rootEv, round, dim int) error {
 		return fmt.Errorf("stale round %d (want %d)", e.round+1, round+1)
 	case e.part.Dim != dim:
 		return fmt.Errorf("dimension %d (want %d)", e.part.Dim, dim)
-	case math.IsNaN(e.part.WeightSum) || math.IsInf(e.part.WeightSum, 0) || e.part.WeightSum < 0:
-		return fmt.Errorf("non-finite or negative weight sum %v", e.part.WeightSum)
+	case e.part.WeightSum < 0:
+		return fmt.Errorf("negative weight sum %v", e.part.Weight())
 	case e.part.Count < 0:
 		return fmt.Errorf("negative fold count %d", e.part.Count)
 	}
@@ -918,12 +918,12 @@ func (r *Root) readEdge(p *rpc.Peer) {
 		r.mu.Unlock()
 		if env.Type == rpc.MsgEdgePartial {
 			// Params is the connection's scratch, overwritten by the next
-			// frame: copy before posting. A wrong-sized one is posted bare,
-			// for validatePartial to refuse by its Dim.
+			// frame: copy the words out before posting. A wrong-sized one
+			// is posted bare, for validatePartial to refuse by its Dim.
 			var part *shard.Partial
 			if len(env.Params) == r.cfg.Dim {
 				part = r.getPartial()
-				copy(part.Sum, env.Params)
+				part.SetSlots(env.Params)
 			} else {
 				part = &shard.Partial{Dim: len(env.Params)}
 			}

@@ -8,55 +8,52 @@ import (
 	"adafl/internal/shard"
 )
 
-func mkPartial(dim int, weight float64, count int) *shard.Partial {
-	return &shard.Partial{Dim: dim, Sum: make([]float64, dim), WeightSum: weight, Count: count}
+func mkPartial(dim int, weight int64, count int) *shard.Partial {
+	p := &shard.Partial{Dim: dim, Sum: make([]int64, dim), WeightSum: weight, Count: count}
+	p.Sum[0] = weight // something for a merge to carry
+	return p
 }
 
 // TestPartialValidation pins the root's ingest guards: duplicate partials
 // from the same edge in the same round, stale rounds, mismatched
-// dimensions and non-finite weights are all rejected without disturbing
-// the accepted set.
+// dimensions and negative weights are all rejected without disturbing
+// what was merged.
 func TestPartialValidation(t *testing.T) {
-	r := &Root{cfg: RootConfig{Dim: 4, Logf: t.Logf}}
-	pending := map[int]bool{1: true, 2: true}
-	parts := map[int]*shard.Partial{}
+	r := &Root{cfg: RootConfig{Dim: 4, Logf: t.Logf}, free: make(chan *shard.Partial, 2)}
+	m := &roundMerge{pending: map[int]bool{1: true, 2: true}, part: shard.NewPartial(4)}
 
-	first := mkPartial(4, 2, 2)
-	if err := r.handleEvent(5, rootEv{kind: evPartial, edge: 1, round: 5, part: first}, pending, parts); err != nil {
+	if err := r.handleEvent(5, rootEv{kind: evPartial, edge: 1, round: 5, part: mkPartial(4, 2, 2)}, m); err != nil {
 		t.Fatal(err)
 	}
-	if parts[1] != first || pending[1] {
-		t.Fatal("valid partial was not accepted")
+	if m.edges != 1 || m.part.Count != 2 || m.part.Sum[0] != 2 || m.pending[1] {
+		t.Fatal("valid partial was not merged")
 	}
 
 	// A duplicate from the same edge for the same round: edge 1 is no
-	// longer pending, so the replay is discarded and the accepted
-	// partial is untouched.
-	dup := mkPartial(4, 99, 9)
-	if err := r.handleEvent(5, rootEv{kind: evPartial, edge: 1, round: 5, part: dup}, pending, parts); err != nil {
+	// longer pending, so the replay is discarded and the merged partial is
+	// untouched.
+	if err := r.handleEvent(5, rootEv{kind: evPartial, edge: 1, round: 5, part: mkPartial(4, 99, 9)}, m); err != nil {
 		t.Fatal(err)
 	}
-	if parts[1] != first {
-		t.Error("duplicate partial replaced the accepted one")
+	if m.edges != 1 || m.part.Count != 2 || m.part.Sum[0] != 2 {
+		t.Error("duplicate partial was merged")
 	}
 
 	for name, ev := range map[string]rootEv{
 		"stale round":  {kind: evPartial, edge: 2, round: 4, part: mkPartial(4, 1, 1)},
 		"wrong dim":    {kind: evPartial, edge: 2, round: 5, part: mkPartial(5, 1, 1)},
-		"nan weight":   {kind: evPartial, edge: 2, round: 5, part: mkPartial(4, math.NaN(), 1)},
-		"inf weight":   {kind: evPartial, edge: 2, round: 5, part: mkPartial(4, math.Inf(1), 1)},
 		"neg weight":   {kind: evPartial, edge: 2, round: 5, part: mkPartial(4, -1, 1)},
 		"neg count":    {kind: evPartial, edge: 2, round: 5, part: mkPartial(4, 1, -1)},
 		"unknown edge": {kind: evPartial, edge: 7, round: 5, part: mkPartial(4, 1, 1)},
 	} {
-		if err := r.handleEvent(5, ev, pending, parts); err != nil {
+		if err := r.handleEvent(5, ev, m); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, ok := parts[ev.edge]; ok && ev.edge != 1 {
-			t.Errorf("%s: hostile partial was accepted", name)
+		if m.edges != 1 || m.part.Count != 2 {
+			t.Errorf("%s: hostile partial was merged", name)
 		}
 	}
-	if !pending[2] {
+	if !m.pending[2] {
 		t.Error("edge 2 left pending despite every partial being rejected")
 	}
 }

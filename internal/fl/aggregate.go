@@ -15,11 +15,13 @@ import (
 // elsewhere — a shard tree or an edge tier (ApplyPartial).
 type Aggregator interface {
 	Name() string
-	// Apply screens the updates, folds the survivors in slice order and
-	// applies the result (see applyUpdates).
-	Apply(global []float64, updates []Update)
-	// ApplyPartial applies an already folded partial.
-	ApplyPartial(global []float64, p *shard.Partial)
+	// Apply screens the updates, folds the survivors and applies the
+	// result (see applyUpdates).
+	Apply(global []float64, updates []Update) error
+	// ApplyPartial applies an already folded partial. A partial outside
+	// the fold window (shard.Partial.Window) leaves global untouched and
+	// is the error.
+	ApplyPartial(global []float64, p *shard.Partial) error
 	// PartialUnweighted reports whether updates must fold with scale 1
 	// (SCAFFOLD) instead of their data weight.
 	PartialUnweighted() bool
@@ -28,24 +30,28 @@ type Aggregator interface {
 // applyUpdates is the one screen-fold-apply path behind every Apply.
 // shard.Screen drops structurally malformed deltas (nil message, wrong
 // dimension, index/value length mismatch, out-of-range indices) and
-// scrubs non-finite values before anything is folded: a single bad update
-// must not panic the server or corrupt the model, and a dropped update
-// leaves the weight normalisation exactly like an evicted straggler's
-// would. Survivors fold into one partial in slice order, so the result is
-// bit-identical to a single-shard tree fed in the same order.
-func applyUpdates(agg Aggregator, global []float64, updates []Update) {
+// updates outside the fold window, and scrubs non-finite values before
+// anything is folded: a single bad update must not panic the server or
+// corrupt the model, and a dropped update leaves the weight normalisation
+// exactly like an evicted straggler's would. The fold's bits do not depend
+// on order, so the result is bit-identical to any shard tree's.
+func applyUpdates(agg Aggregator, global []float64, updates []Update) error {
+	unweighted := agg.PartialUnweighted()
 	items := make([]shard.Item, len(updates))
 	for i, u := range updates {
-		items[i] = shard.Item{Client: u.Client, Tag: i, Upd: u.Delta}
+		items[i] = shard.Item{Client: u.Client, Tag: i, Upd: u.Delta, Weight: u.Weight}
+		if unweighted {
+			items[i].Weight = 1
+		}
 	}
 	kept, _ := shard.Screen(0, len(global), 0, items, nil)
 	part := shard.NewPartial(len(global))
 	for _, it := range kept {
 		u := updates[it.Tag]
-		part.Fold(shard.Update{Client: u.Client, Weight: u.Weight, Delta: u.Delta, Ctrl: u.CtrlDelta},
-			agg.PartialUnweighted())
+		part.Fold(shard.Update{Client: u.Client, Weight: u.Weight, Delta: u.Delta, Ctrl: u.CtrlDelta,
+			MaxAbs: it.MaxAbs}, unweighted)
 	}
-	agg.ApplyPartial(global, part)
+	return agg.ApplyPartial(global, part)
 }
 
 // FedAvg is weighted model averaging (McMahan et al.): the global model
@@ -56,14 +62,16 @@ type FedAvg struct{}
 func (FedAvg) Name() string { return "fedavg" }
 
 // Apply implements Aggregator.
-func (a FedAvg) Apply(global []float64, updates []Update) { applyUpdates(a, global, updates) }
+func (a FedAvg) Apply(global []float64, updates []Update) error {
+	return applyUpdates(a, global, updates)
+}
 
 // ApplyPartial implements Aggregator: w ← w + Sum/ΣW.
-func (FedAvg) ApplyPartial(global []float64, p *shard.Partial) {
+func (FedAvg) ApplyPartial(global []float64, p *shard.Partial) error {
 	if p == nil || p.Count == 0 || p.WeightSum == 0 {
-		return
+		return nil
 	}
-	tensor.Axpy(1/p.WeightSum, p.Sum, global)
+	return p.AddTo(global, 1/p.Weight())
 }
 
 // PartialUnweighted implements Aggregator.
@@ -84,22 +92,24 @@ func NewFedAdam(lr float64) *FedAdam {
 func (*FedAdam) Name() string { return "fedadam" }
 
 // Apply implements Aggregator.
-func (f *FedAdam) Apply(global []float64, updates []Update) { applyUpdates(f, global, updates) }
+func (f *FedAdam) Apply(global []float64, updates []Update) error {
+	return applyUpdates(f, global, updates)
+}
 
 // ApplyPartial implements Aggregator. The pseudo-gradient is the negated
 // average delta; DirectionVec returns the descent step −lr·m̂/(√v̂+ε),
 // which then moves along +Δ.
-func (f *FedAdam) ApplyPartial(global []float64, p *shard.Partial) {
+func (f *FedAdam) ApplyPartial(global []float64, p *shard.Partial) error {
 	if p == nil || p.Count == 0 || p.WeightSum == 0 {
-		return
+		return nil
 	}
 	avg := make([]float64, len(global))
-	inv := 1 / p.WeightSum
-	for i, v := range p.Sum {
-		avg[i] = -v * inv
+	if err := p.AddTo(avg, -1/p.Weight()); err != nil {
+		return err
 	}
 	step := f.adam.DirectionVec(avg)
 	tensor.Axpy(1, step, global)
+	return nil
 }
 
 // PartialUnweighted implements Aggregator.
@@ -137,24 +147,28 @@ func (s *Scaffold) C(dim int) []float64 {
 }
 
 // Apply implements Aggregator.
-func (s *Scaffold) Apply(global []float64, updates []Update) { applyUpdates(s, global, updates) }
+func (s *Scaffold) Apply(global []float64, updates []Update) error {
+	return applyUpdates(s, global, updates)
+}
 
 // ApplyPartial implements Aggregator. The partial comes from an
 // unweighted fold (PartialUnweighted), so Sum is the plain delta sum and
 // Count is |S|: one Axpy each applies the η_g/|S| and |S|/N·(1/|S|)
 // scalings.
-func (s *Scaffold) ApplyPartial(global []float64, p *shard.Partial) {
+func (s *Scaffold) ApplyPartial(global []float64, p *shard.Partial) error {
 	if p == nil || p.Count == 0 {
-		return
+		return nil
 	}
 	inv := 1 / float64(p.Count)
-	tensor.Axpy(s.GlobalLR*inv, p.Sum, global)
+	if err := p.AddTo(global, s.GlobalLR*inv); err != nil {
+		return err
+	}
 	// c ← c + |S|/N · mean(Δc_i)
 	if p.CtrlSum != nil {
-		cc := s.C(len(global))
 		scale := float64(p.Count) / float64(s.NumClients) * inv
-		tensor.Axpy(scale, p.CtrlSum, cc)
+		return p.AddCtrlTo(s.C(len(global)), scale)
 	}
+	return nil
 }
 
 // PartialUnweighted implements Aggregator.
@@ -218,9 +232,10 @@ func StalenessWeight(staleness int) float64 {
 }
 
 // FedBuff is buffered asynchronous aggregation (Nguyen et al.): deltas
-// accumulate in a size-K buffer; when full, their staleness-weighted
-// average is applied with server learning rate Eta. Each buffered delta
-// is weighted by StalenessWeight(staleness), so a fresh buffer (all
+// fold into a shard.Partial as they arrive; at K of them, their
+// staleness-weighted average is applied with server learning rate Eta —
+// the wire session's buffer (internal/session) to the bit. Each delta is
+// weighted by StalenessWeight(staleness), so a fresh buffer (all
 // staleness 0) reduces to the plain mean.
 type FedBuff struct {
 	// K is the buffer size.
@@ -228,8 +243,7 @@ type FedBuff struct {
 	// Eta is the server learning rate applied to the buffered average.
 	Eta float64
 
-	buf     [][]float64
-	weights []float64
+	part *shard.Partial
 }
 
 // NewFedBuff returns a FedBuff server with buffer size k.
@@ -243,21 +257,17 @@ func NewFedBuff(k int, eta float64) *FedBuff {
 // Name implements AsyncStrategy.
 func (*FedBuff) Name() string { return "fedbuff" }
 
-// OnReceive implements AsyncStrategy.
+// OnReceive implements AsyncStrategy. A buffer outside the fold window is
+// dropped without touching global, and the version does not advance.
 func (f *FedBuff) OnReceive(global, _ []float64, u Update) bool {
-	f.buf = append(f.buf, u.Delta.Dense())
-	f.weights = append(f.weights, StalenessWeight(u.Staleness))
-	if len(f.buf) < f.K {
+	if f.part == nil {
+		f.part = shard.NewPartial(len(global))
+	}
+	f.part.Fold(shard.Update{Client: u.Client, Weight: StalenessWeight(u.Staleness), Delta: u.Delta}, false)
+	if f.part.Count < f.K {
 		return false
 	}
-	var wsum float64
-	for _, w := range f.weights {
-		wsum += w
-	}
-	for i, d := range f.buf {
-		tensor.Axpy(f.Eta*f.weights[i]/wsum, d, global)
-	}
-	f.buf = f.buf[:0]
-	f.weights = f.weights[:0]
-	return true
+	err := f.part.AddTo(global, f.Eta/f.part.Weight())
+	f.part.Reset()
+	return err == nil
 }

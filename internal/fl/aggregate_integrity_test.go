@@ -127,3 +127,32 @@ func TestAggregatorsAllMalformedIsNoOp(t *testing.T) {
 		}
 	}
 }
+
+// TestFedAvgQuarantinesFiniteGiants: two updates carrying 1e308 are finite,
+// so scrubbing keeps them and, with no norm gate, nothing else judges them;
+// summed, they used to make the global +Inf. The fold window quarantines
+// them, and the global is bitwise the one from the honest update alone.
+func TestFedAvgQuarantinesFiniteGiants(t *testing.T) {
+	const dim = 8
+	giant := func(c int) Update {
+		return Update{Client: c, Weight: 1, Delta: &compress.Sparse{
+			Dim: dim, Indices: []int32{1, 2}, Values: []float64{1e308, 0.5}}}
+	}
+	run := func(ups []Update) []float64 {
+		global := make([]float64, dim)
+		for i := range global {
+			global[i] = float64(i) * 0.1
+		}
+		if err := (FedAvg{}).Apply(global, ups); err != nil {
+			t.Fatal(err)
+		}
+		return global
+	}
+	want := run([]Update{honestUpdate(dim)})
+	got := run([]Update{giant(5), honestUpdate(dim), giant(6)})
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("global[%d] = %v with the giants, %v without", i, got[i], want[i])
+		}
+	}
+}

@@ -188,7 +188,9 @@ func (e *SyncEngine) RunRound() {
 	}
 
 	before := tensor.CopyVec(e.Global)
-	e.Agg.Apply(e.Global, updates)
+	if err := e.Agg.Apply(e.Global, updates); err != nil {
+		e.Metrics.Counter("adafl_aggregate_refused_total").Inc() // global untouched
+	}
 	tensor.SubVec(e.LastGlobalDelta, e.Global, before)
 
 	e.now += roundDur

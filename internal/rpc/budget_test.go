@@ -214,11 +214,11 @@ func TestServerReceiveRetainedHeapBudget(t *testing.T) {
 // any aggregate — the broadcast carries none (nDelta = 0: the frame is
 // exactly header, counts and the f32 params), and every later broadcast
 // carries it in full. Leaving the zeros out changes nothing the session
-// computes: the digest of every broadcast's params, every later
-// broadcast's ĝ, every round's scores and ratios and the final global is
-// the one taken when the round-0 broadcast still carried dim zeros.
+// computes (a client scores an empty ĝ as a zero one): the digest of every
+// broadcast's params, every later broadcast's ĝ, every round's scores and
+// ratios and the final global pins the session.
 func TestWarmupBroadcastSendsNoDelta(t *testing.T) {
-	const want = "c2acbe16a16b740fe952119ce33af419942e569f5251cf79e6e1d9af41c5b118"
+	const want = "64903881e64f084316d3fcc1b83fcda6f82188baa58509b48cef9a4e602fee95"
 	const rounds, observer = 4, 3
 	env := newChaosEnv(4, 480, 12, 16, 73)
 	scfg := env.serverConfig(rounds)

@@ -14,7 +14,6 @@ import (
 	"adafl/internal/compress"
 	"adafl/internal/shard"
 	"adafl/internal/stats"
-	"adafl/internal/tensor"
 )
 
 // Fleet harness: drives tens of thousands of real socket clients through
@@ -34,7 +33,9 @@ import (
 // update itself, into the next of GOMAXPROCS striped partials (each a
 // mutex, a Partial and a scratch Sparse). The fold that brings the
 // round's expected count to zero wakes the round loop — one wake-up per
-// round — and the loop merges the partials in ascending order. An idle
+// round — and the loop merges the partials. Which stripe an update lands
+// in, and the order of the merge, leave the bits alone: the partials are
+// fixed point (shard.Partial). An idle
 // connection holds its goroutine and the header array, no read buffer,
 // and the decode path allocates nothing. A client builds each update
 // frame in a pooled buffer and sends it with one Write. Both ends are the
@@ -96,8 +97,8 @@ type FleetResult struct {
 	// AllocsPerUpdate is the whole-process malloc count per update over
 	// rounds 2..N (round 1 warms scratch buffers and connection state).
 	AllocsPerUpdate float64 `json:"allocs_per_update"`
-	// Checksum sums the final global vector: comparable with the
-	// in-process flfleet (same update generator).
+	// Checksum sums the final global vector: equal, bit for bit, to the
+	// in-process flfleet's (same update generator, same fold).
 	Checksum float64 `json:"global_checksum"`
 }
 
@@ -362,17 +363,21 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 				return nil, f.teardown(&clientWG, &readerWG)
 			}
 		}
-		// Barrier reached: every update of the round is folded. Ascending
-		// partial order fixes the merge's floating-point summation order;
-		// the locks only matter if a misbehaving peer outran the count.
+		// Barrier reached: every update of the round is folded. The
+		// stripes' round-robin split and the merge order do not change the
+		// bits (shard.Partial); the locks only matter if a misbehaving peer
+		// outran the count.
 		for _, s := range f.parts {
 			s.mu.Lock()
 			roundPart.Merge(s.part)
 			s.part.Reset()
 			s.mu.Unlock()
 		}
-		if roundPart.WeightSum != 0 {
-			tensor.Axpy(1/roundPart.WeightSum, roundPart.Sum, global)
+		if w := roundPart.Weight(); w != 0 {
+			if err := roundPart.AddTo(global, 1/w); err != nil {
+				f.abort(fmt.Errorf("rpc: fleet round %d: %w", r+1, err))
+				return nil, f.teardown(&clientWG, &readerWG)
+			}
 		}
 		roundPart.Reset()
 		if r == 0 {

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -162,7 +163,8 @@ func TestQuarantineMalformedUpdateBitwiseE2E(t *testing.T) {
 }
 
 // TestQuarantineNormOutlierE2E: three honest clients plus one shipping
-// structurally valid updates with absurd magnitudes. The norm gate must
+// structurally valid updates of absurd norm (each product still inside the
+// fold window, so the norm gate is what judges them). The norm gate must
 // quarantine the outlier against the round-median norm while the honest
 // majority trains on undisturbed.
 func TestQuarantineNormOutlierE2E(t *testing.T) {
@@ -197,7 +199,7 @@ func TestQuarantineNormOutlierE2E(t *testing.T) {
 				idx := make([]int32, 8)
 				for i := range vals {
 					idx[i] = int32(i)
-					vals[i] = 3e7
+					vals[i] = 50
 				}
 				return &compress.Sparse{Dim: dim, Indices: idx, Values: vals}
 			})
@@ -232,5 +234,75 @@ func TestQuarantineNormOutlierE2E(t *testing.T) {
 	// Honest training was not collateral damage.
 	if res.FinalAcc < 0.3 {
 		t.Fatalf("session with gated outlier failed to learn: acc %.3f", res.FinalAcc)
+	}
+}
+
+// TestQuarantineFiniteGiantsE2E: of four scripted clients, two ship finite
+// updates carrying 1e308 every round. Nothing else judges them — the norm
+// gate is off, or at ×10 it needs a median the two giants dominate — and
+// summed they used to make the global +Inf. The fold window quarantines
+// both by name, and every broadcast is bitwise what it is when their
+// updates never arrive.
+func TestQuarantineFiniteGiantsE2E(t *testing.T) {
+	const rounds = 3
+	giants := []int{0, 1}
+	run := func(gate float64, attack bool) ([][]float64, *ServerResult) {
+		env := newChaosEnv(4, 480, 12, 16, 71)
+		env.cfg.K = 4 // everyone is asked for an update every round
+		scfg := env.serverConfig(rounds)
+		scfg.MaxUpdateNorm = gate
+		var srv *Server
+		scfg.OnRound = func(RoundRecord) {
+			for _, id := range giants {
+				waitForClient(t, srv, id, 10*time.Second)
+			}
+		}
+		srv, err := NewServer(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan *evilResult, 4)
+		for id := 0; id < 4; id++ {
+			go func() {
+				done <- runEvilClient(srv.Addr(), id, 120, 100, func(round, dim int) *compress.Sparse {
+					u := scriptedUpdate(id, round, dim)
+					if id > 1 {
+						return u
+					}
+					if !attack {
+						return nil // never arrives: evicted like a dead link
+					}
+					u.Values[3] = 1e308
+					return u
+				})
+			}()
+		}
+		res, err := srv.Run()
+		if err != nil {
+			t.Fatalf("gate %v attack=%v: %v", gate, attack, err)
+		}
+		var observed [][]float64
+		for i := 0; i < 4; i++ {
+			if r := <-done; len(r.broadcasts) >= rounds && r.redials == 0 {
+				observed = r.broadcasts // an honest client: it saw every round
+			}
+		}
+		if len(res.Rounds) != rounds {
+			t.Fatalf("gate %v attack=%v: completed %d/%d rounds", gate, attack, len(res.Rounds), rounds)
+		}
+		return observed, res
+	}
+	for _, gate := range []float64{0, 10} {
+		clean, _ := run(gate, false)
+		attacked, res := run(gate, true)
+		if len(res.Quarantines) != 2*rounds {
+			t.Errorf("gate %v: %d quarantines, want both giants every round", gate, len(res.Quarantines))
+		}
+		for _, q := range res.Quarantines {
+			if q.ClientID > 1 || !strings.Contains(q.Reason, "outside the fold window") {
+				t.Errorf("gate %v: quarantined client %d: %s", gate, q.ClientID, q.Reason)
+			}
+		}
+		sameBroadcasts(t, fmt.Sprintf("gate %v: giants vs giants silent", gate), attacked, clean, rounds)
 	}
 }

@@ -68,8 +68,9 @@ const (
 	// scenario region, NumSamples the clients currently connected to it.
 	MsgEdgeHello
 	// MsgEdgePartial streams an edge's folded round aggregate upstream:
-	// ClientID is the edge ID, Params the partial's Sum vector, WeightSum
-	// the accumulated fold weight and NumSamples the fold count.
+	// ClientID is the edge ID, Params the partial's fixed-point Sum words
+	// (each int64's bits in one float64 slot, moved bit for bit),
+	// WeightSum the fold weight's word and NumSamples the fold count.
 	MsgEdgePartial
 	// MsgReroute is the welcome extension a root's client bootstrap sends:
 	// Info is the address of the edge the client is assigned to and Round
@@ -125,8 +126,8 @@ type Envelope struct {
 	// messages, a farewell summary on shutdown)
 	Info string
 
-	// MsgEdgePartial
-	WeightSum float64
+	// MsgEdgePartial: the fold weight in shard.Partial's fixed point.
+	WeightSum int64
 
 	// MsgEdgeHello
 	Region string

@@ -84,15 +84,9 @@ type ServerConfig struct {
 	// validation (index bounds, length pairing) and NaN/Inf scrubbing
 	// are always on.
 	MaxUpdateNorm float64
-	// Shards is the fan-out of the internal/shard aggregation tree the
-	// round's screened updates fold through (0 means 1). The round is
-	// collected under the deadline, sorted by client id and screened as a
-	// whole (shard.Screen) before any update is ingested, so the global
-	// model is bit-deterministic for a fixed shard count regardless of
-	// arrival order; a different shard count reassociates the float sums
-	// within the usual accumulation tolerance. The shard count joins the
-	// session checkpoint, so a resume with a different -shards value is
-	// refused.
+	// Shards is ignored: the fold's bits do not depend on a shard count
+	// (shard.Partial), so the server folds through one shard. The field
+	// stays only because bench/ sets it (ROADMAP item 1).
 	Shards int
 	// Metrics, when non-nil, receives the server's operational metrics:
 	// round/phase latencies, uplink/downlink bytes, evictions,
@@ -260,9 +254,6 @@ func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 1
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	if err := checkWire(cfg.Wire); err != nil {
 		return cfg, err
 	}
@@ -324,7 +315,7 @@ func (s *Server) Run() (*ServerResult, error) {
 	// norm gate runs retrospectively in shard.Screen; the tree's causal
 	// gate is for the barrier-less async path.
 	s.tree = shard.NewTree(shard.Config{
-		Shards:  s.cfg.Shards,
+		Shards:  1,
 		Dim:     len(global),
 		Metrics: s.cfg.Metrics,
 		Logf:    s.cfg.Logf,
@@ -584,30 +575,24 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 		s.cfg.Events.Emit(obs.Event{Type: "update", Round: round, Client: p.ID, Bytes: int64(upd.WireBytes())})
 	}
 
-	// Screen and fold in client-id order, which is the order Exchange
-	// reports in whatever order the replies arrived: float accumulation is
-	// not associative, and the replay contract needs two identical sessions
-	// to produce bit-identical globals. The barrier holds the whole round,
-	// so the screen is the retrospective one the edge tier runs; ascending
-	// ingest fixes every shard's fold order and Finish merges in shard
-	// order. Quarantined clients are evicted like stragglers: their weight
-	// leaves the renormalisation and the global is bitwise unaffected by
-	// the rejected update.
+	// Screen the round, then fold it. Exchange reports in roster order, but
+	// the fold's bits do not depend on order (shard.Partial). The barrier
+	// holds the whole round, so the screen is the retrospective one the
+	// edge tier runs. Quarantined clients are evicted like stragglers:
+	// their weight leaves the renormalisation and the global is bitwise
+	// unaffected by the rejected update.
 	aggStart := time.Now()
 	items := make([]shard.Item, len(received))
 	for i, p := range received {
-		items[i] = shard.Item{Client: p.ID, Tag: i, Upd: p.Env.Update}
+		items[i] = shard.Item{Client: p.ID, Tag: i, Upd: p.Env.Update,
+			Weight: float64(p.Samples) / float64(totalSamples)}
 	}
 	kept, quarantined := shard.Screen(round, len(global), s.cfg.MaxUpdateNorm, items, s.cfg.Logf)
 	for _, it := range kept {
-		s.tree.Ingest(round, shard.Update{
-			Client: it.Client,
-			Weight: float64(received[it.Tag].Samples) / float64(totalSamples),
-			Delta:  it.Upd,
-		})
+		s.tree.Ingest(round, shard.Update{Client: it.Client, Weight: it.Weight, Delta: it.Upd})
 	}
-	// The tree repeats the structural checks Screen just passed and runs
-	// no norm gate, so it has nothing left to reject.
+	// The tree repeats the checks Screen just passed and runs no norm
+	// gate, so it has nothing left to reject.
 	part, _ := s.tree.Finish()
 	s.met.updateSec.Observe(time.Since(updatePhaseStart).Seconds())
 	for _, q := range quarantined {
@@ -623,7 +608,9 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	// round's roster; the 1/WeightSum renormalisation keeps the average
 	// well-formed when some selected updates never arrive).
 	rec.Received = part.Count
-	applyRound(global, globalDelta, part.Sum, part.WeightSum)
+	if err := applyRound(global, globalDelta, part); err != nil {
+		s.cfg.Logf("server: round %d: %v", round+1, err)
+	}
 	s.cfg.Events.Emit(obs.Event{Type: "aggregate", Round: round, Client: -1,
 		Received: rec.Received, Seconds: time.Since(aggStart).Seconds()})
 
@@ -663,23 +650,17 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	return rec
 }
 
-// applyRound adds sum/weightSum to global and leaves ĝ = new − old in
-// globalDelta, in one pass and without a copy of the old global. Each
-// coordinate is computed in the expression forms of tensor.Axpy then
-// tensor.SubVec, so the bits are theirs; with no weight the global stays
-// and ĝ is x − x, which is 0 for every finite x.
-func applyRound(global, globalDelta, sum []float64, weightSum float64) {
-	if !(weightSum > 0) {
-		tensor.SubVec(globalDelta, global, global)
-		return
+// applyRound adds Sum/Weight to global and leaves ĝ = new − old in
+// globalDelta. With no weight, or a partial outside the fold window (the
+// error), the global stays and ĝ is x − x, which is 0 for every finite x.
+func applyRound(global, globalDelta []float64, part *shard.Partial) error {
+	copy(globalDelta, global)
+	var err error
+	if w := part.Weight(); w > 0 {
+		err = part.AddTo(global, 1/w)
 	}
-	a := 1 / weightSum
-	sum, globalDelta = sum[:len(global)], globalDelta[:len(global)]
-	for i, old := range global {
-		x := old + a*sum[i]
-		global[i] = x
-		globalDelta[i] = x - old
-	}
+	tensor.SubVec(globalDelta, global, globalDelta)
+	return err
 }
 
 // logAssignments writes one JSONL record for the round's negotiated
@@ -720,7 +701,9 @@ func (s *Server) shutdown(info string) {
 // sessionSnapshot is the meta section of the session's snapshot, taken after
 // every completed round: with the "global" and "gdelta" vectors, everything
 // needed to continue from round CompletedRound+1 in a fresh process.
-// NumClients/Rounds let a resume under changed flags say so.
+// NumClients/Rounds let a resume under changed flags say so. Chains whose
+// meta also carries a shard count (and older ones S zero partials) still
+// decode: gob skips a field this struct lacks.
 type sessionSnapshot struct {
 	CompletedRound  int
 	NumClients      int
@@ -734,11 +717,6 @@ type sessionSnapshot struct {
 	BytesReceived      int64
 	Evictions          int
 	FinalAcc           float64
-	// ShardState pins the aggregation tree's shard count: a resume under a
-	// different -shards value is refused rather than silently re-routing
-	// clients. The tree holds nothing across a round boundary, so the count
-	// is all there is to keep.
-	ShardState *shardGeometry
 	// Scenario is the fleet-scenario state (battery levels, depletion
 	// latches, integration clock) as of the completed round; nil when the
 	// session runs without a scenario.
@@ -752,11 +730,6 @@ type sessionSnapshot struct {
 
 // Round makes sessionSnapshot a checkpoint.Meta.
 func (m *sessionSnapshot) Round() int { return m.CompletedRound }
-
-// shardGeometry is sessionSnapshot.ShardState. Chains written while it
-// also carried the dimension and one zero partial per shard still decode:
-// gob matches fields by name and skips the ones this struct lacks.
-type shardGeometry struct{ Shards int }
 
 // saveCheckpoint snapshots the session after a completed round: it joins
 // the previous round's epoch, captures this one here, on the round loop,
@@ -774,7 +747,6 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 		BytesReceived:      res.BytesReceived,
 		Evictions:          res.Evictions,
 		FinalAcc:           res.FinalAcc,
-		ShardState:         &shardGeometry{Shards: s.cfg.Shards},
 	}
 	if s.cfg.Scenario != nil {
 		meta.Scenario = s.cfg.Scenario.Snapshot()
@@ -831,13 +803,6 @@ func (s *Server) restore(snap *checkpoint.Snapshot, global, globalDelta []float6
 	res.Quarantines = s.quarantines
 	res.QuarantinesDropped = s.quarantinesDropped
 	res.ResumedFrom = meta.CompletedRound + 1
-	// A snapshot taken under a different -shards value is refused —
-	// silently re-routing clients would break the fixed-shard-count
-	// determinism contract.
-	if g := meta.ShardState; g != nil && g.Shards != s.cfg.Shards {
-		return fmt.Errorf("snapshot has %d shards, session has %d (restart with the same -shards)",
-			g.Shards, s.cfg.Shards)
-	}
 	if s.cfg.Scenario != nil {
 		if meta.Scenario != nil {
 			// A snapshot from a different scenario (name, seed or fleet

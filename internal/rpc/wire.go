@@ -31,7 +31,10 @@ import (
 //	  Model     u32 LE nParams | u32 LE nDelta | nParams × f32 | nDelta × f64
 //	  Ping      i32 LE numSamples (progress count)
 //	  EdgeHello i32 LE numSamples | u32 LE len | info | u32 LE len | region
-//	  EdgePartial i32 LE numSamples | f64 LE weightSum | u32 LE n | n × f64
+//	  EdgePartial i32 LE numSamples | i64 LE weight word | u32 LE n
+//	            | n × i64 LE sum words  (shard.Partial's fixed point: a sum
+//	            word counts 2⁻⁵⁰, the weight word 2⁻⁴⁰; Envelope.Params
+//	            carries each word's bits in a float64 slot)
 //	  Reroute   u32 LE len | UTF-8 info (the assigned edge's address)
 //	  AsyncPull (empty — round field is ignored; the reply's Round is the
 //	            global model version)
@@ -278,7 +281,7 @@ func appendFrameHead(h []byte, e *Envelope, size int) []byte {
 		h = append(h, e.Region...)
 	case MsgEdgePartial:
 		h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.NumSamples)))
-		h = binary.LittleEndian.AppendUint64(h, math.Float64bits(e.WeightSum))
+		h = binary.LittleEndian.AppendUint64(h, uint64(e.WeightSum))
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Params)))
 	}
 	return h
@@ -523,7 +526,7 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error 
 			return err
 		}
 		e.NumSamples = int(int32(binary.LittleEndian.Uint32(body)))
-		e.WeightSum = math.Float64frombits(binary.LittleEndian.Uint64(body[4:]))
+		e.WeightSum = int64(binary.LittleEndian.Uint64(body[4:]))
 		np := binary.LittleEndian.Uint32(body[12:])
 		if err := needN(e.Type, body[16:], 8*int64(np)); err != nil {
 			return err

@@ -98,7 +98,7 @@ func bitPatternFixtures() []*Envelope {
 		fx = append(fx,
 			&Envelope{Type: MsgScore, Score: v},
 			&Envelope{Type: MsgSelect, Ratio: v},
-			&Envelope{Type: MsgEdgePartial, WeightSum: v, Params: []float64{v}},
+			&Envelope{Type: MsgEdgePartial, WeightSum: int64(math.Float64bits(v)), Params: []float64{v}},
 		)
 	}
 	return append(fx,
@@ -132,7 +132,7 @@ func envelopesBitEqual(a, b *Envelope) bool {
 	}
 	if a.Type != b.Type || a.ClientID != b.ClientID || a.Round != b.Round || a.NumSamples != b.NumSamples ||
 		a.Session != b.Session || a.Codec != b.Codec || a.Levels != b.Levels || a.Info != b.Info || a.Region != b.Region ||
-		bits(a.Score) != bits(b.Score) || bits(a.Ratio) != bits(b.Ratio) || bits(a.WeightSum) != bits(b.WeightSum) ||
+		bits(a.Score) != bits(b.Score) || bits(a.Ratio) != bits(b.Ratio) || a.WeightSum != b.WeightSum ||
 		!f64s(a.Params, b.Params) || !f64s(a.GlobalDelta, b.GlobalDelta) || (a.Update == nil) != (b.Update == nil) {
 		return false
 	}

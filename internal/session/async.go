@@ -15,7 +15,6 @@ import (
 	"adafl/internal/obs"
 	"adafl/internal/rpc"
 	"adafl/internal/shard"
-	"adafl/internal/tensor"
 )
 
 // ErrKilled is returned by AsyncSession.Run when Kill interrupted it:
@@ -60,7 +59,10 @@ type AsyncConfig struct {
 	// MaxUpdateNorm enables the shard tree's causal median-relative norm
 	// gate; quarantined senders are evicted. 0 disables it.
 	MaxUpdateNorm float64
-	// Shards is the aggregation tree's shard count (0 means 1).
+	// Shards is ignored: the fold's bits do not depend on a shard count
+	// (shard.Partial), and the session ingests from one goroutine, so it
+	// folds through one shard. The field stays only because bench/ sets it
+	// (ROADMAP item 1).
 	Shards int
 	// CheckpointDir, when non-empty, persists every model version as one
 	// epoch of a checkpoint.DeltaWriter chain.
@@ -199,9 +201,6 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 1
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -253,7 +252,7 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 			cfg.CheckpointDir, version, cfg.Versions)
 	}
 	a.tree = shard.NewTree(shard.Config{
-		Shards:      cfg.Shards,
+		Shards:      1,
 		Dim:         a.dim,
 		MaxNormMult: cfg.MaxUpdateNorm,
 		Metrics:     cfg.Metrics,
@@ -469,7 +468,10 @@ func (a *AsyncSession) apply() {
 		return
 	}
 	next := append([]float64(nil), params...)
-	tensor.Axpy(a.cfg.Eta/part.WeightSum, part.Sum, next)
+	if err := part.AddTo(next, a.cfg.Eta/part.Weight()); err != nil {
+		a.cfg.Logf("session %q: version %d: %v", a.cfg.Name, version+1, err)
+		return
+	}
 	version++
 	a.publish(next, version)
 	a.met.versions.Inc()

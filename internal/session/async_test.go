@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,9 +23,8 @@ import (
 
 // TestAsyncBufferMatchesFedBuff pins the wire-mode buffer to the
 // in-process fl.FedBuff strategy: fed the same deltas at the same
-// stalenesses, both must produce the same next global (the shard tree
-// folds Σwᵢdᵢ before one Axpy while FedBuff applies per-delta Axpys, so
-// the comparison is near-exact rather than bitwise).
+// stalenesses, both fold Σwᵢdᵢ into a shard.Partial and apply it once, so
+// the next global is the same bits.
 func TestAsyncBufferMatchesFedBuff(t *testing.T) {
 	env := newTestEnv(1, 40, 12, 4, 13)
 	const (
@@ -64,12 +64,64 @@ func TestAsyncBufferMatchesFedBuff(t *testing.T) {
 		t.Fatalf("buffer of %d arrivals advanced to version %d, want 6", k, version)
 	}
 	for i := range got {
-		if diff := math.Abs(got[i] - global[i]); diff > 1e-12*(1+math.Abs(global[i])) {
-			t.Fatalf("param %d: wire buffer %v, fl.FedBuff %v (diff %g)", i, got[i], global[i], diff)
+		if got[i] != global[i] {
+			t.Fatalf("param %d: wire buffer %v, fl.FedBuff %v", i, got[i], global[i])
 		}
 	}
 	if w := fl.StalenessWeight(3); math.Abs(w-1/math.Sqrt(4)) > 1e-15 {
 		t.Fatalf("StalenessWeight(3) = %v, want 1/sqrt(4)", w)
+	}
+}
+
+// TestAsyncQuarantinesFiniteGiants: two pushes carrying 1e308 arrive
+// first, before the causal norm gate has the quorum it needs to judge
+// anything; summed, they used to make the global +Inf. The fold window
+// quarantines both by name, and the next version is bitwise the one a
+// session makes from the honest push alone.
+func TestAsyncQuarantinesFiniteGiants(t *testing.T) {
+	env := newTestEnv(1, 40, 12, 4, 13)
+	newSession := func(k int) *AsyncSession {
+		a, err := NewAsync(AsyncConfig{NewModel: env.newModel, K: k, Eta: 0.5, Versions: 10, MaxUpdateNorm: 10, Logf: quiet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	honest := func(dim int) *compress.Sparse {
+		d := make([]float64, dim)
+		for j := range d {
+			d[j] = 0.01 * math.Sin(float64(j+1)*0.37)
+		}
+		return compress.NewSparseDense(d)
+	}
+	giant := func(dim int) *compress.Sparse {
+		return &compress.Sparse{Dim: dim, Indices: []int32{0, 1}, Values: []float64{1e308, 0.5}}
+	}
+
+	a := newSession(3)
+	a.fold(arrival{client: 1, delta: giant(a.dim)})
+	a.fold(arrival{client: 2, delta: giant(a.dim)})
+	a.fold(arrival{client: 0, delta: honest(a.dim)})
+	ref := newSession(1)
+	ref.fold(arrival{client: 0, delta: honest(ref.dim)})
+
+	if len(a.res.Quarantines) != 2 {
+		t.Fatalf("quarantined %+v, want both giants", a.res.Quarantines)
+	}
+	for _, q := range a.res.Quarantines {
+		if !strings.Contains(q.Reason, "outside the fold window") {
+			t.Errorf("client %d quarantined as %q, want the fold window", q.ClientID, q.Reason)
+		}
+	}
+	got, gv := a.snapshot()
+	want, wv := ref.snapshot()
+	if gv != 1 || wv != 1 {
+		t.Fatalf("versions %d and %d, want 1 and 1", gv, wv)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("param %d: %v with the giants, %v without", i, got[i], want[i])
+		}
 	}
 }
 

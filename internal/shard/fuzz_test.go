@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"adafl/internal/compress"
@@ -9,16 +10,16 @@ import (
 
 // FuzzShardMerge drives the streaming tree with adversarially generated
 // update batches — random shard counts, random weights, sparse indices
-// including duplicates and out-of-range ones — and cross-checks the
-// merged root partial against the buffered reference fold over the same
-// surviving updates. The invariants under fuzz:
+// including duplicates and out-of-range ones, values past the fold window
+// — and cross-checks the merged root partial against one plain fold of
+// the surviving updates in reverse order. The invariants under fuzz:
 //
 //   - the tree never panics or deadlocks on malformed input;
 //   - every update is either folded or quarantined, never both, never
 //     neither;
-//   - the merged sums match the reference within reassociation
-//     tolerance, and the weight sums match exactly as a sum of the
-//     kept updates' weights per shard.
+//   - an update outside the fold window is quarantined by name;
+//   - the merged partial equals the reference bit for bit, whatever the
+//     shard count and the order.
 func FuzzShardMerge(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(4), uint8(8))
 	f.Add(uint64(7), uint8(3), uint8(20), uint8(16))
@@ -28,6 +29,8 @@ func FuzzShardMerge(f *testing.F) {
 	// replayed after a reroute) and single-shard topologies (one edge).
 	f.Add(uint64(1337), uint8(1), uint8(63), uint8(40))
 	f.Add(uint64(2026), uint8(5), uint8(48), uint8(24))
+	// A batch with finite values of 1e308 (the fold window).
+	f.Add(uint64(308), uint8(2), uint8(40), uint8(6))
 	f.Fuzz(func(t *testing.T, seed uint64, shards, nups, dim8 uint8) {
 		s := int(shards)%8 + 1
 		n := int(nups) % 64
@@ -47,6 +50,8 @@ func FuzzShardMerge(f *testing.F) {
 					vals[i] = math.NaN()
 				case 1:
 					vals[i] = math.Inf(1)
+				case 2:
+					vals[i] = 1e308 // finite, far outside the fold window
 				default:
 					vals[i] = float64(int64(rng.next()%2000)-1000) / 100
 				}
@@ -61,12 +66,12 @@ func FuzzShardMerge(f *testing.F) {
 				Delta:  &compress.Sparse{Dim: d, Indices: idx, Values: vals},
 			}
 		}
-		// ~1/4 of updates duplicate the previous entry's client ID and
-		// delta content (fresh slices: Scrub mutates in place), modelling
-		// a rerouted client whose round replayed through a second edge.
-		// The tree must fold every instance, never dedup; identical
-		// content keeps validity uniform per ID so the quarantine-set
-		// reconstruction below stays sound.
+		// ~1/4 of updates duplicate the previous entry's client ID, weight
+		// and delta content (fresh slices: Scrub mutates in place),
+		// modelling a rerouted client whose round replayed through a
+		// second edge. The tree must fold every instance, never dedup;
+		// identical content and weight keep validity uniform per ID so the
+		// quarantine-set reconstruction below stays sound.
 		for c := 1; c < n; c++ {
 			if rng.next()%4 != 0 {
 				continue
@@ -74,7 +79,7 @@ func FuzzShardMerge(f *testing.F) {
 			prev := ups[c-1]
 			ups[c] = Update{
 				Client: prev.Client,
-				Weight: float64(rng.next()%100) / 10,
+				Weight: prev.Weight,
 				Delta: &compress.Sparse{Dim: prev.Delta.Dim,
 					Indices: append([]int32(nil), prev.Delta.Indices...),
 					Values:  append([]float64(nil), prev.Delta.Values...)},
@@ -92,41 +97,65 @@ func FuzzShardMerge(f *testing.F) {
 			t.Fatalf("folded %d + quarantined %d != %d ingested", got.Count, len(quars), n)
 		}
 
-		// Rebuild the survivor set and fold it with the buffered
-		// reference, per shard then merged in shard order, to mirror the
-		// tree's summation topology exactly. Scrub already zeroed the
-		// tree's copies in place, so the reference sees identical values.
+		// Rebuild the survivor set and fold it into one partial in reverse
+		// order. Scrub already zeroed the tree's copies in place, so the
+		// reference sees identical values.
 		quarantinedSet := map[int]bool{}
 		for _, q := range quars {
 			quarantinedSet[q.ClientID] = true
-		}
-		perShard := make([]*Partial, s)
-		for i := range perShard {
-			perShard[i] = NewPartial(dim)
-		}
-		for _, u := range ups {
-			if quarantinedSet[u.Client] {
-				continue
+			if windowErr(weightOf(ups, q.ClientID), maxFinite(ups, q.ClientID)) != nil &&
+				validShape(ups, q.ClientID, dim) && !strings.Contains(q.Reason, "outside the fold window") {
+				t.Fatalf("client %d is outside the fold window but quarantined as %q", q.ClientID, q.Reason)
 			}
-			perShard[tree.Route(u.Client)].Fold(u, false)
 		}
 		want := NewPartial(dim)
-		for _, p := range perShard {
-			want.Merge(p)
-		}
-
-		if got.Count != want.Count {
-			t.Fatalf("count %d vs reference %d", got.Count, want.Count)
-		}
-		if got.WeightSum != want.WeightSum {
-			t.Fatalf("weight sum %v vs reference %v", got.WeightSum, want.WeightSum)
-		}
-		for i := range want.Sum {
-			if d := math.Abs(got.Sum[i] - want.Sum[i]); d > 1e-9*(1+math.Abs(want.Sum[i])) {
-				t.Fatalf("Sum[%d]: %v vs reference %v", i, got.Sum[i], want.Sum[i])
+		for i := len(ups) - 1; i >= 0; i-- {
+			if u := ups[i]; !quarantinedSet[u.Client] {
+				if windowErr(u.Weight, maxFinite(ups, u.Client)) != nil {
+					t.Fatalf("client %d folded outside the fold window", u.Client)
+				}
+				want.Fold(u, false)
 			}
 		}
+		if !samePartial(got, want) {
+			t.Fatalf("S=%d: merged partial differs from the reverse-order fold (count %d vs %d)",
+				s, got.Count, want.Count)
+		}
 	})
+}
+
+// weightOf, maxFinite and validShape read the first update from client c:
+// every update from c carries the same weight and content.
+func weightOf(ups []Update, c int) float64 {
+	for _, u := range ups {
+		if u.Client == c {
+			return u.Weight
+		}
+	}
+	return 0
+}
+
+func maxFinite(ups []Update, c int) (m float64) {
+	for _, u := range ups {
+		if u.Client == c {
+			for _, v := range u.Delta.Values {
+				if !math.IsNaN(v) && !math.IsInf(v, 0) {
+					m = max(m, math.Abs(v))
+				}
+			}
+			return m
+		}
+	}
+	return 0
+}
+
+func validShape(ups []Update, c, dim int) bool {
+	for _, u := range ups {
+		if u.Client == c {
+			return u.Delta.Validate(dim) == nil
+		}
+	}
+	return false
 }
 
 // newFuzzRNG is a tiny splitmix64 so the fuzz body derives all its

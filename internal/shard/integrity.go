@@ -26,11 +26,15 @@ type QuarantineRecord struct {
 
 // Item pairs an update with its sender for the buffered screen. Tag is
 // an opaque caller token (the rpc server stores its slice index there to
-// map kept items back onto connections).
+// map kept items back onto connections). Weight is the scale the update
+// will fold with, which the fold window judges it at; Screen sets MaxAbs,
+// max|Δⱼ|, on the items it keeps, for the fold's bound (Update.MaxAbs).
 type Item struct {
 	Client int
 	Tag    int
 	Upd    *compress.Sparse
+	Weight float64
+	MaxAbs float64
 }
 
 // NormGateMinUpdates is the minimum number of structurally valid
@@ -51,7 +55,10 @@ const NormGateMinUpdates = 3
 //     zeroed in place; an update with no finite signal at all is
 //     quarantined rather than applied as a zero update from a client
 //     whose training has diverged.
-//  3. L2-norm outlier gate: with maxNormMult > 0 and at least
+//  3. The fold window: an update with any |Weight·Δⱼ| ≥ 2⁶ is
+//     quarantined ("outside the fold window"), so that no single update
+//     can push the fixed-point aggregate (Partial) out of its range.
+//  4. L2-norm outlier gate: with maxNormMult > 0 and at least
 //     NormGateMinUpdates survivors, updates whose norm exceeds
 //     maxNormMult times the round's median norm are quarantined. The
 //     median is robust to the outliers being gated; the gate is skipped
@@ -73,17 +80,23 @@ func Screen(round, dim int, maxNormMult float64, ups []Item, logf Logf) (keep []
 			})
 			continue
 		}
-		if n := u.Upd.Scrub(); n > 0 {
-			if n == u.Upd.NNZ() {
-				quarantined = append(quarantined, QuarantineRecord{
-					Round: round, ClientID: u.Client,
-					Reason: fmt.Sprintf("update entirely non-finite (%d values)", n),
-				})
-				continue
-			}
+		n, maxAbs := u.Upd.Scrub()
+		if n > 0 && n == u.Upd.NNZ() {
+			quarantined = append(quarantined, QuarantineRecord{
+				Round: round, ClientID: u.Client,
+				Reason: fmt.Sprintf("update entirely non-finite (%d values)", n),
+			})
+			continue
+		}
+		if err := windowErr(u.Weight, maxAbs); err != nil {
+			quarantined = append(quarantined, QuarantineRecord{Round: round, ClientID: u.Client, Reason: err.Error()})
+			continue
+		}
+		if n > 0 {
 			logf("server: round %d: scrubbed %d non-finite values from client %d",
 				round+1, n, u.Client)
 		}
+		u.MaxAbs = maxAbs
 		keep = append(keep, u)
 	}
 

@@ -16,20 +16,20 @@
 // lock, so producers on different shards fold in parallel; the tree starts
 // no goroutine and keeps nothing of an update once Ingest returns.
 //
-// Determinism contract: routing is client-id mod S, each shard folds its
-// updates in the order their Ingest calls take its lock, and Finish
-// merges partials in ascending shard order. For a fixed shard count and a
-// fixed per-shard arrival order the result is therefore bit-for-bit
-// reproducible; with S=1 it is bitwise identical to the buffered
-// two-phase FedAvg. Changing S (or interleaving arrivals differently
-// across clients of the same shard) reassociates floating-point sums and
-// changes results only within the usual accumulation tolerance. See
-// DESIGN.md §Sharded aggregation.
+// Determinism contract: a Partial accumulates in int64 fixed point (each
+// product w·Δⱼ rounded once to 2⁻⁵⁰), so every fold and merge is integer
+// addition. The merged result is the same bits for any shard count, any
+// routing, any fold order and any arrival order, and converts to float64
+// once, at apply (Partial.AddTo). The window is part of the contract: an
+// update with a product of 2⁶ or more is quarantined by name, and an
+// aggregate whose bound reaches 2¹³ is never applied. See DESIGN.md
+// §Sharded aggregation.
 //
 // Integrity runs inside the shards: each update is structurally
 // validated exactly once at fold time, scrubbed of non-finite values,
-// and judged by a causal median-relative norm gate; rejects surface as
-// QuarantineRecords at the barrier so the caller can evict the sender.
+// checked against the fold window and judged by a causal median-relative
+// norm gate; rejects surface as QuarantineRecords at the barrier so the
+// caller can evict the sender.
 package shard
 
 import (
@@ -105,9 +105,9 @@ func NewTree(cfg Config) *Tree {
 }
 
 // Route returns the shard index an update from the given client folds
-// into. The mapping (client mod S, shifted into range for negative ids)
-// is part of the determinism contract: a fixed fleet always shards the
-// same way.
+// into: client mod S, shifted into range for negative ids. The norm gate
+// is per shard, so the mapping decides which updates judge each other;
+// the folded bits do not depend on it.
 func (t *Tree) Route(client int) int {
 	s := len(t.stripes)
 	return ((client % s) + s) % s
@@ -135,11 +135,11 @@ func (t *Tree) Ingest(round int, u Update) {
 	}
 }
 
-// Finish is the round barrier: it merges the S partials in ascending
-// shard order, collects the round's quarantine records (ordered by shard,
-// then fold order) and resets every shard for the next round. The
-// returned Partial belongs to the tree and is valid until the next
-// Finish; the records belong to the caller.
+// Finish is the round barrier: it merges the S partials, collects the
+// round's quarantine records (ordered by shard, then fold order) and
+// resets every shard for the next round. The returned Partial belongs to
+// the tree and is valid until the next Finish; the records belong to the
+// caller.
 func (t *Tree) Finish() (*Partial, []QuarantineRecord) {
 	start := time.Now()
 	t.root.Reset()
@@ -172,11 +172,16 @@ func (st *stripe) fold(round int, u Update, cfg *Config) (scrubbed int) {
 		st.reject(round, u.Client, err.Error(), 0)
 		return 0
 	}
-	scrubbed = u.Delta.Scrub()
+	scrubbed, maxAbs := u.Delta.Scrub()
 	if scrubbed > 0 && scrubbed == u.Delta.NNZ() {
 		st.reject(round, u.Client, fmt.Sprintf("update entirely non-finite (%d values)", scrubbed), 0)
 		return 0
 	}
+	if err := windowErr(u.Weight, maxAbs); err != nil {
+		st.reject(round, u.Client, err.Error(), 0)
+		return scrubbed
+	}
+	u.MaxAbs = maxAbs
 	if cfg.MaxNormMult > 0 {
 		norm := u.Delta.Norm2()
 		if ok, med := st.gate.admit(norm); !ok {

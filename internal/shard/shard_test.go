@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -79,26 +80,138 @@ func TestTreeS1Bitwise(t *testing.T) {
 	}
 }
 
-// TestTreeMultiShardTolerance: S>1 reassociates the summation, so the
-// result matches the reference within accumulation tolerance and the
-// weight sum is exact up to the same tolerance.
+// TestTreeMultiShardTolerance: S>1 reassociates the summation, which in
+// fixed point changes nothing — the result is the reference fold, bit for
+// bit, weights included.
 func TestTreeMultiShardTolerance(t *testing.T) {
 	const dim = 300
 	ups := randomUpdates(64, dim, 24, 2)
 	want := referenceFold(dim, ups, false)
 	for _, s := range []int{2, 3, 7} {
 		got, _ := runTree(t, Config{Shards: s, Dim: dim}, ups)
-		if got.Count != want.Count {
-			t.Fatalf("S=%d: folded %d of %d", s, got.Count, want.Count)
+		if !samePartial(got, want) {
+			t.Fatalf("S=%d: merged partial differs from the reference fold", s)
 		}
-		if math.Abs(got.WeightSum-want.WeightSum) > 1e-9*math.Abs(want.WeightSum) {
-			t.Fatalf("S=%d: weight sum %v vs %v", s, got.WeightSum, want.WeightSum)
+	}
+}
+
+// samePartial reports whether two partials hold the same bits.
+func samePartial(a, b *Partial) bool {
+	return a.Count == b.Count && a.WeightSum == b.WeightSum && a.Bound == b.Bound &&
+		a.CtrlCount == b.CtrlCount && slices.Equal(a.Sum, b.Sum) && slices.Equal(a.CtrlSum, b.CtrlSum)
+}
+
+// val is word i of a sum as a float64.
+func val(words []int64, i int) float64 { return float64(words[i]) / sumScale }
+
+// TestFoldOrderFree: the same 64 updates folded in 20 random orders, at
+// S ∈ {1, 2, 7}, and from 8 goroutines at once give one partial, bit for
+// bit — Sum, weight, count and bound.
+func TestFoldOrderFree(t *testing.T) {
+	const dim = 500
+	ups := randomUpdates(64, dim, 40, 5)
+	for _, u := range ups {
+		for i := range u.Delta.Values {
+			u.Delta.Values[i] *= 1e-3 // the magnitudes the workloads fold
 		}
-		for i := range want.Sum {
-			if d := math.Abs(got.Sum[i] - want.Sum[i]); d > 1e-9*(1+math.Abs(want.Sum[i])) {
-				t.Fatalf("S=%d: Sum[%d] off by %g", s, i, d)
+	}
+	want := referenceFold(dim, ups, false)
+	rng := stats.NewRNG(9)
+	order := make([]Update, len(ups))
+	for k := 0; k < 20; k++ {
+		copy(order, ups)
+		for i := len(order) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			order[i], order[j] = order[j], order[i]
+		}
+		for _, s := range []int{1, 2, 7} {
+			if got, _ := runTree(t, Config{Shards: s, Dim: dim}, order); !samePartial(got, want) {
+				t.Fatalf("order %d, S=%d: merged partial differs from the slice-order fold", k, s)
 			}
 		}
+	}
+	for _, s := range []int{1, 2, 7} {
+		tree := NewTree(Config{Shards: s, Dim: dim})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g; i < len(ups); i += 8 {
+					tree.Ingest(0, ups[i])
+				}
+			}()
+		}
+		wg.Wait()
+		if got, _ := tree.Finish(); !samePartial(got, want) {
+			t.Fatalf("S=%d: concurrent ingest differs from the slice-order fold", s)
+		}
+	}
+}
+
+// TestFoldSubtractsExactly: the rounding is sign-symmetric, so folding
+// −Δ takes back exactly what folding Δ added.
+func TestFoldSubtractsExactly(t *testing.T) {
+	const dim = 64
+	ups := randomUpdates(16, dim, 12, 6)
+	p := referenceFold(dim, ups[:8], false)
+	want := append([]int64(nil), p.Sum...)
+	for _, u := range ups[8:] {
+		p.Fold(u, false)
+	}
+	for _, u := range ups[8:] {
+		neg := &compress.Sparse{Dim: dim, Indices: u.Delta.Indices, Values: make([]float64, u.Delta.NNZ())}
+		for i, v := range u.Delta.Values {
+			neg.Values[i] = -v
+		}
+		p.Fold(Update{Client: u.Client, Weight: u.Weight, Delta: neg}, false)
+	}
+	if !slices.Equal(p.Sum, want) {
+		t.Fatal("folding −Δ after Δ did not restore the sum bit for bit")
+	}
+}
+
+// TestFoldWindow: an update with a product of 2⁶ or more is quarantined by
+// name, at the tree and at the buffered screen, and an aggregate whose
+// bound reaches 2¹³ is refused at apply with the target untouched.
+func TestFoldWindow(t *testing.T) {
+	const dim = 8
+	giant := func(c int) Update {
+		return Update{Client: c, Weight: 0.5, Delta: mkSparse(dim, []int32{1, 2}, []float64{0.25, 1e308})}
+	}
+	got, quars := runTree(t, Config{Shards: 1, Dim: dim, MaxNormMult: 10}, []Update{
+		{Client: 0, Weight: 0.5, Delta: mkSparse(dim, []int32{1}, []float64{127})}, // 63.5: inside
+		giant(1), giant(2),
+		{Client: 3, Weight: 2, Delta: mkSparse(dim, []int32{3}, []float64{32})}, // 64: outside
+	})
+	if got.Count != 1 || len(quars) != 3 {
+		t.Fatalf("folded %d, quarantined %+v; want 1 and 3", got.Count, quars)
+	}
+	for _, q := range quars {
+		if !strings.Contains(q.Reason, "outside the fold window") {
+			t.Errorf("client %d quarantined as %q, want the fold window", q.ClientID, q.Reason)
+		}
+	}
+	kept, quars := Screen(0, dim, 0, []Item{
+		{Client: 1, Upd: giant(1).Delta, Weight: 0.5},
+		{Client: 2, Upd: mkSparse(dim, []int32{0}, []float64{1}), Weight: 0.5},
+	}, nil)
+	if len(kept) != 1 || len(quars) != 1 || quars[0].ClientID != 1 ||
+		!strings.Contains(quars[0].Reason, "outside the fold window") {
+		t.Fatalf("screen kept %+v, quarantined %+v; want client 1 out by the fold window", kept, quars)
+	}
+
+	// 200 updates of 63 each: every one inside, their sum past 2¹³.
+	p := NewPartial(dim)
+	for c := 0; c < 200; c++ {
+		p.Fold(Update{Client: c, Weight: 1, Delta: mkSparse(dim, []int32{4}, []float64{63})}, false)
+	}
+	dst := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	if err := p.AddTo(dst, 1); err == nil || !strings.Contains(err.Error(), "fold window") {
+		t.Fatalf("AddTo past the window: err = %v", err)
+	}
+	if !slices.Equal(dst, []float64{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("a refused aggregate moved its target: %v", dst)
 	}
 }
 
@@ -153,8 +266,8 @@ func TestTreeEdgeCases(t *testing.T) {
 		bad := Update{Client: 1, Weight: 1, Delta: mkSparse(dim, []int32{int32(dim) + 5}, []float64{9})}
 		nilMsg := Update{Client: 2, Weight: 1, Delta: nil}
 		got, quars := runTree(t, Config{Shards: 2, Dim: dim}, []Update{good, bad, nilMsg})
-		if got.Count != 1 || got.WeightSum != 1 {
-			t.Fatalf("kept %d updates, weight %v", got.Count, got.WeightSum)
+		if got.Count != 1 || got.Weight() != 1 {
+			t.Fatalf("kept %d updates, weight %v", got.Count, got.Weight())
 		}
 		if len(quars) != 2 {
 			t.Fatalf("quarantined %d, want 2: %+v", len(quars), quars)
@@ -192,20 +305,20 @@ func TestTreeUnweightedAndCtrl(t *testing.T) {
 		{Client: 1, Weight: 9, Delta: mkSparse(dim, []int32{1}, []float64{3})},
 	}
 	got := referenceFold(dim, ups, true)
-	if got.WeightSum != 2 || got.Count != 2 {
-		t.Fatalf("unweighted fold: weight %v count %d", got.WeightSum, got.Count)
+	if got.Weight() != 2 || got.Count != 2 {
+		t.Fatalf("unweighted fold: weight %v count %d", got.Weight(), got.Count)
 	}
-	if got.Sum[1] != 4 {
-		t.Fatalf("Sum[1] = %v, want 4", got.Sum[1])
+	if val(got.Sum, 1) != 4 {
+		t.Fatalf("Sum[1] = %v, want 4", val(got.Sum, 1))
 	}
-	if got.CtrlCount != 1 || got.CtrlSum == nil || got.CtrlSum[4] != 2.5 {
+	if got.CtrlCount != 1 || got.CtrlSum == nil || val(got.CtrlSum, 4) != 2.5 {
 		t.Fatalf("ctrl partial wrong: count %d sum %+v", got.CtrlCount, got.CtrlSum)
 	}
 	merged, _ := runTree(t, Config{Shards: 2, Dim: dim}, ups)
-	if merged.WeightSum != 16 || merged.Sum[1] != 34 {
-		t.Fatalf("weighted tree: weight %v Sum[1] %v, want 16 and 34", merged.WeightSum, merged.Sum[1])
+	if merged.Weight() != 16 || val(merged.Sum, 1) != 34 {
+		t.Fatalf("weighted tree: weight %v Sum[1] %v, want 16 and 34", merged.Weight(), val(merged.Sum, 1))
 	}
-	if merged.CtrlCount != 1 || merged.CtrlSum == nil || merged.CtrlSum[4] != 2.5 {
+	if merged.CtrlCount != 1 || merged.CtrlSum == nil || val(merged.CtrlSum, 4) != 2.5 {
 		t.Fatalf("ctrl partial lost in the merge: count %d sum %+v", merged.CtrlCount, merged.CtrlSum)
 	}
 }
@@ -219,7 +332,7 @@ func TestTreeOnlineNormGate(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		tree.Ingest(2, Update{Client: c, Weight: 1, Delta: mkSparse(dim, []int32{int32(c)}, []float64{1})})
 	}
-	tree.Ingest(2, Update{Client: 9, Weight: 1, Delta: mkSparse(dim, []int32{7}, []float64{1e8})})
+	tree.Ingest(2, Update{Client: 9, Weight: 1, Delta: mkSparse(dim, []int32{7}, []float64{50})})
 	got, quars := tree.Finish()
 	if got.Count != 4 {
 		t.Fatalf("folded %d honest updates, want 4", got.Count)
@@ -227,12 +340,12 @@ func TestTreeOnlineNormGate(t *testing.T) {
 	if len(quars) != 1 || quars[0].ClientID != 9 || quars[0].Round != 2 {
 		t.Fatalf("outlier not quarantined: %+v", quars)
 	}
-	if !strings.Contains(quars[0].Reason, "shard median") || quars[0].Norm != 1e8 {
+	if !strings.Contains(quars[0].Reason, "shard median") || quars[0].Norm != 50 {
 		t.Fatalf("quarantine record incomplete: %+v", quars[0])
 	}
 	// Gate state is per round: after Finish the same outlier folds
 	// unconditionally again until a fresh quorum accumulates.
-	tree.Ingest(3, Update{Client: 9, Weight: 1, Delta: mkSparse(dim, []int32{7}, []float64{1e8})})
+	tree.Ingest(3, Update{Client: 9, Weight: 1, Delta: mkSparse(dim, []int32{7}, []float64{50})})
 	got, quars = tree.Finish()
 	if got.Count != 1 || len(quars) != 0 {
 		t.Fatalf("gate state leaked across rounds: count %d quars %+v", got.Count, quars)
@@ -266,12 +379,12 @@ func TestTreeBackpressure(t *testing.T) {
 	wg.Wait()
 	got, quars := tree.Finish()
 	const n = producers * each
-	if got.Count != n || got.WeightSum != 0.5*n || len(quars) != 0 {
+	if got.Count != n || got.Weight() != 0.5*n || len(quars) != 0 {
 		t.Fatalf("concurrent ingest: folded %d (weight %v, %d quarantined), want %d (weight %v)",
-			got.Count, got.WeightSum, len(quars), n, 0.5*n)
+			got.Count, got.Weight(), len(quars), n, 0.5*n)
 	}
-	for i, v := range got.Sum {
-		if v != 0.5*2*n/dim {
+	for i := range got.Sum {
+		if v := val(got.Sum, i); v != 0.5*2*n/dim {
 			t.Fatalf("Sum[%d] = %v, want %v", i, v, 0.5*2*n/dim)
 		}
 	}
@@ -287,8 +400,9 @@ func TestTreeBackpressure(t *testing.T) {
 // TestTreeSnapshotRestore: the tree keeps nothing across Finish, so a
 // second round on a reused tree is bitwise a fresh tree's round — the
 // merged partial and the norm gate's judgments included. Round one feeds
-// norms a thousand times larger; were they still in the gate, round two's
-// outlier would pass under the inflated median.
+// norms four times larger; were they still in the gate, round two's
+// outlier (norm ≈ 208, inside the fold window) would pass under the
+// inflated median.
 func TestTreeSnapshotRestore(t *testing.T) {
 	const dim = 96
 	cfg := Config{Shards: 3, Dim: dim, MaxNormMult: 50}
@@ -301,7 +415,11 @@ func TestTreeSnapshotRestore(t *testing.T) {
 		}
 		// One outlier per shard, after that shard's quorum.
 		for c := 0; c < cfg.Shards; c++ {
-			ups = append(ups, Update{Client: c, Weight: 1, Delta: mkSparse(dim, []int32{5}, []float64{1e4 * scale})})
+			idx, vals := make([]int32, 48), make([]float64, 48)
+			for i := range idx {
+				idx[i], vals[i] = int32(i), 30
+			}
+			ups = append(ups, Update{Client: c, Weight: 1, Delta: mkSparse(dim, idx, vals)})
 		}
 		return ups
 	}
@@ -312,7 +430,7 @@ func TestTreeSnapshotRestore(t *testing.T) {
 	want, wantQuars := fresh.Finish()
 
 	reused := NewTree(cfg)
-	for _, u := range round(7, 1000) {
+	for _, u := range round(7, 4) {
 		reused.Ingest(0, u)
 	}
 	first, _ := reused.Finish()

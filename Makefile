@@ -12,7 +12,13 @@ check: lint build test race
 # offending files and the target exits non-zero if any exist. The arm64
 # cross-build and vet keep gemm_noasm.go and elem_noasm.go tracking the
 # amd64 assembly bindings: the paper's clients are ARM boards, and nothing
-# else in CI compiles for them.
+# else in CI compiles for them. The s390x cross-build keeps the sparse
+# wire's big-endian element loops compiling (a little-endian host moves
+# the runs as block copies). The arm64 disassembly of the portable GEMM
+# tile fails unless its sixteen multiply-adds are fused FMADDS
+# instructions with no call to the fma32 emulation left
+# (tensor/fma32_arm64.go): a refactor that breaks the fusion fails here,
+# not on a board.
 # The import guard is an allowlist of the non-test files that may import
 # encoding/gob: the one place a snapshot's meta section is encoded (and the
 # framed file bench/ still measures); it touches no socket. deadexport fails
@@ -60,6 +66,15 @@ lint: vet
 		exit 1; \
 	fi
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/tensor/
+	GOARCH=s390x $(GO) build ./... && GOARCH=s390x $(GO) vet ./internal/compress/ ./internal/tensor/
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	GOARCH=arm64 $(GO) build -o "$$dir/flclient" ./cmd/flclient && \
+	$(GO) tool objdump -s 'tensor\.gemmTileGo$$' "$$dir/flclient" > "$$dir/tile.txt" && \
+	calls=$$(grep -c 'CALL .*tensor\.fma32' "$$dir/tile.txt"; true) && \
+	fused=$$(grep -c 'FMADDS' "$$dir/tile.txt"; true) && \
+	if [ "$$calls" -ne 0 ] || [ "$$fused" -lt 16 ]; then \
+		echo "arm64 tensor.gemmTileGo: $$calls calls to fma32 and $$fused FMADDS (want 0 and at least 16)"; exit 1; \
+	fi
 	$(GO) run ./cmd/internal/deadexport . cmd/internal/deadexport/allowlist.txt
 	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | sed 's|^\./||' | sort | tr '\n' ' '); \
 	if [ "$$got" != "$(GOB_IMPORTERS) " ]; then echo "encoding/gob importers: $$got(want: $(GOB_IMPORTERS))"; exit 1; fi

@@ -603,7 +603,7 @@ func TestDGCMsgClipBoundsMessageNorm(t *testing.T) {
 func TestSparseValidate(t *testing.T) {
 	const dim = 8
 	good := &Sparse{Dim: dim, Indices: []int32{0, 3, 7}, Values: []float64{1, -2, 0.5}}
-	if err := good.Validate(dim); err != nil {
+	if _, _, err := good.Check(dim); err != nil {
 		t.Fatalf("valid message rejected: %v", err)
 	}
 	cases := []struct {
@@ -618,7 +618,7 @@ func TestSparseValidate(t *testing.T) {
 		{"negative index", &Sparse{Dim: dim, Indices: []int32{-1}, Values: []float64{1}}},
 	}
 	for _, c := range cases {
-		err := c.msg.Validate(dim)
+		_, _, err := c.msg.Check(dim)
 		if err == nil {
 			t.Errorf("%s: malformed message accepted", c.name)
 			continue
@@ -628,8 +628,8 @@ func TestSparseValidate(t *testing.T) {
 		}
 	}
 	// A malformed "too many coords" case must be caught for the dense dim
-	// too: Validate is what stands between the wire and AddTo's panic.
-	if err := cases[4].msg.Validate(dim); err == nil {
+	// too: Check is what stands between the wire and AddTo's panic.
+	if _, _, err := cases[4].msg.Check(dim); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
 }
@@ -640,8 +640,8 @@ func TestSparseScrub(t *testing.T) {
 		Indices: []int32{0, 1, 2, 3, 4},
 		Values:  []float64{1, math.NaN(), math.Inf(1), math.Inf(-1), -2},
 	}
-	if n, m := s.Scrub(); n != 3 || m != 2 {
-		t.Fatalf("scrubbed %d values keeping max |v| %v, want 3 and 2", n, m)
+	if n, m, err := s.Check(6); err != nil || n != 3 || m != 2 {
+		t.Fatalf("scrubbed %d values keeping max |v| %v (err %v), want 3 and 2", n, m, err)
 	}
 	want := []float64{1, 0, 0, 0, -2}
 	for i, v := range s.Values {
@@ -649,7 +649,7 @@ func TestSparseScrub(t *testing.T) {
 			t.Fatalf("value %d = %v after scrub, want %v", i, v, want[i])
 		}
 	}
-	if n, _ := s.Scrub(); n != 0 {
+	if n, _, _ := s.Check(6); n != 0 {
 		t.Fatalf("second scrub found %d values, want 0", n)
 	}
 }

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+
+	"adafl/internal/tensor"
 )
 
 // BytesPerValue is the wire size of one gradient value (float32).
@@ -99,61 +101,72 @@ func (s *Sparse) Dense() []float64 {
 // and mismatched arrays silently corrupt the accumulator.
 var ErrMalformed = errors.New("compress: malformed sparse message")
 
-// validateCalls counts Validate invocations so tests can pin the
-// "validated exactly once per update" contract of the aggregation paths.
-// One relaxed atomic add per message is noise next to the O(nnz) bounds
-// scan Validate performs anyway.
-var validateCalls atomic.Int64
+// checkCalls counts Check invocations so tests can pin the "checked
+// exactly once per update" contract of the aggregation paths. One relaxed
+// atomic add per message is noise next to the O(nnz) passes Check makes
+// anyway.
+var checkCalls atomic.Int64
 
-// ValidateCalls returns the process-wide number of Validate invocations.
-// It is a diagnostic hook for regression tests; production code should
-// not branch on it.
-func ValidateCalls() int64 { return validateCalls.Load() }
+// CheckCalls returns the process-wide number of Check invocations. It is
+// a diagnostic hook for regression tests; production code should not
+// branch on it.
+func CheckCalls() int64 { return checkCalls.Load() }
 
-// Validate checks s against the receiver's model dimension: the declared
-// Dim must match, Indices and Values must pair up, the coordinate count
-// cannot exceed the dimension, and every index must lie in [0, dim). A
-// nil or failing message must be rejected (quarantined) before
-// aggregation; Validate never mutates s.
-func (s *Sparse) Validate(dim int) error {
-	validateCalls.Add(1)
+// Check is the one integrity pass over a received update. It first
+// checks s against the receiver's model dimension: the declared Dim must
+// match, Indices and Values must pair up, the coordinate count cannot
+// exceed the dimension, and every index must lie in [0, dim). A nil or
+// failing message must be rejected (quarantined) before aggregation; on
+// such an error s is left untouched.
+//
+// A structurally valid message then has its non-finite (NaN/±Inf) values
+// zeroed in place: a single poisoned coordinate would otherwise spread
+// through the aggregated global model and every subsequent round. Check
+// returns how many it zeroed and the largest magnitude it kept.
+//
+// The common case is two branch-free vector passes: the largest index as
+// a uint32 (tensor.MaxIndex: a negative one reads as 2³¹ or more) and the
+// largest magnitude key bits &^ sign (tensor.MaxKey), whose order is the
+// magnitudes' with NaN and ±Inf at the top. Only when the first reaches
+// dim does a scalar walk find the first bad index for the error, and only
+// when the second reaches the exponent mask does a scalar walk zero the
+// non-finite values.
+func (s *Sparse) Check(dim int) (scrubbed int, maxAbs float64, err error) {
+	checkCalls.Add(1)
 	if s == nil {
-		return fmt.Errorf("%w: nil message", ErrMalformed)
+		return 0, 0, fmt.Errorf("%w: nil message", ErrMalformed)
 	}
 	if s.Dim != dim {
-		return fmt.Errorf("%w: dim %d, expected %d", ErrMalformed, s.Dim, dim)
+		return 0, 0, fmt.Errorf("%w: dim %d, expected %d", ErrMalformed, s.Dim, dim)
 	}
 	if len(s.Indices) != len(s.Values) {
-		return fmt.Errorf("%w: %d indices vs %d values", ErrMalformed, len(s.Indices), len(s.Values))
+		return 0, 0, fmt.Errorf("%w: %d indices vs %d values", ErrMalformed, len(s.Indices), len(s.Values))
 	}
 	if len(s.Indices) > dim {
-		return fmt.Errorf("%w: %d coordinates exceed dim %d", ErrMalformed, len(s.Indices), dim)
+		return 0, 0, fmt.Errorf("%w: %d coordinates exceed dim %d", ErrMalformed, len(s.Indices), dim)
 	}
-	for i, idx := range s.Indices {
-		if idx < 0 || int(idx) >= dim {
-			return fmt.Errorf("%w: index %d at position %d out of range [0, %d)", ErrMalformed, idx, i, dim)
+	if uint64(tensor.MaxIndex(s.Indices)) >= uint64(dim) {
+		for i, idx := range s.Indices {
+			if idx < 0 || int(idx) >= dim {
+				return 0, 0, fmt.Errorf("%w: index %d at position %d out of range [0, %d)", ErrMalformed, idx, i, dim)
+			}
 		}
 	}
-	return nil
-}
-
-// Scrub zeroes non-finite (NaN/±Inf) values in place and returns how
-// many it replaced, and the largest magnitude it kept. A single poisoned
-// coordinate would otherwise spread through the aggregated global model
-// and every subsequent round. It reads each value's bits without its sign,
-// which order like the magnitudes and put NaN and ±Inf at the top.
-func (s *Sparse) Scrub() (n int, maxAbs float64) {
-	var m uint64
-	for i, v := range s.Values {
-		b := math.Float64bits(v) &^ (1 << 63)
-		if b >= 0x7ff0000000000000 { // exponent all ones: ±Inf or NaN
-			s.Values[i] = 0
-			n++
-		} else if b > m {
-			m = b
+	const exp = 0x7ff0000000000000 // exponent all ones: ±Inf or NaN
+	m := tensor.MaxKey(s.Values)
+	if m >= exp {
+		m = 0
+		for i, v := range s.Values {
+			b := math.Float64bits(v) &^ (1 << 63)
+			if b >= exp {
+				s.Values[i] = 0
+				scrubbed++
+			} else if b > m {
+				m = b
+			}
 		}
 	}
-	return n, math.Float64frombits(m)
+	return scrubbed, math.Float64frombits(m), nil
 }
 
 // Norm2 returns the L2 norm of the message's values (the norm of the

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
+
+	"adafl/internal/tensor"
 )
 
 // Binary wire layout for a Sparse message (all integers little-endian):
@@ -321,6 +324,9 @@ func (s *Sparse) encode(lay sparseLayout, k *sparseSink) error {
 		})
 	default:
 		err = k.putRun(len(s.Indices), 4, func(b []byte, lo, hi int) []byte {
+			if hostLittleEndian {
+				return b[:copy(b[:4*(hi-lo)], int32Bytes(s.Indices[lo:hi]))]
+			}
 			for _, idx := range s.Indices[lo:hi] {
 				b = binary.LittleEndian.AppendUint32(b, uint32(idx))
 			}
@@ -351,16 +357,14 @@ func (s *Sparse) encode(lay sparseLayout, k *sparseSink) error {
 		}
 	case lay.flags&sparseFlagF32 != 0:
 		err = k.putRun(len(s.Values), 4, func(b []byte, lo, hi int) []byte {
-			for _, v := range s.Values[lo:hi] {
-				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v)))
-			}
+			b = b[:4*(hi-lo)]
+			tensor.NarrowLE(b, s.Values[lo:hi])
 			return b
 		})
 	default:
 		err = k.putRun(len(s.Values), 8, func(b []byte, lo, hi int) []byte {
-			for _, v := range s.Values[lo:hi] {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-			}
+			b = b[:8*(hi-lo)]
+			tensor.PutF64LE(b, s.Values[lo:hi])
 			return b
 		})
 	}
@@ -429,7 +433,7 @@ func fitScratch[T any](buf []T, n int) []T {
 // run by a walk of its own — so a corrupt count cannot force an
 // oversized allocation; structural
 // validation beyond shape (index bounds versus the receiver's model)
-// stays with Sparse.Validate.
+// stays with Sparse.Check.
 func (s *Sparse) DecodeBinaryInto(data []byte) error {
 	if len(data) < sparseBinaryHeader {
 		return ErrBinaryTruncated
@@ -535,8 +539,12 @@ func (s *Sparse) DecodeBinaryInto(data []byte) error {
 		}
 		rest = rest[pos:]
 	default:
-		for i := range s.Indices {
-			s.Indices[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
+		if hostLittleEndian {
+			copy(int32Bytes(s.Indices), rest[:4*n])
+		} else {
+			for i := range s.Indices {
+				s.Indices[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
+			}
 		}
 		rest = rest[4*n:]
 	}
@@ -565,13 +573,20 @@ func (s *Sparse) DecodeBinaryInto(data []byte) error {
 			s.Values[i] = quantValue(l, sign, norm, levels)
 		}
 	case f32:
-		for i := range s.Values {
-			s.Values[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:])))
-		}
+		tensor.WidenLE(s.Values, rest)
 	default:
-		for i := range s.Values {
-			s.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-		}
+		tensor.ReadF64LE(s.Values, rest)
 	}
 	return nil
+}
+
+// hostLittleEndian reports whether this host stores an int32 as the wire
+// does, least significant byte first: then a raw index run is the bytes of
+// the Indices slice, and moves as one copy. The f32 and f64 runs move
+// through tensor's LE kernels, which are byte-order safe on any host.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// int32Bytes is v's memory as bytes: the same memory, not a copy.
+func int32Bytes(v []int32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
 }

@@ -361,11 +361,20 @@ func TestBinaryWireSizeMatchesWireBytes(t *testing.T) {
 }
 
 // FuzzSparseBinary: arbitrary bytes never panic the decoder and never
-// make it allocate past what len(data) justifies, and any frame it
-// accepts re-encodes to a frame that decodes to the same message.
+// make it allocate past what len(data) justifies; any frame it accepts
+// decodes to what the element loops read from it, re-encodes to the
+// element loops' bytes, and decode(encode(s)) is s bit for bit.
 func FuzzSparseBinary(f *testing.F) {
 	for _, fx := range layoutFixtures() {
 		f.Add(fx.msg.AppendBinary(nil))
+	}
+	// Odd-length raw runs, past every vector width's multiple, with NaN
+	// payloads in the f64 ones.
+	r := stats.NewRNG(29)
+	for _, n := range []int{1, 3, 5, 9, 17, 33} {
+		for _, f32 := range []bool{false, true} {
+			f.Add(wireMessage(r, n, 4*n+7, "raw", f32).AppendBinary(nil))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Sparse
@@ -380,8 +389,15 @@ func FuzzSparseBinary(f *testing.F) {
 		if max := 4 * len(data); len(s.Indices) > max || len(s.Values) > max {
 			t.Fatalf("%d-byte frame decoded to %d indices, %d values", len(data), len(s.Indices), len(s.Values))
 		}
+		if !sameSparse(&s, refDecodeRuns(data)) {
+			t.Fatalf("decoded message differs from the element loops'")
+		}
+		enc := s.AppendBinary(nil)
+		if !bytes.Equal(enc, refAppendBinary(&s)) {
+			t.Fatalf("re-encoded frame differs from the element loops'")
+		}
 		var again Sparse
-		if err := again.DecodeBinaryInto(s.AppendBinary(nil)); err != nil {
+		if err := again.DecodeBinaryInto(enc); err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
 		if !sameSparse(&again, &s) {

@@ -114,6 +114,10 @@ type Edge struct {
 
 	neg *core.Negotiator // client-facing codec negotiator (nil when disabled)
 	met edgeMetrics
+
+	// up is the round's MsgEdgePartial, encoded into one buffer the run
+	// loop reuses, so the 16 + 8·Dim bytes leave in one write.
+	up rpc.Frame
 }
 
 // NewEdge binds the client listener (so the address is known before the
@@ -374,10 +378,10 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 		part.Reset()
 	}
 
-	if err := root.SendWithin(e.cfg.UpdateTimeout, &rpc.Envelope{
+	if err := root.SendWithin(e.cfg.UpdateTimeout, e.up.Set(&rpc.Envelope{
 		Type: rpc.MsgEdgePartial, ClientID: e.cfg.ID, Round: round,
 		NumSamples: part.Count, WeightSum: part.WeightSum, Params: part.Slots(),
-	}); err != nil {
+	})); err != nil {
 		return err
 	}
 	e.res.Rounds++

@@ -29,16 +29,16 @@ import (
 //
 // The server has no hand-off on its per-update path. One reader goroutine
 // per connection reads the 4-byte length into a header array and the
-// payload into a pooled buffer, then decodes, validates and folds the
-// update itself, into the next of GOMAXPROCS striped partials (each a
-// mutex, a Partial and a scratch Sparse). The fold that brings the
-// round's expected count to zero wakes the round loop — one wake-up per
-// round — and the loop merges the partials. Which stripe an update lands
-// in, and the order of the merge, leave the bits alone: the partials are
-// fixed point (shard.Partial). An idle
-// connection holds its goroutine and the header array, no read buffer,
-// and the decode path allocates nothing. A client builds each update
-// frame in a pooled buffer and sends it with one Write. Both ends are the
+// payload into a pooled buffer, then decodes, checks and folds the update
+// itself, into one of GOMAXPROCS striped partials (each a mutex, a
+// Partial and a scratch Sparse): the one its core folded into last. The
+// fold that brings the round's expected count to zero wakes the round
+// loop — one wake-up per round — and the loop merges the partials. Which
+// stripe an update lands in, and the order of the merge, leave the bits
+// alone: the partials are fixed point (shard.Partial). An idle connection
+// holds its goroutine and the header array, no read buffer, and the
+// decode path allocates nothing. A client builds each update frame in a
+// pooled buffer and sends it with one Write. Both ends are the
 // fleet's own, so its connections skip the preamble.
 
 // FleetConfig configures one socket-fleet run.
@@ -159,9 +159,13 @@ type fleetPart struct {
 type fleetRun struct {
 	cfg FleetConfig
 
-	parts  []*fleetPart
-	next   atomic.Uint32 // round-robin cursor over parts
-	weight float64       // each update's fold weight, 1/Clients
+	parts []*fleetPart
+	// stripes hands a reader the part to fold into: the one its core
+	// folded into last (see fold). New deals the parts out round-robin
+	// through next when a core has none cached.
+	stripes sync.Pool // *fleetPart
+	next    atomic.Uint32
+	weight  float64 // each update's fold weight, 1/Clients
 
 	// round is the round in progress and pending the number of its
 	// updates not yet folded; the round loop stores both before the
@@ -278,6 +282,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	for i := range f.parts {
 		f.parts[i] = &fleetPart{part: shard.NewPartial(cfg.Dim)}
 	}
+	f.stripes.New = func() any { return f.parts[f.next.Add(1)%uint32(len(f.parts))] }
 	f.pool.New = func() interface{} {
 		b := make([]byte, 0, envHeaderBytes+compress.SparseBinarySize(cfg.Nnz)+64)
 		return &b
@@ -363,8 +368,8 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 				return nil, f.teardown(&clientWG, &readerWG)
 			}
 		}
-		// Barrier reached: every update of the round is folded. The
-		// stripes' round-robin split and the merge order do not change the
+		// Barrier reached: every update of the round is folded. Which
+		// stripe took which update and the merge order do not change the
 		// bits (shard.Partial); the locks only matter if a misbehaving peer
 		// outran the count.
 		for _, s := range f.parts {
@@ -505,21 +510,29 @@ func (f *fleetRun) serve(raw net.Conn) error {
 	}
 }
 
-// fold decodes, validates and folds one update's sparse section into the
-// next partial in turn, then counts the update against the round's
-// barrier: the fold that brings the count to zero sends the round's one
-// token.
+// fold decodes, checks and folds one update's sparse section into a
+// stripe, then counts the update against the round's barrier: the fold
+// that brings the count to zero sends the round's one token.
+//
+// The stripe comes from f.stripes, and goes back after the unlock.
+// sync.Pool caches per P, so a core keeps folding into the stripe it
+// folded into last, and the stripe's words (8·Dim bytes) stay in that
+// core's cache rather than move to another core's. Any stripe is a valid
+// one, and the fold's bits do not depend on where or in which order an
+// update lands (shard.Partial), so the choice cannot move them.
 func (f *fleetRun) fold(section []byte, client int) error {
-	s := f.parts[f.next.Add(1)%uint32(len(f.parts))]
+	s := f.stripes.Get().(*fleetPart)
 	s.mu.Lock()
 	err := s.scratch.DecodeBinaryInto(section) // copies what it keeps
+	var maxAbs float64
 	if err == nil {
-		err = s.scratch.Validate(f.cfg.Dim)
+		_, maxAbs, err = s.scratch.Check(f.cfg.Dim)
 	}
 	if err == nil {
-		s.part.Fold(shard.Update{Client: client, Weight: f.weight, Delta: &s.scratch}, false)
+		s.part.Fold(shard.Update{Client: client, Weight: f.weight, Delta: &s.scratch, MaxAbs: maxAbs}, false)
 	}
 	s.mu.Unlock()
+	f.stripes.Put(s)
 	if err != nil {
 		return fmt.Errorf("rpc: fleet client %d sent a bad update: %w", client, err)
 	}

@@ -63,7 +63,7 @@ func TestModelFrameBitsPinned(t *testing.T) {
 	}
 }
 
-// TestPullFrameMatchesSend: a model encoded once (ModelFrame, or setModel
+// TestPullFrameMatchesSend: a model encoded once (ModelFrame, or Set
 // into a frame that held another model, as the sync server does each
 // round) is the frame Send writes for the same envelope, byte for byte,
 // with and without ĝ, empty and at 100 003 params (past the send buffer
@@ -80,7 +80,7 @@ func TestPullFrameMatchesSend(t *testing.T) {
 		for _, delta := range [][]float64{nil, params[:n/3]} {
 			want := encodeBinaryEnvelope(t, &Envelope{Type: MsgModel, Round: 41, Params: params, GlobalDelta: delta})
 			frame := ModelFrame(41, params, delta)
-			reused.setModel(41, params, delta)
+			reused.Set(&Envelope{Type: MsgModel, Round: 41, Params: params, GlobalDelta: delta})
 			if !bytes.Equal(frame.b, want) || !bytes.Equal(reused.b, want) {
 				t.Fatalf("n=%d ĝ=%d: the once-encoded frame (%d bytes, %d re-encoded) differs from Send's (%d bytes)",
 					n, len(delta), len(frame.b), len(reused.b), len(want))
@@ -95,6 +95,35 @@ func TestPullFrameMatchesSend(t *testing.T) {
 				t.Fatalf("n=%d ĝ=%d: sent %d bytes in %d writes, BytesSent %d; want the frame's %d in 1",
 					n, len(delta), cc.buf.Len(), wc.writes.Load(), conn.BytesSent(), len(want))
 			}
+		}
+	}
+}
+
+// TestEdgePartialFrameOneWrite: an edge's MsgEdgePartial encoded with
+// Frame.Set, into a frame that held a larger partial before, is the frame
+// Send writes for the envelope, byte for byte, and leaves a Conn in one
+// Write — at tree_ingest's dim 20 000 (160 KB, five times the send
+// buffer), at a small dim and empty. The slots are fixed-point words, so
+// every bit pattern, NaN payloads included, must cross unchanged.
+func TestEdgePartialFrameOneWrite(t *testing.T) {
+	r := stats.NewRNG(78)
+	var up Frame
+	for _, dim := range []int{20000, 3, 0, 20000} {
+		slots := make([]float64, dim)
+		for i := range slots {
+			slots[i] = math.Float64frombits(r.Uint64())
+		}
+		e := &Envelope{Type: MsgEdgePartial, ClientID: 2, Round: 9, NumSamples: 31, WeightSum: -5 << 40, Params: slots}
+		want := encodeBinaryEnvelope(t, e)
+		cc := &captureConn{}
+		wc := &writeCounter{Conn: cc}
+		conn := NewBinaryConn(wc, nil)
+		if err := conn.SendWithin(time.Second, up.Set(e)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cc.buf.Bytes(), want) || wc.writes.Load() != 1 || conn.BytesSent() != int64(len(want)) {
+			t.Fatalf("dim %d: sent %d bytes in %d writes, BytesSent %d; want Send's %d bytes in 1",
+				dim, cc.buf.Len(), wc.writes.Load(), conn.BytesSent(), len(want))
 		}
 	}
 }

@@ -150,6 +150,70 @@ func TestEndToEndSession(t *testing.T) {
 	}
 }
 
+// TestServerChecksEachUpdateOnce pins the sync server's ingest at one
+// compress.Sparse.Check per received update: Screen checks the round, and
+// the tree folds what Screen kept without checking it again.
+func TestServerChecksEachUpdateOnce(t *testing.T) {
+	const clients, rounds = 3, 5
+	seed := uint64(7)
+	ds := dataset.SynthMNIST(300, 16, seed)
+	train, _ := ds.Split(0.8, seed+1)
+	parts := dataset.PartitionIID(train, clients, seed+2)
+	newModel := func() *nn.Model {
+		return nn.NewImageMLP([]int{1, 16, 16}, []int{16}, 10, stats.NewRNG(seed+3))
+	}
+	cfg := core.DefaultConfig()
+	cfg.Compression.WarmupRounds = 1
+	cfg.ScaleRatiosForModel(4500)
+	cfg.K = 2
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", NumClients: clients, Rounds: rounds,
+		Cfg: cfg, NewModel: newModel, Logf: quiet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := compress.CheckCalls()
+	var wg sync.WaitGroup
+	uploads := make([]int, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := RunClient(ClientConfig{
+				Addr: srv.Addr(), ID: i, Data: parts[i], NewModel: newModel,
+				LocalSteps: 1, BatchSize: 16, LR: 0.1,
+				Utility: cfg.Utility, UpBps: 1e6, DownBps: 1e6,
+				Seed: seed + uint64(i), Logf: quiet,
+			})
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			uploads[i] = res.Uploads
+		}()
+	}
+	res, err := srv.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	checks := compress.CheckCalls() - before
+	received, sent := 0, 0
+	for _, r := range res.Rounds {
+		received += r.Received + r.Quarantined
+	}
+	for _, u := range uploads {
+		sent += u
+	}
+	if received == 0 || received != sent {
+		t.Fatalf("server received %d updates, clients sent %d", received, sent)
+	}
+	if checks != int64(received) {
+		t.Fatalf("%d checks for %d received updates, want one each", checks, received)
+	}
+}
+
 // TestThrottledClientStillWorks exercises a paced link end to end with a
 // generous rate so the test stays fast.
 func TestThrottledClientStillWorks(t *testing.T) {

@@ -464,7 +464,7 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	if warmup {
 		sentDelta = nil
 	}
-	s.broadcast.setModel(round, global, sentDelta)
+	s.broadcast.Set(&Envelope{Type: MsgModel, Round: round, Params: global, GlobalDelta: sentDelta})
 	errs := Exchange(roster, round, MsgScore, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
 		func(*Peer) (Message, bool) { return &s.broadcast, true })
 	scores := make(map[int]float64, len(roster))
@@ -589,10 +589,10 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	}
 	kept, quarantined := shard.Screen(round, len(global), s.cfg.MaxUpdateNorm, items, s.cfg.Logf)
 	for _, it := range kept {
-		s.tree.Ingest(round, shard.Update{Client: it.Client, Weight: it.Weight, Delta: it.Upd})
+		s.tree.IngestScreened(shard.Update{Client: it.Client, Weight: it.Weight, Delta: it.Upd, MaxAbs: it.MaxAbs})
 	}
-	// The tree repeats the checks Screen just passed and runs no norm
-	// gate, so it has nothing left to reject.
+	// Screen has checked every kept update once, and the tree folds them
+	// as they are: it has nothing to reject.
 	part, _ := s.tree.Finish()
 	s.met.updateSec.Observe(time.Since(updatePhaseStart).Seconds())
 	for _, q := range quarantined {

@@ -205,31 +205,40 @@ func (c *Conn) writeEnvelope(e *Envelope) error {
 	return nil
 }
 
-// A Frame is one MsgModel encoded once, length prefix included: the
-// bytes Send would write for it. A server that sends the same model to
-// every peer of a round, or to every pull of a model version, encodes it
-// once and writes the bytes as they are.
+// A Frame is one MsgModel or MsgEdgePartial encoded once, length prefix
+// included: the bytes Send would write for it. A server that sends the
+// same model to every peer of a round, or to every pull of a model
+// version, encodes it once and writes the bytes as they are; an edge
+// encodes its partial into one frame it reuses round after round, and a
+// frame bigger than the send buffer leaves in one Write (sendLocked).
 type Frame struct{ b []byte }
 
 // ModelFrame encodes the MsgModel of round with params (at f32) and
 // globalDelta. The frame keeps no reference to either slice.
 func ModelFrame(round int, params, globalDelta []float64) *Frame {
-	f := &Frame{}
-	f.setModel(round, params, globalDelta)
-	return f
+	return new(Frame).Set(&Envelope{Type: MsgModel, Round: round, Params: params, GlobalDelta: globalDelta})
 }
 
-// setModel is ModelFrame into f's own buffer, for a sender that is done
-// writing f before it encodes the next model (the sync server's rounds).
-func (f *Frame) setModel(round int, params, globalDelta []float64) {
-	e := &Envelope{Type: MsgModel, Round: round, Params: params, GlobalDelta: globalDelta}
-	size, _ := e.wirePayloadSize() // a MsgModel always has one
+// Set encodes e, a MsgModel or a MsgEdgePartial, into f's own buffer and
+// returns f, for a sender that is done writing f before it encodes the
+// next message (the sync server's rounds, an edge's partials). The frame
+// keeps no reference to e. It panics on any other message type.
+func (f *Frame) Set(e *Envelope) *Frame {
+	if e.Type != MsgModel && e.Type != MsgEdgePartial {
+		panic(fmt.Sprintf("rpc: Frame of a %v", e.Type))
+	}
+	size, _ := e.wirePayloadSize() // both types always have one
 	b := appendFrameHead(slices.Grow(f.b[:0], 4+size), e, size)
 	n := len(b)
 	b = b[:4+size]
-	tensor.NarrowLE(b[n:], params)
-	tensor.PutF64LE(b[n+4*len(params):], globalDelta)
+	if e.Type == MsgModel {
+		tensor.NarrowLE(b[n:], e.Params)
+		tensor.PutF64LE(b[n+4*len(e.Params):], e.GlobalDelta)
+	} else {
+		tensor.PutF64LE(b[n:], e.Params)
+	}
 	f.b = b
+	return f
 }
 
 // writeFrameHead writes appendFrameHead's bytes through the connection's

@@ -67,7 +67,7 @@ func FuzzShardMerge(f *testing.F) {
 			}
 		}
 		// ~1/4 of updates duplicate the previous entry's client ID, weight
-		// and delta content (fresh slices: Scrub mutates in place),
+		// and delta content (fresh slices: Check scrubs in place),
 		// modelling a rerouted client whose round replayed through a
 		// second edge. The tree must fold every instance, never dedup;
 		// identical content and weight keep validity uniform per ID so the
@@ -98,7 +98,7 @@ func FuzzShardMerge(f *testing.F) {
 		}
 
 		// Rebuild the survivor set and fold it into one partial in reverse
-		// order. Scrub already zeroed the tree's copies in place, so the
+		// order. Check already zeroed the tree's copies in place, so the
 		// reference sees identical values.
 		quarantinedSet := map[int]bool{}
 		for _, q := range quars {
@@ -152,7 +152,8 @@ func maxFinite(ups []Update, c int) (m float64) {
 func validShape(ups []Update, c, dim int) bool {
 	for _, u := range ups {
 		if u.Client == c {
-			return u.Delta.Validate(dim) == nil
+			_, _, err := u.Delta.Check(dim) // the tree has scrubbed it already
+			return err == nil
 		}
 	}
 	return false

@@ -48,10 +48,10 @@ const NormGateMinUpdates = 3
 // before aggregation and returns the survivors plus quarantine records
 // for the rejects:
 //
-//  1. Structural validation (compress.Sparse.Validate): declared
+//  1. Structural validation (compress.Sparse.Check): declared
 //     dimension, index/value pairing, index bounds. A failure here would
 //     panic the aggregation or silently corrupt the model.
-//  2. Non-finite scrubbing (compress.Sparse.Scrub): NaN/Inf values are
+//  2. Non-finite scrubbing (the same Check pass): NaN/Inf values are
 //     zeroed in place; an update with no finite signal at all is
 //     quarantined rather than applied as a zero update from a client
 //     whose training has diverged.
@@ -74,13 +74,13 @@ func Screen(round, dim int, maxNormMult float64, ups []Item, logf Logf) (keep []
 	}
 	keep = make([]Item, 0, len(ups))
 	for _, u := range ups {
-		if err := u.Upd.Validate(dim); err != nil {
+		n, maxAbs, err := u.Upd.Check(dim)
+		if err != nil {
 			quarantined = append(quarantined, QuarantineRecord{
 				Round: round, ClientID: u.Client, Reason: err.Error(),
 			})
 			continue
 		}
-		n, maxAbs := u.Upd.Scrub()
 		if n > 0 && n == u.Upd.NNZ() {
 			quarantined = append(quarantined, QuarantineRecord{
 				Round: round, ClientID: u.Client,

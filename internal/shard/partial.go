@@ -63,21 +63,30 @@ func NewPartial(dim int) *Partial {
 	return &Partial{Dim: dim, Sum: make([]int64, dim)}
 }
 
-// Fold accumulates one update. The delta must already have passed
-// Validate(Dim) and the fold window (Screen or Tree.Ingest) — Fold itself
-// never re-validates, which is what keeps the ingest path at exactly one
-// validation per update. An update without MaxAbs (one no screen saw) is
-// scrubbed here to find it. In unweighted mode (SCAFFOLD) every update
-// folds with scale 1 instead of u.Weight.
+// Fold accumulates one update. An update Screen kept carries its MaxAbs
+// and has passed Check(Dim) and the fold window; Fold does not check it
+// again, which is what keeps the ingest path at exactly one check per
+// update. An update without MaxAbs (one no screen saw) is checked here to
+// find it, and Fold panics if that check fails, as folding it would. In
+// unweighted mode (SCAFFOLD) every update folds with scale 1 instead of
+// u.Weight.
 func (p *Partial) Fold(u Update, unweighted bool) {
+	if u.MaxAbs == 0 {
+		var err error
+		if _, u.MaxAbs, err = u.Delta.Check(p.Dim); err != nil {
+			panic("shard: Fold of an unscreened update: " + err.Error())
+		}
+	}
+	p.fold(u, unweighted)
+}
+
+// fold is Fold for an update whose check has run, with u.MaxAbs from it.
+func (p *Partial) fold(u Update, unweighted bool) {
 	scale := u.Weight
 	if unweighted {
 		scale = 1
 	}
 	d := u.Delta
-	if u.MaxAbs == 0 {
-		_, u.MaxAbs = d.Scrub()
-	}
 	foldWords(p.Sum, d.Indices, d.Values, scale)
 	p.Bound += boundWord(math.Abs(scale) * u.MaxAbs)
 	p.WeightSum += roundWord(scale * weightScale)

@@ -26,10 +26,10 @@
 // §Sharded aggregation.
 //
 // Integrity runs inside the shards: each update is structurally
-// validated exactly once at fold time, scrubbed of non-finite values,
-// checked against the fold window and judged by a causal median-relative
-// norm gate; rejects surface as QuarantineRecords at the barrier so the
-// caller can evict the sender.
+// validated and scrubbed of non-finite values by one Check pass at fold
+// time, checked against the fold window and judged by a causal
+// median-relative norm gate; rejects surface as QuarantineRecords at the
+// barrier so the caller can evict the sender.
 package shard
 
 import (
@@ -116,16 +116,24 @@ func (t *Tree) Route(client int) int {
 // Ingest folds one update into its shard in the caller's goroutine, under
 // that shard's lock, and keeps nothing of u after it returns. round tags
 // any quarantine record the update produces.
-func (t *Tree) Ingest(round int, u Update) {
+func (t *Tree) Ingest(round int, u Update) { t.ingest(round, u, false) }
+
+// IngestScreened is Ingest for an update Screen kept, carrying the
+// Item's MaxAbs: Screen has run its check and the fold window, so the
+// shard folds it as it is, and it cannot be quarantined. The shard's
+// metrics count it as they count an Ingest.
+func (t *Tree) IngestScreened(u Update) { t.ingest(0, u, true) }
+
+func (t *Tree) ingest(round int, u Update, screened bool) {
 	i := t.Route(u.Client)
 	st := &t.stripes[i]
 	var scrubbed int
 	st.mu.Lock()
 	if st.met.foldSec == nil {
-		scrubbed = st.fold(round, u, &t.cfg)
+		scrubbed = st.fold(round, u, &t.cfg, screened)
 	} else {
 		start := time.Now()
-		scrubbed = st.fold(round, u, &t.cfg)
+		scrubbed = st.fold(round, u, &t.cfg, screened)
 		st.met.foldSec.Observe(time.Since(start).Seconds())
 	}
 	st.mu.Unlock()
@@ -165,14 +173,19 @@ func (t *Tree) Close() {}
 // fold runs the streaming integrity screen and folds survivors, returning
 // how many non-finite values it scrubbed from an update it did not reject
 // as wholly non-finite (Ingest logs them outside the lock). Each update
-// is validated exactly once, here.
-func (st *stripe) fold(round int, u Update, cfg *Config) (scrubbed int) {
+// is checked exactly once: here, or in the Screen that passed a screened
+// one.
+func (st *stripe) fold(round int, u Update, cfg *Config, screened bool) (scrubbed int) {
 	st.met.received.Inc()
-	if err := u.Delta.Validate(cfg.Dim); err != nil {
+	if screened {
+		st.part.fold(u, false)
+		return 0
+	}
+	scrubbed, maxAbs, err := u.Delta.Check(cfg.Dim)
+	if err != nil {
 		st.reject(round, u.Client, err.Error(), 0)
 		return 0
 	}
-	scrubbed, maxAbs := u.Delta.Scrub()
 	if scrubbed > 0 && scrubbed == u.Delta.NNZ() {
 		st.reject(round, u.Client, fmt.Sprintf("update entirely non-finite (%d values)", scrubbed), 0)
 		return 0
@@ -191,7 +204,7 @@ func (st *stripe) fold(round int, u Update, cfg *Config) (scrubbed int) {
 			return scrubbed
 		}
 	}
-	st.part.Fold(u, false)
+	st.part.fold(u, false)
 	return scrubbed
 }
 

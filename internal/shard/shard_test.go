@@ -473,8 +473,8 @@ func TestTreeFinishAllocatesNothing(t *testing.T) {
 }
 
 // TestValidateExactlyOncePerUpdate pins the hot-path contract: the
-// streaming ingest validates each update exactly once, malformed or
-// not, and the fold itself never re-validates.
+// streaming ingest checks each update exactly once, malformed or not, and
+// the fold itself never checks it again.
 func TestValidateExactlyOncePerUpdate(t *testing.T) {
 	const dim = 16
 	ups := []Update{
@@ -482,10 +482,10 @@ func TestValidateExactlyOncePerUpdate(t *testing.T) {
 		{Client: 1, Weight: 1, Delta: mkSparse(dim, []int32{99}, []float64{1})}, // out of range
 		{Client: 2, Weight: 1, Delta: mkSparse(dim, []int32{2}, []float64{2})},
 	}
-	before := compress.ValidateCalls()
+	before := compress.CheckCalls()
 	_, quars := runTree(t, Config{Shards: 2, Dim: dim}, ups)
-	if got := compress.ValidateCalls() - before; got != int64(len(ups)) {
-		t.Fatalf("ingest ran %d validations for %d updates", got, len(ups))
+	if got := compress.CheckCalls() - before; got != int64(len(ups)) {
+		t.Fatalf("ingest ran %d checks for %d updates", got, len(ups))
 	}
 	if len(quars) != 1 {
 		t.Fatalf("quarantined %d, want 1", len(quars))

@@ -1,10 +1,13 @@
+//go:build !arm64
+
 package tensor
 
 import "math"
 
 // fma32 returns a·b+c rounded once to float32: the fused multiply-add the
 // portable GEMM kernel chains, bit-equal to VFMADD231PS and to arm64's
-// FMADD on single-precision operands.
+// FMADD on single-precision operands. This is the emulation every
+// architecture but arm64 runs; arm64 has the instruction (fma32_arm64.go).
 //
 // float32(math.FMA(a, b, c)) is not that: it rounds to float64 first and
 // then to float32, and the first rounding can land exactly on a float32

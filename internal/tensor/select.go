@@ -6,9 +6,10 @@ import (
 )
 
 // The two passes over n of compress's exact top-k select (DESIGN.md
-// §"Exact top-k by bracketed select"), and the f64 runs of the wire. A
-// coordinate's magnitude key is bits(x) &^ sign: for a finite double that
-// integer is monotone in |x|, so magnitudes compare as integers. Each pass
+// §"Exact top-k by bracketed select"), the two max passes of an update's
+// check, and the f64 runs of the wire. A coordinate's magnitude key is
+// bits(x) &^ sign: for a finite double that integer is monotone in |x|,
+// so magnitudes compare as integers. Each pass
 // is one function whose portable body is the scalar loop below it; at
 // levelAVX2 the leading multiple of four coordinates runs through an AVX2
 // kernel (compares, VMOVMSKPD, and a left-packing permute from
@@ -172,4 +173,45 @@ func ReadF64LE(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
+}
+
+// MaxIndex returns the largest element of idx read as a uint32, or 0 for
+// an empty idx: a negative index reads as 2³¹ or more, so one compare of
+// the result against a dimension tells whether every index lies in
+// [0, dim).
+func MaxIndex(idx []int32) uint32 {
+	var m uint32
+	i := 0
+	switch {
+	case kernelLevel >= levelAVX512 && len(idx) >= 16:
+		i = len(idx) &^ 15
+		m = maxIndexAVX512(&idx[0], i)
+	case kernelLevel >= levelAVX2 && len(idx) >= 8:
+		i = len(idx) &^ 7
+		m = maxIndexAVX2(&idx[0], i)
+	}
+	for _, x := range idx[i:] {
+		m = max(m, uint32(x))
+	}
+	return m
+}
+
+// MaxKey returns the largest magnitude key bits(x) &^ sign over v, or 0 for
+// an empty v. Below 0x7ff<<52 it is the bits of max|x|; at or above it, v
+// holds a NaN or ±Inf.
+func MaxKey(v []float64) uint64 {
+	var m uint64
+	i := 0
+	switch {
+	case kernelLevel >= levelAVX512 && len(v) >= 8:
+		i = len(v) &^ 7
+		m = maxKeyAVX512(&v[0], i)
+	case kernelLevel >= levelAVX2 && len(v) >= 4:
+		i = len(v) &^ 3
+		m = maxKeyAVX2(&v[0], i)
+	}
+	for _, x := range v[i:] {
+		m = max(m, math.Float64bits(x)&^keySign)
+	}
+	return m
 }

@@ -1,4 +1,4 @@
-// Select and f64 kernels for select.go. The AVX-512 kernels are reached at
+// Select, max and f64 kernels for select.go. The AVX-512 kernels are reached at
 // levelAVX512 (AVX512F with OS-saved opmask and ZMM state), the AVX2 ones
 // at levelAVX2 and above. Each does, lane by lane, what the scalar loop
 // beside its binding does, in coordinate order. A left-packed vector is
@@ -313,6 +313,123 @@ tieLoop:
 	DECQ R10
 	JNZ  tieLoop
 	JMP  take
+
+// func maxIndexAVX512(idx *int32, n int) uint32
+//
+// Sixteen indices a step into one running unsigned dword max (VPMAXUD: a
+// negative index is 2³¹ or more), folded across the lanes at the end.
+TEXT ·maxIndexAVX512(SB), NOSPLIT, $0-20
+	MOVQ   idx+0(FP), SI
+	MOVQ   n+8(FP), CX
+	VPXORD Z0, Z0, Z0
+	XORQ   AX, AX
+
+loop:
+	VPMAXUD (SI)(AX*4), Z0, Z0
+	ADDQ    $16, AX
+	CMPQ    AX, CX
+	JLT     loop
+
+	VSHUFI64X2 $0x4e, Z0, Z0, Z1 // swap the 256-bit halves
+	VPMAXUD    Z1, Z0, Z0
+	VSHUFI64X2 $0xb1, Z0, Z0, Z1 // swap the 128-bit lanes of each half
+	VPMAXUD    Z1, Z0, Z0
+	VPSHUFD    $0x4e, Z0, Z1     // swap the qwords of each lane
+	VPMAXUD    Z1, Z0, Z0
+	VPSHUFD    $0xb1, Z0, Z1     // swap the dwords of each qword
+	VPMAXUD    Z1, Z0, Z0
+	VMOVD      X0, AX
+	MOVL       AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func maxIndexAVX2(idx *int32, n int) uint32
+//
+// maxIndexAVX512 eight indices a step.
+TEXT ·maxIndexAVX2(SB), NOSPLIT, $0-20
+	MOVQ  idx+0(FP), SI
+	MOVQ  n+8(FP), CX
+	VPXOR Y0, Y0, Y0
+	XORQ  AX, AX
+
+loop:
+	VPMAXUD (SI)(AX*4), Y0, Y0
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     loop
+
+	VEXTRACTI128 $1, Y0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VPMAXUD      X1, X0, X0
+	VMOVD        X0, AX
+	MOVL         AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func maxKeyAVX512(v *float64, n int) uint64
+//
+// Eight coordinates a step: key = bits &^ sign into one running unsigned
+// qword max (VPMAXUQ), folded across the lanes at the end.
+TEXT ·maxKeyAVX512(SB), NOSPLIT, $0-24
+	MOVQ         v+0(FP), SI
+	MOVQ         n+8(FP), CX
+	MOVQ         $0x7fffffffffffffff, AX
+	VPBROADCASTQ AX, Z31
+	VPXORQ       Z0, Z0, Z0
+	XORQ         AX, AX
+
+loop:
+	VPANDQ  (SI)(AX*8), Z31, Z1
+	VPMAXUQ Z1, Z0, Z0
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     loop
+
+	VSHUFI64X2 $0x4e, Z0, Z0, Z1
+	VPMAXUQ    Z1, Z0, Z0
+	VSHUFI64X2 $0xb1, Z0, Z0, Z1
+	VPMAXUQ    Z1, Z0, Z0
+	VPSHUFD    $0x4e, Z0, Z1
+	VPMAXUQ    Z1, Z0, Z0
+	VMOVQ      X0, AX
+	MOVQ       AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func maxKeyAVX2(v *float64, n int) uint64
+//
+// maxKeyAVX512 four coordinates a step. AVX2 has no qword max: a signed
+// compare (no key reaches 2⁶³) and a blend keep the larger key.
+TEXT ·maxKeyAVX2(SB), NOSPLIT, $0-24
+	MOVQ         v+0(FP), SI
+	MOVQ         n+8(FP), CX
+	MOVQ         $0x7fffffffffffffff, AX
+	VMOVQ        AX, X15
+	VPBROADCASTQ X15, Y15
+	VPXOR        Y0, Y0, Y0
+	XORQ         AX, AX
+
+loop:
+	VPAND     (SI)(AX*8), Y15, Y1
+	VPCMPGTQ  Y0, Y1, Y2         // key > max
+	VBLENDVPD Y2, Y1, Y0, Y0
+	ADDQ      $4, AX
+	CMPQ      AX, CX
+	JLT       loop
+
+	VEXTRACTI128 $1, Y0, X1
+	VPCMPGTQ     X0, X1, X2
+	VBLENDVPD    X2, X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPCMPGTQ     X0, X1, X2
+	VBLENDVPD    X2, X1, X0, X0
+	VMOVQ        X0, AX
+	MOVQ         AX, ret+16(FP)
+	VZEROUPPER
+	RET
 
 // func putF64sAVX2(dst *byte, src *float64, n int)
 //

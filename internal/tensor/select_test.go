@@ -146,3 +146,62 @@ func TestF64LEMatchesByteOrderLoops(t *testing.T) {
 		}
 	})
 }
+
+// TestMaxKernelsMatchScalarLoops pins MaxIndex and MaxKey against the
+// scalar loops they stand for, at every level and every length around the
+// vector widths. The largest element is planted at every position of a
+// vector step in turn, so a lane the fold at the end drops shows; the
+// indices include negatives (which read as 2³¹ or more) and the values
+// NaN payloads and ±Inf.
+func TestMaxKernelsMatchScalarLoops(t *testing.T) {
+	r := stats.NewRNG(43)
+	forEachLevel(t, func(level string) {
+		for _, n := range []int{0, 1, 3, 4, 7, 8, 15, 16, 17, 31, 32, 33, 40, 1000, 20000} {
+			idx := make([]int32, n)
+			for i := range idx {
+				idx[i] = int32(r.Intn(1 << 20))
+			}
+			v := selectInput(r, n)
+			for i := range v {
+				if math.IsNaN(v[i]) || math.IsInf(v[i], 0) {
+					v[i] = r.Norm()
+				}
+			}
+			check := func(what string) {
+				t.Helper()
+				var wantI uint32
+				for _, x := range idx {
+					wantI = max(wantI, uint32(x))
+				}
+				if got := MaxIndex(idx); got != wantI {
+					t.Fatalf("%s: MaxIndex n=%d (%s) = %#x, want %#x", level, n, what, got, wantI)
+				}
+				var wantK uint64
+				for _, x := range v {
+					wantK = max(wantK, math.Float64bits(x)&^keySign)
+				}
+				if got := MaxKey(v); got != wantK {
+					t.Fatalf("%s: MaxKey n=%d (%s) = %#x, want %#x", level, n, what, got, wantK)
+				}
+			}
+			check("finite")
+			for p := 0; p < min(n, 16); p++ {
+				j := n - 1 - p
+				if p%2 == 0 {
+					j = p
+				}
+				oldI, oldV := idx[j], v[j]
+				for _, big := range []int32{1 << 30, math.MaxInt32, -1, math.MinInt32} {
+					idx[j] = big
+					check("planted index")
+				}
+				for _, big := range []float64{1e300, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+					math.Float64frombits(0xfff0_0000_0000_0001), -math.Float64frombits(0x7fff_ffff_ffff_ffff)} {
+					v[j] = big
+					check("planted value")
+				}
+				idx[j], v[j] = oldI, oldV
+			}
+		}
+	})
+}

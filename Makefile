@@ -57,6 +57,10 @@ F64_GEMM :=
 # loop makes it about 20× slower). Any mnemonic not starting with V whose
 # destination is an X register fails the lint; write VMOVQ, VMOVD, VPXOR, ….
 SSE_IN_AVX := internal/tensor/*_amd64.s
+# The round's five packages grow only in the open (ROADMAP item 9): each
+# has a budget of non-test lines, counted with wc -l, in LINE_BUDGET, and
+# a package over its budget fails the lint until the budget is raised.
+LINE_BUDGET := cmd/internal/linebudget.txt
 
 lint: vet
 	@unformatted=$$(gofmt -l .); \
@@ -90,6 +94,10 @@ lint: vet
 	if [ "$$got" != "$(F64_GEMM)" ]; then echo "float64 GEMM code in: $$got(want none)"; exit 1; fi
 	@got=$$(grep -nE '^[[:space:]]*[A-UW-Z][A-Z0-9]*[[:space:]][^/]*,[[:space:]]*X([0-9]|1[0-5])[[:space:]]*(//.*)?$$' $(SSE_IN_AVX)); \
 	if [ -n "$$got" ]; then echo "legacy SSE instruction writing an X register (use its VEX form):"; echo "$$got"; exit 1; fi
+	@grep -Ev '^(#|$$)' $(LINE_BUDGET) | while read -r pkg budget; do \
+		got=$$(cat $$(ls $$pkg/*.go | grep -v '_test\.go$$') | wc -l); \
+		if [ "$$got" -gt "$$budget" ]; then echo "$$pkg: $$got non-test lines, over its budget of $$budget ($(LINE_BUDGET))"; exit 1; fi; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -30,8 +30,8 @@
 // upstream per round:
 //
 //	flserver root -edges 2 -clients 64 -rounds 10 -dim 20000
-//	flserver edge -id 0 -region eu -root-addr localhost:7071
-//	flserver edge -id 1 -region us -root-addr localhost:7071
+//	flserver edge -id 0 -root-addr localhost:7071
+//	flserver edge -id 1 -root-addr localhost:7071
 //	flfleet edge -addr localhost:7070 -clients 64 -dim 20000 -nnz 1000
 //
 // flserver doctor audits a checkpoint directory (and optionally its JSONL
@@ -463,7 +463,6 @@ func newEdge(fs *flag.FlagSet) cli.Runner {
 	fs.StringVar(&c.cfg.ClientAddr, "addr", "", "client-facing listen address (empty binds an ephemeral loopback port; the root learns it from the edge hello)")
 	fs.StringVar(&c.cfg.RootAddr, "root-addr", "", "the root's edge-facing address to dial (required)")
 	fs.IntVar(&c.cfg.ID, "id", 0, "unique edge identity (the root merges partials in ascending edge ID)")
-	fs.StringVar(&c.cfg.Region, "region", "", "scenario region for reroute affinity and outage exclusion")
 	fs.IntVar(&c.cfg.Dim, "dim", 20000, "model dimension (must match the root's)")
 	fs.Float64Var(&c.cfg.MaxUpdateNorm, "max-update-norm", 10, normHelp)
 	fs.DurationVar(&c.cfg.HeartbeatInterval, "heartbeat-interval", edge.DefaultHeartbeatInterval, "liveness ping cadence to the root (client-count changes are pushed at once)")
@@ -502,7 +501,7 @@ func (c *edgeCmd) Run() error {
 	if err != nil {
 		return err
 	}
-	log.Printf("flserver edge %d (%s): clients at %s, root at %s", cfg.ID, cfg.Region, e.ClientAddr(), cfg.RootAddr)
+	log.Printf("flserver edge %d: clients at %s, root at %s", cfg.ID, e.ClientAddr(), cfg.RootAddr)
 	res, err := e.Run()
 	if err != nil {
 		return err

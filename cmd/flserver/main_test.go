@@ -30,7 +30,7 @@ func TestFlagSets(t *testing.T) {
 		"root": {"addr", "checkpoint-dir", "clients", "dim", "edge-addr", "edges", "event-log",
 			"heartbeat-timeout", "metrics-addr", "resume", "rounds"},
 		"edge": {"addr", "dim", "event-log", "heartbeat-interval", "id", "max-update-norm", "metrics-addr",
-			"negotiate", "region", "retries", "root-addr", "seed"},
+			"negotiate", "retries", "root-addr", "seed"},
 		"doctor": {"checkpoint-dir", "event-log"},
 	}
 	if len(commands) != len(want) {
@@ -179,10 +179,10 @@ func TestFlagsLandInConfig(t *testing.T) {
 				ClientAddr: ":1", EdgeAddr: ":2", NumEdges: 3, Clients: 16, Rounds: 4, Dim: 2000,
 				HeartbeatTimeout: time.Second, CheckpointDir: dir, Resume: true,
 			}},
-		{[]string{"edge", "-addr", ":3", "-root-addr", "h:7071", "-id", "2", "-region", "eu", "-dim", "2000",
+		{[]string{"edge", "-addr", ":3", "-root-addr", "h:7071", "-id", "2", "-dim", "2000",
 			"-max-update-norm", "4", "-heartbeat-interval", "100ms", "-retries", "5", "-seed", "7", "-negotiate"},
 			edge.EdgeConfig{
-				ID: 2, ClientAddr: ":3", RootAddr: "h:7071", Region: "eu", Dim: 2000, MaxUpdateNorm: 4,
+				ID: 2, ClientAddr: ":3", RootAddr: "h:7071", Dim: 2000, MaxUpdateNorm: 4,
 				HeartbeatInterval: 100 * time.Millisecond, MaxRetries: 5, Seed: 7, Negotiation: negotiation(),
 			}},
 		{[]string{"doctor", "-checkpoint-dir", dir, "-event-log", "e.jsonl"}, doctorCmd{dir: dir, events: "e.jsonl"}},

@@ -176,15 +176,7 @@ func main() {
 				sp.NegotiationSeed = *seed + 9
 				negotiator = neg
 				if fleet != nil {
-					// Feed the negotiator the shared trace multiplier only:
-					// a class's static bandwidth asymmetry is already priced
-					// into selection, so deepening on it would over-compress
-					// slow-class clients every round instead of reacting to
-					// transient collapses.
-					sp.BandwidthMult = func(client, round int) float64 {
-						up, _ := fleet.LinkBandwidth(-1, round, 1, 1)
-						return up
-					}
+					sp.BandwidthMult = func(_, round int) float64 { return fleet.TraceMult(round) }
 				}
 			}
 			planner = sp

@@ -220,7 +220,8 @@ func (n *Negotiator) assignOne(round, id int, eff, mult float64) CodecAssignment
 // Assign produces the round's assignments for a utility-ranked plan
 // (client → planned ratio; entries at ratio 0 are withheld and skipped).
 // bw returns the client's bandwidth multiplier for this round (the
-// scenario's class×trace product; nil or non-positive values mean 1).
+// scenario's trace multiplier, scenario.Fleet.TraceMult; nil or
+// non-positive values mean 1).
 // Clients are processed in ascending id order so link-state mutation
 // order — and therefore the whole session — replays deterministically.
 func (n *Negotiator) Assign(round int, plan map[int]float64, bw func(int) float64) map[int]CodecAssignment {

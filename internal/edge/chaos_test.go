@@ -9,13 +9,12 @@ import (
 )
 
 // TestChaosEdgeKillReroute is the headline robustness scenario: three
-// regional edges front a 700-client fleet, with region affinity
-// concentrating 500 clients on edge 1. Edge 1 is killed the instant the
-// round-3 go-ahead reaches it — genuinely mid-round — and the session
-// must detect the death, complete the round with partial aggregation,
-// reroute all 500 orphans to the surviving siblings, and finish every
-// remaining round with the full fleet back, landing within tolerance of
-// the no-failure run.
+// regional edges front a 700-client fleet, a third of it planned onto
+// edge 1. Edge 1 is killed the instant the round-3 go-ahead reaches it —
+// genuinely mid-round — and the session must detect the death, complete
+// the round with partial aggregation, reroute every one of its clients
+// to the surviving siblings, and finish every remaining round with the
+// full fleet back, landing within tolerance of the no-failure run.
 func TestChaosEdgeKillReroute(t *testing.T) {
 	const (
 		edges   = 3
@@ -24,24 +23,19 @@ func TestChaosEdgeKillReroute(t *testing.T) {
 		dim     = 2000
 		nnz     = 50
 		seed    = 1337
-		victims = 500 // region-b clients concentrated on edge 1
 	)
-	regionOfEdge := func(e int) string { return []string{"a", "b", "c"}[e] }
-	regionOfClient := func(c int) string {
-		switch {
-		case c < 100:
-			return "a"
-		case c < 100+victims:
-			return "b"
-		default:
-			return "c"
-		}
+	// The orphans are the clients the root's plan puts on edge 1.
+	plan, err := NewTopology([]EdgeSpec{{ID: 0}, {ID: 1}, {ID: 2}}, clients)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cost := CostModel{CrossRegionPenalty: 100, RegionOf: regionOfClient}
+	if err := plan.Plan(); err != nil {
+		t.Fatal(err)
+	}
+	victims := len(plan.Clients(1))
 
 	baselineCfg := treeCfg{
-		edges: edges, clients: clients, rounds: rounds, dim: dim, nnz: nnz,
-		seed: seed, edgeRegion: regionOfEdge, cost: cost,
+		edges: edges, clients: clients, rounds: rounds, dim: dim, nnz: nnz, seed: seed,
 	}
 	baseline := runTree(t, baselineCfg)
 	for _, rec := range baseline.History {
@@ -153,7 +147,7 @@ func TestChaosHeartbeatTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mute.Close()
-	if err := mute.Send(&rpc.Envelope{Type: rpc.MsgEdgeHello, ClientID: 1, Info: "127.0.0.1:1", Region: "z"}); err != nil {
+	if err := mute.Send(&rpc.Envelope{Type: rpc.MsgEdgeHello, ClientID: 1, Info: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
 

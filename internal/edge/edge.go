@@ -1,3 +1,14 @@
+// Package edge implements the two-tier federation: regional edge
+// aggregators accept fleet clients over the existing wire protocol, fold
+// their updates into shard.Partials through the shared screen/quarantine
+// path, and stream only the partial upstream to a root that merges
+// partial-of-partials as they arrive (fixed point: the bits depend on
+// neither the edge count nor the arrival order). The headline property
+// is robustness: edges heartbeat the root, a dead edge is detected
+// within a heartbeat timeout, and the root moves each orphaned client to
+// the least-loaded surviving edge while the round completes with partial
+// aggregation. See DESIGN.md §Edge federation for the topology, the
+// heartbeat/reroute state machine and the determinism contract.
 package edge
 
 import (
@@ -35,9 +46,6 @@ type EdgeConfig struct {
 	ClientAddr string
 	// RootAddr is the root's edge-facing address.
 	RootAddr string
-	// Region is the edge's scenario region ("" = none); the root's
-	// reroute planner uses it for affinity and outage exclusion.
-	Region string
 	// Dim is the model dimension every folded update must declare.
 	Dim int
 	// Wire accepts only "" or rpc.WireBinary and selects nothing (see
@@ -235,7 +243,7 @@ func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error)
 
 	hello := &rpc.Envelope{
 		Type: rpc.MsgEdgeHello, ClientID: e.cfg.ID, NumSamples: e.roster.Len(),
-		Info: e.ClientAddr(), Region: e.cfg.Region,
+		Info: e.ClientAddr(),
 	}
 	if err := conn.Send(hello); err != nil {
 		return false, false, err

@@ -25,8 +25,6 @@ type treeCfg struct {
 	edges, clients, rounds int
 	dim, nnz               int
 	seed                   uint64
-	edgeRegion             func(e int) string // nil = no regions
-	cost                   CostModel
 	ckptDir                string
 	resume                 bool
 	onRound                func(round int, global []float64)
@@ -80,7 +78,6 @@ func startTree(t *testing.T, tc treeCfg) *treeRun {
 		RerouteGrace:     cmp.Or(tc.rerouteGrace, 5*time.Second),
 		CheckpointDir:    tc.ckptDir,
 		Resume:           tc.resume,
-		Cost:             tc.cost,
 		Metrics:          tc.metrics,
 		Events:           tc.events,
 		Logf:             tc.logf,
@@ -105,14 +102,9 @@ func startTree(t *testing.T, tc treeCfg) *treeRun {
 	}()
 
 	for i := 0; i < tc.edges; i++ {
-		region := ""
-		if tc.edgeRegion != nil {
-			region = tc.edgeRegion(i)
-		}
 		e, err := NewEdge(EdgeConfig{
 			ID:                i,
 			RootAddr:          root.EdgeAddr(),
-			Region:            region,
 			Dim:               tc.dim,
 			HeartbeatInterval: cmp.Or(tc.heartbeat, 30*time.Millisecond),
 			UpdateTimeout:     10 * time.Second,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"adafl/internal/checkpoint"
-	"adafl/internal/netsim"
 	"adafl/internal/obs"
 	"adafl/internal/rpc"
 	"adafl/internal/shard"
@@ -61,8 +60,6 @@ type RootConfig struct {
 	// (checkpoint.Open). A snapshot whose Dim/NumEdges/Clients/Rounds
 	// disagree with this config is refused with a hard error.
 	Resume bool
-	// Cost parameterises reroute planning (see CostModel).
-	Cost CostModel
 	// Metrics/Events/Logf are the observability hooks (all optional).
 	Metrics *obs.Registry
 	Events  *obs.EventLog
@@ -99,7 +96,7 @@ type rootSnapshot struct {
 	Clients        int
 	Rounds         int
 	Epoch          int
-	Specs          []specSnapshot
+	Specs          []EdgeSpec
 	Assign         []int
 	Down           []int
 	History        []RootRound
@@ -109,49 +106,6 @@ type rootSnapshot struct {
 
 // Round makes rootSnapshot a checkpoint.Meta.
 func (m *rootSnapshot) Round() int { return m.CompletedRound }
-
-// specSnapshot is EdgeSpec flattened for gob: netsim.Link carries an
-// unencodable *Trace, and a bandwidth trace is transient simulator state
-// a resumed root re-derives from its own config anyway.
-type specSnapshot struct {
-	ID     int
-	Addr   string
-	Region string
-	Access linkSnapshot
-	Uplink linkSnapshot
-}
-
-type linkSnapshot struct {
-	UpBps, DownBps, LatencyS, JitterS, LossProb float64
-}
-
-func snapLink(l netsim.Link) linkSnapshot {
-	return linkSnapshot{UpBps: l.UpBps, DownBps: l.DownBps,
-		LatencyS: l.LatencyS, JitterS: l.JitterS, LossProb: l.LossProb}
-}
-
-func (s linkSnapshot) link() netsim.Link {
-	return netsim.Link{UpBps: s.UpBps, DownBps: s.DownBps,
-		LatencyS: s.LatencyS, JitterS: s.JitterS, LossProb: s.LossProb}
-}
-
-func snapSpecs(specs []EdgeSpec) []specSnapshot {
-	out := make([]specSnapshot, len(specs))
-	for i, s := range specs {
-		out[i] = specSnapshot{ID: s.ID, Addr: s.Addr, Region: s.Region,
-			Access: snapLink(s.Access), Uplink: snapLink(s.Uplink)}
-	}
-	return out
-}
-
-func restoreSpecs(snaps []specSnapshot) []EdgeSpec {
-	out := make([]EdgeSpec, len(snaps))
-	for i, s := range snaps {
-		out[i] = EdgeSpec{ID: s.ID, Addr: s.Addr, Region: s.Region,
-			Access: s.Access.link(), Uplink: s.Uplink.link()}
-	}
-	return out
-}
 
 const (
 	evPartial = iota
@@ -174,16 +128,15 @@ type rootEdge struct {
 	lastSeen time.Time
 	clients  int
 	addr     string
-	region   string
 }
 
 // Root is the top-tier aggregator: it admits NumEdges regional edges,
-// plans the client→edge assignment over the cost graph, answers client
+// plans the client→edge assignment (Topology.Plan), answers client
 // bootstrap requests with MsgReroute, drives rounds by broadcasting the
 // go-ahead and merging edge partials as they arrive, and — the headline —
 // detects a dead edge via missed heartbeats or a wire error mid-round,
-// completes the round with partial aggregation, and reassigns the orphans
-// to the cheapest surviving siblings via Dijkstra over the live cost graph.
+// completes the round with partial aggregation, and moves each orphan to
+// the least-loaded surviving edge (Topology.Reroute).
 type Root struct {
 	cfg      RootConfig
 	edgeLn   net.Listener
@@ -355,7 +308,9 @@ func (r *Root) Run() (*RootResult, error) {
 		if r.roster.Killed() {
 			return nil, ErrRootKilled
 		}
-		r.cfg.Events.Flush()
+		if err := r.cfg.Events.Flush(); err != nil {
+			r.cfg.Logf("root: event log flush after round %d failed: %v", round+1, err)
+		}
 		if rec.Rerouted > 0 && round < r.cfg.Rounds-1 {
 			r.awaitRerouted(round + 1)
 		}
@@ -397,7 +352,7 @@ func (r *Root) restore(snap *checkpoint.Snapshot, global []float64) (*rootSnapsh
 	}
 	topo := &Topology{
 		Epoch:  meta.Epoch,
-		Specs:  restoreSpecs(meta.Specs),
+		Specs:  meta.Specs,
 		Assign: meta.Assign,
 		Down:   map[int]bool{},
 	}
@@ -430,7 +385,7 @@ func (r *Root) saveCheckpoint(round int, global []float64, history []RootRound) 
 		Clients:        r.cfg.Clients,
 		Rounds:         r.cfg.Rounds,
 		Epoch:          r.topo.Epoch,
-		Specs:          snapSpecs(r.topo.Specs),
+		Specs:          append([]EdgeSpec(nil), r.topo.Specs...),
 		Assign:         append([]int(nil), r.topo.Assign...),
 		Down:           down,
 		History:        history,
@@ -445,7 +400,9 @@ func (r *Root) saveCheckpoint(round int, global []float64, history []RootRound) 
 func (r *Root) joinCheckpoint() {
 	if r.ckpt != nil {
 		r.report.Joined(r.ckpt.Wait())
-		r.cfg.Events.Flush()
+		if err := r.cfg.Events.Flush(); err != nil {
+			r.cfg.Logf("root: event log flush after the last checkpoint failed: %v", err)
+		}
 	}
 }
 
@@ -497,16 +454,13 @@ func (r *Root) planIfNeeded() error {
 	edges := r.roster.Snapshot()
 	specs := make([]EdgeSpec, 0, len(edges))
 	for _, p := range edges {
-		re := p.Ext.(*rootEdge)
-		specs = append(specs, EdgeSpec{
-			ID: p.ID, Addr: re.addr, Region: re.region, Access: netsim.WiFiLink, Uplink: netsim.EthernetLink,
-		})
+		specs = append(specs, EdgeSpec{ID: p.ID, Addr: p.Ext.(*rootEdge).addr})
 	}
 	topo, err := NewTopology(specs, r.cfg.Clients)
 	if err != nil {
 		return err
 	}
-	if err := topo.Plan(r.cfg.Cost); err != nil {
+	if err := topo.Plan(); err != nil {
 		return err
 	}
 	r.topo = topo
@@ -828,7 +782,7 @@ func (r *Root) handleDown(round int, p *rpc.Peer, cause error) error {
 }
 
 // rerouteDead marks the edge down in the topology and reassigns its
-// orphans to the cheapest surviving siblings. Fatal when no live edge
+// orphans to the least-loaded survivors. Fatal when no live edge
 // remains — the session cannot make progress.
 func (r *Root) rerouteDead(round, id int, reason string) (int, error) {
 	r.mu.Lock()
@@ -836,7 +790,7 @@ func (r *Root) rerouteDead(round, id int, reason string) (int, error) {
 		r.mu.Unlock()
 		return 0, nil
 	}
-	orphans, err := r.topo.Reroute(id, r.cfg.Cost)
+	orphans, err := r.topo.Reroute(id)
 	epoch := 0
 	if err == nil {
 		r.reroutes++
@@ -878,7 +832,7 @@ func (r *Root) admitEdge(conn *rpc.Conn, env *rpc.Envelope) {
 	round := r.round
 	r.mu.Unlock()
 	p := &rpc.Peer{ID: id, Conn: conn, Ext: &rootEdge{
-		lastSeen: time.Now(), clients: env.NumSamples, addr: env.Info, region: env.Region,
+		lastSeen: time.Now(), clients: env.NumSamples, addr: env.Info,
 	}}
 	if r.roster.Admit(p, &rpc.Envelope{Type: rpc.MsgWelcome, Round: round - 1}) != nil {
 		return
@@ -886,8 +840,7 @@ func (r *Root) admitEdge(conn *rpc.Conn, env *rpc.Envelope) {
 	r.mu.Lock()
 	r.notifyLocked()
 	r.mu.Unlock()
-	r.cfg.Logf("root: edge %d registered from %s (region %q, %d clients)",
-		id, env.Info, env.Region, env.NumSamples)
+	r.cfg.Logf("root: edge %d registered from %s (%d clients)", id, env.Info, env.NumSamples)
 	r.cfg.Events.Emit(obs.Event{Type: "edge_up", Round: round, Client: -1, Edge: id})
 	r.met.edgesLive.Inc()
 	if !r.roster.Go(func() { r.readEdge(p) }) {

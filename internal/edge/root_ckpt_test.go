@@ -252,3 +252,37 @@ func TestRootCheckpointWriteErrorContinues(t *testing.T) {
 		t.Fatalf("chain after the outage loads round %d, want %d", got, rounds-1)
 	}
 }
+
+// TestRootLogsEventFlushFailure: an event log that cannot be written does
+// not stop the tree, and the root says so at every round boundary and
+// after its last checkpoint, as the sync server and the async session do.
+func TestRootLogsEventFlushFailure(t *testing.T) {
+	events, err := obs.OpenEventLog("/dev/full") // every write fails with ENOSPC
+	if err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	defer events.Close()
+	const rounds = 3
+	var mu sync.Mutex
+	var failed []string
+	tc := treeCfg{edges: 2, clients: 8, rounds: rounds, dim: 64, nnz: 4, seed: 3,
+		ckptDir: t.TempDir(), events: events}
+	tc.logf = func(format string, args ...interface{}) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "event log flush") {
+			mu.Lock()
+			failed = append(failed, line)
+			mu.Unlock()
+		}
+	}
+	if res := runTree(t, tc); len(res.History) != rounds {
+		t.Fatalf("session ended with %d/%d rounds", len(res.History), rounds)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"after round 1 failed", "after round 3 failed", "after the last checkpoint failed"}
+	for _, w := range want {
+		if !strings.Contains(strings.Join(failed, "\n"), w) {
+			t.Errorf("no flush failure logged %s; logged:\n%s", w, strings.Join(failed, "\n"))
+		}
+	}
+}

@@ -3,22 +3,14 @@ package edge
 import (
 	"fmt"
 	"sort"
-
-	"adafl/internal/netsim"
 )
 
-// EdgeSpec describes one edge aggregator in the topology: identity,
-// client-facing address, scenario region and link models. Addr is
-// refreshed from the edge's hello on every (re)registration; the rest is
-// pinned for the session and checkpointed with the topology.
+// EdgeSpec describes one edge aggregator in the topology: its identity
+// and client-facing address, both checkpointed with the topology. Addr
+// is refreshed from the edge's hello on every (re)registration.
 type EdgeSpec struct {
-	ID     int
-	Addr   string
-	Region string
-	// Access models the client↔edge link; Uplink the edge→root backhaul.
-	// Both feed the reroute cost model (LinkCost).
-	Access netsim.Link
-	Uplink netsim.Link
+	ID   int
+	Addr string
 }
 
 // Topology is the root's view of the tree: the edge roster, which edges
@@ -87,19 +79,6 @@ func (t *Topology) Clients(id int) []int {
 	return out
 }
 
-// candidates returns the live edges eligible to receive clients under
-// cm (regions in outage excluded), ascending ID.
-func (t *Topology) candidates(cm CostModel) []EdgeSpec {
-	out := make([]EdgeSpec, 0, len(t.Specs))
-	for _, s := range t.Live() {
-		if cm.RegionDown != nil && s.Region != "" && cm.RegionDown(s.Region) {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // load counts current assignments per edge.
 func (t *Topology) load() map[int]int {
 	load := map[int]int{}
@@ -111,24 +90,21 @@ func (t *Topology) load() map[int]int {
 	return load
 }
 
-// Plan computes the initial assignment of every client over the full
-// live topology and advances the epoch. Deterministic: clients ascend,
-// ties break toward the lowest edge ID, the load penalty spreads the
-// fleet.
-func (t *Topology) Plan(cm CostModel) error {
+// Plan assigns every client over the live topology (see assignClients)
+// and advances the epoch: the fleet spreads evenly, client c on the
+// (c mod E)-th of E live edges in ID order.
+func (t *Topology) Plan() error {
 	clients := make([]int, len(t.Assign))
 	for i := range clients {
 		clients[i] = i
 	}
-	return t.assignClients(clients, cm)
+	return t.assignClients(clients)
 }
 
 // Reroute marks edge dead down and reassigns its orphaned clients to the
-// cheapest surviving siblings: Dijkstra from the root over the rebuilt
-// live graph scores each survivor's upstream path, then every orphan
-// (ascending) takes the argmin of access + upstream + penalties. The
-// epoch advances; the orphan list (ascending) is returned.
-func (t *Topology) Reroute(dead int, cm CostModel) ([]int, error) {
+// least-loaded survivors (see assignClients). The epoch advances; the
+// orphan list (ascending) is returned.
+func (t *Topology) Reroute(dead int) ([]int, error) {
 	if t.Spec(dead) == nil {
 		return nil, fmt.Errorf("edge: reroute of unknown edge %d", dead)
 	}
@@ -138,7 +114,7 @@ func (t *Topology) Reroute(dead int, cm CostModel) ([]int, error) {
 		t.Epoch++
 		return nil, nil
 	}
-	if err := t.assignClients(orphans, cm); err != nil {
+	if err := t.assignClients(orphans); err != nil {
 		return nil, err
 	}
 	return orphans, nil
@@ -154,19 +130,26 @@ func (t *Topology) Rejoin(id int) {
 	}
 }
 
-func (t *Topology) assignClients(clients []int, cm CostModel) error {
-	cands := t.candidates(cm)
-	if len(cands) == 0 {
+// assignClients puts each client, in ascending order, on the live edge
+// holding the fewest clients at that moment, ties to the lowest edge ID,
+// then advances the epoch. The rule depends on nothing but the
+// assignment and the down set, so a plan replays bit for bit.
+func (t *Topology) assignClients(clients []int) error {
+	live := t.Live()
+	if len(live) == 0 {
 		return fmt.Errorf("edge: no surviving edge to assign %d clients to", len(clients))
 	}
-	g := buildGraph(t.Specs, t.Down, cm)
-	upstream := g.Dijkstra("root")
-	assign, ok := planAssign(clients, cands, upstream, t.load(), cm)
-	if !ok {
-		return fmt.Errorf("edge: no reachable edge for reassignment (all uplinks dark)")
-	}
-	for c, e := range assign {
-		t.Assign[c] = e
+	load := t.load()
+	sort.Ints(clients)
+	for _, c := range clients {
+		best := live[0].ID
+		for _, s := range live[1:] {
+			if load[s.ID] < load[best] {
+				best = s.ID
+			}
+		}
+		t.Assign[c] = best
+		load[best]++
 	}
 	t.Epoch++
 	return nil

@@ -42,7 +42,7 @@ func fixtureEnvelopes() []*Envelope {
 		{Type: MsgShutdown, Info: "done: 30 rounds"},
 		{Type: MsgWelcome, Round: 4},
 		{Type: MsgPing, ClientID: 2, Round: 9, NumSamples: 118},
-		{Type: MsgEdgeHello, ClientID: 1, NumSamples: 230, Info: "127.0.0.1:9021", Region: "eu-south"},
+		{Type: MsgEdgeHello, ClientID: 1, NumSamples: 230, Info: "127.0.0.1:9021"},
 		{Type: MsgEdgePartial, ClientID: 1, Round: 9, NumSamples: 230, WeightSum: 230, Params: []float64{0.25, -1.5, 1e-9}},
 		{Type: MsgReroute, ClientID: 17, Round: 3, Info: "127.0.0.1:9022"},
 		{Type: MsgHello, ClientID: 8, NumSamples: 96, Session: "factory-floor"},
@@ -147,7 +147,7 @@ func FuzzWireDecode(f *testing.F) {
 			mut := append([]byte(nil), raw...)
 			binary.LittleEndian.PutUint32(mut[18:], 0x7fffffff) // info length lies
 			f.Add(mut)
-			f.Add(raw[:len(raw)-2]) // truncated mid-region
+			f.Add(raw[:len(raw)-2]) // truncated mid-address
 		case MsgReroute:
 			mut := append([]byte(nil), raw...)
 			binary.LittleEndian.PutUint32(mut[14:], 0xfffffff0) // address length lies

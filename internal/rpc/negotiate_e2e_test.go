@@ -2,13 +2,16 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"adafl/internal/core"
+	"adafl/internal/scenario"
 )
 
 // negotiatedServerConfig specialises the chaos env for a negotiated
@@ -311,4 +314,72 @@ func TestResumeNegotiationMismatchIsFatal(t *testing.T) {
 			t.Fatal("checkpoint resumed under different negotiation knobs")
 		}
 	})
+}
+
+// TestNegotiatorSeesTheTraceNotTheClass: the wire's negotiator divides
+// by the scenario's shared trace alone (scenario.Fleet.TraceMult), the
+// simulator's rule, because a class's static bandwidth already reaches
+// selection through the score. Under two classes at bandwidth_mult 1 and
+// 0.25 and no trace, both classes get the same round-0 ratio.
+func TestNegotiatorSeesTheTraceNotTheClass(t *testing.T) {
+	sc, err := scenario.Parse(strings.NewReader(`{"name": "two-class", "seed": 3, "round_seconds": 60,
+		"classes": [{"name": "fast", "weight": 1}, {"name": "slow", "weight": 1, "bandwidth_mult": 0.25}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newChaosEnv(6, 600, 16, 32, 5)
+	fleet, err := scenario.NewFleet(sc, env.clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asnLog bytes.Buffer
+	cfg := env.serverConfig(1)
+	cfg.StragglerTimeout = 10 * time.Second
+	cfg.Scenario = fleet
+	cfg.Negotiation = core.DefaultNegotiation()
+	cfg.Negotiation.Enabled = true
+	cfg.AssignLog = &asnLog
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := make([]ClientConfig, env.clients)
+	for i := range cfgs {
+		cfgs[i] = env.clientConfig(i, srv.Addr())
+	}
+	done := make(chan []error, 1)
+	go func() {
+		_, errs := runClients(cfgs)
+		done <- errs
+	}()
+	if _, err := srv.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, cerr := range <-done {
+		if cerr != nil {
+			t.Fatalf("client %d: %v", i, cerr)
+		}
+	}
+
+	var rec struct {
+		Round  int
+		Assign []struct {
+			Client int
+			Ratio  float64
+		}
+	}
+	if err := json.Unmarshal(asnLog.Bytes(), &rec); err != nil || rec.Round != 0 {
+		t.Fatalf("round-0 assignment record %q: %v", asnLog.String(), err)
+	}
+	ratios := map[string]float64{}
+	for _, a := range rec.Assign {
+		class := fleet.ClassName(a.Client)
+		if r, ok := ratios[class]; ok && r != a.Ratio {
+			t.Fatalf("class %s assigned ratios %v and %v", class, r, a.Ratio)
+		}
+		ratios[class] = a.Ratio
+	}
+	if len(ratios) != 2 || ratios["fast"] != ratios["slow"] {
+		t.Fatalf("round-0 ratios by class %v, want one ratio for both classes\n%s", ratios, asnLog.String())
+	}
 }

@@ -64,8 +64,8 @@ const (
 	// that have nothing to report may echo the ping unchanged.
 	MsgPing
 	// MsgEdgeHello registers an edge aggregator with the root: ClientID is
-	// the edge ID, Info its client-facing listen address, Region its
-	// scenario region, NumSamples the clients currently connected to it.
+	// the edge ID, Info its client-facing listen address, NumSamples the
+	// clients currently connected to it.
 	MsgEdgeHello
 	// MsgEdgePartial streams an edge's folded round aggregate upstream:
 	// ClientID is the edge ID, Params the partial's fixed-point Sum words
@@ -128,9 +128,6 @@ type Envelope struct {
 
 	// MsgEdgePartial: the fold weight in shard.Partial's fixed point.
 	WeightSum int64
-
-	// MsgEdgeHello
-	Region string
 }
 
 // Conn frames envelopes over a net.Conn (wire.go) and counts the bytes.

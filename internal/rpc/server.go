@@ -164,7 +164,7 @@ type ServerResult struct {
 	EndedEarly bool
 	// Quarantines lists the most recent updates rejected by the integrity
 	// screen across the session (including rounds restored from a
-	// checkpoint), bounded by DefaultQuarantineLogCap.
+	// checkpoint), bounded by shard.QuarantineLogCap.
 	Quarantines []QuarantineRecord
 	// QuarantinesDropped counts older quarantine records discarded to
 	// keep Quarantines within the cap.
@@ -206,25 +206,6 @@ type Server struct {
 	// and re-encoded in place the next round: Exchange has written it
 	// everywhere, or given up, before it returns.
 	broadcast Frame
-}
-
-// DefaultQuarantineLogCap bounds the quarantine log carried in the result
-// and in session checkpoints: only the most recent records are retained
-// (drop-oldest ring semantics) so a long multi-session run under sustained
-// attack cannot grow snapshots without limit. The drop count is reported
-// in ServerResult.QuarantinesDropped.
-const DefaultQuarantineLogCap = 4096
-
-// appendQuarantines appends new records to the session's quarantine log,
-// discarding the oldest entries beyond the cap so checkpoints stay bounded
-// under a sustained attack. Called only from the round loop goroutine (and
-// once at resume, before it starts).
-func (s *Server) appendQuarantines(quarantined []QuarantineRecord) {
-	s.quarantines = append(s.quarantines, quarantined...)
-	if over := len(s.quarantines) - DefaultQuarantineLogCap; over > 0 {
-		s.quarantinesDropped += over
-		s.quarantines = append(s.quarantines[:0], s.quarantines[over:]...)
-	}
 }
 
 // ErrServerKilled is returned by Run when Kill interrupted the session:
@@ -517,10 +498,7 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	if s.neg != nil {
 		var bw func(int) float64
 		if sc := s.cfg.Scenario; sc != nil {
-			bw = func(id int) float64 {
-				up, _ := sc.LinkBandwidth(id, round, 1, 1)
-				return up
-			}
+			bw = func(int) float64 { return sc.TraceMult(round) }
 		}
 		assigns = s.neg.Assign(round, plan, bw)
 		for _, a := range assigns {
@@ -602,7 +580,7 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 		rec.Evicted++
 		rec.Quarantined++
 	}
-	s.appendQuarantines(quarantined)
+	s.quarantines, s.quarantinesDropped = shard.AppendQuarantines(s.quarantines, s.quarantinesDropped, quarantined...)
 
 	// Apply the merged partial (FedAvg weighted by sample counts of the
 	// round's roster; the 1/WeightSum renormalisation keeps the average
@@ -796,10 +774,8 @@ func (s *Server) restore(snap *checkpoint.Snapshot, global, globalDelta []float6
 	res.BytesReceived = meta.BytesReceived
 	res.Evictions = meta.Evictions
 	res.FinalAcc = meta.FinalAcc
-	s.quarantines = meta.Quarantines
-	s.quarantinesDropped = meta.QuarantinesDropped
 	// Re-bound: a snapshot is input from disk and may carry more records.
-	s.appendQuarantines(nil)
+	s.quarantines, s.quarantinesDropped = shard.AppendQuarantines(meta.Quarantines, meta.QuarantinesDropped)
 	res.Quarantines = s.quarantines
 	res.QuarantinesDropped = s.quarantinesDropped
 	res.ResumedFrom = meta.CompletedRound + 1

@@ -30,7 +30,7 @@ import (
 //	  Shutdown  u32 LE len | UTF-8 info
 //	  Model     u32 LE nParams | u32 LE nDelta | nParams × f32 | nDelta × f64
 //	  Ping      i32 LE numSamples (progress count)
-//	  EdgeHello i32 LE numSamples | u32 LE len | info | u32 LE len | region
+//	  EdgeHello i32 LE numSamples | u32 LE len | info
 //	  EdgePartial i32 LE numSamples | i64 LE weight word | u32 LE n
 //	            | n × i64 LE sum words  (shard.Partial's fixed point: a sum
 //	            word counts 2⁻⁵⁰, the weight word 2⁻⁴⁰; Envelope.Params
@@ -73,7 +73,10 @@ func checkWire(wire string) error {
 // precision every receiver's model holds them in (its global delta, a
 // score input, and an edge partial, a sum, stay f64). A v2 decoder would
 // read the f32 run as half as many doubles.
-const wireVersion = 3
+//
+// wireVersion 4: an edge hello ends at its address; the region string
+// that followed it is gone. A v3 decoder would refuse the shorter body.
+const wireVersion = 4
 
 // preamble returns the four opening bytes of a peer speaking version v.
 func preamble(v byte) [4]byte { return [4]byte{0xAD, 0xF1, 0x77, v} }
@@ -94,7 +97,7 @@ var ErrWireVersion = errors.New("rpc: wire version mismatch")
 const helloTimeout = 5 * time.Second
 
 // maxHelloBytes caps a connection's first frame (at most a Hello with a
-// 255-byte session name, or an EdgeHello with an address and a region):
+// 255-byte session name, or an EdgeHello with an address):
 // a peer that has not said who it is gets no more allocated on its word.
 const maxHelloBytes = 4 << 10
 
@@ -163,7 +166,7 @@ func (e *Envelope) wirePayloadSize() (int, error) {
 	case MsgPing:
 		n += 4
 	case MsgEdgeHello:
-		n += 4 + 4 + len(e.Info) + 4 + len(e.Region)
+		n += 4 + 4 + len(e.Info)
 	case MsgEdgePartial:
 		n += 4 + 8 + 4 + 8*len(e.Params)
 	default:
@@ -286,8 +289,6 @@ func appendFrameHead(h []byte, e *Envelope, size int) []byte {
 		h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.NumSamples)))
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Info)))
 		h = append(h, e.Info...)
-		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Region)))
-		h = append(h, e.Region...)
 	case MsgEdgePartial:
 		h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.NumSamples)))
 		h = binary.LittleEndian.AppendUint64(h, uint64(e.WeightSum))
@@ -519,17 +520,10 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error 
 			return err
 		}
 		e.NumSamples = int(int32(binary.LittleEndian.Uint32(body)))
-		il := int64(binary.LittleEndian.Uint32(body[4:]))
-		rest := body[8:]
-		if il > int64(len(rest))-4 {
-			return fmt.Errorf("%w: edge-hello declares a %d-byte address in a %d-byte body", errWireFrame, il, len(rest))
-		}
-		e.Info = string(rest[:il])
-		rl := int64(binary.LittleEndian.Uint32(rest[il:]))
-		if err := needN(e.Type, rest[il+4:], rl); err != nil {
+		if err := needN(e.Type, body[8:], int64(binary.LittleEndian.Uint32(body[4:]))); err != nil {
 			return err
 		}
-		e.Region = string(rest[il+4:])
+		e.Info = string(body[8:])
 	case MsgEdgePartial:
 		if err := fixed(16); err != nil {
 			return err

@@ -131,7 +131,7 @@ func envelopesBitEqual(a, b *Envelope) bool {
 		return true
 	}
 	if a.Type != b.Type || a.ClientID != b.ClientID || a.Round != b.Round || a.NumSamples != b.NumSamples ||
-		a.Session != b.Session || a.Codec != b.Codec || a.Levels != b.Levels || a.Info != b.Info || a.Region != b.Region ||
+		a.Session != b.Session || a.Codec != b.Codec || a.Levels != b.Levels || a.Info != b.Info ||
 		bits(a.Score) != bits(b.Score) || bits(a.Ratio) != bits(b.Ratio) || a.WeightSum != b.WeightSum ||
 		!f64s(a.Params, b.Params) || !f64s(a.GlobalDelta, b.GlobalDelta) || (a.Update == nil) != (b.Update == nil) {
 		return false
@@ -393,8 +393,8 @@ func TestWireNegotiate(t *testing.T) {
 // listener allocate on its word. The preamble followed by a length prefix
 // declaring 64 MB is refused with ErrMessageTooLarge and closed with no
 // buffer grown for it, while the largest legitimate first frames — a Hello
-// with a 255-byte session name, an EdgeHello with a long address and
-// region — are admitted, and a first frame of the wrong type is not.
+// with a 255-byte session name, an EdgeHello with a long address — are
+// admitted, and a first frame of the wrong type is not.
 func TestAcceptHelloCap(t *testing.T) {
 	accept := func(want MsgType, write func(net.Conn)) (*Conn, *Envelope, error) {
 		a, b := net.Pipe()
@@ -429,7 +429,7 @@ func TestAcceptHelloCap(t *testing.T) {
 
 	hello := &Envelope{Type: MsgHello, ClientID: 7, NumSamples: 1 << 20, Session: strings.Repeat("s", 255)}
 	edgeHello := &Envelope{Type: MsgEdgeHello, ClientID: 3, NumSamples: 64,
-		Info: strings.Repeat("a", 253) + ":65535", Region: strings.Repeat("r", 255)}
+		Info: strings.Repeat("a", 253) + ":65535"}
 	for _, want := range []*Envelope{hello, edgeHello} {
 		frame := encodeBinaryEnvelope(t, want)
 		conn, got, err := accept(want.Type, func(a net.Conn) { a.Write(frame) })

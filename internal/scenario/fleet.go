@@ -319,14 +319,24 @@ func (f *Fleet) ScoreMult(id int) float64 {
 // a pure function (no state change), so server and clients can evaluate
 // it independently and agree.
 func (f *Fleet) LinkBandwidth(id, round int, baseUp, baseDown float64) (up, down float64) {
-	mult := 1.0
+	mult := f.TraceMult(round)
 	if id >= 0 && id < f.n {
-		mult = f.sc.Classes[f.class[id]].BandwidthMult
-	}
-	if f.trace != nil {
-		mult *= f.trace.MultiplierAt(float64(round) * f.sc.RoundSeconds)
+		mult *= f.sc.Classes[f.class[id]].BandwidthMult
 	}
 	return baseUp * mult, baseDown * mult
+}
+
+// TraceMult is the shared bandwidth trace's multiplier at the given round
+// (1 without a trace), and the only bandwidth a codec negotiator sees
+// (core.Negotiator.Assign's bw) on the wire and in the simulator alike. A
+// class's static multiplier is left out: it already reaches selection
+// through the score, so dividing the ratio by it again would over-compress
+// a slow class every round instead of reacting to a transient collapse.
+func (f *Fleet) TraceMult(round int) float64 {
+	if f.trace == nil {
+		return 1
+	}
+	return f.trace.MultiplierAt(float64(round) * f.sc.RoundSeconds)
 }
 
 // ApplyRoundLinks re-derives every configured link's bandwidth for the

@@ -13,7 +13,7 @@ import (
 // TestRoundLinksFollowRoundClock pins the clock contract introduced with
 // codec negotiation: the scenario's bandwidth trace modulates the netsim
 // links on the *round* clock (round x round_seconds) — the same pure
-// function the server-side negotiator evaluates through LinkBandwidth —
+// trace the negotiators read through TraceMult —
 // not on the engine's simulated-transfer clock, which advances orders of
 // magnitude slower and would leave the trace stuck on its first plateau.
 func TestRoundLinksFollowRoundClock(t *testing.T) {

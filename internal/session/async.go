@@ -99,8 +99,12 @@ type AsyncResult struct {
 	// StalenessCounts histograms accepted pushes by staleness (version
 	// delta between the global and the push's base model).
 	StalenessCounts map[int]int
-	// Quarantines lists updates rejected by the integrity screen.
+	// Quarantines lists the most recent updates rejected by the integrity
+	// screen (resumed ones included), bounded by shard.QuarantineLogCap.
 	Quarantines []shard.QuarantineRecord
+	// QuarantinesDropped counts older quarantine records discarded to
+	// keep Quarantines within the cap.
+	QuarantinesDropped int
 	// Evictions counts clients dropped for quarantined updates. Slowness
 	// never evicts in async mode.
 	Evictions int
@@ -166,15 +170,16 @@ type AsyncSession struct {
 // asyncSnapshot is the meta section of an async session's snapshot; the
 // model rides beside it as the "global" vector.
 type asyncSnapshot struct {
-	Version         int
-	K               int
-	FinalAcc        float64
-	Pushes          int
-	StaleRejected   int
-	Evictions       int
-	StalenessCounts map[int]int
-	Quarantines     []shard.QuarantineRecord
-	BytesReceived   int64
+	Version            int
+	K                  int
+	FinalAcc           float64
+	Pushes             int
+	StaleRejected      int
+	Evictions          int
+	StalenessCounts    map[int]int
+	Quarantines        []shard.QuarantineRecord
+	QuarantinesDropped int
+	BytesReceived      int64
 }
 
 // Round makes asyncSnapshot a checkpoint.Meta: the label is the version.
@@ -242,7 +247,8 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 			if meta.StalenessCounts != nil {
 				a.res.StalenessCounts = meta.StalenessCounts
 			}
-			a.res.Quarantines = meta.Quarantines
+			// Re-bound: a snapshot is input from disk and may carry more records.
+			a.res.Quarantines, a.res.QuarantinesDropped = shard.AppendQuarantines(meta.Quarantines, meta.QuarantinesDropped)
 			a.res.ResumedFrom = version
 			cfg.Logf("session %q: resumed async session at model version %d", cfg.Name, version)
 		}
@@ -461,7 +467,7 @@ func (a *AsyncSession) apply() {
 			a.roster.Remove(p)
 		}
 	}
-	a.res.Quarantines = append(a.res.Quarantines, quarantined...)
+	a.res.Quarantines, a.res.QuarantinesDropped = shard.AppendQuarantines(a.res.Quarantines, a.res.QuarantinesDropped, quarantined...)
 	if part.Count == 0 || part.WeightSum <= 0 {
 		// The whole buffer was quarantined: no version advances, the
 		// global is bitwise unaffected by the rejected mass.
@@ -499,15 +505,16 @@ func (a *AsyncSession) apply() {
 // version's and leaves it writing behind the arrivals of the next.
 func (a *AsyncSession) saveCheckpoint(version int, params []float64) {
 	meta := &asyncSnapshot{
-		Version:         version,
-		K:               a.cfg.K,
-		FinalAcc:        a.res.FinalAcc,
-		Pushes:          a.res.Pushes,
-		StaleRejected:   a.res.StaleRejected,
-		Evictions:       a.res.Evictions,
-		StalenessCounts: a.res.StalenessCounts,
-		Quarantines:     a.res.Quarantines,
-		BytesReceived:   a.bytesReceived(),
+		Version:            version,
+		K:                  a.cfg.K,
+		FinalAcc:           a.res.FinalAcc,
+		Pushes:             a.res.Pushes,
+		StaleRejected:      a.res.StaleRejected,
+		Evictions:          a.res.Evictions,
+		StalenessCounts:    a.res.StalenessCounts,
+		Quarantines:        a.res.Quarantines,
+		QuarantinesDropped: a.res.QuarantinesDropped,
+		BytesReceived:      a.bytesReceived(),
 	}
 	a.report.Joined(a.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: params}))
 }

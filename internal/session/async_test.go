@@ -19,6 +19,7 @@ import (
 	"adafl/internal/netsim"
 	"adafl/internal/obs"
 	"adafl/internal/rpc"
+	"adafl/internal/shard"
 )
 
 // TestAsyncBufferMatchesFedBuff pins the wire-mode buffer to the
@@ -606,5 +607,43 @@ func TestAsyncDeltaCheckpointCrashCopiesResume(t *testing.T) {
 				t.Fatalf("copy at version %d: %v", v, err)
 			}
 		}
+	}
+}
+
+// TestAsyncResumeBoundsQuarantineLog: the async session keeps its
+// quarantine log under the sync server's cap. A snapshot carrying more
+// records than the cap (a log from disk is input) resumes with the
+// newest shard.QuarantineLogCap kept and the rest added to the dropped
+// count it carried.
+func TestAsyncResumeBoundsQuarantineLog(t *testing.T) {
+	env := newTestEnv(1, 40, 12, 4, 13)
+	dir := t.TempDir()
+	const over, dropped = 100, 7
+	recs := make([]shard.QuarantineRecord, shard.QuarantineLogCap+over)
+	for i := range recs {
+		recs[i] = shard.QuarantineRecord{Round: i, ClientID: i % 3, Reason: "norm"}
+	}
+	w, _, err := checkpoint.Open(dir, false, checkpoint.DeltaOptions{}, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := &asyncSnapshot{Version: 2, K: 1, Quarantines: recs, QuarantinesDropped: dropped}
+	w.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: env.newModel().ParamVector()})
+	if res, _ := w.Wait(); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+
+	a, err := NewAsync(AsyncConfig{NewModel: env.newModel, K: 1, Versions: 10,
+		CheckpointDir: dir, Resume: true, Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := a.res.Quarantines
+	if len(got) != shard.QuarantineLogCap || got[0].Round != over || got[len(got)-1].Round != len(recs)-1 {
+		t.Fatalf("resumed log holds %d records, rounds %d..%d; want the newest %d (rounds %d..%d)",
+			len(got), got[0].Round, got[len(got)-1].Round, shard.QuarantineLogCap, over, len(recs)-1)
+	}
+	if a.res.QuarantinesDropped != dropped+over {
+		t.Fatalf("dropped = %d, want %d", a.res.QuarantinesDropped, dropped+over)
 	}
 }

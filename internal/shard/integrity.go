@@ -24,6 +24,24 @@ type QuarantineRecord struct {
 	Norm     float64
 }
 
+// QuarantineLogCap bounds a session's quarantine log, in its result and in
+// its snapshots: only the newest records are kept, so a long run under a
+// sustained attack cannot grow either without limit.
+const QuarantineLogCap = 4096
+
+// AppendQuarantines appends recs to a quarantine log, drops the oldest
+// records beyond QuarantineLogCap and adds their number to dropped.
+// Appending nothing re-bounds a log restored from a snapshot. The sync
+// server and the async session both keep their logs with it.
+func AppendQuarantines(log []QuarantineRecord, dropped int, recs ...QuarantineRecord) ([]QuarantineRecord, int) {
+	log = append(log, recs...)
+	if over := len(log) - QuarantineLogCap; over > 0 {
+		dropped += over
+		log = append(log[:0], log[over:]...)
+	}
+	return log, dropped
+}
+
 // Item pairs an update with its sender for the buffered screen. Tag is
 // an opaque caller token (the rpc server stores its slice index there to
 // map kept items back onto connections). Weight is the scale the update

@@ -1,7 +1,9 @@
 package edge
 
 import (
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,17 +46,18 @@ func TestChaosEdgeKillReroute(t *testing.T) {
 		}
 	}
 
-	var tr *treeRun
+	var run atomic.Pointer[treeRun]
 	var killOnce sync.Once
 	chaosCfg := baselineCfg
+	chaosCfg.run = &run
 	chaosCfg.onSelect = map[int]func(int){
 		1: func(round int) {
 			if round == 2 {
-				killOnce.Do(func() { tr.edges[1].Kill() })
+				killOnce.Do(func() { run.Load().edges[1].Kill() })
 			}
 		},
 	}
-	tr = startTree(t, chaosCfg)
+	tr := startTree(t, chaosCfg)
 	res, err := tr.wait(120*time.Second, true)
 	if err != nil {
 		t.Fatalf("chaos session failed: %v", err)
@@ -174,5 +177,103 @@ func TestChaosHeartbeatTimeout(t *testing.T) {
 	}
 	if last := res.History[len(res.History)-1]; last.Folded != clients {
 		t.Errorf("final round folded %d, want %d", last.Folded, clients)
+	}
+}
+
+// TestEdgeGivesUpClientsFollowTheReroute: an edge that loses its root and
+// has no redial budget left drops its clients without a farewell. The
+// root has moved them to the survivors, so they redial the bootstrap and
+// follow; a farewell would have ended their sessions and left the
+// survivors folding a third of the fleet short for the rest of the run.
+func TestEdgeGivesUpClientsFollowTheReroute(t *testing.T) {
+	const edges, clients, rounds = 3, 30, 5
+	var run atomic.Pointer[treeRun]
+	tr := startTree(t, treeCfg{
+		edges: edges, clients: clients, rounds: rounds, dim: 64, nnz: 4, seed: 23, run: &run,
+		onRound: func(round int, _ []float64) {
+			// Edge 1, like every edge here, has no redial budget.
+			if p := run.Load().root.roster.Peer(1); round == 1 && p != nil {
+				p.Conn.Close()
+			}
+		},
+	})
+	deadline := time.After(60 * time.Second)
+	recv := func(ch chan error, what string) error {
+		select {
+		case err := <-ch:
+			return err
+		case <-deadline:
+			t.Fatalf("timed out waiting for %s", what)
+			return nil
+		}
+	}
+	if err := recv(tr.rootCh, "the root"); err != nil {
+		t.Fatalf("root failed: %v", err)
+	}
+	gaveUp := 0
+	for range tr.edges {
+		if err := recv(tr.edgeCh, "an edge"); err != nil {
+			if !strings.Contains(err.Error(), "retry budget 0 spent") {
+				t.Errorf("edge failed: %v", err)
+			}
+			gaveUp++
+		}
+	}
+	if gaveUp != 1 {
+		t.Errorf("%d edges gave up on the root, want 1", gaveUp)
+	}
+	if err := recv(tr.clientsCh, "the client fleet"); err != nil {
+		t.Errorf("clients failed: %v", err)
+	}
+	tr.mu.Lock()
+	res := tr.rootRes
+	tr.mu.Unlock()
+	for _, rec := range res.History[3:] {
+		if rec.Folded != clients {
+			t.Errorf("round %d folded %d updates, want all %d back", rec.Round+1, rec.Folded, clients)
+		}
+	}
+}
+
+// TestRootFailsWhenNoEdgeSurvives: when the only edge dies mid-round, its
+// clients have nowhere to go, and the root fails in that round with the
+// reroute's error — not one round later, after recording an empty round.
+func TestRootFailsWhenNoEdgeSurvives(t *testing.T) {
+	var run atomic.Pointer[treeRun]
+	var killedAt atomic.Int64
+	var onRoundSaw atomic.Int64
+	onRoundSaw.Store(-1)
+	tr := startTree(t, treeCfg{
+		edges: 1, clients: 8, rounds: 5, dim: 64, nnz: 4, seed: 29, run: &run,
+		clientRetries: 1,
+		onRound:       func(round int, _ []float64) { onRoundSaw.Store(int64(round)) },
+		onSelect: map[int]func(int){0: func(round int) {
+			if round == 2 {
+				killedAt.Store(time.Now().UnixNano())
+				run.Load().edges[0].Kill()
+			}
+		}},
+	})
+	select {
+	case err := <-tr.rootCh:
+		if waited := time.Since(time.Unix(0, killedAt.Load())); waited > time.Second {
+			t.Errorf("root returned %v after the kill, want within a second", waited)
+		}
+		if err == nil || !strings.Contains(err.Error(), "round 3: reroute of edge 0") ||
+			!strings.Contains(err.Error(), "no surviving edge") {
+			t.Fatalf("root returned %v, want round 3's reroute failing for want of a surviving edge", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("root still running 30 s after its last edge died")
+	}
+	if last := onRoundSaw.Load(); last != 1 {
+		t.Errorf("OnRound last saw round %d, want 2: the kill round must not complete", last+1)
+	}
+	for what, ch := range map[string]chan error{"the edge": tr.edgeCh, "the client fleet": tr.clientsCh} {
+		select {
+		case <-ch: // killed, and out of redials: neither has a root to go to
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still running after the root failed", what)
+		}
 	}
 }

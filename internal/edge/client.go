@@ -148,10 +148,6 @@ func runClientOnce(cfg ClientsConfig, id int, upd *compress.Sparse) (done, progr
 				return false, progressed, err
 			}
 			progressed = true
-		case rpc.MsgPing:
-			if err := conn.Send(&rpc.Envelope{Type: rpc.MsgPing, ClientID: id, Round: env.Round}); err != nil {
-				return false, progressed, err
-			}
 		case rpc.MsgShutdown:
 			return true, progressed, nil
 		default:

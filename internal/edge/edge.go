@@ -26,7 +26,7 @@ import (
 )
 
 // DefaultHeartbeatInterval paces an edge's pings to the root; the root's
-// watchdog default (DefaultHeartbeatTimeout) is a small multiple of it.
+// default read deadline (DefaultHeartbeatTimeout) is a small multiple of it.
 const DefaultHeartbeatInterval = 250 * time.Millisecond
 
 // DefaultUpdateTimeout bounds an edge's per-round client collect.
@@ -195,8 +195,9 @@ func (e *Edge) Kill() {
 
 // Run registers with the root and serves rounds until the root shuts the
 // session down (clients are shut down in turn), the redial budget is
-// exhausted, or Kill. Root restarts are absorbed: the edge re-registers
-// with backoff (rpc.Redial) while its clients stay connected.
+// spent (clients are dropped with no farewell), or Kill. Root restarts
+// are absorbed: the edge re-registers with backoff (rpc.Redial) while its
+// clients stay connected.
 func (e *Edge) Run() (*EdgeResult, error) {
 	go e.roster.Serve(e.ln, rpc.MsgHello, e.admit)
 	defer e.ln.Close()
@@ -219,7 +220,10 @@ func (e *Edge) Run() (*EdgeResult, error) {
 		return nil, err
 	}
 	if err != nil {
-		e.roster.Shutdown("edge lost its root", e.cfg.UpdateTimeout)
+		// No farewell: a client that reads one ends its session, but the
+		// root has moved these clients to a survivor. Dropped, they redial
+		// the bootstrap and follow the reroute.
+		e.roster.Kill()
 		return nil, fmt.Errorf("edge %d: root link lost, retry budget %d spent: %w", e.cfg.ID, e.cfg.MaxRetries, err)
 	}
 	e.roster.Shutdown("session done", e.cfg.UpdateTimeout)
@@ -264,11 +268,6 @@ func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error)
 		switch env.Type {
 		case rpc.MsgWelcome:
 			e.cfg.Logf("edge %d: registered with root (next round %d)", e.cfg.ID, env.Round+1)
-		case rpc.MsgPing:
-			// Root-originated probe: echo it.
-			if err := conn.SendWithin(e.cfg.HeartbeatInterval, &rpc.Envelope{Type: rpc.MsgPing, ClientID: e.cfg.ID, Round: env.Round}); err != nil {
-				return false, progressed, err
-			}
 		case rpc.MsgSelect:
 			if err := e.runRound(conn, env.Round, part); err != nil {
 				return false, progressed, err

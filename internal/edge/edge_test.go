@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,6 +39,10 @@ type treeCfg struct {
 	hbTimeout              time.Duration                            // root's silence window (0 = 2s)
 	quorum                 time.Duration                            // root's QuorumTimeout (0 = 30s)
 	rerouteGrace           time.Duration                            // root's RerouteGrace (0 = 5s)
+	clientRetries          int                                      // the fleet's redial budget (0 = 100)
+	// run, when non-nil, holds the run before any of it starts: a hook's
+	// way to the root and edges it runs beside.
+	run *atomic.Pointer[treeRun]
 }
 
 // treeRun is one running session: root in a goroutine, E edges, a client
@@ -67,10 +72,10 @@ func startTree(t *testing.T, tc treeCfg) *treeRun {
 		Clients:    tc.clients,
 		Rounds:     tc.rounds,
 		Dim:        tc.dim,
-		// Generous watchdog: under -race a 700-goroutine fleet can starve
-		// a 30ms heartbeat sender well past a tight timeout, and the kill
-		// tests detect death through the wire error instantly anyway.
-		// TestChaosHeartbeatTimeout pins the watchdog path with its own
+		// Generous read deadline: under -race a 700-goroutine fleet can
+		// starve a 30ms heartbeat sender well past a tight timeout, and the
+		// kill tests detect death through the wire error instantly anyway.
+		// TestChaosHeartbeatTimeout pins the silence path with its own
 		// tight root.
 		HeartbeatTimeout: cmp.Or(tc.hbTimeout, 2*time.Second),
 		PartialTimeout:   20 * time.Second,
@@ -93,14 +98,6 @@ func startTree(t *testing.T, tc treeCfg) *treeRun {
 		edgeRes:   make([]*EdgeResult, tc.edges),
 		clientsCh: make(chan error, 1),
 	}
-	go func() {
-		res, err := root.Run()
-		tr.mu.Lock()
-		tr.rootRes = res
-		tr.mu.Unlock()
-		tr.rootCh <- err
-	}()
-
 	for i := 0; i < tc.edges; i++ {
 		e, err := NewEdge(EdgeConfig{
 			ID:                i,
@@ -118,6 +115,19 @@ func startTree(t *testing.T, tc treeCfg) *treeRun {
 			t.Fatal(err)
 		}
 		tr.edges = append(tr.edges, e)
+	}
+	if tc.run != nil {
+		tc.run.Store(tr)
+	}
+
+	go func() {
+		res, err := root.Run()
+		tr.mu.Lock()
+		tr.rootRes = res
+		tr.mu.Unlock()
+		tr.rootCh <- err
+	}()
+	for i, e := range tr.edges {
 		go func(i int, e *Edge) {
 			res, err := e.Run()
 			tr.mu.Lock()
@@ -135,7 +145,7 @@ func startTree(t *testing.T, tc treeCfg) *treeRun {
 			Dim:          tc.dim,
 			Nnz:          tc.nnz,
 			Seed:         tc.seed,
-			MaxRetries:   100,
+			MaxRetries:   cmp.Or(tc.clientRetries, 100),
 			RetryBackoff: 20 * time.Millisecond,
 		})
 	}()
@@ -284,18 +294,19 @@ func TestRootKillAndResume(t *testing.T) {
 
 	// Killed run: the root dies right after checkpointing round 3.
 	var killOnce sync.Once
-	var tr *treeRun
+	var run atomic.Pointer[treeRun]
 	log1 := openLog()
 	tcKill := tc
 	tcKill.ckptDir = dir
 	tcKill.events = log1
 	tcKill.edgeRetries = 200
+	tcKill.run = &run
 	tcKill.onRound = func(round int, _ []float64) {
 		if round == 2 {
-			killOnce.Do(func() { tr.root.Kill() })
+			killOnce.Do(func() { run.Load().root.Kill() })
 		}
 	}
-	tr = startTree(t, tcKill)
+	tr := startTree(t, tcKill)
 	if err := <-tr.rootCh; !errors.Is(err, ErrRootKilled) {
 		t.Fatalf("killed root returned %v, want ErrRootKilled", err)
 	}

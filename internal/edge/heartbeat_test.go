@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,14 +44,14 @@ func TestRerouteDoesNotWaitForAHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr *treeRun
+	var run atomic.Pointer[treeRun]
 	var killOnce sync.Once
-	tr = startTree(t, treeCfg{
+	tr := startTree(t, treeCfg{
 		edges: edges, clients: clients, rounds: rounds, dim: 64, nnz: 4, seed: 19,
-		heartbeat: time.Hour, hbTimeout: time.Hour, rerouteGrace: grace, events: events,
+		heartbeat: time.Hour, hbTimeout: time.Hour, rerouteGrace: grace, events: events, run: &run,
 		onSelect: map[int]func(int){1: func(round int) {
 			if round == 1 {
-				killOnce.Do(func() { tr.edges[1].Kill() })
+				killOnce.Do(func() { run.Load().edges[1].Kill() })
 			}
 		}},
 	})

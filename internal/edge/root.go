@@ -107,36 +107,22 @@ type rootSnapshot struct {
 // Round makes rootSnapshot a checkpoint.Meta.
 func (m *rootSnapshot) Round() int { return m.CompletedRound }
 
-const (
-	evPartial = iota
-	evDown
-)
-
-type rootEv struct {
-	kind  int
-	edge  int
-	peer  *rpc.Peer // evDown: the connection that died
-	round int
-	part  *shard.Partial
-	count *obs.Counter // evPartial: the sending edge's adafl_root_partials_total
-	err   error
-}
-
 // rootEdge is the root's own state of one registered edge (rpc.Peer.Ext).
-// lastSeen and clients are written by the edge's reader under Root.mu.
+// clients is written by the edge's reader under Root.mu.
 type rootEdge struct {
-	lastSeen time.Time
-	clients  int
-	addr     string
+	clients int
+	addr    string
 }
 
 // Root is the top-tier aggregator: it admits NumEdges regional edges,
 // plans the client→edge assignment (Topology.Plan), answers client
 // bootstrap requests with MsgReroute, drives rounds by broadcasting the
-// go-ahead and merging edge partials as they arrive, and — the headline —
-// detects a dead edge via missed heartbeats or a wire error mid-round,
-// completes the round with partial aggregation, and moves each orphan to
-// the least-loaded surviving edge (Topology.Reroute).
+// go-ahead, and — the headline — moves each orphan of a dead edge to the
+// least-loaded surviving edge (Topology.Reroute) while the round completes
+// with partial aggregation. Each edge's reader does that work under mu:
+// it merges the edge's partial into the round in progress, and on a read
+// error — silence past HeartbeatTimeout is one, through the read deadline
+// — it retires the edge and reroutes its clients. Run only waits.
 type Root struct {
 	cfg      RootConfig
 	edgeLn   net.Listener
@@ -144,8 +130,8 @@ type Root struct {
 
 	// roster holds the edge connections (a re-registering edge replaces its
 	// old connection, and a death report about a replaced connection is
-	// stale: Remove says so), serves both listeners and owns the readers,
-	// the watchdog and both exits. Its Done ends the session for them.
+	// stale: Remove says so), serves both listeners and owns the readers
+	// and both exits. Its Done ends the session for them.
 	roster *rpc.Roster
 
 	mu          sync.Mutex
@@ -155,13 +141,16 @@ type Root struct {
 	round       int
 	reroutes    int
 	orphans     int
+	counted     int         // orphans already counted in a round's Rerouted
+	cur         *roundMerge // the round in progress (nil between rounds)
+	// fatal is the first reroute that found no live edge: every wait and
+	// every later reroute returns it.
+	fatal error
 	// changed is closed and replaced (notifyLocked) whenever something a
-	// wait may be waiting for changes: an edge admitted, an edge's client
-	// count, the assignment becoming ready.
+	// wait may be waiting for changes: an edge admitted or retired, an
+	// edge's client count, the assignment becoming ready, the round's last
+	// partial merged.
 	changed chan struct{}
-
-	ev   chan rootEv
-	free chan *shard.Partial // Dim-sized partials the round loop gave back: at most one per edge
 
 	ckpt   *checkpoint.DeltaWriter // touched only by Run's goroutine
 	report *checkpoint.Reporter
@@ -213,8 +202,6 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 
 		pendingJoin: map[int]bool{},
 		changed:     make(chan struct{}),
-		ev:          make(chan rootEv, 64),
-		free:        make(chan *shard.Partial, cfg.NumEdges),
 		met:         newRootMetrics(cfg.Metrics),
 	}
 	r.roster.Cap = cfg.NumEdges
@@ -271,13 +258,12 @@ func (r *Root) Run() (*RootResult, error) {
 
 	go r.roster.Serve(r.edgeLn, rpc.MsgEdgeHello, r.admitEdge)
 	go r.roster.Serve(r.clientLn, rpc.MsgHello, r.admitClient)
-	r.roster.Go(r.watchdog)
 
 	if start >= r.cfg.Rounds {
 		// Nothing left to do: the snapshot covers the whole session.
 		return r.result(global, history, resumed), nil
 	}
-	if err := r.awaitEdges(start); err != nil {
+	if err := r.awaitEdges(); err != nil {
 		return nil, err
 	}
 	if err := r.planIfNeeded(); err != nil {
@@ -291,6 +277,9 @@ func (r *Root) Run() (*RootResult, error) {
 	// last completed round is durable, and the writer's goroutine gone,
 	// before Run returns.
 	defer r.joinCheckpoint()
+	r.mu.Lock()
+	r.counted = r.orphans
+	r.mu.Unlock()
 	merged := shard.NewPartial(r.cfg.Dim)
 	for round := start; round < r.cfg.Rounds; round++ {
 		rec, err := r.runRound(round, merged, global)
@@ -411,7 +400,7 @@ func (r *Root) joinCheckpoint() {
 // resume. On resume, live edges that never resurface within the quorum
 // window are declared dead and their clients rerouted — a resumed root
 // must not hang forever on an edge that died while it was down.
-func (r *Root) awaitEdges(round int) error {
+func (r *Root) awaitEdges() error {
 	var missing []int
 	ok, err := r.await(r.cfg.QuorumTimeout, func() bool {
 		r.mu.Lock()
@@ -426,7 +415,7 @@ func (r *Root) awaitEdges(round int) error {
 			}
 		}
 		return len(missing) == 0
-	}, nil)
+	})
 	if ok || err != nil {
 		return err
 	}
@@ -436,7 +425,7 @@ func (r *Root) awaitEdges(round int) error {
 	}
 	sort.Ints(missing)
 	for _, id := range missing {
-		if _, err := r.rerouteDead(round, id, "edge never re-registered after resume"); err != nil {
+		if err := r.rerouteDead(id, "edge never re-registered after resume"); err != nil {
 			return err
 		}
 	}
@@ -489,16 +478,11 @@ func (r *Root) fleetConnected() bool { return r.connectedClients() >= r.cfg.Clie
 // awaitClients blocks until the edges report a combined client roster
 // covering the fleet, so round 0 selects everyone (each edge pushes its
 // count the moment it changes, so this wakes on the admission that
-// completes the fleet). Edge deaths during the wait are handled and
-// rerouted as they arrive — an edge that registers and immediately goes
-// silent must not pin its clients to a dead address.
+// completes the fleet). An edge that dies during the wait is rerouted by
+// its reader — one that registers and immediately goes silent must not
+// pin its clients to a dead address.
 func (r *Root) awaitClients() error {
-	r.mu.Lock()
-	round := r.round
-	r.mu.Unlock()
-	ok, err := r.await(r.cfg.QuorumTimeout, r.fleetConnected, func(e rootEv) error {
-		return r.handleEvent(round, e, nil)
-	})
+	ok, err := r.await(r.cfg.QuorumTimeout, r.fleetConnected)
 	if ok || err != nil {
 		return err
 	}
@@ -513,7 +497,7 @@ func (r *Root) awaitClients() error {
 // waited and how many clients it starts without.
 func (r *Root) awaitRerouted(round int) {
 	start := time.Now()
-	ok, err := r.await(r.cfg.RerouteGrace, r.fleetConnected, nil)
+	ok, err := r.await(r.cfg.RerouteGrace, r.fleetConnected)
 	if err != nil {
 		return
 	}
@@ -532,20 +516,19 @@ func (r *Root) awaitRerouted(round int) {
 
 // await is the root's one wait: it returns true once ready holds, false
 // when within passes first (ready is asked one last time at the
-// deadline), ErrRootKilled when the session ends. It sleeps on the change
-// signal, taken before ready runs so a change that lands in between still
-// wakes it, and with handle non-nil also serves the readers' events.
-func (r *Root) await(within time.Duration, ready func() bool, handle func(rootEv) error) (bool, error) {
+// deadline), the kept reroute failure once there is one, ErrRootKilled
+// when the session ends. It sleeps on the change signal, taken before
+// ready runs so a change that lands in between still wakes it.
+func (r *Root) await(within time.Duration, ready func() bool) (bool, error) {
 	deadline := time.NewTimer(within)
 	defer deadline.Stop()
-	var ev chan rootEv // nil: never ready
-	if handle != nil {
-		ev = r.ev
-	}
 	for {
 		r.mu.Lock()
-		changed := r.changed
+		changed, fatal := r.changed, r.fatal
 		r.mu.Unlock()
+		if fatal != nil {
+			return false, fatal
+		}
 		select {
 		case <-r.roster.Done():
 			return false, ErrRootKilled
@@ -556,10 +539,6 @@ func (r *Root) await(within time.Duration, ready func() bool, handle func(rootEv
 		}
 		select {
 		case <-changed:
-		case e := <-ev:
-			if err := handle(e); err != nil {
-				return false, err
-			}
 		case <-deadline.C:
 			return ready(), nil
 		case <-r.roster.Done():
@@ -574,13 +553,25 @@ func (r *Root) notifyLocked() {
 	r.changed = make(chan struct{})
 }
 
-// runRound drives one round: admit boundary rejoins, drain stale death
-// reports, broadcast the go-ahead, collect partials (rerouting on any
-// death), merging each as it arrives, apply.
+// roundMerge is the round in progress at the root: the edge connections
+// still owed a partial, and the partials merged so far. A partial merges
+// when it arrives: the fold is fixed point (shard.Partial), so the order
+// the edges answer in does not change the bits.
+type roundMerge struct {
+	pending map[*rpc.Peer]bool
+	part    *shard.Partial
+	edges   int // partials merged
+}
+
+// runRound drives one round: admit boundary rejoins, broadcast the
+// go-ahead, wait for the edges' readers to merge every partial (or
+// retire the edge), apply.
 func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (RootRound, error) {
+	merged.Reset()
+	m := &roundMerge{pending: map[*rpc.Peer]bool{}, part: merged}
+	var targets []*rpc.Peer
 	r.mu.Lock()
 	r.round = round
-	orphansBefore := r.orphans
 	rejoins := make([]int, 0, len(r.pendingJoin))
 	for id := range r.pendingJoin {
 		if r.roster.Peer(id) != nil {
@@ -592,31 +583,31 @@ func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (Roo
 	for _, id := range rejoins {
 		r.topo.Rejoin(id)
 	}
+	// The go-ahead's targets and the round's pending set are one decision
+	// under mu: an edge its reader retires after it strikes itself off,
+	// one retired before is not a target, and its reader has rerouted it.
+	var missing []int
+	for _, s := range r.topo.Live() {
+		if p := r.roster.Peer(s.ID); p != nil {
+			targets = append(targets, p)
+			m.pending[p] = true
+		} else {
+			missing = append(missing, s.ID)
+		}
+	}
+	r.cur = m
+	err := r.fatal // the last live edge died between rounds
 	r.mu.Unlock()
 	for _, id := range rejoins {
 		r.cfg.Logf("root: edge %d re-admitted at round %d boundary", id, round+1)
 		r.cfg.Events.Emit(obs.Event{Type: "edge_up", Round: round, Client: -1, Edge: id})
 		r.met.edgesLive.Inc()
 	}
-
-	// Deaths detected between rounds are handled before the go-ahead.
-	if err := r.drainEvents(round); err != nil {
+	if err != nil {
 		return RootRound{}, err
 	}
-
-	r.mu.Lock()
-	var targets []*rpc.Peer
-	var missing []int
-	for _, s := range r.topo.Live() {
-		if p := r.roster.Peer(s.ID); p != nil {
-			targets = append(targets, p)
-		} else {
-			missing = append(missing, s.ID)
-		}
-	}
-	r.mu.Unlock()
 	for _, id := range missing {
-		if _, err := r.rerouteDead(round, id, "not connected at round start"); err != nil {
+		if err := r.rerouteDead(id, "not connected at round start"); err != nil {
 			return RootRound{}, err
 		}
 	}
@@ -626,66 +617,54 @@ func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (Roo
 	sel := &rpc.Envelope{Type: rpc.MsgSelect, Round: round, Ratio: 1}
 	errs := rpc.Exchange(targets, round, rpc.MsgEdgePartial, r.cfg.PartialTimeout, 0,
 		func(*rpc.Peer) (rpc.Message, bool) { return sel, false })
-	pending := map[int]bool{}
+	sent := 0
 	for i, p := range targets {
-		if errs[i] != nil {
-			if err := r.handleDown(round, p, fmt.Errorf("select broadcast: %w", errs[i])); err != nil {
-				return RootRound{}, err
-			}
-			continue
+		if errs[i] == nil {
+			sent++
+		} else if err := r.edgeDown(p, fmt.Errorf("select broadcast: %w", errs[i])); err != nil {
+			return RootRound{}, err
 		}
-		pending[p.ID] = true
 	}
-	if len(pending) == 0 {
+	if sent == 0 {
 		return RootRound{}, fmt.Errorf("root: round %d: no live edges to select", round+1)
 	}
 
-	merged.Reset()
-	m := &roundMerge{pending: pending, part: merged}
-	timeout := time.NewTimer(r.cfg.PartialTimeout)
-	defer timeout.Stop()
-collect:
-	for len(pending) > 0 {
-		select {
-		case e := <-r.ev:
-			if err := r.handleEvent(round, e, m); err != nil {
+	ok, err := r.await(r.cfg.PartialTimeout, func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(m.pending) == 0
+	})
+	if err != nil {
+		return RootRound{}, err
+	}
+	if !ok {
+		r.mu.Lock()
+		laggards := make([]*rpc.Peer, 0, len(m.pending))
+		for p := range m.pending {
+			laggards = append(laggards, p)
+			delete(m.pending, p)
+		}
+		r.mu.Unlock()
+		sort.Slice(laggards, func(i, j int) bool { return laggards[i].ID < laggards[j].ID })
+		for _, p := range laggards {
+			if err := r.edgeDown(p, fmt.Errorf("no partial within %v", r.cfg.PartialTimeout)); err != nil {
 				return RootRound{}, err
 			}
-		case <-timeout.C:
-			laggards := make([]int, 0, len(pending))
-			for id := range pending {
-				laggards = append(laggards, id)
-			}
-			sort.Ints(laggards)
-			for _, id := range laggards {
-				delete(pending, id)
-				p := r.roster.Peer(id)
-				if p == nil {
-					continue
-				}
-				// The reader's death report about this connection will be stale.
-				if err := r.handleDown(round, p, fmt.Errorf("no partial within %v", r.cfg.PartialTimeout)); err != nil {
-					return RootRound{}, err
-				}
-			}
-			break collect
-		case <-r.roster.Done():
-			return RootRound{}, ErrRootKilled
-		}
-	}
-
-	if w := merged.Weight(); w > 0 {
-		if err := merged.AddTo(global, 1/w); err != nil {
-			r.cfg.Logf("root: round %d: %v", round+1, err)
 		}
 	}
 
 	r.mu.Lock()
-	rerouted := r.orphans - orphansBefore
-	r.mu.Unlock()
+	r.cur = nil
 	rec := RootRound{
 		Round: round, Edges: m.edges, Folded: merged.Count,
-		Rerouted: rerouted, WeightSum: merged.Weight(),
+		Rerouted: r.orphans - r.counted, WeightSum: merged.Weight(),
+	}
+	r.counted = r.orphans
+	r.mu.Unlock()
+	if w := merged.Weight(); w > 0 {
+		if err := merged.AddTo(global, 1/w); err != nil {
+			r.cfg.Logf("root: round %d: %v", round+1, err)
+		}
 	}
 	r.cfg.Logf("root: round %d: merged %d partials (%d updates, weight %.0f), %d clients rerouted",
 		round+1, rec.Edges, rec.Folded, rec.WeightSum, rec.Rerouted)
@@ -694,120 +673,106 @@ collect:
 	return rec, nil
 }
 
-// drainEvents handles every queued death report without blocking (stale
-// partials from earlier rounds are discarded).
-func (r *Root) drainEvents(round int) error {
-	for {
-		select {
-		case e := <-r.ev:
-			if err := r.handleEvent(round, e, nil); err != nil {
-				return err
-			}
-		default:
-			return nil
-		}
+// mergePartial merges an edge's partial into the round in progress and
+// strikes the edge off the round's pending set; a partial between rounds,
+// a duplicate, a stale round or a malformed one is logged and dropped
+// without touching what was merged. part is the reader's own receive
+// partial: env.Params is the connection's scratch, overwritten by the
+// next frame, so the words move there first, outside the lock.
+func (r *Root) mergePartial(p *rpc.Peer, env *rpc.Envelope, part *shard.Partial) bool {
+	part.WeightSum, part.Count = env.WeightSum, env.NumSamples
+	if len(env.Params) == r.cfg.Dim {
+		part.SetSlots(env.Params)
 	}
-}
-
-// roundMerge is the round in progress at the root: the edges still owed
-// a partial, and the partials merged so far. A partial merges when it
-// arrives: the fold is fixed point (shard.Partial), so the order the
-// edges answer in does not change the bits.
-type roundMerge struct {
-	pending map[int]bool
-	part    *shard.Partial
-	edges   int // partials merged
-}
-
-// handleEvent processes one reader event during (or between) rounds. m is
-// nil between rounds.
-func (r *Root) handleEvent(round int, e rootEv, m *roundMerge) error {
-	switch e.kind {
-	case evPartial:
-		if m == nil || !m.pending[e.edge] {
-			r.cfg.Logf("root: discarding unexpected partial from edge %d (round %d)", e.edge, e.round+1)
-			return nil
-		}
-		if err := validatePartial(e, round, r.cfg.Dim); err != nil {
-			r.cfg.Logf("root: rejecting partial from edge %d: %v", e.edge, err)
-			return nil
-		}
-		m.part.Merge(e.part)
-		m.edges++
-		r.putPartial(e.part)
-		delete(m.pending, e.edge)
-		e.count.Inc()
-	case evDown:
-		if m != nil {
-			delete(m.pending, e.edge)
-		}
-		if err := r.handleDown(round, e.peer, e.err); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func validatePartial(e rootEv, round, dim int) error {
-	switch {
-	case e.round != round:
-		return fmt.Errorf("stale round %d (want %d)", e.round+1, round+1)
-	case e.part.Dim != dim:
-		return fmt.Errorf("dimension %d (want %d)", e.part.Dim, dim)
-	case e.part.WeightSum < 0:
-		return fmt.Errorf("negative weight sum %v", e.part.Weight())
-	case e.part.Count < 0:
-		return fmt.Errorf("negative fold count %d", e.part.Count)
-	}
-	return nil
-}
-
-// handleDown retires one edge connection and reroutes its clients. A
-// report about a connection that has already been replaced or retired is
-// stale and ignored: Remove is idempotent and says which it was.
-func (r *Root) handleDown(round int, p *rpc.Peer, cause error) error {
-	if !r.roster.Remove(p) {
-		return nil
-	}
-	id := p.ID
-	r.cfg.Logf("root: edge %d down at round %d: %v", id, round+1, cause)
-	reason := "down"
-	if cause != nil {
-		reason = cause.Error()
-	}
-	r.cfg.Events.Emit(obs.Event{Type: "edge_down", Round: round, Client: -1, Edge: id, Reason: reason})
-	r.met.edgesDown.Inc()
-	_, err := r.rerouteDead(round, id, reason)
-	return err
-}
-
-// rerouteDead marks the edge down in the topology and reassigns its
-// orphans to the least-loaded survivors. Fatal when no live edge
-// remains — the session cannot make progress.
-func (r *Root) rerouteDead(round, id int, reason string) (int, error) {
+	var err error
 	r.mu.Lock()
-	if r.topo == nil || r.topo.Down[id] {
-		r.mu.Unlock()
-		return 0, nil
-	}
-	orphans, err := r.topo.Reroute(id)
-	epoch := 0
-	if err == nil {
-		r.reroutes++
-		r.orphans += len(orphans)
-		epoch = r.topo.Epoch
+	switch m := r.cur; {
+	case m == nil || !m.pending[p]:
+		err = fmt.Errorf("unexpected (round %d)", env.Round+1)
+	case env.Round != r.round:
+		err = fmt.Errorf("stale round %d (want %d)", env.Round+1, r.round+1)
+	case len(env.Params) != r.cfg.Dim:
+		err = fmt.Errorf("dimension %d (want %d)", len(env.Params), r.cfg.Dim)
+	case part.WeightSum < 0:
+		err = fmt.Errorf("negative weight sum %v", part.Weight())
+	case part.Count < 0:
+		err = fmt.Errorf("negative fold count %d", part.Count)
+	default:
+		m.part.Merge(part)
+		m.edges++
+		delete(m.pending, p)
+		if len(m.pending) == 0 {
+			r.notifyLocked()
+		}
 	}
 	r.mu.Unlock()
 	if err != nil {
-		return 0, fmt.Errorf("root: round %d: reroute of edge %d: %w", round+1, id, err)
+		r.cfg.Logf("root: refusing partial from edge %d: %v", p.ID, err)
 	}
-	r.cfg.Logf("root: rerouted %d orphans of edge %d (%s); epoch now %d",
-		len(orphans), id, reason, epoch)
-	r.cfg.Events.Emit(obs.Event{Type: "reroute", Round: round, Client: -1, Edge: id,
-		Clients: len(orphans), Reason: reason})
-	r.met.reroutes.Inc()
-	r.met.orphans.Add(int64(len(orphans)))
-	return len(orphans), nil
+	return err == nil
+}
+
+// edgeDown retires one edge connection, reroutes its clients and strikes
+// it off the round in progress — in that order and under one hold of mu,
+// so the round that loses an edge counts its orphans and the next
+// go-ahead waits for them. A connection already replaced or retired
+// reroutes nothing. It returns fatal, whoever's reroute failed.
+func (r *Root) edgeDown(p *rpc.Peer, cause error) error {
+	r.mu.Lock()
+	removed := r.roster.Remove(p)
+	round, report := r.round, func() {}
+	if removed {
+		report = r.rerouteLocked(p.ID, cause.Error())
+	}
+	if r.cur != nil {
+		delete(r.cur.pending, p)
+	}
+	r.notifyLocked()
+	err := r.fatal
+	r.mu.Unlock()
+	if removed {
+		r.cfg.Logf("root: edge %d down at round %d: %v", p.ID, round+1, cause)
+		r.cfg.Events.Emit(obs.Event{Type: "edge_down", Round: round, Client: -1, Edge: p.ID, Reason: cause.Error()})
+		r.met.edgesDown.Inc()
+	}
+	report()
+	return err
+}
+
+// rerouteDead is rerouteLocked for a caller that does not hold mu.
+func (r *Root) rerouteDead(id int, reason string) error {
+	r.mu.Lock()
+	report := r.rerouteLocked(id, reason)
+	err := r.fatal
+	r.mu.Unlock()
+	report()
+	return err
+}
+
+// rerouteLocked marks the edge down in the topology and reassigns its
+// orphans to the least-loaded survivors (r.mu held); an edge already down
+// moves nobody. With no live edge left the session cannot make progress:
+// the error is kept in fatal, for every later wait and reroute to return.
+// report logs what was done, once the caller has let go of mu.
+func (r *Root) rerouteLocked(id int, reason string) (report func()) {
+	if r.fatal != nil || r.topo == nil || r.topo.Down[id] {
+		return func() {}
+	}
+	orphans, err := r.topo.Reroute(id)
+	if err != nil {
+		r.fatal = fmt.Errorf("root: round %d: reroute of edge %d: %w", r.round+1, id, err)
+		return func() {}
+	}
+	r.reroutes++
+	r.orphans += len(orphans)
+	round, epoch := r.round, r.topo.Epoch
+	return func() {
+		r.cfg.Logf("root: rerouted %d orphans of edge %d (%s); epoch now %d", len(orphans), id, reason, epoch)
+		r.cfg.Events.Emit(obs.Event{Type: "reroute", Round: round, Client: -1, Edge: id,
+			Clients: len(orphans), Reason: reason})
+		r.met.reroutes.Inc()
+		r.met.orphans.Add(int64(len(orphans)))
+	}
 }
 
 // admitEdge handles one edge registration: install (or replace) the roster
@@ -831,9 +796,7 @@ func (r *Root) admitEdge(conn *rpc.Conn, env *rpc.Envelope) {
 	}
 	round := r.round
 	r.mu.Unlock()
-	p := &rpc.Peer{ID: id, Conn: conn, Ext: &rootEdge{
-		lastSeen: time.Now(), clients: env.NumSamples, addr: env.Info,
-	}}
+	p := &rpc.Peer{ID: id, Conn: conn, Ext: &rootEdge{clients: env.NumSamples, addr: env.Info}}
 	if r.roster.Admit(p, &rpc.Envelope{Type: rpc.MsgWelcome, Round: round - 1}) != nil {
 		return
 	}
@@ -848,98 +811,45 @@ func (r *Root) admitEdge(conn *rpc.Conn, env *rpc.Envelope) {
 	}
 }
 
-// readEdge consumes one edge connection: every frame refreshes liveness,
-// a ping whose client count differs wakes the root's waits; partials are
-// copied out of the codec scratch into a free-list partial and posted to
-// the round loop; any error posts a death report naming the connection.
+// readEdge is one edge connection's reader, and does the root's work for
+// it: a ping whose client count differs wakes the root's waits, a
+// partial merges into the round in progress (mergePartial), and a read
+// error retires the edge (edgeDown). Silence is a read error: each read
+// has a deadline of HeartbeatTimeout, re-armed per frame until the
+// session ends, when Shutdown's farewell drain sets its own. After Kill
+// or Shutdown a read error is no death: the roster retires the peer.
 func (r *Root) readEdge(p *rpc.Peer) {
 	re := p.Ext.(*rootEdge)
 	partials := r.cfg.Metrics.Counter("adafl_root_partials_total" + label(p.ID))
+	part := shard.NewPartial(r.cfg.Dim)
+	done := r.roster.Done()
 	var env rpc.Envelope
 	for {
-		if err := p.Conn.RecvInto(&env); err != nil {
-			p.Conn.Close()
-			r.post(rootEv{kind: evDown, edge: p.ID, peer: p, err: err})
-			return
-		}
-		r.mu.Lock()
-		re.lastSeen = time.Now()
-		if env.Type == rpc.MsgPing && re.clients != env.NumSamples {
-			re.clients = env.NumSamples
-			r.notifyLocked()
-		}
-		r.mu.Unlock()
-		if env.Type == rpc.MsgEdgePartial {
-			// Params is the connection's scratch, overwritten by the next
-			// frame: copy the words out before posting. A wrong-sized one
-			// is posted bare, for validatePartial to refuse by its Dim.
-			var part *shard.Partial
-			if len(env.Params) == r.cfg.Dim {
-				part = r.getPartial()
-				part.SetSlots(env.Params)
-			} else {
-				part = &shard.Partial{Dim: len(env.Params)}
-			}
-			part.WeightSum, part.Count = env.WeightSum, env.NumSamples
-			r.post(rootEv{kind: evPartial, edge: p.ID, round: env.Round, part: part, count: partials})
-		}
-	}
-}
-
-// getPartial takes a Dim-sized partial off the free list, or makes one.
-func (r *Root) getPartial() *shard.Partial {
-	select {
-	case part := <-r.free:
-		return part
-	default:
-		return shard.NewPartial(r.cfg.Dim)
-	}
-}
-
-// putPartial gives a merged partial back to the free list; one that does
-// not fit is left to the collector.
-func (r *Root) putPartial(part *shard.Partial) {
-	select {
-	case r.free <- part:
-	default:
-	}
-}
-
-// post delivers a reader event unless the session is over.
-func (r *Root) post(e rootEv) {
-	select {
-	case r.ev <- e:
-	case <-r.roster.Done():
-	}
-}
-
-// watchdog closes connections that have gone silent past the heartbeat
-// timeout; the reader's error path turns the close into a death report.
-func (r *Root) watchdog() {
-	interval := r.cfg.HeartbeatTimeout / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
 		select {
-		case <-r.roster.Done():
-			return
-		case <-t.C:
+		case <-done:
+		default:
+			p.Conn.SetReadDeadline(time.Now().Add(r.cfg.HeartbeatTimeout))
 		}
-		edges := r.roster.Snapshot()
-		r.mu.Lock()
-		stale := edges[:0]
-		for _, p := range edges {
-			if time.Since(p.Ext.(*rootEdge).lastSeen) > r.cfg.HeartbeatTimeout {
-				stale = append(stale, p)
+		if err := p.Conn.RecvInto(&env); err != nil {
+			select {
+			case <-done:
+			default:
+				r.edgeDown(p, err)
 			}
+			return
 		}
-		r.mu.Unlock()
-		for _, p := range stale {
-			r.cfg.Logf("root: edge %d silent past %v; closing", p.ID, r.cfg.HeartbeatTimeout)
-			p.Conn.Close()
+		switch env.Type {
+		case rpc.MsgPing:
+			r.mu.Lock()
+			if re.clients != env.NumSamples {
+				re.clients = env.NumSamples
+				r.notifyLocked()
+			}
+			r.mu.Unlock()
+		case rpc.MsgEdgePartial:
+			if r.mergePartial(p, &env, part) {
+				partials.Inc()
+			}
 		}
 	}
 }
@@ -961,7 +871,7 @@ func (r *Root) admitClient(conn *rpc.Conn, env *rpc.Envelope) {
 			}
 		}
 		return r.assignReady
-	}, nil)
+	})
 	if !ready {
 		return
 	}

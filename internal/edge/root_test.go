@@ -5,55 +5,62 @@ import (
 	"strings"
 	"testing"
 
+	"adafl/internal/rpc"
 	"adafl/internal/shard"
 )
 
-func mkPartial(dim int, weight int64, count int) *shard.Partial {
+// mkEnv is an edge's MsgEdgePartial as its root's reader receives it.
+func mkEnv(round, dim int, weight int64, count int) *rpc.Envelope {
 	p := &shard.Partial{Dim: dim, Sum: make([]int64, dim), WeightSum: weight, Count: count}
 	p.Sum[0] = weight // something for a merge to carry
-	return p
+	return &rpc.Envelope{Type: rpc.MsgEdgePartial, Round: round, Params: p.Slots(), WeightSum: weight, NumSamples: count}
 }
 
-// TestPartialValidation pins the root's ingest guards: duplicate partials
-// from the same edge in the same round, stale rounds, mismatched
-// dimensions and negative weights are all rejected without disturbing
-// what was merged.
+// TestPartialValidation pins the root's ingest guards, run where the
+// partials merge, on the edge's reader: duplicate partials from the same
+// edge in the same round, stale rounds, mismatched dimensions and
+// negative weights are all rejected without disturbing what was merged.
 func TestPartialValidation(t *testing.T) {
-	r := &Root{cfg: RootConfig{Dim: 4, Logf: t.Logf}, free: make(chan *shard.Partial, 2)}
-	m := &roundMerge{pending: map[int]bool{1: true, 2: true}, part: shard.NewPartial(4)}
+	e1, e2 := &rpc.Peer{ID: 1}, &rpc.Peer{ID: 2}
+	m := &roundMerge{pending: map[*rpc.Peer]bool{e1: true, e2: true}, part: shard.NewPartial(4)}
+	r := &Root{cfg: RootConfig{Dim: 4, Logf: t.Logf}, round: 5, cur: m, changed: make(chan struct{})}
+	recv := shard.NewPartial(4) // the reader's receive partial
 
-	if err := r.handleEvent(5, rootEv{kind: evPartial, edge: 1, round: 5, part: mkPartial(4, 2, 2)}, m); err != nil {
-		t.Fatal(err)
+	if !r.mergePartial(e1, mkEnv(5, 4, 2, 2), recv) {
+		t.Fatal("valid partial was refused")
 	}
-	if m.edges != 1 || m.part.Count != 2 || m.part.Sum[0] != 2 || m.pending[1] {
+	if m.edges != 1 || m.part.Count != 2 || m.part.Sum[0] != 2 || m.pending[e1] {
 		t.Fatal("valid partial was not merged")
 	}
 
 	// A duplicate from the same edge for the same round: edge 1 is no
 	// longer pending, so the replay is discarded and the merged partial is
 	// untouched.
-	if err := r.handleEvent(5, rootEv{kind: evPartial, edge: 1, round: 5, part: mkPartial(4, 99, 9)}, m); err != nil {
-		t.Fatal(err)
+	if r.mergePartial(e1, mkEnv(5, 4, 99, 9), recv) {
+		t.Error("duplicate partial was accepted")
 	}
 	if m.edges != 1 || m.part.Count != 2 || m.part.Sum[0] != 2 {
 		t.Error("duplicate partial was merged")
 	}
 
-	for name, ev := range map[string]rootEv{
-		"stale round":  {kind: evPartial, edge: 2, round: 4, part: mkPartial(4, 1, 1)},
-		"wrong dim":    {kind: evPartial, edge: 2, round: 5, part: mkPartial(5, 1, 1)},
-		"neg weight":   {kind: evPartial, edge: 2, round: 5, part: mkPartial(4, -1, 1)},
-		"neg count":    {kind: evPartial, edge: 2, round: 5, part: mkPartial(4, 1, -1)},
-		"unknown edge": {kind: evPartial, edge: 7, round: 5, part: mkPartial(4, 1, 1)},
+	for name, c := range map[string]struct {
+		edge *rpc.Peer
+		env  *rpc.Envelope
+	}{
+		"stale round":  {e2, mkEnv(4, 4, 1, 1)},
+		"wrong dim":    {e2, mkEnv(5, 5, 1, 1)},
+		"neg weight":   {e2, mkEnv(5, 4, -1, 1)},
+		"neg count":    {e2, mkEnv(5, 4, 1, -1)},
+		"unknown edge": {&rpc.Peer{ID: 7}, mkEnv(5, 4, 1, 1)},
 	} {
-		if err := r.handleEvent(5, ev, m); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if r.mergePartial(c.edge, c.env, recv) {
+			t.Errorf("%s: hostile partial was accepted", name)
 		}
 		if m.edges != 1 || m.part.Count != 2 {
 			t.Errorf("%s: hostile partial was merged", name)
 		}
 	}
-	if !m.pending[2] {
+	if !m.pending[e2] {
 		t.Error("edge 2 left pending despite every partial being rejected")
 	}
 }

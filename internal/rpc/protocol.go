@@ -57,11 +57,11 @@ const (
 	// or in-progress session learns it is joining at round r+1 rather
 	// than assuming a fresh session at round 0.
 	MsgWelcome
-	// MsgPing is the lightweight keepalive/heartbeat: Round carries the
-	// sender's current round and NumSamples its progress (an edge reports
-	// its connected-client count). A dead TCP peer surfaces within a
-	// heartbeat interval instead of only at the phase deadline. Receivers
-	// that have nothing to report may echo the ping unchanged.
+	// MsgPing is an edge's heartbeat to its root, its one sender and its
+	// one reader: Round carries the edge's current round and NumSamples
+	// its connected-client count. The root answers nothing; every frame
+	// re-arms its read deadline, so a silent edge surfaces within the
+	// heartbeat timeout. An rpc client echoes one, which only tests send.
 	MsgPing
 	// MsgEdgeHello registers an edge aggregator with the root: ClientID is
 	// the edge ID, Info its client-facing listen address, NumSamples the

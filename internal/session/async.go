@@ -21,8 +21,8 @@ import (
 // the crash-simulation hook for restart/resume testing.
 var ErrKilled = fmt.Errorf("session: killed")
 
-// asyncWriteTimeout bounds each per-client send: a model reply, a
-// keepalive echo and the farewell.
+// asyncWriteTimeout bounds each per-client send: a model reply and the
+// farewell.
 const asyncWriteTimeout = 10 * time.Second
 
 // AsyncConfig configures a buffered-asynchronous (FedBuff) session.
@@ -42,7 +42,7 @@ type AsyncConfig struct {
 	Test *dataset.Dataset
 	// EvalEvery is the evaluation cadence in model versions (0 means 1).
 	EvalEvery int
-	// K is the FedBuff buffer size: arrivals per model-version apply.
+	// K is the FedBuff buffer size: pushes per model-version apply.
 	K int
 	// MaxStaleness rejects a push whose base model is more than this many
 	// versions old (rejected = dropped with a metric and an event, the
@@ -60,7 +60,7 @@ type AsyncConfig struct {
 	// gate; quarantined senders are evicted. 0 disables it.
 	MaxUpdateNorm float64
 	// Shards is ignored: the fold's bits do not depend on a shard count
-	// (shard.Partial), and the session ingests from one goroutine, so it
+	// (shard.Partial), and the session folds under one mutex, so it
 	// folds through one shard. The field stays only because bench/ sets it
 	// (ROADMAP item 1).
 	Shards int
@@ -115,28 +115,12 @@ type AsyncResult struct {
 	ResumedFrom int
 }
 
-// arrival is one MsgAsyncPush handed from a connection goroutine to the
-// engine. The delta lives in the connection's receive scratch (RecvInto):
-// serve reads nothing more from that connection until the engine has
-// folded it (done), so the scratch holds it until the fold is over.
-type arrival struct {
-	client int
-	base   int // model version the delta was trained from
-	delta  *compress.Sparse
-	// done is the sending connection's channel (capacity 1, at most one
-	// push in flight per connection): Run signals it once the push is
-	// folded or dropped, and the connection waits for that before reading
-	// its next message, so a client's pull always sees the effect of its
-	// own earlier push.
-	done chan<- struct{}
-}
-
 // AsyncSession is the buffered-asynchronous engine. Construction
 // (including resume) happens in NewAsync; deliver admits connections
-// from a Manager at any time after that; Run executes the engine until
-// the version budget or Kill. Its connection plane is an rpc.Roster
-// (a duplicate id is turned away); what is its own is serve, the
-// persistent per-connection reader.
+// from a Manager at any time after that; each connection's reader (serve)
+// folds its pushes under mu, and Run waits until a fold meets the version
+// budget or Kill. Its connection plane is an rpc.Roster (a duplicate id
+// is turned away).
 type AsyncSession struct {
 	cfg AsyncConfig
 	met asyncMetrics
@@ -153,18 +137,20 @@ type AsyncSession struct {
 	snapVersion int
 	snapFrame   *rpc.Frame
 
-	arrivals chan arrival
 	// roster owns the connections, the serve goroutines (Go), the uplink
-	// byte total and both exits; its Done releases a serve goroutine blocked
-	// on the arrivals channel once the engine has stopped draining it.
+	// byte total and both exits.
 	roster *rpc.Roster
 	// resumedBytes is the uplink total the snapshot carried in.
 	resumedBytes int64
 
+	// mu serialises the folds: the tree, the buffer, the checkpoint
+	// writer and res are the folding reader's while it holds it.
+	mu       sync.Mutex
 	ckpt     *checkpoint.DeltaWriter
 	report   *checkpoint.Reporter
-	buffered int // arrivals folded since the last apply
+	buffered int // pushes folded since the last apply
 	res      *AsyncResult
+	spent    chan struct{} // closed by the fold that meets the version budget
 }
 
 // asyncSnapshot is the meta section of an async session's snapshot; the
@@ -212,13 +198,13 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 	model := cfg.NewModel()
 	global := model.ParamVector()
 	a := &AsyncSession{
-		cfg:      cfg,
-		met:      newAsyncMetrics(cfg.Metrics, cfg.Name),
-		dim:      len(global),
-		model:    model,
-		arrivals: make(chan arrival, cfg.K),
-		roster:   rpc.NewRoster(false),
-		res:      &AsyncResult{ResumedFrom: -1, StalenessCounts: map[int]int{}},
+		cfg:    cfg,
+		met:    newAsyncMetrics(cfg.Metrics, cfg.Name),
+		dim:    len(global),
+		model:  model,
+		roster: rpc.NewRoster(false),
+		res:    &AsyncResult{ResumedFrom: -1, StalenessCounts: map[int]int{}},
+		spent:  make(chan struct{}),
 	}
 	a.report = checkpoint.NewReporter(cfg.Metrics, cfg.Name, cfg.Events, func(version int, err error) {
 		cfg.Logf("session %q: checkpoint at version %d failed (continuing): %v", cfg.Name, version, err)
@@ -315,22 +301,20 @@ func (a *AsyncSession) deliver(conn *rpc.Conn, hello *rpc.Envelope) error {
 }
 
 // serve is the per-connection receive loop: answer pulls with the
-// published version's frame, relay pushes to the engine, echo pings. A
-// push is read-your-writes: the loop does not read the connection's next
-// message until the engine has folded it, because clients pipeline
-// push→pull and a pull answered before the fold would hand back a version
-// (hence a staleness weight on the next push) that depends on goroutine
-// timing. The same wait is what lets a push be decoded into the
-// connection's scratch: nothing overwrites it before the fold is over.
-// It exits on any wire error (the client redials and re-registers). Once
-// the engine has stopped (the roster's Done) it only discards: a push or
-// pull already in flight is read, not answered with a reset, until the
-// client has read its farewell and closed (Roster.Shutdown).
+// published version's frame, fold pushes. A push is folded before the
+// loop reads the connection's next message. That is what lets it be
+// decoded into the connection's scratch, and it makes a push
+// read-your-writes: clients pipeline push→pull, and a pull answered
+// before the fold would hand back a version (hence a staleness weight on
+// the next push) that depends on goroutine timing. It exits on any wire
+// error (the client redials and re-registers). Once the engine has
+// stopped (the roster's Done) it only discards: a push or pull already in
+// flight is read, not answered with a reset, until the client has read
+// its farewell and closed (Roster.Shutdown).
 func (a *AsyncSession) serve(p *rpc.Peer) {
 	defer a.roster.Remove(p)
 	id, conn := p.ID, p.Conn
 	stopped := a.roster.Done()
-	folded := make(chan struct{}, 1)
 	var e rpc.Envelope
 	for {
 		if err := conn.RecvInto(&e); err != nil {
@@ -348,24 +332,7 @@ func (a *AsyncSession) serve(p *rpc.Peer) {
 				return
 			}
 		case rpc.MsgAsyncPush:
-			select {
-			case a.arrivals <- arrival{client: id, base: e.Round, delta: e.Update, done: folded}:
-				select {
-				case <-folded:
-				case <-stopped:
-					if a.roster.Killed() {
-						// Kill does not wait for the fold in progress,
-						// which may be this push's: the scratch it lives in
-						// must not be read into again.
-						return
-					}
-				}
-			case <-stopped:
-			}
-		case rpc.MsgPing:
-			if err := conn.SendWithin(asyncWriteTimeout, &rpc.Envelope{Type: rpc.MsgPing, Round: e.Round}); err != nil {
-				return
-			}
+			a.fold(id, e.Round, e.Update)
 		default:
 			a.cfg.Logf("session %q: client %d sent unexpected %v", a.cfg.Name, id, e.Type)
 			return
@@ -378,30 +345,22 @@ func (a *AsyncSession) serve(p *rpc.Peer) {
 // checkpointed (the partial FedBuff buffer) is lost, as in a real crash.
 func (a *AsyncSession) Kill() { a.roster.Kill() }
 
-// Run executes the engine: fold arrivals, apply every K-th, checkpoint,
-// until the version budget is met (clean shutdown with farewells) or
-// Kill (ErrKilled). The caller runs exactly one Run per session.
+// Run waits for the fold that meets the version budget (clean shutdown
+// with farewells) or for Kill (ErrKilled); the folds themselves run on
+// the connections' readers. The caller runs exactly one Run per session.
 func (a *AsyncSession) Run() (*AsyncResult, error) {
 	defer a.joinCheckpoint()
 	res := a.res
 	var err error
-	for err == nil && a.Version() < a.cfg.Versions {
-		select {
-		case <-a.roster.Done():
-			err = ErrKilled
-		case arr := <-a.arrivals:
-			a.fold(arr)
-			arr.done <- struct{}{}
-		}
-	}
-	// Budget met: the farewells go out while the serve goroutines still hold
-	// their sockets open, and Shutdown returns when every client has closed
-	// (or been given up on) and every serve goroutine is gone. Kill, here,
-	// joins them.
-	if err != nil {
-		a.roster.Kill()
-	} else {
+	select {
+	case <-a.spent:
+		// The farewells go out while the serve goroutines still hold their
+		// sockets open, and Shutdown returns when every client has closed
+		// (or been given up on) and every serve goroutine is gone.
 		a.roster.Shutdown(fmt.Sprintf("done: %d model versions, final acc %.3f", a.Version(), res.FinalAcc), asyncWriteTimeout)
+	case <-a.roster.Done():
+		a.roster.Kill() // joins them
+		err = ErrKilled
 	}
 	res.Versions = a.Version()
 	res.BytesReceived = a.bytesReceived()
@@ -415,37 +374,46 @@ func (a *AsyncSession) bytesReceived() int64 {
 	return a.resumedBytes + up
 }
 
-// fold ingests one arrival, applying the buffer when it reaches K.
-func (a *AsyncSession) fold(arr arrival) {
+// fold ingests one push under mu, applying the buffer when it reaches K.
+// A push folded after the one that met the version budget is discarded.
+func (a *AsyncSession) fold(client, base int, delta *compress.Sparse) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	_, version := a.snapshot()
-	staleness := version - arr.base
+	if version >= a.cfg.Versions {
+		return
+	}
+	staleness := version - base
 	if staleness < 0 {
 		// A base version from the future is protocol junk, not staleness.
 		a.cfg.Logf("session %q: client %d pushed base version %d ahead of global %d, dropping",
-			a.cfg.Name, arr.client, arr.base, version)
+			a.cfg.Name, client, base, version)
 		return
 	}
 	if max := a.cfg.MaxStaleness; max > 0 && staleness > max {
 		a.res.StaleRejected++
 		a.met.stale.Inc()
-		a.cfg.Events.Emit(obs.Event{Type: "stale", Round: version, Client: arr.client,
+		a.cfg.Events.Emit(obs.Event{Type: "stale", Round: version, Client: client,
 			Reason: fmt.Sprintf("staleness %d > %d", staleness, max)})
 		return
 	}
 	a.met.staleness.Observe(float64(staleness))
 	a.res.StalenessCounts[staleness]++
 	a.tree.Ingest(version, shard.Update{
-		Client: arr.client,
+		Client: client,
 		Weight: fl.StalenessWeight(staleness),
-		Delta:  arr.delta,
+		Delta:  delta,
 	})
 	a.buffered++
 	a.res.Pushes++
 	a.met.pushes.Inc()
-	a.cfg.Events.Emit(obs.Event{Type: "push", Round: version, Client: arr.client,
-		Bytes: int64(arr.delta.WireBytes()), Norm: float64(staleness)})
+	a.cfg.Events.Emit(obs.Event{Type: "push", Round: version, Client: client,
+		Bytes: int64(delta.WireBytes()), Norm: float64(staleness)})
 	if a.buffered >= a.cfg.K {
 		a.apply()
+		if a.Version() >= a.cfg.Versions {
+			close(a.spent)
+		}
 	}
 }
 
@@ -502,7 +470,7 @@ func (a *AsyncSession) apply() {
 }
 
 // saveCheckpoint joins the previous version's epoch, captures this
-// version's and leaves it writing behind the arrivals of the next.
+// version's and leaves it writing behind the pushes of the next.
 func (a *AsyncSession) saveCheckpoint(version int, params []float64) {
 	meta := &asyncSnapshot{
 		Version:            version,

@@ -58,7 +58,7 @@ func TestAsyncBufferMatchesFedBuff(t *testing.T) {
 	}
 
 	for i, d := range deltas {
-		a.fold(arrival{client: i, base: 5 - staleness[i], delta: compress.NewSparseDense(d)})
+		a.fold(i, 5-staleness[i], compress.NewSparseDense(d))
 	}
 	got, version := a.snapshot()
 	if version != 6 {
@@ -100,11 +100,11 @@ func TestAsyncQuarantinesFiniteGiants(t *testing.T) {
 	}
 
 	a := newSession(3)
-	a.fold(arrival{client: 1, delta: giant(a.dim)})
-	a.fold(arrival{client: 2, delta: giant(a.dim)})
-	a.fold(arrival{client: 0, delta: honest(a.dim)})
+	a.fold(1, 0, giant(a.dim))
+	a.fold(2, 0, giant(a.dim))
+	a.fold(0, 0, honest(a.dim))
 	ref := newSession(1)
-	ref.fold(arrival{client: 0, delta: honest(ref.dim)})
+	ref.fold(0, 0, honest(ref.dim))
 
 	if len(a.res.Quarantines) != 2 {
 		t.Fatalf("quarantined %+v, want both giants", a.res.Quarantines)
@@ -500,7 +500,7 @@ func TestDeltaCheckpointSteadyStateBytes(t *testing.T) {
 			for j := 0; j < 256; j++ {
 				d[j] = float64(v+1) * 1e-3
 			}
-			a.fold(arrival{client: 0, base: a.Version(), delta: compress.NewSparseDense(d)})
+			a.fold(0, a.Version(), compress.NewSparseDense(d))
 		}
 		a.joinCheckpoint() // what Run's return does: the tenth epoch is still in flight
 		// GC leaves only the reachable epochs: the full base every delta
@@ -571,7 +571,7 @@ func TestAsyncDeltaCheckpointCrashCopiesResume(t *testing.T) {
 		for j := 0; j < 256; j++ {
 			d[(j*v)%a.dim] = float64(v) * 1e-3
 		}
-		a.fold(arrival{client: 0, base: a.Version(), delta: compress.NewSparseDense(d)})
+		a.fold(0, a.Version(), compress.NewSparseDense(d))
 		if a.Version() != v {
 			t.Fatalf("fold %d left version %d", v, a.Version())
 		}

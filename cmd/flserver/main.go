@@ -74,8 +74,8 @@ func main() { cli.Main("flserver", commands) }
 
 // Help shared by the subcommands that take the flag.
 const (
-	ckptHelp    = "directory for the checkpoint chain: one delta epoch per round or model version, written behind the next (empty disables checkpointing; a directory that already holds a chain needs -resume)"
-	resumeHelp  = "restore the latest epoch in -checkpoint-dir and continue after it (fresh start if the directory holds no chain)"
+	ckptHelp    = "directory for the checkpoint: one snapshot file, replaced every round or model version behind the next (empty disables checkpointing; a directory that already holds a snapshot needs -resume)"
+	resumeHelp  = "restore the snapshot in -checkpoint-dir and continue after it (fresh start if the directory holds none)"
 	normHelp    = "quarantine updates whose L2 norm exceeds this multiple of the median (0 disables the gate)"
 	negoHelp    = "negotiate each selected client's uplink codec+ratio per round from its observed link state"
 	clientsHelp = "number of clients to wait for"
@@ -258,7 +258,7 @@ func newAsync(fs *flag.FlagSet) cli.Runner {
 	fs.Float64Var(&c.cfg.Eta, "eta", 1, "server learning rate applied to the weighted buffer mean")
 	fs.Float64Var(&c.cfg.MaxUpdateNorm, "max-update-norm", 10, normHelp)
 	c.task.Register(fs)
-	fs.StringVar(&c.cfg.CheckpointDir, "checkpoint-dir", "", ckptHelp+"; with several sessions each keeps its chain in a subdirectory named after it")
+	fs.StringVar(&c.cfg.CheckpointDir, "checkpoint-dir", "", ckptHelp+"; with several sessions each keeps its snapshot in a subdirectory named after it")
 	fs.BoolVar(&c.cfg.Resume, "resume", false, resumeHelp)
 	c.metricsAddr = cli.MetricsFlag(fs)
 	c.eventLog = cli.EventLogFlag(fs)
@@ -293,7 +293,7 @@ func (c *asyncCmd) configs() ([]session.AsyncConfig, error) {
 	for i, name := range names {
 		cfgs[i] = base
 		cfgs[i].Name = name
-		// Each session keeps its own chain so the doctor can audit them
+		// Each session keeps its own snapshot so the doctor can audit them
 		// independently; a single session keeps the bare path.
 		if base.CheckpointDir != "" && len(names) > 1 {
 			cfgs[i].CheckpointDir = filepath.Join(base.CheckpointDir, name)
@@ -321,7 +321,7 @@ func (c *asyncCmd) Run() error {
 	engines := make([]*session.AsyncSession, len(cfgs))
 	names := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
-		// Like the chains, each session's events go to a log of their own.
+		// Like the snapshots, each session's events go to a log of their own.
 		path := *c.eventLog
 		if path != "" && len(cfgs) > 1 {
 			path += "." + cfg.Name

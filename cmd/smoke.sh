@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the three deployment binaries on loopback, a few
 # seconds in all: a sync session, an async session, a two-tier tree, the
-# doctor on the sync chain, the length of `flserver -h`, and flags the
+# doctor on the sync checkpoint, the length of `flserver -h`, and flags the
 # subcommand does not take failing before anything is served.
 #
 # Usage: bash cmd/smoke.sh   (or: make cli)
@@ -50,23 +50,25 @@ await() {
 
 port=$((20000 + RANDOM % 20000))
 
-echo "cli smoke: sync session, 3 clients x 3 rounds"
+# Twelve rounds at 1200 samples run well past the default warm-up into
+# compressed rounds; the doctor below audits the checkpoint they leave.
+echo "cli smoke: sync session, 6 clients x 12 rounds, 1200 samples"
 addr=127.0.0.1:$port
-bg server "$bin/flserver" -addr "$addr" -clients 3 -rounds 3 -warmup 1 -samples 300 \
+bg server "$bin/flserver" -addr "$addr" -clients 6 -rounds 12 -samples 1200 \
 	-checkpoint-dir "$work/sync-ckpt" -event-log "$work/sync-ckpt/events.jsonl"
 server=$last
 clients=()
-for id in 0 1 2; do
-	bg "client$id" "$bin/flclient" -addr "$addr" -id "$id" -clients 3 -samples 300 -retries 20 -retry-backoff 50ms
+for id in 0 1 2 3 4 5; do
+	bg "client$id" "$bin/flclient" -addr "$addr" -id "$id" -clients 6 -samples 1200 -retries 20 -retry-backoff 50ms
 	clients+=("$last")
 done
 await server "$server"
-for id in 0 1 2; do await "client$id" "${clients[$id]}"; done
+for id in 0 1 2 3 4 5; do await "client$id" "${clients[$id]}"; done
 grep -q '^final accuracy' "$work/server.log" || fail "sync server printed no result"
 
-echo "cli smoke: doctor on the sync chain"
+echo "cli smoke: doctor on the sync checkpoint"
 "$bin/flserver" doctor -checkpoint-dir "$work/sync-ckpt" -event-log "$work/sync-ckpt/events.jsonl" >"$work/doctor.log" 2>&1 ||
-	fail "doctor found the sync chain inconsistent"
+	fail "doctor found the sync checkpoint inconsistent"
 
 echo "cli smoke: async session, 2 clients, 4 versions"
 addr=127.0.0.1:$((port + 1))

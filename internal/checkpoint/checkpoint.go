@@ -1,19 +1,11 @@
 // Package checkpoint is the durable-state layer of long-lived training
-// sessions. A session's state lives in a chain of delta epochs (delta.go)
-// whose every epoch has the one snapshot layout this file owns — written by
-// DeltaWriter.Snapshot, read by Snapshot.Restore — and a directory is
-// started or resumed through the one policy in Open.
-//
-// Beside it the package keeps a framed single-file gob (Encode/Decode,
-// Save/Load) for tools: a fixed header (magic, format version, payload
-// length, CRC-32C of the payload) so that a reader can reject truncated,
-// bit-flipped or foreign files before handing bytes to the decoder, and a
-// length cap that keeps a corrupt length prefix from forcing a huge
-// allocation. Both share one crash discipline (atomicWrite): a temp file in
-// the destination directory, fsynced, renamed over the destination, the
-// directory fsynced. A process killed at any point leaves either the
-// previous complete file or the new complete file — never a half-written
-// one (a stale temp file at worst, which no reader looks at).
+// sessions: one snapshot file per checkpoint directory, replaced whole every
+// round or model version (DeltaWriter), read back by ReadSnapshot, and
+// started or resumed through the one policy in Open. A file is a header
+// (magic, version, payload length, CRC-32C of the payload) and a payload of
+// named, length-prefixed sections. Every write goes to a temp file that is
+// fsynced and renamed over the destination (atomicWrite): a process killed
+// at any point leaves the previous complete file or the new one.
 package checkpoint
 
 import (
@@ -24,212 +16,285 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"time"
+
+	"adafl/internal/tensor"
 )
 
-// magic identifies a checkpoint file. Changing the on-disk layout bumps
-// Version, not the magic.
+// magic identifies a checkpoint file; a layout change bumps Version.
 var magic = [8]byte{'A', 'D', 'F', 'L', 'C', 'K', 'P', 'T'}
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the file format version: 1 framed a bare gob, 2 named sections.
+const Version = 2
 
-// headerLen is magic(8) + version(4) + payload length(8) + crc(4).
-const headerLen = 24
+const (
+	// headerLen is magic(8) + version(4) + payload length(8) + crc(4).
+	headerLen = 24
+	// DefaultMaxPayload bounds the payload length a reader will believe:
+	// snapshots are model vectors plus bookkeeping, far below 1 GiB.
+	DefaultMaxPayload = 1 << 30
+	// maxSections and maxSectionName bound a section table; a section takes
+	// at least minSection bytes (name length, a one-byte name, data length).
+	maxSections    = 1 << 12
+	maxSectionName = 1 << 10
+	minSection     = 2 + 1 + 8
+	// fileName is the snapshot file of a checkpoint directory.
+	fileName = "snapshot.ckpt"
+)
 
-// DefaultMaxPayload bounds the payload length a reader will believe.
-// Snapshots here are model vectors plus bookkeeping — far below 1 GiB —
-// so anything larger is treated as corruption, not data.
-const DefaultMaxPayload = 1 << 30
-
-// ErrCorrupt marks a snapshot that failed structural verification:
-// wrong magic, impossible length, truncated payload or CRC mismatch.
-// Callers distinguish it from I/O errors to decide between "refuse to
-// resume" and "retry the read".
+// ErrCorrupt marks a file that failed verification (magic, version, a length,
+// the CRC, the section table): callers tell it from an I/O error to decide
+// between "refuse to resume" and "retry the read".
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 
-// castagnoli is the CRC-32C table (iSCSI polynomial), hardware
-// accelerated on amd64/arm64.
+// castagnoli is the CRC-32C table, hardware accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode writes one framed snapshot of v to w.
-func Encode(w io.Writer, v interface{}) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
+// Section is one named byte range of a file; names are unique within one.
+type Section struct {
+	Name string
+	Data []byte
+}
+
+// frame builds one file image in place — header, section count, then each
+// section's name, length and bytes — so a capture goes to disk uncopied.
+type frame struct {
+	buf   []byte
+	names []string
+	open  int // offset of the open section's length field, 0 when none is
+}
+
+func (f *frame) reset() {
+	f.buf = append(f.buf[:0], make([]byte, headerLen+4)...)
+	f.names, f.open = f.names[:0], 0
+}
+
+// section closes the open section and opens the named one, which f's Write
+// appends to.
+func (f *frame) section(name string) io.Writer {
+	f.close()
+	f.names = append(f.names, name)
+	f.buf = binary.LittleEndian.AppendUint16(f.buf, uint16(len(name)))
+	f.buf = append(f.buf, name...)
+	f.open = len(f.buf)
+	f.buf = append(f.buf, make([]byte, 8)...)
+	return f
+}
+
+func (f *frame) close() {
+	if f.open > 0 {
+		binary.LittleEndian.PutUint64(f.buf[f.open:], uint64(len(f.buf)-f.open-8))
+		f.open = 0
 	}
-	var hdr [headerLen]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[20:24], crc32.Checksum(payload.Bytes(), castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("checkpoint: write header: %w", err)
+}
+
+func (f *frame) Write(p []byte) (int, error) {
+	f.buf = append(f.buf, p...)
+	return len(p), nil
+}
+
+// finish ends the capture: it checks the names and records their count.
+func (f *frame) finish() error {
+	f.close()
+	for i, name := range f.names {
+		if name == "" || len(name) > maxSectionName || i >= maxSections {
+			return fmt.Errorf("checkpoint: bad section name %q (section %d)", name, i)
+		}
+		if slices.Contains(f.names[:i], name) {
+			return fmt.Errorf("checkpoint: duplicate section %q", name)
+		}
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("checkpoint: write payload: %w", err)
-	}
+	binary.LittleEndian.PutUint32(f.buf[headerLen:], uint32(len(f.names)))
 	return nil
 }
 
-// Decode reads one framed snapshot from r into v, verifying magic,
-// version, length and CRC before gob sees a single payload byte. It
-// uses DefaultMaxPayload as the length cap.
-func Decode(r io.Reader, v interface{}) error {
-	return DecodeLimited(r, v, DefaultMaxPayload)
+// seal fills in the header of a finished image.
+func (f *frame) seal() {
+	copy(f.buf, magic[:])
+	binary.LittleEndian.PutUint32(f.buf[8:], Version)
+	binary.LittleEndian.PutUint64(f.buf[12:], uint64(len(f.buf)-headerLen))
+	binary.LittleEndian.PutUint32(f.buf[20:], crc32.Checksum(f.buf[headerLen:], castagnoli))
 }
 
-// DecodeLimited is Decode with an explicit payload length cap. Corrupt
-// or truncated input yields an error wrapping ErrCorrupt — never a
-// panic and never an allocation driven by an unverified length prefix
-// beyond maxPayload.
-func DecodeLimited(r io.Reader, v interface{}, maxPayload int64) error {
+// parse reads one file from r and returns its sections, which alias one
+// buffer. A fault of the file yields an error wrapping ErrCorrupt, never a
+// panic, and no length sizes an allocation before it is checked: the buffer
+// grows at most by doubling what was read, the table by the bytes left.
+func parse(r io.Reader, maxPayload int64) ([]Section, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
 	if !bytes.Equal(hdr[:8], magic[:]) {
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if ver := binary.LittleEndian.Uint32(hdr[8:12]); ver != Version {
-		return fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, ver)
+		return nil, fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, ver)
 	}
-	payload, err := readPayload(r, hdr, maxPayload)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		// The CRC passed, so the bytes are what the writer produced; a gob
-		// failure here means a writer/reader type mismatch, still corrupt
-		// from the caller's point of view.
-		return fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
-	}
-	return nil
-}
-
-// readPayload reads the payload a verified header declares (length at
-// hdr[12:20], CRC-32C at hdr[20:24]) and checks both, for framed files and
-// delta epochs alike. It reads through a LimitReader in moderate chunks so
-// a declared length larger than the actual data fails with a short read,
-// not a single n-sized up-front allocation.
-func readPayload(r io.Reader, hdr [headerLen]byte, maxPayload int64) ([]byte, error) {
-	n := binary.LittleEndian.Uint64(hdr[12:20])
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
+	n := binary.LittleEndian.Uint64(hdr[12:20])
 	if n > uint64(maxPayload) {
 		return nil, fmt.Errorf("%w: declared payload %d exceeds cap %d", ErrCorrupt, n, maxPayload)
 	}
-	payload := make([]byte, 0, min(int64(n), 1<<20))
-	lr := io.LimitReader(r, int64(n))
-	buf := make([]byte, 64<<10)
-	for {
-		k, err := lr.Read(buf)
-		payload = append(payload, buf[:k]...)
-		if err == io.EOF {
-			break
+	p := make([]byte, 0, min(n, 1<<20))
+	for k := 0; uint64(len(p)) < n; p = p[:len(p)+k] {
+		if len(p) == cap(p) {
+			p = slices.Grow(p, int(min(n-uint64(len(p)), uint64(len(p)))))
 		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: read payload: %v", ErrCorrupt, err)
+		var err error
+		if k, err = io.ReadFull(r, p[len(p):min(uint64(cap(p)), n)]); err != nil {
+			return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes: %v", ErrCorrupt, len(p)+k, n, err)
 		}
 	}
-	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, len(payload), n)
-	}
-	want := binary.LittleEndian.Uint32(hdr[20:24])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
+	if got, want := crc32.Checksum(p, castagnoli), binary.LittleEndian.Uint32(hdr[20:]); got != want {
 		return nil, fmt.Errorf("%w: crc mismatch (got %08x want %08x)", ErrCorrupt, got, want)
 	}
-	return payload, nil
+
+	if len(p) < 4 {
+		return nil, fmt.Errorf("%w: payload of %d bytes has no section count", ErrCorrupt, len(p))
+	}
+	count := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	if count > maxSections || uint64(count)*minSection > uint64(len(p)) {
+		return nil, fmt.Errorf("%w: %d sections declared in %d bytes (cap %d)", ErrCorrupt, count, len(p), maxSections)
+	}
+	secs := make([]Section, 0, count)
+	for range count {
+		nl := 0
+		if len(p) >= 2 {
+			nl = int(binary.LittleEndian.Uint16(p))
+		}
+		if nl == 0 || nl > maxSectionName || len(p) < 2+nl+8 {
+			return nil, fmt.Errorf("%w: section name length %d in %d bytes", ErrCorrupt, nl, len(p))
+		}
+		name := string(p[2 : 2+nl])
+		size := binary.LittleEndian.Uint64(p[2+nl:])
+		p = p[2+nl+8:]
+		if size > uint64(len(p)) {
+			return nil, fmt.Errorf("%w: section %q declares %d bytes, %d left", ErrCorrupt, name, size, len(p))
+		}
+		if _, dup := section(secs, name); dup {
+			return nil, fmt.Errorf("%w: duplicate section %q", ErrCorrupt, name)
+		}
+		secs = append(secs, Section{Name: name, Data: p[:size:size]})
+		p = p[size:]
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last section", ErrCorrupt, len(p))
+	}
+	return secs, nil
 }
 
-// Save atomically writes a snapshot of v to path: temp file in the same
-// directory, fsync, rename, directory fsync. An existing snapshot at
-// path is replaced only once the new one is fully durable.
+// read parses the file at path and reports its size on disk.
+func read(path string) ([]Section, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("checkpoint: %w", err)
+	}
+	defer f.Close()
+	secs, err := parse(f, DefaultMaxPayload)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("checkpoint: %w", err)
+	}
+	return secs, fi.Size(), nil
+}
+
+func section(secs []Section, name string) ([]byte, bool) {
+	for _, s := range secs {
+		if s.Name == name {
+			return s.Data, true
+		}
+	}
+	return nil, false
+}
+
+// decodeMeta gob-decodes the "meta" section of secs into v.
+func decodeMeta(secs []Section, v interface{}) error {
+	b, ok := section(secs, secMeta)
+	if !ok {
+		return fmt.Errorf("%w: no %q section", ErrCorrupt, secMeta)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil { // a type mismatch: the CRC passed
+		return fmt.Errorf("%w: decode meta: %v", ErrCorrupt, err)
+	}
+	return nil
+}
+
+// Save atomically writes v to path as a file whose one section, "meta", is
+// the gob of v. An existing file at path is replaced only once the new one
+// is durable.
 func Save(path string, v interface{}) error {
-	_, err := atomicWrite(path, func(w io.Writer) error { return Encode(w, v) })
-	return err
+	var f frame
+	f.reset()
+	if err := gob.NewEncoder(f.section(secMeta)).Encode(v); err != nil {
+		return fmt.Errorf("checkpoint: encode: %w", err)
+	}
+	_ = f.finish() // one fixed, valid name: nothing to refuse
+	f.seal()
+	return atomicWrite(path, f.buf)
 }
 
-// atomicWrite runs write against a temp file in path's directory, then
-// fsyncs, renames over path and fsyncs the directory — the shared crash
-// discipline for framed files and delta epochs alike. It reports the
-// bytes written.
-func atomicWrite(path string, write func(io.Writer) error) (int64, error) {
+// atomicWrite writes data to a temp file in path's directory, then fsyncs,
+// renames it over path and fsyncs the directory.
+func atomicWrite(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return 0, fmt.Errorf("checkpoint: create temp: %w", err)
+		return fmt.Errorf("checkpoint: create temp: %w", err)
 	}
-	tmp := f.Name()
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	cw := &countingWriter{w: f}
-	if err := write(cw); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("checkpoint: fsync: %w", err))
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("checkpoint: close: %w", err))
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	// Make the rename itself durable. Some filesystems reject Sync on a
-	// directory handle; a crash then risks losing only the rename, never
-	// producing a torn file, so that error is not fatal.
+	// Make the rename durable. Some filesystems reject Sync on a directory;
+	// a crash then loses at most the rename, never tears a file.
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return cw.n, nil
+	return nil
 }
 
-// countingWriter tracks the bytes atomicWrite put through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
+// AppendF64s appends vals to dst as fixed-width little-endian float64 bits,
+// the layout of a snapshot's vector sections.
+func AppendF64s(dst []byte, vals []float64) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(vals))[:n+8*len(vals)]
+	tensor.PutF64LE(dst[n:], vals)
+	return dst
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Load reads the snapshot at path into v, capping the payload length it
-// will believe at DefaultMaxPayload (a corrupt length field must never
-// drive the allocation).
-func Load(path string, v interface{}) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return Decode(f, v)
-}
-
-// The snapshot layout, in section order: "meta", a gob of the engine's own
-// plain struct; one fixed-width f64 section per named vector, so positional
-// chunking dedups the parameters a round did not move (gob's varint floats
-// would shift every byte after the first changed value); "round", the bare
-// little-endian u64 duplicate of Meta.Round that an offline auditor follows
-// without knowing any engine's types. Meta is gob rather than JSON because
-// a round's TestAcc is NaN when it was not evaluated.
+// The snapshot layout, in section order: "meta", a gob of the engine's plain
+// struct (not JSON: an unevaluated round's TestAcc is NaN); one fixed-width
+// f64 section per named vector; "round", the little-endian u64 duplicate of
+// Meta.Round that an auditor reads without knowing any engine's types.
 const (
 	secMeta  = "meta"
 	secRound = "round"
 )
 
-// Meta is an engine's snapshot struct. Round is the completed round or
-// model version it was taken at: the epoch's label.
+// Meta is an engine's snapshot struct; Round, the completed round or model
+// version it was taken at, is the snapshot's label.
 type Meta interface{ Round() int }
 
 // Vector is one named model-sized vector of a snapshot.
@@ -238,12 +303,114 @@ type Vector struct {
 	Vals []float64
 }
 
-// Snapshot joins the epoch in flight, reporting its outcome like Wait,
-// captures the next one in the snapshot layout and leaves it writing behind
-// the caller's next round. Everything that reads the caller's state happens
-// before it returns; the bytes are the writer's after. A capture that fails
-// (gob refusing meta, a vector named like a fixed section) starts no write
-// and is reported at the next join as that epoch's Err, like a failed write.
+// DeltaWriter replaces a directory's snapshot file as a depth-1 pipeline:
+// the caller captures a snapshot on its own loop (Begin, Section/F64s,
+// Commit) and one goroutine writes it while the caller runs its next round.
+// The next Begin, and a Wait on every exit path, join that goroutine and
+// report its outcome, so at most one write is in flight and none outlives
+// the caller's run. A snapshot is durable once the call that joins it
+// returns; a crash before loses that one, leaving the previous file whole.
+// Not safe for concurrent use.
+type DeltaWriter struct {
+	path         string
+	f            frame // the capture: the caller's until Commit, the write's until the join
+	label        int
+	captureStart time.Time
+	inFlight     bool
+	done         chan DeltaResult // the outcome of the one write in flight
+}
+
+// DeltaResult is the outcome of one snapshot, reported by the call that
+// joins it: the label passed to Begin, the file's size (zero on error), the
+// seconds of capture plus write wherever it ran, the seconds the joining call
+// blocked, and the failure, after which the file on disk is the one before.
+type DeltaResult struct {
+	Label       int
+	Size        int64
+	Seconds     float64
+	WaitSeconds float64
+	Err         error
+}
+
+// newWriter opens (creating) dir and removes the temp files a crash left.
+func newWriter(dir string) (*DeltaWriter, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("checkpoint: dir: %w", err)
+	}
+	path := filepath.Join(dir, fileName)
+	stale, err := filepath.Glob(path + ".tmp*")
+	if err != nil {
+		return nil, err
+	}
+	for _, tmp := range stale {
+		os.Remove(tmp) // best effort: a leftover is garbage, not corruption
+	}
+	return &DeltaWriter{path: path, done: make(chan DeltaResult, 1)}, nil
+}
+
+// Begin joins the write in flight like Wait and opens the next capture
+// under the caller's label.
+func (w *DeltaWriter) Begin(label int) (DeltaResult, bool) {
+	res, ok := w.Wait()
+	w.f.reset()
+	w.label = label
+	w.captureStart = time.Now()
+	return res, ok
+}
+
+// Section starts the next section of the capture and returns its writer,
+// valid until the next Section, F64s or Commit.
+func (w *DeltaWriter) Section(name string) io.Writer { return w.f.section(name) }
+
+// F64s captures vals as one fixed-width section (see AppendF64s).
+func (w *DeltaWriter) F64s(name string, vals []float64) {
+	w.f.section(name)
+	w.f.buf = AppendF64s(w.f.buf, vals)
+}
+
+// Commit ends the capture and starts the write; the caller may mutate its
+// state at once. A bad or duplicate section name starts nothing.
+func (w *DeltaWriter) Commit() error {
+	if w.inFlight {
+		return fmt.Errorf("checkpoint: Commit without Begin")
+	}
+	if err := w.f.finish(); err != nil {
+		return err
+	}
+	w.inFlight = true
+	go w.flush(time.Since(w.captureStart).Seconds())
+	return nil
+}
+
+// flush seals the capture and replaces the file with it.
+func (w *DeltaWriter) flush(captureSec float64) {
+	start := time.Now()
+	w.f.seal()
+	res := DeltaResult{Label: w.label, Err: atomicWrite(w.path, w.f.buf)}
+	if res.Err == nil {
+		res.Size = int64(len(w.f.buf))
+	}
+	res.Seconds = captureSec + time.Since(start).Seconds()
+	w.done <- res
+}
+
+// Wait joins the write in flight and reports its outcome; ok is false when
+// none is.
+func (w *DeltaWriter) Wait() (res DeltaResult, ok bool) {
+	if !w.inFlight {
+		return DeltaResult{}, false
+	}
+	start := time.Now()
+	res = <-w.done
+	w.inFlight = false
+	res.WaitSeconds = time.Since(start).Seconds()
+	return res, true
+}
+
+// Snapshot joins the write in flight like Wait and captures the next
+// snapshot in the snapshot layout, to be written behind the caller's next
+// round. A failed capture (gob refusing meta, a vector named like a fixed
+// section) is reported at the next join like a failed write.
 func (w *DeltaWriter) Snapshot(meta Meta, vecs ...Vector) (DeltaResult, bool) {
 	round := meta.Round()
 	joined, ok := w.Begin(round)
@@ -252,87 +419,71 @@ func (w *DeltaWriter) Snapshot(meta Meta, vecs ...Vector) (DeltaResult, bool) {
 		w.F64s(v.Name, v.Vals)
 	}
 	w.Section(secRound)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(round))
+	w.f.buf = binary.LittleEndian.AppendUint64(w.f.buf, uint64(round))
 	if err == nil {
 		err = w.Commit()
 	}
 	if err != nil {
-		w.abandon(fmt.Errorf("checkpoint: capture: %w", err))
+		w.inFlight = true
+		w.done <- DeltaResult{Label: round, Err: fmt.Errorf("checkpoint: capture: %w", err)}
 	}
 	return joined, ok
 }
 
-// Snapshot is the newest epoch of a chain, read back and hash-verified.
+// Snapshot is a directory's snapshot file, read back and verified: its bare
+// round label and its size on disk.
 type Snapshot struct {
-	Epoch uint64
-	// Round is the epoch's bare label.
 	Round    int
+	Size     int64
 	sections []Section
 }
 
-// ReadSnapshot reconstructs the newest epoch of the chain in dir and checks
-// that it has the snapshot layout's fixed sections. With no epoch in dir the
-// error wraps os.ErrNotExist.
+// ReadSnapshot reads the snapshot file in dir and checks the layout's fixed
+// sections. With no snapshot in dir the error wraps os.ErrNotExist.
 func ReadSnapshot(dir string) (*Snapshot, error) {
-	epoch, sections, err := NewDeltaReader(dir, 0).ReadLatest()
+	secs, size, err := read(filepath.Join(dir, fileName))
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{Epoch: epoch, sections: sections}
-	label, _ := s.section(secRound)
-	if _, ok := s.section(secMeta); !ok || len(label) != 8 {
-		return nil, fmt.Errorf("%w: epoch %d is not a session snapshot (meta section present: %v, round label %d bytes, want 8)",
-			ErrCorrupt, epoch, ok, len(label))
+	label, _ := section(secs, secRound)
+	if _, ok := section(secs, secMeta); !ok || len(label) != 8 {
+		return nil, fmt.Errorf("%w: %s is not a session snapshot (meta section present: %v, round label %d bytes, want 8)",
+			ErrCorrupt, fileName, ok, len(label))
 	}
-	s.Round = int(binary.LittleEndian.Uint64(label))
-	return s, nil
+	return &Snapshot{Round: int(binary.LittleEndian.Uint64(label)), Size: size, sections: secs}, nil
 }
 
-func (s *Snapshot) section(name string) ([]byte, bool) {
-	for _, sec := range s.sections {
-		if sec.Name == name {
-			return sec.Data, true
-		}
-	}
-	return nil, false
-}
-
-// VectorLen is the number of values the named vector holds, -1 when the
-// snapshot has no such section.
+// VectorLen is the length of the named vector, -1 when there is none.
 func (s *Snapshot) VectorLen(name string) int {
-	b, ok := s.section(name)
+	b, ok := section(s.sections, name)
 	if !ok || len(b)%8 != 0 {
 		return -1
 	}
 	return len(b) / 8
 }
 
-// Restore is the inverse of DeltaWriter.Snapshot: it decodes the meta
-// section into meta, which must agree with the round label, and fills each
-// of vecs in place from the section of its name. A vector of another length
-// than the caller's is a snapshot of another model and is refused.
+// Restore is the inverse of DeltaWriter.Snapshot: it decodes meta, which
+// must agree with the round label, and fills each of vecs in place from the
+// section of its name; a vector of another length is another model's.
 func (s *Snapshot) Restore(meta Meta, vecs ...Vector) error {
-	mb, _ := s.section(secMeta)
-	if err := gob.NewDecoder(bytes.NewReader(mb)).Decode(meta); err != nil {
-		return fmt.Errorf("%w: snapshot meta: %v", ErrCorrupt, err)
+	if err := decodeMeta(s.sections, meta); err != nil {
+		return err
 	}
 	if meta.Round() != s.Round {
 		return fmt.Errorf("%w: round label %d disagrees with meta round %d", ErrCorrupt, s.Round, meta.Round())
 	}
 	for _, v := range vecs {
-		b, ok := s.section(v.Name)
-		if !ok {
+		b, ok := section(s.sections, v.Name)
+		switch {
+		case !ok:
 			return fmt.Errorf("%w: snapshot has no %q section", ErrCorrupt, v.Name)
-		}
-		vals, err := F64sFromBytes(b)
-		if err != nil {
-			return fmt.Errorf("snapshot %q: %w", v.Name, err)
-		}
-		if len(vals) != len(v.Vals) {
+		case len(b)%8 != 0:
+			return fmt.Errorf("%w: snapshot %q section is %d bytes, not whole float64s", ErrCorrupt, v.Name, len(b))
+		case len(b)/8 != len(v.Vals):
 			return fmt.Errorf("snapshot %q holds %d values, this session's model has %d (model or seed changed?)",
-				v.Name, len(vals), len(v.Vals))
+				v.Name, len(b)/8, len(v.Vals))
 		}
-		copy(v.Vals, vals)
+		tensor.ReadF64LE(v.Vals, b)
 	}
 	return nil
 }
@@ -340,34 +491,63 @@ func (s *Snapshot) Restore(meta Meta, vecs ...Vector) error {
 // Open applies the one start policy to a session's checkpoint directory and
 // returns its writer, with the snapshot to restore when the session resumes:
 //
-//	chain, resume:    the latest snapshot; the writer continues the chain
-//	chain, no resume: refused — a fresh session appending to another's chain
-//	                  would, after a crash before its first join, resume the
-//	                  old model under the new session's event log
-//	empty, resume:    a fresh start, logged, so a supervisor can always
-//	                  pass resume
-//	empty, no resume: a fresh start
+//	snapshot, resume:    the snapshot; the writer replaces it next
+//	snapshot, no resume: refused — a crash before the new session's first
+//	                     join would resume the old model under its log
+//	none, resume:        a fresh start, logged (a supervisor can always
+//	                     pass resume)
+//	none, no resume:     a fresh start
 //
-// Only delta epochs make a chain: a directory holding some other file, a
-// checkpoint of an older binary included, is empty. The chain is read
-// before the writer opens, whose first epoch is then a full rebase after
-// the latest one.
-func Open(dir string, resume bool, opts DeltaOptions, logf func(string, ...interface{})) (*DeltaWriter, *Snapshot, error) {
-	latest, ok, err := LatestDeltaEpoch(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: %s: %w", dir, err)
-	}
+// Only the snapshot file counts: an older binary's delta-*.ckpt chain is none.
+func Open(dir string, resume bool, logf func(string, ...interface{})) (*DeltaWriter, *Snapshot, error) {
 	var snap *Snapshot
+	_, err := os.Stat(filepath.Join(dir, fileName))
 	switch {
-	case ok && !resume:
-		return nil, nil, fmt.Errorf("checkpoint: %s already holds a chain (epoch %d); resume it or use a fresh directory", dir, latest)
-	case ok:
+	case err == nil && !resume:
+		return nil, nil, fmt.Errorf("checkpoint: %s already holds a snapshot; resume it or use a fresh directory", dir)
+	case err == nil:
 		if snap, err = ReadSnapshot(dir); err != nil {
 			return nil, nil, fmt.Errorf("checkpoint: resume from %s: %w", dir, err)
 		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	case resume:
-		logf("checkpoint: no chain in %s, starting fresh", dir)
+		logf("checkpoint: no %s in %s, starting fresh", fileName, dir)
 	}
-	w, err := NewDeltaWriter(dir, opts)
+	w, err := newWriter(dir)
 	return w, snap, err
+}
+
+// The names below remain only for bench/probes.go; delete them with it
+// (ROADMAP item 1). DeltaOptions is empty: a snapshot has nothing to tune.
+type DeltaOptions struct{}
+
+// NewDeltaWriter opens dir like Open without the start policy.
+func NewDeltaWriter(dir string, _ DeltaOptions) (*DeltaWriter, error) { return newWriter(dir) }
+
+// Write persists sections synchronously — Begin, capture, Commit and Wait
+// in one call — and returns the file's size and the seconds it took.
+func (w *DeltaWriter) Write(sections []Section) (int64, float64, error) {
+	w.Begin(0)
+	for _, s := range sections {
+		w.Section(s.Name).Write(s.Data)
+	}
+	if err := w.Commit(); err != nil {
+		return 0, 0, err
+	}
+	res, _ := w.Wait()
+	return res.Size, res.Seconds, res.Err
+}
+
+// DeltaReader reads a directory's snapshot file as raw sections, capping the
+// payload at DefaultMaxPayload.
+type DeltaReader string
+
+// NewDeltaReader returns the reader of dir.
+func NewDeltaReader(dir string, _ int64) DeltaReader { return DeltaReader(dir) }
+
+// ReadLatest returns the snapshot file's size and sections.
+func (r DeltaReader) ReadLatest() (int64, []Section, error) {
+	secs, size, err := read(filepath.Join(string(r), fileName))
+	return size, secs, err
 }

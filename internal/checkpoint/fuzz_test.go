@@ -2,124 +2,151 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
-// FuzzCheckpointDecode feeds arbitrary byte streams — seeded with valid
-// snapshots, truncations and bit flips — into DecodeLimited and requires
-// error-not-panic behaviour. This is the failure surface a server hits
-// when it restarts onto a snapshot file damaged by a crash, a partial
-// disk write or plain bit rot.
-func FuzzCheckpointDecode(f *testing.F) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, samplePayloadFuzz()); err != nil {
-		f.Fatal(err)
-	}
-	raw := buf.Bytes()
-	f.Add(raw)
-	for _, cut := range []int{1, headerLen - 1, headerLen, headerLen + 1, len(raw) / 2, len(raw) - 1} {
-		if cut > 0 && cut < len(raw) {
-			f.Add(raw[:cut])
-		}
-	}
-	for _, i := range []int{0, 9, 13, 21, headerLen + 2} {
-		if i < len(raw) {
-			mut := append([]byte(nil), raw...)
-			mut[i] ^= 0xff
-			f.Add(mut)
-		}
-	}
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, headerLen))
+// fuzzCap is the payload cap the fuzzer parses under: tight, so the fuzzer
+// spends its budget on structure, not on legitimately large allocations.
+const fuzzCap = 1 << 16
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<18 {
-			t.Skip("oversized input")
-		}
-		var p payload
-		// A tight cap keeps the fuzzer from spending its budget on
-		// legitimately large allocations; the cap path itself is part of
-		// the surface under test.
-		err := DecodeLimited(bytes.NewReader(data), &p, 1<<16)
-		if err == nil {
-			// The only way to decode successfully is to be a genuine
-			// snapshot; re-encode must reproduce a decodable stream.
-			var rt bytes.Buffer
-			if err := Encode(&rt, p); err != nil {
-				t.Fatalf("re-encode of decoded payload failed: %v", err)
-			}
-		}
-	})
+// fuzzSeed is one seed input; hostile seeds must fail closed.
+type fuzzSeed struct {
+	name    string
+	data    []byte
+	hostile bool
 }
 
-func samplePayloadFuzz() payload {
-	return payload{
-		Round:   3,
-		Global:  []float64{1, 2.5, -3},
-		LastSel: map[int]int{1: 2},
-		Note:    "fuzz seed",
-	}
-}
-
-// FuzzDeltaDecode feeds hostile delta epoch files — valid chains,
-// truncations, bit flips, oversized chunk tables and dangling epoch
-// references — into ParseDeltaEpoch plus a full reconstruction pass,
-// requiring error-not-panic behaviour and no attacker-sized allocation.
-func FuzzDeltaDecode(f *testing.F) {
-	dir := f.TempDir()
-	w, err := NewDeltaWriter(dir, DeltaOptions{ChunkSize: 32, RebaseEvery: 100})
+// fuzzSeeds are a snapshot file, that file truncated at every section
+// boundary, one bit flipped, a section count of 2¹², a zero-length name and
+// a payload length over the cap — plus the one-section file Save writes, and
+// it truncated at its boundaries.
+func fuzzSeeds(tb testing.TB) []fuzzSeed {
+	tb.Helper()
+	dir := tb.TempDir()
+	w, err := NewDeltaWriter(dir, DeltaOptions{})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	vec := bytes.Repeat([]byte{0xab}, 200)
-	if _, _, err := w.Write([]Section{{Name: "meta", Data: []byte("x")}, {Name: "v", Data: vec}}); err != nil {
-		f.Fatal(err)
+	w.Snapshot(&testMeta{Done: 3, Acc: 0.5, LastSel: map[int]int{1: 2}},
+		Vector{"global", []float64{1, 2.5, -3}}, Vector{"gdelta", []float64{0, 1e-9}})
+	if res, _ := w.Wait(); res.Err != nil {
+		tb.Fatal(res.Err)
 	}
-	vec[3] ^= 1
-	if _, _, err := w.Write([]Section{{Name: "meta", Data: []byte("y")}, {Name: "v", Data: vec}}); err != nil {
-		f.Fatal(err)
+	snap, err := os.ReadFile(filepath.Join(dir, fileName))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	for _, epoch := range []uint64{1, 2} {
-		raw, err := os.ReadFile(filepath.Join(dir, deltaFileName(epoch)))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-		for _, cut := range []int{1, headerLen - 1, headerLen + 3, len(raw) / 2, len(raw) - 1} {
-			if cut > 0 && cut < len(raw) {
-				f.Add(raw[:cut])
-			}
-		}
-		for _, i := range []int{0, 9, 13, 21, headerLen, headerLen + 5, len(raw) - 2} {
-			if i >= 0 && i < len(raw) {
-				mut := append([]byte(nil), raw...)
-				mut[i] ^= 0xff
-				f.Add(mut)
-			}
-		}
-	}
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, headerLen+64))
+	saved := encodeToBytes(tb, samplePayload())
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<18 {
-			t.Skip("oversized input")
+	seeds := []fuzzSeed{{"snapshot", snap, false}, {"saved", saved, false}}
+	for _, file := range []struct {
+		name string
+		raw  []byte
+	}{{"snapshot", snap}, {"saved", saved}} {
+		for _, cut := range boundaries(file.raw) {
+			seeds = append(seeds, fuzzSeed{file.name + " truncated", file.raw[:cut], true})
 		}
-		e, err := ParseDeltaEpoch(bytes.NewReader(data), 1<<16)
+	}
+	patch := func(name string, f func(b []byte)) {
+		b := append([]byte(nil), snap...)
+		f(b)
+		seeds = append(seeds, fuzzSeed{name, b, true})
+	}
+	patch("bit flip", func(b []byte) { b[len(b)/2] ^= 0x08 })
+	patch("2^12 sections", func(b []byte) { binary.LittleEndian.PutUint32(b[headerLen:], maxSections); withCRC(b) })
+	patch("zero-length name", func(b []byte) { binary.LittleEndian.PutUint16(b[headerLen+4:], 0); withCRC(b) })
+	patch("payload over the cap", func(b []byte) { binary.LittleEndian.PutUint64(b[12:20], fuzzCap+1) })
+	return seeds
+}
+
+// boundaries lists the offsets where a valid file's header, section count
+// and each section's name length, name, data length and data end, the last
+// (the whole file) left out, with 0 first.
+func boundaries(raw []byte) []int {
+	cuts := []int{0, headerLen, headerLen + 4}
+	for off := headerLen + 4; off < len(raw); {
+		nl := int(binary.LittleEndian.Uint16(raw[off:]))
+		size := int(binary.LittleEndian.Uint64(raw[off+2+nl:]))
+		cuts = append(cuts, off+2, off+2+nl, off+2+nl+8)
+		off += 2 + nl + 8 + size
+		if off < len(raw) {
+			cuts = append(cuts, off)
+		}
+	}
+	return cuts
+}
+
+// FuzzSnapshotDecode feeds arbitrary bytes into the package's one parser:
+// every rejection must wrap ErrCorrupt (never a panic), an accepted file must
+// re-frame to the bytes it was read from, and the snapshot layer on top of
+// it must fail closed too. This is the surface a server hits when it resumes
+// from a file damaged by a crash, a partial disk write or bit rot.
+func FuzzSnapshotDecode(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		f.Add(s.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		secs, err := parse(bytes.NewReader(data), fuzzCap)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejection %v does not wrap ErrCorrupt", err)
+			}
 			return
 		}
-		// A structurally valid epoch: drop it into a directory and run the
-		// reader and auditor over it — reference resolution against files
-		// the attacker controls (or that are absent) must also fail closed.
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, deltaFileName(e.Epoch)), data, 0o644); err != nil {
-			t.Fatal(err)
+		var fr frame
+		fr.reset()
+		for _, s := range secs {
+			fr.section(s.Name).Write(s.Data)
 		}
-		r := NewDeltaReader(dir, 1<<16)
-		_, _ = r.Read(e.Epoch)
-		_, _ = AuditDelta(dir)
+		if err := fr.finish(); err != nil {
+			t.Fatalf("accepted sections do not re-frame: %v", err)
+		}
+		fr.seal()
+		if !bytes.HasPrefix(data, fr.buf) {
+			t.Fatal("accepted file re-frames to other bytes")
+		}
+		snap := &Snapshot{sections: secs}
+		snap.VectorLen("global")
+		snap.Restore(&testMeta{}, Vector{"global", make([]float64, 3)})
 	})
+}
+
+// FuzzCheckpointDecode and FuzzDeltaDecode are the names the framed-file and
+// delta-chain fuzzers had before the two formats became one; they run
+// FuzzSnapshotDecode so that test IDs recorded under them keep running.
+func FuzzCheckpointDecode(f *testing.F) { FuzzSnapshotDecode(f) }
+
+func FuzzDeltaDecode(f *testing.F) { FuzzSnapshotDecode(f) }
+
+// TestSnapshotDecodeHostileSeeds: each hostile seed fails with ErrCorrupt
+// before the parser allocates anything its lengths would size — what it
+// allocates is bounded by the bytes it was given.
+func TestSnapshotDecodeHostileSeeds(t *testing.T) {
+	seeds := fuzzSeeds(t)
+	if len(seeds) < 28 {
+		t.Fatalf("%d seeds", len(seeds))
+	}
+	var before, after runtime.MemStats
+	for _, s := range seeds {
+		runtime.ReadMemStats(&before)
+		_, err := parse(bytes.NewReader(s.data), fuzzCap)
+		runtime.ReadMemStats(&after)
+		if !s.hostile {
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s (%d bytes): %v, want ErrCorrupt", s.name, len(s.data), err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(2*len(s.data)+4096) {
+			t.Fatalf("%s: parsing %d bytes allocated %d", s.name, len(s.data), n)
+		}
+	}
 }

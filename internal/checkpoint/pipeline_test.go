@@ -6,19 +6,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // goldenStream is the fixed 40-epoch section stream behind the writer's
-// byte-identity golden: a growing "meta", two vectors of which a few
-// 256-byte chunks move per epoch (the second ends in a partial chunk), and
-// the bare "round". An odd epoch moves the chunks the epoch before it
-// moved, which leaves that epoch unreferenced, so GC has work between
-// rebases too. With RebaseEvery 16 it crosses two rebases (epochs 17 and
-// 33).
+// byte-identity golden: a growing "meta", two vectors of which a few bytes
+// move per epoch (an odd epoch moves the bytes the epoch before it moved),
+// and the bare "round".
 type goldenStream struct {
 	x              uint64
 	meta           []byte
@@ -27,14 +26,14 @@ type goldenStream struct {
 }
 
 const (
-	goldenChunk  = 256
+	goldenBlock  = 256 // the vectors are 64 and 48 blocks, the second plus 100 bytes
 	goldenEpochs = 40
 )
 
 func newGoldenStream() *goldenStream {
 	g := &goldenStream{x: 0x9E3779B97F4A7C15}
-	g.global = make([]byte, 64*goldenChunk)
-	g.gdelta = make([]byte, 48*goldenChunk+100)
+	g.global = make([]byte, 64*goldenBlock)
+	g.gdelta = make([]byte, 48*goldenBlock+100)
 	for i := range g.global {
 		g.global[i] = byte(g.rand())
 	}
@@ -95,36 +94,31 @@ func dirDigest(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// goldenSurvivors is what the parent commit's synchronous Write left on
-// disk for goldenStream at ChunkSize 256 and the default rebase cadence:
-// the surviving file set and each file's SHA-256. The pipelined writer
-// must leave exactly this — same bytes, same GC.
-var goldenSurvivors = map[string]string{
-	"delta-00000033.ckpt": "4e20b6336e7c8fb7eca3d52b0d2792092dbade6983e1bef61fe1d3e2ba00e8b8",
-	"delta-00000035.ckpt": "e3349d87b0d6db28719bc8001856b19d1daea21d39f908a752c3885c5676f559",
-	"delta-00000037.ckpt": "910488ff91c4afd336d626b0d682b9c31f8fb4a64e3c8ddc8d3ec04a655d9f31",
-	"delta-00000039.ckpt": "d34c674bb2f2b62f9d1a6c5fb7fdbb5a1190624a96b1be3cdb808ccace79abd1",
-	"delta-00000040.ckpt": "cb8e16e4d51c476c2cd7f6de69c78d2486a590554efdd99714cdc918abfc7962",
-}
+// goldenDigest is the SHA-256 of the snapshot file goldenStream leaves
+// after goldenEpochs pipelined writes: the bytes of the last epoch's
+// sections in the snapshot frame, none of the live-state mutations made
+// while a write was in flight.
+const goldenDigest = "2570bca5568b5c354de972f788f5eb1e21a53835c9e1e61d62a0cfd314c43dda"
 
 // TestDeltaWriterGoldenBytes drives the stream through the pipeline the
 // way a session does — capture, commit, mutate the live state while the
-// epoch is in flight, join at the next begin — and compares the directory
-// with the golden.
+// write is in flight, join at the next begin — and compares the directory
+// with the golden: one file of pinned bytes.
 func TestDeltaWriterGoldenBytes(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewDeltaWriter(dir, DeltaOptions{ChunkSize: goldenChunk})
+	w, err := NewDeltaWriter(dir, DeltaOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := newGoldenStream()
+	var last []Section
 	for e := 1; e <= goldenEpochs; e++ {
 		secs := g.next(e) // rewrites the slices epoch e-1 was captured from
 		res, ok := w.Begin(e)
 		if ok != (e > 1) {
 			t.Fatalf("epoch %d: Begin joined=%v", e, ok)
 		}
-		if ok && (res.Err != nil || res.Label != e-1 || res.Epoch != uint64(e-1) || res.Size == 0) {
+		if ok && (res.Err != nil || res.Label != e-1 || res.Size == 0) {
 			t.Fatalf("epoch %d: joined %+v, want epoch %d clean", e, res, e-1)
 		}
 		for _, s := range secs {
@@ -133,27 +127,37 @@ func TestDeltaWriterGoldenBytes(t *testing.T) {
 		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		if e == goldenEpochs {
+			last = cloneSections(secs)
+		}
 	}
+	g.next(goldenEpochs + 1) // mutate while the last write is in flight
 	res, ok := w.Wait()
-	if !ok || res.Err != nil || res.Epoch != goldenEpochs {
+	if !ok || res.Err != nil || res.Label != goldenEpochs {
 		t.Fatalf("final join: %+v ok=%v", res, ok)
 	}
 	if _, ok := w.Wait(); ok {
-		t.Fatal("second Wait found an epoch in flight")
+		t.Fatal("second Wait found a write in flight")
 	}
-	if got := dirDigest(t, dir); !reflect.DeepEqual(got, goldenSurvivors) {
-		t.Fatalf("directory differs from the parent commit's:\n got %v\nwant %v", got, goldenSurvivors)
+	sectionsEqual(t, readSections(t, dir), last)
+	if got := dirDigest(t, dir); !reflect.DeepEqual(got, map[string]string{fileName: goldenDigest}) {
+		t.Fatalf("directory differs from the golden:\n got %v\nwant %s %s", got, fileName, goldenDigest)
 	}
-	if _, err := AuditDelta(dir); err != nil {
-		t.Fatal(err)
+}
+
+func cloneSections(secs []Section) []Section {
+	out := make([]Section, len(secs))
+	for i, s := range secs {
+		out[i] = Section{s.Name, append([]byte(nil), s.Data...)}
 	}
+	return out
 }
 
 // TestDeltaWriterF64sMatchesAppend: the in-place vector capture is the
 // fixed-width section AppendF64s builds.
 func TestDeltaWriterF64sMatchesAppend(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewDeltaWriter(dir, DeltaOptions{ChunkSize: 64})
+	w, err := NewDeltaWriter(dir, DeltaOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,68 +173,55 @@ func TestDeltaWriterF64sMatchesAppend(t *testing.T) {
 		t.Fatal(res.Err)
 	}
 	vals[0] = 0
-	_, got, err := NewDeltaReader(dir, 0).ReadLatest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sectionsEqual(t, got, []Section{{Name: "v", Data: AppendF64s(nil, vals)}, {Name: "tail", Data: []byte("x")}})
+	sectionsEqual(t, readSections(t, dir), []Section{{Name: "v", Data: AppendF64s(nil, vals)}, {Name: "tail", Data: []byte("x")}})
 }
 
-// TestDeltaWriterSweepsTempFiles: a crash mid-write leaves a temp file
-// that no reader looks at and GC never lists; opening a writer removes it
-// and the chain beside it still audits clean.
+// TestDeltaWriterSweepsTempFiles: a crash mid-write leaves a temp file that
+// no reader looks at; opening a writer removes it and leaves the snapshot
+// beside it, and other files, alone.
 func TestDeltaWriterSweepsTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewDeltaWriter(dir, DeltaOptions{ChunkSize: 64})
+	w, err := NewDeltaWriter(dir, DeltaOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := bytes.Repeat([]byte{3}, 64*8)
-	for i := 0; i < 3; i++ {
-		vec[i*64] ^= 1
-		writeEpoch(t, w, []Section{{Name: "v", Data: vec}})
-	}
-	stale := filepath.Join(dir, deltaFileName(4)+".tmp123456")
-	if err := os.WriteFile(stale, []byte("half an epoch"), 0o644); err != nil {
+	secs := []Section{{Name: "v", Data: bytes.Repeat([]byte{3}, 64*8)}}
+	writeSections(t, w, secs)
+	stale := filepath.Join(dir, fileName+".tmp123456")
+	if err := os.WriteFile(stale, []byte("half a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	other := filepath.Join(dir, "session.ckpt.tmp1") // not the delta writer's to delete
+	other := filepath.Join(dir, "session.ckpt.tmp1") // not the writer's to delete
 	if err := os.WriteFile(other, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := NewDeltaWriter(dir, DeltaOptions{ChunkSize: 64})
-	if err != nil {
+	if _, err := NewDeltaWriter(dir, DeltaOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("stale temp file survived the open (stat err %v)", err)
 	}
 	if _, err := os.Stat(other); err != nil {
-		t.Fatalf("open removed a file outside delta-*.ckpt.tmp*: %v", err)
+		t.Fatalf("open removed a file outside %s.tmp*: %v", fileName, err)
 	}
-	if w2.Epoch() != 3 {
-		t.Fatalf("reopened at epoch %d, want 3", w2.Epoch())
-	}
-	if _, err := AuditDelta(dir); err != nil {
-		t.Fatalf("chain next to the swept temp file: %v", err)
-	}
+	sectionsEqual(t, readSections(t, dir), secs)
 }
 
 // TestDeltaWriterErrorReportedAtJoinAndRetried: a failed write surfaces at
-// the join under the epoch's own label and number, leaves the chain state
-// alone, and the next epoch reuses the number and still resolves against
-// the epochs before the failure. The directory is moved aside rather than
-// chmod'ed: root ignores mode bits.
+// the join under its own label, leaves the previous file in place, and the
+// next write succeeds. The directory is moved aside rather than chmod'ed:
+// root ignores mode bits.
 func TestDeltaWriterErrorReportedAtJoinAndRetried(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "chain")
-	w, err := NewDeltaWriter(dir, DeltaOptions{ChunkSize: 64})
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	w, err := NewDeltaWriter(dir, DeltaOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	vec := bytes.Repeat([]byte{5}, 64*8)
-	writeEpoch(t, w, []Section{{Name: "v", Data: vec}})
+	writeSections(t, w, []Section{{Name: "v", Data: vec}})
 	vec[0] ^= 1
-	writeEpoch(t, w, []Section{{Name: "v", Data: vec}})
+	before := []Section{{Name: "v", Data: append([]byte(nil), vec...)}}
+	writeSections(t, w, before)
 
 	if err := os.Rename(dir, dir+".away"); err != nil {
 		t.Fatal(err)
@@ -245,33 +236,17 @@ func TestDeltaWriterErrorReportedAtJoinAndRetried(t *testing.T) {
 	if !ok || res.Err == nil {
 		t.Fatalf("write into a missing directory joined clean: %+v", res)
 	}
-	if res.Label != 7 || res.Epoch != 3 || res.Size != 0 {
-		t.Fatalf("failed epoch reported as %+v, want label 7 epoch 3", res)
-	}
-	if w.Epoch() != 2 {
-		t.Fatalf("failed write advanced the chain to epoch %d", w.Epoch())
+	if res.Label != 7 || res.Size != 0 {
+		t.Fatalf("failed write reported as %+v, want label 7, size 0", res)
 	}
 	if err := os.Rename(dir+".away", dir); err != nil {
 		t.Fatal(err)
 	}
+	sectionsEqual(t, readSections(t, dir), before)
 
 	vec[128] ^= 1
-	epoch, _ := writeEpoch(t, w, []Section{{Name: "v", Data: vec}})
-	if epoch != 3 {
-		t.Fatalf("retry wrote epoch %d, want 3 again", epoch)
-	}
-	audit, err := AuditDelta(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if audit.Refs == 0 {
-		t.Fatal("the retried epoch references nothing: the failure reset the chunk table")
-	}
-	_, got, err := NewDeltaReader(dir, 0).ReadLatest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sectionsEqual(t, got, []Section{{Name: "v", Data: vec}})
+	writeSections(t, w, []Section{{Name: "v", Data: vec}})
+	sectionsEqual(t, readSections(t, dir), []Section{{Name: "v", Data: vec}})
 }
 
 // TestDeltaWriterCommitRejectsBadSections: capture errors come back from
@@ -281,7 +256,7 @@ func TestDeltaWriterCommitRejectsBadSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, names := range [][]string{{""}, {"a", "b", "a"}} {
+	for _, names := range [][]string{{""}, {"a", "b", "a"}, {strings.Repeat("n", maxSectionName+1)}} {
 		w.Begin(0)
 		for _, n := range names {
 			w.Section(n).Write([]byte{1})
@@ -290,10 +265,77 @@ func TestDeltaWriterCommitRejectsBadSections(t *testing.T) {
 			t.Fatalf("sections %q committed", names)
 		}
 		if _, ok := w.Wait(); ok {
-			t.Fatalf("sections %q left an epoch in flight", names)
+			t.Fatalf("sections %q left a write in flight", names)
 		}
 	}
 	if _, _, err := w.Write([]Section{{Name: "ok", Data: []byte{1}}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenCrashStages builds the two directory states a crash can leave
+// around one write of snapshot N+1 over snapshot N, and resumes each: (a)
+// snapshot N beside a complete temp file holding N+1, the crash before the
+// rename — N restores bit for bit and the temp is swept; (b) N+1 renamed
+// in, the crash after — N+1 restores bit for bit.
+func TestOpenCrashStages(t *testing.T) {
+	vec := func(round int) []float64 {
+		v := make([]float64, 300)
+		for i := range v {
+			v[i] = float64(round) + float64(i)*1e-3 + 1e-17*float64(i*i)
+		}
+		return v
+	}
+	image := func(round int) []byte { // the file a write of round leaves
+		dir := t.TempDir()
+		w, err := NewDeltaWriter(dir, DeltaOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Snapshot(&testMeta{Done: round, LastSel: map[int]int{1: round}}, Vector{"global", vec(round)})
+		if res, _ := w.Wait(); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, fileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	const n = 4
+	for _, tc := range []struct {
+		stage string
+		files map[string][]byte
+		want  int
+	}{
+		{"before the rename", map[string][]byte{fileName: image(n), fileName + ".tmp0815": image(n + 1)}, n},
+		{"after the rename", map[string][]byte{fileName: image(n + 1)}, n + 1},
+	} {
+		dir := t.TempDir()
+		for name, raw := range tc.files {
+			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w, snap, err := Open(dir, true, t.Logf)
+		if err != nil || snap == nil || w == nil {
+			t.Fatalf("%s: open %v (snapshot %v)", tc.stage, err, snap)
+		}
+		var meta testMeta
+		got := make([]float64, 300)
+		if err := snap.Restore(&meta, Vector{"global", got}); err != nil {
+			t.Fatalf("%s: %v", tc.stage, err)
+		}
+		if meta.Done != tc.want || meta.LastSel[1] != tc.want {
+			t.Fatalf("%s: restored %+v, want round %d", tc.stage, meta, tc.want)
+		}
+		for i, x := range vec(tc.want) {
+			if math.Float64bits(got[i]) != math.Float64bits(x) {
+				t.Fatalf("%s: global[%d] = %v, want %v bit for bit", tc.stage, i, got[i], x)
+			}
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 || entries[0].Name() != fileName {
+			t.Fatalf("%s: directory after open holds %v, want only %s", tc.stage, entries, fileName)
+		}
 	}
 }

@@ -2,16 +2,16 @@ package checkpoint
 
 import "adafl/internal/obs"
 
-// Reporter accounts for the epochs an engine's loop joins. The write runs
+// Reporter accounts for the snapshots an engine's loop joins. The write runs
 // behind the next round, but the loop is the only writer of the event log,
-// so each epoch is reported from the loop, at the join, under its own label:
-// the three checkpoint series, a "checkpoint" event, and the engine's log
-// line for a failed write. Every engine holds one (flat server, async
-// session, root).
+// so each snapshot is reported from the loop, at the join, under its own
+// label: the three checkpoint series, a "checkpoint" event, and the engine's
+// log line for a failed write. Every engine (flat server, async session,
+// root) holds one.
 type Reporter struct {
 	sec     *obs.Histogram // adafl_checkpoint_seconds: capture plus write, wherever it ran
 	waitSec *obs.Histogram // adafl_checkpoint_wait_seconds: the loop blocked joining it
-	bytes   *obs.Gauge     // adafl_checkpoint_bytes: the epoch's size on disk
+	bytes   *obs.Gauge     // adafl_checkpoint_bytes: the file's size on disk
 	events  *obs.EventLog
 	failed  func(label int, err error)
 }

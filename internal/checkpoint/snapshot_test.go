@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -42,7 +43,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("round %d joined %+v (ok %v), want the epoch of round %d", round, joined, ok, round-1)
 		}
 	}
-	if res, ok := w.Wait(); !ok || res.Err != nil || res.Label != 2 || res.Epoch != 3 {
+	if res, ok := w.Wait(); !ok || res.Err != nil || res.Label != 2 || res.Size == 0 {
 		t.Fatalf("last join %+v (ok %v)", res, ok)
 	}
 
@@ -50,7 +51,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Epoch != 3 || snap.Round != 2 || snap.VectorLen("global") != 4 || snap.VectorLen("nope") != -1 {
+	if snap.Size == 0 || snap.Round != 2 || snap.VectorLen("global") != 4 || snap.VectorLen("nope") != -1 {
 		t.Fatalf("snapshot %+v: global %d, nope %d", snap, snap.VectorLen("global"), snap.VectorLen("nope"))
 	}
 	var meta testMeta
@@ -77,7 +78,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotRoundLabelMustAgree: the bare label is a duplicate of the
-// meta's round; an epoch where the two differ is not restored.
+// meta's round; a snapshot where the two differ is not restored.
 func TestSnapshotRoundLabelMustAgree(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewDeltaWriter(dir, DeltaOptions{})
@@ -98,7 +99,7 @@ func TestSnapshotRoundLabelMustAgree(t *testing.T) {
 
 // TestSnapshotCaptureErrorJoinsLikeAFailedWrite: nothing is written, the
 // next join reports the error under the snapshot's own round, and the next
-// epoch takes the number.
+// snapshot is written as if nothing had happened.
 func TestSnapshotCaptureErrorJoinsLikeAFailedWrite(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewDeltaWriter(dir, DeltaOptions{})
@@ -106,18 +107,18 @@ func TestSnapshotCaptureErrorJoinsLikeAFailedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Snapshot(&testMeta{Done: 0}, Vector{"global", []float64{1}})
-	if res, ok := w.Snapshot(&badMeta{}); !ok || res.Err != nil || res.Epoch != 1 {
+	if res, ok := w.Snapshot(&badMeta{}); !ok || res.Err != nil || res.Label != 0 {
 		t.Fatalf("join of the good epoch: %+v (ok %v)", res, ok)
 	}
 	res, ok := w.Snapshot(&testMeta{Done: 1}, Vector{"global", []float64{2}})
-	if !ok || res.Err == nil || res.Label != 9 || res.Epoch != 2 {
-		t.Fatalf("join of the failed capture: %+v (ok %v), want an error under label 9 for epoch 2", res, ok)
+	if !ok || res.Err == nil || res.Label != 9 || res.Size != 0 {
+		t.Fatalf("join of the failed capture: %+v (ok %v), want an error under label 9", res, ok)
 	}
-	if res, ok := w.Wait(); !ok || res.Err != nil || res.Epoch != 2 || res.Label != 1 {
-		t.Fatalf("epoch after the failed capture: %+v (ok %v), want epoch 2 reused", res, ok)
+	if res, ok := w.Wait(); !ok || res.Err != nil || res.Label != 1 {
+		t.Fatalf("snapshot after the failed capture: %+v (ok %v)", res, ok)
 	}
 	if snap, err := ReadSnapshot(dir); err != nil || snap.Round != 1 {
-		t.Fatalf("chain after the failed capture: %+v, %v", snap, err)
+		t.Fatalf("file after the failed capture: %+v, %v", snap, err)
 	}
 	// A vector named like a fixed section is a capture error too.
 	w.Snapshot(&testMeta{Done: 2}, Vector{"round", []float64{1}})
@@ -126,7 +127,7 @@ func TestSnapshotCaptureErrorJoinsLikeAFailedWrite(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotRejectsForeignChain: a sound chain that does not have the
+// TestReadSnapshotRejectsForeignChain: a sound file that does not have the
 // snapshot layout (what a raw Write leaves) is not a session's.
 func TestReadSnapshotRejectsForeignChain(t *testing.T) {
 	dir := t.TempDir()
@@ -134,16 +135,16 @@ func TestReadSnapshotRejectsForeignChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeEpoch(t, w, []Section{{Name: "global", Data: make([]byte, 64)}})
+	writeSections(t, w, []Section{{Name: "global", Data: make([]byte, 64)}})
 	if _, err := ReadSnapshot(dir); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("chain without meta and round: %v", err)
+		t.Fatalf("file without meta and round: %v", err)
 	}
 	if _, err := ReadSnapshot(t.TempDir()); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("empty directory: %v", err)
 	}
 }
 
-// TestOpenStartPolicy walks the policy table: chain present × resume.
+// TestOpenStartPolicy walks the policy table: snapshot present × resume.
 func TestOpenStartPolicy(t *testing.T) {
 	populated := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -161,33 +162,36 @@ func TestOpenStartPolicy(t *testing.T) {
 	logf := func(format string, args ...interface{}) { logged = append(logged, fmt.Sprintf(format, args...)) }
 
 	t.Run("chain, resume", func(t *testing.T) {
-		w, snap, err := Open(populated(t), true, DeltaOptions{}, logf)
-		if err != nil || snap == nil || snap.Round != 6 || w.Epoch() != 1 {
+		w, snap, err := Open(populated(t), true, logf)
+		if err != nil || snap == nil || snap.Round != 6 || w == nil {
 			t.Fatalf("snap %+v, err %v", snap, err)
 		}
 	})
 	t.Run("chain, no resume", func(t *testing.T) {
 		dir := populated(t)
-		if _, _, err := Open(dir, false, DeltaOptions{}, logf); err == nil || !strings.Contains(err.Error(), "already holds a chain") {
+		before, _ := os.ReadFile(filepath.Join(dir, fileName))
+		if _, _, err := Open(dir, false, logf); err == nil || !strings.Contains(err.Error(), "already holds a snapshot") {
 			t.Fatalf("populated directory without resume: %v", err)
 		}
-		if epochs, _ := DeltaEpochs(dir); len(epochs) != 1 {
-			t.Fatalf("the refusal touched the chain: %v", epochs)
+		if after, _ := os.ReadFile(filepath.Join(dir, fileName)); !bytes.Equal(after, before) {
+			t.Fatal("the refusal touched the snapshot")
 		}
 	})
 	t.Run("empty, resume", func(t *testing.T) {
-		// A file that is not a delta epoch — an older binary's checkpoint —
-		// does not make a chain.
+		// Files that are not the snapshot — an older binary's delta chain
+		// among them — do not make one, and are left alone.
 		dir := filepath.Join(t.TempDir(), "new")
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "old.ckpt"), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
+		for _, old := range []string{"old.ckpt", "delta-00000007.ckpt", "delta-00000008.ckpt"} {
+			if err := os.WriteFile(filepath.Join(dir, old), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		logged = nil
-		w, snap, err := Open(dir, true, DeltaOptions{}, logf)
-		if err != nil || snap != nil || w.Epoch() != 0 {
+		w, snap, err := Open(dir, true, logf)
+		if entries, _ := os.ReadDir(dir); err != nil || snap != nil || w == nil || len(entries) != 3 {
 			t.Fatalf("snap %+v, err %v", snap, err)
 		}
 		if len(logged) != 1 || !strings.Contains(logged[0], "starting fresh") {
@@ -197,18 +201,18 @@ func TestOpenStartPolicy(t *testing.T) {
 	t.Run("empty, no resume", func(t *testing.T) {
 		logged = nil
 		dir := filepath.Join(t.TempDir(), "not-yet-there")
-		w, snap, err := Open(dir, false, DeltaOptions{}, logf)
+		w, snap, err := Open(dir, false, logf)
 		if err != nil || snap != nil || w == nil || len(logged) != 0 {
 			t.Fatalf("snap %+v, err %v, log %q", snap, err, logged)
 		}
 	})
 	t.Run("corrupt chain, resume", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, deltaFileName(1)), []byte("not an epoch"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, fileName), []byte("not a snapshot"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open(dir, true, DeltaOptions{}, logf); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("corrupt latest epoch: %v", err)
+		if _, _, err := Open(dir, true, logf); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("corrupt snapshot: %v", err)
 		}
 	})
 }

@@ -52,11 +52,11 @@ type RootConfig struct {
 	RerouteGrace     time.Duration
 	// CheckpointDir enables root snapshots ("" disables): topology epoch,
 	// per-edge assignment, down set, global params — the whole tree, one
-	// epoch of a checkpoint.DeltaWriter chain per round, written behind the
-	// next round. A failed write is logged and the session continues.
+	// snapshot file a checkpoint.DeltaWriter replaces behind each next
+	// round. A failed write is logged and the session continues.
 	CheckpointDir string
-	// Resume restores the chain's latest snapshot when one exists; without
-	// it a directory that already holds a chain is refused
+	// Resume restores the directory's snapshot when one exists; without
+	// it a directory that already holds a snapshot is refused
 	// (checkpoint.Open). A snapshot whose Dim/NumEdges/Clients/Rounds
 	// disagree with this config is refused with a hard error.
 	Resume bool
@@ -238,7 +238,7 @@ func (r *Root) Run() (*RootResult, error) {
 	start := 0
 	resumed := 0
 	if r.cfg.CheckpointDir != "" {
-		w, snap, err := checkpoint.Open(r.cfg.CheckpointDir, r.cfg.Resume, checkpoint.DeltaOptions{}, r.cfg.Logf)
+		w, snap, err := checkpoint.Open(r.cfg.CheckpointDir, r.cfg.Resume, r.cfg.Logf)
 		if err != nil {
 			return nil, fmt.Errorf("root: %w", err)
 		}
@@ -273,7 +273,7 @@ func (r *Root) Run() (*RootResult, error) {
 		return nil, err
 	}
 
-	// Every way out of the round loop joins the epoch still in flight: the
+	// Every way out of the round loop joins the snapshot still in flight: the
 	// last completed round is durable, and the writer's goroutine gone,
 	// before Run returns.
 	defer r.joinCheckpoint()
@@ -328,7 +328,7 @@ func (r *Root) result(global []float64, history []RootRound, resumed int) *RootR
 func (r *Root) restore(snap *checkpoint.Snapshot, global []float64) (*rootSnapshot, error) {
 	var meta rootSnapshot
 	if err := snap.Restore(&meta, checkpoint.Vector{Name: "global", Vals: global}); err != nil {
-		return nil, fmt.Errorf("root: refusing to resume from %s epoch %d: %w", r.cfg.CheckpointDir, snap.Epoch, err)
+		return nil, fmt.Errorf("root: refusing to resume from %s round %d: %w", r.cfg.CheckpointDir, snap.Round, err)
 	}
 	if meta.NumEdges != r.cfg.NumEdges || meta.Clients != r.cfg.Clients || meta.Rounds != r.cfg.Rounds {
 		return nil, fmt.Errorf(
@@ -359,7 +359,7 @@ func (r *Root) restore(snap *checkpoint.Snapshot, global []float64) (*rootSnapsh
 	return &meta, nil
 }
 
-// saveCheckpoint joins the previous round's epoch, captures this round's
+// saveCheckpoint joins the previous round's snapshot, captures this round's
 // and leaves it writing behind the next round.
 func (r *Root) saveCheckpoint(round int, global []float64, history []RootRound) {
 	r.mu.Lock()
@@ -385,7 +385,7 @@ func (r *Root) saveCheckpoint(round int, global []float64, history []RootRound) 
 	r.report.Joined(r.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: global}))
 }
 
-// joinCheckpoint waits for the epoch in flight, if any.
+// joinCheckpoint waits for the snapshot in flight, if any.
 func (r *Root) joinCheckpoint() {
 	if r.ckpt != nil {
 		r.report.Joined(r.ckpt.Wait())

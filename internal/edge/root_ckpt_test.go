@@ -17,22 +17,20 @@ import (
 )
 
 // crashCopy is the image of a checkpoint directory a crash at this instant
-// could leave, taken without waiting for the writer (the argument for the
-// order and the second pass is on its twin in internal/rpc).
+// could leave, taken without waiting for the writer (the argument is on its
+// twin in internal/rpc).
 func crashCopy(src, dst string) error {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err
 	}
-	for pass := 0; pass < 2; pass++ {
-		entries, err := os.ReadDir(src) // sorted by name: ascending epoch
-		if err != nil {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
-		}
-		for _, e := range entries {
-			err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
-			if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, fs.ErrExist) {
-				return err
-			}
 		}
 	}
 	return nil
@@ -53,7 +51,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 // loadedRound is the round a resume from dir would restore into a dim-sized
-// global, -1 when dir holds no chain.
+// global, -1 when dir holds no snapshot.
 func loadedRound(t *testing.T, dir string, dim int) int {
 	t.Helper()
 	snap, err := checkpoint.ReadSnapshot(dir)
@@ -65,16 +63,16 @@ func loadedRound(t *testing.T, dir string, dim int) int {
 		err = snap.Restore(&meta, checkpoint.Vector{Name: "global", Vals: make([]float64, dim)})
 	}
 	if err != nil {
-		t.Fatalf("chain in %s does not load: %v", dir, err)
+		t.Fatalf("snapshot in %s does not load: %v", dir, err)
 	}
 	return meta.CompletedRound
 }
 
 // TestRootCheckpointCrashCopiesResume is the root's twin of the flat
 // server's TestDeltaCheckpointCrashCopiesResume: OnRound runs right after
-// round r's epoch was committed, so a copy of the directory taken there,
+// round r's snapshot was committed, so a copy of the directory taken there,
 // without joining, is what a crash at that point leaves. Every copy must
-// audit clean and load round r or r-1; a tree resumed from one ends on a
+// read back clean and load round r or r-1; a tree resumed from one ends on a
 // global bit-equal to the uninterrupted run. The same run pins the shared
 // report path: one checkpoint event per round under the snapshot's own
 // round with its seconds, one wait observation per join.
@@ -105,12 +103,12 @@ func TestRootCheckpointCrashCopiesResume(t *testing.T) {
 		t.Fatal("checkpointing changed the global")
 	}
 
-	// Run joined the last epoch: the directory itself holds the last round.
-	if _, err := checkpoint.AuditDelta(dir); err != nil {
-		t.Fatalf("final chain: %v", err)
+	// Run joined the last write: the directory itself holds the last round.
+	if _, err := checkpoint.ReadSnapshot(dir); err != nil {
+		t.Fatalf("final snapshot: %v", err)
 	}
 	if got := loadedRound(t, dir, tc.dim); got != rounds-1 {
-		t.Fatalf("joined chain holds round %d, want %d", got, rounds-1)
+		t.Fatalf("joined snapshot holds round %d, want %d", got, rounds-1)
 	}
 	if err := events.Close(); err != nil {
 		t.Fatal(err)
@@ -138,10 +136,10 @@ func TestRootCheckpointCrashCopiesResume(t *testing.T) {
 		t.Fatalf("%d checkpoint events for %d rounds", next, rounds)
 	}
 	if n := reg.Histogram("adafl_checkpoint_wait_seconds", obs.LatencyBuckets).Count(); n != rounds {
-		t.Fatalf("%d join waits observed, want one per epoch (%d)", n, rounds)
+		t.Fatalf("%d join waits observed, want one per snapshot (%d)", n, rounds)
 	}
 	if n := reg.Histogram("adafl_checkpoint_seconds", obs.LatencyBuckets).Count(); n != rounds {
-		t.Fatalf("%d epochs timed, want %d", n, rounds)
+		t.Fatalf("%d snapshots timed, want %d", n, rounds)
 	}
 	if reg.Gauge("adafl_checkpoint_bytes").Value() == 0 {
 		t.Fatal("adafl_checkpoint_bytes never set")
@@ -156,7 +154,7 @@ func TestRootCheckpointCrashCopiesResume(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		loaded[r] = loadedRound(t, copyDir(r), tc.dim)
 		if loaded[r] >= 0 {
-			if _, err := checkpoint.AuditDelta(copyDir(r)); err != nil {
+			if _, err := checkpoint.ReadSnapshot(copyDir(r)); err != nil {
 				t.Fatalf("copy at round %d: %v", r, err)
 			}
 		}
@@ -188,11 +186,10 @@ func TestRootCheckpointCrashCopiesResume(t *testing.T) {
 
 // TestRootCheckpointWriteErrorContinues is the root arm of the flat
 // server's TestDeltaCheckpointWriteErrorContinues: the checkpoint
-// directory goes away mid-run and comes back. Each failed epoch is
+// directory goes away mid-run and comes back. Each failed write is
 // reported at its join under its own round, the tree trains on and
-// finishes, the epochs after the outage reuse the failed numbers, and the
-// chain ends whole at the last round. (Moved aside, not chmod'ed: root
-// ignores mode bits.)
+// finishes, and the snapshot ends whole at the last round. (Moved aside,
+// not chmod'ed: root ignores mode bits.)
 func TestRootCheckpointWriteErrorContinues(t *testing.T) {
 	const (
 		rounds  = 8
@@ -229,7 +226,7 @@ func TestRootCheckpointWriteErrorContinues(t *testing.T) {
 	if len(res.History) != rounds {
 		t.Fatalf("session ended with %d/%d rounds", len(res.History), rounds)
 	}
-	// The epochs of rounds goneAt and backAt were in flight when the
+	// The writes of rounds goneAt and backAt were in flight when the
 	// directory moved, so they may have landed or not; the ones between
 	// failed for certain, and nothing outside that window did.
 	if len(failed) < certain || len(failed) > certain+2 {
@@ -241,15 +238,8 @@ func TestRootCheckpointWriteErrorContinues(t *testing.T) {
 			t.Fatalf("no %q among:\n%s", want, strings.Join(failed, "\n"))
 		}
 	}
-	audit, err := checkpoint.AuditDelta(dir)
-	if err != nil {
-		t.Fatalf("chain after the outage: %v", err)
-	}
-	if want := uint64(rounds - len(failed)); audit.Latest != want {
-		t.Fatalf("chain ends at epoch %d, want %d: a failed epoch's number was not reused", audit.Latest, want)
-	}
 	if got := loadedRound(t, dir, tc.dim); got != rounds-1 {
-		t.Fatalf("chain after the outage loads round %d, want %d", got, rounds-1)
+		t.Fatalf("snapshot after the outage loads round %d, want %d", got, rounds-1)
 	}
 }
 

@@ -18,27 +18,22 @@ import (
 
 // crashCopy takes the image of a checkpoint directory a crash at this
 // instant could leave, without waiting for the writer: every file present
-// is hard-linked into dst (epoch files are immutable once renamed in, and
-// a half-written temp file is exactly what a crash leaves). The writer's
-// one epoch in flight may land and GC behind it while the copy runs, so
-// the copy goes oldest-first — GC deletes newest-first, hence what a racing
-// pass keeps of the deleted epochs is a prefix, closed under the chain's
-// backward references — and a second pass picks up the new epoch and
-// whatever it references, none of which GC touches.
+// is hard-linked into dst. The snapshot file is never written in place, only
+// renamed over, so a link holds one complete snapshot; a temp file of the
+// write in flight, whole or half-written or renamed away before its link,
+// is exactly what a crash leaves.
 func crashCopy(src, dst string) error {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err
 	}
-	for pass := 0; pass < 2; pass++ {
-		entries, err := os.ReadDir(src) // sorted by name: ascending epoch
-		if err != nil {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
-		}
-		for _, e := range entries {
-			err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
-			if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, fs.ErrExist) {
-				return err
-			}
 		}
 	}
 	return nil
@@ -59,7 +54,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 // loadedRound is the round a resume from dir would restore into a model of
-// dim parameters, -1 when dir holds no chain.
+// dim parameters, -1 when dir holds no snapshot.
 func loadedRound(t *testing.T, dir string, dim int) int {
 	t.Helper()
 	snap, err := checkpoint.ReadSnapshot(dir)
@@ -73,7 +68,7 @@ func loadedRound(t *testing.T, dir string, dim int) int {
 			checkpoint.Vector{Name: "gdelta", Vals: make([]float64, dim)})
 	}
 	if err != nil {
-		t.Fatalf("chain in %s does not load: %v", dir, err)
+		t.Fatalf("snapshot in %s does not load: %v", dir, err)
 	}
 	return meta.CompletedRound
 }
@@ -97,11 +92,11 @@ func runDeltaSession(t *testing.T, env *chaosEnv, scfg ServerConfig) (*ServerRes
 	return res, err
 }
 
-// TestDeltaCheckpointCrashCopiesResume is crash consistency while an epoch
-// is in flight: OnRound runs right after round r's epoch was committed, so
-// a copy of the directory taken there, without joining, is what a crash at
-// that point leaves. Every copy must audit clean and load round r or r-1,
-// never a torn chain; resumed sessions finish with a gapless history. The
+// TestDeltaCheckpointCrashCopiesResume is crash consistency while a write
+// is in flight: OnRound runs right after round r's snapshot was committed,
+// so a copy of the directory taken there, without joining, is what a crash
+// at that point leaves. Every copy must read back clean and load round r or
+// r-1, never a torn file; resumed sessions finish with a gapless history. The
 // same run pins the observability of the join: one checkpoint event per
 // round under the snapshot's own round, one wait observation per join.
 func TestDeltaCheckpointCrashCopiesResume(t *testing.T) {
@@ -130,9 +125,9 @@ func TestDeltaCheckpointCrashCopiesResume(t *testing.T) {
 	}
 	waitGoroutines(t, baseline)
 
-	// Run joined the last epoch: the directory itself holds the last round.
-	if _, err := checkpoint.AuditDelta(dir); err != nil {
-		t.Fatalf("final chain: %v", err)
+	// Run joined the last write: the directory itself holds the last round.
+	if _, err := checkpoint.ReadSnapshot(dir); err != nil {
+		t.Fatalf("final snapshot: %v", err)
 	}
 	if err := events.Close(); err != nil {
 		t.Fatal(err)
@@ -160,17 +155,17 @@ func TestDeltaCheckpointCrashCopiesResume(t *testing.T) {
 		t.Fatalf("%d checkpoint events for %d rounds", next, rounds)
 	}
 	if n := reg.Histogram("adafl_checkpoint_wait_seconds", obs.LatencyBuckets).Count(); n != rounds {
-		t.Fatalf("%d join waits observed, want one per epoch (%d)", n, rounds)
+		t.Fatalf("%d join waits observed, want one per snapshot (%d)", n, rounds)
 	}
 	if n := reg.Histogram("adafl_checkpoint_seconds", obs.LatencyBuckets).Count(); n != rounds {
-		t.Fatalf("%d epochs timed, want %d", n, rounds)
+		t.Fatalf("%d snapshots timed, want %d", n, rounds)
 	}
 
 	loaded := make([]int, rounds) // round each copy restores, -1 for none
 	for r := 0; r < rounds; r++ {
 		loaded[r] = loadedRound(t, copyDir(r), env.newModel().NumParams())
 		if loaded[r] >= 0 {
-			if _, err := checkpoint.AuditDelta(copyDir(r)); err != nil {
+			if _, err := checkpoint.ReadSnapshot(copyDir(r)); err != nil {
 				t.Fatalf("copy at round %d: %v", r, err)
 			}
 		}
@@ -206,10 +201,10 @@ func TestDeltaCheckpointCrashCopiesResume(t *testing.T) {
 }
 
 // TestDeltaCheckpointWriteErrorContinues: the checkpoint directory goes
-// away mid-run and comes back. Each failed epoch is reported at its join
-// under its own round, the session trains on and finishes, the epochs
-// after the outage reuse the failed numbers, and the chain ends whole at
-// the last round. (Moved aside, not chmod'ed: root ignores mode bits.)
+// away mid-run and comes back. Each failed write is reported at its join
+// under its own round, the session trains on and finishes, and the
+// snapshot ends whole at the last round. (Moved aside, not chmod'ed: root
+// ignores mode bits.)
 func TestDeltaCheckpointWriteErrorContinues(t *testing.T) {
 	const (
 		rounds  = 8
@@ -251,7 +246,7 @@ func TestDeltaCheckpointWriteErrorContinues(t *testing.T) {
 	if len(res.Rounds) != rounds {
 		t.Fatalf("session ended with %d/%d rounds", len(res.Rounds), rounds)
 	}
-	// The epochs of rounds goneAt and backAt were in flight when the
+	// The writes of rounds goneAt and backAt were in flight when the
 	// directory moved, so they may have landed or not; the ones between
 	// failed for certain, and nothing outside that window did.
 	if len(failed) < certain || len(failed) > certain+2 {
@@ -263,14 +258,7 @@ func TestDeltaCheckpointWriteErrorContinues(t *testing.T) {
 			t.Fatalf("no %q among:\n%s", want, strings.Join(failed, "\n"))
 		}
 	}
-	audit, err := checkpoint.AuditDelta(dir)
-	if err != nil {
-		t.Fatalf("chain after the outage: %v", err)
-	}
-	if want := uint64(rounds - len(failed)); audit.Latest != want {
-		t.Fatalf("chain ends at epoch %d, want %d: a failed epoch's number was not reused", audit.Latest, want)
-	}
 	if got := loadedRound(t, dir, env.newModel().NumParams()); got != rounds-1 {
-		t.Fatalf("chain after the outage loads round %d, want %d", got, rounds-1)
+		t.Fatalf("snapshot after the outage loads round %d, want %d", got, rounds-1)
 	}
 }

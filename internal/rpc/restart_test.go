@@ -199,7 +199,7 @@ func TestResumeCompletedSession(t *testing.T) {
 func TestResumeCorruptCheckpointIsFatal(t *testing.T) {
 	env := newChaosEnv(2, 160, 12, 16, 73)
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "delta-00000001.ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	scfg := env.serverConfig(3)
@@ -220,7 +220,7 @@ func TestResumeCorruptCheckpointIsFatal(t *testing.T) {
 
 // TestSyncDeltaCheckpointResume: the synchronous engine's checkpoints
 // survive a kill/restart cycle — the resumed server restores round history
-// and model from the chunked chain.
+// and model from the snapshot file.
 func TestSyncDeltaCheckpointResume(t *testing.T) {
 	const (
 		rounds    = 6
@@ -257,9 +257,8 @@ func TestSyncDeltaCheckpointResume(t *testing.T) {
 	if len(res1.Rounds) != killAfter {
 		t.Fatalf("first server completed %d rounds, want %d", len(res1.Rounds), killAfter)
 	}
-	epochs, err := checkpoint.DeltaEpochs(dir)
-	if err != nil || len(epochs) == 0 {
-		t.Fatalf("no delta chain on disk after the crash: epochs %v, err %v", epochs, err)
+	if _, err := checkpoint.ReadSnapshot(dir); err != nil {
+		t.Fatalf("no snapshot on disk after the crash: %v", err)
 	}
 
 	// The restart: same address, resume.

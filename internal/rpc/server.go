@@ -60,21 +60,21 @@ type ServerConfig struct {
 	OnRound func(RoundRecord)
 
 	// CheckpointDir, when non-empty, makes the session crash-safe: every
-	// completed round is captured as one epoch of a checkpoint.DeltaWriter
-	// chain in that directory (global params, previous global delta,
-	// selector state, round history, accounting) and written behind
-	// the next round; round r is durable before round r+1's snapshot begins
-	// and before Run returns. A failed write is logged and training
-	// continues; the chain stays as the previous epoch left it. Without
-	// Resume a directory that already holds a chain is refused.
+	// completed round is captured by a checkpoint.DeltaWriter as the
+	// directory's one snapshot file (global params, previous global delta,
+	// selector state, round history, accounting) and written behind the
+	// next round; round r is durable before round r+1's snapshot begins and
+	// before Run returns. A failed write is logged and training continues;
+	// the file stays the previous round's. Without Resume a directory that
+	// already holds a snapshot is refused.
 	CheckpointDir string
-	// DeltaCheckpoints is inert: the delta chain is the only format.
-	// Nothing reads it; it stays until bench/ (frozen) stops setting it.
+	// DeltaCheckpoints is inert: nothing reads it. It is kept only because
+	// bench/train.go sets it.
 	DeltaCheckpoints bool
-	// Resume restores the latest epoch in CheckpointDir on startup and
+	// Resume restores the snapshot in CheckpointDir on startup and
 	// continues from the round after the last completed one. With no
-	// chain present the session starts fresh (so a supervisor can
-	// always pass Resume); a corrupt chain is a hard error — training
+	// snapshot present the session starts fresh (so a supervisor can
+	// always pass Resume); a corrupt snapshot is a hard error — training
 	// silently from scratch would masquerade as a resumed session.
 	Resume bool
 	// MaxUpdateNorm is the update-integrity outlier gate: a received
@@ -240,7 +240,7 @@ func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 	}
 	if cfg.CheckpointDir != "" {
 		// Creating the directory here surfaces a bad path at construction
-		// instead of when Run opens the chain.
+		// instead of when Run opens it.
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return cfg, fmt.Errorf("rpc: checkpoint dir: %w", err)
 		}
@@ -305,10 +305,10 @@ func (s *Server) Run() (*ServerResult, error) {
 	res := &ServerResult{ResumedFrom: -1}
 	lastSel := map[int]int{} // client id -> last round it was selected
 	if s.cfg.CheckpointDir != "" {
-		w, snap, err := checkpoint.Open(s.cfg.CheckpointDir, s.cfg.Resume, checkpoint.DeltaOptions{}, s.cfg.Logf)
+		w, snap, err := checkpoint.Open(s.cfg.CheckpointDir, s.cfg.Resume, s.cfg.Logf)
 		if err == nil && snap != nil {
 			if err = s.restore(snap, global, globalDelta, lastSel, res); err != nil {
-				err = fmt.Errorf("resume from %s epoch %d: %w", s.cfg.CheckpointDir, snap.Epoch, err)
+				err = fmt.Errorf("resume from %s round %d: %w", s.cfg.CheckpointDir, snap.Round, err)
 			}
 		}
 		if err != nil {
@@ -339,7 +339,7 @@ func (s *Server) Run() (*ServerResult, error) {
 	}
 
 	// Every way out of the round loop — budget met, EndedEarly, Kill — joins
-	// the epoch still in flight: the last completed round is durable, and
+	// the snapshot still in flight: the last completed round is durable, and
 	// the writer's goroutine gone, before Run returns.
 	defer s.joinCheckpoint()
 	for round := startRound; round < s.cfg.Rounds; round++ {
@@ -710,7 +710,7 @@ type sessionSnapshot struct {
 func (m *sessionSnapshot) Round() int { return m.CompletedRound }
 
 // saveCheckpoint snapshots the session after a completed round: it joins
-// the previous round's epoch, captures this one here, on the round loop,
+// the previous round's snapshot, captures this one here, on the round loop,
 // and leaves it writing behind the next round.
 func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 	lastSel map[int]int, res *ServerResult) {
@@ -737,7 +737,7 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 		checkpoint.Vector{Name: "gdelta", Vals: globalDelta}))
 }
 
-// joinCheckpoint waits for the epoch in flight, if any.
+// joinCheckpoint waits for the snapshot in flight, if any.
 func (s *Server) joinCheckpoint() {
 	if s.ckpt != nil {
 		s.report.Joined(s.ckpt.Wait())
@@ -747,7 +747,7 @@ func (s *Server) joinCheckpoint() {
 	}
 }
 
-// restore loads a resumed session's state from the chain's latest snapshot
+// restore loads a resumed session's state from the directory's snapshot
 // into the caller's vectors, lastSel and res and into the server's own
 // stateful parts. A snapshot from a different model or configuration is
 // fatal: silently training from scratch would masquerade as a resumed

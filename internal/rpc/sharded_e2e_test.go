@@ -319,7 +319,7 @@ func TestResumeChainWithShardPartials(t *testing.T) {
 		history[i].Round = i
 	}
 	dir := t.TempDir()
-	w, _, err := checkpoint.Open(dir, false, checkpoint.DeltaOptions{}, t.Logf)
+	w, _, err := checkpoint.Open(dir, false, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

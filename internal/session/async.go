@@ -64,16 +64,13 @@ type AsyncConfig struct {
 	// folds through one shard. The field stays only because bench/ sets it
 	// (ROADMAP item 1).
 	Shards int
-	// CheckpointDir, when non-empty, persists every model version as one
-	// epoch of a checkpoint.DeltaWriter chain.
+	// CheckpointDir, when non-empty, persists every model version as the
+	// directory's snapshot file, written by a checkpoint.DeltaWriter.
 	CheckpointDir string
-	// Resume restores the latest epoch in CheckpointDir and continues from
-	// its model version. Without Resume, a directory that already holds a
-	// chain is refused rather than silently intermixed (checkpoint.Open).
+	// Resume restores the snapshot in CheckpointDir and continues from its
+	// model version. Without Resume, a directory that already holds a
+	// snapshot is refused rather than overwritten (checkpoint.Open).
 	Resume bool
-	// RebaseEvery overrides the delta chain's full-rebase cadence
-	// (0 = checkpoint.DefaultRebaseEvery).
-	RebaseEvery int
 	// Metrics, when non-nil, receives the async instrument set, labeled
 	// session=Name (catalogue in DESIGN.md §Async mode).
 	Metrics *obs.Registry
@@ -171,7 +168,7 @@ type asyncSnapshot struct {
 // Round makes asyncSnapshot a checkpoint.Meta: the label is the version.
 func (m *asyncSnapshot) Round() int { return m.Version }
 
-// NewAsync validates the config, restores the delta chain when resuming
+// NewAsync validates the config, restores the snapshot when resuming
 // and returns the session, ready for a Manager to route connections to.
 func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 	if cfg.NewModel == nil {
@@ -213,7 +210,7 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 	a.roster.Instrument(cfg.Metrics, cfg.Name)
 	version := 0
 	if cfg.CheckpointDir != "" {
-		w, snap, err := checkpoint.Open(cfg.CheckpointDir, cfg.Resume, checkpoint.DeltaOptions{RebaseEvery: cfg.RebaseEvery}, cfg.Logf)
+		w, snap, err := checkpoint.Open(cfg.CheckpointDir, cfg.Resume, cfg.Logf)
 		if err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
@@ -221,7 +218,7 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 		if snap != nil {
 			var meta asyncSnapshot
 			if err := snap.Restore(&meta, checkpoint.Vector{Name: "global", Vals: global}); err != nil {
-				return nil, fmt.Errorf("session: resume from %s epoch %d: %w", cfg.CheckpointDir, snap.Epoch, err)
+				return nil, fmt.Errorf("session: resume from %s version %d: %w", cfg.CheckpointDir, snap.Round, err)
 			}
 			version = meta.Version
 			a.res.FinalAcc = meta.FinalAcc
@@ -469,7 +466,7 @@ func (a *AsyncSession) apply() {
 	}
 }
 
-// saveCheckpoint joins the previous version's epoch, captures this
+// saveCheckpoint joins the previous version's snapshot, captures this
 // version's and leaves it writing behind the pushes of the next.
 func (a *AsyncSession) saveCheckpoint(version int, params []float64) {
 	meta := &asyncSnapshot{
@@ -487,7 +484,7 @@ func (a *AsyncSession) saveCheckpoint(version int, params []float64) {
 	a.report.Joined(a.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: params}))
 }
 
-// joinCheckpoint waits for the epoch in flight, if any: the last published
+// joinCheckpoint waits for the snapshot in flight, if any: the last published
 // version is durable, and the writer's goroutine gone, before Run returns.
 func (a *AsyncSession) joinCheckpoint() {
 	if a.ckpt != nil {

@@ -241,7 +241,7 @@ func chaosDir(t *testing.T) string {
 
 // TestAsyncKillAndResume is the async chaos scenario: the engine is
 // killed mid-stream (buffered arrivals lost, no farewells), then a new
-// session resumes from the delta chain and finishes the budget. The
+// session resumes from the snapshot and finishes the budget. The
 // combined event log must show a gapless version history and the doctor
 // must find the surviving checkpoint consistent.
 func TestAsyncKillAndResume(t *testing.T) {
@@ -258,7 +258,7 @@ func TestAsyncKillAndResume(t *testing.T) {
 		return l
 	}
 
-	// Phase 1: run until the chain holds a few versions, then crash.
+	// Phase 1: run a few versions, then crash.
 	log1 := openLog()
 	a1, err := NewAsync(AsyncConfig{
 		Name: "chaos", NewModel: env.newModel, Test: env.test, EvalEvery: 2,
@@ -301,7 +301,7 @@ func TestAsyncKillAndResume(t *testing.T) {
 		t.Fatalf("phase 1 died at version %d before the kill threshold", res1.Versions)
 	}
 
-	// A populated chain without Resume must be refused, not intermixed.
+	// A populated directory without Resume must be refused, not overwritten.
 	if _, err := NewAsync(AsyncConfig{
 		Name: "chaos", NewModel: env.newModel, K: 3, Versions: 1000,
 		CheckpointDir: dir, Logf: quiet,
@@ -309,7 +309,7 @@ func TestAsyncKillAndResume(t *testing.T) {
 		t.Fatal("NewAsync accepted a populated checkpoint dir without Resume")
 	}
 
-	// Phase 2: resume from the chain and finish a fixed budget.
+	// Phase 2: resume from the snapshot and finish a fixed budget.
 	target := res1.Versions + 4
 	log2 := openLog()
 	a2, err := NewAsync(AsyncConfig{
@@ -321,7 +321,7 @@ func TestAsyncKillAndResume(t *testing.T) {
 		t.Fatalf("resume: %v", err)
 	}
 	if a2.Version() != res1.Versions {
-		t.Fatalf("resumed at version %d, chain ends at %d", a2.Version(), res1.Versions)
+		t.Fatalf("resumed at version %d, checkpoint ends at %d", a2.Version(), res1.Versions)
 	}
 	m2, err := NewManager(Config{Addr: "127.0.0.1:0", Logf: quiet})
 	if err != nil {
@@ -355,14 +355,14 @@ func TestAsyncKillAndResume(t *testing.T) {
 		t.Fatalf("resumed push counter %d did not carry over phase 1's %d", res2.Pushes, res1.Pushes)
 	}
 
-	// The doctor must find the surviving chain and the stitched event log
+	// The doctor must find the surviving snapshot and the stitched event log
 	// consistent: gapless versions across the crash.
 	rep, err := Doctor(dir, eventPath, nil)
 	if err != nil {
 		t.Fatalf("doctor: %v", err)
 	}
 	if !rep.Healthy() {
-		t.Fatalf("doctor found problems in a healthy crash-resume chain: %v", rep.Problems)
+		t.Fatalf("doctor found problems in a healthy crash-resume checkpoint: %v", rep.Problems)
 	}
 	if rep.Round != target {
 		t.Fatalf("doctor read round %d, want %d", rep.Round, target)
@@ -479,81 +479,31 @@ func TestMultiSessionIsolation(t *testing.T) {
 	}
 }
 
-// TestDeltaCheckpointSteadyStateBytes pins the acceptance bound: with
-// block-sparse updates, each steady-state delta epoch must cost at most
-// 30% of a full snapshot, for two concurrently checkpointing sessions.
-func TestDeltaCheckpointSteadyStateBytes(t *testing.T) {
-	env := newTestEnv(1, 40, 16, 64, 51)
-	for _, name := range []string{"alpha", "beta"} {
-		dir := t.TempDir()
-		a, err := NewAsync(AsyncConfig{
-			Name: name, NewModel: env.newModel, K: 1, Versions: 100,
-			CheckpointDir: dir, RebaseEvery: 64, Logf: quiet,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Ten versions of block-sparse progress: only the first 256
-		// parameters move, so positional chunking dedups the rest.
-		for v := 0; v < 10; v++ {
-			d := make([]float64, a.dim)
-			for j := 0; j < 256; j++ {
-				d[j] = float64(v+1) * 1e-3
-			}
-			a.fold(0, a.Version(), compress.NewSparseDense(d))
-		}
-		a.joinCheckpoint() // what Run's return does: the tenth epoch is still in flight
-		// GC leaves only the reachable epochs: the full base every delta
-		// references, and the latest (steady-state) epoch.
-		epochs, err := checkpoint.DeltaEpochs(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(epochs) < 2 || epochs[len(epochs)-1] != 10 {
-			t.Fatalf("session %s: surviving epochs %v, want a base plus the 10th", name, epochs)
-		}
-		size := func(epoch uint64) int64 {
-			fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("delta-%08d.ckpt", epoch)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fi.Size()
-		}
-		full := size(epochs[0]) // the first epoch is a full rebase
-		steady := size(epochs[len(epochs)-1])
-		if steady > full*30/100 {
-			t.Fatalf("session %s: steady-state epoch %d bytes exceeds 30%% of full snapshot %d bytes", name, steady, full)
-		}
-	}
-}
-
 // crashCopy is the image of a checkpoint directory a crash at this instant
-// could leave, taken without waiting for the writer (the argument for the
-// order and the second pass is on its twin in internal/rpc).
+// could leave, taken without waiting for the writer (the argument is on its
+// twin in internal/rpc).
 func crashCopy(src, dst string) error {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err
 	}
-	for pass := 0; pass < 2; pass++ {
-		entries, err := os.ReadDir(src) // sorted by name: ascending epoch
-		if err != nil {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
-		}
-		for _, e := range entries {
-			err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
-			if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, fs.ErrExist) {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// TestAsyncDeltaCheckpointCrashCopiesResume is crash consistency while an
-// epoch is in flight, at version boundaries: fold returns with version v's
-// epoch committed, not joined, so a copy of the directory taken then is
-// what a crash there leaves. Every copy must audit clean and resume at
-// version v or v-1, never a torn chain.
+// TestAsyncDeltaCheckpointCrashCopiesResume is crash consistency while a
+// write is in flight, at version boundaries: fold returns with version v's
+// snapshot committed, not joined, so a copy of the directory taken then is
+// what a crash there leaves. Every copy must read back clean and resume at
+// version v or v-1, never a torn file.
 func TestAsyncDeltaCheckpointCrashCopiesResume(t *testing.T) {
 	const versions = 20
 	env := newTestEnv(1, 40, 16, 64, 52)
@@ -561,7 +511,7 @@ func TestAsyncDeltaCheckpointCrashCopiesResume(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	a, err := NewAsync(AsyncConfig{
 		Name: "copies", NewModel: env.newModel, K: 1, Versions: 100,
-		CheckpointDir: dir, RebaseEvery: 6, Logf: quiet,
+		CheckpointDir: dir, Logf: quiet,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -587,7 +537,7 @@ func TestAsyncDeltaCheckpointCrashCopiesResume(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if rep, err := Doctor(dir, "", nil); err != nil || !rep.Healthy() || rep.Round != versions {
-		t.Fatalf("joined chain: %+v (err %v), want round %d", rep, err, versions)
+		t.Fatalf("joined snapshot: %+v (err %v), want round %d", rep, err, versions)
 	}
 
 	for v := 1; v <= versions; v++ {
@@ -603,7 +553,7 @@ func TestAsyncDeltaCheckpointCrashCopiesResume(t *testing.T) {
 			t.Fatalf("copy at version %d resumes at version %d, want %d or %d", v, got, v, v-1)
 		}
 		if r.Version() > 0 {
-			if _, err := checkpoint.AuditDelta(cdir); err != nil {
+			if _, err := checkpoint.ReadSnapshot(cdir); err != nil {
 				t.Fatalf("copy at version %d: %v", v, err)
 			}
 		}
@@ -623,7 +573,7 @@ func TestAsyncResumeBoundsQuarantineLog(t *testing.T) {
 	for i := range recs {
 		recs[i] = shard.QuarantineRecord{Round: i, ClientID: i % 3, Reason: "norm"}
 	}
-	w, _, err := checkpoint.Open(dir, false, checkpoint.DeltaOptions{}, quiet)
+	w, _, err := checkpoint.Open(dir, false, quiet)
 	if err != nil {
 		t.Fatal(err)
 	}

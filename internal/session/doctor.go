@@ -1,8 +1,10 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sort"
 
@@ -12,14 +14,11 @@ import (
 
 // DoctorReport is the outcome of an offline checkpoint/event-log audit.
 type DoctorReport struct {
-	// Epochs lists the delta epochs present.
-	Epochs []uint64
-	// Round is the checkpoint's completed round / model version, the latest
-	// snapshot's bare label; -1 when the chain could not be read that far.
+	// Round is the snapshot's completed round / model version, its bare
+	// label; -1 when the snapshot could not be read.
 	Round int
-	// Chunks/Refs/Bytes summarise the chain.
-	Chunks, Refs int
-	Bytes        int64
+	// Size is the snapshot file's size on disk.
+	Size int64
 	// Events is the number of event-log records examined (0 when no log
 	// was given).
 	Events int
@@ -34,11 +33,8 @@ func (r *DoctorReport) Healthy() bool { return len(r.Problems) == 0 }
 // session's or a root's, they share one layout — and, when eventPath is
 // non-empty, its JSONL event log, offline:
 //
-//   - the chain: every epoch's frame CRC, structural validity and
-//     chunk SHA-256s; cross-epoch reference resolution (dangling or
-//     hash-mismatched refs fail); full reconstruction of the latest
-//     epoch, which must have the snapshot layout (checkpoint.ReadSnapshot)
-//     and a "global" vector.
+//   - the snapshot: the file's frame CRC and section table, the snapshot
+//     layout (checkpoint.ReadSnapshot) and a "global" vector.
 //   - event log: round/version records must advance gaplessly (each
 //     distinct value one above the previous; duplicates allowed — a
 //     crash between checkpoint and re-run replays a round), and the
@@ -47,22 +43,27 @@ func (r *DoctorReport) Healthy() bool { return len(r.Problems) == 0 }
 //     behind.
 //
 // Problems are findings, not errors: the error return is reserved for
-// the audit itself being impossible (unreadable directory, no
-// checkpoint at all). Callers gate exit codes on report.Healthy().
+// the audit itself being impossible (no snapshot at all, which is also
+// what a directory holding only an older binary's delta-*.ckpt chain
+// has). Callers gate exit codes on report.Healthy().
 func Doctor(dir, eventPath string, w io.Writer) (*DoctorReport, error) {
 	if w == nil {
 		w = io.Discard
 	}
 	rep := &DoctorReport{Round: -1}
-	epochs, err := checkpoint.DeltaEpochs(dir)
-	if err != nil {
-		return nil, fmt.Errorf("doctor: %w", err)
+	snap, err := checkpoint.ReadSnapshot(dir)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("doctor: no checkpoint in %s", dir)
+	case err != nil:
+		rep.Problems = append(rep.Problems, fmt.Sprintf("snapshot: %v", err))
+	default:
+		rep.Round, rep.Size = snap.Round, snap.Size
+		fmt.Fprintf(w, "doctor: snapshot in %s: %d bytes, round/version %d\n", dir, snap.Size, snap.Round)
+		if snap.VectorLen("global") < 0 {
+			rep.Problems = append(rep.Problems, `snapshot has no fixed-width "global" section`)
+		}
 	}
-	if len(epochs) == 0 {
-		return nil, fmt.Errorf("doctor: no checkpoint chain in %s", dir)
-	}
-	rep.Epochs = epochs
-	auditDelta(dir, rep, w)
 	if eventPath != "" {
 		auditEvents(eventPath, rep, w)
 	}
@@ -74,28 +75,6 @@ func Doctor(dir, eventPath string, w io.Writer) (*DoctorReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// auditDelta verifies the chain and extracts the latest epoch's round.
-func auditDelta(dir string, rep *DoctorReport, w io.Writer) {
-	audit, err := checkpoint.AuditDelta(dir)
-	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("delta chain: %v", err))
-		return
-	}
-	rep.Chunks, rep.Refs, rep.Bytes = audit.Chunks, audit.Refs, audit.Bytes
-	fmt.Fprintf(w, "doctor: delta chain %v: %d chunks (%d cross-epoch refs), %d bytes on disk\n",
-		audit.Epochs, audit.Chunks, audit.Refs, audit.Bytes)
-	snap, err := checkpoint.ReadSnapshot(dir)
-	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("reconstruct latest epoch: %v", err))
-		return
-	}
-	if snap.VectorLen("global") < 0 {
-		rep.Problems = append(rep.Problems, `latest epoch has no fixed-width "global" section`)
-	}
-	rep.Round = snap.Round
-	fmt.Fprintf(w, "doctor: latest epoch %d holds round/version %d\n", snap.Epoch, rep.Round)
 }
 
 // auditEvents checks the event log's round continuity and its agreement
@@ -139,14 +118,14 @@ func auditEvents(path string, rep *DoctorReport, w io.Writer) {
 		// Both engines number the mark and the checkpoint's "round" section
 		// alike (the sync engine 0-based rounds, the async engine versions),
 		// and both write the checkpoint behind the next round: round r's
-		// epoch is committed after r's mark is emitted, may land before that
-		// mark is flushed, and is joined — durable — before round r+1's
-		// epoch begins and before Run returns. So the checkpoint may lead
-		// the log by at most one mark, and after a hard crash it may trail
-		// the log's last mark by one: the epoch in flight is lost, the one
-		// before it was joined before the last mark was flushed. Trailing by
-		// two means a write failed ("failed (continuing)" in the server log)
-		// or the chain lost an epoch, and is reported.
+		// snapshot is committed after r's mark is emitted, may land before
+		// that mark is flushed, and is joined — durable — before round
+		// r+1's snapshot begins and before Run returns. So the checkpoint
+		// may lead the log by at most one mark, and after a hard crash it
+		// may trail the log's last mark by one: the snapshot in flight is
+		// lost, the one before it was joined before the last mark was
+		// flushed. Trailing by two means a write failed ("failed
+		// (continuing)" in the server log), and is reported.
 		sorted := append([]int(nil), rounds...)
 		sort.Ints(sorted)
 		max := sorted[len(sorted)-1]

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +12,7 @@ import (
 	"adafl/internal/obs"
 )
 
-// writeDeltaChain writes n async-snapshot epochs to dir, each advancing
+// writeDeltaChain writes n async snapshots to dir in turn, each advancing
 // the version and perturbing a small prefix of the global vector.
 func writeDeltaChain(t *testing.T, dir string, n, dim int) {
 	t.Helper()
@@ -63,12 +62,12 @@ func TestDoctorHealthyDeltaChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Healthy() {
-		t.Fatalf("healthy chain reported problems: %v", rep.Problems)
+		t.Fatalf("healthy snapshot reported problems: %v", rep.Problems)
 	}
-	if rep.Round != 4 || len(rep.Epochs) == 0 {
-		t.Fatalf("report misread the chain: %+v", rep)
+	if rep.Round != 4 {
+		t.Fatalf("report misread the snapshot: %+v", rep)
 	}
-	if rep.Events == 0 || rep.Chunks == 0 {
+	if fi, err := os.Stat(filepath.Join(dir, "snapshot.ckpt")); err != nil || rep.Events == 0 || rep.Size != fi.Size() {
 		t.Fatalf("report missing audit detail: %+v", rep)
 	}
 	if !strings.Contains(out.String(), "consistent") {
@@ -85,7 +84,7 @@ func TestDoctorDetectsBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Healthy() {
-		t.Fatal("doctor passed a bit-flipped chunk")
+		t.Fatal("doctor passed a bit-flipped snapshot")
 	}
 }
 
@@ -104,8 +103,8 @@ func TestDoctorDetectsEventGap(t *testing.T) {
 }
 
 // TestDoctorDetectsLaggingCheckpoint pins both sides of the pipelined
-// writer's bound: a hard crash loses the one epoch in flight, so a chain
-// one mark behind its event log is healthy; two behind is not.
+// writer's bound: a hard crash loses the one write in flight, so a
+// snapshot one mark behind its event log is healthy; two behind is not.
 func TestDoctorDetectsLaggingCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	writeDeltaChain(t, dir, 2, 512)
@@ -114,7 +113,7 @@ func TestDoctorDetectsLaggingCheckpoint(t *testing.T) {
 		healthy bool
 	}{
 		{[]int{1, 2}, true},
-		{[]int{1, 2, 3}, true}, // version 3's epoch was in flight at the crash
+		{[]int{1, 2, 3}, true}, // version 3's write was in flight at the crash
 		{[]int{1, 2, 3, 4}, false},
 		{[]int{1, 2, 3, 4, 5}, false},
 	} {
@@ -125,20 +124,16 @@ func TestDoctorDetectsLaggingCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.Healthy() != tc.healthy {
-			t.Fatalf("chain at version 2, event log %v: healthy=%v (%v), want %v",
+			t.Fatalf("snapshot at version 2, event log %v: healthy=%v (%v), want %v",
 				tc.marks, rep.Healthy(), rep.Problems, tc.healthy)
 		}
 	}
 }
 
-// flipLatestEpoch flips one bit in the middle of the chain's newest epoch.
+// flipLatestEpoch flips one bit in the middle of the snapshot file.
 func flipLatestEpoch(t *testing.T, dir string) {
 	t.Helper()
-	epochs, err := checkpoint.DeltaEpochs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("delta-%08d.ckpt", epochs[len(epochs)-1]))
+	path := filepath.Join(dir, "snapshot.ckpt")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +145,7 @@ func flipLatestEpoch(t *testing.T, dir string) {
 }
 
 // TestDoctorRootChain: a root's checkpoint directory audits like any
-// chain — it has the shared layout — against the root's own event log.
+// other — it has the shared layout — against the root's own event log.
 func TestDoctorRootChain(t *testing.T) {
 	const rounds, clients, dim = 5, 4, 64
 	dir := t.TempDir()
@@ -196,11 +191,11 @@ func TestDoctorRootChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Healthy() || rep.Round != rounds-1 || rep.Events == 0 {
-		t.Fatalf("healthy root chain misjudged: %+v", rep)
+		t.Fatalf("healthy root snapshot misjudged: %+v", rep)
 	}
 
-	// An event log two marks past the chain: a root write failed or an
-	// epoch was lost. One past is the epoch a crash caught in flight.
+	// An event log two marks past the snapshot: a root write failed. One
+	// past is the write a crash caught in flight.
 	for ahead, healthy := range map[int]bool{1: true, 2: false} {
 		marks := make([]int, rounds+ahead)
 		for i := range marks {
@@ -213,14 +208,14 @@ func TestDoctorRootChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.Healthy() != healthy {
-			t.Fatalf("root chain at round %d, event log to %d: healthy=%v (%v), want %v",
+			t.Fatalf("root snapshot at round %d, event log to %d: healthy=%v (%v), want %v",
 				rounds-1, marks[len(marks)-1], rep.Healthy(), rep.Problems, healthy)
 		}
 	}
 
 	flipLatestEpoch(t, dir)
 	if rep, err := Doctor(dir, "", nil); err != nil || rep.Healthy() {
-		t.Fatalf("doctor passed a bit-flipped root epoch: %+v (err %v)", rep, err)
+		t.Fatalf("doctor passed a bit-flipped root snapshot: %+v (err %v)", rep, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -15,10 +16,10 @@ import (
 
 // TestCheckpointStartPolicy: the sync server, the async session and the
 // root open their checkpoint directory through one policy. None starts
-// without Resume on a directory that already holds a chain — a sync server
-// used to append to it, so a crash before its first join let -resume restore
-// the previous session's model — and each starts fresh, saying so, on an
-// empty directory with Resume. An engine that gets past the policy is killed
+// without Resume on a directory that already holds a snapshot — a sync
+// server used to append to it, so a crash before its first join let -resume
+// restore the previous session's model — and each starts fresh, saying so,
+// on an empty directory with Resume. An engine that gets past the policy is killed
 // before it waits for anyone.
 func TestCheckpointStartPolicy(t *testing.T) {
 	env := newTestEnv(1, 40, 12, 4, 61)
@@ -75,7 +76,8 @@ func TestCheckpointStartPolicy(t *testing.T) {
 				mu.Unlock()
 			}
 
-			// Some earlier session's chain; whose does not matter to the policy.
+			// Some earlier session's snapshot; whose does not matter to the
+			// policy.
 			populated := t.TempDir()
 			w, err := checkpoint.NewDeltaWriter(populated, checkpoint.DeltaOptions{})
 			if err != nil {
@@ -84,12 +86,13 @@ func TestCheckpointStartPolicy(t *testing.T) {
 			if _, _, err := w.Write([]checkpoint.Section{{Name: "global", Data: make([]byte, 64)}}); err != nil {
 				t.Fatal(err)
 			}
+			_, before, _ := checkpoint.NewDeltaReader(populated, 0).ReadLatest()
 			err = eng.start(populated, false, logf)
-			if err == nil || !strings.Contains(err.Error(), "already holds a chain") {
+			if err == nil || !strings.Contains(err.Error(), "already holds a snapshot") {
 				t.Fatalf("populated directory without Resume: err = %v, want a refusal", err)
 			}
-			if epochs, _ := checkpoint.DeltaEpochs(populated); len(epochs) != 1 {
-				t.Fatalf("the refused start touched the chain: %v", epochs)
+			if _, after, err := checkpoint.NewDeltaReader(populated, 0).ReadLatest(); err != nil || len(after) != 1 || !bytes.Equal(after[0].Data, before[0].Data) {
+				t.Fatalf("the refused start touched the snapshot: %v, %v", after, err)
 			}
 
 			if err := eng.start(t.TempDir(), true, logf); err != nil {

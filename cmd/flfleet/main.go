@@ -424,7 +424,7 @@ func (c *asyncCmd) Run() error {
 					log.Printf("flfleet async client %d: unexpected %v", id, e.Type)
 					return
 				}
-				version, dim := e.Round, len(e.Params)
+				version, dim := e.Round, len(e.Params32)
 				k := c.nnz
 				if k > dim {
 					k = dim

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -261,5 +262,23 @@ func TestNoSamplesRefused(t *testing.T) {
 		if _, err := r.(*asyncCmd).configs(); err == nil || !strings.Contains(err.Error(), "-samples") {
 			t.Errorf("flserver async %s: %v", n, err)
 		}
+	}
+}
+
+// TestDoctorEmptyDirMessage: flserver doctor on a directory holding no
+// snapshot fails with the command's name once, as Main prints it:
+// "flserver doctor: no checkpoint in D".
+func TestDoctorEmptyDirMessage(t *testing.T) {
+	dir := t.TempDir()
+	r, name, err := cli.Parse("flserver", commands, []string{"doctor", "-checkpoint-dir", dir}, &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.Run()
+	if err == nil {
+		t.Fatal("doctor passed a directory with no snapshot")
+	}
+	if got, want := fmt.Sprintf("%s: %v", name, err), "flserver doctor: no checkpoint in "+dir; got != want {
+		t.Errorf("doctor on an empty directory says %q, want %q", got, want)
 	}
 }

@@ -55,7 +55,7 @@ func TestNegL2SimilarityMatchesCopyScale(t *testing.T) {
 			case c == 5:
 				copy(b, a) // identical directions
 			}
-			got, want := u.Similarity(a, b), copyScaleNegL2(a, b)
+			got, want := u.SimilarityAt(a, nil, b), copyScaleNegL2(a, b)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("n=%d case %d: %v, copy-scale form %v", n, c, got, want)
 			}
@@ -63,7 +63,7 @@ func TestNegL2SimilarityMatchesCopyScale(t *testing.T) {
 	}
 	// A zero side scores 0.5 whatever the lengths; two nonzero sides of
 	// different lengths are a caller bug.
-	if s := u.Similarity([]float64{1, 2}, nil); s != 0.5 {
+	if s := u.SimilarityAt([]float64{1, 2}, nil, nil); s != 0.5 {
 		t.Fatalf("against an empty vector: %v, want 0.5", s)
 	}
 	defer func() {
@@ -71,7 +71,7 @@ func TestNegL2SimilarityMatchesCopyScale(t *testing.T) {
 			t.Fatal("length mismatch between two nonzero vectors did not panic")
 		}
 	}()
-	u.Similarity([]float64{1, 2}, []float64{1})
+	u.SimilarityAt([]float64{1, 2}, nil, []float64{1})
 }
 
 func TestNegL2SimilarityAllocatesNothing(t *testing.T) {
@@ -80,7 +80,7 @@ func TestNegL2SimilarityAllocatesNothing(t *testing.T) {
 	for i := range a {
 		a[i], b[i] = float64(i%7)-3, float64(i%5)-2
 	}
-	if n := testing.AllocsPerRun(10, func() { u.Similarity(a, b) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { u.SimilarityAt(a, nil, b) }); n != 0 {
 		t.Fatalf("%v allocations per call, want 0", n)
 	}
 }
@@ -137,5 +137,38 @@ func BenchmarkSyncPlannerScore(b *testing.B) {
 				p.score(ids, e)
 			}
 		})
+	}
+}
+
+// TestScoreAtMatchesScatteredScore: a client scoring against ĝ as the
+// wire hands it over — its support, every other coordinate +0 — gets the
+// bits Score gives against the scattered dense ĝ, for both metrics, a
+// sparse and an empty support, and a local delta with ±Inf and NaN off
+// the support.
+func TestScoreAtMatchesScatteredScore(t *testing.T) {
+	r := stats.NewRNG(29)
+	const n = 4000
+	for _, metric := range []SimilarityMetric{Cosine, NegL2} {
+		u := DefaultUtility()
+		u.Metric = metric
+		for _, every := range []int{7, 0} {
+			for _, off := range []float64{0.5, math.Inf(-1), math.NaN()} {
+				local, g := make([]float64, n), make([]float64, n)
+				idx, vals := []int32{}, []float64{}
+				for i := range local {
+					local[i] = r.Norm()
+					if every > 0 && i%every == 1 {
+						g[i] = r.Norm() * 1e-3
+						idx, vals = append(idx, int32(i)), append(vals, g[i])
+					}
+				}
+				local[2] = off // never on the support
+				got, want := u.ScoreAt(2e6, 5e6, local, idx, vals), u.Score(2e6, 5e6, local, g)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v, support every %d, local[2] = %v: %v (%x), scattered %v (%x)",
+						metric, every, off, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
 	}
 }

@@ -60,62 +60,57 @@ func DefaultUtility() UtilityConfig {
 	return UtilityConfig{SimWeight: 0.8, BwWeight: 0.2, Metric: Cosine, BwRef: 2.5e6}
 }
 
-// Similarity computes U(g_i, ĝ) ∈ [0, 1].
-func (u UtilityConfig) Similarity(local, globalDelta []float64) float64 {
+// SimilarityAt computes U(g_i, ĝ) ∈ [0, 1] against the ĝ given by its
+// support, as tensor.CosineSimilarityAt reads one: vals at the coordinates
+// idx and +0 elsewhere, or vals itself when idx is nil. Both forms of one
+// ĝ give the same bits.
+func (u UtilityConfig) SimilarityAt(local []float64, idx []int32, vals []float64) float64 {
 	switch u.Metric {
 	case Cosine:
 		// Cosine is directionally sensitive: aligned → 1, opposed → 0.
-		return (tensor.CosineSimilarity(local, globalDelta) + 1) / 2
+		return (tensor.CosineSimilarityAt(local, idx, vals) + 1) / 2
 	case NegL2:
-		return negL2Similarity(local, globalDelta)
+		return negL2Similarity(local, idx, vals)
 	default:
 		panic(fmt.Sprintf("core: unknown similarity metric %d", u.Metric))
 	}
 }
 
 // negL2Similarity is 1/(1+‖a/‖a‖ − b/‖b‖‖₂), or 0.5 when either side is
-// zero. It takes both norms in one pass and the distance in a second,
-// scaling each element as it goes; every sum runs in index order and each
-// scaled element is rounded before the subtraction, so the bits are those
-// of copying both vectors, scaling the copies and measuring their distance.
-func negL2Similarity(a, b []float64) float64 {
-	if len(a) != len(b) {
-		if tensor.Norm2(a) == 0 || tensor.Norm2(b) == 0 {
+// zero, for the b SimilarityAt reads from idx and vals. It takes both norms
+// in one pass and the distance in a second, scaling each element as it
+// goes; every sum runs in index order and each scaled element is rounded
+// before the subtraction, so the bits are those of copying both vectors,
+// scaling the copies and measuring their distance.
+func negL2Similarity(a []float64, idx []int32, vals []float64) float64 {
+	if idx == nil && len(a) != len(vals) {
+		if tensor.Norm2(a) == 0 || tensor.Norm2(vals) == 0 {
 			return 0.5
 		}
 		panic("core: NegL2 similarity length mismatch")
 	}
-	b = b[:len(a)]
-	aa, bb := 0.0, 0.0
-	for i, x := range a {
-		y := b[i]
-		aa += x * x
-		bb += y * y
-	}
+	aa, bb, _ := tensor.SupportSums(a, idx, vals)
 	na, nb := math.Sqrt(aa), math.Sqrt(bb)
 	if na == 0 || nb == 0 {
 		return 0.5
 	}
-	sa, sb := 1/na, 1/nb
-	sum := 0.0
-	for i, x := range a {
-		d := float64(x*sa) - float64(b[i]*sb)
-		sum += d * d
-	}
-	return 1 / (1 + math.Sqrt(sum))
+	return 1 / (1 + math.Sqrt(tensor.ScaledDistanceAt(a, idx, vals, 1/na, 1/nb)))
 }
 
 // Score computes the utility score S_i for a client with the given link
 // bandwidths and cached local gradient, against the previous global
 // gradient ĝ. The result lies in [0, 1].
 func (u UtilityConfig) Score(upBps, downBps float64, local, globalDelta []float64) float64 {
+	return u.ScoreAt(upBps, downBps, local, nil, globalDelta)
+}
+
+// ScoreAt is Score against the ĝ SimilarityAt reads from idx and vals.
+func (u UtilityConfig) ScoreAt(upBps, downBps float64, local []float64, idx []int32, vals []float64) float64 {
 	ws := u.SimWeight + u.BwWeight
 	if ws <= 0 {
 		panic("core: utility weights sum to zero")
 	}
-	sim := u.Similarity(local, globalDelta)
-	bw := u.bandwidthTerm(upBps, downBps)
-	return (u.SimWeight*sim + u.BwWeight*bw) / ws
+	return (u.SimWeight*u.SimilarityAt(local, idx, vals) + u.BwWeight*u.bandwidthTerm(upBps, downBps)) / ws
 }
 
 // bandwidthTerm maps the client's constraining (minimum) link bandwidth to

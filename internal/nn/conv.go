@@ -90,42 +90,40 @@ func (c *Conv2D) gradWeightView() *tensor.Tensor {
 
 // im2col fills dst (CKK × OH·OW) with the patches of one input plane set.
 // Row (ic·K+ky)·K+kx holds, for every output position, the input value the
-// kernel tap (ic, ky, kx) reads (0 for padding). Each tap is one strided
-// row copy of the output rows and columns it reads inside the input; with
-// padding, its block is cleared first.
+// kernel tap (ic, ky, kx) reads (0 for padding). The taps of kernel row ky
+// are one tensor.CopyTaps call over every channel and the output rows
+// that row reads inside the input; with padding, dst is cleared first.
 func (c *Conv2D) im2col(dst []float32, in []float32, h, w, oh, ow int) {
-	k, pad := c.K, c.Pad
-	plane := oh * ow
-	row := 0
-	for ic := 0; ic < c.InC; ic++ {
-		src := in[ic*h*w : (ic+1)*h*w]
-		for ky := 0; ky < k; ky++ {
-			oy0, oy1, iy := tapRange(ky, pad, h, oh)
-			for kx := 0; kx < k; kx++ {
-				lo, hi, ix := tapRange(kx, pad, w, ow)
-				out := dst[row*plane : (row+1)*plane]
-				if pad > 0 {
-					clear(out)
-				}
-				if oy0 < oy1 && lo < hi {
-					tensor.CopyRows(out[oy0*ow+lo:], ow, src[iy*w+ix:], w, oy1-oy0, hi-lo)
-				}
-				row++
-			}
+	k, plane := c.K, oh*ow
+	if c.Pad > 0 {
+		clear(dst[:c.InC*k*k*plane])
+	}
+	for ky := 0; ky < k; ky++ {
+		if g, oy0, iy := c.taps(ky, h, w, oh, ow); g.Rows > 0 {
+			tensor.CopyTaps(dst[ky*k*plane+oy0*ow:], in[iy*w:], g)
 		}
 	}
 }
 
-// tapRange returns the output positions [lo, hi) at which kernel offset kx
-// reads inside an input extent of w, and the input position output lo
-// reads; the positions outside [lo, hi) read padding. It serves rows and
-// columns alike.
-func tapRange(kx, pad, w, ow int) (lo, hi, ix int) {
-	lo, hi = max(0, pad-kx), min(ow, w+pad-kx)
+// taps returns the geometry of kernel row ky's lowering over every
+// channel, the first output row that reads inside the input and the input
+// row it reads.
+func (c *Conv2D) taps(ky, h, w, oh, ow int) (tensor.Taps, int, int) {
+	oy0, oy1, iy := tapRange(ky, c.Pad, h, oh)
+	return tensor.Taps{K: c.K, Pad: c.Pad, W: w, OW: ow, Rows: oy1 - oy0, Plane: oh * ow,
+		Channels: c.InC, PatchStride: c.K * c.K * oh * ow, ImageStride: h * w}, oy0, iy
+}
+
+// tapRange returns the output rows [lo, hi) at which kernel row ky reads
+// inside an input of h rows, and the input row output row lo reads; the
+// rows outside [lo, hi) read padding. (tensor.CopyTaps finds a tap's
+// columns the same way.)
+func tapRange(ky, pad, h, oh int) (lo, hi, iy int) {
+	lo, hi = max(0, pad-ky), min(oh, h+pad-ky)
 	if lo >= hi {
 		return 0, 0, 0
 	}
-	return lo, hi, lo + kx - pad
+	return lo, hi, lo + ky - pad
 }
 
 // Forward implements Layer.
@@ -167,19 +165,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		outView.Data = y.Data[ni*c.OutC*oh*ow : (ni+1)*c.OutC*oh*ow]
 		tensor.MatMulInto(outView, wView, cols)
 	}
-	// Bias.
 	plane := oh * ow
 	for ni := 0; ni < n; ni++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			b := c.B.Data[oc]
-			if b == 0 {
-				continue
-			}
-			out := y.Data[(ni*c.OutC+oc)*plane : (ni*c.OutC+oc+1)*plane]
-			for i := range out {
-				out[i] += b
-			}
-		}
+		tensor.AddBias(y.Data[ni*c.OutC*plane:(ni+1)*c.OutC*plane], c.B.Data, plane)
 	}
 	if evalScratch != nil {
 		tensor.PutScratch(evalScratch)
@@ -196,8 +184,8 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) { c.backward(gradOut, false) }
 
 // backward accumulates GradW and GradB and, when needDx, also computes the
-// input gradient; without it the Wᵀ·g product, the col2im scatter and both
-// buffer clears are skipped and the result is nil.
+// input gradient; without it the Wᵀ·g product, the col2im scatter and the
+// clear of dx are skipped and the result is nil.
 func (c *Conv2D) backward(gradOut *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if c.x == nil {
 		panic("nn: conv backward before forward")
@@ -212,7 +200,9 @@ func (c *Conv2D) backward(gradOut *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if needDx {
 		c.dx = ensureTensor(c.dx, n, c.InC, h, w)
 		dx = c.dx
-		dx.Zero() // col2im scatters with +=
+		// col2im scatters with +=: a first write in place of 0 + v would
+		// turn a +0 sum into −0.
+		dx.Zero()
 		c.dcols = ensureTensor(c.dcols, c.InC*c.K*c.K, plane)
 	}
 
@@ -225,8 +215,7 @@ func (c *Conv2D) backward(gradOut *tensor.Tensor, needDx bool) *tensor.Tensor {
 		tensor.MatMulTransposeBAdd(gradWView, g, c.cols)
 		if needDx {
 			// Input gradient: dcols = Wᵀ @ g, scattered back (col2im).
-			c.dcols.Zero()
-			tensor.MatMulTransposeA(c.dcols, c.weightView(), g)
+			tensor.MatMulTransposeAInto(c.dcols, c.weightView(), g)
 			c.col2im(dx.Data[ni*c.InC*h*w:(ni+1)*c.InC*h*w], c.dcols.Data, h, w, oh, ow)
 		}
 	}
@@ -267,26 +256,15 @@ func (c *Conv2D) biasGrad(g []float32, plane int) {
 }
 
 // col2im scatters the patch-matrix gradient src (CKK × OH·OW) back onto one
-// sample's input planes, adding where patches overlap: one strided row add
-// per kernel tap, in ascending (ic, ky, kx) order, so every input cell
-// receives its additions in that order. Within one tap a cell is reached
-// at most once, since the input's row stride is at least the tap's width.
+// sample's input planes, adding where patches overlap: one
+// tensor.AddTaps call per kernel row, ky ascending, each running its taps
+// in ascending kx. A cell of channel ic receives additions only from
+// (ic, ky, kx) rows, so it still receives them in ascending (ic, ky, kx)
+// order.
 func (c *Conv2D) col2im(dplane, src []float32, h, w, oh, ow int) {
-	k, pad := c.K, c.Pad
-	plane := oh * ow
-	row := 0
-	for ic := 0; ic < c.InC; ic++ {
-		target := dplane[ic*h*w : (ic+1)*h*w]
-		for ky := 0; ky < k; ky++ {
-			oy0, oy1, iy := tapRange(ky, pad, h, oh)
-			for kx := 0; kx < k; kx++ {
-				lo, hi, ix := tapRange(kx, pad, w, ow)
-				if oy0 < oy1 && lo < hi {
-					patch := src[row*plane : (row+1)*plane]
-					tensor.AddRows(target[iy*w+ix:], w, patch[oy0*ow+lo:], ow, oy1-oy0, hi-lo)
-				}
-				row++
-			}
+	for ky := 0; ky < c.K; ky++ {
+		if g, oy0, iy := c.taps(ky, h, w, oh, ow); g.Rows > 0 {
+			tensor.AddTaps(dplane[iy*w:], src[ky*c.K*oh*ow+oy0*ow:], g)
 		}
 	}
 }

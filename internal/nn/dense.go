@@ -60,12 +60,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		y = tensor.New(n, d.Out)
 	}
 	tensor.MatMulInto(y, x, d.W)
-	for i := 0; i < n; i++ {
-		row := y.Data[i*d.Out : (i+1)*d.Out]
-		for j, b := range d.B.Data {
-			row[j] += b
-		}
-	}
+	tensor.AddRows(y.Data, d.Out, d.B.Data, 0, n, d.Out) // each row += b
 	return y
 }
 
@@ -83,14 +78,9 @@ func (d *Dense) backwardParams(gradOut *tensor.Tensor) {
 	if d.x == nil {
 		panic("nn: dense backward before forward")
 	}
-	n := gradOut.Dim(0)
 	tensor.MatMulTransposeA(d.GradW, d.x, gradOut)
-	for i := 0; i < n; i++ {
-		row := gradOut.Data[i*d.Out : (i+1)*d.Out]
-		for j, g := range row {
-			d.GradB.Data[j] += g
-		}
-	}
+	// GradB += each row of gradOut in turn: a stride-0 destination.
+	tensor.AddRows(d.GradB.Data, 0, gradOut.Data, d.Out, gradOut.Dim(0), d.Out)
 }
 
 // Params implements Layer.

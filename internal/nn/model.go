@@ -136,6 +136,38 @@ func (m *Model) ParamDelta(dst, start []float64) {
 	}
 }
 
+// SetParams32 loads v, the float32 parameters of a model broadcast in
+// ParamVector's order, into the model's parameter tensors as they are.
+// It panics on length mismatch, before writing anything.
+func (m *Model) SetParams32(v []float32) {
+	if n := m.NumParams(); len(v) != n {
+		panic(fmt.Sprintf("nn: parameter vector length %d, model has %d", len(v), n))
+	}
+	off := 0
+	for _, l := range m.Layers {
+		for _, p := range l.Params() {
+			off += copy(p.Data, v[off:])
+		}
+	}
+}
+
+// ParamDelta32 writes the model's parameters minus start into dst (length
+// NumParams), start being the float32 parameters SetParams32 loaded:
+// float64(p) − float64(start), exact, so start widened plus the delta
+// reproduces ParamVector() (ParamDelta).
+func (m *Model) ParamDelta32(dst []float64, start []float32) {
+	if len(dst) != len(start) || len(dst) != m.NumParams() {
+		panic(fmt.Sprintf("nn: delta of length %d from a start of length %d, model has %d", len(dst), len(start), m.NumParams()))
+	}
+	off := 0
+	for _, l := range m.Layers {
+		for _, p := range l.Params() {
+			tensor.SubWiden(dst[off:off+len(p.Data)], p.Data, start[off:off+len(p.Data)])
+			off += len(p.Data)
+		}
+	}
+}
+
 // GradVector flattens all accumulated gradients into a single vector
 // aligned with ParamVector.
 func (m *Model) GradVector() []float64 {

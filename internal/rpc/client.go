@@ -256,13 +256,14 @@ func (s *clientSession) negotiatedCodec(name string) (compress.Codec, error) {
 	return nil, fmt.Errorf("unknown negotiated codec %q", name)
 }
 
-// trainDelta runs the local steps from the received global model and
-// returns local − global (nn.Model.ParamDelta), read straight off the layer
-// tensors into the session's delta buffer. The buffer is overwritten by the
-// next call; every codec copies what it keeps of its input, so handing it
-// to Encode is safe.
-func (s *clientSession) trainDelta(global []float64) []float64 {
-	s.model.SetParamVector(global)
+// trainDelta runs the local steps from the received global model, the
+// broadcast's float32 params, and returns local − global
+// (nn.Model.ParamDelta32), read straight off the layer tensors into the
+// session's delta buffer. The buffer is overwritten by the next call;
+// every codec copies what it keeps of its input, so handing it to Encode
+// is safe.
+func (s *clientSession) trainDelta(global []float32) []float64 {
+	s.model.SetParams32(global)
 	trainStart := time.Now()
 	for step := 0; step < s.cfg.LocalSteps; step++ {
 		x, labels := s.iter.Next()
@@ -274,7 +275,7 @@ func (s *clientSession) trainDelta(global []float64) []float64 {
 	if len(s.delta) != len(global) {
 		s.delta = make([]float64, len(global))
 	}
-	s.model.ParamDelta(s.delta, global)
+	s.model.ParamDelta32(s.delta, global)
 	return s.delta
 }
 
@@ -366,11 +367,12 @@ func (s *clientSession) runOnce() (done, progressed bool, err error) {
 			err = conn.Send(&Envelope{Type: MsgPing, ClientID: cfg.ID, Round: e.Round})
 		case MsgModel:
 			// Guard the broadcast before trusting it: a corrupt stream
-			// that still decodes must not panic SetParamVector or the
-			// utility score's dot products.
-			if len(e.Params) != s.model.NumParams() {
+			// that still decodes must not panic SetParams32 or the
+			// utility score's dot products (the decoder has held ĝ to
+			// the params' length).
+			if len(e.Params32) != s.model.NumParams() {
 				return false, true, fmt.Errorf("rpc: client %d: broadcast has %d params, model has %d: %w",
-					cfg.ID, len(e.Params), s.model.NumParams(), errProtocol)
+					cfg.ID, len(e.Params32), s.model.NumParams(), errProtocol)
 			}
 			err = onModel(conn, e)
 			countSent()
@@ -409,13 +411,10 @@ func (s *clientSession) upload(conn *Conn, enc compress.Codec, msgs ...Message) 
 // selected.
 func (s *clientSession) syncRound(conn *Conn, e *Envelope) error {
 	cfg := s.cfg
-	if len(e.GlobalDelta) != 0 && len(e.GlobalDelta) != len(e.Params) {
-		return fmt.Errorf("rpc: client %d: global delta length %d vs %d params: %w",
-			cfg.ID, len(e.GlobalDelta), len(e.Params), errProtocol)
-	}
-	delta := s.trainDelta(e.Params)
-	// Utility score against the server-provided ĝ, at the round's rates,
-	// computed once: the score reports them and a paced socket runs at them.
+	delta := s.trainDelta(e.Params32)
+	// Utility score against the server-provided ĝ, as it was sent (dense,
+	// or its support), at the round's rates, computed once: the score
+	// reports them and a paced socket runs at them.
 	up, down := cfg.UpBps, cfg.DownBps
 	if cfg.Bandwidth != nil {
 		up, down = cfg.Bandwidth(e.Round)
@@ -423,7 +422,7 @@ func (s *clientSession) syncRound(conn *Conn, e *Envelope) error {
 	if s.link != nil {
 		s.link.setRates(up, down)
 	}
-	score := cfg.Utility.Score(up, down, delta, e.GlobalDelta)
+	score := cfg.Utility.ScoreAt(up, down, delta, e.DeltaIndices, e.GlobalDelta)
 	if tensor.IsZero(e.GlobalDelta) {
 		score = 1 // warm-up: everyone reports full utility
 	}
@@ -475,7 +474,7 @@ func (s *clientSession) syncRound(conn *Conn, e *Envelope) error {
 // has aged while we trained. Link losses redial exactly like the
 // synchronous path; the model resyncs on the next pull.
 func (s *clientSession) asyncStep(conn *Conn, e *Envelope) error {
-	msg := s.codec.Encode(s.trainDelta(e.Params), compress.ClampRatio(s.cfg.AsyncRatio, 1, 1e9))
+	msg := s.codec.Encode(s.trainDelta(e.Params32), compress.ClampRatio(s.cfg.AsyncRatio, 1, 1e9))
 	// Round pins the version this delta was trained from: the server
 	// derives staleness from it when the push is folded. The next pull
 	// leaves with the push, in one write.

@@ -557,7 +557,7 @@ func (f *fleetRun) lost(client int, err error) error {
 // broadcastSelect sends the round's go-ahead to every client: one shared
 // frame, prebuilt and written to every socket.
 func (f *fleetRun) broadcastSelect(round int) error {
-	frame := appendFrameHead(nil, &Envelope{Type: MsgSelect, Round: round, Ratio: 1}, envHeaderBytes+8)
+	frame, _ := appendFrameHead(nil, &Envelope{Type: MsgSelect, Round: round, Ratio: 1}, 0)
 	for _, raw := range f.conns {
 		if _, err := raw.Write(frame); err != nil {
 			return fmt.Errorf("rpc: fleet select broadcast: %w", err)
@@ -571,8 +571,7 @@ func (f *fleetRun) broadcastSelect(round int) error {
 // that already vanished is being told to vanish).
 func (f *fleetRun) broadcastShutdown() {
 	f.shutdown.Store(true)
-	e := &Envelope{Type: MsgShutdown, Info: "fleet done"}
-	frame := appendFrameHead(nil, e, envHeaderBytes+4+len(e.Info))
+	frame, _ := appendFrameHead(nil, &Envelope{Type: MsgShutdown, Info: "fleet done"}, 0)
 	for _, raw := range f.conns {
 		if _, err := raw.Write(frame); err == nil {
 			f.bytesDown.Add(int64(len(frame)))
@@ -642,7 +641,7 @@ var fleetFrames = sync.Pool{New: func() interface{} { return new([]byte) }}
 // the bytes Conn.Send would write — with a single Write on w.
 func sendFleetUpdate(w io.Writer, id, round int, u *compress.Sparse) error {
 	bp := fleetFrames.Get().(*[]byte)
-	b := appendFrameHead((*bp)[:0], &Envelope{Type: MsgUpdate, ClientID: id, Round: round}, 0)
+	b, _ := appendFrameHead((*bp)[:0], &Envelope{Type: MsgUpdate, ClientID: id, Round: round, Update: u}, 0)
 	b = u.AppendBinary(b)
 	binary.LittleEndian.PutUint32(b, uint32(len(b)-4)) // the length prefix, known now
 	_, err := w.Write(b)

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"testing"
@@ -14,12 +15,16 @@ import (
 // TestModelFrameBitsPinned pins one paper-size model broadcast: 431 080
 // float64 params, off the float32 grid and with the values a narrowing can
 // get wrong spliced in (NaN payloads, ±Inf, ±0, values that overflow or
-// underflow float32, float32 subnormals), plus a float64 global delta. The
-// frame's SHA-256 was taken when the float runs were written one value at
-// a time; the received params must be each value rounded to float32 and
-// widened back, bit for bit, read from a body that starts at byte 18.
+// underflow float32, float32 subnormals), with a float64 ĝ that is sparse
+// (one coordinate in seven), dense, or empty (the warm-up), the values an
+// exact transport must keep — −0, NaN payloads, ±Inf and subnormals — at
+// its support. Each frame's SHA-256 was taken at wire version 5, when ĝ
+// became a sparse section; the checks beside it are independent of the
+// encoder. The received params must be the frame's float32 bits, which
+// are each value rounded to float32; ĝ must come back as it was sent — as
+// pairs when sparse, as one vector when dense — and scattered back it must
+// be the vector sent, bit for bit.
 func TestModelFrameBitsPinned(t *testing.T) {
-	const want = "8d55f440a5be2273e83205c212b1e81457c5bf880a7261609cc93eca58e28b42"
 	r := stats.NewRNG(71)
 	params := make([]float64, 431080)
 	for i := range params {
@@ -36,29 +41,69 @@ func TestModelFrameBitsPinned(t *testing.T) {
 	for k, v := range odd {
 		params[k*4099+1] = v
 	}
-	delta := make([]float64, 33)
-	for i := range delta {
-		delta[i] = r.Norm()
-	}
-	delta[5] = math.Float64frombits(0x7ff8000000000abc)
-
-	frame := encodeBinaryEnvelope(t, &Envelope{Type: MsgModel, Round: 3, Params: params, GlobalDelta: delta})
-	sum := sha256.Sum256(frame)
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("MsgModel frame digest %s, want %s", got, want)
-	}
-	got, err := NewBinaryConn(&byteConn{r: bytes.NewReader(frame)}, nil).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range params {
-		if w := float64(float32(v)); math.Float64bits(got.Params[i]) != math.Float64bits(w) {
-			t.Fatalf("param %d: sent %x, received %x, want %x", i, math.Float64bits(v), math.Float64bits(got.Params[i]), math.Float64bits(w))
+	sparse, dense := make([]float64, len(params)), make([]float64, len(params))
+	for i := range dense {
+		dense[i] = r.Norm() * 1e-3
+		if i%7 == 3 {
+			sparse[i] = dense[i]
 		}
 	}
-	for i, v := range delta {
-		if math.Float64bits(got.GlobalDelta[i]) != math.Float64bits(v) {
-			t.Fatalf("global delta %d: %x, want %x", i, math.Float64bits(got.GlobalDelta[i]), math.Float64bits(v))
+	for k, v := range odd {
+		if v != 0 || math.Signbit(v) { // +0 is what a section leaves out
+			sparse[k*7*3001+3], dense[k*4099+2] = v, v
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		ghat       []float64
+		support    int // coordinates the section carries; -1 for the dense layout
+	}{
+		{"sparse", "677bd0e7f106d308875f3950cd16049076224f01a283634fe56a23725900bf53", sparse, 0},
+		{"dense", "e446dd24a7d32bff4230c051e7ef60491bde0c4a4e07cb472c93787f341d84e3", dense, -1},
+		{"empty", "a6f81ba4ecccb1acef0ae3948c1dcb3b7f3bc0a6627fdfef1bfc5ed66f920761", nil, 0},
+	} {
+		if tc.name == "sparse" {
+			for _, v := range sparse {
+				if math.Float64bits(v) != 0 {
+					tc.support++
+				}
+			}
+		}
+		frame := encodeBinaryEnvelope(t, &Envelope{Type: MsgModel, Round: 3, Params: params, GlobalDelta: tc.ghat})
+		sum := sha256.Sum256(frame)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: MsgModel frame digest %s, want %s", tc.name, got, tc.want)
+		}
+		got, err := NewBinaryConn(&byteConn{r: bytes.NewReader(frame)}, nil).Recv()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body := frame[4+envHeaderBytes+4:]
+		for i, v := range params {
+			b := binary.LittleEndian.Uint32(body[4*i:])
+			if w := math.Float32bits(float32(v)); math.Float32bits(got.Params32[i]) != b || b != w {
+				t.Fatalf("%s: param %d: sent %x, frame %x, received %x, want %x", tc.name, i,
+					math.Float64bits(v), b, math.Float32bits(got.Params32[i]), w)
+			}
+		}
+		switch {
+		case tc.support < 0 && (got.DeltaIndices != nil || len(got.GlobalDelta) != len(params)):
+			t.Fatalf("%s: ĝ held as %d pairs of %d values, want one dense vector", tc.name, len(got.DeltaIndices), len(got.GlobalDelta))
+		case tc.support >= 0 && (len(got.DeltaIndices) != tc.support || len(got.GlobalDelta) != tc.support):
+			t.Fatalf("%s: ĝ held as %d indices and %d values, want %d pairs", tc.name, len(got.DeltaIndices), len(got.GlobalDelta), tc.support)
+		}
+		want := tc.ghat
+		if want == nil {
+			want = make([]float64, len(params))
+		}
+		g := sentForm(got).GlobalDelta
+		if g == nil {
+			g = make([]float64, len(params))
+		}
+		for i, v := range want {
+			if math.Float64bits(g[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: ĝ %d: %x, want %x", tc.name, i, math.Float64bits(g[i]), math.Float64bits(v))
+			}
 		}
 	}
 }
@@ -66,18 +111,21 @@ func TestModelFrameBitsPinned(t *testing.T) {
 // TestPullFrameMatchesSend: a model encoded once (ModelFrame, or Set
 // into a frame that held another model, as the sync server does each
 // round) is the frame Send writes for the same envelope, byte for byte,
-// with and without ĝ, empty and at 100 003 params (past the send buffer
-// and the chunk). Sent through a Conn the frame leaves in one Write, and
-// BytesSent counts exactly its length.
+// without ĝ and with a sparse and a dense one, empty and at 100 003
+// params (past the send buffer and the chunk). Sent through a Conn the
+// frame leaves in one Write, and BytesSent counts exactly its length.
 func TestPullFrameMatchesSend(t *testing.T) {
 	r := stats.NewRNG(77)
 	var reused Frame
 	for _, n := range []int{100003, 0, 100003} {
-		params := make([]float64, n)
+		params, sparse := make([]float64, n), make([]float64, n)
 		for i := range params {
 			params[i] = r.Norm()
+			if i%3 == 0 {
+				sparse[i] = params[i]
+			}
 		}
-		for _, delta := range [][]float64{nil, params[:n/3]} {
+		for _, delta := range [][]float64{nil, sparse, params} {
 			want := encodeBinaryEnvelope(t, &Envelope{Type: MsgModel, Round: 41, Params: params, GlobalDelta: delta})
 			frame := ModelFrame(41, params, delta)
 			reused.Set(&Envelope{Type: MsgModel, Round: 41, Params: params, GlobalDelta: delta})

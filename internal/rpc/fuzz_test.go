@@ -34,7 +34,7 @@ func (b *byteConn) SetWriteDeadline(time.Time) error { return nil }
 func fixtureEnvelopes() []*Envelope {
 	return []*Envelope{
 		{Type: MsgHello, ClientID: 3, NumSamples: 412},
-		{Type: MsgModel, Round: 7, Params: []float64{0.5, -1.25, 3}, GlobalDelta: []float64{1e-3, -2e-3}},
+		{Type: MsgModel, Round: 7, Params: []float64{0.5, -1.25, 3}, GlobalDelta: []float64{1e-3, 0, -2e-3}},
 		{Type: MsgScore, ClientID: 2, Round: 7, Score: 0.8125},
 		{Type: MsgSelect, Round: 7, Ratio: 12.5},
 		{Type: MsgSelect, ClientID: 4, Round: 7, Ratio: 20, Codec: "dadaquant", Levels: 15},
@@ -91,10 +91,10 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			t.Fatalf("receive paths decode differently:\n Recv     %+v\n RecvInto %+v", &fresh, &scratch)
 		}
 		var again Envelope
-		if err := c.decodeFrame(&again, encodeBinaryEnvelope(t, &fresh)[4:], 0, true); err != nil {
+		if err := c.decodeFrame(&again, encodeBinaryEnvelope(t, sentForm(&fresh))[4:], 0, true); err != nil {
 			t.Fatalf("re-encoded %v does not decode: %v", fresh.Type, err)
 		}
-		if !envelopesBitEqual(&fresh, &again) {
+		if !envelopesBitEqual(sentForm(&fresh), sentForm(&again)) {
 			t.Fatalf("re-encode changed the envelope:\n first  %+v\n second %+v", &fresh, &again)
 		}
 	})
@@ -130,6 +130,11 @@ func FuzzWireDecode(f *testing.F) {
 	// A legitimate frame big enough to trip the capped pass below, so the
 	// size-cap path is part of the fuzzed surface.
 	f.Add(encodeBinaryEnvelope(f, &Envelope{Type: MsgModel, Params: make([]float64, 2048)}))
+	// Model frames whose ĝ section is sparse, dense or empty, and ones
+	// whose section is hostile (modelDeltaFrames).
+	for _, raw := range modelDeltaFrames(f) {
+		f.Add(raw)
+	}
 
 	// Hostile edge-federation frames: length fields that lie about the
 	// body. Offsets: 4-byte frame prefix, 10-byte header, then the typed
@@ -273,6 +278,68 @@ func TestConnRecvSizeCap(t *testing.T) {
 	}
 }
 
+// modelDeltaFrames returns MsgModel frames of 16 params whose ĝ section
+// is well formed — sparse with −0 and a NaN payload at its support, dense,
+// empty — and, after them, hostile: indices unsorted, repeated or out of
+// range, nnz over dim, a dim other than the params', a dense section one
+// coordinate short, and a section longer or shorter than its count says.
+func modelDeltaFrames(tb testing.TB) (frames [][]byte) {
+	const dim = 16
+	params := make([]float64, dim)
+	sparse, dense := make([]float64, dim), make([]float64, dim)
+	for i := range params {
+		params[i], dense[i] = float64(i)/8, float64(i)+0.5
+	}
+	sparse[3], sparse[9], sparse[15] = math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000abc), 2.5
+	for _, g := range [][]float64{sparse, dense, nil} {
+		frames = append(frames, encodeBinaryEnvelope(tb, &Envelope{Type: MsgModel, Round: 2, Params: params, GlobalDelta: g}))
+	}
+	head := encodeBinaryEnvelope(tb, &Envelope{Type: MsgModel, Round: 2, Params: params})
+	head = head[:len(head)-9] // the empty section's head
+	section := func(d, nnz uint32, flags byte, rest ...uint32) []byte {
+		b := append([]byte(nil), head...)
+		b = binary.LittleEndian.AppendUint32(b, d)
+		b = append(binary.LittleEndian.AppendUint32(b, nnz), flags)
+		for _, x := range rest {
+			b = binary.LittleEndian.AppendUint32(b, x)
+		}
+		binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+		return b
+	}
+	const f32 = 1 << 3
+	return append(frames,
+		section(dim, 2, f32, 5, 3, 0, 0),   // unsorted
+		section(dim, 2, f32, 3, 3, 0, 0),   // repeated
+		section(dim, 1, f32, dim, 0),       // out of range
+		section(dim, dim+1, 1|f32),         // nnz over dim, dense
+		section(dim+1, 1, f32, 0, 0),       // another dim
+		section(dim, dim-1, 1|f32),         // dense, a coordinate short
+		section(dim, 2, f32, 1, 2, 0),      // a value short
+		section(dim, 1, f32, 1, 0, 0),      // a value over
+		section(dim, 0xffffffff, 4|f32, 0), // a lying nnz
+	)
+}
+
+// TestModelFrameHostileDeltaRejected: a model frame whose ĝ section is
+// hostile is a malformed frame on both receive paths, never a panic; the
+// well-formed ones before them decode.
+func TestModelFrameHostileDeltaRejected(t *testing.T) {
+	for k, raw := range modelDeltaFrames(t) {
+		for _, fresh := range []bool{true, false} {
+			c := NewBinaryConn(&byteConn{r: bytes.NewReader(raw)}, nil)
+			var err error
+			if fresh {
+				_, err = c.Recv()
+			} else {
+				err = c.RecvInto(&Envelope{})
+			}
+			if ok := k < 3; ok != (err == nil) || !ok && !errors.Is(err, errWireFrame) {
+				t.Fatalf("frame %d (fresh %v): err = %v", k, fresh, err)
+			}
+		}
+	}
+}
+
 // TestEnvelopeRoundTripAllTypes sends every fixture down one connection
 // and reads them all through RecvInto into one envelope: the scratch the
 // connection reuses between messages (the sparse payload, the two float
@@ -298,7 +365,7 @@ func TestEnvelopeRoundTripAllTypes(t *testing.T) {
 		if err := cb.RecvInto(&got); err != nil {
 			t.Fatalf("fixture %d (%v): recv: %v", i, want.Type, err)
 		}
-		if !envelopesBitEqual(&got, want) {
+		if !envelopesBitEqual(sentForm(&got), want) {
 			t.Errorf("fixture %d (%v) mismatch after scratch reuse:\n got %+v\nwant %+v", i, want.Type, &got, want)
 		}
 	}

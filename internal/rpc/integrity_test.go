@@ -54,7 +54,7 @@ func runEvilClient(addr string, id, samples, maxRedials int,
 				case MsgWelcome:
 					// fine; keep listening
 				case MsgModel:
-					res.broadcasts = append(res.broadcasts, append([]float64(nil), e.Params...))
+					res.broadcasts = append(res.broadcasts, sentForm(e).Params)
 					if err := conn.Send(&Envelope{Type: MsgScore, ClientID: id, Round: e.Round, Score: 1}); err != nil {
 						return false
 					}
@@ -68,7 +68,7 @@ func runEvilClient(addr string, id, samples, maxRedials int,
 					if sel.Ratio <= 0 {
 						continue
 					}
-					upd := mkUpd(e.Round, len(e.Params))
+					upd := mkUpd(e.Round, len(e.Params32))
 					if err := conn.Send(&Envelope{Type: MsgUpdate, ClientID: id, Round: e.Round, Update: upd}); err != nil {
 						return false
 					}

@@ -103,9 +103,15 @@ type Envelope struct {
 	// encodes as the legacy hello body so pre-session peers interoperate.
 	Session string
 
-	// MsgModel
-	Params      []float64
-	GlobalDelta []float64
+	// MsgModel. A sender sets Params and ĝ as a dense GlobalDelta (nil in
+	// the warm-up). A receiver gets the params at the wire's float32, in
+	// Params32, and ĝ as it was sent: GlobalDelta alone when it came
+	// dense, or its support, the ascending coordinates DeltaIndices and
+	// their values in GlobalDelta, every other coordinate being +0.
+	Params       []float64
+	Params32     []float32
+	GlobalDelta  []float64
+	DeltaIndices []int32
 
 	// MsgScore / MsgSelect
 	Score float64
@@ -150,9 +156,12 @@ type Conn struct {
 	hdr4    [4]byte
 	recvBuf []byte
 
-	recvSparse *compress.Sparse
-	recvParams []float64
-	recvDelta  []float64
+	recvSparse   *compress.Sparse
+	recvParams   []float64
+	recvParams32 []float32
+	recvIdx      []int32
+	recvDelta    []float64
+	sendDelta    compress.Sparse
 }
 
 // NewBinaryConn wraps raw in the frame codec. The handshake is the

@@ -12,37 +12,41 @@ import (
 )
 
 // bigModelEnvelope is a model broadcast well past recvPieceBytes: np
-// params off the float32 grid and nd global-delta doubles, so values of
-// both runs straddle piece boundaries.
+// params off the float32 grid and a ĝ with nd of its np coordinates set,
+// spread evenly (all of them: the dense layout), so values of both runs
+// and the index run straddle piece boundaries.
 func bigModelEnvelope(np, nd int, seed uint64) *Envelope {
 	r := stats.NewRNG(seed)
-	e := &Envelope{Type: MsgModel, Round: 4, Params: make([]float64, np), GlobalDelta: make([]float64, nd)}
+	e := &Envelope{Type: MsgModel, Round: 4, Params: make([]float64, np), GlobalDelta: make([]float64, np)}
 	for i := range e.Params {
 		e.Params[i] = r.NormScaled(0, 0.05)
 	}
-	for i := range e.GlobalDelta {
-		e.GlobalDelta[i] = r.Norm() * 1e-3
+	for k := 0; k < nd; k++ {
+		e.GlobalDelta[k*np/nd] = r.Norm() * 1e-3
 	}
 	return e
 }
 
-// decodeWholeModel decodes a MsgModel frame the way the receive path did
-// when it held whole frames: every value read from the one buffer.
+// decodeWholeModel decodes a MsgModel frame from the one buffer, as its
+// sender wrote it (sentForm): the params widened from float32, and the ĝ
+// section decoded whole by the update decoder and scattered back.
 func decodeWholeModel(t *testing.T, frame []byte) *Envelope {
 	t.Helper()
 	body := frame[4+envHeaderBytes:]
-	np := binary.LittleEndian.Uint32(body)
-	nd := binary.LittleEndian.Uint32(body[4:])
-	if len(body) != 8+4*int(np)+8*int(nd) {
-		t.Fatalf("fixture frame: %d body bytes for %d params and %d deltas", len(body), np, nd)
+	np := int(binary.LittleEndian.Uint32(body))
+	if len(body) < 4+4*np {
+		t.Fatalf("fixture frame: %d body bytes for %d params", len(body), np)
 	}
-	e := &Envelope{Type: MsgModel, Round: int(int32(binary.LittleEndian.Uint32(frame[10:]))),
-		Params: make([]float64, np), GlobalDelta: make([]float64, nd)}
+	e := &Envelope{Type: MsgModel, Round: int(int32(binary.LittleEndian.Uint32(frame[10:]))), Params: make([]float64, np)}
 	for i := range e.Params {
-		e.Params[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[8+4*i:])))
+		e.Params[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4+4*i:])))
 	}
-	for i := range e.GlobalDelta {
-		e.GlobalDelta[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8+4*int(np)+8*i:]))
+	var g compress.Sparse
+	if err := g.DecodeBinaryInto(body[4+4*np:]); err != nil || g.Dim != np {
+		t.Fatalf("fixture frame: ĝ section of dim %d for %d params: %v", g.Dim, np, err)
+	}
+	if g.NNZ() > 0 {
+		e.GlobalDelta = g.Dense()
 	}
 	return e
 }
@@ -51,9 +55,10 @@ func decodeWholeModel(t *testing.T, frame []byte) *Envelope {
 // recvPieceBytes decodes, through Recv and through RecvInto, bit for bit
 // as a whole-frame decode does, and the connection's frame buffer never
 // grows past the bound. Three frames in one stream check that a piece
-// read never runs into the next frame.
+// read never runs into the next frame. The ĝ shapes take every layout the
+// section has: empty, dense, a varint index run, and one past a piece.
 func TestModelFramePiecewiseDecode(t *testing.T) {
-	for _, shape := range []struct{ np, nd int }{{20001, 0}, {20001, 20001}, {3, 30001}, {100003, 7}} {
+	for _, shape := range []struct{ np, nd int }{{20001, 0}, {20001, 20001}, {30001, 3000}, {100003, 7}, {100003, 60000}} {
 		e := bigModelEnvelope(shape.np, shape.nd, uint64(shape.np+shape.nd))
 		frame := encodeBinaryEnvelope(t, e)
 		if len(frame) <= recvPieceBytes {
@@ -72,7 +77,7 @@ func TestModelFramePiecewiseDecode(t *testing.T) {
 			if err := into.RecvInto(&env); err != nil {
 				t.Fatalf("%v: RecvInto %d: %v", shape, k, err)
 			}
-			if !envelopesBitEqual(got, want) || !envelopesBitEqual(&env, want) {
+			if !envelopesBitEqual(sentForm(got), want) || !envelopesBitEqual(sentForm(&env), want) {
 				t.Fatalf("%v: frame %d decodes differently from a whole-frame decode", shape, k)
 			}
 		}
@@ -97,10 +102,10 @@ func TestModelFrameCutAtPieceBoundary(t *testing.T) {
 		cuts = append(cuts, b-1, b, b+1)
 	}
 	cuts = append(cuts, len(frame)-1)
-	// The boundary between the params and the global delta, and a value
-	// split in two there.
-	ps := 4 + envHeaderBytes + 8 + 4*40001
-	cuts = append(cuts, ps, ps+3)
+	// The boundary between the params and ĝ's section, a value split in
+	// two there, and the section's head cut short.
+	ps := 4 + envHeaderBytes + 4 + 4*40001
+	cuts = append(cuts, ps, ps+3, ps-2, ps+8)
 	for _, cut := range cuts {
 		for _, fresh := range []bool{true, false} {
 			c := NewBinaryConn(&byteConn{r: bytes.NewReader(frame[:cut])}, nil)
@@ -117,12 +122,13 @@ func TestModelFrameCutAtPieceBoundary(t *testing.T) {
 	}
 }
 
-// TestModelFrameLyingCountsRejected: a long model frame whose nParams or
-// nDelta disagrees with its length is refused before a value is decoded.
+// TestModelFrameLyingCountsRejected: a long model frame whose nParams, or
+// whose ĝ section's dim or nnz, disagrees with its length is refused.
 func TestModelFrameLyingCountsRejected(t *testing.T) {
 	frame := encodeBinaryEnvelope(t, bigModelEnvelope(20001, 5, 9))
-	for _, off := range []int{4 + envHeaderBytes, 4 + envHeaderBytes + 4} {
-		for _, v := range []uint32{0, 1, 20002, 0xffffffff} {
+	section := 4 + envHeaderBytes + 4 + 4*20001
+	for _, off := range []int{4 + envHeaderBytes, section, section + 4} {
+		for _, v := range []uint32{0, 1, 4, 6, 20000, 20002, 0xffffffff} {
 			mut := append([]byte(nil), frame...)
 			binary.LittleEndian.PutUint32(mut[off:], v)
 			_, err := NewBinaryConn(&byteConn{r: bytes.NewReader(mut)}, nil).Recv()

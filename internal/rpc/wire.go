@@ -28,7 +28,9 @@ import (
 //	            | [u8 codecLen | codec name | u32 LE levels]   (negotiated)
 //	  Update    sparse section (see internal/compress wire layout)
 //	  Shutdown  u32 LE len | UTF-8 info
-//	  Model     u32 LE nParams | u32 LE nDelta | nParams × f32 | nDelta × f64
+//	  Model     u32 LE nParams | nParams × f32 | ĝ as a sparse section of
+//	            dim nParams (ĝ's coordinates whose bits are not +0, or the
+//	            dense layout when no larger; empty in the warm-up)
 //	  Ping      i32 LE numSamples (progress count)
 //	  EdgeHello i32 LE numSamples | u32 LE len | info
 //	  EdgePartial i32 LE numSamples | i64 LE weight word | u32 LE n
@@ -76,7 +78,10 @@ func checkWire(wire string) error {
 //
 // wireVersion 4: an edge hello ends at its address; the region string
 // that followed it is gone. A v3 decoder would refuse the shorter body.
-const wireVersion = 4
+//
+// wireVersion 5: a model broadcast's ĝ is a sparse section, not a dense
+// f64 run behind a count. A v4 decoder would read the section as doubles.
+const wireVersion = 5
 
 // preamble returns the four opening bytes of a peer speaking version v.
 func preamble(v byte) [4]byte { return [4]byte{0xAD, 0xF1, 0x77, v} }
@@ -125,56 +130,6 @@ const defaultWireBufSize = 32 << 10
 // length/body mismatch, unknown message type).
 var errWireFrame = fmt.Errorf("rpc: malformed binary frame")
 
-// wirePayloadSize returns the exact encoded payload length of e.
-func (e *Envelope) wirePayloadSize() (int, error) {
-	n := envHeaderBytes
-	switch e.Type {
-	case MsgHello:
-		n += 4
-		if e.Session != "" {
-			// Multi-session extension: u8 sessionLen | name. An empty
-			// session keeps the legacy 4-byte body so pre-session decoders
-			// still accept the frame.
-			if len(e.Session) > 255 {
-				return 0, fmt.Errorf("rpc: send hello with %d-byte session name", len(e.Session))
-			}
-			n += 1 + len(e.Session)
-		}
-	case MsgWelcome, MsgAsyncPull:
-	case MsgScore:
-		n += 8
-	case MsgSelect:
-		n += 8
-		if e.Codec != "" || e.Levels != 0 {
-			// Negotiated extension: u8 codecLen | name | u32 levels. A
-			// zero-valued assignment keeps the legacy 8-byte body so
-			// pre-negotiation decoders still accept the frame.
-			if len(e.Codec) > 255 {
-				return 0, fmt.Errorf("rpc: send select with %d-byte codec name", len(e.Codec))
-			}
-			n += 1 + len(e.Codec) + 4
-		}
-	case MsgShutdown, MsgReroute:
-		n += 4 + len(e.Info)
-	case MsgModel:
-		n += 8 + 4*len(e.Params) + 8*len(e.GlobalDelta)
-	case MsgUpdate, MsgAsyncPush:
-		if e.Update == nil {
-			return 0, fmt.Errorf("rpc: send message type %d without payload", e.Type)
-		}
-		n += e.Update.BinaryWireSize()
-	case MsgPing:
-		n += 4
-	case MsgEdgeHello:
-		n += 4 + 4 + len(e.Info)
-	case MsgEdgePartial:
-		n += 4 + 8 + 4 + 8*len(e.Params)
-	default:
-		return 0, fmt.Errorf("rpc: send unknown message type %v", e.Type)
-	}
-	return n, nil
-}
-
 // writeEnvelope writes e's length-prefixed binary frame into the send
 // buffer; the caller flushes. Steady-state sends of every message type are
 // allocation-free: the frame header, scalar and string bodies go through
@@ -185,15 +140,9 @@ func (c *Conn) writeEnvelope(e *Envelope) error {
 		// The sparse encoder decides its layout once per frame and reports
 		// the section's size before its first byte, which is where the
 		// length prefix goes: no second scan of the update to size it.
-		return e.Update.EncodeBinaryTo(c.bw, c.chunk, func(size int) error {
-			return c.writeFrameHead(e, envHeaderBytes+size)
-		})
+		return e.Update.EncodeBinaryTo(c.bw, c.chunk, func(size int) error { return c.writeFrameHead(e, size) })
 	}
-	size, err := e.wirePayloadSize()
-	if err != nil {
-		return err
-	}
-	if err := c.writeFrameHead(e, size); err != nil {
+	if err := c.writeFrameHead(e, e.tailSize(&c.sendDelta)); err != nil {
 		return err
 	}
 	switch e.Type {
@@ -201,11 +150,25 @@ func (c *Conn) writeEnvelope(e *Envelope) error {
 		if err := c.writeF32s(e.Params); err != nil {
 			return err
 		}
-		return c.writeF64s(e.GlobalDelta)
+		return c.sendDelta.EncodeBinaryTo(c.bw, c.chunk, nil)
 	case MsgEdgePartial:
 		return c.writeF64s(e.Params)
 	}
 	return nil
+}
+
+// tailSize returns the bytes of e's frame past appendFrameHead's: a
+// model's params and ĝ section, left in g (SetSupport of GlobalDelta, of
+// dim len(Params), which it panics on if GlobalDelta is of another
+// length), or an edge partial's sum words.
+func (e *Envelope) tailSize(g *compress.Sparse) int {
+	switch e.Type {
+	case MsgModel:
+		return 4*len(e.Params) + g.SetSupport(e.GlobalDelta, len(e.Params))
+	case MsgEdgePartial:
+		return 8 * len(e.Params)
+	}
+	return 0
 }
 
 // A Frame is one MsgModel or MsgEdgePartial encoded once, length prefix
@@ -214,7 +177,10 @@ func (c *Conn) writeEnvelope(e *Envelope) error {
 // version, encodes it once and writes the bytes as they are; an edge
 // encodes its partial into one frame it reuses round after round, and a
 // frame bigger than the send buffer leaves in one Write (sendLocked).
-type Frame struct{ b []byte }
+type Frame struct {
+	b []byte
+	g compress.Sparse // a MsgModel's ĝ section
+}
 
 // ModelFrame encodes the MsgModel of round with params (at f32) and
 // globalDelta. The frame keeps no reference to either slice.
@@ -230,51 +196,67 @@ func (f *Frame) Set(e *Envelope) *Frame {
 	if e.Type != MsgModel && e.Type != MsgEdgePartial {
 		panic(fmt.Sprintf("rpc: Frame of a %v", e.Type))
 	}
-	size, _ := e.wirePayloadSize() // both types always have one
-	b := appendFrameHead(slices.Grow(f.b[:0], 4+size), e, size)
+	tail := e.tailSize(&f.g)
+	// 64 bytes hold either type's head; AppendBinary wants a varint's room.
+	b, _ := appendFrameHead(slices.Grow(f.b[:0], 64+tail+binary.MaxVarintLen32), e, tail)
 	n := len(b)
-	b = b[:4+size]
 	if e.Type == MsgModel {
-		tensor.NarrowLE(b[n:], e.Params)
-		tensor.PutF64LE(b[n+4*len(e.Params):], e.GlobalDelta)
-	} else {
-		tensor.PutF64LE(b[n:], e.Params)
+		tensor.NarrowLE(b[n:n+4*len(e.Params)], e.Params)
+		f.b = f.g.AppendBinary(b[:n+4*len(e.Params)])
+		return f
 	}
-	f.b = b
+	f.b = b[:n+tail]
+	tensor.PutF64LE(f.b[n:], e.Params)
 	return f
 }
 
 // writeFrameHead writes appendFrameHead's bytes through the connection's
 // header scratch.
-func (c *Conn) writeFrameHead(e *Envelope, size int) error {
-	h := appendFrameHead(c.sendHdr[:0], e, size)
+func (c *Conn) writeFrameHead(e *Envelope, tail int) error {
+	h, err := appendFrameHead(c.sendHdr[:0], e, tail)
+	if err != nil {
+		return err
+	}
 	c.sendHdr = h[:0] // keep any growth for the next send
-	_, err := c.bw.Write(h)
+	_, err = c.bw.Write(h)
 	return err
 }
 
-// appendFrameHead appends the length prefix (size is the payload length),
-// the envelope header and the type's body up to its float vectors or
-// sparse section: the whole frame, for a message that has neither.
-func appendFrameHead(h []byte, e *Envelope, size int) []byte {
-	h = binary.LittleEndian.AppendUint32(h, uint32(size))
-	h = append(h, byte(e.Type), 0)
+// appendFrameHead appends e's frame up to its float vectors or sparse
+// section, tail bytes that follow it: the length prefix (which counts
+// them), the envelope header and the type's scalar and string body — the
+// whole frame, for a message that has neither. It fails on a message it
+// cannot encode.
+func appendFrameHead(h []byte, e *Envelope, tail int) ([]byte, error) {
+	start := len(h)
+	h = append(h, 0, 0, 0, 0, byte(e.Type), 0)
 	h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.ClientID)))
 	h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.Round)))
 	switch e.Type {
 	case MsgHello:
 		h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.NumSamples)))
 		if e.Session != "" {
-			h = append(h, byte(len(e.Session)))
-			h = append(h, e.Session...)
+			// Multi-session extension: u8 sessionLen | name. An empty
+			// session keeps the legacy 4-byte body so pre-session decoders
+			// still accept the frame.
+			if len(e.Session) > 255 {
+				return nil, fmt.Errorf("rpc: send hello with %d-byte session name", len(e.Session))
+			}
+			h = append(append(h, byte(len(e.Session))), e.Session...)
 		}
+	case MsgWelcome, MsgAsyncPull:
 	case MsgScore:
 		h = binary.LittleEndian.AppendUint64(h, math.Float64bits(e.Score))
 	case MsgSelect:
 		h = binary.LittleEndian.AppendUint64(h, math.Float64bits(e.Ratio))
 		if e.Codec != "" || e.Levels != 0 {
-			h = append(h, byte(len(e.Codec)))
-			h = append(h, e.Codec...)
+			// Negotiated extension: u8 codecLen | name | u32 levels. A
+			// zero-valued assignment keeps the legacy 8-byte body so
+			// pre-negotiation decoders still accept the frame.
+			if len(e.Codec) > 255 {
+				return nil, fmt.Errorf("rpc: send select with %d-byte codec name", len(e.Codec))
+			}
+			h = append(append(h, byte(len(e.Codec))), e.Codec...)
 			h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.Levels)))
 		}
 	case MsgShutdown, MsgReroute:
@@ -282,7 +264,10 @@ func appendFrameHead(h []byte, e *Envelope, size int) []byte {
 		h = append(h, e.Info...)
 	case MsgModel:
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Params)))
-		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.GlobalDelta)))
+	case MsgUpdate, MsgAsyncPush:
+		if e.Update == nil {
+			return nil, fmt.Errorf("rpc: send message type %d without payload", e.Type)
+		}
 	case MsgPing:
 		h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.NumSamples)))
 	case MsgEdgeHello:
@@ -293,8 +278,11 @@ func appendFrameHead(h []byte, e *Envelope, size int) []byte {
 		h = binary.LittleEndian.AppendUint32(h, uint32(int32(e.NumSamples)))
 		h = binary.LittleEndian.AppendUint64(h, uint64(e.WeightSum))
 		h = binary.LittleEndian.AppendUint32(h, uint32(len(e.Params)))
+	default:
+		return nil, fmt.Errorf("rpc: send unknown message type %v", e.Type)
 	}
-	return h
+	binary.LittleEndian.PutUint32(h[start:], uint32(len(h)-start-4+tail))
+	return h, nil
 }
 
 // writeF32s streams vals, each rounded to the nearest float32, through the
@@ -407,22 +395,6 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error 
 		}
 		return nil
 	}
-	// f64s returns a length-n vector: fresh for Recv, the connection's
-	// scratch for RecvInto. n == 0 yields nil: an absent vector and an
-	// empty one are the same thing on the wire.
-	f64s := func(scratch *[]float64, n uint32) []float64 {
-		if n == 0 {
-			return nil
-		}
-		if fresh || cap(*scratch) < int(n) {
-			v := make([]float64, n)
-			if !fresh {
-				*scratch = v
-			}
-			return v
-		}
-		return (*scratch)[:n]
-	}
 	switch e.Type {
 	case MsgHello:
 		if err := fixed(4); err != nil {
@@ -470,34 +442,37 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error 
 		}
 		e.Info = string(body[4:])
 	case MsgModel:
-		if err := fixed(8); err != nil {
+		if err := fixed(4); err != nil {
 			return err
 		}
 		np := binary.LittleEndian.Uint32(body)
-		nd := binary.LittleEndian.Uint32(body[4:])
-		if have, want := int64(len(body)-8)+more, 4*int64(np)+8*int64(nd); have != want {
-			return fmt.Errorf("%w: %v body carries %d bytes, header declares %d", errWireFrame, e.Type, have, want)
+		gsize := int64(len(body)-4) + more - 4*int64(np) // ĝ's section
+		if gsize < 0 {
+			return fmt.Errorf("%w: %v body of %d bytes holds no %d params", errWireFrame, e.Type, gsize+4*int64(np), np)
 		}
-		e.Params, e.GlobalDelta = f64s(&c.recvParams, np), f64s(&c.recvDelta, nd)
-		r := pieceReader{raw: c.raw, buf: p, src: body[8:], more: more, n: int64(len(p)) + more}
-		for dst := e.Params; len(dst) > 0; {
+		e.Params32 = scratch(fresh, &c.recvParams32, np)
+		r := pieceReader{raw: c.raw, buf: p, src: body[4:], more: more, n: int64(len(p)) + more}
+		for dst := e.Params32; len(dst) > 0; {
 			b, err := r.take(4, len(dst))
 			if err != nil {
 				return err
 			}
-			k := len(b) / 4
-			tensor.WidenLE(dst[:k], b)
-			dst = dst[k:]
+			tensor.ReadF32LE(dst[:len(b)/4], b)
+			dst = dst[len(b)/4:]
 		}
-		for dst := e.GlobalDelta; len(dst) > 0; {
-			b, err := r.take(8, len(dst))
-			if err != nil {
-				return err
-			}
-			k := len(b) / 8
-			tensor.ReadF64LE(dst[:k], b)
-			dst = dst[k:]
+		var idx []int32
+		var vals []float64
+		if !fresh {
+			idx, vals = c.recvIdx, c.recvDelta
 		}
+		idx, vals, err := compress.ReadSupport(r.take, gsize, int(np), idx, vals)
+		if err != nil {
+			return fmt.Errorf("%w: ĝ: %w", errWireFrame, err)
+		}
+		if !fresh {
+			c.recvIdx, c.recvDelta = idx, vals
+		}
+		e.DeltaIndices, e.GlobalDelta = idx, vals
 	case MsgUpdate, MsgAsyncPush:
 		sp := c.recvSparse
 		if fresh || sp == nil {
@@ -534,12 +509,29 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error 
 		if err := needN(e.Type, body[16:], 8*int64(np)); err != nil {
 			return err
 		}
-		e.Params = f64s(&c.recvParams, np)
+		e.Params = scratch(fresh, &c.recvParams, np)
 		tensor.ReadF64LE(e.Params, body[16:])
 	default:
 		return fmt.Errorf("%w: unknown message type %d", errWireFrame, p[0])
 	}
 	return nil
+}
+
+// scratch returns a length-n vector: fresh for Recv, the connection's
+// buffer for RecvInto. n == 0 yields nil: an absent vector and an empty
+// one are the same thing on the wire.
+func scratch[T any](fresh bool, buf *[]T, n uint32) []T {
+	if n == 0 {
+		return nil
+	}
+	if fresh || cap(*buf) < int(n) {
+		v := make([]T, n)
+		if !fresh {
+			*buf = v
+		}
+		return v
+	}
+	return (*buf)[:n]
 }
 
 // pieceReader hands out a MsgModel body in whole values: first the bytes

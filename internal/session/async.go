@@ -291,9 +291,9 @@ func (a *AsyncSession) deliver(conn *rpc.Conn, hello *rpc.Envelope) error {
 		return err
 	}
 	a.cfg.Logf("session %q: client %d registered (%d samples) at model version %d", a.cfg.Name, p.ID, p.Samples, version)
-	if !a.roster.Go(func() { a.serve(p) }) {
-		a.roster.Remove(p) // the session ended between the welcome and here
-	}
+	// A false Go means the session ended since the welcome: Shutdown, which
+	// took p with the roster, says farewell to it (closing p would cut that).
+	a.roster.Go(func() { a.serve(p) })
 	return nil
 }
 

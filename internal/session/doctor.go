@@ -54,7 +54,7 @@ func Doctor(dir, eventPath string, w io.Writer) (*DoctorReport, error) {
 	snap, err := checkpoint.ReadSnapshot(dir)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		return nil, fmt.Errorf("doctor: no checkpoint in %s", dir)
+		return nil, fmt.Errorf("no checkpoint in %s", dir)
 	case err != nil:
 		rep.Problems = append(rep.Problems, fmt.Sprintf("snapshot: %v", err))
 	default:

@@ -3,6 +3,7 @@ package tensor
 import (
 	"encoding/binary"
 	"math"
+	"unsafe"
 )
 
 // Elementwise kernels: the passes of a client step outside the GEMM. Each
@@ -136,6 +137,39 @@ func SubNarrowed(dst []float64, p []float32, start []float64) {
 	}
 }
 
+// SubWiden writes p − start into dst, both widened to float64 first:
+// float64(p[i]) − float64(start[i]), which is exact for two float32s
+// within a factor 2²⁹ of each other. It panics unless dst, p and start
+// have one length.
+func SubWiden(dst []float64, p, start []float32) {
+	if len(dst) != len(p) || len(start) != len(p) {
+		panic("tensor: SubWiden length mismatch")
+	}
+	dst, start = dst[:len(p)], start[:len(p)]
+	if k := simdLen(len(p)); k > 0 {
+		subWidenAVX2(&dst[0], &p[0], &start[0], k)
+		dst, p, start = dst[k:], p[k:], start[k:]
+	}
+	for i, x := range p {
+		dst[i] = float64(x) - float64(start[i])
+	}
+}
+
+// ReadF32LE reads len(dst) little-endian float32s from src into dst, bit
+// for bit. src need not be aligned; it panics if src holds fewer than
+// 4·len(dst) bytes.
+func ReadF32LE(dst []float32, src []byte) {
+	src = prefix(src, 4*len(dst))
+	if kernelLevel >= levelAVX2 && len(dst) > 0 {
+		// amd64 stores a float32 little-endian: the bytes are the values.
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), len(src)), src)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
 // NarrowLE writes each element of src rounded to float32 into dst as four
 // little-endian bytes. It panics if dst holds fewer than 4·len(src).
 func NarrowLE(dst []byte, src []float64) {
@@ -223,6 +257,94 @@ func AddRows(dst []float32, dstStride int, src []float32, srcStride, rows, width
 		t := dst[r*dstStride : r*dstStride+width]
 		for i, v := range src[r*srcStride : r*srcStride+width] {
 			t[i] += v
+		}
+	}
+}
+
+// AddBias adds b[c] to every element of plane c of dst, which holds
+// len(b) planes of plane elements back to back: dst[c·plane+i] += b[c],
+// each one IEEE single add with dst's element as the first operand. A
+// channel whose b[c] is ±0 is skipped, so its plane keeps its −0s. It
+// panics if dst is shorter than len(b)·plane.
+func AddBias(dst, b []float32, plane int) {
+	if plane <= 0 || len(b) == 0 {
+		return
+	}
+	dst = prefix(dst, len(b)*plane)
+	if kernelLevel >= levelAVX2 {
+		addBiasAVX2(&dst[0], &b[0], len(b), plane)
+		return
+	}
+	for c, v := range b {
+		if v == 0 {
+			continue
+		}
+		for i := range dst[c*plane : (c+1)*plane] {
+			dst[c*plane+i] += v
+		}
+	}
+}
+
+// Taps is the geometry of one kernel row of a stride-1 convolution's
+// lowering, taken over every input channel at once: each channel's input
+// plane has rows W wide and starts ImageStride elements after the last;
+// its patch holds K blocks Plane elements apart, one per tap, of output
+// rows OW wide, and starts PatchStride elements after the last; Rows
+// output rows each read one input row, and the kernel row's taps read
+// with zero padding Pad.
+type Taps struct {
+	K, Pad, W, OW, Rows, Plane         int
+	Channels, PatchStride, ImageStride int
+}
+
+// CopyTaps moves the K taps of one kernel row of a stride-1 convolution's
+// lowering, for every channel, in one call. Tap kx reads input column
+// x+kx−Pad into output column x for the columns x in [lo, hi) =
+// [max(0, Pad−kx), min(OW, W+Pad−kx)) that read inside the input, and
+// leaves the others alone (a padded caller clears them): with p and m
+// channel c's patch and image,
+//
+//	p[kx·Plane + r·OW + x] = m[r·W + x + kx − Pad]
+//
+// Taps run in ascending kx, each over the channels in order, row after
+// row. It panics if either side is too short or the geometry is negative.
+func CopyTaps(patch, image []float32, g Taps) { taps(patch, image, &g, false) }
+
+// AddTaps is CopyTaps' adjoint, the scatter of a lowering's gradient: each
+// tap's patch elements are added onto the image elements CopyTaps reads
+// them from, m[r·W + x + kx − Pad] += p[kx·Plane + r·OW + x], each one IEEE
+// single add with the image's element as the first operand, in CopyTaps'
+// order, so an image element receives its additions in ascending tap
+// order. The channels' image spans must not overlap.
+func AddTaps(image, patch []float32, g Taps) { taps(patch, image, &g, true) }
+
+func taps(patch, image []float32, g *Taps, add bool) {
+	if g.Rows <= 0 || g.K <= 0 || g.Channels <= 0 {
+		return
+	}
+	if g.Plane < 0 || g.OW <= 0 || g.W <= 0 || g.Pad < 0 || g.PatchStride < 0 || g.ImageStride < 0 {
+		panic("tensor: tap geometry out of range")
+	}
+	patch = prefix(patch, (g.Channels-1)*g.PatchStride+(g.K-1)*g.Plane+g.Rows*g.OW)
+	image = prefix(image, (g.Channels-1)*g.ImageStride+g.Rows*g.W)
+	if kernelLevel >= levelAVX2 {
+		tapsAVX2(&patch[0], &image[0], g, add)
+		return
+	}
+	for kx := 0; kx < g.K; kx++ {
+		lo, hi := max(0, g.Pad-kx), min(g.OW, g.W+g.Pad-kx)
+		for c := 0; c < g.Channels && lo < hi; c++ {
+			for r := 0; r < g.Rows; r++ {
+				p := patch[c*g.PatchStride+kx*g.Plane+r*g.OW:][lo:hi]
+				m := image[c*g.ImageStride+r*g.W+lo+kx-g.Pad:][:len(p)]
+				if !add {
+					copy(p, m)
+					continue
+				}
+				for i, v := range p {
+					m[i] += v
+				}
+			}
 		}
 	}
 }

@@ -24,6 +24,9 @@ func widenAVX2(dst *float64, src *float32, n int)
 func subNarrowedAVX2(dst *float64, p *float32, start *float64, n int)
 
 //go:noescape
+func subWidenAVX2(dst *float64, p, start *float32, n int)
+
+//go:noescape
 func narrowBytesAVX2(dst *byte, src *float64, n int)
 
 //go:noescape
@@ -37,6 +40,17 @@ func copyRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, wi
 
 //go:noescape
 func addRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int)
+
+// addBiasAVX2 takes channels > 0 planes of plane > 0 elements.
+//
+//go:noescape
+func addBiasAVX2(dst, b *float32, channels, plane int)
+
+// tapsAVX2 takes positive rows, taps and channels and the spans taps has
+// checked.
+//
+//go:noescape
+func tapsAVX2(patch, image *float32, geo *Taps, add bool)
 
 // maxPool2x2AVX2 takes rows > 0 window rows of a plane whose w is a
 // multiple of 8 and has fewer than 2³¹ elements; argmax may be nil.

@@ -8,6 +8,7 @@
 // write to the upper lanes stalls on the state transition, and `make
 // lint` rejects one.
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // func sgdMomentumAVX2(p, v, grad *float32, n int, lr, mom float32)
@@ -158,6 +159,31 @@ loop:
 	ADDQ       $8, AX
 	CMPQ       AX, CX
 	JLT        loop
+	VZEROUPPER
+	RET
+
+// func subWidenAVX2(dst *float64, p, start *float32, n int)
+//
+// dst = float64(p) − float64(start).
+TEXT ·subWidenAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ p+8(FP), SI
+	MOVQ start+16(FP), DX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+
+loop:
+	VCVTPS2PD (SI)(AX*4), Y0
+	VCVTPS2PD 16(SI)(AX*4), Y1
+	VCVTPS2PD (DX)(AX*4), Y2
+	VCVTPS2PD 16(DX)(AX*4), Y3
+	VSUBPD    Y2, Y0, Y0
+	VSUBPD    Y3, Y1, Y1
+	VMOVUPD   Y0, (DI)(AX*8)
+	VMOVUPD   Y1, 32(DI)(AX*8)
+	ADDQ      $8, AX
+	CMPQ      AX, CX
+	JLT       loop
 	VZEROUPPER
 	RET
 
@@ -372,5 +398,231 @@ poolNext:
 	VPADDD X12, X9, X9
 	DECQ   CX
 	JNE    poolRow
+	VZEROUPPER
+	RET
+
+// func addBiasAVX2(dst, b *float32, channels, plane int)
+//
+// Plane c of dst gets b[c] added to each element, dst's element the first
+// operand of each add; a channel whose b[c] is ±0 (all bits but the sign
+// clear) is skipped. Eight lanes per step, then one four-lane step and
+// single lanes for the tail.
+TEXT ·addBiasAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ channels+16(FP), CX
+	MOVQ plane+24(FP), R9
+	MOVQ R9, R10
+	ANDQ $-8, R10
+	LEAQ -4(R9), R11
+
+biasChannel:
+	MOVL         (SI), AX
+	ANDL         $0x7fffffff, AX
+	JEQ          biasNext
+	VBROADCASTSS (SI), Y1
+	XORQ         AX, AX
+	CMPQ         AX, R10
+	JGE          biasTail4
+
+bias8:
+	VMOVUPS (DI)(AX*4), Y0
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, R10
+	JLT     bias8
+
+biasTail4:
+	CMPQ    AX, R11
+	JGT     biasTail1
+	VMOVUPS (DI)(AX*4), X0
+	VADDPS  X1, X0, X0
+	VMOVUPS X0, (DI)(AX*4)
+	ADDQ    $4, AX
+
+biasTail1:
+	CMPQ   AX, R9
+	JGE    biasNext
+	VMOVSS (DI)(AX*4), X0
+	VADDSS X1, X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	JMP    biasTail1
+
+biasNext:
+	LEAQ (DI)(R9*4), DI
+	ADDQ $4, SI
+	DECQ CX
+	JNE  biasChannel
+	VZEROUPPER
+	RET
+
+// func tapsAVX2(patch, image *float32, geo *Taps, add bool)
+//
+// The K taps of one kernel row, kx ascending, each over the channels in
+// order: tap kx's columns are lo = max(0, Pad−kx) to hi = min(OW,
+// W+Pad−kx); channel c's patch rows start at patch + c·PatchStride +
+// kx·Plane + lo, OW apart, and its image rows at image + c·ImageStride +
+// lo + kx − Pad, W apart; a tap with lo ≥ hi moves nothing. Each of the
+// Rows rows moves hi − lo elements as copyRowsAVX2 and addRowsAVX2 do:
+// image into patch, or with add, patch added onto image (the image's
+// element the first operand of each add); a width of exactly 8 takes one
+// vector per row with no tail tests. The frame holds the channel count
+// and the image base of the next channel.
+TEXT ·tapsAVX2(SB), NOSPLIT, $16-25
+	MOVQ geo+16(FP), SI
+	XORQ R12, R12 // kx
+
+tap:
+	MOVQ    Taps_Pad(SI), AX
+	SUBQ    R12, AX
+	XORQ    BX, BX
+	CMPQ    AX, $0
+	CMOVQLT BX, AX // lo
+	MOVQ    Taps_W(SI), BX
+	ADDQ    Taps_Pad(SI), BX
+	SUBQ    R12, BX
+	MOVQ    Taps_OW(SI), DX
+	CMPQ    BX, DX
+	CMOVQGT DX, BX // hi
+	SUBQ    AX, BX
+	JLE     tapNext
+	MOVQ    BX, R9 // width
+	MOVQ    Taps_Plane(SI), R8
+	IMULQ   R12, R8
+	ADDQ    AX, R8
+	MOVQ    patch+0(FP), DI
+	LEAQ    (DI)(R8*4), DI // channel 0's patch row
+	ADDQ    R12, AX
+	SUBQ    Taps_Pad(SI), AX
+	MOVQ    image+8(FP), R10
+	LEAQ    (R10)(AX*4), R10
+	MOVQ    R10, ibase-16(SP) // channel 0's image row
+	MOVQ    R9, R11
+	ANDQ    $-8, R11 // eight-lane part
+	LEAQ    -4(R9), R13 // a four-lane step fits below this
+	SHLQ    $2, DX // patch row stride in bytes
+	MOVQ    Taps_W(SI), BX
+	SHLQ    $2, BX // image row stride in bytes
+	MOVQ    Taps_Channels(SI), AX
+	MOVQ    AX, ch-8(SP)
+
+channel:
+	MOVQ DI, R8
+	MOVQ ibase-16(SP), R10
+	MOVQ Taps_Rows(SI), CX
+	CMPQ R9, $8
+	JNE  anyWidth
+	CMPB add+24(FP), $0
+	JNE  addRow8
+
+copyRow8: // one eight-lane row per step: conv2's taps of the paper CNN
+	VMOVUPS (R10), Y0
+	VMOVUPS Y0, (R8)
+	ADDQ    DX, R8
+	ADDQ    BX, R10
+	DECQ    CX
+	JNE     copyRow8
+	JMP     channelNext
+
+addRow8:
+	VMOVUPS (R10), Y0
+	VADDPS  (R8), Y0, Y0
+	VMOVUPS Y0, (R10)
+	ADDQ    DX, R8
+	ADDQ    BX, R10
+	DECQ    CX
+	JNE     addRow8
+	JMP     channelNext
+
+anyWidth:
+	CMPB add+24(FP), $0
+	JNE  addRow
+
+copyRow:
+	XORQ AX, AX
+	CMPQ AX, R11
+	JGE  copyTail4
+
+copy8:
+	VMOVUPS (R10)(AX*4), Y0
+	VMOVUPS Y0, (R8)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, R11
+	JLT     copy8
+
+copyTail4:
+	CMPQ    AX, R13
+	JGT     copyTail1
+	VMOVUPS (R10)(AX*4), X0
+	VMOVUPS X0, (R8)(AX*4)
+	ADDQ    $4, AX
+
+copyTail1:
+	CMPQ   AX, R9
+	JGE    copyNext
+	VMOVSS (R10)(AX*4), X0
+	VMOVSS X0, (R8)(AX*4)
+	INCQ   AX
+	JMP    copyTail1
+
+copyNext:
+	ADDQ DX, R8
+	ADDQ BX, R10
+	DECQ CX
+	JNE  copyRow
+	JMP  channelNext
+
+addRow:
+	XORQ AX, AX
+	CMPQ AX, R11
+	JGE  addTail4
+
+add8:
+	VMOVUPS (R10)(AX*4), Y0
+	VADDPS  (R8)(AX*4), Y0, Y0
+	VMOVUPS Y0, (R10)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, R11
+	JLT     add8
+
+addTail4:
+	CMPQ    AX, R13
+	JGT     addTail1
+	VMOVUPS (R10)(AX*4), X0
+	VADDPS  (R8)(AX*4), X0, X0
+	VMOVUPS X0, (R10)(AX*4)
+	ADDQ    $4, AX
+
+addTail1:
+	CMPQ   AX, R9
+	JGE    addNext
+	VMOVSS (R10)(AX*4), X0
+	VADDSS (R8)(AX*4), X0, X0
+	VMOVSS X0, (R10)(AX*4)
+	INCQ   AX
+	JMP    addTail1
+
+addNext:
+	ADDQ DX, R8
+	ADDQ BX, R10
+	DECQ CX
+	JNE  addRow
+
+channelNext:
+	MOVQ Taps_PatchStride(SI), AX
+	LEAQ (DI)(AX*4), DI
+	MOVQ Taps_ImageStride(SI), AX
+	MOVQ ibase-16(SP), R10
+	LEAQ (R10)(AX*4), R10
+	MOVQ R10, ibase-16(SP)
+	DECQ ch-8(SP)
+	JNE  channel
+
+tapNext:
+	INCQ R12
+	CMPQ R12, Taps_K(SI)
+	JLT  tap
 	VZEROUPPER
 	RET

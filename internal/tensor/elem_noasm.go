@@ -17,6 +17,8 @@ func widenAVX2(dst *float64, src *float32, n int) { noSIMD() }
 
 func subNarrowedAVX2(dst *float64, p *float32, start *float64, n int) { noSIMD() }
 
+func subWidenAVX2(dst *float64, p, start *float32, n int) { noSIMD() }
+
 func narrowBytesAVX2(dst *byte, src *float64, n int) { noSIMD() }
 
 func widenBytesAVX2(dst *float64, src *byte, n int) { noSIMD() }
@@ -24,6 +26,10 @@ func widenBytesAVX2(dst *float64, src *byte, n int) { noSIMD() }
 func copyRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int) { noSIMD() }
 
 func addRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int) { noSIMD() }
+
+func addBiasAVX2(dst, b *float32, channels, plane int) { noSIMD() }
+
+func tapsAVX2(patch, image *float32, geo *Taps, add bool) { noSIMD() }
 
 func maxPool2x2AVX2(out, in *float32, argmax *int, rows, w, inOff int) { noSIMD() }
 

@@ -362,3 +362,87 @@ func TestMaxPool2x2MatchesPlaneLoop(t *testing.T) {
 		mustPanic(t, "MaxPool2x2 short argmax", func() { MaxPool2x2(make([]float32, 4), make([]float32, 16), 8, make([]int, 3, 8), 0) })
 	})
 }
+
+// TestBiasAddMatchesScalarLoop compares AddBias with its loop written out,
+// at every dispatch level, over planes of 1–40 elements (every eight- and
+// four-lane tail) and biases that include ±0 (skipped, so −0 elements
+// survive), NaN and infinities; the element past the last plane must be
+// left alone.
+func TestBiasAddMatchesScalarLoop(t *testing.T) {
+	forEachLevel(t, func(level string) {
+		r := stats.NewRNG(92)
+		for plane := 1; plane <= 40; plane++ {
+			b := elemInputs32(r, 9)
+			b[0], b[1] = 0, float32(math.Copysign(0, -1))
+			got := elemInputs32(r, len(b)*plane+1)
+			want := append([]float32(nil), got...)
+			for c, v := range b {
+				for i := c * plane; i < (c+1)*plane && v != 0; i++ {
+					want[i] += v
+				}
+			}
+			AddBias(got, b, plane)
+			assertBitsOrNaN32(t, got, want, fmt.Sprintf("%s AddBias plane=%d", level, plane))
+		}
+		mustPanic(t, "AddBias short dst", func() { AddBias(make([]float32, 15), make([]float32, 2), 8) })
+	})
+}
+
+// TestTapKernelsMatchRowLoops compares CopyTaps and AddTaps with the row
+// loops they replace (one CopyRows or AddRows per channel and tap over the
+// columns it reads inside the input, channels and taps ascending), at
+// every dispatch level, over kernel sizes 1–5, padding 0–2, input widths
+// 1–20 and one or three channels whose spans sit gaps apart, so every
+// tail, the eight-wide rows and every tap that reads nothing but padding
+// come up; patch elements no tap writes must keep their values.
+func TestTapKernelsMatchRowLoops(t *testing.T) {
+	forEachLevel(t, func(level string) {
+		r := stats.NewRNG(93)
+		for k := 1; k <= 5; k++ {
+			for pad := 0; pad <= 2; pad++ {
+				for w := 1; w <= 20; w++ {
+					ow := w + 2*pad - k + 1
+					if ow <= 0 {
+						continue
+					}
+					for _, channels := range []int{1, 3} {
+						const rows = 3
+						plane := rows*ow + 2
+						g := Taps{K: k, Pad: pad, W: w, OW: ow, Rows: rows, Plane: plane,
+							Channels: channels, PatchStride: k*plane + 5, ImageStride: rows*w + 3}
+						label := fmt.Sprintf("%s k=%d pad=%d w=%d channels=%d", level, k, pad, w, channels)
+						image := elemInputs32(r, channels*g.ImageStride+1)[1:] // off a vector boundary
+						got := elemInputs32(r, channels*g.PatchStride)
+						want := append([]float32(nil), got...)
+						for kx := 0; kx < k; kx++ {
+							lo, hi := max(0, pad-kx), min(ow, w+pad-kx)
+							for c := 0; c < channels && lo < hi; c++ {
+								CopyRows(want[c*g.PatchStride+kx*plane+lo:], ow, image[c*g.ImageStride+lo+kx-pad:], w, rows, hi-lo)
+							}
+						}
+						CopyTaps(got, image, g)
+						assertBits32(t, got, want, "CopyTaps "+label)
+
+						patch := got
+						gotImg := append([]float32(nil), image...)
+						wantImg := append([]float32(nil), image...)
+						for kx := 0; kx < k; kx++ {
+							lo, hi := max(0, pad-kx), min(ow, w+pad-kx)
+							for c := 0; c < channels && lo < hi; c++ {
+								AddRows(wantImg[c*g.ImageStride+lo+kx-pad:], w, patch[c*g.PatchStride+kx*plane+lo:], ow, rows, hi-lo)
+							}
+						}
+						AddTaps(gotImg, patch, g)
+						assertBitsOrNaN32(t, gotImg, wantImg, "AddTaps "+label)
+					}
+				}
+			}
+		}
+		f := make([]float32, 64)
+		g := Taps{K: 3, W: 4, OW: 4, Rows: 2, Plane: 8, Channels: 1}
+		mustPanic(t, "CopyTaps short patch", func() { CopyTaps(f[:20], f[32:], g) })
+		mustPanic(t, "AddTaps short image", func() { AddTaps(f[:7], f[32:], g) })
+		g.Pad = -1
+		mustPanic(t, "CopyTaps negative padding", func() { CopyTaps(f, f[32:], g) })
+	})
+}

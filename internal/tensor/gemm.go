@@ -14,9 +14,11 @@ import (
 // operands: it walks C in MR×NR tiles and hands each to one micro-kernel
 // that loads the tile into registers, runs the whole reduction as
 // acc = fma(a, b, acc) and stores it once. Every element of C is therefore
-// a single ascending-p FMA chain that starts from C's own value (zero for
-// the overwriting variants) — on every architecture, on interior and edge
-// tiles alike, whatever the worker count. The im2col lowering in
+// a single ascending-p FMA chain that starts from C's own value, or from
+// +0 for the overwriting variants, whose tiles start their accumulators at
+// +0 instead of loading C (the bits a cleared C would give) — on every
+// architecture, on interior and edge tiles alike, whatever the worker
+// count. The im2col lowering in
 // internal/nn funnels all convolution work through this driver, so it is
 // the hot path of every experiment in the repository.
 //
@@ -180,9 +182,10 @@ func runRows(helpers, m int, fn func(i0, i1 int)) {
 	releaseHelpers(helpers)
 }
 
-// gemmOp describes one product C (+)= A′·B′ over strided views, so the four
+// gemmOp describes one product C (+)= A′·B′ over strided views, so the
 // public variants differ only in how they fill it in: C(i,j) sits at
-// c[i*crs+j*ccs], A′(i,p) at a[i*ars+p*aps], B′(p,j) at b[p*brs+j*bcs].
+// c[i*crs+j*ccs], A′(i,p) at a[i*ars+p*aps], B′(p,j) at b[p*brs+j*bcs],
+// and zero makes the product overwrite C instead of adding to it.
 // The micro-kernel wants rows of B′ and of C contiguous; a view that is not
 // (bcs != 1, ccs != 1) goes through a packed panel or the stack tile.
 type gemmOp struct {
@@ -193,6 +196,7 @@ type gemmOp struct {
 	b        []float32
 	brs, bcs int
 	m, k, n  int
+	zero     bool
 }
 
 // gemmWorkspace holds the packed panels of one rows() call: aPanel the
@@ -213,6 +217,13 @@ func growPanel(buf []float32, n int) []float32 {
 // run executes the product, fanning row blocks of C out to helpers when it
 // is large enough to pay for them.
 func (g gemmOp) run() {
+	if g.k == 0 && g.zero {
+		for i := 0; i < g.m; i++ {
+			for j := 0; j < g.n; j++ {
+				g.c[i*g.crs+j*g.ccs] = 0
+			}
+		}
+	}
 	if g.m == 0 || g.k == 0 || g.n == 0 {
 		return
 	}
@@ -246,7 +257,7 @@ func (g *gemmOp) rows(i0, i1 int) {
 		}
 		if nr == gemmNR && g.ccs == 1 {
 			for i := i0; i < iFull; i += gemmMR {
-				gemmTile(g.c[i*g.crs+j:], g.crs, g.a[i*g.ars:], g.ars, g.aps, b, ldb, g.k, gemmNR)
+				gemmTile(g.c[i*g.crs+j:], g.crs, g.a[i*g.ars:], g.ars, g.aps, b, ldb, g.k, gemmNR, g.zero)
 			}
 		} else {
 			for i := i0; i < iFull; i += gemmMR {
@@ -318,22 +329,26 @@ func transposePanel(dst []float32, width int, src []float32, vs, w, k int) {
 // edgeTile runs the micro-kernel on an mr×nr tile of C that cannot be
 // updated in place — a partial tile, or any tile of a transposed C: it is
 // copied into a zero-padded stack tile, updated there and copied back, so
-// every element still is one ascending-p FMA chain from its own value.
+// every element still is one ascending-p FMA chain from its own value. An
+// overwriting product starts from +0, which the stack tile already holds,
+// so it copies nothing in.
 func (g *gemmOp) edgeTile(i, j, mr, nr int, a []float32, ars, aps int, b []float32, ldb int) {
 	var t [gemmMR * gemmNR]float32
 	if g.ccs == 1 {
 		c := g.c[i*g.crs+j:]
-		CopyRows(t[:], gemmNR, c, g.crs, mr, nr)
-		gemmTile(t[:], gemmNR, a, ars, aps, b, ldb, g.k, nr)
+		if !g.zero {
+			CopyRows(t[:], gemmNR, c, g.crs, mr, nr)
+		}
+		gemmTile(t[:], gemmNR, a, ars, aps, b, ldb, g.k, nr, g.zero)
 		CopyRows(c, g.crs, t[:], gemmNR, mr, nr)
 		return
 	}
-	for r := 0; r < mr; r++ {
+	for r := 0; r < mr && !g.zero; r++ {
 		for s := 0; s < nr; s++ {
 			t[r*gemmNR+s] = g.c[(i+r)*g.crs+(j+s)*g.ccs]
 		}
 	}
-	gemmTile(t[:], gemmNR, a, ars, aps, b, ldb, g.k, nr)
+	gemmTile(t[:], gemmNR, a, ars, aps, b, ldb, g.k, nr, g.zero)
 	for r := 0; r < mr; r++ {
 		for s := 0; s < nr; s++ {
 			g.c[(i+r)*g.crs+(j+s)*g.ccs] = t[r*gemmNR+s]
@@ -343,22 +358,23 @@ func (g *gemmOp) edgeTile(i, j, mr, nr int, a []float32, ars, aps int, b []float
 
 // gemmTile is the one micro-kernel contract: for i < MR, j < NR and p
 // ascending in [0,k), c[i*ldc+j] = fma(a[i*ars+p*aps], b[p*ldb+j], c[i*ldc+j]),
-// each fma rounded once to float32. Columns at and past nr may be left
-// alone: they hold padding the caller drops. Every level produces the same
-// bits. k must be > 0.
-func gemmTile(c []float32, ldc int, a []float32, ars, aps int, b []float32, ldb, k, nr int) {
+// each fma rounded once to float32, where with zero the chain starts from
+// +0 instead of c's value. Columns at and past nr may be left alone: they
+// hold padding the caller drops. Every level produces the same bits. k
+// must be > 0.
+func gemmTile(c []float32, ldc int, a []float32, ars, aps int, b []float32, ldb, k, nr int, zero bool) {
 	switch kernelLevel {
 	case levelAVX512:
-		gemmTileAVX512(&c[0], ldc, &a[0], ars, aps, &b[0], ldb, k)
+		gemmTileAVX512(&c[0], ldc, &a[0], ars, aps, &b[0], ldb, k, zero)
 	case levelAVX2:
-		gemmTileAVX2(&c[0], ldc, &a[0], ars, aps, &b[0], ldb, k)
+		gemmTileAVX2(&c[0], ldc, &a[0], ars, aps, &b[0], ldb, k, zero)
 		if nr > gemmHalf {
-			gemmTileAVX2(&c[gemmHalf], ldc, &a[0], ars, aps, &b[gemmHalf], ldb, k)
+			gemmTileAVX2(&c[gemmHalf], ldc, &a[0], ars, aps, &b[gemmHalf], ldb, k, zero)
 		}
 	default:
-		gemmTileGo(c, ldc, a, ars, aps, b, ldb, k)
+		gemmTileGo(c, ldc, a, ars, aps, b, ldb, k, zero)
 		if nr > gemmHalf {
-			gemmTileGo(c[gemmHalf:], ldc, a, ars, aps, b[gemmHalf:], ldb, k)
+			gemmTileGo(c[gemmHalf:], ldc, a, ars, aps, b[gemmHalf:], ldb, k, zero)
 		}
 	}
 }
@@ -367,11 +383,14 @@ func gemmTile(c []float32, ldc int, a []float32, ars, aps int, b []float32, ldb,
 // at a time so its sixteen accumulators stay in registers where the
 // architecture has enough of them; fma32 is the exactly rounded float32
 // fused multiply-add.
-func gemmTileGo(c []float32, ldc int, a []float32, ars, aps int, b []float32, ldb, k int) {
+func gemmTileGo(c []float32, ldc int, a []float32, ars, aps int, b []float32, ldb, k int, zero bool) {
 	for i := 0; i < gemmMR; i++ {
 		ci := c[i*ldc : i*ldc+gemmHalf : i*ldc+gemmHalf]
-		c0, c1, c2, c3, c4, c5, c6, c7 := ci[0], ci[1], ci[2], ci[3], ci[4], ci[5], ci[6], ci[7]
-		c8, c9, c10, c11, c12, c13, c14, c15 := ci[8], ci[9], ci[10], ci[11], ci[12], ci[13], ci[14], ci[15]
+		var c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15 float32
+		if !zero {
+			c0, c1, c2, c3, c4, c5, c6, c7 = ci[0], ci[1], ci[2], ci[3], ci[4], ci[5], ci[6], ci[7]
+			c8, c9, c10, c11, c12, c13, c14, c15 = ci[8], ci[9], ci[10], ci[11], ci[12], ci[13], ci[14], ci[15]
+		}
 		for p := 0; p < k; p++ {
 			av := a[i*ars+p*aps]
 			bp := b[p*ldb : p*ldb+gemmHalf : p*ldb+gemmHalf]
@@ -407,8 +426,7 @@ func MatMulInto(c, a, b *Tensor) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic("tensor: MatMulInto output shape mismatch")
 	}
-	c.Zero()
-	gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: k, aps: 1, b: b.Data, brs: n, bcs: 1, m: m, k: k, n: n}.run()
+	gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: k, aps: 1, b: b.Data, brs: n, bcs: 1, m: m, k: k, n: n, zero: true}.run()
 }
 
 // MatMulTransposeB computes c = a @ bᵀ where a is (m×k) and b is (n×k),
@@ -442,14 +460,11 @@ func matMulTransposeB(c, a, b *Tensor, add bool) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic("tensor: MatMulTransposeB output shape mismatch")
 	}
-	if !add {
-		c.Zero()
-	}
 	if gemmTiles(m, n) <= gemmTiles(n, m) {
-		gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: k, aps: 1, b: b.Data, brs: 1, bcs: k, m: m, k: k, n: n}.run()
+		gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: k, aps: 1, b: b.Data, brs: 1, bcs: k, m: m, k: k, n: n, zero: !add}.run()
 		return
 	}
-	gemmOp{c: c.Data, crs: 1, ccs: n, a: b.Data, ars: k, aps: 1, b: a.Data, brs: 1, bcs: k, m: n, k: k, n: m}.run()
+	gemmOp{c: c.Data, crs: 1, ccs: n, a: b.Data, ars: k, aps: 1, b: a.Data, brs: 1, bcs: k, m: n, k: k, n: m, zero: !add}.run()
 }
 
 // gemmTiles is the number of register tiles an m×n product walks.
@@ -458,9 +473,19 @@ func gemmTiles(m, n int) int {
 }
 
 // MatMulTransposeA computes c += aᵀ @ b where a is (k×m) and b is (k×n),
-// accumulating into the existing (m×n) tensor c (callers zero it if needed;
-// accumulation is what weight-gradient computation wants across batches).
+// accumulating into the existing (m×n) tensor c: what weight-gradient
+// computation wants across batches.
 func MatMulTransposeA(c, a, b *Tensor) {
+	matMulTransposeA(c, a, b, false)
+}
+
+// MatMulTransposeAInto computes c = aᵀ @ b where a is (k×m) and b is
+// (k×n), overwriting the existing (m×n) tensor c.
+func MatMulTransposeAInto(c, a, b *Tensor) {
+	matMulTransposeA(c, a, b, true)
+}
+
+func matMulTransposeA(c, a, b *Tensor, zero bool) {
 	if a.Rank() != 2 || b.Rank() != 2 || b.Dim(0) != a.Dim(0) {
 		panic(fmt.Sprintf("tensor: MatMulTransposeA shape mismatch %v x %v", a.shape, b.shape))
 	}
@@ -468,5 +493,5 @@ func MatMulTransposeA(c, a, b *Tensor) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic("tensor: MatMulTransposeA output shape mismatch")
 	}
-	gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: 1, aps: m, b: b.Data, brs: n, bcs: 1, m: m, k: k, n: n}.run()
+	gemmOp{c: c.Data, crs: n, ccs: 1, a: a.Data, ars: 1, aps: m, b: b.Data, brs: n, bcs: 1, m: m, k: k, n: n, zero: zero}.run()
 }

@@ -6,15 +6,17 @@ package tensor
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// gemmTileAVX2 is one 4×16 half of the tile in eight YMM accumulators.
+// gemmTileAVX2 is one 4×16 half of the tile in eight YMM accumulators,
+// started from +0 with zero and loaded from c otherwise.
 //
 //go:noescape
-func gemmTileAVX2(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int)
+func gemmTileAVX2(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int, zero bool)
 
-// gemmTileAVX512 is the whole 4×32 tile in eight ZMM accumulators.
+// gemmTileAVX512 is the whole 4×32 tile in eight ZMM accumulators, started
+// as gemmTileAVX2's.
 //
 //go:noescape
-func gemmTileAVX512(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int)
+func gemmTileAVX512(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int, zero bool)
 
 // transposeAVX2 writes dst[p*width+s] = src[s*vs+p] for s < w8, p < k8,
 // eight by eight; w8 and k8 are positive multiples of 8.

@@ -27,15 +27,16 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemmTileAVX2(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int)
+// func gemmTileAVX2(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int, zero bool)
 //
 // One 4×16 half of the tile: for i in [0,4), j in [0,16), p ascending in [0,k)
 //	c[i*ldc+j] = fma(a[i*ars+p*aps], b[p*ldb+j], c[i*ldc+j])
-// The tile of C is loaded into Y0..Y7 once, the whole reduction runs
+// The tile of C is loaded into Y0..Y7 once (or, with zero, Y0..Y7 start
+// at +0 and C is not read), the whole reduction runs
 // register-to-register (two loads of B and four broadcasts of A′ feed
 // eight FMAs of eight lanes each per step), and it is stored once. Strides
 // are in elements. k must be > 0. BP is not touched.
-TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-64
+TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-65
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), DX
 	MOVQ a+16(FP), SI
@@ -51,6 +52,8 @@ TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-64
 	LEAQ (DX)(DX*2), R12 // 3·ldc
 	LEAQ (R8)(R8*2), R11 // 3·ars
 
+	CMPB    zero+64(FP), $0
+	JNE     zeroed
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
 	VMOVUPS (DI)(DX*1), Y2
@@ -59,6 +62,17 @@ TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-64
 	VMOVUPS 32(DI)(DX*2), Y5
 	VMOVUPS (DI)(R12*1), Y6
 	VMOVUPS 32(DI)(R12*1), Y7
+	JMP     loop
+
+zeroed:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 
 loop:
 	VMOVUPS (BX), Y8
@@ -91,14 +105,14 @@ loop:
 	VZEROUPPER
 	RET
 
-// func gemmTileAVX512(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int)
+// func gemmTileAVX512(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int, zero bool)
 //
 // The 4×32 register tile: for i in [0,4), j in [0,32), p ascending in [0,k)
 //	c[i*ldc+j] = fma(a[i*ars+p*aps], b[p*ldb+j], c[i*ldc+j])
 // gemmTileAVX2's register plan with sixteen lanes per vector: the tile
-// of C lives in Z0..Z7, two loads of B and four broadcasts of A′ feed
+// of C lives in Z0..Z7 (+0 with zero), two loads of B and four broadcasts of A′ feed
 // eight FMAs per step. k must be > 0.
-TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-64
+TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-65
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), DX
 	MOVQ a+16(FP), SI
@@ -114,6 +128,8 @@ TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-64
 	LEAQ (DX)(DX*2), R12 // 3·ldc
 	LEAQ (R8)(R8*2), R11 // 3·ars
 
+	CMPB    zero+64(FP), $0
+	JNE     zeroed
 	VMOVUPS (DI), Z0
 	VMOVUPS 64(DI), Z1
 	VMOVUPS (DI)(DX*1), Z2
@@ -122,6 +138,17 @@ TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-64
 	VMOVUPS 64(DI)(DX*2), Z5
 	VMOVUPS (DI)(R12*1), Z6
 	VMOVUPS 64(DI)(R12*1), Z7
+	JMP     loop
+
+zeroed:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
 
 loop:
 	VMOVUPS      (BX), Z8

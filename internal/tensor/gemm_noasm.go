@@ -7,8 +7,12 @@ package tensor
 
 func detectLevel() int { return levelPortable }
 
-func gemmTileAVX2(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int) { noSIMD() }
+func gemmTileAVX2(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int, zero bool) {
+	noSIMD()
+}
 
-func gemmTileAVX512(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int) { noSIMD() }
+func gemmTileAVX512(c *float32, ldc int, a *float32, ars, aps int, b *float32, ldb, k int, zero bool) {
+	noSIMD()
+}
 
 func transposeAVX2(dst *float32, width int, src *float32, vs, w8, k8 int) { noSIMD() }

@@ -120,6 +120,11 @@ func TestMatMulMatchesNaive(t *testing.T) {
 			naiveMatMulTransposeB(want, a, bt)
 			assertTensorsClose(t, got, want, tol, label+"-MatMulTransposeB")
 
+			got, want = clone(base), New(s.m, s.n)
+			MatMulTransposeAInto(got, at, b)
+			fmaChain(want.Data, s.m, s.k, s.n, at.Data, 1, s.m, b.Data, s.n, 1)
+			assertTensorsBitEqual(t, got, want, label+"-MatMulTransposeAInto")
+
 			got, want = clone(base), clone(base)
 			MatMulTransposeBAdd(got, a, bt)
 			naiveMatMulTransposeBAdd(want, a, bt)
@@ -193,6 +198,11 @@ func TestMatMulIsAscendingFMAChain(t *testing.T) {
 			MatMulTransposeA(got, at, b)
 			fmaChain(want.Data, s.m, s.k, s.n, at.Data, 1, s.m, b.Data, s.n, 1)
 			assertTensorsBitEqual(t, got, want, label+"-MatMulTransposeA")
+
+			got, want = clone(base), New(s.m, s.n)
+			MatMulTransposeAInto(got, at, b)
+			fmaChain(want.Data, s.m, s.k, s.n, at.Data, 1, s.m, b.Data, s.n, 1)
+			assertTensorsBitEqual(t, got, want, label+"-MatMulTransposeAInto")
 
 			got, want = clone(base), clone(base)
 			MatMulTransposeBAdd(got, a, bt)
@@ -448,11 +458,41 @@ func TestFMA32IsExactlyRounded(t *testing.T) {
 		for n := range tiles {
 			tl := &tiles[n]
 			got := tl.c
-			gemmTile(got[:], gemmNR, tl.a[:], 1, 1, tl.b[:], gemmNR, 1, gemmNR)
+			gemmTile(got[:], gemmNR, tl.a[:], 1, 1, tl.b[:], gemmNR, 1, gemmNR, false)
 			for e := range got {
 				if math.Float32bits(got[e]) != math.Float32bits(tl.want[e]) {
 					t.Fatalf("%s tile fma(%g, %g, %g) = %x, exact %x", level, tl.a[e/gemmNR], tl.b[e%gemmNR], tl.c[e],
 						math.Float32bits(got[e]), math.Float32bits(tl.want[e]))
+				}
+			}
+		}
+	})
+}
+
+// TestZeroStartTileMatchesLoadedTile holds the tile's zero-start entry to
+// its load-C twin at every level: started from +0 over a C full of other
+// values (NaN, −0, infinities among them), it must leave the bits the
+// loading tile leaves on a C cleared to +0, for both halves and reduction
+// lengths 1 to 9.
+func TestZeroStartTileMatchesLoadedTile(t *testing.T) {
+	forEachLevel(t, func(level string) {
+		r := stats.NewRNG(47)
+		for k := 1; k <= 9; k++ {
+			for _, nr := range []int{gemmHalf, gemmNR} {
+				a, b := matrix(r, gemmMR, k), matrix(r, k, gemmNR)
+				a.Data[0], b.Data[1] = float32(math.Inf(1)), float32(math.Copysign(0, -1))
+				want := make([]float32, gemmMR*gemmNR)
+				gemmTile(want, gemmNR, a.Data, k, 1, b.Data, gemmNR, k, nr, false)
+				got := matrix(r, gemmMR, gemmNR).Data
+				got[0], got[1], got[2] = float32(math.NaN()), float32(math.Copysign(0, -1)), float32(math.Inf(-1))
+				gemmTile(got, gemmNR, a.Data, k, 1, b.Data, gemmNR, k, nr, true)
+				for i := 0; i < gemmMR; i++ {
+					for j := 0; j < nr; j++ {
+						if e := i*gemmNR + j; math.Float32bits(got[e]) != math.Float32bits(want[e]) {
+							t.Fatalf("%s k=%d nr=%d (%d,%d): zero-start %x, loaded +0 %x", level, k, nr, i, j,
+								math.Float32bits(got[e]), math.Float32bits(want[e]))
+						}
+					}
 				}
 			}
 		}

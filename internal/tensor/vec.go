@@ -69,14 +69,25 @@ func CosineSimilarity(a, b []float64) float64 {
 		}
 		panic("tensor: CosineSimilarity length mismatch")
 	}
-	b = b[:len(a)]
-	aa, bb, ab := 0.0, 0.0, 0.0
-	for i, x := range a {
-		y := b[i]
-		aa += x * x
-		bb += y * y
-		ab += x * y
+	return cosine(SupportSums(a, nil, b))
+}
+
+// CosineSimilarityAt is CosineSimilarity(a, b) for the b given by its
+// support: vals[j] at coordinate idx[j] (strictly ascending, each below
+// len(a)) and +0 at every other of len(a) coordinates; a nil idx means b is
+// vals itself. b is read off the support without being built
+// (SupportSums), and the result has CosineSimilarity's bits on the
+// scattered b whatever a holds, infinities and NaN off the support
+// included.
+func CosineSimilarityAt(a []float64, idx []int32, vals []float64) float64 {
+	if idx == nil {
+		return CosineSimilarity(a, vals)
 	}
+	return cosine(SupportSums(a, idx, vals))
+}
+
+// cosine finishes CosineSimilarity from its three sums.
+func cosine(aa, bb, ab float64) float64 {
 	na, nb := math.Sqrt(aa), math.Sqrt(bb)
 	if na == 0 || nb == 0 {
 		return 0
@@ -89,6 +100,90 @@ func CosineSimilarity(a, b []float64) float64 {
 		c = -1
 	}
 	return c
+}
+
+// SupportSums returns Σ a[i]², Σ b[i]² and Σ a[i]·b[i] over the
+// len(a) coordinates of a and of the b CosineSimilarityAt reads from idx
+// and vals, each sum in index order with CosineSimilarity's expressions.
+// Off the support b[i] is +0: its square adds +0, which leaves a sum of
+// squares (never −0) as it is, and a finite a[i] times it adds ±0, which
+// leaves a dot product that starts at +0 (never −0) as it is. So when Σ
+// a[i]² is finite, the support alone gives the last two sums; otherwise
+// every coordinate is visited, so that an infinite or NaN a[i] times +0
+// makes the NaN the dense sums make, where they make it.
+func SupportSums(a []float64, idx []int32, vals []float64) (aa, bb, ab float64) {
+	if idx == nil {
+		b := vals[:len(a)]
+		for i, x := range a {
+			y := b[i]
+			aa += x * x
+			bb += y * y
+			ab += x * y
+		}
+		return aa, bb, ab
+	}
+	// The support's two sums run beside Σ a[i]² (their chains are
+	// independent, and there are never more of them than coordinates),
+	// and are taken again below when it ends up infinite or NaN.
+	vals = vals[:len(idx)]
+	for k, x := range a {
+		aa += x * x
+		if k < len(idx) {
+			y := vals[k]
+			bb += y * y
+			ab += a[idx[k]] * y
+		}
+	}
+	if aa-aa == 0 {
+		return aa, bb, ab
+	}
+	bb, ab = 0, 0
+	at := 0
+	var zero float64
+	for j, i := range idx {
+		for _, x := range a[at:i] {
+			bb += zero * zero
+			ab += x * zero
+		}
+		x, y := a[i], vals[j]
+		bb += y * y
+		ab += x * y
+		at = int(i) + 1
+	}
+	for _, x := range a[at:] {
+		bb += zero * zero
+		ab += x * zero
+	}
+	return aa, bb, ab
+}
+
+// ScaledDistanceAt returns Σ (a[i]·sa − b[i]·sb)², each product rounded
+// before the subtraction, in index order over every coordinate of a and of
+// the b CosineSimilarityAt reads from idx and vals (+0 off the support).
+func ScaledDistanceAt(a []float64, idx []int32, vals []float64, sa, sb float64) float64 {
+	sum, at := 0.0, 0
+	var zero float64
+	for j, i := range idx {
+		for _, x := range a[at:i] {
+			d := float64(x*sa) - float64(zero*sb)
+			sum += d * d
+		}
+		d := float64(a[i]*sa) - float64(vals[j]*sb)
+		sum += d * d
+		at = int(i) + 1
+	}
+	if idx == nil {
+		for i, x := range a {
+			d := float64(x*sa) - float64(vals[i]*sb)
+			sum += d * d
+		}
+		return sum
+	}
+	for _, x := range a[at:] {
+		d := float64(x*sa) - float64(zero*sb)
+		sum += d * d
+	}
+	return sum
 }
 
 // Axpy computes y += alpha*x in place.

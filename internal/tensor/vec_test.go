@@ -141,3 +141,55 @@ func BenchmarkCosineSimilarity(b *testing.B) {
 		})
 	}
 }
+
+// TestCosineSimilarityAtMatchesScattered: the cosine against a b given by
+// its support equals CosineSimilarity on the scattered b bit for bit —
+// for an empty support, one coordinate, every coordinate, the first and
+// the last, values at the support that an exact score must keep (−0,
+// NaN payloads, ±Inf, subnormals), and a holding ±Inf and NaN off the
+// support, where x·(+0) is NaN and the dense sums would show it.
+func TestCosineSimilarityAtMatchesScattered(t *testing.T) {
+	r := stats.NewRNG(17)
+	const n = 1000
+	odd := []float64{math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000abc), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -1e-310, 1e300}
+	supports := map[string][]int32{"empty": {}, "one": {417}, "ends": {0, n - 1}, "every": nil, "scattered": nil}
+	for i := int32(0); i < n; i++ {
+		supports["every"] = append(supports["every"], i)
+		if i%7 == 3 {
+			supports["scattered"] = append(supports["scattered"], i)
+		}
+	}
+	for _, offSupport := range []float64{1, math.Inf(1), math.Inf(-1), math.Float64frombits(0xfff4000012345678)} {
+		for name, idx := range supports {
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = r.Norm()
+			}
+			a[500] = offSupport // off every support but "every"
+			vals := make([]float64, len(idx))
+			b := make([]float64, n)
+			for j, i := range idx {
+				vals[j] = r.Norm()
+				if j < len(odd) && name == "scattered" {
+					vals[j] = odd[j]
+				}
+				b[i] = vals[j]
+			}
+			got, want := CosineSimilarityAt(a, idx, vals), CosineSimilarity(a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s, a[500] = %v: support form %v (%x), scattered %v (%x)", name, offSupport,
+					got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			aa, bb, ab := SupportSums(a, idx, vals)
+			da, db, dab := SupportSums(a, nil, b)
+			sd, dd := ScaledDistanceAt(a, idx, vals, 0.3, 1.7), ScaledDistanceAt(a, nil, b, 0.3, 1.7)
+			for k, p := range [][2]float64{{aa, da}, {bb, db}, {ab, dab}, {sd, dd}} {
+				if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+					t.Fatalf("%s, a[500] = %v: sum %d: support form %x, scattered %x", name, offSupport, k,
+						math.Float64bits(p[0]), math.Float64bits(p[1]))
+				}
+			}
+		}
+	}
+}

@@ -127,7 +127,8 @@ chaos:
 # Short fuzzing smoke over the attack surfaces: corrupted/truncated wire
 # streams, envelope payloads and snapshot files must error, never
 # panic, an accepted sparse frame or envelope must survive a re-encode bit
-# for bit,
+# for bit, a coded section read piece by piece (FuzzReadSupport) must be
+# the one the whole-frame decoder reads,
 # the top-k select must emit what a sort would for any bit pattern, and
 # the sharded streaming aggregator must agree with the reference fold
 # under adversarial updates. CI-friendly 10s budgets;
@@ -136,6 +137,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/rpc/
 	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime 10s ./internal/rpc/
 	$(GO) test -run xxx -fuzz FuzzSparseBinary -fuzztime 10s ./internal/compress/
+	$(GO) test -run xxx -fuzz FuzzReadSupport -fuzztime 10s ./internal/compress/
 	$(GO) test -run xxx -fuzz FuzzSelectTopK -fuzztime 10s ./internal/compress/
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run xxx -fuzz FuzzShardMerge -fuzztime 10s ./internal/shard/

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"unsafe"
 
 	"adafl/internal/tensor"
 )
 
-// Binary wire layout for a Sparse message (all integers little-endian):
+// Binary wire layout for a Sparse message (all integers little-endian,
+// bit streams least significant bit first; entropy.go has the coders):
 //
 //	u32 dim
 //	u32 nnz
@@ -18,28 +20,39 @@ import (
 //	                 and the index run is omitted
 //	                 bit1: quantized — a u32 level count and f64 norm
 //	                 follow, and values travel bit-packed
-//	                 bit2: ascending — indices are strictly ascending and
-//	                 travel as a delta-varint run
+//	                 bit2: ascending — indices are strictly ascending,
+//	                 below dim, and travel as a Rice run
 //	                 bit3: f32 — every value is exactly a float32 and
-//	                 travels as one
+//	                 travels as four byte planes
 //	[u32 levels]     quantizer level count s (quantized only)
 //	[f64 norm]       quantizer scale scalar (quantized only)
-//	indices          nothing (dense), uvarint(first) then uvarint(gap-1)
-//	                 per index (ascending), or nnz × u32
+//	[u8 k]           the Rice parameter, at most 31 (ascending only)
+//	[u8 modes        the planes' codings, two bits each from plane 0 in
+//	                 the low bits: 0 raw, 1 Huffman (f32 only)
+//	 per Huffman plane, in plane order:
+//	   table         code lengths, a nibble per symbol (codeList.appendTable)
+//	   uvarint len   the plane's stream bytes]
+//	indices          nothing (dense), the Rice run of the gaps, zero-padded
+//	                 to a byte (ascending), or nnz × u32
 //	values           ⌈nnz·bits/8⌉ packed sign+level integers (quantized;
-//	                 bits = QuantBitsFor(levels)), nnz × f32, or nnz × f64
+//	                 bits = QuantBitsFor(levels)), planes 0..3 of the
+//	                 values' float32 bits (f32: nnz bytes each raw, len
+//	                 bytes each coded), or nnz × f64
 //
 // The encoder picks the layout from what the message holds, so the wire
 // is a lossless transport for any Sparse: decode(encode(s)) equals s bit
 // for bit. Ascending is taken when the indices are strictly ascending
-// (every SelectTopK* output) and the varint run is shorter than nnz × u32;
-// f32 when float64(float32(v)) is v, bitwise, for every value — which
-// holds for the output of Identity, TopK and DGC, the codecs that round
-// what they transmit to the paper's 4-byte parameters (roundToFloat32). A
-// message from anywhere else (full-mantissa values, unsorted or repeated
-// indices) takes neither bit and travels as u32 + f64, so
-// SparseBinarySize stays an upper bound. Dense excludes ascending and
-// quantized excludes f32; a decoder rejects those pairs and unknown bits.
+// within [0, dim) (every SelectTopK* output) and the Rice run and its
+// parameter byte are shorter than nnz × u32; f32 when float64(float32(v))
+// is v, bitwise, for every value — which holds for the output of
+// Identity, TopK and DGC, the codecs that round what they transmit to the
+// paper's 4-byte parameters (roundToFloat32) — and each plane is coded
+// when the section holds planeCodeMin values or more and the plane's
+// table, length and stream are shorter than nnz bytes. A message
+// from anywhere else (full-mantissa values, unsorted or repeated indices)
+// takes neither bit and travels as u32 + f64, so SparseBinarySize stays
+// an upper bound. Dense excludes ascending and quantized excludes f32; a
+// decoder rejects those pairs and unknown bits.
 //
 // Precision is therefore the codecs' decision, not the wire's: gob,
 // binary and in-process sessions all carry the values the codec produced
@@ -54,8 +67,8 @@ import (
 const (
 	sparseFlagDense     = 1 << iota // index run omitted
 	sparseFlagQuant                 // levels + norm header, bit-packed values
-	sparseFlagAscending             // delta-varint index run
-	sparseFlagF32                   // 4-byte values
+	sparseFlagAscending             // Rice-coded index run
+	sparseFlagF32                   // float32 values as byte planes
 	sparseFlagsKnown    = sparseFlagDense | sparseFlagQuant | sparseFlagAscending | sparseFlagF32
 )
 
@@ -128,145 +141,232 @@ func isFloat32(v float64) bool {
 	return math.Float64bits(float64(float32(v))) == math.Float64bits(v)
 }
 
-// uvarintLen is the encoded length of x as a uvarint.
-func uvarintLen(x uint32) int {
-	switch {
-	case x < 1<<7:
-		return 1
-	case x < 1<<14:
-		return 2
-	case x < 1<<21:
-		return 3
-	case x < 1<<28:
-		return 4
-	}
-	return 5
-}
-
-// sparseLayout is the layout decision of one frame: the sflags the message
-// qualifies for and the section size that follows from them. It costs one
-// scan of the indices and one of the values, each ending at the first
-// element that rules its compact form out, so a sender decides once per
-// frame and hands the result to the encoder.
+// sparseLayout is the layout decision of one section: the sflags the
+// message qualifies for, the section size that follows from them, and the
+// entropy coders' parameters. It costs one scan of the indices and one of
+// the values, each ending at the first element that rules its compact form
+// out, so a sender decides once per frame and hands the result to the
+// encoder.
 type sparseLayout struct {
-	flags byte
-	size  int
+	flags  byte
+	size   int
+	levels int           // quantized: the level count
+	norm   float64       // quantized: the scale scalar
+	k      uint          // ascending: the Rice parameter
+	planes *[4]planeCode // f32: the byte planes' codings
 }
 
-func (s *Sparse) layout() sparseLayout {
-	lay := sparseLayout{size: sparseBinaryHeader}
+// planePool holds the plane codings of the messages being laid out: 6 KB
+// that a message of f64 values never touches and an f32 one borrows.
+var planePool = sync.Pool{New: func() any { return new([4]planeCode) }}
 
-	ascending, run, prev := true, 0, int32(-1)
-	for _, idx := range s.Indices {
-		if idx <= prev {
-			ascending = false
-			break
+// release returns the plane codings lay borrowed.
+func (lay *sparseLayout) release() {
+	if lay.planes != nil {
+		planePool.Put(lay.planes)
+		lay.planes = nil
+	}
+}
+
+// source is a section's coordinates as the encoder's passes read them:
+// a Sparse's indices and values, or a vector (vals) of which the section
+// carries every coordinate or, with support set, those whose bits are not
+// +0, compacted a block at a time into support.
+type source struct {
+	idx     []int32
+	vals    []float64
+	support *supportBlocks
+}
+
+// supportBlock is how many coordinates of a vector runs compacts at a time.
+const supportBlock = 256
+
+// supportBlocks holds one compacted block of a vector's support.
+type supportBlocks struct {
+	idx  [supportBlock]int32
+	vals [supportBlock]float64
+}
+
+// runs calls fn with the source's coordinates and their values, in order,
+// a run at a time.
+func (src *source) runs(fn func(idx []int32, vals []float64)) {
+	if src.support == nil {
+		fn(src.idx, src.vals)
+		return
+	}
+	ib, vb := &src.support.idx, &src.support.vals
+	for off := 0; off < len(src.vals); off += supportBlock {
+		n := 0
+		for i, x := range src.vals[off:min(off+supportBlock, len(src.vals))] {
+			// Every coordinate is written, and n moves past it only when
+			// its bits are not +0: no branch for a support that is random.
+			b := math.Float64bits(x)
+			ib[n], vb[n] = int32(off+i), x
+			n += int((b | -b) >> 63)
 		}
-		run += uvarintLen(uint32(idx) - uint32(prev) - 1)
-		prev = idx
+		if n > 0 {
+			fn(ib[:n], vb[:n])
+		}
 	}
-	n := len(s.Indices)
-	switch {
-	case ascending && n == s.Dim && (n == 0 || int(prev) == n-1):
-		// n strictly ascending indices from >= 0 ending at n-1 are 0..n-1,
-		// the shape NewSparseDense produces.
-		lay.flags |= sparseFlagDense
-	case ascending && run < 4*n:
-		lay.flags |= sparseFlagAscending
-		lay.size += run
-	default:
-		lay.size += 4 * n
-	}
+}
 
+// layout plans s into lay, which must be released after use.
+func (s *Sparse) layout(lay *sparseLayout) {
+	src := source{idx: s.Indices, vals: s.Values}
+	lay.flags, lay.size, lay.k = 0, sparseBinaryHeader, 0
+	last := int64(-1)
+	if n := len(s.Indices); n > 0 {
+		last = int64(s.Indices[n-1])
+	}
+	lay.planIndices(&src, len(s.Indices), s.Dim, last)
 	if s.quantized() {
 		lay.flags |= sparseFlagQuant
+		lay.levels, lay.norm = s.QuantLevels, s.QuantNorm
 		lay.size += sparseQuantHeader + (len(s.Values)*QuantBitsFor(s.QuantLevels)+7)/8
-		return lay
+		return
 	}
-	f32 := len(s.Values) > 0
-	for _, v := range s.Values {
-		if !isFloat32(v) {
-			f32 = false
-			break
+	lay.planValues(&src, len(s.Values))
+}
+
+// planIndices lays out the n indices of src, the last of them last, of a
+// message of dimension dim: dense when they are 0..dim-1, ascending when
+// the Rice run is shorter than the raw one, raw otherwise.
+func (lay *sparseLayout) planIndices(src *source, n, dim int, last int64) {
+	if n == dim && identity(src.idx) {
+		lay.flags |= sparseFlagDense
+		return
+	}
+	if k, run, ok := riceSize(src, n, dim, last); ok && 1+run < 4*n {
+		lay.flags |= sparseFlagAscending
+		lay.k = k
+		lay.size += 1 + run
+		return
+	}
+	lay.size += 4 * n
+}
+
+// identity reports whether idx is 0, 1, …, len(idx)-1.
+func identity(idx []int32) bool {
+	for i, x := range idx {
+		if x != int32(i) {
+			return false
 		}
 	}
-	if f32 {
-		lay.flags |= sparseFlagF32
-		lay.size += 4 * len(s.Values)
-	} else {
-		lay.size += 8 * len(s.Values)
+	return true
+}
+
+// planValues lays out the n values of src: as byte planes when every one
+// is exactly a float32, as f64 otherwise.
+func (lay *sparseLayout) planValues(src *source, n int) {
+	if n == 0 || src.support == nil && !isFloat32(src.vals[0]) {
+		lay.size += 8 * n // the common f64 message fails at once
+		return
 	}
-	return lay
+	var h [4][256]uint32
+	f32 := true
+	src.runs(func(_ []int32, vals []float64) {
+		if n < planeCodeMin { // raw planes: no counts needed
+			for _, v := range vals {
+				f32 = f32 && isFloat32(v)
+			}
+			return
+		}
+		f32 = f32 && planeHist(&h, vals)
+	})
+	if !f32 {
+		lay.size += 8 * n
+		return
+	}
+	if lay.planes == nil {
+		lay.planes = planePool.Get().(*[4]planeCode)
+	}
+	lay.flags |= sparseFlagF32
+	lay.size += planPlanes(lay.planes, &h, n)
 }
 
 // BinaryWireSize returns the exact encoded size of AppendBinary's output.
-func (s *Sparse) BinaryWireSize() int { return s.layout().size }
+func (s *Sparse) BinaryWireSize() int {
+	var lay sparseLayout
+	s.layout(&lay)
+	lay.release()
+	return lay.size
+}
 
 // sparseSink is the encoder's output: bytes collect in buf and drain to w
 // whenever buf fills. With a nil w nothing drains, and buf must hold the
-// whole section plus the varint run's look-ahead (AppendBinary).
+// whole section plus the bit writer's look-ahead (AppendBinary). The first
+// write error sticks; later bytes are dropped.
 type sparseSink struct {
 	w   io.Writer
 	buf []byte
 	n   int // bytes of buf filled
+	err error
 }
 
 // free returns the unfilled tail of buf, at least need bytes long,
 // draining buf first when it is shorter.
-func (k *sparseSink) free(need int) ([]byte, error) {
+func (k *sparseSink) free(need int) []byte {
 	if len(k.buf)-k.n < need {
-		if err := k.flush(); err != nil {
-			return nil, err
-		}
+		k.flush()
 	}
-	return k.buf[k.n:], nil
+	return k.buf[k.n:]
 }
 
-func (k *sparseSink) flush() error {
+func (k *sparseSink) flush() {
 	if k.w == nil || k.n == 0 {
-		return nil
+		return
 	}
-	_, err := k.w.Write(k.buf[:k.n])
+	if k.err == nil {
+		_, k.err = k.w.Write(k.buf[:k.n])
+	}
 	k.n = 0
-	return err
 }
 
 // putByte appends one byte.
-func (k *sparseSink) putByte(c byte) error {
-	b, err := k.free(1)
-	if err != nil {
-		return err
-	}
-	b[0] = c
+func (k *sparseSink) putByte(c byte) {
+	k.free(1)[0] = c
 	k.n++
-	return nil
+}
+
+// putBytes appends b.
+func (k *sparseSink) putBytes(b []byte) {
+	k.putRun(len(b), 1, func(dst []byte, lo, hi int) []byte { return append(dst, b[lo:hi]...) })
 }
 
 // putRun appends a run of n elements of at most width bytes each, a
 // buf-full at a time: put appends elements [lo, hi) to b, which has room.
-func (k *sparseSink) putRun(n, width int, put func(b []byte, lo, hi int) []byte) error {
+func (k *sparseSink) putRun(n, width int, put func(b []byte, lo, hi int) []byte) {
 	for lo := 0; lo < n; {
-		b, err := k.free(width)
-		if err != nil {
-			return err
-		}
+		b := k.free(width)
 		hi := lo + min(n-lo, len(b)/width)
 		k.n += len(put(b[:0], lo, hi))
 		lo = hi
 	}
-	return nil
 }
+
+// sinkSlack is the room past a section's end that AppendBinary leaves the
+// encoder: a bit writer stores whole words, of which only the bytes it
+// has filled count.
+const sinkSlack = 8
 
 // AppendBinary appends the binary encoding of s to dst and returns the
 // extended slice. It allocates only when dst lacks capacity.
 func (s *Sparse) AppendBinary(dst []byte) []byte {
-	lay := s.layout()
-	need := lay.size + binary.MaxVarintLen32 // the varint run's look-ahead
-	if cap(dst)-len(dst) < need {
-		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	var lay sparseLayout
+	s.layout(&lay)
+	src := source{idx: s.Indices, vals: s.Values}
+	dst = appendSection(dst, &lay, &src, s.Dim, len(s.Values))
+	lay.release()
+	return dst
+}
+
+// appendSection appends the section src, laid out as lay, to dst.
+func appendSection(dst []byte, lay *sparseLayout, src *source, dim, nnz int) []byte {
+	if cap(dst)-len(dst) < lay.size+sinkSlack {
+		dst = append(make([]byte, 0, len(dst)+lay.size+sinkSlack), dst...)
 	}
 	k := sparseSink{buf: dst[len(dst):cap(dst)]}
-	_ = s.encode(lay, &k) // a nil writer cannot fail
+	encodeSection(&k, lay, src, dim, nnz)
 	return dst[:len(dst)+k.n]
 }
 
@@ -282,132 +382,325 @@ func (s *Sparse) EncodeBinaryTo(w io.Writer, chunk []byte, begin func(size int) 
 	if len(chunk) < 16 {
 		return fmt.Errorf("compress: EncodeBinaryTo scratch of %d bytes, need >= 16", len(chunk))
 	}
-	lay := s.layout()
+	var lay sparseLayout
+	s.layout(&lay)
+	defer lay.release()
 	if begin != nil {
 		if err := begin(lay.size); err != nil {
 			return err
 		}
 	}
-	return s.encode(lay, &sparseSink{w: w, buf: chunk})
+	src := source{idx: s.Indices, vals: s.Values}
+	k := sparseSink{w: w, buf: chunk}
+	encodeSection(&k, &lay, &src, s.Dim, len(s.Values))
+	return k.err
 }
 
-// encode is the one encoder of the sparse section: it writes s in the
-// layout lay (which must be s.layout()) through k.
-func (s *Sparse) encode(lay sparseLayout, k *sparseSink) error {
-	b, err := k.free(sparseBinaryHeader)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(b[0:], uint32(s.Dim))
-	binary.LittleEndian.PutUint32(b[4:], uint32(len(s.Values)))
-	b[8] = lay.flags
-	k.n += sparseBinaryHeader
+// encodeSection is the one encoder of the sparse section: it writes the
+// nnz coordinates of src, of a dim-coordinate vector, in the layout lay
+// (which planned them) through k, and drains k.
+func encodeSection(k *sparseSink, lay *sparseLayout, src *source, dim, nnz int) {
+	var head [sparseBinaryHeader + sparseQuantHeader + 2]byte
+	b := binary.LittleEndian.AppendUint32(head[:0], uint32(dim))
+	b = binary.LittleEndian.AppendUint32(b, uint32(nnz))
+	b = append(b, lay.flags)
 	if lay.flags&sparseFlagQuant != 0 {
-		if b, err = k.free(sparseQuantHeader); err != nil {
-			return err
+		b = binary.LittleEndian.AppendUint32(b, uint32(lay.levels))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(lay.norm))
+	}
+	if lay.flags&sparseFlagAscending != 0 {
+		b = append(b, byte(lay.k))
+	}
+	if lay.flags&sparseFlagF32 != 0 {
+		var modes byte
+		for p := range lay.planes {
+			if lay.planes[p].coded {
+				modes |= 1 << (2 * p)
+			}
 		}
-		binary.LittleEndian.PutUint32(b[0:], uint32(s.QuantLevels))
-		binary.LittleEndian.PutUint64(b[4:], math.Float64bits(s.QuantNorm))
-		k.n += sparseQuantHeader
+		b = append(b, modes)
+	}
+	k.putBytes(b)
+	if lay.flags&sparseFlagF32 != 0 {
+		for p := range lay.planes {
+			if c := &lay.planes[p]; c.coded {
+				k.putBytes(c.head[:c.headLen])
+			}
+		}
 	}
 
 	switch {
 	case lay.flags&sparseFlagDense != 0:
 	case lay.flags&sparseFlagAscending != 0:
-		prev := int32(-1)
-		err = k.putRun(len(s.Indices), binary.MaxVarintLen32, func(b []byte, lo, hi int) []byte {
-			for _, idx := range s.Indices[lo:hi] {
-				b = binary.AppendUvarint(b, uint64(uint32(idx)-uint32(prev)-1))
-				prev = idx
-			}
-			return b
+		w := bitWriter{k: k}
+		prev := int64(-1)
+		src.runs(func(idx []int32, _ []float64) {
+			prev = riceEncode(&w, idx, prev, lay.k)
 		})
+		w.close()
 	default:
-		err = k.putRun(len(s.Indices), 4, func(b []byte, lo, hi int) []byte {
-			if hostLittleEndian {
-				return b[:copy(b[:4*(hi-lo)], int32Bytes(s.Indices[lo:hi]))]
-			}
-			for _, idx := range s.Indices[lo:hi] {
-				b = binary.LittleEndian.AppendUint32(b, uint32(idx))
-			}
-			return b
+		src.runs(func(idx []int32, _ []float64) {
+			k.putRun(len(idx), 4, func(b []byte, lo, hi int) []byte {
+				if hostLittleEndian {
+					return b[:copy(b[:4*(hi-lo)], int32Bytes(idx[lo:hi]))]
+				}
+				for _, i := range idx[lo:hi] {
+					b = binary.LittleEndian.AppendUint32(b, uint32(i))
+				}
+				return b
+			})
 		})
-	}
-	if err != nil {
-		return err
 	}
 
 	switch {
 	case lay.flags&sparseFlagQuant != 0:
-		bits := uint(QuantBitsFor(s.QuantLevels))
+		bits := uint(QuantBitsFor(lay.levels))
 		var acc uint64
 		var nbits uint
-		for _, v := range s.Values {
-			l, sign := quantLevel(v, s.QuantNorm, s.QuantLevels)
+		for _, v := range src.vals {
+			l, sign := quantLevel(v, lay.norm, lay.levels)
 			acc |= (l | sign<<(bits-1)) << nbits
 			for nbits += bits; nbits >= 8; nbits -= 8 {
-				if err := k.putByte(byte(acc)); err != nil {
-					return err
-				}
+				k.putByte(byte(acc))
 				acc >>= 8
 			}
 		}
 		if nbits > 0 {
-			err = k.putByte(byte(acc))
+			k.putByte(byte(acc))
 		}
 	case lay.flags&sparseFlagF32 != 0:
-		err = k.putRun(len(s.Values), 4, func(b []byte, lo, hi int) []byte {
-			b = b[:4*(hi-lo)]
-			tensor.NarrowLE(b, s.Values[lo:hi])
-			return b
-		})
+		for p := range lay.planes {
+			encodePlane(k, src, p, &lay.planes[p])
+		}
 	default:
-		err = k.putRun(len(s.Values), 8, func(b []byte, lo, hi int) []byte {
-			b = b[:8*(hi-lo)]
-			tensor.PutF64LE(b, s.Values[lo:hi])
-			return b
+		src.runs(func(_ []int32, vals []float64) {
+			k.putRun(len(vals), 8, func(b []byte, lo, hi int) []byte {
+				b = b[:8*(hi-lo)]
+				tensor.PutF64LE(b, vals[lo:hi])
+				return b
+			})
 		})
 	}
-	if err != nil {
-		return err
-	}
-	return k.flush()
+	k.flush()
 }
 
-// checkAscendingRun validates the delta-varint run of nnz indices that must
-// fill b exactly: no varint longer than five bytes, no gap or running
-// index past MaxInt32, nothing short and nothing left over.
-func checkAscendingRun(b []byte, nnz uint32) error {
-	pos, idx := 0, int64(-1)
-	for i := uint32(0); i < nnz; i++ {
-		if pos == len(b) {
-			return ErrBinaryTruncated
-		}
-		c := b[pos]
-		pos++
-		gap := int64(c & 0x7f)
-		for n := 1; c >= 0x80; n++ {
-			if pos == len(b) {
-				return ErrBinaryTruncated
-			}
-			if n == binary.MaxVarintLen32 {
-				return fmt.Errorf("%w: index %d is a varint of more than %d bytes",
-					ErrMalformed, i, binary.MaxVarintLen32)
-			}
-			c = b[pos]
-			pos++
-			gap |= int64(c&0x7f) << (7 * n)
-		}
-		// Five 7-bit groups hold 35 bits, so the sum cannot wrap, and it
-		// is past MaxInt32 whenever the gap alone is.
-		if idx += 1 + gap; idx > math.MaxInt32 {
-			return fmt.Errorf("%w: index %d overflows int32", ErrMalformed, i)
-		}
+// sectionHead is a section's prefix up to its index run: the header, the
+// quantizer's header, the Rice parameter and the byte planes' codings.
+// Every length the runs after it must have follows from it, so a decoder
+// checks them against the bytes it has before allocating anything. The
+// decode tables of an f32 section's planes are borrowed and must be
+// released.
+type sectionHead struct {
+	dim, nnz uint32
+	flags    byte
+	levels   int
+	norm     float64
+	k        uint
+	planes   [4]planeHead
+	tabs     *[4][huffTableLen]uint16 // f32: plane p's decode table, rawTable when raw
+	size     int64                    // the head's bytes
+}
+
+// planeHead is one byte plane's coding: Huffman or raw, its stream's
+// bytes, and its longest code (8 for a raw plane).
+type planeHead struct {
+	coded   bool
+	size    int64
+	longest uint
+}
+
+// release returns the decode tables h borrowed.
+func (h *sectionHead) release() {
+	if h.tabs != nil {
+		tablePool.Put(h.tabs)
+		h.tabs = nil
 	}
-	if pos != len(b) {
-		return fmt.Errorf("%w: %d trailing bytes after %d coordinates", ErrMalformed, len(b)-pos, nnz)
+}
+
+func (h *sectionHead) dense() bool     { return h.flags&sparseFlagDense != 0 }
+func (h *sectionHead) quant() bool     { return h.flags&sparseFlagQuant != 0 }
+func (h *sectionHead) ascending() bool { return h.flags&sparseFlagAscending != 0 }
+func (h *sectionHead) f32() bool       { return h.flags&sparseFlagF32 != 0 }
+
+// readFull reads exactly len(b) bytes of the section from in.
+func readFull(in *byteSource, b []byte) error {
+	for len(b) > 0 {
+		p, err := in.take(1, len(b))
+		if err != nil {
+			return err
+		}
+		b = b[copy(b, p):]
 	}
 	return nil
+}
+
+// read reads a section's head from in and checks what it declares by
+// itself: known flags in allowed pairs, a dim within int32, the
+// quantizer's level count and norm, the Rice parameter, and for every
+// coded plane a complete code whose stream length lies between what nnz
+// symbols take at its shortest code and at its longest.
+func (h *sectionHead) read(in *byteSource) error {
+	var b [sparseBinaryHeader + sparseQuantHeader]byte
+	if err := readFull(in, b[:sparseBinaryHeader]); err != nil {
+		return err
+	}
+	h.dim = binary.LittleEndian.Uint32(b[0:])
+	h.nnz = binary.LittleEndian.Uint32(b[4:])
+	h.flags = b[8]
+	h.size = sparseBinaryHeader
+	if h.dim > math.MaxInt32 {
+		return fmt.Errorf("%w: dim %d overflows int32", ErrMalformed, h.dim)
+	}
+	if h.flags&^sparseFlagsKnown != 0 || h.dense() && h.ascending() || h.quant() && h.f32() {
+		return fmt.Errorf("%w: sflags %#02x", ErrMalformed, h.flags)
+	}
+	if h.quant() {
+		if err := readFull(in, b[:sparseQuantHeader]); err != nil {
+			return err
+		}
+		h.size += sparseQuantHeader
+		h.levels = int(binary.LittleEndian.Uint32(b[0:]))
+		h.norm = math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
+		if h.levels < 1 || h.levels > maxQuantLevels {
+			return fmt.Errorf("%w: quantizer level count %d outside [1, %d]",
+				ErrMalformed, h.levels, maxQuantLevels)
+		}
+		if math.IsNaN(h.norm) || math.IsInf(h.norm, 0) || h.norm < 0 {
+			return fmt.Errorf("%w: quantizer norm %v not finite and non-negative", ErrMalformed, h.norm)
+		}
+	}
+	if h.ascending() {
+		if err := readFull(in, b[:1]); err != nil {
+			return err
+		}
+		h.size++
+		if h.k = uint(b[0]); h.k > riceMaxK {
+			return fmt.Errorf("%w: Rice parameter %d past %d", ErrMalformed, h.k, riceMaxK)
+		}
+	}
+	if !h.f32() {
+		return nil
+	}
+	if err := readFull(in, b[:1]); err != nil {
+		return err
+	}
+	h.size++
+	modes := b[0]
+	for p := range h.planes {
+		ph := &h.planes[p]
+		switch modes >> (2 * p) & 3 {
+		case 0:
+			ph.coded, ph.size, ph.longest = false, int64(h.nnz), 8
+			continue
+		case 1:
+		default:
+			return fmt.Errorf("%w: byte plane %d coding %d", ErrMalformed, p, modes>>(2*p)&3)
+		}
+		if h.tabs == nil {
+			h.tabs = tablePool.Get().(*[4][huffTableLen]uint16)
+		}
+		var list codeList
+		lo, hi, n, err := readHuffTable(in, &list)
+		ph.coded, ph.longest = true, hi
+		h.size += n
+		if err != nil {
+			return err
+		}
+		list.decodeTable(&h.tabs[p])
+		var size uint64
+		for shift := 0; ; shift += 7 {
+			if err := readFull(in, b[:1]); err != nil {
+				return err
+			}
+			h.size++
+			if shift == 28 && b[0] > 0x07 {
+				return fmt.Errorf("%w: byte plane %d's length overflows", ErrMalformed, p)
+			}
+			size |= uint64(b[0]&0x7f) << shift
+			if b[0] < 0x80 {
+				break
+			}
+		}
+		nnz := uint64(h.nnz)
+		if size < (nnz*uint64(lo)+7)/8 || size > (nnz*uint64(hi)+7)/8 {
+			return fmt.Errorf("%w: byte plane %d of %d bytes cannot hold %d symbols of %d to %d bits",
+				ErrMalformed, p, size, nnz, lo, hi)
+		}
+		ph.size = int64(size)
+	}
+	for p := range h.planes {
+		if h.tabs != nil && !h.planes[p].coded {
+			h.tabs[p] = rawTable // the kernel walks raw planes as codes
+		}
+	}
+	return nil
+}
+
+// runBytes returns the bytes of the index run of a section whose head is
+// h and whose runs take rest bytes, after checking that rest is what the
+// head declares: the value run's length exactly, and the index run's
+// exactly for a dense or a raw one, and for a Rice run at least one code
+// of k+1 bits per index and at most what nnz indices below dim take.
+func (h *sectionHead) runBytes(rest int64) (int64, error) {
+	nnz, dim := int64(h.nnz), int64(h.dim)
+	var values int64
+	switch {
+	case h.quant():
+		values = (nnz*int64(QuantBitsFor(h.levels)) + 7) / 8
+	case h.f32():
+		for p := range h.planes {
+			values += h.planes[p].size
+		}
+	default:
+		values = 8 * nnz
+	}
+	run := rest - values
+	switch {
+	case h.dense() && nnz != dim:
+		return 0, fmt.Errorf("%w: dense flag with nnz %d != dim %d", ErrMalformed, nnz, dim)
+	case h.ascending() && nnz > dim:
+		return 0, fmt.Errorf("%w: nnz %d ascending below dim %d", ErrMalformed, nnz, dim)
+	case h.ascending():
+		k := int64(h.k)
+		lo, hi := (nnz*(k+1)+7)/8, (nnz*(k+1)+(dim-nnz)>>k+7)/8
+		if run < lo {
+			return 0, ErrBinaryTruncated
+		}
+		if run > hi {
+			return 0, fmt.Errorf("%w: %d-byte index run for %d indices below %d", ErrMalformed, run, nnz, dim)
+		}
+		return run, nil
+	}
+	want := int64(0)
+	if !h.dense() {
+		want = 4 * nnz
+	}
+	if run < want {
+		return 0, ErrBinaryTruncated
+	}
+	if run > want {
+		return 0, fmt.Errorf("%w: %d trailing bytes after %d coordinates", ErrMalformed, run-want, nnz)
+	}
+	return run, nil
+}
+
+// readPlanes reads the four byte planes of h from in into vals.
+func readPlanes(in *byteSource, h *sectionHead, vals []float64) error {
+	for p := range h.planes {
+		r := bitReader{in: in, left: h.planes[p].size}
+		if err := readPlane(r, p, h.table(p), vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// table returns plane p's decode table, nil when the plane is raw.
+func (h *sectionHead) table(p int) *[huffTableLen]uint16 {
+	if !h.planes[p].coded {
+		return nil
+	}
+	return &h.tabs[p]
 }
 
 // shrinkFloor is the decode scratch capacity, in values, that fitScratch
@@ -428,129 +721,56 @@ func fitScratch[T any](buf []T, n int) []T {
 // DecodeBinaryInto decodes a sparse binary payload produced by
 // AppendBinary into s, reusing s's slices when capacity allows (the
 // zero-allocation receive path) and shrinking them as fitScratch does.
-// data must be exactly one encoded message. The flags and the declared
-// nnz are validated against len(data) before any allocation — the varint
-// run by a walk of its own — so a corrupt count cannot force an
-// oversized allocation; structural
+// data must be exactly one encoded message. The head and every length it
+// declares are validated against len(data) before any allocation, so a
+// corrupt count cannot force an allocation past a small multiple of
+// len(data) (every coordinate takes at least two bits); structural
 // validation beyond shape (index bounds versus the receiver's model)
 // stays with Sparse.Check.
 func (s *Sparse) DecodeBinaryInto(data []byte) error {
-	if len(data) < sparseBinaryHeader {
-		return ErrBinaryTruncated
+	var h sectionHead
+	in := byteSource{b: data}
+	defer h.release()
+	if err := h.read(&in); err != nil {
+		return err
 	}
-	dim := binary.LittleEndian.Uint32(data[0:])
-	nnz := binary.LittleEndian.Uint32(data[4:])
-	flags := data[8]
-	rest := data[sparseBinaryHeader:]
-
-	if dim > math.MaxInt32 {
-		return fmt.Errorf("%w: dim %d overflows int32", ErrMalformed, dim)
-	}
-	dense := flags&sparseFlagDense != 0
-	quant := flags&sparseFlagQuant != 0
-	ascending := flags&sparseFlagAscending != 0
-	f32 := flags&sparseFlagF32 != 0
-	if flags&^sparseFlagsKnown != 0 || dense && ascending || quant && f32 {
-		return fmt.Errorf("%w: sflags %#02x", ErrMalformed, flags)
+	run, err := h.runBytes(int64(len(in.b)))
+	if err != nil {
+		return err
 	}
 
-	levels, bits := 0, 0
-	var norm float64
-	if quant {
-		if len(rest) < sparseQuantHeader {
-			return ErrBinaryTruncated
-		}
-		levels = int(binary.LittleEndian.Uint32(rest[0:]))
-		norm = math.Float64frombits(binary.LittleEndian.Uint64(rest[4:]))
-		rest = rest[sparseQuantHeader:]
-		if levels < 1 || levels > maxQuantLevels {
-			return fmt.Errorf("%w: quantizer level count %d outside [1, %d]",
-				ErrMalformed, levels, maxQuantLevels)
-		}
-		if math.IsNaN(norm) || math.IsInf(norm, 0) || norm < 0 {
-			return fmt.Errorf("%w: quantizer norm %v not finite and non-negative", ErrMalformed, norm)
-		}
-		bits = QuantBitsFor(levels)
-	}
-
-	// Exact-length validation before any allocation: a lying count can
-	// neither force an oversized allocation nor smuggle trailing bytes.
-	var want uint64
-	switch {
-	case quant:
-		want = (uint64(nnz)*uint64(bits) + 7) / 8
-	case f32:
-		want = uint64(nnz) * 4
-	default:
-		want = uint64(nnz) * 8
-	}
-	if ascending {
-		// The value run's length is known; what precedes it must be
-		// exactly nnz varints.
-		if want > uint64(len(rest)) {
-			return ErrBinaryTruncated
-		}
-		if err := checkAscendingRun(rest[:uint64(len(rest))-want], nnz); err != nil {
-			return err
-		}
-	} else {
-		if !dense {
-			want += uint64(nnz) * 4
-		}
-		if want != uint64(len(rest)) {
-			if want > uint64(len(rest)) {
-				return ErrBinaryTruncated
-			}
-			return fmt.Errorf("%w: %d trailing bytes after %d coordinates",
-				ErrMalformed, uint64(len(rest))-want, nnz)
-		}
-	}
-	if dense && nnz != dim {
-		return fmt.Errorf("%w: dense flag with nnz %d != dim %d", ErrMalformed, nnz, dim)
-	}
-
-	n := int(nnz)
-	s.Dim = int(dim)
+	n := int(h.nnz)
+	s.Dim = int(h.dim)
 	s.QuantBits, s.QuantLevels, s.QuantNorm = 0, 0, 0
-	if quant {
-		s.QuantBits, s.QuantLevels, s.QuantNorm = bits, levels, norm
+	if h.quant() {
+		s.QuantBits, s.QuantLevels, s.QuantNorm = QuantBitsFor(h.levels), h.levels, h.norm
 	}
 	s.Indices = fitScratch(s.Indices, n)
 	s.Values = fitScratch(s.Values, n)
 	switch {
-	case dense:
+	case h.dense():
 		for i := range s.Indices {
 			s.Indices[i] = int32(i)
 		}
-	case ascending:
-		// checkAscendingRun has vouched for every byte this reads.
-		prev, pos := int32(-1), 0
-		for i := range s.Indices {
-			c := rest[pos]
-			pos++
-			gap := int32(c & 0x7f)
-			for shift := 7; c >= 0x80; shift += 7 {
-				c = rest[pos]
-				pos++
-				gap |= int32(c&0x7f) << shift
-			}
-			prev += 1 + gap
-			s.Indices[i] = prev
+	case h.ascending():
+		if err := readRice(&in, run, h.k, s.Indices, int64(h.dim)); err != nil {
+			return err
 		}
-		rest = rest[pos:]
 	default:
 		if hostLittleEndian {
-			copy(int32Bytes(s.Indices), rest[:4*n])
+			copy(int32Bytes(s.Indices), in.b[:4*n])
 		} else {
 			for i := range s.Indices {
-				s.Indices[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
+				s.Indices[i] = int32(binary.LittleEndian.Uint32(in.b[4*i:]))
 			}
 		}
-		rest = rest[4*n:]
+		in.b = in.b[4*n:]
 	}
+	rest := in.b
 	switch {
-	case quant:
-		b := uint(bits)
+	case h.quant():
+		levels, norm := h.levels, h.norm
+		b := uint(s.QuantBits)
 		mask := uint64(1)<<(b-1) - 1
 		var acc uint64
 		var nbits uint
@@ -572,8 +792,8 @@ func (s *Sparse) DecodeBinaryInto(data []byte) error {
 			}
 			s.Values[i] = quantValue(l, sign, norm, levels)
 		}
-	case f32:
-		tensor.WidenLE(s.Values, rest)
+	case h.f32():
+		return decodePlanes(&h, rest, s.Values)
 	default:
 		tensor.ReadF64LE(s.Values, rest)
 	}

@@ -13,7 +13,8 @@ import (
 
 // forEachLevel runs fn at every tensor dispatch level this CPU has, so the
 // sparse section's runs and Check's max passes are compared against their
-// element loops through the portable bodies and every vector kernel.
+// element loops through the portable bodies and every vector kernel. The
+// portable level also turns the byte-plane kernels off.
 func forEachLevel(t testing.TB, fn func(level string)) {
 	t.Helper()
 	for _, level := range []string{"portable", "avx2", "avx512"} {
@@ -22,19 +23,106 @@ func forEachLevel(t testing.TB, fn func(level string)) {
 			t.Logf("dispatch level %s: not supported by this CPU, skipped", level)
 			continue
 		}
-		t.Logf("dispatch level %s", level)
+		t.Logf("dispatch level %s (byte-plane kernels %v)", level, level != "portable" && planeKernels)
 		func() {
 			defer restore()
+			if level == "portable" {
+				defer func(on bool) { planeKernels = on }(planeKernels)
+				planeKernels = false
+			}
 			fn(level)
 		}()
 	}
 }
 
-// refAppendBinary is the sparse section's encoder as it was written one
-// coordinate at a time through encoding/binary, before the runs moved as
-// block copies: the layout the tests hold the block-copy encoder to.
+// refBits writes and reads bits one at a time, least significant first:
+// the reference the tests hold the word-at-a-time coders to.
+type refBits struct {
+	b []byte
+	n int // bits written, or the bit read next
+}
+
+func (w *refBits) put(bit uint64) {
+	if w.n%8 == 0 {
+		w.b = append(w.b, 0)
+	}
+	w.b[len(w.b)-1] |= byte(bit&1) << (w.n % 8)
+	w.n++
+}
+
+// putMSB writes the n bits of v, most significant first: a Huffman code.
+func (w *refBits) putMSB(v uint64, n int) {
+	for i := n - 1; i >= 0; i-- {
+		w.put(v >> i)
+	}
+}
+
+// putLSB writes the n bits of v, least significant first: a number.
+func (w *refBits) putLSB(v uint64, n int) {
+	for i := 0; i < n; i++ {
+		w.put(v >> i)
+	}
+}
+
+func (r *refBits) get() uint64 {
+	bit := uint64(r.b[r.n/8]>>(r.n%8)) & 1
+	r.n++
+	return bit
+}
+
+func (r *refBits) getLSB(n int) (v uint64) {
+	for i := 0; i < n; i++ {
+		v |= r.get() << i
+	}
+	return v
+}
+
+// refCanonical is the textbook canonical code of lens: symbols ordered by
+// length, then by value, each code the one before it plus one, shifted
+// left as the length grows. Codes are most significant bit first.
+func refCanonical(lens *[256]uint8) (codes [256]uint64) {
+	code, prev := uint64(0), uint8(0)
+	for l := uint8(1); l <= huffMaxLen; l++ {
+		for s := 0; s < 256; s++ {
+			if lens[s] == l {
+				code <<= l - prev
+				prev = l
+				codes[s] = code
+				code++
+			}
+		}
+	}
+	return codes
+}
+
+// refTable writes lens as the nibble table: a length per symbol, a run of
+// up to 16 absent ones as 0 and the run's length less one.
+func refTable(lens *[256]uint8) []byte {
+	var w refBits
+	for s := 0; s < 256; {
+		if lens[s] != 0 {
+			w.putLSB(uint64(lens[s]), 4)
+			s++
+			continue
+		}
+		r := 0
+		for s+r < 256 && r < 16 && lens[s+r] == 0 {
+			r++
+		}
+		w.putLSB(0, 4)
+		w.putLSB(uint64(r-1), 4)
+		s += r
+	}
+	return w.b
+}
+
+// refAppendBinary is the sparse section's encoder written one coordinate
+// and one bit at a time, on the layout decision (flags, Rice parameter,
+// planes' code lengths) the encoder took: the bytes the tests hold the
+// word-at-a-time encoder to.
 func refAppendBinary(s *Sparse) []byte {
-	lay := s.layout()
+	var lay sparseLayout
+	s.layout(&lay)
 	b := binary.LittleEndian.AppendUint32(nil, uint32(s.Dim))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Values)))
 	b = append(b, lay.flags)
@@ -42,14 +130,38 @@ func refAppendBinary(s *Sparse) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(s.QuantLevels))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.QuantNorm))
 	}
+	if lay.flags&sparseFlagAscending != 0 {
+		b = append(b, byte(lay.k))
+	}
+	if lay.flags&sparseFlagF32 != 0 {
+		var modes byte
+		for p, c := range lay.planes {
+			if c.coded {
+				modes |= 1 << (2 * p)
+			}
+		}
+		b = append(b, modes)
+		for _, c := range lay.planes {
+			if c.coded {
+				b = binary.AppendUvarint(append(b, refTable(&c.lens)...), uint64(c.size))
+			}
+		}
+	}
 	switch {
 	case lay.flags&sparseFlagDense != 0:
 	case lay.flags&sparseFlagAscending != 0:
-		prev := int32(-1)
+		var w refBits
+		prev := int64(-1)
 		for _, idx := range s.Indices {
-			b = binary.AppendUvarint(b, uint64(uint32(idx)-uint32(prev)-1))
-			prev = idx
+			g := uint64(int64(idx) - prev - 1)
+			prev = int64(idx)
+			for q := g >> lay.k; q > 0; q-- {
+				w.put(0)
+			}
+			w.put(1)
+			w.putLSB(g, int(lay.k))
 		}
+		b = append(b, w.b...)
 	default:
 		for _, idx := range s.Indices {
 			b = binary.LittleEndian.AppendUint32(b, uint32(idx))
@@ -72,8 +184,18 @@ func refAppendBinary(s *Sparse) []byte {
 			b = append(b, byte(acc))
 		}
 	case lay.flags&sparseFlagF32 != 0:
-		for _, v := range s.Values {
-			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v)))
+		for p, c := range lay.planes {
+			codes := refCanonical(&c.lens)
+			var w refBits
+			for _, v := range s.Values {
+				sym := byte(math.Float32bits(float32(v)) >> (8 * p))
+				if c.coded {
+					w.putMSB(codes[sym], int(c.lens[sym]))
+				} else {
+					w.putLSB(uint64(sym), 8)
+				}
+			}
+			b = append(b, w.b...)
 		}
 	default:
 		for _, v := range s.Values {
@@ -83,8 +205,8 @@ func refAppendBinary(s *Sparse) []byte {
 	return b
 }
 
-// refDecodeRuns is the decoder's index and value runs as they were read
-// one coordinate at a time, for a frame DecodeBinaryInto has accepted.
+// refDecodeRuns is the decoder written one coordinate and one bit at a
+// time, for a frame DecodeBinaryInto has accepted.
 func refDecodeRuns(data []byte) *Sparse {
 	dim := binary.LittleEndian.Uint32(data[0:])
 	n := int(binary.LittleEndian.Uint32(data[4:]))
@@ -99,19 +221,50 @@ func refDecodeRuns(data []byte) *Sparse {
 		rest = rest[sparseQuantHeader:]
 		s.QuantBits, s.QuantLevels, s.QuantNorm = QuantBitsFor(levels), levels, norm
 	}
+	k := 0
+	if flags&sparseFlagAscending != 0 {
+		k, rest = int(rest[0]), rest[1:]
+	}
+	var lens [4]*[256]uint8
+	if flags&sparseFlagF32 != 0 {
+		modes := rest[0]
+		rest = rest[1:]
+		for p := range lens {
+			if modes>>(2*p)&3 == 0 {
+				continue
+			}
+			lens[p] = new([256]uint8)
+			r := refBits{b: rest}
+			for sym := 0; sym < 256; {
+				if v := r.getLSB(4); v != 0 {
+					lens[p][sym] = uint8(v)
+					sym++
+				} else {
+					sym += int(r.getLSB(4)) + 1
+				}
+			}
+			rest = rest[(r.n+7)/8:]
+			_, m := binary.Uvarint(rest)
+			rest = rest[m:]
+		}
+	}
 	switch {
 	case flags&sparseFlagDense != 0:
 		for i := range s.Indices {
 			s.Indices[i] = int32(i)
 		}
 	case flags&sparseFlagAscending != 0:
+		r := refBits{b: rest}
 		prev := int64(-1)
 		for i := range s.Indices {
-			gap, k := binary.Uvarint(rest)
-			rest = rest[k:]
-			prev += 1 + int64(gap)
+			q := uint64(0)
+			for r.get() == 0 {
+				q++
+			}
+			prev += 1 + int64(q<<k|r.getLSB(k))
 			s.Indices[i] = int32(prev)
 		}
+		rest = rest[(r.n+7)/8:]
 	default:
 		for i := range s.Indices {
 			s.Indices[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
@@ -136,8 +289,34 @@ func refDecodeRuns(data []byte) *Sparse {
 			s.Values[i] = quantValue(chunk&(uint64(1)<<(b-1)-1), chunk>>(b-1), norm, levels)
 		}
 	case flags&sparseFlagF32 != 0:
-		for i := range s.Values {
-			s.Values[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:])))
+		bits := make([]uint32, n)
+		for p, l := range lens {
+			r := refBits{b: rest}
+			if l == nil {
+				for i := range bits {
+					bits[i] |= uint32(r.getLSB(8)) << (8 * p)
+				}
+			} else {
+				codes := refCanonical(l)
+				for i := range bits {
+					code, length := uint64(0), uint8(0)
+					for sym := -1; sym < 0; {
+						code, length = code<<1|r.get(), length+1
+						for c := 0; c < 256; c++ {
+							if l[c] == length && codes[c] == code {
+								sym = c
+							}
+						}
+						if sym >= 0 {
+							bits[i] |= uint32(sym) << (8 * p)
+						}
+					}
+				}
+			}
+			rest = rest[(r.n+7)/8:]
+		}
+		for i, u := range bits {
+			s.Values[i] = float64(math.Float32frombits(u))
 		}
 	default:
 		for i := range s.Values {
@@ -431,4 +610,75 @@ func BenchmarkSparseWire(b *testing.B) {
 			}
 		})
 	}
+}
+
+// weightDeltas returns n float32 weight deltas the way a client's round
+// makes them: the difference of two float32 weights, w − lr·g rounded to
+// float32 minus w, so each is a multiple of its weight's ulp.
+func weightDeltas(n int, seed uint64) []float64 {
+	r := stats.NewRNG(seed)
+	d := make([]float64, n)
+	for i := range d {
+		w := float32(0.05 * r.Norm())
+		d[i] = float64(float32(float64(w)-1e-3*r.Norm())) - float64(w)
+	}
+	return d
+}
+
+// BenchmarkCodedWire times the coded layouts at the paper CNN's shapes:
+// a dense 431 080-value warm-up update (four byte planes) and the DGC
+// updates at ratios 8 and 210 (a Rice run and byte planes), and at the
+// MLP's 8 554 at ratio 8 (about 540 entries, the size of an async push),
+// encoding and decoding each, and reports the frame's size as a share of
+// the v5 layout's (varint run and raw float32s) and of WireBytes' charge.
+// Its MB/s counts the values' float32 bytes.
+func BenchmarkCodedWire(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		dim   int
+		ratio float64
+	}{{"dense", 431080, 1}, {"dgc-r8", 431080, 8}, {"dgc-r210", 431080, 210}, {"mlp-dgc-r8", 8554, 8}} {
+		g := weightDeltas(c.dim, 81)
+		var msg *Sparse
+		if c.ratio == 1 {
+			msg = Identity{}.Encode(g, 1)
+		} else {
+			dgc := &DGC{Momentum: 0.9, ClipNorm: 10, MsgClipFactor: 2}
+			msg = dgc.Encode(g, c.ratio)
+		}
+		frame := msg.AppendBinary(nil)
+		v5 := sparseBinaryHeader + 4*msg.NNZ()
+		if msg.NNZ() != c.dim {
+			v5 += v5Run(msg.Indices)
+		}
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.SetBytes(int64(4 * msg.NNZ()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				frame = msg.AppendBinary(frame[:0])
+			}
+			b.ReportMetric(float64(len(frame))/float64(v5), "of-v5")
+			b.ReportMetric(float64(len(frame))/float64(msg.WireBytes()), "of-charge")
+		})
+		var got Sparse
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(4 * msg.NNZ()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := got.DecodeBinaryInto(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// v5Run is the bytes of the varint index run wire v5 sent.
+func v5Run(idx []int32) (n int) {
+	prev := int32(-1)
+	for _, i := range idx {
+		n += len(binary.AppendUvarint(nil, uint64(i-prev-1)))
+		prev = i
+	}
+	return n
 }

@@ -806,9 +806,9 @@ func (r *Root) admitEdge(conn *rpc.Conn, env *rpc.Envelope) {
 	r.cfg.Logf("root: edge %d registered from %s (%d clients)", id, env.Info, env.NumSamples)
 	r.cfg.Events.Emit(obs.Event{Type: "edge_up", Round: round, Client: -1, Edge: id})
 	r.met.edgesLive.Inc()
-	if !r.roster.Go(func() { r.readEdge(p) }) {
-		r.roster.Remove(p)
-	}
+	// A false Go means the session ended since the welcome: Shutdown, which
+	// took p with the roster, says farewell to it (closing p would cut that).
+	r.roster.Go(func() { r.readEdge(p) })
 }
 
 // readEdge is one edge connection's reader, and does the root's work for

@@ -151,12 +151,14 @@ func TestChaosStragglerAndDeathPartialAggregation(t *testing.T) {
 	cfgs[2].Fault = &FaultConfig{Partition: gate}
 	cfgs[2].MaxRetries = 10
 	cfgs[2].RetryBackoff = 25 * time.Millisecond
-	// Client 3: link hard-cut mid-message, halfway through the second
-	// warmup upload; no retries, so it stays dead. Every client uploads
-	// the whole model in a warmup round, and next to that frame the
-	// hello and the score reports are a few dozen bytes.
+	// Client 3: link hard-cut mid-message, in the second warmup upload;
+	// no retries, so it stays dead. Every client uploads the whole model
+	// in a warmup round, and next to that frame the hello and the score
+	// reports are a few dozen bytes. The frame is charged 4 B per
+	// parameter (WireBytes) and codes to about 0.8 of that, so one and a
+	// half charges land inside the second.
 	warmup := compress.Identity{}.Encode(make([]float64, env.newModel().NumParams()), 1)
-	upload := int64(4 + envHeaderBytes + warmup.BinaryWireSize())
+	upload := int64(4 + envHeaderBytes + warmup.WireBytes())
 	cfgs[3].Fault = &FaultConfig{CutAfterBytes: upload + upload/2}
 
 	type clientOut struct {
@@ -445,7 +447,9 @@ func TestChaosMinClientsFloorEndsSessionCleanly(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = env.clientConfig(i, srv.Addr())
 	}
-	cfgs[1].Fault = &FaultConfig{CutAfterBytes: 20_000} // dies early, stays dead
+	// Dies early, in its second warm-up upload (each about 7.8 KB), and
+	// stays dead.
+	cfgs[1].Fault = &FaultConfig{CutAfterBytes: 12_000}
 	outCh := make(chan []error, 1)
 	go func() {
 		_, errs := runClients(cfgs)

@@ -444,9 +444,10 @@ func TestLinkPacingFaithful(t *testing.T) {
 }
 
 // TestLinkLatencyOncePerTransfer: one update frame the size of the paper
-// CNN's (454 KB) sent on the LTE preset takes what the simulator charges
-// for it, Link.TransferTime(Uplink, frame bytes): latency and jitter once
-// per transfer, not once per buffered chunk.
+// CNN's (454 KB: values that are not float32s travel raw, 8 B each) sent
+// on the LTE preset takes what the simulator charges for it,
+// Link.TransferTime(Uplink, frame bytes): latency and jitter once per
+// transfer, not once per buffered chunk.
 func TestLinkLatencyOncePerTransfer(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
@@ -455,7 +456,11 @@ func TestLinkLatencyOncePerTransfer(t *testing.T) {
 	fc := wrapLink(a, &FaultConfig{Link: &link})
 	defer fc.Close()
 	conn := NewBinaryConn(fc, nil)
-	update := compress.NewSparseDense(make([]float64, 113_600))
+	vals := make([]float64, 56_800)
+	for i := range vals {
+		vals[i] = 0.1 + float64(i)
+	}
+	update := compress.NewSparseDense(vals)
 	start := time.Now()
 	if err := conn.Send(&Envelope{Type: MsgUpdate, Update: update}); err != nil {
 		t.Fatal(err)

@@ -18,9 +18,11 @@ import (
 // underflow float32, float32 subnormals), with a float64 ĝ that is sparse
 // (one coordinate in seven), dense, or empty (the warm-up), the values an
 // exact transport must keep — −0, NaN payloads, ±Inf and subnormals — at
-// its support. Each frame's SHA-256 was taken at wire version 5, when ĝ
-// became a sparse section; the checks beside it are independent of the
-// encoder. The received params must be the frame's float32 bits, which
+// its support. The dense and empty frames' SHA-256 were taken at wire
+// version 5, when ĝ became a sparse section; the sparse one's at version
+// 6, when its index run became a Rice code (its f64 values, the params
+// and the other two frames did not move). The checks beside them are
+// independent of the encoder. The received params must be the frame's float32 bits, which
 // are each value rounded to float32; ĝ must come back as it was sent — as
 // pairs when sparse, as one vector when dense — and scattered back it must
 // be the vector sent, bit for bit.
@@ -58,7 +60,7 @@ func TestModelFrameBitsPinned(t *testing.T) {
 		ghat       []float64
 		support    int // coordinates the section carries; -1 for the dense layout
 	}{
-		{"sparse", "677bd0e7f106d308875f3950cd16049076224f01a283634fe56a23725900bf53", sparse, 0},
+		{"sparse", "93331ecd9baa91bd1fcebfa0ac98b3db2def8c98ca519f8acdfa4fbdf7089280", sparse, 0},
 		{"dense", "e446dd24a7d32bff4230c051e7ef60491bde0c4a4e07cb472c93787f341d84e3", dense, -1},
 		{"empty", "a6f81ba4ecccb1acef0ae3948c1dcb3b7f3bc0a6627fdfef1bfc5ed66f920761", nil, 0},
 	} {

@@ -181,17 +181,25 @@ func FuzzWireDecode(f *testing.F) {
 
 	// One update frame per sparse layout the fixtures above do not reach
 	// (theirs are ascending + f32): raw + f64, dense + f32, ascending + f64
-	// with a multi-byte gap, quantized + ascending; each also cut one byte
-	// past its sparse header.
+	// with a multi-byte gap, quantized + ascending, and dense and
+	// ascending f32 ones whose byte planes code; each also cut one byte
+	// past its sparse header and halfway.
+	coded := make([]float64, 3000)
+	for i := range coded {
+		coded[i] = float64(float32(0.01 * float64(i%97-48)))
+	}
 	for _, u := range []*compress.Sparse{
 		{Dim: 8, Indices: []int32{7, 3, 3}, Values: []float64{0.1, -0.2, 0.3}},
 		compress.Identity{}.Encode([]float64{0.5, -1.25, 3, 1e-3}, 1),
 		{Dim: 1 << 20, Indices: []int32{5, 1 << 15, 1 << 19}, Values: []float64{0.1, -0.2, 0.3}},
 		{Dim: 64, Indices: []int32{2, 40}, Values: []float64{0.5, -1}, QuantBits: 3, QuantLevels: 2, QuantNorm: 1},
+		compress.Identity{}.Encode(coded, 1),
+		compress.SelectTopK(coded, 1200),
 	} {
 		raw := encodeBinaryEnvelope(f, &Envelope{Type: MsgUpdate, ClientID: 2, Round: 7, Update: u})
 		f.Add(raw)
 		f.Add(raw[:4+envHeaderBytes+10])
+		f.Add(raw[:len(raw)/2])
 	}
 
 	// A model frame past recvPieceBytes, read piece by piece: whole, cut
@@ -294,12 +302,33 @@ func modelDeltaFrames(tb testing.TB) (frames [][]byte) {
 	for _, g := range [][]float64{sparse, dense, nil} {
 		frames = append(frames, encodeBinaryEnvelope(tb, &Envelope{Type: MsgModel, Round: 2, Params: params, GlobalDelta: g}))
 	}
+	// Float32 ĝs whose byte planes code, dense and one coordinate in
+	// three (a Rice run).
+	wide := make([]float64, 4000)
+	f32dense, f32sparse := make([]float64, len(wide)), make([]float64, len(wide))
+	for i := range wide {
+		f32dense[i] = float64(float32(i%5) / 8)
+		if i%3 == 0 {
+			f32sparse[i] = float64(float32(i%7) - 3.5)
+		}
+	}
+	for _, g := range [][]float64{f32dense, f32sparse} {
+		frames = append(frames, encodeBinaryEnvelope(tb, &Envelope{Type: MsgModel, Round: 2, Params: wide, GlobalDelta: g}))
+	}
 	head := encodeBinaryEnvelope(tb, &Envelope{Type: MsgModel, Round: 2, Params: params})
 	head = head[:len(head)-9] // the empty section's head
+	// A hand-built section: its header, a Rice parameter 0 when it is
+	// ascending and four raw planes when it is f32, then rest.
 	section := func(d, nnz uint32, flags byte, rest ...uint32) []byte {
 		b := append([]byte(nil), head...)
 		b = binary.LittleEndian.AppendUint32(b, d)
 		b = append(binary.LittleEndian.AppendUint32(b, nnz), flags)
+		if flags&4 != 0 {
+			b = append(b, 0)
+		}
+		if flags&8 != 0 {
+			b = append(b, 0)
+		}
 		for _, x := range rest {
 			b = binary.LittleEndian.AppendUint32(b, x)
 		}
@@ -333,7 +362,7 @@ func TestModelFrameHostileDeltaRejected(t *testing.T) {
 			} else {
 				err = c.RecvInto(&Envelope{})
 			}
-			if ok := k < 3; ok != (err == nil) || !ok && !errors.Is(err, errWireFrame) {
+			if ok := k < 5; ok != (err == nil) || !ok && !errors.Is(err, errWireFrame) {
 				t.Fatalf("frame %d (fresh %v): err = %v", k, fresh, err)
 			}
 		}

@@ -161,7 +161,8 @@ type Conn struct {
 	recvParams32 []float32
 	recvIdx      []int32
 	recvDelta    []float64
-	sendDelta    compress.Sparse
+	sendDelta    compress.Support
+	pieces       pieceReader
 }
 
 // NewBinaryConn wraps raw in the frame codec. The handshake is the

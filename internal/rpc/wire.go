@@ -81,7 +81,11 @@ func checkWire(wire string) error {
 //
 // wireVersion 5: a model broadcast's ĝ is a sparse section, not a dense
 // f64 run behind a count. A v4 decoder would read the section as doubles.
-const wireVersion = 5
+//
+// wireVersion 6: a sparse section's ascending index run is a Rice code,
+// not a varint run, and its float32 values travel as four byte planes,
+// each raw or Huffman-coded. A v5 decoder would misread both.
+const wireVersion = 6
 
 // preamble returns the four opening bytes of a peer speaking version v.
 func preamble(v byte) [4]byte { return [4]byte{0xAD, 0xF1, 0x77, v} }
@@ -150,7 +154,7 @@ func (c *Conn) writeEnvelope(e *Envelope) error {
 		if err := c.writeF32s(e.Params); err != nil {
 			return err
 		}
-		return c.sendDelta.EncodeBinaryTo(c.bw, c.chunk, nil)
+		return c.sendDelta.EncodeBinaryTo(c.bw, c.chunk)
 	case MsgEdgePartial:
 		return c.writeF64s(e.Params)
 	}
@@ -158,13 +162,13 @@ func (c *Conn) writeEnvelope(e *Envelope) error {
 }
 
 // tailSize returns the bytes of e's frame past appendFrameHead's: a
-// model's params and ĝ section, left in g (SetSupport of GlobalDelta, of
-// dim len(Params), which it panics on if GlobalDelta is of another
-// length), or an edge partial's sum words.
-func (e *Envelope) tailSize(g *compress.Sparse) int {
+// model's params and ĝ section, planned in g (GlobalDelta, of dim
+// len(Params), which g panics on if GlobalDelta is of another length), or
+// an edge partial's sum words.
+func (e *Envelope) tailSize(g *compress.Support) int {
 	switch e.Type {
 	case MsgModel:
-		return 4*len(e.Params) + g.SetSupport(e.GlobalDelta, len(e.Params))
+		return 4*len(e.Params) + g.Plan(e.GlobalDelta, len(e.Params))
 	case MsgEdgePartial:
 		return 8 * len(e.Params)
 	}
@@ -179,7 +183,7 @@ func (e *Envelope) tailSize(g *compress.Sparse) int {
 // frame bigger than the send buffer leaves in one Write (sendLocked).
 type Frame struct {
 	b []byte
-	g compress.Sparse // a MsgModel's ĝ section
+	g compress.Support // a MsgModel's ĝ section
 }
 
 // ModelFrame encodes the MsgModel of round with params (at f32) and
@@ -197,8 +201,8 @@ func (f *Frame) Set(e *Envelope) *Frame {
 		panic(fmt.Sprintf("rpc: Frame of a %v", e.Type))
 	}
 	tail := e.tailSize(&f.g)
-	// 64 bytes hold either type's head; AppendBinary wants a varint's room.
-	b, _ := appendFrameHead(slices.Grow(f.b[:0], 64+tail+binary.MaxVarintLen32), e, tail)
+	// 64 bytes hold either type's head; AppendBinary wants 8 more.
+	b, _ := appendFrameHead(slices.Grow(f.b[:0], 64+tail+8), e, tail)
 	n := len(b)
 	if e.Type == MsgModel {
 		tensor.NarrowLE(b[n:n+4*len(e.Params)], e.Params)
@@ -451,9 +455,10 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error 
 			return fmt.Errorf("%w: %v body of %d bytes holds no %d params", errWireFrame, e.Type, gsize+4*int64(np), np)
 		}
 		e.Params32 = scratch(fresh, &c.recvParams32, np)
-		r := pieceReader{raw: c.raw, buf: p, src: body[4:], more: more, n: int64(len(p)) + more}
+		r := &c.pieces // a per-frame reader would escape to the heap
+		*r = pieceReader{raw: c.raw, buf: p, src: body[4:], more: more, n: int64(len(p)) + more}
 		for dst := e.Params32; len(dst) > 0; {
-			b, err := r.take(4, len(dst))
+			b, err := r.Next(4, len(dst))
 			if err != nil {
 				return err
 			}
@@ -465,7 +470,7 @@ func (c *Conn) decodeFrame(e *Envelope, p []byte, more int64, fresh bool) error 
 		if !fresh {
 			idx, vals = c.recvIdx, c.recvDelta
 		}
-		idx, vals, err := compress.ReadSupport(r.take, gsize, int(np), idx, vals)
+		idx, vals, err := compress.ReadSupport(r, gsize, int(np), idx, vals)
 		if err != nil {
 			return fmt.Errorf("%w: ĝ: %w", errWireFrame, err)
 		}
@@ -545,10 +550,10 @@ type pieceReader struct {
 	n    int64  // the payload's length, for the cut report
 }
 
-// take returns the next whole values of width bytes, at most limit of
+// Next returns the next whole values of width bytes, at most limit of
 // them and at least one, refilling the buffer when less than one is left.
 // The caller has checked that the payload holds every value it asks for.
-func (r *pieceReader) take(width, limit int) ([]byte, error) {
+func (r *pieceReader) Next(width, limit int) ([]byte, error) {
 	if len(r.src) < width {
 		k := copy(r.buf, r.src) // a value split by the piece boundary moves to the front
 		m := int(min(r.more, int64(len(r.buf)-k)))

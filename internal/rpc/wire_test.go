@@ -198,7 +198,7 @@ func envelopesBitEqual(a, b *Envelope) bool {
 // wirePayloadSize returns the exact encoded payload length of e: the
 // length prefix of its frame head.
 func (e *Envelope) wirePayloadSize() (int, error) {
-	tail := e.tailSize(new(compress.Sparse))
+	tail := e.tailSize(new(compress.Support))
 	if e.Update != nil && (e.Type == MsgUpdate || e.Type == MsgAsyncPush) {
 		tail = e.Update.BinaryWireSize()
 	}

@@ -186,23 +186,6 @@ func NarrowLE(dst []byte, src []float64) {
 	}
 }
 
-// WidenLE reads len(dst) little-endian float32s from src, widened to
-// float64, into dst. src need not be aligned; it panics if src holds
-// fewer than 4·len(dst) bytes.
-func WidenLE(dst []float64, src []byte) {
-	if len(src) < 4*len(dst) {
-		panic("tensor: WidenLE source too short")
-	}
-	src = src[:4*len(dst)]
-	if k := simdLen(len(dst)); k > 0 {
-		widenBytesAVX2(&dst[0], &src[0], k)
-		dst, src = dst[k:], src[4*k:]
-	}
-	for i := range dst {
-		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
-	}
-}
-
 // rowsSpan slices v to the span a strided pass of rows rows of width
 // elements touches, (rows−1)·stride + width, panicking if v is shorter.
 func rowsSpan(v []float32, stride, rows, width int) []float32 {

@@ -29,9 +29,6 @@ func subWidenAVX2(dst *float64, p, start *float32, n int)
 //go:noescape
 func narrowBytesAVX2(dst *byte, src *float64, n int)
 
-//go:noescape
-func widenBytesAVX2(dst *float64, src *byte, n int)
-
 // copyRowsAVX2 and addRowsAVX2 take rows > 0, width > 0 and strides in
 // elements.
 //

@@ -131,10 +131,6 @@ loop:
 	VZEROUPPER
 	RET
 
-// func widenBytesAVX2(dst *float64, src *byte, n int)
-TEXT ·widenBytesAVX2(SB), NOSPLIT, $0-24
-	JMP ·widenAVX2(SB)
-
 // func subNarrowedAVX2(dst *float64, p *float32, start *float64, n int)
 //
 // dst = float64(p) − float64(float32(start)).

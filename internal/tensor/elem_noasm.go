@@ -21,8 +21,6 @@ func subWidenAVX2(dst *float64, p, start *float32, n int) { noSIMD() }
 
 func narrowBytesAVX2(dst *byte, src *float64, n int) { noSIMD() }
 
-func widenBytesAVX2(dst *float64, src *byte, n int) { noSIMD() }
-
 func copyRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int) { noSIMD() }
 
 func addRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int) { noSIMD() }

@@ -187,14 +187,6 @@ func TestElementwiseKernelsMatchScalarLoops(t *testing.T) {
 					t.Fatalf("%s: byte %d: got %#x want %#x", label("NarrowLE"), i, body[i], wantBytes[i])
 				}
 			}
-			for i := range body {
-				body[i] = byte(r.Uint64())
-			}
-			for i := range want64 {
-				want64[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
-			}
-			WidenLE(w64, body)
-			assertBits64(t, w64, want64, label("WidenLE"))
 		}
 	})
 }
@@ -211,7 +203,6 @@ func TestElementwiseKernelsPanicOnShortOutput(t *testing.T) {
 		mustPanic(t, "Widen", func() { Widen(f64[:8], f32) })
 		mustPanic(t, "SubNarrowed", func() { SubNarrowed(f64, f32, f64[:8]) })
 		mustPanic(t, "NarrowLE", func() { NarrowLE(make([]byte, 63), f64) })
-		mustPanic(t, "WidenLE", func() { WidenLE(f64, make([]byte, 63)) })
 	})
 }
 

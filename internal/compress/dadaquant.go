@@ -29,10 +29,10 @@ type DAdaQuant struct {
 	// MaxLevels.
 	DoubleEvery int
 
-	rng     *stats.RNG
-	round   int
-	levels  int
-	scratch []float64
+	rng    *stats.RNG
+	round  int
+	levels int
+	sel    selector
 
 	// v is the error-feedback residual: gradient mass a deep-ratio top-k
 	// encode leaves unsent is carried into the next encode instead of
@@ -188,10 +188,7 @@ func (d *DAdaQuant) Encode(grad []float64, ratio float64) *Sparse {
 	if k >= dim {
 		return d.flushDense(lv, bits)
 	}
-	if cap(d.scratch) < dim {
-		d.scratch = make([]float64, dim)
-	}
-	msg := SelectTopKScratch(d.v, k, d.scratch)
+	msg := d.sel.selectTopK(d.v, k)
 	// Stage what the clear destroys: the selected values, before the
 	// quantizer below overwrites them in the message.
 	d.stageIdx = msg.Indices

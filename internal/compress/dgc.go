@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"adafl/internal/tensor"
 )
@@ -19,17 +20,19 @@ import (
 //     transmitted coordinates of both u and v (error feedback).
 //
 // The clear of u is deferred: Encode subtracts what it sends from v and
-// keeps the returned message as its stage; Commit (or the next Encode)
-// zeroes u at the message's indices, and Rollback adds its values back to
-// v. u is untouched until then, so Rollback is exact by construction and
-// the stage costs nothing beyond the message itself. The caller must not
-// mutate the returned message before Commit or Rollback.
+// stages the sent values; Commit (or the next Encode) zeroes u at their
+// indices, and Rollback adds them back to v. u is untouched until then, so
+// Rollback is exact by construction. The stage holds the values at the
+// width they travel, float32, which is exact (Encode rounded them so),
+// and the indices only when the message is not dense: a warm-up client
+// keeps 4 B per parameter for its stage, not the 12 B message, which the
+// caller may drop or change once it is sent.
 //
 // The struct is per-client state; one DGC instance must not be shared
 // between clients.
 type DGC struct {
 	// Momentum is the correction factor m (typically the trainer's own
-	// momentum coefficient).
+	// momentum coefficient). It must not change after the first Encode.
 	Momentum float64
 	// ClipNorm bounds the L2 norm of each incoming gradient before
 	// accumulation; 0 disables clipping.
@@ -41,18 +44,27 @@ type DGC struct {
 	// instead of being dumped at once. 0 disables message clipping.
 	MsgClipFactor float64
 
+	// u is the momentum accumulator and v the residual. With Momentum 0,
+	// u is not kept: all an Encode reads of it is 0·u, which the flush of
+	// 0·u + g erases (±0 plus g is g, and ±0 flushes to +0), so no later
+	// bit depends on it and it would be 8 B per coordinate of dead state.
 	u, v []float64
 
-	// scratch is the selection buffer, recycled across Encode calls so a
-	// steady-state encode allocates only the outgoing message.
-	scratch []float64
+	// sel is the top-k select with its scratch, kept across Encode calls
+	// and sized to the bracket, so a steady-state encode allocates only
+	// the outgoing message and its stage.
+	sel selector
 
-	// staged is the latest Encode's message while its upload can still
+	// The stage is the latest Encode's message while its upload can still
 	// fail or be quarantined: Commit (upload accepted) clears u at its
 	// indices, Rollback (upload lost/rejected) returns its values to v —
 	// without it, a rejected round would silently destroy the
-	// error-feedback residual instead of retrying it.
-	staged *Sparse
+	// error-feedback residual instead of retrying it. stageVals holds the
+	// sent values as float32, stageIdx their indices, nil when the message
+	// has every coordinate; staged says whether a stage is open.
+	staged    bool
+	stageIdx  []int32
+	stageVals []float32
 }
 
 // NewDGC returns a DGC codec with the given momentum correction factor and
@@ -67,7 +79,7 @@ func (d *DGC) Name() string { return "dgc" }
 // Reset implements Codec.
 func (d *DGC) Reset() {
 	d.u, d.v = nil, nil
-	d.staged = nil
+	d.dropStage()
 }
 
 // Validate rejects configurations whose error-feedback arithmetic would
@@ -93,14 +105,44 @@ func (d *DGC) AccumulatedNorm() float64 { return tensor.Norm2(d.v) }
 
 // Encode implements Codec.
 func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
-	d.Commit()
-	if d.u == nil {
-		d.u = make([]float64, len(grad))
-		d.v = make([]float64, len(grad))
+	return d.encodeDelta(tensor.DeltaOf(grad), ratio)
+}
+
+// EncodeDelta runs enc on grad. DGC reads it as it is, with the bits its
+// Encode gives on the float64 vector: a wire client's update, its trained
+// parameters minus the broadcast's, is read as the two float32 vectors it
+// is the difference of and never built. Any other codec is given the
+// vector, filled for the call into a buffer borrowed from wholeScratch
+// (every codec copies what it keeps of its input).
+func EncodeDelta(enc Codec, grad tensor.Delta, ratio float64) *Sparse {
+	if d, ok := enc.(*DGC); ok {
+		return d.encodeDelta(grad, ratio)
 	}
-	if len(d.u) != len(grad) {
+	bp := wholeScratch.Get().(*[]float64)
+	*bp = grad.Fill(*bp)
+	msg := enc.Encode(*bp, ratio)
+	wholeScratch.Put(bp)
+	return msg
+}
+
+// wholeScratch holds EncodeDelta's vectors as *[]float64, so a Put boxes
+// no slice header.
+var wholeScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// encodeDelta is Encode on a tensor.Delta.
+func (d *DGC) encodeDelta(grad tensor.Delta, ratio float64) *Sparse {
+	d.Commit()
+	dim := grad.Len()
+	if d.v == nil {
+		d.v = make([]float64, dim)
+		if d.Momentum != 0 {
+			d.u = make([]float64, dim)
+		}
+	}
+	if len(d.v) != dim {
 		panic("compress: DGC gradient dimension changed")
 	}
+	var buf [tensor.DeltaChunk]float64
 	// ‖g‖ over the finite coordinates, for the two clips. A non-finite one
 	// counts as zero here and in the update below: a single NaN would
 	// propagate through the clip's norm and the u/v updates, permanently
@@ -108,10 +150,14 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 	// keeps the coordinate's residual intact.
 	sum := 0.0
 	if d.ClipNorm > 0 || d.MsgClipFactor > 0 {
-		for _, x := range grad {
-			if finite(x) {
-				sum += x * x
+		for lo := 0; lo < dim; {
+			g := grad.Chunk(buf[:], lo, dim)
+			for _, x := range g {
+				if finite(x) {
+					sum += x * x
+				}
 			}
+			lo += len(g)
 		}
 	}
 	gnorm := math.Sqrt(sum)
@@ -122,30 +168,35 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 	// what MsgClipFactor bounds against. Momentum that has decayed into the
 	// subnormal range is flushed to zero, as in nn.SGD; such a u moves no v
 	// that is not itself below 2⁻⁹⁶⁹.
+	//
+	// A u that is not kept is a chunk of stack scratch here: the loop reads
+	// back only the finite values it wrote, and 0 times them changes no bit.
 	sum = 0
-	du, dv := d.u[:len(grad)], d.v[:len(grad)]
-	for i, x := range grad {
-		if !finite(x) {
-			x = 0
+	var noU [tensor.DeltaChunk]float64
+	for lo := 0; lo < dim; {
+		g := grad.Chunk(buf[:], lo, dim)
+		du, dv := noU[:len(g)], d.v[lo:lo+len(g)]
+		if d.u != nil {
+			du = d.u[lo : lo+len(g)]
 		}
-		if clip {
-			x *= scale
-			sum += x * x
+		for i, x := range g {
+			if !finite(x) {
+				x = 0
+			}
+			if clip {
+				x *= scale
+				sum += x * x
+			}
+			u := tensor.FlushSubnormal(d.Momentum*du[i] + x)
+			du[i] = u
+			dv[i] += u
 		}
-		u := tensor.FlushSubnormal(d.Momentum*du[i] + x)
-		du[i] = u
-		dv[i] += u
+		lo += len(g)
 	}
 	if clip {
 		gnorm = math.Sqrt(sum)
 	}
-	// The select buffer only serves a sparse k: a dense warm-up encode
-	// does not allocate it.
-	k := KForRatio(len(grad), ratio)
-	if k < len(grad) && cap(d.scratch) < len(grad) {
-		d.scratch = make([]float64, len(grad))
-	}
-	msg := SelectTopKScratch(d.v, k, d.scratch)
+	msg := d.sel.selectTopK(d.v, KForRatio(dim, ratio))
 	if d.MsgClipFactor > 0 {
 		bound := d.MsgClipFactor * gnorm
 		if n := tensor.Norm2(msg.Values); n > bound && n > 0 {
@@ -157,13 +208,24 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 	// minus its float32 neighbour is exact), so no mass is lost to the
 	// rounding and Rollback's v += sent still lands on the old v.
 	roundToFloat32(msg.Values)
-	// Clear v now and stage the message for u's clear: Commit (or the
+	// Clear v now and stage what was sent for u's clear: Commit (or the
 	// next Encode) zeroes u at its indices, Rollback adds it back to v.
+	d.stageVals = make([]float32, len(msg.Values))
 	for i, idx := range msg.Indices {
 		d.v[idx] -= msg.Values[i]
+		d.stageVals[i] = float32(msg.Values[i])
 	}
-	d.staged = msg
+	if len(msg.Indices) < dim {
+		d.stageIdx = make([]int32, len(msg.Indices))
+		copy(d.stageIdx, msg.Indices)
+	}
+	d.staged = true
 	return msg
+}
+
+// dropStage closes the stage and lets its buffers go.
+func (d *DGC) dropStage() {
+	d.staged, d.stageIdx, d.stageVals = false, nil, nil
 }
 
 // Commit finalises the most recent Encode: the transmitted mass was
@@ -171,13 +233,18 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 // cleared and the stage dropped. Calling Commit (or Rollback) twice is a
 // no-op.
 func (d *DGC) Commit() {
-	if d.staged == nil {
+	if !d.staged {
 		return
 	}
-	for _, idx := range d.staged.Indices {
-		d.u[idx] = 0
+	if d.u != nil {
+		if d.stageIdx == nil {
+			clear(d.u)
+		}
+		for _, idx := range d.stageIdx {
+			d.u[idx] = 0
+		}
 	}
-	d.staged = nil
+	d.dropStage()
 }
 
 // Rollback undoes the most recent Encode's error-feedback clear: the
@@ -187,11 +254,16 @@ func (d *DGC) Commit() {
 // of being destroyed. Only the latest Encode can be rolled back; a newer
 // Encode implicitly commits its predecessor.
 func (d *DGC) Rollback() {
-	if d.staged == nil {
+	if !d.staged {
 		return
 	}
-	for i, idx := range d.staged.Indices {
-		d.v[idx] += d.staged.Values[i]
+	if d.stageIdx == nil {
+		for i, x := range d.stageVals {
+			d.v[i] += float64(x)
+		}
 	}
-	d.staged = nil
+	for i, idx := range d.stageIdx {
+		d.v[idx] += float64(d.stageVals[i])
+	}
+	d.dropStage()
 }

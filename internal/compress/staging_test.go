@@ -17,7 +17,7 @@ import (
 type stagedDGC struct {
 	Momentum, ClipNorm, MsgClipFactor float64
 
-	u, v, scratch []float64
+	u, v []float64
 
 	pendingIdx  []int32
 	pendingVals []float64
@@ -58,11 +58,7 @@ func (d *stagedDGC) Encode(grad []float64, ratio float64) *Sparse {
 	if clip {
 		gnorm = math.Sqrt(sum)
 	}
-	k := KForRatio(len(grad), ratio)
-	if cap(d.scratch) < len(grad) {
-		d.scratch = make([]float64, len(grad))
-	}
-	msg := SelectTopKScratch(d.v, k, d.scratch)
+	msg := SelectTopK(d.v, KForRatio(len(grad), ratio))
 	if d.MsgClipFactor > 0 {
 		bound := d.MsgClipFactor * gnorm
 		if n := tensor.Norm2(msg.Values); n > bound && n > 0 {
@@ -106,7 +102,6 @@ func (d *stagedDGC) Rollback() {
 // count is fixed per call (lv) instead of resolved from a schedule.
 type stagedDAdaQuant struct {
 	rng      *stats.RNG
-	scratch  []float64
 	v        []float64
 	pendingV []float64
 	pending  bool
@@ -135,10 +130,7 @@ func (d *stagedDAdaQuant) Encode(grad []float64, ratio float64, lv int) *Sparse 
 	if k >= dim {
 		return d.flushDense(lv, bits)
 	}
-	if cap(d.scratch) < dim {
-		d.scratch = make([]float64, dim)
-	}
-	msg := SelectTopKScratch(d.v, k, d.scratch)
+	msg := SelectTopK(d.v, k)
 	for _, idx := range msg.Indices {
 		d.v[idx] = 0
 	}
@@ -238,15 +230,52 @@ func sameMessage(got, want *Sparse) error {
 }
 
 // dgcCommittedU is u as the copying DGC would hold it: the deferred clear
-// of a staged message applied.
+// of the stage applied — at its indices, or everywhere when the staged
+// message was dense and the stage keeps no index run.
 func dgcCommittedU(d *DGC) []float64 {
 	u := append([]float64(nil), d.u...)
-	if d.staged != nil {
-		for _, idx := range d.staged.Indices {
-			u[idx] = 0
-		}
+	if d.staged && d.stageIdx == nil {
+		clear(u)
+	}
+	for _, idx := range d.stageIdx {
+		u[idx] = 0
 	}
 	return u
+}
+
+// checkDGCStage checks the stage Encode left for msg: the sent values as
+// float32, exactly, and the indices in a run of the stage's own — none
+// when msg has every coordinate — so nothing refers to the returned
+// message.
+func checkDGCStage(d *DGC, msg *Sparse) error {
+	if !d.staged || len(d.stageVals) != msg.NNZ() {
+		return fmt.Errorf("staged %v with %d values for a %d-value message", d.staged, len(d.stageVals), msg.NNZ())
+	}
+	for i, x := range d.stageVals {
+		if math.Float64bits(float64(x)) != math.Float64bits(msg.Values[i]) {
+			return fmt.Errorf("staged value %d is %v, sent %v", i, x, msg.Values[i])
+		}
+	}
+	switch {
+	case msg.NNZ() == msg.Dim && d.stageIdx != nil:
+		return fmt.Errorf("a dense message staged a %d-index run", len(d.stageIdx))
+	case msg.NNZ() < msg.Dim && (len(d.stageIdx) != msg.NNZ() || &d.stageIdx[0] == &msg.Indices[0]):
+		return fmt.Errorf("stage has %d indices for %d sent, or shares the message's", len(d.stageIdx), msg.NNZ())
+	}
+	for i, idx := range d.stageIdx {
+		if idx != msg.Indices[i] {
+			return fmt.Errorf("staged index %d is %d, sent %d", i, idx, msg.Indices[i])
+		}
+	}
+	return nil
+}
+
+// scribble overwrites a sent message, as a caller that reuses its buffers
+// once the upload is written may: the stage must not depend on it.
+func scribble(msg *Sparse) {
+	for i := range msg.Indices {
+		msg.Indices[i], msg.Values[i] = 0, math.NaN()
+	}
 }
 
 // dadaResidual is v as the copying DAdaQuant would hold it: a dense
@@ -278,7 +307,10 @@ func stagingOp(r *stats.RNG) string {
 // encode followed by sparse ratios, clipping of the gradient and of the
 // message, non-finite gradient coordinates, and momentum decaying into the
 // subnormal range. After every step the messages, u, v and the
-// accumulated norm must carry the same bits.
+// accumulated norm must carry the same bits. DGC's gradient is sometimes a
+// float32 pair read through EncodeDelta, and every message it returns is
+// checked against its stage (checkDGCStage) and then overwritten, so
+// Commit and Rollback run on the stage alone.
 func TestStagingDeferredMatchesCopied(t *testing.T) {
 	ratios := []float64{1, 2, 4, 8, 50, 210}
 	configs := []struct{ momentum, clip, msgClip float64 }{
@@ -299,12 +331,30 @@ func TestStagingDeferredMatchesCopied(t *testing.T) {
 					if encodes == 0 {
 						ratio = 1
 					}
-					family := r.Intn(4)
-					g := stagingGrad(r, dim, family)
-					got, want := d.Encode(g, ratio), ref.Encode(g, ratio)
+					family := r.Intn(5)
+					var got *Sparse
+					var g []float64
+					if family == 4 {
+						p, start := make([]float32, dim), make([]float32, dim)
+						for i := range p {
+							start[i] = float32(r.Norm())
+							p[i] = start[i] + float32(0.1*r.Norm())
+						}
+						src := tensor.DeltaOf32(p, start)
+						g = src.Fill(nil)
+						got = EncodeDelta(d, src, ratio)
+					} else {
+						g = stagingGrad(r, dim, family)
+						got = d.Encode(g, ratio)
+					}
+					want := ref.Encode(g, ratio)
 					if err := sameMessage(got, want); err != nil {
 						t.Fatalf("step %d (ratio %v, family %d): message %v", step, ratio, family, err)
 					}
+					if err := checkDGCStage(d, got); err != nil {
+						t.Fatalf("step %d (ratio %v, family %d): %v", step, ratio, family, err)
+					}
+					scribble(got)
 					encodes++
 				case "commit":
 					d.Commit()
@@ -313,8 +363,15 @@ func TestStagingDeferredMatchesCopied(t *testing.T) {
 					d.Rollback()
 					ref.Rollback()
 				}
-				if err := sameBits(dgcCommittedU(d), ref.u); err != nil {
-					t.Fatalf("step %d after %s: u%v", step, op, err)
+				// DGC keeps u only when its momentum is not 0; at 0
+				// nothing reads u, which the messages and v show.
+				if d.v != nil && (d.u != nil) != (cfg.momentum != 0) {
+					t.Fatalf("step %d after %s: DGC at momentum %v keeps u: %v", step, op, cfg.momentum, d.u != nil)
+				}
+				if d.u != nil {
+					if err := sameBits(dgcCommittedU(d), ref.u); err != nil {
+						t.Fatalf("step %d after %s: u%v", step, op, err)
+					}
 				}
 				if err := sameBits(d.v, ref.v); err != nil {
 					t.Fatalf("step %d after %s: v%v", step, op, err)
@@ -371,17 +428,26 @@ func TestStagingDeferredMatchesCopied(t *testing.T) {
 }
 
 // TestStagingHoldsNoResidualCopy: neither codec keeps a dimension-sized
-// copy for its stage. After a dense encode and a sparse one, DGC's stage
-// is the sparse message itself, and DAdaQuant's holds at most the k
-// values its quantizer overwrote.
+// float64 copy for its stage. DGC's stage holds the sent values as float32
+// — after a dense encode 4 B per coordinate and no index run, after a
+// sparse one the k values and their indices — and no reference to the
+// message it returned (at momentum 0 it keeps no u either); DAdaQuant's
+// holds at most the k values its quantizer overwrote.
 func TestStagingHoldsNoResidualCopy(t *testing.T) {
 	const dim = 4096
 	r := stats.NewRNG(5)
 	d := NewDGC(0.9, 0)
-	d.Encode(stagingGrad(r, dim, 0), 1)
+	dense := d.Encode(stagingGrad(r, dim, 0), 1)
+	if err := checkDGCStage(d, dense); err != nil || d.stageIdx != nil || len(d.stageVals) != dim {
+		t.Fatalf("DGC's dense stage: %d values, %d indices (%v)", len(d.stageVals), len(d.stageIdx), err)
+	}
 	msg := d.Encode(stagingGrad(r, dim, 0), 50)
-	if d.staged != msg {
-		t.Fatal("DGC's stage is not the message it returned")
+	if err := checkDGCStage(d, msg); err != nil || cap(d.stageVals) != msg.NNZ() || cap(d.stageIdx) != msg.NNZ() {
+		t.Fatalf("DGC's sparse stage: cap %d values, cap %d indices for a %d-value message (%v)",
+			cap(d.stageVals), cap(d.stageIdx), msg.NNZ(), err)
+	}
+	if z := NewDGC(0, 0); z.Encode(stagingGrad(r, dim, 0), 50) != nil && z.u != nil {
+		t.Fatal("DGC at momentum 0 keeps u")
 	}
 	q := NewDAdaQuant(1, 64, 8, stats.NewRNG(6))
 	q.Encode(stagingGrad(r, dim, 0), 1)

@@ -36,23 +36,40 @@ func finite(x float64) bool {
 // coordinate's key counts as 0. The select is exact: a strided sample of
 // the keys brackets the threshold, one pass gathers the keys inside the
 // bracket, and selectKeys finds it among them (bracketedThreshold). k must
-// be in [1, len(v)) and scratch must hold len(v); its contents are
-// clobbered.
-func selectThreshold(v []float64, k int, scratch []float64) (thr uint64, above int) {
-	lo, hi := sampleBracket(v, k, scratch)
-	return bracketedThreshold(v, k, scratch, lo, hi)
+// be in [1, len(v)). scratch may have any length, and its contents are
+// clobbered; a select that needs more (the sample, or the keys the bracket
+// gathers) allocates. used is how much it needed: a scratch of that length
+// would have served it.
+func selectThreshold(v []float64, k int, scratch []float64) (thr uint64, above, used int) {
+	m := sampleSize(len(v), k)
+	if len(scratch) < m {
+		scratch = make([]float64, m)
+	}
+	lo, hi := sampleBracket(v, k, scratch[:m])
+	thr, above, used = bracketedThreshold(v, k, scratch, lo, hi)
+	return thr, above, max(used, m)
 }
 
 // bracketMinLen is the length under which the bracket is the whole key
 // range: a sample would cost about what selecting among all of v does.
 const bracketMinLen = 1024
 
+// sampleSize is how many keys sampleBracket draws from n for the k-th
+// largest (see there), 0 when n is under bracketMinLen.
+func sampleSize(n, k int) int {
+	if n < bracketMinLen {
+		return 0
+	}
+	p := float64(k) / float64(n)
+	return min(max(int(math.Pow(3*float64(n)*math.Sqrt(p*(1-p)), 2.0/3)), 64), n/8)
+}
+
 // sampleBracket returns keys lo ≤ hi that bracket the k-th largest key of
-// v with high probability. It draws m keys, one in each stride of
-// len(v)/m, and bounds the two whose ranks from the top lie a margin
-// either side of k·m/len(v), the rank the threshold has in the sample on
-// average: three standard deviations of that rank (a binomial count) plus
-// four. m balances the sample's cost against the gathered keys' (about
+// v with high probability. It draws m = len(sample) keys (sampleSize) into
+// sample, one in each stride of len(v)/m, and bounds the two whose ranks
+// from the top lie a margin either side of k·m/len(v), the rank the
+// threshold has in the sample on average: three standard deviations of
+// that rank (a binomial count) plus four. m balances the sample's cost against the gathered keys' (about
 // 6σ·len(v)/m): (3·len(v)·√(p(1−p)))^⅔ minimises the sum for p =
 // k/len(v). A bound the sample cannot set is left open (lo 0, hi all
 // ones).
@@ -64,19 +81,17 @@ const bracketMinLen = 1024
 // less than a bucket each way — it still holds whatever the exact keys
 // would have held — and saves the rounds of a select, whose cost on a
 // sample is comparable with all the rest.
-func sampleBracket(v []float64, k int, scratch []float64) (lo, hi uint64) {
-	n := len(v)
+func sampleBracket(v []float64, k int, sample []float64) (lo, hi uint64) {
+	n, m := len(v), len(sample)
 	lo, hi = 0, math.MaxUint64
-	if n < bracketMinLen {
+	if m == 0 {
 		return lo, hi
 	}
 	p := float64(k) / float64(n)
 	q := math.Sqrt(p * (1 - p))
-	m := min(max(int(math.Pow(3*float64(n)*q, 2.0/3)), 64), n/8)
 	expect, margin := p*float64(m), 3*q*math.Sqrt(float64(m))+4
 	cHi, cLo := int(math.Floor(expect-margin)), int(math.Ceil(expect+margin))
 	step := n / m
-	sample := scratch[:m]
 	// least is the least nonzero key: a zero key's b−1 wraps to the top and
 	// leaves the minimum alone (and if every key is zero, least wraps back
 	// to 0).
@@ -131,15 +146,22 @@ func sampleBracket(v []float64, k int, scratch []float64) (lo, hi uint64) {
 // k lie above, and at least k lie above or inside — selectKeys finds it
 // there; otherwise the sample missed, and the histogram select runs
 // instead. Either way the result is the k-th largest key: the bracket only
-// chooses where to look.
-func bracketedThreshold(v []float64, k int, scratch []float64, lo, hi uint64) (thr uint64, above int) {
-	above, inside := tensor.GatherKeys(scratch, v, lo, hi)
+// chooses where to look. A bracket that holds more keys than scratch does
+// is gathered again into a scratch that holds all of v; used is how many
+// keys it holds.
+func bracketedThreshold(v []float64, k int, scratch []float64, lo, hi uint64) (thr uint64, above, used int) {
+	above, inside, ok := tensor.GatherKeys(scratch, v, lo, hi)
+	if !ok {
+		scratch = make([]float64, len(v))
+		above, inside, _ = tensor.GatherKeys(scratch, v, lo, hi)
+	}
 	r := k - above // the threshold's rank among the gathered keys, from the top
 	if r <= 0 || r > inside {
-		return histogramThreshold(v, k, scratch)
+		thr, above = histogramThreshold(v, k, scratch)
+		return thr, above, inside
 	}
 	t, a := selectKeys(scratch[:inside], r, lo, hi)
-	return math.Float64bits(t), above + a
+	return math.Float64bits(t), above + a, inside
 }
 
 // selectKeys returns the r-th largest of keys (1 ≤ r ≤ len(keys)), which
@@ -198,8 +220,9 @@ func selectKeys(keys []float64, r int, lo, hi uint64) (t float64, above int) {
 // bracket takes: one pass counts the keys into a histogram over their
 // leading selectBits, a walk down from the top bucket finds the one
 // holding rank k, and only that bucket's members are gathered into scratch
-// and selected among. Its cost does not depend on the input's order, which
-// bounds the worst case of the bracketed select.
+// and selected among (in a new scratch when the bucket outgrows this one).
+// Its cost does not depend on the input's order, which bounds the worst
+// case of the bracketed select.
 func histogramThreshold(v []float64, k int, scratch []float64) (thr uint64, above int) {
 	var hist [1 << selectBits]uint32
 	for _, x := range v {
@@ -220,6 +243,9 @@ func histogramThreshold(v []float64, k int, scratch []float64) (thr uint64, abov
 	// The threshold is the rank-th largest of the bucket's members. Bucket
 	// 0's count includes the non-finite coordinates, which the gather does
 	// not match: the slots it leaves unfilled are their zeros.
+	if len(scratch) < int(hist[bucket]) {
+		scratch = make([]float64, hist[bucket])
+	}
 	members := scratch[:hist[bucket]]
 	m := 0
 	for _, x := range v {
@@ -236,9 +262,9 @@ func histogramThreshold(v []float64, k int, scratch []float64) (thr uint64, abov
 // SelectTopK builds a sparse message from the k largest-magnitude
 // coordinates of v. Ties at the threshold are resolved by coordinate order
 // and the result is truncated to exactly k entries; non-finite coordinates
-// rank as zero magnitude and are never transmitted. The selection scratch
-// is borrowed from selectScratch; stateful codecs that encode every round
-// should prefer SelectTopKScratch with their own buffer.
+// rank as zero magnitude and are never transmitted. The selection scratch,
+// as long as v, is borrowed from selectScratch; a codec that encodes every
+// round keeps a selector instead.
 func SelectTopK(v []float64, k int) *Sparse {
 	if k <= 0 {
 		panic("compress: non-positive k")
@@ -250,7 +276,7 @@ func SelectTopK(v []float64, k int) *Sparse {
 	if cap(*sp) < len(v) {
 		*sp = make([]float64, len(v))
 	}
-	s := SelectTopKScratch(v, k, *sp)
+	s, _ := selectTopKScratch(v, k, (*sp)[:len(v)])
 	selectScratch.Put(sp)
 	return s
 }
@@ -259,20 +285,39 @@ func SelectTopK(v []float64, k int) *Sparse {
 // Put boxes no slice header.
 var selectScratch = sync.Pool{New: func() any { return new([]float64) }}
 
-// SelectTopKScratch is SelectTopK with a caller-provided selection
-// scratch buffer of capacity ≥ len(v), whose contents are clobbered. A nil
-// or too-small scratch falls back to selectScratch.
-func SelectTopKScratch(v []float64, k int, scratch []float64) *Sparse {
+// selector is the top-k select of a codec that encodes every round, with
+// the scratch it keeps between encodes. The scratch is sized to what the
+// last select used — its sample and the keys its bracket gathered, about
+// k plus the bracket at most — not to v: a select whose bracket gathers
+// more takes the miss path, which allocates, and the scratch then grows
+// to that plus half (a bracket's count varies by about a fifth between
+// rounds at one ratio). Like fitScratch it shrinks once a select uses less
+// than a quarter of it, so one shallow ratio does not pin its scratch for
+// the session.
+type selector struct {
+	scratch []float64
+}
+
+// selectTopK is SelectTopK on the selector's scratch.
+func (s *selector) selectTopK(v []float64, k int) *Sparse {
 	if k <= 0 {
 		panic("compress: non-positive k")
 	}
 	if k >= len(v) {
 		return denseFinite(v)
 	}
-	if cap(scratch) < len(v) {
-		return SelectTopK(v, k)
+	msg, used := selectTopKScratch(v, k, s.scratch)
+	if c := len(s.scratch); used > c || (c > shrinkFloor && used < c/4) {
+		s.scratch = make([]float64, used+used/2)
 	}
-	thr, above := selectThreshold(v, k, scratch[:len(v)])
+	return msg
+}
+
+// selectTopKScratch is SelectTopK, k in [1, len(v)), on a scratch of any
+// length whose contents are clobbered (selectThreshold); used is the
+// scratch length the select needed.
+func selectTopKScratch(v []float64, k int, scratch []float64) (s *Sparse, used int) {
+	thr, above, used := selectThreshold(v, k, scratch)
 	// Everything strictly above the threshold is taken; the rest of the k
 	// slots go to the first at-threshold entries in coordinate order
 	// (duplicates of the threshold). Knowing the former count up front lets
@@ -282,10 +327,10 @@ func SelectTopKScratch(v []float64, k int, scratch []float64) *Sparse {
 	// threshold and is skipped there: it ranked as zero and is not sent
 	// even as a zero-magnitude tie. The slack lets the pass store whole
 	// vectors to the end.
-	s := &Sparse{Dim: len(v), Indices: make([]int32, k+tensor.CompressSlack), Values: make([]float64, k+tensor.CompressSlack)}
+	s = &Sparse{Dim: len(v), Indices: make([]int32, k+tensor.CompressSlack), Values: make([]float64, k+tensor.CompressSlack)}
 	n := tensor.CompressAbove(s.Indices, s.Values, v, thr, k-above)
 	s.Indices, s.Values = s.Indices[:n], s.Values[:n]
-	return s
+	return s, used
 }
 
 // denseFinite is the k ≥ len(v) fast path: every finite coordinate is
@@ -349,10 +394,10 @@ func (Identity) Reset() {}
 
 // TopK is magnitude sparsification without error feedback: the classic
 // baseline that simply drops small coordinates. The only state is the
-// reused selection scratch buffer, so one instance must not be shared
-// between concurrently-encoding clients.
+// selection scratch (selector), so one instance must not be shared between
+// concurrently-encoding clients.
 type TopK struct {
-	scratch []float64
+	sel selector
 }
 
 // Name implements Codec.
@@ -360,10 +405,7 @@ func (*TopK) Name() string { return "topk" }
 
 // Encode implements Codec.
 func (t *TopK) Encode(grad []float64, ratio float64) *Sparse {
-	if cap(t.scratch) < len(grad) {
-		t.scratch = make([]float64, len(grad))
-	}
-	s := SelectTopKScratch(grad, KForRatio(len(grad), ratio), t.scratch)
+	s := t.sel.selectTopK(grad, KForRatio(len(grad), ratio))
 	roundToFloat32(s.Values)
 	return s
 }

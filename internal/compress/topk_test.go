@@ -14,7 +14,7 @@ import (
 // topKThreshold is the magnitude of the k-th largest |v|, as the
 // threshold tests read it.
 func topKThreshold(v []float64, k int, scratch []float64) float64 {
-	thr, _ := selectThreshold(v, k, scratch)
+	thr, _, _ := selectThreshold(v, k, scratch)
 	return math.Float64frombits(thr)
 }
 
@@ -40,7 +40,7 @@ func magnitudeOrder(v []float64) []int {
 
 // selectTopKSorted is the reference selection: the first k of
 // magnitudeOrder(v), without the non-finite ones among them, in coordinate
-// order. It shares no code with SelectTopKScratch.
+// order. It shares no code with selectTopKScratch.
 func selectTopKSorted(v []float64, order []int, k int) *Sparse {
 	top := append([]int(nil), order[:min(k, len(order))]...)
 	sort.Ints(top)
@@ -405,7 +405,7 @@ func TestSelectMatchesHistogramSelect(t *testing.T) {
 					fam.gen(r, v)
 					for _, ratio := range ratios {
 						k := KForRatio(n, ratio)
-						got, want := SelectTopKScratch(v, k, scratch), parentSelectTopKScratch(v, k, ref)
+						got, want := selectWith(v, k, scratch), parentSelectTopKScratch(v, k, ref)
 						if !sameSparse(got, want) {
 							t.Fatalf("%s %s n=%d k=%d: got %d entries, want %d; first difference at %d",
 								level, fam.name, n, k, got.NNZ(), want.NNZ(), firstDiff(got, want))
@@ -414,7 +414,7 @@ func TestSelectMatchesHistogramSelect(t *testing.T) {
 							continue
 						}
 						wantThr, wantAbove := parentSelectThreshold(v, k, ref)
-						if lo, hi := sampleBracket(v, k, scratch); n >= bracketMinLen && fam.name == "gaussian" && missed(v, k, scratch, lo, hi) {
+						if lo, hi := sampleBracket(v, k, scratch[:sampleSize(n, k)]); n >= bracketMinLen && fam.name == "gaussian" && missed(v, k, scratch, lo, hi) {
 							t.Errorf("%s n=%d k=%d: the sample missed a Gaussian's threshold", level, n, k)
 						}
 						// Brackets of the zeros alone and of nothing: each
@@ -423,7 +423,7 @@ func TestSelectMatchesHistogramSelect(t *testing.T) {
 							if missed(v, k, scratch, b[0], b[1]) {
 								misses++
 							}
-							if thr, above := bracketedThreshold(v, k, scratch, b[0], b[1]); thr != wantThr || above != wantAbove {
+							if thr, above, _ := bracketedThreshold(v, k, scratch, b[0], b[1]); thr != wantThr || above != wantAbove {
 								t.Fatalf("%s %s n=%d k=%d bracket %#x: threshold %#x above %d, want %#x %d",
 									level, fam.name, n, k, b, thr, above, wantThr, wantAbove)
 							}
@@ -441,11 +441,20 @@ func TestSelectMatchesHistogramSelect(t *testing.T) {
 // missed reports whether the bracket [lo, hi] misses the k-th largest key
 // of v, which sends bracketedThreshold to the histogram select.
 func missed(v []float64, k int, scratch []float64, lo, hi uint64) bool {
-	above, inside := tensor.GatherKeys(scratch, v, lo, hi)
+	above, inside, _ := tensor.GatherKeys(scratch, v, lo, hi)
 	return above >= k || above+inside < k
 }
 
-// BenchmarkSelectTopK times SelectTopKScratch at the MLP's and the paper
+// selectWith is SelectTopK on the given scratch, of any length.
+func selectWith(v []float64, k int, scratch []float64) *Sparse {
+	if k >= len(v) {
+		return denseFinite(v)
+	}
+	s, _ := selectTopKScratch(v, k, scratch)
+	return s
+}
+
+// BenchmarkSelectTopK times selectTopKScratch at the MLP's and the paper
 // CNN's dimensions, at AdaFL's async ratio and the deep end of its range,
 // at each dispatch level, beside the histogram select it replaced.
 func BenchmarkSelectTopK(b *testing.B) {
@@ -466,7 +475,7 @@ func BenchmarkSelectTopK(b *testing.B) {
 					}
 					defer restore()
 					for i := 0; i < b.N; i++ {
-						SelectTopKScratch(v, k, scratch)
+						selectTopKScratch(v, k, scratch)
 					}
 				})
 			}
@@ -475,6 +484,108 @@ func BenchmarkSelectTopK(b *testing.B) {
 					parentSelectTopKScratch(v, k, scratch)
 				}
 			})
+		}
+	}
+}
+
+// sampleAliased fills v with small values, and a large one at every
+// coordinate sampleBracket draws for the k-th largest: the sample sees
+// only the large ones, so its bracket misses the threshold — the layout a
+// fixed sample offset met in a dense layer's interleaved outputs. It
+// repeats sampleBracket's draw; the tests that use it check that the
+// bracket did miss, so a change to the draw fails them rather than
+// leaving them testing nothing.
+func sampleAliased(r *stats.RNG, v []float64, k int) {
+	for i := range v {
+		v[i] = 1e-3 * r.Norm()
+	}
+	m := sampleSize(len(v), k)
+	step := len(v) / m
+	for j := 0; j < m; j++ {
+		off := int(uint64(uint32(j)*0x9e3779b9) * uint64(step) >> 32)
+		v[j*step+off] = 10 + r.Norm()
+	}
+}
+
+// TestSelectorMatchesFullScratch: a selector, whose scratch is sized to
+// the bracket, selects exactly what SelectTopK selects with a scratch as
+// long as v, Indices and Values bit for bit, over ratios from 4 to 210 in
+// random order: on Gaussian accumulators, on the stride-aliased layout,
+// and on a layout whose every sampled coordinate is large, which sends the
+// select to its histogram path (checked). The first sparse select, a jump
+// to a ratio whose bracket holds more keys and a bracket that outgrows its
+// scratch take the other miss, a gather that does not fit, which
+// allocates and grows the scratch: those are counted and must occur.
+func TestSelectorMatchesFullScratch(t *testing.T) {
+	ratios := []float64{4, 8, 16, 32, 64, 128, 210}
+	for _, n := range []int{20000, 431080} {
+		if n == 431080 && (testing.Short() || raceEnabled) {
+			continue // the race detector adds nothing to a serial select but time
+		}
+		r := stats.NewRNG(uint64(n))
+		v, full := make([]float64, n), make([]float64, n)
+		var sel selector
+		grew, sampleMisses := 0, 0
+		for step := 0; step < 30; step++ {
+			ratio := ratios[r.Intn(len(ratios))]
+			k := KForRatio(n, ratio)
+			switch step % 3 {
+			case 0:
+				bracketFamilies[0].gen(r, v) // gaussian
+			case 1:
+				for _, fam := range bracketFamilies {
+					if fam.name == "stride-aliased" {
+						fam.gen(r, v)
+					}
+				}
+			case 2:
+				sampleAliased(r, v, k)
+				lo, hi := sampleBracket(v, k, full[:sampleSize(n, k)])
+				if !missed(v, k, full, lo, hi) {
+					t.Fatalf("n=%d k=%d: the sample-aliased layout did not make the bracket miss", n, k)
+				}
+				sampleMisses++
+			}
+			before := len(sel.scratch)
+			got, want := sel.selectTopK(v, k), SelectTopK(v, k)
+			if !sameSparse(got, want) {
+				t.Fatalf("n=%d step %d k=%d: got %d entries, want %d; first difference at %d",
+					n, step, k, got.NNZ(), want.NNZ(), firstDiff(got, want))
+			}
+			if len(sel.scratch) > before {
+				grew++
+			}
+			if len(sel.scratch) >= n/4 {
+				t.Fatalf("n=%d step %d k=%d: the selector keeps %d scratch slots", n, step, k, len(sel.scratch))
+			}
+		}
+		if grew < 2 || sampleMisses == 0 {
+			t.Errorf("n=%d: %d scratch growths, %d sample misses; both miss paths must run", n, grew, sampleMisses)
+		}
+	}
+}
+
+// TestSelectorScratchWithinGather: at the paper CNN's dimension, across
+// ratios from 4 to 210 in random order, a selector's scratch holds what its
+// last select used — the sample and the keys the bracket gathered, as a
+// select with a full scratch reports them — and at most four times that
+// (or shrinkFloor), which is a few percent of v at every ratio.
+func TestSelectorScratchWithinGather(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("431k selects; the race detector adds nothing to a serial select but time")
+	}
+	const n = 431080
+	r := stats.NewRNG(8)
+	v, full := make([]float64, n), make([]float64, n)
+	var sel selector
+	for step := 0; step < 40; step++ {
+		bracketFamilies[0].gen(r, v) // gaussian
+		ratio := 4 * math.Pow(210.0/4, r.Float64())
+		k := KForRatio(n, ratio)
+		_, _, used := selectThreshold(v, k, full)
+		sel.selectTopK(v, k)
+		if c := len(sel.scratch); c < used || c > max(4*used, shrinkFloor) || c > n/16 {
+			t.Fatalf("step %d, ratio %.1f (k %d): scratch %d slots after a select that used %d", step, ratio, k, c, used)
 		}
 	}
 }

@@ -6,18 +6,19 @@ import (
 	"testing/quick"
 
 	"adafl/internal/stats"
+	"adafl/internal/tensor"
 )
 
 func TestSimilarityCosineRange(t *testing.T) {
 	u := DefaultUtility()
 	a := []float64{1, 0}
-	if s := u.SimilarityAt(a, nil, a); math.Abs(s-1) > 1e-12 {
+	if s := u.SimilarityAt(tensor.DeltaOf(a), nil, a); math.Abs(s-1) > 1e-12 {
 		t.Fatalf("aligned similarity %v, want 1", s)
 	}
-	if s := u.SimilarityAt(a, nil, []float64{-1, 0}); math.Abs(s) > 1e-12 {
+	if s := u.SimilarityAt(tensor.DeltaOf(a), nil, []float64{-1, 0}); math.Abs(s) > 1e-12 {
 		t.Fatalf("opposed similarity %v, want 0", s)
 	}
-	if s := u.SimilarityAt(a, nil, []float64{0, 1}); math.Abs(s-0.5) > 1e-12 {
+	if s := u.SimilarityAt(tensor.DeltaOf(a), nil, []float64{0, 1}); math.Abs(s-0.5) > 1e-12 {
 		t.Fatalf("orthogonal similarity %v, want 0.5", s)
 	}
 }
@@ -25,14 +26,14 @@ func TestSimilarityCosineRange(t *testing.T) {
 func TestSimilarityNegL2(t *testing.T) {
 	u := UtilityConfig{SimWeight: 1, Metric: NegL2}
 	a := []float64{3, 0} // direction (1,0)
-	if s := u.SimilarityAt(a, nil, []float64{7, 0}); math.Abs(s-1) > 1e-12 {
+	if s := u.SimilarityAt(tensor.DeltaOf(a), nil, []float64{7, 0}); math.Abs(s-1) > 1e-12 {
 		t.Fatalf("same-direction NegL2 %v, want 1 (scale invariant)", s)
 	}
-	opp := u.SimilarityAt(a, nil, []float64{-1, 0})
+	opp := u.SimilarityAt(tensor.DeltaOf(a), nil, []float64{-1, 0})
 	if opp >= 0.5 {
 		t.Fatalf("opposed NegL2 %v should be < 0.5", opp)
 	}
-	if s := u.SimilarityAt(a, nil, []float64{0, 0}); s != 0.5 {
+	if s := u.SimilarityAt(tensor.DeltaOf(a), nil, []float64{0, 0}); s != 0.5 {
 		t.Fatalf("zero-vector NegL2 %v, want neutral 0.5", s)
 	}
 }

@@ -55,7 +55,7 @@ func TestNegL2SimilarityMatchesCopyScale(t *testing.T) {
 			case c == 5:
 				copy(b, a) // identical directions
 			}
-			got, want := u.SimilarityAt(a, nil, b), copyScaleNegL2(a, b)
+			got, want := u.SimilarityAt(tensor.DeltaOf(a), nil, b), copyScaleNegL2(a, b)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("n=%d case %d: %v, copy-scale form %v", n, c, got, want)
 			}
@@ -63,7 +63,7 @@ func TestNegL2SimilarityMatchesCopyScale(t *testing.T) {
 	}
 	// A zero side scores 0.5 whatever the lengths; two nonzero sides of
 	// different lengths are a caller bug.
-	if s := u.SimilarityAt([]float64{1, 2}, nil, nil); s != 0.5 {
+	if s := u.SimilarityAt(tensor.DeltaOf([]float64{1, 2}), nil, nil); s != 0.5 {
 		t.Fatalf("against an empty vector: %v, want 0.5", s)
 	}
 	defer func() {
@@ -71,7 +71,7 @@ func TestNegL2SimilarityMatchesCopyScale(t *testing.T) {
 			t.Fatal("length mismatch between two nonzero vectors did not panic")
 		}
 	}()
-	u.SimilarityAt([]float64{1, 2}, nil, []float64{1})
+	u.SimilarityAt(tensor.DeltaOf([]float64{1, 2}), nil, []float64{1})
 }
 
 func TestNegL2SimilarityAllocatesNothing(t *testing.T) {
@@ -80,7 +80,7 @@ func TestNegL2SimilarityAllocatesNothing(t *testing.T) {
 	for i := range a {
 		a[i], b[i] = float64(i%7)-3, float64(i%5)-2
 	}
-	if n := testing.AllocsPerRun(10, func() { u.SimilarityAt(a, nil, b) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { u.SimilarityAt(tensor.DeltaOf(a), nil, b) }); n != 0 {
 		t.Fatalf("%v allocations per call, want 0", n)
 	}
 }
@@ -163,7 +163,7 @@ func TestScoreAtMatchesScatteredScore(t *testing.T) {
 					}
 				}
 				local[2] = off // never on the support
-				got, want := u.ScoreAt(2e6, 5e6, local, idx, vals), u.Score(2e6, 5e6, local, g)
+				got, want := u.ScoreAt(2e6, 5e6, tensor.DeltaOf(local), idx, vals), u.Score(2e6, 5e6, local, g)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%v, support every %d, local[2] = %v: %v (%x), scattered %v (%x)",
 						metric, every, off, got, math.Float64bits(got), want, math.Float64bits(want))

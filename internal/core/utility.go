@@ -63,8 +63,8 @@ func DefaultUtility() UtilityConfig {
 // SimilarityAt computes U(g_i, ĝ) ∈ [0, 1] against the ĝ given by its
 // support, as tensor.CosineSimilarityAt reads one: vals at the coordinates
 // idx and +0 elsewhere, or vals itself when idx is nil. Both forms of one
-// ĝ give the same bits.
-func (u UtilityConfig) SimilarityAt(local []float64, idx []int32, vals []float64) float64 {
+// ĝ give the same bits, as do both forms of a tensor.Delta local.
+func (u UtilityConfig) SimilarityAt(local tensor.Delta, idx []int32, vals []float64) float64 {
 	switch u.Metric {
 	case Cosine:
 		// Cosine is directionally sensitive: aligned → 1, opposed → 0.
@@ -82,9 +82,9 @@ func (u UtilityConfig) SimilarityAt(local []float64, idx []int32, vals []float64
 // goes; every sum runs in index order and each scaled element is rounded
 // before the subtraction, so the bits are those of copying both vectors,
 // scaling the copies and measuring their distance.
-func negL2Similarity(a []float64, idx []int32, vals []float64) float64 {
-	if idx == nil && len(a) != len(vals) {
-		if tensor.Norm2(a) == 0 || tensor.Norm2(vals) == 0 {
+func negL2Similarity(a tensor.Delta, idx []int32, vals []float64) float64 {
+	if idx == nil && a.Len() != len(vals) {
+		if tensor.Norm2(vals) == 0 || a.Norm2() == 0 {
 			return 0.5
 		}
 		panic("core: NegL2 similarity length mismatch")
@@ -101,11 +101,11 @@ func negL2Similarity(a []float64, idx []int32, vals []float64) float64 {
 // bandwidths and cached local gradient, against the previous global
 // gradient ĝ. The result lies in [0, 1].
 func (u UtilityConfig) Score(upBps, downBps float64, local, globalDelta []float64) float64 {
-	return u.ScoreAt(upBps, downBps, local, nil, globalDelta)
+	return u.ScoreAt(upBps, downBps, tensor.DeltaOf(local), nil, globalDelta)
 }
 
-// ScoreAt is Score against the ĝ SimilarityAt reads from idx and vals.
-func (u UtilityConfig) ScoreAt(upBps, downBps float64, local []float64, idx []int32, vals []float64) float64 {
+// ScoreAt is Score for the local gradient and the ĝ SimilarityAt reads.
+func (u UtilityConfig) ScoreAt(upBps, downBps float64, local tensor.Delta, idx []int32, vals []float64) float64 {
 	ws := u.SimWeight + u.BwWeight
 	if ws <= 0 {
 		panic("core: utility weights sum to zero")

@@ -79,7 +79,7 @@ func UtilityScoreFLOPs(dim int) float64 { return 3 * float64(dim) }
 
 // DGCEncodeFLOPs is the cost of one DGC encode: clipping (2/coord),
 // momentum + accumulation updates (2/coord), and the exact top-k select,
-// charged at 2 operations per coordinate. (compress.SelectTopKScratch is
+// charged at 2 operations per coordinate. (compress's exact select is
 // three read-only passes of about one integer operation per coordinate —
 // histogram, gather, emit — plus a quickselect inside one histogram
 // bucket. The charge is older than that select and is kept: this constant

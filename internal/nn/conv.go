@@ -39,9 +39,9 @@ type Conv2D struct {
 	dx    *tensor.Tensor
 	dcols *tensor.Tensor
 
-	// Cached (OutC, CKK) views of W and GradW. The underlying storage of
-	// both tensors never reallocates, so the views stay valid for the
-	// layer's lifetime.
+	// Cached (OutC, CKK) views of W and GradW. GradW's storage never
+	// moves; W's moves once, into the model's arena, and NewModel then
+	// takes its view again (bindViews).
 	wView     *tensor.Tensor
 	gradWView *tensor.Tensor
 }
@@ -57,9 +57,15 @@ func NewConv2D(inC, outC, k, pad int, r *stats.RNG) *Conv2D {
 	}
 	fanIn := float64(inC * k * k)
 	c.W.RandNorm(r, math.Sqrt(2/fanIn))
-	c.wView = c.W.Reshape(outC, inC*k*k)
+	c.bindViews()
 	c.gradWView = c.GradW.Reshape(outC, inC*k*k)
 	return c
+}
+
+// bindViews implements viewBinder: the cached view of W is taken of
+// wherever W's values live now.
+func (c *Conv2D) bindViews() {
+	c.wView = c.W.Reshape(c.OutC, c.InC*c.K*c.K)
 }
 
 // Name implements Layer.

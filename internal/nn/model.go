@@ -11,6 +11,10 @@ import (
 
 // Model is a sequential stack of layers with flat parameter/gradient vector
 // views, which is the interface the federated-learning layer consumes.
+//
+// The model's parameters live in one float32 arena, in ParamVector's
+// order, and every layer's parameter tensor is a view into it: the model
+// is one flat vector (Params32) as well as its layers' tensors.
 type Model struct {
 	Layers []Layer
 	// InputShape is the per-sample input shape (without the batch
@@ -18,14 +22,45 @@ type Model struct {
 	InputShape []int
 	Classes    int
 
+	// params is the arena every parameter tensor's Data is a view of.
+	params []float32
+
 	// lossGrad is the reused logit-gradient buffer of TrainBatch. Training
 	// is single-threaded per model, so one scratch tensor suffices.
 	lossGrad *tensor.Tensor
 }
 
+// viewBinder is implemented by layers that cache views of their parameter
+// tensors' Data: NewModel calls bindViews once it has moved the tensors
+// into the arena, so no view is left on the storage they were built in.
+type viewBinder interface {
+	bindViews()
+}
+
 // NewModel wraps layers into a model. inputShape is the per-sample shape.
+// It moves every parameter tensor's values into the model's arena, so the
+// layers belong to this model alone.
 func NewModel(inputShape []int, classes int, layers ...Layer) *Model {
-	return &Model{Layers: layers, InputShape: append([]int(nil), inputShape...), Classes: classes}
+	m := &Model{Layers: layers, InputShape: append([]int(nil), inputShape...), Classes: classes}
+	n := 0
+	for _, l := range layers {
+		for _, p := range l.Params() {
+			n += len(p.Data)
+		}
+	}
+	m.params = make([]float32, n)
+	off := 0
+	for _, l := range layers {
+		for _, p := range l.Params() {
+			end := off + copy(m.params[off:], p.Data)
+			p.Data = m.params[off:end:end]
+			off = end
+		}
+		if b, ok := l.(viewBinder); ok {
+			b.bindViews()
+		}
+	}
+	return m
 }
 
 // Forward runs a batch through all layers and returns the logits.
@@ -74,29 +109,20 @@ func (m *Model) TrainBatch(x *tensor.Tensor, labels []int) float64 {
 }
 
 // NumParams returns the total number of trainable scalars.
-func (m *Model) NumParams() int {
-	n := 0
-	for _, l := range m.Layers {
-		for _, p := range l.Params() {
-			n += p.Size()
-		}
-	}
-	return n
-}
+func (m *Model) NumParams() int { return len(m.params) }
+
+// Params32 returns the model's parameters as the arena holds them, in
+// ParamVector's order: the model itself, not a copy, so it changes as the
+// model trains.
+func (m *Model) Params32() []float32 { return m.params }
 
 // ParamVector flattens all trainable parameters into a single vector in
 // deterministic layer order. The model holds float32; the vector is the
 // float64 currency of the federated layer above, and converting up is
 // exact.
 func (m *Model) ParamVector() []float64 {
-	out := make([]float64, m.NumParams())
-	off := 0
-	for _, l := range m.Layers {
-		for _, p := range l.Params() {
-			tensor.Widen(out[off:off+len(p.Data)], p.Data)
-			off += len(p.Data)
-		}
-	}
+	out := make([]float64, len(m.params))
+	tensor.Widen(out, m.params)
 	return out
 }
 
@@ -107,13 +133,7 @@ func (m *Model) SetParamVector(v []float64) {
 	if n := m.NumParams(); len(v) != n {
 		panic(fmt.Sprintf("nn: parameter vector length %d, model has %d", len(v), n))
 	}
-	off := 0
-	for _, l := range m.Layers {
-		for _, p := range l.Params() {
-			tensor.Narrow(p.Data, v[off:off+len(p.Data)])
-			off += len(p.Data)
-		}
-	}
+	tensor.Narrow(m.params, v)
 }
 
 // ParamDelta writes the model's parameters minus start into dst (length
@@ -127,13 +147,7 @@ func (m *Model) ParamDelta(dst, start []float64) {
 	if len(dst) != len(start) || len(dst) != m.NumParams() {
 		panic(fmt.Sprintf("nn: delta of length %d from a start of length %d, model has %d", len(dst), len(start), m.NumParams()))
 	}
-	off := 0
-	for _, l := range m.Layers {
-		for _, p := range l.Params() {
-			tensor.SubNarrowed(dst[off:off+len(p.Data)], p.Data, start[off:off+len(p.Data)])
-			off += len(p.Data)
-		}
-	}
+	tensor.SubNarrowed(dst, m.params, start)
 }
 
 // SetParams32 loads v, the float32 parameters of a model broadcast in
@@ -143,29 +157,7 @@ func (m *Model) SetParams32(v []float32) {
 	if n := m.NumParams(); len(v) != n {
 		panic(fmt.Sprintf("nn: parameter vector length %d, model has %d", len(v), n))
 	}
-	off := 0
-	for _, l := range m.Layers {
-		for _, p := range l.Params() {
-			off += copy(p.Data, v[off:])
-		}
-	}
-}
-
-// ParamDelta32 writes the model's parameters minus start into dst (length
-// NumParams), start being the float32 parameters SetParams32 loaded:
-// float64(p) − float64(start), exact, so start widened plus the delta
-// reproduces ParamVector() (ParamDelta).
-func (m *Model) ParamDelta32(dst []float64, start []float32) {
-	if len(dst) != len(start) || len(dst) != m.NumParams() {
-		panic(fmt.Sprintf("nn: delta of length %d from a start of length %d, model has %d", len(dst), len(start), m.NumParams()))
-	}
-	off := 0
-	for _, l := range m.Layers {
-		for _, p := range l.Params() {
-			tensor.SubWiden(dst[off:off+len(p.Data)], p.Data, start[off:off+len(p.Data)])
-			off += len(p.Data)
-		}
-	}
+	copy(m.params, v)
 }
 
 // GradVector flattens all accumulated gradients into a single vector

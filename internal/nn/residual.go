@@ -58,6 +58,12 @@ func (b *ResidualBlock) Params() []*tensor.Tensor {
 	return append(b.conv1.Params(), b.conv2.Params()...)
 }
 
+// bindViews implements viewBinder for the two convolutions' cached views.
+func (b *ResidualBlock) bindViews() {
+	b.conv1.bindViews()
+	b.conv2.bindViews()
+}
+
 // Grads implements Layer.
 func (b *ResidualBlock) Grads() []*tensor.Tensor {
 	return append(b.conv1.Grads(), b.conv2.Grads()...)

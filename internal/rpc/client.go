@@ -149,7 +149,6 @@ type clientSession struct {
 	model *nn.Model
 	opt   *nn.SGD
 	iter  *dataset.Iterator
-	delta []float64           // local − global of the current round, reused across rounds
 	codec compress.Codec      // default uplink codec (ClientConfig.Codec)
 	dgc   *compress.DGC       // negotiated-dgc instance (the default one when it is a DGC)
 	dada  *compress.DAdaQuant // negotiated quantizer, built on first assignment
@@ -256,13 +255,12 @@ func (s *clientSession) negotiatedCodec(name string) (compress.Codec, error) {
 	return nil, fmt.Errorf("unknown negotiated codec %q", name)
 }
 
-// trainDelta runs the local steps from the received global model, the
-// broadcast's float32 params, and returns local − global
-// (nn.Model.ParamDelta32), read straight off the layer tensors into the
-// session's delta buffer. The buffer is overwritten by the next call;
-// every codec copies what it keeps of its input, so handing it to Encode
-// is safe.
-func (s *clientSession) trainDelta(global []float32) []float64 {
+// train runs the local steps from the received global model, the
+// broadcast's float32 params, and returns local − global as the two
+// float32 vectors it is the difference of: the model's parameters and
+// global (tensor.DeltaOf32). It is read from them, so it holds until the
+// model next changes or the receive scratch holding global is reused.
+func (s *clientSession) train(global []float32) tensor.Delta {
 	s.model.SetParams32(global)
 	trainStart := time.Now()
 	for step := 0; step < s.cfg.LocalSteps; step++ {
@@ -272,11 +270,7 @@ func (s *clientSession) trainDelta(global []float32) []float64 {
 		s.opt.Step(s.model)
 	}
 	s.met.trainSec.Observe(time.Since(trainStart).Seconds())
-	if len(s.delta) != len(global) {
-		s.delta = make([]float64, len(global))
-	}
-	s.model.ParamDelta32(s.delta, global)
-	return s.delta
+	return tensor.DeltaOf32(s.model.Params32(), global)
 }
 
 func (s *clientSession) commitPending() {
@@ -411,7 +405,7 @@ func (s *clientSession) upload(conn *Conn, enc compress.Codec, msgs ...Message) 
 // selected.
 func (s *clientSession) syncRound(conn *Conn, e *Envelope) error {
 	cfg := s.cfg
-	delta := s.trainDelta(e.Params32)
+	delta := s.train(e.Params32)
 	// Utility score against the server-provided ĝ, as it was sent (dense,
 	// or its support), at the round's rates, computed once: the score
 	// reports them and a paced socket runs at them.
@@ -463,7 +457,7 @@ func (s *clientSession) syncRound(conn *Conn, e *Envelope) error {
 		d.SetRound(sel.Round)
 		d.SetLevels(sel.Levels)
 	}
-	msg := enc.Encode(delta, compress.ClampRatio(sel.Ratio, 1, 1e9))
+	msg := compress.EncodeDelta(enc, delta, compress.ClampRatio(sel.Ratio, 1, 1e9))
 	return s.upload(conn, enc, &Envelope{Type: MsgUpdate, ClientID: cfg.ID, Round: e.Round, Update: msg})
 }
 
@@ -474,7 +468,7 @@ func (s *clientSession) syncRound(conn *Conn, e *Envelope) error {
 // has aged while we trained. Link losses redial exactly like the
 // synchronous path; the model resyncs on the next pull.
 func (s *clientSession) asyncStep(conn *Conn, e *Envelope) error {
-	msg := s.codec.Encode(s.trainDelta(e.Params32), compress.ClampRatio(s.cfg.AsyncRatio, 1, 1e9))
+	msg := compress.EncodeDelta(s.codec, s.train(e.Params32), compress.ClampRatio(s.cfg.AsyncRatio, 1, 1e9))
 	// Round pins the version this delta was trained from: the server
 	// derives staleness from it when the push is folded. The next pull
 	// leaves with the push, in one write.

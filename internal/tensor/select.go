@@ -32,18 +32,39 @@ const CompressSlack = 16
 
 // GatherKeys makes one pass over v. A coordinate's key is its magnitude
 // key, or 0 for a NaN or ±Inf (a non-finite coordinate ranks as zero). It
-// returns how many keys exceed hi, and writes the keys in [lo, hi], as
-// float64 bits, to dst in coordinate order, returning how many it wrote.
-// dst must be at least as long as v; past the keys written, its contents
-// are clobbered.
-func GatherKeys(dst, v []float64, lo, hi uint64) (above, n int) {
-	dst = prefix(dst, len(v))
+// counts the keys that exceed hi, and writes the keys in [lo, hi], as
+// float64 bits, to dst in coordinate order, counting them in n. It stops
+// where a key in [lo, hi] finds dst full and returns ok false; otherwise
+// it returns ok true with above and n over the whole of v. Past the keys
+// written, dst's contents are clobbered.
+func GatherKeys(dst, v []float64, lo, hi uint64) (above, n int, ok bool) {
 	// Every key is below keyExp, so clamping hi under it changes no
 	// compare, an empty bracket (lo > hi) is the same as [hi+1, hi], and
 	// with both bounds under 2⁶³ the AVX2 kernel's signed compares see what
 	// unsigned ones would.
 	hi = min(hi, keyExp-1)
 	lo = min(lo, hi+1)
+	// A block may write a key for every coordinate it reads, so it reads
+	// no more coordinates than dst has room for; the first block of a dst
+	// as long as v is the whole pass. Once the room is down to a few
+	// vectors, the rest is gathered a key at a time.
+	for i := 0; i < len(v); {
+		b := min(len(v)-i, len(dst)-n)
+		if b < gatherMinBlock {
+			return gatherTail(dst, v[i:], lo, hi, above, n)
+		}
+		a, m := gatherBlock(dst[n:n+b], v[i:i+b], lo, hi)
+		above, n, i = above+a, n+m, i+b
+	}
+	return above, n, true
+}
+
+// gatherMinBlock is the room under which GatherKeys stops running blocks.
+const gatherMinBlock = 64
+
+// gatherBlock is GatherKeys over a dst as long as v, which no block can
+// overrun.
+func gatherBlock(dst, v []float64, lo, hi uint64) (above, n int) {
 	i := 0
 	switch {
 	case kernelLevel >= levelAVX512 && len(v) >= 8:
@@ -80,6 +101,28 @@ func GatherKeys(dst, v []float64, lo, hi uint64) (above, n int) {
 	}
 	above += kept - n
 	return above, n
+}
+
+// gatherTail finishes GatherKeys a key at a time from above and n, storing
+// only the keys in [lo, hi] and stopping at the first that finds dst full.
+func gatherTail(dst, v []float64, lo, hi uint64, above, n int) (int, int, bool) {
+	for _, x := range v {
+		k := math.Float64bits(x) &^ keySign
+		if k >= keyExp {
+			k = 0
+		}
+		switch {
+		case k > hi:
+			above++
+		case k >= lo:
+			if n == len(dst) {
+				return above, n, false
+			}
+			dst[n] = math.Float64frombits(k)
+			n++
+		}
+	}
+	return above, n, true
 }
 
 // CompressAbove makes one pass over v in coordinate order and takes every

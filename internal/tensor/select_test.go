@@ -80,14 +80,31 @@ func checkSelectKernels(t *testing.T, level string, r *stats.RNG, v []float64) {
 		}
 	}
 	dst := make([]float64, len(v))
-	above, n := GatherKeys(dst, v, lo, hi)
-	if above != wantAbove || n != len(want) {
-		t.Fatalf("%s: GatherKeys n=%d [%#x, %#x]: above %d inside %d, want %d %d", level, len(v), lo, hi, above, n, wantAbove, len(want))
+	above, n, ok := GatherKeys(dst, v, lo, hi)
+	if !ok || above != wantAbove || n != len(want) {
+		t.Fatalf("%s: GatherKeys n=%d [%#x, %#x]: above %d inside %d ok %v, want %d %d", level, len(v), lo, hi, above, n, ok, wantAbove, len(want))
 	}
 	for i := range want {
 		if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: GatherKeys n=%d: key %d is %#x, want %#x", level, len(v), i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
 		}
+	}
+	// A dst shorter than v: the pass runs in blocks no longer than the
+	// room left, and stops at the first key in the bracket that finds dst
+	// full, having written the keys before it.
+	room := r.Intn(len(want) + 80)
+	short := make([]float64, room+1)
+	_, n, ok = GatherKeys(short[:room], v, lo, hi)
+	if ok != (room >= len(want)) || ok && n != len(want) || !ok && n != room {
+		t.Fatalf("%s: GatherKeys n=%d into %d slots: inside %d ok %v, want %d inside", level, len(v), room, n, ok, len(want))
+	}
+	for i := range n {
+		if math.Float64bits(short[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: GatherKeys n=%d into %d slots: key %d is %#x, want %#x", level, len(v), room, i, math.Float64bits(short[i]), math.Float64bits(want[i]))
+		}
+	}
+	if short[room] != 0 {
+		t.Fatalf("%s: GatherKeys n=%d wrote past its %d slots", level, len(v), room)
 	}
 
 	thr, ties := pick(), r.Intn(len(v)+2)

@@ -129,17 +129,17 @@ func TestDotAndNorm(t *testing.T) {
 func TestCosineSimilarityCases(t *testing.T) {
 	a := []float64{1, 0}
 	b := []float64{0, 1}
-	if got := CosineSimilarity(a, b); got != 0 {
+	if got := CosineSimilarityAt(DeltaOf(a), nil, b); got != 0 {
 		t.Errorf("orthogonal cosine = %v, want 0", got)
 	}
-	if got := CosineSimilarity(a, a); math.Abs(got-1) > 1e-12 {
+	if got := CosineSimilarityAt(DeltaOf(a), nil, a); math.Abs(got-1) > 1e-12 {
 		t.Errorf("identical cosine = %v, want 1", got)
 	}
 	neg := []float64{-2, 0}
-	if got := CosineSimilarity(a, neg); math.Abs(got+1) > 1e-12 {
+	if got := CosineSimilarityAt(DeltaOf(a), nil, neg); math.Abs(got+1) > 1e-12 {
 		t.Errorf("opposite cosine = %v, want -1", got)
 	}
-	if got := CosineSimilarity(a, []float64{0, 0}); got != 0 {
+	if got := CosineSimilarityAt(DeltaOf(a), nil, []float64{0, 0}); got != 0 {
 		t.Errorf("zero-vector cosine = %v, want 0", got)
 	}
 }
@@ -219,7 +219,7 @@ func TestCosineSimilarityScaleInvariantProperty(t *testing.T) {
 		scale := 0.01 + float64(scaleRaw%1000)
 		scaled := CopyVec(a)
 		ScaleVec(scaled, scale)
-		return math.Abs(CosineSimilarity(a, b)-CosineSimilarity(scaled, b)) < 1e-9
+		return math.Abs(CosineSimilarityAt(DeltaOf(a), nil, b)-CosineSimilarityAt(DeltaOf(scaled), nil, b)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -288,7 +288,7 @@ func TestCosineSimilarityClampsRounding(t *testing.T) {
 		a[i] = 1e-7 * float64(i+1)
 		b[i] = a[i]
 	}
-	if c := CosineSimilarity(a, b); c > 1 || c < -1 {
+	if c := CosineSimilarityAt(DeltaOf(a), nil, b); c > 1 || c < -1 {
 		t.Fatalf("cosine %v out of [-1,1]", c)
 	}
 }

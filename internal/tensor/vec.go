@@ -54,39 +54,30 @@ func FlushSubnormal32(x float32) float32 {
 	return x
 }
 
-// CosineSimilarity returns the cosine of the angle between a and b in
-// [-1, 1]. If either vector is (numerically) zero the similarity is defined
-// as 0: a zero gradient carries no directional information, whatever its
-// length, so a length mismatch panics only when both norms are nonzero.
+// CosineSimilarityAt returns the cosine of the angle between a and b in
+// [-1, 1], for the b given by its support: vals[j] at coordinate idx[j]
+// (strictly ascending, each below a.Len()) and +0 at every other
+// coordinate; a nil idx means b is vals itself. If either vector is
+// (numerically) zero the similarity is defined as 0: a zero gradient
+// carries no directional information, whatever its length, so with a nil
+// idx a length mismatch panics only when both norms are nonzero.
 //
-// It reads both vectors once: the three sums run side by side, each in
-// index order with Norm2's expression, so the result has the bits of two
-// Norm2 passes and a dot-product pass.
-func CosineSimilarity(a, b []float64) float64 {
-	if len(a) != len(b) {
-		if Norm2(a) == 0 || Norm2(b) == 0 {
+// It reads a once and b off its support, without building either: the
+// three sums run side by side (SupportSums), each in index order with
+// Norm2's expression, so the result has the bits of two Norm2 passes and
+// a dot-product pass over the dense vectors, whatever a holds, infinities
+// and NaN off the support included.
+func CosineSimilarityAt(a Delta, idx []int32, vals []float64) float64 {
+	if idx == nil && a.Len() != len(vals) {
+		if Norm2(vals) == 0 || a.Norm2() == 0 {
 			return 0
 		}
-		panic("tensor: CosineSimilarity length mismatch")
-	}
-	return cosine(SupportSums(a, nil, b))
-}
-
-// CosineSimilarityAt is CosineSimilarity(a, b) for the b given by its
-// support: vals[j] at coordinate idx[j] (strictly ascending, each below
-// len(a)) and +0 at every other of len(a) coordinates; a nil idx means b is
-// vals itself. b is read off the support without being built
-// (SupportSums), and the result has CosineSimilarity's bits on the
-// scattered b whatever a holds, infinities and NaN off the support
-// included.
-func CosineSimilarityAt(a []float64, idx []int32, vals []float64) float64 {
-	if idx == nil {
-		return CosineSimilarity(a, vals)
+		panic("tensor: CosineSimilarityAt length mismatch")
 	}
 	return cosine(SupportSums(a, idx, vals))
 }
 
-// cosine finishes CosineSimilarity from its three sums.
+// cosine finishes CosineSimilarityAt from its three sums.
 func cosine(aa, bb, ab float64) float64 {
 	na, nb := math.Sqrt(aa), math.Sqrt(bb)
 	if na == 0 || nb == 0 {
@@ -102,23 +93,29 @@ func cosine(aa, bb, ab float64) float64 {
 	return c
 }
 
-// SupportSums returns Σ a[i]², Σ b[i]² and Σ a[i]·b[i] over the
-// len(a) coordinates of a and of the b CosineSimilarityAt reads from idx
-// and vals, each sum in index order with CosineSimilarity's expressions.
+// SupportSums returns Σ a[i]², Σ b[i]² and Σ a[i]·b[i] over the a.Len()
+// coordinates of a and of the b CosineSimilarityAt reads from idx and
+// vals, each sum in index order with CosineSimilarityAt's expressions.
 // Off the support b[i] is +0: its square adds +0, which leaves a sum of
 // squares (never −0) as it is, and a finite a[i] times it adds ±0, which
 // leaves a dot product that starts at +0 (never −0) as it is. So when Σ
 // a[i]² is finite, the support alone gives the last two sums; otherwise
 // every coordinate is visited, so that an infinite or NaN a[i] times +0
 // makes the NaN the dense sums make, where they make it.
-func SupportSums(a []float64, idx []int32, vals []float64) (aa, bb, ab float64) {
+func SupportSums(a Delta, idx []int32, vals []float64) (aa, bb, ab float64) {
+	n := a.Len()
+	var buf [DeltaChunk]float64
 	if idx == nil {
-		b := vals[:len(a)]
-		for i, x := range a {
-			y := b[i]
-			aa += x * x
-			bb += y * y
-			ab += x * y
+		b := vals[:n]
+		for lo := 0; lo < n; {
+			x := a.Chunk(buf[:], lo, n)
+			for i, xi := range x {
+				y := b[lo+i]
+				aa += xi * xi
+				bb += y * y
+				ab += xi * y
+			}
+			lo += len(x)
 		}
 		return aa, bb, ab
 	}
@@ -126,13 +123,17 @@ func SupportSums(a []float64, idx []int32, vals []float64) (aa, bb, ab float64) 
 	// independent, and there are never more of them than coordinates),
 	// and are taken again below when it ends up infinite or NaN.
 	vals = vals[:len(idx)]
-	for k, x := range a {
-		aa += x * x
-		if k < len(idx) {
-			y := vals[k]
-			bb += y * y
-			ab += a[idx[k]] * y
+	for lo := 0; lo < n; {
+		x := a.Chunk(buf[:], lo, n)
+		for i, xi := range x {
+			aa += xi * xi
+			if k := lo + i; k < len(idx) {
+				y := vals[k]
+				bb += y * y
+				ab += a.at(int(idx[k])) * y
+			}
 		}
+		lo += len(x)
 	}
 	if aa-aa == 0 {
 		return aa, bb, ab
@@ -141,18 +142,18 @@ func SupportSums(a []float64, idx []int32, vals []float64) (aa, bb, ab float64) 
 	at := 0
 	var zero float64
 	for j, i := range idx {
-		for _, x := range a[at:i] {
+		for ; at < int(i); at++ {
 			bb += zero * zero
-			ab += x * zero
+			ab += a.at(at) * zero
 		}
-		x, y := a[i], vals[j]
+		x, y := a.at(int(i)), vals[j]
 		bb += y * y
 		ab += x * y
 		at = int(i) + 1
 	}
-	for _, x := range a[at:] {
+	for ; at < n; at++ {
 		bb += zero * zero
-		ab += x * zero
+		ab += a.at(at) * zero
 	}
 	return aa, bb, ab
 }
@@ -160,27 +161,20 @@ func SupportSums(a []float64, idx []int32, vals []float64) (aa, bb, ab float64) 
 // ScaledDistanceAt returns Σ (a[i]·sa − b[i]·sb)², each product rounded
 // before the subtraction, in index order over every coordinate of a and of
 // the b CosineSimilarityAt reads from idx and vals (+0 off the support).
-func ScaledDistanceAt(a []float64, idx []int32, vals []float64, sa, sb float64) float64 {
-	sum, at := 0.0, 0
-	var zero float64
-	for j, i := range idx {
-		for _, x := range a[at:i] {
-			d := float64(x*sa) - float64(zero*sb)
-			sum += d * d
-		}
-		d := float64(a[i]*sa) - float64(vals[j]*sb)
-		sum += d * d
-		at = int(i) + 1
-	}
+func ScaledDistanceAt(a Delta, idx []int32, vals []float64, sa, sb float64) float64 {
 	if idx == nil {
-		for i, x := range a {
-			d := float64(x*sa) - float64(vals[i]*sb)
-			sum += d * d
-		}
-		return sum
+		vals = vals[:a.Len()]
 	}
-	for _, x := range a[at:] {
-		d := float64(x*sa) - float64(zero*sb)
+	sum, j := 0.0, 0
+	for i := range a.Len() {
+		var y float64 // +0 off the support
+		if idx == nil {
+			y = vals[i]
+		} else if j < len(idx) && int(idx[j]) == i {
+			y = vals[j]
+			j++
+		}
+		d := float64(a.at(i)*sa) - float64(y*sb)
 		sum += d * d
 	}
 	return sum

@@ -20,7 +20,7 @@ func dot(a, b []float64) float64 {
 	return sum
 }
 
-// threePassCosine is CosineSimilarity as Norm2, Norm2 and dot, one pass
+// threePassCosine is the dense cosine as Norm2, Norm2 and dot, one pass
 // each, the way it was written before the sums shared a loop.
 func threePassCosine(a, b []float64) float64 {
 	na, nb := Norm2(a), Norm2(b)
@@ -96,7 +96,7 @@ func TestCosineSimilarityMatchesThreePass(t *testing.T) {
 	lengths = append(lengths, 8554, 431080)
 	for _, n := range lengths {
 		for name, p := range cosinePairs(n, uint64(n)+1) {
-			got, want := CosineSimilarity(p[0], p[1]), threePassCosine(p[0], p[1])
+			got, want := CosineSimilarityAt(DeltaOf(p[0]), nil, p[1]), threePassCosine(p[0], p[1])
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("n=%d %s: %v (bits %#x), three passes %v (bits %#x)",
 					n, name, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -114,8 +114,8 @@ func TestCosineSimilarityMatchesThreePass(t *testing.T) {
 		{[]float64{0, math.Copysign(0, -1)}, nonzero},
 		{nonzero, []float64{0, 0, 0, 0}},
 	} {
-		if c := CosineSimilarity(p[0], p[1]); c != 0 {
-			t.Fatalf("CosineSimilarity(%v, %v) = %v, want 0", p[0], p[1], c)
+		if c := CosineSimilarityAt(DeltaOf(p[0]), nil, p[1]); c != 0 {
+			t.Fatalf("CosineSimilarityAt(%v, nil, %v) = %v, want 0", p[0], p[1], c)
 		}
 	}
 	defer func() {
@@ -123,7 +123,7 @@ func TestCosineSimilarityMatchesThreePass(t *testing.T) {
 			t.Fatal("length mismatch between two nonzero vectors did not panic")
 		}
 	}()
-	CosineSimilarity(nonzero, []float64{1, 2})
+	CosineSimilarityAt(DeltaOf(nonzero), nil, []float64{1, 2})
 }
 
 var cosineSink float64
@@ -136,14 +136,14 @@ func BenchmarkCosineSimilarity(b *testing.B) {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			b.SetBytes(int64(16 * n))
 			for i := 0; i < b.N; i++ {
-				cosineSink = CosineSimilarity(p[0], p[1])
+				cosineSink = CosineSimilarityAt(DeltaOf(p[0]), nil, p[1])
 			}
 		})
 	}
 }
 
 // TestCosineSimilarityAtMatchesScattered: the cosine against a b given by
-// its support equals CosineSimilarity on the scattered b bit for bit —
+// its support equals the one against the scattered b bit for bit —
 // for an empty support, one coordinate, every coordinate, the first and
 // the last, values at the support that an exact score must keep (−0,
 // NaN payloads, ±Inf, subnormals), and a holding ±Inf and NaN off the
@@ -176,14 +176,14 @@ func TestCosineSimilarityAtMatchesScattered(t *testing.T) {
 				}
 				b[i] = vals[j]
 			}
-			got, want := CosineSimilarityAt(a, idx, vals), CosineSimilarity(a, b)
+			got, want := CosineSimilarityAt(DeltaOf(a), idx, vals), CosineSimilarityAt(DeltaOf(a), nil, b)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s, a[500] = %v: support form %v (%x), scattered %v (%x)", name, offSupport,
 					got, math.Float64bits(got), want, math.Float64bits(want))
 			}
-			aa, bb, ab := SupportSums(a, idx, vals)
-			da, db, dab := SupportSums(a, nil, b)
-			sd, dd := ScaledDistanceAt(a, idx, vals, 0.3, 1.7), ScaledDistanceAt(a, nil, b, 0.3, 1.7)
+			aa, bb, ab := SupportSums(DeltaOf(a), idx, vals)
+			da, db, dab := SupportSums(DeltaOf(a), nil, b)
+			sd, dd := ScaledDistanceAt(DeltaOf(a), idx, vals, 0.3, 1.7), ScaledDistanceAt(DeltaOf(a), nil, b, 0.3, 1.7)
 			for k, p := range [][2]float64{{aa, da}, {bb, db}, {ab, dab}, {sd, dd}} {
 				if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
 					t.Fatalf("%s, a[500] = %v: sum %d: support form %x, scattered %x", name, offSupport, k,
@@ -192,4 +192,73 @@ func TestCosineSimilarityAtMatchesScattered(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeltaOf32ReadsTheDifference: every kernel that takes a Delta gives
+// the same bits on the float32 pair p, g as on the float64 vector p − g
+// it stands for, at every dispatch level, over lengths on both sides of a
+// chunk, with a dense ĝ, a scattered support and an empty one, and with a
+// NaN in the pair (a diverged model), which reaches the fallback sums.
+func TestDeltaOf32ReadsTheDifference(t *testing.T) {
+	r := stats.NewRNG(23)
+	forEachLevel(t, func(level string) {
+		for _, n := range []int{0, 1, 7, DeltaChunk - 1, DeltaChunk, 3*DeltaChunk + 5} {
+			for _, poison := range []bool{false, true} {
+				p, g := make([]float32, n), make([]float32, n)
+				want := make([]float64, n)
+				for i := range p {
+					g[i] = float32(r.Norm())
+					p[i] = g[i] + float32(r.Norm()*1e-3)
+					if poison && i == n/2 {
+						p[i] = float32(math.NaN())
+					}
+					want[i] = float64(p[i]) - float64(g[i])
+				}
+				d, ref := DeltaOf32(p, g), DeltaOf(want)
+				if err := sameVec(d.Fill(nil), want); err != nil || d.Len() != n {
+					t.Fatalf("%s n=%d: Fill %v, Len %d", level, n, err, d.Len())
+				}
+				var idx []int32
+				for i := 0; i < n; i += 1 + r.Intn(9) {
+					idx = append(idx, int32(i))
+				}
+				b, vals := make([]float64, n), make([]float64, len(idx))
+				for j, i := range idx {
+					vals[j] = r.Norm()
+					b[i] = vals[j]
+				}
+				for name, f := range map[string]func(Delta) []float64{
+					"norm": func(x Delta) []float64 { return []float64{x.Norm2()} },
+					"dense": func(x Delta) []float64 {
+						aa, bb, ab := SupportSums(x, nil, b)
+						return []float64{aa, bb, ab, CosineSimilarityAt(x, nil, b), ScaledDistanceAt(x, nil, b, 0.3, 1.7)}
+					},
+					"support": func(x Delta) []float64 {
+						aa, bb, ab := SupportSums(x, idx, vals)
+						return []float64{aa, bb, ab, CosineSimilarityAt(x, idx, vals), ScaledDistanceAt(x, idx, vals, 0.3, 1.7)}
+					},
+					"empty": func(x Delta) []float64 {
+						return []float64{CosineSimilarityAt(x, []int32{}, nil), CosineSimilarityAt(x, nil, nil)}
+					},
+				} {
+					if err := sameVec(f(d), f(ref)); err != nil {
+						t.Fatalf("%s n=%d poison=%v %s: %v", level, n, poison, name, err)
+					}
+				}
+			}
+		}
+	})
+}
+
+// sameVec reports the first element at which a and b differ in bits.
+func sameVec(a, b []float64) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("length %d, want %d", len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return fmt.Errorf("[%d] = %x, want %x", i, math.Float64bits(a[i]), math.Float64bits(b[i]))
+		}
+	}
+	return nil
 }

@@ -202,11 +202,13 @@ func (e *Edge) Run() (*EdgeResult, error) {
 	go e.roster.Serve(e.ln, rpc.MsgHello, e.admit)
 	defer e.ln.Close()
 
-	part := shard.NewPartial(e.cfg.Dim)
+	// One shard: the edge folds its clients' updates on their readers and
+	// judges the round at its barrier.
+	tree := shard.NewTree(shard.Config{Shards: 1, Dim: e.cfg.Dim, MaxNormMult: e.cfg.MaxUpdateNorm, Logf: e.cfg.Logf})
 	err := rpc.Redial(e.cfg.MaxRetries, e.cfg.RetryBackoff,
 		stats.NewRNG(e.cfg.Seed^uint64(e.cfg.ID)*0x9e3779b97f4a7c15).Split(),
 		func() (done, progressed bool, err error) {
-			done, progressed, err = e.serveRoot(part)
+			done, progressed, err = e.serveRoot(tree)
 			if e.roster.Killed() {
 				return true, progressed, ErrEdgeKilled
 			}
@@ -232,7 +234,7 @@ func (e *Edge) Run() (*EdgeResult, error) {
 
 // serveRoot runs one root connection: hello, heartbeats, rounds, until
 // shutdown (done) or a link error.
-func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error) {
+func (e *Edge) serveRoot(tree *shard.Tree) (done, progressed bool, err error) {
 	conn, err := rpc.Dial("tcp", e.cfg.RootAddr, e.cfg.DialTimeout)
 	if err != nil {
 		return false, false, err
@@ -269,7 +271,7 @@ func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error)
 		case rpc.MsgWelcome:
 			e.cfg.Logf("edge %d: registered with root (next round %d)", e.cfg.ID, env.Round+1)
 		case rpc.MsgSelect:
-			if err := e.runRound(conn, env.Round, part); err != nil {
+			if err := e.runRound(conn, env.Round, tree); err != nil {
 				return false, progressed, err
 			}
 		case rpc.MsgShutdown:
@@ -321,9 +323,9 @@ func (e *Edge) recount() {
 }
 
 // runRound drives one round: broadcast the go-ahead to the current
-// roster, collect updates under the deadline, screen + fold them, ship
-// the partial upstream.
-func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
+// roster, fold each update into tree as it arrives under the deadline,
+// judge the round at the barrier, ship the partial upstream.
+func (e *Edge) runRound(root *rpc.Conn, round int, tree *shard.Tree) error {
 	if e.cfg.OnSelect != nil {
 		e.cfg.OnSelect(round)
 	}
@@ -350,8 +352,10 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 				sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels
 			}
 			return sel, true
+		},
+		func(p *rpc.Peer) {
+			tree.Ingest(round, shard.Update{Client: p.ID, Weight: 1, Delta: p.Env.Update})
 		})
-	items := make([]shard.Item, 0, len(roster))
 	for i, p := range roster {
 		if errs[i] != nil {
 			e.dropClient(p, errs[i])
@@ -362,21 +366,16 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 			// so receipt order cannot perturb future assignments.
 			e.neg.RecordUpload(p.ID, p.Env.Update.WireBytes())
 		}
-		items = append(items, shard.Item{Client: p.ID, Upd: p.Env.Update, Weight: 1})
 	}
 
-	// Exchange reports in roster order; the fold's bits do not depend on
-	// order (shard.Partial), but the norm gate judges the whole round.
-	kept, quarantined := shard.Screen(round, e.cfg.Dim, e.cfg.MaxUpdateNorm, items, e.cfg.Logf)
+	// The barrier: the tree judges the round's norms and takes back what
+	// it quarantines.
+	part, quarantined := tree.Finish()
 	for _, q := range quarantined {
 		e.met.quarantines.Inc()
 		e.cfg.Events.Emit(obs.Event{Type: "quarantine", Round: round, Client: q.ClientID,
 			Reason: q.Reason, Norm: q.Norm, Edge: e.cfg.ID})
 		e.dropClient(rpc.FindPeer(roster, q.ClientID), fmt.Errorf("quarantined update: %s", q.Reason))
-	}
-	part.Reset()
-	for _, u := range kept {
-		part.Fold(shard.Update{Client: u.Client, Weight: 1, Delta: u.Upd, MaxAbs: u.MaxAbs}, false)
 	}
 	if err := part.Window(); err != nil {
 		// Its words may have wrapped, so the root must not merge them:

@@ -616,7 +616,7 @@ func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (Roo
 	// through the edges' readers, between their heartbeats.
 	sel := &rpc.Envelope{Type: rpc.MsgSelect, Round: round, Ratio: 1}
 	errs := rpc.Exchange(targets, round, rpc.MsgEdgePartial, r.cfg.PartialTimeout, 0,
-		func(*rpc.Peer) (rpc.Message, bool) { return sel, false })
+		func(*rpc.Peer) (rpc.Message, bool) { return sel, false }, nil)
 	sent := 0
 	for i, p := range targets {
 		if errs[i] == nil {

@@ -301,9 +301,11 @@ func (r *Roster) Wait(n int) error {
 // under a write deadline of send and, if out asks for a reply, must answer
 // within recv with a want-typed message for round, which lands in p.Env.
 // errs[i] is peers[i]'s failure (nil: served); evicting is the caller's
-// business. out runs on the caller's goroutine, in peers order.
+// business. out runs on the caller's goroutine, in peers order; got, when
+// non-nil, runs on the peer's goroutine once its reply is valid, so an
+// engine can fold each reply as it arrives.
 func Exchange(peers []*Peer, round int, want MsgType, send, recv time.Duration,
-	out func(*Peer) (msg Message, reply bool)) (errs []error) {
+	out func(*Peer) (msg Message, reply bool), got func(*Peer)) (errs []error) {
 	errs = make([]error, len(peers))
 	var wg sync.WaitGroup
 	for i, p := range peers {
@@ -318,6 +320,9 @@ func Exchange(peers []*Peer, round int, want MsgType, send, recv time.Duration,
 			if errs[i] = p.Conn.RecvInto(&p.Env); errs[i] == nil && (p.Env.Type != want || p.Env.Round != round) {
 				errs[i] = fmt.Errorf("expected message type %d for round %d, got type %d for round %d",
 					want, round+1, p.Env.Type, p.Env.Round+1)
+			}
+			if errs[i] == nil && got != nil {
+				got(p)
 			}
 		}(i, p)
 	}

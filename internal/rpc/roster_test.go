@@ -332,7 +332,7 @@ func TestExchangeAndShutdownSilentPeer(t *testing.T) {
 	start := time.Now()
 	errs := Exchange(peers, round, MsgScore, deadline, deadline, func(p *Peer) (Message, bool) {
 		return &Envelope{Type: MsgSelect, Round: round}, p.ID != 3
-	})
+	}, nil)
 	if d := time.Since(start); d > 4*deadline {
 		t.Fatalf("Exchange took %v against a %v deadline", d, deadline)
 	}

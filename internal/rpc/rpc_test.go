@@ -151,8 +151,9 @@ func TestEndToEndSession(t *testing.T) {
 }
 
 // TestServerChecksEachUpdateOnce pins the sync server's ingest at one
-// compress.Sparse.Check per received update: Screen checks the round, and
-// the tree folds what Screen kept without checking it again.
+// compress.Sparse.Check per received update: the tree checks each update
+// once as it arrives, and neither the fold nor the barrier's norm gate
+// checks it again.
 func TestServerChecksEachUpdateOnce(t *testing.T) {
 	const clients, rounds = 3, 5
 	seed := uint64(7)

@@ -292,14 +292,14 @@ func (s *Server) Run() (*ServerResult, error) {
 	global := model.ParamVector()
 	globalDelta := make([]float64, len(global))
 
-	// No MaxNormMult: the barrier hands runRound the whole round, so the
-	// norm gate runs retrospectively in shard.Screen; the tree's causal
-	// gate is for the barrier-less async path.
+	// Each update is checked and folded on its peer's goroutine as it
+	// arrives; Finish judges the round's norms at the barrier.
 	s.tree = shard.NewTree(shard.Config{
-		Shards:  1,
-		Dim:     len(global),
-		Metrics: s.cfg.Metrics,
-		Logf:    s.cfg.Logf,
+		Shards:      1,
+		Dim:         len(global),
+		MaxNormMult: s.cfg.MaxUpdateNorm,
+		Metrics:     s.cfg.Metrics,
+		Logf:        s.cfg.Logf,
 	})
 
 	res := &ServerResult{ResumedFrom: -1}
@@ -447,7 +447,7 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	}
 	s.broadcast.Set(&Envelope{Type: MsgModel, Round: round, Params: global, GlobalDelta: sentDelta})
 	errs := Exchange(roster, round, MsgScore, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
-		func(*Peer) (Message, bool) { return &s.broadcast, true })
+		func(*Peer) (Message, bool) { return &s.broadcast, true }, nil)
 	scores := make(map[int]float64, len(roster))
 	alive := make([]*Peer, 0, len(roster))
 	for i, p := range roster {
@@ -522,10 +522,15 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 				sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels
 			}
 			return sel, sel.Ratio > 0
+		},
+		// Fold on arrival. The payload stays in the peer's receive scratch
+		// (Peer.Env), valid until its next reply at the next round, which
+		// is what the tree's norm gate needs to hold it to the barrier.
+		func(p *Peer) {
+			s.tree.Ingest(round, shard.Update{Client: p.ID, Delta: p.Env.Update,
+				Weight: float64(p.Samples) / float64(totalSamples)})
 		})
-	// Collect the partial set. Payloads stay in each peer's receive scratch
-	// (Peer.Env), valid until that peer's next reply at the next round, so
-	// holding the round back to the barrier copies nothing.
+	// Account the round in roster order.
 	received := make([]*Peer, 0, len(alive))
 	for i, p := range alive {
 		if errs[i] != nil {
@@ -553,25 +558,12 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 		s.cfg.Events.Emit(obs.Event{Type: "update", Round: round, Client: p.ID, Bytes: int64(upd.WireBytes())})
 	}
 
-	// Screen the round, then fold it. Exchange reports in roster order, but
-	// the fold's bits do not depend on order (shard.Partial). The barrier
-	// holds the whole round, so the screen is the retrospective one the
-	// edge tier runs. Quarantined clients are evicted like stragglers:
-	// their weight leaves the renormalisation and the global is bitwise
+	// The barrier: the tree judges the round's norms and takes back what it
+	// quarantines. Quarantined clients are evicted like stragglers: their
+	// weight leaves the renormalisation and the global is bitwise
 	// unaffected by the rejected update.
 	aggStart := time.Now()
-	items := make([]shard.Item, len(received))
-	for i, p := range received {
-		items[i] = shard.Item{Client: p.ID, Tag: i, Upd: p.Env.Update,
-			Weight: float64(p.Samples) / float64(totalSamples)}
-	}
-	kept, quarantined := shard.Screen(round, len(global), s.cfg.MaxUpdateNorm, items, s.cfg.Logf)
-	for _, it := range kept {
-		s.tree.IngestScreened(shard.Update{Client: it.Client, Weight: it.Weight, Delta: it.Upd, MaxAbs: it.MaxAbs})
-	}
-	// Screen has checked every kept update once, and the tree folds them
-	// as they are: it has nothing to reject.
-	part, _ := s.tree.Finish()
+	part, quarantined := s.tree.Finish()
 	s.met.updateSec.Observe(time.Since(updatePhaseStart).Seconds())
 	for _, q := range quarantined {
 		s.met.quarantines.Inc()

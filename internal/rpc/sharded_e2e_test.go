@@ -103,12 +103,11 @@ func TestWireReplayBitDeterministic(t *testing.T) {
 
 // TestNormGateFiresE2E: four scripted clients, the attacker holding the
 // lowest id and shipping a structurally valid update of absurd norm (inside
-// the fold window). With the gate run retrospectively at the barrier it
-// must fire — a causal gate never sees the three accepted norms it needs
-// before the attacker's update in a round of four — and every broadcast
-// must be bitwise what it is when the attacker's update simply never
-// arrives (a nil update is a protocol error: evicted like a dead link, not
-// quarantined).
+// the fold window). The gate judges the round median at the barrier, so it
+// must fire wherever the attacker's update lands in the arrival order, and
+// every broadcast must be bitwise what it is when the attacker's update
+// simply never arrives (a nil update is a protocol error: evicted like a
+// dead link, not quarantined).
 func TestNormGateFiresE2E(t *testing.T) {
 	const rounds, attacker = 3, 0
 	run := func(attack bool) ([][]float64, *ServerResult) {

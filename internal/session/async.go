@@ -56,8 +56,9 @@ type AsyncConfig struct {
 	Versions int
 	// MaxClients is the admission cap (0 = unbounded).
 	MaxClients int
-	// MaxUpdateNorm enables the shard tree's causal median-relative norm
-	// gate; quarantined senders are evicted. 0 disables it.
+	// MaxUpdateNorm enables the shard tree's norm gate, judged over each
+	// version's pushes at apply; quarantined senders are evicted. 0
+	// disables it.
 	MaxUpdateNorm float64
 	// Shards is ignored: the fold's bits do not depend on a shard count
 	// (shard.Partial), and the session folds under one mutex, so it
@@ -145,7 +146,8 @@ type AsyncSession struct {
 	mu       sync.Mutex
 	ckpt     *checkpoint.DeltaWriter
 	report   *checkpoint.Reporter
-	buffered int // pushes folded since the last apply
+	buffered int                // pushes folded since the last apply
+	held     []*compress.Sparse // copies of the pushes the norm gate holds, reused
 	res      *AsyncResult
 	spent    chan struct{} // closed by the fold that meets the version budget
 }
@@ -396,11 +398,12 @@ func (a *AsyncSession) fold(client, base int, delta *compress.Sparse) {
 	}
 	a.met.staleness.Observe(float64(staleness))
 	a.res.StalenessCounts[staleness]++
-	a.tree.Ingest(version, shard.Update{
-		Client: client,
-		Weight: fl.StalenessWeight(staleness),
-		Delta:  delta,
-	})
+	u := shard.Update{Client: client, Weight: fl.StalenessWeight(staleness), Delta: delta}
+	if a.cfg.MaxUpdateNorm > 0 && delta != nil {
+		// The gate holds the push to apply; the reader's scratch won't keep it.
+		u.Delta = a.hold(delta)
+	}
+	a.tree.Ingest(version, u)
 	a.buffered++
 	a.res.Pushes++
 	a.met.pushes.Inc()
@@ -412,6 +415,18 @@ func (a *AsyncSession) fold(client, base int, delta *compress.Sparse) {
 			close(a.spent)
 		}
 	}
+}
+
+// hold copies a push into the held slot of its place in the buffer.
+func (a *AsyncSession) hold(d *compress.Sparse) *compress.Sparse {
+	if a.buffered == len(a.held) {
+		a.held = append(a.held, new(compress.Sparse))
+	}
+	c := a.held[a.buffered]
+	idx, vals := c.Indices[:0], c.Values[:0]
+	*c = *d
+	c.Indices, c.Values = append(idx, d.Indices...), append(vals, d.Values...)
+	return c
 }
 
 // apply drains the buffer into a new model version: the FedBuff weighted

@@ -75,10 +75,11 @@ func TestAsyncBufferMatchesFedBuff(t *testing.T) {
 }
 
 // TestAsyncQuarantinesFiniteGiants: two pushes carrying 1e308 arrive
-// first, before the causal norm gate has the quorum it needs to judge
-// anything; summed, they used to make the global +Inf. The fold window
-// quarantines both by name, and the next version is bitwise the one a
-// session makes from the honest push alone.
+// first, and the norm gate, with one checked push in the version, is below
+// the quorum it needs to judge anything; summed, they used to make the
+// global +Inf. The fold window quarantines both by name on arrival, and
+// the next version is bitwise the one a session makes from the honest push
+// alone.
 func TestAsyncQuarantinesFiniteGiants(t *testing.T) {
 	env := newTestEnv(1, 40, 12, 4, 13)
 	newSession := func(k int) *AsyncSession {
@@ -122,6 +123,75 @@ func TestAsyncQuarantinesFiniteGiants(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("param %d: %v with the giants, %v without", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAsyncGateIgnoresArrivalOrder: three honest pushes and one of about
+// 100× their norm, inside the fold window, make a version of K = 4. The
+// norm gate judges the version's median at apply, so the outlier is
+// quarantined whether it is pushed first or last, and version 1 is bitwise
+// the one a session makes from the honest pushes alone. The third run
+// decodes every push into one scratch, as a connection's reader does: the
+// gate must judge the pushes, not what the scratch holds by apply.
+func TestAsyncGateIgnoresArrivalOrder(t *testing.T) {
+	env := newTestEnv(1, 40, 12, 4, 13)
+	newSession := func(k int) *AsyncSession {
+		a, err := NewAsync(AsyncConfig{NewModel: env.newModel, K: k, Eta: 0.5, Versions: 10, MaxUpdateNorm: 10, Logf: quiet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	push := func(client int, scale float64) func(*AsyncSession, *compress.Sparse) {
+		return func(a *AsyncSession, scratch *compress.Sparse) {
+			d := make([]float64, a.dim)
+			for j := range d {
+				d[j] = scale * 0.01 * math.Sin(float64(j+1)*0.37+float64(client))
+			}
+			u := compress.NewSparseDense(d)
+			if scratch != nil {
+				*scratch, u = *u, scratch
+			}
+			a.fold(client, 0, u)
+		}
+	}
+	type pushFn = func(*AsyncSession, *compress.Sparse)
+	honest := []pushFn{push(0, 1), push(1, 1), push(2, 1)}
+	outlier := push(9, 100)
+
+	ref := newSession(3)
+	for _, p := range honest {
+		p(ref, nil)
+	}
+	want, wv := ref.snapshot()
+	if wv != 1 || len(ref.res.Quarantines) != 0 {
+		t.Fatalf("reference: version %d, quarantined %+v", wv, ref.res.Quarantines)
+	}
+	for _, run := range []struct {
+		name    string
+		order   []pushFn
+		scratch *compress.Sparse
+	}{
+		{"outlier first", []pushFn{outlier, honest[0], honest[1], honest[2]}, nil},
+		{"outlier last", []pushFn{honest[0], honest[1], honest[2], outlier}, nil},
+		{"outlier first, one scratch", []pushFn{outlier, honest[0], honest[1], honest[2]}, new(compress.Sparse)},
+	} {
+		name, a := run.name, newSession(4)
+		for _, p := range run.order {
+			p(a, run.scratch)
+		}
+		if q := a.res.Quarantines; len(q) != 1 || q[0].ClientID != 9 || !strings.Contains(q[0].Reason, "round median") {
+			t.Fatalf("%s: quarantined %+v, want client 9 by the round median", name, q)
+		}
+		got, gv := a.snapshot()
+		if gv != 1 {
+			t.Fatalf("%s: version %d, want 1", name, gv)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: param %d: %v with the outlier, %v without", name, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,31 +12,41 @@ import (
 
 // FuzzShardMerge drives the streaming tree with adversarially generated
 // update batches — random shard counts, random weights, sparse indices
-// including duplicates and out-of-range ones, values past the fold window
-// — and cross-checks the merged root partial against one plain fold of
-// the surviving updates in reverse order. The invariants under fuzz:
+// including duplicates and out-of-range ones, values past the fold window,
+// and a norm multiplier that is 0 (gate off) or 2–10 — and cross-checks
+// the tree against Screen over the same batch: the merged root partial
+// against one plain fold of Screen's kept items in reverse order, and the
+// quarantine records against Screen's. The invariants under fuzz:
 //
 //   - the tree never panics or deadlocks on malformed input;
 //   - every update is either folded or quarantined, never both, never
 //     neither;
 //   - an update outside the fold window is quarantined by name;
-//   - the merged partial equals the reference bit for bit, whatever the
-//     shard count and the order.
+//   - the tree's records are Screen's, and its merged partial equals the
+//     reference bit for bit, whatever the shard count and the order.
 func FuzzShardMerge(f *testing.F) {
-	f.Add(uint64(1), uint8(1), uint8(4), uint8(8))
-	f.Add(uint64(7), uint8(3), uint8(20), uint8(16))
-	f.Add(uint64(42), uint8(8), uint8(50), uint8(3))
+	f.Add(uint64(1), uint8(1), uint8(4), uint8(8), uint8(0))
+	f.Add(uint64(7), uint8(3), uint8(20), uint8(16), uint8(5))
+	f.Add(uint64(42), uint8(8), uint8(50), uint8(3), uint8(0))
 	// Edge-partial shaped batches: the two-tier root folds per-edge
 	// partials whose client batches can carry duplicate IDs (a client
 	// replayed after a reroute) and single-shard topologies (one edge).
-	f.Add(uint64(1337), uint8(1), uint8(63), uint8(40))
-	f.Add(uint64(2026), uint8(5), uint8(48), uint8(24))
+	f.Add(uint64(1337), uint8(1), uint8(63), uint8(40), uint8(10))
+	f.Add(uint64(2026), uint8(5), uint8(48), uint8(24), uint8(0))
 	// A batch with finite values of 1e308 (the fold window).
-	f.Add(uint64(308), uint8(2), uint8(40), uint8(6))
-	f.Fuzz(func(t *testing.T, seed uint64, shards, nups, dim8 uint8) {
+	f.Add(uint64(308), uint8(2), uint8(40), uint8(6), uint8(0))
+	// Norm outliers placed first in their shards (S = 2, gate 4×): clients
+	// 0 and 1, norms ≈ 11.7 against a round median of 0.55. A gate that
+	// judged each update against its shard's earlier ones folded both.
+	f.Add(uint64(13), uint8(1), uint8(6), uint8(6), uint8(4))
+	f.Fuzz(func(t *testing.T, seed uint64, shards, nups, dim8, gate uint8) {
 		s := int(shards)%8 + 1
 		n := int(nups) % 64
 		dim := int(dim8)%48 + 2
+		mult := float64(gate % 11)
+		if mult < 2 {
+			mult = 0
+		}
 		rng := newFuzzRNG(seed)
 
 		ups := make([]Update, n)
@@ -71,7 +83,7 @@ func FuzzShardMerge(f *testing.F) {
 		// modelling a rerouted client whose round replayed through a
 		// second edge. The tree must fold every instance, never dedup;
 		// identical content and weight keep validity uniform per ID so the
-		// quarantine-set reconstruction below stays sound.
+		// window check by client ID below stays sound.
 		for c := 1; c < n; c++ {
 			if rng.next()%4 != 0 {
 				continue
@@ -86,7 +98,15 @@ func FuzzShardMerge(f *testing.F) {
 			}
 		}
 
-		tree := NewTree(Config{Shards: s, Dim: dim})
+		// Screen gets its own copies: Check scrubs in place, and an update
+		// the tree rejects as wholly non-finite is all zeros after it.
+		items := make([]Item, n)
+		for i, u := range ups {
+			items[i] = Item{Client: u.Client, Weight: u.Weight, Upd: &compress.Sparse{Dim: u.Delta.Dim,
+				Indices: slices.Clone(u.Delta.Indices), Values: slices.Clone(u.Delta.Values)}}
+		}
+
+		tree := NewTree(Config{Shards: s, Dim: dim, MaxNormMult: mult})
 		defer tree.Close()
 		for _, u := range ups {
 			tree.Ingest(0, u)
@@ -96,30 +116,28 @@ func FuzzShardMerge(f *testing.F) {
 		if got.Count+len(quars) != n {
 			t.Fatalf("folded %d + quarantined %d != %d ingested", got.Count, len(quars), n)
 		}
-
-		// Rebuild the survivor set and fold it into one partial in reverse
-		// order. Check already zeroed the tree's copies in place, so the
-		// reference sees identical values.
-		quarantinedSet := map[int]bool{}
 		for _, q := range quars {
-			quarantinedSet[q.ClientID] = true
 			if windowErr(weightOf(ups, q.ClientID), maxFinite(ups, q.ClientID)) != nil &&
 				validShape(ups, q.ClientID, dim) && !strings.Contains(q.Reason, "outside the fold window") {
 				t.Fatalf("client %d is outside the fold window but quarantined as %q", q.ClientID, q.Reason)
 			}
 		}
+
+		kept, wantQuars := Screen(0, dim, mult, items, nil)
 		want := NewPartial(dim)
-		for i := len(ups) - 1; i >= 0; i-- {
-			if u := ups[i]; !quarantinedSet[u.Client] {
-				if windowErr(u.Weight, maxFinite(ups, u.Client)) != nil {
-					t.Fatalf("client %d folded outside the fold window", u.Client)
-				}
-				want.Fold(u, false)
+		for i := len(kept) - 1; i >= 0; i-- {
+			it := kept[i]
+			if windowErr(it.Weight, maxFinite(ups, it.Client)) != nil {
+				t.Fatalf("client %d folded outside the fold window", it.Client)
 			}
+			want.Fold(Update{Client: it.Client, Weight: it.Weight, Delta: it.Upd, MaxAbs: it.MaxAbs}, false)
 		}
 		if !samePartial(got, want) {
-			t.Fatalf("S=%d: merged partial differs from the reverse-order fold (count %d vs %d)",
-				s, got.Count, want.Count)
+			t.Fatalf("S=%d, mult %v: merged partial differs from the reverse-order fold of Screen's kept set (count %d vs %d)",
+				s, mult, got.Count, want.Count)
+		}
+		if !reflect.DeepEqual(quars, wantQuars) {
+			t.Fatalf("S=%d, mult %v: tree quarantined %+v, Screen %+v", s, mult, quars, wantQuars)
 		}
 	})
 }

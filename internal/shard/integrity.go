@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"adafl/internal/compress"
 )
@@ -14,9 +16,9 @@ func quiet(string, ...interface{}) {}
 
 // QuarantineRecord documents one rejected client update: which client,
 // which round, why, and the update's L2 norm (0 for structural rejects,
-// where the norm is not trustworthy). Quarantined updates are never
-// folded; the caller evicts the offending client exactly like a
-// straggler, so its weight leaves the renormalisation.
+// where the norm is not trustworthy). A quarantined update leaves no
+// trace in the aggregate; the caller evicts the offending client exactly
+// like a straggler, so its weight leaves the renormalisation.
 type QuarantineRecord struct {
 	Round    int
 	ClientID int
@@ -42,11 +44,12 @@ func AppendQuarantines(log []QuarantineRecord, dropped int, recs ...QuarantineRe
 	return log, dropped
 }
 
-// Item pairs an update with its sender for the buffered screen. Tag is
-// an opaque caller token (the rpc server stores its slice index there to
-// map kept items back onto connections). Weight is the scale the update
-// will fold with, which the fold window judges it at; Screen sets MaxAbs,
-// max|Δⱼ|, on the items it keeps, for the fold's bound (Update.MaxAbs).
+// Item pairs an update with its sender for Screen. Tag is an opaque
+// caller token (fl's aggregators store the update's slice index there to
+// map kept items back onto their control deltas). Weight is the scale the
+// update will fold with, which the fold window judges it at; Screen sets
+// MaxAbs, max|Δⱼ|, on the items it keeps, for the fold's bound
+// (Update.MaxAbs).
 type Item struct {
 	Client int
 	Tag    int
@@ -61,10 +64,11 @@ type Item struct {
 // would be deciding against itself.
 const NormGateMinUpdates = 3
 
-// Screen is the buffered (single-shot) integrity screen, used when the
-// server aggregates at the barrier: it validates every received update
-// before aggregation and returns the survivors plus quarantine records
-// for the rejects:
+// Screen is the integrity screen over a round held in memory, for callers
+// that have one (the simulator's aggregators, bench/'s probes). It runs
+// the rules Tree.Ingest and Tree.Finish run, through the same two
+// functions, and returns the survivors plus quarantine records for the
+// rejects:
 //
 //  1. Structural validation (compress.Sparse.Check): declared
 //     dimension, index/value pairing, index bounds. A failure here would
@@ -76,133 +80,114 @@ const NormGateMinUpdates = 3
 //  3. The fold window: an update with any |Weight·Δⱼ| ≥ 2⁶ is
 //     quarantined ("outside the fold window"), so that no single update
 //     can push the fixed-point aggregate (Partial) out of its range.
-//  4. L2-norm outlier gate: with maxNormMult > 0 and at least
+//  4. The L2-norm outlier gate (judge): with maxNormMult > 0 and at least
 //     NormGateMinUpdates survivors, updates whose norm exceeds
-//     maxNormMult times the round's median norm are quarantined. The
-//     median is robust to the outliers being gated; the gate is skipped
-//     when the median is zero (an all-zero round has no scale to judge
-//     against).
+//     maxNormMult times the round's median norm are quarantined; a zero
+//     median skips the gate.
 //
 // Screen mutates only the updates' values (scrubbing) and never
-// reorders kept items. Tree.Ingest runs the same checks per update, with
-// the causal variant of the norm gate (see onlineGate).
+// reorders kept items; the records come in Tree.Finish's order.
 func Screen(round, dim int, maxNormMult float64, ups []Item, logf Logf) (keep []Item, quarantined []QuarantineRecord) {
 	if logf == nil {
 		logf = quiet
 	}
-	keep = make([]Item, 0, len(ups))
-	for _, u := range ups {
-		n, maxAbs, err := u.Upd.Check(dim)
-		if err != nil {
-			quarantined = append(quarantined, QuarantineRecord{
-				Round: round, ClientID: u.Client, Reason: err.Error(),
-			})
+	hs := make([]held, 0, len(ups))
+	for i, it := range ups {
+		u := Update{Client: it.Client, Weight: it.Weight, Delta: it.Upd}
+		scrubbed, reason := check(dim, &u)
+		if scrubbed > 0 {
+			logf("server: round %d: scrubbed %d non-finite values from client %d", round+1, scrubbed, u.Client)
+		}
+		if reason != "" {
+			quarantined = append(quarantined, QuarantineRecord{Round: round, ClientID: u.Client, Reason: reason})
 			continue
 		}
-		if n > 0 && n == u.Upd.NNZ() {
-			quarantined = append(quarantined, QuarantineRecord{
-				Round: round, ClientID: u.Client,
-				Reason: fmt.Sprintf("update entirely non-finite (%d values)", n),
-			})
-			continue
+		h := held{round: round, at: i, u: u}
+		if maxNormMult > 0 {
+			h.norm = u.Delta.Norm2()
 		}
-		if err := windowErr(u.Weight, maxAbs); err != nil {
-			quarantined = append(quarantined, QuarantineRecord{Round: round, ClientID: u.Client, Reason: err.Error()})
-			continue
-		}
-		if n > 0 {
-			logf("server: round %d: scrubbed %d non-finite values from client %d",
-				round+1, n, u.Client)
-		}
-		u.MaxAbs = maxAbs
-		keep = append(keep, u)
+		hs = append(hs, h)
 	}
+	quarantined, cut := judge(maxNormMult, quarantined, hs)
+	hs = hs[:cut]
+	slices.SortFunc(hs, func(a, b held) int { return a.at - b.at })
+	keep = make([]Item, len(hs))
+	for i, h := range hs {
+		keep[i] = ups[h.at]
+		keep[i].MaxAbs = h.u.MaxAbs
+	}
+	return keep, quarantined
+}
 
-	if maxNormMult <= 0 || len(keep) < NormGateMinUpdates {
-		return keep, quarantined
+// check is the per-update half of the screen, run once per update on
+// arrival: Check's structural validation and scrub, the whole-update
+// non-finite reject and the fold window. It returns the reject's reason
+// ("" for none) and the values it scrubbed, and sets u.MaxAbs for the
+// fold's bound.
+func check(dim int, u *Update) (scrubbed int, reason string) {
+	scrubbed, maxAbs, err := u.Delta.Check(dim)
+	switch {
+	case err != nil:
+		return 0, err.Error()
+	case scrubbed > 0 && scrubbed == u.Delta.NNZ():
+		return 0, fmt.Sprintf("update entirely non-finite (%d values)", scrubbed)
 	}
-	norms := make([]float64, len(keep))
-	for i, u := range keep {
-		norms[i] = u.Upd.Norm2()
+	if err := windowErr(u.Weight, maxAbs); err != nil {
+		return scrubbed, err.Error()
 	}
-	med := Median(norms)
+	u.MaxAbs = maxAbs
+	return scrubbed, ""
+}
+
+// held is an update that passed check, folded and awaiting the norm
+// gate: its round, its L2 norm and, for Screen, its index in the input.
+type held struct {
+	round int
+	norm  float64
+	at    int
+	u     Update
+}
+
+// judge is the barrier's half of the screen, the one norm gate every
+// engine applies: at round end for the sync server and the edge, at
+// version apply for the async session, and in Screen. quars holds the
+// round's structural and window rejects and hs the updates that passed
+// them. With mult > 0 and at least NormGateMinUpdates updates in hs, each
+// whose L2 norm exceeds mult × their median is quarantined; a zero median
+// skips the gate (an all-zero round has no scale to judge against).
+// judge reorders hs by norm and returns the quarantined ones as hs[cut:],
+// and quars in client order with the norm rejects after the rest.
+func judge(mult float64, quars []QuarantineRecord, hs []held) (recs []QuarantineRecord, cut int) {
+	slices.SortFunc(quars, byClient)
+	cut = len(hs)
+	if mult <= 0 || len(hs) < NormGateMinUpdates {
+		return quars, cut
+	}
+	slices.SortFunc(hs, func(a, b held) int { return cmp.Compare(a.norm, b.norm) })
+	m := len(hs) / 2
+	med := hs[m].norm
+	if len(hs)%2 == 0 {
+		med = (hs[m-1].norm + hs[m].norm) / 2
+	}
 	if med <= 0 {
-		return keep, quarantined
+		return quars, cut
 	}
-	limit := maxNormMult * med
-	gated := keep[:0]
-	for i, u := range keep {
-		if norms[i] > limit {
-			quarantined = append(quarantined, QuarantineRecord{
-				Round: round, ClientID: u.Client, Norm: norms[i],
-				Reason: fmt.Sprintf("L2 norm %.4g exceeds %.4g (%.3g x round median %.4g)",
-					norms[i], limit, maxNormMult, med),
-			})
-			continue
-		}
-		gated = append(gated, u)
+	limit := mult * med
+	for cut > 0 && hs[cut-1].norm > limit {
+		cut--
 	}
-	return gated, quarantined
+	n := len(quars)
+	for _, h := range hs[cut:] {
+		quars = append(quars, QuarantineRecord{Round: h.round, ClientID: h.u.Client, Norm: h.norm,
+			Reason: fmt.Sprintf("L2 norm %.4g exceeds %.4g (%.3g x round median %.4g)", h.norm, limit, mult, med)})
+	}
+	slices.SortFunc(quars[n:], byClient)
+	return quars, cut
 }
 
-// Median returns the median of xs (mean of the middle pair for even
-// counts). xs is copied, not mutated.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	m := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[m]
-	}
-	return (s[m-1] + s[m]) / 2
+// byClient orders quarantine records by client, then round, norm and
+// reason, so that the order records arrive in never shows.
+func byClient(a, b QuarantineRecord) int {
+	return cmp.Or(cmp.Compare(a.ClientID, b.ClientID), cmp.Compare(a.Round, b.Round),
+		cmp.Compare(a.Norm, b.Norm), strings.Compare(a.Reason, b.Reason))
 }
-
-// onlineGate is the streaming form of the median-relative norm gate. A
-// shard cannot hold the round's updates back to compute a retrospective
-// median — that would reintroduce the O(clients) buffering the tree
-// exists to remove — so the gate is causal: an update is judged against
-// the median of the norms this shard has already accepted this round,
-// once at least NormGateMinUpdates of them exist. Updates arriving
-// before the quorum fold unconditionally, exactly as the buffered gate
-// declines to judge rounds with fewer than NormGateMinUpdates updates.
-// Only O(updates-per-shard) scalars are retained.
-type onlineGate struct {
-	mult  float64
-	norms []float64 // accepted norms this round, kept sorted
-}
-
-// admit reports whether an update with the given norm passes the gate,
-// returning the median it was judged against (0 when the gate did not
-// engage). Accepted norms join the running median; rejected ones do
-// not — a flood of outliers must not drag the median toward itself.
-func (g *onlineGate) admit(norm float64) (ok bool, med float64) {
-	if g.mult > 0 && len(g.norms) >= NormGateMinUpdates {
-		med = g.median()
-		if med > 0 && norm > g.mult*med {
-			return false, med
-		}
-	}
-	i := sort.SearchFloat64s(g.norms, norm)
-	g.norms = append(g.norms, 0)
-	copy(g.norms[i+1:], g.norms[i:])
-	g.norms[i] = norm
-	return true, med
-}
-
-// median of the sorted accepted norms, O(1).
-func (g *onlineGate) median() float64 {
-	n := len(g.norms)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return g.norms[n/2]
-	}
-	return (g.norms[n/2-1] + g.norms[n/2]) / 2
-}
-
-// reset clears the per-round gate state, keeping the backing array.
-func (g *onlineGate) reset() { g.norms = g.norms[:0] }

@@ -81,27 +81,37 @@ func (p *Partial) Fold(u Update, unweighted bool) {
 }
 
 // fold is Fold for an update whose check has run, with u.MaxAbs from it.
-func (p *Partial) fold(u Update, unweighted bool) {
+func (p *Partial) fold(u Update, unweighted bool) { p.add(u, unweighted, 1) }
+
+// unfold takes back exactly what fold(u, false) added: roundWord is
+// sign-symmetric, so each word of −w·Δ is minus the word of w·Δ, and the
+// scalars are integers. The partial is then bit for bit what it would be
+// had u never been folded.
+func (p *Partial) unfold(u Update) { p.add(u, false, -1) }
+
+// add folds sign·u, sign ±1.
+func (p *Partial) add(u Update, unweighted bool, sign int64) {
 	scale := u.Weight
 	if unweighted {
 		scale = 1
 	}
+	s := float64(sign) // ±1: every product with it is exact
 	d := u.Delta
-	foldWords(p.Sum, d.Indices, d.Values, scale)
-	p.Bound += boundWord(math.Abs(scale) * u.MaxAbs)
-	p.WeightSum += roundWord(scale * weightScale)
-	p.Count++
+	foldWords(p.Sum, d.Indices, d.Values, s*scale)
+	p.Bound += sign * boundWord(math.Abs(scale)*u.MaxAbs)
+	p.WeightSum += roundWord(s * scale * weightScale)
+	p.Count += int(sign)
 	if u.Ctrl != nil {
 		if p.CtrlSum == nil {
 			p.CtrlSum = make([]int64, p.Dim)
 		}
 		var m float64
 		for i, v := range u.Ctrl {
-			p.CtrlSum[i] += roundWord(float64(v * sumScale))
+			p.CtrlSum[i] += roundWord(float64(s * v * sumScale))
 			m = max(m, math.Abs(v))
 		}
-		p.Bound += boundWord(m)
-		p.CtrlCount++
+		p.Bound += sign * boundWord(m)
+		p.CtrlCount += int(sign)
 	}
 }
 

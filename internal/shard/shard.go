@@ -14,7 +14,8 @@
 // 8x (cmd/flfleet; tracked since as bench/'s shard.tree_ingest_updates_per_s
 // and fleet_ingest.peak_rss_mb). Each shard is a stripe under its own
 // lock, so producers on different shards fold in parallel; the tree starts
-// no goroutine and keeps nothing of an update once Ingest returns.
+// no goroutine and, with the norm gate off, keeps nothing of an update
+// once Ingest returns.
 //
 // Determinism contract: a Partial accumulates in int64 fixed point (each
 // product w·Δⱼ rounded once to 2⁻⁵⁰), so every fold and merge is integer
@@ -25,15 +26,15 @@
 // aggregate whose bound reaches 2¹³ is never applied. See DESIGN.md
 // §Sharded aggregation.
 //
-// Integrity runs inside the shards: each update is structurally
-// validated and scrubbed of non-finite values by one Check pass at fold
-// time, checked against the fold window and judged by a causal
-// median-relative norm gate; rejects surface as QuarantineRecords at the
-// barrier so the caller can evict the sender.
+// Integrity is one rule for every engine: each update is structurally
+// validated, scrubbed of non-finite values and checked against the fold
+// window by one Check pass on arrival, and folded at once; at the barrier
+// one median-relative norm gate (judge) judges the round and the fold
+// takes back exactly what it quarantines. Rejects surface as
+// QuarantineRecords at the barrier so the caller can evict the sender.
 package shard
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -46,9 +47,12 @@ type Config struct {
 	Shards int
 	// Dim is the model dimension every update must validate against.
 	Dim int
-	// MaxNormMult enables the causal norm gate: an update whose L2 norm
-	// exceeds MaxNormMult times the median of the norms its shard has
-	// already accepted this round is quarantined. 0 disables the gate.
+	// MaxNormMult enables the norm gate: at Finish, an update whose L2
+	// norm exceeds MaxNormMult times the median norm of the round's
+	// checked updates is quarantined and taken back out of the fold. 0
+	// disables the gate. With the gate on, the tree holds each checked
+	// update until Finish judges it, so an update ingested with
+	// MaxNormMult > 0 must stay unmodified until Finish.
 	MaxNormMult float64
 	// Metrics, when non-nil, receives the shard-labelled instrument set
 	// (fold and merge latency, received/evicted counts). Nil disables
@@ -65,15 +69,17 @@ type Tree struct {
 	cfg      Config
 	stripes  []stripe
 	root     *Partial       // Finish's result, reused round after round
+	held     []held         // Finish's gather of the stripes' held updates, reused
 	mergeSec *obs.Histogram // adafl_shard_merge_seconds
 }
 
-// stripe is one shard: the partial, norm gate and quarantine records
-// folded from the updates routed to it, all guarded by mu.
+// stripe is one shard: the partial, the updates held for the norm gate
+// and the quarantine records folded from the updates routed to it, all
+// guarded by mu.
 type stripe struct {
 	mu    sync.Mutex
 	part  *Partial
-	gate  onlineGate
+	held  []held
 	quars []QuarantineRecord
 	met   shardMetrics
 }
@@ -98,7 +104,6 @@ func NewTree(cfg Config) *Tree {
 	for i := range t.stripes {
 		st := &t.stripes[i]
 		st.part = NewPartial(cfg.Dim)
-		st.gate.mult = cfg.MaxNormMult
 		st.met = newShardMetrics(cfg.Metrics, i)
 	}
 	return t
@@ -106,48 +111,59 @@ func NewTree(cfg Config) *Tree {
 
 // Route returns the shard index an update from the given client folds
 // into: client mod S, shifted into range for negative ids. The norm gate
-// is per shard, so the mapping decides which updates judge each other;
-// the folded bits do not depend on it.
+// judges the whole round at Finish, so neither the folded bits nor the
+// quarantine decisions depend on the mapping.
 func (t *Tree) Route(client int) int {
 	s := len(t.stripes)
 	return ((client % s) + s) % s
 }
 
-// Ingest folds one update into its shard in the caller's goroutine, under
-// that shard's lock, and keeps nothing of u after it returns. round tags
-// any quarantine record the update produces.
-func (t *Tree) Ingest(round int, u Update) { t.ingest(round, u, false) }
-
-// IngestScreened is Ingest for an update Screen kept, carrying the
-// Item's MaxAbs: Screen has run its check and the fold window, so the
-// shard folds it as it is, and it cannot be quarantined. The shard's
-// metrics count it as they count an Ingest.
-func (t *Tree) IngestScreened(u Update) { t.ingest(0, u, true) }
-
-func (t *Tree) ingest(round int, u Update, screened bool) {
+// Ingest checks one update and folds it into its shard in the caller's
+// goroutine; only the fold runs under the shard's lock. With the gate off
+// it keeps nothing of u after it returns; with it on it holds u until
+// Finish (Config.MaxNormMult). round tags any quarantine record the
+// update produces.
+func (t *Tree) Ingest(round int, u Update) {
 	i := t.Route(u.Client)
 	st := &t.stripes[i]
-	var scrubbed int
+	var start time.Time
+	if st.met.foldSec != nil {
+		start = time.Now()
+	}
+	st.met.received.Inc()
+	scrubbed, reason := check(t.cfg.Dim, &u)
+	var norm float64
+	if reason == "" && t.cfg.MaxNormMult > 0 {
+		norm = u.Delta.Norm2()
+	}
 	st.mu.Lock()
-	if st.met.foldSec == nil {
-		scrubbed = st.fold(round, u, &t.cfg, screened)
-	} else {
-		start := time.Now()
-		scrubbed = st.fold(round, u, &t.cfg, screened)
-		st.met.foldSec.Observe(time.Since(start).Seconds())
+	switch {
+	case reason != "":
+		st.met.evicted.Inc()
+		st.quars = append(st.quars, QuarantineRecord{Round: round, ClientID: u.Client, Reason: reason})
+	case t.cfg.MaxNormMult > 0:
+		st.held = append(st.held, held{round: round, norm: norm, u: u})
+		fallthrough
+	default:
+		st.part.fold(u, false)
 	}
 	st.mu.Unlock()
+	if reason == "" && st.met.foldSec != nil {
+		st.met.foldSec.Observe(time.Since(start).Seconds())
+	}
 	if scrubbed > 0 {
 		t.cfg.Logf("shard %d: round %d: scrubbed %d non-finite values from client %d",
 			i, round+1, scrubbed, u.Client)
 	}
 }
 
-// Finish is the round barrier: it merges the S partials, collects the
-// round's quarantine records (ordered by shard, then fold order) and
-// resets every shard for the next round. The returned Partial belongs to
-// the tree and is valid until the next Finish; the records belong to the
-// caller.
+// Finish is the round barrier: it merges the S partials, judges the
+// round's held updates (judge) and subtracts the ones it quarantines, and
+// resets every shard for the next round. The records come back in client
+// order, structural and window rejects before norm rejects, so neither
+// the arrival order nor the shard count shows in them. The returned
+// Partial belongs to the tree and is valid until the next Finish; the
+// records belong to the caller.
 func (t *Tree) Finish() (*Partial, []QuarantineRecord) {
 	start := time.Now()
 	t.root.Reset()
@@ -157,11 +173,22 @@ func (t *Tree) Finish() (*Partial, []QuarantineRecord) {
 		st.mu.Lock()
 		t.root.Merge(st.part)
 		quars = append(quars, st.quars...)
+		t.held = append(t.held, st.held...)
 		st.part.Reset()
-		st.gate.reset()
+		clear(st.held) // hold no update past its round
+		st.held = st.held[:0]
 		st.quars = st.quars[:0]
 		st.mu.Unlock()
 	}
+	quars, cut := judge(t.cfg.MaxNormMult, quars, t.held)
+	for _, h := range t.held[cut:] {
+		// Integer addition commutes, so taking the update out of the
+		// merged partial leaves what taking it out of its shard would.
+		t.root.unfold(h.u)
+		t.stripes[t.Route(h.u.Client)].met.evicted.Inc()
+	}
+	clear(t.held)
+	t.held = t.held[:0]
 	t.mergeSec.Observe(time.Since(start).Seconds())
 	return t.root, quars
 }
@@ -169,46 +196,3 @@ func (t *Tree) Finish() (*Partial, []QuarantineRecord) {
 // Close is a no-op: the tree holds no goroutine or other resource to
 // release. It remains because bench/'s probes call it.
 func (t *Tree) Close() {}
-
-// fold runs the streaming integrity screen and folds survivors, returning
-// how many non-finite values it scrubbed from an update it did not reject
-// as wholly non-finite (Ingest logs them outside the lock). Each update
-// is checked exactly once: here, or in the Screen that passed a screened
-// one.
-func (st *stripe) fold(round int, u Update, cfg *Config, screened bool) (scrubbed int) {
-	st.met.received.Inc()
-	if screened {
-		st.part.fold(u, false)
-		return 0
-	}
-	scrubbed, maxAbs, err := u.Delta.Check(cfg.Dim)
-	if err != nil {
-		st.reject(round, u.Client, err.Error(), 0)
-		return 0
-	}
-	if scrubbed > 0 && scrubbed == u.Delta.NNZ() {
-		st.reject(round, u.Client, fmt.Sprintf("update entirely non-finite (%d values)", scrubbed), 0)
-		return 0
-	}
-	if err := windowErr(u.Weight, maxAbs); err != nil {
-		st.reject(round, u.Client, err.Error(), 0)
-		return scrubbed
-	}
-	u.MaxAbs = maxAbs
-	if cfg.MaxNormMult > 0 {
-		norm := u.Delta.Norm2()
-		if ok, med := st.gate.admit(norm); !ok {
-			st.reject(round, u.Client,
-				fmt.Sprintf("L2 norm %.4g exceeds %.4g (%.3g x shard median %.4g)",
-					norm, cfg.MaxNormMult*med, cfg.MaxNormMult, med), norm)
-			return scrubbed
-		}
-	}
-	st.part.fold(u, false)
-	return scrubbed
-}
-
-func (st *stripe) reject(round, client int, reason string, norm float64) {
-	st.met.evicted.Inc()
-	st.quars = append(st.quars, QuarantineRecord{Round: round, ClientID: client, Reason: reason, Norm: norm})
-}

@@ -171,6 +171,26 @@ func TestFoldSubtractsExactly(t *testing.T) {
 	}
 }
 
+// TestUnfoldTakesBackCtrl: unfold takes an update back out whole, its
+// SCAFFOLD control delta, weight, count and bound included.
+func TestUnfoldTakesBackCtrl(t *testing.T) {
+	const dim = 32
+	ups := randomUpdates(3, dim, 6, 12)
+	for i := range ups {
+		ups[i].Ctrl = make([]float64, dim)
+		ups[i].Ctrl[i+1] = 0.25 * float64(i+1)
+	}
+	want := referenceFold(dim, ups[:2], false)
+	got := referenceFold(dim, ups, false)
+	u := ups[2]
+	_, u.MaxAbs, _ = u.Delta.Check(dim)
+	got.unfold(u)
+	if !samePartial(got, want) {
+		t.Fatalf("unfold left count %d, ctrl count %d; want %d, %d and the same bits",
+			got.Count, got.CtrlCount, want.Count, want.CtrlCount)
+	}
+}
+
 // TestFoldWindow: an update with a product of 2⁶ or more is quarantined by
 // name, at the tree and at the buffered screen, and an aggregate whose
 // bound reaches 2¹³ is refused at apply with the target untouched.
@@ -323,10 +343,10 @@ func TestTreeUnweightedAndCtrl(t *testing.T) {
 	}
 }
 
-// TestTreeOnlineNormGate: after three honest updates establish a shard
-// median, an absurd-magnitude update is quarantined; the honest ones
+// TestTreeRoundMedianNormGate: an absurd-magnitude update is judged
+// against the round median at Finish and quarantined; the honest ones
 // fold through.
-func TestTreeOnlineNormGate(t *testing.T) {
+func TestTreeRoundMedianNormGate(t *testing.T) {
 	const dim = 64
 	tree := NewTree(Config{Shards: 1, Dim: dim, MaxNormMult: 5})
 	for c := 0; c < 4; c++ {
@@ -340,11 +360,11 @@ func TestTreeOnlineNormGate(t *testing.T) {
 	if len(quars) != 1 || quars[0].ClientID != 9 || quars[0].Round != 2 {
 		t.Fatalf("outlier not quarantined: %+v", quars)
 	}
-	if !strings.Contains(quars[0].Reason, "shard median") || quars[0].Norm != 50 {
+	if !strings.Contains(quars[0].Reason, "round median") || quars[0].Norm != 50 {
 		t.Fatalf("quarantine record incomplete: %+v", quars[0])
 	}
-	// Gate state is per round: after Finish the same outlier folds
-	// unconditionally again until a fresh quorum accumulates.
+	// Gate state is per round: after Finish the same outlier, alone in
+	// its round, is below the gate's floor and folds.
 	tree.Ingest(3, Update{Client: 9, Weight: 1, Delta: mkSparse(dim, []int32{7}, []float64{50})})
 	got, quars = tree.Finish()
 	if got.Count != 1 || len(quars) != 0 {
@@ -535,4 +555,78 @@ func TestScreenBufferedTagRoundTrip(t *testing.T) {
 	if len(quars) != 1 || quars[0].ClientID != 6 {
 		t.Fatalf("quarantine wrong: %+v", quars)
 	}
+}
+
+// TestJudgeOrderIndependent: one round of four honest updates, a norm
+// outlier inside the fold window, a structural reject and a window reject,
+// fed in every order into trees of S = 1, 2 and 3. Every run gives the same
+// quarantine records, in the same order, and the same partial bits, and
+// they are Screen's records and the fold of Screen's kept items.
+func TestJudgeOrderIndependent(t *testing.T) {
+	const dim = 16
+	ups := []Update{
+		{Client: 0, Weight: 0.5, Delta: mkSparse(dim, []int32{0, 3}, []float64{0.25, -0.5})},
+		{Client: 1, Weight: 1, Delta: mkSparse(dim, []int32{1, 4}, []float64{-0.375, 0.25})},
+		{Client: 2, Weight: 0.75, Delta: mkSparse(dim, []int32{2, 9}, []float64{0.5, 0.125})},
+		{Client: 3, Weight: 1.5, Delta: mkSparse(dim, []int32{5, 6}, []float64{0.3, -0.4})},
+		{Client: 4, Weight: 1, Delta: mkSparse(dim, []int32{7, 8}, []float64{20, -30})},    // norm outlier
+		{Client: 5, Weight: 1, Delta: mkSparse(dim, []int32{int32(dim)}, []float64{1})},    // out of range
+		{Client: 6, Weight: 2, Delta: mkSparse(dim, []int32{10, 11}, []float64{40, 0.25})}, // product 80
+	}
+	const mult = 4
+	items := make([]Item, len(ups))
+	for i, u := range ups {
+		items[i] = Item{Client: u.Client, Upd: u.Delta, Weight: u.Weight}
+	}
+	kept, wantQuars := Screen(0, dim, mult, items, nil)
+	want := NewPartial(dim)
+	for _, it := range kept {
+		want.Fold(Update{Client: it.Client, Weight: it.Weight, Delta: it.Upd, MaxAbs: it.MaxAbs}, false)
+	}
+	if want.Count != 4 || len(wantQuars) != 3 || wantQuars[2].ClientID != 4 ||
+		!strings.Contains(wantQuars[2].Reason, "round median") {
+		t.Fatalf("Screen kept %d and quarantined %+v; want the honest four kept and client 4 gated last", want.Count, wantQuars)
+	}
+
+	trees := []*Tree{
+		NewTree(Config{Shards: 1, Dim: dim, MaxNormMult: mult}),
+		NewTree(Config{Shards: 2, Dim: dim, MaxNormMult: mult}),
+		NewTree(Config{Shards: 3, Dim: dim, MaxNormMult: mult}),
+	}
+	order := slices.Clone(ups)
+	runs := 0
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(order) {
+			runs++
+			for _, tree := range trees {
+				for _, u := range order {
+					tree.Ingest(0, u)
+				}
+				got, quars := tree.Finish()
+				if !samePartial(got, want) || !reflect.DeepEqual(quars, wantQuars) {
+					t.Fatalf("S=%d, order %v: quarantined %+v, count %d; want Screen's %+v, count %d",
+						len(tree.stripes), clients(order), quars, got.Count, wantQuars, want.Count)
+				}
+			}
+			return
+		}
+		for i := k; i < len(order); i++ {
+			order[k], order[i] = order[i], order[k]
+			permute(k + 1)
+			order[k], order[i] = order[i], order[k]
+		}
+	}
+	permute(0)
+	if runs != 5040 {
+		t.Fatalf("ran %d orders, want all 5040", runs)
+	}
+}
+
+func clients(ups []Update) []int {
+	ids := make([]int, len(ups))
+	for i, u := range ups {
+		ids[i] = u.Client
+	}
+	return ids
 }

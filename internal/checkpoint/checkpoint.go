@@ -10,6 +10,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -28,8 +29,9 @@ import (
 // magic identifies a checkpoint file; a layout change bumps Version.
 var magic = [8]byte{'A', 'D', 'F', 'L', 'C', 'K', 'P', 'T'}
 
-// Version is the file format version: 1 framed a bare gob, 2 named sections.
-const Version = 2
+// Version is the file format version: 1 framed a bare gob, 2 named
+// sections, 3 metas that hold no map.
+const Version = 3
 
 const (
 	// headerLen is magic(8) + version(4) + payload length(8) + crc(4).
@@ -294,8 +296,20 @@ const (
 )
 
 // Meta is an engine's snapshot struct; Round, the completed round or model
-// version it was taken at, is the snapshot's label.
+// version it was taken at, is the snapshot's label. It holds no map (gob
+// writes one in iteration order) but SortedPairs, so one state is one file.
 type Meta interface{ Round() int }
+
+// SortedPairs returns m's entries as key, value pairs in ascending key
+// order.
+func SortedPairs(m map[int]int) [][2]int {
+	out := make([][2]int, 0, len(m))
+	for k, v := range m {
+		out = append(out, [2]int{k, v})
+	}
+	slices.SortFunc(out, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
+	return out
+}
 
 // Vector is one named model-sized vector of a snapshot.
 type Vector struct {

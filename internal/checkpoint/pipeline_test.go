@@ -98,7 +98,7 @@ func dirDigest(t *testing.T, dir string) map[string]string {
 // after goldenEpochs pipelined writes: the bytes of the last epoch's
 // sections in the snapshot frame, none of the live-state mutations made
 // while a write was in flight.
-const goldenDigest = "2570bca5568b5c354de972f788f5eb1e21a53835c9e1e61d62a0cfd314c43dda"
+const goldenDigest = "86a0ba645da2c25ab4969c12a8dcb9719fadefc985e46f77324e62f4089b73bb"
 
 // TestDeltaWriterGoldenBytes drives the stream through the pipeline the
 // way a session does — capture, commit, mutate the live state while the

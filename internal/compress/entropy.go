@@ -720,11 +720,6 @@ func encodePlane(k *sparseSink, src *source, p int, c *planeCode) {
 // codeRun writes the codes of byte shift/8 of vals' float32 bits after the
 // n bits held in acc, and returns the bits it leaves held.
 func codeRun(k *sparseSink, vals []float64, shift uint, code *[256]uint32, acc uint64, n uint) (uint64, uint) {
-	if n < 8 {
-		var done int
-		done, acc, n = codeWords(k, vals, shift, code, acc, n)
-		vals = vals[done:]
-	}
 	for ; n < 8 && len(vals) >= 4; vals = vals[4:] {
 		// Four codes of at most 11 bits over the fewer than 8 held fit a
 		// word, which goes out whole; its whole bytes count.

@@ -5,10 +5,11 @@ import (
 	"unsafe"
 )
 
-// Assembly bindings for the byte-plane kernels in planes_amd64.s. They
-// use the baseline amd64 instruction set only, so every amd64 host runs
-// them; planeKernels turns them off for the tests that hold them to the
-// portable loops.
+// Assembly binding for the byte-plane decode kernel in planes_amd64.s. It
+// uses the baseline amd64 instruction set only, so every amd64 host runs
+// it; planeKernels turns it off for the tests that hold it to the
+// portable loops. Encoding has no kernel; DESIGN.md §GEMM kernel's
+// "Assembly ledger" records why.
 
 var planeKernels = true
 
@@ -26,35 +27,6 @@ type planeState struct {
 //
 //go:noescape
 func decodePlanesAMD64(vals *float64, groups int, tabs *[4][huffTableLen]uint16, st *[4]planeState)
-
-// codePlaneAMD64 appends to dst the codes of byte shift/8 (0, 8, 16 or 24)
-// of the float32 bits of n values, a multiple of 4, after the bits bits
-// (fewer than 8) held in acc: code[s] is s's code<<8 | its length. It
-// returns the whole bytes it wrote and the bits it holds. dst must have
-// room for 8 bytes past the 11·n/8 that n codes can take.
-//
-//go:noescape
-func codePlaneAMD64(dst *byte, vals *float64, n int, code *[256]uint32, shift uint, acc uint64, bits uint) (wrote int, accOut uint64, bitsOut uint)
-
-// codeWords codes the values of vals, from the first, that fill whole
-// four-value groups and the room of k's buffer, and returns how many.
-func codeWords(k *sparseSink, vals []float64, shift uint, code *[256]uint32, acc uint64, n uint) (int, uint64, uint) {
-	done := 0
-	for planeKernels && len(vals)-done >= 4 {
-		if len(k.buf)-k.n < 64 {
-			k.flush()
-			if len(k.buf)-k.n < 64 {
-				break
-			}
-		}
-		m := min(len(vals)-done, (len(k.buf)-k.n-8)*8/huffMaxLen) &^ 3
-		var wrote int
-		wrote, acc, n = codePlaneAMD64(&k.buf[k.n], &vals[done], m, code, shift, acc, n)
-		k.n += wrote
-		done += m
-	}
-	return done, acc, n
-}
 
 // decodeGroups decodes the values of vals, from the first, that the
 // kernel can reach with whole-word loads on every stream of r, coded as h

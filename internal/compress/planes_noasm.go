@@ -6,12 +6,6 @@ package compress
 // kernel to switch here.
 var planeKernels = false
 
-// codeWords codes nothing without the amd64 kernel: the portable loop
-// codes every value.
-func codeWords(k *sparseSink, vals []float64, shift uint, code *[256]uint32, acc uint64, n uint) (int, uint64, uint) {
-	return 0, acc, n
-}
-
 // decodeGroups decodes nothing without the amd64 kernel: the portable
 // loop decodes every value.
 func decodeGroups(vals []float64, h *sectionHead, r *[4]bitReader) int { return 0 }

@@ -803,7 +803,7 @@ func (s *Sparse) DecodeBinaryInto(data []byte) error {
 // hostLittleEndian reports whether this host stores an int32 as the wire
 // does, least significant byte first: then a raw index run is the bytes of
 // the Indices slice, and moves as one copy. The f32 and f64 runs move
-// through tensor's LE kernels, which are byte-order safe on any host.
+// through tensor's LE helpers, which make the same choice.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // int32Bytes is v's memory as bytes: the same memory, not a copy.

@@ -113,10 +113,18 @@ type LinkState struct {
 
 // NegotiationState is the checkpointable snapshot of a negotiator: its
 // config (resume refuses a mismatch — assignments would silently diverge
-// from the uninterrupted run otherwise) and the per-client link states.
+// from the uninterrupted run otherwise) and the per-client link states,
+// sorted by client id (a slice, not a map, so that its gob bytes depend
+// only on the state).
 type NegotiationState struct {
 	Config NegotiationConfig
-	Links  map[int]LinkState
+	Links  []ClientLink
+}
+
+// ClientLink is one client's entry of NegotiationState.Links.
+type ClientLink struct {
+	ID    int
+	State LinkState
 }
 
 // Negotiator assigns every selected client a codec+ratio each round from
@@ -306,10 +314,11 @@ func (n *Negotiator) AssignByLoad(round int, ids []int) map[int]CodecAssignment 
 
 // Snapshot returns a checkpointable copy of the negotiator's state.
 func (n *Negotiator) Snapshot() *NegotiationState {
-	st := &NegotiationState{Config: n.cfg, Links: make(map[int]LinkState, len(n.links))}
+	st := &NegotiationState{Config: n.cfg, Links: make([]ClientLink, 0, len(n.links))}
 	for id, ls := range n.links {
-		st.Links[id] = *ls
+		st.Links = append(st.Links, ClientLink{ID: id, State: *ls})
 	}
+	sort.Slice(st.Links, func(i, j int) bool { return st.Links[i].ID < st.Links[j].ID })
 	return st
 }
 
@@ -325,9 +334,9 @@ func (n *Negotiator) Restore(st *NegotiationState) error {
 		return fmt.Errorf("core: negotiation config mismatch: checkpoint %+v, configured %+v", st.Config, n.cfg)
 	}
 	n.links = make(map[int]*LinkState, len(st.Links))
-	for id, ls := range st.Links {
-		cp := ls
-		n.links[id] = &cp
+	for _, l := range st.Links {
+		cp := l.State
+		n.links[l.ID] = &cp
 	}
 	return nil
 }

@@ -196,7 +196,7 @@ func TestNegotiatorSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// Mutating the restored negotiator must not write through to the snapshot.
 	m.RecordUpload(0, 1)
-	if snap.Links[0].EWMABytes == m.links[0].EWMABytes {
+	if snap.Links[0].State.EWMABytes == m.links[0].EWMABytes {
 		t.Fatal("restore aliases the snapshot's link state")
 	}
 	// Both continue identically from the same state.

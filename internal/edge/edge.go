@@ -323,8 +323,10 @@ func (e *Edge) recount() {
 }
 
 // runRound drives one round: broadcast the go-ahead to the current
-// roster, fold each update into tree as it arrives under the deadline,
-// judge the round at the barrier, ship the partial upstream.
+// roster, collect the updates under the deadline, fold them into tree in
+// roster order, judge the round at the barrier, ship the partial upstream.
+// The fold's bits do not depend on its order; folding on this goroutine
+// spares the peers' goroutines the contention of one partial.
 func (e *Edge) runRound(root *rpc.Conn, round int, tree *shard.Tree) error {
 	if e.cfg.OnSelect != nil {
 		e.cfg.OnSelect(round)
@@ -352,15 +354,13 @@ func (e *Edge) runRound(root *rpc.Conn, round int, tree *shard.Tree) error {
 				sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels
 			}
 			return sel, true
-		},
-		func(p *rpc.Peer) {
-			tree.Ingest(round, shard.Update{Client: p.ID, Weight: 1, Delta: p.Env.Update})
-		})
+		}, nil)
 	for i, p := range roster {
 		if errs[i] != nil {
 			e.dropClient(p, errs[i])
 			continue
 		}
+		tree.Ingest(round, shard.Update{Client: p.ID, Weight: 1, Delta: p.Env.Update})
 		if e.neg != nil {
 			// Per-client EWMA fold: order-independent across clients,
 			// so receipt order cannot perturb future assignments.

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"adafl/internal/checkpoint"
+	"adafl/internal/core"
 	"adafl/internal/obs"
 )
 
@@ -260,5 +262,44 @@ func TestDeltaCheckpointWriteErrorContinues(t *testing.T) {
 	}
 	if got := loadedRound(t, dir, env.newModel().NumParams()); got != rounds-1 {
 		t.Fatalf("snapshot after the outage loads round %d, want %d", got, rounds-1)
+	}
+}
+
+// TestSnapshotBytesDependOnlyOnState captures one session state twenty
+// times, with eight clients in the selector's history and eight links in
+// the negotiator's, and wants one snapshot file: gob writes a map in
+// iteration order, so a meta that carried these as maps wrote a state as
+// many byte strings.
+func TestSnapshotBytesDependOnlyOnState(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := checkpoint.Open(dir, false, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, err := core.NewNegotiator(core.DefaultNegotiation(), core.DefaultController())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastSel := map[int]int{}
+	for id := 0; id < 8; id++ {
+		lastSel[id] = 3 + id%3
+		neg.RecordUpload(id, 1000+100*id)
+	}
+	s := &Server{cfg: ServerConfig{NumClients: 8, Rounds: 10}, neg: neg, ckpt: w,
+		report: checkpoint.NewReporter(nil, "", nil, func(round int, err error) { t.Errorf("round %d: %v", round, err) })}
+	global, gdelta := []float64{1, -2, 3}, []float64{0.5, 0, -0.25}
+	var want []byte
+	for i := 0; i < 20; i++ {
+		s.saveCheckpoint(5, global, gdelta, lastSel, &ServerResult{})
+		s.joinCheckpoint()
+		got, err := os.ReadFile(filepath.Join(dir, "snapshot.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("capture %d wrote other bytes than capture 0 of the same state", i)
+		}
 	}
 }

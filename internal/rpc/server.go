@@ -671,14 +671,16 @@ func (s *Server) shutdown(info string) {
 // sessionSnapshot is the meta section of the session's snapshot, taken after
 // every completed round: with the "global" and "gdelta" vectors, everything
 // needed to continue from round CompletedRound+1 in a fresh process.
-// NumClients/Rounds let a resume under changed flags say so. Chains whose
-// meta also carries a shard count (and older ones S zero partials) still
-// decode: gob skips a field this struct lacks.
+// NumClients/Rounds let a resume under changed flags say so.
+// SelectorLastSel is each client's last selected round, as
+// checkpoint.SortedPairs. Chains whose meta also carries a shard count
+// (and older ones S zero partials) still decode: gob skips a field this
+// struct lacks.
 type sessionSnapshot struct {
 	CompletedRound  int
 	NumClients      int
 	Rounds          int
-	SelectorLastSel map[int]int
+	SelectorLastSel [][2]int
 	History         []RoundRecord
 	Quarantines     []QuarantineRecord
 	// QuarantinesDropped counts records the log cap discarded before this
@@ -710,7 +712,7 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 		CompletedRound:     round,
 		NumClients:         s.cfg.NumClients,
 		Rounds:             s.cfg.Rounds,
-		SelectorLastSel:    lastSel,
+		SelectorLastSel:    checkpoint.SortedPairs(lastSel),
 		History:            res.Rounds,
 		Quarantines:        s.quarantines,
 		QuarantinesDropped: s.quarantinesDropped,
@@ -759,8 +761,8 @@ func (s *Server) restore(snap *checkpoint.Snapshot, global, globalDelta []float6
 		s.cfg.Logf("server: resume: snapshot taken with %d clients / %d rounds, now %d / %d",
 			meta.NumClients, meta.Rounds, s.cfg.NumClients, s.cfg.Rounds)
 	}
-	for id, round := range meta.SelectorLastSel {
-		lastSel[id] = round
+	for _, kv := range meta.SelectorLastSel {
+		lastSel[kv[0]] = kv[1]
 	}
 	res.Rounds = meta.History
 	res.BytesReceived = meta.BytesReceived

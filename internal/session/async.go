@@ -153,7 +153,8 @@ type AsyncSession struct {
 }
 
 // asyncSnapshot is the meta section of an async session's snapshot; the
-// model rides beside it as the "global" vector.
+// model rides beside it as the "global" vector. StalenessCounts is
+// AsyncResult's histogram as checkpoint.SortedPairs.
 type asyncSnapshot struct {
 	Version            int
 	K                  int
@@ -161,7 +162,7 @@ type asyncSnapshot struct {
 	Pushes             int
 	StaleRejected      int
 	Evictions          int
-	StalenessCounts    map[int]int
+	StalenessCounts    [][2]int
 	Quarantines        []shard.QuarantineRecord
 	QuarantinesDropped int
 	BytesReceived      int64
@@ -229,8 +230,8 @@ func NewAsync(cfg AsyncConfig) (*AsyncSession, error) {
 			a.res.Evictions = meta.Evictions
 			a.res.BytesReceived = meta.BytesReceived
 			a.resumedBytes = meta.BytesReceived
-			if meta.StalenessCounts != nil {
-				a.res.StalenessCounts = meta.StalenessCounts
+			for _, kv := range meta.StalenessCounts {
+				a.res.StalenessCounts[kv[0]] = kv[1]
 			}
 			// Re-bound: a snapshot is input from disk and may carry more records.
 			a.res.Quarantines, a.res.QuarantinesDropped = shard.AppendQuarantines(meta.Quarantines, meta.QuarantinesDropped)
@@ -491,7 +492,7 @@ func (a *AsyncSession) saveCheckpoint(version int, params []float64) {
 		Pushes:             a.res.Pushes,
 		StaleRejected:      a.res.StaleRejected,
 		Evictions:          a.res.Evictions,
-		StalenessCounts:    a.res.StalenessCounts,
+		StalenessCounts:    checkpoint.SortedPairs(a.res.StalenessCounts),
 		Quarantines:        a.res.Quarantines,
 		QuarantinesDropped: a.res.QuarantinesDropped,
 		BytesReceived:      a.bytesReceived(),

@@ -667,3 +667,47 @@ func TestAsyncResumeBoundsQuarantineLog(t *testing.T) {
 		t.Fatalf("dropped = %d, want %d", a.res.QuarantinesDropped, dropped+over)
 	}
 }
+
+// TestAsyncSnapshotBytesDependOnlyOnState captures one async state with an
+// eight-entry staleness histogram twenty times, wants one snapshot file,
+// and reads the histogram back as pairs in staleness order.
+func TestAsyncSnapshotBytesDependOnlyOnState(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := checkpoint.Open(dir, false, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[int]int{}
+	for s := 0; s < 8; s++ {
+		counts[s] = 10 - s
+	}
+	a := &AsyncSession{cfg: AsyncConfig{K: 2}, roster: rpc.NewRoster(false), ckpt: w,
+		res:    &AsyncResult{StalenessCounts: counts},
+		report: checkpoint.NewReporter(nil, "", nil, func(v int, err error) { t.Errorf("version %d: %v", v, err) })}
+	params := []float64{1, -2, 3}
+	var want []byte
+	for i := 0; i < 20; i++ {
+		a.saveCheckpoint(4, params)
+		a.report.Joined(w.Wait())
+		got, err := os.ReadFile(filepath.Join(dir, "snapshot.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+		} else if string(got) != string(want) {
+			t.Fatalf("capture %d wrote other bytes than capture 0 of the same state", i)
+		}
+	}
+	var meta asyncSnapshot
+	if snap, err := checkpoint.ReadSnapshot(dir); err != nil {
+		t.Fatal(err)
+	} else if err := snap.Restore(&meta, checkpoint.Vector{Name: "global", Vals: params}); err != nil {
+		t.Fatal(err)
+	}
+	for i, kv := range meta.StalenessCounts {
+		if kv != [2]int{i, counts[i]} {
+			t.Fatalf("staleness pair %d = %v, want [%d %d]", i, kv, i, counts[i])
+		}
+	}
+}

@@ -6,16 +6,18 @@ import (
 	"unsafe"
 )
 
-// Elementwise kernels: the passes of a client step outside the GEMM. Each
-// is one function whose portable body is the scalar loop below it; at
-// levelAVX2 and above the same function runs the leading multiple of
-// eight elements through an assembly kernel (elem_amd64.s) and the rest
-// through that loop. The strided row kernels and the pool kernel below
-// them follow the same pattern a row or a plane at a time. The kernels
-// compute what the loop computes, bit for bit: the loop's operations in
-// its order, each rounded on its own, with no fused multiply-add (the
-// explicit float32 conversions forbid the compiler one, so no
-// architecture contracts the loop either).
+// Elementwise passes: the passes of a client step outside the GEMM, the
+// float64↔float32 moves at the model's vector boundary, and the little-
+// endian runs of the wire and the snapshot. Each is one function whose
+// portable body is the scalar loop below it. Where a bench workload
+// measured a win (DESIGN.md §GEMM kernel, "Assembly ledger"), levelAVX2
+// and above run the leading multiple of eight elements through an
+// assembly kernel (elem_amd64.s) and the rest through that loop, or, for
+// the conv lowering's taps, the whole pass. The kernels compute what the
+// loop computes, bit for bit: the loop's operations in its order, each
+// rounded on its own, with no fused multiply-add (the explicit float32
+// conversions forbid the compiler one, so no architecture contracts the
+// loop either).
 
 // simdLen returns how many leading elements of an n-element pass the
 // vector kernel takes: the multiple of eight at or below n when it runs,
@@ -95,10 +97,6 @@ func Narrow(dst []float32, src []float64) {
 		panic("tensor: Narrow length mismatch")
 	}
 	dst = dst[:len(src)]
-	if k := simdLen(len(src)); k > 0 {
-		narrowAVX2(&dst[0], &src[0], k)
-		dst, src = dst[k:], src[k:]
-	}
 	for i, x := range src {
 		dst[i] = float32(x)
 	}
@@ -111,10 +109,6 @@ func Widen(dst []float64, src []float32) {
 		panic("tensor: Widen length mismatch")
 	}
 	dst = dst[:len(src)]
-	if k := simdLen(len(src)); k > 0 {
-		widenAVX2(&dst[0], &src[0], k)
-		dst, src = dst[k:], src[k:]
-	}
 	for i, x := range src {
 		dst[i] = float64(x)
 	}
@@ -128,10 +122,6 @@ func SubNarrowed(dst []float64, p []float32, start []float64) {
 		panic("tensor: SubNarrowed length mismatch")
 	}
 	dst, start = dst[:len(p)], start[:len(p)]
-	if k := simdLen(len(p)); k > 0 {
-		subNarrowedAVX2(&dst[0], &p[0], &start[0], k)
-		dst, p, start = dst[k:], p[k:], start[k:]
-	}
 	for i, x := range p {
 		dst[i] = float64(x) - float64(float32(start[i]))
 	}
@@ -155,21 +145,6 @@ func SubWiden(dst []float64, p, start []float32) {
 	}
 }
 
-// ReadF32LE reads len(dst) little-endian float32s from src into dst, bit
-// for bit. src need not be aligned; it panics if src holds fewer than
-// 4·len(dst) bytes.
-func ReadF32LE(dst []float32, src []byte) {
-	src = prefix(src, 4*len(dst))
-	if kernelLevel >= levelAVX2 && len(dst) > 0 {
-		// amd64 stores a float32 little-endian: the bytes are the values.
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), len(src)), src)
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-}
-
 // NarrowLE writes each element of src rounded to float32 into dst as four
 // little-endian bytes. It panics if dst holds fewer than 4·len(src).
 func NarrowLE(dst []byte, src []float64) {
@@ -177,12 +152,71 @@ func NarrowLE(dst []byte, src []float64) {
 		panic("tensor: NarrowLE destination too short")
 	}
 	dst = dst[:4*len(src)]
-	if k := simdLen(len(src)); k > 0 {
-		narrowBytesAVX2(&dst[0], &src[0], k)
-		dst, src = dst[4*k:], src[k:]
-	}
 	for i, x := range src {
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(x)))
+	}
+}
+
+// hostLE reports whether this host stores a number's bytes least
+// significant first, as amd64 and arm64 do: there a float vector's memory
+// is its little-endian encoding, and PutF64LE, ReadF64LE and ReadF32LE are
+// one copy each. A big-endian host runs their byte-order loops.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// bytesOf is v's memory as bytes.
+func bytesOf[T float32 | float64](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(*new(T))))
+}
+
+// PutF64LE writes each element of src into dst as eight little-endian
+// bytes. It panics if dst holds fewer than 8·len(src).
+func PutF64LE(dst []byte, src []float64) {
+	dst = prefix(dst, 8*len(src))
+	if hostLE {
+		copy(dst, bytesOf(src))
+		return
+	}
+	putF64LE(dst, src)
+}
+
+func putF64LE(dst []byte, src []float64) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
+	}
+}
+
+// ReadF64LE reads len(dst) little-endian float64s from src into dst. It
+// panics if src holds fewer than 8·len(dst) bytes.
+func ReadF64LE(dst []float64, src []byte) {
+	src = prefix(src, 8*len(dst))
+	if hostLE {
+		copy(bytesOf(dst), src)
+		return
+	}
+	readF64LE(dst, src)
+}
+
+func readF64LE(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// ReadF32LE reads len(dst) little-endian float32s from src into dst, bit
+// for bit. src need not be aligned; it panics if src holds fewer than
+// 4·len(dst) bytes.
+func ReadF32LE(dst []float32, src []byte) {
+	src = prefix(src, 4*len(dst))
+	if hostLE {
+		copy(bytesOf(dst), src)
+		return
+	}
+	readF32LE(dst, src)
+}
+
+func readF32LE(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 }
 
@@ -213,10 +247,6 @@ func CopyRows(dst []float32, dstStride int, src []float32, srcStride, rows, widt
 		return
 	}
 	dst, src = rowsSpan(dst, dstStride, rows, width), rowsSpan(src, srcStride, rows, width)
-	if kernelLevel >= levelAVX2 {
-		copyRowsAVX2(&dst[0], dstStride, &src[0], srcStride, rows, width)
-		return
-	}
 	for r := 0; r < rows; r++ {
 		copy(dst[r*dstStride:r*dstStride+width], src[r*srcStride:])
 	}

@@ -2,8 +2,8 @@ package tensor
 
 // Assembly bindings for the AVX2 elementwise kernels in elem_amd64.s. Each
 // elementwise kernel takes n > 0, a multiple of 8, and pointers to n
-// elements (4·n bytes for the byte forms); the row and pool kernels take
-// the shapes their callers in elem.go have checked.
+// elements; the row, bias, tap and pool kernels take the shapes their callers
+// in elem.go have checked.
 
 //go:noescape
 func sgdMomentumAVX2(p, v, grad *float32, n int, lr, mom float32)
@@ -15,26 +15,10 @@ func reluAVX2(dst, src *float32, n int)
 func reluBackwardAVX2(dx, y, grad *float32, n int)
 
 //go:noescape
-func narrowAVX2(dst *float32, src *float64, n int)
-
-//go:noescape
-func widenAVX2(dst *float64, src *float32, n int)
-
-//go:noescape
-func subNarrowedAVX2(dst *float64, p *float32, start *float64, n int)
-
-//go:noescape
 func subWidenAVX2(dst *float64, p, start *float32, n int)
 
-//go:noescape
-func narrowBytesAVX2(dst *byte, src *float64, n int)
-
-// copyRowsAVX2 and addRowsAVX2 take rows > 0, width > 0 and strides in
-// elements.
+// addRowsAVX2 takes rows > 0, width > 0 and strides in elements.
 //
-//go:noescape
-func copyRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int)
-
 //go:noescape
 func addRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int)
 

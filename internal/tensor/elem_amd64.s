@@ -89,75 +89,6 @@ loop:
 	VZEROUPPER
 	RET
 
-// func narrowAVX2(dst *float32, src *float64, n int)
-TEXT ·narrowAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	XORQ AX, AX
-
-loop:
-	VCVTPD2PSY (SI)(AX*8), X0
-	VCVTPD2PSY 32(SI)(AX*8), X1
-	VMOVUPS    X0, (DI)(AX*4)
-	VMOVUPS    X1, 16(DI)(AX*4)
-	ADDQ       $8, AX
-	CMPQ       AX, CX
-	JLT        loop
-	VZEROUPPER
-	RET
-
-// func narrowBytesAVX2(dst *byte, src *float64, n int)
-//
-// narrowAVX2 into a byte buffer: amd64 stores a float32 little-endian.
-TEXT ·narrowBytesAVX2(SB), NOSPLIT, $0-24
-	JMP ·narrowAVX2(SB)
-
-// func widenAVX2(dst *float64, src *float32, n int)
-TEXT ·widenAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	XORQ AX, AX
-
-loop:
-	VCVTPS2PD (SI)(AX*4), Y0
-	VCVTPS2PD 16(SI)(AX*4), Y1
-	VMOVUPD   Y0, (DI)(AX*8)
-	VMOVUPD   Y1, 32(DI)(AX*8)
-	ADDQ      $8, AX
-	CMPQ      AX, CX
-	JLT       loop
-	VZEROUPPER
-	RET
-
-// func subNarrowedAVX2(dst *float64, p *float32, start *float64, n int)
-//
-// dst = float64(p) − float64(float32(start)).
-TEXT ·subNarrowedAVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ p+8(FP), SI
-	MOVQ start+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-
-loop:
-	VCVTPS2PD  (SI)(AX*4), Y0
-	VCVTPS2PD  16(SI)(AX*4), Y1
-	VCVTPD2PSY (DX)(AX*8), X2
-	VCVTPD2PSY 32(DX)(AX*8), X3
-	VCVTPS2PD  X2, Y2
-	VCVTPS2PD  X3, Y3
-	VSUBPD     Y2, Y0, Y0
-	VSUBPD     Y3, Y1, Y1
-	VMOVUPD    Y0, (DI)(AX*8)
-	VMOVUPD    Y1, 32(DI)(AX*8)
-	ADDQ       $8, AX
-	CMPQ       AX, CX
-	JLT        loop
-	VZEROUPPER
-	RET
-
 // func subWidenAVX2(dst *float64, p, start *float32, n int)
 //
 // dst = float64(p) − float64(start).
@@ -183,62 +114,10 @@ loop:
 	VZEROUPPER
 	RET
 
-// func copyRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int)
-//
-// Row by row: eight lanes per step, then one four-lane step and single
-// lanes for the tail.
-TEXT ·copyRowsAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ dstStride+8(FP), DX
-	MOVQ src+16(FP), SI
-	MOVQ srcStride+24(FP), R8
-	MOVQ rows+32(FP), CX
-	MOVQ width+40(FP), R9
-	SHLQ $2, DX
-	SHLQ $2, R8
-	MOVQ R9, R10
-	ANDQ $-8, R10     // eight-lane part
-	LEAQ -4(R9), R11  // a four-lane step fits below this
-
-copyRow:
-	XORQ AX, AX
-	CMPQ AX, R10
-	JGE  copyTail4
-
-copy8:
-	VMOVUPS (SI)(AX*4), Y0
-	VMOVUPS Y0, (DI)(AX*4)
-	ADDQ    $8, AX
-	CMPQ    AX, R10
-	JLT     copy8
-
-copyTail4:
-	CMPQ    AX, R11
-	JGT     copyTail1
-	VMOVUPS (SI)(AX*4), X0
-	VMOVUPS X0, (DI)(AX*4)
-	ADDQ    $4, AX
-
-copyTail1:
-	CMPQ   AX, R9
-	JGE    copyNext
-	VMOVSS (SI)(AX*4), X0
-	VMOVSS X0, (DI)(AX*4)
-	INCQ   AX
-	JMP    copyTail1
-
-copyNext:
-	ADDQ DX, DI
-	ADDQ R8, SI
-	DECQ CX
-	JNE  copyRow
-	VZEROUPPER
-	RET
-
 // func addRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int)
 //
-// copyRowsAVX2's loop with dst = dst + src, dst's element the first
-// operand of each add as in the scalar loop's `t[i] += v`.
+// Row by row, eight lanes a step, then four, then one: dst = dst + src,
+// dst's element the first operand of each add as in `t[i] += v`.
 TEXT ·addRowsAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ dstStride+8(FP), DX
@@ -461,7 +340,7 @@ biasNext:
 // W+Pad−kx); channel c's patch rows start at patch + c·PatchStride +
 // kx·Plane + lo, OW apart, and its image rows at image + c·ImageStride +
 // lo + kx − Pad, W apart; a tap with lo ≥ hi moves nothing. Each of the
-// Rows rows moves hi − lo elements as copyRowsAVX2 and addRowsAVX2 do:
+// Rows rows moves hi − lo elements the way addRowsAVX2 walks a row:
 // image into patch, or with add, patch added onto image (the image's
 // element the first operand of each add); a width of exactly 8 takes one
 // vector per row with no tail tests. The frame holds the channel count

@@ -11,17 +11,7 @@ func reluAVX2(dst, src *float32, n int) { noSIMD() }
 
 func reluBackwardAVX2(dx, y, grad *float32, n int) { noSIMD() }
 
-func narrowAVX2(dst *float32, src *float64, n int) { noSIMD() }
-
-func widenAVX2(dst *float64, src *float32, n int) { noSIMD() }
-
-func subNarrowedAVX2(dst *float64, p *float32, start *float64, n int) { noSIMD() }
-
 func subWidenAVX2(dst *float64, p, start *float32, n int) { noSIMD() }
-
-func narrowBytesAVX2(dst *byte, src *float64, n int) { noSIMD() }
-
-func copyRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int) { noSIMD() }
 
 func addRowsAVX2(dst *float32, dstStride int, src *float32, srcStride, rows, width int) { noSIMD() }
 

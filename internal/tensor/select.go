@@ -1,22 +1,17 @@
 package tensor
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // The two passes over n of compress's exact top-k select (DESIGN.md
-// §"Exact top-k by bracketed select"), the two max passes of an update's
-// check, and the f64 runs of the wire. A coordinate's magnitude key is
-// bits(x) &^ sign: for a finite double that integer is monotone in |x|,
-// so magnitudes compare as integers. Each pass
-// is one function whose portable body is the scalar loop below it; at
-// levelAVX2 the leading multiple of four coordinates runs through an AVX2
-// kernel (compares, VMOVMSKPD, and a left-packing permute from
-// compressPerm), at levelAVX512 the leading multiple of eight or sixteen
-// through an AVX-512 one (VPCMPUQ masks, then VPCOMPRESSQ/VPCOMPRESSD/
-// VCOMPRESSPD), and the rest through the loop. Every level writes the same
-// keys, indices and values in the same order.
+// §"Exact top-k by bracketed select") and the two max passes of an
+// update's check. A coordinate's magnitude key is bits(x) &^ sign: for a
+// finite double that integer is monotone in |x|, so magnitudes compare as
+// integers. Each pass is one function whose portable body is the scalar
+// loop below it; at levelAVX2 and above the leading multiple of four (or
+// eight) coordinates runs through an AVX2 kernel (compares, VMOVMSKPD,
+// and a left-packing permute from compressPerm) and the rest through the
+// loop. Every level writes the same keys, indices and values in the same
+// order.
 
 const (
 	keySign = uint64(1) << 63
@@ -24,8 +19,8 @@ const (
 )
 
 // CompressSlack is how far past the last coordinate it selects
-// CompressAbove's vector kernels may store: they store whole vectors, and
-// run while idx and vals have this much room beyond what is written. A
+// CompressAbove's vector kernel may store: it stores whole vectors, and
+// runs while idx and vals have this much room beyond what is written. A
 // caller that sizes both at the selected count plus CompressSlack gets the
 // whole pass at vector width; with less room the tail runs the scalar loop.
 const CompressSlack = 16
@@ -66,11 +61,7 @@ const gatherMinBlock = 64
 // overrun.
 func gatherBlock(dst, v []float64, lo, hi uint64) (above, n int) {
 	i := 0
-	switch {
-	case kernelLevel >= levelAVX512 && len(v) >= 8:
-		i = len(v) &^ 7
-		above, n = gatherKeysAVX512(&dst[0], &v[0], i, lo, hi)
-	case kernelLevel >= levelAVX2 && len(v) >= 4:
+	if kernelLevel >= levelAVX2 && len(v) >= 4 {
 		i = len(v) &^ 3
 		above, n = gatherKeysAVX2(&dst[0], &v[0], i, lo, hi, &compressPerm[0])
 	}
@@ -140,10 +131,7 @@ func CompressAbove(idx []int32, vals, v []float64, thr uint64, ties int) int {
 	}
 	room := min(len(idx), len(vals))
 	i, n := 0, 0
-	switch {
-	case kernelLevel >= levelAVX512 && len(v) >= 16 && room >= CompressSlack && thr < keyExp:
-		i, n, ties = compressAboveAVX512(&idx[0], &vals[0], room, &v[0], len(v)&^15, thr, ties)
-	case kernelLevel >= levelAVX2 && len(v) >= 4 && room >= CompressSlack:
+	if kernelLevel >= levelAVX2 && len(v) >= 4 && room >= CompressSlack {
 		i, n, ties = compressAboveAVX2(&idx[0], &vals[0], room, &v[0], len(v)&^3, thr, ties, &compressPerm[0])
 	}
 	for ; i < len(v); i++ {
@@ -192,32 +180,6 @@ var compressPerm = func() (t [16]permEntry) {
 	return t
 }()
 
-// PutF64LE writes each element of src into dst as eight little-endian
-// bytes. It panics if dst holds fewer than 8·len(src).
-func PutF64LE(dst []byte, src []float64) {
-	dst = prefix(dst, 8*len(src))
-	if k := simdLen(len(src)); k > 0 {
-		putF64sAVX2(&dst[0], &src[0], k)
-		dst, src = dst[8*k:], src[k:]
-	}
-	for i, x := range src {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
-	}
-}
-
-// ReadF64LE reads len(dst) little-endian float64s from src into dst. It
-// panics if src holds fewer than 8·len(dst) bytes.
-func ReadF64LE(dst []float64, src []byte) {
-	src = prefix(src, 8*len(dst))
-	if k := simdLen(len(dst)); k > 0 {
-		readF64sAVX2(&dst[0], &src[0], k)
-		dst, src = dst[k:], src[8*k:]
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-}
-
 // MaxIndex returns the largest element of idx read as a uint32, or 0 for
 // an empty idx: a negative index reads as 2³¹ or more, so one compare of
 // the result against a dimension tells whether every index lies in
@@ -225,11 +187,7 @@ func ReadF64LE(dst []float64, src []byte) {
 func MaxIndex(idx []int32) uint32 {
 	var m uint32
 	i := 0
-	switch {
-	case kernelLevel >= levelAVX512 && len(idx) >= 16:
-		i = len(idx) &^ 15
-		m = maxIndexAVX512(&idx[0], i)
-	case kernelLevel >= levelAVX2 && len(idx) >= 8:
+	if kernelLevel >= levelAVX2 && len(idx) >= 8 {
 		i = len(idx) &^ 7
 		m = maxIndexAVX2(&idx[0], i)
 	}
@@ -245,11 +203,7 @@ func MaxIndex(idx []int32) uint32 {
 func MaxKey(v []float64) uint64 {
 	var m uint64
 	i := 0
-	switch {
-	case kernelLevel >= levelAVX512 && len(v) >= 8:
-		i = len(v) &^ 7
-		m = maxKeyAVX512(&v[0], i)
-	case kernelLevel >= levelAVX2 && len(v) >= 4:
+	if kernelLevel >= levelAVX2 && len(v) >= 4 {
 		i = len(v) &^ 3
 		m = maxKeyAVX2(&v[0], i)
 	}

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -136,32 +137,62 @@ func checkSelectKernels(t *testing.T, level string, r *stats.RNG, v []float64) {
 	}
 }
 
-// TestF64LEMatchesByteOrderLoops pins PutF64LE and ReadF64LE against the
-// encoding/binary loops they replace, at every level and every length
-// around the vector width, NaN payloads included.
+// TestF64LEMatchesByteOrderLoops pins PutF64LE and ReadF64LE, and the
+// byte-order loops a big-endian host runs instead of their copy, against
+// encoding/binary over every length around a vector width, NaN payloads
+// included, from an unaligned source.
 func TestF64LEMatchesByteOrderLoops(t *testing.T) {
 	r := stats.NewRNG(41)
-	forEachLevel(t, func(level string) {
-		for n := 0; n <= 40; n++ {
-			v := selectInput(r, n)
-			want := make([]byte, 8*n)
-			for i, x := range v {
-				binary.LittleEndian.PutUint64(want[8*i:], math.Float64bits(x))
-			}
+	for n := 0; n <= 40; n++ {
+		v := selectInput(r, n)
+		want := make([]byte, 8*n)
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(want[8*i:], math.Float64bits(x))
+		}
+		for _, put := range []struct {
+			name string
+			f    func([]byte, []float64)
+		}{{"PutF64LE", PutF64LE}, {"putF64LE", putF64LE}} {
 			got := make([]byte, 8*n+3)
-			PutF64LE(got, v)
-			if string(got[:8*n]) != string(want) {
-				t.Fatalf("%s: PutF64LE n=%d differs from PutUint64", level, n)
+			put.f(got, v)
+			if string(got[:8*n]) != string(want) || string(got[8*n:]) != "\x00\x00\x00" {
+				t.Fatalf("%s n=%d differs from PutUint64", put.name, n)
 			}
+		}
+		for _, read := range []struct {
+			name string
+			f    func([]float64, []byte)
+		}{{"ReadF64LE", ReadF64LE}, {"readF64LE", readF64LE}} {
 			back := make([]float64, n)
-			ReadF64LE(back, append([]byte{1}, want...)[1:]) // unaligned source
+			read.f(back, append([]byte{1}, want...)[1:]) // unaligned source
 			for i := range v {
 				if math.Float64bits(back[i]) != math.Float64bits(v[i]) {
-					t.Fatalf("%s: ReadF64LE n=%d: element %d is %#x, want %#x", level, n, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
+					t.Fatalf("%s n=%d: element %d is %#x, want %#x", read.name, n, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
 				}
 			}
 		}
-	})
+	}
+}
+
+// TestReadF32LEMatchesByteOrderLoop is TestF64LEMatchesByteOrderLoops for
+// ReadF32LE and its loop, over the float32 specials and arbitrary bits.
+func TestReadF32LEMatchesByteOrderLoop(t *testing.T) {
+	r := stats.NewRNG(42)
+	for n := 0; n <= 40; n++ {
+		v := elemInputs32(r, n)
+		src := make([]byte, 1+4*n)
+		for i, x := range v {
+			binary.LittleEndian.PutUint32(src[1+4*i:], math.Float32bits(x))
+		}
+		for _, read := range []struct {
+			name string
+			f    func([]float32, []byte)
+		}{{"ReadF32LE", ReadF32LE}, {"readF32LE", readF32LE}} {
+			back := make([]float32, n)
+			read.f(back, src[1:]) // unaligned source
+			assertBits32(t, back, v, fmt.Sprintf("%s n=%d", read.name, n))
+		}
+	}
 }
 
 // TestMaxKernelsMatchScalarLoops pins MaxIndex and MaxKey against the

@@ -18,7 +18,12 @@ check: lint build test race
 # tile fails unless its sixteen multiply-adds are fused FMADDS
 # instructions with no call to the fma32 emulation left
 # (tensor/fma32_arm64.go): a refactor that breaks the fusion fails here,
-# not on a board.
+# not on a board. The opposite holds for the Box-Muller transform and the
+# synthetic renderers (DESIGN.md §Synthetic data): every normal and pixel
+# must have amd64's bits on the boards, so the arm64 disassembly of
+# internal/stats and of renderDigit and SynthCIFAR fails on any fused
+# multiply-add (FMADDD, FMSUBD, FNMADDD, FNMSUBD) — a product someone
+# forgot to round with float64(…).
 # The import guard is an allowlist of the non-test files that may import
 # encoding/gob: the one place a snapshot's meta section is encoded (and the
 # framed file bench/ still measures); it touches no socket. deadexport fails
@@ -81,6 +86,14 @@ lint: vet
 	fused=$$(grep -c 'FMADDS' "$$dir/tile.txt"; true) && \
 	if [ "$$calls" -ne 0 ] || [ "$$fused" -lt 16 ]; then \
 		echo "arm64 tensor.gemmTileGo: $$calls calls to fma32 and $$fused FMADDS (want 0 and at least 16)"; exit 1; \
+	fi
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	GOARCH=arm64 $(GO) build -o "$$dir/flbench" ./cmd/flbench && \
+	$(GO) tool objdump -s 'internal/stats\.|internal/dataset\.(renderDigit|SynthCIFAR)' "$$dir/flbench" > "$$dir/normal.txt" && \
+	funcs=$$(grep -cE '^TEXT .*(stats\.\(\*RNG\)\.Norm|dataset\.renderDigit|dataset\.SynthCIFAR\.func1)\(SB\)' "$$dir/normal.txt"; true) && \
+	fused=$$(grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$$dir/normal.txt"; true) && \
+	if [ "$$funcs" -ne 3 ] || [ -n "$$fused" ]; then \
+		echo "arm64 Box-Muller and renderers: $$funcs of Norm, renderDigit, SynthCIFAR.func1 found (want 3), fused multiply-adds:"; echo "$$fused"; exit 1; \
 	fi
 	$(GO) run ./cmd/internal/deadexport . cmd/internal/deadexport/allowlist.txt
 	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | sed 's|^\./||' | sort | tr '\n' ' '); \

@@ -20,7 +20,6 @@ import (
 
 	"adafl/cmd/internal/cli"
 	"adafl/internal/core"
-	"adafl/internal/dataset"
 	"adafl/internal/netsim"
 	"adafl/internal/rpc"
 	"adafl/internal/scenario"
@@ -86,12 +85,12 @@ func (c *clientCmd) config() (rpc.ClientConfig, error) {
 	if err != nil {
 		return cfg, err
 	}
-	seed := c.task.Seed
-	if c.iid {
-		cfg.Data = dataset.PartitionIID(train, c.clients, seed+2)[cfg.ID]
-	} else {
-		cfg.Data = dataset.PartitionShards(train, c.clients, 2, seed+2)[cfg.ID]
+	parts, err := c.task.Partition(train, c.clients, c.iid)
+	if err != nil {
+		return cfg, err
 	}
+	cfg.Data = parts[cfg.ID]
+	seed := c.task.Seed
 	cfg.NewModel = c.task.NewModel()
 	def := core.DefaultConfig()
 	cfg.Utility = def.Utility

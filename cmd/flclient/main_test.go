@@ -66,15 +66,33 @@ func TestAsyncConfig(t *testing.T) {
 }
 
 // TestNoSamplesRefused: -samples 0 or below is an error naming the flag,
-// not a panic in tensor.New.
+// not a panic in tensor.New; and so is a set too small to give each of
+// -clients its shards (a panic in the partitioner) or its IID share (an
+// empty client that panics at its first batch), one line naming both.
 func TestNoSamplesRefused(t *testing.T) {
-	for _, args := range [][]string{{"-samples=0"}, {"async", "-samples=-4"}} {
-		r, _, err := cli.Parse("flclient", commands, args, &bytes.Buffer{})
+	for _, c := range []struct {
+		args  []string
+		names []string
+	}{
+		{[]string{"-samples=0"}, []string{"-samples"}},
+		{[]string{"async", "-samples=-4"}, []string{"-samples"}},
+		{[]string{"-samples", "10", "-clients", "8"}, []string{"-samples", "-clients"}},
+		{[]string{"async", "-samples", "10", "-clients", "8"}, []string{"-samples", "-clients"}},
+		{[]string{"-iid", "-clients", "3", "-samples", "3", "-id", "0"}, []string{"-samples", "-clients"}},
+	} {
+		r, _, err := cli.Parse("flclient", commands, c.args, &bytes.Buffer{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.(*clientCmd).config(); err == nil || !strings.Contains(err.Error(), "-samples") {
-			t.Errorf("flclient %q: %v", args, err)
+		_, err = r.(*clientCmd).config()
+		if err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("flclient %q: %v, want a one-line error", c.args, err)
+			continue
+		}
+		for _, name := range c.names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("flclient %q: %v does not name %s", c.args, err, name)
+			}
 		}
 	}
 }

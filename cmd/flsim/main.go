@@ -20,7 +20,6 @@ import (
 	"adafl/cmd/internal/cli"
 	"adafl/internal/compress"
 	"adafl/internal/core"
-	"adafl/internal/dataset"
 	"adafl/internal/fl"
 	"adafl/internal/netsim"
 	"adafl/internal/nn"
@@ -91,15 +90,14 @@ func main() {
 	}
 
 	iid := *dist == "iid"
-	train, test, err := cli.Task{Seed: *seed, ImgSize: *imgSize, Samples: *samples}.Split()
+	task := cli.Task{Seed: *seed, ImgSize: *imgSize, Samples: *samples}
+	train, test, err := task.Split()
 	if err != nil {
 		log.Fatalf("flsim: %v", err)
 	}
-	var parts []*dataset.Dataset
-	if iid {
-		parts = dataset.PartitionIID(train, *clients, *seed+2)
-	} else {
-		parts = dataset.PartitionShards(train, *clients, 2, *seed+2)
+	parts, err := task.Partition(train, *clients, iid)
+	if err != nil {
+		log.Fatalf("flsim: %v", err)
 	}
 	size := *imgSize
 	modelSeed := *seed + 4

@@ -140,6 +140,24 @@ func (t Task) Split() (train, test *dataset.Dataset, err error) {
 	return train, test, nil
 }
 
+// Partition deals train out to clients as every binary does, at Seed+2:
+// equal shuffled shares when iid, else two label-sorted shards each. A
+// set too small to give every share a sample is an error naming -samples
+// and -clients, not a panic in the partitioner or an empty client.
+func (t Task) Partition(train *dataset.Dataset, clients int, iid bool) ([]*dataset.Dataset, error) {
+	shares := 2
+	if iid {
+		shares = 1
+	}
+	if clients < 1 || train.Len() < clients*shares {
+		return nil, fmt.Errorf("-samples %d leaves %d training samples, too few for -clients %d: each client needs %d", t.Samples, train.Len(), clients, shares)
+	}
+	if iid {
+		return dataset.PartitionIID(train, clients, t.Seed+2), nil
+	}
+	return dataset.PartitionShards(train, clients, shares, t.Seed+2), nil
+}
+
 // NewModel returns the constructor of the shared architecture; every call
 // builds the same initial weights.
 func (t Task) NewModel() func() *nn.Model {

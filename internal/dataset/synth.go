@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -35,11 +34,12 @@ const minChunk = 32
 // rerenders counts the sets render drew a second time as one chunk.
 var rerenders atomic.Int64
 
-// render calls sample(i, r) for every i in [0, n), with r at the position
-// of seed's stream a serial pass over samples 0..i−1 would leave, so the
-// set is the same bits for any GOMAXPROCS. Every sample takes a scalar
-// draws and then b normals (DESIGN.md §Synthetic data).
-func render(n, a, b int, seed uint64, sample func(i int, r *stats.RNG)) {
+// render calls sample(i, r, norms) for every i in [0, n), with r at the
+// position of seed's stream a serial pass over samples 0..i−1 would leave,
+// so the set is the same bits for any GOMAXPROCS. Every sample takes a
+// scalar draws and then b normals (DESIGN.md §Synthetic data), which it
+// fills into norms, its worker's scratch of b.
+func render(n, a, b int, seed uint64, sample func(i int, r *stats.RNG, norms []float64)) {
 	workers := min(runtime.GOMAXPROCS(0), (n+minChunk-1)/minChunk)
 	if !renderChunks(n, a, b, seed, workers, sample) {
 		// A u == 0 redraw shifted the stream (p = 2⁻⁵³ per pair): the
@@ -51,7 +51,7 @@ func render(n, a, b int, seed uint64, sample func(i int, r *stats.RNG)) {
 
 // renderChunks renders [0, n) as workers contiguous chunks, concurrently,
 // and reports whether every chunk ended at the draw where the next begins.
-func renderChunks(n, a, b int, seed uint64, workers int, sample func(int, *stats.RNG)) bool {
+func renderChunks(n, a, b int, seed uint64, workers int, sample func(int, *stats.RNG, []float64)) bool {
 	// first is sample j's first draw: a scalars per earlier sample, and two
 	// draws per Box-Muller pair their normals began.
 	first := func(j int) uint64 { return uint64(a*j + (j*b+1)/2*2) }
@@ -71,8 +71,9 @@ func renderChunks(n, a, b int, seed uint64, workers int, sample func(int, *stats
 			} else {
 				r.Skip(first(lo))
 			}
+			norms := make([]float64, b)
 			for i := lo; i < hi; i++ {
-				sample(i, r)
+				sample(i, r, norms)
 			}
 			next := stats.NewRNG(seed)
 			next.Skip(first(hi))
@@ -99,18 +100,20 @@ func SynthMNIST(n, size int, seed uint64) *Dataset {
 	}
 	plane := size * size
 	// Four scalar draws (digit, two jitters, contrast), then a normal per pixel.
-	render(n, 4, plane, seed, func(i int, r *stats.RNG) {
+	render(n, 4, plane, seed, func(i int, r *stats.RNG, norms []float64) {
 		digit := r.Intn(10)
 		ds.Labels[i] = digit
-		renderDigit(ds.X.Data[i*plane:(i+1)*plane], size, digit, r)
+		renderDigit(ds.X.Data[i*plane:(i+1)*plane], size, digit, r, norms)
 	})
 	return ds
 }
 
-// renderDigit draws one jittered glyph into a size×size buffer. Pixels are
-// composed in float64 and stored as float32. Whatever img held is
+// renderDigit draws one jittered glyph into a size×size buffer, its noise
+// through norms, a scratch of size². Pixels are composed in float64 and
+// stored as float32; every product is rounded on its own (float64(…)), so
+// no architecture fuses one into a multiply-add. Whatever img held is
 // overwritten, so a set can be rendered again in place.
-func renderDigit(img []float32, size, digit int, r *stats.RNG) {
+func renderDigit(img []float32, size, digit int, r *stats.RNG, norms []float64) {
 	clear(img)
 	// Glyph box occupies roughly the central 60% of the canvas; jitter
 	// shifts it by up to ±size/8 in each axis.
@@ -120,7 +123,7 @@ func renderDigit(img []float32, size, digit int, r *stats.RNG) {
 	x0, y0 := margin+jx, margin+jy
 	x1, y1 := size-margin+jx, size-margin+jy
 	thickness := max(size/10, 1)
-	contrast := 0.7 + 0.6*r.Float64()
+	contrast := 0.7 + float64(0.6*r.Float64())
 
 	fill := func(ax, ay, bx, by int) {
 		for y := ay; y < by; y++ {
@@ -159,8 +162,9 @@ func renderDigit(img []float32, size, digit int, r *stats.RNG) {
 		fill(x0, midY-thickness/2, x1, midY+max(thickness/2, 1))
 	}
 	// Additive pixel noise.
-	for i := range img {
-		img[i] = float32(float64(img[i]) + r.Norm()*0.15)
+	tensor.NormFill(norms, r)
+	for i, v := range norms {
+		img[i] = float32(float64(img[i]) + float64(v*0.15))
 	}
 }
 
@@ -184,28 +188,32 @@ func SynthCIFAR(n, size, classes int, seed uint64) *Dataset {
 	}
 	plane := size * size
 	// Two scalar draws (class, phase), then a normal per pixel and channel.
-	render(n, 2, 3*plane, seed, func(i int, r *stats.RNG) {
+	render(n, 2, 3*plane, seed, func(i int, r *stats.RNG, norms []float64) {
 		cls := r.Intn(classes)
 		ds.Labels[i] = cls
 		// Class-determined texture parameters.
 		orient := float64(cls%8) * 0.3926990816987241 // π/8 steps
-		cosO, sinO := math.Cos(orient), math.Sin(orient)
+		sinO, cosO := stats.Sincos(orient)
 		freq := 1 + float64((cls/8)%4)
 		colr := float64(cls%3)/3 + 0.3
 		colg := float64((cls+1)%3)/3 + 0.3
 		colb := float64((cls+2)%3)/3 + 0.3
-		phase := r.Float64() * 6.283185307179586
+		phase := float64(r.Float64() * 6.283185307179586)
 		base := ds.X.Data[i*3*plane:]
+		// Three consecutive normals per pixel, red, green, blue.
+		tensor.NormFill(norms, r)
 		for y := 0; y < size; y++ {
 			for x := 0; x < size; x++ {
 				u := float64(x)/float64(size) - 0.5
 				v := float64(y)/float64(size) - 0.5
-				t := u*cosO + v*sinO
-				val := 0.5 + 0.5*math.Sin(2*3.141592653589793*freq*t*4+phase)
+				t := float64(u*cosO) + float64(v*sinO)
+				sin, _ := stats.Sincos(float64(2*3.141592653589793*freq*t*4) + phase)
+				val := 0.5 + float64(0.5*sin)
 				idx := y*size + x
-				base[idx] = float32(val*colr + r.Norm()*0.1)
-				base[plane+idx] = float32(val*colg + r.Norm()*0.1)
-				base[2*plane+idx] = float32(val*colb + r.Norm()*0.1)
+				n := norms[3*idx : 3*idx+3]
+				base[idx] = float32(float64(val*colr) + float64(n[0]*0.1))
+				base[plane+idx] = float32(float64(val*colg) + float64(n[1]*0.1))
+				base[2*plane+idx] = float32(float64(val*colb) + float64(n[2]*0.1))
 			}
 		}
 	})

@@ -155,3 +155,21 @@ func BenchmarkMaxPool(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPaperCNNInit: building the paper CNN, 431 080 He-initialised
+// parameters drawn through tensor.NormFill, at every dispatch level this
+// CPU has. Every client and the server build one per session.
+func BenchmarkPaperCNNInit(b *testing.B) {
+	for _, level := range []string{"portable", "avx2", "avx512"} {
+		restore, ok := tensor.SetKernelLevel(level)
+		if !ok {
+			continue
+		}
+		b.Run(level, func(b *testing.B) {
+			for b.Loop() {
+				NewPaperCNN(stats.NewRNG(1))
+			}
+		})
+		restore()
+	}
+}

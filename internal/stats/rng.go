@@ -4,8 +4,6 @@
 // that experiments are exactly reproducible run to run.
 package stats
 
-import "math"
-
 // RNG is a splitmix64-based pseudo-random generator. It is deliberately not
 // math/rand: we want a tiny, allocation-free generator whose sequence is
 // stable across Go releases, so recorded experiment outputs stay comparable.
@@ -32,7 +30,11 @@ func (r *RNG) Split() *RNG {
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	return mix(r.state)
+}
+
+// mix is splitmix64's finalizer: the draw of state z.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -58,25 +60,36 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Norm returns a standard normal sample via the Box-Muller transform.
+// Norm returns a standard normal sample via the Box-Muller transform: the
+// cosine half of a pair, whose sine half it caches for the next call. A
+// pair is two draws, u then v; a u of 0 (log 0) is drawn again.
 func (r *RNG) Norm() float64 {
 	if r.spareOK {
 		r.spareOK = false
 		return r.spare
 	}
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		mag := math.Sqrt(-2 * math.Log(u))
-		// Sincos returns the bits math.Sin and math.Cos do (stats_test.go
-		// pins it), in one argument reduction.
-		sin, cos := math.Sincos(2 * math.Pi * v)
-		r.spare = mag * sin
-		r.spareOK = true
-		return mag * cos
+	wu := r.Uint64()
+	for wu>>11 == 0 {
+		wu = r.Uint64()
+	}
+	c, s := normPair(wu, r.Uint64())
+	r.spare, r.spareOK = s, true
+	return c
+}
+
+// HasSpare reports whether r holds the cached second half of a pair, which
+// the next Norm returns without drawing.
+func (r *RNG) HasSpare() bool { return r.spareOK }
+
+// Peek writes to w the next len(w) draws, what len(w) calls of Uint64
+// would return, and leaves r where it is. With Skip it lets a vector
+// kernel turn pairs of draws into normals (tensor.NormFill) and commit
+// only the draws it used.
+func (r *RNG) Peek(w []uint64) {
+	s := r.state
+	for i := range w {
+		s += 0x9e3779b97f4a7c15
+		w[i] = mix(s)
 	}
 }
 

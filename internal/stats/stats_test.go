@@ -139,9 +139,11 @@ func TestNormRedrawsZero(t *testing.T) {
 	}
 }
 
-// TestSincosMatchesSinCos: Norm takes both Box-Muller terms from one
-// math.Sincos; that is bit-identical to math.Sin and math.Cos of the same
-// argument over every v it is given here, so the normals are unchanged.
+// TestSincosMatchesSinCos: math.Sincos is bit-identical to math.Sin and
+// math.Cos of the same argument over every v it is given here. The
+// synthetic sets' digests were taken with per-pixel math.Sin and math.Cos;
+// the owned Sincos repeats math.Sincos (TestOwnedTransformMatchesMath), so
+// through this test it keeps those digests too.
 func TestSincosMatchesSinCos(t *testing.T) {
 	n := 10_000_000
 	if testing.Short() {

@@ -22,3 +22,5 @@ func tapsAVX2(patch, image *float32, geo *Taps, add bool) { noSIMD() }
 func maxPool2x2AVX2(out, in *float32, argmax *int, rows, w, inOff int) { noSIMD() }
 
 func noSIMD() { panic("tensor: elementwise kernel called without SIMD support") }
+
+func normPairsAVX2(dst *float64, w *uint64, n int) int { noSIMD(); return 0 }

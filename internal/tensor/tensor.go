@@ -81,10 +81,16 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 func (t *Tensor) Zero() { clear(t.Data) }
 
 // RandNorm fills the tensor with N(0, stddev^2) samples from r, each
-// drawn in float64 and rounded once.
+// drawn in float64 (NormFill: the normals of r.Norm) and rounded once.
 func (t *Tensor) RandNorm(r *stats.RNG, stddev float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(r.Norm() * stddev)
+	var buf [512]float64
+	for d := t.Data; len(d) > 0; {
+		norms := buf[:min(len(d), len(buf))]
+		NormFill(norms, r)
+		for i, v := range norms {
+			d[i] = float32(v * stddev)
+		}
+		d = d[len(norms):]
 	}
 }
 

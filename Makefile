@@ -195,7 +195,7 @@ cover:
 # Fleet-scale aggregation smoke: a small in-process run of the load
 # harness. The tracked numbers are bench/'s fleet_ingest and tree_ingest.
 fleet:
-	$(GO) run ./cmd/flfleet -clients 500 -shards 4 -rounds 3 -dim 5000 -nnz 250
+	$(GO) run ./cmd/flfleet -clients 500 -rounds 3 -dim 5000 -nnz 250
 
 # The deployment binaries end to end on loopback (a few seconds): a sync
 # session of six clients, twelve rounds and 1200 samples each, flserver

@@ -3,15 +3,15 @@
 // (rpc.FleetUpdate; no training) and measures aggregation throughput and
 // memory. Each mode is a subcommand with a flag set of its own:
 //
-//	flfleet         in-process: every update folds straight into its
-//	                shard partial of the streaming aggregation tree
-//	                (internal/shard) — no sockets; O(shards × dim)
-//	                aggregation state, constant in the fleet size
+//	flfleet         in-process: every update is ingested straight into
+//	                the shard tree (internal/shard) at one stripe per
+//	                core — no sockets; O(cores × dim) aggregation state,
+//	                constant in the fleet size
 //	flfleet socket  the same fleet over real sockets (rpc.RunFleet):
 //	                every client dials, registers and streams its updates
 //	                as wire frames, one write each; each connection's
-//	                reader on the server decodes, validates and folds
-//	                them into striped partials itself
+//	                reader on the server decodes them and ingests them
+//	                into the same tree itself
 //	flfleet edge    the fleet as clients of a two-tier federation
 //	                (flserver root + flserver edge)
 //	flfleet async   the fleet as clients of an flserver async session
@@ -40,7 +40,7 @@
 //
 // Examples:
 //
-//	flfleet -clients 10000 -shards 8 -rounds 5 -dim 20000 -nnz 1000 -json
+//	flfleet -clients 10000 -rounds 5 -dim 20000 -nnz 1000 -json
 //	flfleet socket -addr unix:/tmp/flfleet.sock -clients 10000 -rounds 5 \
 //	        -dim 20000 -nnz 1000 -json
 //	flfleet edge -addr localhost:7070 -clients 64 -dim 20000 -nnz 1000
@@ -109,19 +109,17 @@ type result struct {
 
 // inProcessCmd is the default subcommand.
 type inProcessCmd struct {
-	tree                 shard.Config
-	clients, rounds, nnz int
-	seed                 uint64
-	asJSON               bool
-	scenario             string
+	clients, rounds, dim, nnz int
+	seed                      uint64
+	asJSON                    bool
+	scenario                  string
 }
 
 func newInProcess(fs *flag.FlagSet) cli.Runner {
 	c := &inProcessCmd{}
 	fs.IntVar(&c.clients, "clients", 1000, clientsHelp)
-	fs.IntVar(&c.tree.Shards, "shards", 8, "aggregation shards")
 	fs.IntVar(&c.rounds, "rounds", 5, "aggregation rounds to drive")
-	fs.IntVar(&c.tree.Dim, "dim", 20000, "model dimension")
+	fs.IntVar(&c.dim, "dim", 20000, "model dimension")
 	fs.IntVar(&c.nnz, "nnz", 1000, nnzHelp)
 	fs.Uint64Var(&c.seed, "seed", 1, seedHelp)
 	fs.BoolVar(&c.asJSON, "json", false, jsonHelp)
@@ -148,7 +146,7 @@ func (c *inProcessCmd) Run() error {
 
 // fold drives the rounds through the aggregation tree and measures them.
 func (c *inProcessCmd) fold() (result, error) {
-	dim := c.tree.Dim
+	dim := c.dim
 	if c.clients < 1 || c.rounds < 1 {
 		return result{}, errors.New("need clients, rounds >= 1")
 	}
@@ -160,7 +158,7 @@ func (c *inProcessCmd) fold() (result, error) {
 		return result{}, err
 	}
 	res := result{
-		Mode: "stream", Clients: c.clients, Shards: c.tree.Shards,
+		Mode: "stream", Clients: c.clients, Shards: runtime.GOMAXPROCS(0),
 		Rounds: c.rounds, Dim: dim, Nnz: c.nnz,
 	}
 	global := make([]float64, dim)
@@ -175,7 +173,7 @@ func (c *inProcessCmd) fold() (result, error) {
 
 	var produced int64
 	start := time.Now()
-	tree := shard.NewTree(c.tree)
+	tree := shard.NewTree(shard.Config{Shards: res.Shards, Dim: dim})
 	for r := 0; r < c.rounds; r++ {
 		produced += produce(c.clients, c.seed, r, dim, c.nnz, mask, func(id int, u *compress.Sparse) {
 			tree.Ingest(r, shard.Update{Client: id, Weight: 1.0 / float64(c.clients), Delta: u})

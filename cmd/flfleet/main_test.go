@@ -12,14 +12,13 @@ import (
 	"adafl/cmd/internal/cli"
 	"adafl/internal/edge"
 	"adafl/internal/rpc"
-	"adafl/internal/shard"
 )
 
 // TestFlagSets pins every subcommand's flags: each is read by that mode,
 // so adding one is a deliberate change to this list.
 func TestFlagSets(t *testing.T) {
 	want := map[string][]string{
-		"":       {"clients", "dim", "json", "nnz", "rounds", "scenario", "seed", "shards"},
+		"":       {"clients", "dim", "json", "nnz", "rounds", "scenario", "seed"},
 		"socket": {"addr", "clients", "dim", "json", "nnz", "offset", "role", "rounds", "scenario", "seed"},
 		"edge":   {"addr", "clients", "dim", "nnz", "offset", "seed"},
 		"async":  {"addr", "clients", "nnz", "offset", "seed", "session"},
@@ -49,6 +48,7 @@ func TestForeignFlagFailsParse(t *testing.T) {
 		{[]string{"-edge-bootstrap", "localhost:7070"}, "-edge-bootstrap"},
 		{[]string{"-async-addr", "localhost:7070"}, "-async-addr"},
 		{[]string{"socket", "-workers", "4"}, "-workers"},
+		{[]string{"-shards", "4"}, "-shards"},
 		{[]string{"socket", "-shards", "4"}, "-shards"},
 		{[]string{"edge", "-rounds", "3"}, "-rounds"},
 		{[]string{"async", "-dim", "100"}, "-dim"},
@@ -72,11 +72,10 @@ func TestFlagsLandInConfig(t *testing.T) {
 		args []string
 		want any
 	}{
-		{[]string{}, inProcessCmd{tree: shard.Config{Shards: 8, Dim: 20000}, clients: 1000, rounds: 5, nnz: 1000, seed: 1}},
-		{[]string{"-clients", "7", "-shards", "2", "-rounds", "3", "-dim", "50", "-nnz", "5",
+		{[]string{}, inProcessCmd{clients: 1000, rounds: 5, dim: 20000, nnz: 1000, seed: 1}},
+		{[]string{"-clients", "7", "-rounds", "3", "-dim", "50", "-nnz", "5",
 			"-seed", "9", "-json", "-scenario", "s.json"},
-			inProcessCmd{tree: shard.Config{Shards: 2, Dim: 50}, clients: 7, rounds: 3, nnz: 5,
-				seed: 9, asJSON: true, scenario: "s.json"}},
+			inProcessCmd{clients: 7, rounds: 3, dim: 50, nnz: 5, seed: 9, asJSON: true, scenario: "s.json"}},
 		{[]string{"socket", "-addr", "tcp:127.0.0.1:0", "-clients", "4", "-rounds", "2", "-dim", "50",
 			"-nnz", "5", "-seed", "3"},
 			rpc.FleetConfig{Network: "tcp", Addr: "127.0.0.1:0", Clients: 4, Rounds: 2, Dim: 50, Nnz: 5, Seed: 3}},
@@ -135,7 +134,7 @@ func TestFlagsLandInConfig(t *testing.T) {
 // TestStreamAndSocketFoldTheSameFleet: the in-process tree and the socket
 // harness draw the same FleetUpdate stream and fold it in fixed point, so
 // with the same flags their global checksums are the same bits, whatever
-// the tree's shard count and the socket server's striping.
+// stripe each update lands in.
 func TestStreamAndSocketFoldTheSameFleet(t *testing.T) {
 	shape := []string{"-clients", "64", "-rounds", "3", "-dim", "2000", "-nnz", "100", "-seed", "5"}
 	parse := func(args ...string) cli.Runner {
@@ -145,7 +144,7 @@ func TestStreamAndSocketFoldTheSameFleet(t *testing.T) {
 		}
 		return r
 	}
-	stream, err := parse("-shards", "3").(*inProcessCmd).fold()
+	stream, err := parse().(*inProcessCmd).fold()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,30 +27,22 @@ type Aggregator interface {
 	PartialUnweighted() bool
 }
 
-// applyUpdates is the one screen-fold-apply path behind every Apply.
-// shard.Screen drops structurally malformed deltas (nil message, wrong
-// dimension, index/value length mismatch, out-of-range indices) and
-// updates outside the fold window, and scrubs non-finite values before
-// anything is folded: a single bad update must not panic the server or
-// corrupt the model, and a dropped update leaves the weight normalisation
-// exactly like an evicted straggler's would. The fold's bits do not depend
-// on order, so the result is bit-identical to any shard tree's.
+// applyUpdates is the one fold-apply path behind every Apply: the updates
+// go through a one-stripe shard tree, the fold every engine runs. Its
+// Ingest drops malformed deltas and updates outside the fold window and
+// scrubs non-finite values, so a bad update neither panics the server nor
+// corrupts the model, and a dropped one leaves the weight normalisation
+// as an evicted straggler's does.
 func applyUpdates(agg Aggregator, global []float64, updates []Update) error {
-	unweighted := agg.PartialUnweighted()
-	items := make([]shard.Item, len(updates))
-	for i, u := range updates {
-		items[i] = shard.Item{Client: u.Client, Tag: i, Upd: u.Delta, Weight: u.Weight}
-		if unweighted {
-			items[i].Weight = 1
+	tree := shard.NewTree(shard.Config{Shards: 1, Dim: len(global)})
+	for _, u := range updates {
+		w := u.Weight
+		if agg.PartialUnweighted() {
+			w = 1
 		}
+		tree.Ingest(0, shard.Update{Client: u.Client, Weight: w, Delta: u.Delta, Ctrl: u.CtrlDelta})
 	}
-	kept, _ := shard.Screen(0, len(global), 0, items, nil)
-	part := shard.NewPartial(len(global))
-	for _, it := range kept {
-		u := updates[it.Tag]
-		part.Fold(shard.Update{Client: u.Client, Weight: u.Weight, Delta: u.Delta, Ctrl: u.CtrlDelta,
-			MaxAbs: it.MaxAbs}, unweighted)
-	}
+	part, _ := tree.Finish()
 	return agg.ApplyPartial(global, part)
 }
 
@@ -232,10 +224,10 @@ func StalenessWeight(staleness int) float64 {
 }
 
 // FedBuff is buffered asynchronous aggregation (Nguyen et al.): deltas
-// fold into a shard.Partial as they arrive; at K of them, their
-// staleness-weighted average is applied with server learning rate Eta —
-// the wire session's buffer (internal/session) to the bit. Each delta is
-// weighted by StalenessWeight(staleness), so a fresh buffer (all
+// are ingested into a one-stripe shard tree as they arrive; at K of them,
+// their staleness-weighted average is applied with server learning rate
+// Eta — the wire session's buffer (internal/session) to the bit. Each
+// delta is weighted by StalenessWeight(staleness), so a fresh buffer (all
 // staleness 0) reduces to the plain mean.
 type FedBuff struct {
 	// K is the buffer size.
@@ -243,7 +235,8 @@ type FedBuff struct {
 	// Eta is the server learning rate applied to the buffered average.
 	Eta float64
 
-	part *shard.Partial
+	tree     *shard.Tree
+	buffered int // updates ingested since the last apply, quarantined ones included
 }
 
 // NewFedBuff returns a FedBuff server with buffer size k.
@@ -257,17 +250,20 @@ func NewFedBuff(k int, eta float64) *FedBuff {
 // Name implements AsyncStrategy.
 func (*FedBuff) Name() string { return "fedbuff" }
 
-// OnReceive implements AsyncStrategy. A buffer outside the fold window is
-// dropped without touching global, and the version does not advance.
+// OnReceive implements AsyncStrategy. A buffer quarantined whole or outside
+// the fold window is dropped without touching global or the version.
 func (f *FedBuff) OnReceive(global, _ []float64, u Update) bool {
-	if f.part == nil {
-		f.part = shard.NewPartial(len(global))
+	if f.tree == nil {
+		f.tree = shard.NewTree(shard.Config{Shards: 1, Dim: len(global)})
 	}
-	f.part.Fold(shard.Update{Client: u.Client, Weight: StalenessWeight(u.Staleness), Delta: u.Delta}, false)
-	if f.part.Count < f.K {
+	f.tree.Ingest(0, shard.Update{Client: u.Client, Weight: StalenessWeight(u.Staleness), Delta: u.Delta})
+	if f.buffered++; f.buffered < f.K {
 		return false
 	}
-	err := f.part.AddTo(global, f.Eta/f.part.Weight())
-	f.part.Reset()
-	return err == nil
+	f.buffered = 0
+	part, _ := f.tree.Finish()
+	if part.Count == 0 || part.WeightSum <= 0 {
+		return false
+	}
+	return part.AddTo(global, f.Eta/part.Weight()) == nil
 }

@@ -109,7 +109,7 @@ func TestFedBuffPartialBufferAtShutdown(t *testing.T) {
 	if e.Version != 0 {
 		t.Fatalf("version advanced %d times with an unfillable buffer", e.Version)
 	}
-	if buff.part == nil || buff.part.Count == 0 {
+	if buff.buffered == 0 {
 		t.Fatal("buffer empty despite received updates")
 	}
 }

@@ -229,7 +229,7 @@ func TestFedBuffFlushesAtK(t *testing.T) {
 	if math.Abs(global[0]-3) > 1e-12 {
 		t.Fatalf("FedBuff applied %v, want mean 3", global[0])
 	}
-	if f.part.Count != 0 {
+	if f.buffered != 0 {
 		t.Fatal("buffer not cleared")
 	}
 }

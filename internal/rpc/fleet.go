@@ -29,17 +29,15 @@ import (
 //
 // The server has no hand-off on its per-update path. One reader goroutine
 // per connection reads the 4-byte length into a header array and the
-// payload into a pooled buffer, then decodes, checks and folds the update
-// itself, into one of GOMAXPROCS striped partials (each a mutex, a
-// Partial and a scratch Sparse): the one its core folded into last. The
-// fold that brings the round's expected count to zero wakes the round
-// loop — one wake-up per round — and the loop merges the partials. Which
-// stripe an update lands in, and the order of the merge, leave the bits
-// alone: the partials are fixed point (shard.Partial). An idle connection
-// holds its goroutine and the header array, no read buffer, and the
-// decode path allocates nothing. A client builds each update frame in a
-// pooled buffer and sends it with one Write. Both ends are the
-// fleet's own, so its connections skip the preamble.
+// payload into a pooled buffer, decodes the update into a pooled Sparse
+// and ingests it into the engines' shard tree itself, at one stripe per
+// core (shard.Tree). The ingest that brings the round's expected count to
+// zero wakes the round loop — one wake-up per round — and the loop
+// finishes the tree's round; a record the tree quarantined ends the run.
+// An idle connection holds its goroutine and the header array, no read
+// buffer, and the decode path allocates nothing. A client builds each
+// update frame in a pooled buffer and sends it with one Write. Both ends
+// are the fleet's own, so its connections skip the preamble.
 
 // FleetConfig configures one socket-fleet run.
 type FleetConfig struct {
@@ -81,7 +79,7 @@ type FleetResult struct {
 	Rounds  int    `json:"rounds"`
 	Dim     int    `json:"dim"`
 	Nnz     int    `json:"nnz"`
-	// Workers counts the striped partials the connection readers fold
+	// Workers counts the tree's stripes the connection readers ingest
 	// into (GOMAXPROCS), not goroutines.
 	Workers int `json:"workers"`
 
@@ -147,29 +145,18 @@ func CheckFleetShape(dim, nnz int) error {
 	return nil
 }
 
-// fleetPart is one stripe of the server's aggregate. A reader folds under
-// mu; the scratch Sparse is reused by every update folded here, because
-// Partial.Fold reads the delta synchronously and retains nothing.
-type fleetPart struct {
-	mu      sync.Mutex
-	part    *shard.Partial
-	scratch compress.Sparse
-}
-
 type fleetRun struct {
 	cfg FleetConfig
 
-	parts []*fleetPart
-	// stripes hands a reader the part to fold into: the one its core
-	// folded into last (see fold). New deals the parts out round-robin
-	// through next when a core has none cached.
-	stripes sync.Pool // *fleetPart
-	next    atomic.Uint32
-	weight  float64 // each update's fold weight, 1/Clients
+	tree   *shard.Tree
+	weight float64 // each update's fold weight, 1/Clients
+	// hello marks the client ids registered so far: each in [0, Clients),
+	// once.
+	hello []atomic.Bool
 
 	// round is the round in progress and pending the number of its
-	// updates not yet folded; the round loop stores both before the
-	// broadcast, and the fold that brings pending to 0 sends the round's
+	// updates not yet ingested; the round loop stores both before the
+	// broadcast, and the ingest that brings pending to 0 sends the round's
 	// one roundDone token.
 	round     atomic.Int64
 	pending   atomic.Int64
@@ -180,6 +167,10 @@ type fleetRun struct {
 	shutdown atomic.Bool
 
 	pool sync.Pool // *[]byte payload buffers
+	// upds holds the Sparses updates decode into, apart from pool: a
+	// reader holds a buffer across a blocking read but a Sparse only for
+	// one decode and ingest, so a core needs about one.
+	upds sync.Pool // *compress.Sparse
 
 	bytesUp   atomic.Int64
 	bytesDown atomic.Int64
@@ -273,20 +264,18 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		ln:        ln,
 		dialNet:   ln.Addr().Network(),
 		dialAddr:  ln.Addr().String(),
-		parts:     make([]*fleetPart, runtime.GOMAXPROCS(0)),
+		tree:      shard.NewTree(shard.Config{Shards: runtime.GOMAXPROCS(0), Dim: cfg.Dim}),
 		weight:    1 / float64(cfg.Clients),
+		hello:     make([]atomic.Bool, cfg.Clients),
 		roundDone: make(chan struct{}, 1),
 		readyCh:   make(chan struct{}, cfg.Clients),
 		aborted:   make(chan struct{}),
 	}
-	for i := range f.parts {
-		f.parts[i] = &fleetPart{part: shard.NewPartial(cfg.Dim)}
-	}
-	f.stripes.New = func() any { return f.parts[f.next.Add(1)%uint32(len(f.parts))] }
-	f.pool.New = func() interface{} {
+	f.pool.New = func() any {
 		b := make([]byte, 0, envHeaderBytes+compress.SparseBinarySize(cfg.Nnz)+64)
 		return &b
 	}
+	f.upds.New = func() any { return new(compress.Sparse) }
 
 	// Accept loop: exactly cfg.Clients connections, one reader each.
 	var readerWG sync.WaitGroup
@@ -333,7 +322,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		cfg.Clients, cfg.Network, cfg.Rounds)
 
 	global := make([]float64, cfg.Dim)
-	roundPart := shard.NewPartial(cfg.Dim)
 	var memMark runtime.MemStats
 	var allocMark uint64
 	var totalUpdates, firstRound int64
@@ -368,23 +356,18 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 				return nil, f.teardown(&clientWG, &readerWG)
 			}
 		}
-		// Barrier reached: every update of the round is folded. Which
-		// stripe took which update and the merge order do not change the
-		// bits (shard.Partial); the locks only matter if a misbehaving peer
-		// outran the count.
-		for _, s := range f.parts {
-			s.mu.Lock()
-			roundPart.Merge(s.part)
-			s.part.Reset()
-			s.mu.Unlock()
+		// Barrier reached: every update of the round is ingested.
+		part, quars := f.tree.Finish()
+		if len(quars) > 0 {
+			f.abort(fmt.Errorf("rpc: fleet client %d sent a bad update: %s", quars[0].ClientID, quars[0].Reason))
+			return nil, f.teardown(&clientWG, &readerWG)
 		}
-		if w := roundPart.Weight(); w != 0 {
-			if err := roundPart.AddTo(global, 1/w); err != nil {
+		if w := part.Weight(); w != 0 {
+			if err := part.AddTo(global, 1/w); err != nil {
 				f.abort(fmt.Errorf("rpc: fleet round %d: %w", r+1, err))
 				return nil, f.teardown(&clientWG, &readerWG)
 			}
 		}
-		roundPart.Reset()
 		if r == 0 {
 			// Round 1 warms scratch buffers, pools and connection state;
 			// steady-state allocation accounting starts here.
@@ -409,7 +392,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	res := &FleetResult{
 		Network: cfg.Network,
 		Clients: cfg.Clients, Rounds: cfg.Rounds, Dim: cfg.Dim, Nnz: cfg.Nnz,
-		Workers:     len(f.parts),
+		Workers:     runtime.GOMAXPROCS(0),
 		Updates:     totalUpdates,
 		WallSeconds: wall.Seconds(),
 		BytesUp:     f.bytesUp.Load(),
@@ -453,11 +436,11 @@ func (f *fleetRun) reader(raw net.Conn, wg *sync.WaitGroup) {
 	}
 }
 
-// serve reads frames off one connection and folds each update itself
+// serve reads frames off one connection and ingests each update itself
 // before reading the next frame: the length goes into hdr, the payload
-// into a pooled buffer that returns to the pool after the fold. Between
-// frames the connection holds hdr and nothing else. It returns nil when
-// the client leaves after the closing broadcast.
+// into a pooled buffer that returns to the pool after the ingest.
+// Between frames the connection holds hdr and nothing else. It returns
+// nil when the client leaves after the closing broadcast.
 func (f *fleetRun) serve(raw net.Conn) error {
 	frameCap := envHeaderBytes + compress.SparseBinarySize(f.cfg.Nnz) + 64
 	client, last := -1, -1 // the hello's client id; the last round it sent
@@ -488,7 +471,14 @@ func (f *fleetRun) serve(raw net.Conn) error {
 				break
 			}
 			client = int(int32(binary.LittleEndian.Uint32(p[2:])))
-			f.readyCh <- struct{}{}
+			switch {
+			case client < 0 || client >= len(f.hello):
+				err = fmt.Errorf("rpc: fleet client %d is outside the fleet's ids [0, %d)", client, len(f.hello))
+			case f.hello[client].Swap(true):
+				err = fmt.Errorf("rpc: fleet client %d registered twice", client)
+			default:
+				f.readyCh <- struct{}{}
+			}
 		case MsgUpdate:
 			// At most one update per connection per round, for the round in
 			// progress and from a participant: anything else would throw the
@@ -499,7 +489,7 @@ func (f *fleetRun) serve(raw net.Conn) error {
 				break
 			}
 			last = round
-			err = f.fold(p[envHeaderBytes:], client)
+			err = f.ingest(p[envHeaderBytes:], round, client)
 		default:
 			err = fmt.Errorf("rpc: fleet got %v from a client", MsgType(p[0]))
 		}
@@ -510,32 +500,18 @@ func (f *fleetRun) serve(raw net.Conn) error {
 	}
 }
 
-// fold decodes, checks and folds one update's sparse section into a
-// stripe, then counts the update against the round's barrier: the fold
-// that brings the count to zero sends the round's one token.
-//
-// The stripe comes from f.stripes, and goes back after the unlock.
-// sync.Pool caches per P, so a core keeps folding into the stripe it
-// folded into last, and the stripe's words (8·Dim bytes) stay in that
-// core's cache rather than move to another core's. Any stripe is a valid
-// one, and the fold's bits do not depend on where or in which order an
-// update lands (shard.Partial), so the choice cannot move them.
-func (f *fleetRun) fold(section []byte, client int) error {
-	s := f.stripes.Get().(*fleetPart)
-	s.mu.Lock()
-	err := s.scratch.DecodeBinaryInto(section) // copies what it keeps
-	var maxAbs float64
-	if err == nil {
-		_, maxAbs, err = s.scratch.Check(f.cfg.Dim)
-	}
-	if err == nil {
-		s.part.Fold(shard.Update{Client: client, Weight: f.weight, Delta: &s.scratch, MaxAbs: maxAbs}, false)
-	}
-	s.mu.Unlock()
-	f.stripes.Put(s)
-	if err != nil {
+// ingest decodes one update's sparse section into a pooled Sparse and
+// ingests it into the tree, which keeps nothing of it, then counts the
+// update against the round's barrier: the ingest that brings the count
+// to zero sends the round's one token. A reject the tree's check finds
+// surfaces at the barrier (Tree.Finish).
+func (f *fleetRun) ingest(section []byte, round, client int) error {
+	u := f.upds.Get().(*compress.Sparse)
+	defer f.upds.Put(u)
+	if err := u.DecodeBinaryInto(section); err != nil { // copies what it keeps
 		return fmt.Errorf("rpc: fleet client %d sent a bad update: %w", client, err)
 	}
+	f.tree.Ingest(round, shard.Update{Client: client, Weight: f.weight, Delta: u})
 	if f.pending.Add(-1) == 0 {
 		f.roundDone <- struct{}{}
 	}

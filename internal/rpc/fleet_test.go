@@ -295,8 +295,8 @@ func fleetDone(t *testing.T, done <-chan error) error {
 	}
 }
 
-// fleetPeer is a hand-driven external client id of a RunFleet server: it
-// dials, sends its hello and returns once the first select has arrived.
+// fleetPeer dials a RunFleet server as the hand-driven external client
+// id and sends its hello.
 func fleetPeer(t *testing.T, cfg FleetConfig, id int) net.Conn {
 	t.Helper()
 	dialer := &fleetRun{dialNet: cfg.Network, dialAddr: cfg.Addr, aborted: make(chan struct{})}
@@ -305,40 +305,92 @@ func fleetPeer(t *testing.T, cfg FleetConfig, id int) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { raw.Close() })
-	conn := newBinaryConn(raw, 1024)
-	if err := conn.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 1}); err != nil {
+	if err := newBinaryConn(raw, 1024).Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 1}); err != nil {
 		t.Fatal(err)
-	}
-	if e, err := conn.Recv(); err != nil || e.Type != MsgSelect {
-		t.Fatalf("first frame: %v, %v; want a select", e, err)
 	}
 	return raw
 }
 
-// TestFleetRejectsHostileUpdate: an update that does not fit the server's
-// model ends the run with an error naming the client — it must not reach
-// the fold, where an out-of-range index panics the process.
+// awaitSelect returns once each peer has read the first round's select.
+func awaitSelect(t *testing.T, raws ...net.Conn) {
+	t.Helper()
+	for _, raw := range raws {
+		if e, err := newBinaryConn(raw, 1024).Recv(); err != nil || e.Type != MsgSelect {
+			t.Fatalf("first frame: %v, %v; want a select", e, err)
+		}
+	}
+}
+
+// TestFleetRejectsHostileUpdate: an update the server's tree would not
+// fold — one that does not fit the model, leaves the fold window or has
+// no finite value — ends the run with an error naming the client; it must
+// not reach the fold, where an out-of-range index panics the process. In
+// a two-client fleet client 1 sends an honest update beside it, so the
+// round's weight is ½ each.
 func TestFleetRejectsHostileUpdate(t *testing.T) {
 	const dim = 2000 // fleetCfg's
+	nan := math.NaN()
 	for _, tc := range []struct {
-		name string
-		u    *compress.Sparse
-		want string
+		name    string
+		clients int
+		u       *compress.Sparse
+		want    string
 	}{
-		{"index past dim", &compress.Sparse{Dim: dim, Indices: []int32{3, dim + 5}, Values: []float64{1, 1}}, "index 2005"},
-		{"wrong dim", &compress.Sparse{Dim: dim + 1, Indices: []int32{3}, Values: []float64{1}}, "dim 2001, expected 2000"},
+		{"index past dim", 1, &compress.Sparse{Dim: dim, Indices: []int32{3, dim + 5}, Values: []float64{1, 1}}, "index 2005"},
+		{"wrong dim", 1, &compress.Sparse{Dim: dim + 1, Indices: []int32{3}, Values: []float64{1}}, "dim 2001, expected 2000"},
+		{"outside the fold window", 2, &compress.Sparse{Dim: dim, Indices: []int32{3}, Values: []float64{1e3}}, "outside the fold window"},
+		{"entirely non-finite", 1, &compress.Sparse{Dim: dim, Indices: []int32{3, 4}, Values: []float64{nan, nan}}, "entirely non-finite"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := fleetCfg(t, 1, 2)
+			cfg := fleetCfg(t, tc.clients, 2)
 			cfg.ExternalClients = true
 			done := runFleetAsync(cfg)
-			raw := fleetPeer(t, cfg, 7)
-			if err := sendFleetUpdate(raw, 7, 0, tc.u); err != nil {
+			var peers []net.Conn
+			for id := 0; id < tc.clients; id++ {
+				peers = append(peers, fleetPeer(t, cfg, id))
+			}
+			awaitSelect(t, peers...)
+			if err := sendFleetUpdate(peers[0], 0, 0, tc.u); err != nil {
 				t.Fatal(err)
 			}
+			if tc.clients > 1 {
+				honest := &compress.Sparse{}
+				FleetUpdate(honest, cfg.Seed, 0, 1, dim, cfg.Nnz)
+				if err := sendFleetUpdate(peers[1], 1, 0, honest); err != nil {
+					t.Fatal(err)
+				}
+			}
 			err := fleetDone(t, done)
-			if err == nil || !strings.Contains(err.Error(), "client 7") || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("RunFleet: %v; want an error naming client 7 and %q", err, tc.want)
+			if err == nil || !strings.Contains(err.Error(), "client 0 sent a bad update") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunFleet: %v; want an error naming client 0 and %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestFleetRejectsBadHelloIds: a hello whose id is outside [0, Clients),
+// or one already registered (two client processes given overlapping
+// ranges), ends the run with an error naming the client, before any round
+// starts.
+func TestFleetRejectsBadHelloIds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ids  []int
+		want string
+	}{
+		{"outside the fleet", []int{7}, "client 7 is outside the fleet's ids [0, 2)"},
+		{"negative", []int{-1}, "client -1 is outside the fleet's ids [0, 2)"},
+		{"registered twice", []int{1, 1}, "client 1 registered twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fleetCfg(t, 2, 1)
+			cfg.ExternalClients = true
+			done := runFleetAsync(cfg)
+			for _, id := range tc.ids {
+				fleetPeer(t, cfg, id)
+			}
+			if err := fleetDone(t, done); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunFleet: %v; want an error containing %q", err, tc.want)
 			}
 		})
 	}
@@ -351,8 +403,10 @@ func TestFleetAbortsWhenClientVanishes(t *testing.T) {
 	cfg := fleetCfg(t, 1, 3)
 	cfg.ExternalClients = true
 	done := runFleetAsync(cfg)
-	fleetPeer(t, cfg, 4).Close()
-	const want = "client 4 disconnected mid-session"
+	peer := fleetPeer(t, cfg, 0)
+	awaitSelect(t, peer)
+	peer.Close()
+	const want = "client 0 disconnected mid-session"
 	if err := fleetDone(t, done); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("RunFleet: %v; want an error containing %q", err, want)
 	}

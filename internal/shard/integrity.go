@@ -44,15 +44,12 @@ func AppendQuarantines(log []QuarantineRecord, dropped int, recs ...QuarantineRe
 	return log, dropped
 }
 
-// Item pairs an update with its sender for Screen. Tag is an opaque
-// caller token (fl's aggregators store the update's slice index there to
-// map kept items back onto their control deltas). Weight is the scale the
-// update will fold with, which the fold window judges it at; Screen sets
-// MaxAbs, max|Δⱼ|, on the items it keeps, for the fold's bound
+// Item pairs an update with its sender for Screen. Weight is the scale
+// the update will fold with, which the fold window judges it at; Screen
+// sets MaxAbs, max|Δⱼ|, on the items it keeps, for the fold's bound
 // (Update.MaxAbs).
 type Item struct {
 	Client int
-	Tag    int
 	Upd    *compress.Sparse
 	Weight float64
 	MaxAbs float64
@@ -64,9 +61,10 @@ type Item struct {
 // would be deciding against itself.
 const NormGateMinUpdates = 3
 
-// Screen is the integrity screen over a round held in memory, for callers
-// that have one (the simulator's aggregators, bench/'s probes). It runs
-// the rules Tree.Ingest and Tree.Finish run, through the same two
+// Screen is the integrity screen over a round held in memory. No engine
+// calls it — every fold in the program is Tree.Ingest's — but bench/'s
+// probes time it and the tests hold the tree to it as their reference. It
+// runs the rules Tree.Ingest and Tree.Finish run, through the same two
 // functions, and returns the survivors plus quarantine records for the
 // rejects:
 //

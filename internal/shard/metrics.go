@@ -11,11 +11,11 @@ import (
 // descheduled.
 var FoldLatencyBuckets = obs.ExpBuckets(1e-6, 4, 14)
 
-// shardMetrics is the per-shard instrument set, labelled by shard index
-// so a dashboard can spot one hot shard among its peers. With a nil
-// registry every instrument is nil and recording is a no-op (see
-// internal/obs), so an unobserved tree pays nothing. The tree-wide
-// adafl_shard_merge_seconds lives on Tree.
+// shardMetrics is the per-stripe instrument set, labelled by stripe index
+// (what the cores that picked the stripe folded, not a client set; the
+// norm gate's evictions, judged in stripe 0, count there). A nil registry
+// makes every instrument nil and recording a no-op (internal/obs), so an
+// unobserved tree pays nothing. Tree has the tree-wide merge histogram.
 //
 // The catalogue, with types and label conventions, is documented in
 // DESIGN.md §Sharded aggregation.

@@ -63,43 +63,40 @@ func NewPartial(dim int) *Partial {
 	return &Partial{Dim: dim, Sum: make([]int64, dim)}
 }
 
-// Fold accumulates one update. An update Screen kept carries its MaxAbs
-// and has passed Check(Dim) and the fold window; Fold does not check it
-// again, which is what keeps the ingest path at exactly one check per
-// update. An update without MaxAbs (one no screen saw) is checked here to
-// find it, and Fold panics if that check fails, as folding it would. In
-// unweighted mode (SCAFFOLD) every update folds with scale 1 instead of
-// u.Weight.
+// Fold accumulates one update; outside bench/ and the tests every fold
+// is Tree.Ingest's. An update Screen kept carries its MaxAbs and passed
+// Check(Dim) and the fold window, so Fold does not check it again; one
+// without MaxAbs is checked here, and Fold panics if that check fails.
+// Unweighted (SCAFFOLD), it folds at scale 1 instead of u.Weight.
 func (p *Partial) Fold(u Update, unweighted bool) {
+	if unweighted {
+		u.Weight = 1
+	}
 	if u.MaxAbs == 0 {
 		var err error
 		if _, u.MaxAbs, err = u.Delta.Check(p.Dim); err != nil {
 			panic("shard: Fold of an unscreened update: " + err.Error())
 		}
 	}
-	p.fold(u, unweighted)
+	p.fold(u)
 }
 
 // fold is Fold for an update whose check has run, with u.MaxAbs from it.
-func (p *Partial) fold(u Update, unweighted bool) { p.add(u, unweighted, 1) }
+func (p *Partial) fold(u Update) { p.add(u, 1) }
 
-// unfold takes back exactly what fold(u, false) added: roundWord is
+// unfold takes back exactly what fold(u) added: roundWord is
 // sign-symmetric, so each word of −w·Δ is minus the word of w·Δ, and the
 // scalars are integers. The partial is then bit for bit what it would be
 // had u never been folded.
-func (p *Partial) unfold(u Update) { p.add(u, false, -1) }
+func (p *Partial) unfold(u Update) { p.add(u, -1) }
 
-// add folds sign·u, sign ±1.
-func (p *Partial) add(u Update, unweighted bool, sign int64) {
-	scale := u.Weight
-	if unweighted {
-		scale = 1
-	}
+// add folds sign·u, sign ±1, at scale u.Weight.
+func (p *Partial) add(u Update, sign int64) {
 	s := float64(sign) // ±1: every product with it is exact
 	d := u.Delta
-	foldWords(p.Sum, d.Indices, d.Values, s*scale)
-	p.Bound += sign * boundWord(math.Abs(scale)*u.MaxAbs)
-	p.WeightSum += roundWord(s * scale * weightScale)
+	foldWords(p.Sum, d.Indices, d.Values, s*u.Weight)
+	p.Bound += sign * boundWord(math.Abs(u.Weight)*u.MaxAbs)
+	p.WeightSum += roundWord(s * u.Weight * weightScale)
 	p.Count += int(sign)
 	if u.Ctrl != nil {
 		if p.CtrlSum == nil {
@@ -250,10 +247,10 @@ func (p *Partial) Reset() {
 
 // Update is one client contribution as the shard tree ingests it.
 type Update struct {
-	// Client is the contributing client's id (also the routing key).
+	// Client is the contributing client's id.
 	Client int
-	// Weight is the client's aggregation weight (ignored in unweighted
-	// mode).
+	// Weight is the scale the update folds with: the client's
+	// aggregation weight, or 1 for an unweighted (SCAFFOLD) rule.
 	Weight float64
 	// Delta is the sparse model delta.
 	Delta *compress.Sparse

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -512,45 +513,63 @@ func TestValidateExactlyOncePerUpdate(t *testing.T) {
 	}
 }
 
-// TestTreeMetrics: the shard-labelled instrument set reflects a round.
+// TestTreeMetrics: the stripe-labelled instrument set reflects a round.
+// Which stripe an ingesting goroutine picks is its core's, so the test
+// sums every series over the stripes.
 func TestTreeMetrics(t *testing.T) {
-	const dim = 16
+	const dim, stripes = 16, 2
 	reg := obs.NewRegistry()
-	tree := NewTree(Config{Shards: 2, Dim: dim, Metrics: reg})
+	tree := NewTree(Config{Shards: stripes, Dim: dim, Metrics: reg})
 	for c := 0; c < 6; c++ {
 		tree.Ingest(0, Update{Client: c, Weight: 1, Delta: mkSparse(dim, []int32{0}, []float64{1})})
 	}
-	tree.Ingest(0, Update{Client: 6, Weight: 1, Delta: nil}) // shard 0 reject
+	tree.Ingest(0, Update{Client: 6, Weight: 1, Delta: nil}) // a structural reject
 	tree.Finish()
 
-	r0 := reg.Counter(`adafl_shard_received_total{shard="0"}`).Value()
-	r1 := reg.Counter(`adafl_shard_received_total{shard="1"}`).Value()
-	if r0+r1 != 7 || r0 != 4 || r1 != 3 {
-		t.Fatalf("received split %d/%d, want 4/3", r0, r1)
+	var received, evicted, folds int64
+	for s := 0; s < stripes; s++ {
+		label := fmt.Sprintf(`{shard="%d"}`, s)
+		received += reg.Counter("adafl_shard_received_total" + label).Value()
+		evicted += reg.Counter("adafl_shard_evicted_total" + label).Value()
+		folds += reg.Histogram("adafl_shard_fold_seconds"+label, FoldLatencyBuckets).Count()
 	}
-	if ev := reg.Counter(`adafl_shard_evicted_total{shard="0"}`).Value(); ev != 1 {
-		t.Fatalf("evicted{shard=0} = %d, want 1", ev)
-	}
-	if n := reg.Histogram(`adafl_shard_fold_seconds{shard="1"}`, FoldLatencyBuckets).Count(); n != 3 {
-		t.Fatalf("fold latency count = %d, want 3", n)
+	if received != 7 || evicted != 1 || folds != 6 {
+		t.Fatalf("received %d, evicted %d, folds timed %d; want 7, 1 and 6", received, evicted, folds)
 	}
 	if n := reg.Histogram("adafl_shard_merge_seconds", obs.LatencyBuckets).Count(); n != 1 {
 		t.Fatalf("merge latency count = %d, want 1", n)
 	}
 }
 
-// TestScreenBufferedTagRoundTrip: the buffered screen preserves caller
-// tags so the rpc server can map kept items back onto connections.
-func TestScreenBufferedTagRoundTrip(t *testing.T) {
+// TestTreeS1HoldsOnePartial: a one-stripe tree allocates one Dim-sized
+// partial, and Finish returns it — there is no second, merged copy.
+func TestTreeS1HoldsOnePartial(t *testing.T) {
+	const dim = 1 << 16 // 512 KiB of words: far above the tree's other allocations
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tree := NewTree(Config{Shards: 1, Dim: dim})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8*dim*3/2 {
+		t.Fatalf("NewTree at S = 1 allocated %d bytes, want one %d-byte partial", got, 8*dim)
+	}
+	tree.Ingest(0, Update{Client: 0, Weight: 1, Delta: mkSparse(dim, []int32{1}, []float64{1})})
+	if got, _ := tree.Finish(); got != tree.stripes[0].part {
+		t.Fatal("Finish returned a partial other than its stripe's")
+	}
+}
+
+// TestScreenKeepsInputOrder: the buffered screen keeps the surviving
+// items in input order and quarantines the rest.
+func TestScreenKeepsInputOrder(t *testing.T) {
 	const dim = 8
 	items := []Item{
-		{Client: 5, Tag: 0, Upd: mkSparse(dim, []int32{1}, []float64{1})},
-		{Client: 6, Tag: 1, Upd: nil},
-		{Client: 7, Tag: 2, Upd: mkSparse(dim, []int32{2}, []float64{2})},
+		{Client: 5, Upd: mkSparse(dim, []int32{1}, []float64{1})},
+		{Client: 6, Upd: nil},
+		{Client: 7, Upd: mkSparse(dim, []int32{2}, []float64{2})},
 	}
 	kept, quars := Screen(1, dim, 0, items, nil)
-	if len(kept) != 2 || kept[0].Tag != 0 || kept[1].Tag != 2 {
-		t.Fatalf("kept tags wrong: %+v", kept)
+	if len(kept) != 2 || kept[0].Client != 5 || kept[1].Client != 7 {
+		t.Fatalf("kept items wrong: %+v", kept)
 	}
 	if len(quars) != 1 || quars[0].ClientID != 6 {
 		t.Fatalf("quarantine wrong: %+v", quars)

@@ -44,6 +44,16 @@ BACKOFF_USERS := internal/rpc/backoff.go
 # check; a paced link waits on a timer that Close and the deadline cut
 # short.
 SLEEP_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/backoff.go
+# The round decision and the round apply exist once (DESIGN.md §Selection
+# and the apply sites): no non-test file under internal/ or cmd/ but
+# core's planner calls Algorithm 1 (PlanRound), the negotiator's Assign or
+# a score multiplier (ScoreMult) — the wire server hands its scores to
+# core.SyncPlanner.Decide — and none outside internal/fl and
+# internal/shard adds a folded partial into a model (AddTo): every engine
+# applies its round through fl's aggregators. The one other AddTo caller
+# is core's AsyncApply, which adds a single update.
+PLAN_CALLERS := internal/core/adafl.go
+APPLY_CALLERS := internal/core/adafl.go
 # The shard tree folds in the goroutine that ingests (DESIGN.md §Sharded
 # aggregation): no non-test internal/shard file has a go statement or
 # names a channel type. The list of files allowed to is empty.
@@ -104,6 +114,10 @@ lint: vet
 	if [ "$$got" != "$(BACKOFF_USERS) " ]; then echo "redial loops (NewRetryBackoff callers): $$got(want: $(BACKOFF_USERS))"; exit 1; fi
 	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' 'time\.Sleep' . | sed 's|^\./||' | sort | tr '\n' ' '); \
 	if [ "$$got" != "$(SLEEP_CALLERS) " ]; then echo "time.Sleep in: $$got(want: $(SLEEP_CALLERS))"; exit 1; fi
+	@got=$$(grep -rlE --include='*.go' --exclude='*_test.go' '\.(PlanRound|Assign|ScoreMult)\(' internal cmd | sort | tr '\n' ' '); \
+	if [ "$$got" != "$(PLAN_CALLERS) " ]; then echo "round decision (PlanRound, Assign, ScoreMult) called in: $$got(want: $(PLAN_CALLERS))"; exit 1; fi
+	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' '\.AddTo(' internal cmd | grep -vE '^internal/(fl|shard)/' | sort | tr '\n' ' '); \
+	if [ "$$got" != "$(APPLY_CALLERS) " ]; then echo "AddTo outside internal/fl and internal/shard in: $$got(want: $(APPLY_CALLERS))"; exit 1; fi
 	@got=$$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|(^|[^[:alnum:]_])chan([^[:alnum:]_]|$$)' internal/shard | sort | tr '\n' ' '); \
 	if [ "$$got" != "$(SHARD_CONCURRENCY)" ]; then echo "go statement or channel in the shard tree: $$got(want none)"; exit 1; fi
 	@got=$$(grep -lE --exclude='*_test.go' 'float64|FMADD[0-9]+PD' internal/tensor/gemm*.go internal/tensor/gemm_amd64.s | sort -u | tr '\n' ' '); \

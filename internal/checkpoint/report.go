@@ -45,3 +45,16 @@ func (r *Reporter) Joined(res DeltaResult, ok bool) {
 	r.bytes.Set(float64(res.Size))
 	r.events.Emit(obs.Event{Type: "checkpoint", Round: res.Label, Client: -1, Bytes: res.Size, Seconds: res.Seconds})
 }
+
+// Join is every engine's last checkpoint step: it joins w's snapshot in
+// flight, if any, reports it and flushes the event log, so the snapshot's
+// "checkpoint" event is durable when Join returns. It returns the flush's
+// error for the engine to log under its own prefix; with no writer (a
+// session without a checkpoint directory) it does nothing.
+func (r *Reporter) Join(w *DeltaWriter) error {
+	if w == nil {
+		return nil
+	}
+	r.Joined(w.Wait())
+	return r.events.Flush()
+}

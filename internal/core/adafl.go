@@ -103,11 +103,11 @@ func (c Config) AttachDGC(fed *fl.Federation) {
 	}
 }
 
-// SyncPlanner is AdaFL's adaptive node selection for the synchronous
-// engine. Each round it scores every client by equation 6 using the
+// SyncPlanner is AdaFL's adaptive node selection for both synchronous
+// engines. Each round it scores every client by equation 6 using the
 // client's cached local delta against the previous global delta and the
-// client's current link bandwidths, applies Algorithm 1, and assigns
-// rank-based compression ratios.
+// client's current link bandwidths (the wire's clients score themselves),
+// applies Algorithm 1, and assigns rank-based compression ratios.
 //
 // During warm-up all clients participate at the warm-up ratio, letting the
 // global model absorb every data distribution before specialising.
@@ -121,8 +121,9 @@ type SyncPlanner struct {
 	// RatioStats tracks the spread of assigned ratios for the tables.
 	RatioStats RatioTracker
 
-	// Metrics, when non-nil, receives the utility-score and assigned-ratio
-	// histograms (adafl_utility_score, adafl_compression_ratio).
+	// Metrics, when non-nil, receives adafl_utility_score,
+	// adafl_compression_ratio, adafl_negotiated_ratio and
+	// adafl_codec_assigned_total.
 	Metrics *obs.Registry
 
 	// Eligible, when non-nil, restricts selection to clients it reports
@@ -143,7 +144,7 @@ type SyncPlanner struct {
 	// into its utility score (Negotiator.ScoreMult).
 	Negotiator *Negotiator
 	// BandwidthMult returns the client's bandwidth multiplier for the
-	// round (the scenario class×trace product); nil means 1 everywhere.
+	// round (the scenario's trace multiplier); nil means 1 everywhere.
 	// It must be a pure function of (client, round) for replay.
 	BandwidthMult func(client, round int) float64
 	// NegotiationSeed seeds the planner-owned DAdaQuant codecs'
@@ -163,9 +164,13 @@ func NewSyncPlanner(cfg Config) *SyncPlanner {
 	return &SyncPlanner{Cfg: cfg, lastSel: map[int]int{}}
 }
 
+// LastSel is the round each client was last picked in: the planner's own
+// map, which a snapshot reads and a resume restores in place.
+func (p *SyncPlanner) LastSel() map[int]int { return p.lastSel }
+
 // Plan implements fl.RoundPlanner: it scores the eligible clients, hands
-// them to Config.PlanRound (the selection rule the wire server shares) and
-// refines the result through the negotiator.
+// them to Decide and attaches the planner-owned DAdaQuant codec to every
+// pick the negotiator switched to it.
 func (p *SyncPlanner) Plan(round int, e *fl.SyncEngine) []fl.Participation {
 	ids := make([]int, 0, len(e.Fed.Clients))
 	for i := range e.Fed.Clients {
@@ -178,32 +183,103 @@ func (p *SyncPlanner) Plan(round int, e *fl.SyncEngine) []fl.Participation {
 	if !p.Cfg.warmup(round, deltaZero) {
 		scores = p.score(ids, e)
 	}
-	plan := p.Cfg.PlanRound(round, ids, scores, p.lastSel, deltaZero)
-
-	ratioHist := p.Metrics.Histogram("adafl_compression_ratio", obs.RatioBuckets)
-	out := make([]fl.Participation, len(plan))
-	for i, pl := range plan {
+	d := p.Decide(round, ids, scores, deltaZero)
+	out := make([]fl.Participation, len(d.Picks))
+	for i, pl := range d.Picks {
 		out[i] = fl.Participation{Client: pl.Client, Ratio: pl.Ratio}
-		p.RatioStats.Observe(pl.Ratio)
-		ratioHist.Observe(pl.Ratio)
-		p.lastSel[pl.Client] = round
+		if a, ok := d.Assign[pl.Client]; ok {
+			out[i].Ratio = a.Ratio
+			if a.Codec == CodecDAdaQuant {
+				out[i].Codec = p.dadaCodec(pl.Client, round, a.Levels)
+			}
+		}
 		if p.Perf != nil {
 			p.Perf.Record("dgc-encode",
 				p.PerfProfile.CyclesForFLOPs(device.DGCEncodeFLOPs(len(e.Global))))
 		}
 	}
-	return p.negotiate(round, out)
+	return out
+}
+
+// Decision is one lockstep round as Decide settled it.
+type Decision struct {
+	// IDs are the clients that could be picked, ascending; Scores are
+	// their scaled utility scores (nil in a round nobody scored).
+	IDs    []int
+	Scores []float64
+	// Picks are Algorithm 1's selections in rank order at their ranked
+	// ratios, which Ratios maps by client.
+	Picks  []Planned
+	Ratios map[int]float64
+	// Assign is the negotiator's order for each pick, superseding its
+	// ranked ratio; nil without a negotiator.
+	Assign map[int]CodecAssignment
+}
+
+// Decide is the round decision over scores already in hand: the wire
+// server's, from what its clients reported, and Plan's once it has
+// scored. ids is the roster, ascending, and scores[k] the raw score of
+// ids[k] (scores is nil when nobody scored). Decide drops the clients
+// Eligible rejects, compacting both slices in place, scales each score by
+// ScoreMult and then the negotiator's feedback, runs Config.PlanRound,
+// records the picks and has the negotiator assign each its codec.
+func (p *SyncPlanner) Decide(round int, ids []int, scores []float64, deltaZero bool) Decision {
+	scoreHist := p.Metrics.Histogram("adafl_utility_score", obs.ScoreBuckets)
+	n := 0
+	for k, id := range ids {
+		if p.Eligible != nil && !p.Eligible(id) {
+			continue
+		}
+		ids[n] = id
+		if scores != nil {
+			s := scores[k]
+			if p.ScoreMult != nil {
+				s *= p.ScoreMult(id)
+			}
+			if p.Negotiator != nil {
+				s *= p.Negotiator.ScoreMult(id)
+			}
+			scores[n] = s
+			scoreHist.Observe(s)
+		}
+		n++
+	}
+	d := Decision{IDs: ids[:n]}
+	if scores != nil {
+		d.Scores = scores[:n]
+	}
+	d.Picks = p.Cfg.PlanRound(round, d.IDs, d.Scores, p.lastSel, deltaZero)
+	d.Ratios = make(map[int]float64, len(d.Picks))
+	ratioHist := p.Metrics.Histogram("adafl_compression_ratio", obs.RatioBuckets)
+	for _, pl := range d.Picks {
+		d.Ratios[pl.Client] = pl.Ratio
+		p.RatioStats.Observe(pl.Ratio)
+		ratioHist.Observe(pl.Ratio)
+		p.lastSel[pl.Client] = round
+	}
+	if p.Negotiator == nil {
+		return d
+	}
+	var bw func(int) float64
+	if p.BandwidthMult != nil {
+		bw = func(id int) float64 { return p.BandwidthMult(id, round) }
+	}
+	d.Assign = p.Negotiator.Assign(round, d.Ratios, bw)
+	negHist := p.Metrics.Histogram("adafl_negotiated_ratio", obs.RatioBuckets)
+	for _, a := range d.Assign {
+		p.Metrics.Counter(obs.WithLabel("adafl_codec_assigned_total", "codec", a.Codec)).Inc()
+		negHist.Observe(a.Ratio)
+	}
+	return d
 }
 
 // score computes equation 6 for each listed client from its cached local
-// delta, the previous global delta and its current link bandwidths, scaled
-// by the scenario and negotiator multipliers.
+// delta, the previous global delta and its current link bandwidths.
 //
 // The scores themselves, one similarity pass over a model-sized vector per
 // client, fan out across GOMAXPROCS goroutines and land by index; the
-// bandwidth reads before them and the multipliers, histogram and cycle
-// records after them stay serial in plan order, so the plan is the same
-// for any core count.
+// bandwidth reads before them and the cycle records after them stay
+// serial in plan order, so the plan is the same for any core count.
 func (p *SyncPlanner) score(ids []int, e *fl.SyncEngine) []float64 {
 	ups, downs := make([]float64, len(ids)), make([]float64, len(ids))
 	locals := make([][]float64, len(ids))
@@ -233,53 +309,13 @@ func (p *SyncPlanner) score(ids []int, e *fl.SyncEngine) []float64 {
 	}
 	wg.Wait()
 
-	scoreHist := p.Metrics.Histogram("adafl_utility_score", obs.ScoreBuckets)
-	for k, i := range ids {
-		if p.ScoreMult != nil {
-			scores[k] *= p.ScoreMult(i)
-		}
-		if p.Negotiator != nil {
-			scores[k] *= p.Negotiator.ScoreMult(i)
-		}
-		scoreHist.Observe(scores[k])
-		if p.Perf != nil {
+	if p.Perf != nil {
+		for k := range ids {
 			p.Perf.Record("utility-score",
 				p.PerfProfile.CyclesForFLOPs(device.UtilityScoreFLOPs(len(locals[k]))))
 		}
 	}
 	return scores
-}
-
-// negotiate refines a planned participation list through the negotiator:
-// the utility-ranked ratio becomes the baseline, the round's bandwidth
-// multiplier and byte history refine it, and clients switched to the
-// quantizing codec get the planner-owned per-client DAdaQuant instance
-// attached. A nil negotiator returns the plan untouched, so existing
-// sessions replay bit-identically.
-func (p *SyncPlanner) negotiate(round int, out []fl.Participation) []fl.Participation {
-	if p.Negotiator == nil {
-		return out
-	}
-	plan := make(map[int]float64, len(out))
-	for _, pt := range out {
-		plan[pt.Client] = pt.Ratio
-	}
-	var bw func(int) float64
-	if p.BandwidthMult != nil {
-		bw = func(id int) float64 { return p.BandwidthMult(id, round) }
-	}
-	asn := p.Negotiator.Assign(round, plan, bw)
-	for i := range out {
-		a, ok := asn[out[i].Client]
-		if !ok {
-			continue
-		}
-		out[i].Ratio = a.Ratio
-		if a.Codec == CodecDAdaQuant {
-			out[i].Codec = p.dadaCodec(out[i].Client, round, a.Levels)
-		}
-	}
-	return out
 }
 
 // dadaCodec returns the planner-owned DAdaQuant instance for the client,

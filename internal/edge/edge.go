@@ -288,7 +288,9 @@ func (e *Edge) serveRoot(tree *shard.Tree) (done, progressed bool, err error) {
 // and as soon as the count differs from the last one this connection
 // carried (sent, starting at the hello's), so the root's quorum and
 // reroute waits never sit out a tick. A burst of admissions coalesces
-// into the few pings the cap-1 signal lets through.
+// into the few pings the cap-1 signal lets through. A failed ping is
+// logged, counted and closes conn, so serveRoot's read fails and the
+// redial starts at once instead of after the root's silence window.
 func (e *Edge) heartbeat(conn *rpc.Conn, sent int, stop <-chan struct{}) {
 	t := time.NewTicker(e.cfg.HeartbeatInterval)
 	defer t.Stop()
@@ -302,11 +304,19 @@ func (e *Edge) heartbeat(conn *rpc.Conn, sent int, stop <-chan struct{}) {
 				continue
 			}
 		}
-		// Under a deadline of one interval: a root that stops reading must
-		// not park this goroutine on a full socket.
+		// Under the collect's deadline, not one interval: a ping held up
+		// for less than the root's silence window is late, not lost, and
+		// a root that stops reading still cannot park this goroutine.
 		n := e.roster.Len()
 		ping := &rpc.Envelope{Type: rpc.MsgPing, ClientID: e.cfg.ID, Round: int(e.round.Load()), NumSamples: n}
-		if err := conn.SendWithin(e.cfg.HeartbeatInterval, ping); err != nil {
+		if err := conn.SendWithin(e.cfg.UpdateTimeout, ping); err != nil {
+			select {
+			case <-stop: // the link was closed under it
+			default:
+				e.met.hbErrors.Inc()
+				e.cfg.Logf("edge %d: heartbeat failed (%v); closing the root link", e.cfg.ID, err)
+				conn.Close()
+			}
 			return
 		}
 		sent = n

@@ -1,6 +1,8 @@
 package edge
 
 import (
+	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"adafl/internal/obs"
+	"adafl/internal/rpc"
 )
 
 // In both tests no periodic ping ever fires (an hour apart, with an hour
@@ -94,5 +97,89 @@ func TestRerouteDoesNotWaitForAHeartbeat(t *testing.T) {
 	}
 	if w := waits[0]; w.Round != 2 || w.Clients != 0 || w.Seconds <= 0 || w.Seconds >= grace.Seconds() {
 		t.Errorf("reroute_wait %+v, want round 2 with nobody missing, inside the grace", w)
+	}
+}
+
+// TestHeartbeatSurvivesALatePing: the root side of the link holds the
+// edge's first ping for three intervals (a net.Pipe write blocks until
+// the peer reads, as a full socket does). That ping is late, not lost —
+// the root tolerates far more silence — so the heartbeat must deliver it
+// and keep ticking on the same connection, with no error counted.
+func TestHeartbeatSurvivesALatePing(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	reg := obs.NewRegistry()
+	e, err := NewEdge(EdgeConfig{ID: 1, RootAddr: "127.0.0.1:1", Dim: 4, HeartbeatInterval: interval,
+		UpdateTimeout: 5 * time.Second, Metrics: reg, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.ln.Close()
+	edgeSide, rootSide := net.Pipe()
+	defer rootSide.Close()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.heartbeat(rpc.NewBinaryConn(edgeSide, nil), 0, stop)
+	}()
+
+	time.Sleep(3 * interval) // the hold: nothing reads the first ping yet
+	root := rpc.NewBinaryConn(rootSide, nil)
+	root.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for pings := 0; pings < 4; pings++ {
+		env, err := root.Recv()
+		if err != nil {
+			t.Fatalf("root read %d pings, then: %v", pings, err)
+		}
+		if env.Type != rpc.MsgPing || env.ClientID != 1 {
+			t.Fatalf("root read %v from %d, want a ping from edge 1", env.Type, env.ClientID)
+		}
+	}
+	close(stop)
+	rootSide.Close() // unblocks a ping in flight
+	<-done
+	if n := reg.Counter(`adafl_edge_heartbeat_errors_total{edge="1"}`).Value(); n != 0 {
+		t.Errorf("%d heartbeat errors counted, want 0", n)
+	}
+}
+
+// failingConn is a root link whose every write fails, as a reset one does.
+type failingConn struct {
+	net.Conn
+	closed atomic.Bool
+}
+
+func (c *failingConn) Write([]byte) (int, error) { return 0, errors.New("connection reset by peer") }
+func (c *failingConn) Close() error              { c.closed.Store(true); return nil }
+
+// TestHeartbeatErrorClosesTheLink: a ping that really fails is counted and
+// closes the root link, so the edge's read loop fails and redials at once
+// rather than going quiet until the root declares it dead.
+func TestHeartbeatErrorClosesTheLink(t *testing.T) {
+	reg := obs.NewRegistry()
+	e, err := NewEdge(EdgeConfig{ID: 2, RootAddr: "127.0.0.1:1", Dim: 4, HeartbeatInterval: time.Millisecond,
+		Metrics: reg, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.ln.Close()
+	a, b := net.Pipe()
+	defer b.Close()
+	conn := &failingConn{Conn: a}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.heartbeat(rpc.NewBinaryConn(conn, nil), 0, make(chan struct{}))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("heartbeat still running after its ping failed")
+	}
+	if !conn.closed.Load() {
+		t.Error("a failed ping left the root link open")
+	}
+	if n := reg.Counter(`adafl_edge_heartbeat_errors_total{edge="2"}`).Value(); n != 1 {
+		t.Errorf("%d heartbeat errors counted, want 1", n)
 	}
 }

@@ -17,6 +17,7 @@ type edgeMetrics struct {
 	partials    *obs.Counter // partials shipped upstream
 	quarantines *obs.Counter // updates rejected by the screen
 	heartbeats  *obs.Counter // pings sent to the root: liveness ticks and count pushes
+	hbErrors    *obs.Counter // pings that failed, each closing the root link
 }
 
 func newEdgeMetrics(r *obs.Registry, id int) edgeMetrics {
@@ -27,6 +28,7 @@ func newEdgeMetrics(r *obs.Registry, id int) edgeMetrics {
 		partials:    r.Counter("adafl_edge_partials_total" + l),
 		quarantines: r.Counter("adafl_edge_quarantines_total" + l),
 		heartbeats:  r.Counter("adafl_edge_heartbeats_total" + l),
+		hbErrors:    r.Counter("adafl_edge_heartbeat_errors_total" + l),
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adafl/internal/checkpoint"
+	"adafl/internal/fl"
 	"adafl/internal/obs"
 	"adafl/internal/rpc"
 	"adafl/internal/shard"
@@ -385,13 +386,11 @@ func (r *Root) saveCheckpoint(round int, global []float64, history []RootRound) 
 	r.report.Joined(r.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: global}))
 }
 
-// joinCheckpoint waits for the snapshot in flight, if any.
+// joinCheckpoint joins the snapshot in flight and makes its event durable
+// (checkpoint.Reporter.Join).
 func (r *Root) joinCheckpoint() {
-	if r.ckpt != nil {
-		r.report.Joined(r.ckpt.Wait())
-		if err := r.cfg.Events.Flush(); err != nil {
-			r.cfg.Logf("root: event log flush after the last checkpoint failed: %v", err)
-		}
+	if err := r.report.Join(r.ckpt); err != nil {
+		r.cfg.Logf("root: event log flush after the last checkpoint failed: %v", err)
 	}
 }
 
@@ -661,10 +660,8 @@ func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (Roo
 	}
 	r.counted = r.orphans
 	r.mu.Unlock()
-	if w := merged.Weight(); w > 0 {
-		if err := merged.AddTo(global, 1/w); err != nil {
-			r.cfg.Logf("root: round %d: %v", round+1, err)
-		}
+	if err := (fl.FedAvg{}).ApplyPartial(global, merged); err != nil {
+		r.cfg.Logf("root: round %d: %v", round+1, err)
 	}
 	r.cfg.Logf("root: round %d: merged %d partials (%d updates, weight %.0f), %d clients rerouted",
 		round+1, rec.Edges, rec.Folded, rec.WeightSum, rec.Rerouted)

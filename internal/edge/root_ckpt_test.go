@@ -19,7 +19,14 @@ import (
 // crashCopy is the image of a checkpoint directory a crash at this instant
 // could leave, taken without waiting for the writer (the argument is on its
 // twin in internal/rpc).
-func crashCopy(src, dst string) error {
+//
+// A link that fails with ENOENT is retried while the name still exists in
+// src: link(2) fails that way too when the inode it looked up loses its
+// last link to a concurrent rename over the name, and the file now under
+// the name is what a crash would leave. Only a name really gone (a temp
+// file renamed away) is skipped. wantSnapshot says an earlier snapshot is
+// already durable, so a copy without snapshot.ckpt is an error.
+func crashCopy(src, dst string, wantSnapshot bool) error {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err
 	}
@@ -28,10 +35,22 @@ func crashCopy(src, dst string) error {
 		return err
 	}
 	for _, e := range entries {
-		err := os.Link(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
+		from, to := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
+		for try := 0; ; try++ {
+			err := os.Link(from, to)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, fs.ErrNotExist) || try == 100 {
+				return err
+			}
+			if _, err := os.Lstat(from); errors.Is(err, fs.ErrNotExist) {
+				break // renamed away: a crash leaves no such file either
+			}
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dst, "snapshot.ckpt")); wantSnapshot && err != nil {
+		return fmt.Errorf("the copy holds no snapshot: %w", err)
 	}
 	return nil
 }
@@ -92,7 +111,7 @@ func TestRootCheckpointCrashCopiesResume(t *testing.T) {
 	tcCopy := tc
 	tcCopy.ckptDir, tcCopy.metrics, tcCopy.events = dir, reg, events
 	tcCopy.onRound = func(round int, _ []float64) {
-		if err := crashCopy(dir, copyDir(round)); err != nil {
+		if err := crashCopy(dir, copyDir(round), round > 0); err != nil {
 			t.Errorf("copy at round %d: %v", round, err)
 		}
 	}

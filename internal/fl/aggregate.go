@@ -16,7 +16,7 @@ import (
 type Aggregator interface {
 	Name() string
 	// Apply screens the updates, folds the survivors and applies the
-	// result (see applyUpdates).
+	// result (see foldUpdates).
 	Apply(global []float64, updates []Update) error
 	// ApplyPartial applies an already folded partial. A partial outside
 	// the fold window (shard.Partial.Window) leaves global untouched and
@@ -27,14 +27,14 @@ type Aggregator interface {
 	PartialUnweighted() bool
 }
 
-// applyUpdates is the one fold-apply path behind every Apply: the updates
-// go through a one-stripe shard tree, the fold every engine runs. Its
-// Ingest drops malformed deltas and updates outside the fold window and
-// scrubs non-finite values, so a bad update neither panics the server nor
+// foldUpdates is the fold behind every Apply: the updates go through a
+// one-stripe shard tree, the fold every engine runs. Its Ingest drops
+// malformed deltas and updates outside the fold window and scrubs
+// non-finite values, so a bad update neither panics the server nor
 // corrupts the model, and a dropped one leaves the weight normalisation
 // as an evicted straggler's does.
-func applyUpdates(agg Aggregator, global []float64, updates []Update) error {
-	tree := shard.NewTree(shard.Config{Shards: 1, Dim: len(global)})
+func foldUpdates(agg Aggregator, dim int, updates []Update) *shard.Partial {
+	tree := shard.NewTree(shard.Config{Shards: 1, Dim: dim})
 	for _, u := range updates {
 		w := u.Weight
 		if agg.PartialUnweighted() {
@@ -43,7 +43,18 @@ func applyUpdates(agg Aggregator, global []float64, updates []Update) error {
 		tree.Ingest(0, shard.Update{Client: u.Client, Weight: w, Delta: u.Delta, Ctrl: u.CtrlDelta})
 	}
 	part, _ := tree.Finish()
-	return agg.ApplyPartial(global, part)
+	return part
+}
+
+// ApplyRound applies a lockstep round's partial through agg and leaves the
+// round's movement ĝ = new − old in gdelta, which holds the old global
+// while agg applies: nothing is copied out. A refused partial (the error)
+// leaves global as it was and ĝ = x − x, 0 for every finite x.
+func ApplyRound(agg Aggregator, global, gdelta []float64, p *shard.Partial) error {
+	copy(gdelta, global)
+	err := agg.ApplyPartial(global, p)
+	tensor.SubVec(gdelta, global, gdelta)
+	return err
 }
 
 // FedAvg is weighted model averaging (McMahan et al.): the global model
@@ -55,7 +66,7 @@ func (FedAvg) Name() string { return "fedavg" }
 
 // Apply implements Aggregator.
 func (a FedAvg) Apply(global []float64, updates []Update) error {
-	return applyUpdates(a, global, updates)
+	return a.ApplyPartial(global, foldUpdates(a, len(global), updates))
 }
 
 // ApplyPartial implements Aggregator: w ← w + Sum/ΣW.
@@ -85,7 +96,7 @@ func (*FedAdam) Name() string { return "fedadam" }
 
 // Apply implements Aggregator.
 func (f *FedAdam) Apply(global []float64, updates []Update) error {
-	return applyUpdates(f, global, updates)
+	return f.ApplyPartial(global, foldUpdates(f, len(global), updates))
 }
 
 // ApplyPartial implements Aggregator. The pseudo-gradient is the negated
@@ -140,7 +151,7 @@ func (s *Scaffold) C(dim int) []float64 {
 
 // Apply implements Aggregator.
 func (s *Scaffold) Apply(global []float64, updates []Update) error {
-	return applyUpdates(s, global, updates)
+	return s.ApplyPartial(global, foldUpdates(s, len(global), updates))
 }
 
 // ApplyPartial implements Aggregator. The partial comes from an
@@ -262,8 +273,19 @@ func (f *FedBuff) OnReceive(global, _ []float64, u Update) bool {
 	}
 	f.buffered = 0
 	part, _ := f.tree.Finish()
-	if part.Count == 0 || part.WeightSum <= 0 {
-		return false
+	moved, _ := f.ApplyPartial(global, part)
+	return moved
+}
+
+// ApplyPartial is the FedBuff step global += Eta·Sum/ΣW over a drained
+// buffer and reports whether global moved: not for a buffer with no weight
+// left (quarantined whole) nor for one outside the fold window (the error).
+func (f *FedBuff) ApplyPartial(global []float64, p *shard.Partial) (bool, error) {
+	if p.Count == 0 || p.WeightSum <= 0 {
+		return false, nil
 	}
-	return part.AddTo(global, f.Eta/part.Weight()) == nil
+	if err := p.AddTo(global, f.Eta/p.Weight()); err != nil {
+		return false, err
+	}
+	return true, nil
 }

@@ -10,7 +10,7 @@ import (
 // shardApply folds updates into one partial and applies it — the
 // streaming counterpart of agg.Apply for tests. Weighted rules fold
 // through a fresh one-shard tree; an unweighted one (SCAFFOLD) folds
-// through Partial.Fold(u, true), scale 1, which applyUpdates ingests as
+// through Partial.Fold(u, true), scale 1, which foldUpdates ingests as
 // Weight 1.
 func shardApply(t *testing.T, pa Aggregator, global []float64, ups []Update) {
 	t.Helper()

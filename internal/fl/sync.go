@@ -9,7 +9,6 @@ import (
 	"adafl/internal/netsim"
 	"adafl/internal/obs"
 	"adafl/internal/stats"
-	"adafl/internal/tensor"
 )
 
 // RoundPlanner decides, at the start of each synchronous round, which
@@ -187,11 +186,9 @@ func (e *SyncEngine) RunRound() {
 		roundDur = e.MaxWait
 	}
 
-	before := tensor.CopyVec(e.Global)
-	if err := e.Agg.Apply(e.Global, updates); err != nil {
+	if err := ApplyRound(e.Agg, e.Global, e.LastGlobalDelta, foldUpdates(e.Agg, dim, updates)); err != nil {
 		e.Metrics.Counter("adafl_aggregate_refused_total").Inc() // global untouched
 	}
-	tensor.SubVec(e.LastGlobalDelta, e.Global, before)
 
 	e.now += roundDur
 	e.round++

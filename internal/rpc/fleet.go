@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"adafl/internal/compress"
+	"adafl/internal/fl"
 	"adafl/internal/shard"
 	"adafl/internal/stats"
 )
@@ -362,11 +363,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			f.abort(fmt.Errorf("rpc: fleet client %d sent a bad update: %s", quars[0].ClientID, quars[0].Reason))
 			return nil, f.teardown(&clientWG, &readerWG)
 		}
-		if w := part.Weight(); w != 0 {
-			if err := part.AddTo(global, 1/w); err != nil {
-				f.abort(fmt.Errorf("rpc: fleet round %d: %w", r+1, err))
-				return nil, f.teardown(&clientWG, &readerWG)
-			}
+		if err := (fl.FedAvg{}).ApplyPartial(global, part); err != nil {
+			f.abort(fmt.Errorf("rpc: fleet round %d: %w", r+1, err))
+			return nil, f.teardown(&clientWG, &readerWG)
 		}
 		if r == 0 {
 			// Round 1 warms scratch buffers, pools and connection state;

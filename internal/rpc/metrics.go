@@ -10,7 +10,9 @@ import "adafl/internal/obs"
 // The full catalogue, with types and label conventions, is documented in
 // DESIGN.md §Observability. adafl_registrations_total,
 // adafl_reconnects_total and adafl_connections belong to the Roster
-// (Roster.Instrument), the three checkpoint series to checkpoint.Reporter.
+// (Roster.Instrument), the three checkpoint series to checkpoint.Reporter,
+// and the selection series (adafl_utility_score, adafl_compression_ratio,
+// adafl_negotiated_ratio, adafl_codec_assigned_total) to core.SyncPlanner.
 type serverMetrics struct {
 	rounds      *obs.Counter   // adafl_rounds_total
 	evictions   *obs.Counter   // adafl_evictions_total
@@ -20,12 +22,7 @@ type serverMetrics struct {
 	roundSec    *obs.Histogram // adafl_round_seconds
 	scoreSec    *obs.Histogram // adafl_phase_seconds{phase="score"}
 	updateSec   *obs.Histogram // adafl_phase_seconds{phase="update"}
-	scores      *obs.Histogram // adafl_utility_score
-	ratios      *obs.Histogram // adafl_compression_ratio (planned, from the selector)
 	updRatios   *obs.Histogram // adafl_update_compression_ratio (achieved, from received wire bytes)
-	negRatios   *obs.Histogram // adafl_negotiated_ratio (assigned by the negotiator)
-	codecDGC    *obs.Counter   // adafl_codec_assigned_total{codec="dgc"}
-	codecDAda   *obs.Counter   // adafl_codec_assigned_total{codec="dadaquant"}
 	accuracy    *obs.Gauge     // adafl_round_accuracy (last evaluated)
 	clients     *obs.Gauge     // adafl_round_clients
 	selected    *obs.Gauge     // adafl_round_selected
@@ -44,12 +41,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		roundSec:    r.Histogram("adafl_round_seconds", obs.LatencyBuckets),
 		scoreSec:    r.Histogram(`adafl_phase_seconds{phase="score"}`, obs.LatencyBuckets),
 		updateSec:   r.Histogram(`adafl_phase_seconds{phase="update"}`, obs.LatencyBuckets),
-		scores:      r.Histogram("adafl_utility_score", obs.ScoreBuckets),
-		ratios:      r.Histogram("adafl_compression_ratio", obs.RatioBuckets),
 		updRatios:   r.Histogram("adafl_update_compression_ratio", obs.RatioBuckets),
-		negRatios:   r.Histogram("adafl_negotiated_ratio", obs.RatioBuckets),
-		codecDGC:    r.Counter(`adafl_codec_assigned_total{codec="dgc"}`),
-		codecDAda:   r.Counter(`adafl_codec_assigned_total{codec="dadaquant"}`),
 		accuracy:    r.Gauge("adafl_round_accuracy"),
 		clients:     r.Gauge("adafl_round_clients"),
 		selected:    r.Gauge("adafl_round_selected"),

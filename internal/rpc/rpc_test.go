@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"net"
+	"sort"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"adafl/internal/fl"
 	"adafl/internal/netsim"
 	"adafl/internal/nn"
+	"adafl/internal/scenario"
 	"adafl/internal/stats"
 	"adafl/internal/tensor"
 )
@@ -264,32 +266,64 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-// TestPlanRoundMatchesSyncPlanner is the differential pin on the one
-// selection rule: the simulator's planner and the wire server's planRound,
-// fed the same roster, scores, selection history and ĝ, pick the same
-// clients at the same ratios round after round — through warm-up, ranked
-// rounds, a zero ĝ and the τ-starvation fallback. A client the scenario
-// gate holds out (Eligible false in the simulator, absent from the wire's
-// score set) is planned by neither, on any of those paths.
-func TestPlanRoundMatchesSyncPlanner(t *testing.T) {
-	const n, heldOut = 6, 2
-	env := newChaosEnv(n, 360, 12, 8, 5)
+// TestWireDecisionMatchesSimulator is the differential pin on the one
+// round decision: the simulator's SyncPlanner.Plan and the planner
+// NewServer wires, handed a roster's reported scores the way runRound
+// hands them over (ascending ids), see the same scores, selection
+// history, ĝ and scenario, and must pick the same clients at the same
+// ratios and negotiate the same (codec, ratio, levels) round after round —
+// through warm-up, ranked rounds, a zero ĝ and the τ-starvation fallback,
+// under diurnal.json's availability gate, battery score multipliers and
+// bandwidth trace.
+func TestWireDecisionMatchesSimulator(t *testing.T) {
+	const n, rounds = 8, 8
+	env := newChaosEnv(n, 480, 12, 8, 5)
 	fed := fl.NewFederation(env.parts, env.test, netsim.UniformNetwork(n, netsim.WiFiLink, 6),
 		env.newModel, fl.TrainConfig{LocalSteps: 1, BatchSize: 8, LR: 0.1}, 7)
+	sc, err := scenario.Load("../../examples/scenarios/diurnal.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newFleet := func() *scenario.Fleet {
+		f, err := scenario.NewFleet(sc, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	negCfg := core.DefaultNegotiation()
+	negCfg.Enabled = true
 
-	ranked := core.DefaultConfig()
-	ranked.K = 4
-	ranked.Compression.WarmupRounds = 2
+	ranked := env.cfg
+	// One warm-up round: diurnal.json's battery clients drain out of
+	// availability by round 2, so round 1 is the ranked round their
+	// multipliers reorder.
+	ranked.K, ranked.ExploreFrac = 4, 0.25
+	ranked.Compression.WarmupRounds = 1
 	starved := ranked
 	starved.Tau, starved.ExploreFrac = 0.999, 0
 
+	var gated, dimmed, quantized bool
 	for name, cfg := range map[string]core.Config{"ranked": ranked, "starved": starved} {
+		simFleet, wireFleet := newFleet(), newFleet()
 		sp := core.NewSyncPlanner(cfg)
-		sp.Eligible = func(i int) bool { return i != heldOut }
+		if sp.Negotiator, err = core.NewNegotiator(negCfg, cfg.Compression); err != nil {
+			t.Fatal(err)
+		}
+		sp.Eligible, sp.ScoreMult = simFleet.Available, simFleet.ScoreMult
+		sp.BandwidthMult = func(_, round int) float64 { return simFleet.TraceMult(round) }
 		e := fl.NewSyncEngine(fed, fl.FedAvg{}, sp, 8)
+		srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: n, Rounds: rounds,
+			Cfg: cfg, NewModel: env.newModel, Logf: quiet, Scenario: wireFleet, Negotiation: negCfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.listener.Close()
+
 		rng := stats.NewRNG(9)
-		lastSel := map[int]int{}
-		for round := 0; round < 8; round++ {
+		for round := 0; round < rounds; round++ {
+			simFleet.BeginRound(round)
+			wireFleet.BeginRound(round)
 			// Fresh ĝ and cached deltas every round so the ranking moves;
 			// round 5 sees a model that did not move.
 			for i := range e.LastGlobalDelta {
@@ -298,39 +332,73 @@ func TestPlanRoundMatchesSyncPlanner(t *testing.T) {
 					e.LastGlobalDelta[i] = 0
 				}
 			}
-			scores := map[int]float64{}
+			reported := map[int]float64{}
+			eligible := 0
 			for i, c := range fed.Clients {
 				c.LastDelta = make([]float64, len(e.Global))
 				for j := range c.LastDelta {
 					c.LastDelta[j] = rng.Norm()
 				}
-				if i == heldOut {
-					continue
-				}
 				up, down := fed.Net.Bandwidths(i, e.Now())
-				scores[i] = cfg.Utility.Score(up, down, c.LastDelta, e.LastGlobalDelta)
+				reported[i] = cfg.Utility.Score(up, down, c.LastDelta, e.LastGlobalDelta)
+				if wireFleet.Available(i) {
+					eligible++
+				} else {
+					gated = true
+				}
+				if m := wireFleet.ScoreMult(i); m > 0 && m < 1 && round >= cfg.Compression.WarmupRounds {
+					dimmed = true
+				}
 			}
-			wire := planRound(cfg, round, scores, lastSel, tensor.IsZero(e.LastGlobalDelta))
+			ids := make([]int, 0, len(reported))
+			for id := range reported {
+				ids = append(ids, id)
+			}
+			sort.Ints(ids)
+			scores := make([]float64, len(ids))
+			for k, id := range ids {
+				scores[k] = reported[id]
+			}
+			wire := srv.planner.Decide(round, ids, scores, tensor.IsZero(e.LastGlobalDelta))
 			sim := sp.Plan(round, e)
-			if len(sim) != len(wire) || len(sim) == 0 {
-				t.Fatalf("%s round %d: simulator planned %d clients, wire %d", name, round, len(sim), len(wire))
+
+			if len(sim) != len(wire.Picks) || len(sim) == 0 {
+				t.Fatalf("%s round %d: simulator planned %d clients, wire %d", name, round, len(sim), len(wire.Picks))
 			}
-			for _, p := range sim {
-				if p.Client == heldOut {
-					t.Fatalf("%s round %d: held-out client planned", name, round)
+			for k, p := range sim {
+				w := wire.Picks[k]
+				a, ok := wire.Assign[w.Client]
+				codec, levels := core.CodecDGC, 0
+				if dq, isDQ := p.Codec.(*compress.DAdaQuant); isDQ {
+					codec, levels = core.CodecDAdaQuant, dq.Levels()
+					quantized = true
 				}
-				if ratio, ok := wire[p.Client]; !ok || ratio != p.Ratio {
-					t.Fatalf("%s round %d: client %d at ratio %v in the simulator, %v (selected %v) on the wire",
-						name, round, p.Client, p.Ratio, ratio, ok)
+				if p.Client != w.Client || !ok || p.Ratio != a.Ratio || codec != a.Codec || levels != a.Levels {
+					t.Fatalf("%s round %d rank %d: simulator client %d (%s, ratio %v, %d levels), wire client %d (%+v, assigned %v)",
+						name, round, k, p.Client, codec, p.Ratio, levels, w.Client, a, ok)
 				}
-				if lastSel[p.Client] != round {
+				if !wireFleet.Available(p.Client) {
+					t.Fatalf("%s round %d: client %d planned while the scenario has it offline", name, round, p.Client)
+				}
+				if srv.planner.LastSel()[p.Client] != round {
 					t.Fatalf("%s round %d: wire did not record client %d as selected", name, round, p.Client)
 				}
+				// Both sides see the same battery drain and byte history.
+				simFleet.Account(p.Client, 1, 10_000)
+				wireFleet.Account(p.Client, 1, 10_000)
+				sp.Negotiator.RecordUpload(p.Client, 1000+97*p.Client)
+				srv.neg.RecordUpload(p.Client, 1000+97*p.Client)
 			}
-			full := round < cfg.Compression.WarmupRounds || round == 5 || name == "starved"
-			if full != (len(sim) == n-1) {
-				t.Fatalf("%s round %d: planned %d of %d eligible clients", name, round, len(sim), n-1)
+			want := min(cfg.K, eligible)
+			if round < cfg.Compression.WarmupRounds || round == 5 || name == "starved" {
+				want = eligible
+			}
+			if len(sim) != want {
+				t.Fatalf("%s round %d: planned %d of %d eligible clients, want %d", name, round, len(sim), eligible, want)
 			}
 		}
+	}
+	if !gated || !dimmed || !quantized {
+		t.Fatalf("the scenario left a path unexercised: gated %v, battery-scaled %v, quantized %v", gated, dimmed, quantized)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"adafl/internal/checkpoint"
 	"adafl/internal/core"
 	"adafl/internal/dataset"
+	"adafl/internal/fl"
 	"adafl/internal/nn"
 	"adafl/internal/obs"
 	"adafl/internal/scenario"
@@ -199,7 +200,8 @@ type Server struct {
 	quarantines        []QuarantineRecord // touched only by the round loop goroutine
 	quarantinesDropped int                // records discarded by the log cap
 	tree               *shard.Tree        // aggregation tree the screened round folds through
-	neg                *core.Negotiator   // codec negotiator (nil when Negotiation disabled)
+	planner            *core.SyncPlanner  // the round decision, wired as flsim wires it
+	neg                *core.Negotiator   // the planner's negotiator, fed each accepted upload (nil when Negotiation is off)
 	ckpt               *checkpoint.DeltaWriter
 	report             *checkpoint.Reporter
 	// broadcast is the round's model frame, encoded once for every peer
@@ -255,11 +257,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var neg *core.Negotiator
+	// The planner is wired as the simulator wires it (cmd/flsim): the
+	// scenario gates and scales the scores and its trace is the
+	// negotiator's bandwidth multiplier.
+	planner := core.NewSyncPlanner(cfg.Cfg)
+	planner.Metrics = cfg.Metrics
 	if cfg.Negotiation.Enabled {
-		if neg, err = core.NewNegotiator(cfg.Negotiation, cfg.Cfg.Compression); err != nil {
+		if planner.Negotiator, err = core.NewNegotiator(cfg.Negotiation, cfg.Cfg.Compression); err != nil {
 			return nil, err
 		}
+	}
+	if sc := cfg.Scenario; sc != nil {
+		planner.Eligible, planner.ScoreMult = sc.Available, sc.ScoreMult
+		planner.BandwidthMult = func(_, round int) float64 { return sc.TraceMult(round) }
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -270,7 +280,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		listener: ln,
 		roster:   NewRoster(false),
 		met:      newServerMetrics(cfg.Metrics),
-		neg:      neg,
+		planner:  planner,
+		neg:      planner.Negotiator,
 		report: checkpoint.NewReporter(cfg.Metrics, "", cfg.Events, func(round int, err error) {
 			cfg.Logf("server: checkpoint after round %d failed (continuing): %v", round+1, err)
 		}),
@@ -303,7 +314,7 @@ func (s *Server) Run() (*ServerResult, error) {
 	})
 
 	res := &ServerResult{ResumedFrom: -1}
-	lastSel := map[int]int{} // client id -> last round it was selected
+	lastSel := s.planner.LastSel() // client id -> last round it was selected
 	if s.cfg.CheckpointDir != "" {
 		w, snap, err := checkpoint.Open(s.cfg.CheckpointDir, s.cfg.Resume, s.cfg.Logf)
 		if err == nil && snap != nil {
@@ -351,7 +362,7 @@ func (s *Server) Run() (*ServerResult, error) {
 			res.EndedEarly = true
 			break
 		}
-		rec := s.runRound(round, roster, lastSel, model, global, globalDelta)
+		rec := s.runRound(round, roster, model, global, globalDelta)
 		res.Rounds = append(res.Rounds, rec)
 		res.BytesReceived += rec.Bytes
 		res.Evictions += rec.Evicted
@@ -420,8 +431,7 @@ func (s *Server) evict(p *Peer, round int, err error) {
 // never fails the session: clients that error or dawdle are evicted and
 // the round aggregates whatever arrived in time (Received may be smaller
 // than Selected).
-func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model *nn.Model,
-	global, globalDelta []float64) RoundRecord {
+func (s *Server) runRound(round int, roster []*Peer, model *nn.Model, global, globalDelta []float64) RoundRecord {
 	rec := RoundRecord{Round: round, TestAcc: math.NaN()}
 	roundStart := time.Now()
 	if s.cfg.Scenario != nil {
@@ -448,7 +458,8 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	s.broadcast.Set(&Envelope{Type: MsgModel, Round: round, Params: global, GlobalDelta: sentDelta})
 	errs := Exchange(roster, round, MsgScore, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
 		func(*Peer) (Message, bool) { return &s.broadcast, true }, nil)
-	scores := make(map[int]float64, len(roster))
+	ids := make([]int, 0, len(roster))
+	scores := make([]float64, 0, len(roster))
 	alive := make([]*Peer, 0, len(roster))
 	for i, p := range roster {
 		if errs[i] != nil {
@@ -456,67 +467,30 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 			rec.Evicted++
 			continue
 		}
-		scores[p.ID] = p.Env.Score
+		ids, scores = append(ids, p.ID), append(scores, p.Env.Score)
 		alive = append(alive, p)
 	}
 	s.met.wireBinary.Add(int64(len(alive)))
 	s.met.scoreSec.Observe(time.Since(roundStart).Seconds())
 
-	// Scenario gate: clients the scenario has offline this round cannot
-	// be selected (they stay connected and receive a ratio-0 select, the
-	// protocol's existing not-selected path), and battery level scales
-	// the remaining scores so low-battery clients are deprioritised.
-	if sc := s.cfg.Scenario; sc != nil {
-		for id := range scores {
-			if !sc.Available(id) {
-				delete(scores, id)
-				continue
-			}
-			scores[id] *= sc.ScoreMult(id)
-		}
-	}
-
-	// Negotiation feedback: a client whose last assignment compressed at
-	// the deep end of the range ranks higher, so cheap-to-upload clients
-	// win ties in Algorithm 1.
-	if s.neg != nil {
-		for id := range scores {
-			scores[id] *= s.neg.ScoreMult(id)
-		}
-	}
-
 	// Phase 3+4: selection, then concurrent notify + update collection.
-	plan := planRound(s.cfg.Cfg, round, scores, lastSel, warmup)
-	rec.Selected = len(plan)
-	for _, score := range scores {
-		s.met.scores.Observe(score)
+	// The planner drops the clients the scenario has offline (they stay
+	// connected and receive a ratio-0 select, the protocol's not-selected
+	// path) and ranks the rest; under negotiation each pick's assignment
+	// supersedes its ranked ratio.
+	d := s.planner.Decide(round, ids, scores, warmup)
+	rec.Selected = len(d.Picks)
+	scored := make(map[int]float64, len(d.IDs))
+	for k, id := range d.IDs {
+		scored[id] = d.Scores[k]
 	}
-	for _, ratio := range plan {
-		s.met.ratios.Observe(ratio)
-	}
-	var assigns map[int]core.CodecAssignment
-	if s.neg != nil {
-		var bw func(int) float64
-		if sc := s.cfg.Scenario; sc != nil {
-			bw = func(int) float64 { return sc.TraceMult(round) }
-		}
-		assigns = s.neg.Assign(round, plan, bw)
-		for _, a := range assigns {
-			if a.Codec == core.CodecDAdaQuant {
-				s.met.codecDAda.Inc()
-			} else {
-				s.met.codecDGC.Inc()
-			}
-			s.met.negRatios.Observe(a.Ratio)
-		}
-		s.logAssignments(round, assigns)
-	}
-	s.cfg.Events.Emit(obs.Event{Type: "selection", Round: round, Client: -1, Scores: scores, Ratios: plan})
+	s.logAssignments(round, d.Assign)
+	s.cfg.Events.Emit(obs.Event{Type: "selection", Round: round, Client: -1, Scores: scored, Ratios: d.Ratios})
 	updatePhaseStart := time.Now()
 	errs = Exchange(alive, round, MsgUpdate, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
 		func(p *Peer) (Message, bool) {
-			sel := &Envelope{Type: MsgSelect, Round: round, Ratio: plan[p.ID]} // 0 when not selected this round
-			if a, ok := assigns[p.ID]; ok {
+			sel := &Envelope{Type: MsgSelect, Round: round, Ratio: d.Ratios[p.ID]} // 0 when not selected this round
+			if a, ok := d.Assign[p.ID]; ok {
 				// Negotiated order: the assignment's codec+ratio (and level
 				// count) supersede the plan's bare ratio.
 				sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels
@@ -578,7 +552,7 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 	// round's roster; the 1/WeightSum renormalisation keeps the average
 	// well-formed when some selected updates never arrive).
 	rec.Received = part.Count
-	if err := applyRound(global, globalDelta, part); err != nil {
+	if err := fl.ApplyRound(fl.FedAvg{}, global, globalDelta, part); err != nil {
 		s.cfg.Logf("server: round %d: %v", round+1, err)
 	}
 	s.cfg.Events.Emit(obs.Event{Type: "aggregate", Round: round, Client: -1,
@@ -618,19 +592,6 @@ func (s *Server) runRound(round int, roster []*Peer, lastSel map[int]int, model 
 		sc.RecordMetrics(s.cfg.Metrics)
 	}
 	return rec
-}
-
-// applyRound adds Sum/Weight to global and leaves ĝ = new − old in
-// globalDelta. With no weight, or a partial outside the fold window (the
-// error), the global stays and ĝ is x − x, which is 0 for every finite x.
-func applyRound(global, globalDelta []float64, part *shard.Partial) error {
-	copy(globalDelta, global)
-	var err error
-	if w := part.Weight(); w > 0 {
-		err = part.AddTo(global, 1/w)
-	}
-	tensor.SubVec(globalDelta, global, globalDelta)
-	return err
 }
 
 // logAssignments writes one JSONL record for the round's negotiated
@@ -731,13 +692,11 @@ func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
 		checkpoint.Vector{Name: "gdelta", Vals: globalDelta}))
 }
 
-// joinCheckpoint waits for the snapshot in flight, if any.
+// joinCheckpoint joins the snapshot in flight and makes its event durable
+// (checkpoint.Reporter.Join).
 func (s *Server) joinCheckpoint() {
-	if s.ckpt != nil {
-		s.report.Joined(s.ckpt.Wait())
-		if err := s.cfg.Events.Flush(); err != nil {
-			s.cfg.Logf("server: event log flush after the last checkpoint failed: %v", err)
-		}
+	if err := s.report.Join(s.ckpt); err != nil {
+		s.cfg.Logf("server: event log flush after the last checkpoint failed: %v", err)
 	}
 }
 
@@ -805,27 +764,4 @@ func (s *Server) restore(snap *checkpoint.Snapshot, global, globalDelta []float6
 	s.cfg.Logf("server: resumed session at round %d (%d rounds restored, final acc so far %.3f)",
 		res.ResumedFrom+1, len(meta.History), meta.FinalAcc)
 	return nil
-}
-
-// planRound runs the shared selection rule (core.Config.PlanRound) over
-// the scores the live roster reported and records the picks in lastSel.
-// Client ids are an opaque sparse set — after evictions and re-joins they
-// are not dense 0..n-1 — so they are projected to a sorted vector first.
-// The result maps each selected client id to its compression ratio.
-func planRound(cfg core.Config, round int, scores map[int]float64, lastSel map[int]int, deltaZero bool) map[int]float64 {
-	ids := make([]int, 0, len(scores))
-	for id := range scores {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	vec := make([]float64, len(ids))
-	for i, id := range ids {
-		vec[i] = scores[id]
-	}
-	plan := make(map[int]float64, len(ids))
-	for _, p := range cfg.PlanRound(round, ids, vec, lastSel, deltaZero) {
-		plan[p.Client] = p.Ratio
-		lastSel[p.Client] = round
-	}
-	return plan
 }

@@ -430,9 +430,10 @@ func (a *AsyncSession) hold(d *compress.Sparse) *compress.Sparse {
 	return c
 }
 
-// apply drains the buffer into a new model version: the FedBuff weighted
-// mean global += Eta·Σwᵢdᵢ/Σwᵢ, with wᵢ = fl.StalenessWeight — pinned
-// equal to fl.FedBuff by TestAsyncBufferMatchesFedBuff.
+// apply drains the buffer into a new model version through fl.FedBuff's
+// step: the weighted mean global += Eta·Σwᵢdᵢ/Σwᵢ, with wᵢ =
+// fl.StalenessWeight (TestAsyncBufferMatchesFedBuff pins the two engines
+// equal).
 func (a *AsyncSession) apply() {
 	part, quarantined := a.tree.Finish()
 	a.buffered = 0
@@ -449,14 +450,14 @@ func (a *AsyncSession) apply() {
 		}
 	}
 	a.res.Quarantines, a.res.QuarantinesDropped = shard.AppendQuarantines(a.res.Quarantines, a.res.QuarantinesDropped, quarantined...)
-	if part.Count == 0 || part.WeightSum <= 0 {
-		// The whole buffer was quarantined: no version advances, the
-		// global is bitwise unaffected by the rejected mass.
-		return
-	}
+	// A buffer quarantined whole, or outside the fold window, moves
+	// nothing and advances no version: the global is bitwise unaffected
+	// by the rejected mass.
 	next := append([]float64(nil), params...)
-	if err := part.AddTo(next, a.cfg.Eta/part.Weight()); err != nil {
-		a.cfg.Logf("session %q: version %d: %v", a.cfg.Name, version+1, err)
+	if moved, err := (&fl.FedBuff{Eta: a.cfg.Eta}).ApplyPartial(next, part); !moved {
+		if err != nil {
+			a.cfg.Logf("session %q: version %d: %v", a.cfg.Name, version+1, err)
+		}
 		return
 	}
 	version++
@@ -500,13 +501,11 @@ func (a *AsyncSession) saveCheckpoint(version int, params []float64) {
 	a.report.Joined(a.ckpt.Snapshot(meta, checkpoint.Vector{Name: "global", Vals: params}))
 }
 
-// joinCheckpoint waits for the snapshot in flight, if any: the last published
-// version is durable, and the writer's goroutine gone, before Run returns.
+// joinCheckpoint joins the snapshot in flight and makes its event durable
+// (checkpoint.Reporter.Join): the last published version is durable, and
+// the writer's goroutine gone, before Run returns.
 func (a *AsyncSession) joinCheckpoint() {
-	if a.ckpt != nil {
-		a.report.Joined(a.ckpt.Wait())
-		if err := a.cfg.Events.Flush(); err != nil {
-			a.cfg.Logf("session %q: event log flush failed: %v", a.cfg.Name, err)
-		}
+	if err := a.report.Join(a.ckpt); err != nil {
+		a.cfg.Logf("session %q: event log flush failed: %v", a.cfg.Name, err)
 	}
 }

@@ -54,6 +54,12 @@ SLEEP_CALLERS := internal/leakcheck/leakcheck.go internal/rpc/backoff.go
 # is core's AsyncApply, which adds a single update.
 PLAN_CALLERS := internal/core/adafl.go
 APPLY_CALLERS := internal/core/adafl.go
+# The lockstep collect exists once (DESIGN.md §Connection plane): no
+# non-test internal/rpc or internal/edge file but the collect step
+# (rpc.Collect) and the fleet load generator, whose readers fold what
+# they read, calls a tree's Ingest or Finish — the flat server and the
+# edge gather, fold and judge a round through the one step.
+INGEST_CALLERS := internal/rpc/fleet.go internal/rpc/lockstep.go
 # The shard tree folds in the goroutine that ingests (DESIGN.md §Sharded
 # aggregation): no non-test internal/shard file has a go statement or
 # names a channel type. The list of files allowed to is empty.
@@ -118,6 +124,8 @@ lint: vet
 	if [ "$$got" != "$(PLAN_CALLERS) " ]; then echo "round decision (PlanRound, Assign, ScoreMult) called in: $$got(want: $(PLAN_CALLERS))"; exit 1; fi
 	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' '\.AddTo(' internal cmd | grep -vE '^internal/(fl|shard)/' | sort | tr '\n' ' '); \
 	if [ "$$got" != "$(APPLY_CALLERS) " ]; then echo "AddTo outside internal/fl and internal/shard in: $$got(want: $(APPLY_CALLERS))"; exit 1; fi
+	@got=$$(grep -rlE --include='*.go' --exclude='*_test.go' '\.(Ingest|Finish)\(' internal/rpc internal/edge | sort | tr '\n' ' '); \
+	if [ "$$got" != "$(INGEST_CALLERS) " ]; then echo "tree Ingest or Finish in internal/rpc, internal/edge: $$got(want: $(INGEST_CALLERS))"; exit 1; fi
 	@got=$$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]|(^|[^[:alnum:]_])chan([^[:alnum:]_]|$$)' internal/shard | sort | tr '\n' ' '); \
 	if [ "$$got" != "$(SHARD_CONCURRENCY)" ]; then echo "go statement or channel in the shard tree: $$got(want none)"; exit 1; fi
 	@got=$$(grep -lE --exclude='*_test.go' 'float64|FMADD[0-9]+PD' internal/tensor/gemm*.go internal/tensor/gemm_amd64.s | sort -u | tr '\n' ' '); \

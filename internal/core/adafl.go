@@ -225,6 +225,9 @@ type Decision struct {
 // records the picks and has the negotiator assign each its codec.
 func (p *SyncPlanner) Decide(round int, ids []int, scores []float64, deltaZero bool) Decision {
 	scoreHist := p.Metrics.Histogram("adafl_utility_score", obs.ScoreBuckets)
+	if p.Cfg.warmup(round, deltaZero) {
+		scoreHist = nil // a warm-up ranks nothing, and Plan scores nobody in one
+	}
 	n := 0
 	for k, id := range ids {
 		if p.Eligible != nil && !p.Eligible(id) {

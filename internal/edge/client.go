@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"adafl/internal/compress"
 	"adafl/internal/rpc"
 	"adafl/internal/stats"
 )
@@ -66,8 +65,11 @@ func RunClients(cfg ClientsConfig) error {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if err := runClient(cfg, id); err != nil {
-				errs <- fmt.Errorf("client %d: %w", id, err)
+			err := rpc.Redial(cfg.MaxRetries, cfg.RetryBackoff,
+				stats.NewRNG(cfg.Seed^uint64(id)*0x94d049bb133111eb).Split(),
+				func() (bool, bool, error) { return runClientOnce(cfg, id) }, nil)
+			if err != nil {
+				errs <- fmt.Errorf("client %d: retries exhausted: %w", id, err)
 			}
 		}(id)
 	}
@@ -80,23 +82,12 @@ func RunClients(cfg ClientsConfig) error {
 	}
 }
 
-func runClient(cfg ClientsConfig, id int) error {
-	upd := &compress.Sparse{}
-	err := rpc.Redial(cfg.MaxRetries, cfg.RetryBackoff,
-		stats.NewRNG(cfg.Seed^uint64(id)*0x94d049bb133111eb).Split(),
-		func() (bool, bool, error) { return runClientOnce(cfg, id, upd) }, nil)
-	if err != nil {
-		return fmt.Errorf("retries exhausted: %w", err)
-	}
-	return nil
-}
-
 // runClientOnce runs one bootstrap cycle: learn the edge, train on it
 // until shutdown (done) or a link error. progressed reports whether at
 // least one round completed, which refills the caller's retry budget —
 // an orphan that redials a few times while the root notices its edge
 // died must not burn the budget a genuine outage needs.
-func runClientOnce(cfg ClientsConfig, id int, upd *compress.Sparse) (done, progressed bool, err error) {
+func runClientOnce(cfg ClientsConfig, id int) (done, progressed bool, err error) {
 	boot, err := rpc.Dial("tcp", cfg.Bootstrap, cfg.DialTimeout)
 	if err != nil {
 		return false, false, err
@@ -118,40 +109,14 @@ func runClientOnce(cfg ClientsConfig, id int, upd *compress.Sparse) (done, progr
 	default:
 		return false, false, fmt.Errorf("bootstrap: unexpected %v", env.Type)
 	}
-	addr := env.Info // env is the edge link's receive scratch from here on
-
-	conn, err := rpc.Dial("tcp", addr, cfg.DialTimeout)
+	conn, err := rpc.Dial("tcp", env.Info, cfg.DialTimeout)
 	if err != nil {
 		return false, false, err
 	}
 	defer conn.Close()
-	if err := conn.Send(&rpc.Envelope{Type: rpc.MsgHello, ClientID: id}); err != nil {
-		return false, false, err
+	sent, err := rpc.FleetMember(conn, id, cfg.Seed, cfg.Dim, cfg.Nnz, nil)
+	if err != nil {
+		err = fmt.Errorf("edge %s: %w", env.Info, err)
 	}
-	for {
-		if err := conn.RecvInto(env); err != nil {
-			return false, progressed, err
-		}
-		switch env.Type {
-		case rpc.MsgSelect:
-			// A negotiated select carries a ratio; shrink the synthetic
-			// update accordingly (deterministic given the assignment) so
-			// the edge's load ranking has real bytes to observe.
-			nnz := cfg.Nnz
-			if env.Ratio > 1 {
-				if k := compress.KForRatio(cfg.Dim, env.Ratio); k < nnz {
-					nnz = k
-				}
-			}
-			rpc.FleetUpdate(upd, cfg.Seed, env.Round, id, cfg.Dim, nnz)
-			if err := conn.Send(&rpc.Envelope{Type: rpc.MsgUpdate, ClientID: id, Round: env.Round, Update: upd}); err != nil {
-				return false, progressed, err
-			}
-			progressed = true
-		case rpc.MsgShutdown:
-			return true, progressed, nil
-		default:
-			return false, progressed, fmt.Errorf("edge %s: unexpected %v", addr, env.Type)
-		}
-	}
+	return err == nil, sent > 0, err
 }

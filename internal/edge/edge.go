@@ -199,11 +199,11 @@ func (e *Edge) Kill() {
 // are absorbed: the edge re-registers with backoff (rpc.Redial) while its
 // clients stay connected.
 func (e *Edge) Run() (*EdgeResult, error) {
-	go e.roster.Serve(e.ln, rpc.MsgHello, e.admit)
+	go e.roster.Serve(e.ln, rpc.MsgHello, e.admit, e.cfg.Logf)
 	defer e.ln.Close()
 
-	// One shard: the edge folds its clients' updates on their readers and
-	// judges the round at its barrier.
+	// One shard: the edge folds its clients' updates and judges the round
+	// at its barrier (rpc.Collect).
 	tree := shard.NewTree(shard.Config{Shards: 1, Dim: e.cfg.Dim, MaxNormMult: e.cfg.MaxUpdateNorm, Logf: e.cfg.Logf})
 	err := rpc.Redial(e.cfg.MaxRetries, e.cfg.RetryBackoff,
 		stats.NewRNG(e.cfg.Seed^uint64(e.cfg.ID)*0x9e3779b97f4a7c15).Split(),
@@ -332,11 +332,10 @@ func (e *Edge) recount() {
 	}
 }
 
-// runRound drives one round: broadcast the go-ahead to the current
-// roster, collect the updates under the deadline, fold them into tree in
-// roster order, judge the round at the barrier, ship the partial upstream.
-// The fold's bits do not depend on its order; folding on this goroutine
-// spares the peers' goroutines the contention of one partial.
+// runRound drives one round: the go-ahead to the current roster, then
+// the collect (rpc.Collect: the updates under the deadline, folded into
+// tree, the round judged, the failed and quarantined clients dropped),
+// then the partial upstream.
 func (e *Edge) runRound(root *rpc.Conn, round int, tree *shard.Tree) error {
 	if e.cfg.OnSelect != nil {
 		e.cfg.OnSelect(round)
@@ -357,35 +356,26 @@ func (e *Edge) runRound(root *rpc.Conn, round int, tree *shard.Tree) error {
 		}
 		assigns = e.neg.AssignByLoad(round, ids)
 	}
-	errs := rpc.Exchange(roster, round, rpc.MsgUpdate, e.cfg.UpdateTimeout, e.cfg.UpdateTimeout,
+	received, part, quarantined := rpc.Collect(tree, roster, round, e.cfg.UpdateTimeout, e.cfg.UpdateTimeout,
 		func(p *rpc.Peer) (rpc.Message, bool) {
 			sel := &rpc.Envelope{Type: rpc.MsgSelect, Round: round, Ratio: 1}
 			if a, ok := assigns[p.ID]; ok {
 				sel.Ratio, sel.Codec, sel.Levels = a.Ratio, a.Codec, a.Levels
 			}
 			return sel, true
-		}, nil)
-	for i, p := range roster {
-		if errs[i] != nil {
-			e.dropClient(p, errs[i])
-			continue
-		}
-		tree.Ingest(round, shard.Update{Client: p.ID, Weight: 1, Delta: p.Env.Update})
-		if e.neg != nil {
+		},
+		func(*rpc.Peer) float64 { return 1 }, e.dropClient)
+	if e.neg != nil {
+		for _, p := range received {
 			// Per-client EWMA fold: order-independent across clients,
 			// so receipt order cannot perturb future assignments.
 			e.neg.RecordUpload(p.ID, p.Env.Update.WireBytes())
 		}
 	}
-
-	// The barrier: the tree judges the round's norms and takes back what
-	// it quarantines.
-	part, quarantined := tree.Finish()
 	for _, q := range quarantined {
 		e.met.quarantines.Inc()
 		e.cfg.Events.Emit(obs.Event{Type: "quarantine", Round: round, Client: q.ClientID,
 			Reason: q.Reason, Norm: q.Norm, Edge: e.cfg.ID})
-		e.dropClient(rpc.FindPeer(roster, q.ClientID), fmt.Errorf("quarantined update: %s", q.Reason))
 	}
 	if err := part.Window(); err != nil {
 		// Its words may have wrapped, so the root must not merge them:

@@ -257,8 +257,8 @@ func (r *Root) Run() (*RootResult, error) {
 		}
 	}
 
-	go r.roster.Serve(r.edgeLn, rpc.MsgEdgeHello, r.admitEdge)
-	go r.roster.Serve(r.clientLn, rpc.MsgHello, r.admitClient)
+	go r.roster.Serve(r.edgeLn, rpc.MsgEdgeHello, r.admitEdge, r.cfg.Logf)
+	go r.roster.Serve(r.clientLn, rpc.MsgHello, r.admitClient, r.cfg.Logf)
 
 	if start >= r.cfg.Rounds {
 		// Nothing left to do: the snapshot covers the whole session.
@@ -612,19 +612,19 @@ func (r *Root) runRound(round int, merged *shard.Partial, global []float64) (Roo
 	}
 
 	// The go-ahead is an exchange with no reply: the partials come back
-	// through the edges' readers, between their heartbeats.
+	// through the edges' readers, between their heartbeats. Every edge it
+	// failed is retired; fatal is set once that leaves none.
 	sel := &rpc.Envelope{Type: rpc.MsgSelect, Round: round, Ratio: 1}
-	errs := rpc.Exchange(targets, round, rpc.MsgEdgePartial, r.cfg.PartialTimeout, 0,
-		func(*rpc.Peer) (rpc.Message, bool) { return sel, false }, nil)
-	sent := 0
-	for i, p := range targets {
-		if errs[i] == nil {
-			sent++
-		} else if err := r.edgeDown(p, fmt.Errorf("select broadcast: %w", errs[i])); err != nil {
-			return RootRound{}, err
-		}
+	sent := rpc.Gather(targets, round, rpc.MsgEdgePartial, r.cfg.PartialTimeout, 0,
+		func(*rpc.Peer) (rpc.Message, bool) { return sel, false },
+		func(p *rpc.Peer, err error) { r.edgeDown(p, fmt.Errorf("select broadcast: %w", err)) })
+	r.mu.Lock()
+	err = r.fatal
+	r.mu.Unlock()
+	if err != nil {
+		return RootRound{}, err
 	}
-	if sent == 0 {
+	if len(sent) == 0 {
 		return RootRound{}, fmt.Errorf("root: round %d: no live edges to select", round+1)
 	}
 

@@ -381,9 +381,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	f.broadcastShutdown()
 	clientWG.Wait()
 	readerWG.Wait()
-	for _, c := range f.conns {
-		c.Close()
-	}
+	f.closeConns()
 	if err := f.failed(); err != nil {
 		return nil, err
 	}
@@ -413,6 +411,14 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 // teardown closes everything after an abort and reports the first error.
 func (f *fleetRun) teardown(clientWG, readerWG *sync.WaitGroup) error {
 	f.ln.Close() // stops the accept loop before the conn lists are read
+	f.closeConns()
+	clientWG.Wait()
+	readerWG.Wait()
+	return f.failed()
+}
+
+// closeConns closes every tracked connection, and any added later.
+func (f *fleetRun) closeConns() {
 	f.connMu.Lock()
 	f.closed = true
 	conns := f.conns
@@ -420,9 +426,6 @@ func (f *fleetRun) teardown(clientWG, readerWG *sync.WaitGroup) error {
 	for _, c := range conns {
 		c.Close()
 	}
-	clientWG.Wait()
-	readerWG.Wait()
-	return f.failed()
 }
 
 // reader serves one connection for the whole session; any error it meets
@@ -554,7 +557,9 @@ func (f *fleetRun) broadcastShutdown() {
 	}
 }
 
-// client dials and runs one fleet member.
+// client dials and runs one fleet member: no preamble, and only the hello
+// passes the Conn's small send buffer (newBinaryConn). An error after an
+// abort is not the run's: the abort kept the first.
 func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 	dialSem <- struct{}{}
 	raw, err := f.dialRetry()
@@ -565,44 +570,42 @@ func (f *fleetRun) client(id int, dialSem chan struct{}) error {
 	if f.trackClientConns {
 		f.addConn(raw)
 	}
-	return f.session(raw, id)
-}
-
-// session runs one fleet member over raw, which it closes: hello, then
-// lockstep rounds until shutdown. Fleet clients skip the preamble. The
-// hello and every receive go through a Conn with a small send buffer (10k
-// clients at the default 32KB would burn 320MB in bufio alone); an update
-// frame bypasses it, one Write each (sendFleetUpdate).
-func (f *fleetRun) session(raw net.Conn, id int) error {
 	conn := newBinaryConn(raw, 1024)
 	defer conn.Close()
+	_, err = FleetMember(conn, id, f.cfg.Seed, f.cfg.Dim, f.cfg.Nnz, f.cfg.Mask)
+	return err
+}
+
+// FleetMember runs one synthetic lockstep member over conn (handshake
+// done, no other sender): a hello, then on each select the FleetUpdate of
+// (seed, round, id) in one Write past the send buffer (sendFleetUpdate),
+// at most as dense as the select's ratio allows, and nothing in a round
+// mask excludes (nil: none); until a shutdown (nil) or an error. sent
+// counts its updates.
+func FleetMember(conn *Conn, id int, seed uint64, dim, nnz int, mask [][]bool) (sent int, err error) {
 	if err := conn.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 1}); err != nil {
-		return err
+		return 0, err
 	}
 	upd := &compress.Sparse{}
 	var env Envelope
 	for {
 		if err := conn.RecvInto(&env); err != nil {
-			select {
-			case <-f.aborted: // torn down under us: not this client's fault
-				return nil
-			default:
-			}
-			return err
+			return sent, err
 		}
 		switch env.Type {
 		case MsgSelect:
-			if !maskAllows(f.cfg.Mask, env.Round, id) {
+			if !maskAllows(mask, env.Round, id) {
 				continue // sitting this round out per the scenario mask
 			}
-			FleetUpdate(upd, f.cfg.Seed, env.Round, id, f.cfg.Dim, f.cfg.Nnz)
-			if err := sendFleetUpdate(raw, id, env.Round, upd); err != nil {
-				return fmt.Errorf("send %v: %w", MsgUpdate, err)
+			FleetUpdate(upd, seed, env.Round, id, dim, min(nnz, compress.KForRatio(dim, env.Ratio)))
+			if err := sendFleetUpdate(conn.raw, id, env.Round, upd); err != nil {
+				return sent, fmt.Errorf("send %v: %w", MsgUpdate, err)
 			}
+			sent++
 		case MsgShutdown:
-			return nil
+			return sent, nil
 		default:
-			return fmt.Errorf("unexpected %v", env.Type)
+			return sent, fmt.Errorf("unexpected %v", env.Type)
 		}
 	}
 }
@@ -658,15 +661,8 @@ func RunFleetClients(cfg FleetConfig, lo, hi int) error {
 	go func() {
 		select {
 		case <-done:
-			return
 		case <-f.aborted:
-		}
-		f.connMu.Lock()
-		f.closed = true
-		conns := f.conns
-		f.connMu.Unlock()
-		for _, c := range conns {
-			c.Close()
+			f.closeConns()
 		}
 	}()
 	cfg.Logf("fleet: dialing clients [%d, %d) against %s %s",

@@ -430,12 +430,14 @@ func TestFleetClientOneWritePerUpdate(t *testing.T) {
 	const id, rounds = 5, 3
 	cfg := fleetCfg(t, 8, rounds)
 	cfg.Dim, cfg.Nnz = 20000, 1000
-	f := &fleetRun{cfg: cfg, aborted: make(chan struct{})}
 	server, client := net.Pipe()
 	defer server.Close()
 	wc := &writeCounter{Conn: client}
 	errc := make(chan error, 1)
-	go func() { errc <- f.session(wc, id) }()
+	go func() {
+		_, err := FleetMember(newBinaryConn(wc, 1024), id, cfg.Seed, cfg.Dim, cfg.Nnz, nil)
+		errc <- err
+	}()
 
 	readFrame := func() []byte {
 		var hdr [4]byte

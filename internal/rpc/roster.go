@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -26,7 +27,8 @@ type Peer struct {
 	Env Envelope
 	Ext any // the engine's own per-peer state; the roster never reads it
 
-	gone bool // removed, bytes folded (under Roster.mu)
+	asked bool // the last Exchange asked this peer for a reply
+	gone  bool // removed, bytes folded (under Roster.mu)
 }
 
 // Roster is the connection plane of one engine: the accept loops, the
@@ -86,10 +88,14 @@ func (r *Roster) Instrument(reg *obs.Registry, session string) {
 
 // Serve is the accept loop. Each connection is handshaken (Accept) on its
 // own goroutine and, if its first frame is a want, handed to admit, which
-// ends in Admit or Reject. Serve returns nil once Kill or Shutdown has
-// closed ln, else the listener's error, which Wait reports too. One
-// roster may serve several listeners.
-func (r *Roster) Serve(ln net.Listener, want MsgType, admit func(*Conn, *Envelope)) error {
+// ends in Admit or Reject. A temporary accept error (EMFILE, ENFILE,
+// ECONNABORTED) is waited out, as net/http does: 5 ms, doubling to 1 s,
+// cut short by Kill or Shutdown. Serve returns nil once Kill or Shutdown
+// has closed ln, else the listener's permanent error, which Wait reports
+// too and logf, when non-nil, is told of: ln admits nobody from then on.
+// One roster may serve several listeners.
+func (r *Roster) Serve(ln net.Listener, want MsgType, admit func(*Conn, *Envelope),
+	logf func(format string, args ...interface{})) error {
 	r.mu.Lock()
 	r.lns = append(r.lns, ln)
 	if r.closing {
@@ -100,16 +106,36 @@ func (r *Roster) Serve(ln net.Listener, want MsgType, admit func(*Conn, *Envelop
 	r.tasks.Add(1) // Kill and Shutdown join the loop too
 	r.mu.Unlock()
 	defer r.tasks.Done()
+	var wait time.Duration // after a temporary error; 0 after a success
 	for {
 		raw, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			if r.closing {
+		var te interface{ Temporary() bool }
+		if err != nil && errors.As(err, &te) && te.Temporary() {
+			wait = min(max(2*wait, 5*time.Millisecond), time.Second)
+			t := time.NewTimer(wait)
+			select {
+			case <-t.C:
+				continue
+			case <-r.done:
+				t.Stop()
 				return nil
 			}
-			r.serveErr = err
-			r.cond.Broadcast()
+		}
+		wait = 0
+		if err != nil {
+			r.mu.Lock()
+			closing := r.closing
+			if !closing {
+				r.serveErr = err
+				r.cond.Broadcast()
+			}
+			r.mu.Unlock()
+			if closing {
+				return nil
+			}
+			if logf != nil {
+				logf("rpc: accept loop on %s ended, nobody is admitted there from now on: %v", ln.Addr(), err)
+			}
 			return err
 		}
 		r.mu.Lock()
@@ -295,39 +321,6 @@ func (r *Roster) Wait(n int) error {
 		return net.ErrClosed
 	}
 	return r.serveErr
-}
-
-// Exchange is the one timed phase. Concurrently, each peer is sent out(p)
-// under a write deadline of send and, if out asks for a reply, must answer
-// within recv with a want-typed message for round, which lands in p.Env.
-// errs[i] is peers[i]'s failure (nil: served); evicting is the caller's
-// business. out runs on the caller's goroutine, in peers order; got, when
-// non-nil, runs on the peer's goroutine once its reply is valid, so an
-// engine can fold each reply as it arrives.
-func Exchange(peers []*Peer, round int, want MsgType, send, recv time.Duration,
-	out func(*Peer) (msg Message, reply bool), got func(*Peer)) (errs []error) {
-	errs = make([]error, len(peers))
-	var wg sync.WaitGroup
-	for i, p := range peers {
-		msg, reply := out(p)
-		wg.Add(1)
-		go func(i int, p *Peer) {
-			defer wg.Done()
-			if errs[i] = p.Conn.SendWithin(send, msg); errs[i] != nil || !reply {
-				return
-			}
-			p.Conn.SetReadDeadline(time.Now().Add(recv))
-			if errs[i] = p.Conn.RecvInto(&p.Env); errs[i] == nil && (p.Env.Type != want || p.Env.Round != round) {
-				errs[i] = fmt.Errorf("expected message type %d for round %d, got type %d for round %d",
-					want, round+1, p.Env.Type, p.Env.Round+1)
-			}
-			if errs[i] == nil && got != nil {
-				got(p)
-			}
-		}(i, p)
-	}
-	wg.Wait()
-	return errs
 }
 
 // Done is closed when Kill or Shutdown begins; from then on a Go reader

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -217,8 +220,9 @@ func TestRosterKillSendsNothing(t *testing.T) {
 }
 
 // TestRosterServe covers the accept loop: a hello is admitted through the
-// callback, a closed listener ends Serve with its error and wakes Wait,
-// and a Kill ends it cleanly with the mid-handshake connection closed.
+// callback, a closed listener ends Serve with its error, logged, and wakes
+// Wait, and a Kill ends it cleanly with the mid-handshake connection
+// closed.
 func TestRosterServe(t *testing.T) {
 	listen := func() net.Listener {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -227,12 +231,13 @@ func TestRosterServe(t *testing.T) {
 		}
 		return ln
 	}
+	logged := make(chan string, 1)
 	serve := func(r *Roster, ln net.Listener) <-chan error {
 		done := make(chan error, 1)
 		go func() {
 			done <- r.Serve(ln, MsgHello, func(c *Conn, h *Envelope) {
 				r.Admit(&Peer{ID: h.ClientID, Conn: c, Samples: h.NumSamples}, welcome())
-			})
+			}, func(format string, args ...interface{}) { logged <- fmt.Sprintf(format, args...) })
 		}()
 		return done
 	}
@@ -257,6 +262,14 @@ func TestRosterServe(t *testing.T) {
 	ln.Close()
 	if err := <-done; err == nil {
 		t.Error("Serve returned nil for a listener that failed under it")
+	}
+	select {
+	case line := <-logged:
+		if !strings.Contains(line, "accept loop on "+ln.Addr().String()+" ended") {
+			t.Errorf("failure logged as %q", line)
+		}
+	default:
+		t.Error("Serve did not log the listener's failure")
 	}
 	if err := r.Wait(2); err == nil {
 		t.Error("Wait kept waiting on a roster whose listener failed")
@@ -288,11 +301,74 @@ func TestRosterServe(t *testing.T) {
 	}
 	// A listener handed to a dead roster is closed, not served.
 	late := listen()
-	if err := r.Serve(late, MsgHello, nil); err != nil {
+	if err := r.Serve(late, MsgHello, nil, nil); err != nil {
 		t.Errorf("Serve on a killed roster: %v", err)
 	}
 	if _, err := late.Accept(); err == nil {
 		t.Error("a killed roster left its late listener open")
+	}
+}
+
+// flakyListener answers its next fails calls to Accept with EMFILE, the
+// error a process out of descriptors gets, then accepts from the real
+// listener.
+type flakyListener struct {
+	net.Listener
+	fails int
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails > 0 {
+		l.fails--
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestRosterServeRetriesTemporaryAcceptErrors: a temporary accept error
+// does not end admission — the next hello is still admitted — and Kill
+// cuts the retry wait short.
+func TestRosterServeRetriesTemporaryAcceptErrors(t *testing.T) {
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRoster(false)
+	done := make(chan error, 1)
+	go func() {
+		done <- r.Serve(&flakyListener{Listener: tcp, fails: 1}, MsgHello, func(c *Conn, h *Envelope) {
+			r.Admit(&Peer{ID: h.ClientID, Conn: c}, welcome())
+		}, nil)
+	}()
+	c, err := Dial("tcp", tcp.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send(&Envelope{Type: MsgHello, ClientID: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Wait(1); err != nil || r.Peer(3) == nil {
+		t.Fatalf("hello after a temporary accept error not admitted: %v", err)
+	}
+	r.Kill()
+	if err := <-done; err != nil {
+		t.Errorf("Serve after Kill: %v", err)
+	}
+
+	// A listener that keeps failing: Kill ends the wait between retries.
+	r = NewRoster(false)
+	go func() {
+		done <- r.Serve(&flakyListener{Listener: tcp, fails: 1 << 30}, MsgHello, nil, nil)
+	}()
+	time.Sleep(50 * time.Millisecond) // a few retries in
+	start := time.Now()
+	r.Kill()
+	if err := <-done; err != nil {
+		t.Errorf("Serve after Kill: %v", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("Kill waited %v for the accept retry", d)
 	}
 }
 
@@ -332,7 +408,7 @@ func TestExchangeAndShutdownSilentPeer(t *testing.T) {
 	start := time.Now()
 	errs := Exchange(peers, round, MsgScore, deadline, deadline, func(p *Peer) (Message, bool) {
 		return &Envelope{Type: MsgSelect, Round: round}, p.ID != 3
-	}, nil)
+	})
 	if d := time.Since(start); d > 4*deadline {
 		t.Fatalf("Exchange took %v against a %v deadline", d, deadline)
 	}

@@ -12,6 +12,7 @@ import (
 	"adafl/internal/fl"
 	"adafl/internal/netsim"
 	"adafl/internal/nn"
+	"adafl/internal/obs"
 	"adafl/internal/scenario"
 	"adafl/internal/stats"
 	"adafl/internal/tensor"
@@ -400,5 +401,52 @@ func TestWireDecisionMatchesSimulator(t *testing.T) {
 	}
 	if !gated || !dimmed || !quantized {
 		t.Fatalf("the scenario left a path unexercised: gated %v, battery-scaled %v, quantized %v", gated, dimmed, quantized)
+	}
+}
+
+// TestUtilityScoreSeriesMatchesSimulator: over one roster, rounds 0–7 of
+// which two are warm-up, the wire server's planner (handed scores every
+// round, warm-up included, as its clients report them) and the
+// simulator's (which scores nobody in a warm-up round) record the same
+// number of adafl_utility_score observations: the ranked rounds'.
+func TestUtilityScoreSeriesMatchesSimulator(t *testing.T) {
+	const n, rounds = 6, 8
+	env := newChaosEnv(n, 360, 12, 8, 5)
+	fed := fl.NewFederation(env.parts, env.test, netsim.UniformNetwork(n, netsim.WiFiLink, 6),
+		env.newModel, fl.TrainConfig{LocalSteps: 1, BatchSize: 8, LR: 0.1}, 7)
+	cfg := env.cfg // two warm-up rounds
+	simReg, wireReg := obs.NewRegistry(), obs.NewRegistry()
+	sp := core.NewSyncPlanner(cfg)
+	sp.Metrics = simReg
+	e := fl.NewSyncEngine(fed, fl.FedAvg{}, sp, 8)
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: n, Rounds: rounds,
+		Cfg: cfg, NewModel: env.newModel, Logf: quiet, Metrics: wireReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.listener.Close()
+
+	rng := stats.NewRNG(3)
+	for round := 0; round < rounds; round++ {
+		for i := range e.LastGlobalDelta {
+			e.LastGlobalDelta[i] = rng.Norm()
+		}
+		ids := make([]int, n)
+		scores := make([]float64, n)
+		for i, c := range fed.Clients {
+			c.LastDelta = make([]float64, len(e.Global))
+			for j := range c.LastDelta {
+				c.LastDelta[j] = rng.Norm()
+			}
+			up, down := fed.Net.Bandwidths(i, e.Now())
+			ids[i], scores[i] = i, cfg.Utility.Score(up, down, c.LastDelta, e.LastGlobalDelta)
+		}
+		srv.planner.Decide(round, ids, scores, false)
+		sp.Plan(round, e)
+	}
+	sim := simReg.Histogram("adafl_utility_score", obs.ScoreBuckets).Count()
+	wire := wireReg.Histogram("adafl_utility_score", obs.ScoreBuckets).Count()
+	if want := int64(n * (rounds - cfg.Compression.WarmupRounds)); sim != want || wire != want {
+		t.Errorf("adafl_utility_score counts: simulator %d, wire %d; want %d each", sim, wire, want)
 	}
 }

@@ -303,8 +303,8 @@ func (s *Server) Run() (*ServerResult, error) {
 	global := model.ParamVector()
 	globalDelta := make([]float64, len(global))
 
-	// Each update is checked and folded on its peer's goroutine as it
-	// arrives; Finish judges the round's norms at the barrier.
+	// The round's updates are checked and folded once the last has
+	// arrived, and judged at the barrier (Collect).
 	s.tree = shard.NewTree(shard.Config{
 		Shards:      1,
 		Dim:         len(global),
@@ -339,7 +339,7 @@ func (s *Server) Run() (*ServerResult, error) {
 	}
 	s.nextRound.Store(int64(startRound))
 
-	go s.roster.Serve(s.listener, MsgHello, func(conn *Conn, hello *Envelope) { s.deliver(conn, hello) })
+	go s.roster.Serve(s.listener, MsgHello, s.deliver, s.cfg.Logf)
 	if err := s.roster.Wait(s.cfg.NumClients); err != nil {
 		s.shutdown("listener failed")
 		if s.roster.Killed() {
@@ -400,31 +400,19 @@ func (s *Server) Kill() {
 }
 
 // deliver registers a connection that Accept has admitted and whose hello
-// it returned. The hello envelope is only read during the call. A rejected
-// connection is closed after a shutdown notice and the error says why; nil
-// means the client is registered and welcomed. The welcome's Round tells a
-// redialling client it is joining a resumed or in-progress session, not
-// round 0.
-func (s *Server) deliver(conn *Conn, hello *Envelope) error {
+// it returned; the hello envelope is only read during the call. A
+// rejected connection is closed after a shutdown notice (Roster.Admit).
+// The welcome's Round tells a redialling client it is joining a resumed
+// or in-progress session, not round 0.
+func (s *Server) deliver(conn *Conn, hello *Envelope) {
 	s.met.wireBinary.Inc()
 	next := int(s.nextRound.Load())
 	p := &Peer{ID: hello.ClientID, Conn: conn, Samples: hello.NumSamples}
 	if err := s.roster.Admit(p, &Envelope{Type: MsgWelcome, Round: next}); err != nil {
 		s.cfg.Logf("server: client %d not admitted: %v", p.ID, err)
-		return err
+		return
 	}
 	s.cfg.Logf("server: client %d registered (%d samples), joins at round %d", p.ID, p.Samples, next+1)
-	return nil
-}
-
-// evict removes a client whose link failed or who missed a phase
-// deadline. The roster folds its bytes into the session accounting and
-// closes its connection; a later re-Hello may bring it back.
-func (s *Server) evict(p *Peer, round int, err error) {
-	s.roster.Remove(p)
-	s.met.evictions.Inc()
-	s.cfg.Events.Emit(obs.Event{Type: "evict", Round: round, Client: p.ID, Reason: err.Error()})
-	s.cfg.Logf("server: round %d: evicting client %d: %v", round+1, p.ID, err)
 }
 
 // runRound executes one federated round against the current roster. It
@@ -446,6 +434,17 @@ func (s *Server) runRound(round int, roster []*Peer, model *nn.Model, global, gl
 		totalSamples += p.Samples
 	}
 
+	// A peer that fails a phase, or whose update the tree quarantines, is
+	// evicted: its weight leaves the renormalisation, the global is bitwise
+	// unaffected by a rejected update, and a later re-Hello may return it.
+	drop := func(p *Peer, err error) {
+		s.roster.Remove(p)
+		s.met.evictions.Inc()
+		s.cfg.Events.Emit(obs.Event{Type: "evict", Round: round, Client: p.ID, Reason: err.Error()})
+		s.cfg.Logf("server: round %d: evicting client %d: %v", round+1, p.ID, err)
+		rec.Evicted++
+	}
+
 	// Phase 1+2: broadcast + score collection, one exchange. The broadcast
 	// is encoded once and every peer is written the same bytes. A zero ĝ
 	// (the warm-up) is not sent: the wire reads an absent vector as an
@@ -456,19 +455,12 @@ func (s *Server) runRound(round int, roster []*Peer, model *nn.Model, global, gl
 		sentDelta = nil
 	}
 	s.broadcast.Set(&Envelope{Type: MsgModel, Round: round, Params: global, GlobalDelta: sentDelta})
-	errs := Exchange(roster, round, MsgScore, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
-		func(*Peer) (Message, bool) { return &s.broadcast, true }, nil)
-	ids := make([]int, 0, len(roster))
-	scores := make([]float64, 0, len(roster))
-	alive := make([]*Peer, 0, len(roster))
-	for i, p := range roster {
-		if errs[i] != nil {
-			s.evict(p, round, errs[i])
-			rec.Evicted++
-			continue
-		}
-		ids, scores = append(ids, p.ID), append(scores, p.Env.Score)
-		alive = append(alive, p)
+	alive := Gather(roster, round, MsgScore, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
+		func(*Peer) (Message, bool) { return &s.broadcast, true }, drop)
+	ids := make([]int, len(alive))
+	scores := make([]float64, len(alive))
+	for k, p := range alive {
+		ids[k], scores[k] = p.ID, p.Env.Score
 	}
 	s.met.wireBinary.Add(int64(len(alive)))
 	s.met.scoreSec.Observe(time.Since(roundStart).Seconds())
@@ -487,7 +479,7 @@ func (s *Server) runRound(round int, roster []*Peer, model *nn.Model, global, gl
 	s.logAssignments(round, d.Assign)
 	s.cfg.Events.Emit(obs.Event{Type: "selection", Round: round, Client: -1, Scores: scored, Ratios: d.Ratios})
 	updatePhaseStart := time.Now()
-	errs = Exchange(alive, round, MsgUpdate, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
+	received, part, quarantined := Collect(s.tree, alive, round, s.cfg.WriteTimeout, s.cfg.StragglerTimeout,
 		func(p *Peer) (Message, bool) {
 			sel := &Envelope{Type: MsgSelect, Round: round, Ratio: d.Ratios[p.ID]} // 0 when not selected this round
 			if a, ok := d.Assign[p.ID]; ok {
@@ -497,26 +489,11 @@ func (s *Server) runRound(round int, roster []*Peer, model *nn.Model, global, gl
 			}
 			return sel, sel.Ratio > 0
 		},
-		// Fold on arrival. The payload stays in the peer's receive scratch
-		// (Peer.Env), valid until its next reply at the next round, which
-		// is what the tree's norm gate needs to hold it to the barrier.
-		func(p *Peer) {
-			s.tree.Ingest(round, shard.Update{Client: p.ID, Delta: p.Env.Update,
-				Weight: float64(p.Samples) / float64(totalSamples)})
-		})
-	// Account the round in roster order.
-	received := make([]*Peer, 0, len(alive))
-	for i, p := range alive {
-		if errs[i] != nil {
-			s.evict(p, round, errs[i])
-			rec.Evicted++
-			continue
-		}
-		if p.Env.Type != MsgUpdate {
-			continue // no reply was asked for: Env still holds the score
-		}
+		func(p *Peer) float64 { return float64(p.Samples) / float64(totalSamples) }, drop)
+	s.met.updateSec.Observe(time.Since(updatePhaseStart).Seconds())
+	// Account the round's uploads in roster order, the quarantined ones too.
+	for _, p := range received {
 		upd := p.Env.Update
-		received = append(received, p)
 		s.met.wireBinary.Inc()
 		if s.neg != nil {
 			// Per-client EWMA fold: order-independent across clients,
@@ -531,26 +508,17 @@ func (s *Server) runRound(round int, roster []*Peer, model *nn.Model, global, gl
 		}
 		s.cfg.Events.Emit(obs.Event{Type: "update", Round: round, Client: p.ID, Bytes: int64(upd.WireBytes())})
 	}
-
-	// The barrier: the tree judges the round's norms and takes back what it
-	// quarantines. Quarantined clients are evicted like stragglers: their
-	// weight leaves the renormalisation and the global is bitwise
-	// unaffected by the rejected update.
-	aggStart := time.Now()
-	part, quarantined := s.tree.Finish()
-	s.met.updateSec.Observe(time.Since(updatePhaseStart).Seconds())
+	rec.Quarantined = len(quarantined)
 	for _, q := range quarantined {
 		s.met.quarantines.Inc()
 		s.cfg.Events.Emit(obs.Event{Type: "quarantine", Round: round, Client: q.ClientID, Reason: q.Reason, Norm: q.Norm})
-		s.evict(FindPeer(received, q.ClientID), round, fmt.Errorf("quarantined update: %s", q.Reason))
-		rec.Evicted++
-		rec.Quarantined++
 	}
 	s.quarantines, s.quarantinesDropped = shard.AppendQuarantines(s.quarantines, s.quarantinesDropped, quarantined...)
 
 	// Apply the merged partial (FedAvg weighted by sample counts of the
 	// round's roster; the 1/WeightSum renormalisation keeps the average
 	// well-formed when some selected updates never arrive).
+	aggStart := time.Now()
 	rec.Received = part.Count
 	if err := fl.ApplyRound(fl.FedAvg{}, global, globalDelta, part); err != nil {
 		s.cfg.Logf("server: round %d: %v", round+1, err)

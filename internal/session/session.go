@@ -98,7 +98,7 @@ func (m *Manager) Addr() string { return m.listener.Addr().String() }
 // Serve accepts and routes connections until Close. It returns nil after
 // a Close, or the terminal listener error.
 func (m *Manager) Serve() error {
-	return m.plane.Serve(m.listener, rpc.MsgHello, m.route)
+	return m.plane.Serve(m.listener, rpc.MsgHello, m.route, m.cfg.Logf)
 }
 
 // route hands an admitted connection to the session its hello names.
